@@ -56,11 +56,11 @@
 
 use super::error::ServeError;
 use super::events::ServeEvent;
-use super::policy::{PolicyKind, PreemptionConfig, RetentionPolicy};
+use super::policy::PolicyKind;
 use super::queue::ServingRequest;
 use super::router::{RoutingKind, RoutingPolicy, ShardView};
-use super::stats::{RequestStats, ServingReport};
-use super::{AdmissionConfig, ServingConfig, ServingEngine};
+use super::stats::{self, RequestStats, ServingReport};
+use super::{ServingConfig, ServingEngine};
 
 use crate::config::AccelConfig;
 
@@ -160,23 +160,28 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
+    /// Sums a per-shard quantity across all shards.
+    fn sum_shards<T: std::iter::Sum<T>>(&self, f: impl Fn(&ServingReport) -> T) -> T {
+        self.shards.iter().map(f).sum()
+    }
+
     /// Tokens generated across all shards.
     #[must_use]
     pub fn tokens_generated(&self) -> usize {
-        self.shards.iter().map(|s| s.tokens_generated).sum()
+        self.sum_shards(|s| s.tokens_generated)
     }
 
     /// Evictions across all shards.
     #[must_use]
     pub fn preemptions(&self) -> usize {
-        self.shards.iter().map(|s| s.preemptions).sum()
+        self.sum_shards(|s| s.preemptions)
     }
 
     /// Tokens generated while their request was still inside its SLO,
     /// across all shards (see [`RequestStats::good_tokens`]).
     #[must_use]
     pub fn total_good_tokens(&self) -> usize {
-        self.requests().map(|(_, r)| r.good_tokens).sum()
+        stats::good_tokens(self.pooled_requests())
     }
 
     /// Cluster goodput in SLO-attaining tokens per second at `clock_hz`,
@@ -184,10 +189,7 @@ impl ClusterReport {
     /// [`tokens_per_second`](Self::tokens_per_second)).
     #[must_use]
     pub fn goodput_tokens_per_second(&self, clock_hz: f64) -> f64 {
-        if self.total_cycles == 0 {
-            return 0.0;
-        }
-        self.total_good_tokens() as f64 * clock_hz / self.total_cycles as f64
+        stats::tokens_per_second(self.total_good_tokens(), self.total_cycles, clock_hz)
     }
 
     /// Fraction of deadline-carrying finished requests that met every
@@ -195,20 +197,7 @@ impl ClusterReport {
     /// request declared a deadline.
     #[must_use]
     pub fn deadline_attainment(&self) -> f64 {
-        let mut carrying = 0usize;
-        let mut attained = 0usize;
-        for (_, r) in self.requests() {
-            if r.has_deadline() {
-                carrying += 1;
-                if r.slo_attained() {
-                    attained += 1;
-                }
-            }
-        }
-        if carrying == 0 {
-            return 1.0;
-        }
-        attained as f64 / carrying as f64
+        stats::deadline_attainment(self.pooled_requests())
     }
 
     /// Finished requests across all shards, as `(shard_id, stats)`.
@@ -219,66 +208,49 @@ impl ClusterReport {
             .flat_map(|(shard, s)| s.requests.iter().map(move |r| (shard, r)))
     }
 
+    /// Every shard's finished requests as one population — what the pooled
+    /// aggregates are taken over.
+    fn pooled_requests(&self) -> impl Iterator<Item = &RequestStats> {
+        self.requests().map(|(_, r)| r)
+    }
+
     /// End-to-end cluster throughput in generated tokens per second at
     /// `clock_hz`, over the parallel makespan — this is the number that
     /// must *rise* with shard count for sharding to be worth anything.
     #[must_use]
     pub fn tokens_per_second(&self, clock_hz: f64) -> f64 {
-        if self.total_cycles == 0 {
-            return 0.0;
-        }
-        self.tokens_generated() as f64 / (self.total_cycles as f64 / clock_hz)
+        stats::tokens_per_second(self.tokens_generated(), self.total_cycles, clock_hz)
     }
 
     /// Total prompt-prefill cycles charged across all shards.
     #[must_use]
     pub fn total_prefill_cycles(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(ServingReport::total_prefill_cycles)
-            .sum()
+        self.sum_shards(ServingReport::total_prefill_cycles)
     }
 
     /// Total KV re-prefill cycles charged across all shards.
     #[must_use]
     pub fn total_reprefill_cycles(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(ServingReport::total_reprefill_cycles)
-            .sum()
+        self.sum_shards(ServingReport::total_reprefill_cycles)
     }
 
     /// Total prompt tokens served out of the shards' prefix caches.
     #[must_use]
     pub fn total_prefix_hit_tokens(&self) -> usize {
-        self.shards
-            .iter()
-            .map(ServingReport::total_prefix_hit_tokens)
-            .sum()
+        self.sum_shards(ServingReport::total_prefix_hit_tokens)
     }
 
     /// Cluster-wide share of prompt-prefill demand the per-shard prefix
-    /// caches served, in `[0, 1]`. Per-shard caches are independent, so
-    /// this is the number prefix-affinity routing exists to defend.
-    ///
-    /// Both sides of the ratio are counted *at admission* — every
-    /// admission (first or after a preemption) adds the request's prompt
-    /// to the demand and whatever the cache served to the hits — so the
-    /// rate is well-formed on truncated runs too. The previous
-    /// normalization derived both sides from *finished* requests only
-    /// (demand as `prompt × (preemptions + 1)`), which reported 0.0 on
-    /// any snapshot taken before the first completion no matter how many
-    /// hits had landed, ignored all in-flight demand, and counted
-    /// rejected requests (which never prefill) as demand. On a drained
-    /// run without rejections the two normalizations agree.
+    /// caches served, in `[0, 1]`, counted at admission exactly as
+    /// [`ServingReport::prefix_hit_rate`] counts it. Per-shard caches are
+    /// independent, so this is the number prefix-affinity routing exists
+    /// to defend.
     #[must_use]
     pub fn prefix_hit_rate(&self) -> f64 {
-        let demanded: usize = self.shards.iter().map(|s| s.admitted_prompt_tokens).sum();
-        if demanded == 0 {
-            return 0.0;
-        }
-        let hits: usize = self.shards.iter().map(|s| s.admitted_hit_tokens).sum();
-        hits as f64 / demanded as f64
+        stats::hit_rate(
+            self.sum_shards(|s| s.admitted_hit_tokens),
+            self.sum_shards(|s| s.admitted_prompt_tokens),
+        )
     }
 
     /// The p99 time-to-first-token across the whole cluster, in steps:
@@ -289,34 +261,19 @@ impl ClusterReport {
     /// cluster number must come from the pooled samples.
     #[must_use]
     pub fn ttft_p99_steps(&self) -> usize {
-        let mut ttfts: Vec<usize> = self
-            .requests()
-            .filter_map(|(_, r)| Some(r.first_token_at? - r.enqueued_at + 1))
-            .collect();
-        if ttfts.is_empty() {
-            return 0;
-        }
-        ttfts.sort_unstable();
-        let rank = (ttfts.len() as f64 * 0.99).ceil() as usize;
-        ttfts[rank.clamp(1, ttfts.len()) - 1]
+        stats::ttft_p99_steps(self.pooled_requests())
     }
 
     /// Total host-tier copy-back cycles charged across all shards.
     #[must_use]
     pub fn total_swap_cycles(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(ServingReport::total_swap_cycles)
-            .sum()
+        self.sum_shards(ServingReport::total_swap_cycles)
     }
 
     /// Total cross-shard transfer cycles charged across all shards.
     #[must_use]
     pub fn total_ship_cycles(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(ServingReport::total_ship_cycles)
-            .sum()
+        self.sum_shards(ServingReport::total_ship_cycles)
     }
 
     /// Queued requests rejected for an already-blown TTFT deadline,
@@ -324,7 +281,7 @@ impl ClusterReport {
     /// [`reject_expired_ttft`](ServingConfig::reject_expired_ttft)).
     #[must_use]
     pub fn rejections(&self) -> usize {
-        self.shards.iter().map(|s| s.rejections).sum()
+        self.sum_shards(|s| s.rejections)
     }
 
     /// Load imbalance across shards: the busiest shard's total cycles over
@@ -333,19 +290,25 @@ impl ClusterReport {
     /// toward 1.
     #[must_use]
     pub fn load_imbalance(&self) -> f64 {
-        let cycles: Vec<u64> = self.shards.iter().map(|s| s.total_cycles).collect();
-        let max = cycles.iter().copied().max().unwrap_or(0);
+        let max = self
+            .shards
+            .iter()
+            .map(|s| s.total_cycles)
+            .max()
+            .unwrap_or(0);
         if max == 0 {
             return 1.0;
         }
-        let mean = cycles.iter().sum::<u64>() as f64 / cycles.len() as f64;
+        let mean = self.sum_shards(|s| s.total_cycles) as f64 / self.shards.len() as f64;
         max as f64 / mean
     }
 }
 
 /// Step-by-step construction of a [`ClusterEngine`]: the per-shard serving
 /// configuration and scheduler, plus the cluster-level knobs (shard count,
-/// routing policy, work stealing).
+/// routing policy, work stealing, worker threads). Per-shard options are
+/// the fields of the [`ServingConfig`] passed to
+/// [`config`](Self::config) — the cluster declares none of its own.
 ///
 /// Every shard is built identically — same limits, same scheduler kind,
 /// same workload seed — so a request costs the same cycles wherever it
@@ -354,12 +317,16 @@ impl ClusterReport {
 /// # Examples
 ///
 /// ```
-/// use topick_accel::{AccelConfig, AccelMode, ClusterEngine, RoutingKind, ServingRequest};
+/// use topick_accel::{
+///     AccelConfig, AccelMode, ClusterEngine, RoutingKind, ServingConfig, ServingRequest,
+/// };
 ///
 /// let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3)?;
+/// let mut cfg = ServingConfig::new(accel.clone());
+/// cfg.heads = 2;
+/// cfg.admission.max_batch = 2;
 /// let mut cluster = ClusterEngine::builder(accel)
-///     .heads(2)
-///     .max_batch(2)
+///     .config(cfg)
 ///     .shards(2)
 ///     .routing(RoutingKind::LeastLoaded)
 ///     .stealing(true)
@@ -380,7 +347,6 @@ pub struct ClusterEngineBuilder {
     routing: Box<dyn RoutingPolicy>,
     stealing: bool,
     threads: usize,
-    record_events: bool,
 }
 
 impl ClusterEngineBuilder {
@@ -397,121 +363,15 @@ impl ClusterEngineBuilder {
             routing: RoutingKind::RoundRobin.build(),
             stealing: false,
             threads: 1,
-            record_events: true,
         }
     }
 
-    /// Replaces the whole per-shard serving configuration.
+    /// Replaces the whole per-shard serving configuration. Every shard
+    /// shares it (workload seed included), so a request's attention cost
+    /// is placement-independent.
     #[must_use]
     pub fn config(mut self, cfg: ServingConfig) -> Self {
         self.cfg = cfg;
-        self
-    }
-
-    /// Sets the per-shard admission limits.
-    #[must_use]
-    pub fn admission(mut self, admission: AdmissionConfig) -> Self {
-        self.cfg.admission = admission;
-        self
-    }
-
-    /// Sets each shard's batch slot limit.
-    #[must_use]
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.cfg.admission.max_batch = max_batch;
-        self
-    }
-
-    /// Sets each shard's KV token budget.
-    #[must_use]
-    pub fn max_batch_tokens(mut self, max_batch_tokens: usize) -> Self {
-        self.cfg.admission.max_batch_tokens = max_batch_tokens;
-        self
-    }
-
-    /// Sets the KV page size in tokens.
-    #[must_use]
-    pub fn page_size(mut self, page_size: usize) -> Self {
-        self.cfg.admission.page_size = page_size;
-        self
-    }
-
-    /// Enables per-shard copy-on-write prefix caching.
-    #[must_use]
-    pub fn prefix_cache(mut self, enabled: bool) -> Self {
-        self.cfg.admission.prefix_cache = enabled;
-        self
-    }
-
-    /// Sets the prompt-prefill charge factor.
-    #[must_use]
-    pub fn prefill_factor(mut self, prefill_factor: f64) -> Self {
-        self.cfg.prefill_factor = prefill_factor;
-        self
-    }
-
-    /// Sets the per-shard chunked-prefill budget in KV pages per step
-    /// (see [`ServingConfig::prefill_chunk_pages`]; `0` keeps prefill
-    /// unchunked).
-    #[must_use]
-    pub fn prefill_chunk_pages(mut self, pages: usize) -> Self {
-        self.cfg.prefill_chunk_pages = pages;
-        self
-    }
-
-    /// Sets each shard's host-tier capacity in KV pages (see
-    /// [`ServingConfig::host_pages`]; `0` disables the tier).
-    #[must_use]
-    pub fn host_pages(mut self, pages: usize) -> Self {
-        self.cfg.host_pages = pages;
-        self
-    }
-
-    /// Sets the host-tier copy-back charge factor (see
-    /// [`ServingConfig::swap_cost_factor`]).
-    #[must_use]
-    pub fn swap_cost_factor(mut self, factor: f64) -> Self {
-        self.cfg.swap_cost_factor = factor;
-        self
-    }
-
-    /// Sets the cross-shard page-shipping charge factor (see
-    /// [`ServingConfig::ship_cost_factor`]; `0.0` disables shipping).
-    #[must_use]
-    pub fn ship_cost_factor(mut self, factor: f64) -> Self {
-        self.cfg.ship_cost_factor = factor;
-        self
-    }
-
-    /// Enables admission-time rejection of requests whose TTFT deadline
-    /// already elapsed in the queue (see
-    /// [`ServingConfig::reject_expired_ttft`]).
-    #[must_use]
-    pub fn reject_expired_ttft(mut self, reject: bool) -> Self {
-        self.cfg.reject_expired_ttft = reject;
-        self
-    }
-
-    /// Sets the attention head count per request per step.
-    #[must_use]
-    pub fn heads(mut self, heads: usize) -> Self {
-        self.cfg.heads = heads;
-        self
-    }
-
-    /// Sets the FC/FFN weight bytes streamed per step per shard.
-    #[must_use]
-    pub fn weight_bytes(mut self, weight_bytes: u64) -> Self {
-        self.cfg.weight_bytes = weight_bytes;
-        self
-    }
-
-    /// Sets the base seed of the synthetic per-request workloads. Every
-    /// shard shares it, so a request's attention cost is placement-
-    /// independent.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
         self
     }
 
@@ -519,27 +379,6 @@ impl ClusterEngineBuilder {
     #[must_use]
     pub fn policy(mut self, kind: PolicyKind) -> Self {
         self.policy = kind;
-        self
-    }
-
-    /// Sets the per-shard preemption behavior.
-    #[must_use]
-    pub fn preemption(mut self, preemption: PreemptionConfig) -> Self {
-        self.cfg.preemption = preemption;
-        self
-    }
-
-    /// Enables preemption on every shard.
-    #[must_use]
-    pub fn enable_preemption(mut self) -> Self {
-        self.cfg.preemption.enabled = true;
-        self
-    }
-
-    /// Sets how much of a preemption victim's paged KV survives eviction.
-    #[must_use]
-    pub fn retention(mut self, retention: RetentionPolicy) -> Self {
-        self.cfg.preemption.retention = retention;
         self
     }
 
@@ -585,27 +424,17 @@ impl ClusterEngineBuilder {
         self
     }
 
-    /// Toggles event recording on every shard and the cluster.
-    #[must_use]
-    pub fn record_events(mut self, record: bool) -> Self {
-        self.record_events = record;
-        self
-    }
-
     /// Builds the cluster.
     #[must_use]
     pub fn build(self) -> ClusterEngine {
         let shards = (0..self.shards)
-            .map(|_| {
-                ServingEngine::from_parts(self.cfg.clone(), self.policy.build(), self.record_events)
-            })
+            .map(|_| ServingEngine::from_parts(self.cfg.clone(), self.policy.build()))
             .collect();
         ClusterEngine {
             shards,
             router: self.routing,
             stealing: self.stealing,
             threads: self.threads,
-            record_events: self.record_events,
             step_index: 0,
             steals: 0,
             ships: 0,
@@ -628,7 +457,6 @@ pub struct ClusterEngine {
     router: Box<dyn RoutingPolicy>,
     stealing: bool,
     threads: usize,
-    record_events: bool,
     step_index: usize,
     steals: usize,
     ships: usize,
@@ -807,15 +635,13 @@ impl ClusterEngine {
         if let Some((donor, shipped_tokens)) = pulled {
             let id = req.id;
             self.shards[shard].enqueue_with_shipped(req, shipped_tokens)?;
-            if self.record_events {
-                self.events.push(ClusterEvent::Shipped {
-                    id,
-                    from: donor,
-                    to: shard,
-                    step: self.step_index,
-                    tokens: shipped_tokens,
-                });
-            }
+            self.events.push(ClusterEvent::Shipped {
+                id,
+                from: donor,
+                to: shard,
+                step: self.step_index,
+                tokens: shipped_tokens,
+            });
         } else {
             self.shards[shard].enqueue(req)?;
         }
@@ -880,15 +706,13 @@ impl ClusterEngine {
                     continue;
                 };
                 self.shards[to].credit_shipped(seq, tokens);
-                if self.record_events {
-                    self.events.push(ClusterEvent::Shipped {
-                        id,
-                        from: donor,
-                        to,
-                        step: self.step_index,
-                        tokens,
-                    });
-                }
+                self.events.push(ClusterEvent::Shipped {
+                    id,
+                    from: donor,
+                    to,
+                    step: self.step_index,
+                    tokens,
+                });
             }
         }
     }
@@ -944,14 +768,12 @@ impl ClusterEngine {
                 .enqueue(req)
                 .expect("a request one shard accepted fits any identically-configured shard");
             self.steals += 1;
-            if self.record_events {
-                self.events.push(ClusterEvent::Stolen {
-                    id: req.id,
-                    from: donor,
-                    to: thief,
-                    step: self.step_index,
-                });
-            }
+            self.events.push(ClusterEvent::Stolen {
+                id: req.id,
+                from: donor,
+                to: thief,
+                step: self.step_index,
+            });
         }
         if self.shipping_enabled() {
             self.ship_running(&mut received);
@@ -1003,15 +825,13 @@ impl ClusterEngine {
             let (id, tokens) = (migrant.req.id, migrant.shipped_tokens);
             self.shards[thief].receive_shipped(migrant);
             self.ships += 1;
-            if self.record_events {
-                self.events.push(ClusterEvent::Shipped {
-                    id,
-                    from: donor,
-                    to: thief,
-                    step: self.step_index,
-                    tokens,
-                });
-            }
+            self.events.push(ClusterEvent::Shipped {
+                id,
+                from: donor,
+                to: thief,
+                step: self.step_index,
+                tokens,
+            });
         }
     }
 
@@ -1122,7 +942,7 @@ impl ClusterEngine {
             cluster_steps: self.steps.len(),
             total_cycles: self.total_cycles,
             threads: self.threads,
-            wall_seconds: self.wall_nanos as f64 / 1e9,
+            wall_seconds: self.wall_seconds(),
             shards: self.shards.iter().map(ServingEngine::report).collect(),
         }
     }
@@ -1130,9 +950,6 @@ impl ClusterEngine {
     /// Pulls every shard's freshly recorded events into the cluster log,
     /// tagged with their shard, in shard order.
     fn sweep_shard_events(&mut self) {
-        if !self.record_events {
-            return;
-        }
         for (shard_id, shard) in self.shards.iter_mut().enumerate() {
             for event in shard.drain_events() {
                 self.events.push(ClusterEvent::Shard { shard_id, event });
@@ -1143,16 +960,26 @@ impl ClusterEngine {
 
 #[cfg(test)]
 mod tests {
+    use super::super::policy::{PreemptionConfig, RetentionPolicy};
     use super::*;
     use crate::config::AccelMode;
 
-    fn small_builder() -> ClusterEngineBuilder {
+    fn small_cfg() -> ServingConfig {
         let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("thr");
-        ClusterEngine::builder(accel)
-            .heads(2)
-            .weight_bytes(1_000_000)
-            .max_batch(2)
-            .max_batch_tokens(640)
+        let mut cfg = ServingConfig::new(accel);
+        cfg.heads = 2;
+        cfg.weight_bytes = 1_000_000;
+        cfg.admission.max_batch = 2;
+        cfg.admission.max_batch_tokens = 640;
+        cfg
+    }
+
+    fn builder_for(cfg: ServingConfig) -> ClusterEngineBuilder {
+        ClusterEngine::builder(cfg.accel.clone()).config(cfg)
+    }
+
+    fn small_builder() -> ClusterEngineBuilder {
+        builder_for(small_cfg())
     }
 
     #[test]
@@ -1247,12 +1074,9 @@ mod tests {
 
     #[test]
     fn stealing_never_migrates_admitted_requests() {
-        let mut cluster = small_builder()
-            .shards(2)
-            .stealing(true)
-            .enable_preemption()
-            .retention(RetentionPolicy::Fraction(0.5))
-            .build();
+        let mut cfg = small_cfg();
+        cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.5));
+        let mut cluster = builder_for(cfg).shards(2).stealing(true).build();
         for id in 0..8 {
             cluster
                 .enqueue(ServingRequest::new(id, 48, 3).with_priority((id % 3) as u8))
@@ -1310,12 +1134,13 @@ mod tests {
     #[test]
     fn threaded_stepping_matches_the_sequential_schedule() {
         let run = |threads: usize| {
-            let mut cluster = small_builder()
+            let mut cfg = small_cfg();
+            cfg.preemption =
+                PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.75));
+            let mut cluster = builder_for(cfg)
                 .shards(3)
                 .routing(RoutingKind::LeastLoaded)
                 .stealing(true)
-                .enable_preemption()
-                .retention(RetentionPolicy::Fraction(0.75))
                 .threads(threads)
                 .build();
             for id in 0..9 {
@@ -1351,32 +1176,14 @@ mod tests {
 
     /// A finished-request record with the given TTFT in steps and every
     /// other field inert, for synthesizing reports with known samples.
-    fn request_with_ttft(id: u64, ttft_steps: usize) -> crate::serve::stats::RequestStats {
-        crate::serve::stats::RequestStats {
-            id,
-            prompt_len: 16,
+    fn request_with_ttft(id: u64, ttft_steps: usize) -> RequestStats {
+        RequestStats {
             generated: 1,
-            priority: 0,
-            client_id: 0,
-            enqueued_at: 0,
             admitted_at: Some(0),
             first_token_at: Some(ttft_steps - 1),
             finished_at: Some(ttft_steps - 1),
-            preemptions: 0,
-            attention_cycles: 0,
-            prefill_cycles: 0,
-            reprefill_cycles: 0,
-            prefix_hit_tokens: 0,
-            retained_tokens: 0,
-            reprefilled_tokens: 0,
-            swapped_tokens: 0,
-            swap_cycles: 0,
-            shipped_tokens: 0,
-            ship_cycles: 0,
-            ttft_deadline: None,
-            itl_deadline: None,
             good_tokens: 1,
-            slo_violated: false,
+            ..RequestStats::queued(&ServingRequest::new(id, 16, 1), 0)
         }
     }
 
@@ -1457,11 +1264,12 @@ mod tests {
             }
         }
         let run = |ship: f64| {
-            let mut cluster = small_builder()
+            let mut cfg = small_cfg();
+            cfg.ship_cost_factor = ship;
+            let mut cluster = builder_for(cfg)
                 .shards(2)
                 .routing_boxed(Box::new(ByIdRange))
                 .stealing(true)
-                .ship_cost_factor(ship)
                 .build();
             cluster.enqueue(ServingRequest::new(0, 64, 20)).unwrap();
             cluster.enqueue(ServingRequest::new(1, 64, 20)).unwrap();

@@ -51,13 +51,13 @@ pub mod error;
 pub mod events;
 pub mod kv_pager;
 pub mod policy;
+mod pricing;
 pub mod queue;
 pub mod router;
 pub mod scenario;
 pub mod stats;
 pub mod token_backed;
 pub mod trace;
-pub mod workloads;
 
 pub use batch_state::AdmissionConfig;
 pub use cluster::{
@@ -183,8 +183,8 @@ impl ServingConfig {
     }
 }
 
-/// Step-by-step construction of a [`ServingEngine`]: configuration knobs,
-/// the scheduling policy, and event recording.
+/// Step-by-step construction of a [`ServingEngine`]: configuration knobs
+/// and the scheduling policy.
 ///
 /// # Examples
 ///
@@ -206,7 +206,6 @@ impl ServingConfig {
 pub struct ServingEngineBuilder {
     cfg: ServingConfig,
     policy: Box<dyn SchedulerPolicy>,
-    record_events: bool,
 }
 
 impl ServingEngineBuilder {
@@ -217,7 +216,6 @@ impl ServingEngineBuilder {
         Self {
             cfg: ServingConfig::new(accel),
             policy: Box::new(Fifo),
-            record_events: true,
         }
     }
 
@@ -378,18 +376,10 @@ impl ServingEngineBuilder {
         self
     }
 
-    /// Toggles event recording (on by default; benches that only need the
-    /// final report can switch it off).
-    #[must_use]
-    pub fn record_events(mut self, record: bool) -> Self {
-        self.record_events = record;
-        self
-    }
-
     /// Builds the engine.
     #[must_use]
     pub fn build(self) -> ServingEngine {
-        ServingEngine::from_parts(self.cfg, self.policy, self.record_events)
+        ServingEngine::from_parts(self.cfg, self.policy)
     }
 }
 
@@ -421,7 +411,6 @@ pub struct ServingEngine {
     finished: Vec<RequestStats>,
     steps: Vec<StepReport>,
     events: Vec<ServeEvent>,
-    record_events: bool,
     prune: PruneStats,
     total_cycles: u64,
     tokens_generated: usize,
@@ -439,7 +428,7 @@ impl ServingEngine {
     /// behavior, bit-for-bit).
     #[must_use]
     pub fn new(cfg: ServingConfig) -> Self {
-        Self::from_parts(cfg, Box::new(Fifo), true)
+        Self::from_parts(cfg, Box::new(Fifo))
     }
 
     /// Starts a [`ServingEngineBuilder`] around an accelerator config.
@@ -448,11 +437,17 @@ impl ServingEngine {
         ServingEngineBuilder::new(accel)
     }
 
-    fn from_parts(
-        cfg: ServingConfig,
-        policy: Box<dyn SchedulerPolicy>,
-        record_events: bool,
-    ) -> Self {
+    fn from_parts(mut cfg: ServingConfig, policy: Box<dyn SchedulerPolicy>) -> Self {
+        // Negative or NaN price factors price their work as free; clamped
+        // once here so every charge below reads the factor as configured.
+        for factor in [
+            &mut cfg.prefill_factor,
+            &mut cfg.preemption.reprefill_factor,
+            &mut cfg.swap_cost_factor,
+            &mut cfg.ship_cost_factor,
+        ] {
+            *factor = pricing::clamp_factor(*factor);
+        }
         let chunks = cfg.accel.precision.num_chunks();
         let accel = ToPickAccelerator::new(cfg.accel.clone());
         let batch = BatchState::new(cfg.admission, cfg.host_pages);
@@ -465,7 +460,6 @@ impl ServingEngine {
             finished: Vec::new(),
             steps: Vec::new(),
             events: Vec::new(),
-            record_events,
             prune: PruneStats::new(0, chunks),
             total_cycles: 0,
             tokens_generated: 0,
@@ -591,14 +585,6 @@ impl ServingEngine {
         self.batch.pager_mut()
     }
 
-    /// Whether the engine records [`ServeEvent`]s (on by default;
-    /// disabled via the builder's `record_events(false)` for hot loops).
-    /// The token-backed mirror refuses to run without it.
-    #[must_use]
-    pub fn records_events(&self) -> bool {
-        self.record_events
-    }
-
     /// Events recorded so far, in order.
     #[must_use]
     pub fn events(&self) -> &[ServeEvent] {
@@ -612,9 +598,7 @@ impl ServingEngine {
     }
 
     fn emit(&mut self, event: ServeEvent) {
-        if self.record_events {
-            self.events.push(event);
-        }
+        self.events.push(event);
     }
 
     /// Checks whether `req` could ever be accepted by this engine — the
@@ -691,32 +675,7 @@ impl ServingEngine {
             shipped_tokens,
             last_token_at: None,
             page_keys,
-            stats: RequestStats {
-                id: req.id,
-                prompt_len: req.prompt_len,
-                generated: 0,
-                priority: req.priority,
-                client_id: req.client_id,
-                enqueued_at: schedulable_at,
-                admitted_at: None,
-                first_token_at: None,
-                finished_at: None,
-                preemptions: 0,
-                attention_cycles: 0,
-                prefill_cycles: 0,
-                reprefill_cycles: 0,
-                retained_tokens: 0,
-                reprefilled_tokens: 0,
-                swapped_tokens: 0,
-                swap_cycles: 0,
-                shipped_tokens: 0,
-                ship_cycles: 0,
-                prefix_hit_tokens: 0,
-                ttft_deadline: req.ttft_deadline,
-                itl_deadline: req.itl_deadline,
-                good_tokens: 0,
-                slo_violated: false,
-            },
+            stats: RequestStats::queued(&req, schedulable_at),
         };
         self.arrival_seq += 1;
         self.pending.push(active);
@@ -1227,13 +1186,12 @@ impl ServingEngine {
             return Ok(Some(report));
         }
 
-        let weight_cycles = weight_stream_cycles(&self.cfg.accel, self.cfg.weight_bytes);
-        let mut attention_cycles = 0u64;
-        let mut prefill_cycles = 0u64;
-        let mut reprefill_cycles = 0u64;
-        let mut context_tokens = 0usize;
-        let mut decoded = 0usize;
         let step = self.step_index;
+        let mut report = StepReport {
+            batch: self.batch.len(),
+            weight_cycles: weight_stream_cycles(&self.cfg.accel, self.cfg.weight_bytes),
+            ..StepReport::idle(step)
+        };
         // Chunked prefill: the step's prompt-building allowance in tokens,
         // shared by every slot still owing prefill and consumed in slot
         // order (admissions append, so head slots — the oldest work —
@@ -1244,248 +1202,20 @@ impl ServingEngine {
         } else {
             self.cfg.prefill_chunk_pages * self.batch.pager().page_size()
         };
-
-        let mut swap_cycles = 0u64;
-        let mut ship_cycles = 0u64;
         for slot in 0..self.batch.len() {
-            let (ctx, req_id, req_seq, prefill_debt) = {
-                let r = &self.batch.slots()[slot];
-                let debt = if r.needs_prefill { r.prefill_tokens } else { 0 };
-                (r.context, r.req.id, r.arrival_seq, debt)
-            };
+            let r = &self.batch.slots()[slot];
+            let prefill_debt = if r.needs_prefill { r.prefill_tokens } else { 0 };
             if prefill_debt > chunk_budget {
-                // The prompt cannot finish building this step: advance the
-                // frontier by the remaining allowance instead of decoding.
-                // No token, no attention charge — the chunk's prefill
-                // charge *is* this slot's compute for the step.
-                let allowance = chunk_budget;
-                if allowance == 0 {
-                    // Earlier slots drained the budget; the frontier holds.
-                    context_tokens += ctx - prefill_debt;
-                    continue;
-                }
-                chunk_budget = 0;
-                let result = self.simulate_attention(req_id, ctx)?;
-                let request_cycles = result.0 * self.cfg.heads as u64;
-                let (built, remaining, charge) = {
-                    let r = &mut self.batch.slots_mut()[slot];
-                    // Telescoping ceil pricing on the *remaining* debt:
-                    // each chunk charges ceil(cost × rem_before/prompt) −
-                    // ceil(cost × rem_after/prompt), so the chunk charges
-                    // sum to exactly the one-lump charge of the initial
-                    // debt — chunking moves prefill work across steps
-                    // without ever repricing it.
-                    let factor = self.cfg.prefill_factor.max(0.0);
-                    let denom = r.context as f64;
-                    let cum = |remaining: usize| -> u64 {
-                        let frac = remaining as f64 / denom;
-                        (request_cycles as f64 * factor * frac).ceil() as u64
-                    };
-                    let after = r.prefill_tokens - allowance;
-                    let charge = cum(r.prefill_tokens) - cum(after);
-                    r.prefill_tokens = after;
-                    r.stats.prefill_cycles += charge;
-                    (r.context - after, after, charge)
-                };
-                // The chunk's pages now hold real KV: publish the covered
-                // full prompt pages for prefix sharing right away.
-                self.batch.publish_prefix(slot);
-                prefill_cycles += charge;
-                context_tokens += built;
-                self.emit(ServeEvent::PrefillChunk {
-                    id: req_id,
-                    step,
-                    built_tokens: built,
-                    remaining_tokens: remaining,
-                });
-                continue;
+                // The prompt cannot finish building this step: the slot
+                // spends it advancing the frontier by what allowance is
+                // left instead of decoding.
+                let allowance = std::mem::take(&mut chunk_budget);
+                self.advance_prefill(slot, allowance, &mut report)?;
+            } else {
+                chunk_budget -= prefill_debt;
+                self.decode_slot(slot, &mut report)?;
             }
-            chunk_budget -= prefill_debt;
-            context_tokens += ctx;
-            decoded += 1;
-            let result = self.simulate_attention(req_id, ctx)?;
-            let request_cycles = result.0 * self.cfg.heads as u64;
-            self.prune.merge(&result.1);
-            let (id, generated, rebuild_cycles, fresh_prefill_cycles, built_kv, swapped_in) = {
-                let r = &mut self.batch.slots_mut()[slot];
-                // Once this step's pending prefill / re-prefill charge
-                // lands, the request's prompt KV genuinely exists and its
-                // full pages may be published for sharing.
-                let built_kv = r.needs_prefill || r.needs_reprefill;
-                let was_reprefill = r.needs_reprefill;
-                let denom = if r.context == 0 {
-                    1.0
-                } else {
-                    r.context as f64
-                };
-                let mut swapped_used = 0usize;
-                let mut shipped_used = 0usize;
-                let rebuild = if r.needs_reprefill {
-                    // KV rebuild priced off the measured attention cost at
-                    // the request's current context, scaled by the share
-                    // of that context the eviction actually dropped (all
-                    // of it under full re-prefill; only the suffix beyond
-                    // the retained pages under paged retention). Tokens
-                    // whose contents survive off-device — in the host tier
-                    // or shipped over from a sibling shard — are copied
-                    // back at their own (cheaper) price below instead of
-                    // being recomputed, so they leave the rebuild charge.
-                    r.needs_reprefill = false;
-                    let dropped = r.dropped_tokens;
-                    swapped_used = r.swapped_tokens.min(dropped);
-                    shipped_used = r.shipped_tokens.min(dropped - swapped_used);
-                    let rebuilt = dropped - swapped_used - shipped_used;
-                    r.stats.reprefilled_tokens += rebuilt;
-                    r.dropped_tokens = 0;
-                    r.swapped_tokens = 0;
-                    (request_cycles as f64
-                        * self.cfg.preemption.reprefill_factor.max(0.0)
-                        * (rebuilt as f64 / denom))
-                        .ceil() as u64
-                } else {
-                    0
-                };
-                let prefill = if r.needs_prefill {
-                    // Prompt prefill priced the same way, scaled by the
-                    // share of the prompt the prefix cache did not serve.
-                    // A full cache hit genuinely prefills nothing and
-                    // costs nothing — sharing is strictly beneficial.
-                    // Under chunking this is the *final* chunk (whatever
-                    // debt fits the step's budget), and the one-cycle
-                    // floor applies to the whole prompt's total so the
-                    // chunk charges still sum to exactly the lump.
-                    r.needs_prefill = false;
-                    let frac = if r.context == 0 {
-                        1.0
-                    } else {
-                        r.prefill_tokens as f64 / r.context as f64
-                    };
-                    let charge = if r.prefill_tokens == 0 {
-                        0
-                    } else {
-                        let marginal = (request_cycles as f64
-                            * self.cfg.prefill_factor.max(0.0)
-                            * frac)
-                            .ceil() as u64;
-                        if r.stats.prefill_cycles + marginal == 0 {
-                            1
-                        } else {
-                            marginal
-                        }
-                    };
-                    r.prefill_tokens = 0;
-                    charge
-                } else {
-                    0
-                };
-                // A prefix-pull ship (pages pulled from a sibling shard at
-                // enqueue, no re-prefill debt) still pays its transfer
-                // price once, on the step the pulled pages first serve.
-                if r.shipped_tokens > 0 {
-                    if shipped_used == 0 {
-                        shipped_used = r.shipped_tokens;
-                    }
-                    r.shipped_tokens = 0;
-                }
-                let swap = (request_cycles as f64
-                    * self.cfg.swap_cost_factor.max(0.0)
-                    * (swapped_used as f64 / denom))
-                    .ceil() as u64;
-                let ship = (request_cycles as f64
-                    * self.cfg.ship_cost_factor.max(0.0)
-                    * (shipped_used as f64 / denom))
-                    .ceil() as u64;
-                // With no off-device tokens in play this reduces to the
-                // original one-cycle floor: eviction is never free. With
-                // the tier off every term except rebuild is zero, so the
-                // charge is bit-identical to the untiered engine.
-                let rebuild = if was_reprefill && rebuild + swap + ship == 0 {
-                    1
-                } else {
-                    rebuild
-                };
-                r.stats.attention_cycles += request_cycles;
-                r.stats.prefill_cycles += prefill;
-                r.stats.reprefill_cycles += rebuild;
-                r.stats.swap_cycles += swap;
-                r.stats.ship_cycles += ship;
-                r.stats.swapped_tokens += swapped_used;
-                r.stats.shipped_tokens += shipped_used;
-                swap_cycles += swap;
-                ship_cycles += ship;
-                if r.stats.first_token_at.is_none() {
-                    r.stats.first_token_at = Some(step);
-                }
-                // SLO accounting: this token races TTFT (if it is the
-                // first) or the inter-token deadline since the previous
-                // one — queue time after a preemption counts against ITL,
-                // which is exactly what SLO-aware eviction must weigh. A
-                // blown deadline ends the good-token count for good.
-                let on_time = match r.last_token_at {
-                    None => r
-                        .req
-                        .ttft_deadline
-                        .is_none_or(|d| (step - r.stats.enqueued_at + 1) as u64 <= d),
-                    Some(t) => r.req.itl_deadline.is_none_or(|d| (step - t) as u64 <= d),
-                };
-                if !on_time {
-                    r.stats.slo_violated = true;
-                }
-                if !r.stats.slo_violated {
-                    r.stats.good_tokens += 1;
-                }
-                r.last_token_at = Some(step);
-                r.stats.generated += 1;
-                r.context += 1;
-                (
-                    r.req.id,
-                    r.stats.generated,
-                    rebuild,
-                    prefill,
-                    built_kv,
-                    (was_reprefill, swapped_used),
-                )
-            };
-            if built_kv {
-                self.batch.publish_prefix(slot);
-            }
-            let (was_reprefill, swapped_in_tokens) = swapped_in;
-            if was_reprefill {
-                // The rebuild consumed (or invalidated) whatever this
-                // request held in the host tier; the holding is gone
-                // either way and its pages return to host capacity.
-                self.batch.pager_mut().swap_in(req_seq);
-            }
-            if swapped_in_tokens > 0 {
-                self.emit(ServeEvent::SwappedIn {
-                    id: req_id,
-                    step,
-                    tokens: swapped_in_tokens,
-                });
-            }
-            attention_cycles += request_cycles;
-            prefill_cycles += fresh_prefill_cycles;
-            reprefill_cycles += rebuild_cycles;
-            self.emit(ServeEvent::TokenGenerated {
-                id,
-                step,
-                context: ctx,
-                generated,
-            });
         }
-
-        let report = StepReport {
-            index: step,
-            batch: self.batch.len(),
-            decoded,
-            context_tokens,
-            weight_cycles,
-            attention_cycles,
-            prefill_cycles,
-            reprefill_cycles,
-            swap_cycles,
-            ship_cycles,
-        };
         self.total_cycles += report.total_cycles();
         self.tokens_generated += report.decoded;
         self.steps.push(report);
@@ -1494,17 +1224,136 @@ impl ServingEngine {
         // Retire completed requests; freed budget admits queue at the next
         // step (continuous batching).
         for mut r in self.batch.retire_finished() {
-            r.stats.finished_at = Some(report.index);
+            r.stats.finished_at = Some(step);
             let (id, generated) = (r.req.id, r.stats.generated);
             self.finished.push(r.stats);
             self.emit(ServeEvent::Finished {
                 id,
-                step: report.index,
+                step,
                 generated,
             });
         }
 
         Ok(Some(report))
+    }
+
+    /// One step of a slot whose prompt is still building under chunked
+    /// prefill: no token, no attention charge — the chunk's prefill charge
+    /// *is* this slot's compute for the step. With no `allowance` left
+    /// (earlier slots drained the step's budget) the frontier holds.
+    fn advance_prefill(
+        &mut self,
+        slot: usize,
+        allowance: usize,
+        report: &mut StepReport,
+    ) -> Result<(), ServeError> {
+        let (id, ctx) = {
+            let r = &self.batch.slots()[slot];
+            (r.req.id, r.context)
+        };
+        if allowance == 0 {
+            report.context_tokens += self.batch.slots()[slot].built_tokens();
+            return Ok(());
+        }
+        let request_cycles = self.simulate_attention(id, ctx)?.0 * self.cfg.heads as u64;
+        let r = &mut self.batch.slots_mut()[slot];
+        let remaining = r.prefill_tokens - allowance;
+        let charge = pricing::prefill_chunk(
+            request_cycles,
+            self.cfg.prefill_factor,
+            r.prefill_tokens,
+            remaining,
+            ctx,
+        );
+        r.prefill_tokens = remaining;
+        r.stats.prefill_cycles += charge;
+        // The chunk's pages now hold real KV: publish the covered full
+        // prompt pages for prefix sharing right away.
+        self.batch.publish_prefix(slot);
+        report.prefill_cycles += charge;
+        report.context_tokens += ctx - remaining;
+        self.emit(ServeEvent::PrefillChunk {
+            id,
+            step: report.index,
+            built_tokens: ctx - remaining,
+            remaining_tokens: remaining,
+        });
+        Ok(())
+    }
+
+    /// One step of a slot that decodes: measures its attention, settles
+    /// whatever prefill / rebuild / copy-back / transfer debt it carried
+    /// into the step, scores the token against the request's SLO and emits
+    /// it.
+    fn decode_slot(&mut self, slot: usize, report: &mut StepReport) -> Result<(), ServeError> {
+        let step = report.index;
+        let (id, seq, ctx) = {
+            let r = &self.batch.slots()[slot];
+            (r.req.id, r.arrival_seq, r.context)
+        };
+        let (head_cycles, prune) = self.simulate_attention(id, ctx)?;
+        let request_cycles = head_cycles * self.cfg.heads as u64;
+        self.prune.merge(&prune);
+        let r = &mut self.batch.slots_mut()[slot];
+        let settled = settle_debts(r, &self.cfg, request_cycles);
+        r.stats.attention_cycles += request_cycles;
+        if r.stats.first_token_at.is_none() {
+            r.stats.first_token_at = Some(step);
+        }
+        // SLO accounting: this token races TTFT (if it is the first) or
+        // the inter-token deadline since the previous one — queue time
+        // after a preemption counts against ITL, which is exactly what
+        // SLO-aware eviction must weigh. A blown deadline ends the
+        // good-token count for good.
+        let on_time = match r.last_token_at {
+            None => r
+                .req
+                .ttft_deadline
+                .is_none_or(|d| (step - r.stats.enqueued_at + 1) as u64 <= d),
+            Some(t) => r.req.itl_deadline.is_none_or(|d| (step - t) as u64 <= d),
+        };
+        if !on_time {
+            r.stats.slo_violated = true;
+        }
+        if !r.stats.slo_violated {
+            r.stats.good_tokens += 1;
+        }
+        r.last_token_at = Some(step);
+        r.stats.generated += 1;
+        r.context += 1;
+        let generated = r.stats.generated;
+        if settled.built_kv {
+            // The charge that just landed means the request's prompt KV
+            // genuinely exists; its full pages may be published for sharing.
+            self.batch.publish_prefix(slot);
+        }
+        if settled.rebuilt {
+            // The rebuild consumed (or invalidated) whatever this request
+            // held in the host tier; the holding is gone either way and
+            // its pages return to host capacity.
+            self.batch.pager_mut().swap_in(seq);
+        }
+        if settled.swapped_tokens > 0 {
+            self.emit(ServeEvent::SwappedIn {
+                id,
+                step,
+                tokens: settled.swapped_tokens,
+            });
+        }
+        report.decoded += 1;
+        report.context_tokens += ctx;
+        report.attention_cycles += request_cycles;
+        report.prefill_cycles += settled.prefill;
+        report.reprefill_cycles += settled.reprefill;
+        report.swap_cycles += settled.swap;
+        report.ship_cycles += settled.ship;
+        self.emit(ServeEvent::TokenGenerated {
+            id,
+            step,
+            context: ctx,
+            generated,
+        });
+        Ok(())
     }
 
     /// One cycle-level attention simulation of a request at context `ctx`,
@@ -1571,6 +1420,81 @@ impl ServingEngine {
             rejections: self.rejections,
             prune: self.prune.clone(),
         }
+    }
+}
+
+/// What a decoding slot paid this step on top of its attention, by kind,
+/// and what the payment means for its KV.
+struct SettledDebts {
+    prefill: u64,
+    reprefill: u64,
+    swap: u64,
+    ship: u64,
+    /// KV tokens copied back from the host tier.
+    swapped_tokens: usize,
+    /// Whether a post-eviction rebuild was settled.
+    rebuilt: bool,
+    /// Whether any prompt KV was (re)built — it may now be published.
+    built_kv: bool,
+}
+
+/// Settles every debt `r` carried into its decode step, priced off the
+/// step's measured `request_cycles` at the request's current context, and
+/// books the charges on its stats.
+///
+/// A rebuild re-prefills only what the eviction actually dropped (all of
+/// the context under full re-prefill; the suffix beyond the retained pages
+/// under paged retention). Tokens whose contents survived off-device — in
+/// the host tier or shipped over from a sibling shard — are copied back at
+/// their own (cheaper) price instead of being recomputed. Prompt prefill
+/// covers the share of the prompt the prefix cache did not serve; under
+/// chunking this is the *final* chunk. A prefix-pull ship (pages pulled
+/// from a sibling at enqueue, no rebuild debt) pays its transfer once, on
+/// the step the pulled pages first serve. With the tiers off every term
+/// but the rebuild is zero — bit-identical to the untiered engine.
+fn settle_debts(r: &mut ActiveRequest, cfg: &ServingConfig, request_cycles: u64) -> SettledDebts {
+    let context = r.context;
+    let price = |factor, tokens| pricing::share(request_cycles, factor, tokens, context);
+    let built_kv = r.needs_prefill || r.needs_reprefill;
+    let rebuilt = std::mem::take(&mut r.needs_reprefill);
+    let (mut swapped_tokens, mut shipped_tokens, mut reprefill) = (0, 0, 0);
+    if rebuilt {
+        let dropped = std::mem::take(&mut r.dropped_tokens);
+        swapped_tokens = std::mem::take(&mut r.swapped_tokens).min(dropped);
+        shipped_tokens = r.shipped_tokens.min(dropped - swapped_tokens);
+        let recomputed = dropped - swapped_tokens - shipped_tokens;
+        r.stats.reprefilled_tokens += recomputed;
+        reprefill = price(cfg.preemption.reprefill_factor, recomputed);
+    }
+    let mut prefill = 0;
+    if std::mem::take(&mut r.needs_prefill) {
+        let owed = std::mem::take(&mut r.prefill_tokens);
+        let marginal = price(cfg.prefill_factor, owed);
+        prefill = pricing::floor_prefill(owed, r.stats.prefill_cycles, marginal);
+    }
+    let pulled_tokens = std::mem::take(&mut r.shipped_tokens);
+    if shipped_tokens == 0 {
+        shipped_tokens = pulled_tokens;
+    }
+    let swap = price(cfg.swap_cost_factor, swapped_tokens);
+    let ship = price(cfg.ship_cost_factor, shipped_tokens);
+    if rebuilt {
+        reprefill = pricing::floor_reprefill(reprefill, swap, ship);
+    }
+    r.stats.prefill_cycles += prefill;
+    r.stats.reprefill_cycles += reprefill;
+    r.stats.swap_cycles += swap;
+    r.stats.ship_cycles += ship;
+    r.stats.swapped_tokens += swapped_tokens;
+    r.stats.shipped_tokens += shipped_tokens;
+    SettledDebts {
+        prefill,
+        reprefill,
+        swap,
+        ship,
+        swapped_tokens,
+        rebuilt,
+        built_kv,
     }
 }
 

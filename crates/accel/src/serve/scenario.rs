@@ -6,11 +6,9 @@
 //! A scenario owns two things: the *request stream* ([`Scenario::generate`]
 //! — a `Vec<ServingRequest>` whose `arrival_step`s model open-loop traffic)
 //! and the *canonical engine sizing* that stream is shaped for
-//! ([`Scenario::serving_config`]), the same pairing
-//! [`workloads`](super::workloads) established for the original two
-//! generators. [`ScenarioKind`] is the registry: every scenario is
-//! nameable from CLI flags, bench configs and recorded traces, following
-//! the [`PolicyKind`](super::PolicyKind) /
+//! ([`Scenario::serving_config`]). [`ScenarioKind`] is the registry: every
+//! scenario is nameable from CLI flags, bench configs and recorded traces,
+//! following the [`PolicyKind`](super::PolicyKind) /
 //! [`RoutingKind`](super::RoutingKind) idiom.
 //!
 //! Everything is deterministic in the seed (SplitMix64 streams, no global
@@ -59,27 +57,43 @@ pub trait Scenario: fmt::Debug + Send {
     fn serving_config(&self, accel: AccelConfig) -> ServingConfig;
 }
 
-/// The canonical chat-shaped sizing shared by the prefix-heavy scenarios:
-/// the [`workloads::shared_prefix_chat`](super::workloads::shared_prefix_chat)
-/// engine with the prefix cache on and prompt prefill priced, so cache
-/// hits are visible in cycles.
-fn chat_shaped_config(accel: AccelConfig) -> ServingConfig {
+/// The engine every scenario is sized around — 4 heads, 10 MB of weights,
+/// 16-token pages, workload seed 7 — at the scenario's own batch limits.
+fn sized_config(accel: AccelConfig, max_batch: usize, max_batch_tokens: usize) -> ServingConfig {
     let mut cfg = ServingConfig::new(accel);
     cfg.heads = 4;
     cfg.weight_bytes = 10_000_000;
-    cfg.admission.max_batch = 6;
-    cfg.admission.max_batch_tokens = 1600;
+    cfg.admission.max_batch = max_batch;
+    cfg.admission.max_batch_tokens = max_batch_tokens;
     cfg.admission.page_size = 16;
-    cfg.admission.prefix_cache = true;
     cfg.seed = 7;
+    cfg
+}
+
+/// [`sized_config`] with the prefix cache on and prompt prefill priced at
+/// full weight, so cache hits are visible in cycles. Callers comparing
+/// cache on/off toggle `admission.prefix_cache` on the returned config.
+fn priced_config(accel: AccelConfig, max_batch: usize, max_batch_tokens: usize) -> ServingConfig {
+    let mut cfg = sized_config(accel, max_batch, max_batch_tokens);
+    cfg.admission.prefix_cache = true;
     cfg.prefill_factor = 1.0;
     cfg
+}
+
+/// The canonical chat-shaped sizing shared by the prefix-heavy scenarios.
+fn chat_shaped_config(accel: AccelConfig) -> ServingConfig {
+    priced_config(accel, 6, 1600)
 }
 
 /// The skewed "elephant/mice" scenario: `elephants` long, low-priority
 /// requests from one client arrive first and fill the batch, then `mice`
 /// short, high-priority requests from three other clients trickle in
 /// behind them — the canonical policy/preemption stress shape.
+///
+/// Both groups are heterogeneous — elephants differ in token targets (so
+/// they retire at different steps) and mice differ in length, priority
+/// and arrival (so admission *order* matters even without preemption, and
+/// every scheduling policy produces a distinguishable schedule).
 ///
 /// The stream is deliberately **seed-independent** (the arrival pattern
 /// *is* the scenario); the schedule-digest goldens in `tests/serving.rs`
@@ -128,23 +142,21 @@ impl Scenario for SkewedElephantMice {
         // final-context tokens against a 2200-token budget, saturating
         // both slots and pages — and prompts are unshared, so the prefix
         // cache stays off and prefill unpriced (the pre-caching goldens).
-        let mut cfg = ServingConfig::new(accel);
-        cfg.heads = 4;
-        cfg.weight_bytes = 10_000_000;
-        cfg.admission.max_batch = 4;
-        cfg.admission.max_batch_tokens = 2200;
-        cfg.admission.page_size = 16;
-        cfg.seed = 7;
-        cfg
+        sized_config(accel, 4, 2200)
     }
 }
 
 /// The shared-prefix "chat" scenario: `tenants` tenants, each with its own
 /// page-aligned system prompt (96–160 tokens), each sending `per_tenant`
-/// requests that append a short unique user turn. See
-/// [`workloads::shared_prefix_chat`](super::workloads::shared_prefix_chat)
-/// — this struct is that generator refactored onto the [`Scenario`] API,
-/// byte-for-byte (the per-tenant byte-identity tests pin it).
+/// requests that append a short unique user turn (8–63 tokens) — the
+/// workload where prefix caching pays: with the cache on, only the first
+/// request per tenant prefills its system prompt; the rest adopt those
+/// pages copy-on-write and prefill only their unique suffix.
+///
+/// **Shape-stable**: each tenant draws from its own seed-derived stream
+/// and request ids depend only on `(tenant, i)`, so a tenant's first `k`
+/// requests are byte-identical however many tenants or requests per
+/// tenant the caller asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedPrefixChat {
     /// Independent tenants, each with its own system prompt (canonically 4).
@@ -497,16 +509,7 @@ impl Scenario for LongDocSummarize {
         // Few slots, a deep KV budget (an 816-token document alone needs
         // 52 pages), prefill priced at full weight: the bill this scenario
         // exists to measure.
-        let mut cfg = ServingConfig::new(accel);
-        cfg.heads = 4;
-        cfg.weight_bytes = 10_000_000;
-        cfg.admission.max_batch = 3;
-        cfg.admission.max_batch_tokens = 2048;
-        cfg.admission.page_size = 16;
-        cfg.admission.prefix_cache = true;
-        cfg.seed = 7;
-        cfg.prefill_factor = 1.0;
-        cfg
+        priced_config(accel, 3, 2048)
     }
 }
 
@@ -661,6 +664,91 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{kind}: request {} rejected: {e}", req.id));
             }
         }
+    }
+
+    #[test]
+    fn four_elephants_saturate_the_canonical_budget() {
+        let reqs = SkewedElephantMice::default().generate(0);
+        assert_eq!(reqs.len(), 16);
+        let elephant_final: usize = reqs[..4]
+            .iter()
+            .map(|r| r.prompt_len + r.max_new_tokens)
+            .sum();
+        assert_eq!(elephant_final, 2020);
+        assert!(elephant_final <= 2200);
+        // Mice are heterogeneous in every scheduling-relevant dimension.
+        let mice = &reqs[4..];
+        assert!(mice.iter().any(|m| m.priority != mice[0].priority));
+        assert!(mice
+            .iter()
+            .any(|m| m.max_new_tokens != mice[0].max_new_tokens));
+        assert!(mice.iter().any(|m| m.arrival_step != mice[0].arrival_step));
+        assert!(mice.iter().all(|m| m.arrival_step >= 2));
+    }
+
+    fn chat(seed: u64, tenants: u64, per_tenant: u64) -> Vec<ServingRequest> {
+        SharedPrefixChat {
+            tenants,
+            per_tenant,
+        }
+        .generate(seed)
+    }
+
+    #[test]
+    fn tenant_streams_are_stable_across_workload_shapes() {
+        // A tenant's requests (ids included) must not change when the
+        // caller asks for more tenants or more requests per tenant — the
+        // property that keeps multi-shard goldens reproducible when a
+        // sweep widens the workload.
+        let narrow = chat(9, 2, 3);
+        let more_tenants = chat(9, 5, 3);
+        for tenant in 0..2u64 {
+            let a: Vec<_> = narrow.iter().filter(|r| r.client_id == tenant).collect();
+            let b: Vec<_> = more_tenants
+                .iter()
+                .filter(|r| r.client_id == tenant)
+                .collect();
+            assert_eq!(a, b, "tenant {tenant} changed when tenants were added");
+        }
+        let deeper = chat(9, 2, 7);
+        for tenant in 0..2u64 {
+            let a: Vec<_> = narrow.iter().filter(|r| r.client_id == tenant).collect();
+            let b: Vec<_> = deeper
+                .iter()
+                .filter(|r| r.client_id == tenant)
+                .take(3)
+                .collect();
+            assert_eq!(a, b, "tenant {tenant} changed when the workload deepened");
+        }
+    }
+
+    #[test]
+    fn shared_prefix_chat_shares_within_and_not_across_tenants() {
+        let reqs = chat(7, 3, 5);
+        for tenant in 0..3u64 {
+            let group: Vec<_> = reqs.iter().filter(|r| r.client_id == tenant).collect();
+            assert_eq!(group.len(), 5);
+            // One tag and one prefix length per tenant, page-aligned at
+            // the canonical 16-token page size and inside every prompt.
+            assert!(group.iter().all(|r| r.prefix_tag == group[0].prefix_tag));
+            assert!(group.iter().all(|r| r.prefix_len == group[0].prefix_len));
+            assert_eq!(group[0].prefix_len % 16, 0);
+            assert!((96..=160).contains(&group[0].prefix_len));
+            assert!(group.iter().all(|r| r.prompt_len > r.prefix_len));
+            // Identical leading page hashes within the tenant, so the
+            // prefix cache can actually adopt across its requests...
+            let keys: Vec<_> = group.iter().map(|r| r.page_keys(16)).collect();
+            let shared_pages = group[0].prefix_len / 16;
+            for k in &keys[1..] {
+                assert_eq!(k[..shared_pages], keys[0][..shared_pages]);
+            }
+        }
+        // ...and nothing shared between tenants.
+        let (a, b) = (
+            reqs.iter().find(|r| r.client_id == 0).unwrap(),
+            reqs.iter().find(|r| r.client_id == 1).unwrap(),
+        );
+        assert_ne!(a.page_keys(16)[0], b.page_keys(16)[0]);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use topick_core::PruneStats;
 
+use super::queue::ServingRequest;
+
 /// Lifecycle record of one request, filled in as the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestStats {
@@ -83,6 +85,37 @@ pub struct RequestStats {
 }
 
 impl RequestStats {
+    /// The record of `req` as it becomes schedulable at step
+    /// `enqueued_at`: nothing admitted, generated or charged yet.
+    pub(crate) fn queued(req: &ServingRequest, enqueued_at: usize) -> Self {
+        Self {
+            id: req.id,
+            prompt_len: req.prompt_len,
+            generated: 0,
+            priority: req.priority,
+            client_id: req.client_id,
+            enqueued_at,
+            admitted_at: None,
+            first_token_at: None,
+            finished_at: None,
+            preemptions: 0,
+            attention_cycles: 0,
+            prefill_cycles: 0,
+            reprefill_cycles: 0,
+            prefix_hit_tokens: 0,
+            retained_tokens: 0,
+            reprefilled_tokens: 0,
+            swapped_tokens: 0,
+            swap_cycles: 0,
+            shipped_tokens: 0,
+            ship_cycles: 0,
+            ttft_deadline: req.ttft_deadline,
+            itl_deadline: req.itl_deadline,
+            good_tokens: 0,
+            slo_violated: false,
+        }
+    }
+
     /// Whether the request carried any SLO deadline — the denominator of
     /// deadline-attainment accounting.
     #[must_use]
@@ -216,6 +249,63 @@ impl StepReport {
     }
 }
 
+/// Throughput in tokens per second: `tokens` delivered over `cycles` at
+/// `clock_hz` (0 for an empty run). Shared by the single-engine and
+/// cluster reports, for raw throughput and goodput alike.
+#[must_use]
+pub fn tokens_per_second(tokens: usize, cycles: u64, clock_hz: f64) -> f64 {
+    if cycles == 0 {
+        return 0.0;
+    }
+    tokens as f64 / (cycles as f64 / clock_hz)
+}
+
+/// Tokens delivered within SLO across `requests` (every token of a
+/// deadline-free request counts).
+pub fn good_tokens<'a>(requests: impl Iterator<Item = &'a RequestStats>) -> usize {
+    requests.map(|r| r.good_tokens).sum()
+}
+
+/// Share of the deadline-carrying `requests` that met every deadline, in
+/// `[0, 1]` (1 when none carried a deadline — nothing was promised,
+/// nothing was missed).
+pub fn deadline_attainment<'a>(requests: impl Iterator<Item = &'a RequestStats>) -> f64 {
+    let (mut carrying, mut attained) = (0usize, 0usize);
+    for r in requests.filter(|r| r.has_deadline()) {
+        carrying += 1;
+        attained += usize::from(r.slo_attained());
+    }
+    if carrying == 0 {
+        return 1.0;
+    }
+    attained as f64 / carrying as f64
+}
+
+/// The p99 time-to-first-token over `requests` as one pooled population,
+/// in steps (nearest-rank percentile; 0 when nothing produced a token).
+pub fn ttft_p99_steps<'a>(requests: impl Iterator<Item = &'a RequestStats>) -> usize {
+    let mut ttfts: Vec<usize> = requests
+        .filter_map(|r| Some(r.first_token_at? - r.enqueued_at + 1))
+        .collect();
+    if ttfts.is_empty() {
+        return 0;
+    }
+    ttfts.sort_unstable();
+    let rank = (ttfts.len() as f64 * 0.99).ceil() as usize;
+    ttfts[rank.clamp(1, ttfts.len()) - 1]
+}
+
+/// Admission-normalized prefix-cache hit rate, in `[0, 1]`: of the
+/// `prompt_tokens` demanded across every admission, the share
+/// `hit_tokens` the cache served (0 when nothing was admitted).
+#[must_use]
+pub fn hit_rate(hit_tokens: usize, prompt_tokens: usize) -> f64 {
+    if prompt_tokens == 0 {
+        return 0.0;
+    }
+    hit_tokens as f64 / prompt_tokens as f64
+}
+
 /// Aggregate outcome of a served workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
@@ -254,10 +344,7 @@ impl ServingReport {
     /// End-to-end throughput in generated tokens per second at `clock_hz`.
     #[must_use]
     pub fn tokens_per_second(&self, clock_hz: f64) -> f64 {
-        if self.total_cycles == 0 {
-            return 0.0;
-        }
-        self.tokens_generated as f64 / (self.total_cycles as f64 / clock_hz)
+        tokens_per_second(self.tokens_generated, self.total_cycles, clock_hz)
     }
 
     /// Mean decode-step latency in cycles.
@@ -321,10 +408,7 @@ impl ServingReport {
     /// without rejections the two normalizations agree.
     #[must_use]
     pub fn prefix_hit_rate(&self) -> f64 {
-        if self.admitted_prompt_tokens == 0 {
-            return 0.0;
-        }
-        self.admitted_hit_tokens as f64 / self.admitted_prompt_tokens as f64
+        hit_rate(self.admitted_hit_tokens, self.admitted_prompt_tokens)
     }
 
     /// Total host-tier copy-back cycles charged across all steps — the
@@ -397,7 +481,7 @@ impl ServingReport {
     /// token of a deadline-free request counts).
     #[must_use]
     pub fn total_good_tokens(&self) -> usize {
-        self.requests.iter().map(|r| r.good_tokens).sum()
+        good_tokens(self.requests.iter())
     }
 
     /// Goodput under SLO in tokens per second at `clock_hz`: like
@@ -405,10 +489,7 @@ impl ServingReport {
     /// tokens delivered before their request blew a deadline.
     #[must_use]
     pub fn goodput_tokens_per_second(&self, clock_hz: f64) -> f64 {
-        if self.total_cycles == 0 {
-            return 0.0;
-        }
-        self.total_good_tokens() as f64 / (self.total_cycles as f64 / clock_hz)
+        tokens_per_second(self.total_good_tokens(), self.total_cycles, clock_hz)
     }
 
     /// Share of deadline-carrying requests that met every deadline, in
@@ -416,12 +497,7 @@ impl ServingReport {
     /// promised, nothing was missed).
     #[must_use]
     pub fn deadline_attainment(&self) -> f64 {
-        let carrying: Vec<&RequestStats> =
-            self.requests.iter().filter(|r| r.has_deadline()).collect();
-        if carrying.is_empty() {
-            return 1.0;
-        }
-        carrying.iter().filter(|r| r.slo_attained()).count() as f64 / carrying.len() as f64
+        deadline_attainment(self.requests.iter())
     }
 
     /// The p99 time-to-first-token across finished requests, in steps
@@ -429,17 +505,7 @@ impl ServingReport {
     /// tail-latency number chunked prefill exists to protect.
     #[must_use]
     pub fn ttft_p99_steps(&self) -> usize {
-        let mut ttfts: Vec<usize> = self
-            .requests
-            .iter()
-            .filter_map(|r| Some(r.first_token_at? - r.enqueued_at + 1))
-            .collect();
-        if ttfts.is_empty() {
-            return 0;
-        }
-        ttfts.sort_unstable();
-        let rank = (ttfts.len() as f64 * 0.99).ceil() as usize;
-        ttfts[rank.clamp(1, ttfts.len()) - 1]
+        ttft_p99_steps(self.requests.iter())
     }
 
     /// The largest prefill charge any single step carried, in cycles —
@@ -476,30 +542,14 @@ mod tests {
     /// shape and every other field inert.
     fn request(id: u64, prompt_len: usize, preemptions: u32, hits: usize) -> RequestStats {
         RequestStats {
-            id,
-            prompt_len,
             generated: 1,
-            priority: 0,
-            client_id: 0,
-            enqueued_at: 0,
             admitted_at: Some(0),
             first_token_at: Some(0),
             finished_at: Some(0),
             preemptions,
-            attention_cycles: 0,
-            prefill_cycles: 0,
-            reprefill_cycles: 0,
             prefix_hit_tokens: hits,
-            retained_tokens: 0,
-            reprefilled_tokens: 0,
-            swapped_tokens: 0,
-            swap_cycles: 0,
-            shipped_tokens: 0,
-            ship_cycles: 0,
-            ttft_deadline: None,
-            itl_deadline: None,
             good_tokens: 1,
-            slo_violated: false,
+            ..RequestStats::queued(&ServingRequest::new(id, prompt_len, 1), 0)
         }
     }
 

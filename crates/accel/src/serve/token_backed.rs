@@ -461,7 +461,6 @@ impl TokenBackedRun {
 
 /// Serves `requests` on `engine` while a [`TokenBackedBatch`] mirrors
 /// every scheduling decision into real paged-KV-backed token generation.
-/// The engine must have event recording enabled (the builder's default).
 ///
 /// # Errors
 ///
@@ -469,11 +468,6 @@ impl TokenBackedRun {
 /// workload does not drain within `max_steps`;
 /// [`ServeError::InvalidRequest`] if a request cannot fit the model's
 /// context window.
-///
-/// # Panics
-///
-/// Panics if `engine` was built with `record_events(false)` — without
-/// events there is nothing to mirror.
 pub fn run_token_backed(
     engine: &mut ServingEngine,
     requests: Vec<ServingRequest>,
@@ -481,10 +475,6 @@ pub fn run_token_backed(
     model_seed: u64,
     max_steps: usize,
 ) -> Result<TokenBackedRun, ServeError> {
-    assert!(
-        engine.records_events(),
-        "run_token_backed requires an engine with event recording enabled"
-    );
     let mut batch = TokenBackedBatch::new(spec, model_seed, engine.config());
     for req in requests {
         batch.register(&req)?;

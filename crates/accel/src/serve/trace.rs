@@ -69,11 +69,15 @@ impl From<super::ServeError> for TraceError {
 }
 
 /// Everything that shaped a recorded run's schedule, snapshotted so the
-/// run can be rebuilt from the trace alone.
+/// run can be rebuilt from the trace alone: the engine's whole
+/// [`ServingConfig`] plus what sits outside it — the scheduling policy,
+/// the cluster shape, the scenario provenance and the step bound.
 ///
-/// The accelerator is captured as `(mode, threshold)` and rebuilt through
+/// The accelerator is rendered as `(mode, threshold)` and rebuilt through
 /// [`AccelConfig::paper`] — traces snapshot the paper hardware
-/// configuration, which is what every engine in this workspace runs.
+/// configuration, which is what every engine in this workspace runs. The
+/// config is private so [`new`](Self::new) is the only way in and that
+/// condition is checked once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceMeta {
     /// Originating scenario name, when the workload came from the
@@ -82,52 +86,9 @@ pub struct TraceMeta {
     pub scenario: Option<String>,
     /// The seed the scenario was generated with.
     pub scenario_seed: u64,
-    /// Accelerator pipeline variant.
-    pub mode: AccelMode,
-    /// Pruning threshold.
-    pub threshold: f64,
+    config: ServingConfig,
     /// Scheduler policy name ([`PolicyKind::name`]).
     pub policy: String,
-    /// Batch slot limit.
-    pub max_batch: usize,
-    /// Batch KV token budget.
-    pub max_batch_tokens: usize,
-    /// KV page size in tokens.
-    pub page_size: usize,
-    /// Whether copy-on-write prefix caching was on.
-    pub prefix_cache: bool,
-    /// Whether preemption was enabled.
-    pub preemption: bool,
-    /// Re-prefill charge factor.
-    pub reprefill_factor: f64,
-    /// Eviction budget per admission step.
-    pub max_evictions_per_step: usize,
-    /// Retention policy, as its display string (`none` | pages | fraction).
-    pub retention: String,
-    /// Prompt-prefill charge factor.
-    pub prefill_factor: f64,
-    /// Per-step chunked-prefill budget in pages (`0` = unlimited, the
-    /// pre-chunking lump behavior).
-    pub prefill_chunk_pages: usize,
-    /// Host-tier capacity in pages (`0` = no host tier, the drop-and-
-    /// re-prefill behavior).
-    pub host_pages: usize,
-    /// Host-tier copy-back charge factor (meaningful when `host_pages >
-    /// 0`).
-    pub swap_cost_factor: f64,
-    /// Cross-shard page transfer charge factor (`0` = shipping off).
-    pub ship_cost_factor: f64,
-    /// Whether admission rejected queued requests with already-blown TTFT
-    /// deadlines.
-    pub reject_expired_ttft: bool,
-    /// Attention heads per request per step.
-    pub heads: usize,
-    /// FC/FFN weight bytes streamed per step.
-    pub weight_bytes: u64,
-    /// Base seed of the synthetic per-request workloads.
-    pub seed: u64,
-    /// Accelerator clock in Hz.
-    pub clock_hz: f64,
     /// Shard count (`1` records a bare [`ServingEngine`]).
     pub shards: usize,
     /// Routing policy name (meaningful when `shards > 1`).
@@ -157,27 +118,8 @@ impl TraceMeta {
         Self {
             scenario: None,
             scenario_seed: 0,
-            mode: cfg.accel.mode,
-            threshold: cfg.accel.threshold,
+            config: cfg.clone(),
             policy: policy.to_string(),
-            max_batch: cfg.admission.max_batch,
-            max_batch_tokens: cfg.admission.max_batch_tokens,
-            page_size: cfg.admission.page_size,
-            prefix_cache: cfg.admission.prefix_cache,
-            preemption: cfg.preemption.enabled,
-            reprefill_factor: cfg.preemption.reprefill_factor,
-            max_evictions_per_step: cfg.preemption.max_evictions_per_step,
-            retention: cfg.preemption.retention.to_string(),
-            prefill_factor: cfg.prefill_factor,
-            prefill_chunk_pages: cfg.prefill_chunk_pages,
-            host_pages: cfg.host_pages,
-            swap_cost_factor: cfg.swap_cost_factor,
-            ship_cost_factor: cfg.ship_cost_factor,
-            reject_expired_ttft: cfg.reject_expired_ttft,
-            heads: cfg.heads,
-            weight_bytes: cfg.weight_bytes,
-            seed: cfg.seed,
-            clock_hz: cfg.clock_hz,
             shards: 1,
             routing: RoutingKind::RoundRobin.name().to_string(),
             stealing: false,
@@ -218,42 +160,10 @@ impl TraceMeta {
         self
     }
 
-    /// Rebuilds the serving configuration this meta snapshotted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Parse`] if the threshold or retention string
-    /// cannot be reconstructed.
-    pub fn serving_config(&self) -> Result<ServingConfig, TraceError> {
-        let accel = AccelConfig::paper(self.mode, self.threshold)
-            .map_err(|e| TraceError::Parse(format!("invalid accel snapshot: {e}")))?;
-        let retention = self.retention.parse().map_err(|e| {
-            TraceError::Parse(format!("invalid retention '{}': {e}", self.retention))
-        })?;
-        let mut cfg = ServingConfig::new(accel);
-        cfg.admission = AdmissionConfig {
-            max_batch: self.max_batch,
-            max_batch_tokens: self.max_batch_tokens,
-            page_size: self.page_size,
-            prefix_cache: self.prefix_cache,
-        };
-        cfg.preemption = PreemptionConfig {
-            enabled: self.preemption,
-            reprefill_factor: self.reprefill_factor,
-            max_evictions_per_step: self.max_evictions_per_step,
-            retention,
-        };
-        cfg.prefill_factor = self.prefill_factor;
-        cfg.prefill_chunk_pages = self.prefill_chunk_pages;
-        cfg.host_pages = self.host_pages;
-        cfg.swap_cost_factor = self.swap_cost_factor;
-        cfg.ship_cost_factor = self.ship_cost_factor;
-        cfg.reject_expired_ttft = self.reject_expired_ttft;
-        cfg.heads = self.heads;
-        cfg.weight_bytes = self.weight_bytes;
-        cfg.seed = self.seed;
-        cfg.clock_hz = self.clock_hz;
-        Ok(cfg)
+    /// The serving configuration this meta snapshotted.
+    #[must_use]
+    pub fn serving_config(&self) -> &ServingConfig {
+        &self.config
     }
 }
 
@@ -489,14 +399,14 @@ impl RunReport {
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::Parse`] if the meta's policy/routing/retention
-/// strings don't name built-ins, or [`TraceError::Serve`] if the run
+/// Returns [`TraceError::Parse`] if the meta's policy/routing strings
+/// don't name built-ins, or [`TraceError::Serve`] if the run
 /// itself fails (invalid request, stalled admission, step limit).
 pub fn run_recorded(
     meta: &TraceMeta,
     requests: &[ServingRequest],
 ) -> Result<(Trace, RunReport), TraceError> {
-    let cfg = meta.serving_config()?;
+    let cfg = meta.config.clone();
     let policy: PolicyKind = meta
         .policy
         .parse()
@@ -666,6 +576,11 @@ impl Fields {
             .parse()
             .map_err(|_| self.err(format!("field '{key}' is not a valid value")))
     }
+
+    /// A field the writer renders only when it left its default.
+    fn opt_field<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, TraceError> {
+        self.get(key).map(|_| self.parse_field(key)).transpose()
+    }
 }
 
 impl Trace {
@@ -674,6 +589,7 @@ impl Trace {
     #[must_use]
     pub fn render(&self) -> String {
         let m = &self.meta;
+        let c = &m.config;
         let mut meta_line = JsonLine::new("meta").u64_field("version", 1);
         if let Some(scenario) = &m.scenario {
             meta_line = meta_line
@@ -681,42 +597,44 @@ impl Trace {
                 .u64_field("scenario_seed", m.scenario_seed);
         }
         meta_line = meta_line
-            .str_field("mode", m.mode.name())
-            .f64_field("threshold", m.threshold)
+            .str_field("mode", c.accel.mode.name())
+            .f64_field("threshold", c.accel.threshold)
             .str_field("policy", &m.policy)
-            .u64_field("max_batch", m.max_batch as u64)
-            .u64_field("max_batch_tokens", m.max_batch_tokens as u64)
-            .u64_field("page_size", m.page_size as u64)
-            .bool_field("prefix_cache", m.prefix_cache)
-            .bool_field("preemption", m.preemption)
-            .f64_field("reprefill_factor", m.reprefill_factor)
-            .u64_field("max_evictions_per_step", m.max_evictions_per_step as u64)
-            .str_field("retention", &m.retention)
-            .f64_field("prefill_factor", m.prefill_factor);
-        // Rendered only when finite, so pre-chunking traces (and the
-        // checked-in goldens) keep their exact bytes.
-        if m.prefill_chunk_pages != 0 {
-            meta_line = meta_line.u64_field("prefill_chunk_pages", m.prefill_chunk_pages as u64);
+            .u64_field("max_batch", c.admission.max_batch as u64)
+            .u64_field("max_batch_tokens", c.admission.max_batch_tokens as u64)
+            .u64_field("page_size", c.admission.page_size as u64)
+            .bool_field("prefix_cache", c.admission.prefix_cache)
+            .bool_field("preemption", c.preemption.enabled)
+            .f64_field("reprefill_factor", c.preemption.reprefill_factor)
+            .u64_field(
+                "max_evictions_per_step",
+                c.preemption.max_evictions_per_step as u64,
+            )
+            .str_field("retention", &c.preemption.retention.to_string())
+            .f64_field("prefill_factor", c.prefill_factor);
+        // Chunking, tiered-KV and rejection knobs render only when they
+        // left their defaults, so traces recorded before each knob existed
+        // (and the checked-in goldens) keep their exact bytes.
+        if c.prefill_chunk_pages != 0 {
+            meta_line = meta_line.u64_field("prefill_chunk_pages", c.prefill_chunk_pages as u64);
         }
-        // Tiered-KV and rejection knobs render only when they left their
-        // defaults, keeping pre-tiering traces (and the checked-in
-        // goldens) byte-exact.
-        if m.host_pages != 0 {
-            meta_line = meta_line
-                .u64_field("host_pages", m.host_pages as u64)
-                .f64_field("swap_cost_factor", m.swap_cost_factor);
+        if c.host_pages != 0 {
+            meta_line = meta_line.u64_field("host_pages", c.host_pages as u64);
         }
-        if m.ship_cost_factor != 0.0 {
-            meta_line = meta_line.f64_field("ship_cost_factor", m.ship_cost_factor);
+        if c.host_pages != 0 || c.swap_cost_factor != ServingConfig::DEFAULT_SWAP_COST_FACTOR {
+            meta_line = meta_line.f64_field("swap_cost_factor", c.swap_cost_factor);
         }
-        if m.reject_expired_ttft {
+        if c.ship_cost_factor != 0.0 {
+            meta_line = meta_line.f64_field("ship_cost_factor", c.ship_cost_factor);
+        }
+        if c.reject_expired_ttft {
             meta_line = meta_line.bool_field("reject_expired_ttft", true);
         }
         let mut out = meta_line
-            .u64_field("heads", m.heads as u64)
-            .u64_field("weight_bytes", m.weight_bytes)
-            .u64_field("seed", m.seed)
-            .f64_field("clock_hz", m.clock_hz)
+            .u64_field("heads", c.heads as u64)
+            .u64_field("weight_bytes", c.weight_bytes)
+            .u64_field("seed", c.seed)
+            .f64_field("clock_hz", c.clock_hz)
             .u64_field("shards", m.shards as u64)
             .str_field("routing", &m.routing)
             .bool_field("stealing", m.stealing)
@@ -1031,50 +949,54 @@ fn parse_meta(f: &Fields) -> Result<TraceMeta, TraceError> {
         return Err(f.err(format!("unsupported trace version {version}")));
     }
     let mode: AccelMode = f.str_field("mode")?.parse().map_err(|e: String| f.err(e))?;
+    let accel = AccelConfig::paper(mode, f.parse_field("threshold")?)
+        .map_err(|e| f.err(format!("invalid accel snapshot: {e}")))?;
+    let retention = f.str_field("retention")?;
+    // Fields the writer omits at their defaults keep the engine defaults
+    // `ServingConfig::new` sets, so rebuild → snapshot round-trips.
+    let mut config = ServingConfig::new(accel);
+    config.admission = AdmissionConfig {
+        max_batch: f.parse_field("max_batch")?,
+        max_batch_tokens: f.parse_field("max_batch_tokens")?,
+        page_size: f.parse_field("page_size")?,
+        prefix_cache: f.parse_field("prefix_cache")?,
+    };
+    config.preemption = PreemptionConfig {
+        enabled: f.parse_field("preemption")?,
+        reprefill_factor: f.parse_field("reprefill_factor")?,
+        max_evictions_per_step: f.parse_field("max_evictions_per_step")?,
+        retention: retention
+            .parse()
+            .map_err(|e| f.err(format!("invalid retention '{retention}': {e}")))?,
+    };
+    config.prefill_factor = f.parse_field("prefill_factor")?;
+    if let Some(pages) = f.opt_field("prefill_chunk_pages")? {
+        config.prefill_chunk_pages = pages;
+    }
+    if let Some(pages) = f.opt_field("host_pages")? {
+        config.host_pages = pages;
+    }
+    if let Some(factor) = f.opt_field("swap_cost_factor")? {
+        config.swap_cost_factor = factor;
+    }
+    if let Some(factor) = f.opt_field("ship_cost_factor")? {
+        config.ship_cost_factor = factor;
+    }
+    if let Some(reject) = f.opt_field("reject_expired_ttft")? {
+        config.reject_expired_ttft = reject;
+    }
+    config.heads = f.parse_field("heads")?;
+    config.weight_bytes = f.parse_field("weight_bytes")?;
+    config.seed = f.parse_field("seed")?;
+    config.clock_hz = f.parse_field("clock_hz")?;
     Ok(TraceMeta {
         scenario: f.get("scenario").map(str::to_string),
         scenario_seed: match f.get("scenario") {
             Some(_) => f.parse_field("scenario_seed")?,
             None => 0,
         },
-        mode,
-        threshold: f.parse_field("threshold")?,
+        config,
         policy: f.str_field("policy")?.to_string(),
-        max_batch: f.parse_field("max_batch")?,
-        max_batch_tokens: f.parse_field("max_batch_tokens")?,
-        page_size: f.parse_field("page_size")?,
-        prefix_cache: f.parse_field("prefix_cache")?,
-        preemption: f.parse_field("preemption")?,
-        reprefill_factor: f.parse_field("reprefill_factor")?,
-        max_evictions_per_step: f.parse_field("max_evictions_per_step")?,
-        retention: f.str_field("retention")?.to_string(),
-        prefill_factor: f.parse_field("prefill_factor")?,
-        prefill_chunk_pages: match f.get("prefill_chunk_pages") {
-            Some(_) => f.parse_field("prefill_chunk_pages")?,
-            None => 0,
-        },
-        host_pages: match f.get("host_pages") {
-            Some(_) => f.parse_field("host_pages")?,
-            None => 0,
-        },
-        // Absent with no host tier; the parsed meta still carries the
-        // engine default so rebuild → snapshot round-trips.
-        swap_cost_factor: match f.get("swap_cost_factor") {
-            Some(_) => f.parse_field("swap_cost_factor")?,
-            None => ServingConfig::DEFAULT_SWAP_COST_FACTOR,
-        },
-        ship_cost_factor: match f.get("ship_cost_factor") {
-            Some(_) => f.parse_field("ship_cost_factor")?,
-            None => 0.0,
-        },
-        reject_expired_ttft: match f.get("reject_expired_ttft") {
-            Some(_) => f.parse_field("reject_expired_ttft")?,
-            None => false,
-        },
-        heads: f.parse_field("heads")?,
-        weight_bytes: f.parse_field("weight_bytes")?,
-        seed: f.parse_field("seed")?,
-        clock_hz: f.parse_field("clock_hz")?,
         shards: f.parse_field("shards")?,
         routing: f.str_field("routing")?.to_string(),
         stealing: f.parse_field("stealing")?,
@@ -1093,14 +1015,8 @@ fn parse_request(f: &Fields) -> Result<ServingRequest, TraceError> {
         arrival_step: f.parse_field("arrival_step")?,
         prefix_tag: f.parse_field("prefix_tag")?,
         prefix_len: f.parse_field("prefix_len")?,
-        ttft_deadline: match f.get("ttft_deadline") {
-            Some(_) => Some(f.parse_field("ttft_deadline")?),
-            None => None,
-        },
-        itl_deadline: match f.get("itl_deadline") {
-            Some(_) => Some(f.parse_field("itl_deadline")?),
-            None => None,
-        },
+        ttft_deadline: f.opt_field("ttft_deadline")?,
+        itl_deadline: f.opt_field("itl_deadline")?,
     })
 }
 
@@ -1384,7 +1300,7 @@ mod tests {
         let parsed = Trace::parse(&trace.render()).unwrap();
         assert_eq!(parsed.meta, meta);
         // The rebuilt serving config matches the one we snapshotted.
-        assert_eq!(parsed.meta.serving_config().unwrap(), cfg);
+        assert_eq!(parsed.meta.serving_config(), &cfg);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! the serving engine's admission invariants under any scheduling policy.
 
 use proptest::prelude::*;
-use topick_accel::serve::trace::run_recorded;
+use topick_accel::serve::trace::{run_recorded, Trace, TraceRecorder};
 use topick_accel::{
-    AccelConfig, AccelMode, ClusterEngine, ClusterEvent, KvPager, PolicyKind, RetentionPolicy,
-    RoutingKind, ScenarioKind, ServeEvent, ServingEngine, ServingRequest, ToPickAccelerator,
-    TraceMeta,
+    AccelConfig, AccelMode, AdmissionConfig, ClusterEngine, ClusterEvent, KvPager, PolicyKind,
+    PreemptionConfig, RetentionPolicy, RoutingKind, ScenarioKind, ServeEvent, ServingConfig,
+    ServingEngine, ServingRequest, ToPickAccelerator, TraceMeta,
 };
 use topick_core::{exact_probabilities, PrecisionConfig, QMatrix, QVector, Rows};
 
@@ -484,35 +484,37 @@ proptest! {
         let routing = RoutingKind::all()[routing_idx];
         let policy = PolicyKind::all()[policy_idx];
         let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("thr");
-        let mut builder = ClusterEngine::builder(accel)
-            .heads(2)
-            .weight_bytes(1_000_000)
-            .max_batch(2)
-            .max_batch_tokens(400)
-            .page_size(16)
-            .seed(seed)
-            .prefix_cache(true)
-            .prefill_factor(1.0)
-            .prefill_chunk_pages(prefill_chunk)
+        let mut cfg = ServingConfig::new(accel.clone());
+        cfg.heads = 2;
+        cfg.weight_bytes = 1_000_000;
+        cfg.admission = AdmissionConfig {
+            max_batch: 2,
+            max_batch_tokens: 400,
+            page_size: 16,
+            prefix_cache: true,
+        };
+        cfg.seed = seed;
+        cfg.prefill_factor = 1.0;
+        cfg.prefill_chunk_pages = prefill_chunk;
+        if tiered {
+            // The tiered dimensions: a bounded host swap tier and priced
+            // cross-shard page shipping on top of the same invariants.
+            cfg.host_pages = 32;
+            cfg.swap_cost_factor = 0.25;
+            cfg.ship_cost_factor = 0.25;
+        }
+        if preempt {
+            cfg.preemption =
+                PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.5));
+        }
+        let mut cluster = ClusterEngine::builder(accel)
+            .config(cfg)
             .policy(policy)
             .shards(shards)
             .routing(routing)
             .stealing(stealing)
-            .threads(threads);
-        if tiered {
-            // The tiered dimensions: a bounded host swap tier and priced
-            // cross-shard page shipping on top of the same invariants.
-            builder = builder
-                .host_pages(32)
-                .swap_cost_factor(0.25)
-                .ship_cost_factor(0.25);
-        }
-        if preempt {
-            builder = builder
-                .enable_preemption()
-                .retention(RetentionPolicy::Fraction(0.5));
-        }
-        let mut cluster = builder.build();
+            .threads(threads)
+            .build();
 
         let mut next_id = 0u64;
         let mut routed: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
@@ -630,24 +632,27 @@ proptest! {
         tiered in any::<bool>(),
     ) {
         let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("thr");
-        let mut builder = ClusterEngine::builder(accel)
-            .heads(2)
-            .weight_bytes(1_000_000)
-            .max_batch(2)
-            .max_batch_tokens(600)
-            .page_size(16)
-            .seed(seed)
-            .prefix_cache(true)
-            .prefill_factor(1.0)
-            .shards(shards)
-            .routing(RoutingKind::PrefixAffinity);
+        let mut cfg = ServingConfig::new(accel.clone());
+        cfg.heads = 2;
+        cfg.weight_bytes = 1_000_000;
+        cfg.admission = AdmissionConfig {
+            max_batch: 2,
+            max_batch_tokens: 600,
+            page_size: 16,
+            prefix_cache: true,
+        };
+        cfg.seed = seed;
+        cfg.prefill_factor = 1.0;
         if tiered {
-            builder = builder
-                .host_pages(16)
-                .swap_cost_factor(0.25)
-                .ship_cost_factor(0.25);
+            cfg.host_pages = 16;
+            cfg.swap_cost_factor = 0.25;
+            cfg.ship_cost_factor = 0.25;
         }
-        let mut cluster = builder.build();
+        let mut cluster = ClusterEngine::builder(accel)
+            .config(cfg)
+            .shards(shards)
+            .routing(RoutingKind::PrefixAffinity)
+            .build();
         for i in 0..10u64 {
             let mix = seed.wrapping_mul(0x9E37_79B9).wrapping_add(i);
             cluster
@@ -786,6 +791,74 @@ proptest! {
         let (second, _) = first.replay().expect("replay");
         prop_assert_eq!(first.digest, second.digest, "{}/{}", kind, policy);
         prop_assert_eq!(&first.events, &second.events, "{}/{}", kind, policy);
+    }
+
+    /// Every serving option survives a trace: the meta snapshots the
+    /// config it was given, and render → parse returns the same meta —
+    /// over the paper accelerator in any mode, any retention, the host
+    /// tier on or off (with a non-default copy-back price either way).
+    #[test]
+    fn trace_meta_round_trips_every_serving_option(
+        mode_idx in 0usize..4,
+        threshold_exp in 1i32..6,
+        sizes in prop::collection::vec(0usize..4096, 8),
+        factors in prop::collection::vec(0.0f64..4.0, 4),
+        toggles in prop::collection::vec(any::<bool>(), 6),
+        retention_idx in 0usize..3,
+        retention_fraction in 0.01f64..0.99,
+        seed in any::<u64>(),
+        weight_bytes in any::<u64>(),
+        clock_hz in 1e6f64..4e9,
+        policy_idx in 0usize..PolicyKind::all().len(),
+        routing_idx in 0usize..3,
+    ) {
+        let mode = [
+            AccelMode::Baseline,
+            AccelMode::EstimateOnly,
+            AccelMode::OutOfOrder,
+            AccelMode::Blocking,
+        ][mode_idx];
+        let accel = AccelConfig::paper(mode, 10f64.powi(-threshold_exp)).expect("valid threshold");
+        let mut cfg = ServingConfig::new(accel);
+        cfg.admission = AdmissionConfig {
+            max_batch: sizes[0],
+            max_batch_tokens: sizes[1],
+            page_size: sizes[2],
+            prefix_cache: toggles[0],
+        };
+        cfg.preemption = PreemptionConfig {
+            enabled: toggles[1],
+            reprefill_factor: factors[0],
+            max_evictions_per_step: sizes[3],
+            retention: [
+                RetentionPolicy::None,
+                RetentionPolicy::Pages(sizes[4]),
+                RetentionPolicy::Fraction(retention_fraction),
+            ][retention_idx],
+        };
+        cfg.prefill_factor = factors[1];
+        cfg.prefill_chunk_pages = sizes[5] % 4;
+        cfg.host_pages = if toggles[2] { sizes[6] } else { 0 };
+        if toggles[3] {
+            cfg.swap_cost_factor = factors[2];
+        }
+        cfg.ship_cost_factor = if toggles[4] { factors[3] } else { 0.0 };
+        cfg.reject_expired_ttft = toggles[5];
+        cfg.heads = sizes[7];
+        cfg.weight_bytes = weight_bytes;
+        cfg.seed = seed;
+        cfg.clock_hz = clock_hz;
+
+        let policy = PolicyKind::all()[policy_idx];
+        let meta = TraceMeta::new(&cfg, policy.name())
+            .for_cluster(1 + sizes[0] % 8, RoutingKind::all()[routing_idx].name(), toggles[0], 1 + sizes[1] % 8)
+            .for_scenario("shared-prefix-chat", seed)
+            .with_max_steps(sizes[2]);
+        prop_assert_eq!(meta.serving_config(), &cfg);
+        let trace = TraceRecorder::new(meta).finish();
+        let parsed = Trace::parse(&trace.render()).expect("rendered traces parse");
+        prop_assert_eq!(&parsed.meta, &trace.meta);
+        prop_assert_eq!(parsed.render(), trace.render());
     }
 
     #[test]

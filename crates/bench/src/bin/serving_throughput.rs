@@ -75,11 +75,12 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
+use topick_accel::serve::scenario::{Scenario, SharedPrefixChat, SkewedElephantMice};
 use topick_accel::serve::trace::{run_recorded, RunReport, TraceMeta};
-use topick_accel::serve::workloads::{shared_prefix_chat, skewed_elephant_mice};
 use topick_accel::{
     AccelConfig, AccelMode, ClusterEngine, ClusterReport, PolicyKind, RequestStats,
-    RetentionPolicy, RoutingKind, ScenarioKind, ServingEngine, ServingReport, ServingRequest,
+    RetentionPolicy, RoutingKind, ScenarioKind, ServingConfig, ServingEngine, ServingReport,
+    ServingRequest,
 };
 use topick_bench::json::{JsonObject, JsonValue};
 use topick_model::ModelSpec;
@@ -98,7 +99,6 @@ fn run_point(
         .max_batch(max_batch)
         .max_batch_tokens(max_batch * 600)
         .seed(1)
-        .record_events(false)
         .build();
     let clock_hz = engine.config().clock_hz;
     for id in 0..requests {
@@ -149,14 +149,13 @@ fn run_policy(
         .max_batch(4)
         .max_batch_tokens(2200)
         .seed(7)
-        .record_events(false)
         .policy(policy);
     if preemption {
         builder = builder.enable_preemption().retention(retention);
     }
     let mut engine = builder.build();
     let clock_hz = engine.config().clock_hz;
-    for r in skewed_elephant_mice(4, mice) {
+    for r in skewed(4, mice) {
         engine.enqueue(r).expect("valid request");
     }
     let start = Instant::now();
@@ -203,16 +202,41 @@ fn policy_record(
         .into()
 }
 
+/// The canonical shared-prefix chat engine sizing, toggling only the
+/// prefix cache.
+fn chat_config(prefix_cache: bool) -> ServingConfig {
+    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+    let mut cfg = SharedPrefixChat::default().serving_config(accel);
+    cfg.admission.prefix_cache = prefix_cache;
+    cfg
+}
+
+/// The canonical skewed elephant/mice engine sizing.
+fn skewed_config() -> ServingConfig {
+    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+    SkewedElephantMice::default().serving_config(accel)
+}
+
+/// The skewed elephant/mice request stream at the given size.
+fn skewed(elephants: u64, mice: u64) -> Vec<ServingRequest> {
+    SkewedElephantMice { elephants, mice }.generate(0)
+}
+
+/// The shared-prefix chat request stream (seed 11) at the given size.
+fn chat(tenants: u64, per_tenant: u64) -> Vec<ServingRequest> {
+    SharedPrefixChat {
+        tenants,
+        per_tenant,
+    }
+    .generate(11)
+}
+
 /// Shared-prefix workload with prompt prefill priced: one record per
 /// cache setting, pinning the prefill/re-prefill bill and the hit rate.
 fn prefix_record(prefix_cache: bool, tenants: u64, per_tenant: u64) -> JsonValue {
-    use topick_accel::serve::workloads::shared_prefix_engine;
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut engine = shared_prefix_engine(accel, prefix_cache)
-        .record_events(false)
-        .build();
+    let mut engine = ServingEngine::new(chat_config(prefix_cache));
     let clock_hz = engine.config().clock_hz;
-    for r in shared_prefix_chat(11, tenants, per_tenant) {
+    for r in chat(tenants, per_tenant) {
         engine.enqueue(r).expect("valid request");
     }
     let start = Instant::now();
@@ -255,22 +279,15 @@ fn run_cluster(
     threads: usize,
     size: WorkloadSize,
 ) -> (ClusterReport, f64) {
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    // The skewed branch mirrors the canonical policy-sweep engine; the
-    // shared-prefix branch is the canonical cluster from serve::workloads
-    // so the bench stays comparable with the equivalence tests.
-    let builder = if workload == "skewed" {
-        ClusterEngine::builder(accel)
-            .heads(4)
-            .weight_bytes(10_000_000)
-            .seed(7)
-            .max_batch(4)
-            .max_batch_tokens(2200)
+    // Both branches run their scenario's canonical per-shard sizing, so
+    // the bench stays comparable with the equivalence tests.
+    let cfg = if workload == "skewed" {
+        skewed_config()
     } else {
-        topick_accel::serve::workloads::shared_prefix_cluster(accel, true)
+        chat_config(true)
     };
-    let mut cluster = builder
-        .record_events(false)
+    let mut cluster = ClusterEngine::builder(cfg.accel.clone())
+        .config(cfg)
         .shards(shards)
         .routing(routing)
         .stealing(stealing)
@@ -278,9 +295,9 @@ fn run_cluster(
         .build();
     let clock_hz = cluster.shard(0).config().clock_hz;
     let requests = if workload == "skewed" {
-        skewed_elephant_mice(4, size.mice)
+        skewed(4, size.mice)
     } else {
-        shared_prefix_chat(11, size.tenants, size.per_tenant)
+        chat(size.tenants, size.per_tenant)
     };
     for r in requests {
         cluster.enqueue(r).expect("valid request");
@@ -342,20 +359,15 @@ fn run_threads_point(
     let mut best_wall = f64::INFINITY;
     let mut last = None;
     for _ in 0..runs.max(1) {
-        let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-        let mut cluster = ClusterEngine::builder(accel)
-            .heads(4)
-            .weight_bytes(10_000_000)
-            .seed(7)
-            .max_batch(4)
-            .max_batch_tokens(2200)
-            .record_events(false)
+        let cfg = skewed_config();
+        let mut cluster = ClusterEngine::builder(cfg.accel.clone())
+            .config(cfg)
             .shards(shards)
             .routing(RoutingKind::LeastLoaded)
             .stealing(true)
             .threads(threads)
             .build();
-        for r in skewed_elephant_mice(elephants, mice) {
+        for r in skewed(elephants, mice) {
             cluster.enqueue(r).expect("valid request");
         }
         let report = cluster.run_to_completion(1_000_000).expect("completes");
@@ -476,7 +488,7 @@ fn scenario_sweep(seed: u64, quick: bool) -> JsonValue {
     for kind in ScenarioKind::all() {
         let requests = kind.build().generate(seed);
         let meta = scenario_meta(kind, seed);
-        let clock_hz = meta.clock_hz;
+        let clock_hz = meta.serving_config().clock_hz;
         let start = Instant::now();
         let (trace, report) = run_recorded(&meta, &requests).expect("scenario run completes");
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -621,7 +633,7 @@ fn slo_record(
     let meta = TraceMeta::new(&cfg, policy.name())
         .for_scenario(kind.name(), seed)
         .with_max_steps(200_000);
-    let clock_hz = meta.clock_hz;
+    let clock_hz = meta.serving_config().clock_hz;
     let start = Instant::now();
     let (trace, report) = run_recorded(&meta, requests).expect("slo run completes");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -718,7 +730,6 @@ fn run_tiered_engine(host_pages: usize, swap_cost: f64, mice: u64) -> (ServingRe
         .max_batch(4)
         .max_batch_tokens(2200)
         .seed(7)
-        .record_events(false)
         .policy(PolicyKind::PriorityAging)
         .enable_preemption()
         .retention(RetentionPolicy::Fraction(0.75))
@@ -726,7 +737,7 @@ fn run_tiered_engine(host_pages: usize, swap_cost: f64, mice: u64) -> (ServingRe
         .swap_cost_factor(swap_cost)
         .build();
     let clock_hz = engine.config().clock_hz;
-    for r in skewed_elephant_mice(4, mice) {
+    for r in skewed(4, mice) {
         engine.enqueue(r).expect("valid request");
     }
     let start = Instant::now();
@@ -737,16 +748,16 @@ fn run_tiered_engine(host_pages: usize, swap_cost: f64, mice: u64) -> (ServingRe
 /// One 4-shard round-robin run of the shared-prefix chat workload with
 /// cross-shard page shipping priced at `ship_cost` (0 disables it).
 fn run_tiered_cluster(ship_cost: f64, size: WorkloadSize) -> (ClusterReport, f64) {
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut cluster = topick_accel::serve::workloads::shared_prefix_cluster(accel, true)
-        .record_events(false)
+    let mut cfg = chat_config(true);
+    cfg.ship_cost_factor = ship_cost;
+    let mut cluster = ClusterEngine::builder(cfg.accel.clone())
+        .config(cfg)
         .shards(4)
         .routing(RoutingKind::RoundRobin)
         .stealing(false)
-        .ship_cost_factor(ship_cost)
         .build();
     let clock_hz = cluster.shard(0).config().clock_hz;
-    for r in shared_prefix_chat(11, size.tenants, size.per_tenant) {
+    for r in chat(size.tenants, size.per_tenant) {
         cluster.enqueue(r).expect("valid request");
     }
     (
@@ -972,31 +983,31 @@ fn e2e_record(
 /// preemption with paged retention. See the module docs for what each
 /// record asserts.
 fn e2e_sweep(quick: bool) -> JsonValue {
-    use topick_accel::serve::workloads::shared_prefix_engine;
     let host_parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let (tenants, per_tenant) = if quick { (3, 4) } else { (4, 6) };
     let mice: u64 = if quick { 4 } else { 8 };
     let accel = || AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let chat = shared_prefix_chat(11, tenants, per_tenant);
+    let chat = chat(tenants, per_tenant);
     let mut records = vec![
         e2e_record(
             "shared-prefix-cache-on",
             chat.clone(),
-            shared_prefix_engine(accel(), true).build(),
+            ServingEngine::new(chat_config(true)),
             true,
             false,
         ),
         e2e_record(
             "shared-prefix-cache-off",
             chat.clone(),
-            shared_prefix_engine(accel(), false).build(),
+            ServingEngine::new(chat_config(false)),
             false,
             false,
         ),
         e2e_record(
             "shared-prefix-chunked-prefill",
             chat,
-            shared_prefix_engine(accel(), true)
+            ServingEngine::builder(accel())
+                .config(chat_config(true))
                 .prefill_chunk_pages(2)
                 .build(),
             true,
@@ -1005,7 +1016,7 @@ fn e2e_sweep(quick: bool) -> JsonValue {
     ];
     records.push(e2e_record(
         "skewed-preemptive-retention",
-        skewed_elephant_mice(4, mice),
+        skewed(4, mice),
         ServingEngine::builder(accel())
             .heads(4)
             .weight_bytes(10_000_000)

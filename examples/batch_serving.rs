@@ -7,8 +7,10 @@
 //! cargo run --release --example batch_serving
 //! ```
 
+use token_picker::accel::serve::scenario::{Scenario, SharedPrefixChat, SkewedElephantMice};
 use token_picker::accel::{
-    AccelConfig, AccelMode, PolicyKind, RetentionPolicy, RoutingKind, ServeEvent, ServingEngine,
+    AccelConfig, AccelMode, ClusterEngine, PolicyKind, RetentionPolicy, RoutingKind, ServeEvent,
+    ServingEngine,
 };
 use token_picker::core::{PrecisionConfig, ProgressivePruner, PrunerConfig, QMatrix, QVector};
 use token_picker::model::{InstanceSampler, ModelSpec, TrafficBreakdown};
@@ -21,21 +23,16 @@ fn serve_skewed(
     preemption: bool,
     retention: RetentionPolicy,
 ) -> Result<token_picker::accel::ServingReport, Box<dyn std::error::Error>> {
-    use token_picker::accel::serve::workloads::skewed_elephant_mice;
-
+    let scenario = SkewedElephantMice::default();
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3)?;
-    let mut builder = ServingEngine::builder(accel)
-        .heads(4)
-        .weight_bytes(10_000_000)
-        .max_batch(4)
-        .max_batch_tokens(2200)
-        .seed(7)
+    let mut builder = ServingEngine::builder(accel.clone())
+        .config(scenario.serving_config(accel))
         .policy(policy);
     if preemption {
         builder = builder.enable_preemption().retention(retention);
     }
     let mut engine = builder.build();
-    for r in skewed_elephant_mice(4, 12) {
+    for r in scenario.generate(0) {
         engine.enqueue(r)?;
     }
     let report = engine.run_to_completion(4096)?;
@@ -229,15 +226,15 @@ fn serve_sharded(
     routing: RoutingKind,
     stealing: bool,
 ) -> Result<token_picker::accel::ClusterReport, Box<dyn std::error::Error>> {
-    use token_picker::accel::serve::workloads::{shared_prefix_chat, shared_prefix_cluster};
-
+    let scenario = SharedPrefixChat::default();
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3)?;
-    let mut cluster = shared_prefix_cluster(accel, true)
+    let mut cluster = ClusterEngine::builder(accel.clone())
+        .config(scenario.serving_config(accel))
         .shards(shards)
         .routing(routing)
         .stealing(stealing)
         .build();
-    for r in shared_prefix_chat(11, 4, 6) {
+    for r in scenario.generate(11) {
         cluster.enqueue(r)?;
     }
     Ok(cluster.run_to_completion(4096)?)
@@ -248,11 +245,11 @@ fn serve_sharded(
 fn serve_shared_prefix(
     prefix_cache: bool,
 ) -> Result<token_picker::accel::ServingReport, Box<dyn std::error::Error>> {
-    use token_picker::accel::serve::workloads::{shared_prefix_chat, shared_prefix_engine};
-
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3)?;
-    let mut engine = shared_prefix_engine(accel, prefix_cache).build();
-    for r in shared_prefix_chat(11, 4, 6) {
+    let scenario = SharedPrefixChat::default();
+    let mut cfg = scenario.serving_config(AccelConfig::paper(AccelMode::OutOfOrder, 1e-3)?);
+    cfg.admission.prefix_cache = prefix_cache;
+    let mut engine = ServingEngine::new(cfg);
+    for r in scenario.generate(11) {
         engine.enqueue(r)?;
     }
     Ok(engine.run_to_completion(4096)?)

@@ -19,7 +19,10 @@
 
 use std::collections::HashMap;
 
-use token_picker::accel::{AccelConfig, AccelMode, ToPickAccelerator};
+use token_picker::accel::{
+    AccelConfig, AccelMode, PolicyKind, RunReport, ServingConfig, ServingRequest,
+    ToPickAccelerator, Trace, TraceMeta,
+};
 use token_picker::core::{
     PrecisionConfig, ProgressivePruner, PrunerConfig, QMatrix, QVector, ScanOrder,
 };
@@ -175,41 +178,13 @@ fn cmd_traffic(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error
     Ok(())
 }
 
-struct ServeOpts {
-    mode: AccelMode,
-    threshold: f64,
-    batch: usize,
-    seed: u64,
-    requests: u64,
-    preemption: bool,
-    page_size: usize,
-    retention: token_picker::accel::RetentionPolicy,
-    prefix_cache: bool,
-    prefill_factor: f64,
-    prefill_chunk: usize,
-    slo_ttft: Option<u64>,
-    slo_itl: Option<u64>,
-    host_pages: usize,
-    swap_cost: f64,
-    ship_cost: f64,
-    slo_reject: bool,
-    shards: usize,
-    routing: token_picker::accel::RoutingKind,
-    stealing: bool,
-    threads: usize,
-    scenario: Option<token_picker::accel::ScenarioKind>,
-    scenario_seed: u64,
-    record: Option<String>,
-}
-
 /// The `serve` command's synthetic workload: heterogeneous shapes,
 /// priorities and clients so every policy has something to differentiate
 /// on; arrivals come in waves so later high-priority work can contend
 /// with (and under `--preemption`, evict) earlier long-running requests.
 /// Requests of one client share a page-aligned system prompt, so
 /// `--prefix-cache` (and affinity routing) have real prefixes to hit.
-fn serve_workload(requests: u64) -> Vec<token_picker::accel::ServingRequest> {
-    use token_picker::accel::ServingRequest;
+fn serve_workload(requests: u64) -> Vec<ServingRequest> {
     (0..requests)
         .map(|id| {
             ServingRequest::new(id, 64 + (id as usize % 7) * 32, 4 + (id as usize % 5) * 2)
@@ -221,112 +196,23 @@ fn serve_workload(requests: u64) -> Vec<token_picker::accel::ServingRequest> {
         .collect()
 }
 
-/// The open-loop workload a `serve` invocation runs: the selected
-/// scenario's seed-derived stream, or the classic hardcoded mix.
-/// `--slo-ttft`/`--slo-itl` stamp a uniform deadline onto every request,
-/// overriding whatever the scenario attached.
-fn serve_requests(opts: &ServeOpts) -> Vec<token_picker::accel::ServingRequest> {
-    let mut reqs = match opts.scenario {
-        Some(kind) => kind.build().generate(opts.scenario_seed),
-        None => serve_workload(opts.requests),
-    };
-    if let Some(d) = opts.slo_ttft {
-        for r in &mut reqs {
-            *r = r.with_ttft_deadline(d);
-        }
-    }
-    if let Some(d) = opts.slo_itl {
-        for r in &mut reqs {
-            *r = r.with_itl_deadline(d);
-        }
-    }
-    reqs
-}
-
-/// Builds the trace meta describing the run the flags ask for — the
-/// single source both the live run and any `--record`/`--replay` of it
-/// execute through.
-/// Builds the `ServingConfig` the flags describe — the single source
-/// both the trace-recorded cost-model run and the `--real-tokens`
-/// token-backed run configure their engines from.
-fn serve_config(
-    opts: &ServeOpts,
-) -> Result<token_picker::accel::ServingConfig, Box<dyn std::error::Error>> {
-    use token_picker::accel::{PreemptionConfig, ServingConfig};
-
-    let accel = AccelConfig::paper(opts.mode, opts.threshold)?;
-    let mut cfg = match opts.scenario {
-        Some(kind) => kind.build().serving_config(accel),
-        None => {
-            let mut cfg = ServingConfig::new(accel);
-            cfg.admission.max_batch = opts.batch;
-            cfg.admission.page_size = opts.page_size;
-            cfg.admission.prefix_cache = opts.prefix_cache;
-            cfg.prefill_factor = opts.prefill_factor;
-            cfg.seed = opts.seed;
-            cfg
-        }
-    };
-    if opts.preemption {
-        cfg.preemption = PreemptionConfig::enabled().with_retention(opts.retention);
-    }
-    cfg.prefill_chunk_pages = opts.prefill_chunk;
-    // The tiered-KV knobs override whatever the scenario shipped with —
-    // all of them default to "off"/bit-identical when the flags are absent.
-    cfg.host_pages = opts.host_pages;
-    cfg.swap_cost_factor = opts.swap_cost;
-    cfg.ship_cost_factor = opts.ship_cost;
-    cfg.reject_expired_ttft = opts.slo_reject;
-    Ok(cfg)
-}
-
-fn serve_meta(
-    opts: &ServeOpts,
-    policy: token_picker::accel::PolicyKind,
-) -> Result<token_picker::accel::TraceMeta, Box<dyn std::error::Error>> {
-    use token_picker::accel::TraceMeta;
-
-    let cfg = serve_config(opts)?;
-    let mut meta = TraceMeta::new(&cfg, policy.name());
-    if opts.shards > 1 {
-        meta = meta.for_cluster(
-            opts.shards,
-            opts.routing.name(),
-            opts.stealing,
-            opts.threads,
-        );
-    }
-    if let Some(kind) = opts.scenario {
-        meta = meta.for_scenario(kind.name(), opts.scenario_seed);
-    }
-    Ok(meta)
-}
-
-/// One recorded run — engine or cluster per the meta — driven through the
-/// trace subsystem, so `--record` is just "save what already happened".
+/// One recorded run of `requests` under `policy` — engine or cluster per
+/// the meta — driven through the trace subsystem, so `--record` is just
+/// "save what already happened".
 fn serve_run(
-    opts: &ServeOpts,
-    policy: token_picker::accel::PolicyKind,
-) -> Result<
-    (
-        token_picker::accel::Trace,
-        token_picker::accel::RunReport,
-        f64,
-    ),
-    Box<dyn std::error::Error>,
-> {
-    let meta = serve_meta(opts, policy)?;
-    let clock_hz = meta.clock_hz;
-    let requests = serve_requests(opts);
-    let (trace, report) = token_picker::accel::serve::trace::run_recorded(&meta, &requests)?;
-    Ok((trace, report, clock_hz))
+    meta: &TraceMeta,
+    policy: PolicyKind,
+    requests: &[ServingRequest],
+) -> Result<(Trace, RunReport), Box<dyn std::error::Error>> {
+    let mut meta = meta.clone();
+    meta.policy = policy.name().to_string();
+    Ok(token_picker::accel::serve::trace::run_recorded(
+        &meta, requests,
+    )?)
 }
 
 /// Saves the trace when `--record` asked for it.
-fn save_trace(
-    trace: &token_picker::accel::Trace,
-    record: Option<&str>,
-) -> Result<(), Box<dyn std::error::Error>> {
+fn save_trace(trace: &Trace, record: Option<&str>) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(path) = record {
         trace.save(path)?;
         println!(
@@ -343,10 +229,11 @@ fn save_trace(
 /// re-enqueues the recorded requests, and verifies the replayed schedule
 /// digest against the recording (a mismatch is an error).
 fn cmd_serve_replay(path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    use token_picker::accel::{RunReport, TraceReplay};
+    use token_picker::accel::TraceReplay;
 
     let replay = TraceReplay::load(path)?;
     let meta = replay.meta().clone();
+    let clock_hz = meta.serving_config().clock_hz;
     let (trace, report) = replay.run()?;
     println!(
         "replayed {path}: scenario {}, policy {}, {} shard{} ({} thread{}), {} requests, {} events",
@@ -366,13 +253,13 @@ fn cmd_serve_replay(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     match report {
         RunReport::Engine(r) => println!(
             "throughput     : {:.1} tokens/s, {} tokens in {} steps",
-            r.tokens_per_second(meta.clock_hz),
+            r.tokens_per_second(clock_hz),
             r.tokens_generated,
             r.steps.len()
         ),
         RunReport::Cluster(r) => println!(
             "throughput     : {:.1} tokens/s, {} tokens in {} cluster steps ({} steals)",
-            r.tokens_per_second(meta.clock_hz),
+            r.tokens_per_second(clock_hz),
             r.tokens_generated(),
             r.cluster_steps,
             r.steals
@@ -387,26 +274,25 @@ fn cmd_serve_replay(path: &str) -> Result<(), Box<dyn std::error::Error>> {
 /// paged KV store. Prints the token-equivalence, physical-sharing and
 /// charged-vs-measured cross-checks the mirror affords.
 fn cmd_serve_real_tokens(
-    opts: &ServeOpts,
-    policy: token_picker::accel::PolicyKind,
+    cfg: ServingConfig,
+    policy: PolicyKind,
+    requests: Vec<ServingRequest>,
 ) -> Result<(), Box<dyn std::error::Error>> {
     use token_picker::accel::{run_token_backed, ServingEngine};
 
-    let cfg = serve_config(opts)?;
+    let (mode, seed, page_size) = (cfg.accel.mode, cfg.seed, cfg.admission.page_size);
     let mut engine = ServingEngine::builder(cfg.accel.clone())
         .config(cfg)
         .policy(policy)
         .build();
-    let requests = serve_requests(opts);
     // The CLI workload's prompts outgrow the toy spec's 256-token
     // window, so serve a toy-shaped model with a longer context.
     let mut spec = ModelSpec::toy();
     spec.max_context = 1024;
-    let run = run_token_backed(&mut engine, requests.clone(), spec, opts.seed, 100_000)?;
+    let run = run_token_backed(&mut engine, requests.clone(), spec, seed, 100_000)?;
     let report = &run.report;
     println!(
-        "mode {:?}, policy {}: {} requests, {} real tokens in {} steps",
-        opts.mode,
+        "mode {mode:?}, policy {}: {} requests, {} real tokens in {} steps",
         report.policy,
         report.requests.len(),
         report.tokens_generated,
@@ -430,10 +316,9 @@ fn cmd_serve_real_tokens(
         return Err("served tokens diverged from per-request generate".into());
     }
     println!(
-        "shared KV pages  : {} at peak, {} after drain (page size {})",
+        "shared KV pages  : {} at peak, {} after drain (page size {page_size})",
         run.batch.peak_shared_pages(),
         run.batch.shared_pages(),
-        opts.page_size
     );
     println!(
         "prefix cache     : {:.0}% admission hit rate ({} hit tokens)",
@@ -452,7 +337,7 @@ fn cmd_serve_real_tokens(
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Error>> {
-    use token_picker::accel::{PolicyKind, RetentionPolicy, RoutingKind, ScenarioKind};
+    use token_picker::accel::{PreemptionConfig, RetentionPolicy, RoutingKind, ScenarioKind};
 
     if flags.contains_key("list-scenarios") {
         println!("{:<22} description", "scenario");
@@ -521,17 +406,49 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
     } else if flags.contains_key("scenario-seed") {
         return Err("--scenario-seed only takes effect with --scenario".into());
     }
+    let scenario_seed = flag(flags, "scenario-seed", 7u64);
 
-    let baseline_mode = flags.contains_key("baseline");
+    // The engine: every flag lands directly in the `ServingConfig` field
+    // it sets, on top of the scenario's sizing when one is selected.
+    let accel = if flags.contains_key("baseline") {
+        AccelConfig::paper(AccelMode::Baseline, 0.5)?
+    } else {
+        AccelConfig::paper(AccelMode::OutOfOrder, flag(flags, "threshold", 1e-3f64))?
+    };
+    let mut cfg = match scenario {
+        Some(kind) => kind.build().serving_config(accel),
+        None => {
+            let mut cfg = ServingConfig::new(accel);
+            cfg.admission.max_batch = flag(flags, "batch", 8usize);
+            cfg.admission.page_size = flag(flags, "page-size", 16usize);
+            cfg.admission.prefix_cache = flags.contains_key("prefix-cache");
+            // Prompt prefill is priced by default once the cache is on
+            // (the saving is otherwise invisible), and free otherwise —
+            // matching the engine's default.
+            let priced = if cfg.admission.prefix_cache { 1.0 } else { 0.0 };
+            cfg.prefill_factor = flag(flags, "prefill-factor", priced);
+            cfg.seed = flag(flags, "seed", 0u64);
+            cfg
+        }
+    };
     let retention: RetentionPolicy = flags
         .get("retention")
         .map(|v| v.parse())
         .transpose()?
         .unwrap_or(RetentionPolicy::None);
-    if retention != RetentionPolicy::None && !flags.contains_key("preemption") {
+    if flags.contains_key("preemption") {
+        cfg.preemption = PreemptionConfig::enabled().with_retention(retention);
+    } else if retention != RetentionPolicy::None {
         return Err("--retention only takes effect with --preemption".into());
     }
-    let prefix_cache = flags.contains_key("prefix-cache");
+    cfg.prefill_chunk_pages = flag(flags, "prefill-chunk", 0usize);
+    // The tiered-KV knobs override whatever the scenario shipped with —
+    // all of them default to "off"/bit-identical when the flags are absent.
+    cfg.host_pages = flag(flags, "host-pages", 0usize);
+    cfg.swap_cost_factor = flag(flags, "swap-cost", ServingConfig::DEFAULT_SWAP_COST_FACTOR);
+    cfg.ship_cost_factor = flag(flags, "ship-cost", 0.0f64);
+    cfg.reject_expired_ttft = flags.contains_key("slo-reject");
+
     let routing: RoutingKind = flags
         .get("routing")
         .map(|v| v.parse())
@@ -545,65 +462,44 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
             "--routing, --stealing and --threads only take effect with --shards > 1".into(),
         );
     }
-    let host_pages = flag(flags, "host-pages", 0usize);
-    if host_pages == 0 && flags.contains_key("swap-cost") {
+    if cfg.host_pages == 0 && flags.contains_key("swap-cost") {
         return Err("--swap-cost only takes effect with --host-pages > 0".into());
     }
     if shards <= 1 && flags.contains_key("ship-cost") {
         return Err("--ship-cost only takes effect with --shards > 1".into());
     }
-    let swap_cost = flag(
-        flags,
-        "swap-cost",
-        token_picker::accel::ServingConfig::DEFAULT_SWAP_COST_FACTOR,
-    );
-    let ship_cost = flag(flags, "ship-cost", 0.0f64);
-    if !(0.0..=10.0).contains(&swap_cost) || !(0.0..=10.0).contains(&ship_cost) {
+    let factor_range = 0.0..=10.0;
+    if !factor_range.contains(&cfg.swap_cost_factor)
+        || !factor_range.contains(&cfg.ship_cost_factor)
+    {
         return Err("--swap-cost/--ship-cost must be within [0, 10]".into());
     }
-    let opts = ServeOpts {
-        mode: if baseline_mode {
-            AccelMode::Baseline
-        } else {
-            AccelMode::OutOfOrder
-        },
-        threshold: if baseline_mode {
-            0.5
-        } else {
-            flag(flags, "threshold", 1e-3f64)
-        },
-        batch: flag(flags, "batch", 8usize),
-        seed: flag(flags, "seed", 0u64),
-        requests: flag(flags, "requests", 16u64),
-        preemption: flags.contains_key("preemption"),
-        page_size: flag(flags, "page-size", 16usize),
-        retention,
-        prefix_cache,
-        // Prompt prefill is priced by default once the cache is on (the
-        // saving is otherwise invisible), and free otherwise — matching
-        // the engine's default.
-        prefill_factor: flag(
-            flags,
-            "prefill-factor",
-            if prefix_cache { 1.0 } else { 0.0 },
-        ),
-        shards,
-        routing,
-        stealing,
-        prefill_chunk: flag(flags, "prefill-chunk", 0usize),
-        slo_ttft: flags.get("slo-ttft").map(|v| v.parse()).transpose()?,
-        slo_itl: flags.get("slo-itl").map(|v| v.parse()).transpose()?,
-        host_pages,
-        swap_cost,
-        ship_cost,
-        slo_reject: flags.contains_key("slo-reject"),
-        threads,
-        scenario,
-        scenario_seed: flag(flags, "scenario-seed", 7u64),
-        record: flags.get("record").cloned(),
+    if !factor_range.contains(&cfg.prefill_factor) {
+        return Err("--prefill-factor must be within [0, 10]".into());
+    }
+
+    // The open-loop workload: the selected scenario's seed-derived stream,
+    // or the classic hardcoded mix. `--slo-ttft`/`--slo-itl` stamp a
+    // uniform deadline onto every request, overriding whatever the
+    // scenario attached.
+    let mut requests = match scenario {
+        Some(kind) => kind.build().generate(scenario_seed),
+        None => serve_workload(flag(flags, "requests", 16u64)),
     };
+    if let Some(d) = flags.get("slo-ttft").map(|v| v.parse()).transpose()? {
+        for r in &mut requests {
+            *r = r.with_ttft_deadline(d);
+        }
+    }
+    if let Some(d) = flags.get("slo-itl").map(|v| v.parse()).transpose()? {
+        for r in &mut requests {
+            *r = r.with_itl_deadline(d);
+        }
+    }
+
+    let record = flags.get("record").map(String::as_str);
     let policy_flag = flags.get("policy").map_or("fifo", String::as_str);
-    if opts.record.is_some() && policy_flag == "all" {
+    if record.is_some() && policy_flag == "all" {
         return Err("--record requires a single --policy (not 'all')".into());
     }
 
@@ -611,10 +507,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
         if shards > 1 {
             return Err("--real-tokens drives a single engine (not with --shards > 1)".into());
         }
-        if opts.scenario.is_some() {
+        if scenario.is_some() {
             return Err("--real-tokens uses the built-in workload (not with --scenario)".into());
         }
-        if opts.record.is_some() {
+        if record.is_some() {
             return Err(
                 "--real-tokens cannot be combined with --record (the mirror drives the engine directly)"
                     .into(),
@@ -623,13 +519,22 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
         if policy_flag == "all" {
             return Err("--real-tokens requires a single --policy (not 'all')".into());
         }
-        let policy: PolicyKind = policy_flag.parse()?;
-        return cmd_serve_real_tokens(&opts, policy);
+        return cmd_serve_real_tokens(cfg, policy_flag.parse()?, requests);
     }
 
+    // The run description both the live run and any `--record`/`--replay`
+    // of it execute through; `serve_run` stamps the policy on per run.
+    let mut meta = TraceMeta::new(&cfg, PolicyKind::Fifo.name());
     if shards > 1 {
-        return cmd_serve_cluster(&opts, policy_flag);
+        meta = meta.for_cluster(shards, routing.name(), stealing, threads);
     }
+    if let Some(kind) = scenario {
+        meta = meta.for_scenario(kind.name(), scenario_seed);
+    }
+    if shards > 1 {
+        return cmd_serve_cluster(&meta, &requests, policy_flag, record);
+    }
+    let clock_hz = cfg.clock_hz;
 
     if policy_flag == "all" {
         println!(
@@ -646,8 +551,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
             "goodput"
         );
         for kind in PolicyKind::all() {
-            let (_, report, clock_hz) = serve_run(&opts, kind)?;
-            let token_picker::accel::RunReport::Engine(report) = report else {
+            let (_, RunReport::Engine(report)) = serve_run(&meta, kind, &requests)? else {
                 unreachable!("shards <= 1 runs a bare engine");
             };
             println!(
@@ -667,17 +571,16 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
         return Ok(());
     }
 
-    let policy: PolicyKind = policy_flag.parse()?;
-    let (trace, report, clock_hz) = serve_run(&opts, policy)?;
-    let token_picker::accel::RunReport::Engine(report) = report else {
+    let (trace, RunReport::Engine(report)) = serve_run(&meta, policy_flag.parse()?, &requests)?
+    else {
         unreachable!("shards <= 1 runs a bare engine");
     };
-    if let Some(kind) = opts.scenario {
-        println!("scenario {} (seed {})", kind.name(), opts.scenario_seed);
+    if let Some(kind) = scenario {
+        println!("scenario {} (seed {scenario_seed})", kind.name());
     }
     println!(
         "mode {:?}, policy {}: {} requests, {} tokens in {} steps",
-        opts.mode,
+        cfg.accel.mode,
         report.policy,
         report.requests.len(),
         report.tokens_generated,
@@ -701,15 +604,15 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
         report.total_reprefilled_tokens(),
         report.total_retained_tokens()
     );
-    if opts.host_pages > 0 {
+    if cfg.host_pages > 0 {
         println!(
             "host swap      : {} cycles ({} tokens copied back, {} host pages)",
             report.total_swap_cycles(),
             report.total_swapped_tokens(),
-            opts.host_pages
+            cfg.host_pages
         );
     }
-    if opts.slo_reject {
+    if cfg.reject_expired_ttft {
         println!(
             "rejections     : {} expired-TTFT requests",
             report.rejections
@@ -735,7 +638,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
         );
     }
     println!("V reduction    : {:.2}x", report.prune.v_reduction());
-    save_trace(&trace, opts.record.as_deref())?;
+    save_trace(&trace, record)?;
     Ok(())
 }
 
@@ -743,19 +646,20 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
 /// `--policy all`, or a combined summary plus a per-shard breakdown for a
 /// single policy.
 fn cmd_serve_cluster(
-    opts: &ServeOpts,
+    meta: &TraceMeta,
+    requests: &[ServingRequest],
     policy_flag: &str,
+    record: Option<&str>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    use token_picker::accel::PolicyKind;
-
+    let cfg = meta.serving_config();
+    let clock_hz = cfg.clock_hz;
     if policy_flag == "all" {
         println!(
             "{:<20} {:>8} {:>12} {:>8} {:>10} {:>9} {:>9}",
             "policy", "steps", "tokens/s", "steals", "imbalance", "preempts", "KV hits"
         );
         for kind in PolicyKind::all() {
-            let (_, report, clock_hz) = serve_run(opts, kind)?;
-            let token_picker::accel::RunReport::Cluster(report) = report else {
+            let (_, RunReport::Cluster(report)) = serve_run(meta, kind, requests)? else {
                 unreachable!("shards > 1 runs a cluster");
             };
             println!(
@@ -772,17 +676,16 @@ fn cmd_serve_cluster(
         return Ok(());
     }
 
-    let policy: PolicyKind = policy_flag.parse()?;
-    let (trace, report, clock_hz) = serve_run(opts, policy)?;
-    let token_picker::accel::RunReport::Cluster(report) = report else {
+    let (trace, RunReport::Cluster(report)) = serve_run(meta, policy_flag.parse()?, requests)?
+    else {
         unreachable!("shards > 1 runs a cluster");
     };
-    if let Some(kind) = opts.scenario {
-        println!("scenario {} (seed {})", kind.name(), opts.scenario_seed);
+    if let Some(scenario) = &meta.scenario {
+        println!("scenario {scenario} (seed {})", meta.scenario_seed);
     }
     println!(
         "mode {:?}, policy {}, routing {}{}: {} shards on {} thread{}, {} requests, {} tokens in {} steps",
-        opts.mode,
+        cfg.accel.mode,
         report.policy,
         report.routing,
         if report.stealing { " + stealing" } else { "" },
@@ -805,21 +708,21 @@ fn cmd_serve_cluster(
         report.tokens_per_second(clock_hz)
     );
     println!("steals         : {}", report.steals);
-    if opts.ship_cost > 0.0 {
+    if cfg.ship_cost_factor > 0.0 {
         println!(
             "page shipping  : {} running migrations, {} transfer cycles",
             report.ships,
             report.total_ship_cycles()
         );
     }
-    if opts.host_pages > 0 {
+    if cfg.host_pages > 0 {
         println!(
             "host swap      : {} copy-back cycles ({} host pages per shard)",
             report.total_swap_cycles(),
-            opts.host_pages
+            cfg.host_pages
         );
     }
-    if opts.slo_reject {
+    if cfg.reject_expired_ttft {
         println!(
             "rejections     : {} expired-TTFT requests",
             report.rejections()
@@ -859,15 +762,13 @@ fn cmd_serve_cluster(
             shard.total_prefix_hit_tokens()
         );
     }
-    save_trace(&trace, opts.record.as_deref())?;
+    save_trace(&trace, record)?;
     Ok(())
 }
 
 /// `topick trace diff A B`: loads two trace files and localizes the first
 /// diverging event (exit status 1 when the schedules differ, like `diff`).
 fn cmd_trace(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use token_picker::accel::Trace;
-
     match args.first().map(String::as_str) {
         Some("diff") => {
             let (Some(path_a), Some(path_b)) = (args.get(1), args.get(2)) else {

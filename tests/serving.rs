@@ -8,6 +8,7 @@
 
 use std::collections::BTreeSet;
 
+use token_picker::accel::serve::scenario::{Scenario, SharedPrefixChat, SkewedElephantMice};
 use token_picker::accel::serve::trace::run_recorded;
 use token_picker::accel::{
     AccelConfig, AccelMode, AdmissionConfig, ClusterEngine, ClusterEvent, ClusterReport,
@@ -277,8 +278,6 @@ fn serve_skewed_with_retention(
     preemption: bool,
     retention: RetentionPolicy,
 ) -> token_picker::accel::ServingReport {
-    use token_picker::accel::serve::workloads::skewed_elephant_mice;
-
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
     let mut builder = ServingEngine::builder(accel)
         .heads(4)
@@ -291,7 +290,7 @@ fn serve_skewed_with_retention(
         builder = builder.enable_preemption().retention(retention);
     }
     let mut engine = builder.build();
-    for r in skewed_elephant_mice(4, 12) {
+    for r in SkewedElephantMice::default().generate(0) {
         engine.enqueue(r).expect("valid request");
     }
     engine.run_to_completion(2048).expect("workload completes")
@@ -416,9 +415,10 @@ fn every_policy_reproduces_the_pre_prefix_caching_schedule_exactly() {
 /// prefix cache.
 fn serve_shared_prefix(prefix_cache: bool) -> ServingReport {
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut engine =
-        token_picker::accel::serve::workloads::shared_prefix_engine(accel, prefix_cache).build();
-    for r in token_picker::accel::serve::workloads::shared_prefix_chat(11, 4, 6) {
+    let mut cfg = SharedPrefixChat::default().serving_config(accel);
+    cfg.admission.prefix_cache = prefix_cache;
+    let mut engine = ServingEngine::new(cfg);
+    for r in SharedPrefixChat::default().generate(11) {
         engine.enqueue(r).expect("valid request");
     }
     let report = engine.run_to_completion(4096).expect("workload completes");
@@ -848,25 +848,20 @@ fn serve_skewed_cluster(
     stealing: bool,
     threads: usize,
 ) -> ClusterReport {
-    use token_picker::accel::serve::workloads::skewed_elephant_mice;
-
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut builder = ClusterEngine::builder(accel)
-        .heads(4)
-        .weight_bytes(10_000_000)
-        .max_batch(4)
-        .max_batch_tokens(2200)
-        .seed(7)
+    let mut cfg = SkewedElephantMice::default().serving_config(accel);
+    if preemption {
+        cfg.preemption = PreemptionConfig::enabled().with_retention(retention);
+    }
+    let mut cluster = ClusterEngine::builder(cfg.accel.clone())
+        .config(cfg)
         .policy(policy)
         .shards(shards)
         .routing(routing)
         .stealing(stealing)
-        .threads(threads);
-    if preemption {
-        builder = builder.enable_preemption().retention(retention);
-    }
-    let mut cluster = builder.build();
-    for r in skewed_elephant_mice(4, 12) {
+        .threads(threads)
+        .build();
+    for r in SkewedElephantMice::default().generate(0) {
         cluster.enqueue(r).expect("valid request");
     }
     let report = cluster.run_to_completion(2048).expect("workload completes");
@@ -1062,15 +1057,15 @@ fn serve_shared_prefix_cluster(
     routing: RoutingKind,
     stealing: bool,
 ) -> ClusterReport {
-    use token_picker::accel::serve::workloads::{shared_prefix_chat, shared_prefix_cluster};
-
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut cluster = shared_prefix_cluster(accel, true)
+    let cfg = SharedPrefixChat::default().serving_config(accel);
+    let mut cluster = ClusterEngine::builder(cfg.accel.clone())
+        .config(cfg)
         .shards(shards)
         .routing(routing)
         .stealing(stealing)
         .build();
-    for r in shared_prefix_chat(11, 4, 6) {
+    for r in SharedPrefixChat::default().generate(11) {
         cluster.enqueue(r).expect("valid request");
     }
     let report = cluster.run_to_completion(4096).expect("workload completes");
@@ -1336,8 +1331,6 @@ fn serve_skewed_chunked(
     retention: RetentionPolicy,
     chunk_pages: usize,
 ) -> ServingReport {
-    use token_picker::accel::serve::workloads::skewed_elephant_mice;
-
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
     let mut builder = ServingEngine::builder(accel)
         .heads(4)
@@ -1351,7 +1344,7 @@ fn serve_skewed_chunked(
         builder = builder.enable_preemption().retention(retention);
     }
     let mut engine = builder.build();
-    for r in skewed_elephant_mice(4, 12) {
+    for r in SkewedElephantMice::default().generate(0) {
         engine.enqueue(r).expect("valid request");
     }
     engine.run_to_completion(2048).expect("workload completes")
@@ -1858,8 +1851,6 @@ fn golden_trace_replays_to_its_recorded_digest() {
 /// engine shape (priority-aging, preemption, 0.75 paged retention) with
 /// the host tier configured.
 fn serve_skewed_tiered(host_pages: usize, swap_cost_factor: f64) -> ServingReport {
-    use token_picker::accel::serve::workloads::skewed_elephant_mice;
-
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
     let mut engine = ServingEngine::builder(accel)
         .heads(4)
@@ -1873,7 +1864,7 @@ fn serve_skewed_tiered(host_pages: usize, swap_cost_factor: f64) -> ServingRepor
         .host_pages(host_pages)
         .swap_cost_factor(swap_cost_factor)
         .build();
-    for r in skewed_elephant_mice(4, 12) {
+    for r in SkewedElephantMice::default().generate(0) {
         engine.enqueue(r).expect("valid request");
     }
     let report = engine.run_to_completion(2048).expect("workload completes");
@@ -1894,8 +1885,6 @@ fn tier_off_cost_factors_reproduce_every_golden_schedule() {
     // meaningless on a bare engine, and the rejection flag has nothing to
     // reject in a deadline-free workload — every golden must come back
     // bit-identical with all three configured.
-    use token_picker::accel::serve::workloads::skewed_elephant_mice;
-
     for &(policy, preemption, digest) in &GOLDEN_POLICY_DIGESTS {
         let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
         let mut builder = ServingEngine::builder(accel)
@@ -1915,7 +1904,7 @@ fn tier_off_cost_factors_reproduce_every_golden_schedule() {
                 .retention(RetentionPolicy::Fraction(0.75));
         }
         let mut engine = builder.build();
-        for r in skewed_elephant_mice(4, 12) {
+        for r in SkewedElephantMice::default().generate(0) {
             engine.enqueue(r).expect("valid request");
         }
         let report = engine.run_to_completion(2048).expect("workload completes");
@@ -2035,16 +2024,16 @@ fn swap_events_account_for_every_copied_back_token() {
 /// The shared-prefix chat workload on a 4-shard round-robin cluster with
 /// prefix-pull shipping priced at `ship`.
 fn serve_shared_prefix_cluster_shipped(ship: f64) -> ClusterReport {
-    use token_picker::accel::serve::workloads::{shared_prefix_chat, shared_prefix_cluster};
-
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut cluster = shared_prefix_cluster(accel, true)
+    let mut cfg = SharedPrefixChat::default().serving_config(accel);
+    cfg.ship_cost_factor = ship;
+    let mut cluster = ClusterEngine::builder(cfg.accel.clone())
+        .config(cfg)
         .shards(4)
         .routing(RoutingKind::RoundRobin)
         .stealing(false)
-        .ship_cost_factor(ship)
         .build();
-    for r in shared_prefix_chat(11, 4, 6) {
+    for r in SharedPrefixChat::default().generate(11) {
         cluster.enqueue(r).expect("valid request");
     }
     let report = cluster.run_to_completion(4096).expect("workload completes");
@@ -2135,27 +2124,21 @@ fn shipped_prefix_pulls_record_and_replay_to_the_same_digest() {
 /// preemption, paged retention, the host tier *and* priced shipping all
 /// on — the full tiered configuration.
 fn serve_skewed_cluster_tiered(threads: usize) -> ClusterReport {
-    use token_picker::accel::serve::workloads::skewed_elephant_mice;
-
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut cluster = ClusterEngine::builder(accel)
-        .heads(4)
-        .weight_bytes(10_000_000)
-        .max_batch(4)
-        .max_batch_tokens(2200)
-        .seed(7)
+    let mut cfg = SkewedElephantMice::default().serving_config(accel);
+    cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.75));
+    cfg.host_pages = 256;
+    cfg.swap_cost_factor = 0.25;
+    cfg.ship_cost_factor = 0.25;
+    let mut cluster = ClusterEngine::builder(cfg.accel.clone())
+        .config(cfg)
         .policy(PolicyKind::PriorityAging)
-        .enable_preemption()
-        .retention(RetentionPolicy::Fraction(0.75))
-        .host_pages(256)
-        .swap_cost_factor(0.25)
-        .ship_cost_factor(0.25)
         .shards(4)
         .routing(RoutingKind::LeastLoaded)
         .stealing(true)
         .threads(threads)
         .build();
-    for r in skewed_elephant_mice(4, 12) {
+    for r in SkewedElephantMice::default().generate(0) {
         cluster.enqueue(r).expect("valid request");
     }
     let report = cluster.run_to_completion(2048).expect("workload completes");
@@ -2342,15 +2325,19 @@ fn truncated_cluster_snapshots_keep_the_prefix_hit_rate_in_unit_range() {
     // reported 0.0 on every one of these snapshots because its
     // denominator only counted finished requests.
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+    let mut cfg = ServingConfig::new(accel.clone());
+    cfg.heads = 2;
+    cfg.weight_bytes = 1_000_000;
+    cfg.admission = AdmissionConfig {
+        max_batch: 4,
+        max_batch_tokens: 1600,
+        page_size: 16,
+        prefix_cache: true,
+    };
+    cfg.prefill_factor = 1.0;
+    cfg.seed = 7;
     let mut cluster = ClusterEngine::builder(accel)
-        .heads(2)
-        .weight_bytes(1_000_000)
-        .max_batch(4)
-        .max_batch_tokens(1600)
-        .page_size(16)
-        .prefix_cache(true)
-        .prefill_factor(1.0)
-        .seed(7)
+        .config(cfg)
         .shards(2)
         .routing(RoutingKind::PrefixAffinity)
         .build();
@@ -2412,13 +2399,11 @@ fn run_real_token_chat(
     chunk_pages: usize,
 ) -> (token_picker::accel::TokenBackedRun, Vec<ServingRequest>) {
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut builder =
-        token_picker::accel::serve::workloads::shared_prefix_engine(accel, prefix_cache);
-    if chunk_pages > 0 {
-        builder = builder.prefill_chunk_pages(chunk_pages);
-    }
-    let mut engine = builder.build();
-    let requests = token_picker::accel::serve::workloads::shared_prefix_chat(11, 4, 6);
+    let mut cfg = SharedPrefixChat::default().serving_config(accel);
+    cfg.admission.prefix_cache = prefix_cache;
+    cfg.prefill_chunk_pages = chunk_pages;
+    let mut engine = ServingEngine::new(cfg);
+    let requests = SharedPrefixChat::default().generate(11);
     let run = token_picker::accel::run_token_backed(
         &mut engine,
         requests.clone(),
@@ -2585,4 +2570,136 @@ fn charged_cycles_track_measured_cycles_on_shared_prefix_chat() {
         (ratio - PINNED_RATIO).abs() <= PINNED_RATIO * 0.2,
         "charged/measured cycle ratio {ratio} strayed from the pinned {PINNED_RATIO}"
     );
+}
+
+/// The run aggregates have one implementation (`serve::stats`), so the
+/// two reports cannot drift: a 1-shard cluster reports bit-for-bit what
+/// the bare engine reports, and a 4-shard cluster's pooled aggregates are
+/// the shared functions over the concatenated shard requests — across
+/// scenarios that exercise prefix hits, deadlines and preemption.
+#[test]
+fn cluster_report_aggregates_are_the_engine_aggregates() {
+    use token_picker::accel::serve::stats;
+
+    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+    let run_cluster = |cfg: &ServingConfig, policy, shards, requests: &[ServingRequest]| {
+        let mut cluster = ClusterEngine::builder(accel.clone())
+            .config(cfg.clone())
+            .policy(policy)
+            .shards(shards)
+            .routing(RoutingKind::LeastLoaded)
+            .stealing(true)
+            .build();
+        for r in requests {
+            cluster.enqueue(*r).expect("valid request");
+        }
+        cluster.run_to_completion(4096).expect("workload completes")
+    };
+    for kind in [
+        ScenarioKind::SharedPrefixChat,
+        ScenarioKind::DiurnalArrivals,
+        ScenarioKind::LongDocSummarize,
+    ] {
+        for policy in [PolicyKind::PriorityAging, PolicyKind::SloAware] {
+            let what = format!("{kind}/{policy}");
+            let scenario = kind.build();
+            let mut cfg = scenario.serving_config(accel.clone());
+            cfg.preemption =
+                PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.75));
+            let requests = scenario.generate(11);
+            let hz = cfg.clock_hz;
+
+            let mut engine = ServingEngine::builder(accel.clone())
+                .config(cfg.clone())
+                .policy(policy)
+                .build();
+            for r in &requests {
+                engine.enqueue(*r).expect("valid request");
+            }
+            let solo = engine.run_to_completion(4096).expect("workload completes");
+            let one = run_cluster(&cfg, policy, 1, &requests);
+            assert_eq!(one.shards, std::slice::from_ref(&solo), "{what}");
+            assert_eq!(one.total_cycles, solo.total_cycles, "{what}");
+            assert_eq!(one.tokens_generated(), solo.tokens_generated, "{what}");
+            assert_eq!(one.preemptions(), solo.preemptions, "{what}");
+            assert_eq!(one.rejections(), solo.rejections, "{what}");
+            assert_eq!(one.total_good_tokens(), solo.total_good_tokens(), "{what}");
+            assert_eq!(one.ttft_p99_steps(), solo.ttft_p99_steps(), "{what}");
+            assert_eq!(
+                one.total_prefix_hit_tokens(),
+                solo.total_prefix_hit_tokens(),
+                "{what}"
+            );
+            for (name, cluster_cycles, engine_cycles) in [
+                (
+                    "prefill",
+                    one.total_prefill_cycles(),
+                    solo.total_prefill_cycles(),
+                ),
+                (
+                    "reprefill",
+                    one.total_reprefill_cycles(),
+                    solo.total_reprefill_cycles(),
+                ),
+                ("swap", one.total_swap_cycles(), solo.total_swap_cycles()),
+                ("ship", one.total_ship_cycles(), solo.total_ship_cycles()),
+            ] {
+                assert_eq!(cluster_cycles, engine_cycles, "{what}: {name} cycles");
+            }
+            for (name, cluster_rate, engine_rate) in [
+                (
+                    "tokens/s",
+                    one.tokens_per_second(hz),
+                    solo.tokens_per_second(hz),
+                ),
+                (
+                    "goodput",
+                    one.goodput_tokens_per_second(hz),
+                    solo.goodput_tokens_per_second(hz),
+                ),
+                (
+                    "attainment",
+                    one.deadline_attainment(),
+                    solo.deadline_attainment(),
+                ),
+                ("hit rate", one.prefix_hit_rate(), solo.prefix_hit_rate()),
+            ] {
+                assert_eq!(
+                    cluster_rate.to_bits(),
+                    engine_rate.to_bits(),
+                    "{what}: {name}"
+                );
+            }
+
+            let four = run_cluster(&cfg, policy, 4, &requests);
+            let pooled: Vec<_> = four.shards.iter().flat_map(|s| &s.requests).collect();
+            assert_eq!(pooled.len(), requests.len(), "{what}");
+            let good = stats::good_tokens(pooled.iter().copied());
+            assert_eq!(four.total_good_tokens(), good, "{what}");
+            assert_eq!(
+                four.goodput_tokens_per_second(hz),
+                stats::tokens_per_second(good, four.total_cycles, hz),
+                "{what}"
+            );
+            assert_eq!(
+                four.deadline_attainment(),
+                stats::deadline_attainment(pooled.iter().copied()),
+                "{what}"
+            );
+            assert_eq!(
+                four.ttft_p99_steps(),
+                stats::ttft_p99_steps(pooled.iter().copied()),
+                "{what}"
+            );
+            let admitted = |f: fn(&ServingReport) -> usize| four.shards.iter().map(f).sum();
+            assert_eq!(
+                four.prefix_hit_rate(),
+                stats::hit_rate(
+                    admitted(|s| s.admitted_hit_tokens),
+                    admitted(|s| s.admitted_prompt_tokens)
+                ),
+                "{what}"
+            );
+        }
+    }
 }
