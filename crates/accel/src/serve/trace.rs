@@ -1264,6 +1264,133 @@ mod tests {
         ]
     }
 
+    /// One event of every variant in declaration order — the
+    /// [`ServeEvent`] variants on shards 0, 1, 2, …, then the
+    /// cluster-level variants — with field `k` of event `i` holding
+    /// `10 × (i + 1) + k`.
+    fn one_of_each_variant() -> Vec<ClusterEvent> {
+        let shard = |shard_id, event| ClusterEvent::Shard { shard_id, event };
+        vec![
+            shard(0, ServeEvent::Enqueued { id: 10, step: 11 }),
+            shard(
+                1,
+                ServeEvent::Admitted {
+                    id: 20,
+                    step: 21,
+                    context: 22,
+                    cached_tokens: 23,
+                },
+            ),
+            shard(
+                2,
+                ServeEvent::PrefillChunk {
+                    id: 30,
+                    step: 31,
+                    built_tokens: 32,
+                    remaining_tokens: 33,
+                },
+            ),
+            shard(
+                3,
+                ServeEvent::TokenGenerated {
+                    id: 40,
+                    step: 41,
+                    context: 42,
+                    generated: 43,
+                },
+            ),
+            shard(
+                4,
+                ServeEvent::Preempted {
+                    id: 50,
+                    step: 51,
+                    generated: 52,
+                    retained_tokens: 53,
+                    dropped_tokens: 54,
+                },
+            ),
+            shard(
+                5,
+                ServeEvent::Finished {
+                    id: 60,
+                    step: 61,
+                    generated: 62,
+                },
+            ),
+            shard(
+                6,
+                ServeEvent::Rejected {
+                    id: 70,
+                    step: 71,
+                    overdue_steps: 72,
+                },
+            ),
+            shard(
+                7,
+                ServeEvent::SwappedOut {
+                    id: 80,
+                    step: 81,
+                    tokens: 82,
+                },
+            ),
+            shard(
+                8,
+                ServeEvent::SwappedIn {
+                    id: 90,
+                    step: 91,
+                    tokens: 92,
+                },
+            ),
+            ClusterEvent::Stolen {
+                id: 100,
+                from: 101,
+                to: 102,
+                step: 103,
+            },
+            ClusterEvent::Shipped {
+                id: 110,
+                from: 111,
+                to: 112,
+                step: 113,
+                tokens: 114,
+            },
+        ]
+    }
+
+    /// The wire format's absolute bytes: every variant's rendered line
+    /// and the digest of the whole stream, so a tag, `kind` string, field
+    /// name or field order cannot move unnoticed — including on the
+    /// variants the checked-in golden trace never emits.
+    #[test]
+    fn every_event_variant_has_pinned_wire_bytes_and_digest() {
+        const LINES: [&str; 11] = [
+            r#"{"type":"event","kind":"enqueued","shard":0,"id":10,"step":11}"#,
+            r#"{"type":"event","kind":"admitted","shard":1,"id":20,"step":21,"context":22,"cached_tokens":23}"#,
+            r#"{"type":"event","kind":"prefill_chunk","shard":2,"id":30,"step":31,"built_tokens":32,"remaining_tokens":33}"#,
+            r#"{"type":"event","kind":"token","shard":3,"id":40,"step":41,"context":42,"generated":43}"#,
+            r#"{"type":"event","kind":"preempted","shard":4,"id":50,"step":51,"generated":52,"retained_tokens":53,"dropped_tokens":54}"#,
+            r#"{"type":"event","kind":"finished","shard":5,"id":60,"step":61,"generated":62}"#,
+            r#"{"type":"event","kind":"rejected","shard":6,"id":70,"step":71,"overdue_steps":72}"#,
+            r#"{"type":"event","kind":"swapped_out","shard":7,"id":80,"step":81,"tokens":82}"#,
+            r#"{"type":"event","kind":"swapped_in","shard":8,"id":90,"step":91,"tokens":92}"#,
+            r#"{"type":"event","kind":"stolen","id":100,"from":101,"to":102,"step":103}"#,
+            r#"{"type":"event","kind":"shipped","id":110,"from":111,"to":112,"step":113,"tokens":114}"#,
+        ];
+        const DIGEST: u64 = 0xa2a1_b04d_b914_8613;
+        let mut recorder = TraceRecorder::new(sample_meta());
+        recorder.events(one_of_each_variant());
+        let trace = recorder.finish();
+        assert_eq!(trace.digest, DIGEST);
+        assert_eq!(digest_events(&trace.events), DIGEST);
+        let text = trace.render();
+        let rendered: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with(r#"{"type":"event""#))
+            .collect();
+        assert_eq!(rendered, LINES);
+        assert_eq!(Trace::parse(&text).unwrap(), trace);
+    }
+
     #[test]
     fn every_event_variant_round_trips_through_the_line_format() {
         let mut recorder = TraceRecorder::new(sample_meta());

@@ -793,6 +793,137 @@ proptest! {
         prop_assert_eq!(&first.events, &second.events, "{}/{}", kind, policy);
     }
 
+    /// A cluster of one *is* the engine: on any scenario at any seed,
+    /// under any policy and any mix of preemption with fractional
+    /// retention, chunked prefill, a host swap tier and expired-TTFT
+    /// rejection, a 1-shard round-robin cluster emits the bare engine's
+    /// event stream wrapped as shard 0 — event for event, not merely the
+    /// same digest or report.
+    #[test]
+    fn one_shard_cluster_is_event_identical_to_the_bare_engine(
+        kind_idx in 0usize..ScenarioKind::all().len(),
+        scenario_seed in any::<u64>(),
+        policy_idx in 0usize..PolicyKind::all().len(),
+        preempt in any::<bool>(),
+        retention_fraction in 0.05f64..0.95,
+        prefill_chunk in 0usize..4,
+        host_tier in any::<bool>(),
+        reject in any::<bool>(),
+    ) {
+        let kind = ScenarioKind::all()[kind_idx];
+        let policy = PolicyKind::all()[policy_idx];
+        let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+        let mut cfg = kind.build().serving_config(accel.clone());
+        if preempt {
+            cfg.preemption = PreemptionConfig::enabled()
+                .with_retention(RetentionPolicy::Fraction(retention_fraction));
+        }
+        cfg.prefill_chunk_pages = prefill_chunk;
+        cfg.host_pages = if host_tier { 64 } else { 0 };
+        cfg.reject_expired_ttft = reject;
+        let requests = kind.build().generate(scenario_seed);
+
+        let mut engine = ServingEngine::builder(accel.clone())
+            .config(cfg.clone())
+            .policy(policy)
+            .build();
+        let mut cluster = ClusterEngine::builder(accel)
+            .config(cfg)
+            .policy(policy)
+            .shards(1)
+            .routing(RoutingKind::RoundRobin)
+            .build();
+        for req in &requests {
+            engine.enqueue(*req).expect("valid request");
+            prop_assert_eq!(cluster.enqueue(*req).expect("valid request"), 0);
+        }
+        let engine_report = engine.run_to_completion(100_000).expect("engine drains");
+        let cluster_report = cluster.run_to_completion(100_000).expect("cluster drains");
+        let wrapped: Vec<ClusterEvent> = engine
+            .drain_events()
+            .into_iter()
+            .map(|event| ClusterEvent::Shard { shard_id: 0, event })
+            .collect();
+        prop_assert_eq!(cluster.events().len(), wrapped.len(), "{}/{}", kind, policy);
+        for (i, (got, want)) in cluster.events().iter().zip(&wrapped).enumerate() {
+            prop_assert_eq!(got, want, "{}/{} event {}", kind, policy, i);
+        }
+        prop_assert_eq!(&cluster_report.shards[0], &engine_report);
+        prop_assert_eq!(cluster_report.total_cycles, engine_report.total_cycles);
+        prop_assert_eq!(cluster_report.cluster_steps, engine_report.steps.len());
+    }
+
+    /// `Trace::parse` is total on hostile input: byte-mutated, line-dropped
+    /// and truncated renders either fail with an error or parse to a trace
+    /// whose render is a fixed point — never a panic, never a trace that
+    /// does not survive its own line format.
+    #[test]
+    fn trace_parse_survives_mutated_renders(
+        seed in any::<u64>(),
+        mutations in prop::collection::vec(any::<u64>(), 1..6),
+        damage in 0u8..4,
+    ) {
+        let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+        let kind = ScenarioKind::SharedPrefixChat;
+        let mut cfg = kind.build().serving_config(accel);
+        cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.5));
+        cfg.prefill_chunk_pages = 2;
+        cfg.host_pages = 16;
+        let meta = TraceMeta::new(&cfg, PolicyKind::PriorityAging.name())
+            .for_scenario(kind.name(), seed % 4)
+            .for_cluster(2, RoutingKind::LeastLoaded.name(), true, 1);
+        let requests: Vec<ServingRequest> = kind
+            .build()
+            .generate(seed % 4)
+            .into_iter()
+            .take(6)
+            .map(|r| r.with_ttft_deadline(40))
+            .collect();
+        let (trace, _) = run_recorded(&meta, &requests).expect("record");
+        let mut bytes = trace.render().into_bytes();
+        match damage {
+            // Overwrite bytes anywhere (structure, keys, digits, newlines).
+            0 => {
+                for m in &mutations {
+                    let at = (*m as usize) % bytes.len();
+                    bytes[at] = (m >> 32) as u8;
+                }
+            }
+            // Flip single digits, the mutation a digest has to catch.
+            1 => {
+                let digits: Vec<usize> = (0..bytes.len())
+                    .filter(|&i| bytes[i].is_ascii_digit())
+                    .collect();
+                for m in &mutations {
+                    let at = digits[(*m as usize) % digits.len()];
+                    bytes[at] = b'0' + ((m >> 32) % 10) as u8;
+                }
+            }
+            // Drop whole lines.
+            2 => {
+                let text = String::from_utf8(bytes).expect("renders are UTF-8");
+                let lines: Vec<&str> = text.lines().collect();
+                let dropped: Vec<usize> =
+                    mutations.iter().map(|m| (*m as usize) % lines.len()).collect();
+                let kept: Vec<&str> = lines
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| !dropped.contains(i))
+                    .map(|(_, l)| *l)
+                    .collect();
+                bytes = (kept.join("\n") + "\n").into_bytes();
+            }
+            // Truncate mid-stream.
+            _ => bytes.truncate((mutations[0] as usize) % bytes.len()),
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(parsed) = Trace::parse(&text) {
+            let rendered = parsed.render();
+            let reparsed = Trace::parse(&rendered).expect("a parsed trace re-renders parseably");
+            prop_assert_eq!(reparsed.render(), rendered);
+        }
+    }
+
     /// Every serving option survives a trace: the meta snapshots the
     /// config it was given, and render → parse returns the same meta —
     /// over the paper accelerator in any mode, any retention, the host

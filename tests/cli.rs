@@ -1,0 +1,124 @@
+//! End-to-end tests of the `topick` binary: `serve` stdout against
+//! checked-in goldens, `--record` → `--replay` byte-identity, and the
+//! error paths that must exit 1 instead of running something else.
+
+use std::process::{Command, Output};
+
+fn topick(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_topick"))
+        .args(args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("the topick binary runs")
+}
+
+/// Stdout of a successful run, minus the measured (run-varying)
+/// `wall clock` line.
+fn stdout_of(args: &[&str]) -> String {
+    let out = topick(args);
+    assert!(
+        out.status.success(),
+        "topick {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout)
+        .expect("utf-8 stdout")
+        .lines()
+        .filter(|l| !l.starts_with("wall clock"))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// Stderr of a run that must exit 1.
+fn error_of(args: &[&str]) -> String {
+    let out = topick(args);
+    assert_eq!(out.status.code(), Some(1), "topick {args:?} must exit 1");
+    String::from_utf8(out.stderr).expect("utf-8 stderr")
+}
+
+#[test]
+fn serve_output_matches_the_goldens() {
+    let golden_trace = "tests/data/agentic_affinity_cluster.trace";
+    let cases: [(&str, &[&str]); 6] = [
+        ("default", &["serve"]),
+        ("policy_all", &["serve", "--policy", "all"]),
+        (
+            "shards4_affinity_stealing",
+            &[
+                "serve",
+                "--shards",
+                "4",
+                "--routing",
+                "affinity",
+                "--stealing",
+            ],
+        ),
+        (
+            "shards4_policy_all",
+            &["serve", "--shards", "4", "--policy", "all"],
+        ),
+        (
+            "preemption_host_swap",
+            &[
+                "serve",
+                "--preemption",
+                "--retention",
+                "0.75",
+                "--policy",
+                "priority",
+                "--host-pages",
+                "1024",
+                "--swap-cost",
+                "0.25",
+            ],
+        ),
+        ("replay_golden_trace", &["serve", "--replay", golden_trace]),
+    ];
+    for (name, args) in cases {
+        let path = format!("{}/tests/data/cli/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+        let golden = std::fs::read_to_string(&path).expect("golden exists");
+        assert_eq!(stdout_of(args), golden, "topick {args:?} vs {path}");
+    }
+}
+
+#[test]
+fn a_recorded_run_replays_to_the_same_bytes() {
+    let dir = std::env::temp_dir().join(format!("topick-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_string();
+    let shape = [
+        "--shards",
+        "2",
+        "--routing",
+        "least",
+        "--stealing",
+        "--preemption",
+        "--retention",
+        "0.5",
+        "--policy",
+        "sjf",
+    ];
+    let record = |to: &str| {
+        let mut args = vec!["serve", "--record", to];
+        args.extend(shape);
+        stdout_of(&args)
+    };
+    let (first, second) = (path("first.trace"), path("second.trace"));
+    // Same flags, same trace bytes; and the trace replays to its own digest.
+    record(&first);
+    record(&second);
+    let bytes = std::fs::read(&first).expect("recorded trace");
+    assert_eq!(bytes, std::fs::read(&second).expect("recorded trace"));
+    let replayed = stdout_of(&["serve", "--replay", &first]);
+    assert!(replayed.contains("(matches the recording)"), "{replayed}");
+    assert!(stdout_of(&["trace", "diff", &first, &second]).contains("schedules identical"));
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+}
+
+#[test]
+fn serve_errors_exit_one_and_name_the_problem() {
+    assert!(error_of(&["serve", "--batch", "0"]).contains("admission stalled"));
+    let trace = "tests/data/agentic_affinity_cluster.trace";
+    assert!(error_of(&["serve", "--replay", trace, "--batch", "3"])
+        .contains("--batch cannot be combined with --replay"));
+}
