@@ -61,8 +61,8 @@ pub use serve::{
     run_token_backed, AdmissionConfig, ClusterEngine, ClusterEngineBuilder, ClusterEvent,
     ClusterReport, ClusterStepReport, FairRoundRobin, Fifo, KvPager, PendingView, PolicyKind,
     PreemptionConfig, PriorityAging, RequestStats, RetentionPolicy, RoutingKind, RoutingPolicy,
-    RunReport, RunningView, Scenario, ScenarioKind, SchedulerPolicy, ServeError, ServeEvent,
-    ServingConfig, ServingEngine, ServingEngineBuilder, ServingReport, ServingRequest,
-    SessionStats, ShardView, ShortestJobFirst, SloAware, StepReport, TokenBackedBatch,
-    TokenBackedRun, Trace, TraceError, TraceMeta, TraceRecorder, TraceReplay,
+    RunningView, Scenario, ScenarioKind, SchedulerPolicy, ServeError, ServeEvent, ServingConfig,
+    ServingEngine, ServingEngineBuilder, ServingReport, ServingRequest, SessionStats, ShardView,
+    ShortestJobFirst, SloAware, StepReport, TokenBackedBatch, TokenBackedRun, Trace, TraceError,
+    TraceMeta, TraceRecorder,
 };

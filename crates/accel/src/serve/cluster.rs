@@ -55,7 +55,7 @@
 //! modeled makespan and surfaces as [`ClusterReport::wall_seconds`].
 
 use super::error::ServeError;
-use super::events::ServeEvent;
+use super::events::{wire_schema, EventSchema, ServeEvent, WireEvent, MAX_EVENT_FIELDS};
 use super::policy::PolicyKind;
 use super::queue::ServingRequest;
 use super::router::{RoutingKind, RoutingPolicy, ShardView};
@@ -108,6 +108,46 @@ pub enum ClusterEvent {
         /// KV tokens' worth of pages shipped.
         tokens: usize,
     },
+}
+
+wire_schema! {
+    ClusterEvent {
+        Stolen { id, from, to, step } = (2, "stolen"),
+        Shipped { id, from, to, step, tokens } = (3, "shipped"),
+    }
+    else {
+        Self::Shard { shard_id, event } => WireEvent {
+            shard: Some(shard_id),
+            ..event.wire()
+        },
+    }
+}
+
+impl ClusterEvent {
+    /// [`Shard`](Self::Shard)'s tag in the event digest; the shard id and
+    /// the wrapped event's own tagged payload follow it.
+    pub(crate) const SHARD_TAG: u64 = 1;
+
+    /// The schema row whose `kind` string is `kind`, and whether it is a
+    /// [`ServeEvent`] row (an event that happens on a shard).
+    pub(crate) fn schema_of(kind: &str) -> Option<(&'static EventSchema, bool)> {
+        let find = |rows: &'static [EventSchema]| rows.iter().find(|row| row.kind == kind);
+        find(Self::SCHEMA)
+            .map(|row| (row, false))
+            .or_else(|| find(ServeEvent::SCHEMA).map(|row| (row, true)))
+    }
+
+    /// The event `wire` describes — the inverse of [`wire`](Self::wire);
+    /// `None` if a payload value does not fit its field.
+    pub(crate) fn from_wire(wire: &WireEvent) -> Option<Self> {
+        match wire.shard {
+            Some(shard_id) => Some(Self::Shard {
+                shard_id,
+                event: ServeEvent::from_flat(wire.schema, wire.payload())?,
+            }),
+            None => Self::from_flat(wire.schema, wire.payload()),
+        }
+    }
 }
 
 /// What one cluster step did, across all shards.

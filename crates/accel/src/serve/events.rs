@@ -128,32 +128,141 @@ impl ServeEvent {
     /// The id of the request the event concerns.
     #[must_use]
     pub fn id(&self) -> u64 {
-        match *self {
-            Self::Enqueued { id, .. }
-            | Self::Admitted { id, .. }
-            | Self::PrefillChunk { id, .. }
-            | Self::TokenGenerated { id, .. }
-            | Self::Preempted { id, .. }
-            | Self::Finished { id, .. }
-            | Self::Rejected { id, .. }
-            | Self::SwappedOut { id, .. }
-            | Self::SwappedIn { id, .. } => id,
-        }
+        self.wire().values[0]
     }
 
     /// The engine step the event happened in.
     #[must_use]
     pub fn step(&self) -> usize {
-        match *self {
-            Self::Enqueued { step, .. }
-            | Self::Admitted { step, .. }
-            | Self::PrefillChunk { step, .. }
-            | Self::TokenGenerated { step, .. }
-            | Self::Preempted { step, .. }
-            | Self::Finished { step, .. }
-            | Self::Rejected { step, .. }
-            | Self::SwappedOut { step, .. }
-            | Self::SwappedIn { step, .. } => step,
+        // Came from a `usize` field, so the cast is lossless.
+        self.wire().values[1] as usize
+    }
+}
+
+/// The most payload fields any event variant carries.
+pub(crate) const MAX_EVENT_FIELDS: usize = 5;
+
+/// One event variant's wire shape: the single declaration the trace
+/// digest, the line renderer and the line parser all walk.
+#[derive(Debug)]
+pub(crate) struct EventSchema {
+    /// The variant's tag in the event digest.
+    pub(crate) tag: u64,
+    /// The variant's `kind` string in the trace line format.
+    pub(crate) kind: &'static str,
+    /// The payload field names, in digest and line order.
+    pub(crate) fields: &'static [&'static str],
+}
+
+/// An event flattened to its wire form: the shard it happened on (cluster
+/// level events have none), its variant's schema row, and the payload
+/// values in the row's field order.
+#[derive(Debug)]
+pub(crate) struct WireEvent {
+    pub(crate) shard: Option<usize>,
+    pub(crate) schema: &'static EventSchema,
+    pub(crate) values: [u64; MAX_EVENT_FIELDS],
+}
+
+impl WireEvent {
+    /// The payload values the schema names, in order.
+    pub(crate) fn payload(&self) -> &[u64] {
+        &self.values[..self.schema.fields.len()]
+    }
+}
+
+/// Declares the wire shape of an event enum's flat variants — one row per
+/// variant: its fields in wire order, its digest tag and its `kind`
+/// string — and generates from the rows the `SCHEMA` table, `wire`
+/// (event → [`WireEvent`]; the match is exhaustive, so a variant without
+/// a row does not compile) and `from_flat` (schema row + payload →
+/// event). A variant that wraps another event instead of carrying flat
+/// fields passes its `wire` arm after `else`. The call site imports
+/// [`EventSchema`], [`WireEvent`] and [`MAX_EVENT_FIELDS`].
+macro_rules! wire_schema {
+    (
+        $event:ident {
+            $($variant:ident { $($field:ident),* } = ($tag:literal, $kind:literal)),* $(,)?
+        }
+        $(else { $($nested:tt)* })?
+    ) => {
+        // One fieldless twin per row, so a variant names its row's index.
+        #[allow(clippy::enum_variant_names)]
+        enum Row { $($variant),* }
+
+        impl $event {
+            /// Every flat variant's wire shape, in declaration order.
+            pub(crate) const SCHEMA: &'static [EventSchema] = &[$(
+                EventSchema {
+                    tag: $tag,
+                    kind: $kind,
+                    fields: &[$(stringify!($field)),*],
+                }
+            ),*];
+
+            /// The event in wire form.
+            #[allow(clippy::unnecessary_cast)]
+            pub(crate) fn wire(&self) -> WireEvent {
+                match *self {
+                    $(Self::$variant { $($field),* } => {
+                        let mut values = [0; MAX_EVENT_FIELDS];
+                        let payload = [$($field as u64),*];
+                        values[..payload.len()].copy_from_slice(&payload);
+                        WireEvent {
+                            shard: None,
+                            schema: &Self::SCHEMA[Row::$variant as usize],
+                            values,
+                        }
+                    })*
+                    $($($nested)*)?
+                }
+            }
+
+            /// The flat variant `schema` (a row of [`SCHEMA`](Self::SCHEMA))
+            /// declares, carrying `values`; `None` if a value does not fit
+            /// its field.
+            #[allow(clippy::useless_conversion)]
+            pub(crate) fn from_flat(
+                schema: &EventSchema,
+                values: &[u64],
+            ) -> Option<Self> {
+                $(if schema.tag == $tag {
+                    let mut values = values.iter().copied();
+                    return Some(Self::$variant {
+                        $($field: values.next()?.try_into().ok()?),*
+                    });
+                })*
+                None
+            }
+        }
+    };
+}
+pub(crate) use wire_schema;
+
+wire_schema! {
+    ServeEvent {
+        Enqueued { id, step } = (1, "enqueued"),
+        Admitted { id, step, context, cached_tokens } = (2, "admitted"),
+        PrefillChunk { id, step, built_tokens, remaining_tokens } = (6, "prefill_chunk"),
+        TokenGenerated { id, step, context, generated } = (3, "token"),
+        Preempted { id, step, generated, retained_tokens, dropped_tokens } = (4, "preempted"),
+        Finished { id, step, generated } = (5, "finished"),
+        Rejected { id, step, overdue_steps } = (7, "rejected"),
+        SwappedOut { id, step, tokens } = (8, "swapped_out"),
+        SwappedIn { id, step, tokens } = (9, "swapped_in"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_serve_event_leads_with_id_and_step() {
+        // `id()` and `step()` read payload slots 0 and 1.
+        for schema in ServeEvent::SCHEMA {
+            assert_eq!(schema.fields[..2], ["id", "step"], "{}", schema.kind);
+            assert!(schema.fields.len() <= MAX_EVENT_FIELDS, "{}", schema.kind);
         }
     }
 }

@@ -75,7 +75,7 @@ pub use router::{LeastLoaded, PrefixAffinity, RoundRobin, RoutingKind, RoutingPo
 pub use scenario::{Scenario, ScenarioKind};
 pub use stats::{RequestStats, ServingReport, SessionStats, StepReport};
 pub use token_backed::{run_token_backed, TokenBackedBatch, TokenBackedRun};
-pub use trace::{RunReport, Trace, TraceError, TraceMeta, TraceRecorder, TraceReplay};
+pub use trace::{Trace, TraceError, TraceMeta, TraceRecorder};
 
 use topick_core::{PruneStats, QVector, QuantBuffer};
 use topick_model::{SynthInstance, SynthProfile};

@@ -27,16 +27,15 @@
 //! appendable, the same shape production serving stacks use for request
 //! logs.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::Path;
 
 use super::cluster::{ClusterEngine, ClusterEvent, ClusterReport};
-use super::events::ServeEvent;
+use super::events::{WireEvent, MAX_EVENT_FIELDS};
 use super::policy::PolicyKind;
 use super::queue::ServingRequest;
 use super::router::RoutingKind;
-use super::stats::ServingReport;
-use super::{AdmissionConfig, PreemptionConfig, ServingConfig, ServingEngine};
+use super::{AdmissionConfig, PreemptionConfig, ServingConfig};
 use crate::config::{AccelConfig, AccelMode};
 
 /// Errors from recording, serializing, parsing or replaying a trace.
@@ -89,7 +88,8 @@ pub struct TraceMeta {
     config: ServingConfig,
     /// Scheduler policy name ([`PolicyKind::name`]).
     pub policy: String,
-    /// Shard count (`1` records a bare [`ServingEngine`]).
+    /// Shard count (a cluster of `1` is a bare
+    /// [`ServingEngine`](super::ServingEngine)).
     pub shards: usize,
     /// Routing policy name (meaningful when `shards > 1`).
     pub routing: String,
@@ -176,126 +176,20 @@ fn fnv(h: u64, v: u64) -> u64 {
 
 /// FNV-1a digest over the *typed* event stream — every variant tag and
 /// field, not the rendered text — so two traces agree on the digest
-/// exactly when they describe the same schedule.
+/// exactly when they describe the same schedule. A shard's event hashes
+/// as the shard wrapper's tag, the shard id, then the event's own tag and
+/// payload; a cluster-level event as its tag and payload.
 #[must_use]
 pub fn digest_events(events: &[ClusterEvent]) -> u64 {
     let mut h = FNV_OFFSET;
     for event in events {
-        match *event {
-            ClusterEvent::Shard { shard_id, event } => {
-                h = fnv(h, 1);
-                h = fnv(h, shard_id as u64);
-                match event {
-                    ServeEvent::Enqueued { id, step } => {
-                        h = fnv(h, 1);
-                        h = fnv(h, id);
-                        h = fnv(h, step as u64);
-                    }
-                    ServeEvent::Admitted {
-                        id,
-                        step,
-                        context,
-                        cached_tokens,
-                    } => {
-                        h = fnv(h, 2);
-                        h = fnv(h, id);
-                        h = fnv(h, step as u64);
-                        h = fnv(h, context as u64);
-                        h = fnv(h, cached_tokens as u64);
-                    }
-                    ServeEvent::TokenGenerated {
-                        id,
-                        step,
-                        context,
-                        generated,
-                    } => {
-                        h = fnv(h, 3);
-                        h = fnv(h, id);
-                        h = fnv(h, step as u64);
-                        h = fnv(h, context as u64);
-                        h = fnv(h, generated as u64);
-                    }
-                    ServeEvent::Preempted {
-                        id,
-                        step,
-                        generated,
-                        retained_tokens,
-                        dropped_tokens,
-                    } => {
-                        h = fnv(h, 4);
-                        h = fnv(h, id);
-                        h = fnv(h, step as u64);
-                        h = fnv(h, generated as u64);
-                        h = fnv(h, retained_tokens as u64);
-                        h = fnv(h, dropped_tokens as u64);
-                    }
-                    ServeEvent::Finished {
-                        id,
-                        step,
-                        generated,
-                    } => {
-                        h = fnv(h, 5);
-                        h = fnv(h, id);
-                        h = fnv(h, step as u64);
-                        h = fnv(h, generated as u64);
-                    }
-                    ServeEvent::PrefillChunk {
-                        id,
-                        step,
-                        built_tokens,
-                        remaining_tokens,
-                    } => {
-                        h = fnv(h, 6);
-                        h = fnv(h, id);
-                        h = fnv(h, step as u64);
-                        h = fnv(h, built_tokens as u64);
-                        h = fnv(h, remaining_tokens as u64);
-                    }
-                    ServeEvent::Rejected {
-                        id,
-                        step,
-                        overdue_steps,
-                    } => {
-                        h = fnv(h, 7);
-                        h = fnv(h, id);
-                        h = fnv(h, step as u64);
-                        h = fnv(h, overdue_steps as u64);
-                    }
-                    ServeEvent::SwappedOut { id, step, tokens } => {
-                        h = fnv(h, 8);
-                        h = fnv(h, id);
-                        h = fnv(h, step as u64);
-                        h = fnv(h, tokens as u64);
-                    }
-                    ServeEvent::SwappedIn { id, step, tokens } => {
-                        h = fnv(h, 9);
-                        h = fnv(h, id);
-                        h = fnv(h, step as u64);
-                        h = fnv(h, tokens as u64);
-                    }
-                }
-            }
-            ClusterEvent::Stolen { id, from, to, step } => {
-                h = fnv(h, 2);
-                h = fnv(h, id);
-                h = fnv(h, from as u64);
-                h = fnv(h, to as u64);
-                h = fnv(h, step as u64);
-            }
-            ClusterEvent::Shipped {
-                id,
-                from,
-                to,
-                step,
-                tokens,
-            } => {
-                h = fnv(h, 3);
-                h = fnv(h, id);
-                h = fnv(h, from as u64);
-                h = fnv(h, to as u64);
-                h = fnv(h, step as u64);
-                h = fnv(h, tokens as u64);
-            }
+        let wire = event.wire();
+        if let Some(shard) = wire.shard {
+            h = fnv(fnv(h, ClusterEvent::SHARD_TAG), shard as u64);
+        }
+        h = fnv(h, wire.schema.tag);
+        for &value in wire.payload() {
+            h = fnv(h, value);
         }
     }
     h
@@ -332,16 +226,6 @@ impl TraceRecorder {
         self.events.extend(events);
     }
 
-    /// Records a single engine's events, wrapped as shard 0 — one trace
-    /// format serves both engines and clusters.
-    pub fn serve_events(&mut self, events: impl IntoIterator<Item = ServeEvent>) {
-        self.events.extend(
-            events
-                .into_iter()
-                .map(|event| ClusterEvent::Shard { shard_id: 0, event }),
-        );
-    }
-
     /// Seals the recording into a digested [`Trace`].
     #[must_use]
     pub fn finish(self) -> Trace {
@@ -369,28 +253,10 @@ pub struct Trace {
     pub digest: u64,
 }
 
-/// The final report of a recorded run — whichever engine flavor ran.
-#[derive(Debug, Clone)]
-pub enum RunReport {
-    /// A single-engine run's report.
-    Engine(ServingReport),
-    /// A sharded cluster run's report.
-    Cluster(ClusterReport),
-}
-
-impl RunReport {
-    /// Total decode tokens generated, across flavors.
-    #[must_use]
-    pub fn tokens_generated(&self) -> usize {
-        match self {
-            Self::Engine(r) => r.tokens_generated,
-            Self::Cluster(r) => r.tokens_generated(),
-        }
-    }
-}
-
-/// Builds the engine or cluster `meta` describes, enqueues `requests` in
-/// order, runs to completion and seals the whole run into a [`Trace`].
+/// Builds the cluster `meta` describes — `meta.shards` shards, where a
+/// cluster of one *is* the bare [`ServingEngine`](super::ServingEngine),
+/// event for event — enqueues `requests` in order, runs to completion and
+/// seals the whole run into a [`Trace`].
 ///
 /// This is the one code path both *record* and *replay* go through —
 /// replay is literally re-recording from the same inputs, which is what
@@ -405,168 +271,148 @@ impl RunReport {
 pub fn run_recorded(
     meta: &TraceMeta,
     requests: &[ServingRequest],
-) -> Result<(Trace, RunReport), TraceError> {
+) -> Result<(Trace, ClusterReport), TraceError> {
     let cfg = meta.config.clone();
     let policy: PolicyKind = meta
         .policy
         .parse()
         .map_err(|e: String| TraceError::Parse(format!("invalid policy '{}': {e}", meta.policy)))?;
+    let routing: RoutingKind = meta.routing.parse().map_err(|e: String| {
+        TraceError::Parse(format!("invalid routing '{}': {e}", meta.routing))
+    })?;
+    let mut cluster = ClusterEngine::builder(cfg.accel.clone())
+        .config(cfg)
+        .policy(policy)
+        .shards(meta.shards)
+        .routing(routing)
+        .stealing(meta.stealing)
+        .threads(meta.threads)
+        .build();
     let mut recorder = TraceRecorder::new(meta.clone());
     for req in requests {
         recorder.request(req);
+        cluster.enqueue(*req)?;
     }
-    if meta.shards <= 1 {
-        let mut engine = ServingEngine::builder(cfg.accel.clone())
-            .config(cfg)
-            .policy(policy)
-            .build();
-        for req in requests {
-            engine.enqueue(*req)?;
-        }
-        let report = engine.run_to_completion(meta.max_steps)?;
-        recorder.serve_events(engine.drain_events());
-        Ok((recorder.finish(), RunReport::Engine(report)))
-    } else {
-        let routing: RoutingKind = meta.routing.parse().map_err(|e: String| {
-            TraceError::Parse(format!("invalid routing '{}': {e}", meta.routing))
-        })?;
-        let mut cluster = ClusterEngine::builder(cfg.accel.clone())
-            .config(cfg)
-            .policy(policy)
-            .shards(meta.shards)
-            .routing(routing)
-            .stealing(meta.stealing)
-            .threads(meta.threads)
-            .build();
-        for req in requests {
-            cluster.enqueue(*req)?;
-        }
-        let report = cluster.run_to_completion(meta.max_steps)?;
-        recorder.events(cluster.drain_events());
-        Ok((recorder.finish(), RunReport::Cluster(report)))
-    }
+    let report = cluster.run_to_completion(meta.max_steps)?;
+    recorder.events(cluster.drain_events());
+    Ok((recorder.finish(), report))
 }
 
-/// Minimal flat-JSON line builder (writer side of the trace format).
-struct JsonLine(String);
+/// Minimal flat-JSON line writer (writer side of the trace format):
+/// appends one `{"type":…}` object and its newline to a shared buffer.
+struct JsonLine<'a>(&'a mut String);
 
-impl JsonLine {
-    fn new(ty: &str) -> Self {
-        Self(format!("{{\"type\":\"{ty}\""))
+impl<'a> JsonLine<'a> {
+    fn new(out: &'a mut String, ty: &str) -> Self {
+        write!(out, "{{\"type\":\"{ty}\"").expect("writing to a String cannot fail");
+        Self(out)
     }
 
-    fn str_field(mut self, key: &str, value: &str) -> Self {
+    fn str_field(self, key: &str, value: &str) -> Self {
         debug_assert!(
             !value.contains(['"', '\\']),
             "trace strings are registry names and never need escaping"
         );
-        self.0.push_str(&format!(",\"{key}\":\"{value}\""));
+        self.field(key, format_args!("\"{value}\""))
+    }
+
+    /// A number or bool. Rust's `Display` for `f64` is the shortest
+    /// round-trip form: it parses back to the same `f64`.
+    fn field(self, key: &str, value: impl fmt::Display) -> Self {
+        write!(self.0, ",\"{key}\":{value}").expect("writing to a String cannot fail");
         self
     }
 
-    fn u64_field(mut self, key: &str, value: u64) -> Self {
-        self.0.push_str(&format!(",\"{key}\":{value}"));
-        self
+    fn finish(self) {
+        self.0.push_str("}\n");
     }
+}
 
-    fn f64_field(mut self, key: &str, value: f64) -> Self {
-        // Rust's shortest-round-trip Display: parses back to the same f64.
-        self.0.push_str(&format!(",\"{key}\":{value}"));
-        self
-    }
+/// One `"key":value` pair of a trace line, borrowed from the line.
+type Pair<'a> = (&'a str, &'a str);
 
-    fn bool_field(mut self, key: &str, value: bool) -> Self {
-        self.0.push_str(&format!(",\"{key}\":{value}"));
-        self
+/// The string `text` opens with, and what follows its closing quote.
+fn quoted<'a>(text: &'a str, what: &str) -> Result<(&'a str, &'a str), String> {
+    let body = text
+        .strip_prefix('"')
+        .ok_or_else(|| format!("expected '\"' to open a {what}"))?;
+    match body.find(['"', '\\']) {
+        Some(end) if body.as_bytes()[end] == b'"' => Ok((&body[..end], &body[end + 1..])),
+        Some(_) => Err("escape sequences are not supported".to_string()),
+        None => Err(format!("unterminated {what}")),
     }
+}
 
-    fn finish(mut self) -> String {
-        self.0.push('}');
-        self.0
+/// Splits the leading `"key":value` pair off `rest` (`None` at the end of
+/// the line), in place: a value is a quoted string or runs to the next
+/// comma.
+fn next_pair(rest: &str) -> Result<Option<(Pair<'_>, &str)>, String> {
+    let rest = rest.trim_start_matches(',');
+    if rest.is_empty() {
+        return Ok(None);
     }
+    let (key, rest) = quoted(rest, "key")?;
+    let rest = rest
+        .strip_prefix(':')
+        .ok_or_else(|| format!("expected ':' after key '{key}'"))?;
+    let (value, rest) = if rest.starts_with('"') {
+        quoted(rest, "string value")?
+    } else {
+        let (value, rest) = rest.split_at(rest.find(',').unwrap_or(rest.len()));
+        (value.trim(), rest)
+    };
+    Ok(Some(((key, value), rest)))
 }
 
 /// One parsed line's fields, with typed accessors that blame the line.
-struct Fields {
+/// The line is checked once and then read in place — an accessor scans
+/// its few dozen bytes for the key — so parsing allocates nothing per
+/// line.
+struct Fields<'a> {
     line_no: usize,
-    fields: Vec<(String, String)>,
+    inner: &'a str,
 }
 
-impl Fields {
-    fn parse(line_no: usize, line: &str) -> Result<Self, TraceError> {
+impl<'a> Fields<'a> {
+    fn parse(line_no: usize, line: &'a str) -> Result<Self, TraceError> {
         let err = |msg: String| TraceError::Parse(format!("line {line_no}: {msg}"));
         let inner = line
             .trim()
             .strip_prefix('{')
             .and_then(|s| s.strip_suffix('}'))
             .ok_or_else(|| err("expected a {{...}} object".to_string()))?;
-        let bytes = inner.as_bytes();
-        let mut fields = Vec::new();
-        let mut i = 0;
-        while i < bytes.len() {
-            if bytes[i] == b',' {
-                i += 1;
-                continue;
-            }
-            if bytes[i] != b'"' {
-                return Err(err(format!("expected '\"' at byte {i}")));
-            }
-            i += 1;
-            let key_start = i;
-            while i < bytes.len() && bytes[i] != b'"' {
-                if bytes[i] == b'\\' {
-                    return Err(err("escape sequences are not supported".to_string()));
-                }
-                i += 1;
-            }
-            if i >= bytes.len() {
-                return Err(err("unterminated key".to_string()));
-            }
-            let key = inner[key_start..i].to_string();
-            i += 1;
-            if i >= bytes.len() || bytes[i] != b':' {
-                return Err(err(format!("expected ':' after key '{key}'")));
-            }
-            i += 1;
-            let value = if i < bytes.len() && bytes[i] == b'"' {
-                i += 1;
-                let val_start = i;
-                while i < bytes.len() && bytes[i] != b'"' {
-                    if bytes[i] == b'\\' {
-                        return Err(err("escape sequences are not supported".to_string()));
-                    }
-                    i += 1;
-                }
-                if i >= bytes.len() {
-                    return Err(err("unterminated string value".to_string()));
-                }
-                let v = inner[val_start..i].to_string();
-                i += 1;
-                v
-            } else {
-                let val_start = i;
-                while i < bytes.len() && bytes[i] != b',' {
-                    i += 1;
-                }
-                inner[val_start..i].trim().to_string()
-            };
-            fields.push((key, value));
+        let fields = Self { line_no, inner };
+        for pair in fields.pairs() {
+            pair.map_err(err)?;
         }
-        Ok(Self { line_no, fields })
+        Ok(fields)
+    }
+
+    /// The line's pairs in order, ending at the first syntax error.
+    fn pairs(&self) -> impl Iterator<Item = Result<Pair<'a>, String>> {
+        let mut rest = self.inner;
+        std::iter::from_fn(move || {
+            let (pair, tail) = match next_pair(rest) {
+                Ok(next) => next.map(|(pair, tail)| (Ok(pair), tail))?,
+                Err(msg) => (Err(msg), ""),
+            };
+            rest = tail;
+            Some(pair)
+        })
     }
 
     fn err(&self, msg: String) -> TraceError {
         TraceError::Parse(format!("line {}: {msg}", self.line_no))
     }
 
-    fn get(&self, key: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+    fn get(&self, key: &str) -> Option<&'a str> {
+        self.pairs()
+            .filter_map(Result::ok)
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v)
     }
 
-    fn str_field(&self, key: &str) -> Result<&str, TraceError> {
+    fn str_field(&self, key: &str) -> Result<&'a str, TraceError> {
         self.get(key)
             .ok_or_else(|| self.err(format!("missing field '{key}'")))
     }
@@ -590,91 +436,85 @@ impl Trace {
     pub fn render(&self) -> String {
         let m = &self.meta;
         let c = &m.config;
-        let mut meta_line = JsonLine::new("meta").u64_field("version", 1);
+        let mut out = String::new();
+        let mut line = JsonLine::new(&mut out, "meta").field("version", 1);
         if let Some(scenario) = &m.scenario {
-            meta_line = meta_line
+            line = line
                 .str_field("scenario", scenario)
-                .u64_field("scenario_seed", m.scenario_seed);
+                .field("scenario_seed", m.scenario_seed);
         }
-        meta_line = meta_line
+        line = line
             .str_field("mode", c.accel.mode.name())
-            .f64_field("threshold", c.accel.threshold)
+            .field("threshold", c.accel.threshold)
             .str_field("policy", &m.policy)
-            .u64_field("max_batch", c.admission.max_batch as u64)
-            .u64_field("max_batch_tokens", c.admission.max_batch_tokens as u64)
-            .u64_field("page_size", c.admission.page_size as u64)
-            .bool_field("prefix_cache", c.admission.prefix_cache)
-            .bool_field("preemption", c.preemption.enabled)
-            .f64_field("reprefill_factor", c.preemption.reprefill_factor)
-            .u64_field(
+            .field("max_batch", c.admission.max_batch)
+            .field("max_batch_tokens", c.admission.max_batch_tokens)
+            .field("page_size", c.admission.page_size)
+            .field("prefix_cache", c.admission.prefix_cache)
+            .field("preemption", c.preemption.enabled)
+            .field("reprefill_factor", c.preemption.reprefill_factor)
+            .field(
                 "max_evictions_per_step",
-                c.preemption.max_evictions_per_step as u64,
+                c.preemption.max_evictions_per_step,
             )
             .str_field("retention", &c.preemption.retention.to_string())
-            .f64_field("prefill_factor", c.prefill_factor);
+            .field("prefill_factor", c.prefill_factor);
         // Chunking, tiered-KV and rejection knobs render only when they
         // left their defaults, so traces recorded before each knob existed
         // (and the checked-in goldens) keep their exact bytes.
         if c.prefill_chunk_pages != 0 {
-            meta_line = meta_line.u64_field("prefill_chunk_pages", c.prefill_chunk_pages as u64);
+            line = line.field("prefill_chunk_pages", c.prefill_chunk_pages);
         }
         if c.host_pages != 0 {
-            meta_line = meta_line.u64_field("host_pages", c.host_pages as u64);
+            line = line.field("host_pages", c.host_pages);
         }
         if c.host_pages != 0 || c.swap_cost_factor != ServingConfig::DEFAULT_SWAP_COST_FACTOR {
-            meta_line = meta_line.f64_field("swap_cost_factor", c.swap_cost_factor);
+            line = line.field("swap_cost_factor", c.swap_cost_factor);
         }
         if c.ship_cost_factor != 0.0 {
-            meta_line = meta_line.f64_field("ship_cost_factor", c.ship_cost_factor);
+            line = line.field("ship_cost_factor", c.ship_cost_factor);
         }
         if c.reject_expired_ttft {
-            meta_line = meta_line.bool_field("reject_expired_ttft", true);
+            line = line.field("reject_expired_ttft", true);
         }
-        let mut out = meta_line
-            .u64_field("heads", c.heads as u64)
-            .u64_field("weight_bytes", c.weight_bytes)
-            .u64_field("seed", c.seed)
-            .f64_field("clock_hz", c.clock_hz)
-            .u64_field("shards", m.shards as u64)
+        line.field("heads", c.heads)
+            .field("weight_bytes", c.weight_bytes)
+            .field("seed", c.seed)
+            .field("clock_hz", c.clock_hz)
+            .field("shards", m.shards)
             .str_field("routing", &m.routing)
-            .bool_field("stealing", m.stealing)
-            .u64_field("threads", m.threads as u64)
-            .u64_field("max_steps", m.max_steps as u64)
+            .field("stealing", m.stealing)
+            .field("threads", m.threads)
+            .field("max_steps", m.max_steps)
             .finish();
-        out.push('\n');
         for r in &self.requests {
-            let mut line = JsonLine::new("request")
-                .u64_field("id", r.id)
-                .u64_field("prompt_len", r.prompt_len as u64)
-                .u64_field("max_new_tokens", r.max_new_tokens as u64)
-                .u64_field("priority", u64::from(r.priority))
-                .u64_field("client_id", r.client_id)
-                .u64_field("arrival_step", r.arrival_step)
-                .u64_field("prefix_tag", r.prefix_tag)
-                .u64_field("prefix_len", r.prefix_len as u64);
+            let mut line = JsonLine::new(&mut out, "request")
+                .field("id", r.id)
+                .field("prompt_len", r.prompt_len)
+                .field("max_new_tokens", r.max_new_tokens)
+                .field("priority", r.priority)
+                .field("client_id", r.client_id)
+                .field("arrival_step", r.arrival_step)
+                .field("prefix_tag", r.prefix_tag)
+                .field("prefix_len", r.prefix_len);
             // Deadlines render only when declared, keeping deadline-free
             // traces byte-identical to the pre-SLO format.
             if let Some(d) = r.ttft_deadline {
-                line = line.u64_field("ttft_deadline", d);
+                line = line.field("ttft_deadline", d);
             }
             if let Some(d) = r.itl_deadline {
-                line = line.u64_field("itl_deadline", d);
+                line = line.field("itl_deadline", d);
             }
-            out.push_str(&line.finish());
-            out.push('\n');
+            line.finish();
         }
         for event in &self.events {
-            out.push_str(&render_event(*event));
-            out.push('\n');
+            render_event(event, &mut out);
         }
-        out.push_str(
-            &JsonLine::new("digest")
-                .u64_field("requests", self.requests.len() as u64)
-                .u64_field("events", self.events.len() as u64)
-                .u64_field("value", self.digest)
-                .finish(),
-        );
-        out.push('\n');
+        JsonLine::new(&mut out, "digest")
+            .field("requests", self.requests.len())
+            .field("events", self.events.len())
+            .field("value", self.digest)
+            .finish();
         out
     }
 
@@ -709,18 +549,11 @@ impl Trace {
                     }
                     meta = Some(parse_meta(&fields)?);
                 }
-                "request" => {
-                    if meta.is_none() {
-                        return Err(fields.err("request before the meta line".to_string()));
-                    }
-                    requests.push(parse_request(&fields)?);
+                ty @ ("request" | "event") if meta.is_none() => {
+                    return Err(fields.err(format!("{ty} before the meta line")));
                 }
-                "event" => {
-                    if meta.is_none() {
-                        return Err(fields.err("event before the meta line".to_string()));
-                    }
-                    events.push(parse_event(&fields)?);
-                }
+                "request" => requests.push(parse_request(&fields)?),
+                "event" => events.push(parse_event(&fields)?),
                 "digest" => {
                     footer = Some((
                         fields.parse_field("requests")?,
@@ -788,8 +621,30 @@ impl Trace {
     /// # Errors
     ///
     /// As [`run_recorded`].
-    pub fn replay(&self) -> Result<(Trace, RunReport), TraceError> {
+    pub fn replay(&self) -> Result<(Trace, ClusterReport), TraceError> {
         run_recorded(&self.meta, &self.requests)
+    }
+
+    /// [`replay`](Self::replay), verifying the fixed point: the fresh
+    /// trace's digest must equal the recorded digest.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_recorded`], plus [`TraceError::Parse`] if the replayed
+    /// schedule diverges from the recording (an engine behavior change —
+    /// exactly what the golden-trace regression exists to catch).
+    pub fn replay_verified(&self) -> Result<(Trace, ClusterReport), TraceError> {
+        let (trace, report) = self.replay()?;
+        if trace.digest != self.digest {
+            let detail = self
+                .diff(&trace)
+                .unwrap_or_else(|| "(event streams compare equal; digest scheme drift?)".into());
+            return Err(TraceError::Parse(format!(
+                "replay diverged from the recording: recorded digest {}, replayed {}\n{detail}",
+                self.digest, trace.digest
+            )));
+        }
+        Ok((trace, report))
     }
 
     /// Localizes the first schedule divergence between two traces:
@@ -826,121 +681,34 @@ impl Trace {
             other.events.len()
         ));
         const CONTEXT: usize = 3;
-        for (i, event) in self
-            .events
-            .iter()
-            .enumerate()
-            .take(idx)
-            .skip(idx.saturating_sub(CONTEXT))
-        {
-            out.push_str(&format!("  = [{i}] {}\n", render_event(*event)));
+        let mut quote = |mark: char, i: usize, event: Option<&ClusterEvent>| {
+            out.push_str(&format!("  {mark} [{i}] "));
+            match event {
+                Some(event) => render_event(event, &mut out),
+                None => out.push_str("(stream ends)\n"),
+            }
+        };
+        for i in idx.saturating_sub(CONTEXT)..idx {
+            quote('=', i, self.events.get(i));
         }
-        match self.events.get(idx) {
-            Some(event) => out.push_str(&format!("  < [{idx}] {}\n", render_event(*event))),
-            None => out.push_str(&format!("  < [{idx}] (stream ends)\n")),
-        }
-        match other.events.get(idx) {
-            Some(event) => out.push_str(&format!("  > [{idx}] {}\n", render_event(*event))),
-            None => out.push_str(&format!("  > [{idx}] (stream ends)\n")),
-        }
+        quote('<', idx, self.events.get(idx));
+        quote('>', idx, other.events.get(idx));
         Some(out)
     }
 }
 
-fn render_event(event: ClusterEvent) -> String {
-    match event {
-        ClusterEvent::Shard { shard_id, event } => {
-            let base = |kind: &str, id: u64, step: usize| {
-                JsonLine::new("event")
-                    .str_field("kind", kind)
-                    .u64_field("shard", shard_id as u64)
-                    .u64_field("id", id)
-                    .u64_field("step", step as u64)
-            };
-            match event {
-                ServeEvent::Enqueued { id, step } => base("enqueued", id, step).finish(),
-                ServeEvent::Admitted {
-                    id,
-                    step,
-                    context,
-                    cached_tokens,
-                } => base("admitted", id, step)
-                    .u64_field("context", context as u64)
-                    .u64_field("cached_tokens", cached_tokens as u64)
-                    .finish(),
-                ServeEvent::TokenGenerated {
-                    id,
-                    step,
-                    context,
-                    generated,
-                } => base("token", id, step)
-                    .u64_field("context", context as u64)
-                    .u64_field("generated", generated as u64)
-                    .finish(),
-                ServeEvent::Preempted {
-                    id,
-                    step,
-                    generated,
-                    retained_tokens,
-                    dropped_tokens,
-                } => base("preempted", id, step)
-                    .u64_field("generated", generated as u64)
-                    .u64_field("retained_tokens", retained_tokens as u64)
-                    .u64_field("dropped_tokens", dropped_tokens as u64)
-                    .finish(),
-                ServeEvent::Finished {
-                    id,
-                    step,
-                    generated,
-                } => base("finished", id, step)
-                    .u64_field("generated", generated as u64)
-                    .finish(),
-                ServeEvent::PrefillChunk {
-                    id,
-                    step,
-                    built_tokens,
-                    remaining_tokens,
-                } => base("prefill_chunk", id, step)
-                    .u64_field("built_tokens", built_tokens as u64)
-                    .u64_field("remaining_tokens", remaining_tokens as u64)
-                    .finish(),
-                ServeEvent::Rejected {
-                    id,
-                    step,
-                    overdue_steps,
-                } => base("rejected", id, step)
-                    .u64_field("overdue_steps", overdue_steps as u64)
-                    .finish(),
-                ServeEvent::SwappedOut { id, step, tokens } => base("swapped_out", id, step)
-                    .u64_field("tokens", tokens as u64)
-                    .finish(),
-                ServeEvent::SwappedIn { id, step, tokens } => base("swapped_in", id, step)
-                    .u64_field("tokens", tokens as u64)
-                    .finish(),
-            }
-        }
-        ClusterEvent::Stolen { id, from, to, step } => JsonLine::new("event")
-            .str_field("kind", "stolen")
-            .u64_field("id", id)
-            .u64_field("from", from as u64)
-            .u64_field("to", to as u64)
-            .u64_field("step", step as u64)
-            .finish(),
-        ClusterEvent::Shipped {
-            id,
-            from,
-            to,
-            step,
-            tokens,
-        } => JsonLine::new("event")
-            .str_field("kind", "shipped")
-            .u64_field("id", id)
-            .u64_field("from", from as u64)
-            .u64_field("to", to as u64)
-            .u64_field("step", step as u64)
-            .u64_field("tokens", tokens as u64)
-            .finish(),
+/// Appends one event line: the variant's `kind`, the shard for an event
+/// that happened on one, then the payload under the schema's field names.
+fn render_event(event: &ClusterEvent, out: &mut String) {
+    let wire = event.wire();
+    let mut line = JsonLine::new(out, "event").str_field("kind", wire.schema.kind);
+    if let Some(shard) = wire.shard {
+        line = line.field("shard", shard);
     }
+    for (name, value) in wire.schema.fields.iter().zip(wire.payload()) {
+        line = line.field(name, value);
+    }
+    line.finish();
 }
 
 fn parse_meta(f: &Fields) -> Result<TraceMeta, TraceError> {
@@ -1022,147 +790,25 @@ fn parse_request(f: &Fields) -> Result<ServingRequest, TraceError> {
 
 fn parse_event(f: &Fields) -> Result<ClusterEvent, TraceError> {
     let kind = f.str_field("kind")?;
-    if kind == "stolen" {
-        return Ok(ClusterEvent::Stolen {
-            id: f.parse_field("id")?,
-            from: f.parse_field("from")?,
-            to: f.parse_field("to")?,
-            step: f.parse_field("step")?,
-        });
-    }
-    if kind == "shipped" {
-        return Ok(ClusterEvent::Shipped {
-            id: f.parse_field("id")?,
-            from: f.parse_field("from")?,
-            to: f.parse_field("to")?,
-            step: f.parse_field("step")?,
-            tokens: f.parse_field("tokens")?,
-        });
-    }
-    let shard_id: usize = f.parse_field("shard")?;
-    let id: u64 = f.parse_field("id")?;
-    let step: usize = f.parse_field("step")?;
-    let event = match kind {
-        "enqueued" => ServeEvent::Enqueued { id, step },
-        "admitted" => ServeEvent::Admitted {
-            id,
-            step,
-            context: f.parse_field("context")?,
-            cached_tokens: f.parse_field("cached_tokens")?,
-        },
-        "token" => ServeEvent::TokenGenerated {
-            id,
-            step,
-            context: f.parse_field("context")?,
-            generated: f.parse_field("generated")?,
-        },
-        "preempted" => ServeEvent::Preempted {
-            id,
-            step,
-            generated: f.parse_field("generated")?,
-            retained_tokens: f.parse_field("retained_tokens")?,
-            dropped_tokens: f.parse_field("dropped_tokens")?,
-        },
-        "finished" => ServeEvent::Finished {
-            id,
-            step,
-            generated: f.parse_field("generated")?,
-        },
-        "prefill_chunk" => ServeEvent::PrefillChunk {
-            id,
-            step,
-            built_tokens: f.parse_field("built_tokens")?,
-            remaining_tokens: f.parse_field("remaining_tokens")?,
-        },
-        "rejected" => ServeEvent::Rejected {
-            id,
-            step,
-            overdue_steps: f.parse_field("overdue_steps")?,
-        },
-        "swapped_out" => ServeEvent::SwappedOut {
-            id,
-            step,
-            tokens: f.parse_field("tokens")?,
-        },
-        "swapped_in" => ServeEvent::SwappedIn {
-            id,
-            step,
-            tokens: f.parse_field("tokens")?,
-        },
-        other => return Err(f.err(format!("unknown event kind '{other}'"))),
+    let (schema, on_shard) = ClusterEvent::schema_of(kind)
+        .ok_or_else(|| f.err(format!("unknown event kind '{kind}'")))?;
+    let mut wire = WireEvent {
+        shard: None,
+        schema,
+        values: [0; MAX_EVENT_FIELDS],
     };
-    Ok(ClusterEvent::Shard { shard_id, event })
-}
-
-/// Loads a recorded trace and turns it back into a runnable open-loop
-/// workload: the recorded requests (arrivals included) plus the meta to
-/// rebuild the engine around them — consumable like any scenario's
-/// request stream, or replayed outright via [`run`](Self::run).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceReplay {
-    trace: Trace,
-}
-
-impl TraceReplay {
-    /// Wraps an already-parsed trace.
-    #[must_use]
-    pub fn new(trace: Trace) -> Self {
-        Self { trace }
+    if on_shard {
+        wire.shard = Some(f.parse_field("shard")?);
     }
-
-    /// Loads a trace file recorded by [`Trace::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Trace::load`].
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, TraceError> {
-        Ok(Self::new(Trace::load(path)?))
+    for (value, name) in wire.values.iter_mut().zip(schema.fields) {
+        *value = f.parse_field(name)?;
     }
-
-    /// The recorded run's configuration snapshot.
-    #[must_use]
-    pub fn meta(&self) -> &TraceMeta {
-        &self.trace.meta
-    }
-
-    /// The recorded open-loop workload, in enqueue order.
-    #[must_use]
-    pub fn requests(&self) -> &[ServingRequest] {
-        self.trace.requests.as_slice()
-    }
-
-    /// The underlying trace (events, digest and all).
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Replays the recorded run and re-records it, verifying the fixed
-    /// point: the fresh trace's digest must equal the recorded digest.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_recorded`], plus [`TraceError::Parse`] if the replayed
-    /// schedule diverges from the recording (an engine behavior change —
-    /// exactly what the golden-trace regression exists to catch).
-    pub fn run(&self) -> Result<(Trace, RunReport), TraceError> {
-        let (trace, report) = self.trace.replay()?;
-        if trace.digest != self.trace.digest {
-            let detail = self
-                .trace
-                .diff(&trace)
-                .unwrap_or_else(|| "(event streams compare equal; digest scheme drift?)".into());
-            return Err(TraceError::Parse(format!(
-                "replay diverged from the recording: recorded digest {}, replayed {}\n{detail}",
-                self.trace.digest, trace.digest
-            )));
-        }
-        Ok((trace, report))
-    }
+    ClusterEvent::from_wire(&wire).ok_or_else(|| f.err(format!("a '{kind}' field is out of range")))
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::events::ServeEvent;
     use super::super::policy::RetentionPolicy;
     use super::super::scenario::{Scenario, SharedPrefixChat};
     use super::*;
@@ -1173,188 +819,29 @@ mod tests {
         TraceMeta::new(&cfg, "fifo").for_scenario("shared-prefix-chat", 11)
     }
 
-    fn one_of_each_event() -> Vec<ClusterEvent> {
-        vec![
-            ClusterEvent::Shard {
-                shard_id: 0,
-                event: ServeEvent::Enqueued { id: 7, step: 0 },
-            },
-            ClusterEvent::Shard {
-                shard_id: 1,
-                event: ServeEvent::Admitted {
-                    id: 7,
-                    step: 2,
-                    context: 128,
-                    cached_tokens: 96,
-                },
-            },
-            ClusterEvent::Shard {
-                shard_id: 1,
-                event: ServeEvent::PrefillChunk {
-                    id: 7,
-                    step: 2,
-                    built_tokens: 64,
-                    remaining_tokens: 64,
-                },
-            },
-            ClusterEvent::Shard {
-                shard_id: 2,
-                event: ServeEvent::TokenGenerated {
-                    id: 7,
-                    step: 3,
-                    context: 129,
-                    generated: 1,
-                },
-            },
-            ClusterEvent::Shard {
-                shard_id: 3,
-                event: ServeEvent::Preempted {
-                    id: 7,
-                    step: 4,
-                    generated: 2,
-                    retained_tokens: 48,
-                    dropped_tokens: 83,
-                },
-            },
-            ClusterEvent::Shard {
-                shard_id: 0,
-                event: ServeEvent::Finished {
-                    id: 7,
-                    step: 9,
-                    generated: 5,
-                },
-            },
-            ClusterEvent::Stolen {
-                id: 9,
-                from: 2,
-                to: 0,
-                step: 5,
-            },
-            ClusterEvent::Shard {
-                shard_id: 1,
-                event: ServeEvent::SwappedOut {
-                    id: 7,
-                    step: 6,
-                    tokens: 83,
-                },
-            },
-            ClusterEvent::Shard {
-                shard_id: 1,
-                event: ServeEvent::SwappedIn {
-                    id: 7,
-                    step: 7,
-                    tokens: 83,
-                },
-            },
-            ClusterEvent::Shard {
-                shard_id: 2,
-                event: ServeEvent::Rejected {
-                    id: 11,
-                    step: 8,
-                    overdue_steps: 3,
-                },
-            },
-            ClusterEvent::Shipped {
-                id: 9,
-                from: 0,
-                to: 3,
-                step: 8,
-                tokens: 96,
-            },
-        ]
-    }
-
-    /// One event of every variant in declaration order — the
-    /// [`ServeEvent`] variants on shards 0, 1, 2, …, then the
-    /// cluster-level variants — with field `k` of event `i` holding
-    /// `10 × (i + 1) + k`.
+    /// One event of every variant, generated from the schema tables so a
+    /// new variant cannot be left out: the [`ServeEvent`] rows on shards
+    /// 0, 1, 2, …, then the cluster-level rows, with field `k` of event
+    /// `i` holding `10 × (i + 1) + k`.
     fn one_of_each_variant() -> Vec<ClusterEvent> {
-        let shard = |shard_id, event| ClusterEvent::Shard { shard_id, event };
-        vec![
-            shard(0, ServeEvent::Enqueued { id: 10, step: 11 }),
-            shard(
-                1,
-                ServeEvent::Admitted {
-                    id: 20,
-                    step: 21,
-                    context: 22,
-                    cached_tokens: 23,
-                },
-            ),
-            shard(
-                2,
-                ServeEvent::PrefillChunk {
-                    id: 30,
-                    step: 31,
-                    built_tokens: 32,
-                    remaining_tokens: 33,
-                },
-            ),
-            shard(
-                3,
-                ServeEvent::TokenGenerated {
-                    id: 40,
-                    step: 41,
-                    context: 42,
-                    generated: 43,
-                },
-            ),
-            shard(
-                4,
-                ServeEvent::Preempted {
-                    id: 50,
-                    step: 51,
-                    generated: 52,
-                    retained_tokens: 53,
-                    dropped_tokens: 54,
-                },
-            ),
-            shard(
-                5,
-                ServeEvent::Finished {
-                    id: 60,
-                    step: 61,
-                    generated: 62,
-                },
-            ),
-            shard(
-                6,
-                ServeEvent::Rejected {
-                    id: 70,
-                    step: 71,
-                    overdue_steps: 72,
-                },
-            ),
-            shard(
-                7,
-                ServeEvent::SwappedOut {
-                    id: 80,
-                    step: 81,
-                    tokens: 82,
-                },
-            ),
-            shard(
-                8,
-                ServeEvent::SwappedIn {
-                    id: 90,
-                    step: 91,
-                    tokens: 92,
-                },
-            ),
-            ClusterEvent::Stolen {
-                id: 100,
-                from: 101,
-                to: 102,
-                step: 103,
-            },
-            ClusterEvent::Shipped {
-                id: 110,
-                from: 111,
-                to: 112,
-                step: 113,
-                tokens: 114,
-            },
-        ]
+        let on_shards = ServeEvent::SCHEMA.iter().map(|row| (row, true));
+        let cluster_level = ClusterEvent::SCHEMA.iter().map(|row| (row, false));
+        on_shards
+            .chain(cluster_level)
+            .enumerate()
+            .map(|(i, (schema, on_shard))| {
+                let mut values = [0; MAX_EVENT_FIELDS];
+                for (k, value) in values.iter_mut().enumerate() {
+                    *value = (10 * (i + 1) + k) as u64;
+                }
+                let wire = WireEvent {
+                    shard: on_shard.then_some(i),
+                    schema,
+                    values,
+                };
+                ClusterEvent::from_wire(&wire).expect("small values fit every field")
+            })
+            .collect()
     }
 
     /// The wire format's absolute bytes: every variant's rendered line
@@ -1403,7 +890,7 @@ mod tests {
                 .with_ttft_deadline(20)
                 .with_itl_deadline(4),
         );
-        recorder.events(one_of_each_event());
+        recorder.events(one_of_each_variant());
         let trace = recorder.finish();
         let text = trace.render();
         let parsed = Trace::parse(&text).unwrap();
@@ -1433,20 +920,16 @@ mod tests {
     #[test]
     fn diff_localizes_the_first_diverging_event() {
         let mut recorder = TraceRecorder::new(sample_meta());
-        recorder.events(one_of_each_event());
+        recorder.events(one_of_each_variant());
         let a = recorder.finish();
         // Identical streams: no diff.
         assert_eq!(a.diff(&a), None);
-        // Perturb one event mid-stream.
-        let mut events = one_of_each_event();
-        let ClusterEvent::Shard {
-            event: ServeEvent::TokenGenerated { context, .. },
-            ..
-        } = &mut events[3]
-        else {
-            panic!("event 3 should be the token generation");
-        };
-        *context += 1;
+        // Perturb one event mid-stream: the token generation's context.
+        let mut events = one_of_each_variant();
+        let mut wire = events[3].wire();
+        assert_eq!(wire.schema.fields[2], "context");
+        wire.values[2] += 1;
+        events[3] = ClusterEvent::from_wire(&wire).unwrap();
         let mut recorder = TraceRecorder::new(sample_meta());
         recorder.events(events);
         let b = recorder.finish();
@@ -1455,11 +938,11 @@ mod tests {
         assert!(report.contains("diverge at event 3"), "{report}");
         assert!(report.contains("< [3]"), "{report}");
         assert!(report.contains("> [3]"), "{report}");
-        assert!(report.contains("\"context\":129"), "{report}");
-        assert!(report.contains("\"context\":130"), "{report}");
+        assert!(report.contains("\"context\":42"), "{report}");
+        assert!(report.contains("\"context\":43"), "{report}");
         // A strict prefix diverges where the shorter stream ends.
         let mut recorder = TraceRecorder::new(sample_meta());
-        recorder.events(one_of_each_event().into_iter().take(2));
+        recorder.events(one_of_each_variant().into_iter().take(2));
         let short = recorder.finish();
         let report = a.diff(&short).unwrap();
         assert!(report.contains("diverge at event 2"), "{report}");
@@ -1469,7 +952,7 @@ mod tests {
     #[test]
     fn tampered_traces_are_rejected() {
         let mut recorder = TraceRecorder::new(sample_meta());
-        recorder.events(one_of_each_event());
+        recorder.events(one_of_each_variant());
         let trace = recorder.finish();
         let text = trace.render();
         // Dropping an event line breaks the footer counts.
@@ -1479,7 +962,7 @@ mod tests {
             .collect();
         assert!(Trace::parse(&truncated.join("\n")).is_err());
         // Editing an event field breaks the digest.
-        let edited = text.replace("\"retained_tokens\":48", "\"retained_tokens\":64");
+        let edited = text.replace("\"retained_tokens\":53", "\"retained_tokens\":64");
         assert!(matches!(
             Trace::parse(&edited),
             Err(TraceError::Parse(msg)) if msg.contains("digest mismatch")
@@ -1498,13 +981,11 @@ mod tests {
         let (second, report) = first.replay().unwrap();
         assert_eq!(first.digest, second.digest);
         assert_eq!(first.events, second.events);
-        match report {
-            RunReport::Engine(r) => assert!(r.tokens_generated > 0),
-            RunReport::Cluster(_) => panic!("shards=1 must replay on a bare engine"),
-        }
+        assert_eq!(report.shards.len(), 1);
+        assert!(report.tokens_generated() > 0);
         // And the parsed form replays identically too.
         let reparsed = Trace::parse(&first.render()).unwrap();
-        let (third, _) = TraceReplay::new(reparsed).run().unwrap();
+        let (third, _) = reparsed.replay_verified().unwrap();
         assert_eq!(third.digest, first.digest);
     }
 }

@@ -5,22 +5,16 @@
 //! topick sweep   [--context N] [--dim D] [--seed S]
 //! topick accel   [--context N] [--threshold T] [--seed S]
 //! topick traffic [--model NAME] [--context N]
-//! topick serve   [--requests N] [--batch B] [--threshold T] [--seed S] [--baseline]
-//!                [--policy fifo|priority|sjf|fair|slo|all] [--preemption]
-//!                [--page-size P] [--retention none|<pages>|<fraction>]
-//!                [--prefix-cache] [--prefill-factor F] [--prefill-chunk PAGES]
-//!                [--slo-ttft STEPS] [--slo-itl STEPS]
-//!                [--shards N] [--routing rr|least|affinity] [--stealing] [--threads N]
-//!                [--scenario NAME [--scenario-seed S]] [--list-scenarios]
-//!                [--record PATH | --replay PATH] [--real-tokens]
+//! topick serve   [flags — `topick help` prints the full list]
 //! topick trace   diff A B
 //! topick help
 //! ```
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::fmt;
 
 use token_picker::accel::{
-    AccelConfig, AccelMode, PolicyKind, RunReport, ServingConfig, ServingRequest,
+    AccelConfig, AccelMode, ClusterReport, PolicyKind, ServingConfig, ServingRequest,
     ToPickAccelerator, Trace, TraceMeta,
 };
 use token_picker::core::{
@@ -28,30 +22,64 @@ use token_picker::core::{
 };
 use token_picker::model::{InstanceSampler, ModelSpec, TrafficBreakdown};
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                flags.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(name.to_string(), String::new());
-                i += 1;
-            }
-        } else {
-            i += 1;
+/// `--name value` pairs (a bare `--name` maps to the empty string), in
+/// name order so error messages do not depend on hashing.
+type Flags = BTreeMap<String, String>;
+
+fn parse_flags(args: &[String]) -> Flags {
+    let mut flags = Flags::new();
+    let mut args = args.iter().peekable();
+    while let Some(arg) = args.next() {
+        if let Some(name) = arg.strip_prefix("--") {
+            let value = args.next_if(|next| !next.starts_with("--"));
+            flags.insert(name.to_string(), value.cloned().unwrap_or_default());
         }
     }
     flags
 }
 
-fn flag<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, default: T) -> T {
+/// Command-line input the driver refuses instead of guessing around.
+#[derive(Debug)]
+enum FlagError {
+    /// A flag the command does not declare.
+    Unknown(String),
+    /// A flag whose value does not parse as the type it sets.
+    BadValue { flag: String, reason: String },
+}
+
+impl fmt::Display for FlagError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Unknown(flag) => write!(f, "unknown flag --{flag} (see `topick help`)"),
+            Self::BadValue { flag, reason } => write!(f, "--{flag}: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for FlagError {}
+
+/// The parsed value of `--name`, if the flag was given.
+fn opt_flag<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, FlagError>
+where
+    T::Err: fmt::Display,
+{
     flags
         .get(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+        .map(|value| {
+            value.parse().map_err(|e: T::Err| FlagError::BadValue {
+                flag: name.to_string(),
+                reason: format!("cannot parse '{value}': {e}"),
+            })
+        })
+        .transpose()
+}
+
+/// The parsed value of `--name`, or `default` when the flag is absent.
+fn flag<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, FlagError>
+where
+    T::Err: fmt::Display,
+{
+    Ok(opt_flag(flags, name)?.unwrap_or(default))
 }
 
 fn workload(ctx: usize, dim: usize, seed: u64) -> (QVector, QMatrix, Vec<f32>) {
@@ -64,11 +92,11 @@ fn workload(ctx: usize, dim: usize, seed: u64) -> (QVector, QMatrix, Vec<f32>) {
     )
 }
 
-fn cmd_prune(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Error>> {
-    let ctx = flag(flags, "context", 512usize);
-    let dim = flag(flags, "dim", 64usize);
-    let thr = flag(flags, "threshold", 1e-3f64);
-    let seed = flag(flags, "seed", 0u64);
+fn cmd_prune(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+    let ctx = flag(flags, "context", 512usize)?;
+    let dim = flag(flags, "dim", 64usize)?;
+    let thr = flag(flags, "threshold", 1e-3f64)?;
+    let seed = flag(flags, "seed", 0u64)?;
     let (q, keys, _) = workload(ctx, dim, seed);
     let outcome = ProgressivePruner::new(PrunerConfig::new(thr)?).run(&q, &keys)?;
     let pc = PrecisionConfig::paper();
@@ -87,10 +115,10 @@ fn cmd_prune(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
     Ok(())
 }
 
-fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Error>> {
-    let ctx = flag(flags, "context", 512usize);
-    let dim = flag(flags, "dim", 64usize);
-    let seed = flag(flags, "seed", 0u64);
+fn cmd_sweep(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+    let ctx = flag(flags, "context", 512usize)?;
+    let dim = flag(flags, "dim", 64usize)?;
+    let seed = flag(flags, "seed", 0u64)?;
     let (q, keys, _) = workload(ctx, dim, seed);
     let pc = PrecisionConfig::paper();
     println!(
@@ -113,10 +141,10 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
     Ok(())
 }
 
-fn cmd_accel(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Error>> {
-    let ctx = flag(flags, "context", 1024usize);
-    let thr = flag(flags, "threshold", 1e-3f64);
-    let seed = flag(flags, "seed", 0u64);
+fn cmd_accel(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
+    let ctx = flag(flags, "context", 1024usize)?;
+    let thr = flag(flags, "threshold", 1e-3f64)?;
+    let seed = flag(flags, "seed", 0u64)?;
     let (q, keys, values) = workload(ctx, 64, seed);
     println!(
         "{:<14} {:>9} {:>9} {:>11} {:>12}",
@@ -142,7 +170,7 @@ fn cmd_accel(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
     Ok(())
 }
 
-fn cmd_traffic(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_traffic(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     let name = flags
         .get("model")
         .map_or("opt-6.7b", String::as_str)
@@ -159,7 +187,7 @@ fn cmd_traffic(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error
         "llama2-13b" => ModelSpec::llama2_13b(),
         other => return Err(format!("unknown model '{other}'").into()),
     };
-    let ctx = flag(flags, "context", spec.max_context.min(2048));
+    let ctx = flag(flags, "context", spec.max_context.min(2048))?;
     println!("{} @ context {}", spec.name, ctx);
     println!(
         "{:>6} {:>10} {:>12} {:>10}",
@@ -196,14 +224,14 @@ fn serve_workload(requests: u64) -> Vec<ServingRequest> {
         .collect()
 }
 
-/// One recorded run of `requests` under `policy` — engine or cluster per
-/// the meta — driven through the trace subsystem, so `--record` is just
-/// "save what already happened".
+/// One recorded run of `requests` under `policy` on the cluster the meta
+/// describes (one shard = the bare engine), driven through the trace
+/// subsystem, so `--record` is just "save what already happened".
 fn serve_run(
     meta: &TraceMeta,
     policy: PolicyKind,
     requests: &[ServingRequest],
-) -> Result<(Trace, RunReport), Box<dyn std::error::Error>> {
+) -> Result<(Trace, ClusterReport), Box<dyn std::error::Error>> {
     let mut meta = meta.clone();
     meta.policy = policy.name().to_string();
     Ok(token_picker::accel::serve::trace::run_recorded(
@@ -229,12 +257,9 @@ fn save_trace(trace: &Trace, record: Option<&str>) -> Result<(), Box<dyn std::er
 /// re-enqueues the recorded requests, and verifies the replayed schedule
 /// digest against the recording (a mismatch is an error).
 fn cmd_serve_replay(path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    use token_picker::accel::TraceReplay;
-
-    let replay = TraceReplay::load(path)?;
-    let meta = replay.meta().clone();
-    let clock_hz = meta.serving_config().clock_hz;
-    let (trace, report) = replay.run()?;
+    let recorded = Trace::load(path)?;
+    let meta = &recorded.meta;
+    let (trace, report) = recorded.replay_verified()?;
     println!(
         "replayed {path}: scenario {}, policy {}, {} shard{} ({} thread{}), {} requests, {} events",
         meta.scenario.as_deref().unwrap_or("ad-hoc"),
@@ -250,20 +275,18 @@ fn cmd_serve_replay(path: &str) -> Result<(), Box<dyn std::error::Error>> {
         "digest         : {:#018x} (matches the recording)",
         trace.digest
     );
-    match report {
-        RunReport::Engine(r) => println!(
-            "throughput     : {:.1} tokens/s, {} tokens in {} steps",
-            r.tokens_per_second(clock_hz),
-            r.tokens_generated,
-            r.steps.len()
-        ),
-        RunReport::Cluster(r) => println!(
-            "throughput     : {:.1} tokens/s, {} tokens in {} cluster steps ({} steals)",
-            r.tokens_per_second(clock_hz),
-            r.tokens_generated(),
-            r.cluster_steps,
-            r.steals
-        ),
+    print!(
+        "throughput     : {:.1} tokens/s, {} tokens in ",
+        report.tokens_per_second(meta.serving_config().clock_hz),
+        report.tokens_generated()
+    );
+    if meta.shards == 1 {
+        println!("{} steps", report.cluster_steps);
+    } else {
+        println!(
+            "{} cluster steps ({} steals)",
+            report.cluster_steps, report.steals
+        );
     }
     Ok(())
 }
@@ -336,8 +359,35 @@ fn cmd_serve_real_tokens(
     Ok(())
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::Error>> {
+/// The `serve` flags, as `topick help` prints them — and the one list of
+/// names `serve` accepts: anything not spelled `--name` here is refused.
+const SERVE_USAGE: [&str; 10] = [
+    "[--requests N] [--batch B] [--threshold T] [--seed S] [--baseline]",
+    "[--policy fifo|priority|sjf|fair|slo|all] [--preemption]",
+    "[--page-size P] [--retention none|<pages>|<fraction>]",
+    "[--prefix-cache] [--prefill-factor F] [--prefill-chunk PAGES]",
+    "[--slo-ttft STEPS] [--slo-itl STEPS] [--slo-reject]",
+    "[--host-pages N] [--swap-cost F] [--ship-cost F]",
+    "[--shards N] [--routing rr|least|affinity] [--stealing] [--threads N]",
+    "[--scenario NAME [--scenario-seed S]] [--list-scenarios]",
+    "[--record PATH | --replay PATH]",
+    "[--real-tokens]  serve real synth-model tokens from the paged KV store",
+];
+
+/// Whether [`SERVE_USAGE`] declares `--name`.
+fn is_serve_flag(name: &str) -> bool {
+    SERVE_USAGE
+        .iter()
+        .flat_map(|line| line.split("--").skip(1))
+        .any(|rest| rest.split([' ', ']']).next() == Some(name))
+}
+
+fn cmd_serve(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     use token_picker::accel::{PreemptionConfig, RetentionPolicy, RoutingKind, ScenarioKind};
+
+    if let Some(unknown) = flags.keys().find(|name| !is_serve_flag(name)) {
+        return Err(FlagError::Unknown(unknown.clone()).into());
+    }
 
     if flags.contains_key("list-scenarios") {
         println!("{:<22} description", "scenario");
@@ -351,39 +401,16 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
         if flags.contains_key("scenario") || flags.contains_key("record") {
             return Err("--replay is mutually exclusive with --scenario and --record".into());
         }
-        for shaped in [
-            "policy",
-            "baseline",
-            "threshold",
-            "batch",
-            "seed",
-            "requests",
-            "preemption",
-            "page-size",
-            "retention",
-            "prefix-cache",
-            "prefill-factor",
-            "shards",
-            "routing",
-            "stealing",
-            "threads",
-            "scenario-seed",
-            "prefill-chunk",
-            "slo-ttft",
-            "slo-itl",
-            "real-tokens",
-        ] {
-            if flags.contains_key(shaped) {
-                return Err(format!(
-                    "--{shaped} cannot be combined with --replay (the trace fixes the whole run)"
-                )
-                .into());
-            }
+        if let Some(shaped) = flags.keys().find(|name| *name != "replay") {
+            return Err(format!(
+                "--{shaped} cannot be combined with --replay (the trace fixes the whole run)"
+            )
+            .into());
         }
         return cmd_serve_replay(path);
     }
 
-    let scenario: Option<ScenarioKind> = flags.get("scenario").map(|v| v.parse()).transpose()?;
+    let scenario: Option<ScenarioKind> = opt_flag(flags, "scenario")?;
     if scenario.is_some() {
         // A scenario fixes the engine shape it was designed against;
         // scheduling flags (--policy/--preemption/--retention/--shards/
@@ -406,57 +433,49 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
     } else if flags.contains_key("scenario-seed") {
         return Err("--scenario-seed only takes effect with --scenario".into());
     }
-    let scenario_seed = flag(flags, "scenario-seed", 7u64);
+    let scenario_seed = flag(flags, "scenario-seed", 7u64)?;
 
     // The engine: every flag lands directly in the `ServingConfig` field
     // it sets, on top of the scenario's sizing when one is selected.
     let accel = if flags.contains_key("baseline") {
         AccelConfig::paper(AccelMode::Baseline, 0.5)?
     } else {
-        AccelConfig::paper(AccelMode::OutOfOrder, flag(flags, "threshold", 1e-3f64))?
+        AccelConfig::paper(AccelMode::OutOfOrder, flag(flags, "threshold", 1e-3f64)?)?
     };
     let mut cfg = match scenario {
         Some(kind) => kind.build().serving_config(accel),
         None => {
             let mut cfg = ServingConfig::new(accel);
-            cfg.admission.max_batch = flag(flags, "batch", 8usize);
-            cfg.admission.page_size = flag(flags, "page-size", 16usize);
+            cfg.admission.max_batch = flag(flags, "batch", 8usize)?;
+            cfg.admission.page_size = flag(flags, "page-size", 16usize)?;
             cfg.admission.prefix_cache = flags.contains_key("prefix-cache");
             // Prompt prefill is priced by default once the cache is on
             // (the saving is otherwise invisible), and free otherwise —
             // matching the engine's default.
             let priced = if cfg.admission.prefix_cache { 1.0 } else { 0.0 };
-            cfg.prefill_factor = flag(flags, "prefill-factor", priced);
-            cfg.seed = flag(flags, "seed", 0u64);
+            cfg.prefill_factor = flag(flags, "prefill-factor", priced)?;
+            cfg.seed = flag(flags, "seed", 0u64)?;
             cfg
         }
     };
-    let retention: RetentionPolicy = flags
-        .get("retention")
-        .map(|v| v.parse())
-        .transpose()?
-        .unwrap_or(RetentionPolicy::None);
+    let retention = flag(flags, "retention", RetentionPolicy::None)?;
     if flags.contains_key("preemption") {
         cfg.preemption = PreemptionConfig::enabled().with_retention(retention);
     } else if retention != RetentionPolicy::None {
         return Err("--retention only takes effect with --preemption".into());
     }
-    cfg.prefill_chunk_pages = flag(flags, "prefill-chunk", 0usize);
+    cfg.prefill_chunk_pages = flag(flags, "prefill-chunk", 0usize)?;
     // The tiered-KV knobs override whatever the scenario shipped with —
     // all of them default to "off"/bit-identical when the flags are absent.
-    cfg.host_pages = flag(flags, "host-pages", 0usize);
-    cfg.swap_cost_factor = flag(flags, "swap-cost", ServingConfig::DEFAULT_SWAP_COST_FACTOR);
-    cfg.ship_cost_factor = flag(flags, "ship-cost", 0.0f64);
+    cfg.host_pages = flag(flags, "host-pages", 0usize)?;
+    cfg.swap_cost_factor = flag(flags, "swap-cost", ServingConfig::DEFAULT_SWAP_COST_FACTOR)?;
+    cfg.ship_cost_factor = flag(flags, "ship-cost", 0.0f64)?;
     cfg.reject_expired_ttft = flags.contains_key("slo-reject");
 
-    let routing: RoutingKind = flags
-        .get("routing")
-        .map(|v| v.parse())
-        .transpose()?
-        .unwrap_or(RoutingKind::RoundRobin);
-    let shards = flag(flags, "shards", 1usize).max(1);
+    let routing = flag(flags, "routing", RoutingKind::RoundRobin)?;
+    let shards = flag(flags, "shards", 1usize)?.max(1);
     let stealing = flags.contains_key("stealing");
-    let threads = flag(flags, "threads", 1usize).max(1);
+    let threads = flag(flags, "threads", 1usize)?.max(1);
     if shards <= 1 && (flags.contains_key("routing") || stealing || flags.contains_key("threads")) {
         return Err(
             "--routing, --stealing and --threads only take effect with --shards > 1".into(),
@@ -484,14 +503,14 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
     // scenario attached.
     let mut requests = match scenario {
         Some(kind) => kind.build().generate(scenario_seed),
-        None => serve_workload(flag(flags, "requests", 16u64)),
+        None => serve_workload(flag(flags, "requests", 16u64)?),
     };
-    if let Some(d) = flags.get("slo-ttft").map(|v| v.parse()).transpose()? {
+    if let Some(d) = opt_flag(flags, "slo-ttft")? {
         for r in &mut requests {
             *r = r.with_ttft_deadline(d);
         }
     }
-    if let Some(d) = flags.get("slo-itl").map(|v| v.parse()).transpose()? {
+    if let Some(d) = opt_flag(flags, "slo-itl")? {
         for r in &mut requests {
             *r = r.with_itl_deadline(d);
         }
@@ -524,10 +543,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
 
     // The run description both the live run and any `--record`/`--replay`
     // of it execute through; `serve_run` stamps the policy on per run.
-    let mut meta = TraceMeta::new(&cfg, PolicyKind::Fifo.name());
-    if shards > 1 {
-        meta = meta.for_cluster(shards, routing.name(), stealing, threads);
-    }
+    let mut meta = TraceMeta::new(&cfg, PolicyKind::Fifo.name()).for_cluster(
+        shards,
+        routing.name(),
+        stealing,
+        threads,
+    );
     if let Some(kind) = scenario {
         meta = meta.for_scenario(kind.name(), scenario_seed);
     }
@@ -551,9 +572,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
             "goodput"
         );
         for kind in PolicyKind::all() {
-            let (_, RunReport::Engine(report)) = serve_run(&meta, kind, &requests)? else {
-                unreachable!("shards <= 1 runs a bare engine");
-            };
+            let (_, cluster) = serve_run(&meta, kind, &requests)?;
+            let report = &cluster.shards[0];
             println!(
                 "{:<20} {:>8} {:>12.1} {:>11.2} {:>10.2} {:>9} {:>11} {:>9} {:>7.0}% {:>11.1}",
                 report.policy,
@@ -571,10 +591,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
         return Ok(());
     }
 
-    let (trace, RunReport::Engine(report)) = serve_run(&meta, policy_flag.parse()?, &requests)?
-    else {
-        unreachable!("shards <= 1 runs a bare engine");
-    };
+    let (trace, cluster) = serve_run(&meta, policy_flag.parse()?, &requests)?;
+    let report = &cluster.shards[0];
     if let Some(kind) = scenario {
         println!("scenario {} (seed {scenario_seed})", kind.name());
     }
@@ -659,9 +677,7 @@ fn cmd_serve_cluster(
             "policy", "steps", "tokens/s", "steals", "imbalance", "preempts", "KV hits"
         );
         for kind in PolicyKind::all() {
-            let (_, RunReport::Cluster(report)) = serve_run(meta, kind, requests)? else {
-                unreachable!("shards > 1 runs a cluster");
-            };
+            let (_, report) = serve_run(meta, kind, requests)?;
             println!(
                 "{:<20} {:>8} {:>12.1} {:>8} {:>10.2} {:>9} {:>9}",
                 report.policy,
@@ -676,10 +692,7 @@ fn cmd_serve_cluster(
         return Ok(());
     }
 
-    let (trace, RunReport::Cluster(report)) = serve_run(meta, policy_flag.parse()?, requests)?
-    else {
-        unreachable!("shards > 1 runs a cluster");
-    };
+    let (trace, report) = serve_run(meta, policy_flag.parse()?, requests)?;
     if let Some(scenario) = &meta.scenario {
         println!("scenario {scenario} (seed {})", meta.scenario_seed);
     }
@@ -816,16 +829,9 @@ fn usage() {
     println!("  traffic  Fig. 2-style memory traffic breakdown");
     println!("           [--model NAME] [--context N]");
     println!("  serve    continuous-batching serving engine");
-    println!("           [--requests N] [--batch B] [--threshold T] [--seed S] [--baseline]");
-    println!("           [--policy fifo|priority|sjf|fair|slo|all] [--preemption]");
-    println!("           [--page-size P] [--retention none|<pages>|<fraction>]");
-    println!("           [--prefix-cache] [--prefill-factor F] [--prefill-chunk PAGES]");
-    println!("           [--slo-ttft STEPS] [--slo-itl STEPS] [--slo-reject]");
-    println!("           [--host-pages N] [--swap-cost F] [--ship-cost F]");
-    println!("           [--shards N] [--routing rr|least|affinity] [--stealing] [--threads N]");
-    println!("           [--scenario NAME [--scenario-seed S]] [--list-scenarios]");
-    println!("           [--record PATH | --replay PATH]");
-    println!("           [--real-tokens]  serve real synth-model tokens from the paged KV store");
+    for line in SERVE_USAGE {
+        println!("           {line}");
+    }
     println!("  trace    trace-file tooling");
     println!("           diff <A> <B>   localize the first diverging event of two traces");
 }

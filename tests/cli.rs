@@ -121,4 +121,36 @@ fn serve_errors_exit_one_and_name_the_problem() {
     let trace = "tests/data/agentic_affinity_cluster.trace";
     assert!(error_of(&["serve", "--replay", trace, "--batch", "3"])
         .contains("--batch cannot be combined with --replay"));
+    // The trace fixes the whole run: *any* other flag is refused, not
+    // only the ones an exclusion list remembered.
+    for extra in ["--host-pages", "--slo-reject", "--ship-cost"] {
+        assert!(error_of(&["serve", "--replay", trace, extra, "1"])
+            .contains(&format!("{extra} cannot be combined with --replay")));
+    }
+    // Typos and garbage are errors naming the flag, never a silent
+    // fallback to the default.
+    assert!(error_of(&["serve", "--polcy", "sjf"]).contains("unknown flag --polcy"));
+    assert!(error_of(&["serve", "--replay", trace, "--bogus-flag"])
+        .contains("unknown flag --bogus-flag"));
+    assert!(error_of(&["serve", "--batch", "abc"]).contains("--batch: cannot parse 'abc'"));
+    assert!(error_of(&["serve", "--batch"]).contains("--batch: cannot parse ''"));
+}
+
+#[test]
+fn help_lists_every_serve_flag_the_goldens_use() {
+    let help = stdout_of(&["help"]);
+    for flag in [
+        "--policy",
+        "--shards",
+        "--routing",
+        "--stealing",
+        "--preemption",
+        "--retention",
+        "--host-pages",
+        "--swap-cost",
+        "--record",
+        "--replay",
+    ] {
+        assert!(help.contains(flag), "{flag} missing from:\n{help}");
+    }
 }

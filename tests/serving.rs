@@ -12,9 +12,8 @@ use token_picker::accel::serve::scenario::{Scenario, SharedPrefixChat, SkewedEle
 use token_picker::accel::serve::trace::run_recorded;
 use token_picker::accel::{
     AccelConfig, AccelMode, AdmissionConfig, ClusterEngine, ClusterEvent, ClusterReport,
-    PolicyKind, PreemptionConfig, RetentionPolicy, RoutingKind, RunReport, ScenarioKind,
-    ServeEvent, ServingConfig, ServingEngine, ServingReport, ServingRequest, TraceMeta,
-    TraceReplay,
+    PolicyKind, PreemptionConfig, RetentionPolicy, RoutingKind, ScenarioKind, ServeEvent,
+    ServingConfig, ServingEngine, ServingReport, ServingRequest, Trace, TraceMeta,
 };
 
 fn mixed_workload() -> Vec<ServingRequest> {
@@ -1192,12 +1191,9 @@ fn engine_record_replay_record_is_a_fixed_point_for_every_scenario_and_policy() 
                 panic!("{kind}/{policy}: replay diverged from the recording:\n{diff}");
             }
             assert_eq!(first.digest, second.digest, "{kind}/{policy}: trace digest");
-            let (RunReport::Engine(a), RunReport::Engine(b)) = (report_a, report_b) else {
-                panic!("{kind}/{policy}: shards <= 1 must run a bare engine");
-            };
             assert_eq!(
-                schedule_digest(&a),
-                schedule_digest(&b),
+                schedule_digest(&report_a.shards[0]),
+                schedule_digest(&report_b.shards[0]),
                 "{kind}/{policy}: schedule digest"
             );
         }
@@ -1271,10 +1267,7 @@ fn cluster_record_replay_is_a_fixed_point_across_routing_stealing_and_threads() 
                 panic!("{label}: replay diverged from the recording:\n{diff}");
             }
             assert_eq!(first.digest, second.digest, "{label}: trace digest");
-            let (RunReport::Cluster(a), RunReport::Cluster(b)) = (report_a, report_b) else {
-                panic!("{label}: shards > 1 must run a cluster");
-            };
-            assert_same_schedule(&a, &b, &label);
+            assert_same_schedule(&report_a, &report_b, &label);
         }
     }
 }
@@ -1297,12 +1290,9 @@ fn agentic_scenario_affinity_beats_round_robin_by_the_pinned_margin() {
             false,
             Some((4, routing, false, 1)),
         );
-        let (_, report) =
-            run_recorded(&meta, &requests).unwrap_or_else(|e| panic!("{routing}: run failed: {e}"));
-        let RunReport::Cluster(report) = report else {
-            panic!("{routing}: expected a cluster run");
-        };
-        report
+        run_recorded(&meta, &requests)
+            .unwrap_or_else(|e| panic!("{routing}: run failed: {e}"))
+            .1
     };
     let round_robin = run(RoutingKind::RoundRobin);
     let affinity = run(RoutingKind::PrefixAffinity);
@@ -1362,7 +1352,7 @@ fn long_doc_recorded(
     preemption: bool,
     zero_arrivals: bool,
     cluster: Option<(usize, RoutingKind)>,
-) -> (token_picker::accel::Trace, RunReport) {
+) -> (Trace, ClusterReport) {
     use token_picker::accel::serve::scenario::{LongDocSummarize, Scenario};
 
     let scenario = LongDocSummarize { docs };
@@ -1387,11 +1377,9 @@ fn long_doc_recorded(
         .unwrap_or_else(|e| panic!("long-doc run (chunk {chunk_pages}) failed: {e}"))
 }
 
-fn engine_report(report: RunReport, label: &str) -> ServingReport {
-    match report {
-        RunReport::Engine(r) => r,
-        RunReport::Cluster(_) => panic!("{label}: expected a bare engine run"),
-    }
+fn engine_report(mut report: ClusterReport, label: &str) -> ServingReport {
+    assert_eq!(report.shards.len(), 1, "{label}: expected a one-shard run");
+    report.shards.remove(0)
 }
 
 #[test]
@@ -1467,10 +1455,7 @@ fn unbinding_chunk_budget_is_schedule_identical_across_every_router() {
             "{label}: trace digest moved under an unbinding budget:\n{}",
             unlimited.diff(&bounded).unwrap_or_default()
         );
-        let (RunReport::Cluster(a), RunReport::Cluster(b)) = (report_a, report_b) else {
-            panic!("{label}: four shards must run a cluster");
-        };
-        assert_same_schedule(&a, &b, &label);
+        assert_same_schedule(&report_a, &report_b, &label);
     }
 }
 
@@ -1832,13 +1817,14 @@ fn golden_trace_replays_to_its_recorded_digest() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/data/agentic_affinity_cluster.trace"
     );
-    let replay = TraceReplay::load(path).expect("golden trace loads and verifies");
-    let recorded = replay.trace().digest;
-    let (trace, report) = replay.run().expect("replay reproduces the recording");
-    assert_eq!(trace.digest, recorded, "replay digest moved off the golden");
-    let RunReport::Cluster(report) = report else {
-        panic!("the golden trace records a 4-shard cluster run");
-    };
+    let golden = Trace::load(path).expect("golden trace loads and verifies");
+    let (trace, report) = golden
+        .replay_verified()
+        .expect("replay reproduces the recording");
+    assert_eq!(
+        trace.digest, golden.digest,
+        "replay digest moved off the golden"
+    );
     assert_eq!(report.shards.len(), 4);
     assert!(report.tokens_generated() > 0);
 }
@@ -2114,9 +2100,6 @@ fn shipped_prefix_pulls_record_and_replay_to_the_same_digest() {
             .any(|e| matches!(e, ClusterEvent::Shipped { .. })),
         "no prefix pages were ever shipped"
     );
-    let RunReport::Cluster(report) = report else {
-        panic!("four shards must run a cluster");
-    };
     assert!(report.total_ship_cycles() > 0);
 }
 
