@@ -202,3 +202,133 @@ fn wider_head_dimension_is_supported() {
     assert!(!r.kept.is_empty());
     assert!(r.cycles > 0);
 }
+
+/// FNV-1a over a stream of `u64` words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn words(&mut self, ws: impl IntoIterator<Item = u64>) {
+        ws.into_iter().for_each(|w| self.word(w));
+    }
+}
+
+/// Every number one `run_attention` call reports, folded into one word.
+fn result_digest(r: &topick_accel::AttentionStepResult) -> u64 {
+    let mut h = Fnv::new();
+    h.words([r.cycles, r.dram_cycles, r.kept.len() as u64]);
+    h.words(r.kept.iter().map(|&t| t as u64));
+    h.words(r.prune.chunk_fetches.iter().copied());
+    h.words(r.prune.pruned_at.iter().copied());
+    h.word(r.prune.kept as u64);
+    let e = &r.events;
+    h.words([
+        e.mac_12x4,
+        e.mac_12x12,
+        e.exp,
+        e.scoreboard,
+        e.buffer_read_bytes,
+        e.buffer_write_bytes,
+    ]);
+    let d = &r.dram_stats;
+    h.words([d.reads, d.row_hits, d.row_misses, d.total_latency]);
+    h.words(r.output.iter().map(|x| u64::from(x.to_bits())));
+    h.words([
+        r.energy.dram_pj.to_bits(),
+        r.energy.buffer_pj.to_bits(),
+        r.energy.compute_pj.to_bits(),
+    ]);
+    h.0
+}
+
+#[test]
+fn run_attention_is_pinned_bit_for_bit() {
+    use AccelMode::{Baseline, Blocking, EstimateOnly, OutOfOrder};
+    // Captured at the commit before the estimator / lane-pipeline refactor;
+    // a change to any constant is a change to the modeled hardware.
+    // (mode, context, seed) -> digest, all at dim 64, threshold 1e-3.
+    const DIM64: [(AccelMode, usize, u64, u64); 32] = [
+        (Baseline, 1, 11, 0x1d74_25bc_ed19_ff6a),
+        (Baseline, 1, 12, 0x3eb9_a862_94d4_cabc),
+        (Baseline, 17, 11, 0xf14f_17a1_8a93_31fb),
+        (Baseline, 17, 12, 0x4047_93cd_c575_726a),
+        (Baseline, 256, 11, 0x22bb_39d9_efb6_ccb1),
+        (Baseline, 256, 12, 0x4cfb_d4d7_d699_3e54),
+        (Baseline, 1024, 11, 0x0172_fb62_72eb_2efd),
+        (Baseline, 1024, 12, 0x8335_98d0_323e_2a41),
+        (EstimateOnly, 1, 11, 0x4e18_e8d3_ebcb_6dd7),
+        (EstimateOnly, 1, 12, 0xd721_76ba_5810_83d1),
+        (EstimateOnly, 17, 11, 0xdb6f_cdf6_9f47_40d1),
+        (EstimateOnly, 17, 12, 0x51a8_a7d0_97be_d2b0),
+        (EstimateOnly, 256, 11, 0x9674_17f0_63fe_8308),
+        (EstimateOnly, 256, 12, 0xc08f_42ac_e805_d3e3),
+        (EstimateOnly, 1024, 11, 0x2e0a_e767_ab7f_bf22),
+        (EstimateOnly, 1024, 12, 0x633f_2490_c625_c3b2),
+        (OutOfOrder, 1, 11, 0x6255_c296_8b18_7450),
+        (OutOfOrder, 1, 12, 0x706b_787c_4495_f17e),
+        (OutOfOrder, 17, 11, 0x3549_30a2_83e7_7512),
+        (OutOfOrder, 17, 12, 0xbc26_f36c_32e4_3204),
+        (OutOfOrder, 256, 11, 0xc027_3c84_c359_023e),
+        (OutOfOrder, 256, 12, 0x1278_15be_99e5_6ac6),
+        (OutOfOrder, 1024, 11, 0x38be_537c_358a_cd94),
+        (OutOfOrder, 1024, 12, 0x5760_8d62_67fe_a98f),
+        (Blocking, 1, 11, 0x6255_c296_8b18_7450),
+        (Blocking, 1, 12, 0x706b_787c_4495_f17e),
+        (Blocking, 17, 11, 0x8b88_48f9_202c_7075),
+        (Blocking, 17, 12, 0x0cb6_0da3_d2b5_6352),
+        (Blocking, 256, 11, 0xa755_42d9_c75d_cfea),
+        (Blocking, 256, 12, 0xb270_7dbf_a460_d992),
+        (Blocking, 1024, 11, 0xa180_4986_4760_285a),
+        (Blocking, 1024, 12, 0x3dc9_0b8c_3ed2_de36),
+    ];
+    // Chunks spanning two bursts (dim 128, context 96) and a one-entry
+    // scoreboard (dim 64, context 256), both chunked modes each.
+    const DIM128: [(AccelMode, u64); 2] = [
+        (OutOfOrder, 0x192e_6245_8a7d_6398),
+        (Blocking, 0x49d9_439b_2569_b99b),
+    ];
+    const ONE_ENTRY: [(AccelMode, u64); 2] = [
+        (OutOfOrder, 0x23a6_6ca6_d7bb_8042),
+        (Blocking, 0x73ae_6706_7b11_3c7c),
+    ];
+
+    let mut got = Vec::new();
+    let mut want = Vec::new();
+    for (mode, n, seed, digest) in DIM64 {
+        got.push(result_digest(&run(mode, 1e-3, n, seed)));
+        want.push(digest);
+    }
+    let pc = PrecisionConfig::paper();
+    let wide = SynthInstance::generate(&SynthProfile::realistic(96, 128), 13);
+    let wide_q = QVector::quantize(&wide.query, pc);
+    let wide_keys = QMatrix::quantize_flat(wide.keys().data(), 128, pc).unwrap();
+    for (mode, digest) in DIM128 {
+        let accel = ToPickAccelerator::new(AccelConfig::paper(mode, 1e-3).unwrap());
+        let r = accel
+            .run_attention(&wide_q, &wide_keys, wide.values())
+            .unwrap();
+        got.push(result_digest(&r));
+        want.push(digest);
+    }
+    let (q, keys, values) = quantized_instance(256, 14);
+    for (mode, digest) in ONE_ENTRY {
+        let mut cfg = AccelConfig::paper(mode, 1e-3).unwrap();
+        cfg.scoreboard_entries = 1;
+        let r = ToPickAccelerator::new(cfg)
+            .run_attention(&q, &keys, Rows::new(&values, 64))
+            .unwrap();
+        got.push(result_digest(&r));
+        want.push(digest);
+    }
+    let hex = |v: &[u64]| v.iter().map(|d| format!("{d:#018x}")).collect::<Vec<_>>();
+    assert_eq!(hex(&got), hex(&want));
+}
