@@ -13,7 +13,7 @@
 //!
 //! to produce step latency and the batch-size scaling of the speedup.
 
-use topick_core::{CoreError, PrecisionConfig, QMatrix, QVector, Rows};
+use topick_core::{CoreError, QMatrix, QVector, Rows};
 
 use crate::config::AccelConfig;
 use crate::engine::ToPickAccelerator;
@@ -122,16 +122,11 @@ pub fn compare_batch_step(
     Ok((base, tp, speedup))
 }
 
-/// Sanity helper: the precision every batch simulation should use.
-#[must_use]
-pub fn default_precision() -> PrecisionConfig {
-    PrecisionConfig::paper()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::AccelMode;
+    use topick_core::PrecisionConfig;
 
     fn instance(ctx: usize) -> (QVector, QMatrix, Vec<f32>) {
         let pc = PrecisionConfig::paper();

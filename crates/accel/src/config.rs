@@ -1,6 +1,6 @@
 //! Accelerator configuration.
 
-use topick_core::{PrecisionConfig, ScanOrder};
+use topick_core::{CoreError, PrecisionConfig, ScanOrder};
 use topick_dram::DramConfig;
 
 use std::fmt;
@@ -105,13 +105,10 @@ impl AccelConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`topick_core::CoreError::InvalidThreshold`] if `threshold`
-    /// is not in `(0, 1)`.
-    pub fn paper(mode: AccelMode, threshold: f64) -> Result<Self, topick_core::CoreError> {
-        if !(threshold > 0.0 && threshold < 1.0) {
-            return Err(topick_core::CoreError::InvalidThreshold(threshold));
-        }
-        Ok(Self {
+    /// Returns [`CoreError::InvalidThreshold`] if `threshold` is not in
+    /// `(0, 1)`.
+    pub fn paper(mode: AccelMode, threshold: f64) -> Result<Self, CoreError> {
+        let cfg = Self {
             lanes: 16,
             dim: 64,
             precision: PrecisionConfig::paper(),
@@ -122,7 +119,31 @@ impl AccelConfig {
             clock_ratio: 4,
             scoreboard_entries: 32,
             margin_gen_latency: 4,
-        })
+        };
+        cfg.validate()?;
+        Ok(cfg)
+    }
+
+    /// Rejects field values the simulator cannot run with (the fields are
+    /// public, so any of them may have been assigned after construction).
+    pub(crate) fn validate(&self) -> Result<(), CoreError> {
+        if !(self.threshold > 0.0 && self.threshold < 1.0) {
+            return Err(CoreError::InvalidThreshold(self.threshold));
+        }
+        if self.lanes == 0 {
+            return Err(CoreError::InvalidConfig("lanes must be positive"));
+        }
+        if self.clock_ratio == 0 {
+            return Err(CoreError::InvalidConfig("clock_ratio must be positive"));
+        }
+        // Every first chunk that survives needs an entry to wait in.
+        let chunked = matches!(self.mode, AccelMode::OutOfOrder | AccelMode::Blocking);
+        if chunked && self.scoreboard_entries == 0 {
+            return Err(CoreError::InvalidConfig(
+                "a chunked mode needs at least one scoreboard entry per lane",
+            ));
+        }
+        Ok(())
     }
 
     /// The baseline accelerator (threshold is irrelevant but kept valid).
@@ -134,13 +155,13 @@ impl AccelConfig {
     /// Bytes of one K chunk of one token.
     #[must_use]
     pub fn k_chunk_bytes(&self) -> u64 {
-        (self.dim as u64 * u64::from(self.precision.chunk_bits())).div_ceil(8)
+        self.precision.chunk_bytes(self.dim)
     }
 
     /// Bytes of one full-precision K or V row.
     #[must_use]
     pub fn kv_row_bytes(&self) -> u64 {
-        (self.dim as u64 * u64::from(self.precision.total_bits())).div_ceil(8)
+        self.precision.row_bytes(self.dim)
     }
 }
 

@@ -3,17 +3,19 @@
 //! value sum — plus the baseline, estimate-only and blocking variants used
 //! in the paper's evaluation.
 //!
-//! The simulator co-simulates function and timing: pruning decisions are
-//! made with the same conservative estimator as `topick-core`, but in DRAM
-//! *arrival order*, exactly as the hardware's RPDU sees them.
+//! The simulator co-simulates function and timing: every pruning decision
+//! is one `topick_core::Estimator::evaluate` call — the estimator the
+//! reference pruner runs — made in DRAM *arrival order*, exactly as the
+//! hardware's RPDU sees it. All four modes run the same lane pipeline
+//! ([`ToPickAccelerator::run_attention`] holds the table of what differs).
 
 use std::collections::{HashMap, VecDeque};
 
 use topick_core::{
-    should_prune, softmax, weighted_value_sum, CoreError, KeptToken, LogDenominator, MarginTable,
-    PruneStats, QMatrix, QVector, Rows,
+    softmax, weighted_value_sum, CoreError, Decision, Estimator, KeptToken, QMatrix, QVector, Rows,
+    ScanOrder,
 };
-use topick_dram::DramSim;
+use topick_dram::{DramConfig, DramSim};
 use topick_energy::{EnergyBreakdown, EventCounts, EventEnergies};
 
 use crate::config::{AccelConfig, AccelMode};
@@ -63,12 +65,75 @@ pub struct ToPickAccelerator {
     cfg: AccelConfig,
 }
 
+/// Energy of one run: DRAM from the simulator's statistics over its elapsed
+/// cycles, buffer and compute from the on-chip events at the 65 nm node.
+pub(crate) fn energy_breakdown(events: &EventCounts, dram: &DramSim) -> EnergyBreakdown {
+    let energies = EventEnergies::node_65nm();
+    EnergyBreakdown {
+        dram_pj: dram.stats().energy_pj(dram.config(), dram.cycle()),
+        buffer_pj: events.buffer_energy_pj(&energies),
+        compute_pj: events.compute_energy_pj(&energies),
+    }
+}
+
+/// Streams `bursts` back-to-back sequential bursts through a fresh DRAM as
+/// fast as `enqueue` (`DramSim::try_enqueue` or `try_enqueue_write`) gets
+/// them accepted, and returns the drained simulator.
+pub(crate) fn stream_sequential(
+    cfg: &DramConfig,
+    bursts: u64,
+    enqueue: fn(&mut DramSim, u64, u64) -> bool,
+) -> DramSim {
+    let mut dram = DramSim::new(cfg.clone());
+    let burst_bytes = u64::from(cfg.access_bytes);
+    let mut issued = 0u64;
+    while issued < bursts || !dram.is_idle() {
+        while issued < bursts && enqueue(&mut dram, issued, issued * burst_bytes) {
+            issued += 1;
+        }
+        dram.tick();
+        while dram.pop_completed().is_some() {}
+    }
+    dram
+}
+
+/// One lane's in-order stream of multi-burst DRAM transfers: first K chunks,
+/// next K chunks, full K rows and V rows all issue through this.
+#[derive(Debug, Clone, Default)]
+struct LaneStream<T> {
+    queue: VecDeque<T>,
+    /// Bursts of the front transfer already issued.
+    burst: u64,
+}
+
+impl<T: Copy> LaneStream<T> {
+    /// Tries to issue the front transfer's next burst; returns the transfer
+    /// once its last burst has been accepted.
+    fn issue(
+        &mut self,
+        dram: &mut DramSim,
+        bursts_per_transfer: u64,
+        request: impl Fn(T, u64) -> (u64, u64),
+    ) -> Option<T> {
+        let (id, addr) = request(*self.queue.front()?, self.burst);
+        if !dram.try_enqueue(id, addr) {
+            return None;
+        }
+        self.burst += 1;
+        if self.burst < bursts_per_transfer {
+            return None;
+        }
+        self.burst = 0;
+        self.queue.pop_front()
+    }
+}
+
 /// Mutable machinery shared by every mode during one run.
 #[derive(Debug)]
-struct RunState {
+struct RunState<'a> {
+    cfg: &'a AccelConfig,
     dram: DramSim,
     layout: KvLayout,
-    clock_ratio: u64,
     cycle: u64,
     events: EventCounts,
     /// Bursts arrived per (token, chunk) K transfer.
@@ -81,33 +146,30 @@ struct RunState {
     v_ready: Vec<VecDeque<usize>>,
 }
 
-impl RunState {
-    fn new(cfg: &AccelConfig, n: usize, dim: usize) -> Self {
-        let chunk_bytes = (dim as u64 * u64::from(cfg.precision.chunk_bits())).div_ceil(8);
-        let row_bytes = (dim as u64 * u64::from(cfg.precision.total_bits())).div_ceil(8);
-        let burst = u64::from(cfg.dram.access_bytes);
-        let layout = KvLayout::new(n, chunk_bytes, row_bytes, cfg.precision.num_chunks(), burst);
+impl<'a> RunState<'a> {
+    fn new(cfg: &'a AccelConfig, layout: KvLayout, start_cycle: u64) -> Self {
         Self {
+            cfg,
             dram: DramSim::new(cfg.dram.clone()),
             layout,
-            clock_ratio: cfg.clock_ratio,
-            cycle: 0,
+            cycle: start_cycle,
             events: EventCounts::default(),
             k_arrivals: HashMap::new(),
             v_arrivals: HashMap::new(),
-            k_ready: (0..cfg.lanes).map(|_| VecDeque::new()).collect(),
-            v_ready: (0..cfg.lanes).map(|_| VecDeque::new()).collect(),
+            k_ready: vec![VecDeque::new(); cfg.lanes],
+            v_ready: vec![VecDeque::new(); cfg.lanes],
         }
     }
 
     /// Advances one accelerator cycle: runs the DRAM for `clock_ratio`
     /// memory cycles and routes completions to the lane ready queues.
-    fn advance_cycle(&mut self, lanes: usize, burst_bytes: u64) {
-        for _ in 0..self.clock_ratio {
+    fn advance_cycle(&mut self) {
+        let lanes = self.cfg.lanes;
+        for _ in 0..self.cfg.clock_ratio {
             self.dram.tick();
         }
         while let Some(c) = self.dram.pop_completed() {
-            self.events.buffer_write_bytes += burst_bytes;
+            self.events.buffer_write_bytes += u64::from(self.cfg.dram.access_bytes);
             let (is_v, token, chunk, _burst) = decode_req(c.id);
             if is_v {
                 let cnt = self.v_arrivals.entry(token).or_insert(0);
@@ -126,6 +188,125 @@ impl RunState {
         }
         self.cycle += 1;
     }
+
+    /// Step 0, the lane pipeline of §4: every cycle each lane issues at most
+    /// one DRAM burst (a requested next chunk before a new first chunk), the
+    /// DRAM advances, and each lane hands at most one arrived transfer to
+    /// `arrive`, whose decision retires the token or requests its next
+    /// chunk. With `chunks_per_row == 1` nothing ever needs a scoreboard
+    /// entry and `arrive` never asks for more, so the same loop streams
+    /// full-precision rows.
+    fn k_phase(
+        &mut self,
+        n: usize,
+        order: ScanOrder,
+        chunks_per_row: u32,
+        blocking: bool,
+        mut arrive: impl FnMut(&mut EventCounts, usize, u32) -> Decision,
+    ) {
+        let lanes = self.cfg.lanes;
+        let layout = self.layout;
+        let bursts = layout.k_bursts_per_chunk();
+        let request = |(tok, chunk): (usize, u32), burst: u64| {
+            (
+                k_req_id(tok, chunk, burst),
+                layout.k_addr(tok, chunk, burst),
+            )
+        };
+        let mut first = vec![LaneStream::default(); lanes];
+        for tok in order.indices(n) {
+            first[tok % lanes].queue.push_back((tok, 0));
+        }
+        let mut next = vec![LaneStream::default(); lanes];
+        let mut sb_used = vec![0usize; lanes];
+        // In blocking mode a lane may not start a new first chunk while it
+        // still has an unresolved token in flight.
+        let mut inflight = vec![0usize; lanes];
+        let mut resolved = 0usize;
+        let mut guard = 0u64;
+
+        while resolved < n {
+            guard += 1;
+            assert!(
+                guard < 100_000_000,
+                "step 0 failed to converge: resolved {resolved}/{n}"
+            );
+            // (1) Issue at most one DRAM request per lane, next-chunk first.
+            for lane in 0..lanes {
+                if !next[lane].queue.is_empty() {
+                    next[lane].issue(&mut self.dram, bursts, request);
+                } else if !(blocking && inflight[lane] > 0)
+                    && first[lane].issue(&mut self.dram, bursts, request).is_some()
+                {
+                    inflight[lane] += 1;
+                }
+            }
+
+            // (2) DRAM progress.
+            self.advance_cycle();
+
+            // (3) Compute: each lane evaluates at most one arrived chunk.
+            for lane in 0..lanes {
+                // A surviving first-chunk evaluation needs a scoreboard
+                // entry. When the scoreboard is full, the RPDU services a
+                // deeper-chunk refinement instead (it already owns an entry
+                // and will free it) — otherwise a stalled first chunk at the
+                // queue head would deadlock the lane.
+                let queue = &mut self.k_ready[lane];
+                let needs_entry = |ck: u32| ck == 1 && ck < chunks_per_row;
+                let pick = match queue.front() {
+                    None => continue,
+                    Some(&(_, ck))
+                        if needs_entry(ck) && sb_used[lane] >= self.cfg.scoreboard_entries =>
+                    {
+                        match queue.iter().position(|&(_, ck)| ck > 1) {
+                            Some(i) => i,
+                            None => continue, // all arrivals need entries; wait
+                        }
+                    }
+                    Some(_) => 0,
+                };
+                let (tok, chunks_known) = queue.remove(pick).expect("index valid");
+                if arrive(&mut self.events, tok, chunks_known) == Decision::RequestNextChunk {
+                    sb_used[lane] += usize::from(chunks_known == 1);
+                    next[lane].queue.push_back((tok, chunks_known));
+                } else {
+                    sb_used[lane] -= usize::from(chunks_known > 1);
+                    inflight[lane] -= 1;
+                    resolved += 1;
+                }
+            }
+        }
+    }
+
+    /// Step 1: fetches the V rows of the kept tokens and MACs them.
+    fn v_phase(&mut self, kept: &[KeptToken], dim: usize, row_bytes: u64) {
+        let lanes = self.cfg.lanes;
+        let layout = self.layout;
+        let mut rows = vec![LaneStream::default(); lanes];
+        for k in kept {
+            rows[k.index % lanes].queue.push_back(k.index);
+        }
+        let mut maced = 0usize;
+        let mut guard = 0u64;
+        while maced < kept.len() {
+            guard += 1;
+            assert!(guard < 100_000_000, "step 1 failed to converge");
+            for lane in &mut rows {
+                lane.issue(&mut self.dram, layout.v_bursts_per_row(), |tok, burst| {
+                    (v_req_id(tok, burst), layout.v_addr(tok, burst))
+                });
+            }
+            self.advance_cycle();
+            for lane in 0..lanes {
+                if self.v_ready[lane].pop_front().is_some() {
+                    self.events.mac_12x12 += dim as u64;
+                    self.events.buffer_read_bytes += row_bytes;
+                    maced += 1;
+                }
+            }
+        }
+    }
 }
 
 impl ToPickAccelerator {
@@ -141,407 +322,92 @@ impl ToPickAccelerator {
         &self.cfg
     }
 
-    /// Simulates one attention step (one query over one head's KV cache).
+    /// Simulates one attention step (one query over one head's KV cache):
+    /// validate → lay K out for the mode → K phase → V phase → result.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::DimensionMismatch`] if the query length differs
-    /// from the key dimension or the value rows are ragged, and
-    /// [`CoreError::EmptyKeySet`] for an empty cache.
+    /// from the key dimension or the values are not one row per key of that
+    /// same width, and [`CoreError::InvalidConfig`] /
+    /// [`CoreError::InvalidThreshold`] if a configuration field was assigned
+    /// a value the model cannot run with (zero `lanes` or `clock_ratio`, a
+    /// chunked mode with zero `scoreboard_entries`, a threshold outside
+    /// `(0, 1)`).
     pub fn run_attention(
         &self,
         query: &QVector,
         keys: &QMatrix,
         values: Rows<'_>,
     ) -> Result<AttentionStepResult, CoreError> {
-        if query.len() != keys.dim() {
-            return Err(CoreError::DimensionMismatch {
-                expected: keys.dim(),
-                actual: query.len(),
-            });
-        }
-        let n = keys.num_tokens();
-        if n == 0 {
-            return Err(CoreError::EmptyKeySet);
-        }
-        if values.num_rows() != n {
-            return Err(CoreError::DimensionMismatch {
-                expected: n,
-                actual: values.num_rows(),
-            });
-        }
-        if values.dim() != keys.dim() {
-            return Err(CoreError::DimensionMismatch {
-                expected: keys.dim(),
-                actual: values.dim(),
-            });
-        }
-        match self.cfg.mode {
-            AccelMode::Baseline => Ok(self.run_baseline(query, keys, values, false)),
-            AccelMode::EstimateOnly => Ok(self.run_baseline(query, keys, values, true)),
-            AccelMode::OutOfOrder => Ok(self.run_chunked(query, keys, values, false)),
-            AccelMode::Blocking => Ok(self.run_chunked(query, keys, values, true)),
-        }
-    }
-
-    /// Chunked on-demand K pipeline (full ToPick, or the blocking ablation).
-    fn run_chunked(
-        &self,
-        query: &QVector,
-        keys: &QMatrix,
-        values: Rows<'_>,
-        blocking: bool,
-    ) -> AttentionStepResult {
         let cfg = &self.cfg;
-        let n = keys.num_tokens();
-        let dim = keys.dim();
-        let pc = cfg.precision;
-        let num_chunks = pc.num_chunks();
-        let burst_bytes = u64::from(cfg.dram.access_bytes);
-        let chunk_bytes = (dim as u64 * u64::from(pc.chunk_bits())).div_ceil(8);
-        let row_bytes = (dim as u64 * u64::from(pc.total_bits())).div_ceil(8);
+        cfg.validate()?;
+        let n = keys.check_attention([query], Some(values))?;
+        let (dim, pc) = (keys.dim(), cfg.precision);
+        let row_bytes = pc.row_bytes(dim);
 
-        let mut st = RunState::new(cfg, n, dim);
-        st.cycle = cfg.margin_gen_latency;
-        let margins = MarginTable::from_query_codes(query.codes(), pc);
-        let scale = topick_core::score_scale(query, keys);
-        let ln_thr = cfg.threshold.ln();
-        let mut denom = LogDenominator::new();
-        let mut prev_smin = vec![f64::NAN; n];
-        let lanes = cfg.lanes;
-
-        // Per-lane first-chunk streams in scan order, and next-chunk queues.
-        let mut lane_first: Vec<VecDeque<usize>> = vec![VecDeque::new(); lanes];
-        for tok in cfg.order.indices(n) {
-            lane_first[tok % lanes].push_back(tok);
-        }
-        // (token, chunk-to-fetch, next burst)
-        let mut lane_next: Vec<VecDeque<(usize, u32, u64)>> = vec![VecDeque::new(); lanes];
-        // Burst progress of the current first-chunk request per lane.
-        let mut first_burst: Vec<u64> = vec![0; lanes];
-        let mut sb_used = vec![0usize; lanes];
-        // In blocking mode a lane may not start a new first chunk while it
-        // still has an unresolved token in flight.
-        let mut lane_inflight = vec![0usize; lanes];
-
-        let mut stats = PruneStats::new(n, num_chunks);
-        let mut kept: Vec<KeptToken> = Vec::new();
-        let mut resolved = 0usize;
-        let bursts_per_chunk = st.layout.k_bursts_per_chunk();
-        let mut guard = 0u64;
-
-        while resolved < n {
-            guard += 1;
-            assert!(
-                guard < 100_000_000,
-                "step 0 failed to converge: resolved {resolved}/{n}"
-            );
-            // (1) Issue at most one DRAM request per lane, next-chunk first.
-            for lane in 0..lanes {
-                let issued =
-                    if let Some(&mut (tok, chunk, ref mut burst)) = lane_next[lane].front_mut() {
-                        let addr = st.layout.k_addr(tok, chunk, *burst);
-                        if st.dram.try_enqueue(k_req_id(tok, chunk, *burst), addr) {
-                            *burst += 1;
-                            if *burst == bursts_per_chunk {
-                                lane_next[lane].pop_front();
-                            }
-                        }
-                        true
-                    } else {
-                        false
-                    };
-                if issued {
-                    continue;
-                }
-                let can_start_first = !blocking || lane_inflight[lane] == 0;
-                if can_start_first {
-                    if let Some(&tok) = lane_first[lane].front() {
-                        let burst = first_burst[lane];
-                        let addr = st.layout.k_addr(tok, 0, burst);
-                        if st.dram.try_enqueue(k_req_id(tok, 0, burst), addr) {
-                            if burst + 1 == bursts_per_chunk {
-                                lane_first[lane].pop_front();
-                                first_burst[lane] = 0;
-                                lane_inflight[lane] += 1;
-                            } else {
-                                first_burst[lane] = burst + 1;
-                            }
-                        }
-                    }
-                }
-            }
-
-            // (2) DRAM progress.
-            st.advance_cycle(lanes, burst_bytes);
-
-            // (3) Compute: each lane evaluates at most one arrived chunk.
-            for lane in 0..lanes {
-                // A surviving first-chunk evaluation needs a scoreboard
-                // entry. When the scoreboard is full, the RPDU services a
-                // deeper-chunk refinement instead (it already owns an entry
-                // and will free it) — otherwise a stalled first chunk at the
-                // queue head would deadlock the lane.
-                let sb_full = sb_used[lane] >= cfg.scoreboard_entries;
-                let pick = {
-                    let queue = &st.k_ready[lane];
-                    if queue.is_empty() {
-                        continue;
-                    }
-                    let front_needs_entry = {
-                        let &(_, ck) = queue.front().expect("non-empty");
-                        ck == 1 && ck < num_chunks && sb_full
-                    };
-                    if front_needs_entry {
-                        match queue.iter().position(|&(_, ck)| ck > 1) {
-                            Some(i) => i,
-                            None => continue, // all arrivals need entries; wait
-                        }
-                    } else {
-                        0
-                    }
-                };
-                let (tok, chunks_known) = st.k_ready[lane].remove(pick).expect("index valid");
-                stats.chunk_fetches[(chunks_known - 1) as usize] += 1;
-                st.events.mac_12x4 += dim as u64;
-                st.events.buffer_read_bytes += chunk_bytes;
-                st.events.exp += 1; // PEC partial-exp
-                st.events.scoreboard += if chunks_known > 1 { 2 } else { 1 };
-
-                let ps = query.dot_known(keys.row(tok), chunks_known);
-                let pair = margins.pair(chunks_known);
-                let smin = (ps + pair.min) as f64 * scale;
-                let smax = (ps + pair.max) as f64 * scale;
-                if chunks_known == 1 {
-                    denom.add(smin);
-                } else {
-                    denom.replace(prev_smin[tok], smin);
-                }
-                prev_smin[tok] = smin;
-
-                let release_entry = |sb: &mut usize, ck: u32| {
-                    if ck > 1 {
-                        *sb -= 1;
-                    }
-                };
-                if should_prune(smax, denom.ln(), ln_thr) {
-                    stats.pruned_at[(chunks_known - 1) as usize] += 1;
-                    resolved += 1;
-                    lane_inflight[lane] -= 1;
-                    release_entry(&mut sb_used[lane], chunks_known);
-                } else if chunks_known == num_chunks {
-                    kept.push(KeptToken {
-                        index: tok,
-                        score_int: ps,
-                        score_real: smax,
-                    });
-                    resolved += 1;
-                    lane_inflight[lane] -= 1;
-                    release_entry(&mut sb_used[lane], chunks_known);
-                } else {
-                    if chunks_known == 1 {
-                        sb_used[lane] += 1;
-                    }
-                    lane_next[lane].push_back((tok, chunks_known, 0));
-                }
-            }
-        }
-
-        kept.sort_by_key(|k| k.index);
-        stats.kept = kept.len();
-        self.finish_with_step1(st, stats, kept, values, dim, row_bytes, burst_bytes)
-    }
-
-    /// Full-precision K streaming pipeline: the no-pruning baseline, or the
-    /// estimate-only variant that skips V rows of negligible tokens.
-    fn run_baseline(
-        &self,
-        query: &QVector,
-        keys: &QMatrix,
-        values: Rows<'_>,
-        estimate: bool,
-    ) -> AttentionStepResult {
-        let cfg = &self.cfg;
-        let n = keys.num_tokens();
-        let dim = keys.dim();
-        let pc = cfg.precision;
-        let burst_bytes = u64::from(cfg.dram.access_bytes);
-        let row_bytes = (dim as u64 * u64::from(pc.total_bits())).div_ceil(8);
-
-        // Full-precision K rows modeled as a single "chunk" of row width.
-        let mut st = RunState::new(cfg, n, dim);
-        {
-            // Rebuild the layout with one full-width chunk.
-            let burst = u64::from(cfg.dram.access_bytes);
-            st.layout = KvLayout::new(n, row_bytes, row_bytes, 1, burst);
-        }
-        let scale = topick_core::score_scale(query, keys);
-        let ln_thr = cfg.threshold.ln();
-        let mut denom = LogDenominator::new();
-        let lanes = cfg.lanes;
-
-        let order: Vec<usize> = if estimate {
-            cfg.order.sequence(n)
-        } else {
-            (0..n).collect()
+        // The four modes are one pipeline under four settings. Unchunked K
+        // rows are one full-width transfer, so an arrival carries every
+        // chunk; threshold 0 never prunes; Baseline alone runs a softmax
+        // pass over all scores after step 0 instead of estimating in it.
+        #[rustfmt::skip]
+        let (chunked, order, threshold, blocking, softmax_pass) = match cfg.mode {
+            AccelMode::Baseline     => (false, ScanOrder::Sequential, 0.0,           false, true),
+            AccelMode::EstimateOnly => (false, cfg.order,             cfg.threshold, false, false),
+            AccelMode::OutOfOrder   => (true,  cfg.order,             cfg.threshold, false, false),
+            AccelMode::Blocking     => (true,  cfg.order,             cfg.threshold, true,  false),
         };
-        let mut lane_first: Vec<VecDeque<usize>> = vec![VecDeque::new(); lanes];
-        for tok in order {
-            lane_first[tok % lanes].push_back(tok);
-        }
-        let mut first_burst = vec![0u64; lanes];
-        let bursts_per_row = st.layout.k_bursts_per_chunk();
+        let (chunks_per_row, k_bytes, start_cycle) = if chunked {
+            (pc.num_chunks(), pc.chunk_bytes(dim), cfg.margin_gen_latency)
+        } else {
+            (1, row_bytes, 0)
+        };
+        let burst = u64::from(cfg.dram.access_bytes);
+        let layout = KvLayout::new(n, k_bytes, row_bytes, chunks_per_row, burst);
+        let mut st = RunState::new(cfg, layout, start_cycle);
 
-        let num_chunks = pc.num_chunks();
-        let mut stats = PruneStats::new(n, num_chunks);
-        // All chunks of all tokens are fetched in these modes.
-        for c in &mut stats.chunk_fetches {
-            *c = n as u64;
-        }
-        let mut kept: Vec<KeptToken> = Vec::new();
-        let mut scored = 0usize;
-        let mut guard = 0u64;
-
-        while scored < n {
-            guard += 1;
-            assert!(guard < 100_000_000, "baseline K phase failed to converge");
-            for lane in 0..lanes {
-                if let Some(&tok) = lane_first[lane].front() {
-                    let burst = first_burst[lane];
-                    let addr = st.layout.k_addr(tok, 0, burst);
-                    if st.dram.try_enqueue(k_req_id(tok, 0, burst), addr) {
-                        if burst + 1 == bursts_per_row {
-                            lane_first[lane].pop_front();
-                            first_burst[lane] = 0;
-                        } else {
-                            first_burst[lane] = burst + 1;
-                        }
-                    }
-                }
+        let mut bounds = Vec::new();
+        let mut estimator = Estimator::new(query, keys, pc, threshold, &mut bounds)?;
+        let arrive = |events: &mut EventCounts, tok: usize, arrived: u32| {
+            events.buffer_read_bytes += k_bytes;
+            if chunked {
+                events.mac_12x4 += dim as u64;
+                events.exp += 1; // PEC partial-exp
+                events.scoreboard += if arrived > 1 { 2 } else { 1 };
+                estimator.evaluate(tok, arrived)
+            } else {
+                events.mac_12x12 += dim as u64;
+                events.exp += u64::from(!softmax_pass);
+                estimator.evaluate(tok, pc.num_chunks())
             }
-            st.advance_cycle(lanes, burst_bytes);
-            for lane in 0..lanes {
-                let Some(&(tok, _)) = st.k_ready[lane].front() else {
-                    continue;
-                };
-                st.k_ready[lane].pop_front();
-                st.events.mac_12x12 += dim as u64;
-                st.events.buffer_read_bytes += row_bytes;
-                let ps = query.dot_codes(keys.row(tok));
-                let s = ps as f64 * scale;
-                scored += 1;
-                if estimate {
-                    st.events.exp += 1;
-                    denom.add(s);
-                    if should_prune(s, denom.ln(), ln_thr) {
-                        stats.pruned_at[(num_chunks - 1) as usize] += 1;
-                    } else {
-                        kept.push(KeptToken {
-                            index: tok,
-                            score_int: ps,
-                            score_real: s,
-                        });
-                    }
-                } else {
-                    kept.push(KeptToken {
-                        index: tok,
-                        score_int: ps,
-                        score_real: s,
-                    });
-                }
-            }
+        };
+        st.k_phase(n, order, chunks_per_row, blocking, arrive);
+        let (kept, mut stats) = estimator.finish();
+        if !chunked {
+            // A full row carries every chunk of its token.
+            stats.chunk_fetches.fill(n as u64);
         }
-        if !estimate {
-            // Softmax over all scores: one EXP per token through the
-            // lanes' 2 EXP units each.
+        if softmax_pass {
+            // One EXP per token through the lanes' 2 EXP units each.
             st.events.exp += n as u64;
-            st.cycle += (n as u64).div_ceil(lanes as u64 * 2);
+            st.cycle += (n as u64).div_ceil(cfg.lanes as u64 * 2);
         }
 
-        kept.sort_by_key(|k| k.index);
-        stats.kept = kept.len();
-        self.finish_with_step1(st, stats, kept, values, dim, row_bytes, burst_bytes)
-    }
-
-    /// Step 1: fetch V rows of kept tokens and accumulate the output.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_with_step1(
-        &self,
-        mut st: RunState,
-        stats: PruneStats,
-        kept: Vec<KeptToken>,
-        values: Rows<'_>,
-        dim: usize,
-        row_bytes: u64,
-        burst_bytes: u64,
-    ) -> AttentionStepResult {
-        let cfg = &self.cfg;
-        let lanes = cfg.lanes;
         let scores: Vec<f64> = kept.iter().map(|k| k.score_real).collect();
         let probs = softmax(&scores);
         // Probability Generator: one EXP per surviving token.
         st.events.exp += kept.len() as u64;
-
-        let mut lane_v: Vec<VecDeque<usize>> = vec![VecDeque::new(); lanes];
-        for k in &kept {
-            lane_v[k.index % lanes].push_back(k.index);
-        }
-        let mut v_burst = vec![0u64; lanes];
-        let bursts_per_row = st.layout.v_bursts_per_row();
-        let mut maced = 0usize;
-        let total = kept.len();
-        let mut guard = 0u64;
-        while maced < total {
-            guard += 1;
-            assert!(guard < 100_000_000, "step 1 failed to converge");
-            for lane in 0..lanes {
-                if let Some(&tok) = lane_v[lane].front() {
-                    let burst = v_burst[lane];
-                    let addr = st.layout.v_addr(tok, burst);
-                    if st.dram.try_enqueue(v_req_id(tok, burst), addr) {
-                        if burst + 1 == bursts_per_row {
-                            lane_v[lane].pop_front();
-                            v_burst[lane] = 0;
-                        } else {
-                            v_burst[lane] = burst + 1;
-                        }
-                    }
-                }
-            }
-            st.advance_cycle(lanes, burst_bytes);
-            for lane in 0..lanes {
-                if st.v_ready[lane].pop_front().is_some() {
-                    st.events.mac_12x12 += dim as u64;
-                    st.events.buffer_read_bytes += row_bytes;
-                    maced += 1;
-                }
-            }
-        }
-
-        let pairs: Vec<(usize, f64)> = kept
-            .iter()
-            .zip(&probs)
-            .map(|(k, &p)| (k.index, p))
-            .collect();
-        let output = weighted_value_sum(&pairs, values);
-
-        let energies = EventEnergies::node_65nm();
-        let dram_cycles = st.dram.cycle();
-        let dram_stats = st.dram.stats().clone();
-        let energy = EnergyBreakdown {
-            dram_pj: dram_stats.energy_pj(&cfg.dram, dram_cycles),
-            buffer_pj: st.events.buffer_energy_pj(&energies),
-            compute_pj: st.events.compute_energy_pj(&energies),
-        };
-        AttentionStepResult {
+        st.v_phase(&kept, dim, row_bytes);
+        let pairs: Vec<(usize, f64)> = kept.iter().map(|k| k.index).zip(probs).collect();
+        Ok(AttentionStepResult {
             cycles: st.cycle,
-            output,
-            kept: kept.iter().map(|k| k.index).collect(),
+            output: weighted_value_sum(&pairs, values),
+            kept: pairs.iter().map(|&(t, _)| t).collect(),
             prune: stats,
+            energy: energy_breakdown(&st.events, &st.dram),
             events: st.events,
-            dram_stats,
-            dram_cycles,
-            energy,
-        }
+            dram_stats: st.dram.stats().clone(),
+            dram_cycles: st.dram.cycle(),
+        })
     }
 }

@@ -10,7 +10,7 @@ use topick_dram::DramSim;
 use topick_energy::{EnergyBreakdown, EventCounts};
 
 use crate::config::AccelConfig;
-use crate::engine::ToPickAccelerator;
+use crate::engine::{stream_sequential, ToPickAccelerator};
 
 /// Configuration of a generation-phase sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,13 +100,16 @@ impl GenerationSimulator {
     where
         F: FnMut(usize, usize, usize) -> (QVector, QMatrix, Vec<f32>),
     {
-        let accel = ToPickAccelerator::new(self.cfg.accel.clone());
-        let pc: PrecisionConfig = self.cfg.accel.precision;
+        let accel_cfg = &self.cfg.accel;
+        let accel = ToPickAccelerator::new(accel_cfg.clone());
+        let pc: PrecisionConfig = accel_cfg.precision;
         let mut prune = PruneStats::new(0, pc.num_chunks());
         let mut events = EventCounts::default();
         let mut energy = EnergyBreakdown::default();
         let mut cycles = 0u64;
         let mut per_step_cycles = Vec::with_capacity(self.cfg.steps);
+        let burst = u64::from(accel_cfg.dram.access_bytes);
+        let mut append_bursts = 0u64;
 
         for step in 0..self.cfg.steps {
             let ctx = self.cfg.prompt_len + step;
@@ -117,9 +120,9 @@ impl GenerationSimulator {
                 step_cycles += r.cycles;
                 prune.merge(&r.prune);
                 events.merge(&r.events);
-                energy.dram_pj += r.energy.dram_pj;
-                energy.buffer_pj += r.energy.buffer_pj;
-                energy.compute_pj += r.energy.compute_pj;
+                energy += r.energy;
+                // The new token's K and V rows, as wide as this head's keys.
+                append_bursts += 2 * pc.row_bytes(keys.dim()).div_ceil(burst);
             }
             per_step_cycles.push(step_cycles);
             cycles += step_cycles;
@@ -130,24 +133,11 @@ impl GenerationSimulator {
         let mut write_cycles = 0u64;
         let mut kv_write_bytes = 0u64;
         if self.cfg.model_kv_writes {
-            let row_bytes = (self.cfg.accel.dim as u64 * u64::from(pc.total_bits())).div_ceil(8);
-            let burst = u64::from(self.cfg.accel.dram.access_bytes);
-            let bursts_per_step = 2 * self.cfg.heads as u64 * row_bytes.div_ceil(burst); // K + V
-            let mut dram = DramSim::new(self.cfg.accel.dram.clone());
-            let total_bursts = bursts_per_step * self.cfg.steps as u64;
-            let mut issued = 0u64;
-            let mut addr = 0u64;
-            while issued < total_bursts || !dram.is_idle() {
-                while issued < total_bursts && dram.try_enqueue_write(issued, addr) {
-                    issued += 1;
-                    addr += burst;
-                }
-                dram.tick();
-                while dram.pop_completed().is_some() {}
-            }
-            write_cycles = dram.cycle().div_ceil(self.cfg.accel.clock_ratio);
-            kv_write_bytes = total_bursts * burst;
-            energy.dram_pj += dram.stats().energy_pj(&self.cfg.accel.dram, dram.cycle());
+            let dram =
+                stream_sequential(&accel_cfg.dram, append_bursts, DramSim::try_enqueue_write);
+            write_cycles = dram.cycle().div_ceil(accel_cfg.clock_ratio);
+            kv_write_bytes = append_bursts * burst;
+            energy.dram_pj += dram.stats().energy_pj(dram.config(), dram.cycle());
             cycles += write_cycles;
         }
 
@@ -231,6 +221,33 @@ mod tests {
         // 2 rows (K+V) x 2 heads x 96 bytes x 4 steps.
         assert_eq!(b.kv_write_bytes, 2 * 2 * 96 * 4);
         assert!(b.energy.total_pj() > a.energy.total_pj());
+    }
+
+    #[test]
+    fn kv_writes_are_sized_by_the_keys_not_the_config() {
+        // 128-wide heads under the default dim-64 config: the appended rows
+        // are 192 bytes each, not the 96 the config's `dim` would suggest.
+        let cfg = GenerationConfig {
+            accel: AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).unwrap(),
+            prompt_len: 16,
+            steps: 3,
+            heads: 2,
+            model_kv_writes: true,
+        };
+        assert_eq!(cfg.accel.dim, 64);
+        let pc = PrecisionConfig::paper();
+        let wide = |step: usize, head: usize, ctx: usize| {
+            let profile = topick_model::SynthProfile::realistic(ctx, 128);
+            let inst = topick_model::SynthInstance::generate(&profile, (step * 7 + head) as u64);
+            (
+                QVector::quantize(&inst.query, pc),
+                QMatrix::quantize_flat(inst.keys().data(), 128, pc).expect("non-empty"),
+                inst.into_values(),
+            )
+        };
+        let r = GenerationSimulator::new(cfg).run(wide).unwrap();
+        // 2 rows (K+V) x 2 heads x 192 bytes x 3 steps.
+        assert_eq!(r.kv_write_bytes, 2 * 2 * 192 * 3);
     }
 
     #[test]

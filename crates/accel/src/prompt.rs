@@ -11,9 +11,10 @@
 
 use topick_core::{softmax, CoreError, QMatrix, QVector, Rows};
 use topick_dram::DramSim;
-use topick_energy::{EnergyBreakdown, EventCounts, EventEnergies};
+use topick_energy::{EnergyBreakdown, EventCounts};
 
 use crate::config::AccelConfig;
+use crate::engine::{energy_breakdown, stream_sequential};
 
 /// Result of simulating one head's prompt phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,53 +41,34 @@ pub struct PromptPhaseResult {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::DimensionMismatch`] on shape mismatches,
-/// [`CoreError::EmptyKeySet`] if there are no tokens, and
-/// [`CoreError::InvalidThreshold`] never (listed for parity with the
-/// generation path).
+/// Returns [`CoreError::DimensionMismatch`] naming the offending length when
+/// there is not one query and one value row per key, or a query or value
+/// row is not as wide as the keys, and [`CoreError::InvalidConfig`] /
+/// [`CoreError::InvalidThreshold`] for a configuration the model cannot run
+/// with (see [`ToPickAccelerator::run_attention`](crate::ToPickAccelerator::run_attention)).
 pub fn run_prompt_phase(
     cfg: &AccelConfig,
     queries: &[QVector],
     keys: &QMatrix,
     values: Rows<'_>,
 ) -> Result<PromptPhaseResult, CoreError> {
-    let n = keys.num_tokens();
-    if n == 0 {
-        return Err(CoreError::EmptyKeySet);
-    }
-    if queries.len() != n || values.num_rows() != n {
+    cfg.validate()?;
+    let n = keys.check_attention(queries, Some(values))?;
+    if queries.len() != n {
         return Err(CoreError::DimensionMismatch {
             expected: n,
-            actual: queries.len().min(values.num_rows()),
+            actual: queries.len(),
         });
     }
     let dim = keys.dim();
-    for q in queries {
-        if q.len() != dim {
-            return Err(CoreError::DimensionMismatch {
-                expected: dim,
-                actual: q.len(),
-            });
-        }
-    }
 
     let mut events = EventCounts::default();
-    let row_bytes = (dim as u64 * u64::from(cfg.precision.total_bits())).div_ceil(8);
+    let row_bytes = cfg.precision.row_bytes(dim);
     let burst = u64::from(cfg.dram.access_bytes);
 
     // (1) Preload: stream all K and V rows sequentially into the buffers.
     let total_bursts = 2 * n as u64 * row_bytes.div_ceil(burst);
-    let mut dram = DramSim::new(cfg.dram.clone());
-    let mut issued = 0u64;
-    let mut addr = 0u64;
-    while issued < total_bursts || !dram.is_idle() {
-        while issued < total_bursts && dram.try_enqueue(issued, addr) {
-            issued += 1;
-            addr += burst;
-        }
-        dram.tick();
-        while dram.pop_completed().is_some() {}
-    }
+    let dram = stream_sequential(&cfg.dram, total_bursts, DramSim::try_enqueue);
     let preload_cycles = dram.cycle().div_ceil(cfg.clock_ratio);
     events.buffer_write_bytes += total_bursts * burst;
 
@@ -115,18 +97,12 @@ pub fn run_prompt_phase(
         outputs.push(out);
     }
 
-    let energies = EventEnergies::node_65nm();
-    let energy = EnergyBreakdown {
-        dram_pj: dram.stats().energy_pj(&cfg.dram, dram.cycle()),
-        buffer_pj: events.buffer_energy_pj(&energies),
-        compute_pj: events.compute_energy_pj(&energies),
-    };
     Ok(PromptPhaseResult {
         cycles: preload_cycles + compute_cycles,
         preload_cycles,
         compute_cycles,
+        energy: energy_breakdown(&events, &dram),
         events,
-        energy,
         outputs,
     })
 }
@@ -198,6 +174,37 @@ mod tests {
             r.preload_cycles
         );
         assert_eq!(r.cycles, r.compute_cycles + r.preload_cycles);
+    }
+
+    #[test]
+    fn mismatch_error_names_the_offending_length() {
+        let (mut queries, keys, values) = prompt_workload(8);
+        let cfg = AccelConfig::baseline();
+        let values = Rows::new(&values, 64);
+        // n + 5 queries over n value rows: the queries are what is wrong.
+        queries.extend(prompt_workload(5).0);
+        let err = run_prompt_phase(&cfg, &queries, &keys, values).unwrap_err();
+        let (expected, actual) = (8, 13);
+        assert_eq!(err, CoreError::DimensionMismatch { expected, actual });
+        // n queries over n - 3 value rows: the values are.
+        let short = Rows::new(&values.data()[..5 * 64], 64);
+        let err = run_prompt_phase(&cfg, &queries[..8], &keys, short).unwrap_err();
+        let (expected, actual) = (8, 5);
+        assert_eq!(err, CoreError::DimensionMismatch { expected, actual });
+    }
+
+    #[test]
+    fn zero_lanes_or_clock_ratio_is_a_typed_error() {
+        let (queries, keys, values) = prompt_workload(8);
+        let values = Rows::new(&values, 64);
+        let mut cfg = AccelConfig::baseline();
+        cfg.lanes = 0;
+        let err = run_prompt_phase(&cfg, &queries, &keys, values).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig(rule) if rule.contains("lanes")));
+        let mut cfg = AccelConfig::baseline();
+        cfg.clock_ratio = 0;
+        let err = run_prompt_phase(&cfg, &queries, &keys, values).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig(rule) if rule.contains("clock_ratio")));
     }
 
     #[test]

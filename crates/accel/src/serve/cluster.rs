@@ -547,18 +547,6 @@ impl ClusterEngine {
         &self.shards[i]
     }
 
-    /// The active routing policy's name.
-    #[must_use]
-    pub fn routing_name(&self) -> &'static str {
-        self.router.name()
-    }
-
-    /// Whether work stealing is enabled.
-    #[must_use]
-    pub fn stealing_enabled(&self) -> bool {
-        self.stealing
-    }
-
     /// Worker threads shards step on (1 = sequential reference path).
     #[must_use]
     pub fn threads(&self) -> usize {

@@ -206,12 +206,6 @@ impl KvPager {
         self
     }
 
-    /// Whether the shared-prefix cache is enabled.
-    #[must_use]
-    pub fn prefix_cache_enabled(&self) -> bool {
-        self.cache_enabled
-    }
-
     /// Provisions a bounded host-memory swap tier of `pages` pages
     /// (0 disables the tier — the default, preserving the drop-and-
     /// re-prefill behavior bit for bit).

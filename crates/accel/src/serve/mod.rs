@@ -226,13 +226,6 @@ impl ServingEngineBuilder {
         self
     }
 
-    /// Sets the admission limits.
-    #[must_use]
-    pub fn admission(mut self, admission: AdmissionConfig) -> Self {
-        self.cfg.admission = admission;
-        self
-    }
-
     /// Sets the batch slot limit.
     #[must_use]
     pub fn max_batch(mut self, max_batch: usize) -> Self {

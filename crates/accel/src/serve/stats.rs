@@ -430,12 +430,6 @@ impl ServingReport {
         self.requests.iter().map(|r| r.swapped_tokens).sum()
     }
 
-    /// Total KV tokens shipped across shards for all requests.
-    #[must_use]
-    pub fn total_shipped_tokens(&self) -> usize {
-        self.requests.iter().map(|r| r.shipped_tokens).sum()
-    }
-
     /// Total KV tokens that survived preemptions across all requests.
     #[must_use]
     pub fn total_retained_tokens(&self) -> usize {
@@ -452,29 +446,6 @@ impl ServingReport {
     #[must_use]
     pub fn mean_ttft_steps(&self) -> f64 {
         self.mean_session(|s| s.time_to_first_token_steps as f64)
-    }
-
-    /// Mean time-to-first-token of finished requests, in cycles: for each
-    /// request, the total cycles of the steps from when it became
-    /// schedulable through the step that produced its first token.
-    #[must_use]
-    pub fn mean_ttft_cycles(&self) -> f64 {
-        let mut sum = 0u64;
-        let mut n = 0usize;
-        for r in &self.requests {
-            if let Some(first) = r.first_token_at {
-                sum += self.steps[r.enqueued_at..=first]
-                    .iter()
-                    .map(StepReport::total_cycles)
-                    .sum::<u64>();
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum as f64 / n as f64
-        }
     }
 
     /// Tokens delivered within SLO across all finished requests (every

@@ -4,9 +4,16 @@
 
 use topick_accel::{AccelConfig, AccelMode, ToPickAccelerator};
 use topick_core::{
-    exact_probabilities, weighted_value_sum, PrecisionConfig, QMatrix, QVector, Rows,
+    exact_probabilities, weighted_value_sum, CoreError, PrecisionConfig, QMatrix, QVector, Rows,
 };
 use topick_model::{SynthInstance, SynthProfile};
+
+const ALL_MODES: [AccelMode; 4] = [
+    AccelMode::Baseline,
+    AccelMode::EstimateOnly,
+    AccelMode::OutOfOrder,
+    AccelMode::Blocking,
+];
 
 fn quantized_instance(n: usize, seed: u64) -> (QVector, QMatrix, Vec<f32>) {
     let pc = PrecisionConfig::paper();
@@ -201,6 +208,57 @@ fn wider_head_dimension_is_supported() {
     let r = accel.run_attention(&q, &keys, inst.values()).unwrap();
     assert!(!r.kept.is_empty());
     assert!(r.cycles > 0);
+}
+
+/// Runs a 32-token step under `cfg` after `edit` assigned one of its public
+/// fields; every such run must end in a typed error, not a panic or a spin.
+fn run_edited(mode: AccelMode, edit: impl FnOnce(&mut AccelConfig)) -> CoreError {
+    let (q, keys, values) = quantized_instance(32, 5);
+    let mut cfg = AccelConfig::paper(mode, 1e-3).unwrap();
+    edit(&mut cfg);
+    ToPickAccelerator::new(cfg)
+        .run_attention(&q, &keys, Rows::new(&values, 64))
+        .expect_err("the edited field must be rejected")
+}
+
+#[test]
+fn zero_lanes_is_a_typed_error() {
+    for mode in ALL_MODES {
+        let err = run_edited(mode, |cfg| cfg.lanes = 0);
+        assert!(matches!(err, CoreError::InvalidConfig(rule) if rule.contains("lanes")));
+    }
+}
+
+#[test]
+fn zero_clock_ratio_is_a_typed_error() {
+    for mode in ALL_MODES {
+        let err = run_edited(mode, |cfg| cfg.clock_ratio = 0);
+        assert!(matches!(err, CoreError::InvalidConfig(rule) if rule.contains("clock_ratio")));
+    }
+}
+
+#[test]
+fn zero_scoreboard_entries_is_a_typed_error_in_chunked_modes_only() {
+    for mode in [AccelMode::OutOfOrder, AccelMode::Blocking] {
+        let err = run_edited(mode, |cfg| cfg.scoreboard_entries = 0);
+        assert!(matches!(err, CoreError::InvalidConfig(rule) if rule.contains("scoreboard")));
+    }
+    // Full-row modes never touch the scoreboard.
+    for mode in [AccelMode::Baseline, AccelMode::EstimateOnly] {
+        let (q, keys, values) = quantized_instance(32, 5);
+        let mut cfg = AccelConfig::paper(mode, 1e-3).unwrap();
+        cfg.scoreboard_entries = 0;
+        let r = ToPickAccelerator::new(cfg).run_attention(&q, &keys, Rows::new(&values, 64));
+        assert!(r.is_ok(), "{mode:?}");
+    }
+}
+
+#[test]
+fn threshold_assigned_outside_the_unit_interval_is_a_typed_error() {
+    for thr in [0.0, 1.0, -0.5, f64::NAN] {
+        let err = run_edited(AccelMode::OutOfOrder, |cfg| cfg.threshold = thr);
+        assert!(matches!(err, CoreError::InvalidThreshold(_)), "{thr}");
+    }
 }
 
 /// FNV-1a over a stream of `u64` words.

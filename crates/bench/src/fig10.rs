@@ -69,9 +69,7 @@ fn aggregate(
         let keys = QMatrix::quantize_flat(inst.keys().data(), inst.dim(), pc).expect("non-empty");
         let r: AttentionStepResult = accel.run_attention(&q, &keys, inst.values()).expect("run");
         cycles += r.cycles;
-        energy.dram_pj += r.energy.dram_pj;
-        energy.buffer_pj += r.energy.buffer_pj;
-        energy.compute_pj += r.energy.compute_pj;
+        energy += r.energy;
     }
     ModeAggregate { cycles, energy }
 }

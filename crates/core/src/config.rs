@@ -107,6 +107,18 @@ impl PrecisionConfig {
         (-(1i32 << (self.total_bits - 1))) as i16
     }
 
+    /// Bytes one bit chunk of a `dim`-wide row occupies.
+    #[must_use]
+    pub fn chunk_bytes(&self, dim: usize) -> u64 {
+        (dim as u64 * u64::from(self.chunk_bits)).div_ceil(8)
+    }
+
+    /// Bytes one full-precision `dim`-wide row occupies.
+    #[must_use]
+    pub fn row_bytes(&self, dim: usize) -> u64 {
+        (dim as u64 * u64::from(self.total_bits)).div_ceil(8)
+    }
+
     /// The value contributed by `chunks_known` most-significant chunks of a
     /// two's-complement operand `v`, i.e. `v` with all unknown low bits
     /// cleared. The exact value then satisfies

@@ -32,6 +32,9 @@ pub enum CoreError {
     },
     /// An empty key set was supplied where at least one token is required.
     EmptyKeySet,
+    /// A configuration field holds a value the model cannot run with; the
+    /// message names the field and the rule it broke.
+    InvalidConfig(&'static str),
 }
 
 impl fmt::Display for CoreError {
@@ -55,6 +58,7 @@ impl fmt::Display for CoreError {
                 write!(f, "dimension mismatch: expected {expected}, got {actual}")
             }
             CoreError::EmptyKeySet => write!(f, "key set contains no tokens"),
+            CoreError::InvalidConfig(rule) => write!(f, "invalid configuration: {rule}"),
         }
     }
 }
@@ -78,6 +82,7 @@ mod tests {
                 actual: 32,
             },
             CoreError::EmptyKeySet,
+            CoreError::InvalidConfig("lanes must be positive"),
         ];
         for e in errors {
             let s = e.to_string();

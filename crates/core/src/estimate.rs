@@ -9,6 +9,18 @@
 //! `D ≤ Σ_all exp(s_j)`, the true probability satisfies `p_i ≤ p''_i`, so
 //! pruning is *safe*: no token with true probability above `thr` is ever
 //! removed.
+//!
+//! [`Estimator`] is the one place that decision is written. The reference
+//! pruner feeds it from a work queue, the decision tracer watches that same
+//! loop, and the cycle-level accelerator feeds it in DRAM arrival order.
+
+use crate::config::PrecisionConfig;
+use crate::error::CoreError;
+use crate::margin::MarginTable;
+use crate::pruner::KeptToken;
+use crate::quant::{QMatrix, QVector};
+use crate::softmax::score_scale;
+use crate::stats::PruneStats;
 
 /// Streaming softmax denominator kept in a numerically safe scaled form.
 ///
@@ -133,6 +145,135 @@ pub fn estimated_probability(s_max: f64, ln_denominator: f64) -> f64 {
     (s_max - ln_denominator).exp()
 }
 
+/// Outcome of one [`Estimator::evaluate`] call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decision {
+    /// Token pruned (probability bound below the threshold).
+    Pruned,
+    /// Token survived this chunk; the next chunk will be requested.
+    RequestNextChunk,
+    /// Token survived the final chunk and is kept.
+    Kept,
+}
+
+/// The estimator state of one pruning run (paper §3): margins, running
+/// denominator, each token's last lower bound, and the verdicts so far.
+///
+/// The caller owns the *schedule* — which `(token, chunks_known)` pair is
+/// evaluated next — and the estimator owns everything else, so every
+/// schedule (work queue, DRAM arrival order) makes bit-identical decisions
+/// from identical evaluation sequences.
+#[derive(Debug)]
+pub struct Estimator<'a> {
+    query: &'a QVector,
+    keys: &'a QMatrix,
+    margins: MarginTable,
+    num_chunks: u32,
+    scale: f64,
+    ln_threshold: f64,
+    denom: LogDenominator,
+    /// Last emitted lower bound per token (NaN until first evaluated), for
+    /// PEC-style replacement.
+    prev_smin: &'a mut Vec<f64>,
+    bound: f64,
+    stats: PruneStats,
+    kept: Vec<KeptToken>,
+}
+
+impl<'a> Estimator<'a> {
+    /// Starts a run over `keys` with probability threshold `threshold`
+    /// (`0` never prunes), recycling `prev_smin` as the per-token bound
+    /// table.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::DimensionMismatch`] if the query length differs
+    /// from the key dimension.
+    pub fn new(
+        query: &'a QVector,
+        keys: &'a QMatrix,
+        precision: PrecisionConfig,
+        threshold: f64,
+        prev_smin: &'a mut Vec<f64>,
+    ) -> Result<Self, CoreError> {
+        let n = keys.check_attention([query], None)?;
+        prev_smin.clear();
+        prev_smin.resize(n, f64::NAN);
+        Ok(Self {
+            query,
+            keys,
+            margins: MarginTable::from_query_codes(query.codes(), precision),
+            num_chunks: precision.num_chunks(),
+            scale: score_scale(query, keys),
+            ln_threshold: threshold.ln(),
+            denom: LogDenominator::new(),
+            prev_smin,
+            bound: f64::NAN,
+            stats: PruneStats::new(n, precision.num_chunks()),
+            kept: Vec::new(),
+        })
+    }
+
+    /// Evaluates `token` with its `chunks_known` most-significant key
+    /// chunks on chip: refines the token's contribution to the denominator
+    /// (its first evaluation adds, later ones replace) and decides by
+    /// Eq. 5.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `token` or `chunks_known` is out of range.
+    pub fn evaluate(&mut self, token: usize, chunks_known: u32) -> Decision {
+        let depth = (chunks_known - 1) as usize;
+        self.stats.chunk_fetches[depth] += 1;
+        let ps = self.query.dot_known(self.keys.row(token), chunks_known);
+        let pair = self.margins.pair(chunks_known);
+        let smin = (ps + pair.min) as f64 * self.scale;
+        self.bound = (ps + pair.max) as f64 * self.scale;
+        let prev = std::mem::replace(&mut self.prev_smin[token], smin);
+        if prev.is_nan() {
+            self.denom.add(smin);
+        } else {
+            self.denom.replace(prev, smin);
+        }
+
+        if should_prune(self.bound, self.denom.ln(), self.ln_threshold) {
+            self.stats.pruned_at[depth] += 1;
+            Decision::Pruned
+        } else if chunks_known == self.num_chunks {
+            // Margins are zero here, so ps is the exact integer score.
+            self.kept.push(KeptToken {
+                index: token,
+                score_int: ps,
+                score_real: self.bound,
+            });
+            Decision::Kept
+        } else {
+            Decision::RequestNextChunk
+        }
+    }
+
+    /// The score upper bound `ŝ_max` of the last evaluation.
+    #[must_use]
+    pub fn bound(&self) -> f64 {
+        self.bound
+    }
+
+    /// `ln` of the running denominator.
+    #[must_use]
+    pub fn ln_denominator(&self) -> f64 {
+        self.denom.ln()
+    }
+
+    /// Ends the run: the survivors in ascending index order and the
+    /// chunk-fetch / prune-depth statistics.
+    #[must_use]
+    pub fn finish(mut self) -> (Vec<KeptToken>, PruneStats) {
+        self.kept.sort_by_key(|k| k.index);
+        self.stats.kept = self.kept.len();
+        (self.kept, self.stats)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,5 +337,80 @@ mod tests {
         d.add(0.0); // D = 1
         assert!((estimated_probability(0.0, d.ln()) - 1.0).abs() < 1e-12);
         assert!((estimated_probability((0.5f64).ln(), d.ln()) - 0.5).abs() < 1e-12);
+    }
+
+    fn workload() -> (QVector, QMatrix) {
+        let pc = PrecisionConfig::paper();
+        // Token 1 is query-aligned; 0 and 2 are anti-aligned and weak.
+        let q = QVector::from_codes(vec![900, -700, 500, 300], 0.01, pc);
+        let rows = vec![
+            -850, 600, -400, -200, //
+            900, -700, 500, 300, //
+            -100, 50, -20, 10,
+        ];
+        (q, QMatrix::from_codes(rows, 4, 0.01, pc).unwrap())
+    }
+
+    #[test]
+    fn estimator_refines_then_resolves_each_token() {
+        let (q, keys) = workload();
+        let pc = PrecisionConfig::paper();
+        let mut bounds = Vec::new();
+        let mut est = Estimator::new(&q, &keys, pc, 1e-3, &mut bounds).unwrap();
+        // The dominant token climbs all three chunks and is kept with its
+        // exact score; the bound tightens on the way.
+        assert_eq!(est.evaluate(1, 1), Decision::RequestNextChunk);
+        let loose = est.bound();
+        assert_eq!(est.evaluate(1, 2), Decision::RequestNextChunk);
+        assert!(est.bound() <= loose);
+        assert_eq!(est.evaluate(1, 3), Decision::Kept);
+        // With that mass in the denominator the others go at chunk 1.
+        assert_eq!(est.evaluate(0, 1), Decision::Pruned);
+        assert_eq!(est.evaluate(2, 1), Decision::Pruned);
+        let (kept, stats) = est.finish();
+        assert_eq!(kept.len(), 1);
+        assert_eq!(kept[0].score_int, q.dot_codes(keys.row(1)));
+        assert_eq!(stats.chunk_fetches, vec![3, 1, 1]);
+        assert_eq!(stats.pruned_at, vec![2, 0, 0]);
+        assert_eq!(stats.kept, 1);
+    }
+
+    #[test]
+    fn first_evaluation_at_full_depth_adds_the_exact_score() {
+        // The accelerator's full-row modes see every chunk at once.
+        let (q, keys) = workload();
+        let pc = PrecisionConfig::paper();
+        let mut bounds = Vec::new();
+        let mut est = Estimator::new(&q, &keys, pc, 1e-3, &mut bounds).unwrap();
+        let mut reference = LogDenominator::new();
+        for t in [1, 0, 2] {
+            let decision = est.evaluate(t, pc.num_chunks());
+            let s = q.dot_codes(keys.row(t)) as f64 * score_scale(&q, &keys);
+            reference.add(s);
+            assert_eq!(est.bound().to_bits(), s.to_bits());
+            assert_eq!(est.ln_denominator().to_bits(), reference.ln().to_bits());
+            assert_ne!(decision, Decision::RequestNextChunk);
+        }
+    }
+
+    #[test]
+    fn threshold_zero_keeps_everything() {
+        let (q, keys) = workload();
+        let pc = PrecisionConfig::paper();
+        let mut bounds = Vec::new();
+        let mut est = Estimator::new(&q, &keys, pc, 0.0, &mut bounds).unwrap();
+        for t in 0..3 {
+            assert_eq!(est.evaluate(t, pc.num_chunks()), Decision::Kept);
+        }
+        assert_eq!(est.finish().0.len(), 3);
+    }
+
+    #[test]
+    fn estimator_rejects_a_query_of_the_wrong_width() {
+        let (_, keys) = workload();
+        let q = QVector::from_codes(vec![1, 2, 3], 0.01, PrecisionConfig::paper());
+        let err = Estimator::new(&q, &keys, keys.precision(), 1e-3, &mut Vec::new()).unwrap_err();
+        let (expected, actual) = (4, 3);
+        assert_eq!(err, CoreError::DimensionMismatch { expected, actual });
     }
 }

@@ -22,7 +22,9 @@
 //!    ([`MarginTable`]).
 //! 3. Probe keys chunk-by-chunk in a locality-aware order ([`ScanOrder`]),
 //!    maintaining a running softmax denominator ([`LogDenominator`]) and
-//!    pruning with [`should_prune`] ([`ProgressivePruner`]).
+//!    pruning with [`should_prune`] — one [`Estimator::evaluate`] per probe,
+//!    scheduled by [`ProgressivePruner`] (or, in `topick-accel`, by DRAM
+//!    arrival order).
 //! 4. Softmax over survivors and weighted-sum their values
 //!    ([`softmax()`], [`weighted_value_sum`]).
 //!
@@ -79,7 +81,7 @@ pub mod vprune;
 
 pub use config::{PrecisionConfig, PrunerConfig};
 pub use error::CoreError;
-pub use estimate::{estimated_probability, should_prune, LogDenominator};
+pub use estimate::{estimated_probability, should_prune, Decision, Estimator, LogDenominator};
 pub use fixexp::FixExp;
 pub use margin::{MarginPair, MarginTable};
 pub use order::{ScanIndices, ScanOrder};
@@ -88,5 +90,5 @@ pub use quant::{QMatrix, QVector, QuantBuffer};
 pub use rows::Rows;
 pub use softmax::{exact_probabilities, exact_scores, score_scale, softmax, weighted_value_sum};
 pub use stats::PruneStats;
-pub use trace::{summarize, trace_pruning, Decision, DecisionEvent, TraceSummary};
+pub use trace::{summarize, trace_pruning, DecisionEvent, TraceSummary};
 pub use vprune::{truncated_weighted_sum, ValuePlan};

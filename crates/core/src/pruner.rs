@@ -1,19 +1,18 @@
-//! The progressive token pruner — the reference (functional) implementation
-//! of Token-Picker's step 0.
+//! The progressive token pruner — the reference (functional) schedule of
+//! Token-Picker's step 0 over the one [`Estimator`].
 //!
 //! Tokens are probed chunk-by-chunk through a work queue: chunk-0 jobs are
 //! enqueued in scan order, and a token surviving chunk `c` re-enqueues its
 //! chunk `c+1` job at the queue tail. This mirrors the out-of-order hardware
 //! (deeper chunks are evaluated only after many more first chunks have
 //! contributed to the denominator), while staying deterministic and
-//! cycle-agnostic. The cycle-accurate version lives in `topick-accel`.
+//! cycle-agnostic. The cycle-accurate schedule lives in `topick-accel`.
 
 use std::collections::VecDeque;
 
 use crate::config::PrunerConfig;
 use crate::error::CoreError;
-use crate::estimate::{should_prune, LogDenominator};
-use crate::margin::MarginTable;
+use crate::estimate::{Decision, Estimator};
 use crate::quant::{QMatrix, QVector};
 use crate::softmax::{score_scale, softmax};
 use crate::stats::PruneStats;
@@ -123,8 +122,7 @@ impl ProgressivePruner {
     /// # Errors
     ///
     /// Returns [`CoreError::DimensionMismatch`] if the query length differs
-    /// from the key dimension, or [`CoreError::EmptyKeySet`] for an empty
-    /// key set.
+    /// from the key dimension.
     pub fn run(&self, query: &QVector, keys: &QMatrix) -> Result<PruneOutcome, CoreError> {
         self.run_with_scratch(query, keys, &mut PrunerScratch::new())
     }
@@ -144,63 +142,7 @@ impl ProgressivePruner {
         keys: &QMatrix,
         scratch: &mut PrunerScratch,
     ) -> Result<PruneOutcome, CoreError> {
-        if query.len() != keys.dim() {
-            return Err(CoreError::DimensionMismatch {
-                expected: keys.dim(),
-                actual: query.len(),
-            });
-        }
-        let n = keys.num_tokens();
-        if n == 0 {
-            return Err(CoreError::EmptyKeySet);
-        }
-        let pc = self.cfg.precision();
-        let num_chunks = pc.num_chunks();
-        let margins = MarginTable::from_query_codes(query.codes(), pc);
-        let scale = score_scale(query, keys);
-        let ln_thr = self.cfg.threshold().ln();
-
-        let mut stats = PruneStats::new(n, num_chunks);
-        let mut denom = LogDenominator::new();
-        // Last emitted lower bound per token, for PEC-style replacement.
-        let prev_smin = &mut scratch.prev_smin;
-        prev_smin.clear();
-        prev_smin.resize(n, f64::NAN);
-
-        let queue = &mut scratch.queue;
-        queue.clear();
-        queue.extend(self.cfg.order().indices(n).map(|t| (t, 1u32)));
-
-        let mut kept: Vec<KeptToken> = Vec::new();
-        while let Some((token, chunks_known)) = queue.pop_front() {
-            stats.chunk_fetches[(chunks_known - 1) as usize] += 1;
-            let ps = query.dot_known(keys.row(token), chunks_known);
-            let pair = margins.pair(chunks_known);
-            let smin = (ps + pair.min) as f64 * scale;
-            let smax = (ps + pair.max) as f64 * scale;
-            if chunks_known == 1 {
-                denom.add(smin);
-            } else {
-                denom.replace(prev_smin[token], smin);
-            }
-            prev_smin[token] = smin;
-
-            if should_prune(smax, denom.ln(), ln_thr) {
-                stats.pruned_at[(chunks_known - 1) as usize] += 1;
-            } else if chunks_known == num_chunks {
-                // Margins are zero here, so ps is the exact integer score.
-                kept.push(KeptToken {
-                    index: token,
-                    score_int: ps,
-                    score_real: smax,
-                });
-            } else {
-                queue.push_back((token, chunks_known + 1));
-            }
-        }
-
-        kept.sort_by_key(|k| k.index);
-        stats.kept = kept.len();
+        let (kept, stats) = self.run_observed(query, keys, scratch, |_, _, _, _| {})?;
         let scores = &mut scratch.scores;
         scores.clear();
         scores.extend(kept.iter().map(|k| k.score_real));
@@ -210,6 +152,34 @@ impl ProgressivePruner {
             probabilities,
             stats,
         })
+    }
+
+    /// The reference schedule over the one [`Estimator`]: pop a
+    /// `(token, chunks_known)` probe, evaluate it, re-enqueue survivors one
+    /// chunk deeper at the tail. `observe` sees the estimator right after
+    /// each evaluation, with the probe and its decision.
+    pub(crate) fn run_observed(
+        &self,
+        query: &QVector,
+        keys: &QMatrix,
+        scratch: &mut PrunerScratch,
+        mut observe: impl FnMut(&Estimator<'_>, usize, u32, Decision),
+    ) -> Result<(Vec<KeptToken>, PruneStats), CoreError> {
+        let (precision, threshold) = (self.cfg.precision(), self.cfg.threshold());
+        let mut estimator =
+            Estimator::new(query, keys, precision, threshold, &mut scratch.prev_smin)?;
+        let queue = &mut scratch.queue;
+        queue.clear();
+        let order = self.cfg.order().indices(keys.num_tokens());
+        queue.extend(order.map(|t| (t, 1u32)));
+        while let Some((token, chunks_known)) = queue.pop_front() {
+            let decision = estimator.evaluate(token, chunks_known);
+            if decision == Decision::RequestNextChunk {
+                queue.push_back((token, chunks_known + 1));
+            }
+            observe(&estimator, token, chunks_known, decision);
+        }
+        Ok(estimator.finish())
     }
 }
 
@@ -245,19 +215,10 @@ impl OraclePruner {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::DimensionMismatch`] or [`CoreError::EmptyKeySet`]
-    /// on malformed input.
+    /// Returns [`CoreError::DimensionMismatch`] if the query length differs
+    /// from the key dimension.
     pub fn run(&self, query: &QVector, keys: &QMatrix) -> Result<PruneOutcome, CoreError> {
-        if query.len() != keys.dim() {
-            return Err(CoreError::DimensionMismatch {
-                expected: keys.dim(),
-                actual: query.len(),
-            });
-        }
-        let n = keys.num_tokens();
-        if n == 0 {
-            return Err(CoreError::EmptyKeySet);
-        }
+        let n = keys.check_attention([query], None)?;
         let pc = keys.precision();
         let scale = score_scale(query, keys);
         let scores_int: Vec<i64> = (0..n)

@@ -9,6 +9,7 @@
 
 use crate::config::PrecisionConfig;
 use crate::error::CoreError;
+use crate::rows::Rows;
 
 /// A quantized vector: `i16` codes plus the real-valued scale such that
 /// `real ≈ code * scale`.
@@ -379,6 +380,37 @@ impl QMatrix {
         self.precision
     }
 
+    /// Checks the operands of an attention call over these keys — every
+    /// query as wide as a key row and, when given, one value row per token
+    /// of that same width — and returns the token count (never zero: no
+    /// constructor builds an empty matrix).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::DimensionMismatch`] naming the first offending
+    /// length.
+    pub fn check_attention<'q>(
+        &self,
+        queries: impl IntoIterator<Item = &'q QVector>,
+        values: Option<Rows<'_>>,
+    ) -> Result<usize, CoreError> {
+        let expect = |expected: usize, actual: usize| {
+            if expected == actual {
+                Ok(())
+            } else {
+                Err(CoreError::DimensionMismatch { expected, actual })
+            }
+        };
+        for q in queries {
+            expect(self.dim, q.len())?;
+        }
+        if let Some(v) = values {
+            expect(self.num_tokens, v.num_rows())?;
+            expect(self.dim, v.dim())?;
+        }
+        Ok(self.num_tokens)
+    }
+
     /// The codes of one token row.
     ///
     /// # Panics
@@ -407,6 +439,28 @@ impl QMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn check_attention_names_the_offending_length() {
+        let pc = PrecisionConfig::paper();
+        let keys = QMatrix::from_codes(vec![1; 3 * 4], 4, 1.0, pc).unwrap();
+        let q = QVector::from_codes(vec![1; 4], 1.0, pc);
+        let narrow = QVector::from_codes(vec![1; 2], 1.0, pc);
+        let mismatch = |expected, actual| Err(CoreError::DimensionMismatch { expected, actual });
+        let v = [0.0f32; 12];
+        assert_eq!(keys.check_attention([&q], None), Ok(3));
+        assert_eq!(keys.check_attention([&q], Some(Rows::new(&v, 4))), Ok(3));
+        assert_eq!(keys.check_attention([&q, &narrow], None), mismatch(4, 2));
+        // Two value rows for three keys, then three rows of the wrong width.
+        assert_eq!(
+            keys.check_attention([&q], Some(Rows::new(&v[..8], 4))),
+            mismatch(3, 2)
+        );
+        assert_eq!(
+            keys.check_attention([&q], Some(Rows::new(&v[..9], 3))),
+            mismatch(4, 3)
+        );
+    }
 
     #[test]
     fn quantize_roundtrip_error_bounded() {

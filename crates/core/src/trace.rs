@@ -4,14 +4,12 @@
 //! Useful for debugging estimator behaviour, regenerating Fig. 4-style
 //! analyses, and validating the hardware simulator against the reference.
 
-use std::collections::VecDeque;
-
 use crate::config::PrunerConfig;
 use crate::error::CoreError;
-use crate::estimate::{estimated_probability, should_prune, LogDenominator};
-use crate::margin::MarginTable;
+use crate::estimate::estimated_probability;
+pub use crate::estimate::Decision;
+use crate::pruner::{ProgressivePruner, PrunerScratch};
 use crate::quant::{QMatrix, QVector};
-use crate::softmax::score_scale;
 
 /// One evaluation event in a pruning run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,27 +28,15 @@ pub struct DecisionEvent {
     pub decision: Decision,
 }
 
-/// Outcome of one evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
-    /// Token pruned (probability bound below the threshold).
-    Pruned,
-    /// Token survived this chunk; the next chunk will be requested.
-    RequestNextChunk,
-    /// Token survived the final chunk and is kept.
-    Kept,
-}
-
 /// Runs the progressive pruner while recording every decision.
 ///
-/// Functionally identical to
-/// [`ProgressivePruner::run`](crate::ProgressivePruner::run) (same queue
-/// discipline, same decisions); returns the event log.
+/// This *is* [`ProgressivePruner::run`] — the same queue loop over the same
+/// estimator — with an observer attached; returns the event log.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::DimensionMismatch`] or [`CoreError::EmptyKeySet`]
-/// on malformed input.
+/// Returns [`CoreError::DimensionMismatch`] if the query length differs
+/// from the key dimension.
 ///
 /// # Examples
 ///
@@ -69,58 +55,22 @@ pub fn trace_pruning(
     query: &QVector,
     keys: &QMatrix,
 ) -> Result<Vec<DecisionEvent>, CoreError> {
-    if query.len() != keys.dim() {
-        return Err(CoreError::DimensionMismatch {
-            expected: keys.dim(),
-            actual: query.len(),
-        });
-    }
-    let n = keys.num_tokens();
-    if n == 0 {
-        return Err(CoreError::EmptyKeySet);
-    }
-    let pc = cfg.precision();
-    let num_chunks = pc.num_chunks();
-    let margins = MarginTable::from_query_codes(query.codes(), pc);
-    let scale = score_scale(query, keys);
-    let ln_thr = cfg.threshold().ln();
-
-    let mut denom = LogDenominator::new();
-    let mut prev_smin = vec![f64::NAN; n];
-    let mut queue: VecDeque<(usize, u32)> = cfg.order().indices(n).map(|t| (t, 1u32)).collect();
-
     let mut events = Vec::new();
-    let mut step = 0usize;
-    while let Some((token, chunks_known)) = queue.pop_front() {
-        let ps = query.dot_known(keys.row(token), chunks_known);
-        let pair = margins.pair(chunks_known);
-        let smin = (ps + pair.min) as f64 * scale;
-        let smax = (ps + pair.max) as f64 * scale;
-        if chunks_known == 1 {
-            denom.add(smin);
-        } else {
-            denom.replace(prev_smin[token], smin);
-        }
-        prev_smin[token] = smin;
-
-        let decision = if should_prune(smax, denom.ln(), ln_thr) {
-            Decision::Pruned
-        } else if chunks_known == num_chunks {
-            Decision::Kept
-        } else {
-            queue.push_back((token, chunks_known + 1));
-            Decision::RequestNextChunk
-        };
-        events.push(DecisionEvent {
-            step,
-            token,
-            chunks_known,
-            estimate: estimated_probability(smax, denom.ln()),
-            ln_denominator: denom.ln(),
-            decision,
-        });
-        step += 1;
-    }
+    ProgressivePruner::new(*cfg).run_observed(
+        query,
+        keys,
+        &mut PrunerScratch::new(),
+        |estimator, token, chunks_known, decision| {
+            events.push(DecisionEvent {
+                step: events.len(),
+                token,
+                chunks_known,
+                estimate: estimated_probability(estimator.bound(), estimator.ln_denominator()),
+                ln_denominator: estimator.ln_denominator(),
+                decision,
+            });
+        },
+    )?;
     Ok(events)
 }
 
@@ -156,7 +106,6 @@ pub fn summarize(events: &[DecisionEvent]) -> TraceSummary {
 mod tests {
     use super::*;
     use crate::config::PrecisionConfig;
-    use crate::pruner::ProgressivePruner;
 
     fn workload(n: usize) -> (QVector, QMatrix) {
         let pc = PrecisionConfig::paper();

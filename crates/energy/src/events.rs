@@ -122,9 +122,35 @@ impl EnergyBreakdown {
     }
 }
 
+impl std::ops::AddAssign for EnergyBreakdown {
+    fn add_assign(&mut self, other: Self) {
+        self.dram_pj += other.dram_pj;
+        self.buffer_pj += other.buffer_pj;
+        self.compute_pj += other.compute_pj;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn breakdowns_add_component_wise() {
+        let mut sum = EnergyBreakdown {
+            dram_pj: 1.0,
+            buffer_pj: 2.0,
+            compute_pj: 3.0,
+        };
+        sum += EnergyBreakdown {
+            dram_pj: 10.0,
+            buffer_pj: 20.0,
+            compute_pj: 30.0,
+        };
+        assert_eq!(
+            (sum.dram_pj, sum.buffer_pj, sum.compute_pj),
+            (11.0, 22.0, 33.0)
+        );
+    }
 
     #[test]
     fn energies_positive_and_ordered() {
