@@ -547,6 +547,15 @@ impl ClusterEngine {
         &self.shards[i]
     }
 
+    /// Runs [`ServingEngine::validate`] on every shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violated invariant.
+    pub fn validate(&self) {
+        self.shards.iter().for_each(ServingEngine::validate);
+    }
+
     /// Worker threads shards step on (1 = sequential reference path).
     #[must_use]
     pub fn threads(&self) -> usize {

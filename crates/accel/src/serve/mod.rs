@@ -572,6 +572,66 @@ impl ServingEngine {
         self.batch.pager()
     }
 
+    /// Checks every KV-residency invariant, panicking with a description
+    /// of the first violation — the oracle the soak and property tests run
+    /// after every step:
+    ///
+    /// * the pager's own invariants ([`KvPager::validate`]);
+    /// * for every queued and running request: it owes prompt prefill or a
+    ///   post-eviction rebuild, never both; the debt never exceeds its
+    ///   context (so [`built_tokens`](ActiveRequest::built_tokens) is
+    ///   well-defined); only a rebuild debt has a host-tier holding, and
+    ///   the holding is part of what the rebuild dropped;
+    /// * the host tier holds exactly the pages those holdings need — per
+    ///   request, and in total.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violated invariant.
+    pub fn validate(&self) {
+        let pager = self.batch.pager();
+        pager.validate();
+        let mut host_pages = 0;
+        for r in self.pending.entries().iter().chain(self.batch.slots()) {
+            let id = r.req.id;
+            assert!(
+                !(r.needs_prefill && r.needs_reprefill),
+                "request {id} owes prefill and a rebuild at once"
+            );
+            let debt = if r.needs_prefill {
+                r.prefill_tokens
+            } else if r.needs_reprefill {
+                r.dropped_tokens
+            } else {
+                0
+            };
+            assert!(
+                debt <= r.context,
+                "request {id} owes {debt} tokens of a {}-token context",
+                r.context
+            );
+            assert!(
+                r.swapped_tokens == 0
+                    || (r.needs_reprefill && r.swapped_tokens <= r.dropped_tokens),
+                "request {id} holds {} host tokens outside its rebuild debt",
+                r.swapped_tokens
+            );
+            let need = pager.pages_needed(r.swapped_tokens);
+            assert_eq!(
+                pager.host_pages_of(r.arrival_seq),
+                need,
+                "request {id}: host pages disagree with its {} host tokens",
+                r.swapped_tokens
+            );
+            host_pages += need;
+        }
+        assert_eq!(
+            host_pages,
+            pager.host_pages_used(),
+            "host tier occupancy disagrees with the requests' holdings"
+        );
+    }
+
     /// Mutable pager access for the cluster's cross-shard page shipping
     /// (export on the donor, import on the receiver).
     pub(crate) fn kv_pager_mut(&mut self) -> &mut KvPager {

@@ -146,6 +146,7 @@ proptest! {
 
         let mut next_id = 0u64;
         let check_step = |engine: &ServingEngine, report: Option<topick_accel::StepReport>| {
+            engine.validate();
             prop_assert!(engine.running() <= max_batch);
             if let Some(s) = report {
                 prop_assert!(s.batch <= max_batch, "{policy}: batch over slots");
@@ -300,8 +301,9 @@ proptest! {
             .build();
 
         let check_pager = |engine: &ServingEngine| {
+            // The pager's own oracle plus the engine's residency invariants.
+            engine.validate();
             let pager = engine.kv_pager();
-            pager.validate();
             // The device tiers partition capacity; the host tier holds
             // swapped *contents*, never device pages, so it adds nothing
             // to the partition and never exceeds its own bound.
@@ -536,11 +538,13 @@ proptest! {
                 next_id += 1;
             } else {
                 cluster.step().expect("step succeeds");
+                cluster.validate();
             }
         }
         let mut guard = 0;
         while !cluster.is_idle() {
             cluster.step().expect("step succeeds");
+            cluster.validate();
             guard += 1;
             prop_assert!(guard < 4096, "cluster failed to drain");
         }
@@ -837,8 +841,19 @@ proptest! {
             engine.enqueue(*req).expect("valid request");
             prop_assert_eq!(cluster.enqueue(*req).expect("valid request"), 0);
         }
-        let engine_report = engine.run_to_completion(100_000).expect("engine drains");
-        let cluster_report = cluster.run_to_completion(100_000).expect("cluster drains");
+        // `run_to_completion`, with the residency oracle after every step.
+        let mut steps = 0;
+        while engine.step().expect("engine steps").is_some() {
+            engine.validate();
+            steps += 1;
+            prop_assert!(steps < 100_000, "engine failed to drain");
+        }
+        while cluster.step().expect("cluster steps").is_some() {
+            cluster.validate();
+            steps += 1;
+            prop_assert!(steps < 200_000, "cluster failed to drain");
+        }
+        let (engine_report, cluster_report) = (engine.report(), cluster.report());
         let wrapped: Vec<ClusterEvent> = engine
             .drain_events()
             .into_iter()

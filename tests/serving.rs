@@ -2007,6 +2007,61 @@ fn swap_events_account_for_every_copied_back_token() {
     assert!(report.total_swap_cycles() > 0);
 }
 
+#[test]
+fn residency_soak_validates_every_step_across_scenarios_and_policies() {
+    // Every pager and every request's KV residency, checked after every
+    // step of every scenario under every policy, with everything that
+    // moves KV switched on at once: preemption with fractional retention,
+    // a host tier small enough to refuse and partially grant swaps, and
+    // priced, chunked prefill (so victims are also evicted mid-prompt).
+    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+    let (mut preemptions, mut swapped_out, mut chunks) = (0usize, 0usize, 0usize);
+    for kind in ScenarioKind::all() {
+        let requests = kind.build().generate(11);
+        for policy in PolicyKind::all() {
+            let mut cfg = kind.build().serving_config(accel.clone());
+            cfg.preemption =
+                PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.6));
+            cfg.host_pages = 6;
+            cfg.prefill_factor = 1.0;
+            cfg.prefill_chunk_pages = 3;
+            let mut engine = ServingEngine::builder(accel.clone())
+                .config(cfg)
+                .policy(policy)
+                .build();
+            for req in &requests {
+                engine.enqueue(*req).expect("valid request");
+            }
+            engine.validate();
+            let mut steps = 0;
+            while engine
+                .step()
+                .unwrap_or_else(|e| panic!("{kind}/{policy}: step failed: {e}"))
+                .is_some()
+            {
+                engine.validate();
+                steps += 1;
+                assert!(steps < 100_000, "{kind}/{policy}: failed to drain");
+            }
+            let pager = engine.kv_pager();
+            assert_eq!(pager.allocated_pages(), 0, "{kind}/{policy}: pages leaked");
+            assert_eq!(pager.host_pages_used(), 0, "{kind}/{policy}: host leaked");
+            preemptions += engine.report().preemptions;
+            for e in engine.events() {
+                match e {
+                    ServeEvent::SwappedOut { tokens, .. } => swapped_out += tokens,
+                    ServeEvent::PrefillChunk { .. } => chunks += 1,
+                    _ => {}
+                }
+            }
+        }
+    }
+    // The soak is only worth its time if the paths it guards actually ran.
+    assert!(preemptions > 0, "no scenario ever preempted");
+    assert!(swapped_out > 0, "no eviction ever reached the host tier");
+    assert!(chunks > 0, "no prompt was ever built in chunks");
+}
+
 /// The shared-prefix chat workload on a 4-shard round-robin cluster with
 /// prefix-pull shipping priced at `ship`.
 fn serve_shared_prefix_cluster_shipped(ship: f64) -> ClusterReport {
