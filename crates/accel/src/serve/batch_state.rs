@@ -3,6 +3,7 @@
 use super::kv_pager::KvPager;
 use super::policy::RunningView;
 use super::queue::ServingRequest;
+use super::residency::{HostTier, Residency};
 use super::stats::RequestStats;
 
 /// Admission-control limits of the running batch.
@@ -59,42 +60,10 @@ pub(crate) struct ActiveRequest {
     pub(crate) last_admitted_at: Option<usize>,
     /// Step of the most recent eviction, for the re-admission cooldown.
     pub(crate) last_evicted_at: Option<usize>,
-    /// Whether the next decode step must rebuild this request's KV cache
-    /// (set on eviction; charged to the step model after re-admission).
-    pub(crate) needs_reprefill: bool,
-    /// KV tokens the next rebuild must re-prefill: the suffix of the
-    /// context that eviction dropped (the whole context under full
-    /// re-prefill; less when pages were retained; grows back to the whole
-    /// context if retained pages are reclaimed while queued).
-    pub(crate) dropped_tokens: usize,
-    /// Whether decode steps still owe prompt prefill (set at enqueue when
-    /// the engine prices prefill; cleared once the whole prompt is built —
-    /// in one lump, or chunk by chunk under
-    /// [`prefill_chunk_pages`](super::ServingConfig::prefill_chunk_pages)
-    /// — or folded into the re-prefill debt if the request is evicted
-    /// mid-prefill).
-    pub(crate) needs_prefill: bool,
-    /// Prompt tokens still to prefill — the whole prompt minus whatever
-    /// admission adopted from the prefix cache, shrinking chunk by chunk
-    /// as the prefill frontier advances. While `needs_prefill` holds, the
-    /// frontier (tokens of prompt KV that exist) is
-    /// `context - prefill_tokens`.
-    pub(crate) prefill_tokens: usize,
-    /// KV tokens whose contents survive in the modeled host tier: a
-    /// contiguous region directly above the retained prefix, swapped out
-    /// at eviction (or retained-page reclaim) when
-    /// [`host_pages`](super::ServingConfig::host_pages) provisions room.
-    /// The next rebuild copies them back at
-    /// [`swap_cost_factor`](super::ServingConfig::swap_cost_factor) of the
-    /// prefill price instead of recomputing them.
-    pub(crate) swapped_tokens: usize,
-    /// KV tokens whose pages arrived (or are arriving) from a sibling
-    /// shard: a migrated running request's whole built context, or a
-    /// prefix pulled at enqueue. The first decode step charges the
-    /// modeled transfer at
-    /// [`ship_cost_factor`](super::ServingConfig::ship_cost_factor) and
-    /// the tokens leave the rebuild debt.
-    pub(crate) shipped_tokens: usize,
+    /// Where the request's KV lives and what it owes: prompt prefill or a
+    /// post-eviction rebuild, tokens parked in the host tier, tokens in
+    /// flight from a sibling shard.
+    pub(crate) kv: Residency,
     /// Step of the most recent generated token, if any — the baseline the
     /// inter-token SLO races against.
     pub(crate) last_token_at: Option<usize>,
@@ -110,19 +79,10 @@ impl ActiveRequest {
         self.req.prompt_len + self.req.max_new_tokens
     }
 
-    /// Context tokens whose KV genuinely exists right now: the full
-    /// context minus any outstanding prefill or re-prefill debt. This is
-    /// the prefill frontier while chunked prefill is in flight, the cap on
-    /// what retention may keep across an eviction, and the bound on what
-    /// the prefix cache may publish.
+    /// Context tokens whose KV genuinely exists on the device right now
+    /// (see [`Residency::built_tokens`]).
     pub(crate) fn built_tokens(&self) -> usize {
-        if self.needs_prefill {
-            self.context - self.prefill_tokens
-        } else if self.needs_reprefill {
-            self.context - self.dropped_tokens
-        } else {
-            self.context
-        }
+        self.kv.built_tokens(self.context)
     }
 }
 
@@ -194,7 +154,7 @@ impl BatchState {
             0
         };
         self.pager.reserve(r.arrival_seq, r.final_context());
-        if self.limits.prefix_cache && !r.needs_prefill && !r.needs_reprefill {
+        if self.limits.prefix_cache && r.kv.is_built() {
             // With prefill unpriced (and no rebuild pending) the prompt's
             // KV is valid the moment the request is admitted, so its full
             // pages publish immediately. Otherwise publication waits for
@@ -206,30 +166,8 @@ impl BatchState {
         let cached_tokens = adopted * self.pager.page_size();
         if cached_tokens > 0 {
             // Every adopted page holds full, already-built KV the request
-            // would otherwise have had to (re-)prefill, so the cache
-            // shrinks the outstanding debt token for token.
-            if r.needs_reprefill {
-                r.dropped_tokens = r.dropped_tokens.saturating_sub(cached_tokens);
-                if r.swapped_tokens > 0 {
-                    // The adopted pages sit at the bottom of the dropped
-                    // region — exactly where the host-tier holding starts —
-                    // so adoption supersedes that much of the holding. The
-                    // surviving holding still starts right above the (now
-                    // longer) valid prefix, keeping it contiguous; the
-                    // freed host pages return to capacity immediately.
-                    let overlap = r.swapped_tokens.min(cached_tokens);
-                    r.swapped_tokens -= overlap;
-                    let need = self.pager.pages_needed(r.swapped_tokens);
-                    if self.pager.host_pages_of(r.arrival_seq) > need {
-                        self.pager.swap_in(r.arrival_seq);
-                        // Guaranteed grant: the discard just freed more
-                        // capacity than this asks back.
-                        self.pager.swap_out(r.arrival_seq, need);
-                    }
-                }
-            } else if r.needs_prefill {
-                r.prefill_tokens = r.prefill_tokens.saturating_sub(cached_tokens);
-            }
+            // would otherwise have had to (re-)prefill.
+            r.kv.adopt(cached_tokens, self.pager.host_mut());
             r.stats.prefix_hit_tokens += cached_tokens;
         }
         self.running.push(r);
@@ -272,8 +210,6 @@ impl BatchState {
         for r in self.running.drain(..) {
             if r.stats.generated >= r.req.max_new_tokens {
                 self.pager.release(r.arrival_seq);
-                // A finished request can no longer copy anything back.
-                self.pager.host_discard(r.arrival_seq);
                 done.push(r);
             } else {
                 kept.push(r);
@@ -310,5 +246,11 @@ impl BatchState {
 
     pub(crate) fn slots_mut(&mut self) -> &mut [ActiveRequest] {
         &mut self.running
+    }
+
+    /// The request at `slot` together with the host tier its residency
+    /// transitions move KV contents into and out of.
+    pub(crate) fn slot_and_host_mut(&mut self, slot: usize) -> (&mut ActiveRequest, &mut HostTier) {
+        (&mut self.running[slot], self.pager.host_mut())
     }
 }

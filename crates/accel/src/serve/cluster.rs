@@ -859,7 +859,7 @@ impl ClusterEngine {
             // Donating a running request costs the donor a transfer; it
             // sits out the rest of this step's migrations.
             received[donor] = true;
-            let (id, tokens) = (migrant.req.id, migrant.shipped_tokens);
+            let (id, tokens) = (migrant.req.id, migrant.kv.shipped_tokens());
             self.shards[thief].receive_shipped(migrant);
             self.ships += 1;
             self.events.push(ClusterEvent::Shipped {

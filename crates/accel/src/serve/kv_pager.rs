@@ -55,18 +55,20 @@
 //! # Host tier
 //!
 //! With a host tier provisioned ([`with_host_tier`](KvPager::with_host_tier)),
-//! pages reclaimed from a preemption victim can be **swapped out** to a
-//! bounded host-memory tier ([`swap_out`](KvPager::swap_out)) instead of
-//! having their contents dropped. The device page itself returns to
-//! circulation either way — the host tier models the *contents* surviving
-//! off-device, so re-admission pays a priced copy-back
-//! ([`swap_in`](KvPager::swap_in) plus the engine's
-//! `swap_cost_factor` charge) instead of a full re-prefill of those
-//! tokens. Host occupancy is bookkept per owner and bounded by the
-//! configured capacity; a page's contents are never resident in both
-//! tiers at once (swap-out happens only for pages leaving the device).
+//! the contents of pages reclaimed from a preemption victim can survive in
+//! a bounded host-memory tier instead of being dropped. The device page
+//! itself returns to circulation either way — the tier models the
+//! *contents* surviving off-device, so re-admission pays a priced
+//! copy-back (the engine's `swap_cost_factor` charge) instead of a full
+//! re-prefill of those tokens. The pager only carries the tier's capacity
+//! and occupancy; which request holds how much is each request's own
+//! residency ledger, whose transitions are the only thing that moves
+//! occupancy — a page's contents are never resident in both tiers at once
+//! (they move only as their device pages are dropped).
 
 use std::collections::BTreeMap;
+
+use super::residency::HostTier;
 
 /// One owner's page table: the pages mapped to it, in token-position
 /// order, plus the token count its allocation was provisioned for (the
@@ -158,14 +160,8 @@ pub struct KvPager {
     /// first — the LRU order reclamation follows.
     lru: Vec<usize>,
     cache_enabled: bool,
-    /// Host-tier capacity in pages (0 = tier disabled).
-    host_capacity: usize,
-    /// Host-tier occupancy per owner, in pages. The host tier is modeled:
-    /// it tracks how many reclaimed device pages' contents survive
-    /// off-device per owner, not concrete page indices.
-    host: BTreeMap<u64, usize>,
-    /// Total host pages in use (always the sum of `host` values).
-    host_used: usize,
+    /// The host swap tier's capacity and occupancy (capacity 0 = disabled).
+    host: HostTier,
 }
 
 impl KvPager {
@@ -191,9 +187,7 @@ impl KvPager {
             index: BTreeMap::new(),
             lru: Vec::new(),
             cache_enabled: false,
-            host_capacity: 0,
-            host: BTreeMap::new(),
-            host_used: 0,
+            host: HostTier::new(page_size, 0),
         }
     }
 
@@ -211,57 +205,26 @@ impl KvPager {
     /// re-prefill behavior bit for bit).
     #[must_use]
     pub fn with_host_tier(mut self, pages: usize) -> Self {
-        self.host_capacity = pages;
+        self.host = HostTier::new(self.page_size, pages);
         self
     }
 
     /// Host-tier capacity in pages (0 = disabled).
     #[must_use]
     pub fn host_capacity(&self) -> usize {
-        self.host_capacity
+        self.host.capacity()
     }
 
-    /// Host-tier pages currently occupied across all owners.
+    /// Host-tier pages currently occupied across all requests.
     #[must_use]
     pub fn host_pages_used(&self) -> usize {
-        self.host_used
+        self.host.used()
     }
 
-    /// Host-tier pages held for `owner` (0 if none).
-    #[must_use]
-    pub fn host_pages_of(&self, owner: u64) -> usize {
-        self.host.get(&owner).copied().unwrap_or(0)
-    }
-
-    /// Moves up to `pages` reclaimed device pages' contents to the host
-    /// tier on behalf of `owner`, bounded by the tier's remaining
-    /// capacity. Returns the pages actually swapped out (0 while the tier
-    /// is disabled or full). Call *after* the device pages were dropped
-    /// (`truncate`/`release`): the swap models their contents surviving
-    /// off-device, so nothing is ever resident in both tiers.
-    pub fn swap_out(&mut self, owner: u64, pages: usize) -> usize {
-        let granted = pages.min(self.host_capacity.saturating_sub(self.host_used));
-        if granted > 0 {
-            *self.host.entry(owner).or_insert(0) += granted;
-            self.host_used += granted;
-        }
-        granted
-    }
-
-    /// Takes `owner`'s entire host-tier holding back for copy-back on
-    /// re-admission, freeing its host occupancy. Returns the pages copied
-    /// back (0 if the owner held none).
-    pub fn swap_in(&mut self, owner: u64) -> usize {
-        let pages = self.host.remove(&owner).unwrap_or(0);
-        self.host_used -= pages;
-        pages
-    }
-
-    /// Drops `owner`'s host-tier holding without a copy-back (the owner
-    /// retired, was rejected, or migrated to another shard). Returns the
-    /// pages discarded.
-    pub fn host_discard(&mut self, owner: u64) -> usize {
-        self.swap_in(owner)
+    /// The host tier, for the residency transitions that move KV contents
+    /// into and out of it.
+    pub(crate) fn host_mut(&mut self) -> &mut HostTier {
+        &mut self.host
     }
 
     /// Tokens per page.
@@ -364,11 +327,20 @@ impl KvPager {
     /// them resident).
     #[must_use]
     pub fn can_admit(&self, owner: u64, tokens: usize, chain: &[u64]) -> bool {
+        let (need, available) = self.admission_gap(owner, tokens, chain);
+        need <= available
+    }
+
+    /// The arithmetic behind [`can_admit`](Self::can_admit), as `(pages
+    /// the owner must still allocate, pages available to allocate)` — the
+    /// preemption planner starts from the same two numbers and adds what
+    /// each victim would free.
+    pub(crate) fn admission_gap(&self, owner: u64, tokens: usize, chain: &[u64]) -> (usize, usize) {
         let (hits, cached_hits) = self.adoptable(owner, chain);
         let need = self
             .pages_needed(tokens)
             .saturating_sub(self.pages_of(owner) + hits);
-        need <= self.free.len() + self.lru.len() - cached_hits
+        (need, self.free.len() + self.lru.len() - cached_hits)
     }
 
     /// The single definition of the adoptable-page walk: the resident
@@ -690,8 +662,10 @@ impl KvPager {
     /// * the prefix index and per-page keys agree both ways, and cached
     ///   pages are exactly the refcount-0 indexed pages;
     /// * no owner is provisioned for more tokens than its pages hold;
-    /// * host-tier occupancy sums to its per-owner bookkeeping and never
-    ///   exceeds the tier's capacity.
+    /// * host-tier occupancy never exceeds the tier's capacity (that it
+    ///   equals what the requests' holdings need is
+    ///   [`ServingEngine::validate`](super::ServingEngine::validate)'s
+    ///   check — the pager does not know the holders).
     pub fn validate(&self) {
         let mut mappings = vec![0u32; self.total_pages];
         for t in &self.tables {
@@ -754,17 +728,11 @@ impl KvPager {
             self.total_pages(),
             "page conservation violated"
         );
-        let host_sum: usize = self.host.values().sum();
-        assert_eq!(
-            self.host_used, host_sum,
-            "host tier occupancy {} disagrees with per-owner sum {}",
-            self.host_used, host_sum
-        );
         assert!(
-            self.host_used <= self.host_capacity,
+            self.host.used() <= self.host.capacity(),
             "host tier over capacity: {} of {} pages",
-            self.host_used,
-            self.host_capacity
+            self.host.used(),
+            self.host.capacity()
         );
     }
 
@@ -999,50 +967,6 @@ mod tests {
         pager.release(1);
         assert_eq!(pager.cached_pages(), 0);
         assert_eq!(pager.free_pages(), 4);
-        pager.validate();
-    }
-
-    #[test]
-    fn host_tier_bounds_swaps_and_conserves() {
-        let mut pager = KvPager::new(16, 160).with_host_tier(3);
-        assert_eq!(pager.host_capacity(), 3);
-        pager.reserve(1, 80); // 5 pages
-        let dropped = pager.truncate(1, 1);
-        assert_eq!(dropped, 4);
-        // Only 3 of the 4 dropped pages fit the host tier.
-        assert_eq!(pager.swap_out(1, dropped), 3);
-        assert_eq!(pager.host_pages_of(1), 3);
-        assert_eq!(pager.host_pages_used(), 3);
-        pager.validate();
-        // A second victim finds the tier full.
-        pager.reserve(2, 32);
-        pager.release(2);
-        assert_eq!(pager.swap_out(2, 2), 0);
-        // Copy-back takes the whole holding and frees the tier.
-        assert_eq!(pager.swap_in(1), 3);
-        assert_eq!(pager.host_pages_used(), 0);
-        assert_eq!(pager.swap_in(1), 0);
-        pager.validate();
-    }
-
-    #[test]
-    fn disabled_host_tier_never_accepts_a_swap() {
-        let mut pager = KvPager::new(16, 64);
-        pager.reserve(1, 64);
-        pager.release(1);
-        assert_eq!(pager.swap_out(1, 4), 0);
-        assert_eq!(pager.host_pages_used(), 0);
-        pager.validate();
-    }
-
-    #[test]
-    fn host_discard_drops_without_copy_back() {
-        let mut pager = KvPager::new(16, 64).with_host_tier(8);
-        pager.reserve(1, 32);
-        pager.release(1);
-        assert_eq!(pager.swap_out(1, 2), 2);
-        assert_eq!(pager.host_discard(1), 2);
-        assert_eq!(pager.host_pages_used(), 0);
         pager.validate();
     }
 

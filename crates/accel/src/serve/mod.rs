@@ -53,6 +53,7 @@ pub mod kv_pager;
 pub mod policy;
 mod pricing;
 pub mod queue;
+mod residency;
 pub mod router;
 pub mod scenario;
 pub mod stats;
@@ -86,6 +87,7 @@ use crate::engine::ToPickAccelerator;
 
 use batch_state::{ActiveRequest, BatchState};
 use queue::PendingQueue;
+use residency::Residency;
 
 /// Full configuration of the serving engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -578,12 +580,11 @@ impl ServingEngine {
     ///
     /// * the pager's own invariants ([`KvPager::validate`]);
     /// * for every queued and running request: it owes prompt prefill or a
-    ///   post-eviction rebuild, never both; the debt never exceeds its
-    ///   context (so [`built_tokens`](ActiveRequest::built_tokens) is
-    ///   well-defined); only a rebuild debt has a host-tier holding, and
+    ///   post-eviction rebuild, never both (the debt is one sum type); the
+    ///   debt never exceeds its context, so the built prefix is
+    ///   well-defined; only a rebuild debt has a host-tier holding, and
     ///   the holding is part of what the rebuild dropped;
-    /// * the host tier holds exactly the pages those holdings need — per
-    ///   request, and in total.
+    /// * the host tier holds exactly the pages those holdings need.
     ///
     /// # Panics
     ///
@@ -593,37 +594,8 @@ impl ServingEngine {
         pager.validate();
         let mut host_pages = 0;
         for r in self.pending.entries().iter().chain(self.batch.slots()) {
-            let id = r.req.id;
-            assert!(
-                !(r.needs_prefill && r.needs_reprefill),
-                "request {id} owes prefill and a rebuild at once"
-            );
-            let debt = if r.needs_prefill {
-                r.prefill_tokens
-            } else if r.needs_reprefill {
-                r.dropped_tokens
-            } else {
-                0
-            };
-            assert!(
-                debt <= r.context,
-                "request {id} owes {debt} tokens of a {}-token context",
-                r.context
-            );
-            assert!(
-                r.swapped_tokens == 0
-                    || (r.needs_reprefill && r.swapped_tokens <= r.dropped_tokens),
-                "request {id} holds {} host tokens outside its rebuild debt",
-                r.swapped_tokens
-            );
-            let need = pager.pages_needed(r.swapped_tokens);
-            assert_eq!(
-                pager.host_pages_of(r.arrival_seq),
-                need,
-                "request {id}: host pages disagree with its {} host tokens",
-                r.swapped_tokens
-            );
-            host_pages += need;
+            r.kv.validate(r.context);
+            host_pages += pager.pages_needed(r.kv.host_tokens());
         }
         assert_eq!(
             host_pages,
@@ -720,12 +692,11 @@ impl ServingEngine {
             wait_since: schedulable_at,
             last_admitted_at: None,
             last_evicted_at: None,
-            needs_reprefill: false,
-            dropped_tokens: 0,
-            needs_prefill: self.cfg.prefill_factor > 0.0,
-            prefill_tokens: req.prompt_len,
-            swapped_tokens: 0,
-            shipped_tokens,
+            kv: Residency::enqueued(
+                req.prompt_len,
+                self.cfg.prefill_factor > 0.0,
+                shipped_tokens,
+            ),
             last_token_at: None,
             page_keys,
             stats: RequestStats::queued(&req, schedulable_at),
@@ -747,20 +718,13 @@ impl ServingEngine {
     /// [`ship_cost_factor`](ServingConfig::ship_cost_factor) via
     /// [`receive_shipped`](Self::receive_shipped).
     pub(crate) fn ship_out_youngest_running(&mut self) -> Option<ActiveRequest> {
-        let slot = (0..self.batch.len()).rev().find(|&i| {
-            let r = &self.batch.slots()[i];
-            !r.needs_prefill && !r.needs_reprefill
-        })?;
+        let slot = (0..self.batch.len())
+            .rev()
+            .find(|&i| self.batch.slots()[i].kv.is_built())?;
         let mut shipped = self.batch.evict(slot);
-        let seq = shipped.arrival_seq;
-        self.batch.pager_mut().release(seq);
-        self.batch.pager_mut().host_discard(seq);
-        // The whole built context travels with the request; on the
-        // receiver it is rebuild debt covered entirely by the transfer.
-        shipped.needs_reprefill = true;
-        shipped.dropped_tokens = shipped.context;
-        shipped.shipped_tokens = shipped.context;
-        shipped.swapped_tokens = 0;
+        let pager = self.batch.pager_mut();
+        pager.release(shipped.arrival_seq);
+        shipped.kv.ship_out(shipped.context, pager.host_mut());
         Some(shipped)
     }
 
@@ -810,7 +774,7 @@ impl ServingEngine {
     /// prefill work for the covered prefix.
     pub(crate) fn credit_shipped(&mut self, seq: u64, tokens: usize) {
         if let Some(e) = self.pending.get_mut_by_seq(seq) {
-            e.shipped_tokens += tokens;
+            e.kv.credit_shipped(tokens);
         }
     }
 
@@ -843,7 +807,7 @@ impl ServingEngine {
             // pools.
             let pager = self.batch.pager_mut();
             pager.release(seq);
-            pager.host_discard(seq);
+            r.kv.release_host(pager.host_mut());
             let overdue =
                 (step - r.stats.enqueued_at + 1) - r.req.ttft_deadline.unwrap_or(0) as usize;
             r.stats.slo_violated = true;
@@ -915,21 +879,13 @@ impl ServingEngine {
                     let pager = self.batch.pager();
                     // Pages the candidate still needs, crediting any it
                     // retained across an earlier preemption and any the
-                    // prefix cache can supply without allocation.
+                    // prefix cache can supply without allocation, against
+                    // the pages available — cached ones count (reclaimable
+                    // on demand) except those it is itself about to adopt.
                     let hit_pages = pager.adoptable_pages(cand.arrival_seq, &chain);
-                    let hits = hit_pages.len();
-                    let cached_hits = hit_pages
-                        .iter()
-                        .filter(|&&p| pager.refcount(p) == 0)
-                        .count();
-                    let cand_need = pager
-                        .pages_needed(cand.final_context)
-                        .saturating_sub(pager.pages_of(cand.arrival_seq) + hits);
+                    let (cand_need, mut avail) =
+                        pager.admission_gap(cand.arrival_seq, cand.final_context, &chain);
                     let mut sim = self.batch.views();
-                    // Refcount-0 cached pages are reclaimable on demand,
-                    // so they count as available — except the ones the
-                    // candidate is itself about to adopt.
-                    let mut avail = pager.free_pages() + pager.cached_pages() - cached_hits;
                     let fits_sim = |sim: &[policy::RunningView], avail: usize| {
                         sim.len() < limits.max_batch && cand_need <= avail
                     };
@@ -950,6 +906,9 @@ impl ServingEngine {
                         // another resident request still maps (shared
                         // pages are never reclaimed out from under a
                         // second owner) or that the candidate will adopt.
+                        // (Conservative: the eviction itself also caps
+                        // retention at the victim's built prefix, so a
+                        // victim with debt frees more than planned here.)
                         let occupied = pager.pages_needed(victim.context);
                         let kept = retention.retained_pages(occupied);
                         avail += pager.releasable_pages(victim.arrival_seq, kept, &hit_pages);
@@ -1007,75 +966,23 @@ impl ServingEngine {
     /// a prefix of its KV pages per the configured [`RetentionPolicy`].
     fn evict(&mut self, slot: usize) {
         let mut victim = self.batch.evict(slot);
-        let ctx = victim.context;
-        let page_size = self.batch.pager().page_size();
-        let occupied = self.batch.pager().pages_needed(ctx);
-        // Retention cannot keep KV that was never built: a victim evicted
-        // before the decode step that would have charged its pending
-        // prefill (first admission) or re-prefill (outstanding rebuild
-        // debt) only ever materialized `valid` KV tokens, so the retained
-        // prefix caps there and everything beyond it is re-prefill debt —
-        // otherwise the skipped charge would never be billed to anyone.
-        let valid = if victim.needs_prefill {
-            victim.needs_prefill = false;
-            let v = ctx - victim.prefill_tokens;
-            victim.prefill_tokens = 0;
-            v
-        } else if victim.needs_reprefill {
-            ctx - victim.dropped_tokens
-        } else {
-            ctx
-        };
+        let pager = self.batch.pager_mut();
+        let (retained_tokens, swapped_now) = victim.kv.evict(
+            victim.context,
+            self.cfg.preemption.retention,
+            pager.host_mut(),
+        );
+        let dropped_tokens = victim.context - retained_tokens;
         // Free the dropped suffix and the unused reservation beyond the
         // current context; the retained prefix stays allocated while the
-        // victim queues. Pages past the valid prefix hold no real KV, so
-        // retention never keeps them.
-        let kept_pages = self
-            .cfg
-            .preemption
-            .retention
-            .retained_pages(occupied)
-            .min(self.batch.pager().pages_needed(valid));
-        self.batch
-            .pager_mut()
-            .truncate(victim.arrival_seq, kept_pages);
-        let retained_tokens = valid.min(kept_pages * page_size);
-        let dropped_tokens = ctx - retained_tokens;
-        // Host tier: the dropped pages that held *valid* KV can survive
-        // off-device. A full grant extends the victim's holding
-        // contiguously above its retained prefix; a partial grant is only
-        // usable when no earlier holding sits above it (a hole below
-        // already-swapped pages would break the copy-back prefix, so the
-        // stale holding is discarded instead).
-        let swapped_now = if self.batch.pager().host_capacity() > 0 {
-            let seq = victim.arrival_seq;
-            let pager = self.batch.pager_mut();
-            let swappable = pager.pages_needed(valid).saturating_sub(kept_pages);
-            let granted = pager.swap_out(seq, swappable);
-            if granted == swappable {
-                let moved = valid - retained_tokens;
-                victim.swapped_tokens += moved;
-                moved
-            } else if victim.swapped_tokens == 0 {
-                let moved = valid.min((kept_pages + granted) * page_size) - retained_tokens;
-                victim.swapped_tokens = moved;
-                moved
-            } else {
-                pager.host_discard(seq);
-                victim.swapped_tokens = 0;
-                0
-            }
-        } else {
-            0
-        };
+        // victim queues.
+        pager.truncate(victim.arrival_seq, pager.pages_needed(retained_tokens));
         victim.stats.preemptions += 1;
         victim.stats.retained_tokens += retained_tokens;
         victim.last_evicted_at = Some(self.step_index);
         // Waiting restarts now: time spent running must not count as
         // queue age when policies apply starvation aging.
         victim.wait_since = self.step_index;
-        victim.needs_reprefill = true;
-        victim.dropped_tokens = dropped_tokens;
         self.preemptions += 1;
         let (id, generated) = (victim.req.id, victim.stats.generated);
         self.pending.push(victim);
@@ -1149,51 +1056,14 @@ impl ServingEngine {
         let pager = self.batch.pager_mut();
         let kept_pages = pager.pages_of(seq) - 1;
         pager.truncate(seq, kept_pages);
-        let page_size = pager.page_size();
-        // Host tier: the reclaimed tail page sits directly below any pages
-        // this holder already swapped, so a granted swap keeps its
-        // off-device holding a contiguous extension of the (now shorter)
-        // retained prefix. A refused swap below an existing holding leaves
-        // a hole, which invalidates the whole holding for copy-back.
-        let tier_on = pager.host_capacity() > 0;
-        let swap_granted = tier_on && pager.swap_out(seq, 1) == 1;
-        let mut discard_holding = false;
-        let (id, swapped_now) = {
-            let e = self
-                .pending
-                .get_mut_by_seq(seq)
-                .expect("retained-page holder is queued");
-            // A shorter prefix is still a valid prefix: only the tokens the
-            // reclaimed tail page covered move back into the re-prefill
-            // debt. Capped at the previously valid prefix — reclaiming a
-            // page a never-decoded victim hadn't materialized anyway
-            // changes nothing.
-            let old_retained = e.context - e.dropped_tokens;
-            let new_retained = old_retained.min(kept_pages * page_size);
-            e.stats.retained_tokens -= old_retained - new_retained;
-            e.dropped_tokens = e.context - new_retained;
-            let moved = old_retained - new_retained;
-            let swapped_now = if swap_granted && moved > 0 {
-                e.swapped_tokens += moved;
-                moved
-            } else {
-                if !swap_granted && e.swapped_tokens > 0 {
-                    discard_holding = true;
-                    e.swapped_tokens = 0;
-                }
-                0
-            };
-            (e.req.id, swapped_now)
-        };
-        if discard_holding {
-            self.batch.pager_mut().host_discard(seq);
-        } else if swap_granted && swapped_now == 0 {
-            // The reclaimed page held no materialized KV; nothing moved.
-            let pager = self.batch.pager_mut();
-            let held = pager.host_pages_of(seq);
-            pager.host_discard(seq);
-            pager.swap_out(seq, held - 1);
-        }
+        let e = self
+            .pending
+            .get_mut_by_seq(seq)
+            .expect("retained-page holder is queued");
+        let (lost_tokens, swapped_now) =
+            e.kv.reclaim_tail_page(e.context, kept_pages, pager.host_mut());
+        e.stats.retained_tokens -= lost_tokens;
+        let id = e.req.id;
         if swapped_now > 0 {
             self.emit(ServeEvent::SwappedOut {
                 id,
@@ -1256,8 +1126,7 @@ impl ServingEngine {
             self.cfg.prefill_chunk_pages * self.batch.pager().page_size()
         };
         for slot in 0..self.batch.len() {
-            let r = &self.batch.slots()[slot];
-            let prefill_debt = if r.needs_prefill { r.prefill_tokens } else { 0 };
+            let prefill_debt = self.batch.slots()[slot].kv.prefill_owed();
             if prefill_debt > chunk_budget {
                 // The prompt cannot finish building this step: the slot
                 // spends it advancing the frontier by what allowance is
@@ -1310,15 +1179,14 @@ impl ServingEngine {
         }
         let request_cycles = self.simulate_attention(id, ctx)?.0 * self.cfg.heads as u64;
         let r = &mut self.batch.slots_mut()[slot];
-        let remaining = r.prefill_tokens - allowance;
+        let (owed, remaining) = r.kv.advance_prefill(allowance);
         let charge = pricing::prefill_chunk(
             request_cycles,
             self.cfg.prefill_factor,
-            r.prefill_tokens,
+            owed,
             remaining,
             ctx,
         );
-        r.prefill_tokens = remaining;
         r.stats.prefill_cycles += charge;
         // The chunk's pages now hold real KV: publish the covered full
         // prompt pages for prefix sharing right away.
@@ -1340,15 +1208,16 @@ impl ServingEngine {
     /// it.
     fn decode_slot(&mut self, slot: usize, report: &mut StepReport) -> Result<(), ServeError> {
         let step = report.index;
-        let (id, seq, ctx) = {
+        let (id, ctx) = {
             let r = &self.batch.slots()[slot];
-            (r.req.id, r.arrival_seq, r.context)
+            (r.req.id, r.context)
         };
         let (head_cycles, prune) = self.simulate_attention(id, ctx)?;
         let request_cycles = head_cycles * self.cfg.heads as u64;
         self.prune.merge(&prune);
-        let r = &mut self.batch.slots_mut()[slot];
-        let settled = settle_debts(r, &self.cfg, request_cycles);
+        let (r, host) = self.batch.slot_and_host_mut(slot);
+        let settled =
+            r.kv.settle(ctx, &self.cfg, request_cycles, &mut r.stats, host);
         r.stats.attention_cycles += request_cycles;
         if r.stats.first_token_at.is_none() {
             r.stats.first_token_at = Some(step);
@@ -1379,12 +1248,6 @@ impl ServingEngine {
             // The charge that just landed means the request's prompt KV
             // genuinely exists; its full pages may be published for sharing.
             self.batch.publish_prefix(slot);
-        }
-        if settled.rebuilt {
-            // The rebuild consumed (or invalidated) whatever this request
-            // held in the host tier; the holding is gone either way and
-            // its pages return to host capacity.
-            self.batch.pager_mut().swap_in(seq);
         }
         if settled.swapped_tokens > 0 {
             self.emit(ServeEvent::SwappedIn {
@@ -1473,81 +1336,6 @@ impl ServingEngine {
             rejections: self.rejections,
             prune: self.prune.clone(),
         }
-    }
-}
-
-/// What a decoding slot paid this step on top of its attention, by kind,
-/// and what the payment means for its KV.
-struct SettledDebts {
-    prefill: u64,
-    reprefill: u64,
-    swap: u64,
-    ship: u64,
-    /// KV tokens copied back from the host tier.
-    swapped_tokens: usize,
-    /// Whether a post-eviction rebuild was settled.
-    rebuilt: bool,
-    /// Whether any prompt KV was (re)built — it may now be published.
-    built_kv: bool,
-}
-
-/// Settles every debt `r` carried into its decode step, priced off the
-/// step's measured `request_cycles` at the request's current context, and
-/// books the charges on its stats.
-///
-/// A rebuild re-prefills only what the eviction actually dropped (all of
-/// the context under full re-prefill; the suffix beyond the retained pages
-/// under paged retention). Tokens whose contents survived off-device — in
-/// the host tier or shipped over from a sibling shard — are copied back at
-/// their own (cheaper) price instead of being recomputed. Prompt prefill
-/// covers the share of the prompt the prefix cache did not serve; under
-/// chunking this is the *final* chunk. A prefix-pull ship (pages pulled
-/// from a sibling at enqueue, no rebuild debt) pays its transfer once, on
-/// the step the pulled pages first serve. With the tiers off every term
-/// but the rebuild is zero — bit-identical to the untiered engine.
-fn settle_debts(r: &mut ActiveRequest, cfg: &ServingConfig, request_cycles: u64) -> SettledDebts {
-    let context = r.context;
-    let price = |factor, tokens| pricing::share(request_cycles, factor, tokens, context);
-    let built_kv = r.needs_prefill || r.needs_reprefill;
-    let rebuilt = std::mem::take(&mut r.needs_reprefill);
-    let (mut swapped_tokens, mut shipped_tokens, mut reprefill) = (0, 0, 0);
-    if rebuilt {
-        let dropped = std::mem::take(&mut r.dropped_tokens);
-        swapped_tokens = std::mem::take(&mut r.swapped_tokens).min(dropped);
-        shipped_tokens = r.shipped_tokens.min(dropped - swapped_tokens);
-        let recomputed = dropped - swapped_tokens - shipped_tokens;
-        r.stats.reprefilled_tokens += recomputed;
-        reprefill = price(cfg.preemption.reprefill_factor, recomputed);
-    }
-    let mut prefill = 0;
-    if std::mem::take(&mut r.needs_prefill) {
-        let owed = std::mem::take(&mut r.prefill_tokens);
-        let marginal = price(cfg.prefill_factor, owed);
-        prefill = pricing::floor_prefill(owed, r.stats.prefill_cycles, marginal);
-    }
-    let pulled_tokens = std::mem::take(&mut r.shipped_tokens);
-    if shipped_tokens == 0 {
-        shipped_tokens = pulled_tokens;
-    }
-    let swap = price(cfg.swap_cost_factor, swapped_tokens);
-    let ship = price(cfg.ship_cost_factor, shipped_tokens);
-    if rebuilt {
-        reprefill = pricing::floor_reprefill(reprefill, swap, ship);
-    }
-    r.stats.prefill_cycles += prefill;
-    r.stats.reprefill_cycles += reprefill;
-    r.stats.swap_cycles += swap;
-    r.stats.ship_cycles += ship;
-    r.stats.swapped_tokens += swapped_tokens;
-    r.stats.shipped_tokens += shipped_tokens;
-    SettledDebts {
-        prefill,
-        reprefill,
-        swap,
-        ship,
-        swapped_tokens,
-        rebuilt,
-        built_kv,
     }
 }
 

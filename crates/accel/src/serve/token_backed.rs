@@ -119,29 +119,38 @@ impl TokenBackedBatch {
     /// # Errors
     ///
     /// [`ServeError::InvalidRequest`] if prompt plus token target cannot
-    /// fit the model's maximum context.
+    /// fit the model's maximum context, or if a request with the same id
+    /// is already registered — events carry only the id, so the mirror
+    /// could not tell the two apart.
     pub fn register(&mut self, req: &ServingRequest) -> Result<(), ServeError> {
-        let spec = self.model.spec();
-        if req.prompt_len + req.max_new_tokens > spec.max_context {
+        if req.prompt_len + req.max_new_tokens > self.model.spec().max_context {
             return Err(ServeError::InvalidRequest(
                 "prompt plus token target exceeds the model's max context",
             ));
         }
-        let vocab = spec.vocab as u64;
-        let prompt = (0..req.prompt_len)
-            .map(|i| usize::try_from(req.token_at(i) % vocab).expect("vocab fits usize"))
-            .collect();
+        if self.states.contains_key(&req.id) {
+            return Err(ServeError::InvalidRequest("duplicate request id"));
+        }
         self.states.insert(
             req.id,
             SeqState {
                 seqs: Vec::new(),
                 built: 0,
-                prompt,
+                prompt: self.prompt_tokens(req),
                 generated: Vec::new(),
                 page_keys: req.page_keys(self.page_size),
             },
         );
         Ok(())
+    }
+
+    /// The request's prompt as model token ids
+    /// ([`ServingRequest::token_at`] folded into the vocabulary).
+    fn prompt_tokens(&self, req: &ServingRequest) -> Vec<usize> {
+        let vocab = self.model.spec().vocab as u64;
+        (0..req.prompt_len)
+            .map(|i| usize::try_from(req.token_at(i) % vocab).expect("vocab fits usize"))
+            .collect()
     }
 
     /// Applies one engine event to the mirror. Events must arrive in the
@@ -212,13 +221,14 @@ impl TokenBackedBatch {
     /// equal this exactly — the token-equivalence acceptance criterion.
     #[must_use]
     pub fn reference_generate(&self, req: &ServingRequest) -> Vec<usize> {
-        let vocab = self.model.spec().vocab as u64;
-        let prompt: Vec<usize> = (0..req.prompt_len)
-            .map(|i| usize::try_from(req.token_at(i) % vocab).expect("vocab fits usize"))
-            .collect();
         let mut kernel = SimulatedAttention::new(self.kernel_cfg.clone());
-        self.model
-            .generate(&prompt, req.max_new_tokens, 0.0, 0, &mut kernel)
+        self.model.generate(
+            &self.prompt_tokens(req),
+            req.max_new_tokens,
+            0.0,
+            0,
+            &mut kernel,
+        )
     }
 
     /// The shared paged store backing every request's rows.
@@ -467,7 +477,7 @@ impl TokenBackedRun {
 /// Propagates engine errors; [`ServeError::StepLimitExceeded`] if the
 /// workload does not drain within `max_steps`;
 /// [`ServeError::InvalidRequest`] if a request cannot fit the model's
-/// context window.
+/// context window or repeats an earlier request's id.
 pub fn run_token_backed(
     engine: &mut ServingEngine,
     requests: Vec<ServingRequest>,

@@ -380,13 +380,10 @@ proptest! {
         page_size in 1usize..24,
         budget in 100usize..800,
         cache_enabled in any::<bool>(),
-        host_cap in 0usize..6,
-        ops in prop::collection::vec(0u8..11, 4..64),
+        ops in prop::collection::vec(0u8..8, 4..64),
     ) {
         const OWNERS: u64 = 5;
-        let mut pager = KvPager::new(page_size, budget)
-            .with_prefix_cache(cache_enabled)
-            .with_host_tier(host_cap);
+        let mut pager = KvPager::new(page_size, budget).with_prefix_cache(cache_enabled);
         // Three content chains of up to 4 pages each; chains share no keys.
         let chains: Vec<Vec<u64>> = (0..3u64)
             .map(|c| (0..4).map(|p| c * 100 + p + 1).collect())
@@ -420,42 +417,20 @@ proptest! {
                     let keep = (mix >> 16) as usize % (pager.pages_of(owner) + 1);
                     pager.truncate(owner, keep);
                 }
-                6 | 7 => {
+                _ => {
                     // Retire / reclaim retained pages.
                     pager.release(owner);
-                }
-                8 => {
-                    // Swap out: dropped contents move to the bounded host
-                    // tier; the grant never exceeds the remaining room.
-                    let want = 1 + (mix >> 16) as usize % 4;
-                    let room = host_cap - pager.host_pages_used();
-                    let granted = pager.swap_out(owner, want);
-                    prop_assert!(granted <= want.min(room), "over-granted swap");
-                }
-                9 => {
-                    // Copy-back on re-admission empties the owner's holding.
-                    let held = pager.host_pages_of(owner);
-                    prop_assert_eq!(pager.swap_in(owner), held);
-                    prop_assert_eq!(pager.host_pages_of(owner), 0);
-                }
-                _ => {
-                    // Retire without copy-back (the owner finished or was
-                    // rejected while swapped out).
-                    pager.host_discard(owner);
-                    prop_assert_eq!(pager.host_pages_of(owner), 0);
                 }
             }
             pager.validate();
         }
-        // Releasing every owner (device and host tiers) unmaps everything.
+        // Releasing every owner unmaps everything.
         for owner in 0..OWNERS {
             pager.release(owner);
-            pager.host_discard(owner);
         }
         pager.validate();
         prop_assert_eq!(pager.allocated_pages(), 0);
         prop_assert_eq!(pager.mapped_pages(), 0);
-        prop_assert_eq!(pager.host_pages_used(), 0);
         if !cache_enabled {
             prop_assert_eq!(pager.free_pages(), pager.total_pages());
         }

@@ -2453,6 +2453,52 @@ fn run_real_token_chat(
     (run, requests)
 }
 
+#[test]
+fn real_tokens_reject_a_duplicate_request_id() {
+    // The engine keys KV by arrival sequence, so it can serve two requests
+    // with one id; the mirror keys by id (events carry nothing else), so a
+    // second registration used to overwrite the first's prompt and both
+    // then decoded into one sequence. It must refuse instead.
+    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+    let cfg = SharedPrefixChat::default().serving_config(accel);
+    let spec = token_picker::model::ModelSpec::toy();
+    let mut batch = token_picker::accel::TokenBackedBatch::new(spec.clone(), 11, &cfg);
+    let first = ServingRequest::new(7, 24, 2);
+    batch.register(&first).expect("first registration");
+    let prompt = batch.prompt(7).expect("registered").to_vec();
+    let err = batch
+        .register(&ServingRequest::new(7, 40, 3))
+        .expect_err("a second request 7 must be refused");
+    assert!(
+        matches!(
+            err,
+            token_picker::accel::ServeError::InvalidRequest("duplicate request id")
+        ),
+        "{err:?}"
+    );
+    assert_eq!(
+        batch.prompt(7),
+        Some(prompt.as_slice()),
+        "first prompt kept"
+    );
+
+    // The driver surfaces it before the engine ever sees the duplicate.
+    let mut engine = ServingEngine::new(cfg);
+    let err = token_picker::accel::run_token_backed(
+        &mut engine,
+        vec![first, ServingRequest::new(7, 40, 3)],
+        spec,
+        11,
+        64,
+    )
+    .expect_err("duplicate ids cannot be mirrored");
+    assert!(matches!(
+        err,
+        token_picker::accel::ServeError::InvalidRequest("duplicate request id")
+    ));
+    assert_eq!(engine.pending(), 1, "only the first request was enqueued");
+}
+
 /// Every request's served tokens must equal a private, unsharded
 /// `generate` on the same prompt — token equivalence under physical
 /// prefix sharing.
