@@ -39,7 +39,7 @@ fn error_of(args: &[&str]) -> String {
 #[test]
 fn serve_output_matches_the_goldens() {
     let golden_trace = "tests/data/agentic_affinity_cluster.trace";
-    let cases: [(&str, &[&str]); 6] = [
+    let cases: [(&str, &[&str]); 7] = [
         ("default", &["serve"]),
         ("policy_all", &["serve", "--policy", "all"]),
         (
@@ -73,6 +73,21 @@ fn serve_output_matches_the_goldens() {
             ],
         ),
         ("replay_golden_trace", &["serve", "--replay", golden_trace]),
+        // Real synth-model tokens out of the paged KV store: the golden
+        // says "16/16 requests byte-identical to unsharded generate".
+        (
+            "real_tokens",
+            &[
+                "serve",
+                "--real-tokens",
+                "--prefix-cache",
+                "--preemption",
+                "--retention",
+                "0.75",
+                "--policy",
+                "priority",
+            ],
+        ),
     ];
     for (name, args) in cases {
         let path = format!("{}/tests/data/cli/{name}.txt", env!("CARGO_MANIFEST_DIR"));
@@ -112,6 +127,35 @@ fn a_recorded_run_replays_to_the_same_bytes() {
     let replayed = stdout_of(&["serve", "--replay", &first]);
     assert!(replayed.contains("(matches the recording)"), "{replayed}");
     assert!(stdout_of(&["trace", "diff", &first, &second]).contains("schedules identical"));
+    // A host tier changes the schedule: the diff against the tier-off twin
+    // exits 1 and localizes the divergence to the first swap event.
+    let tier = |to: &str, extra: &[&'static str]| {
+        let mut args = vec!["serve", "--requests", "24", "--record", to];
+        args.extend([
+            "--preemption",
+            "--retention",
+            "0.75",
+            "--policy",
+            "priority",
+        ]);
+        args.extend(extra);
+        stdout_of(&args)
+    };
+    let (tier_off, tier_on) = (path("tier_off.trace"), path("tier_on.trace"));
+    tier(&tier_off, &[]);
+    tier(&tier_on, &["--host-pages", "1024", "--swap-cost", "0.25"]);
+    let diff = topick(&["trace", "diff", &tier_off, &tier_on]);
+    assert_eq!(
+        diff.status.code(),
+        Some(1),
+        "diverging schedules must exit 1"
+    );
+    let diff = String::from_utf8(diff.stdout).expect("utf-8 stdout");
+    let first_right = diff.lines().find(|l| l.trim_start().starts_with("> ["));
+    assert!(
+        first_right.is_some_and(|l| l.contains(r#""kind":"swapped_out""#)),
+        "{diff}"
+    );
     std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }
 
