@@ -82,8 +82,6 @@ pub struct TokenBackedBatch {
     /// Content chain key → latest request whose built rows cover it.
     registry: HashMap<u64, u64>,
     peak_shared_pages: usize,
-    build_cycles: u64,
-    decode_cycles: u64,
 }
 
 impl TokenBackedBatch {
@@ -107,8 +105,6 @@ impl TokenBackedBatch {
             states: HashMap::new(),
             registry: HashMap::new(),
             peak_shared_pages: 0,
-            build_cycles: 0,
-            decode_cycles: 0,
         }
     }
 
@@ -165,9 +161,7 @@ impl TokenBackedBatch {
             } => {
                 // Chunked prefill: advance the frontier to the absolute
                 // built-token count the engine just charged for.
-                let before = self.kernel.cycles();
                 self.ensure_built(id, built_tokens);
-                self.build_cycles += self.kernel.cycles() - before;
                 self.publish(id);
             }
             ServeEvent::TokenGenerated {
@@ -264,25 +258,11 @@ impl TokenBackedBatch {
         self.peak_shared_pages
     }
 
-    /// Kernel cycles measured while (re)building prompt/context rows —
-    /// the measured counterpart of the engine's charged prefill,
-    /// re-prefill and swap cycles.
-    #[must_use]
-    pub fn measured_build_cycles(&self) -> u64 {
-        self.build_cycles
-    }
-
-    /// Kernel cycles measured in per-token decode forwards — the
-    /// measured counterpart of the engine's charged attention cycles.
-    #[must_use]
-    pub fn measured_decode_cycles(&self) -> u64 {
-        self.decode_cycles
-    }
-
-    /// Total kernel cycles measured across the run.
+    /// Total kernel cycles measured across the run: every row the mirror
+    /// (re)builds and every decode forward goes through the one kernel.
     #[must_use]
     pub fn measured_cycles(&self) -> u64 {
-        self.build_cycles + self.decode_cycles
+        self.kernel.cycles()
     }
 
     /// Fresh admission: materialise the request's sequences, forking the
@@ -359,16 +339,11 @@ impl TokenBackedBatch {
                 state.built = pop_to;
             }
         }
-        // Catch-up rows (reprefill / swap rebuild) are build work...
-        let before = self.kernel.cycles();
-        self.ensure_built(id, context - 1);
-        self.build_cycles += self.kernel.cycles() - before;
-        // ...the final forward is the decode step itself.
-        let before = self.kernel.cycles();
+        // Catch-up rows (reprefill / swap rebuild) come first; the last
+        // forward is the decode step itself.
         let logits = self
             .ensure_built(id, context)
-            .expect("decode forwards exactly one token");
-        self.decode_cycles += self.kernel.cycles() - before;
+            .expect("decode forwards at least one token");
         let next = argmax_token(&logits);
         let state = self.states.get_mut(&id).expect("present above");
         state.generated.push(next);

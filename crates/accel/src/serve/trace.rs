@@ -22,10 +22,9 @@
 //!
 //! The on-disk format is line-oriented JSON (one flat object per line:
 //! one meta line, one line per request, one per event, one digest
-//! footer), hand-rolled in the spirit of `topick_bench::json` — no serde,
-//! no crates.io. Line orientation keeps traces diffable, greppable and
-//! appendable, the same shape production serving stacks use for request
-//! logs.
+//! footer), hand-rolled — no serde, no crates.io. Line orientation keeps
+//! traces diffable, greppable and appendable, the same shape production
+//! serving stacks use for request logs.
 
 use std::fmt::{self, Write as _};
 use std::path::Path;

@@ -18,7 +18,6 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig8;
 pub mod fig9;
-pub mod json;
 pub mod table2;
 pub mod util;
 

@@ -1175,13 +1175,12 @@ fn scenario_trace_meta(
 /// — the absolute anchor under the record/replay fixed points, which only
 /// compare a run with itself. On any difference the panic prints the
 /// measured table in source form, so a planned re-baseline is one paste.
-fn assert_pinned_digests(name: &str, pinned: &[(&str, u64)], measured: &[(String, u64)]) {
+fn assert_pinned_digests(name: &str, pinned: &[(&str, u64)], measured: &[(impl AsRef<str>, u64)]) {
     let measured_rows = measured
         .iter()
-        .map(|(label, digest)| (label.as_str(), *digest));
-    if !pinned.iter().copied().eq(measured_rows) {
-        let rows: String = measured
-            .iter()
+        .map(|(label, digest)| (label.as_ref(), *digest));
+    if !pinned.iter().copied().eq(measured_rows.clone()) {
+        let rows: String = measured_rows
             .map(|(label, digest)| format!("    (\"{label}\", {digest}),\n"))
             .collect();
         panic!(
@@ -1373,8 +1372,7 @@ fn agentic_scenario_affinity_beats_round_robin_by_the_pinned_margin() {
     // so prefix-affinity routing keeps each session's pages on one shard
     // while round-robin scatters them across all four and hits nothing.
     // The margin is pinned well below the measured gap (0.544 vs 0.0 at
-    // seed 11, recorded in BENCH_serving_scenarios.json) so modeling
-    // drift trips it before the effect disappears.
+    // seed 11) so modeling drift trips it before the effect disappears.
     let kind = ScenarioKind::AgenticToolLoops;
     let requests = kind.build().generate(11);
     let run = |routing: RoutingKind| {
@@ -1393,8 +1391,8 @@ fn agentic_scenario_affinity_beats_round_robin_by_the_pinned_margin() {
         "AGENTIC_TRACE_DIGESTS",
         &AGENTIC_TRACE_DIGESTS,
         &[
-            ("round-robin".to_string(), round_robin_trace.digest),
-            ("prefix-affinity".to_string(), affinity_trace.digest),
+            ("round-robin", round_robin_trace.digest),
+            ("prefix-affinity", affinity_trace.digest),
         ],
     );
     assert_eq!(
@@ -1623,8 +1621,8 @@ fn chunked_prefill_cuts_the_max_decode_stall_at_least_3x_at_equal_tokens() {
         "LONG_DOC_TRACE_DIGESTS",
         &LONG_DOC_TRACE_DIGESTS,
         &[
-            ("chunk-0".to_string(), unchunked_trace.digest),
-            ("chunk-8".to_string(), chunked_trace.digest),
+            ("chunk-0", unchunked_trace.digest),
+            ("chunk-8", chunked_trace.digest),
         ],
     );
     let unchunked = engine_report(unchunked, "unchunked");
