@@ -69,4 +69,4 @@ pub use perplexity::{
 };
 pub use qcache::{requantization_gap, QuantizedHeadCache, QuantizedTokenPicker};
 pub use specs::ModelSpec;
-pub use synth::{InstanceSampler, SynthInstance, SynthProfile};
+pub use synth::{InstanceSampler, SynthInstance, SynthKeys, SynthProfile};

@@ -108,6 +108,79 @@ impl SynthProfile {
     }
 }
 
+/// The half of a synthetic instance that decides what an attention step
+/// *costs*: the query, the target scores and the keys realizing them —
+/// everything [`SynthInstance::generate`] draws before the value matrix,
+/// bit for bit (values come last in the seed's stream and feed only the
+/// output vector).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SynthKeys {
+    /// The query vector (head dimension).
+    pub query: Vec<f32>,
+    /// Key rows, `n × dim` row-major.
+    keys: Vec<f32>,
+    dim: usize,
+    /// The scores the construction targeted (after `1/sqrt(d)` scaling).
+    pub target_scores: Vec<f64>,
+}
+
+impl SynthKeys {
+    /// Generates the query, target scores and keys of the instance
+    /// [`SynthInstance::generate`] builds from the same profile and seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile has a zero context length or dimension.
+    #[must_use]
+    pub fn generate(profile: &SynthProfile, seed: u64) -> Self {
+        Self::draw(profile, &mut StdRng::seed_from_u64(seed))
+    }
+
+    /// The key construction, leaving `rng` where the value draw starts.
+    fn draw(profile: &SynthProfile, rng: &mut StdRng) -> Self {
+        assert!(profile.context_len > 0, "context_len must be positive");
+        assert!(profile.dim > 0, "dim must be positive");
+        let n = profile.context_len;
+        let d = profile.dim;
+        let sqrt_d = (d as f64).sqrt();
+
+        let query = normal_vec(rng, d, 1.0);
+        let q_norm2 = f64::from(dot(&query, &query)).max(1e-9);
+
+        let mut target_scores = Vec::with_capacity(n);
+        for i in 0..n {
+            let z = standard_normal(rng);
+            target_scores.push(profile.deterministic_boost(i) + profile.score_std * z);
+        }
+
+        let mut keys = Vec::with_capacity(n * d);
+        for &s in &target_scores {
+            // Residual with small norm so the projection dominates, drawn
+            // straight into the key's row and projected in place.
+            let start = keys.len();
+            keys.extend((0..d).map(|_| (standard_normal(rng) * 0.3) as f32));
+            let row = &mut keys[start..];
+            let qr = f64::from(dot(&query, row));
+            let alpha = ((s * sqrt_d - qr) / q_norm2) as f32;
+            for (k, &qi) in row.iter_mut().zip(&query) {
+                *k += alpha * qi;
+            }
+        }
+        Self {
+            query,
+            keys,
+            dim: d,
+            target_scores,
+        }
+    }
+
+    /// Key rows as a zero-copy row-major view.
+    #[must_use]
+    pub fn keys(&self) -> Rows<'_> {
+        Rows::new(&self.keys, self.dim)
+    }
+}
+
 /// One synthetic attention instance: a query, keys and values realizing a
 /// target score vector.
 ///
@@ -128,47 +201,27 @@ pub struct SynthInstance {
 }
 
 impl SynthInstance {
-    /// Generates one instance from a profile and seed.
+    /// Generates one instance from a profile and seed: [`SynthKeys`] plus
+    /// the value matrix, drawn from the same stream.
     ///
     /// # Panics
     ///
     /// Panics if the profile has a zero context length or dimension.
     #[must_use]
     pub fn generate(profile: &SynthProfile, seed: u64) -> Self {
-        assert!(profile.context_len > 0, "context_len must be positive");
-        assert!(profile.dim > 0, "dim must be positive");
         let mut rng = StdRng::seed_from_u64(seed);
-        let n = profile.context_len;
-        let d = profile.dim;
-        let sqrt_d = (d as f64).sqrt();
-
-        let query = normal_vec(&mut rng, d, 1.0);
-        let q_norm2 = f64::from(dot(&query, &query)).max(1e-9);
-
-        let mut target_scores = Vec::with_capacity(n);
-        for i in 0..n {
-            let z = standard_normal(&mut rng);
-            target_scores.push(profile.deterministic_boost(i) + profile.score_std * z);
-        }
-
-        let mut keys = Vec::with_capacity(n * d);
-        for &s in &target_scores {
-            // Residual with small norm so the projection dominates.
-            let r = normal_vec(&mut rng, d, 0.3);
-            let qr = f64::from(dot(&query, &r));
-            let alpha = (s * sqrt_d - qr) / q_norm2;
-            keys.extend(
-                r.iter()
-                    .zip(&query)
-                    .map(|(&ri, &qi)| ri + (alpha as f32) * qi),
-            );
-        }
-        let values = normal_vec(&mut rng, n * d, 1.0);
+        let SynthKeys {
+            query,
+            keys,
+            dim,
+            target_scores,
+        } = SynthKeys::draw(profile, &mut rng);
+        let values = normal_vec(&mut rng, keys.len(), 1.0);
         Self {
             query,
             keys,
             values,
-            dim: d,
+            dim,
             target_scores,
         }
     }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use topick_model::{
     nll_from_logits, ExactAttention, HeadCache, KvCache, ModelSpec, PagedKvStore, SynthInstance,
-    SynthProfile, TransformerModel,
+    SynthKeys, SynthProfile, TransformerModel,
 };
 
 proptest! {
@@ -30,6 +30,31 @@ proptest! {
         for (t, r) in inst.target_scores.iter().zip(&realized) {
             prop_assert!((t - r).abs() < 1e-2, "target {} vs realized {}", t, r);
         }
+    }
+
+    /// The keys-only generator is `generate` minus the value draw: query,
+    /// key data and target scores agree bit for bit.
+    #[test]
+    fn synth_keys_equal_the_full_instance_bit_for_bit(
+        seed in any::<u64>(),
+        n in 1usize..=300,
+        dim_idx in 0usize..4,
+        profile_idx in 0usize..3,
+    ) {
+        let dim = [1, 8, 64, 128][dim_idx];
+        let profile = [
+            SynthProfile::realistic,
+            SynthProfile::wide_spread,
+            SynthProfile::narrow_spread,
+        ][profile_idx](n, dim);
+        let full = SynthInstance::generate(&profile, seed);
+        let keys = SynthKeys::generate(&profile, seed);
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&keys.query), bits(&full.query));
+        prop_assert_eq!(bits(keys.keys().data()), bits(full.keys().data()));
+        prop_assert_eq!(keys.keys().dim(), dim);
+        let score_bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(score_bits(&keys.target_scores), score_bits(&full.target_scores));
     }
 
     /// Attention probabilities from any instance form a distribution.
