@@ -7,7 +7,7 @@
 //! is one `topick_core::Estimator::evaluate` call — the estimator the
 //! reference pruner runs — made in DRAM *arrival order*, exactly as the
 //! hardware's RPDU sees it. All four modes run the same lane pipeline
-//! ([`ToPickAccelerator::run_attention`] holds the table of what differs).
+//! ([`ToPickAccelerator::attention_cost`] holds the table of what differs).
 
 use std::collections::{HashMap, VecDeque};
 
@@ -20,7 +20,7 @@ use topick_energy::{EnergyBreakdown, EventCounts, EventEnergies};
 
 use crate::config::{AccelConfig, AccelMode};
 use crate::layout::KvLayout;
-use crate::result::AttentionStepResult;
+use crate::result::{AttentionCost, AttentionStepResult};
 
 const V_FLAG: u64 = 1 << 63;
 
@@ -323,26 +323,59 @@ impl ToPickAccelerator {
     }
 
     /// Simulates one attention step (one query over one head's KV cache):
-    /// validate → lay K out for the mode → K phase → V phase → result.
+    /// [`attention_cost`](Self::attention_cost) plus the one thing that
+    /// reads value *data* — the output vector.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::DimensionMismatch`] if the query length differs
     /// from the key dimension or the values are not one row per key of that
-    /// same width, and [`CoreError::InvalidConfig`] /
-    /// [`CoreError::InvalidThreshold`] if a configuration field was assigned
-    /// a value the model cannot run with (zero `lanes` or `clock_ratio`, a
-    /// chunked mode with zero `scoreboard_entries`, a threshold outside
-    /// `(0, 1)`).
+    /// same width, and whatever
+    /// [`attention_cost`](Self::attention_cost) returns.
     pub fn run_attention(
         &self,
         query: &QVector,
         keys: &QMatrix,
         values: Rows<'_>,
     ) -> Result<AttentionStepResult, CoreError> {
+        // A broken configuration is reported before a broken operand.
+        self.cfg.validate()?;
+        keys.check_attention([query], Some(values))?;
+        let cost = self.attention_cost(query, keys)?;
+        Ok(AttentionStepResult {
+            cycles: cost.cycles,
+            output: weighted_value_sum(&cost.kept, values),
+            kept: cost.kept.iter().map(|&(t, _)| t).collect(),
+            prune: cost.prune,
+            events: cost.events,
+            dram_stats: cost.dram_stats,
+            dram_cycles: cost.dram_cycles,
+            energy: cost.energy,
+        })
+    }
+
+    /// Simulates what one attention step *costs* — cycles, pruning, DRAM
+    /// traffic, events and energy — from the query and keys alone:
+    /// validate → lay K out for the mode → K phase → V phase → result.
+    /// The V phase fetches the kept tokens' rows through the DRAM model but
+    /// never reads their contents, so no value matrix is needed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::DimensionMismatch`] if the query length differs
+    /// from the key dimension, and [`CoreError::InvalidConfig`] /
+    /// [`CoreError::InvalidThreshold`] if a configuration field was assigned
+    /// a value the model cannot run with (zero `lanes` or `clock_ratio`, a
+    /// chunked mode with zero `scoreboard_entries`, a threshold outside
+    /// `(0, 1)`).
+    pub fn attention_cost(
+        &self,
+        query: &QVector,
+        keys: &QMatrix,
+    ) -> Result<AttentionCost, CoreError> {
         let cfg = &self.cfg;
         cfg.validate()?;
-        let n = keys.check_attention([query], Some(values))?;
+        let n = keys.check_attention([query], None)?;
         let (dim, pc) = (keys.dim(), cfg.precision);
         let row_bytes = pc.row_bytes(dim);
 
@@ -398,11 +431,9 @@ impl ToPickAccelerator {
         // Probability Generator: one EXP per surviving token.
         st.events.exp += kept.len() as u64;
         st.v_phase(&kept, dim, row_bytes);
-        let pairs: Vec<(usize, f64)> = kept.iter().map(|k| k.index).zip(probs).collect();
-        Ok(AttentionStepResult {
+        Ok(AttentionCost {
             cycles: st.cycle,
-            output: weighted_value_sum(&pairs, values),
-            kept: pairs.iter().map(|&(t, _)| t).collect(),
+            kept: kept.iter().map(|k| k.index).zip(probs).collect(),
             prune: stats,
             energy: energy_breakdown(&st.events, &st.dram),
             events: st.events,

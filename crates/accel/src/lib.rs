@@ -56,7 +56,7 @@ pub use engine::ToPickAccelerator;
 pub use generation::{GenerationConfig, GenerationRunResult, GenerationSimulator};
 pub use layout::KvLayout;
 pub use prompt::{run_prompt_phase, PromptPhaseResult};
-pub use result::AttentionStepResult;
+pub use result::{AttentionCost, AttentionStepResult};
 pub use serve::{
     run_token_backed, AdmissionConfig, ClusterEngine, ClusterEngineBuilder, ClusterEvent,
     ClusterReport, ClusterStepReport, FairRoundRobin, Fifo, KvPager, PendingView, PolicyKind,

@@ -1,4 +1,4 @@
-//! Result type of one simulated attention step.
+//! Result types of one simulated attention step.
 
 use topick_core::PruneStats;
 use topick_dram::DramStats;
@@ -14,6 +14,30 @@ pub struct AttentionStepResult {
     pub output: Vec<f32>,
     /// Indices of tokens whose V contributed (ascending).
     pub kept: Vec<usize>,
+    /// Pruning / chunk-fetch statistics.
+    pub prune: PruneStats,
+    /// On-chip event counts.
+    pub events: EventCounts,
+    /// DRAM statistics of this run.
+    pub dram_stats: DramStats,
+    /// Elapsed DRAM clock cycles.
+    pub dram_cycles: u64,
+    /// Energy breakdown (DRAM / buffer / compute).
+    pub energy: EnergyBreakdown,
+}
+
+/// What one attention step costs: everything in [`AttentionStepResult`]
+/// except the output vector, so it is a function of the query and the keys
+/// alone (see [`ToPickAccelerator::attention_cost`]).
+///
+/// [`ToPickAccelerator::attention_cost`]: crate::ToPickAccelerator::attention_cost
+#[derive(Debug, Clone, PartialEq)]
+pub struct AttentionCost {
+    /// Accelerator cycles (500 MHz domain) for step 0 + step 1.
+    pub cycles: u64,
+    /// The tokens whose V row is fetched (ascending), each with its softmax
+    /// probability over the survivors — the weights of the output sum.
+    pub kept: Vec<(usize, f64)>,
     /// Pruning / chunk-fetch statistics.
     pub prune: PruneStats,
     /// On-chip event counts.

@@ -79,7 +79,7 @@ pub use token_backed::{run_token_backed, TokenBackedBatch, TokenBackedRun};
 pub use trace::{Trace, TraceError, TraceMeta, TraceRecorder};
 
 use topick_core::{PruneStats, QVector, QuantBuffer};
-use topick_model::{SynthInstance, SynthProfile};
+use topick_model::{SynthKeys, SynthProfile};
 
 use crate::batch::weight_stream_cycles;
 use crate::config::AccelConfig;
@@ -1275,6 +1275,8 @@ impl ServingEngine {
     /// One cycle-level attention simulation of a request at context `ctx`,
     /// returning `(per-head cycles, pruning stats)`. The synthetic
     /// workload is deterministic in `(engine seed, request id, context)`.
+    /// Serving keeps only what the step costs, so neither the value matrix
+    /// nor the output vector is ever produced.
     fn simulate_attention(
         &mut self,
         req_id: u64,
@@ -1287,13 +1289,13 @@ impl ServingEngine {
             .seed
             .wrapping_add(req_id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .wrapping_add((ctx as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-        let inst = SynthInstance::generate(&SynthProfile::realistic(ctx, dim), seed);
+        let inst = SynthKeys::generate(&SynthProfile::realistic(ctx, dim), seed);
         let q = QVector::quantize(&inst.query, pc);
         let keys = self
             .key_buf
             .quantize(inst.keys().data(), dim, pc)
             .map_err(ServeError::Core)?;
-        let result = self.accel.run_attention(&q, &keys, inst.values());
+        let result = self.accel.attention_cost(&q, &keys);
         self.key_buf.reclaim(keys);
         let r = result?;
         Ok((r.cycles, r.prune))

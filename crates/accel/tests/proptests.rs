@@ -107,6 +107,42 @@ proptest! {
         }
     }
 
+    /// The cost-only entry is `run_attention` minus the output vector:
+    /// every other field is equal (not close) in all four modes, and the
+    /// output is the weighted value sum over the cost's kept tokens and
+    /// probabilities.
+    #[test]
+    fn attention_cost_equals_run_attention_but_for_the_output(
+        seed in any::<u64>(),
+        n in 1usize..96,
+        wide in any::<bool>(),
+    ) {
+        let dim = if wide { 128 } else { 64 };
+        let (q, keys, values) = random_instance(seed, n, dim);
+        let values = Rows::new(&values, dim);
+        for mode in [
+            AccelMode::Baseline,
+            AccelMode::EstimateOnly,
+            AccelMode::OutOfOrder,
+            AccelMode::Blocking,
+        ] {
+            let accel = ToPickAccelerator::new(AccelConfig::paper(mode, 1e-3).expect("thr"));
+            let full = accel.run_attention(&q, &keys, values).expect("run");
+            let cost = accel.attention_cost(&q, &keys).expect("cost");
+            prop_assert_eq!(cost.cycles, full.cycles);
+            let kept: Vec<usize> = cost.kept.iter().map(|&(t, _)| t).collect();
+            prop_assert_eq!(&kept, &full.kept);
+            prop_assert_eq!(&cost.prune, &full.prune);
+            prop_assert_eq!(&cost.events, &full.events);
+            prop_assert_eq!(&cost.dram_stats, &full.dram_stats);
+            prop_assert_eq!(cost.dram_cycles, full.dram_cycles);
+            prop_assert_eq!(&cost.energy, &full.energy);
+            let output = topick_core::weighted_value_sum(&cost.kept, values);
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&output), bits(&full.output));
+        }
+    }
+
     /// Under any interleaving of enqueue and step, any policy (the
     /// SLO-aware one included), any chunked-prefill budget, and
     /// preemption on or off, the batch never exceeds its slot limit or
