@@ -9,7 +9,7 @@
 //! hardware's RPDU sees it. All four modes run the same lane pipeline
 //! ([`ToPickAccelerator::attention_cost`] holds the table of what differs).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use topick_core::{
     softmax, weighted_value_sum, CoreError, Decision, Estimator, KeptToken, QMatrix, QVector, Rows,
@@ -24,6 +24,8 @@ use crate::result::{AttentionCost, AttentionStepResult};
 
 const V_FLAG: u64 = 1 << 63;
 
+// A request id carries the chunk and the burst index in eight bits each;
+// `RunState::new` rejects a layout that needs more.
 fn k_req_id(token: usize, chunk: u32, burst: u64) -> u64 {
     ((token as u64) << 16) | (u64::from(chunk) << 8) | burst
 }
@@ -136,10 +138,14 @@ struct RunState<'a> {
     layout: KvLayout,
     cycle: u64,
     events: EventCounts,
-    /// Bursts arrived per (token, chunk) K transfer.
-    k_arrivals: HashMap<(usize, u32), u64>,
-    /// Bursts arrived per token V transfer.
-    v_arrivals: HashMap<usize, u64>,
+    /// Bursts that complete one K transfer / one V row.
+    k_bursts: u8,
+    v_bursts: u8,
+    chunks_per_row: usize,
+    /// Bursts arrived per K transfer, indexed `token · chunks_per_row + chunk`.
+    k_arrivals: Vec<u8>,
+    /// Bursts arrived per V row, indexed by token.
+    v_arrivals: Vec<u8>,
     /// K chunk evaluations whose data is fully on-chip, per lane.
     k_ready: Vec<VecDeque<(usize, u32)>>,
     /// V rows fully on-chip awaiting the weighted-sum MAC, per lane.
@@ -147,18 +153,42 @@ struct RunState<'a> {
 }
 
 impl<'a> RunState<'a> {
-    fn new(cfg: &'a AccelConfig, layout: KvLayout, start_cycle: u64) -> Self {
-        Self {
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] if a transfer is longer, or a
+    /// row has more chunks, than a request id can name.
+    fn new(
+        cfg: &'a AccelConfig,
+        layout: KvLayout,
+        n: usize,
+        chunks_per_row: u32,
+        start_cycle: u64,
+    ) -> Result<Self, CoreError> {
+        let id_field = |count: u64| {
+            u8::try_from(count).map_err(|_| {
+                CoreError::InvalidConfig(
+                    "a K chunk, K row or V row of more than 255 DRAM bursts (or a row of \
+                     more than 255 chunks) does not fit a request id",
+                )
+            })
+        };
+        let chunks_per_row = usize::from(id_field(u64::from(chunks_per_row))?);
+        let k_bursts = id_field(layout.k_bursts_per_chunk())?;
+        let v_bursts = id_field(layout.v_bursts_per_row())?;
+        Ok(Self {
             cfg,
             dram: DramSim::new(cfg.dram.clone()),
             layout,
             cycle: start_cycle,
             events: EventCounts::default(),
-            k_arrivals: HashMap::new(),
-            v_arrivals: HashMap::new(),
+            k_bursts,
+            v_bursts,
+            chunks_per_row,
+            k_arrivals: vec![0; n * chunks_per_row],
+            v_arrivals: vec![0; n],
             k_ready: vec![VecDeque::new(); cfg.lanes],
             v_ready: vec![VecDeque::new(); cfg.lanes],
-        }
+        })
     }
 
     /// Advances one accelerator cycle: runs the DRAM for `clock_ratio`
@@ -172,15 +202,15 @@ impl<'a> RunState<'a> {
             self.events.buffer_write_bytes += u64::from(self.cfg.dram.access_bytes);
             let (is_v, token, chunk, _burst) = decode_req(c.id);
             if is_v {
-                let cnt = self.v_arrivals.entry(token).or_insert(0);
+                let cnt = &mut self.v_arrivals[token];
                 *cnt += 1;
-                if *cnt == self.layout.v_bursts_per_row() {
+                if *cnt == self.v_bursts {
                     self.v_ready[token % lanes].push_back(token);
                 }
             } else {
-                let cnt = self.k_arrivals.entry((token, chunk)).or_insert(0);
+                let cnt = &mut self.k_arrivals[token * self.chunks_per_row + chunk as usize];
                 *cnt += 1;
-                if *cnt == self.layout.k_bursts_per_chunk() {
+                if *cnt == self.k_bursts {
                     // chunks_known for the evaluation = chunk index + 1.
                     self.k_ready[token % lanes].push_back((token, chunk + 1));
                 }
@@ -367,7 +397,8 @@ impl ToPickAccelerator {
     /// [`CoreError::InvalidThreshold`] if a configuration field was assigned
     /// a value the model cannot run with (zero `lanes` or `clock_ratio`, a
     /// chunked mode with zero `scoreboard_entries`, a threshold outside
-    /// `(0, 1)`).
+    /// `(0, 1)`) or the head is so wide that one K chunk, K row or V row
+    /// takes more than 255 DRAM bursts.
     pub fn attention_cost(
         &self,
         query: &QVector,
@@ -397,7 +428,7 @@ impl ToPickAccelerator {
         };
         let burst = u64::from(cfg.dram.access_bytes);
         let layout = KvLayout::new(n, k_bytes, row_bytes, chunks_per_row, burst);
-        let mut st = RunState::new(cfg, layout, start_cycle);
+        let mut st = RunState::new(cfg, layout, n, chunks_per_row, start_cycle)?;
 
         let mut bounds = Vec::new();
         let mut estimator = Estimator::new(query, keys, pc, threshold, &mut bounds)?;

@@ -261,6 +261,29 @@ fn threshold_assigned_outside_the_unit_interval_is_a_typed_error() {
     }
 }
 
+/// Request ids name a burst in eight bits, so a head whose row takes more
+/// than 255 bursts used to alias into the chunk field, never complete and
+/// spin to the convergence guard. It is rejected before anything runs; the
+/// widest row that still fits runs.
+#[test]
+fn a_row_longer_than_the_burst_field_is_a_typed_error() {
+    let pc = PrecisionConfig::paper();
+    let run_at = |mode: AccelMode, dim: usize| {
+        let q = QVector::quantize(&vec![0.5; dim], pc);
+        let keys = QMatrix::quantize_flat(&vec![0.25; 2 * dim], dim, pc).unwrap();
+        let values = vec![1.0f32; 2 * dim];
+        let cfg = AccelConfig::paper(mode, 1e-3).unwrap();
+        ToPickAccelerator::new(cfg).run_attention(&q, &keys, Rows::new(&values, dim))
+    };
+    for mode in ALL_MODES {
+        // 5504 dims x 12 bits = 8256 B = 258 bursts of 32 B.
+        let err = run_at(mode, 5504).expect_err("258 bursts do not fit");
+        assert!(matches!(err, CoreError::InvalidConfig(rule) if rule.contains("255 DRAM bursts")));
+        // 5440 dims = 8160 B = 255 bursts.
+        assert_eq!(run_at(mode, 5440).expect("255 bursts fit").kept.len(), 2);
+    }
+}
+
 /// FNV-1a over a stream of `u64` words.
 struct Fnv(u64);
 
