@@ -5,6 +5,7 @@ use super::policy::RunningView;
 use super::queue::ServingRequest;
 use super::residency::{HostTier, Residency};
 use super::stats::RequestStats;
+use topick_core::PruneStats;
 
 /// Admission-control limits of the running batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,6 +43,15 @@ impl Default for AdmissionConfig {
     }
 }
 
+/// One simulated attention step of a request: per-head cycles and pruning
+/// statistics at `context`.
+#[derive(Debug, Clone)]
+pub(crate) struct SimulatedStep {
+    pub(crate) context: usize,
+    pub(crate) head_cycles: u64,
+    pub(crate) prune: PruneStats,
+}
+
 /// One request's live state inside the engine (queued or running).
 #[derive(Debug, Clone)]
 pub(crate) struct ActiveRequest {
@@ -70,6 +80,12 @@ pub(crate) struct ActiveRequest {
     /// Position-chained content hashes of the request's full prompt pages
     /// (empty while prefix caching is disabled).
     pub(crate) page_keys: Vec<u64>,
+    /// The step simulated for the request's latest prefill chunk. Every
+    /// chunk of a prompt and its first token run at the same `context`, so
+    /// they share this one simulation instead of repeating it. Boxed and
+    /// `None` until a chunk runs: most requests never prefill in chunks,
+    /// and every queue move copies this struct.
+    pub(crate) prefill_attention: Option<Box<SimulatedStep>>,
     pub(crate) stats: RequestStats,
 }
 

@@ -85,7 +85,7 @@ use crate::batch::weight_stream_cycles;
 use crate::config::AccelConfig;
 use crate::engine::ToPickAccelerator;
 
-use batch_state::{ActiveRequest, BatchState};
+use batch_state::{ActiveRequest, BatchState, SimulatedStep};
 use queue::PendingQueue;
 use residency::Residency;
 
@@ -416,6 +416,9 @@ pub struct ServingEngine {
     step_index: usize,
     arrival_seq: u64,
     key_buf: QuantBuffer,
+    /// Cycle-level simulations run so far.
+    #[cfg(test)]
+    simulations: usize,
 }
 
 impl ServingEngine {
@@ -465,6 +468,8 @@ impl ServingEngine {
             step_index: 0,
             arrival_seq: 0,
             key_buf: QuantBuffer::new(),
+            #[cfg(test)]
+            simulations: 0,
         }
     }
 
@@ -699,6 +704,7 @@ impl ServingEngine {
             ),
             last_token_at: None,
             page_keys,
+            prefill_attention: None,
             stats: RequestStats::queued(&req, schedulable_at),
         };
         self.arrival_seq += 1;
@@ -1177,8 +1183,10 @@ impl ServingEngine {
             report.context_tokens += self.batch.slots()[slot].built_tokens();
             return Ok(());
         }
-        let request_cycles = self.simulate_attention(id, ctx)?.0 * self.cfg.heads as u64;
+        let attention = self.slot_attention(slot)?;
+        let request_cycles = attention.head_cycles * self.cfg.heads as u64;
         let r = &mut self.batch.slots_mut()[slot];
+        r.prefill_attention = Some(Box::new(attention));
         let (owed, remaining) = r.kv.advance_prefill(allowance);
         let charge = pricing::prefill_chunk(
             request_cycles,
@@ -1212,9 +1220,9 @@ impl ServingEngine {
             let r = &self.batch.slots()[slot];
             (r.req.id, r.context)
         };
-        let (head_cycles, prune) = self.simulate_attention(id, ctx)?;
-        let request_cycles = head_cycles * self.cfg.heads as u64;
-        self.prune.merge(&prune);
+        let attention = self.slot_attention(slot)?;
+        let request_cycles = attention.head_cycles * self.cfg.heads as u64;
+        self.prune.merge(&attention.prune);
         let (r, host) = self.batch.slot_and_host_mut(slot);
         let settled =
             r.kv.settle(ctx, &self.cfg, request_cycles, &mut r.stats, host);
@@ -1272,24 +1280,42 @@ impl ServingEngine {
         Ok(())
     }
 
-    /// One cycle-level attention simulation of a request at context `ctx`,
-    /// returning `(per-head cycles, pruning stats)`. The synthetic
-    /// workload is deterministic in `(engine seed, request id, context)`.
-    /// Serving keeps only what the step costs, so neither the value matrix
-    /// nor the output vector is ever produced.
+    /// The attention step of the request at `slot` at its current context:
+    /// the one its last prefill chunk left on it while the context still
+    /// matches, a fresh simulation otherwise. The simulation is a pure
+    /// function of `(engine seed, request id, context)` and every shard of
+    /// a cluster shares the seed, so a kept step is valid wherever the
+    /// request is queued, preempted to or shipped.
+    fn slot_attention(&mut self, slot: usize) -> Result<SimulatedStep, ServeError> {
+        let r = &mut self.batch.slots_mut()[slot];
+        let (id, context) = (r.req.id, r.context);
+        match r.prefill_attention.take() {
+            Some(kept) if kept.context == context => Ok(*kept),
+            _ => self.simulate_attention(id, context),
+        }
+    }
+
+    /// One cycle-level attention simulation of a request at `context`. The
+    /// synthetic workload is deterministic in `(engine seed, request id,
+    /// context)`. Serving keeps only what the step costs, so neither the
+    /// value matrix nor the output vector is ever produced.
     fn simulate_attention(
         &mut self,
         req_id: u64,
-        ctx: usize,
-    ) -> Result<(u64, PruneStats), ServeError> {
+        context: usize,
+    ) -> Result<SimulatedStep, ServeError> {
+        #[cfg(test)]
+        {
+            self.simulations += 1;
+        }
         let dim = self.cfg.accel.dim;
         let pc = self.cfg.accel.precision;
         let seed = self
             .cfg
             .seed
             .wrapping_add(req_id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add((ctx as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-        let inst = SynthKeys::generate(&SynthProfile::realistic(ctx, dim), seed);
+            .wrapping_add((context as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
+        let inst = SynthKeys::generate(&SynthProfile::realistic(context, dim), seed);
         let q = QVector::quantize(&inst.query, pc);
         let keys = self
             .key_buf
@@ -1297,8 +1323,12 @@ impl ServingEngine {
             .map_err(ServeError::Core)?;
         let result = self.accel.attention_cost(&q, &keys);
         self.key_buf.reclaim(keys);
-        let r = result?;
-        Ok((r.cycles, r.prune))
+        let cost = result?;
+        Ok(SimulatedStep {
+            context,
+            head_cycles: cost.cycles,
+            prune: cost.prune,
+        })
     }
 
     /// Drives the engine until every request finishes, bounded by
@@ -1409,6 +1439,30 @@ mod tests {
         let mut engine = ServingEngine::new(small_cfg(AccelMode::OutOfOrder));
         assert!(engine.enqueue(ServingRequest::new(0, 0, 1)).is_err());
         assert!(engine.enqueue(ServingRequest::new(0, 1, 0)).is_err());
+    }
+
+    #[test]
+    fn chunked_prefill_simulates_once_per_decoded_token() {
+        // 16-token chunks under 40-56-token prompts: every chunk of a
+        // prompt and its first token run at one context, so they must
+        // share one simulation rather than run one each.
+        let mut cfg = small_cfg(AccelMode::OutOfOrder);
+        cfg.prefill_factor = 1.0;
+        cfg.prefill_chunk_pages = 1;
+        let mut engine = ServingEngine::new(cfg);
+        for id in 0..3 {
+            let prompt = 40 + 8 * id as usize;
+            engine.enqueue(ServingRequest::new(id, prompt, 3)).unwrap();
+        }
+        let report = engine.run_to_completion(64).unwrap();
+        let chunks = engine
+            .events()
+            .iter()
+            .filter(|e| matches!(e, ServeEvent::PrefillChunk { .. }))
+            .count();
+        assert!(chunks >= 6, "only {chunks} prefill chunks ran");
+        assert_eq!(report.tokens_generated, 9);
+        assert_eq!(engine.simulations, report.tokens_generated);
     }
 
     #[test]

@@ -1708,6 +1708,80 @@ fn prefill_chunk_events_walk_a_monotone_frontier_to_the_prompt_boundary() {
 }
 
 #[test]
+fn engine_attention_equals_the_public_full_path_under_chunked_prefill() {
+    use std::collections::HashMap;
+    use token_picker::accel::ToPickAccelerator;
+    use token_picker::core::{PruneStats, QVector, QuantBuffer};
+    use token_picker::model::{SynthInstance, SynthProfile};
+
+    // The engine generates keys only, asks the accelerator for the step's
+    // cost only, and shares one simulation between a prompt's chunks and
+    // its first token. What it reports must still be what the public full
+    // path — values drawn, output computed, the path the benchmark's
+    // shadow calls re-execute from outside — yields for every token.
+    let accel_cfg = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+    let (heads, seed) = (4usize, 7u64);
+    let mut engine = ServingEngine::builder(accel_cfg.clone())
+        .heads(heads)
+        .weight_bytes(10_000_000)
+        .max_batch(3)
+        .max_batch_tokens(4096)
+        .page_size(16)
+        .prefill_factor(1.0)
+        .prefill_chunk_pages(4)
+        .seed(seed)
+        .build();
+    for id in 0..4u64 {
+        // 64-token chunks under 160-280-token prompts: three to five each.
+        let request = ServingRequest::new(id, 160 + 40 * id as usize, 3);
+        engine.enqueue(request).expect("valid request");
+    }
+    let report = engine.run_to_completion(256).expect("completes");
+
+    let accel = ToPickAccelerator::new(accel_cfg.clone());
+    let (dim, pc) = (accel_cfg.dim, accel_cfg.precision);
+    let mut key_buf = QuantBuffer::new();
+    let mut attention_cycles = vec![0u64; report.steps.len()];
+    let mut prune = PruneStats::new(0, pc.num_chunks());
+    let mut chunk_events: HashMap<u64, usize> = HashMap::new();
+    for event in engine.events() {
+        match *event {
+            ServeEvent::PrefillChunk { id, .. } => *chunk_events.entry(id).or_default() += 1,
+            ServeEvent::TokenGenerated {
+                id, step, context, ..
+            } => {
+                let instance_seed = seed
+                    .wrapping_add(id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .wrapping_add((context as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
+                let inst =
+                    SynthInstance::generate(&SynthProfile::realistic(context, dim), instance_seed);
+                let q = QVector::quantize(&inst.query, pc);
+                let keys = key_buf
+                    .quantize(inst.keys().data(), dim, pc)
+                    .expect("a generated instance is never empty");
+                let full = accel
+                    .run_attention(&q, &keys, inst.values())
+                    .expect("shapes come from one instance");
+                key_buf.reclaim(keys);
+                attention_cycles[step] += full.cycles * heads as u64;
+                prune.merge(&full.prune);
+            }
+            _ => {}
+        }
+    }
+    for id in 0..4u64 {
+        // Two pure-prefill chunks and the completing one at the least.
+        let chunks = chunk_events.get(&id).copied().unwrap_or(0);
+        assert!(chunks >= 2, "request {id}: {chunks} prefill chunks");
+    }
+    assert_eq!(report.tokens_generated, 12);
+    for (step, expected) in report.steps.iter().zip(attention_cycles) {
+        assert_eq!(step.attention_cycles, expected, "step {}", step.index);
+    }
+    assert_eq!(report.prune, prune);
+}
+
+#[test]
 fn ttft_is_judged_at_the_first_token_not_at_admission() {
     // One 256-token prompt with a 3-step TTFT deadline, admitted at step 0
     // either way. Unchunked, prefill and the first token land in step 0:
