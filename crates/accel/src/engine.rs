@@ -360,8 +360,11 @@ impl ToPickAccelerator {
     ///
     /// Returns [`CoreError::DimensionMismatch`] if the query length differs
     /// from the key dimension or the values are not one row per key of that
-    /// same width, and whatever
-    /// [`attention_cost`](Self::attention_cost) returns.
+    /// same width, and [`CoreError::InvalidConfig`] /
+    /// [`CoreError::InvalidThreshold`] exactly where
+    /// [`attention_cost`](Self::attention_cost) does: a configuration field
+    /// the model cannot run with, or a head so wide that one transfer takes
+    /// more than 255 DRAM bursts.
     pub fn run_attention(
         &self,
         query: &QVector,

@@ -23,9 +23,15 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 /// Fills a vector with `n` i.i.d. `N(0, sigma^2)` samples as `f32`.
 pub fn normal_vec<R: Rng + ?Sized>(rng: &mut R, n: usize, sigma: f64) -> Vec<f32> {
-    (0..n)
-        .map(|_| (standard_normal(rng) * sigma) as f32)
-        .collect()
+    let mut out = Vec::with_capacity(n);
+    extend_normal(rng, &mut out, n, sigma);
+    out
+}
+
+/// Appends `n` i.i.d. `N(0, sigma^2)` samples as `f32` to `out` — the
+/// samples [`normal_vec`] would return, without a vector of their own.
+pub fn extend_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut Vec<f32>, n: usize, sigma: f64) {
+    out.extend((0..n).map(|_| (standard_normal(rng) * sigma) as f32));
 }
 
 #[cfg(test)]

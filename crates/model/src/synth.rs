@@ -21,7 +21,7 @@ use rand::SeedableRng;
 
 use topick_core::Rows;
 
-use crate::rng::{normal_vec, standard_normal};
+use crate::rng::{extend_normal, normal_vec, standard_normal};
 use crate::tensor::dot;
 
 /// Parameters of the synthetic score profile.
@@ -158,7 +158,7 @@ impl SynthKeys {
             // Residual with small norm so the projection dominates, drawn
             // straight into the key's row and projected in place.
             let start = keys.len();
-            keys.extend((0..d).map(|_| (standard_normal(rng) * 0.3) as f32));
+            extend_normal(rng, &mut keys, d, 0.3);
             let row = &mut keys[start..];
             let qr = f64::from(dot(&query, row));
             let alpha = ((s * sqrt_d - qr) / q_norm2) as f32;
