@@ -13,7 +13,7 @@
 //!
 //! to produce step latency and the batch-size scaling of the speedup.
 
-use topick_core::{CoreError, QMatrix, QVector, Rows};
+use topick_core::{CoreError, QMatrix, QVector};
 
 use crate::config::AccelConfig;
 use crate::engine::ToPickAccelerator;
@@ -71,10 +71,9 @@ pub fn simulate_batch_step(
     params: &BatchStepParams,
     query: &QVector,
     keys: &QMatrix,
-    values: Rows<'_>,
 ) -> Result<BatchStepResult, CoreError> {
     let accel = ToPickAccelerator::new(accel_cfg.clone());
-    let one_head = accel.run_attention(query, keys, values)?;
+    let one_head = accel.attention_cost(query, keys)?;
     let attention_cycles = one_head.cycles * params.heads as u64 * params.batch as u64;
     let weight_cycles = weight_stream_cycles(accel_cfg, params.weight_bytes);
 
@@ -114,10 +113,9 @@ pub fn compare_batch_step(
     params: &BatchStepParams,
     query: &QVector,
     keys: &QMatrix,
-    values: Rows<'_>,
 ) -> Result<(BatchStepResult, BatchStepResult, f64), CoreError> {
-    let base = simulate_batch_step(baseline_cfg, params, query, keys, values)?;
-    let tp = simulate_batch_step(topick_cfg, params, query, keys, values)?;
+    let base = simulate_batch_step(baseline_cfg, params, query, keys)?;
+    let tp = simulate_batch_step(topick_cfg, params, query, keys)?;
     let speedup = tp.speedup_vs(&base);
     Ok((base, tp, speedup))
 }
@@ -128,22 +126,19 @@ mod tests {
     use crate::config::AccelMode;
     use topick_core::PrecisionConfig;
 
-    fn instance(ctx: usize) -> (QVector, QMatrix, Vec<f32>) {
+    fn instance(ctx: usize) -> (QVector, QMatrix) {
         let pc = PrecisionConfig::paper();
-        let inst = topick_model::SynthInstance::generate(
-            &topick_model::SynthProfile::realistic(ctx, 64),
-            7,
-        );
+        let inst =
+            topick_model::SynthKeys::generate(&topick_model::SynthProfile::realistic(ctx, 64), 7);
         (
             QVector::quantize(&inst.query, pc),
             QMatrix::quantize_flat(inst.keys().data(), 64, pc).expect("non-empty"),
-            inst.into_values(),
         )
     }
 
     #[test]
     fn attention_fraction_grows_with_batch() {
-        let (q, keys, values) = instance(256);
+        let (q, keys) = instance(256);
         let cfg = AccelConfig::baseline();
         let mut prev_frac = 0.0;
         for batch in [1usize, 4, 16, 64] {
@@ -152,7 +147,7 @@ mod tests {
                 heads: 4,
                 batch,
             };
-            let r = simulate_batch_step(&cfg, &params, &q, &keys, Rows::new(&values, 64)).unwrap();
+            let r = simulate_batch_step(&cfg, &params, &q, &keys).unwrap();
             assert!(
                 r.attention_fraction > prev_frac,
                 "batch {batch}: fraction {} not growing",
@@ -164,7 +159,7 @@ mod tests {
 
     #[test]
     fn topick_speedup_grows_with_batch() {
-        let (q, keys, values) = instance(512);
+        let (q, keys) = instance(512);
         let base_cfg = AccelConfig::baseline();
         let tp_cfg = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).unwrap();
         let mut prev_speedup = 0.0;
@@ -176,15 +171,8 @@ mod tests {
                 heads: 64,
                 batch,
             };
-            let (_, _, speedup) = compare_batch_step(
-                &base_cfg,
-                &tp_cfg,
-                &params,
-                &q,
-                &keys,
-                Rows::new(&values, 64),
-            )
-            .unwrap();
+            let (_, _, speedup) =
+                compare_batch_step(&base_cfg, &tp_cfg, &params, &q, &keys).unwrap();
             assert!(
                 speedup > prev_speedup,
                 "batch {batch}: speedup {speedup} not growing (prev {prev_speedup})"
@@ -198,16 +186,15 @@ mod tests {
 
     #[test]
     fn weight_streaming_cost_scales_with_bytes() {
-        let (q, keys, values) = instance(128);
+        let (q, keys) = instance(128);
         let cfg = AccelConfig::baseline();
         let mk = |bytes| BatchStepParams {
             weight_bytes: bytes,
             heads: 2,
             batch: 1,
         };
-        let vrows = Rows::new(&values, 64);
-        let small = simulate_batch_step(&cfg, &mk(1_000_000), &q, &keys, vrows).unwrap();
-        let large = simulate_batch_step(&cfg, &mk(10_000_000), &q, &keys, vrows).unwrap();
+        let small = simulate_batch_step(&cfg, &mk(1_000_000), &q, &keys).unwrap();
+        let large = simulate_batch_step(&cfg, &mk(10_000_000), &q, &keys).unwrap();
         assert!(large.weight_cycles > 9 * small.weight_cycles);
         assert_eq!(small.attention_cycles, large.attention_cycles);
     }

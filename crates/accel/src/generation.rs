@@ -5,7 +5,7 @@
 //! This is what the Fig. 10 evaluation measures in aggregate; the driver
 //! exposes it as a reusable simulation with per-step results.
 
-use topick_core::{CoreError, PrecisionConfig, PruneStats, QMatrix, QVector, Rows};
+use topick_core::{CoreError, PrecisionConfig, PruneStats, QMatrix, QVector};
 use topick_dram::DramSim;
 use topick_energy::{EnergyBreakdown, EventCounts};
 
@@ -62,9 +62,9 @@ impl GenerationRunResult {
 ///
 /// Workload instances are produced by a caller-supplied factory so the
 /// driver stays decoupled from any particular synthetic distribution:
-/// `instance(step, head, context_len)` must return `(query, keys, values)`
-/// with `keys.num_tokens() == context_len` and `values` a contiguous
-/// row-major buffer of the same shape.
+/// `instance(step, head, context_len)` must return `(query, keys)` with
+/// `keys.num_tokens() == context_len`. The sweep reports what the steps
+/// cost, which the query and keys decide alone, so no values are asked for.
 #[derive(Debug, Clone)]
 pub struct GenerationSimulator {
     cfg: GenerationConfig,
@@ -98,7 +98,7 @@ impl GenerationSimulator {
     /// factory (dimension mismatches, empty key sets).
     pub fn run<F>(&self, mut instance: F) -> Result<GenerationRunResult, CoreError>
     where
-        F: FnMut(usize, usize, usize) -> (QVector, QMatrix, Vec<f32>),
+        F: FnMut(usize, usize, usize) -> (QVector, QMatrix),
     {
         let accel_cfg = &self.cfg.accel;
         let accel = ToPickAccelerator::new(accel_cfg.clone());
@@ -115,8 +115,8 @@ impl GenerationSimulator {
             let ctx = self.cfg.prompt_len + step;
             let mut step_cycles = 0u64;
             for head in 0..self.cfg.heads {
-                let (q, keys, values) = instance(step, head, ctx);
-                let r = accel.run_attention(&q, &keys, Rows::new(&values, keys.dim()))?;
+                let (q, keys) = instance(step, head, ctx);
+                let r = accel.attention_cost(&q, &keys)?;
                 step_cycles += r.cycles;
                 prune.merge(&r.prune);
                 events.merge(&r.events);
@@ -158,13 +158,11 @@ mod tests {
     use super::*;
     use crate::config::AccelMode;
 
-    fn synthetic_factory(
-        seed: u64,
-    ) -> impl FnMut(usize, usize, usize) -> (QVector, QMatrix, Vec<f32>) {
+    fn synthetic_factory(seed: u64) -> impl FnMut(usize, usize, usize) -> (QVector, QMatrix) {
         move |step, head, ctx| {
             let pc = PrecisionConfig::paper();
             let profile = topick_model::SynthProfile::realistic(ctx, 64);
-            let inst = topick_model::SynthInstance::generate(
+            let inst = topick_model::SynthKeys::generate(
                 &profile,
                 seed.wrapping_add(step as u64 * 1009)
                     .wrapping_add(head as u64 * 131),
@@ -172,7 +170,6 @@ mod tests {
             (
                 QVector::quantize(&inst.query, pc),
                 QMatrix::quantize_flat(inst.keys().data(), 64, pc).expect("non-empty"),
-                inst.into_values(),
             )
         }
     }
@@ -238,11 +235,10 @@ mod tests {
         let pc = PrecisionConfig::paper();
         let wide = |step: usize, head: usize, ctx: usize| {
             let profile = topick_model::SynthProfile::realistic(ctx, 128);
-            let inst = topick_model::SynthInstance::generate(&profile, (step * 7 + head) as u64);
+            let inst = topick_model::SynthKeys::generate(&profile, (step * 7 + head) as u64);
             (
                 QVector::quantize(&inst.query, pc),
                 QMatrix::quantize_flat(inst.keys().data(), 128, pc).expect("non-empty"),
-                inst.into_values(),
             )
         };
         let r = GenerationSimulator::new(cfg).run(wide).unwrap();

@@ -467,8 +467,16 @@ impl ClusterEngineBuilder {
     /// Builds the cluster.
     #[must_use]
     pub fn build(self) -> ClusterEngine {
+        // Shards stepped on worker threads keep their key rows to themselves:
+        // a helper competing with them for the same cores costs more than
+        // it draws.
+        let lend_key_rows = self.threads.min(self.shards) <= 1;
         let shards = (0..self.shards)
-            .map(|_| ServingEngine::from_parts(self.cfg.clone(), self.policy.build()))
+            .map(|_| {
+                let mut shard = ServingEngine::from_parts(self.cfg.clone(), self.policy.build());
+                shard.lend_key_rows = lend_key_rows;
+                shard
+            })
             .collect();
         ClusterEngine {
             shards,
@@ -1199,6 +1207,25 @@ mod tests {
         }
         assert_eq!(sequential.threads, 1);
         assert!(sequential.wall_seconds > 0.0);
+    }
+
+    #[test]
+    fn only_shards_stepped_on_the_callers_thread_lend_key_rows() {
+        // Decided once, at build, from the same condition `step` fans out
+        // on: more than one worker over more than one shard.
+        for (shards, threads, lends) in [
+            (1, 1, true),
+            (4, 1, true),
+            (1, 4, true),
+            (2, 2, false),
+            (4, 8, false),
+        ] {
+            let cluster = small_builder().shards(shards).threads(threads).build();
+            assert!(
+                cluster.shards.iter().all(|s| s.lend_key_rows == lends),
+                "{shards} shards on {threads} threads"
+            );
+        }
     }
 
     #[test]

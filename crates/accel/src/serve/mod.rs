@@ -416,6 +416,10 @@ pub struct ServingEngine {
     step_index: usize,
     arrival_seq: u64,
     key_buf: QuantBuffer,
+    /// Whether a large instance's tail key rows may go to the process-wide
+    /// helper thread. A cluster that steps its shards on several threads
+    /// clears it: those threads already hold the cores.
+    pub(crate) lend_key_rows: bool,
     /// Cycle-level simulations run so far.
     #[cfg(test)]
     simulations: usize,
@@ -468,6 +472,7 @@ impl ServingEngine {
             step_index: 0,
             arrival_seq: 0,
             key_buf: QuantBuffer::new(),
+            lend_key_rows: true,
             #[cfg(test)]
             simulations: 0,
         }
@@ -1315,7 +1320,12 @@ impl ServingEngine {
             .seed
             .wrapping_add(req_id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .wrapping_add((context as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-        let inst = SynthKeys::generate(&SynthProfile::realistic(context, dim), seed);
+        let profile = SynthProfile::realistic(context, dim);
+        let inst = if self.lend_key_rows {
+            SynthKeys::generate_with_helper(&profile, seed)
+        } else {
+            SynthKeys::generate(&profile, seed)
+        };
         let q = QVector::quantize(&inst.query, pc);
         let keys = self
             .key_buf

@@ -15,10 +15,10 @@ fn aggregate_with(cfg: PrunerConfig, ctx: usize, dim: usize, instances: usize) -
     let sampler = InstanceSampler::realistic(ctx, dim);
     let mut agg = PruneStats::new(0, cfg.precision().num_chunks());
     for i in 0..instances {
-        let inst = sampler.sample(0xAB1 + i as u64);
+        let inst = sampler.sample_keys(0xAB1 + i as u64);
         let q = QVector::quantize(&inst.query, cfg.precision());
-        let keys = QMatrix::quantize_flat(inst.keys().data(), inst.dim(), cfg.precision())
-            .expect("non-empty");
+        let keys =
+            QMatrix::quantize_flat(inst.keys().data(), dim, cfg.precision()).expect("non-empty");
         agg.merge(&pruner.run(&q, &keys).expect("valid").stats);
     }
     agg
@@ -93,12 +93,12 @@ pub fn run_ooo(fast: bool) {
     );
     for &ctx in contexts {
         let sampler = InstanceSampler::realistic(ctx, 64);
-        let inst = sampler.sample(0x000);
+        let inst = sampler.sample_keys(0x000);
         let q = QVector::quantize(&inst.query, pc);
-        let keys = QMatrix::quantize_flat(inst.keys().data(), inst.dim(), pc).expect("non-empty");
+        let keys = QMatrix::quantize_flat(inst.keys().data(), 64, pc).expect("non-empty");
         let run = |mode: AccelMode| {
             ToPickAccelerator::new(AccelConfig::paper(mode, 1e-3).expect("thr"))
-                .run_attention(&q, &keys, inst.values())
+                .attention_cost(&q, &keys)
                 .expect("run")
                 .cycles
         };
@@ -120,15 +120,15 @@ pub fn run_scoreboard(fast: bool) {
     header("Ablation — scoreboard depth (entries per lane)");
     let ctx = if fast { 256 } else { 1024 };
     let pc = PrecisionConfig::paper();
-    let inst = InstanceSampler::realistic(ctx, 64).sample(0x5B);
+    let inst = InstanceSampler::realistic(ctx, 64).sample_keys(0x5B);
     let q = QVector::quantize(&inst.query, pc);
-    let keys = QMatrix::quantize_flat(inst.keys().data(), inst.dim(), pc).expect("non-empty");
+    let keys = QMatrix::quantize_flat(inst.keys().data(), 64, pc).expect("non-empty");
     println!("{:<10} {:>10}", "entries", "cycles");
     for entries in [1usize, 2, 4, 8, 16, 32] {
         let mut cfg = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("thr");
         cfg.scoreboard_entries = entries;
         let cycles = ToPickAccelerator::new(cfg)
-            .run_attention(&q, &keys, inst.values())
+            .attention_cost(&q, &keys)
             .expect("run")
             .cycles;
         println!("{entries:<10} {cycles:>10}");
@@ -186,14 +186,14 @@ mod tests {
     #[test]
     fn scoreboard_depth_monotone() {
         let pc = PrecisionConfig::paper();
-        let inst = InstanceSampler::realistic(192, 64).sample(1);
+        let inst = InstanceSampler::realistic(192, 64).sample_keys(1);
         let q = QVector::quantize(&inst.query, pc);
-        let keys = QMatrix::quantize_flat(inst.keys().data(), inst.dim(), pc).unwrap();
+        let keys = QMatrix::quantize_flat(inst.keys().data(), 64, pc).unwrap();
         let run = |entries| {
             let mut cfg = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).unwrap();
             cfg.scoreboard_entries = entries;
             ToPickAccelerator::new(cfg)
-                .run_attention(&q, &keys, inst.values())
+                .attention_cost(&q, &keys)
                 .unwrap()
                 .cycles
         };

@@ -2,7 +2,7 @@
 //! accelerator configurations over the baseline accelerator, across the
 //! eight-model zoo, from the cycle-level simulator.
 
-use topick_accel::{AccelConfig, AccelMode, AttentionStepResult, ToPickAccelerator};
+use topick_accel::{AccelConfig, AccelMode, ToPickAccelerator};
 use topick_core::{PrecisionConfig, QMatrix, QVector};
 use topick_energy::EnergyBreakdown;
 use topick_model::{InstanceSampler, ModelSpec};
@@ -64,10 +64,10 @@ fn aggregate(
     let mut cycles = 0u64;
     let mut energy = EnergyBreakdown::default();
     for i in 0..instances {
-        let inst = sampler.sample(seed_base + i as u64);
+        let inst = sampler.sample_keys(seed_base + i as u64);
         let q = QVector::quantize(&inst.query, pc);
-        let keys = QMatrix::quantize_flat(inst.keys().data(), inst.dim(), pc).expect("non-empty");
-        let r: AttentionStepResult = accel.run_attention(&q, &keys, inst.values()).expect("run");
+        let keys = QMatrix::quantize_flat(inst.keys().data(), dim, pc).expect("non-empty");
+        let r = accel.attention_cost(&q, &keys).expect("run");
         cycles += r.cycles;
         energy += r.energy;
     }

@@ -2,7 +2,13 @@
 
 use rand::Rng;
 
-/// Draws one standard-normal sample via the Box–Muller transform.
+/// Generator outputs one [`standard_normal`] consumes, whatever it
+/// returns. Key row `i` of a synthetic instance starts `i · dim` normals
+/// into the row stream, so its position is this times that.
+pub(crate) const DRAWS_PER_NORMAL: u64 = 2;
+
+/// Draws one standard-normal sample via the Box–Muller transform, from
+/// exactly two generator outputs.
 ///
 /// # Examples
 ///

@@ -1,10 +1,55 @@
 //! Property tests of the transformer substrate and synthetic workloads.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use topick_model::rng::{normal_vec, standard_normal};
 use topick_model::{
     nll_from_logits, ExactAttention, HeadCache, KvCache, ModelSpec, PagedKvStore, SynthInstance,
     SynthKeys, SynthProfile, TransformerModel,
 };
+
+const PROFILES: [fn(usize, usize) -> SynthProfile; 3] = [
+    SynthProfile::realistic,
+    SynthProfile::wide_spread,
+    SynthProfile::narrow_spread,
+];
+
+/// Query, key data and target scores as raw bits: `==` on floats would let
+/// `0.0` pass for `-0.0`.
+fn key_bits(keys: &SynthKeys) -> (Vec<u32>, Vec<u32>, Vec<u64>) {
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect();
+    (
+        bits(&keys.query),
+        bits(keys.keys().data()),
+        keys.target_scores.iter().map(|x| x.to_bits()).collect(),
+    )
+}
+
+/// The contexts random sampling may miss: one token, odd lengths, and one
+/// row either side of the split floor (16 384 elements: 256 tokens at
+/// dim 64, 128 at dim 128; dims 1 and 8 stay below it up to 600).
+#[test]
+fn split_keys_equal_one_range_keys_at_the_edges() {
+    for (dim, contexts) in [
+        (64, &[1, 2, 3, 255, 256, 257, 511, 599, 600][..]),
+        (128, &[1, 127, 128, 129, 301][..]),
+        (8, &[1, 599, 600][..]),
+        (1, &[1, 600][..]),
+    ] {
+        for &n in contexts {
+            for (p, profile) in PROFILES.iter().enumerate() {
+                let profile = profile(n, dim);
+                let seed = (n * 31 + dim + p) as u64;
+                assert_eq!(
+                    key_bits(&SynthKeys::generate_with_helper(&profile, seed)),
+                    key_bits(&SynthKeys::generate(&profile, seed)),
+                    "context {n}, dim {dim}, profile {p}"
+                );
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -42,11 +87,7 @@ proptest! {
         profile_idx in 0usize..3,
     ) {
         let dim = [1, 8, 64, 128][dim_idx];
-        let profile = [
-            SynthProfile::realistic,
-            SynthProfile::wide_spread,
-            SynthProfile::narrow_spread,
-        ][profile_idx](n, dim);
+        let profile = PROFILES[profile_idx](n, dim);
         let full = SynthInstance::generate(&profile, seed);
         let keys = SynthKeys::generate(&profile, seed);
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -55,6 +96,47 @@ proptest! {
         prop_assert_eq!(keys.keys().dim(), dim);
         let score_bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(score_bits(&keys.target_scores), score_bits(&full.target_scores));
+    }
+
+    /// A Box–Muller normal takes exactly two generator outputs, whatever it
+    /// returns: the stream position of key row `i` is computed from this.
+    #[test]
+    fn a_standard_normal_consumes_exactly_two_draws(seed in any::<u64>(), before in 0u64..64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        rng.advance(before);
+        let mut skipped = rng.clone();
+        skipped.advance(2);
+        let _ = standard_normal(&mut rng);
+        prop_assert_eq!(rng, skipped);
+    }
+
+    /// The helper-split entry is `SynthKeys::generate` bit for bit — below
+    /// the split floor (where it is the same code), above it (where the
+    /// tail rows start at a jumped-to stream position, possibly on another
+    /// thread), and whichever fallback it takes — and the full instance is
+    /// still those keys plus values drawn from where the last key row
+    /// ends: `2·(d + n + n·d)` outputs into the seed's stream.
+    #[test]
+    fn split_keys_equal_one_range_keys_and_values_start_where_they_end(
+        seed in any::<u64>(),
+        n in 1usize..=600,
+        dim_idx in 0usize..4,
+        profile_idx in 0usize..3,
+    ) {
+        let dim = [1, 8, 64, 128][dim_idx];
+        let profile = PROFILES[profile_idx](n, dim);
+        let keys = SynthKeys::generate(&profile, seed);
+        prop_assert_eq!(
+            key_bits(&SynthKeys::generate_with_helper(&profile, seed)),
+            key_bits(&keys)
+        );
+
+        let full = SynthInstance::generate(&profile, seed);
+        prop_assert_eq!(full.keys().data(), keys.keys().data());
+        let mut rng = StdRng::seed_from_u64(seed);
+        rng.advance(2 * (dim + n + n * dim) as u64);
+        let values = normal_vec(&mut rng, n * dim, 1.0);
+        prop_assert_eq!(full.values().data(), &values[..]);
     }
 
     /// Attention probabilities from any instance form a distribution.

@@ -8,17 +8,16 @@
 
 use token_picker::accel::{AccelConfig, AccelMode, GenerationConfig, GenerationSimulator};
 use token_picker::core::{PrecisionConfig, QMatrix, QVector};
-use token_picker::model::{InstanceSampler, SynthInstance};
+use token_picker::model::{InstanceSampler, SynthKeys};
 
-fn factory(seed: u64) -> impl FnMut(usize, usize, usize) -> (QVector, QMatrix, Vec<f32>) {
+fn factory(seed: u64) -> impl FnMut(usize, usize, usize) -> (QVector, QMatrix) {
     move |step, head, ctx| {
         let pc = PrecisionConfig::paper();
-        let inst: SynthInstance =
-            InstanceSampler::realistic(ctx, 64).sample(seed + step as u64 * 101 + head as u64);
+        let inst: SynthKeys =
+            InstanceSampler::realistic(ctx, 64).sample_keys(seed + step as u64 * 101 + head as u64);
         (
             QVector::quantize(&inst.query, pc),
-            QMatrix::quantize_flat(inst.keys().data(), inst.dim(), pc).expect("non-empty"),
-            inst.into_values(),
+            QMatrix::quantize_flat(inst.keys().data(), 64, pc).expect("non-empty"),
         )
     }
 }

@@ -235,7 +235,7 @@ fn prompt_then_generation_pipeline() {
 
 #[test]
 fn batched_step_simulation_uses_model_specs() {
-    let (q, keys, inst) = quantized(256, 64, 43);
+    let (q, keys, _) = quantized(256, 64, 43);
     let spec = ModelSpec::opt_6_7b();
     let params = token_picker::accel::BatchStepParams {
         weight_bytes: spec.weight_bytes(),
@@ -244,15 +244,9 @@ fn batched_step_simulation_uses_model_specs() {
     };
     let base_cfg = AccelConfig::baseline();
     let tp_cfg = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("cfg");
-    let (base, tp, speedup) = token_picker::accel::compare_batch_step(
-        &base_cfg,
-        &tp_cfg,
-        &params,
-        &q,
-        &keys,
-        inst.values(),
-    )
-    .expect("batch step");
+    let (base, tp, speedup) =
+        token_picker::accel::compare_batch_step(&base_cfg, &tp_cfg, &params, &q, &keys)
+            .expect("batch step");
     // At context 256 (1/8th of the paper's S=2048) the KV share is small
     // but must still be visible and must shrink under ToPick.
     assert!(

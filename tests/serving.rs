@@ -1016,6 +1016,41 @@ fn threaded_cluster_is_digest_identical_to_sequential() {
             );
         }
     }
+
+    // The two sides also draw their key rows differently once an instance
+    // is large enough to split (16 384 elements: 256 tokens at dim 64): a
+    // shard stepped on the caller's thread lends the tail rows to the
+    // process-wide helper thread, shards stepped on worker threads keep
+    // them. Long documents put every context past that floor, and the
+    // schedule must not be able to tell who drew what.
+    use token_picker::accel::serve::scenario::{LongDocSummarize, Scenario};
+    let scenario = LongDocSummarize { docs: 8 };
+    let requests = scenario.generate(11);
+    let long_docs = |threads: usize| {
+        let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+        let cfg = scenario.serving_config(accel);
+        assert!(requests
+            .iter()
+            .all(|r| r.prompt_len * cfg.accel.dim >= 16 * 1024));
+        let mut cluster = ClusterEngine::builder(cfg.accel.clone())
+            .config(cfg)
+            .shards(2)
+            .threads(threads)
+            .build();
+        for &r in &requests {
+            cluster.enqueue(r).expect("valid request");
+        }
+        cluster.run_to_completion(2048).expect("workload completes")
+    };
+    assert_same_schedule(&long_docs(2), &long_docs(1), "long documents, 2 shards");
+    // And the splitting side is the historical one: the one-shard run was
+    // pinned before any key row was drawn off the caller's thread.
+    let (one_shard, _) = long_doc_recorded(8, PolicyKind::Fifo, 0, false, false, None);
+    assert_eq!(
+        ("chunk-0", one_shard.digest),
+        LONG_DOC_TRACE_DIGESTS[0],
+        "a split key draw moved the pinned long-document trace"
+    );
 }
 
 #[test]
