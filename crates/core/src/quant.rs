@@ -11,6 +11,63 @@ use crate::config::PrecisionConfig;
 use crate::error::CoreError;
 use crate::rows::Rows;
 
+/// The largest `|v|` in `values`, skipping NaNs, 0 if there is none: what
+/// `fold(0.0, |m, v| m.max(|v|))` in `f64` returns.
+fn max_abs(values: &[f32]) -> f64 {
+    // Without its sign bit a float's pattern orders as its magnitude does,
+    // and an integer max vectorizes where the NaN-aware `f64::max` does
+    // not (0.35 against 3.15 ns per element on the development host).
+    let bits = values
+        .iter()
+        .fold(0u32, |m, v| m.max(v.to_bits() & 0x7fff_ffff));
+    if bits > f32::INFINITY.to_bits() {
+        // Some element is a NaN, whose patterns sit above infinity's: the
+        // float fold skips it, an integer max cannot.
+        return values.iter().fold(0f64, |m, &v| m.max(f64::from(v).abs()));
+    }
+    f64::from(f32::from_bits(bits))
+}
+
+/// `x.round().clamp(qmin, qmax) as i16` for integer bounds, bit for bit,
+/// without the libm call `round` is on baseline x86-64 (2.1 against 6.2 ns
+/// per element with the division): the bounds being integers, clamping
+/// first changes nothing, and adding the largest double below one half
+/// before truncating rounds half away from zero — the lowering LLVM itself
+/// uses where it has no rounding instruction. NaN maps to 0 either way.
+#[inline]
+fn round_clamped(x: f64, qmin: f64, qmax: f64) -> i16 {
+    const BELOW_HALF: f64 = 0.5 - f64::EPSILON / 4.0;
+    // `x.clamp(qmin, qmax)` less its `qmin <= qmax` assertion, whose panic
+    // branch would keep the convert loop scalar. A NaN fails both tests and
+    // passes through, as it does through `clamp`.
+    let clamped = if x < qmin {
+        qmin
+    } else if x > qmax {
+        qmax
+    } else {
+        x
+    };
+    (clamped + BELOW_HALF.copysign(x)) as i16
+}
+
+/// Quantizes `values` symmetrically into `codes` (replacing its contents):
+/// the largest magnitude maps to the largest code, each element to
+/// `round(v / scale)` clamped to the representable range. Returns the
+/// scale; all-zero input gets 1.0.
+fn quantize_into(values: &[f32], precision: PrecisionConfig, codes: &mut Vec<i16>) -> f64 {
+    let max_abs = max_abs(values);
+    let qmax = f64::from(precision.max_value());
+    let qmin = f64::from(precision.min_value());
+    let scale = if max_abs > 0.0 { max_abs / qmax } else { 1.0 };
+    codes.clear();
+    codes.extend(
+        values
+            .iter()
+            .map(|&v| round_clamped(f64::from(v) / scale, qmin, qmax)),
+    );
+    scale
+}
+
 /// A quantized vector: `i16` codes plus the real-valued scale such that
 /// `real ≈ code * scale`.
 ///
@@ -38,16 +95,8 @@ impl QVector {
     /// A zero vector gets scale 1.0 (all codes zero).
     #[must_use]
     pub fn quantize(values: &[f32], precision: PrecisionConfig) -> Self {
-        let max_abs = values.iter().fold(0f64, |m, &v| m.max(f64::from(v).abs()));
-        let qmax = f64::from(precision.max_value());
-        let scale = if max_abs > 0.0 { max_abs / qmax } else { 1.0 };
-        let codes = values
-            .iter()
-            .map(|&v| {
-                let c = (f64::from(v) / scale).round();
-                c.clamp(f64::from(precision.min_value()), qmax) as i16
-            })
-            .collect();
+        let mut codes = Vec::new();
+        let scale = quantize_into(values, precision, &mut codes);
         Self {
             codes,
             scale,
@@ -238,19 +287,7 @@ impl QMatrix {
                 actual: data.len(),
             });
         }
-        let mut max_abs = 0f64;
-        for &v in data {
-            max_abs = max_abs.max(f64::from(v).abs());
-        }
-        let qmax = f64::from(precision.max_value());
-        let qmin = f64::from(precision.min_value());
-        let scale = if max_abs > 0.0 { max_abs / qmax } else { 1.0 };
-        codes_buf.clear();
-        codes_buf.reserve(data.len());
-        for &v in data {
-            let c = (f64::from(v) / scale).round();
-            codes_buf.push(c.clamp(qmin, qmax) as i16);
-        }
+        let scale = quantize_into(data, precision, &mut codes_buf);
         Ok(Self {
             codes: codes_buf,
             dim,
@@ -460,6 +497,36 @@ mod tests {
             keys.check_attention([&q], Some(Rows::new(&v[..9], 3))),
             mismatch(4, 3)
         );
+    }
+
+    #[test]
+    fn round_clamped_is_round_then_clamp_around_every_boundary() {
+        let pc = PrecisionConfig::new(15, 15).unwrap();
+        let (qmin, qmax) = (f64::from(pc.min_value()), f64::from(pc.max_value()));
+        let reference = |x: f64| x.round().clamp(qmin, qmax) as i16;
+        // Two codes past either end, so the clamp is crossed as well.
+        for c in i32::from(pc.min_value()) - 2..=i32::from(pc.max_value()) + 2 {
+            for centre in [f64::from(c) - 0.5, f64::from(c), f64::from(c) + 0.5] {
+                for x in [centre.next_down(), centre, centre.next_up()] {
+                    assert_eq!(round_clamped(x, qmin, qmax), reference(x), "{x:e}");
+                }
+            }
+        }
+        let below_half = 0.499_999_999_999_999_94_f64;
+        assert_eq!(below_half.next_up(), 0.5);
+        for x in [
+            below_half,
+            -below_half,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(round_clamped(x, qmin, qmax), reference(x), "{x:e}");
+        }
     }
 
     #[test]

@@ -224,3 +224,146 @@ proptest! {
         prop_assert!(strict >= loose, "kept(1e-5)={} < kept(1e-2)={}", strict, loose);
     }
 }
+
+/// Every precision a code fits: `total_bits` in 1..=15, one chunk each
+/// (the chunking does not enter quantization).
+fn every_precision() -> impl Iterator<Item = PrecisionConfig> {
+    (1..=15).map(|bits| PrecisionConfig::new(bits, bits).expect("valid precision"))
+}
+
+/// The scalar formula `QVector::quantize` and `QMatrix::quantize_flat`
+/// were written as before their loops were made vectorizable: a NaN-aware
+/// `f64` max fold, then `round` and `clamp` per element. Kept as the
+/// reference the rewritten loops must equal bit for bit.
+fn scalar_quantize(values: &[f32], pc: PrecisionConfig) -> (Vec<i16>, f64) {
+    let max_abs = values.iter().fold(0f64, |m, &v| m.max(f64::from(v).abs()));
+    let qmax = f64::from(pc.max_value());
+    let qmin = f64::from(pc.min_value());
+    let scale = if max_abs > 0.0 { max_abs / qmax } else { 1.0 };
+    let codes = values
+        .iter()
+        .map(|&v| (f64::from(v) / scale).round().clamp(qmin, qmax) as i16)
+        .collect();
+    (codes, scale)
+}
+
+/// Both quantizers against [`scalar_quantize`]: equal codes and a scale
+/// equal in its bits (`==` would let `-0.0` and NaN scales slip).
+fn assert_quantizes_as_the_scalar_formula(values: &[f32], pc: PrecisionConfig, what: &str) {
+    let (codes, scale) = scalar_quantize(values, pc);
+    let label = format!("{what}, {} bits", pc.total_bits());
+    let vector = QVector::quantize(values, pc);
+    assert_eq!(vector.codes(), codes, "{label}: vector codes");
+    assert_eq!(
+        vector.scale().to_bits(),
+        scale.to_bits(),
+        "{label}: vector scale"
+    );
+    let matrix = QMatrix::quantize_flat(values, values.len(), pc).expect("one non-empty row");
+    assert_eq!(matrix.row(0), codes, "{label}: matrix codes");
+    assert_eq!(
+        matrix.scale().to_bits(),
+        scale.to_bits(),
+        "{label}: matrix scale"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random data — magnitudes from subnormal to huge, raw finite bit
+    /// patterns included — at every precision.
+    #[test]
+    fn quantization_equals_the_scalar_formula_on_random_data(
+        seed in any::<u64>(),
+        len in 1usize..200,
+        spread in -40i32..=38,
+    ) {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let magnitude = 10f32.powi(spread);
+        let scaled: Vec<f32> = (0..len)
+            .map(|_| ((next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0) as f32 * magnitude)
+            .collect();
+        let raw: Vec<f32> = (0..len)
+            .map(|_| f32::from_bits(next() as u32))
+            .filter(|v| v.is_finite())
+            .chain([1.0])
+            .collect();
+        for pc in every_precision() {
+            assert_quantizes_as_the_scalar_formula(&scaled, pc, "scaled uniform");
+            assert_quantizes_as_the_scalar_formula(&raw, pc, "raw bit patterns");
+        }
+    }
+}
+
+/// Every value whose quotient sits on a rounding boundary: for each code
+/// `c`, `(c ± 0.5)·scale` rounded to `f32` and that value's two `f32`
+/// neighbours, next to a maximum that fixes the scale. A maximum of `qmax`
+/// makes the scale exactly 1 and the boundaries exact ties; the others
+/// make them near-ties on either side.
+#[test]
+fn quantization_equals_the_scalar_formula_at_every_rounding_boundary() {
+    for pc in every_precision() {
+        let qmax = f64::from(pc.max_value());
+        for max in [qmax.max(1.0) as f32, 1.0, 3.7, 1.1e-3, 6.5e4, 1e-40] {
+            let scale = f64::from(max) / qmax.max(1.0);
+            let mut values = vec![max];
+            for c in pc.min_value()..=pc.max_value() {
+                for half in [-0.5, 0.5] {
+                    let v = ((f64::from(c) + half) * scale) as f32;
+                    values.extend([v.next_down(), v, v.next_up()]);
+                }
+            }
+            // Nothing may outgrow the maximum, or the scale moves off the
+            // boundaries just built.
+            values.retain(|v| v.abs() <= max);
+            assert_quantizes_as_the_scalar_formula(
+                &values,
+                pc,
+                &format!("boundaries under {max:e}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn quantization_equals_the_scalar_formula_on_special_values() {
+    let tiny = f32::from_bits(1);
+    let table: [(&str, &[f32]); 12] = [
+        ("all zero", &[0.0; 5]),
+        ("signed zeros", &[0.0, -0.0, -0.0]),
+        (
+            "only subnormals",
+            &[tiny, -tiny, f32::MIN_POSITIVE / 2.0, 0.0],
+        ),
+        (
+            "subnormals under a normal",
+            &[tiny, -tiny, 1.0, -f32::MIN_POSITIVE / 4.0],
+        ),
+        ("lone positive maximum", &[0.0, 0.0, 7.25, 0.0]),
+        ("lone negative maximum", &[0.0, -7.25, 0.0, -0.0]),
+        ("largest finite", &[f32::MAX, f32::MIN, 1.0, -1.0, 0.0]),
+        ("a NaN", &[0.5, f32::NAN, -2.0, 1.0]),
+        ("only NaNs", &[f32::NAN, -f32::NAN]),
+        (
+            "infinities",
+            &[1.0, f32::INFINITY, -3.0, f32::NEG_INFINITY, 0.0],
+        ),
+        ("negative infinity alone", &[1.0, f32::NEG_INFINITY, -1.0]),
+        (
+            "NaN with infinities",
+            &[f32::NAN, f32::INFINITY, 2.0, f32::NEG_INFINITY, -0.0],
+        ),
+    ];
+    for pc in every_precision() {
+        for (what, values) in table {
+            assert_quantizes_as_the_scalar_formula(values, pc, what);
+        }
+    }
+}
