@@ -59,10 +59,10 @@ pub use prompt::{run_prompt_phase, PromptPhaseResult};
 pub use result::{AttentionCost, AttentionStepResult};
 pub use serve::{
     run_token_backed, AdmissionConfig, ClusterEngine, ClusterEngineBuilder, ClusterEvent,
-    ClusterReport, ClusterStepReport, FairRoundRobin, Fifo, KvPager, PendingView, PolicyKind,
-    PreemptionConfig, PriorityAging, RequestStats, RetentionPolicy, RoutingKind, RoutingPolicy,
-    RunningView, Scenario, ScenarioKind, SchedulerPolicy, ServeError, ServeEvent, ServingConfig,
-    ServingEngine, ServingEngineBuilder, ServingReport, ServingRequest, SessionStats, ShardView,
-    ShortestJobFirst, SloAware, StepReport, TokenBackedBatch, TokenBackedRun, Trace, TraceError,
-    TraceMeta, TraceRecorder,
+    ClusterReport, ClusterStepReport, FairRoundRobin, Fifo, KvPager, LendingStats, PendingView,
+    PolicyKind, PreemptionConfig, PriorityAging, RequestStats, RetentionPolicy, RoutingKind,
+    RoutingPolicy, RunningView, Scenario, ScenarioKind, SchedulerPolicy, ServeError, ServeEvent,
+    ServingConfig, ServingEngine, ServingEngineBuilder, ServingReport, ServingRequest,
+    SessionStats, ShardView, ShortestJobFirst, SloAware, StepReport, TokenBackedBatch,
+    TokenBackedRun, Trace, TraceError, TraceMeta, TraceRecorder,
 };

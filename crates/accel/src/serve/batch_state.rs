@@ -80,12 +80,14 @@ pub(crate) struct ActiveRequest {
     /// Position-chained content hashes of the request's full prompt pages
     /// (empty while prefix caching is disabled).
     pub(crate) page_keys: Vec<u64>,
-    /// The step simulated for the request's latest prefill chunk. Every
-    /// chunk of a prompt and its first token run at the same `context`, so
-    /// they share this one simulation instead of repeating it. Boxed and
-    /// `None` until a chunk runs: most requests never prefill in chunks,
-    /// and every queue move copies this struct.
-    pub(crate) prefill_attention: Option<Box<SimulatedStep>>,
+    /// An attention step simulated for the request ahead of the slot that
+    /// consumes it, valid while its `context` is the request's: the one a
+    /// step's pooled pass left here for the same step's slot loop, or the
+    /// one of the request's latest prefill chunk — every chunk of a prompt
+    /// and its first token run at the same `context`, so they share one
+    /// simulation instead of repeating it. Boxed and `None` otherwise:
+    /// every queue move copies this struct.
+    pub(crate) kept_attention: Option<Box<SimulatedStep>>,
     pub(crate) stats: RequestStats,
 }
 

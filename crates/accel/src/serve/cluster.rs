@@ -60,7 +60,7 @@ use super::policy::PolicyKind;
 use super::queue::ServingRequest;
 use super::router::{RoutingKind, RoutingPolicy, ShardView};
 use super::stats::{self, RequestStats, ServingReport};
-use super::{ServingConfig, ServingEngine};
+use super::{LendingStats, ServingConfig, ServingEngine};
 
 use crate::config::AccelConfig;
 
@@ -467,14 +467,14 @@ impl ClusterEngineBuilder {
     /// Builds the cluster.
     #[must_use]
     pub fn build(self) -> ClusterEngine {
-        // Shards stepped on worker threads keep their key rows to themselves:
-        // a helper competing with them for the same cores costs more than
-        // it draws.
-        let lend_key_rows = self.threads.min(self.shards) <= 1;
+        // Shards stepped on worker threads keep their attention work to
+        // themselves: a helper competing with them for the same cores costs
+        // more than it takes off them.
+        let lend_attention = self.threads.min(self.shards) <= 1;
         let shards = (0..self.shards)
             .map(|_| {
                 let mut shard = ServingEngine::from_parts(self.cfg.clone(), self.policy.build());
-                shard.lend_key_rows = lend_key_rows;
+                shard.lend_attention = lend_attention;
                 shard
             })
             .collect();
@@ -546,6 +546,18 @@ impl ClusterEngine {
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// How often the shards' steps have used the second core for their
+    /// small attention instances, summed over the shards — all zero when
+    /// the shards step on worker threads, which lend nothing.
+    #[must_use]
+    pub fn lending_stats(&self) -> LendingStats {
+        let mut total = LendingStats::default();
+        for shard in &self.shards {
+            total += shard.lending_stats();
+        }
+        total
     }
 
     /// Shared access to shard `i` (panics if out of range) — per-shard
@@ -1222,7 +1234,7 @@ mod tests {
         ] {
             let cluster = small_builder().shards(shards).threads(threads).build();
             assert!(
-                cluster.shards.iter().all(|s| s.lend_key_rows == lends),
+                cluster.shards.iter().all(|s| s.lend_attention == lends),
                 "{shards} shards on {threads} threads"
             );
         }

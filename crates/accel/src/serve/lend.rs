@@ -1,0 +1,494 @@
+//! One step's small attention instances, simulated on two cores.
+//!
+//! A step of the engine is a batch of independent per-request attention
+//! passes, each a pure function of `(accelerator, engine seed, request id,
+//! context)` ([`simulate_attention`]). An instance of at least
+//! [`SPLIT_MIN_ELEMS`] elements is split by rows inside
+//! `SynthKeys::generate_with_helper`; smaller ones are not worth a handoff
+//! each, but a step's worth of them together is. So before its slot loop
+//! the engine pools the sub-floor instances the loop is about to ask for,
+//! hands about half of them — by elements — to a persistent helper thread
+//! as one owned job, simulates the rest itself, and leaves every result on
+//! its request as a kept step, which the loop then finds instead of
+//! simulating. Which thread ran an instance cannot show in its result, so
+//! pooled and serial stepping are one engine with a permanent differential
+//! test, not two paths.
+//!
+//! The helper is `topick_model::synth::helper`'s, with its own job type:
+//! lazily started, absent on one core, `try_lock` only, owned jobs whose
+//! buffers come back with them. Whenever there is no helper to be had —
+//! busy with another engine's step, absent, dead — nothing is pooled and
+//! the slot loop simulates each instance where it always has.
+
+use std::sync::Mutex;
+
+use topick_core::{QVector, QuantBuffer};
+use topick_model::synth::helper::HelperSlot;
+use topick_model::synth::SPLIT_MIN_ELEMS;
+use topick_model::{SynthKeys, SynthProfile};
+
+use super::batch_state::SimulatedStep;
+use super::{ServeError, ServingEngine};
+use crate::engine::ToPickAccelerator;
+
+/// How often an engine's steps used the second core for their small
+/// attention instances — whether a run that could have been spread over
+/// two cores was. Host-side bookkeeping only: it depends on the machine
+/// and on what else the process is doing, so it is no part of
+/// [`ServingReport`](super::ServingReport), [`Trace`](super::Trace) or any
+/// digest. Rows lent *inside* one large instance are not counted here.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LendingStats {
+    /// Steps whose pool of small instances was split with the helper
+    /// thread.
+    pub pooled_steps: usize,
+    /// Instances the helper thread simulated in those steps.
+    pub lent_instances: usize,
+    /// Steps whose pool was large enough to split but ran on the stepping
+    /// thread alone: the helper was busy with another engine, absent (one
+    /// core, or its spawn failed) or died.
+    pub fallbacks: usize,
+}
+
+impl std::ops::AddAssign for LendingStats {
+    fn add_assign(&mut self, other: Self) {
+        self.pooled_steps += other.pooled_steps;
+        self.lent_instances += other.lent_instances;
+        self.fallbacks += other.fallbacks;
+    }
+}
+
+/// One instance of a step's pool: the request at `slot`, at `context`.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct PoolItem {
+    slot: usize,
+    id: u64,
+    context: usize,
+}
+
+/// The helper's share of one step's pool: everything
+/// [`simulate_attention`] reads, owned, and the results it leaves.
+#[derive(Debug)]
+pub(super) struct StepJob {
+    accel: ToPickAccelerator,
+    seed: u64,
+    work: Vec<PoolItem>,
+    /// `(slot, step)` of every instance that simulated; one that failed is
+    /// left for the slot loop to fail on.
+    done: Vec<(usize, SimulatedStep)>,
+    /// The helper's own quantization buffer.
+    key_buf: QuantBuffer,
+}
+
+/// What the helper thread runs on each job.
+fn run_job(job: &mut StepJob) {
+    job.done.clear();
+    for item in &job.work {
+        let step = simulate_attention(
+            &job.accel,
+            job.seed,
+            item.id,
+            item.context,
+            &mut job.key_buf,
+            false,
+        );
+        if let Ok(step) = step {
+            job.done.push((item.slot, step));
+        }
+    }
+}
+
+/// A step helper and the stepping thread's scratch list, under one lock:
+/// whoever holds it owns both for one step.
+#[derive(Debug)]
+pub(super) struct StepLender {
+    helper: HelperSlot<StepJob>,
+    /// The holder's own share of the pool.
+    mine: Vec<PoolItem>,
+}
+
+impl StepLender {
+    pub(super) const fn new(helper: HelperSlot<StepJob>) -> Self {
+        Self {
+            helper,
+            mine: Vec::new(),
+        }
+    }
+}
+
+/// The process-wide step helper. Only ever `try_lock`ed: an engine that
+/// finds it taken steps serially, so two engines on two threads never wait
+/// on each other; a poisoned lock (an engine panicked mid-step, possibly
+/// leaving a job in flight) reads as taken forever.
+pub(super) static STEP_LENDER: Mutex<StepLender> =
+    Mutex::new(StepLender::new(HelperSlot::Unstarted {
+        name: "topick-attention",
+        work: run_job,
+    }));
+
+/// One cycle-level attention simulation of request `req_id` at `context`.
+/// The synthetic workload is deterministic in `(seed, req_id, context)`,
+/// so the result is a pure function of its arguments — `key_buf` is
+/// scratch, and `lend_rows` only chooses which thread draws a large
+/// instance's tail key rows. Serving keeps only what the step costs, so
+/// neither the value matrix nor the output vector is ever produced.
+pub(super) fn simulate_attention(
+    accel: &ToPickAccelerator,
+    seed: u64,
+    req_id: u64,
+    context: usize,
+    key_buf: &mut QuantBuffer,
+    lend_rows: bool,
+) -> Result<SimulatedStep, ServeError> {
+    let dim = accel.config().dim;
+    let pc = accel.config().precision;
+    let seed = seed
+        .wrapping_add(req_id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add((context as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
+    let profile = SynthProfile::realistic(context, dim);
+    let (q, keys) = {
+        let inst = if lend_rows {
+            SynthKeys::generate_with_helper(&profile, seed)
+        } else {
+            SynthKeys::generate(&profile, seed)
+        };
+        let q = QVector::quantize(&inst.query, pc);
+        let keys = key_buf
+            .quantize(inst.keys().data(), dim, pc)
+            .map_err(ServeError::Core)?;
+        // The float keys end here: the pipeline reads the codes only, and
+        // two threads' instances are live at once.
+        (q, keys)
+    };
+    let result = accel.attention_cost(&q, &keys);
+    key_buf.reclaim(keys);
+    let cost = result?;
+    Ok(SimulatedStep {
+        context,
+        head_cycles: cost.cycles,
+        prune: cost.prune,
+    })
+}
+
+impl ServingEngine {
+    /// The slots whose step will ask for a fresh simulation of an instance
+    /// under the row-split floor, in slot order: the walk of the slot loop
+    /// ([`ChunkBudget`](super::ChunkBudget)), so nothing is simulated that
+    /// the loop would not simulate.
+    fn pool(&self) -> impl Iterator<Item = PoolItem> + '_ {
+        let mut budget = self.chunk_budget();
+        let dim = self.cfg.accel.dim;
+        self.batch
+            .slots()
+            .iter()
+            .enumerate()
+            .filter_map(move |(slot, r)| {
+                let simulates = budget.next(r.kv.prefill_owed()).simulates();
+                let fresh = r
+                    .kept_attention
+                    .as_ref()
+                    .is_none_or(|kept| kept.context != r.context);
+                (simulates && fresh && r.context * dim < SPLIT_MIN_ELEMS).then_some(PoolItem {
+                    slot,
+                    id: r.req.id,
+                    context: r.context,
+                })
+            })
+    }
+
+    /// Simulates this step's pool on two cores when that is worth a
+    /// handoff — two or more instances of [`SPLIT_MIN_ELEMS`] elements
+    /// together — and `lender` has a helper free, leaving each result on
+    /// its request as the kept step
+    /// [`slot_attention`](Self::slot_attention) consumes. The pool is
+    /// split by a greedy pass in slot order, each instance going to the
+    /// share with fewer elements so far. An instance that fails to
+    /// simulate is not kept: the slot loop meets the same error at the
+    /// same slot, after the same earlier slots have advanced.
+    pub(super) fn pool_attention(&mut self, lender: &Mutex<StepLender>) {
+        if !self.lend_attention {
+            return;
+        }
+        let dim = self.cfg.accel.dim;
+        let (instances, elems) = self.pool().fold((0, 0), |(n, elems), item| {
+            (n + 1, elems + item.context * dim)
+        });
+        if instances < 2 || elems < SPLIT_MIN_ELEMS {
+            return;
+        }
+        let Ok(mut lender) = lender.try_lock() else {
+            self.lending.fallbacks += 1;
+            return;
+        };
+        let StepLender { helper, mine } = &mut *lender;
+        mine.clear();
+        let lent = helper.lend(|spare| {
+            let (accel, seed) = (self.accel.clone(), self.cfg.seed);
+            let mut job = match spare {
+                Some(spare) => StepJob {
+                    accel,
+                    seed,
+                    ..spare
+                },
+                None => StepJob {
+                    accel,
+                    seed,
+                    work: Vec::new(),
+                    done: Vec::new(),
+                    key_buf: QuantBuffer::new(),
+                },
+            };
+            job.work.clear();
+            let (mut my_elems, mut lent_elems) = (0, 0);
+            for item in self.pool() {
+                if lent_elems < my_elems {
+                    lent_elems += item.context;
+                    job.work.push(item);
+                } else {
+                    my_elems += item.context;
+                    mine.push(item);
+                }
+            }
+            job
+        });
+        if !lent {
+            self.lending.fallbacks += 1;
+            return;
+        }
+        for item in mine.iter() {
+            let step = simulate_attention(
+                &self.accel,
+                self.cfg.seed,
+                item.id,
+                item.context,
+                &mut self.key_buf,
+                false,
+            );
+            if let Ok(step) = step {
+                self.keep_attention(item.slot, step);
+            }
+        }
+        let mut returned = 0;
+        let collected = helper.collect(|job| {
+            for (slot, step) in job.done.drain(..) {
+                self.keep_attention(slot, step);
+                returned += 1;
+            }
+        });
+        if collected {
+            self.lending.pooled_steps += 1;
+            self.lending.lent_instances += returned;
+        } else {
+            // The helper died holding its share: those slots have no kept
+            // step and the slot loop simulates them.
+            self.lending.fallbacks += 1;
+        }
+    }
+
+    /// Leaves `step` on the request at `slot` for its
+    /// [`slot_attention`](Self::slot_attention) to find.
+    fn keep_attention(&mut self, slot: usize, step: SimulatedStep) {
+        #[cfg(test)]
+        {
+            self.simulations += 1;
+        }
+        self.batch.slots_mut()[slot].kept_attention = Some(Box::new(step));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Barrier;
+
+    use topick_model::synth::helper::Helper;
+
+    use super::*;
+    use crate::config::{AccelConfig, AccelMode};
+    use crate::serve::{
+        PolicyKind, PreemptionConfig, RetentionPolicy, ServeEvent, ServingConfig, ServingReport,
+        ServingRequest,
+    };
+
+    /// Shared prefixes, priced and chunked prefill, preemption with paged
+    /// retention and a host tier: every way a kept step is made, handed
+    /// over and dropped.
+    fn engine(seed: u64) -> ServingEngine {
+        let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+        let mut cfg = ServingConfig::new(accel);
+        cfg.heads = 2;
+        cfg.weight_bytes = 1_000_000;
+        cfg.seed = seed;
+        cfg.admission.max_batch = 6;
+        cfg.admission.max_batch_tokens = 1536;
+        cfg.admission.prefix_cache = true;
+        cfg.prefill_factor = 1.0;
+        cfg.prefill_chunk_pages = 12;
+        cfg.host_pages = 64;
+        cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.5));
+        let mut engine = ServingEngine::builder(cfg.accel.clone())
+            .config(cfg)
+            .policy(PolicyKind::PriorityAging)
+            .build();
+        // Contexts of 48–176 tokens (3–11 k elements each, a step's worth
+        // past the floor together) around one of 300 that splits by rows.
+        // Six patient requests fill the batch and build their prompts;
+        // urgent ones then arrive one a step and evict them mid-decode.
+        for id in 0..14u64 {
+            let urgent = id >= 6;
+            let prompt = if id == 5 {
+                300
+            } else {
+                48 + (id as usize % 5) * 32
+            };
+            let request = ServingRequest::new(id, prompt, if urgent { 3 } else { 8 })
+                .with_priority(if urgent { 9 } else { 0 })
+                .with_shared_prefix(id % 2, 32)
+                .arriving_at(if urgent { id - 2 } else { 0 });
+            engine.enqueue(request).expect("valid request");
+        }
+        engine
+    }
+
+    type Run = (Result<ServingReport, ServeError>, Vec<ServeEvent>);
+
+    fn run(engine: &mut ServingEngine, lender: &Mutex<StepLender>) -> Run {
+        let result = loop {
+            match engine.step_lending_to(lender) {
+                Ok(Some(_)) => {}
+                Ok(None) => break Ok(engine.report()),
+                Err(e) => break Err(e),
+            }
+        };
+        (result, engine.drain_events())
+    }
+
+    /// The run of `engine(seed)` with nothing lent.
+    fn serial(seed: u64) -> Run {
+        let mut serial = engine(seed);
+        serial.lend_attention = false;
+        let run = run(&mut serial, &STEP_LENDER);
+        assert_eq!(serial.lending_stats(), LendingStats::default());
+        if let Ok(report) = &run.0 {
+            let saw = |wanted: fn(&ServeEvent) -> bool| run.1.iter().any(wanted);
+            assert!(saw(|e| matches!(e, ServeEvent::PrefillChunk { .. })));
+            assert!(saw(|e| matches!(e, ServeEvent::Preempted { .. })));
+            assert!(saw(|e| matches!(e, ServeEvent::SwappedIn { .. })));
+            assert_eq!(serial.simulations, report.tokens_generated);
+        }
+        run
+    }
+
+    fn lender_with(work: fn(&mut StepJob)) -> Mutex<StepLender> {
+        let helper = Helper::spawn("test-attention", work).expect("spawn");
+        Mutex::new(StepLender::new(HelperSlot::Running(helper)))
+    }
+
+    #[test]
+    fn a_pooled_run_equals_its_serial_twin() {
+        // A private helper, so the pool is split even where the shared one
+        // would not start (one core) or is taken by a parallel test.
+        let lender = lender_with(run_job);
+        for seed in 0..3 {
+            let mut pooled = engine(seed);
+            assert_eq!(run(&mut pooled, &lender), serial(seed), "seed {seed}");
+            let stats = pooled.lending_stats();
+            assert!(stats.pooled_steps > 0 && stats.lent_instances >= stats.pooled_steps);
+            assert_eq!(stats.fallbacks, 0);
+            // One simulation per token, whichever thread ran it.
+            assert_eq!(pooled.simulations, pooled.report().tokens_generated);
+        }
+        let lender = lender.lock().unwrap();
+        assert!(matches!(lender.helper, HelperSlot::Running(_)));
+    }
+
+    #[test]
+    fn a_helper_that_panics_degrades_to_the_stepping_thread() {
+        let lender = lender_with(|_| panic!("helper down (expected by this test)"));
+        let mut pooled = engine(1);
+        // The first pool loses its lent share to the panic and the slot
+        // loop simulates it; every later pool finds no helper.
+        assert_eq!(run(&mut pooled, &lender), serial(1));
+        let stats = pooled.lending_stats();
+        assert_eq!((stats.pooled_steps, stats.lent_instances), (0, 0));
+        assert!(stats.fallbacks > 1);
+        assert!(matches!(lender.lock().unwrap().helper, HelperSlot::Absent));
+    }
+
+    #[test]
+    fn a_helper_whose_channel_is_closed_degrades_to_the_stepping_thread() {
+        let helper = Helper::spawn("test-attention", run_job).expect("spawn");
+        let lender = Mutex::new(StepLender::new(HelperSlot::Running(helper.ended())));
+        let mut pooled = engine(2);
+        assert_eq!(run(&mut pooled, &lender), serial(2));
+        assert_eq!(pooled.lending_stats().pooled_steps, 0);
+        assert!(pooled.lending_stats().fallbacks > 1);
+        assert!(matches!(lender.lock().unwrap().helper, HelperSlot::Absent));
+    }
+
+    #[test]
+    fn a_taken_helper_is_not_waited_for() {
+        let lender = lender_with(run_job);
+        let taken = lender.lock().unwrap();
+        let mut pooled = engine(3);
+        // Would deadlock on `lock`; `try_lock` falls through at once.
+        assert_eq!(run(&mut pooled, &lender), serial(3));
+        assert_eq!(pooled.lending_stats().pooled_steps, 0);
+        assert!(pooled.lending_stats().fallbacks > 1);
+        drop(taken);
+    }
+
+    #[test]
+    fn a_simulation_that_fails_in_the_pool_is_not_kept() {
+        let broken = |seed| {
+            let mut engine = engine(seed);
+            // `attention_cost` refuses an accelerator without lanes, on
+            // either thread.
+            let mut accel = engine.cfg.accel.clone();
+            accel.lanes = 0;
+            engine.accel = ToPickAccelerator::new(accel);
+            // Whole prompts in one step, so the first step's four arrivals
+            // all ask for a simulation and make a pool.
+            engine.cfg.prefill_chunk_pages = 0;
+            engine
+        };
+        let lender = lender_with(run_job);
+        let mut pooled = broken(4);
+        let mut serial = broken(4);
+        serial.lend_attention = false;
+        let (pooled_run, serial_run) = (run(&mut pooled, &lender), run(&mut serial, &STEP_LENDER));
+        assert!(matches!(pooled_run.0, Err(ServeError::Core(_))));
+        // Same error, after the same events: the failing slot was reached
+        // by the slot loop, not short-cut by the pool.
+        assert_eq!(pooled_run, serial_run);
+        assert_eq!(pooled.lending_stats().pooled_steps, 1);
+        assert_eq!(pooled.lending_stats().lent_instances, 0);
+        assert!(pooled
+            .batch
+            .slots()
+            .iter()
+            .all(|r| r.kept_attention.is_none()));
+    }
+
+    #[test]
+    fn threaded_engines_sharing_the_step_helper_report_what_their_serial_twins_report() {
+        const THREADS: u64 = 4;
+        let start = Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..3 {
+                        let seed = 10 + t * 3 + round;
+                        let mut pooled = engine(seed);
+                        assert_eq!(
+                            run(&mut pooled, &STEP_LENDER),
+                            serial(seed),
+                            "thread {t}, seed {seed}"
+                        );
+                    }
+                });
+            }
+        });
+    }
+}

@@ -50,6 +50,7 @@ pub mod cluster;
 pub mod error;
 pub mod events;
 pub mod kv_pager;
+mod lend;
 pub mod policy;
 mod pricing;
 pub mod queue;
@@ -67,6 +68,7 @@ pub use cluster::{
 pub use error::ServeError;
 pub use events::ServeEvent;
 pub use kv_pager::KvPager;
+pub use lend::LendingStats;
 pub use policy::{
     FairRoundRobin, Fifo, PendingView, PolicyKind, PreemptionConfig, PriorityAging,
     RetentionPolicy, RunningView, SchedulerPolicy, ShortestJobFirst, SloAware,
@@ -78,14 +80,16 @@ pub use stats::{RequestStats, ServingReport, SessionStats, StepReport};
 pub use token_backed::{run_token_backed, TokenBackedBatch, TokenBackedRun};
 pub use trace::{Trace, TraceError, TraceMeta, TraceRecorder};
 
-use topick_core::{PruneStats, QVector, QuantBuffer};
-use topick_model::{SynthKeys, SynthProfile};
+use std::sync::Mutex;
+
+use topick_core::{PruneStats, QuantBuffer};
 
 use crate::batch::weight_stream_cycles;
 use crate::config::AccelConfig;
 use crate::engine::ToPickAccelerator;
 
 use batch_state::{ActiveRequest, BatchState, SimulatedStep};
+use lend::StepLender;
 use queue::PendingQueue;
 use residency::Residency;
 
@@ -416,13 +420,57 @@ pub struct ServingEngine {
     step_index: usize,
     arrival_seq: u64,
     key_buf: QuantBuffer,
-    /// Whether a large instance's tail key rows may go to the process-wide
-    /// helper thread. A cluster that steps its shards on several threads
+    /// Whether attention work may go to the process-wide helper threads:
+    /// the tail key rows of a large instance, and a share of a step's pool
+    /// of small ones. A cluster that steps its shards on several threads
     /// clears it: those threads already hold the cores.
-    pub(crate) lend_key_rows: bool,
+    pub(crate) lend_attention: bool,
+    lending: LendingStats,
     /// Cycle-level simulations run so far.
     #[cfg(test)]
     simulations: usize,
+}
+
+/// What a slot does with its step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SlotWork {
+    /// Its prompt cannot finish building this step: it advances the
+    /// prefill frontier by `allowance` tokens instead of decoding.
+    Prefill { allowance: usize },
+    /// It decodes a token, settling whatever prefill it still owed.
+    Decode,
+}
+
+impl SlotWork {
+    /// Whether the slot's step needs its attention simulated: every one
+    /// does but a prefill the step's budget left nothing for.
+    fn simulates(self) -> bool {
+        self != Self::Prefill { allowance: 0 }
+    }
+}
+
+/// Chunked prefill: a step's prompt-building allowance in tokens, shared
+/// by every slot still owing prefill and consumed in slot order
+/// (admissions append, so head slots — the oldest work — always drain the
+/// budget first and no frontier can starve). The one walk both the slot
+/// loop and the pooled attention pass before it take, so they agree on
+/// what every slot does.
+#[derive(Debug)]
+struct ChunkBudget(usize);
+
+impl ChunkBudget {
+    /// What the next slot in slot order does, owing `prefill_debt` prompt
+    /// tokens.
+    fn next(&mut self, prefill_debt: usize) -> SlotWork {
+        if prefill_debt > self.0 {
+            SlotWork::Prefill {
+                allowance: std::mem::take(&mut self.0),
+            }
+        } else {
+            self.0 -= prefill_debt;
+            SlotWork::Decode
+        }
+    }
 }
 
 impl ServingEngine {
@@ -472,7 +520,8 @@ impl ServingEngine {
             step_index: 0,
             arrival_seq: 0,
             key_buf: QuantBuffer::new(),
-            lend_key_rows: true,
+            lend_attention: true,
+            lending: LendingStats::default(),
             #[cfg(test)]
             simulations: 0,
         }
@@ -488,6 +537,13 @@ impl ServingEngine {
     #[must_use]
     pub fn policy_name(&self) -> &'static str {
         self.policy.name()
+    }
+
+    /// How often this engine's steps have used the second core for their
+    /// small attention instances so far.
+    #[must_use]
+    pub fn lending_stats(&self) -> LendingStats {
+        self.lending
     }
 
     /// Requests waiting for admission.
@@ -709,7 +765,7 @@ impl ServingEngine {
             ),
             last_token_at: None,
             page_keys,
-            prefill_attention: None,
+            kept_attention: None,
             stats: RequestStats::queued(&req, schedulable_at),
         };
         self.arrival_seq += 1;
@@ -1097,6 +1153,15 @@ impl ServingEngine {
     /// reports a permanently unadmittable queue as
     /// [`ServeError::AdmissionStalled`].
     pub fn step(&mut self) -> Result<Option<StepReport>, ServeError> {
+        self.step_lending_to(&lend::STEP_LENDER)
+    }
+
+    /// [`step`](Self::step), with the helper a step's pool of small
+    /// attention instances may be shared with.
+    fn step_lending_to(
+        &mut self,
+        lender: &Mutex<StepLender>,
+    ) -> Result<Option<StepReport>, ServeError> {
         if self.cfg.reject_expired_ttft {
             self.reject_expired();
         }
@@ -1126,27 +1191,14 @@ impl ServingEngine {
             weight_cycles: weight_stream_cycles(&self.cfg.accel, self.cfg.weight_bytes),
             ..StepReport::idle(step)
         };
-        // Chunked prefill: the step's prompt-building allowance in tokens,
-        // shared by every slot still owing prefill and consumed in slot
-        // order (admissions append, so head slots — the oldest work —
-        // always drain the budget first and no frontier can starve).
-        // 0 configured pages = unlimited, the one-lump path.
-        let mut chunk_budget = if self.cfg.prefill_chunk_pages == 0 {
-            usize::MAX
-        } else {
-            self.cfg.prefill_chunk_pages * self.batch.pager().page_size()
-        };
+        self.pool_attention(lender);
+        let mut chunk_budget = self.chunk_budget();
         for slot in 0..self.batch.len() {
-            let prefill_debt = self.batch.slots()[slot].kv.prefill_owed();
-            if prefill_debt > chunk_budget {
-                // The prompt cannot finish building this step: the slot
-                // spends it advancing the frontier by what allowance is
-                // left instead of decoding.
-                let allowance = std::mem::take(&mut chunk_budget);
-                self.advance_prefill(slot, allowance, &mut report)?;
-            } else {
-                chunk_budget -= prefill_debt;
-                self.decode_slot(slot, &mut report)?;
+            match chunk_budget.next(self.batch.slots()[slot].kv.prefill_owed()) {
+                SlotWork::Prefill { allowance } => {
+                    self.advance_prefill(slot, allowance, &mut report)?;
+                }
+                SlotWork::Decode => self.decode_slot(slot, &mut report)?,
             }
         }
         self.total_cycles += report.total_cycles();
@@ -1170,6 +1222,16 @@ impl ServingEngine {
         Ok(Some(report))
     }
 
+    /// This step's chunked-prefill allowance, before any slot has drawn on
+    /// it. 0 configured pages = unlimited, the one-lump path.
+    fn chunk_budget(&self) -> ChunkBudget {
+        ChunkBudget(if self.cfg.prefill_chunk_pages == 0 {
+            usize::MAX
+        } else {
+            self.cfg.prefill_chunk_pages * self.batch.pager().page_size()
+        })
+    }
+
     /// One step of a slot whose prompt is still building under chunked
     /// prefill: no token, no attention charge — the chunk's prefill charge
     /// *is* this slot's compute for the step. With no `allowance` left
@@ -1191,7 +1253,7 @@ impl ServingEngine {
         let attention = self.slot_attention(slot)?;
         let request_cycles = attention.head_cycles * self.cfg.heads as u64;
         let r = &mut self.batch.slots_mut()[slot];
-        r.prefill_attention = Some(Box::new(attention));
+        r.kept_attention = Some(Box::new(attention));
         let (owed, remaining) = r.kv.advance_prefill(allowance);
         let charge = pricing::prefill_chunk(
             request_cycles,
@@ -1286,59 +1348,32 @@ impl ServingEngine {
     }
 
     /// The attention step of the request at `slot` at its current context:
-    /// the one its last prefill chunk left on it while the context still
-    /// matches, a fresh simulation otherwise. The simulation is a pure
-    /// function of `(engine seed, request id, context)` and every shard of
-    /// a cluster shares the seed, so a kept step is valid wherever the
-    /// request is queued, preempted to or shipped.
+    /// the one kept on it — by this step's pooled pass, or by its last
+    /// prefill chunk — while the context still matches, a fresh simulation
+    /// otherwise. The simulation is a pure function of `(engine seed,
+    /// request id, context)` and every shard of a cluster shares the seed,
+    /// so a kept step is valid wherever the request is queued, preempted to
+    /// or shipped, and whichever thread simulated it.
     fn slot_attention(&mut self, slot: usize) -> Result<SimulatedStep, ServeError> {
         let r = &mut self.batch.slots_mut()[slot];
         let (id, context) = (r.req.id, r.context);
-        match r.prefill_attention.take() {
+        match r.kept_attention.take() {
             Some(kept) if kept.context == context => Ok(*kept),
-            _ => self.simulate_attention(id, context),
+            _ => {
+                #[cfg(test)]
+                {
+                    self.simulations += 1;
+                }
+                lend::simulate_attention(
+                    &self.accel,
+                    self.cfg.seed,
+                    id,
+                    context,
+                    &mut self.key_buf,
+                    self.lend_attention,
+                )
+            }
         }
-    }
-
-    /// One cycle-level attention simulation of a request at `context`. The
-    /// synthetic workload is deterministic in `(engine seed, request id,
-    /// context)`. Serving keeps only what the step costs, so neither the
-    /// value matrix nor the output vector is ever produced.
-    fn simulate_attention(
-        &mut self,
-        req_id: u64,
-        context: usize,
-    ) -> Result<SimulatedStep, ServeError> {
-        #[cfg(test)]
-        {
-            self.simulations += 1;
-        }
-        let dim = self.cfg.accel.dim;
-        let pc = self.cfg.accel.precision;
-        let seed = self
-            .cfg
-            .seed
-            .wrapping_add(req_id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add((context as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-        let profile = SynthProfile::realistic(context, dim);
-        let inst = if self.lend_key_rows {
-            SynthKeys::generate_with_helper(&profile, seed)
-        } else {
-            SynthKeys::generate(&profile, seed)
-        };
-        let q = QVector::quantize(&inst.query, pc);
-        let keys = self
-            .key_buf
-            .quantize(inst.keys().data(), dim, pc)
-            .map_err(ServeError::Core)?;
-        let result = self.accel.attention_cost(&q, &keys);
-        self.key_buf.reclaim(keys);
-        let cost = result?;
-        Ok(SimulatedStep {
-            context,
-            head_cycles: cost.cycles,
-            prune: cost.prune,
-        })
     }
 
     /// Drives the engine until every request finishes, bounded by

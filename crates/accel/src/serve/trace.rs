@@ -34,7 +34,7 @@ use super::events::{WireEvent, MAX_EVENT_FIELDS};
 use super::policy::PolicyKind;
 use super::queue::ServingRequest;
 use super::router::RoutingKind;
-use super::{AdmissionConfig, PreemptionConfig, ServingConfig};
+use super::{AdmissionConfig, LendingStats, PreemptionConfig, ServingConfig};
 use crate::config::{AccelConfig, AccelMode};
 
 /// Errors from recording, serializing, parsing or replaying a trace.
@@ -271,6 +271,21 @@ pub fn run_recorded(
     meta: &TraceMeta,
     requests: &[ServingRequest],
 ) -> Result<(Trace, ClusterReport), TraceError> {
+    run_recorded_with_lending(meta, requests).map(|(trace, report, _)| (trace, report))
+}
+
+/// [`run_recorded`], plus how often the run's steps used the second core
+/// ([`ClusterEngine::lending_stats`]) — a fact about the host the run was
+/// made on, which is why it travels beside the trace and the report
+/// rather than in them.
+///
+/// # Errors
+///
+/// As [`run_recorded`].
+pub fn run_recorded_with_lending(
+    meta: &TraceMeta,
+    requests: &[ServingRequest],
+) -> Result<(Trace, ClusterReport, LendingStats), TraceError> {
     let cfg = meta.config.clone();
     let policy: PolicyKind = meta
         .policy
@@ -294,7 +309,7 @@ pub fn run_recorded(
     }
     let report = cluster.run_to_completion(meta.max_steps)?;
     recorder.events(cluster.drain_events());
-    Ok((recorder.finish(), report))
+    Ok((recorder.finish(), report, cluster.lending_stats()))
 }
 
 /// Minimal flat-JSON line writer (writer side of the trace format):

@@ -15,7 +15,7 @@
 //! exactly up to quantization error: `k_i = r_i + ((s_i·√d − q·r_i)/‖q‖²)·q`
 //! for a random residual `r_i ⊥`-ish to `q`.
 
-mod helper;
+pub mod helper;
 
 use std::sync::Mutex;
 
@@ -27,7 +27,7 @@ use topick_core::Rows;
 
 use crate::rng::{extend_normal, normal_vec, standard_normal, DRAWS_PER_NORMAL};
 use crate::tensor::dot;
-use helper::{HelperSlot, RowJob};
+use helper::HelperSlot;
 
 /// Parameters of the synthetic score profile.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,6 +168,50 @@ fn fill_rows(
     }
 }
 
+/// A run of key rows for the helper thread to fill: everything
+/// [`fill_rows`] reads, owned, and the buffer it appends to.
+#[derive(Debug)]
+struct RowJob {
+    /// Positioned at the run's first row.
+    rng: StdRng,
+    query: Vec<f32>,
+    proj: Projection,
+    /// The run's target scores, one per row.
+    scores: Vec<f64>,
+    /// The filled rows, row-major.
+    keys: Vec<f32>,
+}
+
+impl RowJob {
+    /// The job for the rows realizing `scores`, in `spare`'s buffers when
+    /// there is one.
+    fn new(
+        spare: Option<Self>,
+        rng: StdRng,
+        query: &[f32],
+        proj: Projection,
+        scores: &[f64],
+    ) -> Self {
+        let mut job = match spare {
+            Some(spare) => Self { rng, proj, ..spare },
+            None => Self {
+                rng,
+                query: Vec::new(),
+                proj,
+                scores: Vec::new(),
+                keys: Vec::new(),
+            },
+        };
+        job.query.clear();
+        job.query.extend_from_slice(query);
+        job.scores.clear();
+        job.scores.extend_from_slice(scores);
+        job.keys.clear();
+        job.keys.reserve(scores.len() * query.len());
+        job
+    }
+}
+
 /// What the helper thread runs on each job.
 fn fill_job(job: &mut RowJob) {
     fill_rows(
@@ -179,7 +223,9 @@ fn fill_job(job: &mut RowJob) {
     );
 }
 
-/// Smallest `context_len · dim` whose tail rows go to the helper. A
+/// Smallest `context_len · dim` whose tail rows go to the helper — and,
+/// for a serving step, the smallest pool of smaller instances worth
+/// splitting between the caller and a helper by whole instances. A
 /// handoff — two channel hops, a wake-up and the copy of the returned
 /// half — measures 40–70 µs on the 2-core development host, and an element
 /// (one Box–Muller normal plus its share of the projection) ≈ 28 ns, so
@@ -190,13 +236,16 @@ fn fill_job(job: &mut RowJob) {
 /// tokens × 64 (measured there: 460 µs alone, 295 µs split). Derived, not
 /// tuned, and deliberately not an option: below it — a 16–32 token context
 /// is 1–2 k elements — the helper is never touched.
-const SPLIT_MIN_ELEMS: usize = 16 * 1024;
+pub const SPLIT_MIN_ELEMS: usize = 16 * 1024;
 
-/// The process-wide helper. Only ever `try_lock`ed: a caller that finds it
-/// taken fills its own rows, so two engines never wait on each other; a
-/// poisoned lock (a caller panicked mid-instance, possibly leaving a job
-/// in flight) reads as taken forever.
-static KEY_HELPER: Mutex<HelperSlot> = Mutex::new(HelperSlot::Unstarted);
+/// The process-wide key-row helper. Only ever `try_lock`ed: a caller that
+/// finds it taken fills its own rows, so two engines never wait on each
+/// other; a poisoned lock (a caller panicked mid-instance, possibly leaving
+/// a job in flight) reads as taken forever.
+static KEY_HELPER: Mutex<HelperSlot<RowJob>> = Mutex::new(HelperSlot::Unstarted {
+    name: "topick-key-rows",
+    work: fill_job,
+});
 
 impl SynthKeys {
     /// Generates the query, target scores and keys of the instance
@@ -231,7 +280,11 @@ impl SynthKeys {
     /// The key construction, leaving `rng` where the value draw starts.
     /// With a `helper` slot, rows from `n / 2` on are lent to it when the
     /// instance is large enough and the slot is free.
-    fn draw(profile: &SynthProfile, rng: &mut StdRng, helper: Option<&Mutex<HelperSlot>>) -> Self {
+    fn draw(
+        profile: &SynthProfile,
+        rng: &mut StdRng,
+        helper: Option<&Mutex<HelperSlot<RowJob>>>,
+    ) -> Self {
         assert!(profile.context_len > 0, "context_len must be positive");
         assert!(profile.dim > 0, "dim must be positive");
         let n = profile.context_len;
@@ -257,14 +310,15 @@ impl SynthKeys {
             .and_then(|mut slot| {
                 let mut tail_rng = rng.clone();
                 tail_rng.advance(row_draws(head, d));
-                slot.lend(tail_rng, &query, proj, &target_scores[head..])
+                let scores = &target_scores[head..];
+                slot.lend(|spare| RowJob::new(spare, tail_rng, &query, proj, scores))
                     .then_some(slot)
             });
         match lent {
             None => fill_rows(rng, &query, proj, &target_scores, &mut keys),
             Some(mut slot) => {
                 fill_rows(rng, &query, proj, &target_scores[..head], &mut keys);
-                if slot.collect_into(&mut keys) {
+                if slot.collect(|job| keys.extend_from_slice(&job.keys)) {
                     rng.advance(row_draws(n - head, d));
                 } else {
                     fill_rows(rng, &query, proj, &target_scores[head..], &mut keys);
@@ -536,7 +590,7 @@ mod tests {
 
     /// `draw` through `slot` must equal the one-range `draw` and leave the
     /// generator at the same place: where the value draw starts.
-    fn assert_same_as_one_range(slot: &Mutex<HelperSlot>, seed: u64) {
+    fn assert_same_as_one_range(slot: &Mutex<HelperSlot<RowJob>>, seed: u64) {
         let (profile, mut rng) = large(seed);
         let mut one_range_rng = rng.clone();
         let one_range = SynthKeys::draw(&profile, &mut one_range_rng, None);
@@ -548,7 +602,7 @@ mod tests {
     fn a_helper_drawn_tail_equals_the_one_range_draw() {
         // A private helper, so the split runs even where the shared one
         // would not start (one core) or is taken by a parallel test.
-        let helper = helper::Helper::spawn(fill_job).expect("spawn");
+        let helper = helper::Helper::spawn("test-key-rows", fill_job).expect("spawn");
         let slot = Mutex::new(HelperSlot::Running(helper));
         for seed in 0..20 {
             assert_same_as_one_range(&slot, seed);
@@ -558,8 +612,10 @@ mod tests {
 
     #[test]
     fn a_helper_that_panics_degrades_to_the_calling_thread() {
-        let helper = helper::Helper::spawn(|_| panic!("helper down (expected by this test)"))
-            .expect("spawn");
+        let helper = helper::Helper::spawn("test-key-rows", |_: &mut RowJob| {
+            panic!("helper down (expected by this test)")
+        })
+        .expect("spawn");
         let slot = Mutex::new(HelperSlot::Running(helper));
         // The first instance loses its tail job to the panic and redraws
         // it; every later one finds the slot empty.
@@ -573,7 +629,7 @@ mod tests {
     fn a_helper_whose_channel_is_closed_degrades_to_the_calling_thread() {
         // A worker that has already ended: its job channel is closed, so
         // the send itself fails.
-        let helper = helper::Helper::spawn(fill_job).expect("spawn");
+        let helper = helper::Helper::spawn("test-key-rows", fill_job).expect("spawn");
         let slot = Mutex::new(HelperSlot::Running(helper.ended()));
         for seed in 0..3 {
             assert_same_as_one_range(&slot, seed);
@@ -583,7 +639,7 @@ mod tests {
 
     #[test]
     fn a_taken_helper_is_not_waited_for() {
-        let helper = helper::Helper::spawn(fill_job).expect("spawn");
+        let helper = helper::Helper::spawn("test-key-rows", fill_job).expect("spawn");
         let slot = Mutex::new(HelperSlot::Running(helper));
         let taken = slot.lock().unwrap();
         // Would deadlock on `lock`; `try_lock` falls through at once.

@@ -1,63 +1,59 @@
-//! The one persistent thread that fills key rows next to their caller.
+//! A persistent thread that works next to its caller, one owned job at a
+//! time.
 //!
-//! A thread spawned per instance is an unreliable helper: on the 2-core
+//! A thread spawned per job is an unreliable helper: on the 2-core
 //! development host a fresh `std::thread::scope` thread sometimes shares
-//! its spawner's core for its first milliseconds — longer than a
-//! half-instance takes — and spawning one per instance left a whole
+//! its spawner's core for its first milliseconds — longer than half an
+//! attention instance takes — and spawning one per instance left a whole
 //! `long-decode` run without any speedup one time in five, 5 % behind a
 //! persistent thread the other four. A thread that already exists and is
 //! woken through a channel gives ×1.6–1.9 from 0.3 ms halves up, for a
-//! handoff of 40–70 µs. So there is one helper per process, started by the
-//! first instance large enough to use it and parked on its channel
-//! between jobs. It is never joined at exit — the process ending is what
-//! stops it — but a helper that dies is joined where its death is seen.
+//! handoff of 40–70 µs. So a helper is started by the first caller with
+//! enough work to use it and parked on its channel between jobs. It is
+//! never joined at exit — the process ending is what stops it — but a
+//! helper that dies is joined where its death is seen.
 //!
-//! Jobs are owned ([`RowJob`]), so there is nothing shared to get wrong:
-//! the caller copies in what the rows read, the helper appends to the
-//! job's own buffer and sends the whole job back, and the buffers are
-//! kept for the next job.
+//! Jobs are owned, so there is nothing shared to get wrong: the caller
+//! copies in what the work reads, the helper writes into the job's own
+//! buffers and sends the whole job back, and the job is kept for its
+//! buffers until the next one is lent.
+//!
+//! The lifecycle is written once, over the job type `J`. Two jobs use it:
+//! the tail key rows of one large instance (this crate's `synth`), and the
+//! small attention instances of one serving step (`topick-accel`). Each has
+//! its own process-wide [`HelperSlot`] behind a mutex that is only ever
+//! `try_lock`ed, so no caller waits for a helper except the one whose job
+//! it holds.
 
 use std::mem;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::{self, JoinHandle};
 
-use rand::rngs::StdRng;
-
-use super::Projection;
-
-/// A run of key rows to fill: everything [`fill_rows`](super::fill_rows)
-/// reads, owned, and the buffer it appends to.
-#[derive(Debug)]
-pub(super) struct RowJob {
-    /// Positioned at the run's first row.
-    pub rng: StdRng,
-    pub query: Vec<f32>,
-    pub proj: Projection,
-    /// The run's target scores, one per row.
-    pub scores: Vec<f64>,
-    /// The filled rows, row-major.
-    pub keys: Vec<f32>,
-}
-
 /// A running helper thread and the channel pair that feeds it. Both
 /// channels hold one job: one job is in flight at a time, so a send never
 /// waits and the helper itself never allocates.
 #[derive(Debug)]
-pub(super) struct Helper {
-    jobs: SyncSender<RowJob>,
-    done: Receiver<RowJob>,
+pub struct Helper<J> {
+    jobs: SyncSender<J>,
+    done: Receiver<J>,
     thread: JoinHandle<()>,
-    /// The last job back, kept for its three buffers.
-    spare: Option<RowJob>,
+    /// The last job back, kept for its buffers.
+    spare: Option<J>,
 }
 
-impl Helper {
-    /// Starts a thread that runs `work` on each job and sends it back.
-    pub(super) fn spawn(work: fn(&mut RowJob)) -> std::io::Result<Self> {
-        let (jobs, inbox) = sync_channel::<RowJob>(1);
-        let (outbox, done) = sync_channel::<RowJob>(1);
+impl<J: Send + 'static> Helper<J> {
+    /// Starts a thread called `name` that runs `work` on each job and
+    /// sends it back.
+    ///
+    /// # Errors
+    ///
+    /// Returns the operating system's error if the thread cannot be
+    /// spawned.
+    pub fn spawn(name: &str, work: fn(&mut J)) -> std::io::Result<Self> {
+        let (jobs, inbox) = sync_channel::<J>(1);
+        let (outbox, done) = sync_channel::<J>(1);
         let thread = thread::Builder::new()
-            .name("topick-key-rows".into())
+            .name(name.to_string())
             .spawn(move || {
                 for mut job in inbox {
                     work(&mut job);
@@ -74,89 +70,78 @@ impl Helper {
         })
     }
 
-    /// This helper with its job channel closed: dropping the only sender
-    /// ends the thread's loop, and the receiver of the sender put in its
-    /// place is already gone.
-    #[cfg(test)]
-    pub(super) fn ended(mut self) -> Self {
+    /// This helper with its job channel closed, the state a thread that
+    /// ended unseen leaves behind: dropping the only sender ends the
+    /// thread's loop, and the receiver of the sender put in its place is
+    /// already gone. For tests of a caller's fallback.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn ended(mut self) -> Self {
         self.jobs = sync_channel(1).0;
         self
     }
 }
 
-/// The helper's lifecycle. Whoever holds the slot's lock owns the helper
-/// for one instance; everyone else fills their own rows.
+/// A helper's lifecycle. Whoever holds the slot's lock owns the helper for
+/// one job; everyone else does their own work.
 #[derive(Debug)]
-pub(super) enum HelperSlot {
-    /// No instance has been large enough to want a helper yet.
-    Unstarted,
-    Running(Helper),
+pub enum HelperSlot<J> {
+    /// No caller has had enough work to want a helper yet. The first one
+    /// starts a thread called `name` running `work`.
+    Unstarted {
+        /// The thread's name.
+        name: &'static str,
+        /// What the thread runs on each job.
+        work: fn(&mut J),
+    },
+    /// A helper parked on its channel or working on the holder's job.
+    Running(Helper<J>),
     /// One core, a failed spawn, or a helper that died: never retried.
     Absent,
 }
 
-impl HelperSlot {
-    fn start() -> Self {
+impl<J: Send + 'static> HelperSlot<J> {
+    fn start(name: &str, work: fn(&mut J)) -> Self {
         // On one core the helper would run the same work on the same core
         // and add its handoff.
         let cores = thread::available_parallelism().map_or(1, std::num::NonZero::get);
         if cores < 2 {
             return Self::Absent;
         }
-        Helper::spawn(super::fill_job).map_or(Self::Absent, Self::Running)
+        Helper::spawn(name, work).map_or(Self::Absent, Self::Running)
     }
 
-    /// Hands the rows realizing `scores` to the helper, starting it on
-    /// first use. `false` means there is no helper and the caller fills
-    /// them itself.
-    pub(super) fn lend(
-        &mut self,
-        rng: StdRng,
-        query: &[f32],
-        proj: Projection,
-        scores: &[f64],
-    ) -> bool {
-        if matches!(self, Self::Unstarted) {
-            *self = Self::start();
+    /// Hands the helper the job `fill` builds — from the last job back, if
+    /// there is one, so its buffers are reused — starting the thread on
+    /// first use. `false` means there is no helper, `fill` was not called
+    /// or its job is lost, and the caller does the work itself.
+    pub fn lend(&mut self, fill: impl FnOnce(Option<J>) -> J) -> bool {
+        if let Self::Unstarted { name, work } = *self {
+            *self = Self::start(name, work);
         }
         let Self::Running(helper) = self else {
             return false;
         };
-        let mut job = match helper.spare.take() {
-            Some(spare) => RowJob { rng, proj, ..spare },
-            None => RowJob {
-                rng,
-                query: Vec::new(),
-                proj,
-                scores: Vec::new(),
-                keys: Vec::new(),
-            },
-        };
-        job.query.clear();
-        job.query.extend_from_slice(query);
-        job.scores.clear();
-        job.scores.extend_from_slice(scores);
-        job.keys.clear();
-        job.keys.reserve(scores.len() * query.len());
-        if helper.jobs.send(job).is_err() {
+        if helper.jobs.send(fill(helper.spare.take())).is_err() {
             self.retire();
             return false;
         }
         true
     }
 
-    /// Waits for the rows last lent and appends them to `keys`. `false`
-    /// means the helper died holding them: `keys` is untouched and the
-    /// caller fills them itself.
-    pub(super) fn collect_into(&mut self, keys: &mut Vec<f32>) -> bool {
+    /// Waits for the job last lent and shows it to `take` before keeping
+    /// it for the next [`lend`](Self::lend). `false` means the helper died
+    /// holding the job: `take` was not called and the caller does the work
+    /// itself.
+    pub fn collect(&mut self, take: impl FnOnce(&mut J)) -> bool {
         let Self::Running(helper) = self else {
             return false;
         };
-        let Ok(job) = helper.done.recv() else {
+        let Ok(mut job) = helper.done.recv() else {
             self.retire();
             return false;
         };
-        keys.extend_from_slice(&job.keys);
+        take(&mut job);
         helper.spare = Some(job);
         true
     }
@@ -172,6 +157,91 @@ impl HelperSlot {
             // Closed first, so a thread still parked on them wakes and ends.
             drop((jobs, done));
             let _ = thread.join();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A job that records what was done to it.
+    #[derive(Debug, Default)]
+    struct Doubling {
+        input: Vec<u32>,
+        output: Vec<u32>,
+    }
+
+    fn double(job: &mut Doubling) {
+        job.output.clear();
+        job.output.extend(job.input.iter().map(|v| v * 2));
+    }
+
+    fn lend_and_collect(slot: &mut HelperSlot<Doubling>, input: &[u32]) -> Option<Vec<u32>> {
+        let lent = slot.lend(|spare| {
+            let mut job = spare.unwrap_or_default();
+            job.input.clear();
+            job.input.extend_from_slice(input);
+            job
+        });
+        let mut output = None;
+        (lent && slot.collect(|job| output = Some(job.output.clone()))).then_some(())?;
+        output
+    }
+
+    #[test]
+    fn a_job_comes_back_worked_on_and_is_kept_for_its_buffers() {
+        let mut slot = HelperSlot::Running(Helper::spawn("test-helper", double).expect("spawn"));
+        assert_eq!(lend_and_collect(&mut slot, &[1, 2, 3]), Some(vec![2, 4, 6]));
+        let HelperSlot::Running(helper) = &slot else {
+            panic!("the helper stays");
+        };
+        let kept = helper
+            .spare
+            .as_ref()
+            .expect("the job is kept")
+            .input
+            .as_ptr();
+        // The next job is built from the one kept: same allocation.
+        let mut reused = None;
+        assert!(slot.lend(|spare| {
+            let job = spare.expect("spare");
+            reused = Some(job.input.as_ptr());
+            job
+        }));
+        assert!(slot.collect(|_| ()));
+        assert_eq!(reused, Some(kept));
+    }
+
+    #[test]
+    fn an_unstarted_slot_starts_on_first_use_or_reads_absent_on_one_core() {
+        let mut slot = HelperSlot::Unstarted {
+            name: "test-helper",
+            work: double,
+        };
+        let cores = thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        let result = lend_and_collect(&mut slot, &[5]);
+        if cores < 2 {
+            assert_eq!(result, None);
+            assert!(matches!(slot, HelperSlot::Absent));
+        } else {
+            assert_eq!(result, Some(vec![10]));
+            assert!(matches!(slot, HelperSlot::Running(_)));
+        }
+    }
+
+    #[test]
+    fn a_panicking_or_ended_helper_leaves_the_slot_absent() {
+        let panicking = Helper::spawn("test-helper", |_: &mut Doubling| {
+            panic!("helper down (expected by this test)")
+        });
+        let ended = Helper::spawn("test-helper", double).map(Helper::ended);
+        for helper in [panicking, ended] {
+            let mut slot = HelperSlot::Running(helper.expect("spawn"));
+            for _ in 0..2 {
+                assert_eq!(lend_and_collect(&mut slot, &[1]), None);
+                assert!(matches!(slot, HelperSlot::Absent));
+            }
         }
     }
 }

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use topick_core::{PrecisionConfig, QMatrix};
 use topick_model::rng::{normal_vec, standard_normal};
 use topick_model::{
     nll_from_logits, ExactAttention, HeadCache, KvCache, ModelSpec, PagedKvStore, SynthInstance,
@@ -126,10 +127,27 @@ proptest! {
         let dim = [1, 8, 64, 128][dim_idx];
         let profile = PROFILES[profile_idx](n, dim);
         let keys = SynthKeys::generate(&profile, seed);
-        prop_assert_eq!(
-            key_bits(&SynthKeys::generate_with_helper(&profile, seed)),
-            key_bits(&keys)
-        );
+        let split = SynthKeys::generate_with_helper(&profile, seed);
+        prop_assert_eq!(key_bits(&split), key_bits(&keys));
+
+        // Keys to codes, end to end: the split keys through the quantizer
+        // the engine calls against the one-range keys through the scalar
+        // formula it was first written as (`round` and `clamp` per element
+        // under a NaN-aware `f64` max).
+        let pc = PrecisionConfig::paper();
+        let quantized = QMatrix::quantize_flat(split.keys().data(), dim, pc).expect("non-empty");
+        let data = keys.keys().data();
+        let max_abs = data.iter().fold(0f64, |m, &v| m.max(f64::from(v).abs()));
+        let (qmin, qmax) = (f64::from(pc.min_value()), f64::from(pc.max_value()));
+        let scale = if max_abs > 0.0 { max_abs / qmax } else { 1.0 };
+        prop_assert_eq!(quantized.scale().to_bits(), scale.to_bits());
+        for (token, row) in data.chunks(dim).enumerate() {
+            let codes: Vec<i16> = row
+                .iter()
+                .map(|&v| (f64::from(v) / scale).round().clamp(qmin, qmax) as i16)
+                .collect();
+            prop_assert_eq!(quantized.row(token), &codes[..]);
+        }
 
         let full = SynthInstance::generate(&profile, seed);
         prop_assert_eq!(full.keys().data(), keys.keys().data());

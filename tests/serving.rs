@@ -12,8 +12,8 @@ use token_picker::accel::serve::scenario::{Scenario, SharedPrefixChat, SkewedEle
 use token_picker::accel::serve::trace::run_recorded;
 use token_picker::accel::{
     AccelConfig, AccelMode, AdmissionConfig, ClusterEngine, ClusterEvent, ClusterReport,
-    PolicyKind, PreemptionConfig, RetentionPolicy, RoutingKind, ScenarioKind, ServeEvent,
-    ServingConfig, ServingEngine, ServingReport, ServingRequest, Trace, TraceMeta,
+    LendingStats, PolicyKind, PreemptionConfig, RetentionPolicy, RoutingKind, ScenarioKind,
+    ServeEvent, ServingConfig, ServingEngine, ServingReport, ServingRequest, Trace, TraceMeta,
 };
 
 fn mixed_workload() -> Vec<ServingRequest> {
@@ -1026,23 +1026,43 @@ fn threaded_cluster_is_digest_identical_to_sequential() {
     use token_picker::accel::serve::scenario::{LongDocSummarize, Scenario};
     let scenario = LongDocSummarize { docs: 8 };
     let requests = scenario.generate(11);
-    let long_docs = |threads: usize| {
+    let long_docs = |requests: &[ServingRequest], threads: usize| {
         let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
         let cfg = scenario.serving_config(accel);
-        assert!(requests
-            .iter()
-            .all(|r| r.prompt_len * cfg.accel.dim >= 16 * 1024));
         let mut cluster = ClusterEngine::builder(cfg.accel.clone())
             .config(cfg)
             .shards(2)
             .threads(threads)
             .build();
-        for &r in &requests {
+        for &r in requests {
             cluster.enqueue(r).expect("valid request");
         }
-        cluster.run_to_completion(2048).expect("workload completes")
+        let report = cluster.run_to_completion(2048).expect("workload completes");
+        (report, cluster.lending_stats())
     };
-    assert_same_schedule(&long_docs(2), &long_docs(1), "long documents, 2 shards");
+    assert!(requests.iter().all(|r| r.prompt_len * 64 >= 16 * 1024));
+    assert_same_schedule(
+        &long_docs(&requests, 2).0,
+        &long_docs(&requests, 1).0,
+        "long documents, 2 shards",
+    );
+    // Short chats next to the documents: the caller-stepped side now also
+    // hands a share of each step's small instances to the other helper
+    // thread, in steps that split a document's rows as well.
+    let mut mixed = requests.clone();
+    mixed.extend((0..24u64).map(|i| {
+        ServingRequest::new(1_000 + i, 40 + (i as usize % 6) * 24, 3 + i as usize % 5)
+            .arriving_at(i / 6)
+    }));
+    let (threaded, threaded_lending) = long_docs(&mixed, 2);
+    let (sequential, sequential_lending) = long_docs(&mixed, 1);
+    assert_same_schedule(&threaded, &sequential, "documents and chats, 2 shards");
+    assert_eq!(threaded.shards, sequential.shards);
+    assert_eq!(threaded_lending, LendingStats::default());
+    assert!(
+        sequential_lending.pooled_steps + sequential_lending.fallbacks > 0,
+        "no step of the mixed run had a pool worth splitting"
+    );
     // And the splitting side is the historical one: the one-shard run was
     // pinned before any key row was drawn off the caller's thread.
     let (one_shard, _) = long_doc_recorded(8, PolicyKind::Fifo, 0, false, false, None);
@@ -2444,6 +2464,75 @@ fn tiered_threaded_cluster_is_digest_identical_to_sequential() {
             &format!("tiered cluster, {threads} threads"),
         );
     }
+}
+
+#[test]
+fn lending_attention_to_the_second_core_is_invisible_to_schedules_reports_and_prune_stats() {
+    // One engine, not two paths: a run whose shards hand part of every
+    // step's small attention instances to the helper thread (shards
+    // stepped on the caller's thread) against a run that lends nothing
+    // (shards stepped on worker threads). Shared prefixes, chunked priced
+    // prefill, preemption with paged retention and a host tier cover every
+    // way a kept step is made, carried and dropped: pooled ahead of its
+    // slot, shared by a prompt's chunks, parked on a preempted request and
+    // re-used or outgrown on re-admission.
+    let scenario = SharedPrefixChat {
+        tenants: 6,
+        per_tenant: 8,
+    };
+    let run = |threads: usize| {
+        let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+        let mut cfg = scenario.serving_config(accel);
+        cfg.admission.max_batch = 8;
+        cfg.admission.max_batch_tokens = 1280;
+        cfg.prefill_chunk_pages = 8;
+        cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.5));
+        cfg.host_pages = 256;
+        let mut cluster = ClusterEngine::builder(cfg.accel.clone())
+            .config(cfg)
+            .policy(PolicyKind::PriorityAging)
+            .shards(2)
+            .routing(RoutingKind::LeastLoaded)
+            .threads(threads)
+            .build();
+        for r in scenario.generate(23) {
+            cluster.enqueue(r).expect("valid request");
+        }
+        let report = cluster.run_to_completion(4096).expect("workload completes");
+        cluster.validate();
+        (report, cluster.drain_events(), cluster.lending_stats())
+    };
+    let (lending, lending_events, lent) = run(1);
+    let (cleared, cleared_events, not_lent) = run(2);
+    assert_same_schedule(&cleared, &lending, "shared-prefix chat, lending on vs off");
+    assert_eq!(cleared.shards, lending.shards, "per-shard reports");
+    assert_eq!(cleared_events, lending_events, "event streams");
+    for (a, b) in cleared.shards.iter().zip(&lending.shards) {
+        assert_eq!(a.prune, b.prune, "prune statistics");
+    }
+    // The run went through what it claims to cover...
+    assert!(lending.preemptions() > 0, "no preemption");
+    assert!(lending.total_swap_cycles() > 0, "no host swap");
+    assert!(lending.total_prefix_hit_tokens() > 0, "no shared prefix");
+    let chunks = lending_events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                ClusterEvent::Shard {
+                    event: ServeEvent::PrefillChunk { .. },
+                    ..
+                }
+            )
+        })
+        .count();
+    assert!(chunks > 0, "no chunked prefill");
+    // ...and the two sides differ in exactly what is being compared.
+    assert_eq!(not_lent, LendingStats::default());
+    assert!(
+        lent.pooled_steps + lent.fallbacks > 0,
+        "no step had a pool worth splitting"
+    );
 }
 
 #[test]
