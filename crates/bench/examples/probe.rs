@@ -9,10 +9,10 @@ fn main() {
     );
     println!("thr={thr:.3e} thr03={thr03:.3e}");
     let pc = PrecisionConfig::paper();
-    let sampler = InstanceSampler::realistic(320, 64);
-    let inst = sampler.sample(5);
+    let dim = 64;
+    let inst = InstanceSampler::realistic(320, dim).sample_keys(5);
     let q = QVector::quantize(&inst.query, pc);
-    let keys = QMatrix::quantize_flat(inst.keys().data(), inst.dim(), pc).unwrap();
+    let keys = QMatrix::quantize_flat(inst.keys().data(), dim, pc).unwrap();
     for (name, mode, t) in [
         ("baseline", AccelMode::Baseline, 0.5),
         ("est-only", AccelMode::EstimateOnly, thr),
@@ -21,7 +21,7 @@ fn main() {
         ("blocking", AccelMode::Blocking, thr),
     ] {
         let accel = ToPickAccelerator::new(AccelConfig::paper(mode, t).unwrap());
-        let r = accel.run_attention(&q, &keys, inst.values()).unwrap();
+        let r = accel.attention_cost(&q, &keys).unwrap();
         println!(
             "{name:>9}: cycles={:>6} kept={:>4} chunks={:?} dram_reads={} meanlat={:.0} hits={} misses={}",
             r.cycles, r.prune.kept, r.prune.chunk_fetches, r.dram_stats.reads,

@@ -49,7 +49,6 @@ pub mod memory;
 pub mod model;
 pub mod paged;
 pub mod perplexity;
-pub mod qcache;
 pub mod rng;
 pub mod specs;
 pub mod synth;
@@ -67,6 +66,5 @@ pub use perplexity::{
     delta_ppl, evaluate_perplexity, nll_from_logits, teacher_corpus,
     teacher_corpus_with_temperature, PerplexityReport,
 };
-pub use qcache::{requantization_gap, QuantizedHeadCache, QuantizedTokenPicker};
 pub use specs::ModelSpec;
 pub use synth::{InstanceSampler, SynthInstance, SynthKeys, SynthProfile};

@@ -8,13 +8,13 @@
 
 use token_picker::accel::{AccelConfig, AccelMode, ToPickAccelerator};
 use token_picker::core::{PrecisionConfig, QMatrix, QVector};
-use token_picker::model::{InstanceSampler, SynthInstance};
+use token_picker::model::InstanceSampler;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let context = 1024;
     let dim = 64;
     let pc = PrecisionConfig::paper();
-    let instance: SynthInstance = InstanceSampler::realistic(context, dim).sample(3);
+    let instance = InstanceSampler::realistic(context, dim).sample_keys(3);
     let query = QVector::quantize(&instance.query, pc);
     let keys = QMatrix::quantize_flat(instance.keys().data(), dim, pc)?;
 
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("Blocking", AccelMode::Blocking, 1e-3),
     ] {
         let accel = ToPickAccelerator::new(AccelConfig::paper(mode, thr)?);
-        let r = accel.run_attention(&query, &keys, instance.values())?;
+        let r = accel.attention_cost(&query, &keys)?;
         if name == "Baseline" {
             baseline_cycles = r.cycles;
         }

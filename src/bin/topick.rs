@@ -82,13 +82,12 @@ where
     Ok(opt_flag(flags, name)?.unwrap_or(default))
 }
 
-fn workload(ctx: usize, dim: usize, seed: u64) -> (QVector, QMatrix, Vec<f32>) {
+fn workload(ctx: usize, dim: usize, seed: u64) -> (QVector, QMatrix) {
     let pc = PrecisionConfig::paper();
-    let inst = InstanceSampler::realistic(ctx, dim).sample(seed);
+    let inst = InstanceSampler::realistic(ctx, dim).sample_keys(seed);
     (
         QVector::quantize(&inst.query, pc),
-        QMatrix::quantize_flat(inst.keys().data(), inst.dim(), pc).expect("non-empty"),
-        inst.into_values(),
+        QMatrix::quantize_flat(inst.keys().data(), dim, pc).expect("non-empty"),
     )
 }
 
@@ -97,7 +96,7 @@ fn cmd_prune(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     let dim = flag(flags, "dim", 64usize)?;
     let thr = flag(flags, "threshold", 1e-3f64)?;
     let seed = flag(flags, "seed", 0u64)?;
-    let (q, keys, _) = workload(ctx, dim, seed);
+    let (q, keys) = workload(ctx, dim, seed);
     let outcome = ProgressivePruner::new(PrunerConfig::new(thr)?).run(&q, &keys)?;
     let pc = PrecisionConfig::paper();
     println!("context {ctx}, dim {dim}, thr {thr:.1e}, seed {seed}");
@@ -119,7 +118,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     let ctx = flag(flags, "context", 512usize)?;
     let dim = flag(flags, "dim", 64usize)?;
     let seed = flag(flags, "seed", 0u64)?;
-    let (q, keys, _) = workload(ctx, dim, seed);
+    let (q, keys) = workload(ctx, dim, seed);
     let pc = PrecisionConfig::paper();
     println!(
         "{:<12} {:>10} {:>10} {:>10} {:>10}",
@@ -145,7 +144,7 @@ fn cmd_accel(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     let ctx = flag(flags, "context", 1024usize)?;
     let thr = flag(flags, "threshold", 1e-3f64)?;
     let seed = flag(flags, "seed", 0u64)?;
-    let (q, keys, values) = workload(ctx, 64, seed);
+    let (q, keys) = workload(ctx, 64, seed);
     println!(
         "{:<14} {:>9} {:>9} {:>11} {:>12}",
         "mode", "cycles", "kept", "DRAM KB", "energy uJ"
@@ -157,7 +156,7 @@ fn cmd_accel(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
         ("Blocking", AccelMode::Blocking, thr),
     ] {
         let accel = ToPickAccelerator::new(AccelConfig::paper(mode, t)?);
-        let r = accel.run_attention(&q, &keys, token_picker::core::Rows::new(&values, 64))?;
+        let r = accel.attention_cost(&q, &keys)?;
         println!(
             "{:<14} {:>9} {:>9} {:>11.1} {:>12.2}",
             name,
@@ -234,9 +233,16 @@ fn serve_run(
 ) -> Result<(Trace, ClusterReport), Box<dyn std::error::Error>> {
     let mut meta = meta.clone();
     meta.policy = policy.name().to_string();
-    Ok(token_picker::accel::serve::trace::run_recorded(
-        &meta, requests,
-    )?)
+    let (trace, report, lending) =
+        token_picker::accel::serve::trace::run_recorded_with_lending(&meta, requests)?;
+    // A fact about this host and this moment, not about the run: on
+    // stderr, so stdout stays a function of the flags.
+    eprintln!(
+        "second core ({}): {} steps shared their small attention instances with the helper \
+         thread ({} instances lent); {} more could have and ran alone",
+        meta.policy, lending.pooled_steps, lending.lent_instances, lending.fallbacks
+    );
+    Ok((trace, report))
 }
 
 /// Saves the trace when `--record` asked for it.
