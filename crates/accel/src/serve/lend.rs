@@ -239,13 +239,14 @@ impl ServingEngine {
                 },
             };
             job.work.clear();
-            let (mut my_elems, mut lent_elems) = (0, 0);
+            // Tokens stand for elements: every instance is `dim` wide.
+            let (mut my_tokens, mut lent_tokens) = (0, 0);
             for item in self.pool() {
-                if lent_elems < my_elems {
-                    lent_elems += item.context;
+                if lent_tokens < my_tokens {
+                    lent_tokens += item.context;
                     job.work.push(item);
                 } else {
-                    my_elems += item.context;
+                    my_tokens += item.context;
                     mine.push(item);
                 }
             }
