@@ -157,12 +157,6 @@ impl AccelConfig {
     pub fn k_chunk_bytes(&self) -> u64 {
         self.precision.chunk_bytes(self.dim)
     }
-
-    /// Bytes of one full-precision K or V row.
-    #[must_use]
-    pub fn kv_row_bytes(&self) -> u64 {
-        self.precision.row_bytes(self.dim)
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +167,6 @@ mod tests {
     fn paper_sizes() {
         let cfg = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).unwrap();
         assert_eq!(cfg.k_chunk_bytes(), 32); // 64 dims x 4 bits
-        assert_eq!(cfg.kv_row_bytes(), 96); // 64 dims x 12 bits
         assert_eq!(cfg.scoreboard_entries, 32);
     }
 

@@ -467,9 +467,9 @@ impl ClusterEngineBuilder {
     /// Builds the cluster.
     #[must_use]
     pub fn build(self) -> ClusterEngine {
-        // Shards stepped on worker threads keep their attention work to
-        // themselves: a helper competing with them for the same cores costs
-        // more than it takes off them.
+        // Shards stepped on worker threads keep their steps' attention
+        // pools to themselves: a helper competing with them for the same
+        // cores costs more than it takes off them.
         let lend_attention = self.threads.min(self.shards) <= 1;
         let shards = (0..self.shards)
             .map(|_| {
@@ -549,7 +549,7 @@ impl ClusterEngine {
     }
 
     /// How often the shards' steps have used the second core for their
-    /// small attention instances, summed over the shards — all zero when
+    /// attention instances, summed over the shards — all zero when
     /// the shards step on worker threads, which lend nothing.
     #[must_use]
     pub fn lending_stats(&self) -> LendingStats {
@@ -1222,7 +1222,7 @@ mod tests {
     }
 
     #[test]
-    fn only_shards_stepped_on_the_callers_thread_lend_key_rows() {
+    fn only_shards_stepped_on_the_callers_thread_pool_their_attention() {
         // Decided once, at build, from the same condition `step` fans out
         // on: more than one worker over more than one shard.
         for (shards, threads, lends) in [

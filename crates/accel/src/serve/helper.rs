@@ -18,12 +18,11 @@
 //! buffers and sends the whole job back, and the job is kept for its
 //! buffers until the next one is lent.
 //!
-//! The lifecycle is written once, over the job type `J`. Two jobs use it:
-//! the tail key rows of one large instance (this crate's `synth`), and the
-//! small attention instances of one serving step (`topick-accel`). Each has
-//! its own process-wide [`HelperSlot`] behind a mutex that is only ever
-//! `try_lock`ed, so no caller waits for a helper except the one whose job
-//! it holds.
+//! One job uses it: a share of the attention instances of one serving step
+//! ([`lend`](super::lend)), through one process-wide [`HelperSlot`] behind a
+//! mutex that is only ever `try_lock`ed, so no caller waits for the helper
+//! except the one whose job it holds. The lifecycle is generic over the job
+//! type `J` only so that its own tests can drive it with a toy job.
 
 use std::mem;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -33,7 +32,7 @@ use std::thread::{self, JoinHandle};
 /// channels hold one job: one job is in flight at a time, so a send never
 /// waits and the helper itself never allocates.
 #[derive(Debug)]
-pub struct Helper<J> {
+pub(super) struct Helper<J> {
     jobs: SyncSender<J>,
     done: Receiver<J>,
     thread: JoinHandle<()>,
@@ -49,7 +48,7 @@ impl<J: Send + 'static> Helper<J> {
     ///
     /// Returns the operating system's error if the thread cannot be
     /// spawned.
-    pub fn spawn(name: &str, work: fn(&mut J)) -> std::io::Result<Self> {
+    pub(super) fn spawn(name: &str, work: fn(&mut J)) -> std::io::Result<Self> {
         let (jobs, inbox) = sync_channel::<J>(1);
         let (outbox, done) = sync_channel::<J>(1);
         let thread = thread::Builder::new()
@@ -74,9 +73,8 @@ impl<J: Send + 'static> Helper<J> {
     /// ended unseen leaves behind: dropping the only sender ends the
     /// thread's loop, and the receiver of the sender put in its place is
     /// already gone. For tests of a caller's fallback.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn ended(mut self) -> Self {
+    #[cfg(test)]
+    pub(super) fn ended(mut self) -> Self {
         self.jobs = sync_channel(1).0;
         self
     }
@@ -85,7 +83,7 @@ impl<J: Send + 'static> Helper<J> {
 /// A helper's lifecycle. Whoever holds the slot's lock owns the helper for
 /// one job; everyone else does their own work.
 #[derive(Debug)]
-pub enum HelperSlot<J> {
+pub(super) enum HelperSlot<J> {
     /// No caller has had enough work to want a helper yet. The first one
     /// starts a thread called `name` running `work`.
     Unstarted {
@@ -115,7 +113,7 @@ impl<J: Send + 'static> HelperSlot<J> {
     /// there is one, so its buffers are reused — starting the thread on
     /// first use. `false` means there is no helper, `fill` was not called
     /// or its job is lost, and the caller does the work itself.
-    pub fn lend(&mut self, fill: impl FnOnce(Option<J>) -> J) -> bool {
+    pub(super) fn lend(&mut self, fill: impl FnOnce(Option<J>) -> J) -> bool {
         if let Self::Unstarted { name, work } = *self {
             *self = Self::start(name, work);
         }
@@ -133,7 +131,7 @@ impl<J: Send + 'static> HelperSlot<J> {
     /// it for the next [`lend`](Self::lend). `false` means the helper died
     /// holding the job: `take` was not called and the caller does the work
     /// itself.
-    pub fn collect(&mut self, take: impl FnOnce(&mut J)) -> bool {
+    pub(super) fn collect(&mut self, take: impl FnOnce(&mut J)) -> bool {
         let Self::Running(helper) = self else {
             return false;
         };

@@ -289,8 +289,8 @@ impl KvPager {
     /// The number of `owner`'s pages shared with at least one other
     /// owner (pages whose refcount exceeds one) — not a count of peer
     /// owners.
-    #[must_use]
-    pub fn shared_pages_of(&self, owner: u64) -> usize {
+    #[cfg(test)]
+    fn shared_pages_of(&self, owner: u64) -> usize {
         self.table(owner).map_or(0, |i| {
             self.tables[i]
                 .pages
@@ -646,8 +646,8 @@ impl KvPager {
 
     /// Tokens `owner`'s current allocation was provisioned for (0 if the
     /// owner holds no pages).
-    #[must_use]
-    pub fn covered_tokens(&self, owner: u64) -> usize {
+    #[cfg(test)]
+    fn covered_tokens(&self, owner: u64) -> usize {
         self.table(owner).map_or(0, |i| self.tables[i].covered)
     }
 

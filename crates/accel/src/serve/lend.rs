@@ -1,46 +1,56 @@
-//! One step's small attention instances, simulated on two cores.
+//! One step's attention instances, simulated on two cores.
 //!
 //! A step of the engine is a batch of independent per-request attention
 //! passes, each a pure function of `(accelerator, engine seed, request id,
-//! context)` ([`simulate_attention`]). An instance of at least
-//! [`SPLIT_MIN_ELEMS`] elements is split by rows inside
-//! `SynthKeys::generate_with_helper`; smaller ones are not worth a handoff
-//! each, but a step's worth of them together is. So before its slot loop
-//! the engine pools the sub-floor instances the loop is about to ask for,
-//! hands about half of them — by elements — to a persistent helper thread
-//! as one owned job, simulates the rest itself, and leaves every result on
-//! its request as a kept step, which the loop then finds instead of
-//! simulating. Which thread ran an instance cannot show in its result, so
-//! pooled and serial stepping are one engine with a permanent differential
-//! test, not two paths.
+//! context)` ([`simulate_attention`]). So before its slot loop the engine
+//! pools the instances the loop is about to ask for, hands about half of
+//! them — by elements — to a persistent helper thread as one owned job,
+//! simulates the rest itself, and leaves every result on its request as a
+//! kept step, which the loop then finds instead of simulating. Which
+//! thread ran an instance cannot show in its result, so pooled and serial
+//! stepping are one engine with a permanent differential test, not two
+//! paths.
 //!
-//! The helper is `topick_model::synth::helper`'s, with its own job type:
-//! lazily started, absent on one core, `try_lock` only, owned jobs whose
-//! buffers come back with them. Whenever there is no helper to be had —
-//! busy with another engine's step, absent, dead — nothing is pooled and
-//! the slot loop simulates each instance where it always has.
+//! The helper is [`helper`](super::helper)'s: lazily started, absent on
+//! one core, `try_lock` only, owned jobs whose buffers come back with
+//! them. Whenever there is no helper to be had — busy with another
+//! engine's step, absent, dead — nothing is pooled and the slot loop
+//! simulates each instance where it always has.
 
+use std::mem;
 use std::sync::Mutex;
 
 use topick_core::{QVector, QuantBuffer};
-use topick_model::synth::helper::HelperSlot;
-use topick_model::synth::SPLIT_MIN_ELEMS;
 use topick_model::{SynthKeys, SynthProfile};
 
 use super::batch_state::SimulatedStep;
+use super::helper::HelperSlot;
 use super::{ServeError, ServingEngine};
 use crate::engine::ToPickAccelerator;
 
-/// How often an engine's steps used the second core for their small
-/// attention instances — whether a run that could have been spread over
-/// two cores was. Host-side bookkeeping only: it depends on the machine
-/// and on what else the process is doing, so it is no part of
+/// Smallest pool, in key elements (`context · dim` summed over its
+/// instances), worth splitting between the stepping thread and the helper.
+/// A handoff — two channel hops and a wake-up — measures 40–70 µs on the
+/// 2-core development host, and an element costs at least the 28 ns of its
+/// synthesis (one Box–Muller normal plus its share of the projection;
+/// quantization and `attention_cost`, which a lent instance takes with it,
+/// come on top), so lending half of `n` elements saves at least `n · 14 ns`
+/// less one handoff: break-even at 3 000–5 000 elements. The floor is where
+/// the saving is worth several handoffs more, `n · 14 ns ≥ (1 + 3) ·
+/// 40…70 µs`, i.e. 11 000–20 000 elements: 256 tokens × 64. Derived, not
+/// tuned, and deliberately not an option: below it — a step of 16–32 token
+/// contexts is a few thousand elements — the helper is never touched.
+const SPLIT_MIN_ELEMS: usize = 16 * 1024;
+
+/// How often an engine's steps used the second core for their attention
+/// instances, of every size — whether a run that could have been spread
+/// over two cores was. Host-side bookkeeping only: it depends on the
+/// machine and on what else the process is doing, so it is no part of
 /// [`ServingReport`](super::ServingReport), [`Trace`](super::Trace) or any
-/// digest. Rows lent *inside* one large instance are not counted here.
+/// digest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LendingStats {
-    /// Steps whose pool of small instances was split with the helper
-    /// thread.
+    /// Steps whose pool of instances was split with the helper thread.
     pub pooled_steps: usize,
     /// Instances the helper thread simulated in those steps.
     pub lent_instances: usize,
@@ -76,8 +86,20 @@ pub(super) struct StepJob {
     /// `(slot, step)` of every instance that simulated; one that failed is
     /// left for the slot loop to fail on.
     done: Vec<(usize, SimulatedStep)>,
-    /// The helper's own quantization buffer.
-    key_buf: QuantBuffer,
+    /// The helper thread's own key buffers.
+    scratch: KeyScratch,
+}
+
+/// The key buffers a thread keeps from one simulation to the next: an
+/// instance's float keys and their quantized codes. Freed and re-allocated
+/// per instance on two threads at once, the 300–500 KB float buffers of
+/// long contexts raise the process's peak memory by a fifth (measured,
+/// `docs/ARCHITECTURE.md`); kept, each thread holds one of each, as large
+/// as its largest instance so far.
+#[derive(Debug, Default)]
+pub(super) struct KeyScratch {
+    floats: Vec<f32>,
+    codes: QuantBuffer,
 }
 
 /// What the helper thread runs on each job.
@@ -89,8 +111,7 @@ fn run_job(job: &mut StepJob) {
             job.seed,
             item.id,
             item.context,
-            &mut job.key_buf,
-            false,
+            &mut job.scratch,
         );
         if let Ok(step) = step {
             job.done.push((item.slot, step));
@@ -128,17 +149,15 @@ pub(super) static STEP_LENDER: Mutex<StepLender> =
 
 /// One cycle-level attention simulation of request `req_id` at `context`.
 /// The synthetic workload is deterministic in `(seed, req_id, context)`,
-/// so the result is a pure function of its arguments — `key_buf` is
-/// scratch, and `lend_rows` only chooses which thread draws a large
-/// instance's tail key rows. Serving keeps only what the step costs, so
+/// so the result is a pure function of its arguments — `scratch` only
+/// lends its allocations. Serving keeps only what the step costs, so
 /// neither the value matrix nor the output vector is ever produced.
 pub(super) fn simulate_attention(
     accel: &ToPickAccelerator,
     seed: u64,
     req_id: u64,
     context: usize,
-    key_buf: &mut QuantBuffer,
-    lend_rows: bool,
+    scratch: &mut KeyScratch,
 ) -> Result<SimulatedStep, ServeError> {
     let dim = accel.config().dim;
     let pc = accel.config().precision;
@@ -146,22 +165,13 @@ pub(super) fn simulate_attention(
         .wrapping_add(req_id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .wrapping_add((context as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
     let profile = SynthProfile::realistic(context, dim);
-    let (q, keys) = {
-        let inst = if lend_rows {
-            SynthKeys::generate_with_helper(&profile, seed)
-        } else {
-            SynthKeys::generate(&profile, seed)
-        };
-        let q = QVector::quantize(&inst.query, pc);
-        let keys = key_buf
-            .quantize(inst.keys().data(), dim, pc)
-            .map_err(ServeError::Core)?;
-        // The float keys end here: the pipeline reads the codes only, and
-        // two threads' instances are live at once.
-        (q, keys)
-    };
+    let inst = SynthKeys::generate_into(&profile, seed, mem::take(&mut scratch.floats));
+    let q = QVector::quantize(&inst.query, pc);
+    let quantized = scratch.codes.quantize(inst.keys().data(), dim, pc);
+    scratch.floats = inst.into_keys();
+    let keys = quantized.map_err(ServeError::Core)?;
     let result = accel.attention_cost(&q, &keys);
-    key_buf.reclaim(keys);
+    scratch.codes.reclaim(keys);
     let cost = result?;
     Ok(SimulatedStep {
         context,
@@ -171,13 +181,12 @@ pub(super) fn simulate_attention(
 }
 
 impl ServingEngine {
-    /// The slots whose step will ask for a fresh simulation of an instance
-    /// under the row-split floor, in slot order: the walk of the slot loop
+    /// The slots whose step will ask for a fresh simulation, in slot
+    /// order: the walk of the slot loop
     /// ([`ChunkBudget`](super::ChunkBudget)), so nothing is simulated that
     /// the loop would not simulate.
     fn pool(&self) -> impl Iterator<Item = PoolItem> + '_ {
         let mut budget = self.chunk_budget();
-        let dim = self.cfg.accel.dim;
         self.batch
             .slots()
             .iter()
@@ -188,7 +197,7 @@ impl ServingEngine {
                     .kept_attention
                     .as_ref()
                     .is_none_or(|kept| kept.context != r.context);
-                (simulates && fresh && r.context * dim < SPLIT_MIN_ELEMS).then_some(PoolItem {
+                (simulates && fresh).then_some(PoolItem {
                     slot,
                     id: r.req.id,
                     context: r.context,
@@ -235,7 +244,7 @@ impl ServingEngine {
                     seed,
                     work: Vec::new(),
                     done: Vec::new(),
-                    key_buf: QuantBuffer::new(),
+                    scratch: KeyScratch::default(),
                 },
             };
             job.work.clear();
@@ -262,8 +271,7 @@ impl ServingEngine {
                 self.cfg.seed,
                 item.id,
                 item.context,
-                &mut self.key_buf,
-                false,
+                &mut self.scratch,
             );
             if let Ok(step) = step {
                 self.keep_attention(item.slot, step);
@@ -301,10 +309,9 @@ impl ServingEngine {
 mod tests {
     use std::sync::Barrier;
 
-    use topick_model::synth::helper::Helper;
-
     use super::*;
     use crate::config::{AccelConfig, AccelMode};
+    use crate::serve::helper::Helper;
     use crate::serve::{
         PolicyKind, PreemptionConfig, RetentionPolicy, ServeEvent, ServingConfig, ServingReport,
         ServingRequest,
@@ -313,7 +320,7 @@ mod tests {
     /// Shared prefixes, priced and chunked prefill, preemption with paged
     /// retention and a host tier: every way a kept step is made, handed
     /// over and dropped.
-    fn engine(seed: u64) -> ServingEngine {
+    fn idle_engine(seed: u64) -> ServingEngine {
         let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
         let mut cfg = ServingConfig::new(accel);
         cfg.heads = 2;
@@ -326,20 +333,26 @@ mod tests {
         cfg.prefill_chunk_pages = 12;
         cfg.host_pages = 64;
         cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.5));
-        let mut engine = ServingEngine::builder(cfg.accel.clone())
+        ServingEngine::builder(cfg.accel.clone())
             .config(cfg)
             .policy(PolicyKind::PriorityAging)
-            .build();
-        // Contexts of 48–176 tokens (3–11 k elements each, a step's worth
-        // past the floor together) around one of 300 that splits by rows.
-        // Six patient requests fill the batch and build their prompts;
-        // urgent ones then arrive one a step and evict them mid-decode.
+            .build()
+    }
+
+    /// [`idle_engine`] with contexts of 48–144 tokens (3–9 k elements
+    /// each) around three of 272–300 that are past the pool's floor each
+    /// on their own. Six patient requests fill the batch and build their
+    /// prompts; urgent ones then arrive one a step and evict them
+    /// mid-decode.
+    fn engine(seed: u64) -> ServingEngine {
+        let mut engine = idle_engine(seed);
         for id in 0..14u64 {
             let urgent = id >= 6;
-            let prompt = if id == 5 {
-                300
-            } else {
-                48 + (id as usize % 5) * 32
+            let prompt = match id {
+                4 => 288,
+                5 => 300,
+                9 => 272,
+                _ => 48 + (id as usize % 5) * 32,
             };
             let request = ServingRequest::new(id, prompt, if urgent { 3 } else { 8 })
                 .with_priority(if urgent { 9 } else { 0 })
@@ -400,6 +413,48 @@ mod tests {
         }
         let lender = lender.lock().unwrap();
         assert!(matches!(lender.helper, HelperSlot::Running(_)));
+    }
+
+    /// [`idle_engine`] serving `prompts`, all arrived, pooled through a
+    /// private helper and serially: the two runs, and the pooled one's
+    /// lending.
+    fn pooled_and_serial(prompts: &[usize]) -> (Run, Run, LendingStats) {
+        let lender = lender_with(run_job);
+        let runs = [true, false].map(|lend| {
+            let mut engine = idle_engine(5);
+            engine.lend_attention = lend;
+            for (id, &prompt) in prompts.iter().enumerate() {
+                let request = ServingRequest::new(id as u64, prompt, 6);
+                engine.enqueue(request).expect("valid request");
+            }
+            let run = run(&mut engine, &lender);
+            assert_eq!(engine.simulations, engine.report().tokens_generated);
+            (run, engine.lending_stats())
+        });
+        let [(pooled, lending), (serial, _)] = runs;
+        (pooled, serial, lending)
+    }
+
+    #[test]
+    fn a_lone_large_instance_is_not_lent_and_not_a_fallback() {
+        // 400 tokens × 64 is past the floor, but a pool of one has nothing
+        // to hand over: no helper is asked for, so none can be missed.
+        let (pooled, serial, lending) = pooled_and_serial(&[400]);
+        assert!(pooled.0.is_ok());
+        assert_eq!(pooled, serial);
+        assert_eq!(lending, LendingStats::default());
+    }
+
+    #[test]
+    fn two_large_instances_go_one_to_each_thread() {
+        let (pooled, serial, lending) = pooled_and_serial(&[400, 300]);
+        assert!(pooled.0.is_ok());
+        assert_eq!(pooled, serial);
+        // Chunked prefill builds one prompt at a time; every step both
+        // requests decode in is a pool of two.
+        assert!(lending.pooled_steps > 0);
+        assert_eq!(lending.lent_instances, lending.pooled_steps);
+        assert_eq!(lending.fallbacks, 0);
     }
 
     #[test]

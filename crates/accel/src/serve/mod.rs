@@ -49,6 +49,7 @@ pub mod batch_state;
 pub mod cluster;
 pub mod error;
 pub mod events;
+mod helper;
 pub mod kv_pager;
 mod lend;
 pub mod policy;
@@ -82,14 +83,14 @@ pub use trace::{Trace, TraceError, TraceMeta, TraceRecorder};
 
 use std::sync::Mutex;
 
-use topick_core::{PruneStats, QuantBuffer};
+use topick_core::PruneStats;
 
 use crate::batch::weight_stream_cycles;
 use crate::config::AccelConfig;
 use crate::engine::ToPickAccelerator;
 
 use batch_state::{ActiveRequest, BatchState, SimulatedStep};
-use lend::StepLender;
+use lend::{KeyScratch, StepLender};
 use queue::PendingQueue;
 use residency::Residency;
 
@@ -419,11 +420,12 @@ pub struct ServingEngine {
     rejections: usize,
     step_index: usize,
     arrival_seq: u64,
-    key_buf: QuantBuffer,
-    /// Whether attention work may go to the process-wide helper threads:
-    /// the tail key rows of a large instance, and a share of a step's pool
-    /// of small ones. A cluster that steps its shards on several threads
-    /// clears it: those threads already hold the cores.
+    /// The stepping thread's key buffers, kept from one simulation to the
+    /// next.
+    scratch: KeyScratch,
+    /// Whether a share of a step's pool of attention instances may go to
+    /// the process-wide helper thread. A cluster that steps its shards on
+    /// several threads clears it: those threads already hold the cores.
     pub(crate) lend_attention: bool,
     lending: LendingStats,
     /// Cycle-level simulations run so far.
@@ -519,7 +521,7 @@ impl ServingEngine {
             rejections: 0,
             step_index: 0,
             arrival_seq: 0,
-            key_buf: QuantBuffer::new(),
+            scratch: KeyScratch::default(),
             lend_attention: true,
             lending: LendingStats::default(),
             #[cfg(test)]
@@ -540,7 +542,7 @@ impl ServingEngine {
     }
 
     /// How often this engine's steps have used the second core for their
-    /// small attention instances so far.
+    /// attention instances so far.
     #[must_use]
     pub fn lending_stats(&self) -> LendingStats {
         self.lending
@@ -1156,8 +1158,8 @@ impl ServingEngine {
         self.step_lending_to(&lend::STEP_LENDER)
     }
 
-    /// [`step`](Self::step), with the helper a step's pool of small
-    /// attention instances may be shared with.
+    /// [`step`](Self::step), with the helper a step's pool of attention
+    /// instances may be shared with.
     fn step_lending_to(
         &mut self,
         lender: &Mutex<StepLender>,
@@ -1364,14 +1366,7 @@ impl ServingEngine {
                 {
                     self.simulations += 1;
                 }
-                lend::simulate_attention(
-                    &self.accel,
-                    self.cfg.seed,
-                    id,
-                    context,
-                    &mut self.key_buf,
-                    self.lend_attention,
-                )
+                lend::simulate_attention(&self.accel, self.cfg.seed, id, context, &mut self.scratch)
             }
         }
     }

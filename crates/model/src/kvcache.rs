@@ -232,12 +232,6 @@ impl KvCache {
         }
     }
 
-    /// Number of layers.
-    #[must_use]
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Context length currently cached (tokens in layer 0, head 0).
     #[must_use]
     pub fn context_len(&self) -> usize {
@@ -319,7 +313,6 @@ mod tests {
     #[test]
     fn full_cache_layout() {
         let mut c = KvCache::new(2, 3, 4);
-        assert_eq!(c.num_layers(), 2);
         assert_eq!(c.context_len(), 0);
         c.head_mut(0, 0).push(&[0.0; 4], &[0.0; 4]);
         assert_eq!(c.context_len(), 1);

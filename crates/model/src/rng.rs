@@ -2,13 +2,7 @@
 
 use rand::Rng;
 
-/// Generator outputs one [`standard_normal`] consumes, whatever it
-/// returns. Key row `i` of a synthetic instance starts `i · dim` normals
-/// into the row stream, so its position is this times that.
-pub(crate) const DRAWS_PER_NORMAL: u64 = 2;
-
-/// Draws one standard-normal sample via the Box–Muller transform, from
-/// exactly two generator outputs.
+/// Draws one standard-normal sample via the Box–Muller transform.
 ///
 /// # Examples
 ///

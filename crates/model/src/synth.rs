@@ -15,19 +15,14 @@
 //! exactly up to quantization error: `k_i = r_i + ((s_i·√d − q·r_i)/‖q‖²)·q`
 //! for a random residual `r_i ⊥`-ish to `q`.
 
-pub mod helper;
-
-use std::sync::Mutex;
-
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
 use topick_core::Rows;
 
-use crate::rng::{extend_normal, normal_vec, standard_normal, DRAWS_PER_NORMAL};
+use crate::rng::{extend_normal, normal_vec, standard_normal};
 use crate::tensor::dot;
-use helper::HelperSlot;
 
 /// Parameters of the synthetic score profile.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,31 +124,12 @@ pub struct SynthKeys {
     pub target_scores: Vec<f64>,
 }
 
-/// The two scalars of the projection `k = r + ((s·√d − q·r)/‖q‖²)·q` that
-/// every row of an instance shares.
-#[derive(Debug, Clone, Copy)]
-struct Projection {
-    sqrt_d: f64,
-    q_norm2: f64,
-}
-
-/// Generator outputs `rows` key rows of width `dim` consume: one residual
-/// normal per element and nothing else, so row `i` starts `row_draws(i, dim)`
-/// outputs after row 0.
-fn row_draws(rows: usize, dim: usize) -> u64 {
-    (rows * dim) as u64 * DRAWS_PER_NORMAL
-}
-
-/// Appends the key rows realizing `scores` to `keys`. `rng` must stand at
-/// the first of those rows and is left at the row after the last.
-fn fill_rows(
-    rng: &mut StdRng,
-    query: &[f32],
-    proj: Projection,
-    scores: &[f64],
-    keys: &mut Vec<f32>,
-) {
+/// Appends the key rows realizing `scores` to `keys`: each a small random
+/// residual `r` projected onto its score, `k = r + ((s·√d − q·r)/‖q‖²)·q`.
+fn fill_rows(rng: &mut StdRng, query: &[f32], scores: &[f64], keys: &mut Vec<f32>) {
     let d = query.len();
+    let sqrt_d = (d as f64).sqrt();
+    let q_norm2 = f64::from(dot(query, query)).max(1e-9);
     for &s in scores {
         // Residual with small norm so the projection dominates, drawn
         // straight into the key's row and projected in place.
@@ -161,140 +137,55 @@ fn fill_rows(
         extend_normal(rng, keys, d, 0.3);
         let row = &mut keys[start..];
         let qr = f64::from(dot(query, row));
-        let alpha = ((s * proj.sqrt_d - qr) / proj.q_norm2) as f32;
+        let alpha = ((s * sqrt_d - qr) / q_norm2) as f32;
         for (k, &qi) in row.iter_mut().zip(query) {
             *k += alpha * qi;
         }
     }
 }
 
-/// A run of key rows for the helper thread to fill: everything
-/// [`fill_rows`] reads, owned, and the buffer it appends to.
-#[derive(Debug)]
-struct RowJob {
-    /// Positioned at the run's first row.
-    rng: StdRng,
-    query: Vec<f32>,
-    proj: Projection,
-    /// The run's target scores, one per row.
-    scores: Vec<f64>,
-    /// The filled rows, row-major.
-    keys: Vec<f32>,
-}
-
-impl RowJob {
-    /// The job for the rows realizing `scores`, in `spare`'s buffers when
-    /// there is one.
-    fn new(
-        spare: Option<Self>,
-        rng: StdRng,
-        query: &[f32],
-        proj: Projection,
-        scores: &[f64],
-    ) -> Self {
-        let mut job = match spare {
-            Some(spare) => Self { rng, proj, ..spare },
-            None => Self {
-                rng,
-                query: Vec::new(),
-                proj,
-                scores: Vec::new(),
-                keys: Vec::new(),
-            },
-        };
-        job.query.clear();
-        job.query.extend_from_slice(query);
-        job.scores.clear();
-        job.scores.extend_from_slice(scores);
-        job.keys.clear();
-        job.keys.reserve(scores.len() * query.len());
-        job
-    }
-}
-
-/// What the helper thread runs on each job.
-fn fill_job(job: &mut RowJob) {
-    fill_rows(
-        &mut job.rng,
-        &job.query,
-        job.proj,
-        &job.scores,
-        &mut job.keys,
-    );
-}
-
-/// Smallest `context_len · dim` whose tail rows go to the helper — and,
-/// for a serving step, the smallest pool of smaller instances worth
-/// splitting between the caller and a helper by whole instances. A
-/// handoff — two channel hops, a wake-up and the copy of the returned
-/// half — measures 40–70 µs on the 2-core development host, and an element
-/// (one Box–Muller normal plus its share of the projection) ≈ 28 ns, so
-/// lending half of `n` elements saves `n · 14 ns` less one handoff:
-/// break-even at 3 000–5 000 elements (measured: ×0.86 at 4 096, ×1.14 at
-/// 6 144). The floor is where the saving is worth several handoffs more,
-/// `n · 14 ns ≥ (1 + 3) · 40…70 µs`, i.e. 11 000–20 000 elements: 256
-/// tokens × 64 (measured there: 460 µs alone, 295 µs split). Derived, not
-/// tuned, and deliberately not an option: below it — a 16–32 token context
-/// is 1–2 k elements — the helper is never touched.
-pub const SPLIT_MIN_ELEMS: usize = 16 * 1024;
-
-/// The process-wide key-row helper. Only ever `try_lock`ed: a caller that
-/// finds it taken fills its own rows, so two engines never wait on each
-/// other; a poisoned lock (a caller panicked mid-instance, possibly leaving
-/// a job in flight) reads as taken forever.
-static KEY_HELPER: Mutex<HelperSlot<RowJob>> = Mutex::new(HelperSlot::Unstarted {
-    name: "topick-key-rows",
-    work: fill_job,
-});
-
 impl SynthKeys {
     /// Generates the query, target scores and keys of the instance
-    /// [`SynthInstance::generate`] builds from the same profile and seed,
-    /// on the calling thread.
+    /// [`SynthInstance::generate`] builds from the same profile and seed.
     ///
     /// # Panics
     ///
     /// Panics if the profile has a zero context length or dimension.
     #[must_use]
     pub fn generate(profile: &SynthProfile, seed: u64) -> Self {
-        Self::draw(profile, &mut StdRng::seed_from_u64(seed), None)
+        Self::generate_into(profile, seed, Vec::new())
     }
 
-    /// [`generate`](Self::generate), bit for bit, with the tail half of a
-    /// large instance's key rows drawn on the process-wide helper thread
-    /// while the caller draws the head half. Every row starts at a stream
-    /// position that is known up front, so which thread draws it cannot
-    /// show in the result. Small instances, a one-core host, a helper that
-    /// another caller is using or that has died all fall back to the
-    /// calling thread; callers that already keep every core busy should
-    /// call [`generate`](Self::generate).
+    /// [`generate`](Self::generate), bit for bit, with the keys drawn into
+    /// `spare`'s allocation — whatever it held is discarded. A caller that
+    /// generates instance after instance and takes each one's buffer back
+    /// with [`into_keys`](Self::into_keys) allocates only when an instance
+    /// outgrows every earlier one.
     ///
     /// # Panics
     ///
     /// Panics if the profile has a zero context length or dimension.
     #[must_use]
-    pub fn generate_with_helper(profile: &SynthProfile, seed: u64) -> Self {
-        Self::draw(profile, &mut StdRng::seed_from_u64(seed), Some(&KEY_HELPER))
+    pub fn generate_into(profile: &SynthProfile, seed: u64, spare: Vec<f32>) -> Self {
+        Self::draw(profile, &mut StdRng::seed_from_u64(seed), spare)
     }
 
-    /// The key construction, leaving `rng` where the value draw starts.
-    /// With a `helper` slot, rows from `n / 2` on are lent to it when the
-    /// instance is large enough and the slot is free.
-    fn draw(
-        profile: &SynthProfile,
-        rng: &mut StdRng,
-        helper: Option<&Mutex<HelperSlot<RowJob>>>,
-    ) -> Self {
+    /// Consumes the instance, returning the flat key buffer for the next
+    /// [`generate_into`](Self::generate_into).
+    #[must_use]
+    pub fn into_keys(self) -> Vec<f32> {
+        self.keys
+    }
+
+    /// The key construction into `keys`' allocation, leaving `rng` where
+    /// the value draw starts.
+    fn draw(profile: &SynthProfile, rng: &mut StdRng, mut keys: Vec<f32>) -> Self {
         assert!(profile.context_len > 0, "context_len must be positive");
         assert!(profile.dim > 0, "dim must be positive");
         let n = profile.context_len;
         let d = profile.dim;
 
         let query = normal_vec(rng, d, 1.0);
-        let proj = Projection {
-            sqrt_d: (d as f64).sqrt(),
-            q_norm2: f64::from(dot(&query, &query)).max(1e-9),
-        };
 
         let mut target_scores = Vec::with_capacity(n);
         for i in 0..n {
@@ -302,29 +193,9 @@ impl SynthKeys {
             target_scores.push(profile.deterministic_boost(i) + profile.score_std * z);
         }
 
-        let mut keys = Vec::with_capacity(n * d);
-        let head = n / 2;
-        let lent = helper
-            .filter(|_| n * d >= SPLIT_MIN_ELEMS)
-            .and_then(|slot| slot.try_lock().ok())
-            .and_then(|mut slot| {
-                let mut tail_rng = rng.clone();
-                tail_rng.advance(row_draws(head, d));
-                let scores = &target_scores[head..];
-                slot.lend(|spare| RowJob::new(spare, tail_rng, &query, proj, scores))
-                    .then_some(slot)
-            });
-        match lent {
-            None => fill_rows(rng, &query, proj, &target_scores, &mut keys),
-            Some(mut slot) => {
-                fill_rows(rng, &query, proj, &target_scores[..head], &mut keys);
-                if slot.collect(|job| keys.extend_from_slice(&job.keys)) {
-                    rng.advance(row_draws(n - head, d));
-                } else {
-                    fill_rows(rng, &query, proj, &target_scores[head..], &mut keys);
-                }
-            }
-        }
+        keys.clear();
+        keys.reserve(n * d);
+        fill_rows(rng, &query, &target_scores, &mut keys);
         Self {
             query,
             keys,
@@ -374,7 +245,7 @@ impl SynthInstance {
             keys,
             dim,
             target_scores,
-        } = SynthKeys::draw(profile, &mut rng, None);
+        } = SynthKeys::draw(profile, &mut rng, Vec::new());
         let values = normal_vec(&mut rng, keys.len(), 1.0);
         Self {
             query,
@@ -579,97 +450,6 @@ mod tests {
         let min = counts.iter().min().unwrap();
         let max = counts.iter().max().unwrap();
         assert!(max > min, "sampler produced identical dominant counts");
-    }
-
-    /// An instance above the split floor, so `draw` reaches for the helper.
-    fn large(seed: u64) -> (SynthProfile, StdRng) {
-        let profile = SynthProfile::realistic(301 + (seed % 7) as usize, 64);
-        assert!(profile.context_len * profile.dim >= SPLIT_MIN_ELEMS);
-        (profile, StdRng::seed_from_u64(seed))
-    }
-
-    /// `draw` through `slot` must equal the one-range `draw` and leave the
-    /// generator at the same place: where the value draw starts.
-    fn assert_same_as_one_range(slot: &Mutex<HelperSlot<RowJob>>, seed: u64) {
-        let (profile, mut rng) = large(seed);
-        let mut one_range_rng = rng.clone();
-        let one_range = SynthKeys::draw(&profile, &mut one_range_rng, None);
-        assert_eq!(SynthKeys::draw(&profile, &mut rng, Some(slot)), one_range);
-        assert_eq!(rng, one_range_rng);
-    }
-
-    #[test]
-    fn a_helper_drawn_tail_equals_the_one_range_draw() {
-        // A private helper, so the split runs even where the shared one
-        // would not start (one core) or is taken by a parallel test.
-        let helper = helper::Helper::spawn("test-key-rows", fill_job).expect("spawn");
-        let slot = Mutex::new(HelperSlot::Running(helper));
-        for seed in 0..20 {
-            assert_same_as_one_range(&slot, seed);
-        }
-        assert!(matches!(*slot.lock().unwrap(), HelperSlot::Running(_)));
-    }
-
-    #[test]
-    fn a_helper_that_panics_degrades_to_the_calling_thread() {
-        let helper = helper::Helper::spawn("test-key-rows", |_: &mut RowJob| {
-            panic!("helper down (expected by this test)")
-        })
-        .expect("spawn");
-        let slot = Mutex::new(HelperSlot::Running(helper));
-        // The first instance loses its tail job to the panic and redraws
-        // it; every later one finds the slot empty.
-        for seed in 0..3 {
-            assert_same_as_one_range(&slot, seed);
-            assert!(matches!(*slot.lock().unwrap(), HelperSlot::Absent));
-        }
-    }
-
-    #[test]
-    fn a_helper_whose_channel_is_closed_degrades_to_the_calling_thread() {
-        // A worker that has already ended: its job channel is closed, so
-        // the send itself fails.
-        let helper = helper::Helper::spawn("test-key-rows", fill_job).expect("spawn");
-        let slot = Mutex::new(HelperSlot::Running(helper.ended()));
-        for seed in 0..3 {
-            assert_same_as_one_range(&slot, seed);
-            assert!(matches!(*slot.lock().unwrap(), HelperSlot::Absent));
-        }
-    }
-
-    #[test]
-    fn a_taken_helper_is_not_waited_for() {
-        let helper = helper::Helper::spawn("test-key-rows", fill_job).expect("spawn");
-        let slot = Mutex::new(HelperSlot::Running(helper));
-        let taken = slot.lock().unwrap();
-        // Would deadlock on `lock`; `try_lock` falls through at once.
-        assert_same_as_one_range(&slot, 4);
-        drop(taken);
-        assert_same_as_one_range(&slot, 4);
-    }
-
-    #[test]
-    fn concurrent_callers_of_the_shared_helper_all_get_the_sequential_keys() {
-        const THREADS: u64 = 4;
-        const INSTANCES: u64 = 50;
-        let start = std::sync::Barrier::new(THREADS as usize);
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let start = &start;
-                scope.spawn(move || {
-                    start.wait();
-                    for i in 0..INSTANCES {
-                        let (profile, _) = large(t * INSTANCES + i);
-                        let seed = t * INSTANCES + i;
-                        assert_eq!(
-                            SynthKeys::generate_with_helper(&profile, seed),
-                            SynthKeys::generate(&profile, seed),
-                            "thread {t}, instance {i}"
-                        );
-                    }
-                });
-            }
-        });
     }
 
     #[test]

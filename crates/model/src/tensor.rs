@@ -29,16 +29,6 @@ impl fmt::Debug for Matrix {
 }
 
 impl Matrix {
-    /// An all-zero matrix.
-    #[must_use]
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
-    }
-
     /// Builds a matrix element-wise from `(row, col) -> value`.
     #[must_use]
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
@@ -186,7 +176,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "gemv dimension mismatch")]
     fn gemv_rejects_bad_len() {
-        let m = Matrix::zeros(2, 3);
+        let m = Matrix::from_fn(2, 3, |_, _| 0.0);
         let _ = m.gemv(&[1.0, 2.0]);
     }
 

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topick_core::{PrecisionConfig, QMatrix};
-use topick_model::rng::{normal_vec, standard_normal};
+use topick_model::rng::normal_vec;
 use topick_model::{
     nll_from_logits, ExactAttention, HeadCache, KvCache, ModelSpec, PagedKvStore, SynthInstance,
     SynthKeys, SynthProfile, TransformerModel,
@@ -25,31 +25,6 @@ fn key_bits(keys: &SynthKeys) -> (Vec<u32>, Vec<u32>, Vec<u64>) {
         bits(keys.keys().data()),
         keys.target_scores.iter().map(|x| x.to_bits()).collect(),
     )
-}
-
-/// The contexts random sampling may miss: one token, odd lengths, and one
-/// row either side of the split floor (16 384 elements: 256 tokens at
-/// dim 64, 128 at dim 128; dims 1 and 8 stay below it up to 600).
-#[test]
-fn split_keys_equal_one_range_keys_at_the_edges() {
-    for (dim, contexts) in [
-        (64, &[1, 2, 3, 255, 256, 257, 511, 599, 600][..]),
-        (128, &[1, 127, 128, 129, 301][..]),
-        (8, &[1, 599, 600][..]),
-        (1, &[1, 600][..]),
-    ] {
-        for &n in contexts {
-            for (p, profile) in PROFILES.iter().enumerate() {
-                let profile = profile(n, dim);
-                let seed = (n * 31 + dim + p) as u64;
-                assert_eq!(
-                    key_bits(&SynthKeys::generate_with_helper(&profile, seed)),
-                    key_bits(&SynthKeys::generate(&profile, seed)),
-                    "context {n}, dim {dim}, profile {p}"
-                );
-            }
-        }
-    }
 }
 
 proptest! {
@@ -79,7 +54,8 @@ proptest! {
     }
 
     /// The keys-only generator is `generate` minus the value draw: query,
-    /// key data and target scores agree bit for bit.
+    /// key data and target scores agree bit for bit, and the values start
+    /// where the keys end in the seed's stream.
     #[test]
     fn synth_keys_equal_the_full_instance_bit_for_bit(
         seed in any::<u64>(),
@@ -97,46 +73,43 @@ proptest! {
         prop_assert_eq!(keys.keys().dim(), dim);
         let score_bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(score_bits(&keys.target_scores), score_bits(&full.target_scores));
-    }
 
-    /// A Box–Muller normal takes exactly two generator outputs, whatever it
-    /// returns: the stream position of key row `i` is computed from this.
-    #[test]
-    fn a_standard_normal_consumes_exactly_two_draws(seed in any::<u64>(), before in 0u64..64) {
+        // One normal per query element, per score and per key element come
+        // before the first value.
         let mut rng = StdRng::seed_from_u64(seed);
-        rng.advance(before);
-        let mut skipped = rng.clone();
-        skipped.advance(2);
-        let _ = standard_normal(&mut rng);
-        prop_assert_eq!(rng, skipped);
+        let _ = normal_vec(&mut rng, dim + n + n * dim, 1.0);
+        prop_assert_eq!(bits(full.values().data()), bits(&normal_vec(&mut rng, n * dim, 1.0)));
     }
 
-    /// The helper-split entry is `SynthKeys::generate` bit for bit — below
-    /// the split floor (where it is the same code), above it (where the
-    /// tail rows start at a jumped-to stream position, possibly on another
-    /// thread), and whichever fallback it takes — and the full instance is
-    /// still those keys plus values drawn from where the last key row
-    /// ends: `2·(d + n + n·d)` outputs into the seed's stream.
+    /// A recycled key buffer cannot show: keys drawn into a spare buffer of
+    /// any previous length, capacity and contents are `SynthKeys::generate`
+    /// bit for bit, in the same allocation whenever it was large enough —
+    /// and, keys to codes end to end, the quantizer the engine calls on
+    /// them equals the scalar formula it was first written as (`round` and
+    /// `clamp` per element under a NaN-aware `f64` max).
     #[test]
-    fn split_keys_equal_one_range_keys_and_values_start_where_they_end(
+    fn keys_drawn_into_a_recycled_buffer_equal_fresh_keys_and_quantize_alike(
         seed in any::<u64>(),
         n in 1usize..=600,
         dim_idx in 0usize..4,
         profile_idx in 0usize..3,
+        spare_len in 0usize..4096,
+        spare_room in 0usize..100_000,
+        spare_fill in any::<u32>(),
     ) {
         let dim = [1, 8, 64, 128][dim_idx];
         let profile = PROFILES[profile_idx](n, dim);
-        let keys = SynthKeys::generate(&profile, seed);
-        let split = SynthKeys::generate_with_helper(&profile, seed);
-        prop_assert_eq!(key_bits(&split), key_bits(&keys));
+        let fresh = SynthKeys::generate(&profile, seed);
 
-        // Keys to codes, end to end: the split keys through the quantizer
-        // the engine calls against the one-range keys through the scalar
-        // formula it was first written as (`round` and `clamp` per element
-        // under a NaN-aware `f64` max).
+        let mut spare = Vec::with_capacity(spare_len + spare_room);
+        spare.resize(spare_len, f32::from_bits(spare_fill));
+        let (allocation, capacity) = (spare.as_ptr(), spare.capacity());
+        let recycled = SynthKeys::generate_into(&profile, seed, spare);
+        prop_assert_eq!(key_bits(&recycled), key_bits(&fresh));
+
         let pc = PrecisionConfig::paper();
-        let quantized = QMatrix::quantize_flat(split.keys().data(), dim, pc).expect("non-empty");
-        let data = keys.keys().data();
+        let data = recycled.keys().data();
+        let quantized = QMatrix::quantize_flat(data, dim, pc).expect("non-empty");
         let max_abs = data.iter().fold(0f64, |m, &v| m.max(f64::from(v).abs()));
         let (qmin, qmax) = (f64::from(pc.min_value()), f64::from(pc.max_value()));
         let scale = if max_abs > 0.0 { max_abs / qmax } else { 1.0 };
@@ -149,12 +122,11 @@ proptest! {
             prop_assert_eq!(quantized.row(token), &codes[..]);
         }
 
-        let full = SynthInstance::generate(&profile, seed);
-        prop_assert_eq!(full.keys().data(), keys.keys().data());
-        let mut rng = StdRng::seed_from_u64(seed);
-        rng.advance(2 * (dim + n + n * dim) as u64);
-        let values = normal_vec(&mut rng, n * dim, 1.0);
-        prop_assert_eq!(full.values().data(), &values[..]);
+        let returned = recycled.into_keys();
+        prop_assert_eq!(returned.len(), n * dim);
+        if capacity >= n * dim {
+            prop_assert_eq!((returned.as_ptr(), returned.capacity()), (allocation, capacity));
+        }
     }
 
     /// Attention probabilities from any instance form a distribution.

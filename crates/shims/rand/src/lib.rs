@@ -7,11 +7,6 @@
 //! workloads and fully reproducible from a `u64` seed. Streams are NOT
 //! bit-compatible with upstream `rand`; nothing in this workspace depends
 //! on upstream streams, only on in-process determinism.
-//!
-//! One method goes beyond upstream's surface: [`rngs::StdRng::advance`],
-//! an O(1) jump-ahead that only a counter-based generator can offer. It
-//! is a workspace extension — code calling it does not port to upstream
-//! `rand` unchanged.
 
 /// Types that can be sampled uniformly from a generator (the stand-in for
 /// `rand`'s `Standard` distribution).
@@ -95,22 +90,6 @@ pub mod rngs {
         state: u64,
     }
 
-    /// SplitMix64's Weyl increment: the state moves by this much per draw.
-    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-    impl StdRng {
-        /// Skips the next `draws` outputs in O(1): afterwards the generator
-        /// stands where `draws` calls of [`Rng::next_u64`] would have left
-        /// it. **Workspace extension** — upstream `rand::rngs::StdRng` has
-        /// no jump-ahead; this one exists because SplitMix64's state is a
-        /// plain counter (Steele, Lea & Flood, OOPSLA 2014), so a consumer
-        /// that knows how many draws a piece of work takes can start any
-        /// piece at its own stream position, in any order, on any thread.
-        pub fn advance(&mut self, draws: u64) {
-            self.state = self.state.wrapping_add(draws.wrapping_mul(GAMMA));
-        }
-    }
-
     impl SeedableRng for StdRng {
         fn seed_from_u64(state: u64) -> Self {
             // One warm-up step decorrelates small consecutive seeds.
@@ -122,7 +101,7 @@ pub mod rngs {
 
     impl Rng for StdRng {
         fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(GAMMA);
+            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -150,32 +129,6 @@ mod tests {
         let mut a = StdRng::seed_from_u64(1);
         let mut b = StdRng::seed_from_u64(2);
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn advance_equals_that_many_draws() {
-        let dim = 64;
-        for seed in [0, 1, 42, u64::MAX] {
-            for draws in [0, 1, 2 * dim, 1 << 20] {
-                let mut stepped = StdRng::seed_from_u64(seed);
-                for _ in 0..draws {
-                    let _ = stepped.next_u64();
-                }
-                let mut jumped = StdRng::seed_from_u64(seed);
-                jumped.advance(draws);
-                assert_eq!(jumped, stepped, "seed {seed}, {draws} draws");
-                assert_eq!(jumped.next_u64(), stepped.next_u64());
-            }
-            // 2^40 draws cannot be stepped; 2^20 jumps of the 2^20 draws
-            // just checked against stepping reach the same position.
-            let mut chained = StdRng::seed_from_u64(seed);
-            for _ in 0..1u64 << 20 {
-                chained.advance(1 << 20);
-            }
-            let mut jumped = StdRng::seed_from_u64(seed);
-            jumped.advance(1 << 40);
-            assert_eq!(jumped, chained, "seed {seed}, 2^40 draws");
-        }
     }
 
     #[test]

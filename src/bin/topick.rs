@@ -238,8 +238,8 @@ fn serve_run(
     // A fact about this host and this moment, not about the run: on
     // stderr, so stdout stays a function of the flags.
     eprintln!(
-        "second core ({}): {} steps shared their small attention instances with the helper \
-         thread ({} instances lent); {} more could have and ran alone",
+        "second core ({}): {} steps shared their attention instances with the helper thread \
+         ({} instances lent); {} more could have and ran alone",
         meta.policy, lending.pooled_steps, lending.lent_instances, lending.fallbacks
     );
     Ok((trace, report))

@@ -1017,12 +1017,13 @@ fn threaded_cluster_is_digest_identical_to_sequential() {
         }
     }
 
-    // The two sides also draw their key rows differently once an instance
-    // is large enough to split (16 384 elements: 256 tokens at dim 64): a
-    // shard stepped on the caller's thread lends the tail rows to the
-    // process-wide helper thread, shards stepped on worker threads keep
-    // them. Long documents put every context past that floor, and the
-    // schedule must not be able to tell who drew what.
+    // The two sides also simulate their attention on different threads: a
+    // shard stepped on the caller's thread pools each step's instances and
+    // lends about half of them, whole, to the process-wide helper thread;
+    // shards stepped on worker threads keep theirs. Long documents make
+    // every instance past the pool's floor on its own (16 384 elements:
+    // 256 tokens at dim 64), and the schedule must not be able to tell who
+    // simulated what.
     use token_picker::accel::serve::scenario::{LongDocSummarize, Scenario};
     let scenario = LongDocSummarize { docs: 8 };
     let requests = scenario.generate(11);
@@ -1046,9 +1047,8 @@ fn threaded_cluster_is_digest_identical_to_sequential() {
         &long_docs(&requests, 1).0,
         "long documents, 2 shards",
     );
-    // Short chats next to the documents: the caller-stepped side now also
-    // hands a share of each step's small instances to the other helper
-    // thread, in steps that split a document's rows as well.
+    // Short chats next to the documents: the caller-stepped side's pools
+    // now mix instances past the floor with ones far below it.
     let mut mixed = requests.clone();
     mixed.extend((0..24u64).map(|i| {
         ServingRequest::new(1_000 + i, 40 + (i as usize % 6) * 24, 3 + i as usize % 5)
@@ -1063,13 +1063,13 @@ fn threaded_cluster_is_digest_identical_to_sequential() {
         sequential_lending.pooled_steps + sequential_lending.fallbacks > 0,
         "no step of the mixed run had a pool worth splitting"
     );
-    // And the splitting side is the historical one: the one-shard run was
-    // pinned before any key row was drawn off the caller's thread.
+    // And the lending side is the historical one: the one-shard run was
+    // pinned before any instance was simulated off the caller's thread.
     let (one_shard, _) = long_doc_recorded(8, PolicyKind::Fifo, 0, false, false, None);
     assert_eq!(
         ("chunk-0", one_shard.digest),
         LONG_DOC_TRACE_DIGESTS[0],
-        "a split key draw moved the pinned long-document trace"
+        "a lent instance moved the pinned long-document trace"
     );
 }
 
@@ -2469,13 +2469,15 @@ fn tiered_threaded_cluster_is_digest_identical_to_sequential() {
 #[test]
 fn lending_attention_to_the_second_core_is_invisible_to_schedules_reports_and_prune_stats() {
     // One engine, not two paths: a run whose shards hand part of every
-    // step's small attention instances to the helper thread (shards
-    // stepped on the caller's thread) against a run that lends nothing
-    // (shards stepped on worker threads). Shared prefixes, chunked priced
-    // prefill, preemption with paged retention and a host tier cover every
-    // way a kept step is made, carried and dropped: pooled ahead of its
-    // slot, shared by a prompt's chunks, parked on a preempted request and
-    // re-used or outgrown on re-admission.
+    // step's attention instances to the helper thread (shards stepped on
+    // the caller's thread) against a run that lends nothing (shards
+    // stepped on worker threads). Shared prefixes, chunked priced prefill,
+    // preemption with paged retention and a host tier cover every way a
+    // kept step is made, carried and dropped: pooled ahead of its slot,
+    // shared by a prompt's chunks, parked on a preempted request and
+    // re-used or outgrown on re-admission. Long documents ride among the
+    // chats, so pools also hold several instances that are each past the
+    // pool's floor (16 384 elements: 256 tokens at dim 64) on their own.
     let scenario = SharedPrefixChat {
         tenants: 6,
         per_tenant: 8,
@@ -2495,7 +2497,12 @@ fn lending_attention_to_the_second_core_is_invisible_to_schedules_reports_and_pr
             .routing(RoutingKind::LeastLoaded)
             .threads(threads)
             .build();
-        for r in scenario.generate(23) {
+        let documents = (0..6u64).map(|i| {
+            ServingRequest::new(9_000 + i, 272 + 16 * (i as usize % 4), 10)
+                .with_priority(i as u8 % 2)
+                .arriving_at(i / 2)
+        });
+        for r in scenario.generate(23).into_iter().chain(documents) {
             cluster.enqueue(r).expect("valid request");
         }
         let report = cluster.run_to_completion(4096).expect("workload completes");
@@ -2527,6 +2534,22 @@ fn lending_attention_to_the_second_core_is_invisible_to_schedules_reports_and_pr
         })
         .count();
     assert!(chunks > 0, "no chunked prefill");
+    let mut large_decodes = std::collections::BTreeMap::new();
+    for e in &lending_events {
+        if let ClusterEvent::Shard {
+            shard_id,
+            event: ServeEvent::TokenGenerated { step, context, .. },
+        } = e
+        {
+            if context * 64 >= 16 * 1024 {
+                *large_decodes.entry((*shard_id, *step)).or_insert(0) += 1;
+            }
+        }
+    }
+    assert!(
+        large_decodes.values().any(|&n| n >= 2),
+        "no step decoded two documents on one shard"
+    );
     // ...and the two sides differ in exactly what is being compared.
     assert_eq!(not_lent, LendingStats::default());
     assert!(
