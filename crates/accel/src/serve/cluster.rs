@@ -33,29 +33,27 @@
 //! the sibling shard holding the longest resident run, at the same modeled
 //! transfer cost — see [`enqueue`](ClusterEngine::enqueue).
 //!
-//! Every shipping decision happens on the coordinator thread between step
-//! barriers, so threaded schedules stay digest-identical to sequential
-//! ones.
-//!
 //! Shards step in **lockstep**: one cluster step steps every shard once
 //! (idle shards record a zero-cycle tick so their clocks stay aligned),
 //! and the cluster's cycle total is the *makespan* — the sum over cluster
 //! steps of the busiest shard's cycles — because shards model engines
 //! running in parallel, not serially.
 //!
-//! With [`threads`](ClusterEngineBuilder::threads) `> 1` the lockstep is
-//! *executed* in parallel too: routing, stealing and event sweeping stay
-//! on the coordinator thread, while the per-shard `step()`/`idle_tick()`
-//! calls fan out to scoped OS threads ([`std::thread::scope`]) whose join
-//! is the barrier before the next synchronization point. Each worker owns
-//! a disjoint `&mut` slice of the shard vector and shards never touch
-//! shared state mid-step, so the threaded schedule is digest-identical to
-//! the sequential one — the `threads = 1` path is retained as the
-//! reference. Wall-clock time spent stepping is accumulated alongside the
-//! modeled makespan and surfaces as [`ClusterReport::wall_seconds`].
+//! On the host a cluster step runs on the caller's thread, phase by phase
+//! over all shards: every shard admits, the attention instances every
+//! shard's slot loop is about to ask for are simulated as **one pool**
+//! shared with the helper thread (`serve/lend.rs` — the one way this crate
+//! uses a second core; [`LendingStats`] counts it), and every shard's slot
+//! loop then finds its results. Shards share no state within a step, so
+//! the order of phases cannot show in a schedule. Wall-clock time spent
+//! stepping is accumulated alongside the modeled makespan and surfaces as
+//! [`ClusterReport::wall_seconds`].
+
+use std::sync::Mutex;
 
 use super::error::ServeError;
 use super::events::{wire_schema, EventSchema, ServeEvent, WireEvent, MAX_EVENT_FIELDS};
+use super::lend::{self, StepLender};
 use super::policy::PolicyKind;
 use super::queue::ServingRequest;
 use super::router::{RoutingKind, RoutingPolicy, ShardView};
@@ -185,13 +183,10 @@ pub struct ClusterReport {
     /// Cluster makespan in cycles: the sum over cluster steps of the
     /// busiest shard's cycles, since shards run in parallel.
     pub total_cycles: u64,
-    /// Worker threads the cluster stepped shards on (1 = the sequential
-    /// reference path).
-    pub threads: usize,
     /// Measured wall-clock seconds spent inside
-    /// [`step`](ClusterEngine::step) — the host-side cost of actually
-    /// driving the shards, reported next to the *modeled* cycle makespan
-    /// so benches can show measured and modeled performance side by side.
+    /// [`step`](ClusterEngine::step) — the host-side cost of simulating
+    /// the shards, reported next to the *modeled* cycle makespan so
+    /// benches can show measured and modeled performance side by side.
     /// Unlike every other field, this varies run to run; schedule
     /// comparisons must ignore it.
     pub wall_seconds: f64,
@@ -346,9 +341,9 @@ impl ClusterReport {
 
 /// Step-by-step construction of a [`ClusterEngine`]: the per-shard serving
 /// configuration and scheduler, plus the cluster-level knobs (shard count,
-/// routing policy, work stealing, worker threads). Per-shard options are
-/// the fields of the [`ServingConfig`] passed to
-/// [`config`](Self::config) — the cluster declares none of its own.
+/// routing policy, work stealing). Per-shard options are the fields of the
+/// [`ServingConfig`] passed to [`config`](Self::config) — the cluster
+/// declares none of its own.
 ///
 /// Every shard is built identically — same limits, same scheduler kind,
 /// same workload seed — so a request costs the same cycles wherever it
@@ -386,7 +381,6 @@ pub struct ClusterEngineBuilder {
     shards: usize,
     routing: Box<dyn RoutingPolicy>,
     stealing: bool,
-    threads: usize,
 }
 
 impl ClusterEngineBuilder {
@@ -402,7 +396,6 @@ impl ClusterEngineBuilder {
             shards: 1,
             routing: RoutingKind::RoundRobin.build(),
             stealing: false,
-            threads: 1,
         }
     }
 
@@ -450,44 +443,31 @@ impl ClusterEngineBuilder {
         self
     }
 
-    /// Sets how many OS threads step the shards each cluster step
-    /// (clamped to at least 1; capped at the shard count when stepping).
-    ///
-    /// The default, 1, is the sequential reference path: shards step one
-    /// after another on the caller's thread. With more threads the
-    /// per-shard `step()` calls fan out to scoped worker threads — same
-    /// schedule, same digests, less wall-clock. See the [module
-    /// docs](self) for the synchronization model.
+    /// Selects nothing: a cluster steps its shards on the caller's thread
+    /// whatever `threads` says (see the [module docs](self)). The setter
+    /// outlives the worker threads it once sized only because the frozen
+    /// `benchmark/` package calls it, and goes when that package stops.
     #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
     /// Builds the cluster.
     #[must_use]
     pub fn build(self) -> ClusterEngine {
-        // Shards stepped on worker threads keep their steps' attention
-        // pools to themselves: a helper competing with them for the same
-        // cores costs more than it takes off them.
-        let lend_attention = self.threads.min(self.shards) <= 1;
         let shards = (0..self.shards)
-            .map(|_| {
-                let mut shard = ServingEngine::from_parts(self.cfg.clone(), self.policy.build());
-                shard.lend_attention = lend_attention;
-                shard
-            })
+            .map(|_| ServingEngine::from_parts(self.cfg.clone(), self.policy.build()))
             .collect();
         ClusterEngine {
             shards,
             router: self.routing,
             stealing: self.stealing,
-            threads: self.threads,
             step_index: 0,
             steals: 0,
             ships: 0,
             total_cycles: 0,
             wall_nanos: 0,
+            lending: LendingStats::default(),
             steps: Vec::new(),
             events: Vec::new(),
         }
@@ -504,35 +484,14 @@ pub struct ClusterEngine {
     shards: Vec<ServingEngine>,
     router: Box<dyn RoutingPolicy>,
     stealing: bool,
-    threads: usize,
     step_index: usize,
     steals: usize,
     ships: usize,
     total_cycles: u64,
     wall_nanos: u64,
+    lending: LendingStats,
     steps: Vec<ClusterStepReport>,
     events: Vec<ClusterEvent>,
-}
-
-/// Steps every shard in `shards` once, idle-ticking drained shards, and
-/// returns the slice's contribution to the cluster step: the busiest
-/// shard's cycles and the decoded-request count. This is the unit of work
-/// a worker thread owns under `threads > 1`, and the whole step under the
-/// sequential path — one body, two execution modes, so the schedules
-/// cannot drift apart.
-fn step_shard_slice(shards: &mut [ServingEngine]) -> Result<(u64, usize), ServeError> {
-    let mut critical_cycles = 0u64;
-    let mut batch = 0usize;
-    for shard in shards {
-        match shard.step()? {
-            Some(r) => {
-                critical_cycles = critical_cycles.max(r.total_cycles());
-                batch += r.batch;
-            }
-            None => shard.idle_tick(),
-        }
-    }
-    Ok((critical_cycles, batch))
 }
 
 impl ClusterEngine {
@@ -548,16 +507,12 @@ impl ClusterEngine {
         self.shards.len()
     }
 
-    /// How often the shards' steps have used the second core for their
-    /// attention instances, summed over the shards — all zero when
-    /// the shards step on worker threads, which lend nothing.
+    /// How often the cluster's steps have used the second core for their
+    /// attention instances: a cluster step pools every shard's instances
+    /// once, so a pooled step is a cluster step.
     #[must_use]
     pub fn lending_stats(&self) -> LendingStats {
-        let mut total = LendingStats::default();
-        for shard in &self.shards {
-            total += shard.lending_stats();
-        }
-        total
+        self.lending
     }
 
     /// Shared access to shard `i` (panics if out of range) — per-shard
@@ -574,12 +529,6 @@ impl ClusterEngine {
     /// Panics on the first violated invariant.
     pub fn validate(&self) {
         self.shards.iter().for_each(ServingEngine::validate);
-    }
-
-    /// Worker threads shards step on (1 = sequential reference path).
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Measured wall-clock seconds spent stepping so far.
@@ -750,9 +699,7 @@ impl ClusterEngine {
     /// until its prefix is local (then the local-run check makes further
     /// probes no-ops) or it admits. Deterministic — shards in index
     /// order, requests in arrival order, donor choice as
-    /// [`pull_prefix`](Self::pull_prefix) — and it runs on the
-    /// coordinator before the shard-step fan-out, so threaded schedules
-    /// see identical pulls.
+    /// [`pull_prefix`](Self::pull_prefix).
     fn pull_pending_prefixes(&mut self) {
         if !self.shards[0].config().admission.prefix_cache {
             return;
@@ -893,20 +840,29 @@ impl ClusterEngine {
     }
 
     /// Runs one cluster step: steals (when enabled), then steps every
-    /// shard once in lockstep — sequentially, or fanned out to scoped
-    /// worker threads when built with
-    /// [`threads`](ClusterEngineBuilder::threads) `> 1`. Idle shards
-    /// record a zero-cycle tick so all shard clocks stay equal to the
-    /// cluster step index.
+    /// shard once in lockstep, phase by phase — every shard admits, the
+    /// attention instances they are about to ask for are simulated as one
+    /// pool, every shard runs its slot loop. Idle shards record a
+    /// zero-cycle tick so all shard clocks stay equal to the cluster step
+    /// index.
     ///
     /// Returns `Ok(None)` when every shard has drained.
     ///
     /// # Errors
     ///
-    /// Propagates the first shard failure ([`ServeError::Core`] or
-    /// [`ServeError::AdmissionStalled`]) — under threading, the failure
-    /// on the lowest-numbered shard slice.
+    /// Propagates the failure ([`ServeError::Core`] or
+    /// [`ServeError::AdmissionStalled`]) of the lowest-numbered failing
+    /// shard; how far the other shards' steps got by then is unspecified.
     pub fn step(&mut self) -> Result<Option<ClusterStepReport>, ServeError> {
+        self.step_lending_to(&lend::STEP_LENDER)
+    }
+
+    /// [`step`](Self::step), with the helper the cluster step's pool of
+    /// attention instances may be shared with.
+    fn step_lending_to(
+        &mut self,
+        lender: &Mutex<StepLender>,
+    ) -> Result<Option<ClusterStepReport>, ServeError> {
         if self.is_idle() {
             return Ok(None);
         }
@@ -917,36 +873,19 @@ impl ClusterEngine {
         if self.shipping_enabled() && self.shards.len() > 1 {
             self.pull_pending_prefixes();
         }
-        let (critical_cycles, batch) = if self.threads > 1 && self.shards.len() > 1 {
-            // Coordinator fans the shards out in contiguous slices, one
-            // per worker; the scope's implicit join is the barrier before
-            // the next route/steal/sweep synchronization point. Each
-            // worker holds a disjoint `&mut` slice, so no shard state is
-            // shared while threads run.
-            let workers = self.threads.min(self.shards.len());
-            let per_worker = self.shards.len().div_ceil(workers);
-            let slices = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .chunks_mut(per_worker)
-                    .map(|slice| scope.spawn(move || step_shard_slice(slice)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker thread panicked"))
-                    .collect::<Vec<_>>()
-            });
-            let mut critical_cycles = 0u64;
-            let mut batch = 0usize;
-            for slice in slices {
-                let (cycles, decoded) = slice?;
-                critical_cycles = critical_cycles.max(cycles);
-                batch += decoded;
+        self.shards.iter_mut().for_each(ServingEngine::begin_step);
+        self.lending += lend::pool_attention(&mut self.shards, lender);
+        let mut critical_cycles = 0u64;
+        let mut batch = 0usize;
+        for shard in &mut self.shards {
+            match shard.finish_step()? {
+                Some(r) => {
+                    critical_cycles = critical_cycles.max(r.total_cycles());
+                    batch += r.batch;
+                }
+                None => shard.idle_tick(),
             }
-            (critical_cycles, batch)
-        } else {
-            step_shard_slice(&mut self.shards)?
-        };
+        }
         self.sweep_shard_events();
         self.wall_nanos = self
             .wall_nanos
@@ -998,7 +937,6 @@ impl ClusterEngine {
             ships: self.ships,
             cluster_steps: self.steps.len(),
             total_cycles: self.total_cycles,
-            threads: self.threads,
             wall_seconds: self.wall_seconds(),
             shards: self.shards.iter().map(ServingEngine::report).collect(),
         }
@@ -1082,6 +1020,7 @@ mod tests {
         // Makespan equals the busy shard's cycles; imbalance is maximal.
         assert_eq!(report.total_cycles, report.shards[0].total_cycles);
         assert!((report.load_imbalance() - 2.0).abs() < 1e-9);
+        assert!(report.wall_seconds > 0.0, "stepping took no measured time");
     }
 
     #[test]
@@ -1174,11 +1113,11 @@ mod tests {
 
     #[test]
     fn everything_a_worker_thread_touches_is_send() {
-        // The compile-time contract behind `threads > 1`: a worker thread
-        // receives `&mut [ServingEngine]`, so the engine — and everything
-        // it owns transitively, pager and batch and boxed policy included
-        // — must be `Send`. The cluster itself must be too, so callers
-        // can drive whole clusters from spawned threads.
+        // The compile-time contract with applications: an engine or a
+        // whole cluster may be moved to, and driven from, another thread
+        // (`lend`'s `threaded_engines_sharing_the_step_helper_…` does), so
+        // both — and everything they own transitively, pager and batch and
+        // boxed policies included — must be `Send`.
         fn assert_send<T: Send>() {}
         assert_send::<ServingEngine>();
         assert_send::<ClusterEngine>();
@@ -1188,56 +1127,176 @@ mod tests {
         assert_send::<Box<dyn RoutingPolicy>>();
     }
 
-    #[test]
-    fn threaded_stepping_matches_the_sequential_schedule() {
-        let run = |threads: usize| {
-            let mut cfg = small_cfg();
-            cfg.preemption =
-                PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.75));
-            let mut cluster = builder_for(cfg)
-                .shards(3)
-                .routing(RoutingKind::LeastLoaded)
-                .stealing(true)
-                .threads(threads)
-                .build();
-            for id in 0..9 {
-                cluster
-                    .enqueue(ServingRequest::new(id, 32 + (id as usize % 3) * 16, 3))
-                    .unwrap();
+    type Run = (Result<ClusterReport, ServeError>, Vec<ClusterEvent>);
+
+    /// Drives `cluster` to completion through `lender`: its report, less
+    /// the measured wall clock, and its events.
+    fn run(cluster: &mut ClusterEngine, lender: &Mutex<StepLender>) -> Run {
+        let result = loop {
+            match cluster.step_lending_to(lender) {
+                Ok(Some(_)) => {}
+                Ok(None) => break Ok(cluster.report()),
+                Err(e) => break Err(e),
             }
-            cluster.run_to_completion(256).unwrap()
         };
-        let sequential = run(1);
-        for threads in [2, 3, 8] {
-            let threaded = run(threads);
-            assert_eq!(threaded.threads, threads);
-            // Everything but the measured wall-clock must be identical.
-            assert_eq!(threaded.shards, sequential.shards, "threads={threads}");
-            assert_eq!(threaded.steals, sequential.steals);
-            assert_eq!(threaded.total_cycles, sequential.total_cycles);
-            assert_eq!(threaded.cluster_steps, sequential.cluster_steps);
+        let result = result.map(|report| ClusterReport {
+            wall_seconds: 0.0,
+            ..report
+        });
+        (result, cluster.drain_events())
+    }
+
+    fn simulations(cluster: &ClusterEngine) -> usize {
+        cluster.shards.iter().map(|s| s.simulations).sum()
+    }
+
+    /// Four shards with one running request of about 100 tokens each: no
+    /// shard has two instances to split, the cluster step has four holding
+    /// 4 × 100 × 64 = 25 600 elements — a pool that exists only across
+    /// shards.
+    fn one_request_a_shard() -> ClusterEngine {
+        let mut cluster = small_builder().shards(4).build();
+        for id in 0..4usize {
+            let request = ServingRequest::new(id as u64, 96 + 4 * id, 6);
+            assert_eq!(cluster.enqueue(request).unwrap(), id);
         }
-        assert_eq!(sequential.threads, 1);
-        assert!(sequential.wall_seconds > 0.0);
+        cluster
     }
 
     #[test]
-    fn only_shards_stepped_on_the_callers_thread_pool_their_attention() {
-        // Decided once, at build, from the same condition `step` fans out
-        // on: more than one worker over more than one shard.
-        for (shards, threads, lends) in [
-            (1, 1, true),
-            (4, 1, true),
-            (1, 4, true),
-            (2, 2, false),
-            (4, 8, false),
-        ] {
-            let cluster = small_builder().shards(shards).threads(threads).build();
-            assert!(
-                cluster.shards.iter().all(|s| s.lend_attention == lends),
-                "{shards} shards on {threads} threads"
-            );
+    fn a_pool_that_only_exists_across_shards_equals_its_serial_twin() {
+        let (mut pooled, mut serial) = (one_request_a_shard(), one_request_a_shard());
+        let pooled_run = run(&mut pooled, &StepLender::private());
+        assert_eq!(pooled_run, run(&mut serial, &StepLender::absent()));
+        let tokens = pooled_run.0.expect("completes").tokens_generated();
+        let stats = pooled.lending_stats();
+        assert!(stats.pooled_steps > 0 && stats.lent_instances >= stats.pooled_steps);
+        assert_eq!(stats.fallbacks, 0);
+        assert_eq!(serial.lending_stats().pooled_steps, 0);
+        // The cluster owns the pool, so it does the counting.
+        let counted_by_shards = |c: &ClusterEngine| {
+            c.shards
+                .iter()
+                .any(|s| s.lending != LendingStats::default())
+        };
+        assert!(!counted_by_shards(&pooled) && !counted_by_shards(&serial));
+        // One simulation per token, whichever thread ran it.
+        assert_eq!(
+            (simulations(&pooled), simulations(&serial)),
+            (tokens, tokens)
+        );
+    }
+
+    #[test]
+    fn a_cluster_step_without_a_helper_leaves_every_shard_its_own_share() {
+        let mut serial = one_request_a_shard();
+        let serial_run = run(&mut serial, &StepLender::absent());
+        let tokens = serial_run.0.as_ref().expect("completes").tokens_generated();
+        // A helper that panics on its first job, and one another owner
+        // holds for the whole run (`lock` would deadlock; `try_lock` falls
+        // through at once).
+        let panicking = StepLender::with_helper(|_| panic!("helper down (expected by this test)"));
+        let held = StepLender::private();
+        let holder = held.lock().unwrap();
+        for lender in [&panicking, &held] {
+            let mut degraded = one_request_a_shard();
+            assert_eq!(run(&mut degraded, lender), serial_run);
+            let stats = degraded.lending_stats();
+            assert_eq!((stats.pooled_steps, stats.lent_instances), (0, 0));
+            assert!(stats.fallbacks > 1);
+            assert_eq!(simulations(&degraded), tokens);
         }
+        drop(holder);
+    }
+
+    #[test]
+    fn a_pooled_cluster_run_equals_its_serial_twin() {
+        // One cluster, not two paths: a run whose steps hand part of every
+        // pool to a helper thread against a run with no helper to hand to.
+        // Shared prefixes, chunked priced prefill, preemption with paged
+        // retention, a host tier, stealing and priced shipping cover every
+        // way a kept step is made, carried and dropped: pooled ahead of its
+        // slot, shared by a prompt's chunks, parked on a preempted request,
+        // moved to another shard, and re-used or outgrown on re-admission.
+        // Long documents ride among the chats, so pools also hold several
+        // instances that are each past the pool's floor (16 384 elements:
+        // 256 tokens at dim 64) on their own.
+        use super::super::scenario::{Scenario, SharedPrefixChat};
+        let scenario = SharedPrefixChat {
+            tenants: 6,
+            per_tenant: 8,
+        };
+        let cluster = || {
+            let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("thr");
+            let mut cfg = scenario.serving_config(accel);
+            cfg.admission.max_batch = 8;
+            cfg.admission.max_batch_tokens = 1280;
+            cfg.prefill_chunk_pages = 8;
+            cfg.preemption =
+                PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.5));
+            cfg.host_pages = 256;
+            cfg.ship_cost_factor = 0.25;
+            let mut cluster = builder_for(cfg)
+                .policy(PolicyKind::PriorityAging)
+                .shards(2)
+                .routing(RoutingKind::LeastLoaded)
+                .stealing(true)
+                .build();
+            let documents = (0..6u64).map(|i| {
+                ServingRequest::new(9_000 + i, 272 + 16 * (i as usize % 4), 10)
+                    .with_priority(i as u8 % 2)
+                    .arriving_at(i / 2)
+            });
+            for r in scenario.generate(23).into_iter().chain(documents) {
+                cluster.enqueue(r).expect("valid request");
+            }
+            cluster
+        };
+        let (mut pooled, mut serial) = (cluster(), cluster());
+        let (pooled_report, pooled_events) = run(&mut pooled, &StepLender::private());
+        let (serial_report, serial_events) = run(&mut serial, &StepLender::absent());
+        pooled.validate();
+        let (report, serial_report) = (pooled_report.unwrap(), serial_report.unwrap());
+        assert_eq!(report, serial_report, "reports, prune statistics included");
+        assert_eq!(pooled_events, serial_events, "event streams");
+        // The run went through what it claims to cover...
+        assert!(report.preemptions() > 0, "no preemption");
+        assert!(report.total_swap_cycles() > 0, "no host swap");
+        assert!(report.total_prefix_hit_tokens() > 0, "no shared prefix");
+        assert!(report.steals > 0, "no steal");
+        assert!(report.total_ship_cycles() > 0, "no shipped pages");
+        let saw = |wanted: fn(&ServeEvent) -> bool| {
+            pooled_events
+                .iter()
+                .any(|e| matches!(e, ClusterEvent::Shard { event, .. } if wanted(event)))
+        };
+        assert!(
+            saw(|e| matches!(e, ServeEvent::PrefillChunk { .. })),
+            "no chunked prefill"
+        );
+        let mut large_decodes = std::collections::BTreeMap::new();
+        for e in &pooled_events {
+            if let ClusterEvent::Shard {
+                event: ServeEvent::TokenGenerated { step, context, .. },
+                ..
+            } = e
+            {
+                if context * 64 >= 16 * 1024 {
+                    *large_decodes.entry(*step).or_insert(0) += 1;
+                }
+            }
+        }
+        assert!(
+            large_decodes.values().any(|&n| n >= 2),
+            "no step decoded two documents"
+        );
+        // ...and the two sides differ in exactly what is being compared.
+        let (lent, not_lent) = (pooled.lending_stats(), serial.lending_stats());
+        assert!(lent.pooled_steps > 0 && lent.lent_instances >= lent.pooled_steps);
+        assert_eq!(lent.fallbacks, 0);
+        assert_eq!((not_lent.pooled_steps, not_lent.lent_instances), (0, 0));
+        assert_eq!(not_lent.fallbacks, lent.pooled_steps);
+        assert_eq!(simulations(&pooled), simulations(&serial));
     }
 
     #[test]
@@ -1297,7 +1356,6 @@ mod tests {
             ships: 0,
             cluster_steps: 0,
             total_cycles: 0,
-            threads: 1,
             wall_seconds: 0.0,
             shards: vec![
                 shard_with_ttfts(&(1..=98).collect::<Vec<_>>()),
@@ -1327,7 +1385,7 @@ mod tests {
         // Two long requests run on shard 0 while shard 1 burns down one
         // short one. When shard 1 drains, shard 0 has *nothing queued* —
         // the shape queue-only stealing cannot fix. With shipping priced,
-        // the coordinator must move one admitted request across, charge
+        // the cluster must move one admitted request across, charge
         // ship cycles for the move, and still deliver every token.
         #[derive(Debug)]
         struct ByIdRange;

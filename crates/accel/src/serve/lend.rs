@@ -1,21 +1,24 @@
 //! One step's attention instances, simulated on two cores.
 //!
-//! A step of the engine is a batch of independent per-request attention
-//! passes, each a pure function of `(accelerator, engine seed, request id,
-//! context)` ([`simulate_attention`]). So before its slot loop the engine
-//! pools the instances the loop is about to ask for, hands about half of
-//! them — by elements — to a persistent helper thread as one owned job,
-//! simulates the rest itself, and leaves every result on its request as a
-//! kept step, which the loop then finds instead of simulating. Which
-//! thread ran an instance cannot show in its result, so pooled and serial
-//! stepping are one engine with a permanent differential test, not two
-//! paths.
+//! A step is a batch of independent per-request attention passes, each a
+//! pure function of `(accelerator, engine seed, request id, context)`
+//! ([`simulate_attention`]) — and every shard of a cluster shares the
+//! accelerator and the seed, so a step of a cluster is one such batch over
+//! all its shards. So whoever owns the engines — an engine stepping
+//! itself, a cluster stepping its shards — lets each admit, then pools the
+//! instances their slot loops are about to ask for
+//! ([`pool_attention`]), hands about half of them — by elements — to a
+//! persistent helper thread as one owned job, simulates the rest itself,
+//! and leaves every result on its request as a kept step, which the slot
+//! loop then finds instead of simulating. Which thread ran an instance
+//! cannot show in its result, so pooled and serial stepping are one engine
+//! with a permanent differential test, not two paths.
 //!
 //! The helper is [`helper`](super::helper)'s: lazily started, absent on
 //! one core, `try_lock` only, owned jobs whose buffers come back with
 //! them. Whenever there is no helper to be had — busy with another
-//! engine's step, absent, dead — nothing is pooled and the slot loop
-//! simulates each instance where it always has.
+//! owner's step, absent, dead — nothing is pooled and each slot loop
+//! simulates its instances where it always has.
 
 use std::mem;
 use std::sync::Mutex;
@@ -28,8 +31,9 @@ use super::helper::HelperSlot;
 use super::{ServeError, ServingEngine};
 use crate::engine::ToPickAccelerator;
 
-/// Smallest pool, in key elements (`context · dim` summed over its
-/// instances), worth splitting between the stepping thread and the helper.
+/// Smallest pool — a step's, all shards of a cluster step — in key elements
+/// (`context · dim` summed over its instances) worth splitting between the
+/// stepping thread and the helper.
 /// A handoff — two channel hops and a wake-up — measures 40–70 µs on the
 /// 2-core development host, and an element costs at least the 28 ns of its
 /// synthesis (one Box–Muller normal plus its share of the projection;
@@ -42,12 +46,13 @@ use crate::engine::ToPickAccelerator;
 /// contexts is a few thousand elements — the helper is never touched.
 const SPLIT_MIN_ELEMS: usize = 16 * 1024;
 
-/// How often an engine's steps used the second core for their attention
-/// instances, of every size — whether a run that could have been spread
-/// over two cores was. Host-side bookkeeping only: it depends on the
-/// machine and on what else the process is doing, so it is no part of
-/// [`ServingReport`](super::ServingReport), [`Trace`](super::Trace) or any
-/// digest.
+/// How often steps used the second core for their attention instances, of
+/// every size — whether a run that could have been spread over two cores
+/// was. A step is a step of whatever owns the engines: a cluster step, all
+/// shards in one pool, when a cluster does. Host-side bookkeeping only: it
+/// depends on the machine and on what else the process is doing, so it is
+/// no part of [`ServingReport`](super::ServingReport),
+/// [`Trace`](super::Trace) or any digest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LendingStats {
     /// Steps whose pool of instances was split with the helper thread.
@@ -55,8 +60,8 @@ pub struct LendingStats {
     /// Instances the helper thread simulated in those steps.
     pub lent_instances: usize,
     /// Steps whose pool was large enough to split but ran on the stepping
-    /// thread alone: the helper was busy with another engine, absent (one
-    /// core, or its spawn failed) or died.
+    /// thread alone: the helper was busy with another engine or cluster,
+    /// absent (one core, or its spawn failed) or died.
     pub fallbacks: usize,
 }
 
@@ -68,24 +73,27 @@ impl std::ops::AddAssign for LendingStats {
     }
 }
 
-/// One instance of a step's pool: the request at `slot`, at `context`.
+/// One instance of a step's pool: the request at `slot` of `shard`, at
+/// `context`.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct PoolItem {
+    shard: usize,
     slot: usize,
     id: u64,
     context: usize,
 }
 
 /// The helper's share of one step's pool: everything
-/// [`simulate_attention`] reads, owned, and the results it leaves.
+/// [`simulate_attention`] reads, owned — the one accelerator and seed every
+/// pooled engine shares — and the results it leaves.
 #[derive(Debug)]
 pub(super) struct StepJob {
     accel: ToPickAccelerator,
     seed: u64,
     work: Vec<PoolItem>,
-    /// `(slot, step)` of every instance that simulated; one that failed is
-    /// left for the slot loop to fail on.
-    done: Vec<(usize, SimulatedStep)>,
+    /// Every instance that simulated, with its step; one that failed is
+    /// left for its slot loop to fail on.
+    done: Vec<(PoolItem, SimulatedStep)>,
     /// The helper thread's own key buffers.
     scratch: KeyScratch,
 }
@@ -114,7 +122,7 @@ fn run_job(job: &mut StepJob) {
             &mut job.scratch,
         );
         if let Ok(step) = step {
-            job.done.push((item.slot, step));
+            job.done.push((*item, step));
         }
     }
 }
@@ -135,12 +143,35 @@ impl StepLender {
             mine: Vec::new(),
         }
     }
+
+    /// A lender with a helper thread of its own running `work`, so a
+    /// test's pools are split even where the shared helper would not start
+    /// (one core) or is taken by a parallel test.
+    #[cfg(test)]
+    pub(super) fn with_helper(work: fn(&mut StepJob)) -> Mutex<Self> {
+        let helper = super::helper::Helper::spawn("test-attention", work).expect("spawn");
+        Mutex::new(Self::new(HelperSlot::Running(helper)))
+    }
+
+    /// [`with_helper`](Self::with_helper) doing the real work.
+    #[cfg(test)]
+    pub(super) fn private() -> Mutex<Self> {
+        Self::with_helper(run_job)
+    }
+
+    /// A lender without a helper — what [`STEP_LENDER`] is on one core:
+    /// every step through it runs serially, the twin a pooled run is
+    /// compared against.
+    #[cfg(test)]
+    pub(super) fn absent() -> Mutex<Self> {
+        Mutex::new(Self::new(HelperSlot::Absent))
+    }
 }
 
-/// The process-wide step helper. Only ever `try_lock`ed: an engine that
-/// finds it taken steps serially, so two engines on two threads never wait
-/// on each other; a poisoned lock (an engine panicked mid-step, possibly
-/// leaving a job in flight) reads as taken forever.
+/// The process-wide step helper. Only ever `try_lock`ed: a step that finds
+/// it taken runs serially, so two engines on two threads never wait on each
+/// other; a poisoned lock (a step panicked mid-pool, possibly leaving a job
+/// in flight) reads as taken forever.
 pub(super) static STEP_LENDER: Mutex<StepLender> =
     Mutex::new(StepLender::new(HelperSlot::Unstarted {
         name: "topick-attention",
@@ -182,10 +213,10 @@ pub(super) fn simulate_attention(
 
 impl ServingEngine {
     /// The slots whose step will ask for a fresh simulation, in slot
-    /// order: the walk of the slot loop
+    /// order, as instances of shard `shard`: the walk of the slot loop
     /// ([`ChunkBudget`](super::ChunkBudget)), so nothing is simulated that
     /// the loop would not simulate.
-    fn pool(&self) -> impl Iterator<Item = PoolItem> + '_ {
+    fn pool(&self, shard: usize) -> impl Iterator<Item = PoolItem> + '_ {
         let mut budget = self.chunk_budget();
         self.batch
             .slots()
@@ -198,100 +229,12 @@ impl ServingEngine {
                     .as_ref()
                     .is_none_or(|kept| kept.context != r.context);
                 (simulates && fresh).then_some(PoolItem {
+                    shard,
                     slot,
                     id: r.req.id,
                     context: r.context,
                 })
             })
-    }
-
-    /// Simulates this step's pool on two cores when that is worth a
-    /// handoff — two or more instances of [`SPLIT_MIN_ELEMS`] elements
-    /// together — and `lender` has a helper free, leaving each result on
-    /// its request as the kept step
-    /// [`slot_attention`](Self::slot_attention) consumes. The pool is
-    /// split by a greedy pass in slot order, each instance going to the
-    /// share with fewer elements so far. An instance that fails to
-    /// simulate is not kept: the slot loop meets the same error at the
-    /// same slot, after the same earlier slots have advanced.
-    pub(super) fn pool_attention(&mut self, lender: &Mutex<StepLender>) {
-        if !self.lend_attention {
-            return;
-        }
-        let dim = self.cfg.accel.dim;
-        let (instances, elems) = self.pool().fold((0, 0), |(n, elems), item| {
-            (n + 1, elems + item.context * dim)
-        });
-        if instances < 2 || elems < SPLIT_MIN_ELEMS {
-            return;
-        }
-        let Ok(mut lender) = lender.try_lock() else {
-            self.lending.fallbacks += 1;
-            return;
-        };
-        let StepLender { helper, mine } = &mut *lender;
-        mine.clear();
-        let lent = helper.lend(|spare| {
-            let (accel, seed) = (self.accel.clone(), self.cfg.seed);
-            let mut job = match spare {
-                Some(spare) => StepJob {
-                    accel,
-                    seed,
-                    ..spare
-                },
-                None => StepJob {
-                    accel,
-                    seed,
-                    work: Vec::new(),
-                    done: Vec::new(),
-                    scratch: KeyScratch::default(),
-                },
-            };
-            job.work.clear();
-            // Tokens stand for elements: every instance is `dim` wide.
-            let (mut my_tokens, mut lent_tokens) = (0, 0);
-            for item in self.pool() {
-                if lent_tokens < my_tokens {
-                    lent_tokens += item.context;
-                    job.work.push(item);
-                } else {
-                    my_tokens += item.context;
-                    mine.push(item);
-                }
-            }
-            job
-        });
-        if !lent {
-            self.lending.fallbacks += 1;
-            return;
-        }
-        for item in mine.iter() {
-            let step = simulate_attention(
-                &self.accel,
-                self.cfg.seed,
-                item.id,
-                item.context,
-                &mut self.scratch,
-            );
-            if let Ok(step) = step {
-                self.keep_attention(item.slot, step);
-            }
-        }
-        let mut returned = 0;
-        let collected = helper.collect(|job| {
-            for (slot, step) in job.done.drain(..) {
-                self.keep_attention(slot, step);
-                returned += 1;
-            }
-        });
-        if collected {
-            self.lending.pooled_steps += 1;
-            self.lending.lent_instances += returned;
-        } else {
-            // The helper died holding its share: those slots have no kept
-            // step and the slot loop simulates them.
-            self.lending.fallbacks += 1;
-        }
     }
 
     /// Leaves `step` on the request at `slot` for its
@@ -302,6 +245,114 @@ impl ServingEngine {
             self.simulations += 1;
         }
         self.batch.slots_mut()[slot].kept_attention = Some(Box::new(step));
+    }
+}
+
+/// This step's pool: every instance the slot loops of `shards` will ask
+/// for, in `(shard, slot)` order.
+fn pool(shards: &[ServingEngine]) -> impl Iterator<Item = PoolItem> + '_ {
+    shards
+        .iter()
+        .enumerate()
+        .flat_map(|(shard, engine)| engine.pool(shard))
+}
+
+/// Simulates the pool of one step of `shards` — one or more engines sharing
+/// one accelerator configuration and seed, each past its step's admission
+/// and before its slot loop — on two cores when that is worth a handoff — two
+/// or more instances of [`SPLIT_MIN_ELEMS`] elements together — and
+/// `lender` has a helper free, leaving each result on its request as the
+/// kept step [`slot_attention`](ServingEngine::slot_attention) consumes.
+/// The pool is split by a greedy pass in `(shard, slot)` order, each
+/// instance going to the share with fewer elements so far. An instance
+/// that fails to simulate is not kept: its slot loop meets the same error
+/// at the same slot, after the same earlier slots have advanced.
+///
+/// Returns what the step adds to its owner's [`LendingStats`].
+pub(super) fn pool_attention(
+    shards: &mut [ServingEngine],
+    lender: &Mutex<StepLender>,
+) -> LendingStats {
+    let not_pooled = LendingStats::default();
+    let fallback = LendingStats {
+        fallbacks: 1,
+        ..not_pooled
+    };
+    let (dim, seed) = (shards[0].cfg.accel.dim, shards[0].cfg.seed);
+    debug_assert!(shards.iter().all(|s| s.cfg.seed == seed));
+    let (instances, elems) = pool(shards).fold((0, 0), |(n, elems), item| {
+        (n + 1, elems + item.context * dim)
+    });
+    if instances < 2 || elems < SPLIT_MIN_ELEMS {
+        return not_pooled;
+    }
+    let Ok(mut lender) = lender.try_lock() else {
+        return fallback;
+    };
+    let StepLender { helper, mine } = &mut *lender;
+    mine.clear();
+    let lent = helper.lend(|spare| {
+        let accel = shards[0].accel.clone();
+        let mut job = match spare {
+            Some(spare) => StepJob {
+                accel,
+                seed,
+                ..spare
+            },
+            None => StepJob {
+                accel,
+                seed,
+                work: Vec::new(),
+                done: Vec::new(),
+                scratch: KeyScratch::default(),
+            },
+        };
+        job.work.clear();
+        // Tokens stand for elements: every instance is `dim` wide.
+        let (mut my_tokens, mut lent_tokens) = (0, 0);
+        for item in pool(shards) {
+            if lent_tokens < my_tokens {
+                lent_tokens += item.context;
+                job.work.push(item);
+            } else {
+                my_tokens += item.context;
+                mine.push(item);
+            }
+        }
+        job
+    });
+    if !lent {
+        return fallback;
+    }
+    for item in mine.iter() {
+        let engine = &mut shards[item.shard];
+        let step = simulate_attention(
+            &engine.accel,
+            seed,
+            item.id,
+            item.context,
+            &mut engine.scratch,
+        );
+        if let Ok(step) = step {
+            engine.keep_attention(item.slot, step);
+        }
+    }
+    let mut returned = 0;
+    let collected = helper.collect(|job| {
+        for (item, step) in job.done.drain(..) {
+            shards[item.shard].keep_attention(item.slot, step);
+            returned += 1;
+        }
+    });
+    if !collected {
+        // The helper died holding its share: those slots have no kept
+        // step and their slot loops simulate them.
+        return fallback;
+    }
+    LendingStats {
+        pooled_steps: 1,
+        lent_instances: returned,
+        ..not_pooled
     }
 }
 
@@ -376,12 +427,12 @@ mod tests {
         (result, engine.drain_events())
     }
 
-    /// The run of `engine(seed)` with nothing lent.
+    /// The run of `engine(seed)` with no helper to lend to.
     fn serial(seed: u64) -> Run {
         let mut serial = engine(seed);
-        serial.lend_attention = false;
-        let run = run(&mut serial, &STEP_LENDER);
-        assert_eq!(serial.lending_stats(), LendingStats::default());
+        let run = run(&mut serial, &StepLender::absent());
+        let stats = serial.lending_stats();
+        assert_eq!((stats.pooled_steps, stats.lent_instances), (0, 0));
         if let Ok(report) = &run.0 {
             let saw = |wanted: fn(&ServeEvent) -> bool| run.1.iter().any(wanted);
             assert!(saw(|e| matches!(e, ServeEvent::PrefillChunk { .. })));
@@ -392,16 +443,9 @@ mod tests {
         run
     }
 
-    fn lender_with(work: fn(&mut StepJob)) -> Mutex<StepLender> {
-        let helper = Helper::spawn("test-attention", work).expect("spawn");
-        Mutex::new(StepLender::new(HelperSlot::Running(helper)))
-    }
-
     #[test]
     fn a_pooled_run_equals_its_serial_twin() {
-        // A private helper, so the pool is split even where the shared one
-        // would not start (one core) or is taken by a parallel test.
-        let lender = lender_with(run_job);
+        let lender = StepLender::private();
         for seed in 0..3 {
             let mut pooled = engine(seed);
             assert_eq!(run(&mut pooled, &lender), serial(seed), "seed {seed}");
@@ -419,10 +463,8 @@ mod tests {
     /// private helper and serially: the two runs, and the pooled one's
     /// lending.
     fn pooled_and_serial(prompts: &[usize]) -> (Run, Run, LendingStats) {
-        let lender = lender_with(run_job);
-        let runs = [true, false].map(|lend| {
+        let runs = [StepLender::private(), StepLender::absent()].map(|lender| {
             let mut engine = idle_engine(5);
-            engine.lend_attention = lend;
             for (id, &prompt) in prompts.iter().enumerate() {
                 let request = ServingRequest::new(id as u64, prompt, 6);
                 engine.enqueue(request).expect("valid request");
@@ -459,7 +501,7 @@ mod tests {
 
     #[test]
     fn a_helper_that_panics_degrades_to_the_stepping_thread() {
-        let lender = lender_with(|_| panic!("helper down (expected by this test)"));
+        let lender = StepLender::with_helper(|_| panic!("helper down (expected by this test)"));
         let mut pooled = engine(1);
         // The first pool loses its lent share to the panic and the slot
         // loop simulates it; every later pool finds no helper.
@@ -483,7 +525,7 @@ mod tests {
 
     #[test]
     fn a_taken_helper_is_not_waited_for() {
-        let lender = lender_with(run_job);
+        let lender = StepLender::private();
         let taken = lender.lock().unwrap();
         let mut pooled = engine(3);
         // Would deadlock on `lock`; `try_lock` falls through at once.
@@ -507,11 +549,10 @@ mod tests {
             engine.cfg.prefill_chunk_pages = 0;
             engine
         };
-        let lender = lender_with(run_job);
         let mut pooled = broken(4);
         let mut serial = broken(4);
-        serial.lend_attention = false;
-        let (pooled_run, serial_run) = (run(&mut pooled, &lender), run(&mut serial, &STEP_LENDER));
+        let pooled_run = run(&mut pooled, &StepLender::private());
+        let serial_run = run(&mut serial, &StepLender::absent());
         assert!(matches!(pooled_run.0, Err(ServeError::Core(_))));
         // Same error, after the same events: the failing slot was reached
         // by the slot loop, not short-cut by the pool.

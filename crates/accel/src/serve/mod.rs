@@ -423,10 +423,6 @@ pub struct ServingEngine {
     /// The stepping thread's key buffers, kept from one simulation to the
     /// next.
     scratch: KeyScratch,
-    /// Whether a share of a step's pool of attention instances may go to
-    /// the process-wide helper thread. A cluster that steps its shards on
-    /// several threads clears it: those threads already hold the cores.
-    pub(crate) lend_attention: bool,
     lending: LendingStats,
     /// Cycle-level simulations run so far.
     #[cfg(test)]
@@ -522,7 +518,6 @@ impl ServingEngine {
             step_index: 0,
             arrival_seq: 0,
             scratch: KeyScratch::default(),
-            lend_attention: true,
             lending: LendingStats::default(),
             #[cfg(test)]
             simulations: 0,
@@ -541,8 +536,10 @@ impl ServingEngine {
         self.policy.name()
     }
 
-    /// How often this engine's steps have used the second core for their
-    /// attention instances so far.
+    /// How often this engine's own [`step`](Self::step)s have used the
+    /// second core for their attention instances so far. A cluster pools
+    /// its shards' steps itself and counts them in
+    /// [`ClusterEngine::lending_stats`](cluster::ClusterEngine::lending_stats).
     #[must_use]
     pub fn lending_stats(&self) -> LendingStats {
         self.lending
@@ -1159,15 +1156,32 @@ impl ServingEngine {
     }
 
     /// [`step`](Self::step), with the helper a step's pool of attention
-    /// instances may be shared with.
+    /// instances may be shared with. A step is three phases, and a cluster
+    /// runs each over all its shards before the next: admission, the pooled
+    /// attention pass over whatever was admitted, and the slot loop.
     fn step_lending_to(
         &mut self,
         lender: &Mutex<StepLender>,
     ) -> Result<Option<StepReport>, ServeError> {
+        self.begin_step();
+        let lent = lend::pool_attention(std::slice::from_mut(self), lender);
+        self.lending += lent;
+        self.finish_step()
+    }
+
+    /// The first phase of a step: rejects what has expired and admits what
+    /// fits, so the batch is the one this step's slot loop will walk.
+    fn begin_step(&mut self) {
         if self.cfg.reject_expired_ttft {
             self.reject_expired();
         }
         self.admit();
+    }
+
+    /// The last phase of a step, after [`begin_step`](Self::begin_step) and
+    /// the pooled attention pass: the idle and stalled checks, the slot loop
+    /// and retirement. Returns what [`step`](Self::step) returns.
+    fn finish_step(&mut self) -> Result<Option<StepReport>, ServeError> {
         if self.batch.is_empty() {
             if self.pending.is_empty() {
                 return Ok(None);
@@ -1193,7 +1207,6 @@ impl ServingEngine {
             weight_cycles: weight_stream_cycles(&self.cfg.accel, self.cfg.weight_bytes),
             ..StepReport::idle(step)
         };
-        self.pool_attention(lender);
         let mut chunk_budget = self.chunk_budget();
         for slot in 0..self.batch.len() {
             match chunk_budget.next(self.batch.slots()[slot].kv.prefill_owed()) {

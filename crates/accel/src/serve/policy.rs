@@ -130,11 +130,12 @@ impl RunningView {
 /// budget, and a candidate that still does not fit ends admission for the
 /// step — so a policy cannot corrupt the batch, only order it badly.
 ///
-/// Policies must be [`Send`]: a [`ClusterEngine`](super::ClusterEngine)
-/// steps its shards on scoped worker threads, and each shard's policy
-/// travels with it. Policies only ever run on one thread at a time (the
-/// engine holds them by `&mut`), so `Send` — not `Sync` — is the bound,
-/// and any policy made of owned data satisfies it automatically.
+/// Policies must be [`Send`]: an application may move an engine, or a
+/// whole [`ClusterEngine`](super::ClusterEngine), to another thread, and
+/// each engine's policy travels with it. Policies only ever run on one
+/// thread at a time (the engine holds them by `&mut`), so `Send` — not
+/// `Sync` — is the bound, and any policy made of owned data satisfies it
+/// automatically.
 ///
 /// # Example
 ///

@@ -52,11 +52,11 @@ impl ShardView {
 /// work stealing, when enabled, is the cluster's own deterministic
 /// rebalancing and never consults the router.
 ///
-/// Routers must be [`Send`] so a whole
-/// [`ClusterEngine`](super::ClusterEngine) (which steps its shards on
-/// scoped worker threads) can move between threads. Routing itself always
-/// runs on the coordinator thread, between shard steps — the router never
-/// crosses a thread boundary mid-decision.
+/// Routers must be [`Send`] so an application can move a whole
+/// [`ClusterEngine`](super::ClusterEngine) to another thread. Routing
+/// itself always runs on the thread that calls
+/// [`enqueue`](super::ClusterEngine::enqueue) — the router never crosses a
+/// thread boundary mid-decision.
 pub trait RoutingPolicy: fmt::Debug + Send {
     /// Stable, human-readable policy name (used in reports and benches).
     fn name(&self) -> &'static str;

@@ -16,9 +16,8 @@
 //! The correctness anchor is the **fixed point**: record a run, replay
 //! it, record the replay — the two traces' digests (an FNV-1a over the
 //! typed event stream) are identical. `tests/serving.rs` pins this across
-//! scenarios, policies, routers, stealing, retention and `threads > 1`,
-//! and a checked-in golden trace under `tests/data/` keeps it honest
-//! against format drift.
+//! scenarios, policies, routers, stealing and retention, and a checked-in
+//! golden trace under `tests/data/` keeps it honest against format drift.
 //!
 //! The on-disk format is line-oriented JSON (one flat object per line:
 //! one meta line, one line per request, one per event, one digest
@@ -94,7 +93,8 @@ pub struct TraceMeta {
     pub routing: String,
     /// Whether work stealing was on.
     pub stealing: bool,
-    /// Worker threads the cluster stepped shards on.
+    /// A number format v1 records and replays byte for byte; it selects
+    /// nothing (it once sized the worker threads a cluster stepped on).
     pub threads: usize,
     /// The `run_to_completion` step bound.
     pub max_steps: usize,
@@ -128,7 +128,8 @@ impl TraceMeta {
     }
 
     /// Records the cluster shape of the run (shard count, routing,
-    /// stealing, worker threads).
+    /// stealing) and the `threads` number format v1 carries beside it,
+    /// which selects nothing.
     #[must_use]
     pub fn for_cluster(
         mut self,
@@ -300,7 +301,6 @@ pub fn run_recorded_with_lending(
         .shards(meta.shards)
         .routing(routing)
         .stealing(meta.stealing)
-        .threads(meta.threads)
         .build();
     let mut recorder = TraceRecorder::new(meta.clone());
     for req in requests {

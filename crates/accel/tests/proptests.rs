@@ -473,14 +473,12 @@ proptest! {
     }
 
     /// Cluster conservation: under arbitrary enqueue/step interleavings —
-    /// any shard count, worker thread count (1 = sequential through more
-    /// threads than shards), routing policy, scheduler policy, chunked-
-    /// prefill budget, stealing and preemption on or off — no request is
-    /// lost, duplicated, or decoded
-    /// on two shards; every shard's pager satisfies its conservation
-    /// oracle at the end and drains to nothing allocated; shards stay in
-    /// lockstep with the cluster clock; and with stealing off every
-    /// request finishes on the shard it was routed to.
+    /// any shard count, routing policy, scheduler policy, chunked-prefill
+    /// budget, stealing and preemption on or off — no request is lost,
+    /// duplicated, or decoded on two shards; every shard's pager satisfies
+    /// its conservation oracle at the end and drains to nothing allocated;
+    /// shards stay in lockstep with the cluster clock; and with stealing
+    /// off every request finishes on the shard it was routed to.
     #[test]
     fn cluster_conserves_requests_across_shards(
         seed in any::<u64>(),
@@ -490,7 +488,6 @@ proptest! {
         policy_idx in 0usize..PolicyKind::all().len(),
         preempt in any::<bool>(),
         prefill_chunk in 0usize..3,
-        threads in 1usize..6,
         tiered in any::<bool>(),
         ops in prop::collection::vec(0u8..4, 4..28),
     ) {
@@ -526,7 +523,6 @@ proptest! {
             .shards(shards)
             .routing(routing)
             .stealing(stealing)
-            .threads(threads)
             .build();
 
         let mut next_id = 0u64;

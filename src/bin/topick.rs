@@ -267,13 +267,11 @@ fn cmd_serve_replay(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let meta = &recorded.meta;
     let (trace, report) = recorded.replay_verified()?;
     println!(
-        "replayed {path}: scenario {}, policy {}, {} shard{} ({} thread{}), {} requests, {} events",
+        "replayed {path}: scenario {}, policy {}, {} shard{}, {} requests, {} events",
         meta.scenario.as_deref().unwrap_or("ad-hoc"),
         meta.policy,
         meta.shards,
         if meta.shards == 1 { "" } else { "s" },
-        meta.threads,
-        if meta.threads == 1 { "" } else { "s" },
         trace.requests.len(),
         trace.events.len()
     );
@@ -374,7 +372,7 @@ const SERVE_USAGE: [&str; 10] = [
     "[--prefix-cache] [--prefill-factor F] [--prefill-chunk PAGES]",
     "[--slo-ttft STEPS] [--slo-itl STEPS] [--slo-reject]",
     "[--host-pages N] [--swap-cost F] [--ship-cost F]",
-    "[--shards N] [--routing rr|least|affinity] [--stealing] [--threads N]",
+    "[--shards N] [--routing rr|least|affinity] [--stealing]",
     "[--scenario NAME [--scenario-seed S]] [--list-scenarios]",
     "[--record PATH | --replay PATH]",
     "[--real-tokens]  serve real synth-model tokens from the paged KV store",
@@ -420,7 +418,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     if scenario.is_some() {
         // A scenario fixes the engine shape it was designed against;
         // scheduling flags (--policy/--preemption/--retention/--shards/
-        // --routing/--stealing/--threads) still compose with it.
+        // --routing/--stealing) still compose with it.
         for sized in [
             "batch",
             "page-size",
@@ -481,11 +479,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     let routing = flag(flags, "routing", RoutingKind::RoundRobin)?;
     let shards = flag(flags, "shards", 1usize)?.max(1);
     let stealing = flags.contains_key("stealing");
-    let threads = flag(flags, "threads", 1usize)?.max(1);
-    if shards <= 1 && (flags.contains_key("routing") || stealing || flags.contains_key("threads")) {
-        return Err(
-            "--routing, --stealing and --threads only take effect with --shards > 1".into(),
-        );
+    if shards <= 1 && (flags.contains_key("routing") || stealing) {
+        return Err("--routing and --stealing only take effect with --shards > 1".into());
     }
     if cfg.host_pages == 0 && flags.contains_key("swap-cost") {
         return Err("--swap-cost only takes effect with --host-pages > 0".into());
@@ -553,7 +548,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
         shards,
         routing.name(),
         stealing,
-        threads,
+        1, // trace format v1's `threads` number; it selects nothing
     );
     if let Some(kind) = scenario {
         meta = meta.for_scenario(kind.name(), scenario_seed);
@@ -703,24 +698,20 @@ fn cmd_serve_cluster(
         println!("scenario {scenario} (seed {})", meta.scenario_seed);
     }
     println!(
-        "mode {:?}, policy {}, routing {}{}: {} shards on {} thread{}, {} requests, {} tokens in {} steps",
+        "mode {:?}, policy {}, routing {}{}: {} shards, {} requests, {} tokens in {} steps",
         cfg.accel.mode,
         report.policy,
         report.routing,
         if report.stealing { " + stealing" } else { "" },
         report.shards.len(),
-        report.threads,
-        if report.threads == 1 { "" } else { "s" },
         report.requests().count(),
         report.tokens_generated(),
         report.cluster_steps
     );
     println!("makespan       : {} cycles (modeled)", report.total_cycles);
     println!(
-        "wall clock     : {:.1} ms (measured, {} thread{})",
-        report.wall_seconds * 1e3,
-        report.threads,
-        if report.threads == 1 { "" } else { "s" }
+        "wall clock     : {:.1} ms (measured)",
+        report.wall_seconds * 1e3
     );
     println!(
         "throughput     : {:.1} tokens/s",

@@ -174,6 +174,9 @@ fn serve_errors_exit_one_and_name_the_problem() {
     // Typos and garbage are errors naming the flag, never a silent
     // fallback to the default.
     assert!(error_of(&["serve", "--polcy", "sjf"]).contains("unknown flag --polcy"));
+    assert!(
+        error_of(&["serve", "--shards", "4", "--threads", "2"]).contains("unknown flag --threads")
+    );
     assert!(error_of(&["serve", "--replay", trace, "--bogus-flag"])
         .contains("unknown flag --bogus-flag"));
     assert!(error_of(&["serve", "--batch", "abc"]).contains("--batch: cannot parse 'abc'"));

@@ -12,8 +12,8 @@ use token_picker::accel::serve::scenario::{Scenario, SharedPrefixChat, SkewedEle
 use token_picker::accel::serve::trace::run_recorded;
 use token_picker::accel::{
     AccelConfig, AccelMode, AdmissionConfig, ClusterEngine, ClusterEvent, ClusterReport,
-    LendingStats, PolicyKind, PreemptionConfig, RetentionPolicy, RoutingKind, ScenarioKind,
-    ServeEvent, ServingConfig, ServingEngine, ServingReport, ServingRequest, Trace, TraceMeta,
+    PolicyKind, PreemptionConfig, RetentionPolicy, RoutingKind, ScenarioKind, ServeEvent,
+    ServingConfig, ServingEngine, ServingReport, ServingRequest, Trace, TraceMeta,
 };
 
 fn mixed_workload() -> Vec<ServingRequest> {
@@ -845,7 +845,6 @@ fn serve_skewed_cluster(
     shards: usize,
     routing: RoutingKind,
     stealing: bool,
-    threads: usize,
 ) -> ClusterReport {
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
     let mut cfg = SkewedElephantMice::default().serving_config(accel);
@@ -858,7 +857,6 @@ fn serve_skewed_cluster(
         .shards(shards)
         .routing(routing)
         .stealing(stealing)
-        .threads(threads)
         .build();
     for r in SkewedElephantMice::default().generate(0) {
         cluster.enqueue(r).expect("valid request");
@@ -887,7 +885,6 @@ fn one_shard_cluster_reproduces_the_bare_engine_bit_for_bit() {
                 1,
                 RoutingKind::RoundRobin,
                 stealing,
-                1,
             );
             assert_eq!(report.shards.len(), 1);
             assert_eq!(report.steals, 0, "{policy}: a 1-shard cluster stole");
@@ -917,7 +914,6 @@ fn four_shard_least_loaded_with_stealing_beats_one_shard_throughput() {
         1,
         RoutingKind::RoundRobin,
         false,
-        1,
     );
     let four = serve_skewed_cluster(
         PolicyKind::Fifo,
@@ -926,7 +922,6 @@ fn four_shard_least_loaded_with_stealing_beats_one_shard_throughput() {
         4,
         RoutingKind::LeastLoaded,
         true,
-        1,
     );
     assert_eq!(single.tokens_generated(), four.tokens_generated());
     assert!(
@@ -950,157 +945,30 @@ fn four_shard_least_loaded_with_stealing_beats_one_shard_throughput() {
 /// digests, makespan, step count and steal count all equal. Wall-clock
 /// (`wall_seconds`) is deliberately *not* compared — it is the one
 /// measured, run-varying field.
-fn assert_same_schedule(threaded: &ClusterReport, sequential: &ClusterReport, label: &str) {
+fn assert_same_schedule(left: &ClusterReport, right: &ClusterReport, label: &str) {
     assert_eq!(
-        threaded.shards.len(),
-        sequential.shards.len(),
+        left.shards.len(),
+        right.shards.len(),
         "{label}: shard count diverged"
     );
-    for (shard, (t, s)) in threaded
-        .shards
-        .iter()
-        .zip(sequential.shards.iter())
-        .enumerate()
-    {
+    for (shard, (l, r)) in left.shards.iter().zip(right.shards.iter()).enumerate() {
         assert_eq!(
-            schedule_digest(t),
-            schedule_digest(s),
-            "{label}: shard {shard} schedule diverged under threading"
+            schedule_digest(l),
+            schedule_digest(r),
+            "{label}: shard {shard} schedule diverged"
         );
     }
-    assert_eq!(threaded.steals, sequential.steals, "{label}: steals");
+    assert_eq!(left.steals, right.steals, "{label}: steals");
+    assert_eq!(left.total_cycles, right.total_cycles, "{label}: makespan");
     assert_eq!(
-        threaded.total_cycles, sequential.total_cycles,
-        "{label}: makespan"
-    );
-    assert_eq!(
-        threaded.cluster_steps, sequential.cluster_steps,
+        left.cluster_steps, right.cluster_steps,
         "{label}: step count"
     );
     assert_eq!(
-        threaded.tokens_generated(),
-        sequential.tokens_generated(),
+        left.tokens_generated(),
+        right.tokens_generated(),
         "{label}: tokens"
     );
-}
-
-#[test]
-fn threaded_cluster_is_digest_identical_to_sequential() {
-    // The tentpole guarantee: stepping shards on scoped worker threads
-    // changes wall-clock only, never the schedule. Sweep the full golden
-    // matrix — every scheduler policy × preemption (with 0.75 paged
-    // retention) × stealing on/off — on a 4-shard least-loaded cluster,
-    // comparing per-shard digests between threads = 1 and threads = 4.
-    // The sequential side of this comparison is itself pinned against the
-    // PR 3 goldens by `one_shard_cluster_reproduces_the_bare_engine…`.
-    for &(policy, preemption, _) in &GOLDEN_POLICY_DIGESTS {
-        for stealing in [false, true] {
-            let run = |threads: usize| {
-                serve_skewed_cluster(
-                    policy,
-                    preemption,
-                    RetentionPolicy::Fraction(0.75),
-                    4,
-                    RoutingKind::LeastLoaded,
-                    stealing,
-                    threads,
-                )
-            };
-            let sequential = run(1);
-            let threaded = run(4);
-            assert_eq!(threaded.threads, 4);
-            assert_same_schedule(
-                &threaded,
-                &sequential,
-                &format!("{policy} (preemption: {preemption}, stealing: {stealing})"),
-            );
-        }
-    }
-
-    // The two sides also simulate their attention on different threads: a
-    // shard stepped on the caller's thread pools each step's instances and
-    // lends about half of them, whole, to the process-wide helper thread;
-    // shards stepped on worker threads keep theirs. Long documents make
-    // every instance past the pool's floor on its own (16 384 elements:
-    // 256 tokens at dim 64), and the schedule must not be able to tell who
-    // simulated what.
-    use token_picker::accel::serve::scenario::{LongDocSummarize, Scenario};
-    let scenario = LongDocSummarize { docs: 8 };
-    let requests = scenario.generate(11);
-    let long_docs = |requests: &[ServingRequest], threads: usize| {
-        let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-        let cfg = scenario.serving_config(accel);
-        let mut cluster = ClusterEngine::builder(cfg.accel.clone())
-            .config(cfg)
-            .shards(2)
-            .threads(threads)
-            .build();
-        for &r in requests {
-            cluster.enqueue(r).expect("valid request");
-        }
-        let report = cluster.run_to_completion(2048).expect("workload completes");
-        (report, cluster.lending_stats())
-    };
-    assert!(requests.iter().all(|r| r.prompt_len * 64 >= 16 * 1024));
-    assert_same_schedule(
-        &long_docs(&requests, 2).0,
-        &long_docs(&requests, 1).0,
-        "long documents, 2 shards",
-    );
-    // Short chats next to the documents: the caller-stepped side's pools
-    // now mix instances past the floor with ones far below it.
-    let mut mixed = requests.clone();
-    mixed.extend((0..24u64).map(|i| {
-        ServingRequest::new(1_000 + i, 40 + (i as usize % 6) * 24, 3 + i as usize % 5)
-            .arriving_at(i / 6)
-    }));
-    let (threaded, threaded_lending) = long_docs(&mixed, 2);
-    let (sequential, sequential_lending) = long_docs(&mixed, 1);
-    assert_same_schedule(&threaded, &sequential, "documents and chats, 2 shards");
-    assert_eq!(threaded.shards, sequential.shards);
-    assert_eq!(threaded_lending, LendingStats::default());
-    assert!(
-        sequential_lending.pooled_steps + sequential_lending.fallbacks > 0,
-        "no step of the mixed run had a pool worth splitting"
-    );
-    // And the lending side is the historical one: the one-shard run was
-    // pinned before any instance was simulated off the caller's thread.
-    let (one_shard, _) = long_doc_recorded(8, PolicyKind::Fifo, 0, false, false, None);
-    assert_eq!(
-        ("chunk-0", one_shard.digest),
-        LONG_DOC_TRACE_DIGESTS[0],
-        "a lent instance moved the pinned long-document trace"
-    );
-}
-
-#[test]
-fn threaded_cluster_is_digest_identical_across_routers() {
-    // Same guarantee along the routing axis: for every routing policy
-    // (including prefix-affinity, whose bindings live on the coordinator
-    // thread), a threaded 4-shard run under preemption + stealing matches
-    // its sequential twin shard for shard. Threads beyond the shard count
-    // must also change nothing — workers are capped at one slice each.
-    for routing in RoutingKind::all() {
-        let run = |threads: usize| {
-            serve_skewed_cluster(
-                PolicyKind::PriorityAging,
-                true,
-                RetentionPolicy::Fraction(0.75),
-                4,
-                routing,
-                true,
-                threads,
-            )
-        };
-        let sequential = run(1);
-        for threads in [2, 4, 16] {
-            assert_same_schedule(
-                &run(threads),
-                &sequential,
-                &format!("{routing} with {threads} threads"),
-            );
-        }
-    }
 }
 
 /// The shared-prefix chat workload served by a cluster under the
@@ -2407,8 +2275,9 @@ fn shipped_prefix_pulls_record_and_replay_to_the_same_digest() {
 
 /// The canonical skewed workload on a 4-shard least-loaded cluster with
 /// preemption, paged retention, the host tier *and* priced shipping all
-/// on — the full tiered configuration.
-fn serve_skewed_cluster_tiered(threads: usize) -> ClusterReport {
+/// on — the full tiered configuration — drains every tier of every shard.
+#[test]
+fn tiered_threaded_cluster_is_digest_identical_to_sequential() {
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
     let mut cfg = SkewedElephantMice::default().serving_config(accel);
     cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.75));
@@ -2421,141 +2290,16 @@ fn serve_skewed_cluster_tiered(threads: usize) -> ClusterReport {
         .shards(4)
         .routing(RoutingKind::LeastLoaded)
         .stealing(true)
-        .threads(threads)
         .build();
     for r in SkewedElephantMice::default().generate(0) {
         cluster.enqueue(r).expect("valid request");
     }
-    let report = cluster.run_to_completion(2048).expect("workload completes");
+    cluster.run_to_completion(2048).expect("workload completes");
     for i in 0..cluster.shard_count() {
         cluster.shard(i).kv_pager().validate();
         assert_eq!(cluster.shard(i).kv_pager().allocated_pages(), 0);
         assert_eq!(cluster.shard(i).kv_pager().host_pages_used(), 0);
     }
-    report
-}
-
-#[test]
-fn tiered_threaded_cluster_is_digest_identical_to_sequential() {
-    // Swap decisions live inside each shard's step; ship decisions live
-    // on the coordinator between step barriers. Neither may depend on
-    // which worker thread stepped which shard: the full tiered cluster
-    // must be digest-identical between threads = 1 and threads ∈ {2, 4}.
-    let sequential = serve_skewed_cluster_tiered(1);
-    for threads in [2, 4] {
-        let threaded = serve_skewed_cluster_tiered(threads);
-        assert_eq!(
-            threaded.ships, sequential.ships,
-            "{threads} threads: ship count diverged"
-        );
-        assert_eq!(
-            threaded.total_swap_cycles(),
-            sequential.total_swap_cycles(),
-            "{threads} threads: swap bill diverged"
-        );
-        assert_eq!(
-            threaded.total_ship_cycles(),
-            sequential.total_ship_cycles(),
-            "{threads} threads: ship bill diverged"
-        );
-        assert_same_schedule(
-            &threaded,
-            &sequential,
-            &format!("tiered cluster, {threads} threads"),
-        );
-    }
-}
-
-#[test]
-fn lending_attention_to_the_second_core_is_invisible_to_schedules_reports_and_prune_stats() {
-    // One engine, not two paths: a run whose shards hand part of every
-    // step's attention instances to the helper thread (shards stepped on
-    // the caller's thread) against a run that lends nothing (shards
-    // stepped on worker threads). Shared prefixes, chunked priced prefill,
-    // preemption with paged retention and a host tier cover every way a
-    // kept step is made, carried and dropped: pooled ahead of its slot,
-    // shared by a prompt's chunks, parked on a preempted request and
-    // re-used or outgrown on re-admission. Long documents ride among the
-    // chats, so pools also hold several instances that are each past the
-    // pool's floor (16 384 elements: 256 tokens at dim 64) on their own.
-    let scenario = SharedPrefixChat {
-        tenants: 6,
-        per_tenant: 8,
-    };
-    let run = |threads: usize| {
-        let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-        let mut cfg = scenario.serving_config(accel);
-        cfg.admission.max_batch = 8;
-        cfg.admission.max_batch_tokens = 1280;
-        cfg.prefill_chunk_pages = 8;
-        cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.5));
-        cfg.host_pages = 256;
-        let mut cluster = ClusterEngine::builder(cfg.accel.clone())
-            .config(cfg)
-            .policy(PolicyKind::PriorityAging)
-            .shards(2)
-            .routing(RoutingKind::LeastLoaded)
-            .threads(threads)
-            .build();
-        let documents = (0..6u64).map(|i| {
-            ServingRequest::new(9_000 + i, 272 + 16 * (i as usize % 4), 10)
-                .with_priority(i as u8 % 2)
-                .arriving_at(i / 2)
-        });
-        for r in scenario.generate(23).into_iter().chain(documents) {
-            cluster.enqueue(r).expect("valid request");
-        }
-        let report = cluster.run_to_completion(4096).expect("workload completes");
-        cluster.validate();
-        (report, cluster.drain_events(), cluster.lending_stats())
-    };
-    let (lending, lending_events, lent) = run(1);
-    let (cleared, cleared_events, not_lent) = run(2);
-    assert_same_schedule(&cleared, &lending, "shared-prefix chat, lending on vs off");
-    assert_eq!(cleared.shards, lending.shards, "per-shard reports");
-    assert_eq!(cleared_events, lending_events, "event streams");
-    for (a, b) in cleared.shards.iter().zip(&lending.shards) {
-        assert_eq!(a.prune, b.prune, "prune statistics");
-    }
-    // The run went through what it claims to cover...
-    assert!(lending.preemptions() > 0, "no preemption");
-    assert!(lending.total_swap_cycles() > 0, "no host swap");
-    assert!(lending.total_prefix_hit_tokens() > 0, "no shared prefix");
-    let chunks = lending_events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                ClusterEvent::Shard {
-                    event: ServeEvent::PrefillChunk { .. },
-                    ..
-                }
-            )
-        })
-        .count();
-    assert!(chunks > 0, "no chunked prefill");
-    let mut large_decodes = std::collections::BTreeMap::new();
-    for e in &lending_events {
-        if let ClusterEvent::Shard {
-            shard_id,
-            event: ServeEvent::TokenGenerated { step, context, .. },
-        } = e
-        {
-            if context * 64 >= 16 * 1024 {
-                *large_decodes.entry((*shard_id, *step)).or_insert(0) += 1;
-            }
-        }
-    }
-    assert!(
-        large_decodes.values().any(|&n| n >= 2),
-        "no step decoded two documents on one shard"
-    );
-    // ...and the two sides differ in exactly what is being compared.
-    assert_eq!(not_lent, LendingStats::default());
-    assert!(
-        lent.pooled_steps + lent.fallbacks > 0,
-        "no step had a pool worth splitting"
-    );
 }
 
 #[test]
