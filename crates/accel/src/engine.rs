@@ -15,7 +15,7 @@ use topick_core::{
     softmax, weighted_value_sum, CoreError, Decision, Estimator, KeptToken, QMatrix, QVector, Rows,
     ScanOrder,
 };
-use topick_dram::{DramConfig, DramSim};
+use topick_dram::DramSim;
 use topick_energy::{EnergyBreakdown, EventCounts, EventEnergies};
 
 use crate::config::{AccelConfig, AccelMode};
@@ -76,27 +76,6 @@ pub(crate) fn energy_breakdown(events: &EventCounts, dram: &DramSim) -> EnergyBr
         buffer_pj: events.buffer_energy_pj(&energies),
         compute_pj: events.compute_energy_pj(&energies),
     }
-}
-
-/// Streams `bursts` back-to-back sequential bursts through a fresh DRAM as
-/// fast as `enqueue` (`DramSim::try_enqueue` or `try_enqueue_write`) gets
-/// them accepted, and returns the drained simulator.
-pub(crate) fn stream_sequential(
-    cfg: &DramConfig,
-    bursts: u64,
-    enqueue: fn(&mut DramSim, u64, u64) -> bool,
-) -> DramSim {
-    let mut dram = DramSim::new(cfg.clone());
-    let burst_bytes = u64::from(cfg.access_bytes);
-    let mut issued = 0u64;
-    while issued < bursts || !dram.is_idle() {
-        while issued < bursts && enqueue(&mut dram, issued, issued * burst_bytes) {
-            issued += 1;
-        }
-        dram.tick();
-        while dram.pop_completed().is_some() {}
-    }
-    dram
 }
 
 /// One lane's in-order stream of multi-burst DRAM transfers: first K chunks,

@@ -38,22 +38,16 @@
 #![warn(missing_debug_implementations)]
 
 pub mod backend;
-pub mod batch;
 pub mod config;
 pub mod engine;
-pub mod generation;
 pub mod layout;
 pub mod prompt;
 pub mod result;
 pub mod serve;
 
 pub use backend::SimulatedAttention;
-pub use batch::{
-    compare_batch_step, simulate_batch_step, weight_stream_cycles, BatchStepParams, BatchStepResult,
-};
 pub use config::{AccelConfig, AccelMode};
 pub use engine::ToPickAccelerator;
-pub use generation::{GenerationConfig, GenerationRunResult, GenerationSimulator};
 pub use layout::KvLayout;
 pub use prompt::{run_prompt_phase, PromptPhaseResult};
 pub use result::{AttentionCost, AttentionStepResult};

@@ -10,11 +10,11 @@
 //! focuses on generation.
 
 use topick_core::{softmax, CoreError, QMatrix, QVector, Rows};
-use topick_dram::DramSim;
+use topick_dram::{DramConfig, DramSim};
 use topick_energy::{EnergyBreakdown, EventCounts};
 
 use crate::config::AccelConfig;
-use crate::engine::{energy_breakdown, stream_sequential};
+use crate::engine::energy_breakdown;
 
 /// Result of simulating one head's prompt phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,7 +68,7 @@ pub fn run_prompt_phase(
 
     // (1) Preload: stream all K and V rows sequentially into the buffers.
     let total_bursts = 2 * n as u64 * row_bytes.div_ceil(burst);
-    let dram = stream_sequential(&cfg.dram, total_bursts, DramSim::try_enqueue);
+    let dram = stream_sequential(&cfg.dram, total_bursts);
     let preload_cycles = dram.cycle().div_ceil(cfg.clock_ratio);
     events.buffer_write_bytes += total_bursts * burst;
 
@@ -105,6 +105,22 @@ pub fn run_prompt_phase(
         events,
         outputs,
     })
+}
+
+/// Reads `bursts` back-to-back sequential bursts through a fresh DRAM as
+/// fast as it accepts them, and returns the drained simulator.
+fn stream_sequential(cfg: &DramConfig, bursts: u64) -> DramSim {
+    let mut dram = DramSim::new(cfg.clone());
+    let burst_bytes = u64::from(cfg.access_bytes);
+    let mut issued = 0u64;
+    while issued < bursts || !dram.is_idle() {
+        while issued < bursts && dram.try_enqueue(issued, issued * burst_bytes) {
+            issued += 1;
+        }
+        dram.tick();
+        while dram.pop_completed().is_some() {}
+    }
+    dram
 }
 
 #[cfg(test)]

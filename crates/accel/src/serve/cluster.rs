@@ -870,7 +870,7 @@ impl ClusterEngine {
         if self.stealing && self.shards.len() > 1 {
             self.steal();
         }
-        if self.shipping_enabled() && self.shards.len() > 1 {
+        if self.shipping_enabled() {
             self.pull_pending_prefixes();
         }
         self.shards.iter_mut().for_each(ServingEngine::begin_step);

@@ -26,8 +26,8 @@
 //!    never free but retention makes it cheaper. Shared pages are never
 //!    reclaimed out from under a second owner.
 //! 2. **Weight streaming**: the FC/FFN weights stream from DRAM once and
-//!    are shared by every request in the batch
-//!    ([`weight_stream_cycles`]).
+//!    are shared by every request in the batch, at the DRAM peak
+//!    bandwidth.
 //! 3. **Attention**: each request streams its own KV cache through the
 //!    cycle-level simulator at its own context length — heterogeneous
 //!    contexts batch together, exactly the regime where Token-Picker's
@@ -85,7 +85,6 @@ use std::sync::Mutex;
 
 use topick_core::PruneStats;
 
-use crate::batch::weight_stream_cycles;
 use crate::config::AccelConfig;
 use crate::engine::ToPickAccelerator;
 
@@ -1204,7 +1203,7 @@ impl ServingEngine {
         let step = self.step_index;
         let mut report = StepReport {
             batch: self.batch.len(),
-            weight_cycles: weight_stream_cycles(&self.cfg.accel, self.cfg.weight_bytes),
+            weight_cycles: pricing::weight_stream_cycles(&self.cfg.accel, self.cfg.weight_bytes),
             ..StepReport::idle(step)
         };
         let mut chunk_budget = self.chunk_budget();

@@ -1,8 +1,24 @@
-//! The serving cost model's prices, in one place: every prefill,
-//! re-prefill, host-swap and cross-shard-ship charge is the request's
-//! measured attention cost scaled by a configured factor and by the share
-//! of its context the work covers. [`ServingEngine::step`](super::ServingEngine::step)
-//! decides *what* a slot owes; this module decides what that costs.
+//! The serving cost model's prices, in one place: the step's shared
+//! weight stream, and every prefill, re-prefill, host-swap and
+//! cross-shard-ship charge — the request's measured attention cost scaled
+//! by a configured factor and by the share of its context the work
+//! covers. [`ServingEngine::step`](super::ServingEngine::step) decides
+//! *what* a step and its slots owe; this module decides what that costs.
+
+use crate::config::AccelConfig;
+
+/// Accelerator cycles spent streaming `weight_bytes` of FC/FFN weights at
+/// the DRAM peak bandwidth — the per-step cost every request in a batch
+/// shares (paper §2.2.1), and the best case for the baseline.
+pub(super) fn weight_stream_cycles(accel_cfg: &AccelConfig, weight_bytes: u64) -> u64 {
+    // Weights stream at peak DRAM bandwidth: bytes / (bytes-per-accel-cycle).
+    let bytes_per_dram_cycle = f64::from(accel_cfg.dram.bus_bits) / 8.0
+        * accel_cfg.dram.channels as f64
+        / accel_cfg.dram.t_burst as f64
+        * 2.0; // two transfer clocks per burst move access_bytes
+    let bytes_per_accel_cycle = bytes_per_dram_cycle * accel_cfg.clock_ratio as f64;
+    (weight_bytes as f64 / bytes_per_accel_cycle).ceil() as u64
+}
 
 /// A price factor as the engine uses it: negative and NaN configurations
 /// price the work as free rather than poisoning the cycle totals.
@@ -117,6 +133,16 @@ mod tests {
         assert_eq!(share(1000, 1.0, 0, 12), 0);
         assert_eq!(share(1000, clamp_factor(-2.0), 12, 12), 0);
         assert_eq!(share(1000, clamp_factor(f64::NAN), 12, 12), 0);
+    }
+
+    #[test]
+    fn weight_streaming_cost_scales_with_bytes() {
+        let cfg = AccelConfig::baseline();
+        let small = weight_stream_cycles(&cfg, 1_000_000);
+        let large = weight_stream_cycles(&cfg, 10_000_000);
+        assert!(small > 0);
+        assert!(large > 9 * small, "{large} vs {small}");
+        assert_eq!(weight_stream_cycles(&cfg, 0), 0);
     }
 
     #[test]

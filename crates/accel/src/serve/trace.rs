@@ -4,8 +4,9 @@
 //!
 //! A [`Trace`] holds three things: a [`TraceMeta`] snapshot of everything
 //! that shaped the schedule (engine sizing, scheduling policy, preemption
-//! and retention, sharding, routing, stealing, thread count, step bound),
-//! the originating [`ServingRequest`]s in enqueue order, and the typed
+//! and retention, sharding, routing, stealing, step bound — plus a thread
+//! count that shapes nothing and is carried only for format v1), the
+//! originating [`ServingRequest`]s in enqueue order, and the typed
 //! [`ClusterEvent`] stream the run emitted (single-engine events are
 //! wrapped as shard 0). Because every layer of the engine is
 //! deterministic, that snapshot is sufficient: rebuilding the engine from

@@ -10,6 +10,7 @@ use topick_accel::{
     ServingEngine, ServingRequest, ToPickAccelerator, TraceMeta,
 };
 use topick_core::{exact_probabilities, PrecisionConfig, QMatrix, QVector, Rows};
+use topick_model::{PagedKvStore, PagedSeq};
 
 fn random_instance(seed: u64, n: usize, dim: usize) -> (QVector, QMatrix, Vec<f32>) {
     let pc = PrecisionConfig::paper();
@@ -28,6 +29,22 @@ fn random_instance(seed: u64, n: usize, dim: usize) -> (QVector, QMatrix, Vec<f3
         QMatrix::quantize_flat(&keys, dim, pc).expect("non-empty"),
         values,
     )
+}
+
+/// Appends `n` (content-free) rows to `seq`.
+fn push_rows(store: &mut PagedKvStore, seq: &mut PagedSeq, n: usize) {
+    for _ in 0..n {
+        store.push(seq, &[0.0], &[0.0]);
+    }
+}
+
+/// Gives every page of a `len`-token sequence past the end of `chain` a
+/// content hash no other page has.
+fn label_pages(chain: &mut Vec<u64>, len: usize, page: usize, next_key: &mut u64) {
+    while chain.len() < len.div_ceil(page) {
+        *next_key += 1;
+        chain.push(*next_key);
+    }
 }
 
 proptest! {
@@ -469,6 +486,95 @@ proptest! {
         prop_assert_eq!(pager.mapped_pages(), 0);
         if !cache_enabled {
             prop_assert_eq!(pager.free_pages(), pager.total_pages());
+        }
+    }
+
+    /// `KvPager` ⇄ `PagedKvStore` differential: one random op sequence
+    /// over live owners drives the pager's page accounting and the store's
+    /// physical pages — create n tokens (`reserve` / n `push`es), fork a
+    /// live parent at j of its full pages (`register_prefix` +
+    /// `adopt_prefix` + `reserve` / `fork` + `push`es), grow, truncate to
+    /// whole pages, release — and after every op the two agree on each
+    /// owner's pages, distinct allocated pages, mappings and pages shared
+    /// by more than one owner, and both oracles hold. Forks come only from
+    /// live owners: the pager re-adopts refcount-0 cached pages from its
+    /// prefix index, which a store cannot fork (its pages are freed with
+    /// their last mapping), so a fork of a released or truncated-away
+    /// prefix has no store counterpart.
+    #[test]
+    fn kv_pager_and_paged_store_agree_under_any_op_sequence(
+        page in 1usize..9,
+        ops in prop::collection::vec(any::<u64>(), 4..64),
+    ) {
+        // Large enough that the pager never reclaims a cached page.
+        let mut pager = KvPager::new(page, 1024 * page).with_prefix_cache(true);
+        let mut store = PagedKvStore::new(1, page);
+        // Live owners: pager owner id, store sequence, and one content hash
+        // per page held (fresh unless inherited through a fork).
+        let mut live: Vec<(u64, PagedSeq, Vec<u64>)> = Vec::new();
+        let mut next_owner = 0u64;
+        let mut next_key = 0u64;
+        for &mix in &ops {
+            let tokens = 1 + (mix >> 32) as usize % (3 * page);
+            // With no owner alive, every op creates one.
+            let (op, at) = match live.len() {
+                0 => (0, 0),
+                n => (mix % 5, (mix >> 8) as usize % n),
+            };
+            match op {
+                0 => {
+                    let mut seq = store.new_seq();
+                    push_rows(&mut store, &mut seq, tokens);
+                    pager.reserve(next_owner, tokens);
+                    let mut chain = Vec::new();
+                    label_pages(&mut chain, tokens, page, &mut next_key);
+                    live.push((next_owner, seq, chain));
+                    next_owner += 1;
+                }
+                1 => {
+                    let (parent, parent_seq, parent_chain) = &live[at];
+                    let j = (mix >> 16) as usize % (parent_seq.len() / page + 1);
+                    let mut chain = parent_chain[..j].to_vec();
+                    pager.register_prefix(*parent, &chain);
+                    prop_assert_eq!(pager.adopt_prefix(next_owner, &chain), j);
+                    let mut seq = store.fork(parent_seq, j * page);
+                    push_rows(&mut store, &mut seq, tokens);
+                    pager.reserve(next_owner, seq.len());
+                    label_pages(&mut chain, seq.len(), page, &mut next_key);
+                    live.push((next_owner, seq, chain));
+                    next_owner += 1;
+                }
+                2 => {
+                    let (owner, seq, chain) = &mut live[at];
+                    push_rows(&mut store, seq, tokens);
+                    pager.reserve(*owner, seq.len());
+                    label_pages(chain, seq.len(), page, &mut next_key);
+                }
+                3 => {
+                    let (owner, seq, chain) = &mut live[at];
+                    let keep = (mix >> 16) as usize % (chain.len() + 1);
+                    pager.truncate(*owner, keep);
+                    store.truncate(seq, keep * page);
+                    chain.truncate(keep);
+                }
+                _ => {
+                    let (owner, mut seq, _) = live.swap_remove(at);
+                    pager.release(owner);
+                    store.release(&mut seq);
+                }
+            }
+            for (owner, seq, _) in &live {
+                prop_assert_eq!(pager.pages_of(*owner), seq.len().div_ceil(page));
+            }
+            prop_assert_eq!(pager.allocated_pages(), store.allocated_pages());
+            let mapped: usize = live.iter().map(|(_, s, _)| s.len().div_ceil(page)).sum();
+            prop_assert_eq!(pager.mapped_pages(), mapped);
+            let shared = (0..pager.total_pages())
+                .filter(|&p| pager.refcount(p) > 1)
+                .count();
+            prop_assert_eq!(shared, store.shared_pages());
+            pager.validate();
+            store.validate(&live.iter().map(|(_, s, _)| s).collect::<Vec<_>>());
         }
     }
 

@@ -81,16 +81,6 @@ impl EventCounts {
         self.buffer_read_bytes as f64 * e.buffer_read_pj_per_byte
             + self.buffer_write_bytes as f64 * e.buffer_write_pj_per_byte
     }
-
-    /// Accumulates another run's counts.
-    pub fn merge(&mut self, other: &EventCounts) {
-        self.mac_12x4 += other.mac_12x4;
-        self.mac_12x12 += other.mac_12x12;
-        self.exp += other.exp;
-        self.scoreboard += other.scoreboard;
-        self.buffer_read_bytes += other.buffer_read_bytes;
-        self.buffer_write_bytes += other.buffer_write_bytes;
-    }
 }
 
 /// A three-way energy breakdown matching Fig. 10(b)'s stacked bars.
@@ -178,18 +168,6 @@ mod tests {
             + 20.0 * e.scoreboard_access_pj;
         assert!((compute - expect).abs() < 1e-9);
         assert!(c.buffer_energy_pj(&e) > 0.0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = EventCounts::default();
-        let b = EventCounts {
-            mac_12x4: 3,
-            ..Default::default()
-        };
-        a.merge(&b);
-        a.merge(&b);
-        assert_eq!(a.mac_12x4, 6);
     }
 
     #[test]

@@ -29,7 +29,7 @@ proptest! {
         prop_assert!((dyn_mw - expect).abs() < 1e-9);
     }
 
-    /// Event energy is additive: merging counts merges energies.
+    /// Event energy is additive: summed counts cost the summed energies.
     #[test]
     fn event_energy_additive(
         a in 0u64..10_000, b in 0u64..10_000, c in 0u64..10_000,
@@ -37,8 +37,12 @@ proptest! {
         let e = EventEnergies::node_65nm();
         let x = EventCounts { mac_12x4: a, exp: b, buffer_read_bytes: c, ..Default::default() };
         let y = EventCounts { mac_12x4: c, exp: a, buffer_read_bytes: b, ..Default::default() };
-        let mut merged = x;
-        merged.merge(&y);
+        let merged = EventCounts {
+            mac_12x4: a + c,
+            exp: b + a,
+            buffer_read_bytes: c + b,
+            ..Default::default()
+        };
         let sum = x.compute_energy_pj(&e) + y.compute_energy_pj(&e);
         prop_assert!((merged.compute_energy_pj(&e) - sum).abs() < 1e-6);
         let bsum = x.buffer_energy_pj(&e) + y.buffer_energy_pj(&e);

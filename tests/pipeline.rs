@@ -3,7 +3,9 @@
 //! DRAM model, the energy model, and the SpAtten baseline must all agree
 //! on the same workloads.
 
-use token_picker::accel::{AccelConfig, AccelMode, ToPickAccelerator};
+use token_picker::accel::{
+    AccelConfig, AccelMode, ServingEngine, ServingRequest, ToPickAccelerator,
+};
 use token_picker::core::{
     exact_probabilities, weighted_value_sum, PrecisionConfig, ProgressivePruner, PrunerConfig,
     QMatrix, QVector,
@@ -233,27 +235,56 @@ fn prompt_then_generation_pipeline() {
     assert!(gen.cycles > 0);
 }
 
+/// The paper's §2.2.1 argument on the serving engine's step: the FC/FFN
+/// weights stream once per step while every request streams its own KV,
+/// so attention's share of the step — and ToPick's payoff — grows with
+/// the batch.
 #[test]
 fn batched_step_simulation_uses_model_specs() {
-    let (q, keys, _) = quantized(256, 64, 43);
+    const PROMPT: usize = 256;
     let spec = ModelSpec::opt_6_7b();
-    let params = token_picker::accel::BatchStepParams {
-        weight_bytes: spec.weight_bytes(),
-        heads: spec.n_layers * spec.n_heads,
-        batch: 64,
+    // The first step of `batch` requests that all joined at step 0.
+    let first_step = |accel: AccelConfig, batch: usize| {
+        let mut engine = ServingEngine::builder(accel)
+            .weight_bytes(spec.weight_bytes())
+            .heads(spec.n_layers * spec.n_heads)
+            .max_batch(batch)
+            .max_batch_tokens(batch * (PROMPT + 16))
+            .build();
+        for id in 0..batch as u64 {
+            engine
+                .enqueue(ServingRequest::new(id, PROMPT, 1))
+                .expect("enqueue");
+        }
+        let step = engine.step().expect("step").expect("a busy step");
+        assert_eq!(step.batch, batch);
+        step
     };
-    let base_cfg = AccelConfig::baseline();
     let tp_cfg = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("cfg");
-    let (base, tp, speedup) =
-        token_picker::accel::compare_batch_step(&base_cfg, &tp_cfg, &params, &q, &keys)
-            .expect("batch step");
-    // At context 256 (1/8th of the paper's S=2048) the KV share is small
-    // but must still be visible and must shrink under ToPick.
-    assert!(
-        base.attention_fraction > 0.05,
-        "{}",
-        base.attention_fraction
-    );
+    let mut prev: Option<(u64, f64, f64)> = None;
+    for batch in [1usize, 8, 64] {
+        let base = first_step(AccelConfig::baseline(), batch);
+        let tp = first_step(tp_cfg.clone(), batch);
+        let share = base.attention_cycles as f64 / base.total_cycles() as f64;
+        let speedup = base.total_cycles() as f64 / tp.total_cycles() as f64;
+        assert_eq!(base.weight_cycles, tp.weight_cycles);
+        if let Some((prev_weight_cycles, prev_share, prev_speedup)) = prev {
+            assert_eq!(base.weight_cycles, prev_weight_cycles, "batch {batch}");
+            assert!(
+                share > prev_share,
+                "batch {batch}: share {share} <= {prev_share}"
+            );
+            assert!(
+                speedup > prev_speedup,
+                "batch {batch}: speedup {speedup} <= {prev_speedup}"
+            );
+        }
+        prev = Some((base.weight_cycles, share, speedup));
+    }
+    // At context 256 (1/8th of the paper's S=2048) the KV share of a
+    // 64-request step is small but must still be visible, and ToPick must
+    // shrink the step.
+    let (_, share, speedup) = prev.expect("three batches");
+    assert!(share > 0.05, "attention share {share}");
     assert!(speedup > 1.0, "batched speedup {speedup}");
-    assert!(tp.total_cycles() < base.total_cycles());
 }
