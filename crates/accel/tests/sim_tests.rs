@@ -410,6 +410,28 @@ fn run_attention_is_pinned_bit_for_bit() {
         got.push(result_digest(&r));
         want.push(digest);
     }
+    // Captured before the DRAM controller kept one in-flight FIFO per
+    // channel, in two regimes no pin above reaches: at context 4096 the
+    // chunk-0 and chunk-1 K rows share banks on different DRAM rows, so
+    // FR-FCFS reorders (at <= 1024 every chunk sits in row 0), and a
+    // Baseline run at 8192 (like Blocking at 4096) outlasts tREFI, so
+    // refresh fires.
+    const LONG: [(AccelMode, usize, u64, u64); 5] = [
+        (OutOfOrder, 4096, 11, 0xc157_a1d9_52dd_992d),
+        (OutOfOrder, 4096, 12, 0x434f_3b19_fab5_2628),
+        (Blocking, 4096, 11, 0xc041_698f_37a9_487f),
+        (Blocking, 4096, 12, 0x9eec_ed40_46f5_b9c5),
+        (Baseline, 8192, 11, 0x0f71_fd4c_d625_a7f1),
+    ];
+    for (mode, n, seed, digest) in LONG {
+        let r = run(mode, 1e-3, n, seed);
+        let d = &r.dram_stats;
+        // More activates than banks: some bank switched rows.
+        assert!(d.activates > 8 * 16, "{mode:?} {n}: {d:?}");
+        assert!(n < 8192 || d.refreshes > 0, "{mode:?} {n}: {d:?}");
+        got.push(result_digest(&r));
+        want.push(digest);
+    }
     let hex = |v: &[u64]| v.iter().map(|d| format!("{d:#018x}")).collect::<Vec<_>>();
     assert_eq!(hex(&got), hex(&want));
 }
