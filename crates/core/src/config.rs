@@ -86,6 +86,7 @@ impl PrecisionConfig {
     ///
     /// Panics if `chunks_known` exceeds [`num_chunks`](Self::num_chunks).
     #[must_use]
+    #[inline]
     pub fn unknown_bits_after(&self, chunks_known: u32) -> u32 {
         assert!(
             chunks_known <= self.num_chunks(),

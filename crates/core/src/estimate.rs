@@ -56,6 +56,7 @@ impl LogDenominator {
     }
 
     /// Adds `exp(x)` to the denominator.
+    #[inline]
     pub fn add(&mut self, x: f64) {
         self.rebase_for(x);
         self.sum += (x - self.offset).exp();
@@ -72,6 +73,7 @@ impl LogDenominator {
     ///
     /// Panics (debug builds) if `new < old`, which would indicate a
     /// non-monotone refinement.
+    #[inline]
     pub fn replace(&mut self, old: f64, new: f64) {
         debug_assert!(
             new >= old,
@@ -88,6 +90,7 @@ impl LogDenominator {
 
     /// Natural log of the denominator; `-inf` when empty.
     #[must_use]
+    #[inline]
     pub fn ln(&self) -> f64 {
         if self.sum <= 0.0 {
             f64::NEG_INFINITY
@@ -103,6 +106,7 @@ impl LogDenominator {
         self.sum * self.offset.exp()
     }
 
+    #[inline]
     fn rebase_for(&mut self, x: f64) {
         // Keep exponents fed to exp() under ~60 so the linear accumulator
         // stays far from f64 overflow even after many additions.
@@ -126,6 +130,7 @@ impl Default for LogDenominator {
 /// `s_max` is the token's real-valued score upper bound and `ln_denominator`
 /// the current `ln D`. An empty denominator (`-inf`) never prunes.
 #[must_use]
+#[inline]
 pub fn should_prune(s_max: f64, ln_denominator: f64, ln_threshold: f64) -> bool {
     if ln_denominator == f64::NEG_INFINITY {
         return false;
@@ -222,6 +227,7 @@ impl<'a> Estimator<'a> {
     /// # Panics
     ///
     /// Panics if `token` or `chunks_known` is out of range.
+    #[inline]
     pub fn evaluate(&mut self, token: usize, chunks_known: u32) -> Decision {
         let depth = (chunks_known - 1) as usize;
         self.stats.chunk_fetches[depth] += 1;

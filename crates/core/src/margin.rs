@@ -90,6 +90,7 @@ impl MarginTable {
     ///
     /// Panics if `chunks_known` is zero or exceeds the chunk count.
     #[must_use]
+    #[inline]
     pub fn pair(&self, chunks_known: u32) -> MarginPair {
         assert!(
             chunks_known >= 1 && chunks_known <= self.pairs.len() as u32,

@@ -367,3 +367,87 @@ fn quantization_equals_the_scalar_formula_on_special_values() {
         }
     }
 }
+
+/// Every precision `PrecisionConfig::new` admits: every width up to 15
+/// bits, split into every chunk width that divides it.
+fn every_chunking() -> impl Iterator<Item = PrecisionConfig> {
+    (1..=15)
+        .flat_map(|bits| (1..=bits).filter_map(move |chunk| PrecisionConfig::new(bits, chunk).ok()))
+}
+
+/// `dot_known` as it was written before its loop was made vectorizable:
+/// one `known_value` per element, summed in `i64`.
+fn scalar_dot_known(q: &QVector, k: &[i16], chunks_known: u32) -> i64 {
+    let pc = q.precision();
+    q.codes()
+        .iter()
+        .zip(k)
+        .map(|(&a, &b)| i64::from(a) * i64::from(pc.known_value(b, chunks_known)))
+        .sum()
+}
+
+fn assert_dot_known_equals_the_scalar_sum(q: &[i16], k: &[i16], pc: PrecisionConfig) {
+    let qv = QVector::from_codes(q.to_vec(), 1.0, pc);
+    for chunks in 0..=pc.num_chunks() {
+        assert_eq!(
+            qv.dot_known(k, chunks),
+            scalar_dot_known(&qv, k, chunks),
+            "{}/{} bits, {chunks} chunks known, dim {}",
+            pc.total_bits(),
+            pc.chunk_bits(),
+            q.len()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The blocked `i32` partial dot equals the scalar `i64` sum at every
+    /// precision and chunk depth, for dims 1-600 and keys anywhere in
+    /// `i16` (`QMatrix::from_codes` does not range-check), with the extreme
+    /// codes that make the largest products mixed in.
+    #[test]
+    fn dot_known_equals_the_scalar_sum(seed in any::<u64>(), dim in 1usize..=600) {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let keys: Vec<i16> = (0..dim)
+            .map(|_| match next() % 8 {
+                0 => i16::MIN,
+                1 => -(1 << 14),
+                2 => (1 << 14) - 1,
+                3 => 1 << 14,
+                _ => next() as i16,
+            })
+            .collect();
+        for pc in every_chunking() {
+            let (lo, hi) = (i64::from(pc.min_value()), i64::from(pc.max_value()));
+            let query: Vec<i16> = (0..dim)
+                .map(|_| match next() % 4 {
+                    0 => lo as i16,
+                    1 => hi as i16,
+                    _ => (lo + (next() % (hi - lo + 1) as u64) as i64) as i16,
+                })
+                .collect();
+            assert_dot_known_equals_the_scalar_sum(&query, &keys, pc);
+        }
+    }
+}
+
+/// The overflow guard: every term at the largest positive product a
+/// precision allows — the most negative query code against the most
+/// negative key — over 600 terms, at every precision.
+#[test]
+fn dot_known_does_not_overflow_at_the_largest_products() {
+    for pc in every_chunking() {
+        let query = vec![pc.min_value(); 600];
+        for key in [i16::MIN, pc.min_value(), -(1 << 14)] {
+            assert_dot_known_equals_the_scalar_sum(&query, &vec![key; 600], pc);
+        }
+    }
+}

@@ -53,6 +53,7 @@ impl AddressMap {
 
     /// Decodes a byte address.
     #[must_use]
+    #[inline]
     pub fn decode(&self, addr: u64) -> Location {
         let burst = addr >> self.burst_shift;
         let channel = (burst % self.channels as u64) as usize;

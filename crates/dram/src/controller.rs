@@ -1,10 +1,9 @@
 //! The cycle-level DRAM controller: per-channel FR-FCFS scheduling over
 //! bank state machines, with a simple analytic command-timing model.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-use crate::address::{AddressMap, Location};
+use crate::address::AddressMap;
 use crate::config::DramConfig;
 use crate::stats::DramStats;
 
@@ -24,39 +23,154 @@ pub struct Completion {
     pub is_write: bool,
 }
 
+impl Completion {
+    /// The order in which transactions retiring on the same cycle are
+    /// reported. The channel is a function of `addr`, so this is the order
+    /// of `(finish, id, addr, enqueued_at, channel, is_write)`.
+    fn order_key(&self) -> (u64, u64, u64, u64, bool) {
+        (
+            self.finish_cycle,
+            self.id,
+            self.addr,
+            self.enqueued_at,
+            self.is_write,
+        )
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Pending {
     id: u64,
     addr: u64,
-    loc: Location,
     enqueued_at: u64,
     is_write: bool,
 }
 
 #[derive(Debug, Clone, Default)]
 struct Bank {
-    open_row: Option<u64>,
     ready_at: u64,
     activated_at: u64,
 }
 
 #[derive(Debug, Clone)]
 struct Channel {
+    /// FR-FCFS scan keys `(bank, row)`, one per `queue` entry, kept apart
+    /// from the payload so the scan reads 16 bytes per request.
+    targets: VecDeque<(usize, u64)>,
+    /// The first `known_misses` targets miss their bank's open row. Only
+    /// an activate can turn a miss into a hit, so after a row hit at `i`
+    /// the next scan starts at `i`; after an activate it starts over.
+    known_misses: usize,
     queue: VecDeque<Pending>,
+    /// Open row per bank; `None` while the bank is precharged.
+    open_rows: Vec<Option<u64>>,
     banks: Vec<Bank>,
     bus_free_at: u64,
-    in_flight: usize,
+    /// Issued transactions in issue order. Each one's data starts no
+    /// earlier than `bus_free_at`, the previous one's finish, so finish
+    /// cycles never decrease along the queue.
+    in_flight: VecDeque<Completion>,
     next_refresh_at: u64,
 }
 
-/// In-flight transaction key: `(finish, id, addr, enqueued_at, channel,
-/// is_write)` — ordered by finish cycle.
-type InFlight = (u64, u64, u64, u64, usize, bool);
+impl Channel {
+    /// FR-FCFS: prefer the oldest row-hit request; otherwise the oldest
+    /// request overall. Issues at most one transaction.
+    fn issue_one(&mut self, cfg: &DramConfig, stats: &mut DramStats, now: u64) {
+        // All-bank refresh: when tREFI elapses, close every row and block
+        // the channel for tRFC (counted as activates for energy).
+        if cfg.t_refi > 0 && now >= self.next_refresh_at {
+            self.next_refresh_at = now + cfg.t_refi;
+            let busy_until = now + cfg.t_rfc;
+            self.open_rows.fill(None);
+            for bank in &mut self.banks {
+                bank.ready_at = bank.ready_at.max(busy_until);
+            }
+            self.bus_free_at = self.bus_free_at.max(busy_until);
+            stats.refreshes += 1;
+            return;
+        }
+        // A real controller keeps a bounded set of transactions in flight
+        // (its CAM); commands for different banks pipeline freely within
+        // that window, which is what lets activates overlap.
+        if self.queue.is_empty() || self.in_flight.len() >= 16 {
+            return;
+        }
+        let open_rows = &self.open_rows;
+        let hit = self
+            .targets
+            .range(self.known_misses..)
+            .position(|&(bank, row)| open_rows[bank] == Some(row));
+        // A hit leaves the open rows as they are; the oldest request, a
+        // miss, activates a row.
+        self.known_misses = hit.map_or(0, |i| self.known_misses + i);
+        let pick = self.known_misses;
+        let (b, row) = self.targets.remove(pick).expect("index valid");
+        let p = self.queue.remove(pick).expect("index valid");
+        let bank = &mut self.banks[b];
+        let open_row = &mut self.open_rows[b];
+        let col_ready = match *open_row {
+            Some(open) if open == row => {
+                stats.row_hits += 1;
+                now.max(bank.ready_at)
+            }
+            Some(_) => {
+                stats.row_misses += 1;
+                stats.activates += 1;
+                let start = now.max(bank.ready_at).max(bank.activated_at + cfg.t_ras);
+                let activated = start + cfg.t_rp;
+                *open_row = Some(row);
+                bank.activated_at = activated;
+                activated + cfg.t_rcd
+            }
+            None => {
+                stats.row_misses += 1;
+                stats.activates += 1;
+                let start = now.max(bank.ready_at);
+                *open_row = Some(row);
+                bank.activated_at = start;
+                start + cfg.t_rcd
+            }
+        };
+        let data_start = (col_ready + cfg.t_cl).max(self.bus_free_at);
+        let finish = data_start + cfg.t_burst;
+        self.bus_free_at = finish;
+        bank.ready_at = col_ready + cfg.t_burst;
+        self.in_flight.push_back(Completion {
+            id: p.id,
+            addr: p.addr,
+            finish_cycle: finish,
+            enqueued_at: p.enqueued_at,
+            is_write: p.is_write,
+        });
+    }
+
+    /// Moves every transaction finished by `cycle` to `out`, in issue
+    /// order — which, finishes being nondecreasing, is all of them.
+    fn retire(&mut self, cycle: u64, stats: &mut DramStats, out: &mut VecDeque<Completion>) {
+        while let Some(&c) = self.in_flight.front() {
+            if c.finish_cycle > cycle {
+                break;
+            }
+            self.in_flight.pop_front();
+            let latency = c.finish_cycle - c.enqueued_at;
+            if c.is_write {
+                stats.writes += 1;
+            } else {
+                stats.reads += 1;
+            }
+            stats.total_latency += latency;
+            stats.max_latency = stats.max_latency.max(latency);
+            out.push_back(c);
+        }
+    }
+}
 
 /// A cycle-level multi-channel DRAM simulator.
 ///
-/// Reads model the KV-streaming traffic of the generation phase; writes
-/// model KV-cache appends (one K and one V row per generated token).
+/// Reads model the KV-streaming traffic of the generation phase. Writes
+/// are timed and counted like reads; no model in this workspace issues
+/// one, since the accelerator only streams KV data out of DRAM.
 ///
 /// # Examples
 ///
@@ -74,7 +188,6 @@ pub struct DramSim {
     cfg: DramConfig,
     map: AddressMap,
     channels: Vec<Channel>,
-    in_flight: BinaryHeap<Reverse<InFlight>>,
     completions: VecDeque<Completion>,
     cycle: u64,
     stats: DramStats,
@@ -87,10 +200,13 @@ impl DramSim {
         let map = AddressMap::new(&cfg);
         let channels = (0..cfg.channels)
             .map(|_| Channel {
+                targets: VecDeque::new(),
+                known_misses: 0,
                 queue: VecDeque::new(),
+                open_rows: vec![None; cfg.banks_per_channel],
                 banks: vec![Bank::default(); cfg.banks_per_channel],
                 bus_free_at: 0,
-                in_flight: 0,
+                in_flight: VecDeque::new(),
                 next_refresh_at: cfg.t_refi,
             })
             .collect();
@@ -98,7 +214,6 @@ impl DramSim {
             cfg,
             map,
             channels,
-            in_flight: BinaryHeap::new(),
             completions: VecDeque::new(),
             cycle: 0,
             stats: DramStats::default(),
@@ -125,26 +240,28 @@ impl DramSim {
 
     /// Enqueues a read of one burst at `addr`. Returns `false` when the
     /// target channel queue is full (caller should retry next cycle).
+    #[inline]
     pub fn try_enqueue(&mut self, id: u64, addr: u64) -> bool {
         self.enqueue_inner(id, addr, false)
     }
 
-    /// Enqueues a write of one burst at `addr` (KV-cache append traffic).
-    /// Returns `false` when the target channel queue is full.
+    /// Enqueues a write of one burst at `addr`. Returns `false` when the
+    /// target channel queue is full.
     pub fn try_enqueue_write(&mut self, id: u64, addr: u64) -> bool {
         self.enqueue_inner(id, addr, true)
     }
 
+    #[inline]
     fn enqueue_inner(&mut self, id: u64, addr: u64, is_write: bool) -> bool {
         let loc = self.map.decode(addr);
         let ch = &mut self.channels[loc.channel];
         if ch.queue.len() >= self.cfg.queue_depth {
             return false;
         }
+        ch.targets.push_back((loc.bank, loc.row));
         ch.queue.push_back(Pending {
             id,
             addr,
-            loc,
             enqueued_at: self.cycle,
             is_write,
         });
@@ -154,7 +271,10 @@ impl DramSim {
     /// Number of requests still queued or in flight.
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.channels.iter().map(|c| c.queue.len()).sum::<usize>() + self.in_flight.len()
+        self.channels
+            .iter()
+            .map(|c| c.queue.len() + c.in_flight.len())
+            .sum()
     }
 
     /// Whether all traffic has drained (completions may still be unread).
@@ -167,35 +287,21 @@ impl DramSim {
     /// per channel and retires finished bursts.
     pub fn tick(&mut self) {
         let now = self.cycle;
-        for ch_idx in 0..self.channels.len() {
-            self.issue_one(ch_idx, now);
-        }
         self.cycle += 1;
-        while let Some(&Reverse((finish, id, addr, enq, ch, is_write))) = self.in_flight.peek() {
-            if finish > self.cycle {
-                break;
-            }
-            self.in_flight.pop();
-            self.channels[ch].in_flight -= 1;
-            let latency = finish - enq;
-            if is_write {
-                self.stats.writes += 1;
-            } else {
-                self.stats.reads += 1;
-            }
-            self.stats.total_latency += latency;
-            self.stats.max_latency = self.stats.max_latency.max(latency);
-            self.completions.push_back(Completion {
-                id,
-                addr,
-                finish_cycle: finish,
-                enqueued_at: enq,
-                is_write,
-            });
+        let first = self.completions.len();
+        // A channel's issue reads only its own in-flight count, so retiring
+        // each channel right after it issues equals retiring after all do.
+        for ch in &mut self.channels {
+            ch.issue_one(&self.cfg, &mut self.stats, now);
+            ch.retire(self.cycle, &mut self.stats, &mut self.completions);
+        }
+        if self.completions.len() - first > 1 {
+            self.completions.make_contiguous()[first..].sort_unstable_by_key(Completion::order_key);
         }
     }
 
     /// Pops the next completed transaction, if any.
+    #[inline]
     pub fn pop_completed(&mut self) -> Option<Completion> {
         self.completions.pop_front()
     }
@@ -224,78 +330,6 @@ impl DramSim {
             out.push(c);
         }
         out
-    }
-
-    /// FR-FCFS: prefer the oldest row-hit request; otherwise the oldest
-    /// request overall. Issues at most one transaction.
-    fn issue_one(&mut self, ch_idx: usize, now: u64) {
-        let cfg = &self.cfg;
-        let ch = &mut self.channels[ch_idx];
-        // All-bank refresh: when tREFI elapses, close every row and block
-        // the channel for tRFC (counted as activates for energy).
-        if cfg.t_refi > 0 && now >= ch.next_refresh_at {
-            ch.next_refresh_at = now + cfg.t_refi;
-            let busy_until = now + cfg.t_rfc;
-            for bank in &mut ch.banks {
-                bank.open_row = None;
-                bank.ready_at = bank.ready_at.max(busy_until);
-            }
-            ch.bus_free_at = ch.bus_free_at.max(busy_until);
-            self.stats.refreshes += 1;
-            return;
-        }
-        if ch.queue.is_empty() {
-            return;
-        }
-        // A real controller keeps a bounded set of transactions in flight
-        // (its CAM); commands for different banks pipeline freely within
-        // that window, which is what lets activates overlap.
-        if ch.in_flight >= 16 {
-            return;
-        }
-        let pick = ch
-            .queue
-            .iter()
-            .position(|p| ch.banks[p.loc.bank].open_row == Some(p.loc.row))
-            .unwrap_or(0);
-        let p = ch.queue.remove(pick).expect("index valid");
-        let bank = &mut ch.banks[p.loc.bank];
-        let col_ready = match bank.open_row {
-            Some(row) if row == p.loc.row => {
-                self.stats.row_hits += 1;
-                now.max(bank.ready_at)
-            }
-            Some(_) => {
-                self.stats.row_misses += 1;
-                self.stats.activates += 1;
-                let start = now.max(bank.ready_at).max(bank.activated_at + cfg.t_ras);
-                let activated = start + cfg.t_rp;
-                bank.open_row = Some(p.loc.row);
-                bank.activated_at = activated;
-                activated + cfg.t_rcd
-            }
-            None => {
-                self.stats.row_misses += 1;
-                self.stats.activates += 1;
-                let start = now.max(bank.ready_at);
-                bank.open_row = Some(p.loc.row);
-                bank.activated_at = start;
-                start + cfg.t_rcd
-            }
-        };
-        let data_start = (col_ready + cfg.t_cl).max(ch.bus_free_at);
-        let finish = data_start + cfg.t_burst;
-        ch.bus_free_at = finish;
-        bank.ready_at = col_ready + cfg.t_burst;
-        ch.in_flight += 1;
-        self.in_flight.push(Reverse((
-            finish,
-            p.id,
-            p.addr,
-            p.enqueued_at,
-            ch_idx,
-            p.is_write,
-        )));
     }
 }
 
