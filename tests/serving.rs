@@ -2436,6 +2436,89 @@ fn rejecting_expired_queueing_never_costs_goodput_under_deadline_pressure() {
     }
 }
 
+/// A thousand small requests, 800 queued at step 0 and the rest arriving
+/// four per step: prompts of 16–32 tokens, 1–3 new tokens, priorities 0–7
+/// from 16 clients, and a TTFT deadline on every third request.
+fn deep_queue_workload() -> Vec<ServingRequest> {
+    fn mix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    (0..1000u64)
+        .map(|id| {
+            let h = mix(id);
+            let arrival = if id < 800 { 0 } else { 1 + (id - 800) / 4 };
+            let r = ServingRequest::new(id, 16 + (h % 17) as usize, 1 + (h >> 8) as usize % 3)
+                .with_priority((h >> 16) as u8 % 8)
+                .with_client((h >> 24) % 16)
+                .arriving_at(arrival);
+            if id % 3 == 0 {
+                r.with_ttft_deadline(90 + (h >> 32) % 120)
+            } else {
+                r
+            }
+        })
+        .collect()
+}
+
+#[rustfmt::skip]
+const DEEP_QUEUE_TRACE_DIGESTS: [(&str, u64); 5] = [
+    ("fifo", 10543750311722535373),
+    ("priority-aging", 16111601402977704018),
+    ("shortest-job-first", 13275979017226317737),
+    ("fair-round-robin", 7654968634192231043),
+    ("slo-aware", 2262677893960220148),
+];
+
+#[test]
+fn deep_queue_schedules_are_pinned_for_every_policy() {
+    // Every other pin runs at most a few dozen requests. Here hundreds
+    // queue at once, so policies pick from the middle of a deep queue,
+    // victims re-enter it mid-queue and expired deadlines are rejected
+    // from the middle of it: the admission paths a queue-depth change
+    // could reorder.
+    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+    let mut cfg = ServingConfig::new(accel);
+    cfg.heads = 2;
+    cfg.weight_bytes = 1_000_000;
+    cfg.admission = AdmissionConfig {
+        max_batch: 16,
+        max_batch_tokens: 512,
+        page_size: 16,
+        prefix_cache: false,
+    };
+    cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.5));
+    cfg.host_pages = 16;
+    cfg.reject_expired_ttft = true;
+    cfg.seed = 7;
+    let requests = deep_queue_workload();
+    let (mut preemptions, mut rejections) = (0, 0);
+    let mut digests = Vec::new();
+    for policy in PolicyKind::all() {
+        let meta = TraceMeta::new(&cfg, policy.name());
+        let (trace, report) = run_recorded(&meta, &requests)
+            .unwrap_or_else(|e| panic!("{policy}: deep-queue run failed: {e}"));
+        let report = engine_report(report, policy.name());
+        assert_eq!(
+            report.requests.len(),
+            requests.len(),
+            "{policy}: lost requests"
+        );
+        preemptions += report.preemptions;
+        rejections += report.rejections;
+        digests.push((policy.name(), trace.digest));
+    }
+    assert!(preemptions > 0, "no policy ever preempted");
+    assert!(rejections > 0, "no deadline ever expired in the queue");
+    assert_pinned_digests(
+        "DEEP_QUEUE_TRACE_DIGESTS",
+        &DEEP_QUEUE_TRACE_DIGESTS,
+        &digests,
+    );
+}
+
 #[test]
 fn truncated_cluster_snapshots_keep_the_prefix_hit_rate_in_unit_range() {
     // Two tenants' requests share 64-token prefixes and decode for 32
