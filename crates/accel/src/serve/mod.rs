@@ -81,6 +81,7 @@ pub use stats::{RequestStats, ServingReport, SessionStats, StepReport};
 pub use token_backed::{run_token_backed, TokenBackedBatch, TokenBackedRun};
 pub use trace::{Trace, TraceError, TraceMeta, TraceRecorder};
 
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use topick_core::PruneStats;
@@ -426,6 +427,9 @@ pub struct ServingEngine {
     /// Cycle-level simulations run so far.
     #[cfg(test)]
     simulations: usize,
+    /// Policy views of the queue built so far.
+    #[cfg(test)]
+    snapshots: usize,
 }
 
 /// What a slot does with its step.
@@ -520,6 +524,8 @@ impl ServingEngine {
             lending: LendingStats::default(),
             #[cfg(test)]
             simulations: 0,
+            #[cfg(test)]
+            snapshots: 0,
         }
     }
 
@@ -648,12 +654,22 @@ impl ServingEngine {
     ///   debt never exceeds its context, so the built prefix is
     ///   well-defined; only a rebuild debt has a host-tier holding, and
     ///   the holding is part of what the rebuild dropped;
-    /// * the host tier holds exactly the pages those holdings need.
+    /// * the host tier holds exactly the pages those holdings need;
+    /// * the queue is strictly increasing in arrival sequence, which its
+    ///   lookups by sequence binary-search on.
     ///
     /// # Panics
     ///
     /// Panics on the first violated invariant.
     pub fn validate(&self) {
+        assert!(
+            self.pending
+                .entries()
+                .iter()
+                .map(|e| e.arrival_seq)
+                .is_sorted_by(|a, b| a < b),
+            "pending queue is not strictly increasing in arrival sequence"
+        );
         let pager = self.batch.pager();
         pager.validate();
         let mut host_pages = 0;
@@ -891,6 +907,13 @@ impl ServingEngine {
     /// Admits queued requests under the policy's ordering while the batch
     /// has room, evicting victims for non-fitting candidates when
     /// preemption allows it.
+    ///
+    /// The policy's view of the queue is snapshotted once per call and
+    /// each admitted candidate's view is dropped from it, which is exact:
+    /// nothing else within one call changes a visible request's view.
+    /// Victims re-enter the queue evicted at this step, so they stay
+    /// invisible until the next one, and reclaiming retained pages
+    /// touches no field a view reads.
     fn admit(&mut self) {
         let step = self.step_index;
         let mut evictions_left = if self.cfg.preemption.enabled {
@@ -898,15 +921,18 @@ impl ServingEngine {
         } else {
             0
         };
-        loop {
-            let pending_views = self.pending.views(step);
-            if pending_views.is_empty() {
-                break;
-            }
+        // Built from a `Vec` and only ever shrunk, the deque never wraps,
+        // so `make_contiguous` hands the policy one slice in O(1).
+        let mut pending_views = VecDeque::from(self.pending.views(step));
+        #[cfg(test)]
+        {
+            self.snapshots += 1;
+        }
+        while !pending_views.is_empty() {
             let running_views = self.batch.views();
-            let Some(pi) = self
-                .policy
-                .pick_next(&pending_views, &running_views, step as u64)
+            let Some(pi) =
+                self.policy
+                    .pick_next(pending_views.make_contiguous(), &running_views, step as u64)
             else {
                 break;
             };
@@ -1006,6 +1032,12 @@ impl ServingEngine {
                 }
             }
             let mut active = self.pending.remove_by_seq(cand.arrival_seq);
+            pending_views.remove(pi);
+            debug_assert_eq!(
+                pending_views,
+                self.pending.views(step),
+                "the admission snapshot drifted from the queue"
+            );
             if active.stats.admitted_at.is_none() {
                 active.stats.admitted_at = Some(step);
             }
@@ -1515,6 +1547,44 @@ mod tests {
         assert!(chunks >= 6, "only {chunks} prefill chunks ran");
         assert_eq!(report.tokens_generated, 9);
         assert_eq!(engine.simulations, report.tokens_generated);
+    }
+
+    #[test]
+    fn admission_snapshots_the_queue_once_per_step() {
+        // Several picks per step and victims re-entering the queue
+        // mid-step: still one view of the queue per step, never one per
+        // pick.
+        let mut cfg = small_cfg(AccelMode::OutOfOrder);
+        cfg.admission = AdmissionConfig {
+            max_batch: 4,
+            max_batch_tokens: 256,
+            page_size: 16,
+            prefix_cache: false,
+        };
+        cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.5));
+        let mut engine = ServingEngine::builder(cfg.accel.clone())
+            .config(cfg)
+            .policy(PolicyKind::PriorityAging)
+            .build();
+        for r in mixed_requests(24) {
+            let r = r.with_priority(r.id as u8 % 4).arriving_at(r.id / 8);
+            engine.enqueue(r).unwrap();
+        }
+        assert_eq!(engine.step().unwrap().unwrap().batch, 4);
+        // Every `step` call admits once, the one that finds the engine
+        // idle included.
+        let mut calls = 1;
+        loop {
+            calls += 1;
+            if engine.step().unwrap().is_none() {
+                break;
+            }
+        }
+        assert_eq!(engine.snapshots, calls);
+        assert!(
+            engine.report().preemptions > 0,
+            "no victim re-entered the queue"
+        );
     }
 
     #[test]

@@ -191,7 +191,9 @@ pub trait SchedulerPolicy: fmt::Debug + Send {
 
     /// Index into `pending` of the request to admit next, or `None` to
     /// stop admitting for this step. `pending` is never empty and holds
-    /// only schedulable requests, in arrival order.
+    /// only schedulable requests, in arrival order. Successive calls
+    /// within one step see the previous call's slice minus the request it
+    /// admitted; `running` then includes that request.
     fn pick_next(
         &mut self,
         pending: &[PendingView],

@@ -1,5 +1,7 @@
 //! Requests and the arrival queue the scheduler draws from.
 
+use std::collections::VecDeque;
+
 use super::batch_state::ActiveRequest;
 use super::policy::PendingView;
 
@@ -169,23 +171,41 @@ impl ServingRequest {
     }
 }
 
-/// The arrival queue: requests waiting for admission, kept sorted by
-/// arrival sequence so FIFO order is always recoverable regardless of how
-/// preemption re-inserts evicted work.
+/// The arrival queue: requests waiting for admission, kept strictly
+/// increasing in arrival sequence so FIFO order is always recoverable
+/// regardless of how preemption re-inserts evicted work, and so every
+/// lookup by sequence is a binary search. A deque, because entries leave
+/// from anywhere: inserting or removing at index `i` of `n` moves
+/// min(i, n − i) entries.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PendingQueue {
-    entries: Vec<ActiveRequest>,
+    entries: VecDeque<ActiveRequest>,
 }
 
 impl PendingQueue {
     /// Inserts a request, keeping the queue sorted by arrival sequence.
-    /// Fresh enqueues carry the largest sequence so far and append in
-    /// O(1); preempted requests binary-search back to their slot.
+    /// Fresh enqueues carry the largest sequence so far and stay at the
+    /// back, in amortized O(1) and without a search; a preempted request
+    /// binary-searches back to its slot, which moves the shorter side of
+    /// the queue.
     pub(crate) fn push(&mut self, r: ActiveRequest) {
-        let at = self
-            .entries
-            .partition_point(|e| e.arrival_seq < r.arrival_seq);
-        self.entries.insert(at, r);
+        let seq = r.arrival_seq;
+        // Pushed first and moved only when out of order: an append then
+        // copies the 448-byte entry once, as `Vec::push` would.
+        self.entries.push_back(r);
+        let len = self.entries.len();
+        if len >= 2 && self.entries[len - 2].arrival_seq > seq {
+            let at = self.entries.partition_point(|e| e.arrival_seq < seq);
+            let r = self.entries.pop_back().expect("pushed above");
+            self.entries.insert(at, r);
+        }
+    }
+
+    /// Index of the entry with arrival sequence `seq`, if queued.
+    fn position_of(&self, seq: u64) -> Option<usize> {
+        self.entries
+            .binary_search_by_key(&seq, |e| e.arrival_seq)
+            .ok()
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -231,7 +251,7 @@ impl PendingQueue {
 
     /// The queued entries, in arrival order (including not-yet-visible
     /// future arrivals).
-    pub(crate) fn entries(&self) -> &[ActiveRequest] {
+    pub(crate) fn entries(&self) -> &VecDeque<ActiveRequest> {
         &self.entries
     }
 
@@ -239,14 +259,14 @@ impl PendingQueue {
     /// (used to read a candidate's prompt-page hash chain during
     /// admission).
     pub(crate) fn get_by_seq(&self, seq: u64) -> Option<&ActiveRequest> {
-        self.entries.iter().find(|e| e.arrival_seq == seq)
+        self.position_of(seq).map(|i| &self.entries[i])
     }
 
     /// Mutable access to the entry with arrival sequence `seq`, if queued
     /// (used to restate a request's re-prefill debt when its retained KV
     /// pages are reclaimed under admission pressure).
     pub(crate) fn get_mut_by_seq(&mut self, seq: u64) -> Option<&mut ActiveRequest> {
-        self.entries.iter_mut().find(|e| e.arrival_seq == seq)
+        self.position_of(seq).map(|i| &mut self.entries[i])
     }
 
     /// Removes and returns the entry with arrival sequence `seq`.
@@ -256,11 +276,8 @@ impl PendingQueue {
     /// Panics if no entry has that sequence (policy views are built from
     /// the same queue, so a miss is an engine bug).
     pub(crate) fn remove_by_seq(&mut self, seq: u64) -> ActiveRequest {
-        let at = self
-            .entries
-            .iter()
-            .position(|e| e.arrival_seq == seq)
-            .expect("pending view maps to a queued request");
-        self.entries.remove(at)
+        self.position_of(seq)
+            .and_then(|i| self.entries.remove(i))
+            .expect("pending view maps to a queued request")
     }
 }
