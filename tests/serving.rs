@@ -2744,52 +2744,62 @@ fn real_tokens_survive_chunked_prefill_byte_identically() {
     assert_token_equivalence(&chunked, &requests);
 }
 
+/// Four requests under a budget tight enough to evict, with 0.8-fraction
+/// paged retention and, when `host_pages > 0`, a host swap tier, served
+/// through the token-backed mirror.
+fn run_real_token_preemption(
+    host_pages: usize,
+) -> (token_picker::accel::TokenBackedRun, Vec<ServingRequest>) {
+    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+    let mut builder = ServingEngine::builder(accel)
+        .heads(4)
+        .weight_bytes(1_000_000)
+        .max_batch(3)
+        .max_batch_tokens(192)
+        .page_size(16)
+        .prefix_cache(true)
+        .policy(PolicyKind::PriorityAging)
+        .preemption(
+            token_picker::accel::PreemptionConfig::enabled()
+                .with_retention(RetentionPolicy::Fraction(0.8)),
+        );
+    if host_pages > 0 {
+        builder = builder.host_pages(host_pages);
+    }
+    let mut engine = builder.build();
+    let requests = vec![
+        ServingRequest::new(0, 64, 8)
+            .with_priority(5)
+            .with_shared_prefix(1, 64),
+        ServingRequest::new(1, 64, 6)
+            .with_priority(1)
+            .with_shared_prefix(1, 64),
+        ServingRequest::new(2, 96, 8)
+            .with_priority(9)
+            .arriving_at(2),
+        ServingRequest::new(3, 64, 4)
+            .with_priority(7)
+            .with_shared_prefix(1, 64)
+            .arriving_at(3),
+    ];
+    let run = token_picker::accel::run_token_backed(
+        &mut engine,
+        requests.clone(),
+        token_picker::model::ModelSpec::toy(),
+        3,
+        4096,
+    )
+    .expect("workload completes");
+    (run, requests)
+}
+
 /// Preemption with paged retention (and optionally a host swap tier)
 /// becomes a real truncate/release of the mirror's pages; re-admission
 /// rebuilds exactly, so tokens stay byte-identical.
 #[test]
 fn real_tokens_survive_preemption_retention_and_host_swap() {
     for host_pages in [0usize, 64] {
-        let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-        let mut builder = ServingEngine::builder(accel)
-            .heads(4)
-            .weight_bytes(1_000_000)
-            .max_batch(3)
-            .max_batch_tokens(192)
-            .page_size(16)
-            .prefix_cache(true)
-            .policy(PolicyKind::PriorityAging)
-            .preemption(
-                token_picker::accel::PreemptionConfig::enabled()
-                    .with_retention(RetentionPolicy::Fraction(0.8)),
-            );
-        if host_pages > 0 {
-            builder = builder.host_pages(host_pages);
-        }
-        let mut engine = builder.build();
-        let requests = vec![
-            ServingRequest::new(0, 64, 8)
-                .with_priority(5)
-                .with_shared_prefix(1, 64),
-            ServingRequest::new(1, 64, 6)
-                .with_priority(1)
-                .with_shared_prefix(1, 64),
-            ServingRequest::new(2, 96, 8)
-                .with_priority(9)
-                .arriving_at(2),
-            ServingRequest::new(3, 64, 4)
-                .with_priority(7)
-                .with_shared_prefix(1, 64)
-                .arriving_at(3),
-        ];
-        let run = token_picker::accel::run_token_backed(
-            &mut engine,
-            requests.clone(),
-            token_picker::model::ModelSpec::toy(),
-            3,
-            4096,
-        )
-        .expect("workload completes");
+        let (run, requests) = run_real_token_preemption(host_pages);
         assert!(
             run.report.preemptions > 0,
             "the tight budget must force at least one eviction (host_pages {host_pages})"
@@ -2819,6 +2829,66 @@ fn charged_cycles_track_measured_cycles_on_shared_prefix_chat() {
     assert!(
         (ratio - PINNED_RATIO).abs() <= PINNED_RATIO * 0.2,
         "charged/measured cycle ratio {ratio} strayed from the pinned {PINNED_RATIO}"
+    );
+}
+
+/// FNV-1a fold of every token the mirror served, request by request in the
+/// order given: each request's id, its token count, then its tokens.
+fn served_tokens_digest(
+    run: &token_picker::accel::TokenBackedRun,
+    requests: &[ServingRequest],
+) -> u64 {
+    fn fnv(h: &mut u64, v: u64) {
+        *h ^= v;
+        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for req in requests {
+        let tokens = run.batch.generated(req.id).expect("request was served");
+        fnv(&mut h, req.id);
+        fnv(&mut h, tokens.len() as u64);
+        for &t in tokens {
+            fnv(&mut h, t as u64);
+        }
+    }
+    h
+}
+
+/// The exact kernel cycles the mirror measured and a digest of every token
+/// it served, on the shared-prefix chat (whole and chunked prefill) and the
+/// preemption run (without and with a host tier). Captured from the
+/// token-at-a-time mirror and never edited: a lost or repeated attend moves
+/// `measured_cycles` by one call's cycles, which the ±20 % `cycle_ratio`
+/// band above cannot see.
+const REAL_TOKEN_PINS: [(&str, u64, u64); 4] = [
+    ("chat", 484_472, 0x6ef1_32a4_1ba9_e271),
+    ("chat, 2-page chunks", 578_992, 0x6ef1_32a4_1ba9_e271),
+    ("preemption", 74_940, 0x4e38_1821_9412_e4b7),
+    ("preemption + host tier", 74_940, 0x4e38_1821_9412_e4b7),
+];
+
+#[test]
+fn real_tokens_measured_cycles_and_served_tokens_are_pinned() {
+    let runs = [
+        run_real_token_chat(true, 0),
+        run_real_token_chat(true, 2),
+        run_real_token_preemption(0),
+        run_real_token_preemption(64),
+    ];
+    let measured: Vec<(&str, u64, u64)> = REAL_TOKEN_PINS
+        .iter()
+        .zip(&runs)
+        .map(|(&(name, _, _), (run, requests))| {
+            (
+                name,
+                run.batch.measured_cycles(),
+                served_tokens_digest(run, requests),
+            )
+        })
+        .collect();
+    assert_eq!(
+        measured, REAL_TOKEN_PINS,
+        "measured cycles or served tokens moved"
     );
 }
 
