@@ -10,10 +10,11 @@
 //! buffers flow straight into the simulator as views.
 
 use topick_core::{PruneStats, QVector, QuantBuffer};
-use topick_model::{AttentionBackend, KvView};
+use topick_model::{AttendBatch, AttentionBackend, KvView};
 
 use crate::config::AccelConfig;
 use crate::engine::ToPickAccelerator;
+use crate::serve::lend;
 
 /// An attention backend that runs every `attend` call through the
 /// cycle-level ToPick simulator, accumulating cycles, pruning statistics
@@ -53,28 +54,74 @@ impl SimulatedAttention {
         self.cycles
     }
 
-    /// Total simulated energy accumulated across all `attend` calls, in pJ.
+    /// Total simulated energy accumulated across all `attend` calls, in pJ:
+    /// a float sum in call order, which within a forward run is layer by
+    /// layer, token by token, head by head — the order of
+    /// [`AttendBatch`]'s calls, whichever thread ran them.
     #[must_use]
     pub fn energy_pj(&self) -> f64 {
         self.energy_pj
+    }
+
+    /// Adds one call's cycles, energy and pruning statistics to the
+    /// accumulators and returns its output.
+    pub(crate) fn record(&mut self, call: Attended) -> Vec<f32> {
+        self.cycles += call.cycles;
+        self.energy_pj += call.energy_pj;
+        self.stats.merge(&call.prune);
+        call.output
+    }
+}
+
+/// What one call adds to a [`SimulatedAttention`]: its output and costs.
+#[derive(Debug)]
+pub(crate) struct Attended {
+    output: Vec<f32>,
+    cycles: u64,
+    energy_pj: f64,
+    prune: PruneStats,
+}
+
+/// One call through the simulator, with `key_buf` lending its allocation
+/// to the quantized keys.
+///
+/// # Panics
+///
+/// Panics if `kv` is empty, the query, keys and values disagree in shape,
+/// or the configuration cannot run.
+pub(crate) fn simulate(
+    accel: &ToPickAccelerator,
+    key_buf: &mut QuantBuffer,
+    q: &[f32],
+    kv: KvView<'_>,
+) -> Attended {
+    let pc = accel.config().precision;
+    let qv = QVector::quantize(q, pc);
+    let keys = key_buf
+        .quantize(kv.keys().data(), kv.dim(), pc)
+        .expect("non-empty cache");
+    let r = accel.run_attention(&qv, &keys, kv.values());
+    key_buf.reclaim(keys);
+    let r = r.expect("validated dims");
+    Attended {
+        output: r.output,
+        cycles: r.cycles,
+        energy_pj: r.energy.total_pj(),
+        prune: r.prune,
     }
 }
 
 impl AttentionBackend for SimulatedAttention {
     fn attend(&mut self, q: &[f32], kv: KvView<'_>) -> Vec<f32> {
-        let pc = self.accel.config().precision;
-        let qv = QVector::quantize(q, pc);
-        let keys = self
-            .key_buf
-            .quantize(kv.keys().data(), kv.dim(), pc)
-            .expect("non-empty cache");
-        let r = self.accel.run_attention(&qv, &keys, kv.values());
-        self.key_buf.reclaim(keys);
-        let r = r.expect("validated dims");
-        self.cycles += r.cycles;
-        self.energy_pj += r.energy.total_pj();
-        self.stats.merge(&r.prune);
-        r.output
+        let call = simulate(&self.accel, &mut self.key_buf, q, kv);
+        self.record(call)
+    }
+
+    /// Splits a batch worth it with the process's one helper thread (the
+    /// crate-private `serve::lend` says how, and why the result is that of
+    /// the calls in order).
+    fn attend_batch(&mut self, batch: &AttendBatch<'_>) -> Vec<f32> {
+        lend::attend_batch(self, batch, &lend::LENDER)
     }
 
     fn accumulated_stats(&self) -> Option<&PruneStats> {

@@ -53,7 +53,7 @@ use std::sync::Mutex;
 
 use super::error::ServeError;
 use super::events::{wire_schema, EventSchema, ServeEvent, WireEvent, MAX_EVENT_FIELDS};
-use super::lend::{self, StepLender};
+use super::lend::{self, Lender};
 use super::policy::PolicyKind;
 use super::queue::ServingRequest;
 use super::router::{RoutingKind, RoutingPolicy, ShardView};
@@ -854,14 +854,14 @@ impl ClusterEngine {
     /// [`ServeError::AdmissionStalled`]) of the lowest-numbered failing
     /// shard; how far the other shards' steps got by then is unspecified.
     pub fn step(&mut self) -> Result<Option<ClusterStepReport>, ServeError> {
-        self.step_lending_to(&lend::STEP_LENDER)
+        self.step_lending_to(&lend::LENDER)
     }
 
     /// [`step`](Self::step), with the helper the cluster step's pool of
     /// attention instances may be shared with.
     fn step_lending_to(
         &mut self,
-        lender: &Mutex<StepLender>,
+        lender: &Mutex<Lender>,
     ) -> Result<Option<ClusterStepReport>, ServeError> {
         if self.is_idle() {
             return Ok(None);
@@ -1131,7 +1131,7 @@ mod tests {
 
     /// Drives `cluster` to completion through `lender`: its report, less
     /// the measured wall clock, and its events.
-    fn run(cluster: &mut ClusterEngine, lender: &Mutex<StepLender>) -> Run {
+    fn run(cluster: &mut ClusterEngine, lender: &Mutex<Lender>) -> Run {
         let result = loop {
             match cluster.step_lending_to(lender) {
                 Ok(Some(_)) => {}
@@ -1166,8 +1166,8 @@ mod tests {
     #[test]
     fn a_pool_that_only_exists_across_shards_equals_its_serial_twin() {
         let (mut pooled, mut serial) = (one_request_a_shard(), one_request_a_shard());
-        let pooled_run = run(&mut pooled, &StepLender::private());
-        assert_eq!(pooled_run, run(&mut serial, &StepLender::absent()));
+        let pooled_run = run(&mut pooled, &Lender::private());
+        assert_eq!(pooled_run, run(&mut serial, &Lender::absent()));
         let tokens = pooled_run.0.expect("completes").tokens_generated();
         let stats = pooled.lending_stats();
         assert!(stats.pooled_steps > 0 && stats.lent_instances >= stats.pooled_steps);
@@ -1190,13 +1190,13 @@ mod tests {
     #[test]
     fn a_cluster_step_without_a_helper_leaves_every_shard_its_own_share() {
         let mut serial = one_request_a_shard();
-        let serial_run = run(&mut serial, &StepLender::absent());
+        let serial_run = run(&mut serial, &Lender::absent());
         let tokens = serial_run.0.as_ref().expect("completes").tokens_generated();
         // A helper that panics on its first job, and one another owner
         // holds for the whole run (`lock` would deadlock; `try_lock` falls
         // through at once).
-        let panicking = StepLender::with_helper(|_| panic!("helper down (expected by this test)"));
-        let held = StepLender::private();
+        let panicking = Lender::with_helper(|_| panic!("helper down (expected by this test)"));
+        let held = Lender::private();
         let holder = held.lock().unwrap();
         for lender in [&panicking, &held] {
             let mut degraded = one_request_a_shard();
@@ -1253,8 +1253,8 @@ mod tests {
             cluster
         };
         let (mut pooled, mut serial) = (cluster(), cluster());
-        let (pooled_report, pooled_events) = run(&mut pooled, &StepLender::private());
-        let (serial_report, serial_events) = run(&mut serial, &StepLender::absent());
+        let (pooled_report, pooled_events) = run(&mut pooled, &Lender::private());
+        let (serial_report, serial_events) = run(&mut serial, &Lender::absent());
         pooled.validate();
         let (report, serial_report) = (pooled_report.unwrap(), serial_report.unwrap());
         assert_eq!(report, serial_report, "reports, prune statistics included");

@@ -18,11 +18,14 @@
 //! buffers and sends the whole job back, and the job is kept for its
 //! buffers until the next one is lent.
 //!
-//! One job uses it: a share of the attention instances of one serving step
-//! ([`lend`](super::lend)), through one process-wide [`HelperSlot`] behind a
-//! mutex that is only ever `try_lock`ed, so no caller waits for the helper
-//! except the one whose job it holds. The lifecycle is generic over the job
-//! type `J` only so that its own tests can drive it with a toy job.
+//! Its one user is [`lend`](super::lend), whose job is one of two kinds: a
+//! share of the attention instances of one serving step, or the back half
+//! of one layer's attention calls of the real-token model. Both go through
+//! one process-wide [`HelperSlot`] behind a mutex that is only ever
+//! `try_lock`ed, so there is one helper thread per process and no caller
+//! waits for it except the one whose job it holds. The lifecycle is generic
+//! over the job type `J` only so that its own tests can drive it with a toy
+//! job.
 
 use std::mem;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};

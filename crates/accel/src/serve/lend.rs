@@ -1,4 +1,5 @@
-//! One step's attention instances, simulated on two cores.
+//! Attention work split over two cores: one step's attention instances,
+//! and one attention batch of the real-token model.
 //!
 //! A step is a batch of independent per-request attention passes, each a
 //! pure function of `(accelerator, engine seed, request id, context)`
@@ -14,21 +15,31 @@
 //! cannot show in its result, so pooled and serial stepping are one engine
 //! with a permanent differential test, not two paths.
 //!
-//! The helper is [`helper`](super::helper)'s: lazily started, absent on
-//! one core, `try_lock` only, owned jobs whose buffers come back with
-//! them. Whenever there is no helper to be had — busy with another
-//! owner's step, absent, dead — nothing is pooled and each slot loop
-//! simulates its instances where it always has.
+//! A [`SimulatedAttention`] batch — one layer's `tokens × heads` calls of
+//! a forward run ([`AttendBatch`]) — is split the same way
+//! ([`attend_batch`]): its back half, by elements, goes to the same helper
+//! as one owned job carrying its queries and the K/V rows its calls read,
+//! the caller runs the front half, and every call's output, cycles, pruning
+//! statistics and energy are added back in call order, so the backend ends
+//! where the calls one after another would leave it.
+//!
+//! The helper is [`helper`](super::helper)'s: one thread, lazily started,
+//! absent on one core, `try_lock` only, owned jobs whose buffers come back
+//! with them. Whenever there is no helper to be had — busy with another
+//! owner's step or batch, absent, dead — nothing is split: each slot loop
+//! simulates its instances where it always has, and a batch runs its calls
+//! in order on the calling thread.
 
 use std::mem;
 use std::sync::Mutex;
 
-use topick_core::{QVector, QuantBuffer};
-use topick_model::{SynthKeys, SynthProfile};
+use topick_core::{QVector, QuantBuffer, Rows};
+use topick_model::{AttendBatch, AttentionBackend, KvView, SynthKeys, SynthProfile};
 
 use super::batch_state::SimulatedStep;
 use super::helper::HelperSlot;
 use super::{ServeError, ServingEngine};
+use crate::backend::{simulate, Attended, SimulatedAttention};
 use crate::engine::ToPickAccelerator;
 
 /// Smallest pool — a step's, all shards of a cluster step — in key elements
@@ -110,34 +121,145 @@ pub(super) struct KeyScratch {
     codes: QuantBuffer,
 }
 
-/// What the helper thread runs on each job.
-fn run_job(job: &mut StepJob) {
-    job.done.clear();
-    for item in &job.work {
-        let step = simulate_attention(
-            &job.accel,
-            job.seed,
-            item.id,
-            item.context,
-            &mut job.scratch,
-        );
-        if let Ok(step) = step {
-            job.done.push((*item, step));
+impl StepJob {
+    fn run(&mut self) {
+        self.done.clear();
+        for item in &self.work {
+            let step = simulate_attention(
+                &self.accel,
+                self.seed,
+                item.id,
+                item.context,
+                &mut self.scratch,
+            );
+            if let Ok(step) = step {
+                self.done.push((*item, step));
+            }
         }
     }
 }
 
-/// A step helper and the stepping thread's scratch list, under one lock:
-/// whoever holds it owns both for one step.
+/// Smallest attention batch, in key elements (`rows · dim` summed over its
+/// calls), worth splitting between the calling thread and the helper.
+/// The handoff is the step pool's 40–70 µs, plus copying in what the lent
+/// calls read (each head's rows at most once: 25 KB for 200 rows of 16,
+/// a few µs). A call costs 11 µs plus 12 ns per element, measured on the
+/// 2-core development host at the real-token model's head width of 16
+/// (53 µs at 200 rows), so lending half of `n` elements saves at least
+/// `n · 6 ns` less one handoff: break-even at 7 000–12 000 elements. The
+/// floor is where the saving is worth several handoffs more, `n · 6 ns ≥
+/// (1 + 3) · 40…70 µs`, i.e. 27 000–47 000 elements. Derived like
+/// [`SPLIT_MIN_ELEMS`], and likewise not an option: a single-token decode
+/// at 200 tokens of context is 4 heads × 200 × 16 = 12 800 elements and
+/// never touches the helper; a layer of a 100-token prompt is 323 000.
+const BATCH_SPLIT_MIN_ELEMS: usize = 32 * 1024;
+
+/// The helper's share of an attention batch: the calls from some point to
+/// the end, with everything they read copied in, and their results.
 #[derive(Debug)]
-pub(super) struct StepLender {
-    helper: HelperSlot<StepJob>,
-    /// The holder's own share of the pool.
+pub(super) struct BatchJob {
+    accel: ToPickAccelerator,
+    dim: usize,
+    /// Each lent call's head and the number of its rows it reads, in call
+    /// order.
+    shapes: Vec<(usize, usize)>,
+    /// The lent calls' queries, back to back.
+    queries: Vec<f32>,
+    /// Per head of the batch, the keys and values of the longest prefix a
+    /// lent call reads — nothing for a head no lent call reads.
+    rows: Vec<(Vec<f32>, Vec<f32>)>,
+    /// The helper thread's own key-code buffer.
+    key_buf: QuantBuffer,
+    /// One result per lent call, in call order.
+    done: Vec<Attended>,
+}
+
+impl BatchJob {
+    /// The job of `batch`'s calls from `first` on, in the buffers of
+    /// `spare` when that is a batch job.
+    fn fill(
+        spare: Option<HelperJob>,
+        cfg: &crate::config::AccelConfig,
+        batch: &AttendBatch<'_>,
+        first: usize,
+    ) -> Self {
+        let accel = ToPickAccelerator::new(cfg.clone());
+        let mut job = match spare {
+            Some(HelperJob::Batch(spare)) => Self { accel, ..spare },
+            _ => Self {
+                accel,
+                dim: 0,
+                shapes: Vec::new(),
+                queries: Vec::new(),
+                rows: Vec::new(),
+                key_buf: QuantBuffer::new(),
+                done: Vec::new(),
+            },
+        };
+        job.dim = batch.dim();
+        job.shapes.clear();
+        job.queries.clear();
+        for i in first..batch.len() {
+            job.shapes.push(batch.shape(i));
+            job.queries.extend_from_slice(batch.call(i).0);
+        }
+        let heads = batch.heads();
+        job.rows.resize_with(heads.len(), Default::default);
+        for (head, (kv, (keys, values))) in heads.iter().zip(&mut job.rows).enumerate() {
+            let read = job.shapes.iter().filter(|s| s.0 == head).map(|s| s.1);
+            let prefix = kv.prefix(read.max().unwrap_or(0));
+            keys.clear();
+            keys.extend_from_slice(prefix.keys().data());
+            values.clear();
+            values.extend_from_slice(prefix.values().data());
+        }
+        job
+    }
+
+    fn run(&mut self) {
+        self.done.clear();
+        let dim = self.dim;
+        for (&(head, rows), q) in self.shapes.iter().zip(self.queries.chunks_exact(dim)) {
+            let (keys, values) = &self.rows[head];
+            let kv = KvView::new(
+                Rows::new(&keys[..rows * dim], dim),
+                Rows::new(&values[..rows * dim], dim),
+            );
+            self.done
+                .push(simulate(&self.accel, &mut self.key_buf, q, kv));
+        }
+    }
+}
+
+/// What the one helper thread works on: a share of a step's pool, or the
+/// back half of an attention batch.
+#[derive(Debug)]
+pub(super) enum HelperJob {
+    /// A share of a serving step's attention instances.
+    Step(StepJob),
+    /// The back half of a [`SimulatedAttention`] batch.
+    Batch(BatchJob),
+}
+
+/// What the helper thread runs on each job.
+fn run_job(job: &mut HelperJob) {
+    match job {
+        HelperJob::Step(job) => job.run(),
+        HelperJob::Batch(job) => job.run(),
+    }
+}
+
+/// The helper and the stepping thread's scratch list, under one lock:
+/// whoever holds it owns both for one step or one batch.
+#[derive(Debug)]
+pub(crate) struct Lender {
+    helper: HelperSlot<HelperJob>,
+    /// The holder's own share of a step's pool.
     mine: Vec<PoolItem>,
 }
 
-impl StepLender {
-    pub(super) const fn new(helper: HelperSlot<StepJob>) -> Self {
+impl Lender {
+    pub(super) const fn new(helper: HelperSlot<HelperJob>) -> Self {
         Self {
             helper,
             mine: Vec::new(),
@@ -148,7 +270,7 @@ impl StepLender {
     /// test's pools are split even where the shared helper would not start
     /// (one core) or is taken by a parallel test.
     #[cfg(test)]
-    pub(super) fn with_helper(work: fn(&mut StepJob)) -> Mutex<Self> {
+    pub(super) fn with_helper(work: fn(&mut HelperJob)) -> Mutex<Self> {
         let helper = super::helper::Helper::spawn("test-attention", work).expect("spawn");
         Mutex::new(Self::new(HelperSlot::Running(helper)))
     }
@@ -159,7 +281,7 @@ impl StepLender {
         Self::with_helper(run_job)
     }
 
-    /// A lender without a helper — what [`STEP_LENDER`] is on one core:
+    /// A lender without a helper — what [`LENDER`] is on one core:
     /// every step through it runs serially, the twin a pooled run is
     /// compared against.
     #[cfg(test)]
@@ -168,15 +290,14 @@ impl StepLender {
     }
 }
 
-/// The process-wide step helper. Only ever `try_lock`ed: a step that finds
-/// it taken runs serially, so two engines on two threads never wait on each
-/// other; a poisoned lock (a step panicked mid-pool, possibly leaving a job
-/// in flight) reads as taken forever.
-pub(super) static STEP_LENDER: Mutex<StepLender> =
-    Mutex::new(StepLender::new(HelperSlot::Unstarted {
-        name: "topick-attention",
-        work: run_job,
-    }));
+/// The process-wide helper. Only ever `try_lock`ed: a step or batch that
+/// finds it taken runs serially, so two engines or models on two threads
+/// never wait on each other; a poisoned lock (a step or batch panicked
+/// mid-split, possibly leaving a job in flight) reads as taken forever.
+pub(crate) static LENDER: Mutex<Lender> = Mutex::new(Lender::new(HelperSlot::Unstarted {
+    name: "topick-attention",
+    work: run_job,
+}));
 
 /// One cycle-level attention simulation of request `req_id` at `context`.
 /// The synthetic workload is deterministic in `(seed, req_id, context)`,
@@ -269,10 +390,7 @@ fn pool(shards: &[ServingEngine]) -> impl Iterator<Item = PoolItem> + '_ {
 /// at the same slot, after the same earlier slots have advanced.
 ///
 /// Returns what the step adds to its owner's [`LendingStats`].
-pub(super) fn pool_attention(
-    shards: &mut [ServingEngine],
-    lender: &Mutex<StepLender>,
-) -> LendingStats {
+pub(super) fn pool_attention(shards: &mut [ServingEngine], lender: &Mutex<Lender>) -> LendingStats {
     let not_pooled = LendingStats::default();
     let fallback = LendingStats {
         fallbacks: 1,
@@ -289,17 +407,17 @@ pub(super) fn pool_attention(
     let Ok(mut lender) = lender.try_lock() else {
         return fallback;
     };
-    let StepLender { helper, mine } = &mut *lender;
+    let Lender { helper, mine } = &mut *lender;
     mine.clear();
     let lent = helper.lend(|spare| {
         let accel = shards[0].accel.clone();
         let mut job = match spare {
-            Some(spare) => StepJob {
+            Some(HelperJob::Step(spare)) => StepJob {
                 accel,
                 seed,
                 ..spare
             },
-            None => StepJob {
+            _ => StepJob {
                 accel,
                 seed,
                 work: Vec::new(),
@@ -319,7 +437,7 @@ pub(super) fn pool_attention(
                 mine.push(item);
             }
         }
-        job
+        HelperJob::Step(job)
     });
     if !lent {
         return fallback;
@@ -339,9 +457,11 @@ pub(super) fn pool_attention(
     }
     let mut returned = 0;
     let collected = helper.collect(|job| {
-        for (item, step) in job.done.drain(..) {
-            shards[item.shard].keep_attention(item.slot, step);
-            returned += 1;
+        if let HelperJob::Step(job) = job {
+            for (item, step) in job.done.drain(..) {
+                shards[item.shard].keep_attention(item.slot, step);
+                returned += 1;
+            }
         }
     });
     if !collected {
@@ -354,6 +474,67 @@ pub(super) fn pool_attention(
         lent_instances: returned,
         ..not_pooled
     }
+}
+
+/// The first call of `batch`'s back half — the calls after the caller's
+/// first half of its elements — when the batch is worth a handoff: two or
+/// more calls of [`BATCH_SPLIT_MIN_ELEMS`] elements together, of which the
+/// back half is not empty.
+fn batch_split(batch: &AttendBatch<'_>) -> Option<usize> {
+    let rows = |i| batch.shape(i).1;
+    let total: usize = (0..batch.len()).map(rows).sum();
+    if batch.len() < 2 || total * batch.dim() < BATCH_SPLIT_MIN_ELEMS {
+        return None;
+    }
+    let mut front = 0;
+    let last_mine = (0..batch.len()).find(|&i| {
+        front += rows(i);
+        2 * front >= total
+    })?;
+    Some(last_mine + 1).filter(|&first| first < batch.len())
+}
+
+/// Runs `batch` on `sim` — its back half on `lender`'s helper when the
+/// batch is worth a handoff and the helper is free, the rest on the calling
+/// thread — and returns the outputs in call order. Each call's output and
+/// costs are added to `sim` in call order, whichever thread ran it, so the
+/// outputs and `sim`'s cycles, statistics and energy (whose float sum
+/// depends on the order) are those of the calls one after another. If the
+/// helper dies holding its half, the caller runs that half itself.
+pub(crate) fn attend_batch(
+    sim: &mut SimulatedAttention,
+    batch: &AttendBatch<'_>,
+    lender: &Mutex<Lender>,
+) -> Vec<f32> {
+    let run = |sim: &mut SimulatedAttention, calls: std::ops::Range<usize>, out: &mut Vec<f32>| {
+        for i in calls {
+            let (q, kv) = batch.call(i);
+            out.extend(sim.attend(q, kv));
+        }
+    };
+    let mut out = Vec::with_capacity(batch.len() * batch.dim());
+    // The first call not yet run.
+    let mut next = 0;
+    if let Some(first) = batch_split(batch) {
+        if let Ok(mut lender) = lender.try_lock() {
+            let helper = &mut lender.helper;
+            let cfg = sim.config();
+            if helper.lend(|spare| HelperJob::Batch(BatchJob::fill(spare, cfg, batch, first))) {
+                run(sim, 0..first, &mut out);
+                next = first;
+                helper.collect(|job| {
+                    if let HelperJob::Batch(job) = job {
+                        for done in job.done.drain(..) {
+                            out.extend(sim.record(done));
+                        }
+                        next = batch.len();
+                    }
+                });
+            }
+        }
+    }
+    run(sim, next..batch.len(), &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -416,7 +597,7 @@ mod tests {
 
     type Run = (Result<ServingReport, ServeError>, Vec<ServeEvent>);
 
-    fn run(engine: &mut ServingEngine, lender: &Mutex<StepLender>) -> Run {
+    fn run(engine: &mut ServingEngine, lender: &Mutex<Lender>) -> Run {
         let result = loop {
             match engine.step_lending_to(lender) {
                 Ok(Some(_)) => {}
@@ -430,7 +611,7 @@ mod tests {
     /// The run of `engine(seed)` with no helper to lend to.
     fn serial(seed: u64) -> Run {
         let mut serial = engine(seed);
-        let run = run(&mut serial, &StepLender::absent());
+        let run = run(&mut serial, &Lender::absent());
         let stats = serial.lending_stats();
         assert_eq!((stats.pooled_steps, stats.lent_instances), (0, 0));
         if let Ok(report) = &run.0 {
@@ -445,7 +626,7 @@ mod tests {
 
     #[test]
     fn a_pooled_run_equals_its_serial_twin() {
-        let lender = StepLender::private();
+        let lender = Lender::private();
         for seed in 0..3 {
             let mut pooled = engine(seed);
             assert_eq!(run(&mut pooled, &lender), serial(seed), "seed {seed}");
@@ -463,7 +644,7 @@ mod tests {
     /// private helper and serially: the two runs, and the pooled one's
     /// lending.
     fn pooled_and_serial(prompts: &[usize]) -> (Run, Run, LendingStats) {
-        let runs = [StepLender::private(), StepLender::absent()].map(|lender| {
+        let runs = [Lender::private(), Lender::absent()].map(|lender| {
             let mut engine = idle_engine(5);
             for (id, &prompt) in prompts.iter().enumerate() {
                 let request = ServingRequest::new(id as u64, prompt, 6);
@@ -501,7 +682,7 @@ mod tests {
 
     #[test]
     fn a_helper_that_panics_degrades_to_the_stepping_thread() {
-        let lender = StepLender::with_helper(|_| panic!("helper down (expected by this test)"));
+        let lender = Lender::with_helper(|_| panic!("helper down (expected by this test)"));
         let mut pooled = engine(1);
         // The first pool loses its lent share to the panic and the slot
         // loop simulates it; every later pool finds no helper.
@@ -515,7 +696,7 @@ mod tests {
     #[test]
     fn a_helper_whose_channel_is_closed_degrades_to_the_stepping_thread() {
         let helper = Helper::spawn("test-attention", run_job).expect("spawn");
-        let lender = Mutex::new(StepLender::new(HelperSlot::Running(helper.ended())));
+        let lender = Mutex::new(Lender::new(HelperSlot::Running(helper.ended())));
         let mut pooled = engine(2);
         assert_eq!(run(&mut pooled, &lender), serial(2));
         assert_eq!(pooled.lending_stats().pooled_steps, 0);
@@ -525,7 +706,7 @@ mod tests {
 
     #[test]
     fn a_taken_helper_is_not_waited_for() {
-        let lender = StepLender::private();
+        let lender = Lender::private();
         let taken = lender.lock().unwrap();
         let mut pooled = engine(3);
         // Would deadlock on `lock`; `try_lock` falls through at once.
@@ -551,8 +732,8 @@ mod tests {
         };
         let mut pooled = broken(4);
         let mut serial = broken(4);
-        let pooled_run = run(&mut pooled, &StepLender::private());
-        let serial_run = run(&mut serial, &StepLender::absent());
+        let pooled_run = run(&mut pooled, &Lender::private());
+        let serial_run = run(&mut serial, &Lender::absent());
         assert!(matches!(pooled_run.0, Err(ServeError::Core(_))));
         // Same error, after the same events: the failing slot was reached
         // by the slot loop, not short-cut by the pool.
@@ -579,7 +760,7 @@ mod tests {
                         let seed = 10 + t * 3 + round;
                         let mut pooled = engine(seed);
                         assert_eq!(
-                            run(&mut pooled, &STEP_LENDER),
+                            run(&mut pooled, &LENDER),
                             serial(seed),
                             "thread {t}, seed {seed}"
                         );
@@ -587,5 +768,174 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// A batch of `tokens` tokens after `context` cached ones, over `heads`
+    /// heads of width `dim`, with synthetic rows and queries from `seed`.
+    struct BatchData {
+        heads: Vec<topick_model::SynthInstance>,
+        queries: topick_model::SynthInstance,
+        context: usize,
+    }
+
+    impl BatchData {
+        fn new(seed: u64, heads: usize, dim: usize, context: usize, tokens: usize) -> Self {
+            let instance = |rows, seed| {
+                topick_model::SynthInstance::generate(&SynthProfile::realistic(rows, dim), seed)
+            };
+            Self {
+                heads: (0..heads)
+                    .map(|h| instance(context + tokens, seed ^ h as u64))
+                    .collect(),
+                queries: instance(tokens * heads, !seed),
+                context,
+            }
+        }
+
+        fn views(&self) -> Vec<KvView<'_>> {
+            self.heads
+                .iter()
+                .map(|h| KvView::new(h.keys(), h.values()))
+                .collect()
+        }
+    }
+
+    /// Everything a batch leaves: the outputs' bits and the backend's
+    /// cycles, statistics and energy bits.
+    type Outcome = (Vec<u32>, u64, topick_core::PruneStats, u64);
+
+    /// Runs `batch` twice on one fresh simulator — the second time on top
+    /// of the first's accumulators — through `lender`, or (`None`) as the
+    /// calls one after another.
+    fn attend_twice(batch: &AttendBatch<'_>, lender: Option<&Mutex<Lender>>) -> Outcome {
+        let mut cfg = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+        cfg.dim = batch.dim();
+        let mut sim = SimulatedAttention::new(cfg);
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            match lender {
+                Some(lender) => out.extend(attend_batch(&mut sim, batch, lender)),
+                None => {
+                    for i in 0..batch.len() {
+                        let (q, kv) = batch.call(i);
+                        out.extend(sim.attend(q, kv));
+                    }
+                }
+            }
+        }
+        let stats = sim.accumulated_stats().expect("tracked").clone();
+        (
+            out.iter().map(|x| x.to_bits()).collect(),
+            sim.cycles(),
+            stats,
+            sim.energy_pj().to_bits(),
+        )
+    }
+
+    /// Batches the helper below has worked on.
+    static LENT_BATCHES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    fn counting(job: &mut HelperJob) {
+        if matches!(job, HelperJob::Batch(_)) {
+            LENT_BATCHES.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+        run_job(job);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// A batch split with a helper — whenever it is past the floor —
+        /// and a batch run through a lender without one each leave exactly
+        /// what the calls one after another leave, energy's float sum
+        /// included.
+        #[test]
+        fn a_lent_batch_equals_its_serial_twin(
+            seed in proptest::prelude::any::<u64>(),
+            heads in 1usize..=4,
+            dim_idx in 0usize..3,
+            context in 0usize..=160,
+            tokens in 1usize..=12,
+        ) {
+            let dim = [8, 16, 32][dim_idx];
+            let data = BatchData::new(seed, heads, dim, context, tokens);
+            let views = data.views();
+            let batch = AttendBatch::new(&views, data.queries.keys().data(), data.context);
+            let serial = attend_twice(&batch, None);
+            let private = Lender::with_helper(counting);
+            let before = LENT_BATCHES.load(std::sync::atomic::Ordering::SeqCst);
+            proptest::prop_assert_eq!(&attend_twice(&batch, Some(&private)), &serial);
+            let lent = LENT_BATCHES.load(std::sync::atomic::Ordering::SeqCst) - before;
+            proptest::prop_assert_eq!(lent, if batch_split(&batch).is_some() { 2 } else { 0 });
+            proptest::prop_assert_eq!(&attend_twice(&batch, Some(&Lender::absent())), &serial);
+        }
+    }
+
+    /// A batch well past the floor: a 24-token run after 120 tokens over
+    /// four heads of 16.
+    fn large_batch() -> BatchData {
+        BatchData::new(7, 4, 16, 120, 24)
+    }
+
+    #[test]
+    fn a_lent_batch_is_split_by_elements_with_the_caller_taking_the_front() {
+        let data = large_batch();
+        let views = data.views();
+        let batch = AttendBatch::new(&views, data.queries.keys().data(), data.context);
+        let first = batch_split(&batch).expect("past the floor");
+        let rows =
+            |calls: std::ops::Range<usize>| -> usize { calls.map(|i| batch.shape(i).1).sum() };
+        // The caller's front is the shortest that reaches half the rows.
+        let total = rows(0..batch.len());
+        assert!(2 * rows(0..first) >= total && 2 * rows(0..first - 1) < total);
+    }
+
+    #[test]
+    fn a_batch_whose_helper_panics_runs_on_the_calling_thread() {
+        let data = large_batch();
+        let views = data.views();
+        let batch = AttendBatch::new(&views, data.queries.keys().data(), data.context);
+        let lender = Lender::with_helper(|_| panic!("helper down (expected by this test)"));
+        // The first batch loses its lent half to the panic and the caller
+        // runs it; the second finds no helper.
+        assert_eq!(
+            attend_twice(&batch, Some(&lender)),
+            attend_twice(&batch, None)
+        );
+        assert!(matches!(lender.lock().unwrap().helper, HelperSlot::Absent));
+    }
+
+    #[test]
+    fn a_batch_whose_lender_is_held_is_not_waited_for() {
+        let data = large_batch();
+        let views = data.views();
+        let batch = AttendBatch::new(&views, data.queries.keys().data(), data.context);
+        let lender = Lender::private();
+        let held = lender.lock().unwrap();
+        // Would deadlock on `lock`; `try_lock` falls through at once.
+        assert_eq!(
+            attend_twice(&batch, Some(&lender)),
+            attend_twice(&batch, None)
+        );
+        drop(held);
+    }
+
+    #[test]
+    fn a_batch_under_the_floor_never_touches_the_helper() {
+        // A single-token decode at 200 tokens of context over four heads
+        // of 16: 12 800 elements.
+        let data = BatchData::new(3, 4, 16, 199, 1);
+        let views = data.views();
+        let batch = AttendBatch::new(&views, data.queries.keys().data(), data.context);
+        assert!(batch_split(&batch).is_none());
+        let lender = Lender::with_helper(|_| panic!("touched the helper"));
+        assert_eq!(
+            attend_twice(&batch, Some(&lender)),
+            attend_twice(&batch, None)
+        );
+        assert!(matches!(
+            lender.lock().unwrap().helper,
+            HelperSlot::Running(_)
+        ));
     }
 }

@@ -51,7 +51,7 @@ pub mod error;
 pub mod events;
 mod helper;
 pub mod kv_pager;
-mod lend;
+pub(crate) mod lend;
 pub mod policy;
 mod pricing;
 pub mod queue;
@@ -90,7 +90,7 @@ use crate::config::AccelConfig;
 use crate::engine::ToPickAccelerator;
 
 use batch_state::{ActiveRequest, BatchState, SimulatedStep};
-use lend::{KeyScratch, StepLender};
+use lend::{KeyScratch, Lender};
 use queue::PendingQueue;
 use residency::Residency;
 
@@ -1183,7 +1183,7 @@ impl ServingEngine {
     /// reports a permanently unadmittable queue as
     /// [`ServeError::AdmissionStalled`].
     pub fn step(&mut self) -> Result<Option<StepReport>, ServeError> {
-        self.step_lending_to(&lend::STEP_LENDER)
+        self.step_lending_to(&lend::LENDER)
     }
 
     /// [`step`](Self::step), with the helper a step's pool of attention
@@ -1192,7 +1192,7 @@ impl ServingEngine {
     /// attention pass over whatever was admitted, and the slot loop.
     fn step_lending_to(
         &mut self,
-        lender: &Mutex<StepLender>,
+        lender: &Mutex<Lender>,
     ) -> Result<Option<StepReport>, ServeError> {
         self.begin_step();
         let lent = lend::pool_attention(std::slice::from_mut(self), lender);

@@ -24,7 +24,11 @@
 //! [`PagedKvBinding`] behind the ordinary `AttentionBackend` trait, with
 //! [`SimulatedAttention`] as the kernel — so the run also *measures*
 //! cycles, which [`TokenBackedRun::cycle_ratio`] cross-checks against
-//! the engine's charged prefill/attention cycles.
+//! the engine's charged prefill/attention cycles. Every gap between the
+//! rows built and the rows an event needs — a prompt, a chunk, a rebuild
+//! plus the decode after it — is one [`TransformerModel::prefill`] run,
+//! whose attention calls reach the kernel one layer at a time and are
+//! split over two cores when there are enough of them.
 //!
 //! Because KV rows depend only on the token prefix (not on when or how
 //! often they were rebuilt), the mirror's tokens are byte-identical to
@@ -52,10 +56,11 @@ struct SeqState {
     seqs: Vec<PagedSeq>,
     /// Rows materialised per head (every sequence's length).
     built: usize,
-    /// Prompt token ids (`ServingRequest::token_at` folded into vocab).
-    prompt: Vec<usize>,
-    /// Tokens generated so far, in order.
-    generated: Vec<usize>,
+    /// The token history: the prompt's ids (`ServingRequest::token_at`
+    /// folded into vocab), then every token generated so far.
+    tokens: Vec<usize>,
+    /// How many of `tokens` are the prompt.
+    prompt_len: usize,
     /// Content chain keys of the full prompt pages
     /// ([`ServingRequest::page_keys`]), for donor lookup.
     page_keys: Vec<u64>,
@@ -132,8 +137,8 @@ impl TokenBackedBatch {
             SeqState {
                 seqs: Vec::new(),
                 built: 0,
-                prompt: self.prompt_tokens(req),
-                generated: Vec::new(),
+                tokens: self.prompt_tokens(req),
+                prompt_len: req.prompt_len,
                 page_keys: req.page_keys(self.page_size),
             },
         );
@@ -200,13 +205,13 @@ impl TokenBackedBatch {
     /// registered).
     #[must_use]
     pub fn generated(&self, id: u64) -> Option<&[usize]> {
-        self.states.get(&id).map(|s| s.generated.as_slice())
+        self.states.get(&id).map(|s| &s.tokens[s.prompt_len..])
     }
 
     /// The prompt token ids the mirror derived for a request.
     #[must_use]
     pub fn prompt(&self, id: u64) -> Option<&[usize]> {
-        self.states.get(&id).map(|s| s.prompt.as_slice())
+        self.states.get(&id).map(|s| &s.tokens[..s.prompt_len])
     }
 
     /// What an *unsharded* per-request run would generate: a fresh
@@ -324,7 +329,7 @@ impl TokenBackedBatch {
                 return;
             }
             debug_assert_eq!(
-                state.generated.len() + 1,
+                state.tokens.len() - state.prompt_len + 1,
                 generated,
                 "mirror desynced from engine token count for request {id}"
             );
@@ -339,14 +344,14 @@ impl TokenBackedBatch {
                 state.built = pop_to;
             }
         }
-        // Catch-up rows (reprefill / swap rebuild) come first; the last
-        // forward is the decode step itself.
+        // One run: catch-up rows (reprefill / swap rebuild) first, and its
+        // last token is the decode step itself.
         let logits = self
             .ensure_built(id, context)
             .expect("decode forwards at least one token");
         let next = argmax_token(&logits);
         let state = self.states.get_mut(&id).expect("present above");
-        state.generated.push(next);
+        state.tokens.push(next);
         self.publish(id);
     }
 
@@ -362,34 +367,24 @@ impl TokenBackedBatch {
         state.built = state.built.min(retained_tokens);
     }
 
-    /// Forwards tokens until `target` rows exist (clamped to the known
-    /// token history), returning the logits of the last forward if any
-    /// happened.
+    /// Forwards the history's tokens until `target` rows exist (clamped to
+    /// the known history) as one prefill run, returning its logits if
+    /// there was a gap to forward.
     fn ensure_built(&mut self, id: u64, target: usize) -> Option<Vec<f32>> {
-        let mut state = self.states.remove(&id)?;
-        let mut logits = None;
-        if !state.seqs.is_empty() {
-            let have = state.prompt.len() + state.generated.len();
-            let target = target.min(have);
-            if state.built < target {
-                let mut binding = PagedKvBinding::new(
-                    &mut self.store,
-                    &mut state.seqs,
-                    self.model.spec().n_heads,
-                );
-                for pos in state.built..target {
-                    let tok = if pos < state.prompt.len() {
-                        state.prompt[pos]
-                    } else {
-                        state.generated[pos - state.prompt.len()]
-                    };
-                    logits = Some(self.model.decode_step(tok, &mut binding, &mut self.kernel));
-                }
-                state.built = target;
-            }
+        let state = self.states.get_mut(&id)?;
+        let target = target.min(state.tokens.len());
+        if state.seqs.is_empty() || state.built >= target {
+            return None;
         }
-        self.states.insert(id, state);
-        logits
+        let mut binding =
+            PagedKvBinding::new(&mut self.store, &mut state.seqs, self.model.spec().n_heads);
+        let logits = self.model.prefill(
+            &state.tokens[state.built..target],
+            &mut binding,
+            &mut self.kernel,
+        );
+        state.built = target;
+        Some(logits)
     }
 
     /// Publishes the content keys the request's built rows now cover (so

@@ -34,6 +34,20 @@ pub trait AttentionBackend: fmt::Debug {
     /// values zero-copy.
     fn attend(&mut self, q: &[f32], kv: KvView<'_>) -> Vec<f32>;
 
+    /// Runs every call of `batch` in call order and returns their outputs
+    /// back to back: `batch.len() × batch.dim()` values, which is each
+    /// token's heads concatenated. The default calls
+    /// [`attend`](Self::attend) on each call in turn; an override must
+    /// return the same outputs and leave the same accumulated state.
+    fn attend_batch(&mut self, batch: &AttendBatch<'_>) -> Vec<f32> {
+        let mut out = Vec::with_capacity(batch.len() * batch.dim());
+        for i in 0..batch.len() {
+            let (q, kv) = batch.call(i);
+            out.extend(self.attend(q, kv));
+        }
+        out
+    }
+
     /// Access statistics accumulated across all `attend` calls, if the
     /// backend tracks them.
     fn accumulated_stats(&self) -> Option<&PruneStats> {
@@ -42,6 +56,103 @@ pub trait AttentionBackend: fmt::Debug {
 
     /// Resets accumulated statistics.
     fn reset_stats(&mut self) {}
+}
+
+/// One layer's attention calls over a run of tokens, in the order a
+/// token-at-a-time forward pass makes them: token by token, and head by
+/// head within a token.
+///
+/// The run's tokens sit at positions `context..context + tokens`, and every
+/// head already holds their rows. Call `i` is head `i % heads` of token
+/// `i / heads`: it attends `queries[i * dim..(i + 1) * dim]` over the first
+/// `context + 1 + i / heads` rows of its head — its own token's row and
+/// every row before it, never a later token's.
+#[derive(Debug, Clone, Copy)]
+pub struct AttendBatch<'a> {
+    heads: &'a [KvView<'a>],
+    queries: &'a [f32],
+    context: usize,
+}
+
+impl<'a> AttendBatch<'a> {
+    /// The calls of a run whose first token sits at position `context`,
+    /// with each token's queries (`heads.len() × dim` values, heads
+    /// concatenated) back to back in `queries`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `heads` is empty, the heads disagree in dimension,
+    /// `queries` is not a whole number of tokens, or a head holds fewer
+    /// rows than `context` plus one per token.
+    #[must_use]
+    pub fn new(heads: &'a [KvView<'a>], queries: &'a [f32], context: usize) -> Self {
+        let dim = heads.first().expect("a batch needs a head").dim();
+        assert!(
+            heads.iter().all(|h| h.dim() == dim),
+            "heads disagree in dimension"
+        );
+        assert_eq!(
+            queries.len() % (heads.len() * dim),
+            0,
+            "queries are not a whole number of tokens"
+        );
+        let tokens = queries.len() / (heads.len() * dim);
+        assert!(
+            heads.iter().all(|h| h.len() >= context + tokens),
+            "a head is missing rows of the run"
+        );
+        Self {
+            heads,
+            queries,
+            context,
+        }
+    }
+
+    /// Number of calls: tokens × heads.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.queries.len() / self.dim()
+    }
+
+    /// Whether the run has no tokens.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.queries.is_empty()
+    }
+
+    /// Head dimension.
+    #[must_use]
+    pub fn dim(&self) -> usize {
+        self.heads[0].dim()
+    }
+
+    /// Every head's rows, of which each call reads a prefix.
+    #[must_use]
+    pub fn heads(&self) -> &'a [KvView<'a>] {
+        self.heads
+    }
+
+    /// Call `i`'s head and the number of that head's rows it reads.
+    #[must_use]
+    pub fn shape(&self, i: usize) -> (usize, usize) {
+        let heads = self.heads.len();
+        (i % heads, self.context + 1 + i / heads)
+    }
+
+    /// Call `i`: its query and the rows it attends over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    #[must_use]
+    pub fn call(&self, i: usize) -> (&'a [f32], KvView<'a>) {
+        let (head, rows) = self.shape(i);
+        let dim = self.dim();
+        (
+            &self.queries[i * dim..(i + 1) * dim],
+            self.heads[head].prefix(rows),
+        )
+    }
 }
 
 /// Exact full-precision attention (the functional reference).

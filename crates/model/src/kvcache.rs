@@ -64,6 +64,21 @@ impl<'a> KvView<'a> {
     pub fn values(&self) -> Rows<'a> {
         self.values
     }
+
+    /// The view of the first `len` tokens — what a query at position
+    /// `len - 1` of a run attends over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > self.len()`.
+    #[must_use]
+    pub fn prefix(&self, len: usize) -> Self {
+        let n = len * self.dim();
+        Self {
+            keys: Rows::new(&self.keys.data()[..n], self.dim()),
+            values: Rows::new(&self.values.data()[..n], self.dim()),
+        }
+    }
 }
 
 /// The KV cache of one attention head: `len` rows of dimension `dim`,
@@ -220,6 +235,16 @@ impl KvCache {
         &self.layers[layer][head]
     }
 
+    /// Every head's cache of one layer, in head order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is out of range.
+    #[must_use]
+    pub fn layer(&self, layer: usize) -> &[HeadCache] {
+        &self.layers[layer]
+    }
+
     /// Truncates every head of every layer to at most `len` tokens —
     /// the model-wide form of [`HeadCache::truncate`], used when a
     /// preempted request's retained KV prefix is shorter than its
@@ -260,6 +285,10 @@ mod tests {
         assert_eq!(view.len(), 2);
         assert_eq!(view.dim(), 2);
         assert_eq!(view.values().row(1), &[7.0, 8.0]);
+        let first = view.prefix(1);
+        assert_eq!(first.keys().data(), &[1.0, 2.0]);
+        assert_eq!(first.values().data(), &[3.0, 4.0]);
+        assert!(view.prefix(0).is_empty());
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //! implementation in the workspace plugs into. A backend receives the
 //! query and a borrowed, zero-copy [`KvView`] of one head's contiguous
 //! KV cache ([`HeadCache::view`]) — no backend ever clones cache rows.
+//! The model hands a backend one layer's calls for a whole run of tokens at
+//! once ([`AttendBatch`]); a backend may spread them over threads, as long
+//! as its outputs and accumulated state are those of the calls in order.
 //! Implementations span three crates:
 //!
 //! * here: [`ExactAttention`], [`QuantizedExactAttention`],
@@ -55,7 +58,7 @@ pub mod synth;
 pub mod tensor;
 
 pub use attention::{
-    AttentionBackend, ExactAttention, OracleAttention, QuantizedExactAttention,
+    AttendBatch, AttentionBackend, ExactAttention, OracleAttention, QuantizedExactAttention,
     TokenPickerAttention,
 };
 pub use kvcache::{HeadCache, KvCache, KvView};

@@ -5,22 +5,23 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::attention::AttentionBackend;
-use crate::kvcache::KvCache;
+use crate::attention::{AttendBatch, AttentionBackend};
+use crate::kvcache::{HeadCache, KvCache, KvView};
 use crate::layers::{Embedding, FeedForward, LayerNorm, Linear};
 use crate::specs::ModelSpec;
 use crate::tensor::add_assign;
 
 /// KV storage the resumable decode path writes into and attends over.
 ///
-/// The model's forward loop only ever needs two storage operations per
-/// `(layer, head)`: append one token's key/value rows, and attend over
-/// everything cached so far. Abstracting those two behind this trait lets
-/// the *same* loop run over the contiguous per-request [`KvCache`] and
-/// over [`PagedKvBinding`](crate::PagedKvBinding), whose rows live in a
-/// shared copy-on-write [`PagedKvStore`](crate::PagedKvStore) — which is
-/// how a serving batch physically shares system-prompt KV while the
-/// model code stays oblivious.
+/// The model's forward pass only ever needs two storage operations: append
+/// one token's key/value rows to a `(layer, head)`, and attend a run of
+/// tokens at one layer over what is cached. Abstracting those two behind
+/// this trait lets the *same* pass run over the contiguous per-request
+/// [`KvCache`] and over [`PagedKvBinding`](crate::PagedKvBinding), whose
+/// rows live in a shared copy-on-write
+/// [`PagedKvStore`](crate::PagedKvStore) — which is how a serving batch
+/// physically shares system-prompt KV while the model code stays
+/// oblivious.
 pub trait DecodeKv {
     /// Number of tokens whose K/V rows are currently materialised. The
     /// next [`decode_step`](TransformerModel::decode_step) appends at
@@ -30,13 +31,16 @@ pub trait DecodeKv {
     /// Appends one token's key and value rows for `(layer, head)`.
     fn push_row(&mut self, layer: usize, head: usize, key: &[f32], value: &[f32]);
 
-    /// Runs `kernel` over every cached row of `(layer, head)` for query
-    /// `q`, returning the attention output.
-    fn attend(
+    /// Runs `kernel` over every call of a run at `layer` whose first token
+    /// sits at position `context` and whose rows are already pushed:
+    /// `queries` holds each token's queries, heads concatenated, and the
+    /// result is each token's attention outputs the same way (see
+    /// [`AttendBatch`]).
+    fn attend_run(
         &mut self,
         layer: usize,
-        head: usize,
-        q: &[f32],
+        context: usize,
+        queries: &[f32],
         kernel: &mut dyn AttentionBackend,
     ) -> Vec<f32>;
 }
@@ -50,14 +54,17 @@ impl DecodeKv for KvCache {
         self.head_mut(layer, head).push(key, value);
     }
 
-    fn attend(
+    /// Each head's rows are contiguous, so every call reads a prefix view
+    /// of them: nothing is copied.
+    fn attend_run(
         &mut self,
         layer: usize,
-        head: usize,
-        q: &[f32],
+        context: usize,
+        queries: &[f32],
         kernel: &mut dyn AttentionBackend,
     ) -> Vec<f32> {
-        kernel.attend(q, self.head(layer, head).view())
+        let heads: Vec<KvView<'_>> = self.layer(layer).iter().map(HeadCache::view).collect();
+        kernel.attend_batch(&AttendBatch::new(&heads, queries, context))
     }
 }
 
@@ -157,51 +164,74 @@ impl TransformerModel {
         cache: &mut KvCache,
         kernel: &mut dyn AttentionBackend,
     ) -> Vec<f32> {
-        self.forward_with(token, pos, cache, kernel)
+        assert_eq!(cache.context_len(), pos, "cache length must equal pos");
+        self.forward_run(&[token], cache, kernel)
     }
 
-    /// The forward pass over any [`DecodeKv`] storage — the single code
-    /// path behind [`forward`](Self::forward) (contiguous cache) and the
-    /// paged serving path, so the two cannot drift.
-    fn forward_with(
+    /// The one forward pass, behind [`forward`](Self::forward),
+    /// [`decode_step`](Self::decode_step) and [`prefill`](Self::prefill):
+    /// feeds the run `tokens` at the storage's current context length, one
+    /// layer at a time, and returns the logits after the last token.
+    ///
+    /// At each layer every token's K/V rows are pushed first, then the
+    /// layer's `tokens × heads` attention calls go to the kernel as one
+    /// batch, each reading its own token's rows and those before them — so
+    /// every row and every call's output are those of feeding the tokens
+    /// one at a time. W_o and the FFN follow per token; only the last token
+    /// gets LN_f and logits.
+    fn forward_run(
         &self,
-        token: usize,
-        pos: usize,
+        tokens: &[usize],
         kv: &mut dyn DecodeKv,
         kernel: &mut dyn AttentionBackend,
     ) -> Vec<f32> {
-        assert!(token < self.spec.vocab, "token id out of vocabulary");
-        assert!(pos < self.spec.max_context, "position beyond max context");
-        assert_eq!(kv.context_len(), pos, "cache length must equal pos");
+        assert!(!tokens.is_empty(), "a forward run needs at least one token");
+        let context = kv.context_len();
+        assert!(
+            context + tokens.len() <= self.spec.max_context,
+            "position beyond max context"
+        );
         let d = self.spec.d_model;
         let hd = self.spec.head_dim();
 
-        let mut h: Vec<f32> = self.token_emb.lookup(token).to_vec();
-        add_assign(&mut h, self.pos_emb.lookup(pos));
+        let mut hs: Vec<Vec<f32>> = tokens
+            .iter()
+            .zip(context..)
+            .map(|(&token, pos)| {
+                assert!(token < self.spec.vocab, "token id out of vocabulary");
+                let mut h = self.token_emb.lookup(token).to_vec();
+                add_assign(&mut h, self.pos_emb.lookup(pos));
+                h
+            })
+            .collect();
+        let mut queries = Vec::with_capacity(tokens.len() * d);
 
         for (li, layer) in self.layers.iter().enumerate() {
-            // Self-attention sublayer.
-            let x = layer.ln1.forward(&h);
-            let q = layer.w_q.forward(&x);
-            let k = layer.w_k.forward(&x);
-            let v = layer.w_v.forward(&x);
-            let mut attn_cat = vec![0.0f32; d];
-            for head in 0..self.spec.n_heads {
-                let range = head * hd..(head + 1) * hd;
-                kv.push_row(li, head, &k[range.clone()], &v[range.clone()]);
-                let out = kv.attend(li, head, &q[range.clone()], kernel);
-                attn_cat[range].copy_from_slice(&out);
+            // Self-attention sublayer: every token's rows, then one batch.
+            queries.clear();
+            for h in &hs {
+                let x = layer.ln1.forward(h);
+                let k = layer.w_k.forward(&x);
+                let v = layer.w_v.forward(&x);
+                for head in 0..self.spec.n_heads {
+                    let range = head * hd..(head + 1) * hd;
+                    kv.push_row(li, head, &k[range.clone()], &v[range]);
+                }
+                queries.extend(layer.w_q.forward(&x));
             }
-            let attn_out = layer.w_o.forward(&attn_cat);
-            add_assign(&mut h, &attn_out);
+            let attn = kv.attend_run(li, context, &queries, kernel);
+            for (h, attn_cat) in hs.iter_mut().zip(attn.chunks_exact(d)) {
+                let attn_out = layer.w_o.forward(attn_cat);
+                add_assign(h, &attn_out);
 
-            // Feed-forward sublayer.
-            let x2 = layer.ln2.forward(&h);
-            let ffn_out = layer.ffn.forward(&x2);
-            add_assign(&mut h, &ffn_out);
+                // Feed-forward sublayer.
+                let x2 = layer.ln2.forward(h);
+                let ffn_out = layer.ffn.forward(&x2);
+                add_assign(h, &ffn_out);
+            }
         }
 
-        let hf = self.ln_f.forward(&h);
+        let hf = self.ln_f.forward(hs.last().expect("non-empty run"));
         self.token_emb.tied_logits(&hf)
     }
 
@@ -209,12 +239,14 @@ impl TransformerModel {
     /// current context length and returns the logits after the last one.
     /// On empty storage this is ordinary prompt ingestion; on non-empty
     /// storage it extends the cached context (e.g. rebuilding the suffix
-    /// a preemption dropped).
+    /// a preemption dropped). The logits, every cached row and every
+    /// attention call are those of [`decode_step`](Self::decode_step) on
+    /// each token in turn; the calls reach the kernel one layer at a time.
     ///
     /// # Panics
     ///
-    /// Panics if `tokens` is empty or any forwarded position violates the
-    /// [`forward`](Self::forward) invariants.
+    /// Panics if `tokens` is empty, a token is outside the vocabulary, or
+    /// the run would pass the maximum context.
     pub fn prefill(
         &self,
         tokens: &[usize],
@@ -222,11 +254,7 @@ impl TransformerModel {
         kernel: &mut dyn AttentionBackend,
     ) -> Vec<f32> {
         assert!(!tokens.is_empty(), "prefill needs at least one token");
-        let mut logits = Vec::new();
-        for &t in tokens {
-            logits = self.decode_step(t, kv, kernel);
-        }
-        logits
+        self.forward_run(tokens, kv, kernel)
     }
 
     /// One resumable decode step: appends `token` at the storage's
@@ -244,8 +272,7 @@ impl TransformerModel {
         kv: &mut dyn DecodeKv,
         kernel: &mut dyn AttentionBackend,
     ) -> Vec<f32> {
-        let pos = kv.context_len();
-        self.forward_with(token, pos, kv, kernel)
+        self.forward_run(&[token], kv, kernel)
     }
 
     /// Teacher-forced forward over a whole sequence, returning the logits

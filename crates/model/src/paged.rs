@@ -251,9 +251,9 @@ impl PagedKvStore {
     }
 
     /// [`gather`](Self::gather) into caller-owned buffers, clearing them
-    /// first — the allocation-free variant the per-step decode loop uses
-    /// so gathering every head each step reuses one pair of scratch
-    /// buffers instead of allocating per attend.
+    /// first — the allocation-free variant [`PagedKvBinding`] uses, so
+    /// gathering each head once per layer of a forward run reuses that
+    /// head's pair of scratch buffers instead of allocating.
     pub fn gather_into(&self, seq: &PagedSeq, keys: &mut Vec<f32>, values: &mut Vec<f32>) {
         keys.clear();
         values.clear();
@@ -337,18 +337,19 @@ impl PagedKvStore {
 /// across requests while each request's binding reads only its own
 /// logical rows.
 ///
-/// Attention reads gather the (non-contiguous) pages into two reusable
-/// scratch buffers and hand the kernel an ordinary
-/// [`KvView`](crate::KvView); because [`PagedKvStore::gather_into`]
-/// preserves row order, the kernel sees bit-identical inputs to the
-/// contiguous [`KvCache`](crate::KvCache) path.
+/// Attending a run at one layer gathers each head's (non-contiguous) pages
+/// once, into a pair of reusable scratch buffers per head, and hands the
+/// kernel one batch of ordinary [`KvView`](crate::KvView) prefixes of
+/// them; because [`PagedKvStore::gather_into`] preserves row order, the
+/// kernel sees bit-identical inputs to the contiguous
+/// [`KvCache`](crate::KvCache) path.
 #[derive(Debug)]
 pub struct PagedKvBinding<'a> {
     store: &'a mut PagedKvStore,
     seqs: &'a mut [PagedSeq],
     n_heads: usize,
-    key_scratch: Vec<f32>,
-    value_scratch: Vec<f32>,
+    /// One head's gathered keys and values, per head.
+    scratch: Vec<(Vec<f32>, Vec<f32>)>,
 }
 
 impl<'a> PagedKvBinding<'a> {
@@ -378,8 +379,7 @@ impl<'a> PagedKvBinding<'a> {
             store,
             seqs,
             n_heads,
-            key_scratch: Vec::new(),
-            value_scratch: Vec::new(),
+            scratch: vec![(Vec::new(), Vec::new()); n_heads],
         }
     }
 }
@@ -394,22 +394,31 @@ impl crate::DecodeKv for PagedKvBinding<'_> {
         self.store.push(seq, key, value);
     }
 
-    fn attend(
+    /// One gather per head of `layer`, then every call of the run reads a
+    /// prefix of its head's gathered rows.
+    fn attend_run(
         &mut self,
         layer: usize,
-        head: usize,
-        q: &[f32],
+        context: usize,
+        queries: &[f32],
         kernel: &mut dyn crate::AttentionBackend,
     ) -> Vec<f32> {
-        let seq = &self.seqs[layer * self.n_heads + head];
-        self.store
-            .gather_into(seq, &mut self.key_scratch, &mut self.value_scratch);
         let dim = self.store.dim();
-        let view = crate::KvView::new(
-            topick_core::Rows::new(&self.key_scratch, dim),
-            topick_core::Rows::new(&self.value_scratch, dim),
-        );
-        kernel.attend(q, view)
+        let seqs = &self.seqs[layer * self.n_heads..(layer + 1) * self.n_heads];
+        for (seq, (keys, values)) in seqs.iter().zip(&mut self.scratch) {
+            self.store.gather_into(seq, keys, values);
+        }
+        let heads: Vec<crate::KvView<'_>> = self
+            .scratch
+            .iter()
+            .map(|(keys, values)| {
+                crate::KvView::new(
+                    topick_core::Rows::new(keys, dim),
+                    topick_core::Rows::new(values, dim),
+                )
+            })
+            .collect();
+        kernel.attend_batch(&crate::AttendBatch::new(&heads, queries, context))
     }
 }
 
