@@ -45,16 +45,18 @@ use crate::engine::ToPickAccelerator;
 /// Smallest pool — a step's, all shards of a cluster step — in key elements
 /// (`context · dim` summed over its instances) worth splitting between the
 /// stepping thread and the helper.
-/// A handoff — two channel hops and a wake-up — measures 40–70 µs on the
-/// 2-core development host, and an element costs at least the 28 ns of its
-/// synthesis (one Box–Muller normal plus its share of the projection;
-/// quantization and `attention_cost`, which a lent instance takes with it,
-/// come on top), so lending half of `n` elements saves at least `n · 14 ns`
-/// less one handoff: break-even at 3 000–5 000 elements. The floor is where
-/// the saving is worth several handoffs more, `n · 14 ns ≥ (1 + 3) ·
-/// 40…70 µs`, i.e. 11 000–20 000 elements: 256 tokens × 64. Derived, not
-/// tuned, and deliberately not an option: below it — a step of 16–32 token
-/// contexts is a few thousand elements — the helper is never touched.
+/// A handoff — two channel hops and a wake-up — measures 40–70 µs on a
+/// 2-core x86-64 Xeon host, and an element costs at least the ≈ 20 ns of
+/// its synthesis (one Box–Muller normal, its cosine a polynomial, plus its
+/// share of the projection: `SynthKeys::generate_into` at 1536 × 64 takes
+/// 20–26 ns per element there; quantization and `attention_cost`, which a
+/// lent instance takes with it, come on top), so lending half of `n`
+/// elements saves at least `n · 10 ns` less one handoff: break-even at
+/// 4 000–7 000 elements. The floor is where the saving is worth several
+/// handoffs more, `n · 10 ns ≥ (1 + 3) · 40…70 µs`, i.e. 16 000–28 000
+/// elements: 256 tokens × 64. Derived, not tuned, and deliberately not an
+/// option: below it — a step of 16–32 token contexts is a few thousand
+/// elements — the helper is never touched.
 const SPLIT_MIN_ELEMS: usize = 16 * 1024;
 
 /// How often steps used the second core for their attention instances, of

@@ -130,12 +130,12 @@ fn fill_rows(rng: &mut StdRng, query: &[f32], scores: &[f64], keys: &mut Vec<f32
     let d = query.len();
     let sqrt_d = (d as f64).sqrt();
     let q_norm2 = f64::from(dot(query, query)).max(1e-9);
-    for &s in scores {
-        // Residual with small norm so the projection dominates, drawn
-        // straight into the key's row and projected in place.
-        let start = keys.len();
-        extend_normal(rng, keys, d, 0.3);
-        let row = &mut keys[start..];
+    // Residuals with small norm so the projection dominates, all drawn
+    // straight into the key rows (the projection draws nothing, so the
+    // stream is that of drawing row by row) and projected in place.
+    let start = keys.len();
+    extend_normal(rng, keys, scores.len() * d, 0.3);
+    for (row, &s) in keys[start..].chunks_exact_mut(d).zip(scores) {
         let qr = f64::from(dot(query, row));
         let alpha = ((s * sqrt_d - qr) / q_norm2) as f32;
         for (k, &qi) in row.iter_mut().zip(query) {

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topick_core::{PrecisionConfig, QMatrix};
-use topick_model::rng::normal_vec;
+use topick_model::rng::standard_normal;
 use topick_model::{
     nll_from_logits, ExactAttention, HeadCache, KvCache, ModelSpec, PagedKvStore, SynthInstance,
     SynthKeys, SynthProfile, TransformerModel,
@@ -75,10 +75,16 @@ proptest! {
         prop_assert_eq!(score_bits(&keys.target_scores), score_bits(&full.target_scores));
 
         // One normal per query element, per score and per key element come
-        // before the first value.
+        // before the first value. Replayed with the scalar formula, not
+        // `normal_vec`, which is the path under test.
         let mut rng = StdRng::seed_from_u64(seed);
-        let _ = normal_vec(&mut rng, dim + n + n * dim, 1.0);
-        prop_assert_eq!(bits(full.values().data()), bits(&normal_vec(&mut rng, n * dim, 1.0)));
+        for _ in 0..dim + n + n * dim {
+            standard_normal(&mut rng);
+        }
+        let values: Vec<u32> = (0..n * dim)
+            .map(|_| (standard_normal(&mut rng) as f32).to_bits())
+            .collect();
+        prop_assert_eq!(bits(full.values().data()), values);
     }
 
     /// A recycled key buffer cannot show: keys drawn into a spare buffer of
