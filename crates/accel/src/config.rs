@@ -143,7 +143,24 @@ impl AccelConfig {
                 "a chunked mode needs at least one scoreboard entry per lane",
             ));
         }
-        Ok(())
+        // The DRAM model decodes addresses by dividing by the channel, bank
+        // and column counts and shifting by the burst size, and a queue
+        // that holds nothing never drains.
+        let dram = &self.dram;
+        let rule = if dram.channels == 0 {
+            "dram.channels must be positive"
+        } else if dram.banks_per_channel == 0 {
+            "dram.banks_per_channel must be positive"
+        } else if dram.queue_depth == 0 {
+            "dram.queue_depth must be positive"
+        } else if !dram.access_bytes.is_power_of_two() {
+            "dram.access_bytes must be a power of two"
+        } else if dram.row_bytes < dram.access_bytes {
+            "dram.row_bytes must hold at least one burst"
+        } else {
+            return Ok(());
+        };
+        Err(CoreError::InvalidConfig(rule))
     }
 
     /// The baseline accelerator (threshold is irrelevant but kept valid).

@@ -9,11 +9,9 @@
 //! hardware's RPDU sees it. All four modes run the same lane pipeline
 //! ([`ToPickAccelerator::attention_cost`] holds the table of what differs).
 
-use std::collections::VecDeque;
-
 use topick_core::{
-    softmax, weighted_value_sum, CoreError, Decision, Estimator, KeptToken, QMatrix, QVector, Rows,
-    ScanOrder,
+    softmax, weighted_value_sum, CoreError, Decision, Estimator, EstimatorScratch, KeptToken,
+    QMatrix, QVector, Rows, ScanOrder,
 };
 use topick_dram::DramSim;
 use topick_energy::{EnergyBreakdown, EventCounts, EventEnergies};
@@ -78,38 +76,132 @@ pub(crate) fn energy_breakdown(events: &EventCounts, dram: &DramSim) -> EnergyBr
     }
 }
 
-/// One lane's in-order stream of multi-burst DRAM transfers: first K chunks,
-/// next K chunks, full K rows and V rows all issue through this.
-#[derive(Debug, Clone, Default)]
-struct LaneStream<T> {
-    queue: VecDeque<T>,
-    /// Bursts of the front transfer already issued.
+/// One FIFO per lane, all in one buffer: lane `l` owns the ring
+/// `buf[l * cap..(l + 1) * cap]`. A token is in at most one place of its
+/// lane's pipeline at a time, so `cap` — the most tokens one lane holds —
+/// bounds every queue, and a call sizes them all once.
+#[derive(Debug)]
+struct LaneQueues<T> {
+    buf: Vec<T>,
+    cap: usize,
+    rings: Vec<Ring>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Ring {
+    /// `buf` index of the lane's first slot and of its front entry.
+    start: usize,
+    head: usize,
+    len: usize,
+    /// Bursts of the front transfer already issued, when the queue is a
+    /// stream of multi-burst DRAM transfers.
     burst: u64,
 }
 
-impl<T: Copy> LaneStream<T> {
-    /// Tries to issue the front transfer's next burst; returns the transfer
-    /// once its last burst has been accepted.
+impl<T: Copy + Default> LaneQueues<T> {
+    fn new(lanes: usize, cap: usize) -> Self {
+        Self {
+            buf: vec![T::default(); lanes * cap],
+            cap,
+            rings: (0..lanes)
+                .map(|lane| Ring {
+                    start: lane * cap,
+                    head: lane * cap,
+                    len: 0,
+                    burst: 0,
+                })
+                .collect(),
+        }
+    }
+
+    /// `buf` index of entry `i` of a lane's queue.
+    #[inline]
+    fn slot(&self, ring: &Ring, i: usize) -> usize {
+        let at = ring.head + i;
+        if at >= ring.start + self.cap {
+            at - self.cap
+        } else {
+            at
+        }
+    }
+
+    #[inline]
+    fn front(&self, lane: usize) -> Option<T> {
+        let ring = &self.rings[lane];
+        (ring.len > 0).then(|| self.buf[ring.head])
+    }
+
+    #[inline]
+    fn push_back(&mut self, lane: usize, item: T) {
+        let ring = self.rings[lane];
+        assert!(ring.len < self.cap, "lane queue over capacity");
+        let at = self.slot(&ring, ring.len);
+        self.buf[at] = item;
+        self.rings[lane].len += 1;
+    }
+
+    #[inline]
+    fn pop_front(&mut self, lane: usize) -> Option<T> {
+        let item = self.front(lane)?;
+        let next = self.slot(&self.rings[lane], 1);
+        let ring = &mut self.rings[lane];
+        ring.head = next;
+        ring.len -= 1;
+        Some(item)
+    }
+
+    /// Index of the first entry of `lane`'s queue that satisfies `pred`.
+    fn position(&self, lane: usize, pred: impl Fn(T) -> bool) -> Option<usize> {
+        let ring = &self.rings[lane];
+        (0..ring.len).find(|&i| pred(self.buf[self.slot(ring, i)]))
+    }
+
+    /// Removes entry `i` of `lane`'s queue, keeping the rest in order: the
+    /// `i` entries ahead of it move back one place.
+    #[inline]
+    fn remove(&mut self, lane: usize, i: usize) -> Option<T> {
+        let ring = self.rings[lane];
+        if i >= ring.len {
+            return None;
+        }
+        let item = self.buf[self.slot(&ring, i)];
+        for j in (0..i).rev() {
+            let (from, to) = (self.slot(&ring, j), self.slot(&ring, j + 1));
+            self.buf[to] = self.buf[from];
+        }
+        self.pop_front(lane);
+        Some(item)
+    }
+
+    /// Tries to issue the next burst of `lane`'s front transfer; returns
+    /// the transfer once its last burst has been accepted. First K chunks,
+    /// next K chunks, full K rows and V rows all issue through this.
+    #[inline]
     fn issue(
         &mut self,
+        lane: usize,
         dram: &mut DramSim,
         bursts_per_transfer: u64,
         request: impl Fn(T, u64) -> (u64, u64),
     ) -> Option<T> {
-        let (id, addr) = request(*self.queue.front()?, self.burst);
+        let front = self.front(lane)?;
+        let burst = self.rings[lane].burst;
+        let (id, addr) = request(front, burst);
         if !dram.try_enqueue(id, addr) {
             return None;
         }
-        self.burst += 1;
-        if self.burst < bursts_per_transfer {
+        if burst + 1 < bursts_per_transfer {
+            self.rings[lane].burst = burst + 1;
             return None;
         }
-        self.burst = 0;
-        self.queue.pop_front()
+        self.rings[lane].burst = 0;
+        self.pop_front(lane)
     }
 }
 
-/// Mutable machinery shared by every mode during one run.
+/// Mutable machinery shared by every mode during one run, sized once from
+/// the context and the configuration: a run allocates the same number of
+/// times at any context.
 #[derive(Debug)]
 struct RunState<'a> {
     cfg: &'a AccelConfig,
@@ -125,10 +217,18 @@ struct RunState<'a> {
     k_arrivals: Vec<u8>,
     /// Bursts arrived per V row, indexed by token.
     v_arrivals: Vec<u8>,
+    /// Per lane: the tokens whose first K chunk is still to be requested,
+    /// in scan order.
+    k_first: LaneQueues<usize>,
+    /// Per lane: `(token, chunks_known)` of survivors whose next chunk is
+    /// still to be requested.
+    k_next: LaneQueues<(usize, u32)>,
     /// K chunk evaluations whose data is fully on-chip, per lane.
-    k_ready: Vec<VecDeque<(usize, u32)>>,
+    k_ready: LaneQueues<(usize, u32)>,
+    /// Per lane: kept tokens whose V row is still to be requested.
+    v_rows: LaneQueues<usize>,
     /// V rows fully on-chip awaiting the weighted-sum MAC, per lane.
-    v_ready: Vec<VecDeque<usize>>,
+    v_ready: LaneQueues<usize>,
 }
 
 impl<'a> RunState<'a> {
@@ -154,6 +254,7 @@ impl<'a> RunState<'a> {
         let chunks_per_row = usize::from(id_field(u64::from(chunks_per_row))?);
         let k_bursts = id_field(layout.k_bursts_per_chunk())?;
         let v_bursts = id_field(layout.v_bursts_per_row())?;
+        let per_lane = n.div_ceil(cfg.lanes);
         Ok(Self {
             cfg,
             dram: DramSim::new(cfg.dram.clone()),
@@ -165,8 +266,11 @@ impl<'a> RunState<'a> {
             chunks_per_row,
             k_arrivals: vec![0; n * chunks_per_row],
             v_arrivals: vec![0; n],
-            k_ready: vec![VecDeque::new(); cfg.lanes],
-            v_ready: vec![VecDeque::new(); cfg.lanes],
+            k_first: LaneQueues::new(cfg.lanes, per_lane),
+            k_next: LaneQueues::new(cfg.lanes, per_lane),
+            k_ready: LaneQueues::new(cfg.lanes, per_lane),
+            v_rows: LaneQueues::new(cfg.lanes, per_lane),
+            v_ready: LaneQueues::new(cfg.lanes, per_lane),
         })
     }
 
@@ -184,14 +288,14 @@ impl<'a> RunState<'a> {
                 let cnt = &mut self.v_arrivals[token];
                 *cnt += 1;
                 if *cnt == self.v_bursts {
-                    self.v_ready[token % lanes].push_back(token);
+                    self.v_ready.push_back(token % lanes, token);
                 }
             } else {
                 let cnt = &mut self.k_arrivals[token * self.chunks_per_row + chunk as usize];
                 *cnt += 1;
                 if *cnt == self.k_bursts {
                     // chunks_known for the evaluation = chunk index + 1.
-                    self.k_ready[token % lanes].push_back((token, chunk + 1));
+                    self.k_ready.push_back(token % lanes, (token, chunk + 1));
                 }
             }
         }
@@ -222,11 +326,9 @@ impl<'a> RunState<'a> {
                 layout.k_addr(tok, chunk, burst),
             )
         };
-        let mut first = vec![LaneStream::default(); lanes];
         for tok in order.indices(n) {
-            first[tok % lanes].queue.push_back((tok, 0));
+            self.k_first.push_back(tok % lanes, tok);
         }
-        let mut next = vec![LaneStream::default(); lanes];
         let mut sb_used = vec![0usize; lanes];
         // In blocking mode a lane may not start a new first chunk while it
         // still has an unresolved token in flight.
@@ -241,13 +343,18 @@ impl<'a> RunState<'a> {
                 "step 0 failed to converge: resolved {resolved}/{n}"
             );
             // (1) Issue at most one DRAM request per lane, next-chunk first.
-            for lane in 0..lanes {
-                if !next[lane].queue.is_empty() {
-                    next[lane].issue(&mut self.dram, bursts, request);
-                } else if !(blocking && inflight[lane] > 0)
-                    && first[lane].issue(&mut self.dram, bursts, request).is_some()
+            for (lane, unresolved) in inflight.iter_mut().enumerate() {
+                if self.k_next.front(lane).is_some() {
+                    self.k_next.issue(lane, &mut self.dram, bursts, request);
+                } else if !(blocking && *unresolved > 0)
+                    && self
+                        .k_first
+                        .issue(lane, &mut self.dram, bursts, |tok, burst| {
+                            request((tok, 0), burst)
+                        })
+                        .is_some()
                 {
-                    inflight[lane] += 1;
+                    *unresolved += 1;
                 }
             }
 
@@ -261,24 +368,24 @@ impl<'a> RunState<'a> {
                 // deeper-chunk refinement instead (it already owns an entry
                 // and will free it) — otherwise a stalled first chunk at the
                 // queue head would deadlock the lane.
-                let queue = &mut self.k_ready[lane];
+                let ready = &mut self.k_ready;
                 let needs_entry = |ck: u32| ck == 1 && ck < chunks_per_row;
-                let pick = match queue.front() {
+                let pick = match ready.front(lane) {
                     None => continue,
-                    Some(&(_, ck))
+                    Some((_, ck))
                         if needs_entry(ck) && sb_used[lane] >= self.cfg.scoreboard_entries =>
                     {
-                        match queue.iter().position(|&(_, ck)| ck > 1) {
+                        match ready.position(lane, |(_, ck)| ck > 1) {
                             Some(i) => i,
                             None => continue, // all arrivals need entries; wait
                         }
                     }
                     Some(_) => 0,
                 };
-                let (tok, chunks_known) = queue.remove(pick).expect("index valid");
+                let (tok, chunks_known) = ready.remove(lane, pick).expect("index valid");
                 if arrive(&mut self.events, tok, chunks_known) == Decision::RequestNextChunk {
                     sb_used[lane] += usize::from(chunks_known == 1);
-                    next[lane].queue.push_back((tok, chunks_known));
+                    self.k_next.push_back(lane, (tok, chunks_known));
                 } else {
                     sb_used[lane] -= usize::from(chunks_known > 1);
                     inflight[lane] -= 1;
@@ -292,23 +399,25 @@ impl<'a> RunState<'a> {
     fn v_phase(&mut self, kept: &[KeptToken], dim: usize, row_bytes: u64) {
         let lanes = self.cfg.lanes;
         let layout = self.layout;
-        let mut rows = vec![LaneStream::default(); lanes];
         for k in kept {
-            rows[k.index % lanes].queue.push_back(k.index);
+            self.v_rows.push_back(k.index % lanes, k.index);
         }
         let mut maced = 0usize;
         let mut guard = 0u64;
         while maced < kept.len() {
             guard += 1;
             assert!(guard < 100_000_000, "step 1 failed to converge");
-            for lane in &mut rows {
-                lane.issue(&mut self.dram, layout.v_bursts_per_row(), |tok, burst| {
-                    (v_req_id(tok, burst), layout.v_addr(tok, burst))
-                });
+            for lane in 0..lanes {
+                self.v_rows.issue(
+                    lane,
+                    &mut self.dram,
+                    layout.v_bursts_per_row(),
+                    |tok, burst| (v_req_id(tok, burst), layout.v_addr(tok, burst)),
+                );
             }
             self.advance_cycle();
             for lane in 0..lanes {
-                if self.v_ready[lane].pop_front().is_some() {
+                if self.v_ready.pop_front(lane).is_some() {
                     self.events.mac_12x12 += dim as u64;
                     self.events.buffer_read_bytes += row_bytes;
                     maced += 1;
@@ -379,8 +488,10 @@ impl ToPickAccelerator {
     /// [`CoreError::InvalidThreshold`] if a configuration field was assigned
     /// a value the model cannot run with (zero `lanes` or `clock_ratio`, a
     /// chunked mode with zero `scoreboard_entries`, a threshold outside
-    /// `(0, 1)`) or the head is so wide that one K chunk, K row or V row
-    /// takes more than 255 DRAM bursts.
+    /// `(0, 1)`, zero DRAM channels, banks or queue depth, a DRAM burst that
+    /// is not a power of two or a DRAM row shorter than one burst) or the
+    /// head is so wide that one K chunk, K row or V row takes more than 255
+    /// DRAM bursts.
     pub fn attention_cost(
         &self,
         query: &QVector,
@@ -412,8 +523,8 @@ impl ToPickAccelerator {
         let layout = KvLayout::new(n, k_bytes, row_bytes, chunks_per_row, burst);
         let mut st = RunState::new(cfg, layout, n, chunks_per_row, start_cycle)?;
 
-        let mut bounds = Vec::new();
-        let mut estimator = Estimator::new(query, keys, pc, threshold, &mut bounds)?;
+        let mut scratch = EstimatorScratch::new();
+        let mut estimator = Estimator::new(query, keys, pc, threshold, &mut scratch)?;
         let arrive = |events: &mut EventCounts, tok: usize, arrived: u32| {
             events.buffer_read_bytes += k_bytes;
             if chunked {

@@ -2,7 +2,7 @@
 //! correctness against exact attention, estimator soundness in arrival
 //! order, and the architectural claims (speedup ordering of the modes).
 
-use topick_accel::{AccelConfig, AccelMode, ToPickAccelerator};
+use topick_accel::{run_prompt_phase, AccelConfig, AccelMode, ToPickAccelerator};
 use topick_core::{
     exact_probabilities, weighted_value_sum, CoreError, PrecisionConfig, QMatrix, QVector, Rows,
 };
@@ -259,6 +259,64 @@ fn threshold_assigned_outside_the_unit_interval_is_a_typed_error() {
         let err = run_edited(AccelMode::OutOfOrder, |cfg| cfg.threshold = thr);
         assert!(matches!(err, CoreError::InvalidThreshold(_)), "{thr}");
     }
+}
+
+/// A DRAM geometry the controller cannot run — it used to spin to the
+/// convergence guard (`queue_depth = 0`), divide by zero (`channels` or
+/// `banks_per_channel = 0`) or panic building the address map — is a typed
+/// error naming the field from all three entry points, in every mode.
+fn dram_edit_is_a_typed_error(field: &str, edit: impl Fn(&mut topick_dram::DramConfig)) {
+    let (q, keys, values) = quantized_instance(32, 5);
+    let values = Rows::new(&values, 64);
+    let named =
+        |err: CoreError| matches!(err, CoreError::InvalidConfig(rule) if rule.contains(field));
+    for mode in ALL_MODES {
+        let mut cfg = AccelConfig::paper(mode, 1e-3).unwrap();
+        edit(&mut cfg.dram);
+        let accel = ToPickAccelerator::new(cfg.clone());
+        assert!(named(accel.run_attention(&q, &keys, values).unwrap_err()));
+        assert!(named(accel.attention_cost(&q, &keys).unwrap_err()));
+        let queries = vec![q.clone(); keys.num_tokens()];
+        assert!(named(
+            run_prompt_phase(&cfg, &queries, &keys, values).unwrap_err()
+        ));
+    }
+}
+
+#[test]
+fn zero_dram_channels_is_a_typed_error() {
+    dram_edit_is_a_typed_error("dram.channels", |d| d.channels = 0);
+}
+
+#[test]
+fn zero_dram_banks_is_a_typed_error() {
+    dram_edit_is_a_typed_error("dram.banks_per_channel", |d| d.banks_per_channel = 0);
+}
+
+#[test]
+fn zero_dram_queue_depth_is_a_typed_error() {
+    dram_edit_is_a_typed_error("dram.queue_depth", |d| d.queue_depth = 0);
+}
+
+#[test]
+fn a_burst_size_not_a_power_of_two_is_a_typed_error() {
+    for bytes in [0, 24, 33] {
+        dram_edit_is_a_typed_error("dram.access_bytes", |d| d.access_bytes = bytes);
+    }
+}
+
+#[test]
+fn a_row_smaller_than_one_burst_is_a_typed_error() {
+    for bytes in [0, 16, 31] {
+        dram_edit_is_a_typed_error("dram.row_bytes", |d| d.row_bytes = bytes);
+    }
+    // One burst per row is the smallest geometry that runs.
+    let (q, keys, _) = quantized_instance(32, 5);
+    let mut cfg = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).unwrap();
+    cfg.dram.row_bytes = cfg.dram.access_bytes;
+    assert!(ToPickAccelerator::new(cfg)
+        .attention_cost(&q, &keys)
+        .is_ok());
 }
 
 /// Request ids name a burst in eight bits, so a head whose row takes more

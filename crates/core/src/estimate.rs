@@ -150,6 +150,30 @@ pub fn estimated_probability(s_max: f64, ln_denominator: f64) -> f64 {
     (s_max - ln_denominator).exp()
 }
 
+/// Recyclable per-token working memory of [`Estimator`] runs, sized by the
+/// context: a caller that runs many passes keeps one and allocates it once.
+#[derive(Debug, Clone, Default)]
+pub struct EstimatorScratch {
+    tokens: Vec<TokenState>,
+}
+
+impl EstimatorScratch {
+    /// Fresh, empty working memory.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct TokenState {
+    /// Last emitted lower bound (NaN until first evaluated), for PEC-style
+    /// replacement.
+    prev_smin: f64,
+    /// Partial dot at the run's first evaluation depth.
+    first_dot: i64,
+}
+
 /// Outcome of one [`Estimator::evaluate`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
@@ -177,9 +201,13 @@ pub struct Estimator<'a> {
     scale: f64,
     ln_threshold: f64,
     denom: LogDenominator,
-    /// Last emitted lower bound per token (NaN until first evaluated), for
-    /// PEC-style replacement.
-    prev_smin: &'a mut Vec<f64>,
+    tokens: &'a mut Vec<TokenState>,
+    /// Depth of the run's first evaluation, 0 before it. The reference
+    /// pruner and the accelerator evaluate every token first at one depth,
+    /// so that evaluation computes all their partial dots there in one
+    /// streaming pass over the keys; a first evaluation at another depth
+    /// computes its own.
+    first_depth: u32,
     bound: f64,
     stats: PruneStats,
     kept: Vec<KeptToken>,
@@ -187,8 +215,7 @@ pub struct Estimator<'a> {
 
 impl<'a> Estimator<'a> {
     /// Starts a run over `keys` with probability threshold `threshold`
-    /// (`0` never prunes), recycling `prev_smin` as the per-token bound
-    /// table.
+    /// (`0` never prunes), recycling `scratch` for the per-token tables.
     ///
     /// # Errors
     ///
@@ -199,11 +226,16 @@ impl<'a> Estimator<'a> {
         keys: &'a QMatrix,
         precision: PrecisionConfig,
         threshold: f64,
-        prev_smin: &'a mut Vec<f64>,
+        scratch: &'a mut EstimatorScratch,
     ) -> Result<Self, CoreError> {
         let n = keys.check_attention([query], None)?;
-        prev_smin.clear();
-        prev_smin.resize(n, f64::NAN);
+        let tokens = &mut scratch.tokens;
+        tokens.clear();
+        let unseen = TokenState {
+            prev_smin: f64::NAN,
+            first_dot: 0,
+        };
+        tokens.resize(n, unseen);
         Ok(Self {
             query,
             keys,
@@ -212,10 +244,12 @@ impl<'a> Estimator<'a> {
             scale: score_scale(query, keys),
             ln_threshold: threshold.ln(),
             denom: LogDenominator::new(),
-            prev_smin,
+            tokens,
+            first_depth: 0,
             bound: f64::NAN,
             stats: PruneStats::new(n, precision.num_chunks()),
-            kept: Vec::new(),
+            // Sized once, so a run allocates the same at any survivor count.
+            kept: Vec::with_capacity(n),
         })
     }
 
@@ -231,11 +265,22 @@ impl<'a> Estimator<'a> {
     pub fn evaluate(&mut self, token: usize, chunks_known: u32) -> Decision {
         let depth = (chunks_known - 1) as usize;
         self.stats.chunk_fetches[depth] += 1;
-        let ps = self.query.dot_known(self.keys.row(token), chunks_known);
+        if self.first_depth == 0 {
+            self.fill_first_dots(chunks_known);
+        }
+        let TokenState {
+            prev_smin: prev,
+            first_dot,
+        } = self.tokens[token];
+        let ps = if prev.is_nan() && chunks_known == self.first_depth {
+            first_dot
+        } else {
+            self.query.dot_known(self.keys.row(token), chunks_known)
+        };
         let pair = self.margins.pair(chunks_known);
         let smin = (ps + pair.min) as f64 * self.scale;
         self.bound = (ps + pair.max) as f64 * self.scale;
-        let prev = std::mem::replace(&mut self.prev_smin[token], smin);
+        self.tokens[token].prev_smin = smin;
         if prev.is_nan() {
             self.denom.add(smin);
         } else {
@@ -258,6 +303,15 @@ impl<'a> Estimator<'a> {
         }
     }
 
+    #[cold]
+    fn fill_first_dots(&mut self, chunks_known: u32) {
+        self.first_depth = chunks_known;
+        let (query, keys) = (self.query, self.keys);
+        for (token, state) in self.tokens.iter_mut().enumerate() {
+            state.first_dot = query.dot_known(keys.row(token), chunks_known);
+        }
+    }
+
     /// The score upper bound `ŝ_max` of the last evaluation.
     #[must_use]
     pub fn bound(&self) -> f64 {
@@ -274,7 +328,9 @@ impl<'a> Estimator<'a> {
     /// chunk-fetch / prune-depth statistics.
     #[must_use]
     pub fn finish(mut self) -> (Vec<KeptToken>, PruneStats) {
-        self.kept.sort_by_key(|k| k.index);
+        // Indices are distinct, so an unstable sort (which never allocates)
+        // orders them exactly as a stable one.
+        self.kept.sort_unstable_by_key(|k| k.index);
         self.stats.kept = self.kept.len();
         (self.kept, self.stats)
     }
@@ -361,8 +417,8 @@ mod tests {
     fn estimator_refines_then_resolves_each_token() {
         let (q, keys) = workload();
         let pc = PrecisionConfig::paper();
-        let mut bounds = Vec::new();
-        let mut est = Estimator::new(&q, &keys, pc, 1e-3, &mut bounds).unwrap();
+        let mut scratch = EstimatorScratch::new();
+        let mut est = Estimator::new(&q, &keys, pc, 1e-3, &mut scratch).unwrap();
         // The dominant token climbs all three chunks and is kept with its
         // exact score; the bound tightens on the way.
         assert_eq!(est.evaluate(1, 1), Decision::RequestNextChunk);
@@ -386,8 +442,8 @@ mod tests {
         // The accelerator's full-row modes see every chunk at once.
         let (q, keys) = workload();
         let pc = PrecisionConfig::paper();
-        let mut bounds = Vec::new();
-        let mut est = Estimator::new(&q, &keys, pc, 1e-3, &mut bounds).unwrap();
+        let mut scratch = EstimatorScratch::new();
+        let mut est = Estimator::new(&q, &keys, pc, 1e-3, &mut scratch).unwrap();
         let mut reference = LogDenominator::new();
         for t in [1, 0, 2] {
             let decision = est.evaluate(t, pc.num_chunks());
@@ -403,8 +459,8 @@ mod tests {
     fn threshold_zero_keeps_everything() {
         let (q, keys) = workload();
         let pc = PrecisionConfig::paper();
-        let mut bounds = Vec::new();
-        let mut est = Estimator::new(&q, &keys, pc, 0.0, &mut bounds).unwrap();
+        let mut scratch = EstimatorScratch::new();
+        let mut est = Estimator::new(&q, &keys, pc, 0.0, &mut scratch).unwrap();
         for t in 0..3 {
             assert_eq!(est.evaluate(t, pc.num_chunks()), Decision::Kept);
         }
@@ -415,7 +471,14 @@ mod tests {
     fn estimator_rejects_a_query_of_the_wrong_width() {
         let (_, keys) = workload();
         let q = QVector::from_codes(vec![1, 2, 3], 0.01, PrecisionConfig::paper());
-        let err = Estimator::new(&q, &keys, keys.precision(), 1e-3, &mut Vec::new()).unwrap_err();
+        let err = Estimator::new(
+            &q,
+            &keys,
+            keys.precision(),
+            1e-3,
+            &mut EstimatorScratch::new(),
+        )
+        .unwrap_err();
         let (expected, actual) = (4, 3);
         assert_eq!(err, CoreError::DimensionMismatch { expected, actual });
     }

@@ -81,7 +81,9 @@ pub mod vprune;
 
 pub use config::{PrecisionConfig, PrunerConfig};
 pub use error::CoreError;
-pub use estimate::{estimated_probability, should_prune, Decision, Estimator, LogDenominator};
+pub use estimate::{
+    estimated_probability, should_prune, Decision, Estimator, EstimatorScratch, LogDenominator,
+};
 pub use fixexp::FixExp;
 pub use margin::{MarginPair, MarginTable};
 pub use order::{ScanIndices, ScanOrder};

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 
 use crate::config::PrunerConfig;
 use crate::error::CoreError;
-use crate::estimate::{Decision, Estimator};
+use crate::estimate::{Decision, Estimator, EstimatorScratch};
 use crate::quant::{QMatrix, QVector};
 use crate::softmax::{score_scale, softmax};
 use crate::stats::PruneStats;
@@ -56,14 +56,14 @@ impl PruneOutcome {
 
 /// Reusable working memory for [`ProgressivePruner::run_with_scratch`].
 ///
-/// One pruning run needs a probe queue, a per-token bound table and a
-/// score staging buffer — all sized by the context length. A generation
+/// One pruning run needs a probe queue, the estimator's per-token table and
+/// a score staging buffer — all sized by the context length. A generation
 /// loop calls the pruner once per step per head, so reusing these buffers
 /// removes three context-sized allocations from every attention step.
 #[derive(Debug, Clone, Default)]
 pub struct PrunerScratch {
     queue: VecDeque<(usize, u32)>,
-    prev_smin: Vec<f64>,
+    estimator: EstimatorScratch,
     scores: Vec<f64>,
 }
 
@@ -167,7 +167,7 @@ impl ProgressivePruner {
     ) -> Result<(Vec<KeptToken>, PruneStats), CoreError> {
         let (precision, threshold) = (self.cfg.precision(), self.cfg.threshold());
         let mut estimator =
-            Estimator::new(query, keys, precision, threshold, &mut scratch.prev_smin)?;
+            Estimator::new(query, keys, precision, threshold, &mut scratch.estimator)?;
         let queue = &mut scratch.queue;
         queue.clear();
         let order = self.cfg.order().indices(keys.num_tokens());

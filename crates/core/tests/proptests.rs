@@ -7,8 +7,9 @@
 
 use proptest::prelude::*;
 use topick_core::{
-    exact_probabilities, MarginTable, PrecisionConfig, ProgressivePruner, PrunerConfig, QMatrix,
-    QVector, ScanOrder,
+    exact_probabilities, score_scale, should_prune, Decision, Estimator, EstimatorScratch,
+    KeptToken, LogDenominator, MarginTable, PrecisionConfig, ProgressivePruner, PruneStats,
+    PrunerConfig, QMatrix, QVector, ScanOrder,
 };
 
 fn code_vec(pc: PrecisionConfig, len: usize) -> impl Strategy<Value = Vec<i16>> {
@@ -448,6 +449,144 @@ fn dot_known_does_not_overflow_at_the_largest_products() {
         let query = vec![pc.min_value(); 600];
         for key in [i16::MIN, pc.min_value(), -(1 << 14)] {
             assert_dot_known_equals_the_scalar_sum(&query, &vec![key; 600], pc);
+        }
+    }
+}
+
+/// The estimator as it was before it computed every token's first-depth
+/// partial dot in one pass over the keys: one `dot_known` per evaluation.
+/// Kept as the model `Estimator` must equal decision for decision and bit
+/// for bit.
+struct ReferenceEstimator<'a> {
+    query: &'a QVector,
+    keys: &'a QMatrix,
+    margins: MarginTable,
+    num_chunks: u32,
+    scale: f64,
+    ln_threshold: f64,
+    denom: LogDenominator,
+    prev_smin: Vec<f64>,
+    bound: f64,
+    stats: PruneStats,
+    kept: Vec<KeptToken>,
+}
+
+impl<'a> ReferenceEstimator<'a> {
+    fn new(query: &'a QVector, keys: &'a QMatrix, pc: PrecisionConfig, threshold: f64) -> Self {
+        Self {
+            query,
+            keys,
+            margins: MarginTable::from_query_codes(query.codes(), pc),
+            num_chunks: pc.num_chunks(),
+            scale: score_scale(query, keys),
+            ln_threshold: threshold.ln(),
+            denom: LogDenominator::new(),
+            prev_smin: vec![f64::NAN; keys.num_tokens()],
+            bound: f64::NAN,
+            stats: PruneStats::new(keys.num_tokens(), pc.num_chunks()),
+            kept: Vec::new(),
+        }
+    }
+
+    fn evaluate(&mut self, token: usize, chunks_known: u32) -> Decision {
+        let depth = (chunks_known - 1) as usize;
+        self.stats.chunk_fetches[depth] += 1;
+        let ps = self.query.dot_known(self.keys.row(token), chunks_known);
+        let pair = self.margins.pair(chunks_known);
+        let smin = (ps + pair.min) as f64 * self.scale;
+        self.bound = (ps + pair.max) as f64 * self.scale;
+        let prev = std::mem::replace(&mut self.prev_smin[token], smin);
+        if prev.is_nan() {
+            self.denom.add(smin);
+        } else {
+            self.denom.replace(prev, smin);
+        }
+        if should_prune(self.bound, self.denom.ln(), self.ln_threshold) {
+            self.stats.pruned_at[depth] += 1;
+            Decision::Pruned
+        } else if chunks_known == self.num_chunks {
+            self.kept.push(KeptToken {
+                index: token,
+                score_int: ps,
+                score_real: self.bound,
+            });
+            Decision::Kept
+        } else {
+            Decision::RequestNextChunk
+        }
+    }
+
+    fn finish(mut self) -> (Vec<KeptToken>, PruneStats) {
+        self.kept.sort_by_key(|k| k.index);
+        self.stats.kept = self.kept.len();
+        (self.kept, self.stats)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Estimator` against [`ReferenceEstimator`] over random schedules:
+    /// every token first evaluated at one depth, in a random order, each
+    /// survivor later at a random deeper depth, probes of different tokens
+    /// interleaved at random — at every precision `PrecisionConfig::new`
+    /// admits, at a random threshold and at 0, with one scratch recycled
+    /// through every run. Decisions, `bound()` and `ln_denominator()` bits
+    /// after every evaluation, and `finish()`, must be equal.
+    #[test]
+    fn estimator_equals_the_per_evaluation_reference(
+        seed in any::<u64>(),
+        n in 1usize..=40,
+        dim in 1usize..=24,
+        threshold_exp in -6.0f64..-0.1,
+    ) {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut scratch = EstimatorScratch::new();
+        for pc in every_chunking() {
+            let (lo, hi) = (i64::from(pc.min_value()), i64::from(pc.max_value()));
+            // Scales from 1e-2 to 1e2, so low precisions prune too.
+            let mut scale = || 10f64.powf((next() % 1000) as f64 / 250.0 - 2.0);
+            let (q_scale, k_scale) = (scale(), scale());
+            let mut code = || (lo + (next() % (hi - lo + 1) as u64) as i64) as i16;
+            let query = QVector::from_codes((0..dim).map(|_| code()).collect(), q_scale, pc);
+            let keys = QMatrix::from_codes((0..n * dim).map(|_| code()).collect(), dim, k_scale, pc)
+                .expect("non-empty keys");
+            for threshold in [10f64.powf(threshold_exp), 0.0] {
+                let mut est = Estimator::new(&query, &keys, pc, threshold, &mut scratch)
+                    .expect("matching widths");
+                let mut reference = ReferenceEstimator::new(&query, &keys, pc, threshold);
+                let chunks = pc.num_chunks();
+                let first = 1 + (next() % u64::from(chunks)) as u32;
+                let mut probes: Vec<(usize, u32)> = (0..n).map(|t| (t, first)).collect();
+                while !probes.is_empty() {
+                    let (token, depth) = probes.swap_remove((next() % probes.len() as u64) as usize);
+                    let decision = est.evaluate(token, depth);
+                    prop_assert_eq!(decision, reference.evaluate(token, depth));
+                    prop_assert_eq!(est.bound().to_bits(), reference.bound.to_bits());
+                    prop_assert_eq!(
+                        est.ln_denominator().to_bits(),
+                        reference.denom.ln().to_bits()
+                    );
+                    if decision == Decision::RequestNextChunk {
+                        let deeper = depth + 1 + (next() % u64::from(chunks - depth)) as u32;
+                        probes.push((token, deeper));
+                    }
+                }
+                let (kept, stats) = est.finish();
+                let (want_kept, want_stats) = reference.finish();
+                prop_assert_eq!(stats, want_stats);
+                prop_assert_eq!(kept.len(), want_kept.len());
+                for (k, w) in kept.iter().zip(&want_kept) {
+                    prop_assert_eq!((k.index, k.score_int), (w.index, w.score_int));
+                    prop_assert_eq!(k.score_real.to_bits(), w.score_real.to_bits());
+                }
+            }
         }
     }
 }

@@ -1,5 +1,9 @@
 //! The cycle-level DRAM controller: per-channel FR-FCFS scheduling over
 //! bank state machines, with a simple analytic command-timing model.
+//!
+//! Every per-channel buffer is bounded — `queue_depth` pending requests,
+//! 16 issued transactions — and allocated to its bound when the simulator
+//! is built; only completions a caller leaves unpopped can outgrow theirs.
 
 use std::collections::VecDeque;
 
@@ -38,7 +42,12 @@ impl Completion {
     }
 }
 
-#[derive(Debug, Clone)]
+/// Transactions one channel keeps in flight. A real controller keeps a
+/// bounded set (its CAM); commands for different banks pipeline freely
+/// within that window, which is what lets activates overlap.
+const MAX_IN_FLIGHT: usize = 16;
+
+#[derive(Debug, Clone, Copy)]
 struct Pending {
     id: u64,
     addr: u64,
@@ -55,13 +64,19 @@ struct Bank {
 #[derive(Debug, Clone)]
 struct Channel {
     /// FR-FCFS scan keys `(bank, row)`, one per `queue` entry, kept apart
-    /// from the payload so the scan reads 16 bytes per request.
-    targets: VecDeque<(usize, u64)>,
-    /// The first `known_misses` targets miss their bank's open row. Only
-    /// an activate can turn a miss into a hit, so after a row hit at `i`
-    /// the next scan starts at `i`; after an activate it starts over.
+    /// from the payload so the scan reads 16 bytes per request. The
+    /// pending requests are `[head..]` of both, oldest first: at most
+    /// `queue_depth` of them in a buffer of twice that, so taking one near
+    /// the front shifts the few older ones up and a push compacts only
+    /// when the buffer's end is reached.
+    targets: Vec<(usize, u64)>,
+    queue: Vec<Pending>,
+    head: usize,
+    /// The first `known_misses` pending targets miss their bank's open
+    /// row. Only an activate can turn a miss into a hit, so after a row
+    /// hit at `i` the next scan starts at `i`; after an activate it starts
+    /// over.
     known_misses: usize,
-    queue: VecDeque<Pending>,
     /// Open row per bank; `None` while the bank is precharged.
     open_rows: Vec<Option<u64>>,
     banks: Vec<Bank>,
@@ -70,10 +85,55 @@ struct Channel {
     /// earlier than `bus_free_at`, the previous one's finish, so finish
     /// cycles never decrease along the queue.
     in_flight: VecDeque<Completion>,
+    /// `finish_cycle` of the front of `in_flight`, `u64::MAX` while it is
+    /// empty: most channel-ticks retire nothing, and this is all they read.
+    next_finish: u64,
     next_refresh_at: u64,
 }
 
 impl Channel {
+    fn pending(&self) -> usize {
+        self.queue.len() - self.head
+    }
+
+    fn push(&mut self, target: (usize, u64), request: Pending) {
+        if self.queue.len() == self.queue.capacity() {
+            self.targets.drain(..self.head);
+            self.queue.drain(..self.head);
+            self.head = 0;
+        }
+        self.targets.push(target);
+        self.queue.push(request);
+    }
+
+    /// Removes pending request `i` (0 = oldest), keeping the rest in order.
+    fn take(&mut self, i: usize) -> ((usize, u64), Pending) {
+        let at = self.head + i;
+        let taken = (self.targets[at], self.queue[at]);
+        // Close the gap from whichever side has fewer requests to move.
+        let newer = self.pending() - 1 - i;
+        if i <= newer {
+            if i > 0 {
+                self.targets.copy_within(self.head..at, self.head + 1);
+                self.queue.copy_within(self.head..at, self.head + 1);
+            }
+            self.head += 1;
+        } else {
+            if newer > 0 {
+                self.targets.copy_within(at + 1.., at);
+                self.queue.copy_within(at + 1.., at);
+            }
+            self.targets.pop();
+            self.queue.pop();
+        }
+        if self.head == self.queue.len() {
+            self.targets.clear();
+            self.queue.clear();
+            self.head = 0;
+        }
+        taken
+    }
+
     /// FR-FCFS: prefer the oldest row-hit request; otherwise the oldest
     /// request overall. Issues at most one transaction.
     fn issue_one(&mut self, cfg: &DramConfig, stats: &mut DramStats, now: u64) {
@@ -90,23 +150,17 @@ impl Channel {
             stats.refreshes += 1;
             return;
         }
-        // A real controller keeps a bounded set of transactions in flight
-        // (its CAM); commands for different banks pipeline freely within
-        // that window, which is what lets activates overlap.
-        if self.queue.is_empty() || self.in_flight.len() >= 16 {
+        if self.pending() == 0 || self.in_flight.len() >= MAX_IN_FLIGHT {
             return;
         }
         let open_rows = &self.open_rows;
-        let hit = self
-            .targets
-            .range(self.known_misses..)
+        let hit = self.targets[self.head + self.known_misses..]
+            .iter()
             .position(|&(bank, row)| open_rows[bank] == Some(row));
         // A hit leaves the open rows as they are; the oldest request, a
         // miss, activates a row.
         self.known_misses = hit.map_or(0, |i| self.known_misses + i);
-        let pick = self.known_misses;
-        let (b, row) = self.targets.remove(pick).expect("index valid");
-        let p = self.queue.remove(pick).expect("index valid");
+        let ((b, row), p) = self.take(self.known_misses);
         let bank = &mut self.banks[b];
         let open_row = &mut self.open_rows[b];
         let col_ready = match *open_row {
@@ -136,6 +190,9 @@ impl Channel {
         let finish = data_start + cfg.t_burst;
         self.bus_free_at = finish;
         bank.ready_at = col_ready + cfg.t_burst;
+        if self.in_flight.is_empty() {
+            self.next_finish = finish;
+        }
         self.in_flight.push_back(Completion {
             id: p.id,
             addr: p.addr,
@@ -147,10 +204,14 @@ impl Channel {
 
     /// Moves every transaction finished by `cycle` to `out`, in issue
     /// order — which, finishes being nondecreasing, is all of them.
-    fn retire(&mut self, cycle: u64, stats: &mut DramStats, out: &mut VecDeque<Completion>) {
+    fn retire(&mut self, cycle: u64, stats: &mut DramStats, out: &mut Vec<Completion>) {
+        if self.next_finish > cycle {
+            return;
+        }
         while let Some(&c) = self.in_flight.front() {
             if c.finish_cycle > cycle {
-                break;
+                self.next_finish = c.finish_cycle;
+                return;
             }
             self.in_flight.pop_front();
             let latency = c.finish_cycle - c.enqueued_at;
@@ -161,8 +222,9 @@ impl Channel {
             }
             stats.total_latency += latency;
             stats.max_latency = stats.max_latency.max(latency);
-            out.push_back(c);
+            out.push(c);
         }
+        self.next_finish = u64::MAX;
     }
 }
 
@@ -188,7 +250,10 @@ pub struct DramSim {
     cfg: DramConfig,
     map: AddressMap,
     channels: Vec<Channel>,
-    completions: VecDeque<Completion>,
+    /// Retired transactions; `[read..]` are not yet popped. The buffer
+    /// empties whenever the caller has popped them all.
+    completions: Vec<Completion>,
+    read: usize,
     cycle: u64,
     stats: DramStats,
 }
@@ -200,21 +265,26 @@ impl DramSim {
         let map = AddressMap::new(&cfg);
         let channels = (0..cfg.channels)
             .map(|_| Channel {
-                targets: VecDeque::new(),
+                targets: Vec::with_capacity(2 * cfg.queue_depth),
+                queue: Vec::with_capacity(2 * cfg.queue_depth),
+                head: 0,
                 known_misses: 0,
-                queue: VecDeque::new(),
                 open_rows: vec![None; cfg.banks_per_channel],
                 banks: vec![Bank::default(); cfg.banks_per_channel],
                 bus_free_at: 0,
-                in_flight: VecDeque::new(),
+                in_flight: VecDeque::with_capacity(MAX_IN_FLIGHT),
+                next_finish: u64::MAX,
                 next_refresh_at: cfg.t_refi,
             })
             .collect();
         Self {
+            // Everything in flight, the most a caller that pops after every
+            // few ticks finds waiting.
+            completions: Vec::with_capacity(MAX_IN_FLIGHT * cfg.channels),
+            read: 0,
             cfg,
             map,
             channels,
-            completions: VecDeque::new(),
             cycle: 0,
             stats: DramStats::default(),
         }
@@ -255,16 +325,16 @@ impl DramSim {
     fn enqueue_inner(&mut self, id: u64, addr: u64, is_write: bool) -> bool {
         let loc = self.map.decode(addr);
         let ch = &mut self.channels[loc.channel];
-        if ch.queue.len() >= self.cfg.queue_depth {
+        if ch.pending() >= self.cfg.queue_depth {
             return false;
         }
-        ch.targets.push_back((loc.bank, loc.row));
-        ch.queue.push_back(Pending {
+        let request = Pending {
             id,
             addr,
             enqueued_at: self.cycle,
             is_write,
-        });
+        };
+        ch.push((loc.bank, loc.row), request);
         true
     }
 
@@ -273,7 +343,7 @@ impl DramSim {
     pub fn outstanding(&self) -> usize {
         self.channels
             .iter()
-            .map(|c| c.queue.len() + c.in_flight.len())
+            .map(|c| c.pending() + c.in_flight.len())
             .sum()
     }
 
@@ -288,6 +358,10 @@ impl DramSim {
     pub fn tick(&mut self) {
         let now = self.cycle;
         self.cycle += 1;
+        if self.read > 0 {
+            self.completions.drain(..self.read);
+            self.read = 0;
+        }
         let first = self.completions.len();
         // A channel's issue reads only its own in-flight count, so retiring
         // each channel right after it issues equals retiring after all do.
@@ -295,15 +369,24 @@ impl DramSim {
             ch.issue_one(&self.cfg, &mut self.stats, now);
             ch.retire(self.cycle, &mut self.stats, &mut self.completions);
         }
-        if self.completions.len() - first > 1 {
-            self.completions.make_contiguous()[first..].sort_unstable_by_key(Completion::order_key);
+        // A tick usually retires nothing or one channel's bursts, which are
+        // already in order; sort only the ticks that are not.
+        let fresh = &mut self.completions[first..];
+        if !fresh.is_sorted_by_key(Completion::order_key) {
+            fresh.sort_unstable_by_key(Completion::order_key);
         }
     }
 
     /// Pops the next completed transaction, if any.
     #[inline]
     pub fn pop_completed(&mut self) -> Option<Completion> {
-        self.completions.pop_front()
+        let c = *self.completions.get(self.read)?;
+        self.read += 1;
+        if self.read == self.completions.len() {
+            self.completions.clear();
+            self.read = 0;
+        }
+        Some(c)
     }
 
     /// Runs until all outstanding traffic drains (or `max_cycles` elapse),

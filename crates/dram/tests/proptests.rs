@@ -107,8 +107,8 @@ proptest! {
     /// (zero CAS, burst and activate delays; refresh off or every few
     /// cycles) and interleavings of reads, writes and ticks, with ids that
     /// repeat so ties are broken past the id: after every tick both report
-    /// the same completions in the same order, the same statistics and the
-    /// same cycle.
+    /// the same completions in the same order, the same statistics, the
+    /// same cycle and the same outstanding traffic.
     #[test]
     fn controller_equals_the_heap_reference(
         channels in 1usize..=5,
@@ -151,6 +151,8 @@ proptest! {
             prop_assert_eq!(&got, &drain(|| reference.pop_completed()));
             prop_assert_eq!(sim.stats(), reference.stats());
             prop_assert_eq!(sim.cycle(), reference.cycle());
+            prop_assert_eq!(sim.outstanding(), reference.outstanding());
+            prop_assert_eq!(sim.is_idle(), reference.is_idle());
         };
         for op in ops {
             // Half the requests go to four fixed bursts, so equal ids,

@@ -1,8 +1,8 @@
 //! The DRAM controller as it was before each channel kept its own in-flight
 //! FIFO: one global binary heap of in-flight transactions and FR-FCFS over
 //! the full pending entries. Kept verbatim, less what the differential
-//! test does not drive (`run_until_idle`, `outstanding`, the unit tests),
-//! as the model `DramSim` must match completion for completion.
+//! test does not drive (`run_until_idle`, the unit tests), as the model
+//! `DramSim` must match completion for completion.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -105,8 +105,12 @@ impl HeapDramSim {
         true
     }
 
+    pub fn outstanding(&self) -> usize {
+        self.channels.iter().map(|c| c.queue.len()).sum::<usize>() + self.in_flight.len()
+    }
+
     pub fn is_idle(&self) -> bool {
-        self.channels.iter().map(|c| c.queue.len()).sum::<usize>() + self.in_flight.len() == 0
+        self.outstanding() == 0
     }
 
     pub fn tick(&mut self) {
