@@ -46,12 +46,14 @@ use crate::engine::ToPickAccelerator;
 /// (`context · dim` summed over its instances) worth splitting between the
 /// stepping thread and the helper.
 /// A handoff — two channel hops and a wake-up — measures 40–70 µs on a
-/// 2-core x86-64 Xeon host, and an element costs at least the ≈ 20 ns of
-/// its synthesis (one Box–Muller normal, its cosine a polynomial, plus its
-/// share of the projection: `SynthKeys::generate_into` at 1536 × 64 takes
-/// 20–26 ns per element there; quantization and `attention_cost`, which a
-/// lent instance takes with it, come on top), so lending half of `n`
-/// elements saves at least `n · 10 ns` less one handoff: break-even at
+/// 2-core x86-64 Xeon host, and an element costs at least ≈ 20 ns there,
+/// all of which a lent instance takes with it: its synthesis (one
+/// Box–Muller normal, its logarithm and cosine polynomials, plus its share
+/// of the projection: `SynthKeys::generate_into` at 1536 × 64 takes 16–18
+/// ns per element at the benchmark's reference host speed), its
+/// quantization (≈ 2.5 ns) and its share of `attention_cost` (≈ 5 ns at
+/// dim 64, more at smaller heads), so lending half of `n` elements saves
+/// at least `n · 10 ns` less one handoff: break-even at
 /// 4 000–7 000 elements. The floor is where the saving is worth several
 /// handoffs more, `n · 10 ns ≥ (1 + 3) · 40…70 µs`, i.e. 16 000–28 000
 /// elements: 256 tokens × 64. Derived, not tuned, and deliberately not an
