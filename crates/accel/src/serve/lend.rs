@@ -46,19 +46,24 @@ use crate::engine::ToPickAccelerator;
 /// (`context · dim` summed over its instances) worth splitting between the
 /// stepping thread and the helper.
 /// A handoff — two channel hops and a wake-up — measures 40–70 µs on a
-/// 2-core x86-64 Xeon host, and an element costs at least ≈ 20 ns there,
+/// 2-core x86-64 Xeon host, and an element costs at least ≈ 13 ns there,
 /// all of which a lent instance takes with it: its synthesis (one
-/// Box–Muller normal, its logarithm and cosine polynomials, plus its share
-/// of the projection: `SynthKeys::generate_into` at 1536 × 64 takes 16–18
-/// ns per element at the benchmark's reference host speed), its
-/// quantization (≈ 2.5 ns) and its share of `attention_cost` (≈ 5 ns at
-/// dim 64, more at smaller heads), so lending half of `n` elements saves
-/// at least `n · 10 ns` less one handoff: break-even at
-/// 4 000–7 000 elements. The floor is where the saving is worth several
-/// handoffs more, `n · 10 ns ≥ (1 + 3) · 40…70 µs`, i.e. 16 000–28 000
-/// elements: 256 tokens × 64. Derived, not tuned, and deliberately not an
-/// option: below it — a step of 16–32 token contexts is a few thousand
-/// elements — the helper is never touched.
+/// Box–Muller normal plus its share of the projection: 6.5–7.5 ns with
+/// the sampler's AVX-512 copy, 18.5–23 with its baseline copy), its
+/// quantization and its share of `attention_cost` (6.5–8.5 ns together at
+/// dim 64 from 256 tokens up, 11–25 at 16–64), so lending half of `n`
+/// elements saves at least `n · 6.5 ns` less one handoff: break-even at
+/// 6 200–10 800 elements. The floor is where the saving is worth one
+/// handoff more, `n · 6.5 ns ≥ (1 + 1) · 40…70 µs`, i.e. 12 300–21 500
+/// elements: 256 tokens × 64. Three handoffs more, the margin
+/// [`BATCH_SPLIT_MIN_ELEMS`] takes, would give 24 600–43 000 and a floor
+/// of 32 768 shared by both, but in ten alternating benchmark pairs that
+/// floor cost `prefix-chat` ×0.973 (8 pairs of 10 slower) and
+/// `cluster-agentic` ×0.991 in `wall_tokens_per_s`: their pools of
+/// 16 000–32 000 elements are worth lending. Derived and checked, not
+/// tuned, and deliberately not an option: below it — a step of 16–32
+/// token contexts is a few thousand elements — the helper is never
+/// touched.
 const SPLIT_MIN_ELEMS: usize = 16 * 1024;
 
 /// How often steps used the second core for their attention instances, of
@@ -153,7 +158,8 @@ impl StepJob {
 /// `n · 6 ns` less one handoff: break-even at 7 000–12 000 elements. The
 /// floor is where the saving is worth several handoffs more, `n · 6 ns ≥
 /// (1 + 3) · 40…70 µs`, i.e. 27 000–47 000 elements. Derived like
-/// [`SPLIT_MIN_ELEMS`], and likewise not an option: a single-token decode
+/// [`SPLIT_MIN_ELEMS`] (whose measured margin is one handoff, not three),
+/// and likewise not an option: a single-token decode
 /// at 200 tokens of context is 4 heads × 200 × 16 = 12 800 elements and
 /// never touches the helper; a layer of a 100-token prompt is 323 000.
 const BATCH_SPLIT_MIN_ELEMS: usize = 32 * 1024;

@@ -34,6 +34,9 @@ impl SampleStandard for bool {
 }
 
 impl SampleStandard for f64 {
+    // Inlined so a vectorizing caller sees the whole draw: its loop need
+    // not rest on rustc's cross-crate inlining heuristic.
+    #[inline]
     fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
         // 53 random mantissa bits -> uniform in [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -100,6 +103,7 @@ pub mod rngs {
     }
 
     impl Rng for StdRng {
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.state;
