@@ -46,20 +46,22 @@ use crate::engine::ToPickAccelerator;
 /// (`context · dim` summed over its instances) worth splitting between the
 /// stepping thread and the helper.
 /// A handoff — two channel hops and a wake-up — measures 40–70 µs on a
-/// 2-core x86-64 Xeon host, and an element costs at least ≈ 13 ns there,
-/// all of which a lent instance takes with it: its synthesis (one
-/// Box–Muller normal plus its share of the projection: 6.5–7.5 ns with
-/// the sampler's AVX-512 copy, 18.5–23 with its baseline copy), its
-/// quantization and its share of `attention_cost` (6.5–8.5 ns together at
-/// dim 64 from 256 tokens up, 11–25 at 16–64), so lending half of `n`
-/// elements saves at least `n · 6.5 ns` less one handoff: break-even at
-/// 6 200–10 800 elements. The floor is where the saving is worth one
-/// handoff more, `n · 6.5 ns ≥ (1 + 1) · 40…70 µs`, i.e. 12 300–21 500
-/// elements: 256 tokens × 64. Three handoffs more, the margin
-/// [`BATCH_SPLIT_MIN_ELEMS`] takes, would give 24 600–43 000 and a floor
-/// of 32 768 shared by both, but in ten alternating benchmark pairs that
-/// floor cost `prefix-chat` ×0.973 (8 pairs of 10 slower) and
-/// `cluster-agentic` ×0.991 in `wall_tokens_per_s`: their pools of
+/// 2-core x86-64 Xeon host, and an element costs at least ≈ 11.7 ns there
+/// (as clocked at ≈ 0.83 of the benchmark's reference speed), all of
+/// which a lent instance takes with it: its synthesis (one Box–Muller
+/// normal plus its share of the projection: 6.5–7.5 ns with the sampler's
+/// AVX-512 copy, 18.5–23 with its baseline copy), its quantization and
+/// its share of `attention_cost` (5.2–6.6 ns together at dim 64 from 256
+/// tokens up with the quantizer's AVX-512 copy, 9–15 at 16–64), so
+/// lending half of `n` elements saves at least `n · 5.85 ns` less one
+/// handoff: break-even at 6 800–12 000 elements. The floor is where the
+/// saving is worth one handoff more, `n · 5.85 ns ≥ (1 + 1) · 40…70 µs`,
+/// i.e. 13 700–23 900 elements: 256 tokens × 64. Three handoffs more, the
+/// margin [`BATCH_SPLIT_MIN_ELEMS`] takes, would give 27 400–47 900 and a
+/// floor of 32 768 shared by both, but in ten alternating benchmark pairs
+/// (measured before the quantizer's copy, at 6.5 ns per element of
+/// saving) that floor cost `prefix-chat` ×0.973 (8 pairs of 10 slower)
+/// and `cluster-agentic` ×0.991 in `wall_tokens_per_s`: their pools of
 /// 16 000–32 000 elements are worth lending. Derived and checked, not
 /// tuned, and deliberately not an option: below it — a step of 16–32
 /// token contexts is a few thousand elements — the helper is never

@@ -66,6 +66,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod config;
+pub mod cpu;
 pub mod error;
 pub mod estimate;
 pub mod fixexp;

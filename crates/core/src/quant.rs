@@ -8,11 +8,14 @@
 //! [`MarginTable`](crate::MarginTable).
 
 use crate::config::PrecisionConfig;
+#[cfg(target_arch = "x86_64")]
+use crate::cpu::has_wide_lanes;
 use crate::error::CoreError;
 use crate::rows::Rows;
 
 /// The largest `|v|` in `values`, skipping NaNs, 0 if there is none: what
 /// `fold(0.0, |m, v| m.max(|v|))` in `f64` returns.
+#[inline(always)]
 fn max_abs(values: &[f32]) -> f64 {
     // Without its sign bit a float's pattern orders as its magnitude does,
     // and an integer max vectorizes where the NaN-aware `f64::max` does
@@ -28,13 +31,17 @@ fn max_abs(values: &[f32]) -> f64 {
     f64::from(f32::from_bits(bits))
 }
 
-/// `x.round().clamp(qmin, qmax) as i16` for integer bounds, bit for bit,
-/// without the libm call `round` is on baseline x86-64 (2.1 against 6.2 ns
-/// per element with the division): the bounds being integers, clamping
-/// first changes nothing, and adding the largest double below one half
-/// before truncating rounds half away from zero — the lowering LLVM itself
-/// uses where it has no rounding instruction. NaN maps to 0 either way.
-#[inline]
+/// `x.round().clamp(qmin, qmax) as i16` for integer bounds within `i16`'s,
+/// bit for bit, in instructions the compiler can vectorize. `round` is a
+/// libm call on baseline x86-64: the bounds being integers, clamping first
+/// changes nothing, and adding the largest double below one half before
+/// truncating rounds half away from zero — the lowering LLVM itself uses
+/// where it has no rounding instruction. The saturating `as i16` that
+/// would finish the job is a scalar max, min, convert and insert per
+/// element in any copy, so the sum goes through a plain truncating
+/// `f64 → i32` conversion instead, NaN first mapped to the 0 that `as`
+/// gives it.
+#[inline(always)]
 fn round_clamped(x: f64, qmin: f64, qmax: f64) -> i16 {
     const BELOW_HALF: f64 = 0.5 - f64::EPSILON / 4.0;
     // `x.clamp(qmin, qmax)` less its `qmin <= qmax` assertion, whose panic
@@ -47,14 +54,63 @@ fn round_clamped(x: f64, qmin: f64, qmax: f64) -> i16 {
     } else {
         x
     };
-    (clamped + BELOW_HALF.copysign(x)) as i16
+    let rounded = clamped + BELOW_HALF.copysign(x);
+    let rounded = if rounded.is_nan() { 0.0 } else { rounded };
+    // SAFETY: `rounded` is finite and within `[qmin - 0.5, qmax + 0.5]`, so
+    // inside `i32`, and it truncates to an integer in `[qmin, qmax]`, so
+    // inside `i16`: the conversion is `as i16` without its saturation.
+    (unsafe { rounded.to_int_unchecked::<i32>() }) as i16
 }
 
 /// Quantizes `values` symmetrically into `codes` (replacing its contents):
 /// the largest magnitude maps to the largest code, each element to
 /// `round(v / scale)` clamped to the representable range. Returns the
 /// scale; all-zero input gets 1.0.
+///
+/// Runs the body's AVX-512 copy where the running x86-64 CPU has AVX-512
+/// F, DQ and VL (and AVX2), its baseline copy on every other host and
+/// target. The two give the same codes and scale: every step is an
+/// elementwise operation that rounds (or is exact) alike in any lane
+/// width, and the max is an integer max, which no order can change. At
+/// 1536 × 64 realistic keys on a 2-core x86-64 Xeon host with AVX-512 an
+/// element costs 0.86–0.89 ns in the AVX-512 copy and 1.56–1.58 ns in the
+/// baseline one, against 2.05–2.12 ns when the conversion was a saturating
+/// `as i16` (at the benchmark's reference host speed).
 fn quantize_into(values: &[f32], precision: PrecisionConfig, codes: &mut Vec<i16>) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if has_wide_lanes() {
+        // SAFETY: `has_wide_lanes` has just detected every feature
+        // `quantize_wide` is compiled for on the running CPU.
+        return unsafe { quantize_wide(values, precision, codes) };
+    }
+    quantize_body(values, precision, codes)
+}
+
+#[cfg(all(test, target_arch = "x86_64"))]
+thread_local! {
+    /// Calls of [`quantize_wide`] on this thread.
+    static WIDE_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// [`quantize_body`] compiled for AVX-512: eight `f64` lanes for the
+/// division and the conversion, sixteen `u32` lanes for the max.
+///
+/// # Safety
+///
+/// The running CPU must have every feature it is compiled for, as
+/// [`has_wide_lanes`] reports.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]
+fn quantize_wide(values: &[f32], precision: PrecisionConfig, codes: &mut Vec<i16>) -> f64 {
+    #[cfg(test)]
+    WIDE_CALLS.with(|count| count.set(count.get() + 1));
+    quantize_body(values, precision, codes)
+}
+
+/// The one body of [`quantize_into`], inlined into each copy so each is
+/// compiled for its own features.
+#[inline(always)]
+fn quantize_body(values: &[f32], precision: PrecisionConfig, codes: &mut Vec<i16>) -> f64 {
     let max_abs = max_abs(values);
     let qmax = f64::from(precision.max_value());
     let qmin = f64::from(precision.min_value());
@@ -551,6 +607,114 @@ mod tests {
         ] {
             assert_eq!(round_clamped(x, qmin, qmax), reference(x), "{x:e}");
         }
+    }
+
+    /// The formula the quantizer was written as before its loops were made
+    /// vectorizable: a NaN-aware `f64` max fold, then `round` and `clamp`.
+    fn scalar_quantize(values: &[f32], pc: PrecisionConfig) -> (Vec<i16>, u64) {
+        let max_abs = values.iter().fold(0f64, |m, &v| m.max(f64::from(v).abs()));
+        let (qmin, qmax) = (f64::from(pc.min_value()), f64::from(pc.max_value()));
+        let scale = if max_abs > 0.0 { max_abs / qmax } else { 1.0 };
+        let codes = values
+            .iter()
+            .map(|&v| (f64::from(v) / scale).round().clamp(qmin, qmax) as i16)
+            .collect();
+        (codes, scale.to_bits())
+    }
+
+    /// Inputs for both copies: uniform data from subnormal to huge
+    /// magnitudes, every rounding boundary of the widest precision, and
+    /// each special value inside a 130-element run at offsets on both
+    /// sides of every vector width, so the vector body sees it, not only
+    /// a loop's scalar tail.
+    fn hard_inputs() -> Vec<Vec<f32>> {
+        let mut s = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut uniform = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            ((s >> 11) as f64 / (1u64 << 52) as f64 - 1.0) as f32
+        };
+        let mut inputs: Vec<Vec<f32>> = (-40..=38)
+            .step_by(6)
+            .map(|spread| {
+                let magnitude = 10f32.powi(spread);
+                (0..200).map(|_| uniform() * magnitude).collect()
+            })
+            .collect();
+        let qmax = f32::from(PrecisionConfig::new(15, 15).unwrap().max_value());
+        let mut boundaries = vec![qmax * 1.37];
+        for c in -qmax as i32..=qmax as i32 {
+            let v = (c as f32 + 0.5) * 1.37;
+            boundaries.extend([v.next_down(), v, v.next_up()]);
+        }
+        boundaries.retain(|v| v.abs() <= qmax * 1.37);
+        inputs.push(boundaries);
+        let tiny = f32::from_bits(1);
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            tiny,
+            -tiny,
+            f32::MIN_POSITIVE / 2.0,
+            f32::MAX,
+            f32::MIN,
+            7.25,
+            -7.25,
+        ];
+        let noise: Vec<f32> = (0..130).map(|_| uniform()).collect();
+        let backgrounds = [vec![0.0; 130], noise, vec![tiny; 130]];
+        for background in &backgrounds {
+            for special in specials {
+                for at in [0, 1, 7, 8, 15, 16, 31, 32, 63, 64, 65, 100, 129] {
+                    let mut run = background.clone();
+                    run[at] = special;
+                    inputs.push(run);
+                }
+            }
+        }
+        inputs
+    }
+
+    #[test]
+    fn both_copies_equal_the_scalar_formula_bit_for_bit() {
+        type Quantizer = fn(&[f32], PrecisionConfig, &mut Vec<i16>) -> f64;
+        // The baseline copy, called directly, so it stays covered on a
+        // host whose dispatcher picks the AVX-512 one.
+        let copies: [(&str, Quantizer); 2] =
+            [("baseline", quantize_body), ("dispatched", quantize_into)];
+        let inputs = hard_inputs();
+        for bits in 1..=15 {
+            let pc = PrecisionConfig::new(bits, bits).unwrap();
+            for values in &inputs {
+                let (expected, scale) = scalar_quantize(values, pc);
+                for (copy, quantize) in copies {
+                    let mut codes = vec![7; 3];
+                    let got = quantize(values, pc, &mut codes).to_bits();
+                    assert_eq!((&codes, got), (&expected, scale), "{copy}, {bits} bits");
+                }
+            }
+        }
+    }
+
+    /// A dispatcher that never picks the AVX-512 copy fails here on any
+    /// host that has the features.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_wide_copy_runs_wherever_the_host_has_it() {
+        // Detected here, not through `has_wide_lanes`, which is under test.
+        let wide = is_x86_feature_detected!("avx2")
+            && is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512dq")
+            && is_x86_feature_detected!("avx512vl");
+        let before = WIDE_CALLS.with(std::cell::Cell::get);
+        let q = QVector::quantize(&[0.5, -1.0, 0.25], PrecisionConfig::paper());
+        let calls = WIDE_CALLS.with(std::cell::Cell::get) - before;
+        assert_eq!(q.codes(), [1024, -2047, 512]);
+        assert_eq!(calls, u64::from(wide), "AVX-512 F/DQ/VL detected: {wide}");
     }
 
     #[test]

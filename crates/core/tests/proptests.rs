@@ -369,6 +369,54 @@ fn quantization_equals_the_scalar_formula_on_special_values() {
     }
 }
 
+/// The special values above, each inside a 130-element run and at offsets
+/// on both sides of every vector width, alone and next to a second one:
+/// in a 3–5 element array only a vectorized loop's scalar tail sees them.
+#[test]
+fn quantization_equals_the_scalar_formula_on_special_values_inside_long_runs() {
+    const LEN: usize = 130;
+    let tiny = f32::from_bits(1);
+    let specials = [
+        ("NaN", f32::NAN),
+        ("negative NaN", -f32::NAN),
+        ("+inf", f32::INFINITY),
+        ("-inf", f32::NEG_INFINITY),
+        ("-0.0", -0.0),
+        ("smallest subnormal", tiny),
+        ("negative subnormal", -tiny),
+        ("half the smallest normal", f32::MIN_POSITIVE / 2.0),
+        ("largest finite", f32::MAX),
+        ("most negative finite", f32::MIN),
+        ("lone maximum", 7.25),
+        ("lone negative maximum", -7.25),
+    ];
+    let ramp: Vec<f32> = (0..LEN).map(|i| (i as f32 * 0.37).sin()).collect();
+    let backgrounds = [
+        ("zeros", vec![0.0; LEN]),
+        ("a sine ramp", ramp),
+        ("subnormals", vec![-tiny; LEN]),
+    ];
+    let offsets = [0, 1, 7, 8, 15, 16, 31, 32, 63, 64, 65, 100, LEN - 1];
+    for pc in every_precision() {
+        for (background_name, background) in &backgrounds {
+            for (name, special) in specials {
+                for at in offsets {
+                    let mut run = background.clone();
+                    run[at] = special;
+                    let what = format!("{name} at {at} in {background_name}");
+                    assert_quantizes_as_the_scalar_formula(&run, pc, &what);
+                }
+                for (other_name, other) in specials {
+                    let mut run = background.clone();
+                    (run[17], run[LEN - 40]) = (special, other);
+                    let what = format!("{name} and {other_name} in {background_name}");
+                    assert_quantizes_as_the_scalar_formula(&run, pc, &what);
+                }
+            }
+        }
+    }
+}
+
 /// Every precision `PrecisionConfig::new` admits: every width up to 15
 /// bits, split into every chunk width that divides it.
 fn every_chunking() -> impl Iterator<Item = PrecisionConfig> {

@@ -40,6 +40,8 @@
 use std::f64::consts::{FRAC_2_PI, PI};
 
 use rand::Rng;
+#[cfg(target_arch = "x86_64")]
+use topick_core::cpu::has_wide_lanes;
 
 /// Draws one standard-normal sample via the Box–Muller transform.
 ///
@@ -154,24 +156,13 @@ const MIN_SCALE: f64 = 1e-250;
 /// reference host speed).
 pub fn extend_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut Vec<f32>, n: usize, sigma: f64) {
     #[cfg(target_arch = "x86_64")]
-    if has_wide_normals() {
-        // SAFETY: `has_wide_normals` has just detected every feature
+    if has_wide_lanes() {
+        // SAFETY: `has_wide_lanes` has just detected every feature
         // `extend_normal_wide` is compiled for on the running CPU.
         unsafe { extend_normal_wide(rng, out, n, sigma) };
         return;
     }
     extend_normal_body(rng, out, n, sigma);
-}
-
-/// Whether the running CPU has every feature [`extend_normal_wide`] is
-/// compiled for (detected once, then a cached bit test).
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn has_wide_normals() -> bool {
-    is_x86_feature_detected!("avx2")
-        && is_x86_feature_detected!("avx512f")
-        && is_x86_feature_detected!("avx512dq")
-        && is_x86_feature_detected!("avx512vl")
 }
 
 #[cfg(all(test, target_arch = "x86_64"))]
@@ -187,7 +178,7 @@ thread_local! {
 /// # Safety
 ///
 /// The running CPU must have every feature it is compiled for, as
-/// [`has_wide_normals`] reports.
+/// [`has_wide_lanes`] reports.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]
 fn extend_normal_wide<R: Rng + ?Sized>(rng: &mut R, out: &mut Vec<f32>, n: usize, sigma: f64) {
@@ -457,7 +448,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn the_wide_copy_runs_wherever_the_host_has_it() {
-        // Detected here, not through `has_wide_normals`, which is under test.
+        // Detected here, not through `has_wide_lanes`, which is under test.
         let wide = is_x86_feature_detected!("avx2")
             && is_x86_feature_detected!("avx512f")
             && is_x86_feature_detected!("avx512dq")
