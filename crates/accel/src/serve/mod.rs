@@ -407,6 +407,9 @@ pub struct ServingEngine {
     accel: ToPickAccelerator,
     policy: Box<dyn SchedulerPolicy>,
     pending: PendingQueue,
+    /// The policy's view of the queue during admission, kept from one step
+    /// to the next so each step's snapshot reuses its buffer.
+    snapshot: VecDeque<PendingView>,
     batch: BatchState,
     finished: Vec<RequestStats>,
     steps: Vec<StepReport>,
@@ -430,6 +433,9 @@ pub struct ServingEngine {
     /// Policy views of the queue built so far.
     #[cfg(test)]
     snapshots: usize,
+    /// Times building a view of the queue grew the snapshot buffer.
+    #[cfg(test)]
+    snapshot_growths: usize,
 }
 
 /// What a slot does with its step.
@@ -507,6 +513,7 @@ impl ServingEngine {
             accel,
             policy,
             pending: PendingQueue::default(),
+            snapshot: VecDeque::new(),
             batch,
             finished: Vec::new(),
             steps: Vec::new(),
@@ -526,6 +533,8 @@ impl ServingEngine {
             simulations: 0,
             #[cfg(test)]
             snapshots: 0,
+            #[cfg(test)]
+            snapshot_growths: 0,
         }
     }
 
@@ -573,11 +582,7 @@ impl ServingEngine {
     /// shards by.
     #[must_use]
     pub fn queued_tokens(&self) -> usize {
-        self.pending
-            .entries()
-            .iter()
-            .map(ActiveRequest::final_context)
-            .sum()
+        self.pending.tokens()
     }
 
     /// Tokens' worth of KV pages mapped by *running* requests. Retained
@@ -613,7 +618,7 @@ impl ServingEngine {
     /// no retained KV pages — nothing that ties it to this engine).
     #[must_use]
     pub(crate) fn has_stealable_queued(&self) -> bool {
-        self.pending.entries().iter().any(|e| {
+        self.pending.iter().any(|e| {
             e.stats.admitted_at.is_none() && e.req.arrival_step as usize <= self.step_index
         })
     }
@@ -626,7 +631,6 @@ impl ServingEngine {
     pub(crate) fn steal_youngest_unstarted(&mut self) -> Option<ServingRequest> {
         let seq = self
             .pending
-            .entries()
             .iter()
             .rev()
             .find(|e| {
@@ -655,25 +659,19 @@ impl ServingEngine {
     ///   well-defined; only a rebuild debt has a host-tier holding, and
     ///   the holding is part of what the rebuild dropped;
     /// * the host tier holds exactly the pages those holdings need;
-    /// * the queue is strictly increasing in arrival sequence, which its
-    ///   lookups by sequence binary-search on.
+    /// * the queue's 16-byte arrival index is strictly increasing in
+    ///   arrival sequence, which its lookups by sequence binary-search
+    ///   on, and names exactly the slots that hold a queued request.
     ///
     /// # Panics
     ///
     /// Panics on the first violated invariant.
     pub fn validate(&self) {
-        assert!(
-            self.pending
-                .entries()
-                .iter()
-                .map(|e| e.arrival_seq)
-                .is_sorted_by(|a, b| a < b),
-            "pending queue is not strictly increasing in arrival sequence"
-        );
+        self.pending.validate();
         let pager = self.batch.pager();
         pager.validate();
         let mut host_pages = 0;
-        for r in self.pending.entries().iter().chain(self.batch.slots()) {
+        for r in self.pending.iter().chain(self.batch.slots()) {
             r.kv.validate(r.context);
             host_pages += pager.pages_needed(r.kv.host_tokens());
         }
@@ -833,9 +831,7 @@ impl ServingEngine {
     /// `(id, arrival_seq, chain)` in arrival order — the deterministic
     /// order the cluster probes siblings in between step barriers.
     pub(crate) fn pull_candidates(&self) -> Vec<(u64, u64, Vec<u64>)> {
-        let mut out: Vec<_> = self
-            .pending
-            .entries()
+        self.pending
             .iter()
             .filter(|e| {
                 e.stats.admitted_at.is_none()
@@ -843,9 +839,7 @@ impl ServingEngine {
                     && !e.page_keys.is_empty()
             })
             .map(|e| (e.req.id, e.arrival_seq, e.page_keys.clone()))
-            .collect();
-        out.sort_by_key(|&(_, seq, _)| seq);
-        out
+            .collect()
     }
 
     /// Credits `tokens` of shipped prompt KV to a queued request after a
@@ -870,7 +864,6 @@ impl ServingEngine {
         let step = self.step_index;
         let expired: Vec<u64> = self
             .pending
-            .entries()
             .iter()
             .filter(|e| {
                 e.stats.first_token_at.is_none()
@@ -908,12 +901,12 @@ impl ServingEngine {
     /// has room, evicting victims for non-fitting candidates when
     /// preemption allows it.
     ///
-    /// The policy's view of the queue is snapshotted once per call and
-    /// each admitted candidate's view is dropped from it, which is exact:
-    /// nothing else within one call changes a visible request's view.
-    /// Victims re-enter the queue evicted at this step, so they stay
-    /// invisible until the next one, and reclaiming retained pages
-    /// touches no field a view reads.
+    /// The policy's view of the queue is snapshotted once per call, into
+    /// a buffer kept across calls, and each admitted candidate's view is
+    /// dropped from it, which is exact: nothing else within one call
+    /// changes a visible request's view. Victims re-enter the queue
+    /// evicted at this step, so they stay invisible until the next one,
+    /// and reclaiming retained pages touches no field a view reads.
     fn admit(&mut self) {
         let step = self.step_index;
         let mut evictions_left = if self.cfg.preemption.enabled {
@@ -921,12 +914,17 @@ impl ServingEngine {
         } else {
             0
         };
-        // Built from a `Vec` and only ever shrunk, the deque never wraps,
-        // so `make_contiguous` hands the policy one slice in O(1).
-        let mut pending_views = VecDeque::from(self.pending.views(step));
+        // Filled from empty and then only ever shrunk, the deque never
+        // wraps, so `make_contiguous` hands the policy one slice in O(1).
+        let mut pending_views = std::mem::take(&mut self.snapshot);
+        pending_views.clear();
+        #[cfg(test)]
+        let capacity = pending_views.capacity();
+        pending_views.extend(self.pending.views(step));
         #[cfg(test)]
         {
             self.snapshots += 1;
+            self.snapshot_growths += usize::from(pending_views.capacity() > capacity);
         }
         while !pending_views.is_empty() {
             let running_views = self.batch.views();
@@ -940,11 +938,13 @@ impl ServingEngine {
                 break; // out-of-range pick: treat as "stop admitting"
             };
             // The candidate's prompt-page hash chain: pages the prefix
-            // cache can serve reduce what admission must allocate.
-            let chain: Vec<u64> = self
+            // cache can serve reduce what admission must allocate. Taken
+            // out of its slot for the pick and put back unless admitted;
+            // nothing in between reads a queued request's chain.
+            let chain = self
                 .pending
-                .get_by_seq(cand.arrival_seq)
-                .map(|e| e.page_keys.clone())
+                .get_mut_by_seq(cand.arrival_seq)
+                .map(|e| std::mem::take(&mut e.page_keys))
                 .unwrap_or_default();
             if !self
                 .batch
@@ -1028,14 +1028,17 @@ impl ServingEngine {
                 {
                     // Head-of-line blocking: the policy's chosen candidate
                     // cannot run, so admission ends for this step.
+                    if let Some(e) = self.pending.get_mut_by_seq(cand.arrival_seq) {
+                        e.page_keys = chain;
+                    }
                     break;
                 }
             }
             let mut active = self.pending.remove_by_seq(cand.arrival_seq);
+            active.page_keys = chain;
             pending_views.remove(pi);
-            debug_assert_eq!(
-                pending_views,
-                self.pending.views(step),
+            debug_assert!(
+                pending_views.iter().copied().eq(self.pending.views(step)),
                 "the admission snapshot drifted from the queue"
             );
             if active.stats.admitted_at.is_none() {
@@ -1057,6 +1060,7 @@ impl ServingEngine {
                 cached_tokens,
             });
         }
+        self.snapshot = pending_views;
     }
 
     /// Evicts the running request at `slot` back to the queue, retaining
@@ -1137,10 +1141,9 @@ impl ServingEngine {
             let pager = self.batch.pager();
             let cand_hits = pager.adoptable_pages(exclude_seq, cand_chain);
             self.pending
-                .entries()
-                .iter()
-                .filter(|e| e.arrival_seq != exclude_seq)
-                .map(|e| (pager.pages_of(e.arrival_seq), e.arrival_seq))
+                .seqs()
+                .filter(|&seq| seq != exclude_seq)
+                .map(|seq| (pager.pages_of(seq), seq))
                 .filter(|&(pages, seq)| {
                     pages > 0 && pager.releasable_pages(seq, pages - 1, &cand_hits) == 1
                 })
@@ -1585,6 +1588,62 @@ mod tests {
             engine.report().preemptions > 0,
             "no victim re-entered the queue"
         );
+    }
+
+    #[test]
+    fn deep_queue_admission_recycles_one_snapshot_buffer() {
+        // The deep-queue pin's run (`tests/serving.rs`): a thousand
+        // requests, 800 queued at step 0 and four more per step, picked
+        // from mid-queue, preempted back into it and rejected from it
+        // under every policy. One buffer carries every step's snapshot,
+        // so it grows only by doubling up to the deepest queue.
+        let mut cfg = small_cfg(AccelMode::OutOfOrder);
+        cfg.admission = AdmissionConfig {
+            max_batch: 16,
+            max_batch_tokens: 512,
+            page_size: 16,
+            prefix_cache: false,
+        };
+        cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.5));
+        cfg.host_pages = 16;
+        cfg.reject_expired_ttft = true;
+        cfg.seed = 7;
+        let requests: Vec<ServingRequest> = (0..1000u64)
+            .map(|id| {
+                let h = queue::splitmix64(id);
+                let arrival = if id < 800 { 0 } else { 1 + (id - 800) / 4 };
+                let r = ServingRequest::new(id, 16 + (h % 17) as usize, 1 + (h >> 8) as usize % 3)
+                    .with_priority((h >> 16) as u8 % 8)
+                    .with_client((h >> 24) % 16)
+                    .arriving_at(arrival);
+                if id % 3 == 0 {
+                    r.with_ttft_deadline(90 + (h >> 32) % 120)
+                } else {
+                    r
+                }
+            })
+            .collect();
+        let (mut preemptions, mut rejections) = (0, 0);
+        for kind in PolicyKind::all() {
+            let mut engine = ServingEngine::builder(cfg.accel.clone())
+                .config(cfg.clone())
+                .policy(kind)
+                .build();
+            for &r in &requests {
+                engine.enqueue(r).unwrap();
+            }
+            while engine.step().unwrap().is_some() {}
+            let report = engine.report();
+            preemptions += report.preemptions;
+            rejections += report.rejections;
+            assert!(engine.snapshots > 100, "{kind}: {} steps", engine.snapshots);
+            assert!(
+                engine.snapshot_growths <= 1000usize.ilog2() as usize + 2,
+                "{kind}: the snapshot buffer grew {} times",
+                engine.snapshot_growths
+            );
+        }
+        assert!(preemptions > 0 && rejections > 0);
     }
 
     #[test]

@@ -171,49 +171,80 @@ impl ServingRequest {
     }
 }
 
-/// The arrival queue: requests waiting for admission, kept strictly
-/// increasing in arrival sequence so FIFO order is always recoverable
-/// regardless of how preemption re-inserts evicted work, and so every
-/// lookup by sequence is a binary search. A deque, because entries leave
-/// from anywhere: inserting or removing at index `i` of `n` moves
-/// min(i, n − i) entries.
+/// The arrival queue: requests waiting for admission.
+///
+/// A queued request stays in the slot it landed in until it leaves; free
+/// slots are reused, last freed first. Arrival order lives apart from the
+/// requests, in an index of `(arrival_seq, slot)` pairs kept strictly
+/// increasing in sequence, so FIFO order is always recoverable however
+/// preemption re-inserts evicted work, and every lookup by sequence is a
+/// binary search. Entries leave from anywhere: removing the one at index
+/// position `i` of `n` moves min(i, n − i) 16-byte index entries, never a
+/// request.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PendingQueue {
-    entries: VecDeque<ActiveRequest>,
+    /// The queued requests where they landed; `None` is a free slot.
+    slots: Vec<Option<ActiveRequest>>,
+    /// Indices of the free slots in `slots`.
+    free: Vec<usize>,
+    /// `(arrival_seq, slot)` of every queued request, in arrival order.
+    order: VecDeque<(u64, usize)>,
+    /// Final-context tokens of every queued request, kept as requests
+    /// come and go (a queued request's shape never changes).
+    tokens: usize,
 }
 
 impl PendingQueue {
-    /// Inserts a request, keeping the queue sorted by arrival sequence.
-    /// Fresh enqueues carry the largest sequence so far and stay at the
-    /// back, in amortized O(1) and without a search; a preempted request
-    /// binary-searches back to its slot, which moves the shorter side of
-    /// the queue.
+    /// Inserts a request, keeping the index sorted by arrival sequence.
+    /// The request is written into a free slot or appended; fresh enqueues
+    /// carry the largest sequence so far, so their index entry is appended
+    /// too, without a search. A preempted request's entry binary-searches
+    /// back to its place, which moves the shorter side of the index.
     pub(crate) fn push(&mut self, r: ActiveRequest) {
         let seq = r.arrival_seq;
-        // Pushed first and moved only when out of order: an append then
-        // copies the 448-byte entry once, as `Vec::push` would.
-        self.entries.push_back(r);
-        let len = self.entries.len();
-        if len >= 2 && self.entries[len - 2].arrival_seq > seq {
-            let at = self.entries.partition_point(|e| e.arrival_seq < seq);
-            let r = self.entries.pop_back().expect("pushed above");
-            self.entries.insert(at, r);
+        self.tokens += r.final_context();
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(r);
+                slot
+            }
+            None => {
+                self.slots.push(Some(r));
+                self.slots.len() - 1
+            }
+        };
+        if self.order.back().is_some_and(|&(last, _)| last > seq) {
+            let at = self.order.partition_point(|&(s, _)| s < seq);
+            self.order.insert(at, (seq, slot));
+        } else {
+            self.order.push_back((seq, slot));
         }
     }
 
-    /// Index of the entry with arrival sequence `seq`, if queued.
+    /// Index position of the request with arrival sequence `seq`, if
+    /// queued.
     fn position_of(&self, seq: u64) -> Option<usize> {
-        self.entries
-            .binary_search_by_key(&seq, |e| e.arrival_seq)
-            .ok()
+        self.order.binary_search_by_key(&seq, |&(s, _)| s).ok()
+    }
+
+    /// The request in an indexed slot.
+    fn at(&self, slot: usize) -> &ActiveRequest {
+        self.slots[slot]
+            .as_ref()
+            .expect("an indexed slot holds a request")
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        self.order.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.order.is_empty()
+    }
+
+    /// Final-context tokens of every queued request.
+    pub(crate) fn tokens(&self) -> usize {
+        self.tokens
     }
 
     /// Whether a request is visible to the scheduler at `step`: it has
@@ -225,15 +256,15 @@ impl PendingQueue {
 
     /// Whether any queued request is visible to the scheduler at `step`.
     pub(crate) fn has_visible(&self, step: usize) -> bool {
-        self.entries.iter().any(|e| Self::is_visible(e, step))
+        self.iter().any(|e| Self::is_visible(e, step))
     }
 
-    /// Snapshots the visible queue for the policy, in arrival order.
-    pub(crate) fn views(&self, step: usize) -> Vec<PendingView> {
-        self.entries
-            .iter()
-            .filter(|e| Self::is_visible(e, step))
-            .map(|e| PendingView {
+    /// The policy's view of every request visible at `step`, in arrival
+    /// order.
+    pub(crate) fn views(&self, step: usize) -> impl Iterator<Item = PendingView> + '_ {
+        self.iter()
+            .filter(move |e| Self::is_visible(e, step))
+            .map(move |e| PendingView {
                 id: e.req.id,
                 priority: e.req.priority,
                 client_id: e.req.client_id,
@@ -246,38 +277,246 @@ impl PendingQueue {
                 ttft_deadline: e.req.ttft_deadline,
                 itl_deadline: e.req.itl_deadline,
             })
-            .collect()
     }
 
-    /// The queued entries, in arrival order (including not-yet-visible
-    /// future arrivals).
-    pub(crate) fn entries(&self) -> &VecDeque<ActiveRequest> {
-        &self.entries
+    /// The queued requests in arrival order (including not-yet-visible
+    /// future arrivals); reversible, for youngest-first searches.
+    pub(crate) fn iter(&self) -> impl DoubleEndedIterator<Item = &ActiveRequest> + '_ {
+        self.order.iter().map(|&(_, slot)| self.at(slot))
     }
 
-    /// Shared access to the entry with arrival sequence `seq`, if queued
-    /// (used to read a candidate's prompt-page hash chain during
-    /// admission).
-    pub(crate) fn get_by_seq(&self, seq: u64) -> Option<&ActiveRequest> {
-        self.position_of(seq).map(|i| &self.entries[i])
+    /// The queued arrival sequences in order, read from the index alone.
+    pub(crate) fn seqs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.order.iter().map(|&(seq, _)| seq)
     }
 
-    /// Mutable access to the entry with arrival sequence `seq`, if queued
-    /// (used to restate a request's re-prefill debt when its retained KV
-    /// pages are reclaimed under admission pressure).
+    /// Mutable access to the request with arrival sequence `seq`, if
+    /// queued (used to lend out a candidate's prompt-page hash chain
+    /// during admission, and to restate a request's re-prefill debt when
+    /// its retained KV pages are reclaimed under admission pressure). The
+    /// request's `req` must stay as pushed: the token total counts it.
     pub(crate) fn get_mut_by_seq(&mut self, seq: u64) -> Option<&mut ActiveRequest> {
-        self.position_of(seq).map(|i| &mut self.entries[i])
+        let (_, slot) = self.order[self.position_of(seq)?];
+        self.slots[slot].as_mut()
     }
 
-    /// Removes and returns the entry with arrival sequence `seq`.
+    /// Removes and returns the request with arrival sequence `seq`,
+    /// freeing its slot.
     ///
     /// # Panics
     ///
-    /// Panics if no entry has that sequence (policy views are built from
-    /// the same queue, so a miss is an engine bug).
+    /// Panics if no request has that sequence (policy views are built
+    /// from the same queue, so a miss is an engine bug).
     pub(crate) fn remove_by_seq(&mut self, seq: u64) -> ActiveRequest {
-        self.position_of(seq)
-            .and_then(|i| self.entries.remove(i))
-            .expect("pending view maps to a queued request")
+        let (_, slot) = self
+            .position_of(seq)
+            .and_then(|i| self.order.remove(i))
+            .expect("pending view maps to a queued request");
+        self.free.push(slot);
+        let r = self.slots[slot]
+            .take()
+            .expect("an indexed slot holds a request");
+        self.tokens -= r.final_context();
+        r
+    }
+
+    /// Checks the queue's own invariants, panicking on the first one
+    /// violated: the index is strictly increasing in arrival sequence (its
+    /// lookups binary-search on it), each of its entries names the slot
+    /// holding that sequence, every other slot is free and listed once,
+    /// and the token total is the queued requests' sum.
+    pub(crate) fn validate(&self) {
+        assert!(
+            self.order.iter().is_sorted_by(|a, b| a.0 < b.0),
+            "pending queue is not strictly increasing in arrival sequence"
+        );
+        for &(seq, slot) in &self.order {
+            assert_eq!(
+                self.slots
+                    .get(slot)
+                    .and_then(Option::as_ref)
+                    .map(|e| e.arrival_seq),
+                Some(seq),
+                "a pending index entry does not name its request's slot"
+            );
+        }
+        let mut listed = vec![false; self.slots.len()];
+        for &slot in self.order.iter().map(|(_, slot)| slot).chain(&self.free) {
+            assert!(
+                !std::mem::replace(&mut listed[slot], true),
+                "a pending slot is listed twice"
+            );
+        }
+        assert!(
+            listed.iter().all(|&l| l),
+            "a pending slot is neither indexed nor free"
+        );
+        assert!(
+            self.free.iter().all(|&slot| self.slots[slot].is_none()),
+            "a free pending slot holds a request"
+        );
+        assert_eq!(
+            self.tokens,
+            self.iter().map(ActiveRequest::final_context).sum::<usize>(),
+            "the pending token total disagrees with the queued requests"
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::residency::Residency;
+    use super::super::stats::RequestStats;
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A queued request with sequence `seq` whose arrival step (0–3),
+    /// queue age, eviction cooldown and prompt chain are drawn from `mix`.
+    fn request(seq: u64, mix: u64) -> ActiveRequest {
+        let req = ServingRequest::new(
+            seq ^ 0x5A5A,
+            16 + (mix % 17) as usize,
+            1 + (mix >> 8) as usize % 3,
+        )
+        .with_priority((mix >> 12) as u8 % 8)
+        .arriving_at((mix >> 16) % 4);
+        ActiveRequest {
+            req,
+            context: req.prompt_len,
+            arrival_seq: seq,
+            wait_since: (mix >> 20) as usize % 4,
+            last_admitted_at: None,
+            last_evicted_at: (mix >> 24)
+                .is_multiple_of(3)
+                .then_some((mix >> 28) as usize % 4),
+            kv: Residency::enqueued(req.prompt_len, false, 0),
+            last_token_at: None,
+            page_keys: vec![mix; (mix >> 32) as usize % 3],
+            kept_attention: None,
+            stats: RequestStats::queued(&req, (mix >> 36) as usize % 4),
+        }
+    }
+
+    /// A request's sequence and whole state, as the differential compares
+    /// them.
+    fn state(e: &ActiveRequest) -> (u64, String) {
+        (e.arrival_seq, format!("{e:?}"))
+    }
+
+    /// The policy's view of a reference entry, restated field by field.
+    fn reference_view(e: &ActiveRequest, step: usize) -> PendingView {
+        PendingView {
+            id: e.req.id,
+            priority: e.req.priority,
+            client_id: e.req.client_id,
+            arrival_seq: e.arrival_seq,
+            waited_steps: (step as u64).saturating_sub(e.wait_since as u64),
+            remaining_tokens: e.req.max_new_tokens - e.stats.generated,
+            final_context: e.req.prompt_len + e.req.max_new_tokens,
+            enqueued_at: e.stats.enqueued_at,
+            last_token_at: e.last_token_at,
+            ttft_deadline: e.req.ttft_deadline,
+            itl_deadline: e.req.itl_deadline,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Under any mix of the engine's queue operations — fresh
+        /// enqueues, preempted requests re-entering under their old
+        /// sequence, removals from anywhere, youngest-first steals and
+        /// in-place updates by sequence — the queue holds exactly what a
+        /// `Vec` kept sorted by arrival sequence holds, in the same order,
+        /// and shows the policy the same views at every step.
+        #[test]
+        fn pending_queue_matches_a_sorted_vec_under_any_operations(
+            seed in any::<u64>(),
+            ops in prop::collection::vec(0u8..8, 1..160),
+        ) {
+            let mut queue = PendingQueue::default();
+            let mut reference: Vec<ActiveRequest> = Vec::new();
+            let mut removed: Vec<ActiveRequest> = Vec::new();
+            let mut next_seq = 0u64;
+            for (i, &op) in ops.iter().enumerate() {
+                let mix = splitmix64(seed ^ (i as u64).rotate_left(32));
+                match op {
+                    // A fresh enqueue carries the largest sequence so far.
+                    0..=2 => {
+                        let r = request(next_seq, mix);
+                        next_seq += 1;
+                        reference.push(r.clone());
+                        queue.push(r);
+                    }
+                    // A preemption victim re-enters under its old sequence,
+                    // evicted at some step.
+                    3 if !removed.is_empty() => {
+                        let mut r = removed.swap_remove(mix as usize % removed.len());
+                        r.last_evicted_at = Some((mix >> 8) as usize % 4);
+                        let at = reference.partition_point(|e| e.arrival_seq < r.arrival_seq);
+                        reference.insert(at, r.clone());
+                        queue.push(r);
+                    }
+                    // An admission or a reject, from anywhere in the queue.
+                    3..=5 if !reference.is_empty() => {
+                        let expected = reference.remove(mix as usize % reference.len());
+                        let got = queue.remove_by_seq(expected.arrival_seq);
+                        prop_assert_eq!(state(&got), state(&expected));
+                        removed.push(got);
+                    }
+                    // A steal: the youngest request arrived by some step,
+                    // found by iterating in reverse.
+                    6 => {
+                        let step = mix as usize % 4;
+                        let arrived = |e: &&ActiveRequest| e.req.arrival_step as usize <= step;
+                        let seq = queue.iter().rev().find(arrived).map(|e| e.arrival_seq);
+                        let expected = reference.iter().rev().find(arrived).map(|e| e.arrival_seq);
+                        prop_assert_eq!(seq, expected);
+                        if let Some(seq) = seq {
+                            let at = reference.iter().position(|e| e.arrival_seq == seq).unwrap();
+                            reference.remove(at);
+                            removed.push(queue.remove_by_seq(seq));
+                        }
+                    }
+                    // An update in place by sequence, queued or not.
+                    _ => {
+                        let seq = mix % (next_seq + 1);
+                        let got = queue.get_mut_by_seq(seq);
+                        let expected = reference.iter_mut().find(|e| e.arrival_seq == seq);
+                        prop_assert_eq!(got.is_some(), expected.is_some());
+                        if let (Some(got), Some(expected)) = (got, expected) {
+                            for e in [got, expected] {
+                                e.context += 1;
+                                e.page_keys.push(mix);
+                            }
+                        }
+                    }
+                }
+                queue.validate();
+                prop_assert_eq!(queue.len(), reference.len());
+                prop_assert_eq!(queue.is_empty(), reference.is_empty());
+                prop_assert_eq!(
+                    queue.tokens(),
+                    reference.iter().map(ActiveRequest::final_context).sum::<usize>()
+                );
+                prop_assert!(queue.seqs().eq(reference.iter().map(|e| e.arrival_seq)));
+                let got: Vec<_> = queue.iter().map(state).collect();
+                let expected: Vec<_> = reference.iter().map(state).collect();
+                prop_assert_eq!(got, expected);
+                for step in 0..5 {
+                    let views: Vec<PendingView> = queue.views(step).collect();
+                    let expected: Vec<PendingView> = reference
+                        .iter()
+                        .filter(|e| {
+                            e.req.arrival_step as usize <= step
+                                && e.last_evicted_at != Some(step)
+                        })
+                        .map(|e| reference_view(e, step))
+                        .collect();
+                    prop_assert_eq!(queue.has_visible(step), !expected.is_empty());
+                    prop_assert_eq!(views, expected);
+                }
+            }
+        }
     }
 }
