@@ -18,14 +18,14 @@
 //! buffers and sends the whole job back, and the job is kept for its
 //! buffers until the next one is lent.
 //!
-//! Its one user is [`lend`](super::lend), whose job is one of two kinds: a
-//! share of the attention instances of one serving step, or the back half
-//! of one layer's attention calls of the real-token model. Both go through
-//! one process-wide [`HelperSlot`] behind a mutex that is only ever
-//! `try_lock`ed, so there is one helper thread per process and no caller
-//! waits for it except the one whose job it holds. The lifecycle is generic
-//! over the job type `J` only so that its own tests can drive it with a toy
-//! job.
+//! Its one user is [`lend`](super::lend), whose one job type carries the
+//! back share of a pool of attention work — a serving step's instances or
+//! one layer's attention calls of the real-token model — and is kept for
+//! the next share of either kind. It goes through one process-wide
+//! [`HelperSlot`] behind a mutex that is only ever `try_lock`ed, so there
+//! is one helper thread per process and no caller waits for it except the
+//! one whose job it holds. The lifecycle is generic over the job type `J`
+//! only so that its own tests can drive it with a toy job.
 
 use std::mem;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -35,12 +35,12 @@ use std::thread::{self, JoinHandle};
 /// channels hold one job: one job is in flight at a time, so a send never
 /// waits and the helper itself never allocates.
 #[derive(Debug)]
-pub(super) struct Helper<J> {
+pub(crate) struct Helper<J> {
     jobs: SyncSender<J>,
     done: Receiver<J>,
     thread: JoinHandle<()>,
     /// The last job back, kept for its buffers.
-    spare: Option<J>,
+    pub(super) spare: Option<J>,
 }
 
 impl<J: Send + 'static> Helper<J> {
@@ -86,7 +86,7 @@ impl<J: Send + 'static> Helper<J> {
 /// A helper's lifecycle. Whoever holds the slot's lock owns the helper for
 /// one job; everyone else does their own work.
 #[derive(Debug)]
-pub(super) enum HelperSlot<J> {
+pub(crate) enum HelperSlot<J> {
     /// No caller has had enough work to want a helper yet. The first one
     /// starts a thread called `name` running `work`.
     Unstarted {

@@ -1,72 +1,62 @@
-//! Attention work split over two cores: one step's attention instances,
-//! and one attention batch of the real-token model.
+//! Attention work split over two cores: one pool of work, either one
+//! step's attention instances or one attention batch of the real-token
+//! model.
 //!
-//! A step is a batch of independent per-request attention passes, each a
-//! pure function of `(accelerator, engine seed, request id, context)`
-//! ([`simulate_attention`]) — and every shard of a cluster shares the
-//! accelerator and the seed, so a step of a cluster is one such batch over
-//! all its shards. So whoever owns the engines — an engine stepping
-//! itself, a cluster stepping its shards — lets each admit, then pools the
-//! instances their slot loops are about to ask for
-//! ([`pool_attention`]), hands about half of them — by elements — to a
-//! persistent helper thread as one owned job, simulates the rest itself,
-//! and leaves every result on its request as a kept step, which the slot
-//! loop then finds instead of simulating. Which thread ran an instance
-//! cannot show in its result, so pooled and serial stepping are one engine
-//! with a permanent differential test, not two paths.
-//!
-//! A [`SimulatedAttention`] batch — one layer's `tokens × heads` calls of
-//! a forward run ([`AttendBatch`]) — is split the same way
-//! ([`attend_batch`]): its back half, by elements, goes to the same helper
-//! as one owned job carrying its queries and the K/V rows its calls read,
-//! the caller runs the front half, and every call's output, cycles, pruning
-//! statistics and energy are added back in call order, so the backend ends
-//! where the calls one after another would leave it.
+//! Whoever owns the engines — an engine stepping itself, a cluster
+//! stepping its shards, which share one accelerator and seed — lets each
+//! admit, then pools the instances their slot loops are about to ask for
+//! ([`pool_attention`]), each a pure function of `(accelerator, engine
+//! seed, request id, context)` ([`simulate_attention`]). A
+//! [`SimulatedAttention`] batch — one layer's `tokens × heads` calls of a
+//! forward run ([`AttendBatch`]) — is a pool of calls ([`attend_batch`]).
+//! Either pool is one list of [`Work`], [`split`] once: the calling thread
+//! runs the front and the helper thread the back, as one owned [`Job`].
+//! What comes back is applied in item order — a step kept on its request
+//! for its slot loop to find, a call's output and costs added to the
+//! backend where the calls one after another would leave them — so which
+//! thread ran an item cannot show, and split and serial are one
+//! construction with permanent differential tests, not two paths.
 //!
 //! The helper is [`helper`](super::helper)'s: one thread, lazily started,
 //! absent on one core, `try_lock` only, owned jobs whose buffers come back
-//! with them. Whenever there is no helper to be had — busy with another
-//! owner's step or batch, absent, dead — nothing is split: each slot loop
+//! for the next job of either kind. With no helper to be had — busy with
+//! another owner's pool, absent, dead — nothing is split: each slot loop
 //! simulates its instances where it always has, and a batch runs its calls
 //! in order on the calling thread.
 
 use std::mem;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use topick_core::{QVector, QuantBuffer, Rows};
 use topick_model::{AttendBatch, AttentionBackend, KvView, SynthKeys, SynthProfile};
 
 use super::batch_state::SimulatedStep;
 use super::helper::HelperSlot;
-use super::{ServeError, ServingEngine};
+use super::{ChunkBudget, ServeError, ServingEngine};
 use crate::backend::{simulate, Attended, SimulatedAttention};
 use crate::engine::ToPickAccelerator;
 
-/// Smallest pool — a step's, all shards of a cluster step — in key elements
-/// (`context · dim` summed over its instances) worth splitting between the
-/// stepping thread and the helper.
-/// A handoff — two channel hops and a wake-up — measures 40–70 µs on a
-/// 2-core x86-64 Xeon host, and an element costs at least ≈ 11.7 ns there
-/// (as clocked at ≈ 0.83 of the benchmark's reference speed), all of
-/// which a lent instance takes with it: its synthesis (one Box–Muller
-/// normal plus its share of the projection: 6.5–7.5 ns with the sampler's
-/// AVX-512 copy, 18.5–23 with its baseline copy), its quantization and
-/// its share of `attention_cost` (5.2–6.6 ns together at dim 64 from 256
-/// tokens up with the quantizer's AVX-512 copy, 9–15 at 16–64), so
-/// lending half of `n` elements saves at least `n · 5.85 ns` less one
-/// handoff: break-even at 6 800–12 000 elements. The floor is where the
-/// saving is worth one handoff more, `n · 5.85 ns ≥ (1 + 1) · 40…70 µs`,
-/// i.e. 13 700–23 900 elements: 256 tokens × 64. Three handoffs more, the
-/// margin [`BATCH_SPLIT_MIN_ELEMS`] takes, would give 27 400–47 900 and a
-/// floor of 32 768 shared by both, but in ten alternating benchmark pairs
-/// (measured before the quantizer's copy, at 6.5 ns per element of
-/// saving) that floor cost `prefix-chat` ×0.973 (8 pairs of 10 slower)
-/// and `cluster-agentic` ×0.991 in `wall_tokens_per_s`: their pools of
-/// 16 000–32 000 elements are worth lending. Derived and checked, not
-/// tuned, and deliberately not an option: below it — a step of 16–32
-/// token contexts is a few thousand elements — the helper is never
-/// touched.
+// The smallest pools worth splitting, in key elements. A handoff — two
+// channel hops and a wake-up — measures 40–70 µs on a 2-core x86-64 Xeon
+// host; lending half of `n` elements saves half their cost less one
+// handoff, and a floor is where that saving also pays a measured margin
+// of handoffs more. Derived and checked, not tuned, and not options.
+// - An instance element costs ≥ 11.7 ns there (as clocked at ≈ 0.83 of
+//   the benchmark's reference speed): synthesis 6.5–7.5 ns (the sampler's
+//   AVX-512 copy; 18.5–23 baseline), quantization and `attention_cost`
+//   5.2–6.6 at dim 64 from 256 tokens up (the quantizer's AVX-512 copy;
+//   9–15 at 16–64). With one handoff of margin, `n · 5.85 ns ≥ (1 + 1) ·
+//   40…70 µs` gives 13 700–23 900: 256 tokens × 64. Three (32 768) cost
+//   `prefix-chat` ×0.973 (8 of 10 pairs slower) and `cluster-agentic`
+//   ×0.991 in `wall_tokens_per_s` over ten alternating benchmark pairs:
+//   their pools of 16 000–32 000 elements are worth lending.
+// - A call costs 11 µs + 12 ns per element at the real-token model's head
+//   width of 16, and a lent call also copies in the rows it reads (25 KB
+//   for 200 rows of 16, a few µs). With three handoffs of margin, `n · 6 ns
+//   ≥ (1 + 3) · 40…70 µs` gives 27 000–47 000; no run has measured one.
+//   A decode at 200 tokens (4 heads × 200 × 16 = 12 800) stays under it.
 const SPLIT_MIN_ELEMS: usize = 16 * 1024;
+const BATCH_SPLIT_MIN_ELEMS: usize = 32 * 1024;
 
 /// How often steps used the second core for their attention instances, of
 /// every size — whether a run that could have been spread over two cores
@@ -95,221 +85,205 @@ impl std::ops::AddAssign for LendingStats {
     }
 }
 
-/// One instance of a step's pool: the request at `slot` of `shard`, at
-/// `context`.
+/// One item of a pool, weighing the key elements it reads.
 #[derive(Debug, Clone, Copy)]
-pub(super) struct PoolItem {
-    shard: usize,
-    slot: usize,
-    id: u64,
-    context: usize,
+enum Work {
+    /// The request at `slot` of `shard`, at `context`.
+    Instance {
+        shard: usize,
+        slot: usize,
+        id: u64,
+        context: usize,
+    },
+    /// One query over the first `rows` rows of `head`.
+    Call { head: usize, rows: usize },
 }
 
-/// The helper's share of one step's pool: everything
-/// [`simulate_attention`] reads, owned — the one accelerator and seed every
-/// pooled engine shares — and the results it leaves.
+impl Work {
+    fn call(batch: &AttendBatch<'_>, i: usize) -> Self {
+        let (head, rows) = batch.shape(i);
+        Self::Call { head, rows }
+    }
+
+    fn elements(self, dim: usize) -> usize {
+        dim * match self {
+            Self::Instance { context, .. } => context,
+            Self::Call { rows, .. } => rows,
+        }
+    }
+}
+
+/// What one item left: an instance's step (`None` if it failed, which its
+/// slot loop meets again), or a call's output and costs.
 #[derive(Debug)]
-pub(super) struct StepJob {
+enum Done {
+    Instance(Option<SimulatedStep>),
+    Call(Attended),
+}
+
+/// The helper's share of a pool, with everything it reads owned — a
+/// call's query (`dim` wide, back to back) and its head's rows — and one
+/// result per item, in order. Kept for its buffers from one job to the
+/// next, of either kind.
+#[derive(Debug)]
+pub(crate) struct Job {
     accel: ToPickAccelerator,
     seed: u64,
-    work: Vec<PoolItem>,
-    /// Every instance that simulated, with its step; one that failed is
-    /// left for its slot loop to fail on.
-    done: Vec<(PoolItem, SimulatedStep)>,
+    dim: usize,
+    work: Vec<Work>,
+    queries: Vec<f32>,
+    rows: Vec<(Vec<f32>, Vec<f32>)>,
+    done: Vec<Done>,
     /// The helper thread's own key buffers.
     scratch: KeyScratch,
 }
 
+impl Job {
+    /// What the helper thread runs on each job.
+    fn run(&mut self) {
+        self.done.clear();
+        let dim = self.dim;
+        for (i, item) in self.work.iter().enumerate() {
+            self.done.push(match *item {
+                Work::Instance { id, context, .. } => Done::Instance(
+                    simulate_attention(&self.accel, self.seed, id, context, &mut self.scratch).ok(),
+                ),
+                Work::Call { head, rows } => {
+                    // A job of calls holds nothing else: call `i` has query `i`.
+                    let q = &self.queries[i * dim..(i + 1) * dim];
+                    let (keys, values) = &self.rows[head];
+                    let kv = KvView::new(
+                        Rows::new(&keys[..rows * dim], dim),
+                        Rows::new(&values[..rows * dim], dim),
+                    );
+                    Done::Call(simulate(&self.accel, &mut self.scratch.codes, q, kv))
+                }
+            });
+        }
+    }
+
+    /// Fills the job with `batch`'s calls from `first` on: their queries,
+    /// and every head's rows as far as the last call, the furthest, reads.
+    fn calls(&mut self, batch: &AttendBatch<'_>, first: usize) {
+        self.dim = batch.dim();
+        for i in first..batch.len() {
+            self.work.push(Work::call(batch, i));
+            self.queries.extend_from_slice(batch.call(i).0);
+        }
+        let rows = batch.shape(batch.len() - 1).1;
+        self.rows.resize_with(batch.heads().len(), Default::default);
+        for (kv, (keys, values)) in batch.heads().iter().zip(&mut self.rows) {
+            let kv = kv.prefix(rows);
+            keys.clear();
+            keys.extend_from_slice(kv.keys().data());
+            values.clear();
+            values.extend_from_slice(kv.values().data());
+        }
+    }
+}
+
 /// The key buffers a thread keeps from one simulation to the next: an
-/// instance's float keys and their quantized codes. Freed and re-allocated
-/// per instance on two threads at once, the 300–500 KB float buffers of
-/// long contexts raise the process's peak memory by a fifth (measured,
-/// `docs/ARCHITECTURE.md`); kept, each thread holds one of each, as large
-/// as its largest instance so far.
+/// instance's float keys and the codes of an instance's or a call's keys.
+/// Freed and re-allocated per instance on two threads at once, the
+/// 300–500 KB float buffers of long contexts raise the process's peak
+/// memory by a fifth (measured, `docs/ARCHITECTURE.md`); kept, each thread
+/// holds one of each, as large as its largest instance so far.
 #[derive(Debug, Default)]
 pub(super) struct KeyScratch {
     floats: Vec<f32>,
     codes: QuantBuffer,
 }
 
-impl StepJob {
-    fn run(&mut self) {
-        self.done.clear();
-        for item in &self.work {
-            let step = simulate_attention(
-                &self.accel,
-                self.seed,
-                item.id,
-                item.context,
-                &mut self.scratch,
-            );
-            if let Ok(step) = step {
-                self.done.push((*item, step));
-            }
-        }
-    }
-}
+/// The one helper, with the last job back.
+pub(crate) type Lender = HelperSlot<Job>;
 
-/// Smallest attention batch, in key elements (`rows · dim` summed over its
-/// calls), worth splitting between the calling thread and the helper.
-/// The handoff is the step pool's 40–70 µs, plus copying in what the lent
-/// calls read (each head's rows at most once: 25 KB for 200 rows of 16,
-/// a few µs). A call costs 11 µs plus 12 ns per element, measured on the
-/// 2-core development host at the real-token model's head width of 16
-/// (53 µs at 200 rows), so lending half of `n` elements saves at least
-/// `n · 6 ns` less one handoff: break-even at 7 000–12 000 elements. The
-/// floor is where the saving is worth several handoffs more, `n · 6 ns ≥
-/// (1 + 3) · 40…70 µs`, i.e. 27 000–47 000 elements. Derived like
-/// [`SPLIT_MIN_ELEMS`] (whose measured margin is one handoff, not three),
-/// and likewise not an option: a single-token decode
-/// at 200 tokens of context is 4 heads × 200 × 16 = 12 800 elements and
-/// never touches the helper; a layer of a 100-token prompt is 323 000.
-const BATCH_SPLIT_MIN_ELEMS: usize = 32 * 1024;
-
-/// The helper's share of an attention batch: the calls from some point to
-/// the end, with everything they read copied in, and their results.
-#[derive(Debug)]
-pub(super) struct BatchJob {
-    accel: ToPickAccelerator,
-    dim: usize,
-    /// Each lent call's head and the number of its rows it reads, in call
-    /// order.
-    shapes: Vec<(usize, usize)>,
-    /// The lent calls' queries, back to back.
-    queries: Vec<f32>,
-    /// Per head of the batch, the keys and values of the longest prefix a
-    /// lent call reads — nothing for a head no lent call reads.
-    rows: Vec<(Vec<f32>, Vec<f32>)>,
-    /// The helper thread's own key-code buffer.
-    key_buf: QuantBuffer,
-    /// One result per lent call, in call order.
-    done: Vec<Attended>,
-}
-
-impl BatchJob {
-    /// The job of `batch`'s calls from `first` on, in the buffers of
-    /// `spare` when that is a batch job.
-    fn fill(
-        spare: Option<HelperJob>,
-        cfg: &crate::config::AccelConfig,
-        batch: &AttendBatch<'_>,
-        first: usize,
-    ) -> Self {
-        let accel = ToPickAccelerator::new(cfg.clone());
-        let mut job = match spare {
-            Some(HelperJob::Batch(spare)) => Self { accel, ..spare },
-            _ => Self {
-                accel,
-                dim: 0,
-                shapes: Vec::new(),
-                queries: Vec::new(),
-                rows: Vec::new(),
-                key_buf: QuantBuffer::new(),
-                done: Vec::new(),
-            },
-        };
-        job.dim = batch.dim();
-        job.shapes.clear();
-        job.queries.clear();
-        for i in first..batch.len() {
-            job.shapes.push(batch.shape(i));
-            job.queries.extend_from_slice(batch.call(i).0);
-        }
-        let heads = batch.heads();
-        job.rows.resize_with(heads.len(), Default::default);
-        for (head, (kv, (keys, values))) in heads.iter().zip(&mut job.rows).enumerate() {
-            let read = job.shapes.iter().filter(|s| s.0 == head).map(|s| s.1);
-            let prefix = kv.prefix(read.max().unwrap_or(0));
-            keys.clear();
-            keys.extend_from_slice(prefix.keys().data());
-            values.clear();
-            values.extend_from_slice(prefix.values().data());
-        }
-        job
-    }
-
-    fn run(&mut self) {
-        self.done.clear();
-        let dim = self.dim;
-        for (&(head, rows), q) in self.shapes.iter().zip(self.queries.chunks_exact(dim)) {
-            let (keys, values) = &self.rows[head];
-            let kv = KvView::new(
-                Rows::new(&keys[..rows * dim], dim),
-                Rows::new(&values[..rows * dim], dim),
-            );
-            self.done
-                .push(simulate(&self.accel, &mut self.key_buf, q, kv));
-        }
-    }
-}
-
-/// What the one helper thread works on: a share of a step's pool, or the
-/// back half of an attention batch.
-#[derive(Debug)]
-pub(super) enum HelperJob {
-    /// A share of a serving step's attention instances.
-    Step(StepJob),
-    /// The back half of a [`SimulatedAttention`] batch.
-    Batch(BatchJob),
-}
-
-/// What the helper thread runs on each job.
-fn run_job(job: &mut HelperJob) {
-    match job {
-        HelperJob::Step(job) => job.run(),
-        HelperJob::Batch(job) => job.run(),
-    }
-}
-
-/// The helper and the stepping thread's scratch list, under one lock:
-/// whoever holds it owns both for one step or one batch.
-#[derive(Debug)]
-pub(crate) struct Lender {
-    helper: HelperSlot<HelperJob>,
-    /// The holder's own share of a step's pool.
-    mine: Vec<PoolItem>,
-}
-
+#[cfg(test)]
 impl Lender {
-    pub(super) const fn new(helper: HelperSlot<HelperJob>) -> Self {
-        Self {
-            helper,
-            mine: Vec::new(),
-        }
-    }
-
-    /// A lender with a helper thread of its own running `work`, so a
-    /// test's pools are split even where the shared helper would not start
-    /// (one core) or is taken by a parallel test.
-    #[cfg(test)]
-    pub(super) fn with_helper(work: fn(&mut HelperJob)) -> Mutex<Self> {
+    /// A helper of the test's own, split with even where [`LENDER`] would
+    /// not start (one core) or is taken by a parallel test.
+    pub(super) fn with_helper(work: fn(&mut Job)) -> Mutex<Self> {
         let helper = super::helper::Helper::spawn("test-attention", work).expect("spawn");
-        Mutex::new(Self::new(HelperSlot::Running(helper)))
+        Mutex::new(Self::Running(helper))
     }
 
     /// [`with_helper`](Self::with_helper) doing the real work.
-    #[cfg(test)]
     pub(super) fn private() -> Mutex<Self> {
-        Self::with_helper(run_job)
+        Self::with_helper(Job::run)
     }
 
-    /// A lender without a helper — what [`LENDER`] is on one core:
-    /// every step through it runs serially, the twin a pooled run is
-    /// compared against.
-    #[cfg(test)]
+    /// What [`LENDER`] is on one core: the serial twin's.
     pub(super) fn absent() -> Mutex<Self> {
-        Mutex::new(Self::new(HelperSlot::Absent))
+        Mutex::new(Self::Absent)
     }
 }
 
-/// The process-wide helper. Only ever `try_lock`ed: a step or batch that
-/// finds it taken runs serially, so two engines or models on two threads
-/// never wait on each other; a poisoned lock (a step or batch panicked
-/// mid-split, possibly leaving a job in flight) reads as taken forever.
-pub(crate) static LENDER: Mutex<Lender> = Mutex::new(Lender::new(HelperSlot::Unstarted {
+/// The process-wide helper. Only ever `try_lock`ed: a pool that finds it
+/// taken runs serially, so two engines or models on two threads never
+/// wait on each other; a poisoned lock (a pool panicked mid-split,
+/// possibly leaving a job in flight) reads as taken forever.
+pub(crate) static LENDER: Mutex<Lender> = Mutex::new(HelperSlot::Unstarted {
     name: "topick-attention",
-    work: run_job,
-}));
+    work: Job::run,
+});
+
+/// The first item of the helper's share of a pool of items weighing
+/// `elems`, the caller keeping those before it, if the pool is worth a
+/// handoff (two or more items of `floor` elements together): of the
+/// boundaries that leave the helper something, the one whose larger share
+/// is smallest, a tie going to the caller, which pays the handoff.
+fn split(elems: impl Iterator<Item = usize> + Clone, floor: usize) -> Option<usize> {
+    let (items, total) = elems.clone().fold((0, 0), |(n, sum), e| (n + 1, sum + e));
+    if items < 2 || total < floor {
+        return None;
+    }
+    let (mut front, mut best) = (0, (usize::MAX, 0));
+    for (i, e) in elems.take(items - 1).enumerate() {
+        front += e;
+        let larger = front.max(total - front);
+        if larger <= best.0 {
+            best = (larger, i + 1);
+        }
+    }
+    Some(best.1)
+}
+
+/// The one lend sequence: hands `lender`'s helper, when it is free, the
+/// job `fill` writes into the buffers of the last job back, on `accel` with
+/// `seed`, and returns the helper holding it for the caller to run its own
+/// share and then [`collect`](HelperSlot::collect). `None`: no helper took
+/// the job.
+fn lend(
+    lender: &Mutex<Lender>,
+    accel: ToPickAccelerator,
+    seed: u64,
+    fill: impl FnOnce(&mut Job),
+) -> Option<MutexGuard<'_, Lender>> {
+    let mut helper = lender.try_lock().ok()?;
+    let lent = helper.lend(|spare| {
+        let mut job = match spare {
+            Some(spare) => Job {
+                accel,
+                seed,
+                ..spare
+            },
+            None => Job {
+                accel,
+                seed,
+                dim: 0,
+                work: Vec::new(),
+                queries: Vec::new(),
+                rows: Vec::new(),
+                done: Vec::new(),
+                scratch: KeyScratch::default(),
+            },
+        };
+        job.work.clear();
+        job.queries.clear();
+        fill(&mut job);
+        job
+    });
+    lent.then_some(helper)
+}
 
 /// One cycle-level attention simulation of request `req_id` at `context`.
 /// The synthetic workload is deterministic in `(seed, req_id, context)`,
@@ -345,31 +319,6 @@ pub(super) fn simulate_attention(
 }
 
 impl ServingEngine {
-    /// The slots whose step will ask for a fresh simulation, in slot
-    /// order, as instances of shard `shard`: the walk of the slot loop
-    /// ([`ChunkBudget`](super::ChunkBudget)), so nothing is simulated that
-    /// the loop would not simulate.
-    fn pool(&self, shard: usize) -> impl Iterator<Item = PoolItem> + '_ {
-        let mut budget = self.chunk_budget();
-        self.batch
-            .slots()
-            .iter()
-            .enumerate()
-            .filter_map(move |(slot, r)| {
-                let simulates = budget.next(r.kv.prefill_owed()).simulates();
-                let fresh = r
-                    .kept_attention
-                    .as_ref()
-                    .is_none_or(|kept| kept.context != r.context);
-                (simulates && fresh).then_some(PoolItem {
-                    shard,
-                    slot,
-                    id: r.req.id,
-                    context: r.context,
-                })
-            })
-    }
-
     /// Leaves `step` on the request at `slot` for its
     /// [`slot_attention`](Self::slot_attention) to find.
     fn keep_attention(&mut self, slot: usize, step: SimulatedStep) {
@@ -381,98 +330,100 @@ impl ServingEngine {
     }
 }
 
-/// This step's pool: every instance the slot loops of `shards` will ask
-/// for, in `(shard, slot)` order.
-fn pool(shards: &[ServingEngine]) -> impl Iterator<Item = PoolItem> + '_ {
-    shards
-        .iter()
-        .enumerate()
-        .flat_map(|(shard, engine)| engine.pool(shard))
+/// A walk over a step's pool: the slots of engines whose slot loops will
+/// ask for a fresh simulation, in `(shard, slot)` order, under each
+/// loop's [`ChunkBudget`]. It holds no borrow between items, so a caller
+/// can keep each item's step as it goes.
+#[derive(Debug, Clone, Default)]
+struct Walk {
+    shard: usize,
+    slot: usize,
+    budget: Option<ChunkBudget>,
 }
 
-/// Simulates the pool of one step of `shards` — one or more engines sharing
-/// one accelerator configuration and seed, each past its step's admission
-/// and before its slot loop — on two cores when that is worth a handoff — two
-/// or more instances of [`SPLIT_MIN_ELEMS`] elements together — and
-/// `lender` has a helper free, leaving each result on its request as the
-/// kept step [`slot_attention`](ServingEngine::slot_attention) consumes.
-/// The pool is split by a greedy pass in `(shard, slot)` order, each
-/// instance going to the share with fewer elements so far. An instance
-/// that fails to simulate is not kept: its slot loop meets the same error
-/// at the same slot, after the same earlier slots have advanced.
-///
-/// Returns what the step adds to its owner's [`LendingStats`].
-pub(super) fn pool_attention(shards: &mut [ServingEngine], lender: &Mutex<Lender>) -> LendingStats {
-    let not_pooled = LendingStats::default();
-    let fallback = LendingStats {
-        fallbacks: 1,
-        ..not_pooled
-    };
-    let (dim, seed) = (shards[0].cfg.accel.dim, shards[0].cfg.seed);
-    debug_assert!(shards.iter().all(|s| s.cfg.seed == seed));
-    let (instances, elems) = pool(shards).fold((0, 0), |(n, elems), item| {
-        (n + 1, elems + item.context * dim)
-    });
-    if instances < 2 || elems < SPLIT_MIN_ELEMS {
-        return not_pooled;
-    }
-    let Ok(mut lender) = lender.try_lock() else {
-        return fallback;
-    };
-    let Lender { helper, mine } = &mut *lender;
-    mine.clear();
-    let lent = helper.lend(|spare| {
-        let accel = shards[0].accel.clone();
-        let mut job = match spare {
-            Some(HelperJob::Step(spare)) => StepJob {
-                accel,
-                seed,
-                ..spare
-            },
-            _ => StepJob {
-                accel,
-                seed,
-                work: Vec::new(),
-                done: Vec::new(),
-                scratch: KeyScratch::default(),
-            },
-        };
-        job.work.clear();
-        // Tokens stand for elements: every instance is `dim` wide.
-        let (mut my_tokens, mut lent_tokens) = (0, 0);
-        for item in pool(shards) {
-            if lent_tokens < my_tokens {
-                lent_tokens += item.context;
-                job.work.push(item);
-            } else {
-                my_tokens += item.context;
-                mine.push(item);
+impl Walk {
+    fn next(&mut self, shards: &[ServingEngine]) -> Option<Work> {
+        loop {
+            let engine = shards.get(self.shard)?;
+            let budget = self.budget.get_or_insert_with(|| engine.chunk_budget());
+            let Some(r) = engine.batch.slots().get(self.slot) else {
+                (self.shard, self.slot, self.budget) = (self.shard + 1, 0, None);
+                continue;
+            };
+            self.slot += 1;
+            let fresh = r
+                .kept_attention
+                .as_ref()
+                .is_none_or(|k| k.context != r.context);
+            if budget.next(r.kv.prefill_owed()).simulates() && fresh {
+                let (shard, slot, id, context) = (self.shard, self.slot - 1, r.req.id, r.context);
+                return Some(Work::Instance {
+                    shard,
+                    slot,
+                    id,
+                    context,
+                });
             }
         }
-        HelperJob::Step(job)
-    });
-    if !lent {
-        return fallback;
     }
-    for item in mine.iter() {
-        let engine = &mut shards[item.shard];
-        let step = simulate_attention(
-            &engine.accel,
-            seed,
-            item.id,
-            item.context,
-            &mut engine.scratch,
-        );
-        if let Ok(step) = step {
-            engine.keep_attention(item.slot, step);
+}
+
+/// This step's pool: every instance the slot loops of `shards` will ask
+/// for, in `(shard, slot)` order.
+fn pool(shards: &[ServingEngine]) -> impl Iterator<Item = Work> + Clone + '_ {
+    let mut walk = Walk::default();
+    std::iter::from_fn(move || walk.next(shards))
+}
+
+/// Simulates the pool of one step of `shards` — engines sharing one
+/// accelerator configuration and seed, each between admission and its slot
+/// loop — on two cores when that is worth a handoff and `lender` has a
+/// helper free, leaving each result as the kept step
+/// [`slot_attention`](ServingEngine::slot_attention) consumes. An instance
+/// that fails is not kept: its slot loop meets the same error at the same
+/// slot, after the same earlier slots. Returns what the step adds to its
+/// owner's [`LendingStats`].
+pub(super) fn pool_attention(shards: &mut [ServingEngine], lender: &Mutex<Lender>) -> LendingStats {
+    let (accel, seed) = (&shards[0].accel, shards[0].cfg.seed);
+    // The helper runs every shard's instances on the first's accelerator.
+    debug_assert!(shards
+        .iter()
+        .all(|s| s.cfg.seed == seed && s.accel.config() == accel.config()));
+    let dim = accel.config().dim;
+    let Some(first) = split(pool(shards).map(|item| item.elements(dim)), SPLIT_MIN_ELEMS) else {
+        return LendingStats::default();
+    };
+    let fallback = LendingStats {
+        fallbacks: 1,
+        ..LendingStats::default()
+    };
+    let fill = |job: &mut Job| job.work.extend(pool(shards).skip(first));
+    let Some(mut helper) = lend(lender, accel.clone(), seed, fill) else {
+        return fallback;
+    };
+    let mut walk = Walk::default();
+    for _ in 0..first {
+        if let Some(Work::Instance {
+            shard,
+            slot,
+            id,
+            context,
+        }) = walk.next(shards)
+        {
+            let engine = &mut shards[shard];
+            let step = simulate_attention(&engine.accel, seed, id, context, &mut engine.scratch);
+            if let Ok(step) = step {
+                engine.keep_attention(slot, step);
+            }
         }
     }
-    let mut returned = 0;
+    let mut lent_instances = 0;
     let collected = helper.collect(|job| {
-        if let HelperJob::Step(job) = job {
-            for (item, step) in job.done.drain(..) {
-                shards[item.shard].keep_attention(item.slot, step);
-                returned += 1;
+        for (item, done) in job.work.iter().zip(job.done.drain(..)) {
+            if let (&Work::Instance { shard, slot, .. }, Done::Instance(Some(step))) = (item, done)
+            {
+                shards[shard].keep_attention(slot, step);
+                lent_instances += 1;
             }
         }
     });
@@ -483,36 +434,18 @@ pub(super) fn pool_attention(shards: &mut [ServingEngine], lender: &Mutex<Lender
     }
     LendingStats {
         pooled_steps: 1,
-        lent_instances: returned,
-        ..not_pooled
+        lent_instances,
+        fallbacks: 0,
     }
 }
 
-/// The first call of `batch`'s back half — the calls after the caller's
-/// first half of its elements — when the batch is worth a handoff: two or
-/// more calls of [`BATCH_SPLIT_MIN_ELEMS`] elements together, of which the
-/// back half is not empty.
-fn batch_split(batch: &AttendBatch<'_>) -> Option<usize> {
-    let rows = |i| batch.shape(i).1;
-    let total: usize = (0..batch.len()).map(rows).sum();
-    if batch.len() < 2 || total * batch.dim() < BATCH_SPLIT_MIN_ELEMS {
-        return None;
-    }
-    let mut front = 0;
-    let last_mine = (0..batch.len()).find(|&i| {
-        front += rows(i);
-        2 * front >= total
-    })?;
-    Some(last_mine + 1).filter(|&first| first < batch.len())
-}
-
-/// Runs `batch` on `sim` — its back half on `lender`'s helper when the
+/// Runs `batch` on `sim` — its back share on `lender`'s helper when the
 /// batch is worth a handoff and the helper is free, the rest on the calling
 /// thread — and returns the outputs in call order. Each call's output and
 /// costs are added to `sim` in call order, whichever thread ran it, so the
 /// outputs and `sim`'s cycles, statistics and energy (whose float sum
 /// depends on the order) are those of the calls one after another. If the
-/// helper dies holding its half, the caller runs that half itself.
+/// helper dies holding its share, the caller runs that share itself.
 pub(crate) fn attend_batch(
     sim: &mut SimulatedAttention,
     batch: &AttendBatch<'_>,
@@ -524,28 +457,27 @@ pub(crate) fn attend_batch(
             out.extend(sim.attend(q, kv));
         }
     };
-    let mut out = Vec::with_capacity(batch.len() * batch.dim());
+    let (dim, calls) = (batch.dim(), batch.len());
+    let mut out = Vec::with_capacity(calls * dim);
     // The first call not yet run.
     let mut next = 0;
-    if let Some(first) = batch_split(batch) {
-        if let Ok(mut lender) = lender.try_lock() {
-            let helper = &mut lender.helper;
-            let cfg = sim.config();
-            if helper.lend(|spare| HelperJob::Batch(BatchJob::fill(spare, cfg, batch, first))) {
-                run(sim, 0..first, &mut out);
-                next = first;
-                helper.collect(|job| {
-                    if let HelperJob::Batch(job) = job {
-                        for done in job.done.drain(..) {
-                            out.extend(sim.record(done));
-                        }
-                        next = batch.len();
+    let elems = (0..calls).map(|i| Work::call(batch, i).elements(dim));
+    if let Some(first) = split(elems, BATCH_SPLIT_MIN_ELEMS) {
+        let accel = ToPickAccelerator::new(sim.config().clone());
+        if let Some(mut helper) = lend(lender, accel, 0, |job| job.calls(batch, first)) {
+            run(sim, 0..first, &mut out);
+            next = first;
+            helper.collect(|job| {
+                for done in job.done.drain(..) {
+                    if let Done::Call(call) = done {
+                        out.extend(sim.record(call));
                     }
-                });
-            }
+                }
+                next = calls;
+            });
         }
     }
-    run(sim, next..batch.len(), &mut out);
+    run(sim, next..calls, &mut out);
     out
 }
 
@@ -648,13 +580,11 @@ mod tests {
             // One simulation per token, whichever thread ran it.
             assert_eq!(pooled.simulations, pooled.report().tokens_generated);
         }
-        let lender = lender.lock().unwrap();
-        assert!(matches!(lender.helper, HelperSlot::Running(_)));
+        assert!(matches!(*lender.lock().unwrap(), HelperSlot::Running(_)));
     }
 
-    /// [`idle_engine`] serving `prompts`, all arrived, pooled through a
-    /// private helper and serially: the two runs, and the pooled one's
-    /// lending.
+    /// [`idle_engine`] serving `prompts`, all arrived, pooled and serially,
+    /// and the pooled run's lending.
     fn pooled_and_serial(prompts: &[usize]) -> (Run, Run, LendingStats) {
         let runs = [Lender::private(), Lender::absent()].map(|lender| {
             let mut engine = idle_engine(5);
@@ -690,42 +620,6 @@ mod tests {
         assert!(lending.pooled_steps > 0);
         assert_eq!(lending.lent_instances, lending.pooled_steps);
         assert_eq!(lending.fallbacks, 0);
-    }
-
-    #[test]
-    fn a_helper_that_panics_degrades_to_the_stepping_thread() {
-        let lender = Lender::with_helper(|_| panic!("helper down (expected by this test)"));
-        let mut pooled = engine(1);
-        // The first pool loses its lent share to the panic and the slot
-        // loop simulates it; every later pool finds no helper.
-        assert_eq!(run(&mut pooled, &lender), serial(1));
-        let stats = pooled.lending_stats();
-        assert_eq!((stats.pooled_steps, stats.lent_instances), (0, 0));
-        assert!(stats.fallbacks > 1);
-        assert!(matches!(lender.lock().unwrap().helper, HelperSlot::Absent));
-    }
-
-    #[test]
-    fn a_helper_whose_channel_is_closed_degrades_to_the_stepping_thread() {
-        let helper = Helper::spawn("test-attention", run_job).expect("spawn");
-        let lender = Mutex::new(Lender::new(HelperSlot::Running(helper.ended())));
-        let mut pooled = engine(2);
-        assert_eq!(run(&mut pooled, &lender), serial(2));
-        assert_eq!(pooled.lending_stats().pooled_steps, 0);
-        assert!(pooled.lending_stats().fallbacks > 1);
-        assert!(matches!(lender.lock().unwrap().helper, HelperSlot::Absent));
-    }
-
-    #[test]
-    fn a_taken_helper_is_not_waited_for() {
-        let lender = Lender::private();
-        let taken = lender.lock().unwrap();
-        let mut pooled = engine(3);
-        // Would deadlock on `lock`; `try_lock` falls through at once.
-        assert_eq!(run(&mut pooled, &lender), serial(3));
-        assert_eq!(pooled.lending_stats().pooled_steps, 0);
-        assert!(pooled.lending_stats().fallbacks > 1);
-        drop(taken);
     }
 
     #[test]
@@ -782,43 +676,42 @@ mod tests {
         });
     }
 
-    /// A batch of `tokens` tokens after `context` cached ones, over `heads`
-    /// heads of width `dim`, with synthetic rows and queries from `seed`.
-    struct BatchData {
-        heads: Vec<topick_model::SynthInstance>,
-        queries: topick_model::SynthInstance,
+    /// `f` of a batch of `tokens` tokens after `context` cached ones, with
+    /// synthetic rows and queries from `seed`.
+    fn with_batch<R>(
+        seed: u64,
+        heads: usize,
+        dim: usize,
         context: usize,
+        tokens: usize,
+        f: impl FnOnce(&AttendBatch<'_>) -> R,
+    ) -> R {
+        let instance = |rows, seed| {
+            topick_model::SynthInstance::generate(&SynthProfile::realistic(rows, dim), seed)
+        };
+        let rows: Vec<_> = (0..heads)
+            .map(|h| instance(context + tokens, seed ^ h as u64))
+            .collect();
+        let views: Vec<_> = rows
+            .iter()
+            .map(|h| KvView::new(h.keys(), h.values()))
+            .collect();
+        let queries = instance(tokens * heads, !seed);
+        f(&AttendBatch::new(&views, queries.keys().data(), context))
     }
 
-    impl BatchData {
-        fn new(seed: u64, heads: usize, dim: usize, context: usize, tokens: usize) -> Self {
-            let instance = |rows, seed| {
-                topick_model::SynthInstance::generate(&SynthProfile::realistic(rows, dim), seed)
-            };
-            Self {
-                heads: (0..heads)
-                    .map(|h| instance(context + tokens, seed ^ h as u64))
-                    .collect(),
-                queries: instance(tokens * heads, !seed),
-                context,
-            }
-        }
-
-        fn views(&self) -> Vec<KvView<'_>> {
-            self.heads
-                .iter()
-                .map(|h| KvView::new(h.keys(), h.values()))
-                .collect()
-        }
+    /// A batch well past the floor: a 24-token run after 120 tokens over
+    /// four heads of 16.
+    fn with_large_batch<R>(f: impl FnOnce(&AttendBatch<'_>) -> R) -> R {
+        with_batch(7, 4, 16, 120, 24, f)
     }
 
     /// Everything a batch leaves: the outputs' bits and the backend's
     /// cycles, statistics and energy bits.
     type Outcome = (Vec<u32>, u64, topick_core::PruneStats, u64);
 
-    /// Runs `batch` twice on one fresh simulator — the second time on top
-    /// of the first's accumulators — through `lender`, or (`None`) as the
-    /// calls one after another.
+    /// Runs `batch` twice on one fresh simulator, the second on top of the
+    /// first's accumulators, through `lender` or as the calls in order.
     fn attend_twice(batch: &AttendBatch<'_>, lender: Option<&Mutex<Lender>>) -> Outcome {
         let mut cfg = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
         cfg.dim = batch.dim();
@@ -827,40 +720,29 @@ mod tests {
         for _ in 0..2 {
             match lender {
                 Some(lender) => out.extend(attend_batch(&mut sim, batch, lender)),
-                None => {
-                    for i in 0..batch.len() {
-                        let (q, kv) = batch.call(i);
-                        out.extend(sim.attend(q, kv));
-                    }
-                }
+                None => out.extend((0..batch.len()).flat_map(|i| {
+                    let (q, kv) = batch.call(i);
+                    sim.attend(q, kv)
+                })),
             }
         }
         let stats = sim.accumulated_stats().expect("tracked").clone();
-        (
-            out.iter().map(|x| x.to_bits()).collect(),
-            sim.cycles(),
-            stats,
-            sim.energy_pj().to_bits(),
-        )
+        let bits = out.iter().map(|x| x.to_bits()).collect();
+        (bits, sim.cycles(), stats, sim.energy_pj().to_bits())
     }
 
-    /// Batches the helper below has worked on.
-    static LENT_BATCHES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-    fn counting(job: &mut HelperJob) {
-        if matches!(job, HelperJob::Batch(_)) {
-            LENT_BATCHES.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        }
-        run_job(job);
+    /// Where [`attend_batch`] splits `batch`.
+    fn batch_first(batch: &AttendBatch<'_>) -> Option<usize> {
+        let elems = (0..batch.len()).map(|i| Work::call(batch, i).elements(batch.dim()));
+        split(elems, BATCH_SPLIT_MIN_ELEMS)
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
 
-        /// A batch split with a helper — whenever it is past the floor —
-        /// and a batch run through a lender without one each leave exactly
-        /// what the calls one after another leave, energy's float sum
-        /// included.
+        /// A batch split with a helper whenever it is past the floor, or
+        /// run through a lender without one, leaves exactly what the calls
+        /// one after another leave, energy's float sum included.
         #[test]
         fn a_lent_batch_equals_its_serial_twin(
             seed in proptest::prelude::any::<u64>(),
@@ -869,85 +751,140 @@ mod tests {
             context in 0usize..=160,
             tokens in 1usize..=12,
         ) {
-            let dim = [8, 16, 32][dim_idx];
-            let data = BatchData::new(seed, heads, dim, context, tokens);
-            let views = data.views();
-            let batch = AttendBatch::new(&views, data.queries.keys().data(), data.context);
-            let serial = attend_twice(&batch, None);
-            let private = Lender::with_helper(counting);
-            let before = LENT_BATCHES.load(std::sync::atomic::Ordering::SeqCst);
-            proptest::prop_assert_eq!(&attend_twice(&batch, Some(&private)), &serial);
-            let lent = LENT_BATCHES.load(std::sync::atomic::Ordering::SeqCst) - before;
-            proptest::prop_assert_eq!(lent, if batch_split(&batch).is_some() { 2 } else { 0 });
-            proptest::prop_assert_eq!(&attend_twice(&batch, Some(&Lender::absent())), &serial);
+            with_batch(seed, heads, [8, 16, 32][dim_idx], context, tokens, |batch| {
+                let serial = attend_twice(batch, None);
+                let private = Lender::private();
+                assert_eq!(attend_twice(batch, Some(&private)), serial);
+                // A job came back exactly when the batch was worth one.
+                let kept = spare(&private.lock().unwrap()).is_some();
+                assert_eq!(kept, batch_first(batch).is_some());
+                assert_eq!(attend_twice(batch, Some(&Lender::absent())), serial);
+            });
+        }
+
+        /// Over any weights and either kind's floor: `None` exactly under
+        /// two items or under the floor; otherwise a boundary — the front
+        /// every item before it, the back every item from it on, so both
+        /// shares are contiguous — that leaves each share something and
+        /// whose larger share no other boundary beats.
+        #[test]
+        fn the_split_is_the_boundary_whose_larger_share_is_smallest(
+            elems in proptest::collection::vec(0usize..9000, 0..12),
+            calls in proptest::prelude::any::<bool>(),
+        ) {
+            let floor = if calls { BATCH_SPLIT_MIN_ELEMS } else { SPLIT_MIN_ELEMS };
+            let total: usize = elems.iter().sum();
+            let larger = |first: usize| {
+                let front: usize = elems[..first].iter().sum();
+                front.max(total - front)
+            };
+            match split(elems.iter().copied(), floor) {
+                None => proptest::prop_assert!(elems.len() < 2 || total < floor),
+                Some(first) => {
+                    proptest::prop_assert!(elems.len() >= 2 && total >= floor);
+                    proptest::prop_assert!(0 < first && first < elems.len());
+                    proptest::prop_assert!((0..elems.len()).all(|b| larger(first) <= larger(b)));
+                }
+            }
         }
     }
 
-    /// A batch well past the floor: a 24-token run after 120 tokens over
-    /// four heads of 16.
-    fn large_batch() -> BatchData {
-        BatchData::new(7, 4, 16, 120, 24)
+    /// Every way a pool can find no helper, for a step pool and for a
+    /// batch, against its serial twin: the helper panics on its first job,
+    /// its channel is closed (as a thread that ended unseen leaves it),
+    /// another owner holds the lender (`lock` would deadlock; `try_lock`
+    /// falls through at once), or there is none.
+    #[test]
+    fn every_fault_of_the_helper_degrades_to_the_serial_twin() {
+        let serial_batch = with_large_batch(|batch| attend_twice(batch, None));
+        for (seed, fault) in (1..).zip(["panics", "closed", "held", "absent"]) {
+            for steps in [true, false] {
+                let lender = match fault {
+                    "panics" => {
+                        Lender::with_helper(|_| panic!("helper down (expected by this test)"))
+                    }
+                    "closed" => {
+                        let helper = Helper::spawn("test-attention", Job::run).expect("spawn");
+                        Mutex::new(HelperSlot::Running(helper.ended()))
+                    }
+                    "held" => Lender::private(),
+                    _ => Lender::absent(),
+                };
+                let held = (fault == "held").then(|| lender.lock().unwrap());
+                if steps {
+                    // A pool that loses its share to a dead helper leaves it
+                    // to its slot loops; every later pool finds no helper.
+                    let mut pooled = engine(seed);
+                    assert_eq!(run(&mut pooled, &lender), serial(seed), "{fault}");
+                    let stats = pooled.lending_stats();
+                    assert_eq!((stats.pooled_steps, stats.lent_instances), (0, 0));
+                    assert!(stats.fallbacks > 1, "{fault}");
+                } else {
+                    // A batch that loses its back share runs it itself.
+                    let lent = with_large_batch(|batch| attend_twice(batch, Some(&lender)));
+                    assert_eq!(lent, serial_batch, "{fault}");
+                }
+                drop(held);
+                let running = matches!(*lender.lock().unwrap(), HelperSlot::Running(_));
+                assert_eq!(running, fault == "held", "{fault}, steps: {steps}");
+            }
+        }
+    }
+
+    /// The job `slot` keeps, if its helper runs and has one.
+    fn spare(slot: &Lender) -> Option<&Job> {
+        match slot {
+            HelperSlot::Running(helper) => helper.spare.as_ref(),
+            _ => None,
+        }
+    }
+
+    /// Where the job `lender` keeps has its float keys and its heads' rows.
+    fn kept_buffers(lender: &Mutex<Lender>) -> (*const f32, Vec<*const f32>) {
+        let slot = lender.lock().unwrap();
+        let job = spare(&slot).expect("the job is kept");
+        let rows = job.rows.iter().flat_map(|(k, v)| [k.as_ptr(), v.as_ptr()]);
+        (job.scratch.floats.as_ptr(), rows.collect())
     }
 
     #[test]
-    fn a_lent_batch_is_split_by_elements_with_the_caller_taking_the_front() {
-        let data = large_batch();
-        let views = data.views();
-        let batch = AttendBatch::new(&views, data.queries.keys().data(), data.context);
-        let first = batch_split(&batch).expect("past the floor");
-        let rows =
-            |calls: std::ops::Range<usize>| -> usize { calls.map(|i| batch.shape(i).1).sum() };
-        // The caller's front is the shortest that reaches half the rows.
-        let total = rows(0..batch.len());
-        assert!(2 * rows(0..first) >= total && 2 * rows(0..first - 1) < total);
-    }
-
-    #[test]
-    fn a_batch_whose_helper_panics_runs_on_the_calling_thread() {
-        let data = large_batch();
-        let views = data.views();
-        let batch = AttendBatch::new(&views, data.queries.keys().data(), data.context);
-        let lender = Lender::with_helper(|_| panic!("helper down (expected by this test)"));
-        // The first batch loses its lent half to the panic and the caller
-        // runs it; the second finds no helper.
-        assert_eq!(
-            attend_twice(&batch, Some(&lender)),
-            attend_twice(&batch, None)
-        );
-        assert!(matches!(lender.lock().unwrap().helper, HelperSlot::Absent));
-    }
-
-    #[test]
-    fn a_batch_whose_lender_is_held_is_not_waited_for() {
-        let data = large_batch();
-        let views = data.views();
-        let batch = AttendBatch::new(&views, data.queries.keys().data(), data.context);
+    fn a_kept_job_lends_its_buffers_to_the_next_whatever_its_kind() {
         let lender = Lender::private();
-        let held = lender.lock().unwrap();
-        // Would deadlock on `lock`; `try_lock` falls through at once.
-        assert_eq!(
-            attend_twice(&batch, Some(&lender)),
-            attend_twice(&batch, None)
-        );
-        drop(held);
+        // The same step of two instances past the floor both times, so the
+        // helper's float keys never outgrow their buffer.
+        let step = || {
+            let mut engine = idle_engine(5);
+            engine.cfg.prefill_chunk_pages = 0;
+            for (id, prompt) in [(0, 400), (1, 300)] {
+                let request = ServingRequest::new(id, prompt, 6);
+                engine.enqueue(request).expect("valid request");
+            }
+            engine.begin_step();
+            let lending = pool_attention(std::slice::from_mut(&mut engine), &lender);
+            assert_eq!(lending.pooled_steps, 1);
+        };
+        step();
+        let (floats, no_rows) = kept_buffers(&lender);
+        assert!(no_rows.is_empty());
+        with_large_batch(|batch| attend_twice(batch, Some(&lender)));
+        let (batch_floats, rows) = kept_buffers(&lender);
+        assert_eq!((batch_floats, rows.len()), (floats, 8));
+        step();
+        assert_eq!(kept_buffers(&lender), (floats, rows));
     }
 
     #[test]
     fn a_batch_under_the_floor_never_touches_the_helper() {
         // A single-token decode at 200 tokens of context over four heads
         // of 16: 12 800 elements.
-        let data = BatchData::new(3, 4, 16, 199, 1);
-        let views = data.views();
-        let batch = AttendBatch::new(&views, data.queries.keys().data(), data.context);
-        assert!(batch_split(&batch).is_none());
-        let lender = Lender::with_helper(|_| panic!("touched the helper"));
-        assert_eq!(
-            attend_twice(&batch, Some(&lender)),
-            attend_twice(&batch, None)
-        );
-        assert!(matches!(
-            lender.lock().unwrap().helper,
-            HelperSlot::Running(_)
-        ));
+        with_batch(3, 4, 16, 199, 1, |batch| {
+            assert!(batch_first(batch).is_none());
+            let lender = Lender::with_helper(|_| panic!("touched the helper"));
+            assert_eq!(
+                attend_twice(batch, Some(&lender)),
+                attend_twice(batch, None)
+            );
+            assert!(matches!(*lender.lock().unwrap(), HelperSlot::Running(_)));
+        });
     }
 }
