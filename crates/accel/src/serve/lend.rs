@@ -789,46 +789,88 @@ mod tests {
         }
     }
 
-    /// Every way a pool can find no helper, for a step pool and for a
-    /// batch, against its serial twin: the helper panics on its first job,
-    /// its channel is closed (as a thread that ended unseen leaves it),
-    /// another owner holds the lender (`lock` would deadlock; `try_lock`
-    /// falls through at once), or there is none.
-    #[test]
-    fn every_fault_of_the_helper_degrades_to_the_serial_twin() {
-        let serial_batch = with_large_batch(|batch| attend_twice(batch, None));
-        for (seed, fault) in (1..).zip(["panics", "closed", "held", "absent"]) {
-            for steps in [true, false] {
-                let lender = match fault {
-                    "panics" => {
-                        Lender::with_helper(|_| panic!("helper down (expected by this test)"))
-                    }
-                    "closed" => {
-                        let helper = Helper::spawn("test-attention", Job::run).expect("spawn");
-                        Mutex::new(HelperSlot::Running(helper.ended()))
-                    }
-                    "held" => Lender::private(),
-                    _ => Lender::absent(),
-                };
-                let held = (fault == "held").then(|| lender.lock().unwrap());
-                if steps {
-                    // A pool that loses its share to a dead helper leaves it
-                    // to its slot loops; every later pool finds no helper.
-                    let mut pooled = engine(seed);
-                    assert_eq!(run(&mut pooled, &lender), serial(seed), "{fault}");
-                    let stats = pooled.lending_stats();
-                    assert_eq!((stats.pooled_steps, stats.lent_instances), (0, 0));
-                    assert!(stats.fallbacks > 1, "{fault}");
-                } else {
-                    // A batch that loses its back share runs it itself.
-                    let lent = with_large_batch(|batch| attend_twice(batch, Some(&lender)));
-                    assert_eq!(lent, serial_batch, "{fault}");
-                }
-                drop(held);
-                let running = matches!(*lender.lock().unwrap(), HelperSlot::Running(_));
-                assert_eq!(running, fault == "held", "{fault}, steps: {steps}");
+    /// Every way a pool can find no helper: the helper panics on its first
+    /// job, its channel is closed (as a thread that ended unseen leaves
+    /// it), another owner holds the lender (`lock` would deadlock;
+    /// `try_lock` falls through at once), or there is none.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Fault {
+        Panics,
+        Closed,
+        Held,
+        Absent,
+    }
+
+    /// Runs a step pool (`Some(seed)`: `engine(seed)`) or a large batch
+    /// (`None`) through a lender with `fault`, against its serial twin,
+    /// and checks that the lender keeps its helper only when it was held.
+    fn degrades_to_the_serial_twin(fault: Fault, steps: Option<u64>) {
+        let lender = match fault {
+            Fault::Panics => Lender::with_helper(|_| panic!("helper down (expected by this test)")),
+            Fault::Closed => {
+                let helper = Helper::spawn("test-attention", Job::run).expect("spawn");
+                Mutex::new(HelperSlot::Running(helper.ended()))
+            }
+            Fault::Held => Lender::private(),
+            Fault::Absent => Lender::absent(),
+        };
+        let held = (fault == Fault::Held).then(|| lender.lock().unwrap());
+        match steps {
+            Some(seed) => {
+                // A pool that loses its share to a dead helper leaves it to
+                // its slot loops; every later pool finds no helper.
+                let mut pooled = engine(seed);
+                assert_eq!(run(&mut pooled, &lender), serial(seed), "{fault:?}");
+                let stats = pooled.lending_stats();
+                assert_eq!((stats.pooled_steps, stats.lent_instances), (0, 0));
+                assert!(stats.fallbacks > 1, "{fault:?}");
+            }
+            None => {
+                // A batch that loses its back share runs it itself.
+                let serial = with_large_batch(|batch| attend_twice(batch, None));
+                let lent = with_large_batch(|batch| attend_twice(batch, Some(&lender)));
+                assert_eq!(lent, serial, "{fault:?}");
             }
         }
+        drop(held);
+        let running = matches!(*lender.lock().unwrap(), HelperSlot::Running(_));
+        assert_eq!(running, fault == Fault::Held, "{fault:?}, steps: {steps:?}");
+    }
+
+    #[test]
+    fn a_helper_that_panics_degrades_to_the_stepping_thread() {
+        degrades_to_the_serial_twin(Fault::Panics, Some(1));
+    }
+
+    #[test]
+    fn a_helper_whose_channel_is_closed_degrades_to_the_stepping_thread() {
+        degrades_to_the_serial_twin(Fault::Closed, Some(2));
+    }
+
+    #[test]
+    fn a_taken_helper_is_not_waited_for() {
+        degrades_to_the_serial_twin(Fault::Held, Some(3));
+    }
+
+    #[test]
+    fn a_batch_whose_helper_panics_runs_on_the_calling_thread() {
+        degrades_to_the_serial_twin(Fault::Panics, None);
+    }
+
+    #[test]
+    fn a_batch_whose_helper_channel_is_closed_runs_on_the_calling_thread() {
+        degrades_to_the_serial_twin(Fault::Closed, None);
+    }
+
+    #[test]
+    fn a_batch_whose_lender_is_held_is_not_waited_for() {
+        degrades_to_the_serial_twin(Fault::Held, None);
+    }
+
+    #[test]
+    fn a_lender_without_a_helper_degrades_to_the_serial_twin() {
+        degrades_to_the_serial_twin(Fault::Absent, Some(4));
+        degrades_to_the_serial_twin(Fault::Absent, None);
     }
 
     /// The job `slot` keeps, if its helper runs and has one.
