@@ -144,13 +144,18 @@ impl AccelConfig {
             ));
         }
         // The DRAM model decodes addresses by dividing by the channel, bank
-        // and column counts and shifting by the burst size, and a queue
-        // that holds nothing never drains.
+        // and column counts and shifting by the burst size, a queue that
+        // holds nothing never drains, and the weight stream is priced by
+        // dividing by the peak bandwidth the bus width and burst give.
         let dram = &self.dram;
         let rule = if dram.channels == 0 {
             "dram.channels must be positive"
         } else if dram.banks_per_channel == 0 {
             "dram.banks_per_channel must be positive"
+        } else if dram.bus_bits == 0 {
+            "dram.bus_bits must be positive"
+        } else if dram.t_burst == 0 {
+            "dram.t_burst must be positive"
         } else if dram.queue_depth == 0 {
             "dram.queue_depth must be positive"
         } else if !dram.access_bytes.is_power_of_two() {

@@ -488,10 +488,10 @@ impl ToPickAccelerator {
     /// [`CoreError::InvalidThreshold`] if a configuration field was assigned
     /// a value the model cannot run with (zero `lanes` or `clock_ratio`, a
     /// chunked mode with zero `scoreboard_entries`, a threshold outside
-    /// `(0, 1)`, zero DRAM channels, banks or queue depth, a DRAM burst that
-    /// is not a power of two or a DRAM row shorter than one burst) or the
-    /// head is so wide that one K chunk, K row or V row takes more than 255
-    /// DRAM bursts.
+    /// `(0, 1)`, zero DRAM channels, banks, bus width, burst duration or
+    /// queue depth, a DRAM burst that is not a power of two or a DRAM row
+    /// shorter than one burst) or the head is so wide that one K chunk, K
+    /// row or V row takes more than 255 DRAM bursts.
     pub fn attention_cost(
         &self,
         query: &QVector,

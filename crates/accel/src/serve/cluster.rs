@@ -594,7 +594,7 @@ impl ClusterEngine {
     /// retained pages must not bill its shard twice (its backlog already
     /// counts at full final context in `queued_tokens`).
     #[must_use]
-    pub fn shard_views(&self) -> Vec<ShardView> {
+    fn shard_views(&self) -> Vec<ShardView> {
         self.shards
             .iter()
             .enumerate()

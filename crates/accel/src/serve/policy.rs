@@ -94,7 +94,7 @@ impl PendingView {
     /// Steps of slack until this request's next applicable deadline at
     /// `step` (negative once blown); `i64::MAX` when no deadline applies.
     #[must_use]
-    pub fn slo_slack(&self, step: u64) -> i64 {
+    fn slo_slack(&self, step: u64) -> i64 {
         due_step(
             self.enqueued_at,
             self.last_token_at,
@@ -109,7 +109,7 @@ impl RunningView {
     /// Steps of slack until this request's next applicable deadline at
     /// `step` (negative once blown); `i64::MAX` when no deadline applies.
     #[must_use]
-    pub fn slo_slack(&self, step: u64) -> i64 {
+    fn slo_slack(&self, step: u64) -> i64 {
         due_step(
             self.enqueued_at,
             self.last_token_at,
@@ -400,7 +400,7 @@ impl SchedulerPolicy for FairRoundRobin {
 ///
 /// Every request is placed on one urgency scale — steps of *slack* until
 /// its next applicable deadline (TTFT before the first token, ITL after;
-/// see [`PendingView::slo_slack`]). Admission picks the least-slack
+/// see `slo_slack` on both views). Admission picks the least-slack
 /// queued request (oldest arrival among equals), so deadline-less
 /// requests (infinite slack) degrade to FIFO and a mixed workload is
 /// served EDF-first, FIFO-second. Eviction targets the *most*-slack

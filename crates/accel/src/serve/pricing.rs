@@ -12,11 +12,8 @@ use crate::config::AccelConfig;
 /// shares (paper §2.2.1), and the best case for the baseline.
 pub(super) fn weight_stream_cycles(accel_cfg: &AccelConfig, weight_bytes: u64) -> u64 {
     // Weights stream at peak DRAM bandwidth: bytes / (bytes-per-accel-cycle).
-    let bytes_per_dram_cycle = f64::from(accel_cfg.dram.bus_bits) / 8.0
-        * accel_cfg.dram.channels as f64
-        / accel_cfg.dram.t_burst as f64
-        * 2.0; // two transfer clocks per burst move access_bytes
-    let bytes_per_accel_cycle = bytes_per_dram_cycle * accel_cfg.clock_ratio as f64;
+    let bytes_per_accel_cycle =
+        accel_cfg.dram.peak_bytes_per_cycle() * accel_cfg.clock_ratio as f64;
     (weight_bytes as f64 / bytes_per_accel_cycle).ceil() as u64
 }
 

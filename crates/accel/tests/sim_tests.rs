@@ -2,7 +2,10 @@
 //! correctness against exact attention, estimator soundness in arrival
 //! order, and the architectural claims (speedup ordering of the modes).
 
-use topick_accel::{run_prompt_phase, AccelConfig, AccelMode, ToPickAccelerator};
+use topick_accel::{
+    run_prompt_phase, AccelConfig, AccelMode, ServeError, ServingEngine, ServingRequest,
+    ToPickAccelerator,
+};
 use topick_core::{
     exact_probabilities, weighted_value_sum, CoreError, PrecisionConfig, QMatrix, QVector, Rows,
 };
@@ -263,8 +266,10 @@ fn threshold_assigned_outside_the_unit_interval_is_a_typed_error() {
 
 /// A DRAM geometry the controller cannot run — it used to spin to the
 /// convergence guard (`queue_depth = 0`), divide by zero (`channels` or
-/// `banks_per_channel = 0`) or panic building the address map — is a typed
-/// error naming the field from all three entry points, in every mode.
+/// `banks_per_channel = 0`), panic building the address map, or price the
+/// serving weight stream at zero or overflowing cycles (`bus_bits` or
+/// `t_burst = 0`) — is a typed error naming the field from all three entry
+/// points and from a serving step, in every mode.
 fn dram_edit_is_a_typed_error(field: &str, edit: impl Fn(&mut topick_dram::DramConfig)) {
     let (q, keys, values) = quantized_instance(32, 5);
     let values = Rows::new(&values, 64);
@@ -280,6 +285,12 @@ fn dram_edit_is_a_typed_error(field: &str, edit: impl Fn(&mut topick_dram::DramC
         assert!(named(
             run_prompt_phase(&cfg, &queries, &keys, values).unwrap_err()
         ));
+        let mut engine = ServingEngine::builder(cfg).build();
+        engine.enqueue(ServingRequest::new(0, 32, 2)).unwrap();
+        match engine.step() {
+            Err(ServeError::Core(err)) => assert!(named(err)),
+            other => panic!("{field} in {mode:?}: expected a core error, got {other:?}"),
+        }
     }
 }
 
@@ -291,6 +302,16 @@ fn zero_dram_channels_is_a_typed_error() {
 #[test]
 fn zero_dram_banks_is_a_typed_error() {
     dram_edit_is_a_typed_error("dram.banks_per_channel", |d| d.banks_per_channel = 0);
+}
+
+#[test]
+fn zero_dram_bus_bits_is_a_typed_error() {
+    dram_edit_is_a_typed_error("dram.bus_bits", |d| d.bus_bits = 0);
+}
+
+#[test]
+fn zero_dram_t_burst_is_a_typed_error() {
+    dram_edit_is_a_typed_error("dram.t_burst", |d| d.t_burst = 0);
 }
 
 #[test]

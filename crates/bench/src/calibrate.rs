@@ -84,100 +84,8 @@ impl Calibration {
     }
 }
 
-/// Worst-instance pruned probability mass of Token-Picker at threshold
-/// `thr` over a population of synthetic instances at the given context
-/// length.
-///
-/// Pruned mass (the exact-softmax probability of removed tokens) is the
-/// accuracy proxy used for the Fig. 9 fairness rule. The *maximum* over the
-/// population is what matters: a pruning scheme's accuracy budget must hold
-/// on its hardest instances, and that is precisely where a fixed keep ratio
-/// loses to adaptive thresholding (paper §2.2.2, Fig. 3).
-#[must_use]
-pub fn worst_pruned_mass_topick(thr: f64, ctx: usize, dim: usize, instances: usize) -> f64 {
-    use topick_core::{exact_probabilities, PrecisionConfig, ProgressivePruner, QMatrix, QVector};
-    use topick_model::InstanceSampler;
-    let pc = PrecisionConfig::paper();
-    let pruner = ProgressivePruner::new(PrunerConfig::new(thr).expect("thr valid"));
-    let sampler = InstanceSampler::realistic(ctx, dim);
-    let mut worst = 0.0f64;
-    for i in 0..instances {
-        let inst = sampler.sample(0xBA5E + i as u64);
-        let q = QVector::quantize(&inst.query, pc);
-        let keys = QMatrix::quantize_flat(inst.keys().data(), inst.dim(), pc).expect("non-empty");
-        let outcome = pruner.run(&q, &keys).expect("valid");
-        let exact = exact_probabilities(&q, &keys);
-        let kept_mass: f64 = outcome.kept.iter().map(|k| exact[k.index]).sum();
-        worst = worst.max(1.0 - kept_mass);
-    }
-    worst
-}
-
-/// Worst-instance pruned probability mass of fixed-ratio top-k pruning at
-/// `keep_ratio` over the same population.
-#[must_use]
-pub fn worst_pruned_mass_topk(keep_ratio: f64, ctx: usize, dim: usize, instances: usize) -> f64 {
-    use topick_model::InstanceSampler;
-    let sampler = InstanceSampler::realistic(ctx, dim);
-    let mut worst = 0.0f64;
-    for i in 0..instances {
-        let inst = sampler.sample(0xBA5E + i as u64);
-        let mut probs = inst.exact_probabilities();
-        probs.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
-        let keep = ((probs.len() as f64) * keep_ratio).ceil() as usize;
-        worst = worst.max(probs[keep.min(probs.len())..].iter().sum::<f64>());
-    }
-    worst
-}
-
-/// Finds the loosest Token-Picker threshold whose worst-instance pruned
-/// mass stays within `mass_budget` (bisection over `log10(thr)`).
-#[must_use]
-pub fn calibrate_threshold_to_mass(
-    mass_budget: f64,
-    ctx: usize,
-    dim: usize,
-    instances: usize,
-) -> f64 {
-    let mut lo = -7.0f64;
-    let mut hi = -1.0f64;
-    if worst_pruned_mass_topick(10f64.powf(hi), ctx, dim, instances) <= mass_budget {
-        return 10f64.powf(hi);
-    }
-    for _ in 0..12 {
-        let mid = 0.5 * (lo + hi);
-        if worst_pruned_mass_topick(10f64.powf(mid), ctx, dim, instances) <= mass_budget {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    10f64.powf(lo)
-}
-
-/// Finds the smallest fixed keep ratio whose worst-instance pruned mass
-/// stays within `mass_budget` on the population (bisection over
-/// `[0.01, 1.0]`).
-#[must_use]
-pub fn calibrate_ratio_to_mass(mass_budget: f64, ctx: usize, dim: usize, instances: usize) -> f64 {
-    let mut lo = 0.01f64;
-    let mut hi = 1.0f64;
-    if worst_pruned_mass_topk(lo, ctx, dim, instances) <= mass_budget {
-        return lo;
-    }
-    for _ in 0..14 {
-        let mid = 0.5 * (lo + hi);
-        if worst_pruned_mass_topk(mid, ctx, dim, instances) <= mass_budget {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    hi
-}
-
 /// The probability thresholds standing in for the paper's ΔPPL operating
-/// points: ToPick (≤ +0.05 PPL), ToPick-0.3, and ToPick-0.5.
+/// points: ToPick (≤ +0.05 PPL) and ToPick-0.3.
 ///
 /// The paper anchors token "dominance" at probability 1e-3 (Fig. 3) and
 /// reports that pruning below that scale costs at most +0.05 PPL; the
@@ -189,24 +97,6 @@ pub fn calibrate_ratio_to_mass(mass_budget: f64, ctx: usize, dim: usize, instanc
 pub const THR_TOPICK: f64 = 1e-3;
 /// ToPick-0.3 operating point (see [`THR_TOPICK`]).
 pub const THR_TOPICK_03: f64 = 4e-3;
-/// ToPick-0.5 operating point used in Fig. 9 (see [`THR_TOPICK`]).
-pub const THR_TOPICK_05: f64 = 8e-3;
-
-/// The largest fraction of *dominant* tokens (exact probability above
-/// `p_thr`) in any instance of the population — Fig. 3's "23.5% in
-/// instance B". A fixed-ratio scheme that must never drop a dominant token
-/// has to provision its keep ratio for this worst case.
-#[must_use]
-pub fn worst_dominant_fraction(p_thr: f64, ctx: usize, dim: usize, instances: usize) -> f64 {
-    use topick_model::InstanceSampler;
-    let sampler = InstanceSampler::realistic(ctx, dim);
-    let mut worst = 0.0f64;
-    for i in 0..instances {
-        let inst = sampler.sample(0xBA5E + i as u64);
-        worst = worst.max(inst.dominant_tokens(p_thr) as f64 / ctx as f64);
-    }
-    worst
-}
 
 /// The largest fraction of tokens that are dominant for *any* of a window
 /// of consecutive queries over the same context.
@@ -246,28 +136,6 @@ pub fn worst_union_dominant_fraction(
     worst
 }
 
-/// The largest fraction of tokens Token-Picker keeps in any instance of
-/// the population — the count a *fixed-ratio* scheme must provision for to
-/// retain every dominant token in its worst case (the paper's §2.2.2
-/// argument for why fixed ratios are wasteful).
-#[must_use]
-pub fn worst_kept_fraction_topick(thr: f64, ctx: usize, dim: usize, instances: usize) -> f64 {
-    use topick_core::{PrecisionConfig, ProgressivePruner, QMatrix, QVector};
-    use topick_model::InstanceSampler;
-    let pc = PrecisionConfig::paper();
-    let pruner = ProgressivePruner::new(PrunerConfig::new(thr).expect("thr valid"));
-    let sampler = InstanceSampler::realistic(ctx, dim);
-    let mut worst = 0.0f64;
-    for i in 0..instances {
-        let inst = sampler.sample(0xBA5E + i as u64);
-        let q = QVector::quantize(&inst.query, pc);
-        let keys = QMatrix::quantize_flat(inst.keys().data(), inst.dim(), pc).expect("non-empty");
-        let outcome = pruner.run(&q, &keys).expect("valid");
-        worst = worst.max(outcome.stats.kept as f64 / ctx as f64);
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,26 +143,29 @@ mod tests {
     #[test]
     #[allow(clippy::assertions_on_constants)]
     fn operating_points_are_ordered() {
-        assert!(THR_TOPICK < THR_TOPICK_03 && THR_TOPICK_03 < THR_TOPICK_05);
+        assert!(THR_TOPICK < THR_TOPICK_03);
     }
 
     #[test]
     fn worst_kept_fraction_exceeds_mean() {
-        // The whole point of adaptive pruning: the worst instance needs far
-        // more tokens than the average one.
+        // The whole point of adaptive pruning (paper §2.2.2): the worst
+        // instance needs far more tokens than the average one, so a
+        // fixed-ratio scheme that must keep every dominant token has to
+        // provision for the worst case.
         use topick_core::{PrecisionConfig, ProgressivePruner, QMatrix, QVector};
         use topick_model::InstanceSampler;
         let (ctx, dim, instances) = (384, 64, 8);
-        let worst = worst_kept_fraction_topick(THR_TOPICK, ctx, dim, instances);
         let pc = PrecisionConfig::paper();
         let pruner = ProgressivePruner::new(PrunerConfig::new(THR_TOPICK).unwrap());
         let sampler = InstanceSampler::realistic(ctx, dim);
-        let mut mean = 0.0;
+        let (mut worst, mut mean) = (0.0f64, 0.0);
         for i in 0..instances {
             let inst = sampler.sample(0xBA5E + i as u64);
             let q = QVector::quantize(&inst.query, pc);
             let keys = QMatrix::quantize_flat(inst.keys().data(), inst.dim(), pc).unwrap();
-            mean += pruner.run(&q, &keys).unwrap().stats.kept as f64 / ctx as f64;
+            let kept = pruner.run(&q, &keys).unwrap().stats.kept as f64 / ctx as f64;
+            worst = worst.max(kept);
+            mean += kept;
         }
         mean /= instances as f64;
         assert!(worst > 1.3 * mean, "worst {worst} vs mean {mean}");

@@ -40,12 +40,6 @@ impl Fig10Row {
     pub fn speedup(&self, mode: &ModeAggregate) -> f64 {
         self.baseline.cycles as f64 / mode.cycles as f64
     }
-
-    /// Normalized energy of a mode vs. the baseline.
-    #[must_use]
-    pub fn energy_norm(&self, mode: &ModeAggregate) -> f64 {
-        mode.energy.total_pj() / self.baseline.energy.total_pj()
-    }
 }
 
 fn aggregate(

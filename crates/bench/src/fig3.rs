@@ -8,7 +8,7 @@ use crate::util::{bar, header};
 
 /// Histogram of scores in fixed bins over `[-10, 10]`.
 #[must_use]
-pub fn score_histogram(scores: &[f64], bins: usize) -> Vec<usize> {
+fn score_histogram(scores: &[f64], bins: usize) -> Vec<usize> {
     let mut h = vec![0usize; bins];
     for &s in scores {
         let t = ((s + 10.0) / 20.0).clamp(0.0, 0.999_999);

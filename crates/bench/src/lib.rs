@@ -8,6 +8,7 @@
 //! (`cargo bench -p topick-bench --bench figures`).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod ablation;

@@ -19,12 +19,6 @@ pub fn header(title: &str) {
     println!();
 }
 
-/// Formats a float with a fixed width for table columns.
-#[must_use]
-pub fn col(v: f64, width: usize, precision: usize) -> String {
-    format!("{v:>width$.precision$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -36,10 +30,5 @@ mod tests {
         assert_eq!(bar(0.5, 4), "##..");
         assert_eq!(bar(2.0, 4), "####"); // clamped
         assert_eq!(bar(-1.0, 4), "....");
-    }
-
-    #[test]
-    fn col_width() {
-        assert_eq!(col(1.2345, 8, 2), "    1.23");
     }
 }

@@ -63,6 +63,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod config;
@@ -91,7 +92,7 @@ pub use order::{ScanIndices, ScanOrder};
 pub use pruner::{KeptToken, OraclePruner, ProgressivePruner, PruneOutcome, PrunerScratch};
 pub use quant::{QMatrix, QVector, QuantBuffer};
 pub use rows::Rows;
-pub use softmax::{exact_probabilities, exact_scores, score_scale, softmax, weighted_value_sum};
+pub use softmax::{exact_probabilities, score_scale, softmax, weighted_value_sum};
 pub use stats::PruneStats;
 pub use trace::{summarize, trace_pruning, DecisionEvent, TraceSummary};
 pub use vprune::{truncated_weighted_sum, ValuePlan};

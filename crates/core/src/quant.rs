@@ -351,7 +351,7 @@ impl QMatrix {
     /// # Errors
     ///
     /// Same as [`QMatrix::quantize_flat`].
-    pub fn quantize_flat_reusing(
+    fn quantize_flat_reusing(
         data: &[f32],
         dim: usize,
         precision: PrecisionConfig,
@@ -379,7 +379,7 @@ impl QMatrix {
     /// Consumes the matrix, returning its code buffer for reuse with
     /// [`QMatrix::quantize_flat_reusing`].
     #[must_use]
-    pub fn into_codes(self) -> Vec<i16> {
+    fn into_codes(self) -> Vec<i16> {
         self.codes
     }
 }
@@ -537,19 +537,6 @@ impl QMatrix {
     pub fn row(&self, token: usize) -> &[i16] {
         assert!(token < self.num_tokens, "token {token} out of range");
         &self.codes[token * self.dim..(token + 1) * self.dim]
-    }
-
-    /// Reconstructs one token row as real values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token` is out of range.
-    #[must_use]
-    pub fn dequantize_row(&self, token: usize) -> Vec<f32> {
-        self.row(token)
-            .iter()
-            .map(|&c| (f64::from(c) * self.scale) as f32)
-            .collect()
     }
 }
 
@@ -779,7 +766,7 @@ mod tests {
         let rows = vec![vec![1.0f32, -1.0], vec![0.5, 0.25]];
         let m = QMatrix::quantize_rows(&rows, PrecisionConfig::paper()).unwrap();
         assert_eq!(m.row(0).len(), 2);
-        let r1 = m.dequantize_row(1);
-        assert!((r1[0] - 0.5).abs() < 1e-3);
+        let r1 = f64::from(m.row(1)[0]) * m.scale();
+        assert!((r1 - 0.5).abs() < 1e-3);
     }
 }

@@ -49,21 +49,6 @@ pub fn exact_probabilities(query: &QVector, keys: &QMatrix) -> Vec<f64> {
     softmax(&scores)
 }
 
-/// Exact real-valued scores (after 1/sqrt(d) scaling) of a quantized query
-/// over a quantized key set.
-///
-/// # Panics
-///
-/// Panics if the query length differs from the key dimension.
-#[must_use]
-pub fn exact_scores(query: &QVector, keys: &QMatrix) -> Vec<f64> {
-    assert_eq!(query.len(), keys.dim(), "query/key dimension mismatch");
-    let scale = score_scale(query, keys);
-    (0..keys.num_tokens())
-        .map(|t| query.dot_codes(keys.row(t)) as f64 * scale)
-        .collect()
-}
-
 /// Weighted sum of value rows: `o = Σ p_i · v_i` over the provided
 /// `(token, probability)` pairs, reading the rows zero-copy through a
 /// [`Rows`] view.

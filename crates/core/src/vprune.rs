@@ -72,7 +72,7 @@ impl ValuePlan {
 
     /// Total V chunks fetched under this plan.
     #[must_use]
-    pub fn total_chunks(&self) -> u64 {
+    fn total_chunks(&self) -> u64 {
         self.chunks_per_token
             .iter()
             .map(|&(_, c)| u64::from(c))
@@ -87,7 +87,7 @@ impl ValuePlan {
 
     /// V bits a full-precision fetch of the same tokens would need.
     #[must_use]
-    pub fn full_v_bits(&self, dim: usize) -> u64 {
+    fn full_v_bits(&self, dim: usize) -> u64 {
         self.chunks_per_token.len() as u64 * dim as u64 * u64::from(self.precision.total_bits())
     }
 

@@ -14,8 +14,8 @@
 ///
 /// let cfg = DramConfig::hbm2();
 /// assert_eq!(cfg.channels, 8);
-/// // 128-bit bus at 2 GT/s -> 32 GB/s per channel.
-/// assert!((cfg.channel_bandwidth_gbps() - 32.0).abs() < 1e-9);
+/// // 8 channels x 128-bit bus at 2 GT/s -> 256 GB/s.
+/// assert!((cfg.total_bandwidth_gbps() - 256.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
@@ -92,22 +92,21 @@ impl DramConfig {
         }
     }
 
-    /// Peak bandwidth of one channel in GB/s.
+    /// Peak aggregate transfer in bytes per memory-clock cycle: each
+    /// channel's bus moves two transfers (`2 × bus_bits / 8` bytes, one
+    /// burst) every `t_burst` cycles. The serving model streams weights at
+    /// this rate.
     #[must_use]
-    pub fn channel_bandwidth_gbps(&self) -> f64 {
-        f64::from(self.bus_bits) / 8.0 * self.clock_ghz
+    pub fn peak_bytes_per_cycle(&self) -> f64 {
+        f64::from(self.bus_bits) / 8.0 * self.channels as f64 / self.t_burst as f64 * 2.0
     }
 
-    /// Peak aggregate bandwidth in GB/s.
+    /// Peak aggregate bandwidth in GB/s:
+    /// [`peak_bytes_per_cycle`](Self::peak_bytes_per_cycle) at `clock_ghz`
+    /// cycles per nanosecond.
     #[must_use]
     pub fn total_bandwidth_gbps(&self) -> f64 {
-        self.channel_bandwidth_gbps() * self.channels as f64
-    }
-
-    /// Transactions needed to move `bytes` (rounded up to bursts).
-    #[must_use]
-    pub fn transactions_for(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(u64::from(self.access_bytes))
+        self.peak_bytes_per_cycle() * self.clock_ghz
     }
 }
 
@@ -126,16 +125,7 @@ mod tests {
         let c = DramConfig::hbm2();
         assert_eq!(c.channels, 8);
         assert_eq!(c.bus_bits, 128);
+        assert_eq!(c.peak_bytes_per_cycle(), 128.0);
         assert!((c.total_bandwidth_gbps() - 256.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn transactions_round_up() {
-        let c = DramConfig::hbm2();
-        assert_eq!(c.transactions_for(0), 0);
-        assert_eq!(c.transactions_for(1), 1);
-        assert_eq!(c.transactions_for(32), 1);
-        assert_eq!(c.transactions_for(33), 2);
-        assert_eq!(c.transactions_for(96), 3);
     }
 }

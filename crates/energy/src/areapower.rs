@@ -10,33 +10,33 @@ use crate::sram::SramModel;
 
 /// Primitive area/power constants at 65 nm LP, 500 MHz.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Primitives {
+struct Primitives {
     /// Area of a 12×12-bit multiplier (mm²).
-    pub mult12_area: f64,
+    mult12_area: f64,
     /// Power of a 12×12-bit multiplier at full toggle (mW).
-    pub mult12_power: f64,
+    mult12_power: f64,
     /// Area of one adder-tree 24-bit adder (mm²).
-    pub adder_area: f64,
+    adder_area: f64,
     /// Power of one adder-tree adder (mW).
-    pub adder_power: f64,
+    adder_power: f64,
     /// Area of a 32-bit fixed-point EXP unit (mm²).
-    pub exp_area: f64,
+    exp_area: f64,
     /// Power of a 32-bit EXP unit (mW).
-    pub exp_power: f64,
+    exp_power: f64,
     /// Area of one register (flip-flop) bit (mm²).
-    pub reg_bit_area: f64,
+    reg_bit_area: f64,
     /// Power of one register bit (mW).
-    pub reg_bit_power: f64,
+    reg_bit_power: f64,
     /// Area of one mux-network bit slice (mm²).
-    pub mux_bit_area: f64,
+    mux_bit_area: f64,
     /// Power of one mux-network bit slice (mW).
-    pub mux_bit_power: f64,
+    mux_bit_power: f64,
 }
 
 impl Primitives {
     /// The 65 nm calibration.
     #[must_use]
-    pub fn node_65nm() -> Self {
+    fn node_65nm() -> Self {
         Self {
             mult12_area: 1.25e-3,
             mult12_power: 0.25,
@@ -70,7 +70,7 @@ pub struct ModuleReport {
 /// Which optimization family a module belongs to, for the overhead
 /// accounting of §5.2.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModuleRole {
+enum ModuleRole {
     /// Present in the no-pruning baseline accelerator.
     Baseline,
     /// Added to reduce V accesses (Margin Generator, DAG, PEC).
@@ -102,7 +102,7 @@ impl AreaPowerModel {
 
     /// Per-lane module rows (the indented section of Table 2).
     #[must_use]
-    pub fn lane_breakdown(&self) -> Vec<(ModuleReport, ModuleRole)> {
+    fn lane_breakdown(&self) -> Vec<(ModuleReport, ModuleRole)> {
         let p = &self.prims;
         let d = self.lane_dim as f64;
         let mult_adder = ModuleReport {
@@ -168,7 +168,7 @@ impl AreaPowerModel {
 
     /// Shared (non-lane) module rows.
     #[must_use]
-    pub fn shared_breakdown(&self) -> Vec<(ModuleReport, ModuleRole)> {
+    fn shared_breakdown(&self) -> Vec<(ModuleReport, ModuleRole)> {
         let p = &self.prims;
         let d = self.lane_dim as f64;
         // Margin Generator: sign-split accumulators over the query plus

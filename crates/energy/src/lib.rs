@@ -21,12 +21,13 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod areapower;
 pub mod events;
 pub mod sram;
 
-pub use areapower::{AreaPowerModel, ModuleReport, ModuleRole, Primitives};
+pub use areapower::{AreaPowerModel, ModuleReport};
 pub use events::{EnergyBreakdown, EventCounts, EventEnergies};
 pub use sram::{SramFigures, SramModel};

@@ -38,18 +38,6 @@ impl Linear {
         y
     }
 
-    /// Output dimension.
-    #[must_use]
-    pub fn out_dim(&self) -> usize {
-        self.weight.rows()
-    }
-
-    /// Input dimension.
-    #[must_use]
-    pub fn in_dim(&self) -> usize {
-        self.weight.cols()
-    }
-
     /// Number of parameters (weights + biases).
     #[must_use]
     pub fn num_params(&self) -> usize {

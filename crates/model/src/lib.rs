@@ -43,6 +43,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod attention;
@@ -63,7 +64,7 @@ pub use attention::{
 };
 pub use kvcache::{HeadCache, KvCache, KvView};
 pub use memory::TrafficBreakdown;
-pub use model::{argmax_token, sample_token, DecodeKv, TransformerModel};
+pub use model::{argmax_token, DecodeKv, TransformerModel};
 pub use paged::{PagedKvBinding, PagedKvStore, PagedSeq};
 pub use perplexity::{
     delta_ppl, evaluate_perplexity, nll_from_logits, teacher_corpus,

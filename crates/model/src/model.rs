@@ -333,10 +333,10 @@ impl TransformerModel {
 }
 
 /// The greedy sampling decision: the index of the maximal logit, with
-/// ties broken toward the highest index. This *is* [`sample_token`]'s
-/// temperature-0 path (they share this function), so greedy serving
-/// paths that argmax directly can never drift from `generate`'s
-/// tie-breaking.
+/// ties broken toward the highest index. This *is* the temperature-0 path
+/// of [`TransformerModel::generate`]'s sampler (they share this function),
+/// so greedy serving paths that argmax directly can never drift from
+/// `generate`'s tie-breaking.
 ///
 /// # Panics
 ///
@@ -360,7 +360,7 @@ pub fn argmax_token(logits: &[f32]) -> usize {
 ///
 /// Panics if `logits` is empty.
 #[must_use]
-pub fn sample_token<R: Rng + ?Sized>(logits: &[f32], temperature: f64, rng: &mut R) -> usize {
+fn sample_token<R: Rng + ?Sized>(logits: &[f32], temperature: f64, rng: &mut R) -> usize {
     assert!(!logits.is_empty(), "empty logits");
     if temperature <= 0.0 {
         return argmax_token(logits);

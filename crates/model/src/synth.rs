@@ -96,7 +96,7 @@ impl SynthProfile {
 
     /// Target score for token `i` of `n` before the Gaussian term.
     #[must_use]
-    pub fn deterministic_boost(&self, i: usize) -> f64 {
+    fn deterministic_boost(&self, i: usize) -> f64 {
         let n = self.context_len;
         let recency = (n - 1 - i) as f64;
         let mut s =

@@ -93,27 +93,6 @@ impl Matrix {
         }
         y
     }
-
-    /// Transposed matrix–vector product `y = Mᵀ x` (`x.len() == rows`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    #[must_use]
-    pub fn gemv_t(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.rows, "gemv_t dimension mismatch");
-        let mut y = vec![0.0f32; self.cols];
-        for (r, &xr) in x.iter().enumerate() {
-            if xr == 0.0 {
-                continue;
-            }
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (yc, &m) in y.iter_mut().zip(row) {
-                *yc += xr * m;
-            }
-        }
-        y
-    }
 }
 
 /// Dot product of two equal-length slices.
@@ -155,15 +134,6 @@ mod tests {
         let id = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
         let x = [1.0, -2.0, 3.0];
         assert_eq!(id.gemv(&x), x.to_vec());
-    }
-
-    #[test]
-    fn gemv_t_matches_manual_transpose() {
-        let m = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
-        let x = [1.0, 2.0];
-        let y = m.gemv_t(&x);
-        // Mᵀ = [[0,3],[1,4],[2,5]]; y = [0+6, 1+8, 2+10]
-        assert_eq!(y, vec![6.0, 9.0, 12.0]);
     }
 
     #[test]

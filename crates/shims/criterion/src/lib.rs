@@ -7,6 +7,8 @@
 //! median-of-samples wall-clock timer. No statistics engine, no plots;
 //! results print as `name ... median time/iter`.
 
+#![warn(unreachable_pub)]
+
 use std::fmt;
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};

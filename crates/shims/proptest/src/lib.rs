@@ -14,6 +14,8 @@
 //! so a failure can be re-run deterministically (case seeds derive from the
 //! test name and index only).
 
+#![warn(unreachable_pub)]
+
 pub mod strategy {
     //! Value-generation strategies.
 

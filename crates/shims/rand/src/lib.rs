@@ -8,6 +8,8 @@
 //! bit-compatible with upstream `rand`; nothing in this workspace depends
 //! on upstream streams, only on in-process determinism.
 
+#![warn(unreachable_pub)]
+
 /// Types that can be sampled uniformly from a generator (the stand-in for
 /// `rand`'s `Standard` distribution).
 pub trait SampleStandard {

@@ -26,12 +26,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod cascade;
-pub mod heads;
 pub mod kernel;
 
 pub use cascade::{simulate_generation, CascadeState, SpattenAccess, SpattenConfig};
-pub use heads::{HeadPruneConfig, HeadPruner};
 pub use kernel::TopKAttention;

@@ -1,4 +1,7 @@
 //! Facade crate re-exporting the Token-Picker reproduction workspace.
+
+#![warn(unreachable_pub)]
+
 pub use topick_accel as accel;
 pub use topick_core as core;
 pub use topick_dram as dram;
