@@ -1,10 +1,11 @@
-//! Live per-request state and the running batch with its admission limits.
+//! Live per-request state, the admission limits of the running batch, and
+//! the engine's batch bookkeeping.
 
-use super::kv_pager::KvPager;
 use super::policy::RunningView;
 use super::queue::ServingRequest;
-use super::residency::{HostTier, Residency};
+use super::residency::Residency;
 use super::stats::RequestStats;
+use super::ServingEngine;
 use topick_core::PruneStats;
 
 /// Admission-control limits of the running batch.
@@ -56,11 +57,10 @@ pub(crate) struct SimulatedStep {
 #[derive(Debug, Clone)]
 pub(crate) struct ActiveRequest {
     pub(crate) req: ServingRequest,
-    /// Current context length (prompt + generated tokens).
-    pub(crate) context: usize,
     /// Engine-assigned enqueue order, the stable tie-break every policy
-    /// falls back to (and the request's owner key in the [`KvPager`] —
-    /// unlike caller-chosen ids, sequences are unique).
+    /// falls back to (and the request's owner key in the
+    /// [`KvPager`](super::KvPager) — unlike caller-chosen ids, sequences
+    /// are unique).
     pub(crate) arrival_seq: u64,
     /// Step since which the request has been waiting in the queue (its
     /// arrival, or its most recent eviction) — the baseline policies age
@@ -92,6 +92,11 @@ pub(crate) struct ActiveRequest {
 }
 
 impl ActiveRequest {
+    /// Current context length: the prompt plus the tokens generated so far.
+    pub(crate) fn context(&self) -> usize {
+        self.req.prompt_len + self.stats.generated
+    }
+
     /// Context length when the request will retire (bounds its KV budget).
     pub(crate) fn final_context(&self) -> usize {
         self.req.prompt_len + self.req.max_new_tokens
@@ -100,79 +105,43 @@ impl ActiveRequest {
     /// Context tokens whose KV genuinely exists on the device right now
     /// (see [`Residency::built_tokens`]).
     pub(crate) fn built_tokens(&self) -> usize {
-        self.kv.built_tokens(self.context)
+        self.kv.built_tokens(self.context())
     }
 }
 
-/// The running batch plus the limits admission enforces. The engine owns
-/// the *invariants* (never exceed `max_batch` slots or the KV page
-/// budget); policies only choose the order.
-///
-/// KV accounting lives here too: the [`KvPager`] carves
-/// `max_batch_tokens` into `page_size`-token pages, and every admission,
-/// preemption and retirement allocates or frees pages through it.
-#[derive(Debug, Clone)]
-pub(crate) struct BatchState {
-    running: Vec<ActiveRequest>,
-    limits: AdmissionConfig,
-    pager: KvPager,
-}
-
-impl BatchState {
-    pub(crate) fn new(limits: AdmissionConfig, host_pages: usize) -> Self {
-        Self {
-            running: Vec::new(),
-            pager: KvPager::new(limits.page_size, limits.max_batch_tokens)
-                .with_prefix_cache(limits.prefix_cache)
-                .with_host_tier(host_pages),
-            limits,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.running.len()
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.running.is_empty()
-    }
-
-    /// The KV page allocator (shared accounting for running requests and
-    /// queued requests' retained pages).
-    pub(crate) fn pager(&self) -> &KvPager {
-        &self.pager
-    }
-
-    pub(crate) fn pager_mut(&mut self) -> &mut KvPager {
-        &mut self.pager
-    }
-
+/// The running batch's side of the engine: the engine owns the
+/// *invariants* (never exceed `max_batch` slots or the KV page budget);
+/// policies only choose the order. Every admission, preemption and
+/// retirement allocates or frees pages through the engine's
+/// [`KvPager`](super::KvPager), which carves `max_batch_tokens` into
+/// `page_size`-token pages.
+impl ServingEngine {
     /// Whether the request keyed `seq` with the given final context can
     /// join right now: a free slot, and enough free (or adoptable, or
     /// reclaimable-cached) pages to grow its allocation. Pages it already
     /// retains across a preemption count toward the need, and `chain` —
     /// its prompt-page hash chain — credits pages the prefix cache can
     /// supply without allocation.
-    pub(crate) fn fits(&self, seq: u64, final_context: usize, chain: &[u64]) -> bool {
-        self.running.len() < self.limits.max_batch
+    pub(super) fn fits(&self, seq: u64, final_context: usize, chain: &[u64]) -> bool {
+        self.running.len() < self.cfg.admission.max_batch
             && self.pager.can_admit(seq, final_context, chain)
     }
 
-    /// Admits a request: adopts whatever full-page prompt prefix the
-    /// prefix cache has resident, reserves private pages for the rest of
-    /// its final context, and publishes its own full prompt pages for
-    /// later admissions to share. Returns the prompt tokens served out of
-    /// the cache (`cached_tokens` on the admission event), and folds them
-    /// into the request's prefill / re-prefill debt.
-    pub(crate) fn admit(&mut self, mut r: ActiveRequest) -> usize {
+    /// Puts an admitted request in the batch: adopts whatever full-page
+    /// prompt prefix the prefix cache has resident, reserves private pages
+    /// for the rest of its final context, and publishes its own full prompt
+    /// pages for later admissions to share. Returns the prompt tokens
+    /// served out of the cache (`cached_tokens` on the admission event),
+    /// and folds them into the request's prefill / re-prefill debt.
+    pub(super) fn join_batch(&mut self, mut r: ActiveRequest) -> usize {
         debug_assert!(self.fits(r.arrival_seq, r.final_context(), &r.page_keys));
-        let adopted = if self.limits.prefix_cache {
+        let adopted = if self.cfg.admission.prefix_cache {
             self.pager.adopt_prefix(r.arrival_seq, &r.page_keys)
         } else {
             0
         };
         self.pager.reserve(r.arrival_seq, r.final_context());
-        if self.limits.prefix_cache && r.kv.is_built() {
+        if self.cfg.admission.prefix_cache && r.kv.is_built() {
             // With prefill unpriced (and no rebuild pending) the prompt's
             // KV is valid the moment the request is admitted, so its full
             // pages publish immediately. Otherwise publication waits for
@@ -199,8 +168,8 @@ impl BatchState {
     /// full pages are registered (the chained hashes make any truncated
     /// chain a valid prefix), and once the debt clears the whole chain
     /// publishes. Idempotent: already-labelled pages are left untouched.
-    pub(crate) fn publish_prefix(&mut self, slot: usize) {
-        if !self.limits.prefix_cache {
+    pub(super) fn publish_prefix(&mut self, slot: usize) {
+        if !self.cfg.admission.prefix_cache {
             return;
         }
         let r = &self.running[slot];
@@ -209,20 +178,9 @@ impl BatchState {
             .register_prefix(r.arrival_seq, &r.page_keys[..covered]);
     }
 
-    /// Removes the request at `slot` (policy-selected victim). The caller
-    /// decides the fate of its KV pages (retention vs full release).
-    pub(crate) fn evict(&mut self, slot: usize) -> ActiveRequest {
-        self.running.remove(slot)
-    }
-
-    /// Slot index of the request with arrival sequence `seq`, if running.
-    pub(crate) fn position_of_seq(&self, seq: u64) -> Option<usize> {
-        self.running.iter().position(|r| r.arrival_seq == seq)
-    }
-
     /// Removes and returns every request that reached its token target,
     /// freeing their KV pages.
-    pub(crate) fn retire_finished(&mut self) -> Vec<ActiveRequest> {
+    pub(super) fn retire_finished(&mut self) -> Vec<ActiveRequest> {
         let mut kept = Vec::with_capacity(self.running.len());
         let mut done = Vec::new();
         for r in self.running.drain(..) {
@@ -238,7 +196,7 @@ impl BatchState {
     }
 
     /// Snapshots the batch for the policy, in slot order.
-    pub(crate) fn views(&self) -> Vec<RunningView> {
+    pub(super) fn running_views(&self) -> Vec<RunningView> {
         self.running
             .iter()
             .map(|r| RunningView {
@@ -248,7 +206,7 @@ impl BatchState {
                 arrival_seq: r.arrival_seq,
                 admitted_at: r.last_admitted_at.unwrap_or(r.stats.enqueued_at),
                 remaining_tokens: r.req.max_new_tokens - r.stats.generated,
-                context: r.context,
+                context: r.context(),
                 final_context: r.final_context(),
                 enqueued_at: r.stats.enqueued_at,
                 last_token_at: r.last_token_at,
@@ -256,19 +214,5 @@ impl BatchState {
                 itl_deadline: r.req.itl_deadline,
             })
             .collect()
-    }
-
-    pub(crate) fn slots(&self) -> &[ActiveRequest] {
-        &self.running
-    }
-
-    pub(crate) fn slots_mut(&mut self) -> &mut [ActiveRequest] {
-        &mut self.running
-    }
-
-    /// The request at `slot` together with the host tier its residency
-    /// transitions move KV contents into and out of.
-    pub(crate) fn slot_and_host_mut(&mut self, slot: usize) -> (&mut ActiveRequest, &mut HostTier) {
-        (&mut self.running[slot], self.pager.host_mut())
     }
 }

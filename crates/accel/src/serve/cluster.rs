@@ -468,7 +468,6 @@ impl ClusterEngineBuilder {
             total_cycles: 0,
             wall_nanos: 0,
             lending: LendingStats::default(),
-            steps: Vec::new(),
             events: Vec::new(),
         }
     }
@@ -490,7 +489,6 @@ pub struct ClusterEngine {
     total_cycles: u64,
     wall_nanos: u64,
     lending: LendingStats,
-    steps: Vec<ClusterStepReport>,
     events: Vec<ClusterEvent>,
 }
 
@@ -682,10 +680,8 @@ impl ClusterEngine {
         // Only the suffix beyond the local run travels: re-shipping pages
         // the receiver already holds would evict the donor's cached copies
         // for nothing.
-        let shipped = self.shards[donor]
-            .kv_pager_mut()
-            .export_prefix(&keys[own..]);
-        let landed = self.shards[to].kv_pager_mut().import_prefix(&shipped);
+        let shipped = self.shards[donor].pager.export_prefix(&keys[own..]);
+        let landed = self.shards[to].pager.import_prefix(&shipped);
         if landed == 0 {
             return None;
         }
@@ -896,7 +892,6 @@ impl ClusterEngine {
             critical_cycles,
         };
         self.total_cycles += critical_cycles;
-        self.steps.push(report);
         self.step_index += 1;
         Ok(Some(report))
     }
@@ -935,7 +930,7 @@ impl ClusterEngine {
             stealing: self.stealing,
             steals: self.steals,
             ships: self.ships,
-            cluster_steps: self.steps.len(),
+            cluster_steps: self.step_index,
             total_cycles: self.total_cycles,
             wall_seconds: self.wall_seconds(),
             shards: self.shards.iter().map(ServingEngine::report).collect(),
@@ -1016,6 +1011,9 @@ mod tests {
         assert_eq!(report.cluster_steps, 3);
         assert_eq!(report.shards[0].steps.len(), 3);
         assert_eq!(report.shards[1].steps.len(), 3, "idle shard fell behind");
+        for shard in &report.shards {
+            assert_eq!(report.cluster_steps, shard.steps.len());
+        }
         assert!(report.shards[1].steps.iter().all(|s| s.total_cycles() == 0));
         // Makespan equals the busy shard's cycles; imbalance is maximal.
         assert_eq!(report.total_cycles, report.shards[0].total_cycles);
@@ -1116,13 +1114,12 @@ mod tests {
         // The compile-time contract with applications: an engine or a
         // whole cluster may be moved to, and driven from, another thread
         // (`lend`'s `threaded_engines_sharing_the_step_helper_…` does), so
-        // both — and everything they own transitively, pager and batch and
-        // boxed policies included — must be `Send`.
+        // both — and everything they own transitively, pager and running
+        // requests and boxed policies included — must be `Send`.
         fn assert_send<T: Send>() {}
         assert_send::<ServingEngine>();
         assert_send::<ClusterEngine>();
         assert_send::<super::super::KvPager>();
-        assert_send::<super::super::batch_state::BatchState>();
         assert_send::<Box<dyn super::super::SchedulerPolicy>>();
         assert_send::<Box<dyn RoutingPolicy>>();
     }

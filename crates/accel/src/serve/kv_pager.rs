@@ -89,7 +89,8 @@ struct OwnerTable {
 /// with optional reference-counted prefix sharing.
 ///
 /// Pages are identified by dense indices `0..total_pages` and handed out
-/// from a LIFO free list, so allocation order is deterministic. Owners are
+/// from a LIFO free list, so allocation order is deterministic; memory
+/// grows with the pages ever used, not with the budget. Owners are
 /// engine-assigned arrival sequences (unique per request lifetime, unlike
 /// caller-chosen request ids). With the prefix cache enabled, one page may
 /// be mapped by several owners at once (`refcount > 1`) and pages whose
@@ -146,13 +147,14 @@ struct OwnerTable {
 pub struct KvPager {
     page_size: usize,
     total_pages: usize,
-    /// LIFO free list of page indices (pop from the back).
+    /// LIFO stack of recycled page indices (pop from the back); the pages
+    /// from `refs.len()` on were never used and are free too.
     free: Vec<usize>,
     /// Per-owner page tables, in insertion order (deterministic iteration).
     tables: Vec<OwnerTable>,
-    /// Owners currently mapping each page (0 = free or cached).
+    /// Owners currently mapping each page ever used (0 = free or cached).
     refs: Vec<u32>,
-    /// The chained content hash each page is registered under, if any.
+    /// The chained content hash each page ever used is registered under.
     keys: Vec<Option<u64>>,
     /// Prefix index: chained content hash → resident page holding it.
     index: BTreeMap<u64, usize>,
@@ -179,11 +181,10 @@ impl KvPager {
         Self {
             page_size,
             total_pages,
-            // Pages pop back-to-front, so page 0 is allocated first.
-            free: (0..total_pages).rev().collect(),
+            free: Vec::new(),
             tables: Vec::new(),
-            refs: vec![0; total_pages],
-            keys: vec![None; total_pages],
+            refs: Vec::new(),
+            keys: Vec::new(),
             index: BTreeMap::new(),
             lru: Vec::new(),
             cache_enabled: false,
@@ -239,10 +240,10 @@ impl KvPager {
         self.total_pages
     }
 
-    /// Pages currently on the free list.
+    /// Pages currently free: recycled ones plus those never used.
     #[must_use]
     pub fn free_pages(&self) -> usize {
-        self.free.len()
+        self.free.len() + (self.total_pages - self.refs.len())
     }
 
     /// Refcount-0 pages kept resident for future prefix hits. Reclaimable
@@ -259,7 +260,7 @@ impl KvPager {
     /// [`mapped_pages`](Self::mapped_pages).)
     #[must_use]
     pub fn allocated_pages(&self) -> usize {
-        self.total_pages - self.free.len() - self.lru.len()
+        self.total_pages - self.free_pages() - self.lru.len()
     }
 
     /// Total page *mappings* across all owner tables — with sharing, one
@@ -277,7 +278,8 @@ impl KvPager {
     /// Panics if `page >= total_pages()`.
     #[must_use]
     pub fn refcount(&self, page: usize) -> u32 {
-        self.refs[page]
+        assert!(page < self.total_pages, "page {page} is past the budget");
+        self.refs.get(page).copied().unwrap_or(0)
     }
 
     /// Pages held by `owner` (0 if the owner holds none).
@@ -316,7 +318,7 @@ impl KvPager {
         let need = self
             .pages_needed(tokens)
             .saturating_sub(self.pages_of(owner));
-        need <= self.free.len() + self.lru.len()
+        need <= self.free_pages() + self.lru.len()
     }
 
     /// [`can_reserve`](Self::can_reserve) with prefix-cache awareness:
@@ -340,7 +342,7 @@ impl KvPager {
         let need = self
             .pages_needed(tokens)
             .saturating_sub(self.pages_of(owner) + hits);
-        (need, self.free.len() + self.lru.len() - cached_hits)
+        (need, self.free_pages() + self.lru.len() - cached_hits)
     }
 
     /// The single definition of the adoptable-page walk: the resident
@@ -513,7 +515,7 @@ impl KvPager {
             if self.index.contains_key(&key) {
                 continue;
             }
-            let Some(p) = self.free.pop() else {
+            let Some(p) = self.take_free() else {
                 break;
             };
             self.keys[p] = Some(key);
@@ -551,7 +553,7 @@ impl KvPager {
         };
         let mut grown = 0;
         while self.tables[at].pages.len() < target {
-            let page = match self.free.pop() {
+            let page = match self.take_free() {
                 Some(p) => p,
                 None => self.reclaim_lru().expect(
                     "KV page reservation exceeds capacity; admission must gate on can_reserve",
@@ -655,7 +657,8 @@ impl KvPager {
     /// the first violation — the conservation oracle the property tests
     /// drive:
     ///
-    /// * free, cached and mapped pages partition `0..total_pages`;
+    /// * free, cached and mapped pages partition `0..total_pages` (the
+    ///   pages never used are free and are not walked);
     /// * every page's refcount equals its number of table mappings
     ///   (no page is owned by zero holders while marked allocated, and
     ///   none is double-freed);
@@ -667,7 +670,7 @@ impl KvPager {
     ///   [`ServingEngine::validate`](super::ServingEngine::validate)'s
     ///   check — the pager does not know the holders).
     pub fn validate(&self) {
-        let mut mappings = vec![0u32; self.total_pages];
+        let mut mappings = vec![0u32; self.refs.len()];
         for t in &self.tables {
             assert!(
                 t.covered <= t.pages.len() * self.page_size,
@@ -686,7 +689,7 @@ impl KvPager {
                 "page {p}: refcount {refs} but {mapped} table mappings"
             );
         }
-        let mut seen = vec![false; self.total_pages];
+        let mut seen = vec![false; self.refs.len()];
         for &p in &self.free {
             assert!(!seen[p], "page {p} on the free list twice");
             seen[p] = true;
@@ -736,6 +739,18 @@ impl KvPager {
         );
     }
 
+    /// A free page: the last one recycled, or else the lowest never used —
+    /// the order a stack holding every page from the start would pop.
+    fn take_free(&mut self) -> Option<usize> {
+        let recycled = self.free.pop();
+        if recycled.is_some() || self.refs.len() == self.total_pages {
+            return recycled;
+        }
+        self.refs.push(0);
+        self.keys.push(None);
+        Some(self.refs.len() - 1)
+    }
+
     /// Reclaims the least-recently-cached page for reallocation,
     /// unregistering it from the prefix index.
     fn reclaim_lru(&mut self) -> Option<usize> {
@@ -768,6 +783,27 @@ mod tests {
         assert_eq!(pager.total_pages(), 6); // 96 tokens; 4 lost to alignment
         assert_eq!(pager.free_pages(), 6);
         assert_eq!(pager.allocated_pages(), 0);
+    }
+
+    #[test]
+    fn a_huge_budget_costs_only_the_pages_used() {
+        let mut pager = KvPager::new(16, usize::MAX);
+        assert_eq!(pager.total_pages(), usize::MAX / 16);
+        assert_eq!(pager.free_pages(), pager.total_pages());
+        assert_eq!(pager.reserve(1, 40), 3);
+        assert_eq!(pager.reserve(2, 16), 1);
+        assert_eq!((pager.allocated_pages(), pager.refcount(3)), (4, 1));
+        assert_eq!(pager.free_pages(), pager.total_pages() - 4);
+        pager.validate();
+        assert_eq!(pager.release(1), 3);
+        // Recycled pages go out again before a never-used one.
+        assert_eq!(pager.reserve(3, 64), 4);
+        assert_eq!(pager.refcount(4), 1);
+        assert_eq!(pager.free_pages(), pager.total_pages() - 5);
+        pager.validate();
+        assert_eq!(pager.release(2) + pager.release(3), 5);
+        assert_eq!(pager.free_pages(), pager.total_pages());
+        pager.validate();
     }
 
     #[test]

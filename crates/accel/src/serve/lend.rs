@@ -326,7 +326,7 @@ impl ServingEngine {
         {
             self.simulations += 1;
         }
-        self.batch.slots_mut()[slot].kept_attention = Some(Box::new(step));
+        self.running[slot].kept_attention = Some(Box::new(step));
     }
 }
 
@@ -346,7 +346,7 @@ impl Walk {
         loop {
             let engine = shards.get(self.shard)?;
             let budget = self.budget.get_or_insert_with(|| engine.chunk_budget());
-            let Some(r) = engine.batch.slots().get(self.slot) else {
+            let Some(r) = engine.running.get(self.slot) else {
                 (self.shard, self.slot, self.budget) = (self.shard + 1, 0, None);
                 continue;
             };
@@ -354,9 +354,9 @@ impl Walk {
             let fresh = r
                 .kept_attention
                 .as_ref()
-                .is_none_or(|k| k.context != r.context);
+                .is_none_or(|k| k.context != r.context());
             if budget.next(r.kv.prefill_owed()).simulates() && fresh {
-                let (shard, slot, id, context) = (self.shard, self.slot - 1, r.req.id, r.context);
+                let (shard, slot, id, context) = (self.shard, self.slot - 1, r.req.id, r.context());
                 return Some(Work::Instance {
                     shard,
                     slot,
@@ -646,11 +646,7 @@ mod tests {
         assert_eq!(pooled_run, serial_run);
         assert_eq!(pooled.lending_stats().pooled_steps, 1);
         assert_eq!(pooled.lending_stats().lent_instances, 0);
-        assert!(pooled
-            .batch
-            .slots()
-            .iter()
-            .all(|r| r.kept_attention.is_none()));
+        assert!(pooled.running.iter().all(|r| r.kept_attention.is_none()));
     }
 
     #[test]

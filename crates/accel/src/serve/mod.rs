@@ -89,7 +89,7 @@ use topick_core::PruneStats;
 use crate::config::AccelConfig;
 use crate::engine::ToPickAccelerator;
 
-use batch_state::{ActiveRequest, BatchState, SimulatedStep};
+use batch_state::{ActiveRequest, SimulatedStep};
 use lend::{KeyScratch, Lender};
 use queue::PendingQueue;
 use residency::Residency;
@@ -410,7 +410,11 @@ pub struct ServingEngine {
     /// The policy's view of the queue during admission, kept from one step
     /// to the next so each step's snapshot reuses its buffer.
     snapshot: VecDeque<PendingView>,
-    batch: BatchState,
+    /// The running batch, in slot order.
+    running: Vec<ActiveRequest>,
+    /// The KV page allocator: the batch's KV budget, including pages
+    /// retained by preempted requests waiting in the queue.
+    pager: KvPager,
     finished: Vec<RequestStats>,
     steps: Vec<StepReport>,
     events: Vec<ServeEvent>,
@@ -507,14 +511,17 @@ impl ServingEngine {
         }
         let chunks = cfg.accel.precision.num_chunks();
         let accel = ToPickAccelerator::new(cfg.accel.clone());
-        let batch = BatchState::new(cfg.admission, cfg.host_pages);
+        let pager = KvPager::new(cfg.admission.page_size, cfg.admission.max_batch_tokens)
+            .with_prefix_cache(cfg.admission.prefix_cache)
+            .with_host_tier(cfg.host_pages);
         Self {
             cfg,
             accel,
             policy,
             pending: PendingQueue::default(),
             snapshot: VecDeque::new(),
-            batch,
+            running: Vec::new(),
+            pager,
             finished: Vec::new(),
             steps: Vec::new(),
             events: Vec::new(),
@@ -568,13 +575,13 @@ impl ServingEngine {
     /// Requests currently decoding.
     #[must_use]
     pub fn running(&self) -> usize {
-        self.batch.len()
+        self.running.len()
     }
 
     /// Whether all enqueued work has completed.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.batch.is_empty()
+        self.pending.is_empty() && self.running.is_empty()
     }
 
     /// Final-context tokens of everything queued — the engine's backlog in
@@ -592,21 +599,18 @@ impl ServingEngine {
     /// double-bill exactly the shards where retention paid off.
     #[must_use]
     pub fn running_kv_tokens(&self) -> usize {
-        let pager = self.batch.pager();
-        self.batch
-            .slots()
+        self.running
             .iter()
-            .map(|r| pager.pages_of(r.arrival_seq))
+            .map(|r| self.pager.pages_of(r.arrival_seq))
             .sum::<usize>()
-            * pager.page_size()
+            * self.pager.page_size()
     }
 
     /// Records a zero-work step so an externally driven engine's clock can
-    /// stay in lockstep with peers: a [`ClusterEngine`](cluster::ClusterEngine)
-    /// ticks idle shards so every shard's step index equals the cluster
-    /// step, keeping `arrival_step` semantics and event timestamps
-    /// cluster-global. Shaped exactly like the engine's own
-    /// waiting-on-future-arrivals idle tick.
+    /// stay in lockstep with peers: a [`ClusterEngine`] ticks idle shards
+    /// so every shard's step index equals the cluster step, keeping
+    /// `arrival_step` semantics and event timestamps cluster-global. Shaped
+    /// exactly like the engine's own waiting-on-future-arrivals idle tick.
     pub(crate) fn idle_tick(&mut self) {
         debug_assert!(self.is_idle(), "idle ticks are only for drained engines");
         self.steps.push(StepReport::idle(self.step_index));
@@ -618,9 +622,12 @@ impl ServingEngine {
     /// no retained KV pages — nothing that ties it to this engine).
     #[must_use]
     pub(crate) fn has_stealable_queued(&self) -> bool {
-        self.pending.iter().any(|e| {
-            e.stats.admitted_at.is_none() && e.req.arrival_step as usize <= self.step_index
-        })
+        self.pending.iter().any(|e| self.unstarted(e))
+    }
+
+    /// Whether queued request `e` has arrived and has never been admitted.
+    fn unstarted(&self, e: &ActiveRequest) -> bool {
+        e.stats.admitted_at.is_none() && e.req.arrival_step as usize <= self.step_index
     }
 
     /// Removes and returns the youngest queued request that has arrived
@@ -633,9 +640,7 @@ impl ServingEngine {
             .pending
             .iter()
             .rev()
-            .find(|e| {
-                e.stats.admitted_at.is_none() && e.req.arrival_step as usize <= self.step_index
-            })
+            .find(|e| self.unstarted(e))
             .map(|e| e.arrival_seq)?;
         Some(self.pending.remove_by_seq(seq).req)
     }
@@ -645,7 +650,7 @@ impl ServingEngine {
     /// the queue.
     #[must_use]
     pub fn kv_pager(&self) -> &KvPager {
-        self.batch.pager()
+        &self.pager
     }
 
     /// Checks every KV-residency invariant, panicking with a description
@@ -668,24 +673,17 @@ impl ServingEngine {
     /// Panics on the first violated invariant.
     pub fn validate(&self) {
         self.pending.validate();
-        let pager = self.batch.pager();
-        pager.validate();
+        self.pager.validate();
         let mut host_pages = 0;
-        for r in self.pending.iter().chain(self.batch.slots()) {
-            r.kv.validate(r.context);
-            host_pages += pager.pages_needed(r.kv.host_tokens());
+        for r in self.pending.iter().chain(&self.running) {
+            r.kv.validate(r.context());
+            host_pages += self.pager.pages_needed(r.kv.host_tokens());
         }
         assert_eq!(
             host_pages,
-            pager.host_pages_used(),
+            self.pager.host_pages_used(),
             "host tier occupancy disagrees with the requests' holdings"
         );
-    }
-
-    /// Mutable pager access for the cluster's cross-shard page shipping
-    /// (export on the donor, import on the receiver).
-    pub(crate) fn kv_pager_mut(&mut self) -> &mut KvPager {
-        self.batch.pager_mut()
     }
 
     /// Events recorded so far, in order.
@@ -723,8 +721,8 @@ impl ServingEngine {
                 "max_new_tokens must be positive",
             ));
         }
-        let pager = self.batch.pager();
-        if pager.pages_needed(req.prompt_len + req.max_new_tokens) > pager.total_pages() {
+        let pages = self.pager.pages_needed(req.prompt_len + req.max_new_tokens);
+        if pages > self.pager.total_pages() {
             return Err(ServeError::InvalidRequest(
                 "request exceeds the batch KV page budget even alone",
             ));
@@ -765,7 +763,6 @@ impl ServingEngine {
         };
         let active = ActiveRequest {
             req,
-            context: req.prompt_len,
             arrival_seq: self.arrival_seq,
             wait_since: schedulable_at,
             last_admitted_at: None,
@@ -797,13 +794,12 @@ impl ServingEngine {
     /// [`ship_cost_factor`](ServingConfig::ship_cost_factor) via
     /// [`receive_shipped`](Self::receive_shipped).
     pub(crate) fn ship_out_youngest_running(&mut self) -> Option<ActiveRequest> {
-        let slot = (0..self.batch.len())
-            .rev()
-            .find(|&i| self.batch.slots()[i].kv.is_built())?;
-        let mut shipped = self.batch.evict(slot);
-        let pager = self.batch.pager_mut();
-        pager.release(shipped.arrival_seq);
-        shipped.kv.ship_out(shipped.context, pager.host_mut());
+        let slot = self.running.iter().rposition(|r| r.kv.is_built())?;
+        let mut shipped = self.running.remove(slot);
+        self.pager.release(shipped.arrival_seq);
+        shipped
+            .kv
+            .ship_out(shipped.context(), self.pager.host_mut());
         Some(shipped)
     }
 
@@ -833,11 +829,7 @@ impl ServingEngine {
     pub(crate) fn pull_candidates(&self) -> Vec<(u64, u64, Vec<u64>)> {
         self.pending
             .iter()
-            .filter(|e| {
-                e.stats.admitted_at.is_none()
-                    && e.req.arrival_step as usize <= self.step_index
-                    && !e.page_keys.is_empty()
-            })
+            .filter(|e| self.unstarted(e) && !e.page_keys.is_empty())
             .map(|e| (e.req.id, e.arrival_seq, e.page_keys.clone()))
             .collect()
     }
@@ -879,9 +871,8 @@ impl ServingEngine {
             // A preempted-then-expired request may still hold retained
             // device pages or a host-tier holding; both go back to their
             // pools.
-            let pager = self.batch.pager_mut();
-            pager.release(seq);
-            r.kv.release_host(pager.host_mut());
+            self.pager.release(seq);
+            r.kv.release_host(self.pager.host_mut());
             let overdue =
                 (step - r.stats.enqueued_at + 1) - r.req.ttft_deadline.unwrap_or(0) as usize;
             r.stats.slo_violated = true;
@@ -927,7 +918,7 @@ impl ServingEngine {
             self.snapshot_growths += usize::from(pending_views.capacity() > capacity);
         }
         while !pending_views.is_empty() {
-            let running_views = self.batch.views();
+            let running_views = self.running_views();
             let Some(pi) =
                 self.policy
                     .pick_next(pending_views.make_contiguous(), &running_views, step as u64)
@@ -946,10 +937,7 @@ impl ServingEngine {
                 .get_mut_by_seq(cand.arrival_seq)
                 .map(|e| std::mem::take(&mut e.page_keys))
                 .unwrap_or_default();
-            if !self
-                .batch
-                .fits(cand.arrival_seq, cand.final_context, &chain)
-            {
+            if !self.fits(cand.arrival_seq, cand.final_context, &chain) {
                 // Cheapest rescue first: when the candidate has a slot
                 // and only lacks pages, reclaim queued requests' retained
                 // pages — that costs no new preemption, so it must be
@@ -960,14 +948,10 @@ impl ServingEngine {
                 // committed (pages freed/retained) only if the candidate
                 // then fits, so a failed admission never charges anyone
                 // re-prefill for nothing.
-                if !self
-                    .batch
-                    .fits(cand.arrival_seq, cand.final_context, &chain)
-                    && evictions_left > 0
-                {
+                if !self.fits(cand.arrival_seq, cand.final_context, &chain) && evictions_left > 0 {
                     let limits = self.cfg.admission;
                     let retention = self.cfg.preemption.retention;
-                    let pager = self.batch.pager();
+                    let pager = &self.pager;
                     // Pages the candidate still needs, crediting any it
                     // retained across an earlier preemption and any the
                     // prefix cache can supply without allocation, against
@@ -976,7 +960,7 @@ impl ServingEngine {
                     let hit_pages = pager.adoptable_pages(cand.arrival_seq, &chain);
                     let (cand_need, mut avail) =
                         pager.admission_gap(cand.arrival_seq, cand.final_context, &chain);
-                    let mut sim = self.batch.views();
+                    let mut sim = self.running_views();
                     let fits_sim = |sim: &[policy::RunningView], avail: usize| {
                         sim.len() < limits.max_batch && cand_need <= avail
                     };
@@ -1009,8 +993,9 @@ impl ServingEngine {
                         evictions_left -= victims.len();
                         for seq in victims {
                             let slot = self
-                                .batch
-                                .position_of_seq(seq)
+                                .running
+                                .iter()
+                                .position(|r| r.arrival_seq == seq)
                                 .expect("planned victim is running");
                             self.evict(slot);
                         }
@@ -1022,10 +1007,7 @@ impl ServingEngine {
                 // pass covers that before declaring head-of-line
                 // blocking.
                 self.reclaim_for(&cand, &chain);
-                if !self
-                    .batch
-                    .fits(cand.arrival_seq, cand.final_context, &chain)
-                {
+                if !self.fits(cand.arrival_seq, cand.final_context, &chain) {
                     // Head-of-line blocking: the policy's chosen candidate
                     // cannot run, so admission ends for this step.
                     if let Some(e) = self.pending.get_mut_by_seq(cand.arrival_seq) {
@@ -1045,8 +1027,9 @@ impl ServingEngine {
                 active.stats.admitted_at = Some(step);
             }
             active.last_admitted_at = Some(step);
-            let (id, context, prompt_len) = (active.req.id, active.context, active.req.prompt_len);
-            let cached_tokens = self.batch.admit(active);
+            let (id, context, prompt_len) =
+                (active.req.id, active.context(), active.req.prompt_len);
+            let cached_tokens = self.join_batch(active);
             // Admission-normalized hit accounting: every admission demands
             // the full prompt once, and `cached_tokens` of it came from
             // the cache — counting here (not at completion) keeps hit
@@ -1066,18 +1049,18 @@ impl ServingEngine {
     /// Evicts the running request at `slot` back to the queue, retaining
     /// a prefix of its KV pages per the configured [`RetentionPolicy`].
     fn evict(&mut self, slot: usize) {
-        let mut victim = self.batch.evict(slot);
-        let pager = self.batch.pager_mut();
+        let mut victim = self.running.remove(slot);
         let (retained_tokens, swapped_now) = victim.kv.evict(
-            victim.context,
+            victim.context(),
             self.cfg.preemption.retention,
-            pager.host_mut(),
+            self.pager.host_mut(),
         );
-        let dropped_tokens = victim.context - retained_tokens;
+        let dropped_tokens = victim.context() - retained_tokens;
         // Free the dropped suffix and the unused reservation beyond the
         // current context; the retained prefix stays allocated while the
         // victim queues.
-        pager.truncate(victim.arrival_seq, pager.pages_needed(retained_tokens));
+        self.pager
+            .truncate(victim.arrival_seq, self.pager.pages_needed(retained_tokens));
         victim.stats.preemptions += 1;
         victim.stats.retained_tokens += retained_tokens;
         victim.last_evicted_at = Some(self.step_index);
@@ -1109,10 +1092,9 @@ impl ServingEngine {
     /// shortage is never a reason to reclaim — freeing pages cannot
     /// conjure a slot.
     fn reclaim_for(&mut self, cand: &PendingView, chain: &[u64]) {
-        while self.batch.len() < self.cfg.admission.max_batch
+        while self.running.len() < self.cfg.admission.max_batch
             && !self
-                .batch
-                .pager()
+                .pager
                 .can_admit(cand.arrival_seq, cand.final_context, chain)
             && self.reclaim_retained(cand.arrival_seq, chain)
         {}
@@ -1138,7 +1120,7 @@ impl ServingEngine {
     /// forgone rather than charging the holder debt for shared drops.
     fn reclaim_retained(&mut self, exclude_seq: u64, cand_chain: &[u64]) -> bool {
         let holder = {
-            let pager = self.batch.pager();
+            let pager = &self.pager;
             let cand_hits = pager.adoptable_pages(exclude_seq, cand_chain);
             self.pending
                 .seqs()
@@ -1153,15 +1135,14 @@ impl ServingEngine {
         let Some(seq) = holder else {
             return false;
         };
-        let pager = self.batch.pager_mut();
-        let kept_pages = pager.pages_of(seq) - 1;
-        pager.truncate(seq, kept_pages);
+        let kept_pages = self.pager.pages_of(seq) - 1;
+        self.pager.truncate(seq, kept_pages);
         let e = self
             .pending
             .get_mut_by_seq(seq)
             .expect("retained-page holder is queued");
         let (lost_tokens, swapped_now) =
-            e.kv.reclaim_tail_page(e.context, kept_pages, pager.host_mut());
+            e.kv.reclaim_tail_page(e.context(), kept_pages, self.pager.host_mut());
         e.stats.retained_tokens -= lost_tokens;
         let id = e.req.id;
         if swapped_now > 0 {
@@ -1216,7 +1197,7 @@ impl ServingEngine {
     /// the pooled attention pass: the idle and stalled checks, the slot loop
     /// and retirement. Returns what [`step`](Self::step) returns.
     fn finish_step(&mut self) -> Result<Option<StepReport>, ServeError> {
-        if self.batch.is_empty() {
+        if self.running.is_empty() {
             if self.pending.is_empty() {
                 return Ok(None);
             }
@@ -1237,13 +1218,13 @@ impl ServingEngine {
 
         let step = self.step_index;
         let mut report = StepReport {
-            batch: self.batch.len(),
+            batch: self.running.len(),
             weight_cycles: pricing::weight_stream_cycles(&self.cfg.accel, self.cfg.weight_bytes),
             ..StepReport::idle(step)
         };
         let mut chunk_budget = self.chunk_budget();
-        for slot in 0..self.batch.len() {
-            match chunk_budget.next(self.batch.slots()[slot].kv.prefill_owed()) {
+        for slot in 0..self.running.len() {
+            match chunk_budget.next(self.running[slot].kv.prefill_owed()) {
                 SlotWork::Prefill { allowance } => {
                     self.advance_prefill(slot, allowance, &mut report)?;
                 }
@@ -1257,7 +1238,7 @@ impl ServingEngine {
 
         // Retire completed requests; freed budget admits queue at the next
         // step (continuous batching).
-        for mut r in self.batch.retire_finished() {
+        for mut r in self.retire_finished() {
             r.stats.finished_at = Some(step);
             let (id, generated) = (r.req.id, r.stats.generated);
             self.finished.push(r.stats);
@@ -1277,7 +1258,7 @@ impl ServingEngine {
         ChunkBudget(if self.cfg.prefill_chunk_pages == 0 {
             usize::MAX
         } else {
-            self.cfg.prefill_chunk_pages * self.batch.pager().page_size()
+            self.cfg.prefill_chunk_pages * self.pager.page_size()
         })
     }
 
@@ -1291,17 +1272,14 @@ impl ServingEngine {
         allowance: usize,
         report: &mut StepReport,
     ) -> Result<(), ServeError> {
-        let (id, ctx) = {
-            let r = &self.batch.slots()[slot];
-            (r.req.id, r.context)
-        };
+        let (id, ctx) = (self.running[slot].req.id, self.running[slot].context());
         if allowance == 0 {
-            report.context_tokens += self.batch.slots()[slot].built_tokens();
+            report.context_tokens += self.running[slot].built_tokens();
             return Ok(());
         }
         let attention = self.slot_attention(slot)?;
         let request_cycles = attention.head_cycles * self.cfg.heads as u64;
-        let r = &mut self.batch.slots_mut()[slot];
+        let r = &mut self.running[slot];
         r.kept_attention = Some(Box::new(attention));
         let (owed, remaining) = r.kv.advance_prefill(allowance);
         let charge = pricing::prefill_chunk(
@@ -1314,7 +1292,7 @@ impl ServingEngine {
         r.stats.prefill_cycles += charge;
         // The chunk's pages now hold real KV: publish the covered full
         // prompt pages for prefix sharing right away.
-        self.batch.publish_prefix(slot);
+        self.publish_prefix(slot);
         report.prefill_cycles += charge;
         report.context_tokens += ctx - remaining;
         self.emit(ServeEvent::PrefillChunk {
@@ -1332,14 +1310,11 @@ impl ServingEngine {
     /// it.
     fn decode_slot(&mut self, slot: usize, report: &mut StepReport) -> Result<(), ServeError> {
         let step = report.index;
-        let (id, ctx) = {
-            let r = &self.batch.slots()[slot];
-            (r.req.id, r.context)
-        };
+        let (id, ctx) = (self.running[slot].req.id, self.running[slot].context());
         let attention = self.slot_attention(slot)?;
         let request_cycles = attention.head_cycles * self.cfg.heads as u64;
         self.prune.merge(&attention.prune);
-        let (r, host) = self.batch.slot_and_host_mut(slot);
+        let (r, host) = (&mut self.running[slot], self.pager.host_mut());
         let settled =
             r.kv.settle(ctx, &self.cfg, request_cycles, &mut r.stats, host);
         r.stats.attention_cycles += request_cycles;
@@ -1366,12 +1341,11 @@ impl ServingEngine {
         }
         r.last_token_at = Some(step);
         r.stats.generated += 1;
-        r.context += 1;
         let generated = r.stats.generated;
         if settled.built_kv {
             // The charge that just landed means the request's prompt KV
             // genuinely exists; its full pages may be published for sharing.
-            self.batch.publish_prefix(slot);
+            self.publish_prefix(slot);
         }
         if settled.swapped_tokens > 0 {
             self.emit(ServeEvent::SwappedIn {
@@ -1404,8 +1378,8 @@ impl ServingEngine {
     /// so a kept step is valid wherever the request is queued, preempted to
     /// or shipped, and whichever thread simulated it.
     fn slot_attention(&mut self, slot: usize) -> Result<SimulatedStep, ServeError> {
-        let r = &mut self.batch.slots_mut()[slot];
-        let (id, context) = (r.req.id, r.context);
+        let r = &mut self.running[slot];
+        let (id, context) = (r.req.id, r.context());
         match r.kept_attention.take() {
             Some(kept) if kept.context == context => Ok(*kept),
             _ => {
@@ -1436,7 +1410,7 @@ impl ServingEngine {
         }
         Err(ServeError::StepLimitExceeded {
             max_steps,
-            unfinished: self.pending.len() + self.batch.len(),
+            unfinished: self.pending.len() + self.running.len(),
         })
     }
 

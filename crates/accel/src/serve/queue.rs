@@ -382,7 +382,6 @@ mod tests {
         .arriving_at((mix >> 16) % 4);
         ActiveRequest {
             req,
-            context: req.prompt_len,
             arrival_seq: seq,
             wait_since: (mix >> 20) as usize % 4,
             last_admitted_at: None,
@@ -486,7 +485,7 @@ mod tests {
                         prop_assert_eq!(got.is_some(), expected.is_some());
                         if let (Some(got), Some(expected)) = (got, expected) {
                             for e in [got, expected] {
-                                e.context += 1;
+                                e.wait_since += 1;
                                 e.page_keys.push(mix);
                             }
                         }

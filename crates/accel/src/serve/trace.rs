@@ -772,6 +772,9 @@ fn parse_meta(f: &Fields) -> Result<TraceMeta, TraceError> {
     config.weight_bytes = f.parse_field("weight_bytes")?;
     config.seed = f.parse_field("seed")?;
     config.clock_hz = f.parse_field("clock_hz")?;
+    if !(config.clock_hz.is_finite() && config.clock_hz > 0.0) {
+        return Err(f.err("field 'clock_hz' must be finite and positive".into()));
+    }
     Ok(TraceMeta {
         scenario: f.get("scenario").map(str::to_string),
         scenario_seed: match f.get("scenario") {
@@ -986,6 +989,16 @@ mod tests {
         assert!(Trace::parse("not json").is_err());
         assert!(Trace::parse("").is_err());
         assert!(Trace::parse("{\"type\":\"meta\",\"version\":9}").is_err());
+        // A clock that is not finite and positive names its field.
+        let clock = format!("\"clock_hz\":{}", sample_meta().config.clock_hz);
+        assert!(text.contains(&clock), "{clock}");
+        for bad in ["-1", "0", "inf", "NaN"] {
+            let edited = text.replace(&clock, &format!("\"clock_hz\":{bad}"));
+            assert!(
+                matches!(Trace::parse(&edited), Err(TraceError::Parse(msg)) if msg.contains("clock_hz")),
+                "clock_hz {bad}"
+            );
+        }
     }
 
     #[test]

@@ -160,6 +160,32 @@ fn a_recorded_run_replays_to_the_same_bytes() {
 }
 
 #[test]
+fn a_trace_with_a_huge_kv_budget_replays_without_aborting() {
+    // The pager costs memory per page used, not per page of the budget,
+    // so a budget of 10^12 tokens neither aborts nor allocates it.
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/agentic_affinity_cluster.trace"
+    ))
+    .expect("golden trace");
+    let edited = golden.replacen(
+        "\"max_batch_tokens\":1600,",
+        "\"max_batch_tokens\":1000000000000,",
+        1,
+    );
+    assert_ne!(edited, golden, "the meta line names max_batch_tokens");
+    let dir = std::env::temp_dir().join(format!("topick-cli-budget-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("huge_budget.trace");
+    std::fs::write(&path, edited).expect("edited trace");
+    // Slots, not KV pages, bound this run, so the schedule stays the
+    // recorded one.
+    let replayed = stdout_of(&["serve", "--replay", path.to_str().expect("utf-8 path")]);
+    assert!(replayed.contains("(matches the recording)"), "{replayed}");
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+}
+
+#[test]
 fn serve_errors_exit_one_and_name_the_problem() {
     assert!(error_of(&["serve", "--batch", "0"]).contains("admission stalled"));
     let trace = "tests/data/agentic_affinity_cluster.trace";
