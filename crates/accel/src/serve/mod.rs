@@ -81,7 +81,8 @@ pub use stats::{RequestStats, ServingReport, SessionStats, StepReport};
 pub use token_backed::{run_token_backed, TokenBackedBatch, TokenBackedRun};
 pub use trace::{Trace, TraceError, TraceMeta, TraceRecorder};
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Mutex;
 
 use topick_core::PruneStats;
@@ -407,8 +408,9 @@ pub struct ServingEngine {
     accel: ToPickAccelerator,
     policy: Box<dyn SchedulerPolicy>,
     pending: PendingQueue,
-    /// The policy's view of the queue during admission, kept from one step
-    /// to the next so each step's snapshot reuses its buffer.
+    /// Admission's buffers, kept across steps: each visible request's
+    /// `(rank, arrival_seq)`, or its view under a policy that does not rank.
+    ranks: Vec<Reverse<(i64, u64)>>,
     snapshot: VecDeque<PendingView>,
     /// The running batch, in slot order.
     running: Vec<ActiveRequest>,
@@ -434,10 +436,10 @@ pub struct ServingEngine {
     /// Cycle-level simulations run so far.
     #[cfg(test)]
     simulations: usize,
-    /// Policy views of the queue built so far.
+    /// Admission passes over the queue so far.
     #[cfg(test)]
     snapshots: usize,
-    /// Times building a view of the queue grew the snapshot buffer.
+    /// Admission passes that grew the rank or snapshot buffer.
     #[cfg(test)]
     snapshot_growths: usize,
 }
@@ -519,6 +521,7 @@ impl ServingEngine {
             accel,
             policy,
             pending: PendingQueue::default(),
+            ranks: Vec::new(),
             snapshot: VecDeque::new(),
             running: Vec::new(),
             pager,
@@ -892,12 +895,14 @@ impl ServingEngine {
     /// has room, evicting victims for non-fitting candidates when
     /// preemption allows it.
     ///
-    /// The policy's view of the queue is snapshotted once per call, into
-    /// a buffer kept across calls, and each admitted candidate's view is
-    /// dropped from it, which is exact: nothing else within one call
-    /// changes a visible request's view. Victims re-enter the queue
-    /// evicted at this step, so they stay invisible until the next one,
-    /// and reclaiming retained pages touches no field a view reads.
+    /// One pass over the queue ranks every visible request into a heap
+    /// kept across calls, and each admission pops the least
+    /// `(rank, arrival_seq)`; a policy that does not rank is asked
+    /// `pick_next` over a snapshot of the views, kept the same way, minus
+    /// each pick. Either is exact: nothing else within one call changes a
+    /// visible request's view. Victims re-enter the queue evicted at this
+    /// step, so they stay invisible until the next one, and reclaiming
+    /// retained pages touches no field a view reads.
     fn admit(&mut self) {
         let step = self.step_index;
         let mut evictions_left = if self.cfg.preemption.enabled {
@@ -905,29 +910,58 @@ impl ServingEngine {
         } else {
             0
         };
+        self.ranks.clear();
+        #[cfg(test)]
+        let capacity = self.ranks.capacity() + self.snapshot.capacity();
+        let ranked = self.pending.views(step).all(|v| {
+            let rank = self.policy.rank(&v, step as u64);
+            self.ranks.extend(rank.map(|r| Reverse((r, v.arrival_seq))));
+            rank.is_some()
+        });
+        let mut heap = BinaryHeap::from(std::mem::take(&mut self.ranks));
         // Filled from empty and then only ever shrunk, the deque never
         // wraps, so `make_contiguous` hands the policy one slice in O(1).
         let mut pending_views = std::mem::take(&mut self.snapshot);
         pending_views.clear();
-        #[cfg(test)]
-        let capacity = pending_views.capacity();
-        pending_views.extend(self.pending.views(step));
+        if !ranked {
+            pending_views.extend(self.pending.views(step));
+        }
         #[cfg(test)]
         {
             self.snapshots += 1;
-            self.snapshot_growths += usize::from(pending_views.capacity() > capacity);
+            self.snapshot_growths +=
+                usize::from(heap.capacity() + pending_views.capacity() > capacity);
         }
-        while !pending_views.is_empty() {
-            let running_views = self.running_views();
-            let Some(pi) =
-                self.policy
-                    .pick_next(pending_views.make_contiguous(), &running_views, step as u64)
-            else {
+        loop {
+            let next = if ranked {
+                heap.pop().map(|Reverse((_, seq))| {
+                    let view = self.pending.view_by_seq(seq, step);
+                    view.expect("a ranked request stays queued until popped")
+                })
+            } else {
+                debug_assert!(
+                    pending_views.iter().copied().eq(self.pending.views(step)),
+                    "the admission snapshot drifted from the queue"
+                );
+                let running_views = self.running_views();
+                let pending = pending_views.make_contiguous();
+                (!pending.is_empty())
+                    .then(|| self.policy.pick_next(pending, &running_views, step as u64))
+                    .flatten()
+                    .and_then(|pi| pending_views.remove(pi)) // out of range: stop
+            };
+            let Some(cand) = next else {
                 break;
             };
-            let Some(cand) = pending_views.get(pi).copied() else {
-                break; // out-of-range pick: treat as "stop admitting"
-            };
+            debug_assert!(
+                !ranked || {
+                    let views: Vec<PendingView> = self.pending.views(step).collect();
+                    let running_views = self.running_views();
+                    let pick = self.policy.pick_next(&views, &running_views, step as u64);
+                    pick.and_then(|i| views.get(i)) == Some(&cand)
+                },
+                "the rank heap popped another request than pick_next picks"
+            );
             // The candidate's prompt-page hash chain: pages the prefix
             // cache can serve reduce what admission must allocate. Taken
             // out of its slot for the pick and put back unless admitted;
@@ -1018,11 +1052,6 @@ impl ServingEngine {
             }
             let mut active = self.pending.remove_by_seq(cand.arrival_seq);
             active.page_keys = chain;
-            pending_views.remove(pi);
-            debug_assert!(
-                pending_views.iter().copied().eq(self.pending.views(step)),
-                "the admission snapshot drifted from the queue"
-            );
             if active.stats.admitted_at.is_none() {
                 active.stats.admitted_at = Some(step);
             }
@@ -1043,6 +1072,7 @@ impl ServingEngine {
                 cached_tokens,
             });
         }
+        self.ranks = heap.into_vec();
         self.snapshot = pending_views;
     }
 
@@ -1564,13 +1594,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn deep_queue_admission_recycles_one_snapshot_buffer() {
-        // The deep-queue pin's run (`tests/serving.rs`): a thousand
-        // requests, 800 queued at step 0 and four more per step, picked
-        // from mid-queue, preempted back into it and rejected from it
-        // under every policy. One buffer carries every step's snapshot,
-        // so it grows only by doubling up to the deepest queue.
+    /// The deep-queue pin's run (`tests/serving.rs`): a thousand requests,
+    /// 800 queued at step 0 and four more per step, picked from
+    /// mid-queue, preempted back into it and rejected from it.
+    fn deep_queue_run() -> (ServingConfig, Vec<ServingRequest>) {
         let mut cfg = small_cfg(AccelMode::OutOfOrder);
         cfg.admission = AdmissionConfig {
             max_batch: 16,
@@ -1597,6 +1624,15 @@ mod tests {
                 }
             })
             .collect();
+        (cfg, requests)
+    }
+
+    #[test]
+    fn deep_queue_admission_recycles_one_snapshot_buffer() {
+        // The deep-queue run under every policy. One buffer carries every
+        // step's ranks (or snapshot), so it grows only by doubling up to
+        // the deepest queue.
+        let (cfg, requests) = deep_queue_run();
         let (mut preemptions, mut rejections) = (0, 0);
         for kind in PolicyKind::all() {
             let mut engine = ServingEngine::builder(cfg.accel.clone())
@@ -1618,6 +1654,124 @@ mod tests {
             );
         }
         assert!(preemptions > 0 && rejections > 0);
+    }
+
+    /// A ranking policy that hides its ranks: the engine admits through
+    /// its `pick_next` from a snapshot of the queue.
+    #[derive(Debug)]
+    struct Unranked(Box<dyn SchedulerPolicy>);
+
+    impl SchedulerPolicy for Unranked {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn pick_next(
+            &mut self,
+            pending: &[PendingView],
+            running: &[policy::RunningView],
+            step: u64,
+        ) -> Option<usize> {
+            self.0.pick_next(pending, running, step)
+        }
+
+        fn pick_victim(
+            &mut self,
+            candidate: &PendingView,
+            running: &[policy::RunningView],
+            step: u64,
+        ) -> Option<usize> {
+            self.0.pick_victim(candidate, running, step)
+        }
+    }
+
+    /// Runs `requests` to completion under `policy`; the report and the
+    /// event stream.
+    fn serve(
+        cfg: &ServingConfig,
+        policy: Box<dyn SchedulerPolicy>,
+        requests: &[ServingRequest],
+    ) -> (ServingReport, Vec<ServeEvent>) {
+        let mut engine = ServingEngine::builder(cfg.accel.clone())
+            .config(cfg.clone())
+            .policy_boxed(policy)
+            .build();
+        for &r in requests {
+            engine.enqueue(r).unwrap();
+        }
+        while engine.step().unwrap().is_some() {}
+        (engine.report(), engine.drain_events())
+    }
+
+    #[test]
+    fn ranked_admission_matches_the_snapshot_path() {
+        // The deep-queue run, and a run through the prefix cache and the
+        // host tier: shared prompt prefixes, retention, swaps.
+        let (deep_cfg, deep_requests) = deep_queue_run();
+        let mut cfg = small_cfg(AccelMode::OutOfOrder);
+        cfg.admission = AdmissionConfig {
+            max_batch: 6,
+            max_batch_tokens: 384,
+            page_size: 16,
+            prefix_cache: true,
+        };
+        cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.5));
+        cfg.host_pages = 8;
+        let requests: Vec<ServingRequest> = (0..160u64)
+            .map(|id| {
+                let h = queue::splitmix64(id ^ 0xC0FFEE);
+                let r = ServingRequest::new(id, 36 + (h % 29) as usize, 1 + (h >> 8) as usize % 6)
+                    .with_priority((h >> 16) as u8 % 8)
+                    .with_shared_prefix(id % 3, 32)
+                    .arriving_at(id / 3);
+                if id % 4 == 0 {
+                    r.with_ttft_deadline(4 + (h >> 32) % 40)
+                } else {
+                    r
+                }
+            })
+            .collect();
+        for kind in [
+            PolicyKind::Fifo,
+            PolicyKind::PriorityAging,
+            PolicyKind::ShortestJobFirst,
+            PolicyKind::SloAware,
+        ] {
+            for (cfg, requests) in [(&deep_cfg, &deep_requests), (&cfg, &requests)] {
+                let ranked = serve(cfg, kind.build(), requests);
+                let snapshot = serve(cfg, Box::new(Unranked(kind.build())), requests);
+                assert!(ranked == snapshot, "{kind}: the admission paths diverged");
+            }
+        }
+        let (report, events) = serve(&cfg, PolicyKind::SloAware.build(), &requests);
+        assert!(report.preemptions > 0 && report.admitted_hit_tokens > 0);
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, ServeEvent::SwappedOut { .. })));
+    }
+
+    #[test]
+    fn slo_aware_ranks_unrepresentable_deadlines_after_finite_ones() {
+        // Deadlines past `i64::MAX` steps saturate instead of wrapping
+        // to the front of the queue (or overflowing in debug builds).
+        for huge in [i64::MAX as u64, 1 << 63, u64::MAX] {
+            let mut cfg = small_cfg(AccelMode::OutOfOrder);
+            cfg.admission.max_batch = 1;
+            let requests = [
+                ServingRequest::new(0, 16, 1).with_ttft_deadline(100),
+                ServingRequest::new(1, 16, 1).with_ttft_deadline(huge),
+                ServingRequest::new(2, 16, 1),
+            ];
+            let (_, events) = serve(&cfg, PolicyKind::SloAware.build(), &requests);
+            let admitted: Vec<u64> = events
+                .iter()
+                .filter_map(|e| match e {
+                    ServeEvent::Admitted { id, .. } => Some(*id),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(admitted, [0, 1, 2], "TTFT deadline {huge}");
+        }
     }
 
     #[test]
@@ -1671,6 +1825,27 @@ mod tests {
         let mut cfg = small_cfg(AccelMode::OutOfOrder);
         cfg.admission.max_batch = 0;
         let mut engine = ServingEngine::new(cfg);
+        engine.enqueue(ServingRequest::new(0, 16, 1)).unwrap();
+        let err = engine.run_to_completion(4).unwrap_err();
+        assert!(matches!(err, ServeError::AdmissionStalled { pending: 1 }));
+    }
+
+    #[test]
+    fn a_policy_that_neither_ranks_nor_picks_stalls() {
+        #[derive(Debug)]
+        struct Neither;
+
+        impl SchedulerPolicy for Neither {
+            fn name(&self) -> &'static str {
+                "neither"
+            }
+        }
+
+        let cfg = small_cfg(AccelMode::OutOfOrder);
+        let mut engine = ServingEngine::builder(cfg.accel.clone())
+            .config(cfg)
+            .policy_boxed(Box::new(Neither))
+            .build();
         engine.enqueue(ServingRequest::new(0, 16, 1)).unwrap();
         let err = engine.run_to_completion(4).unwrap_err();
         assert!(matches!(err, ServeError::AdmissionStalled { pending: 1 }));

@@ -77,17 +77,24 @@ pub struct RunningView {
 ///
 /// Shared by both view types so pending and running requests compare on
 /// one urgency scale; [`SloAware`] subtracts the current step to get
-/// slack.
+/// slack. The arithmetic saturates, so a deadline past `i64::MAX` steps
+/// is due later than every finite one instead of wrapping negative.
 fn due_step(
     enqueued_at: usize,
     last_token_at: Option<usize>,
     ttft: Option<u64>,
     itl: Option<u64>,
 ) -> Option<i64> {
+    let due = |at: usize, d: u64| saturating_i64(at as u64).saturating_add(saturating_i64(d));
     match last_token_at {
-        None => ttft.map(|d| enqueued_at as i64 + d as i64 - 1),
-        Some(t) => itl.map(|d| t as i64 + d as i64),
+        None => ttft.map(|d| due(enqueued_at, d) - 1),
+        Some(t) => itl.map(|d| due(t, d)),
     }
+}
+
+/// `x` as an `i64`, `i64::MAX` when it does not fit.
+fn saturating_i64(x: u64) -> i64 {
+    i64::try_from(x).unwrap_or(i64::MAX)
 }
 
 impl PendingView {
@@ -101,7 +108,7 @@ impl PendingView {
             self.ttft_deadline,
             self.itl_deadline,
         )
-        .map_or(i64::MAX, |due| due - step as i64)
+        .map_or(i64::MAX, |due| due.saturating_sub(saturating_i64(step)))
     }
 }
 
@@ -116,19 +123,23 @@ impl RunningView {
             self.ttft_deadline,
             self.itl_deadline,
         )
-        .map_or(i64::MAX, |due| due - step as i64)
+        .map_or(i64::MAX, |due| due.saturating_sub(saturating_i64(step)))
     }
 }
 
 /// A scheduling policy: the ordering brain of the serving engine.
 ///
 /// The engine asks the policy *which* queued request to admit next
-/// ([`pick_next`](Self::pick_next)) and, when that candidate does not fit
-/// and preemption is enabled, *which* running request to evict for it
-/// ([`pick_victim`](Self::pick_victim)). The engine itself enforces the
-/// invariants — the batch never exceeds its slot limit or its KV page
-/// budget, and a candidate that still does not fit ends admission for the
-/// step — so a policy cannot corrupt the batch, only order it badly.
+/// ([`rank`](Self::rank) or [`pick_next`](Self::pick_next)) and, when that
+/// candidate does not fit and preemption is enabled, *which* running
+/// request to evict for it ([`pick_victim`](Self::pick_victim)). A policy
+/// implements `rank`, or `pick_next` when its order depends on the running
+/// batch; with neither it admits nothing
+/// ([`AdmissionStalled`](super::ServeError::AdmissionStalled)). The engine
+/// enforces the invariants — the batch never exceeds its slot limit or its
+/// KV page budget, and a candidate that still does not fit ends admission
+/// for the step — so a policy cannot corrupt the batch, only order it
+/// badly.
 ///
 /// Policies must be [`Send`]: an application may move an engine, or a
 /// whole [`ClusterEngine`](super::ClusterEngine), to another thread, and
@@ -189,17 +200,41 @@ pub trait SchedulerPolicy: fmt::Debug + Send {
     /// Stable, human-readable policy name (used in reports and benches).
     fn name(&self) -> &'static str;
 
+    /// The queued request's place in admission order at `step`: lower
+    /// ranks are admitted first, ties by arrival. The engine ranks the
+    /// queue once per step, so a rank is fixed for the whole step and must
+    /// not read the running batch, which admissions change. `None` for
+    /// every request (the default) makes the engine ask
+    /// [`pick_next`](Self::pick_next) once per admission instead.
+    fn rank(&self, view: &PendingView, step: u64) -> Option<i64> {
+        let _ = (view, step);
+        None
+    }
+
     /// Index into `pending` of the request to admit next, or `None` to
     /// stop admitting for this step. `pending` is never empty and holds
     /// only schedulable requests, in arrival order. Successive calls
     /// within one step see the previous call's slice minus the request it
     /// admitted; `running` then includes that request.
+    ///
+    /// The default picks the least [`rank`](Self::rank), oldest arrival
+    /// among equals, and `None` for a policy that does not rank.
     fn pick_next(
         &mut self,
         pending: &[PendingView],
         running: &[RunningView],
         step: u64,
-    ) -> Option<usize>;
+    ) -> Option<usize> {
+        let _ = running;
+        let mut best = None;
+        for (i, p) in pending.iter().enumerate() {
+            let key = (self.rank(p, step)?, p.arrival_seq);
+            if best.is_none_or(|(b, _)| key < b) {
+                best = Some((key, i));
+            }
+        }
+        best.map(|(_, i)| i)
+    }
 
     /// Index into `running` of a victim to evict so `candidate` can be
     /// admitted, or `None` to decline preemption (the default). Called
@@ -225,14 +260,8 @@ impl SchedulerPolicy for Fifo {
         "fifo"
     }
 
-    fn pick_next(
-        &mut self,
-        pending: &[PendingView],
-        _running: &[RunningView],
-        _step: u64,
-    ) -> Option<usize> {
-        // Oldest arrival; pending is in arrival order, so index 0.
-        (!pending.is_empty()).then_some(0)
+    fn rank(&self, _view: &PendingView, _step: u64) -> Option<i64> {
+        Some(0) // arrival order alone decides
     }
 }
 
@@ -242,8 +271,8 @@ impl SchedulerPolicy for Fifo {
 /// lower-priority running requests when allowed.
 #[derive(Debug, Clone, Copy)]
 pub struct PriorityAging {
-    /// Queue steps that add one effective priority level.
-    pub aging_steps: u64,
+    /// Queue steps that add one effective priority level (at least 1).
+    aging_steps: u64,
 }
 
 impl PriorityAging {
@@ -272,20 +301,9 @@ impl SchedulerPolicy for PriorityAging {
         "priority-aging"
     }
 
-    fn pick_next(
-        &mut self,
-        pending: &[PendingView],
-        _running: &[RunningView],
-        _step: u64,
-    ) -> Option<usize> {
-        // Max effective priority; ties go to the oldest arrival, which
-        // `max_by_key` yields because pending is in arrival order and it
-        // keeps the first of equals under a (key, Reverse(seq)) ordering.
-        pending
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, p)| (self.effective(p), std::cmp::Reverse(p.arrival_seq)))
-            .map(|(i, _)| i)
+    fn rank(&self, view: &PendingView, _step: u64) -> Option<i64> {
+        // Max effective priority first.
+        Some(-saturating_i64(self.effective(view)))
     }
 
     fn pick_victim(
@@ -317,17 +335,8 @@ impl SchedulerPolicy for ShortestJobFirst {
         "shortest-job-first"
     }
 
-    fn pick_next(
-        &mut self,
-        pending: &[PendingView],
-        _running: &[RunningView],
-        _step: u64,
-    ) -> Option<usize> {
-        pending
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, p)| (p.remaining_tokens, p.arrival_seq))
-            .map(|(i, _)| i)
+    fn rank(&self, view: &PendingView, _step: u64) -> Option<i64> {
+        Some(saturating_i64(view.remaining_tokens as u64))
     }
 
     fn pick_victim(
@@ -416,17 +425,8 @@ impl SchedulerPolicy for SloAware {
         "slo-aware"
     }
 
-    fn pick_next(
-        &mut self,
-        pending: &[PendingView],
-        _running: &[RunningView],
-        step: u64,
-    ) -> Option<usize> {
-        pending
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, p)| (p.slo_slack(step), p.arrival_seq))
-            .map(|(i, _)| i)
+    fn rank(&self, view: &PendingView, step: u64) -> Option<i64> {
+        Some(view.slo_slack(step))
     }
 
     fn pick_victim(
@@ -643,7 +643,98 @@ impl PreemptionConfig {
 
 #[cfg(test)]
 mod tests {
+    use super::super::queue::splitmix64;
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// A queued request's view with every field drawn from `mix`, deadlines
+    /// up to `u64::MAX` included.
+    fn view(arrival_seq: u64, mix: u64) -> PendingView {
+        let deadline = |bits: u64| match bits % 4 {
+            0 => None,
+            1 => Some(u64::MAX - bits % 3),
+            _ => Some(1 + bits % 64),
+        };
+        PendingView {
+            id: arrival_seq ^ 0x5A5A,
+            priority: (mix % 8) as u8,
+            client_id: (mix >> 3) % 4,
+            arrival_seq,
+            waited_steps: (mix >> 5) % 40,
+            remaining_tokens: 1 + (mix >> 11) as usize % 6,
+            final_context: 64,
+            enqueued_at: (mix >> 14) as usize % 32,
+            last_token_at: (mix >> 19)
+                .is_multiple_of(2)
+                .then_some((mix >> 20) as usize % 48),
+            ttft_deadline: deadline(mix >> 26),
+            itl_deadline: deadline(mix >> 34),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Popping every view's `(rank, arrival_seq)` off a heap admits in
+        /// the order that asking `pick_next` again after each admission
+        /// does, for every policy that ranks.
+        #[test]
+        fn ranked_heap_pops_in_pick_next_order(
+            seed in any::<u64>(),
+            len in 1usize..48,
+            step in 0u64..64,
+        ) {
+            let views: Vec<PendingView> = (0..len as u64)
+                .map(|seq| view(seq * 3, splitmix64(seed ^ seq.rotate_left(29))))
+                .collect();
+            for kind in [
+                PolicyKind::Fifo,
+                PolicyKind::PriorityAging,
+                PolicyKind::ShortestJobFirst,
+                PolicyKind::SloAware,
+            ] {
+                let mut policy = kind.build();
+                let mut heap: BinaryHeap<_> = views
+                    .iter()
+                    .map(|v| Reverse((policy.rank(v, step).unwrap(), v.arrival_seq)))
+                    .collect();
+                let popped: Vec<u64> =
+                    std::iter::from_fn(|| heap.pop().map(|Reverse((_, seq))| seq)).collect();
+                let mut left = views.clone();
+                let mut picked = Vec::new();
+                while let Some(i) = policy.pick_next(&left, &[], step) {
+                    picked.push(left.remove(i).arrival_seq);
+                }
+                prop_assert!(left.is_empty(), "{}: pick_next stopped early", kind);
+                prop_assert_eq!(popped, picked);
+            }
+        }
+    }
+
+    #[test]
+    fn fair_round_robin_does_not_rank() {
+        let v = view(0, 0);
+        assert_eq!(FairRoundRobin.rank(&v, 0), None);
+        assert!(PolicyKind::all()
+            .into_iter()
+            .filter(|&k| k != PolicyKind::FairRoundRobin)
+            .all(|k| k.build().rank(&v, 0).is_some()));
+    }
+
+    #[test]
+    fn priority_aging_clamps_a_zero_aging_rate() {
+        for mix in 0..64 {
+            let v = view(0, splitmix64(mix));
+            for step in [0, 7, 40] {
+                assert_eq!(
+                    PriorityAging::new(0).rank(&v, step),
+                    PriorityAging::new(1).rank(&v, step)
+                );
+            }
+        }
+    }
 
     #[test]
     fn retention_policy_counts_pages() {

@@ -264,19 +264,29 @@ impl PendingQueue {
     pub(crate) fn views(&self, step: usize) -> impl Iterator<Item = PendingView> + '_ {
         self.iter()
             .filter(move |e| Self::is_visible(e, step))
-            .map(move |e| PendingView {
-                id: e.req.id,
-                priority: e.req.priority,
-                client_id: e.req.client_id,
-                arrival_seq: e.arrival_seq,
-                waited_steps: (step as u64).saturating_sub(e.wait_since as u64),
-                remaining_tokens: e.req.max_new_tokens - e.stats.generated,
-                final_context: e.final_context(),
-                enqueued_at: e.stats.enqueued_at,
-                last_token_at: e.last_token_at,
-                ttft_deadline: e.req.ttft_deadline,
-                itl_deadline: e.req.itl_deadline,
-            })
+            .map(move |e| Self::view(e, step))
+    }
+
+    /// The policy's view at `step` of queued arrival sequence `seq`.
+    pub(crate) fn view_by_seq(&self, seq: u64, step: usize) -> Option<PendingView> {
+        let (_, slot) = self.order[self.position_of(seq)?];
+        Some(Self::view(self.at(slot), step))
+    }
+
+    fn view(e: &ActiveRequest, step: usize) -> PendingView {
+        PendingView {
+            id: e.req.id,
+            priority: e.req.priority,
+            client_id: e.req.client_id,
+            arrival_seq: e.arrival_seq,
+            waited_steps: (step as u64).saturating_sub(e.wait_since as u64),
+            remaining_tokens: e.req.max_new_tokens - e.stats.generated,
+            final_context: e.final_context(),
+            enqueued_at: e.stats.enqueued_at,
+            last_token_at: e.last_token_at,
+            ttft_deadline: e.req.ttft_deadline,
+            itl_deadline: e.req.itl_deadline,
+        }
     }
 
     /// The queued requests in arrival order (including not-yet-visible
@@ -427,7 +437,8 @@ mod tests {
         /// sequence, removals from anywhere, youngest-first steals and
         /// in-place updates by sequence — the queue holds exactly what a
         /// `Vec` kept sorted by arrival sequence holds, in the same order,
-        /// and shows the policy the same views at every step.
+        /// and shows the policy the same views at every step, in order and
+        /// by sequence.
         #[test]
         fn pending_queue_matches_a_sorted_vec_under_any_operations(
             seed in any::<u64>(),
@@ -513,6 +524,9 @@ mod tests {
                         .map(|e| reference_view(e, step))
                         .collect();
                     prop_assert_eq!(queue.has_visible(step), !expected.is_empty());
+                    for v in &views {
+                        prop_assert_eq!(queue.view_by_seq(v.arrival_seq, step), Some(*v));
+                    }
                     prop_assert_eq!(views, expected);
                 }
             }
