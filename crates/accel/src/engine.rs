@@ -9,6 +9,9 @@
 //! hardware's RPDU sees it. All four modes run the same lane pipeline
 //! ([`ToPickAccelerator::attention_cost`] holds the table of what differs).
 
+use std::cell::Cell;
+use std::mem;
+
 use topick_core::{
     softmax, weighted_value_sum, CoreError, Decision, Estimator, EstimatorScratch, KeptToken,
     QMatrix, QVector, Rows, ScanOrder,
@@ -80,11 +83,13 @@ pub(crate) fn energy_breakdown(events: &EventCounts, dram: &DramSim) -> EnergyBr
 /// `buf[l * cap..(l + 1) * cap]`. A token is in at most one place of its
 /// lane's pipeline at a time, so `cap` — the most tokens one lane holds —
 /// bounds every queue, and a call sizes them all once.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct LaneQueues<T> {
     buf: Vec<T>,
     cap: usize,
     rings: Vec<Ring>,
+    /// Entries over all lanes, so a cycle with nothing queued skips them.
+    len: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -99,19 +104,27 @@ struct Ring {
 }
 
 impl<T: Copy + Default> LaneQueues<T> {
-    fn new(lanes: usize, cap: usize) -> Self {
-        Self {
-            buf: vec![T::default(); lanes * cap],
-            cap,
-            rings: (0..lanes)
-                .map(|lane| Ring {
-                    start: lane * cap,
-                    head: lane * cap,
-                    len: 0,
-                    burst: 0,
-                })
-                .collect(),
+    /// The queues emptied, with room for `cap` entries in each lane: the
+    /// buffer grows only past the largest size it has had. A slot is always
+    /// written before it is read, so stale entries never show.
+    fn reset(mut self, lanes: usize, cap: usize) -> Self {
+        if self.buf.len() < lanes * cap {
+            self.buf.resize(lanes * cap, T::default());
         }
+        self.cap = cap;
+        self.rings.clear();
+        self.rings.extend((0..lanes).map(|lane| Ring {
+            start: lane * cap,
+            head: lane * cap,
+            len: 0,
+            burst: 0,
+        }));
+        self.len = 0;
+        self
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// `buf` index of entry `i` of a lane's queue.
@@ -138,6 +151,7 @@ impl<T: Copy + Default> LaneQueues<T> {
         let at = self.slot(&ring, ring.len);
         self.buf[at] = item;
         self.rings[lane].len += 1;
+        self.len += 1;
     }
 
     #[inline]
@@ -147,6 +161,7 @@ impl<T: Copy + Default> LaneQueues<T> {
         let ring = &mut self.rings[lane];
         ring.head = next;
         ring.len -= 1;
+        self.len -= 1;
         Some(item)
     }
 
@@ -199,9 +214,42 @@ impl<T: Copy + Default> LaneQueues<T> {
     }
 }
 
+/// The buffers of [`RunState`] that a thread hands from one call to the
+/// next, plus the estimator's working memory. A call takes them out for
+/// its duration and puts them back when it succeeds, so a call that
+/// panics or errors drops them instead of leaving half-run state for the
+/// next one.
+#[derive(Debug, Default)]
+struct Spare {
+    /// Reused only by a call whose DRAM configuration equals its own.
+    dram: Option<DramSim>,
+    k_arrivals: Vec<u8>,
+    v_arrivals: Vec<u8>,
+    k_first: LaneQueues<usize>,
+    k_next: LaneQueues<(usize, u32)>,
+    k_ready: LaneQueues<(usize, u32)>,
+    v_rows: LaneQueues<usize>,
+    v_ready: LaneQueues<usize>,
+    sb_used: Vec<usize>,
+    inflight: Vec<usize>,
+    scratch: EstimatorScratch,
+}
+
+thread_local! {
+    static SPARE: Cell<Spare> = Cell::new(Spare::default());
+}
+
+/// `v` emptied and refilled with `len` defaults, keeping its allocation.
+fn zeroed<T: Copy + Default>(mut v: Vec<T>, len: usize) -> Vec<T> {
+    v.clear();
+    v.resize(len, T::default());
+    v
+}
+
 /// Mutable machinery shared by every mode during one run, sized once from
-/// the context and the configuration: a run allocates the same number of
-/// times at any context.
+/// the context and the configuration — a thread's first run allocates the
+/// same number of times at any context, and later runs reset the buffers
+/// an earlier one left in [`Spare`].
 #[derive(Debug)]
 struct RunState<'a> {
     cfg: &'a AccelConfig,
@@ -229,19 +277,28 @@ struct RunState<'a> {
     v_rows: LaneQueues<usize>,
     /// V rows fully on-chip awaiting the weighted-sum MAC, per lane.
     v_ready: LaneQueues<usize>,
+    /// Per lane: scoreboard entries held, and (blocking mode) tokens
+    /// issued but not yet resolved.
+    sb_used: Vec<usize>,
+    inflight: Vec<usize>,
 }
 
 impl<'a> RunState<'a> {
+    /// Builds the run's state from the buffers in `spare`, leaving it the
+    /// estimator's scratch; [`recycle`](Self::recycle) hands them back.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] if a transfer is longer, or a
-    /// row has more chunks, than a request id can name.
+    /// row has more chunks, than a request id can name; `spare` is then
+    /// untouched.
     fn new(
         cfg: &'a AccelConfig,
         layout: KvLayout,
         n: usize,
         chunks_per_row: u32,
         start_cycle: u64,
+        spare: &mut Spare,
     ) -> Result<Self, CoreError> {
         let id_field = |count: u64| {
             u8::try_from(count).map_err(|_| {
@@ -254,33 +311,54 @@ impl<'a> RunState<'a> {
         let chunks_per_row = usize::from(id_field(u64::from(chunks_per_row))?);
         let k_bursts = id_field(layout.k_bursts_per_chunk())?;
         let v_bursts = id_field(layout.v_bursts_per_row())?;
-        let per_lane = n.div_ceil(cfg.lanes);
+        let (lanes, per_lane) = (cfg.lanes, n.div_ceil(cfg.lanes));
+        let dram = match spare.dram.take() {
+            Some(mut dram) if *dram.config() == cfg.dram => {
+                dram.reset();
+                dram
+            }
+            _ => DramSim::new(cfg.dram.clone()),
+        };
         Ok(Self {
             cfg,
-            dram: DramSim::new(cfg.dram.clone()),
+            dram,
             layout,
             cycle: start_cycle,
             events: EventCounts::default(),
             k_bursts,
             v_bursts,
             chunks_per_row,
-            k_arrivals: vec![0; n * chunks_per_row],
-            v_arrivals: vec![0; n],
-            k_first: LaneQueues::new(cfg.lanes, per_lane),
-            k_next: LaneQueues::new(cfg.lanes, per_lane),
-            k_ready: LaneQueues::new(cfg.lanes, per_lane),
-            v_rows: LaneQueues::new(cfg.lanes, per_lane),
-            v_ready: LaneQueues::new(cfg.lanes, per_lane),
+            k_arrivals: zeroed(mem::take(&mut spare.k_arrivals), n * chunks_per_row),
+            v_arrivals: zeroed(mem::take(&mut spare.v_arrivals), n),
+            k_first: mem::take(&mut spare.k_first).reset(lanes, per_lane),
+            k_next: mem::take(&mut spare.k_next).reset(lanes, per_lane),
+            k_ready: mem::take(&mut spare.k_ready).reset(lanes, per_lane),
+            v_rows: mem::take(&mut spare.v_rows).reset(lanes, per_lane),
+            v_ready: mem::take(&mut spare.v_ready).reset(lanes, per_lane),
+            sb_used: zeroed(mem::take(&mut spare.sb_used), lanes),
+            inflight: zeroed(mem::take(&mut spare.inflight), lanes),
         })
+    }
+
+    /// Hands the run's buffers back to `spare` for the thread's next call.
+    fn recycle(self, spare: &mut Spare) {
+        spare.dram = Some(self.dram);
+        spare.k_arrivals = self.k_arrivals;
+        spare.v_arrivals = self.v_arrivals;
+        spare.k_first = self.k_first;
+        spare.k_next = self.k_next;
+        spare.k_ready = self.k_ready;
+        spare.v_rows = self.v_rows;
+        spare.v_ready = self.v_ready;
+        spare.sb_used = self.sb_used;
+        spare.inflight = self.inflight;
     }
 
     /// Advances one accelerator cycle: runs the DRAM for `clock_ratio`
     /// memory cycles and routes completions to the lane ready queues.
     fn advance_cycle(&mut self) {
         let lanes = self.cfg.lanes;
-        for _ in 0..self.cfg.clock_ratio {
-            self.dram.tick();
-        }
+        self.dram.advance(self.cfg.clock_ratio);
         while let Some(c) = self.dram.pop_completed() {
             self.events.buffer_write_bytes += u64::from(self.cfg.dram.access_bytes);
             let (is_v, token, chunk, _burst) = decode_req(c.id);
@@ -308,7 +386,8 @@ impl<'a> RunState<'a> {
     /// `arrive`, whose decision retires the token or requests its next
     /// chunk. With `chunks_per_row == 1` nothing ever needs a scoreboard
     /// entry and `arrive` never asks for more, so the same loop streams
-    /// full-precision rows.
+    /// full-precision rows. A cycle in which no lane has a transfer to
+    /// issue, or none has an arrival to evaluate, skips that lane loop.
     fn k_phase(
         &mut self,
         n: usize,
@@ -329,10 +408,6 @@ impl<'a> RunState<'a> {
         for tok in order.indices(n) {
             self.k_first.push_back(tok % lanes, tok);
         }
-        let mut sb_used = vec![0usize; lanes];
-        // In blocking mode a lane may not start a new first chunk while it
-        // still has an unresolved token in flight.
-        let mut inflight = vec![0usize; lanes];
         let mut resolved = 0usize;
         let mut guard = 0u64;
 
@@ -343,7 +418,10 @@ impl<'a> RunState<'a> {
                 "step 0 failed to converge: resolved {resolved}/{n}"
             );
             // (1) Issue at most one DRAM request per lane, next-chunk first.
-            for (lane, unresolved) in inflight.iter_mut().enumerate() {
+            // In blocking mode a lane may not start a new first chunk while
+            // it still has an unresolved token in flight.
+            let issuing = !(self.k_next.is_empty() && self.k_first.is_empty());
+            for (lane, unresolved) in self.inflight.iter_mut().enumerate().take_while(|_| issuing) {
                 if self.k_next.front(lane).is_some() {
                     self.k_next.issue(lane, &mut self.dram, bursts, request);
                 } else if !(blocking && *unresolved > 0)
@@ -362,6 +440,9 @@ impl<'a> RunState<'a> {
             self.advance_cycle();
 
             // (3) Compute: each lane evaluates at most one arrived chunk.
+            if self.k_ready.is_empty() {
+                continue;
+            }
             for lane in 0..lanes {
                 // A surviving first-chunk evaluation needs a scoreboard
                 // entry. When the scoreboard is full, the RPDU services a
@@ -373,7 +454,7 @@ impl<'a> RunState<'a> {
                 let pick = match ready.front(lane) {
                     None => continue,
                     Some((_, ck))
-                        if needs_entry(ck) && sb_used[lane] >= self.cfg.scoreboard_entries =>
+                        if needs_entry(ck) && self.sb_used[lane] >= self.cfg.scoreboard_entries =>
                     {
                         match ready.position(lane, |(_, ck)| ck > 1) {
                             Some(i) => i,
@@ -384,11 +465,11 @@ impl<'a> RunState<'a> {
                 };
                 let (tok, chunks_known) = ready.remove(lane, pick).expect("index valid");
                 if arrive(&mut self.events, tok, chunks_known) == Decision::RequestNextChunk {
-                    sb_used[lane] += usize::from(chunks_known == 1);
+                    self.sb_used[lane] += usize::from(chunks_known == 1);
                     self.k_next.push_back(lane, (tok, chunks_known));
                 } else {
-                    sb_used[lane] -= usize::from(chunks_known > 1);
-                    inflight[lane] -= 1;
+                    self.sb_used[lane] -= usize::from(chunks_known > 1);
+                    self.inflight[lane] -= 1;
                     resolved += 1;
                 }
             }
@@ -407,7 +488,8 @@ impl<'a> RunState<'a> {
         while maced < kept.len() {
             guard += 1;
             assert!(guard < 100_000_000, "step 1 failed to converge");
-            for lane in 0..lanes {
+            let issuing = !self.v_rows.is_empty();
+            for lane in (0..lanes).take_while(|_| issuing) {
                 self.v_rows.issue(
                     lane,
                     &mut self.dram,
@@ -416,6 +498,9 @@ impl<'a> RunState<'a> {
                 );
             }
             self.advance_cycle();
+            if self.v_ready.is_empty() {
+                continue;
+            }
             for lane in 0..lanes {
                 if self.v_ready.pop_front(lane).is_some() {
                     self.events.mac_12x12 += dim as u64;
@@ -521,10 +606,9 @@ impl ToPickAccelerator {
         };
         let burst = u64::from(cfg.dram.access_bytes);
         let layout = KvLayout::new(n, k_bytes, row_bytes, chunks_per_row, burst);
-        let mut st = RunState::new(cfg, layout, n, chunks_per_row, start_cycle)?;
-
-        let mut scratch = EstimatorScratch::new();
-        let mut estimator = Estimator::new(query, keys, pc, threshold, &mut scratch)?;
+        let mut spare = SPARE.with(Cell::take);
+        let mut st = RunState::new(cfg, layout, n, chunks_per_row, start_cycle, &mut spare)?;
+        let mut estimator = Estimator::new(query, keys, pc, threshold, &mut spare.scratch)?;
         let arrive = |events: &mut EventCounts, tok: usize, arrived: u32| {
             events.buffer_read_bytes += k_bytes;
             if chunked {
@@ -555,7 +639,7 @@ impl ToPickAccelerator {
         // Probability Generator: one EXP per surviving token.
         st.events.exp += kept.len() as u64;
         st.v_phase(&kept, dim, row_bytes);
-        Ok(AttentionCost {
+        let cost = AttentionCost {
             cycles: st.cycle,
             kept: kept.iter().map(|k| k.index).zip(probs).collect(),
             prune: stats,
@@ -563,6 +647,9 @@ impl ToPickAccelerator {
             events: st.events,
             dram_stats: st.dram.stats().clone(),
             dram_cycles: st.dram.cycle(),
-        })
+        };
+        st.recycle(&mut spare);
+        SPARE.with(|cell| cell.set(spare));
+        Ok(cost)
     }
 }

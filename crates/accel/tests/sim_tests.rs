@@ -514,3 +514,80 @@ fn run_attention_is_pinned_bit_for_bit() {
     let hex = |v: &[u64]| v.iter().map(|d| format!("{d:#018x}")).collect::<Vec<_>>();
     assert_eq!(hex(&got), hex(&want));
 }
+
+/// A thread keeps one call's DRAM simulator, lane queues, arrival
+/// counters and estimator scratch for its next call and resets them. On
+/// one thread, calls over four contexts, every mode and two DRAM
+/// configurations (the paper's, and a small geometry whose short tREFI
+/// refreshes inside every call), with calls that error between them, must
+/// each report what the same call reports on a fresh thread: every field
+/// of the cost, every float to the bit.
+#[test]
+fn attention_cost_on_a_reused_thread_equals_a_fresh_thread() {
+    let small = topick_dram::DramConfig {
+        channels: 2,
+        banks_per_channel: 3,
+        queue_depth: 4,
+        t_refi: 60,
+        t_rfc: 8,
+        ..topick_dram::DramConfig::hbm2()
+    };
+    let operands: Vec<_> = [1, 17, 256, 4096]
+        .into_iter()
+        .map(|n| {
+            let (q, keys, _) = quantized_instance(n, 21);
+            (q, keys)
+        })
+        .collect();
+    // 5504 dims x 12 bits = 258 bursts of 32 B: rejected mid-setup.
+    let pc = PrecisionConfig::paper();
+    let wide = (
+        QVector::quantize(&vec![0.5; 5504], pc),
+        QMatrix::quantize_flat(&vec![0.25; 2 * 5504], 5504, pc).unwrap(),
+    );
+    // Runs of calls under one configuration, so the thread reuses its
+    // simulator, with contexts rising and falling inside a run and the
+    // configuration changing between runs; each run ends in an error.
+    let paper = topick_dram::DramConfig::hbm2();
+    let mut calls = Vec::new();
+    for (run, dram) in [&paper, &small, &small, &paper].into_iter().enumerate() {
+        for i in [run, run + 3, run + 1, run + 2] {
+            let (q, keys) = &operands[i % 4];
+            for mode in ALL_MODES {
+                let mut cfg = AccelConfig::paper(mode, 1e-3).unwrap();
+                cfg.dram = dram.clone();
+                calls.push((cfg, q, keys));
+            }
+        }
+        let mut cfg = AccelConfig::paper(ALL_MODES[run], 1e-3).unwrap();
+        cfg.dram = dram.clone();
+        calls.push((cfg, &wide.0, &wide.1));
+    }
+    let float_bits = |c: &topick_accel::AttentionCost| -> Vec<u64> {
+        let e = &c.energy;
+        [e.dram_pj, e.buffer_pj, e.compute_pj]
+            .into_iter()
+            .chain(c.kept.iter().map(|&(_, p)| p))
+            .map(f64::to_bits)
+            .collect()
+    };
+    let mut errors = 0;
+    for (k, (cfg, q, keys)) in calls.iter().enumerate() {
+        let accel = ToPickAccelerator::new(cfg.clone());
+        let reused = accel.attention_cost(q, keys);
+        let fresh = std::thread::scope(|s| s.spawn(|| accel.attention_cost(q, keys)).join())
+            .expect("fresh call");
+        match (reused, fresh) {
+            (Ok(reused), Ok(fresh)) => {
+                assert_eq!(reused, fresh, "call {k}: {:?}", cfg.mode);
+                assert_eq!(float_bits(&reused), float_bits(&fresh), "call {k}");
+            }
+            (Err(reused), Err(fresh)) => {
+                assert_eq!(reused, fresh);
+                errors += 1;
+            }
+            (reused, fresh) => panic!("call {k}: {reused:?} against {fresh:?}"),
+        }
+    }
+    assert_eq!(errors, 4);
+}

@@ -89,9 +89,45 @@ struct Channel {
     /// empty: most channel-ticks retire nothing, and this is all they read.
     next_finish: u64,
     next_refresh_at: u64,
+    /// The first tick at or after the current cycle at which the channel
+    /// can issue, retire or refresh: every tick before it would leave the
+    /// channel as it is, so stepping visits only this one.
+    next_tick: u64,
 }
 
 impl Channel {
+    fn new(cfg: &DramConfig) -> Self {
+        Self {
+            targets: Vec::with_capacity(2 * cfg.queue_depth),
+            queue: Vec::with_capacity(2 * cfg.queue_depth),
+            head: 0,
+            known_misses: 0,
+            open_rows: vec![None; cfg.banks_per_channel],
+            banks: vec![Bank::default(); cfg.banks_per_channel],
+            bus_free_at: 0,
+            in_flight: VecDeque::with_capacity(MAX_IN_FLIGHT),
+            next_finish: u64::MAX,
+            next_refresh_at: cfg.t_refi,
+            next_tick: 0,
+        }
+    }
+
+    /// Returns the channel to the state [`Channel::new`] builds, keeping
+    /// its buffers.
+    fn reset(&mut self, cfg: &DramConfig) {
+        self.targets.clear();
+        self.queue.clear();
+        self.head = 0;
+        self.known_misses = 0;
+        self.open_rows.fill(None);
+        self.banks.fill(Bank::default());
+        self.bus_free_at = 0;
+        self.in_flight.clear();
+        self.next_finish = u64::MAX;
+        self.next_refresh_at = cfg.t_refi;
+        self.next_tick = 0;
+    }
+
     fn pending(&self) -> usize {
         self.queue.len() - self.head
     }
@@ -226,6 +262,29 @@ impl Channel {
         }
         self.next_finish = u64::MAX;
     }
+
+    /// Runs tick `now`: issue, then retire what finishes by the end of it.
+    /// Afterwards `next_tick` is the next tick that can change anything:
+    /// the next refresh, the tick before the front transaction finishes,
+    /// or the next one when a pending request can issue.
+    fn visit(
+        &mut self,
+        cfg: &DramConfig,
+        stats: &mut DramStats,
+        now: u64,
+        out: &mut Vec<Completion>,
+    ) {
+        self.issue_one(cfg, stats, now);
+        self.retire(now + 1, stats, out);
+        let mut next = self.next_finish.saturating_sub(1);
+        if cfg.t_refi > 0 {
+            next = next.min(self.next_refresh_at);
+        }
+        if self.pending() > 0 && self.in_flight.len() < MAX_IN_FLIGHT {
+            next = now + 1;
+        }
+        self.next_tick = next;
+    }
 }
 
 /// A cycle-level multi-channel DRAM simulator.
@@ -263,20 +322,7 @@ impl DramSim {
     #[must_use]
     pub fn new(cfg: DramConfig) -> Self {
         let map = AddressMap::new(&cfg);
-        let channels = (0..cfg.channels)
-            .map(|_| Channel {
-                targets: Vec::with_capacity(2 * cfg.queue_depth),
-                queue: Vec::with_capacity(2 * cfg.queue_depth),
-                head: 0,
-                known_misses: 0,
-                open_rows: vec![None; cfg.banks_per_channel],
-                banks: vec![Bank::default(); cfg.banks_per_channel],
-                bus_free_at: 0,
-                in_flight: VecDeque::with_capacity(MAX_IN_FLIGHT),
-                next_finish: u64::MAX,
-                next_refresh_at: cfg.t_refi,
-            })
-            .collect();
+        let channels = (0..cfg.channels).map(|_| Channel::new(&cfg)).collect();
         Self {
             // Everything in flight, the most a caller that pops after every
             // few ticks finds waiting.
@@ -288,6 +334,19 @@ impl DramSim {
             cycle: 0,
             stats: DramStats::default(),
         }
+    }
+
+    /// Returns the simulator to the state [`DramSim::new`] builds for its
+    /// configuration — cycle 0, empty queues, closed rows, zeroed
+    /// statistics, nothing to pop — keeping every buffer it has grown.
+    pub fn reset(&mut self) {
+        for ch in &mut self.channels {
+            ch.reset(&self.cfg);
+        }
+        self.completions.clear();
+        self.read = 0;
+        self.cycle = 0;
+        self.stats = DramStats::default();
     }
 
     /// The active configuration.
@@ -335,6 +394,7 @@ impl DramSim {
             is_write,
         };
         ch.push((loc.bank, loc.row), request);
+        ch.next_tick = ch.next_tick.min(self.cycle);
         true
     }
 
@@ -354,26 +414,55 @@ impl DramSim {
     }
 
     /// Advances one memory-clock cycle: schedules at most one transaction
-    /// per channel and retires finished bursts.
+    /// per channel and retires finished bursts. The same as `advance(1)`.
     pub fn tick(&mut self) {
-        let now = self.cycle;
-        self.cycle += 1;
+        self.advance(1);
+    }
+
+    /// Advances `ticks` memory-clock cycles, each of which schedules at
+    /// most one transaction per channel and retires the bursts finished by
+    /// its end — the same as calling [`tick`](Self::tick) `ticks` times,
+    /// down to the order in which [`pop_completed`](Self::pop_completed)
+    /// reports completions.
+    ///
+    /// Each channel runs only the ticks at which it can issue, retire or
+    /// refresh, so idle channels and the cycles between a burst's issue
+    /// and its finish cost nothing. Completions retired during the span
+    /// are sorted once by `(finish, id, addr, enqueued_at, is_write)`:
+    /// when `t_cl + t_burst > 0` a transaction retired at tick `t`
+    /// finishes at `t + 1`, so that is the order per-tick sorting gives.
+    /// Without CAS or burst time a transaction can finish on its issue
+    /// tick, and the span is stepped one tick at a time.
+    pub fn advance(&mut self, ticks: u64) {
         if self.read > 0 {
             self.completions.drain(..self.read);
             self.read = 0;
         }
-        let first = self.completions.len();
-        // A channel's issue reads only its own in-flight count, so retiring
-        // each channel right after it issues equals retiring after all do.
-        for ch in &mut self.channels {
-            ch.issue_one(&self.cfg, &mut self.stats, now);
-            ch.retire(self.cycle, &mut self.stats, &mut self.completions);
-        }
-        // A tick usually retires nothing or one channel's bursts, which are
-        // already in order; sort only the ticks that are not.
-        let fresh = &mut self.completions[first..];
-        if !fresh.is_sorted_by_key(Completion::order_key) {
-            fresh.sort_unstable_by_key(Completion::order_key);
+        let end = self.cycle.saturating_add(ticks);
+        let span = if self.cfg.t_cl + self.cfg.t_burst == 0 {
+            1
+        } else {
+            ticks
+        };
+        while self.cycle < end {
+            let to = self.cycle.saturating_add(span).min(end);
+            let first = self.completions.len();
+            // A channel's issue reads only its own in-flight count, so
+            // running one channel through the span before the next equals
+            // running every channel through each tick.
+            for ch in &mut self.channels {
+                while ch.next_tick < to {
+                    let now = ch.next_tick;
+                    ch.visit(&self.cfg, &mut self.stats, now, &mut self.completions);
+                }
+            }
+            // A span usually retires nothing or one channel's bursts, which
+            // are already in order; sort only the spans that are not.
+            let fresh = &mut self.completions[first..];
+            if !fresh.is_sorted_by_key(Completion::order_key) {
+                fresh.sort_unstable_by_key(Completion::order_key);
+            }
+            self.cycle = to;
         }
     }
 
@@ -398,7 +487,7 @@ impl DramSim {
     /// a scheduling deadlock, which the model cannot produce by design.
     pub fn run_until_idle(&mut self, max_cycles: u64) -> Vec<Completion> {
         let mut out = Vec::new();
-        let deadline = self.cycle + max_cycles;
+        let deadline = self.cycle.saturating_add(max_cycles);
         while !self.is_idle() {
             assert!(
                 self.cycle < deadline,
@@ -571,5 +660,53 @@ mod tests {
         assert_eq!(done.len() as u64, sim.stats().reads);
         let total: u64 = done.iter().map(|c| c.finish_cycle - c.enqueued_at).sum();
         assert_eq!(total, sim.stats().total_latency);
+    }
+
+    #[test]
+    fn run_until_idle_takes_any_budget_after_a_tick() {
+        let mut sim = DramSim::new(DramConfig::test_tiny());
+        sim.tick();
+        assert!(sim.try_enqueue(1, 0));
+        let done = sim.run_until_idle(u64::MAX);
+        assert_eq!(done.len(), 1);
+        assert!(sim.is_idle());
+    }
+
+    /// Refresh on, reads and writes across banks and rows, popped in
+    /// batches: what one simulator reports over its whole run.
+    fn run_traffic(sim: &mut DramSim) -> (Vec<Completion>, DramStats, u64) {
+        let mut done = Vec::new();
+        for i in 0..200u64 {
+            let addr = (i.wrapping_mul(0x9E37_79B9) % (1 << 20)) & !31;
+            if i % 5 == 0 {
+                sim.try_enqueue_write(i, addr);
+            } else {
+                sim.try_enqueue(i, addr);
+            }
+            sim.advance(1 + i % 7);
+            done.extend(std::iter::from_fn(|| sim.pop_completed()));
+        }
+        done.extend(sim.run_until_idle(100_000));
+        (done, sim.stats().clone(), sim.cycle())
+    }
+
+    #[test]
+    fn reset_equals_a_fresh_simulator() {
+        let mut cfg = DramConfig::test_tiny();
+        cfg.t_refi = 37;
+        cfg.t_rfc = 5;
+        let fresh = run_traffic(&mut DramSim::new(cfg.clone()));
+        let mut sim = DramSim::new(cfg);
+        run_traffic(&mut sim);
+        // Leave traffic queued, in flight and unpopped before the reset.
+        for i in 0..8 {
+            sim.try_enqueue(i, i * 4096);
+        }
+        sim.advance(20);
+        assert!(!sim.is_idle());
+        sim.reset();
+        assert_eq!((sim.cycle(), sim.outstanding()), (0, 0));
+        assert_eq!(sim.pop_completed(), None);
+        assert_eq!(run_traffic(&mut sim), fresh);
     }
 }

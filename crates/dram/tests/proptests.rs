@@ -182,3 +182,82 @@ proptest! {
         prop_assert_eq!(sim.is_idle(), reference.is_idle());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `advance(k)` against the heap reference ticked `k` times, for a
+    /// random `k` of 1 to 9 between batches of reads and writes, over the
+    /// same random geometry and timing as above but with refresh always on
+    /// (every 4..=40 cycles), so refreshes fall inside the ticks a span
+    /// skips: after every advance both report the same completions in the
+    /// same order, the same statistics, the same cycle and the same
+    /// outstanding traffic.
+    #[test]
+    fn advance_equals_the_heap_reference_ticked_as_often(
+        channels in 1usize..=5,
+        banks in 1usize..=7,
+        queue_depth in 1usize..=8,
+        burst_log2 in 0u32..=6,
+        columns in 1u32..=5,
+        timing in prop::collection::vec(0u64..=4, 5),
+        t_refi in 4u64..=40,
+        t_rfc in 0u64..=12,
+        ops in prop::collection::vec(any::<u64>(), 1..400),
+    ) {
+        let access_bytes = 1u32 << burst_log2;
+        let cfg = DramConfig {
+            channels,
+            banks_per_channel: banks,
+            access_bytes,
+            row_bytes: access_bytes * columns,
+            t_rcd: timing[0],
+            t_rp: timing[1],
+            t_cl: timing[2],
+            t_burst: timing[3],
+            t_ras: timing[4] * 3,
+            queue_depth,
+            t_refi,
+            t_rfc,
+            ..DramConfig::hbm2()
+        };
+        let span = u64::from(cfg.row_bytes) * (channels * banks) as u64 * 4;
+        let mut sim = DramSim::new(cfg.clone());
+        let mut reference = HeapDramSim::new(cfg);
+        let check = |sim: &mut DramSim, reference: &mut HeapDramSim, ticks: u64| {
+            sim.advance(ticks);
+            for _ in 0..ticks {
+                reference.tick();
+            }
+            let got = drain(|| sim.pop_completed());
+            prop_assert_eq!(&got, &drain(|| reference.pop_completed()));
+            prop_assert_eq!(sim.stats(), reference.stats());
+            prop_assert_eq!(sim.cycle(), reference.cycle());
+            prop_assert_eq!(sim.outstanding(), reference.outstanding());
+            prop_assert_eq!(sim.is_idle(), reference.is_idle());
+        };
+        for op in ops {
+            let addr = if op & 0x80 == 0 {
+                (op >> 8) % span
+            } else {
+                (op >> 8) % 4 * u64::from(access_bytes)
+            };
+            let id = (op >> 48) % 4;
+            match op % 8 {
+                0..=2 => prop_assert_eq!(sim.try_enqueue(id, addr), reference.try_enqueue(id, addr)),
+                3 => prop_assert_eq!(
+                    sim.try_enqueue_write(id, addr),
+                    reference.try_enqueue_write(id, addr)
+                ),
+                _ => check(&mut sim, &mut reference, 1 + (op >> 40) % 9),
+            }
+        }
+        for round in 0..2_000u64 {
+            if sim.is_idle() && reference.is_idle() {
+                break;
+            }
+            check(&mut sim, &mut reference, 1 + round % 9);
+        }
+        prop_assert_eq!(sim.is_idle(), reference.is_idle());
+    }
+}
