@@ -63,6 +63,12 @@ impl SimulatedAttention {
         self.energy_pj
     }
 
+    /// One call through the simulator, its output and costs not yet added
+    /// to the accumulators.
+    pub(crate) fn run(&mut self, q: &[f32], kv: KvView<'_>) -> Attended {
+        simulate(&self.accel, &mut self.key_buf, q, kv)
+    }
+
     /// Adds one call's cycles, energy and pruning statistics to the
     /// accumulators and returns its output.
     pub(crate) fn record(&mut self, call: Attended) -> Vec<f32> {
@@ -113,11 +119,11 @@ pub(crate) fn simulate(
 
 impl AttentionBackend for SimulatedAttention {
     fn attend(&mut self, q: &[f32], kv: KvView<'_>) -> Vec<f32> {
-        let call = simulate(&self.accel, &mut self.key_buf, q, kv);
+        let call = self.run(q, kv);
         self.record(call)
     }
 
-    /// Splits a batch worth it with the process's one helper thread (the
+    /// Shares a batch worth it with the process's one helper thread (the
     /// crate-private `serve::lend` says how, and why the result is that of
     /// the calls in order).
     fn attend_batch(&mut self, batch: &AttendBatch<'_>) -> Vec<f32> {

@@ -1148,7 +1148,7 @@ mod tests {
     }
 
     /// Four shards with one running request of about 100 tokens each: no
-    /// shard has two instances to split, the cluster step has four holding
+    /// shard has two instances to share, the cluster step has four holding
     /// 4 × 100 × 64 = 25 600 elements — a pool that exists only across
     /// shards.
     fn one_request_a_shard() -> ClusterEngine {

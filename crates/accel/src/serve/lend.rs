@@ -1,4 +1,4 @@
-//! Attention work split over two cores: one pool of work, either one
+//! Attention work shared by two cores: one pool of work, either one
 //! step's attention instances or one attention batch of the real-token
 //! model.
 //!
@@ -9,36 +9,48 @@
 //! seed, request id, context)` ([`simulate_attention`]). A
 //! [`SimulatedAttention`] batch — one layer's `tokens × heads` calls of a
 //! forward run ([`AttendBatch`]) — is a pool of calls ([`attend_batch`]).
-//! Either pool is one list of [`Work`], [`split`] once: the calling thread
-//! runs the front and the helper thread the back, as one owned [`Job`].
-//! What comes back is applied in item order — a step kept on its request
-//! for its slot loop to find, a call's output and costs added to the
-//! backend where the calls one after another would leave them — so which
-//! thread ran an item cannot show, and split and serial are one
-//! construction with permanent differential tests, not two paths.
+//! Either pool is one list of [`Work`], ordered largest first and handed
+//! whole to the helper thread as one owned [`Job`] with one claim cursor:
+//! the calling thread starts on the largest item and the helper on the
+//! second, and each then claims the next unclaimed item until none is
+//! left ([`Claims`]; longest-job-first self-scheduling, Graham 1969), so
+//! neither thread idles while the other still has an item to start, and
+//! the last to start are the smallest. What comes back is applied in item
+//! order — a step kept on its request for its slot loop to find, a call's
+//! output and costs added to the backend where the calls one after
+//! another would leave them — so which thread ran an item cannot show,
+//! and shared and serial are one construction with permanent differential
+//! tests, not two paths.
 //!
 //! The helper is [`helper`](super::helper)'s: one thread, lazily started,
 //! absent on one core, `try_lock` only, owned jobs whose buffers come back
 //! for the next job of either kind. With no helper to be had — busy with
-//! another owner's pool, absent, dead — nothing is split: each slot loop
+//! another owner's pool, absent, dead — nothing is shared: each slot loop
 //! simulates its instances where it always has, and a batch runs its calls
-//! in order on the calling thread.
+//! in order on the calling thread. An item a helper claimed and died
+//! holding is run the same way.
 
+use std::cmp::Reverse;
 use std::mem;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use topick_core::{QVector, QuantBuffer, Rows};
-use topick_model::{AttendBatch, AttentionBackend, KvView, SynthKeys, SynthProfile};
+use topick_model::{AttendBatch, KvView, SynthKeys, SynthProfile};
 
 use super::batch_state::SimulatedStep;
 use super::helper::HelperSlot;
-use super::{ChunkBudget, ServeError, ServingEngine};
+use super::{ServeError, ServingEngine};
 use crate::backend::{simulate, Attended, SimulatedAttention};
 use crate::engine::ToPickAccelerator;
 
-// The smallest pools worth splitting, in key elements. A handoff — two
-// channel hops and a wake-up — measures 40–70 µs on a 2-core x86-64 Xeon
-// host; lending half of `n` elements saves half their cost less one
+// The smallest pools worth sharing, in key elements. A handoff is two
+// channel hops — the job to the helper, the job back — and with both ends
+// polling each hop takes about 1 µs at the median on a 2-core x86-64 Xeon
+// host, but 25–55 µs in the slowest tenth of `long-decode`'s, whose pools
+// can be milliseconds apart (blocking on both ends, a handoff measured
+// 40–70 µs). A pool pays the one handoff it gets, so the floors are sized
+// on that tail: sharing `n` elements saves about half their cost less one
 // handoff, and a floor is where that saving also pays a measured margin
 // of handoffs more. Derived and checked, not tuned, and not options.
 // - An instance element costs ≥ 11.7 ns there (as clocked at ≈ 0.83 of
@@ -46,17 +58,22 @@ use crate::engine::ToPickAccelerator;
 //   AVX-512 copy; 18.5–23 baseline), quantization and `attention_cost`
 //   5.2–6.6 at dim 64 from 256 tokens up (the quantizer's AVX-512 copy;
 //   9–15 at 16–64). With one handoff of margin, `n · 5.85 ns ≥ (1 + 1) ·
-//   40…70 µs` gives 13 700–23 900: 256 tokens × 64. Three (32 768) cost
+//   25…55 µs` gives 8 500–18 800: 256 tokens × 64 stays. Floors of 4 096,
+//   8 192 and 16 384 shared the same steps of `prefix-chat`, `queue-drain`
+//   and `long-decode` (each pool these lend is one instance or past all
+//   three) and timed the same within noise. Twice this floor (32 768) cost
 //   `prefix-chat` ×0.973 (8 of 10 pairs slower) and `cluster-agentic`
-//   ×0.991 in `wall_tokens_per_s` over ten alternating benchmark pairs:
-//   their pools of 16 000–32 000 elements are worth lending.
+//   ×0.991 in `wall_tokens_per_s` over ten alternating benchmark pairs,
+//   measured with blocking waits: their pools of 16 000–32 000 elements
+//   are worth lending.
 // - A call costs 11 µs + 12 ns per element at the real-token model's head
-//   width of 16, and a lent call also copies in the rows it reads (25 KB
-//   for 200 rows of 16, a few µs). With three handoffs of margin, `n · 6 ns
-//   ≥ (1 + 3) · 40…70 µs` gives 27 000–47 000; no run has measured one.
-//   A decode at 200 tokens (4 heads × 200 × 16 = 12 800) stays under it.
-const SPLIT_MIN_ELEMS: usize = 16 * 1024;
-const BATCH_SPLIT_MIN_ELEMS: usize = 32 * 1024;
+//   width of 16, and a lent batch also copies in every query and the rows
+//   its calls read (25 KB for 200 rows of 16, a few µs). With three
+//   handoffs of margin, `n · 6 ns ≥ (1 + 3) · 25…55 µs` gives
+//   16 700–36 700: 32 768 stays. A decode at 200 tokens (4 heads × 200 ×
+//   16 = 12 800) stays under it.
+const SHARE_MIN_ELEMS: usize = 16 * 1024;
+const BATCH_SHARE_MIN_ELEMS: usize = 32 * 1024;
 
 /// How often steps used the second core for their attention instances, of
 /// every size — whether a run that could have been spread over two cores
@@ -67,13 +84,14 @@ const BATCH_SPLIT_MIN_ELEMS: usize = 32 * 1024;
 /// [`Trace`](super::Trace) or any digest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LendingStats {
-    /// Steps whose pool of instances was split with the helper thread.
+    /// Steps whose pool of instances was shared with the helper thread.
     pub pooled_steps: usize,
     /// Instances the helper thread simulated in those steps.
     pub lent_instances: usize,
-    /// Steps whose pool was large enough to split but ran on the stepping
-    /// thread alone: the helper was busy with another engine or cluster,
-    /// absent (one core, or its spawn failed) or died.
+    /// Steps whose pool was large enough to share but ran on the stepping
+    /// thread alone, or lost the helper's items to its death: the helper
+    /// was busy with another engine or cluster, absent (one core, or its
+    /// spawn failed) or died.
     pub fallbacks: usize,
 }
 
@@ -95,14 +113,19 @@ enum Work {
         id: u64,
         context: usize,
     },
-    /// One query over the first `rows` rows of `head`.
-    Call { head: usize, rows: usize },
+    /// Call `call` of a batch: one query over the first `rows` rows of
+    /// `head`.
+    Call {
+        call: usize,
+        head: usize,
+        rows: usize,
+    },
 }
 
 impl Work {
-    fn call(batch: &AttendBatch<'_>, i: usize) -> Self {
-        let (head, rows) = batch.shape(i);
-        Self::Call { head, rows }
+    fn call(batch: &AttendBatch<'_>, call: usize) -> Self {
+        let (head, rows) = batch.shape(call);
+        Self::Call { call, head, rows }
     }
 
     fn elements(self, dim: usize) -> usize {
@@ -110,6 +133,50 @@ impl Work {
             Self::Instance { context, .. } => context,
             Self::Call { rows, .. } => rows,
         }
+    }
+}
+
+/// Whether a pool of items weighing `elems` is worth a handoff: two or
+/// more items of `floor` elements together.
+fn worth_lending(elems: impl Iterator<Item = usize>, floor: usize) -> bool {
+    let (items, total) = elems.fold((0, 0), |(n, sum), e| (n + 1, sum + e));
+    items >= 2 && total >= floor
+}
+
+/// `pool` ordered largest first, ties in pool order.
+fn largest_first(pool: impl Iterator<Item = Work>, dim: usize) -> Vec<Work> {
+    let mut order: Vec<Work> = pool.collect();
+    order.sort_by_key(|item| Reverse(item.elements(dim)));
+    order
+}
+
+/// Where the caller and the helper start in a pool ordered largest first.
+const CALLER_FIRST: usize = 0;
+const HELPER_FIRST: usize = 1;
+
+/// The positions one thread runs of a pool of `len` items: its own first
+/// item, then each next unclaimed one, taken from the cursor both threads
+/// share, until none is left. Each position goes to exactly one thread:
+/// `fetch_add` is one atomic step at any ordering. `Relaxed` suffices
+/// because the cursor publishes nothing — what an item reads travels to
+/// the helper with the job and its result comes back with it, over
+/// channels that order both.
+#[derive(Debug)]
+struct Claims {
+    cursor: Arc<AtomicUsize>,
+    first: Option<usize>,
+    len: usize,
+}
+
+impl Iterator for Claims {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let pos = self
+            .first
+            .take()
+            .unwrap_or_else(|| self.cursor.fetch_add(1, Ordering::Relaxed));
+        (pos < self.len).then_some(pos)
     }
 }
 
@@ -121,19 +188,23 @@ enum Done {
     Call(Attended),
 }
 
-/// The helper's share of a pool, with everything it reads owned — a
-/// call's query (`dim` wide, back to back) and its head's rows — and one
-/// result per item, in order. Kept for its buffers from one job to the
-/// next, of either kind.
+/// A whole pool for the helper, with everything its items read owned — a
+/// batch's queries (`dim` wide, back to back in call order) and its heads'
+/// rows — and the result of each item the helper ran. Kept for its
+/// buffers from one job to the next, of either kind.
 #[derive(Debug)]
 pub(crate) struct Job {
     accel: ToPickAccelerator,
     seed: u64,
     dim: usize,
+    /// The pool, largest item first.
     work: Vec<Work>,
+    /// The position in `work` of the next unclaimed item.
+    cursor: Arc<AtomicUsize>,
     queries: Vec<f32>,
     rows: Vec<(Vec<f32>, Vec<f32>)>,
-    done: Vec<Done>,
+    /// The helper's items, by position in `work`, in the order it ran them.
+    done: Vec<(usize, Done)>,
     /// The helper thread's own key buffers.
     scratch: KeyScratch,
 }
@@ -142,32 +213,47 @@ impl Job {
     /// What the helper thread runs on each job.
     fn run(&mut self) {
         self.done.clear();
-        let dim = self.dim;
-        for (i, item) in self.work.iter().enumerate() {
-            self.done.push(match *item {
-                Work::Instance { id, context, .. } => Done::Instance(
-                    simulate_attention(&self.accel, self.seed, id, context, &mut self.scratch).ok(),
-                ),
-                Work::Call { head, rows } => {
-                    // A job of calls holds nothing else: call `i` has query `i`.
-                    let q = &self.queries[i * dim..(i + 1) * dim];
-                    let (keys, values) = &self.rows[head];
-                    let kv = KvView::new(
-                        Rows::new(&keys[..rows * dim], dim),
-                        Rows::new(&values[..rows * dim], dim),
-                    );
-                    Done::Call(simulate(&self.accel, &mut self.scratch.codes, q, kv))
-                }
-            });
+        for pos in self.claims(HELPER_FIRST) {
+            let done = self.item(pos);
+            self.done.push((pos, done));
         }
     }
 
-    /// Fills the job with `batch`'s calls from `first` on: their queries,
-    /// and every head's rows as far as the last call, the furthest, reads.
-    fn calls(&mut self, batch: &AttendBatch<'_>, first: usize) {
+    /// The positions of this job's pool a thread starting at `first` runs.
+    fn claims(&self, first: usize) -> Claims {
+        Claims {
+            cursor: Arc::clone(&self.cursor),
+            first: Some(first),
+            len: self.work.len(),
+        }
+    }
+
+    /// Runs the item at `pos`.
+    fn item(&mut self, pos: usize) -> Done {
+        match self.work[pos] {
+            Work::Instance { id, context, .. } => Done::Instance(
+                simulate_attention(&self.accel, self.seed, id, context, &mut self.scratch).ok(),
+            ),
+            Work::Call { call, head, rows } => {
+                let dim = self.dim;
+                let q = &self.queries[call * dim..(call + 1) * dim];
+                let (keys, values) = &self.rows[head];
+                let kv = KvView::new(
+                    Rows::new(&keys[..rows * dim], dim),
+                    Rows::new(&values[..rows * dim], dim),
+                );
+                Done::Call(simulate(&self.accel, &mut self.scratch.codes, q, kv))
+            }
+        }
+    }
+
+    /// Fills the job with `batch`, whose calls `order` lists: every call's
+    /// query, and every head's rows as far as the last call, the furthest,
+    /// reads.
+    fn calls(&mut self, batch: &AttendBatch<'_>, order: &[Work]) {
         self.dim = batch.dim();
-        for i in first..batch.len() {
-            self.work.push(Work::call(batch, i));
+        self.work.extend_from_slice(order);
+        for i in 0..batch.len() {
             self.queries.extend_from_slice(batch.call(i).0);
         }
         let rows = batch.shape(batch.len() - 1).1;
@@ -199,7 +285,7 @@ pub(crate) type Lender = HelperSlot<Job>;
 
 #[cfg(test)]
 impl Lender {
-    /// A helper of the test's own, split with even where [`LENDER`] would
+    /// A helper of the test's own, shared with even where [`LENDER`] would
     /// not start (one core) or is taken by a parallel test.
     pub(super) fn with_helper(work: fn(&mut Job)) -> Mutex<Self> {
         let helper = super::helper::Helper::spawn("test-attention", work).expect("spawn");
@@ -219,46 +305,26 @@ impl Lender {
 
 /// The process-wide helper. Only ever `try_lock`ed: a pool that finds it
 /// taken runs serially, so two engines or models on two threads never
-/// wait on each other; a poisoned lock (a pool panicked mid-split,
+/// wait on each other; a poisoned lock (a pool panicked while shared,
 /// possibly leaving a job in flight) reads as taken forever.
 pub(crate) static LENDER: Mutex<Lender> = Mutex::new(HelperSlot::Unstarted {
     name: "topick-attention",
     work: Job::run,
 });
 
-/// The first item of the helper's share of a pool of items weighing
-/// `elems`, the caller keeping those before it, if the pool is worth a
-/// handoff (two or more items of `floor` elements together): of the
-/// boundaries that leave the helper something, the one whose larger share
-/// is smallest, a tie going to the caller, which pays the handoff.
-fn split(elems: impl Iterator<Item = usize> + Clone, floor: usize) -> Option<usize> {
-    let (items, total) = elems.clone().fold((0, 0), |(n, sum), e| (n + 1, sum + e));
-    if items < 2 || total < floor {
-        return None;
-    }
-    let (mut front, mut best) = (0, (usize::MAX, 0));
-    for (i, e) in elems.take(items - 1).enumerate() {
-        front += e;
-        let larger = front.max(total - front);
-        if larger <= best.0 {
-            best = (larger, i + 1);
-        }
-    }
-    Some(best.1)
-}
-
 /// The one lend sequence: hands `lender`'s helper, when it is free, the
-/// job `fill` writes into the buffers of the last job back, on `accel` with
-/// `seed`, and returns the helper holding it for the caller to run its own
-/// share and then [`collect`](HelperSlot::collect). `None`: no helper took
-/// the job.
-fn lend(
-    lender: &Mutex<Lender>,
+/// job `fill` writes — a pool ordered largest first — into the buffers of
+/// the last job back, on `accel` with `seed`. Returns the helper holding
+/// it and the positions the caller claims, for the caller to run before it
+/// [`collect`](HelperSlot::collect)s. `None`: no helper took the job.
+fn lend<'l>(
+    lender: &'l Mutex<Lender>,
     accel: ToPickAccelerator,
     seed: u64,
     fill: impl FnOnce(&mut Job),
-) -> Option<MutexGuard<'_, Lender>> {
+) -> Option<(MutexGuard<'l, Lender>, Claims)> {
     let mut helper = lender.try_lock().ok()?;
+    let mut claims = None;
     let lent = helper.lend(|spare| {
         let mut job = match spare {
             Some(spare) => Job {
@@ -271,6 +337,7 @@ fn lend(
                 seed,
                 dim: 0,
                 work: Vec::new(),
+                cursor: Arc::default(),
                 queries: Vec::new(),
                 rows: Vec::new(),
                 done: Vec::new(),
@@ -280,11 +347,14 @@ fn lend(
         job.work.clear();
         job.queries.clear();
         fill(&mut job);
+        // The two first items are taken; the cursor hands out the rest.
+        job.cursor.store(HELPER_FIRST + 1, Ordering::Relaxed);
+        claims = Some(job.claims(CALLER_FIRST));
         job
     });
-    lent.then_some(helper)
+    let claims = claims.filter(|_| lent)?;
+    Some((helper, claims))
 }
-
 /// One cycle-level attention simulation of request `req_id` at `context`.
 /// The synthetic workload is deterministic in `(seed, req_id, context)`,
 /// so the result is a pure function of its arguments — `scratch` only
@@ -330,49 +400,30 @@ impl ServingEngine {
     }
 }
 
-/// A walk over a step's pool: the slots of engines whose slot loops will
-/// ask for a fresh simulation, in `(shard, slot)` order, under each
-/// loop's [`ChunkBudget`]. It holds no borrow between items, so a caller
-/// can keep each item's step as it goes.
-#[derive(Debug, Clone, Default)]
-struct Walk {
-    shard: usize,
-    slot: usize,
-    budget: Option<ChunkBudget>,
-}
-
-impl Walk {
-    fn next(&mut self, shards: &[ServingEngine]) -> Option<Work> {
-        loop {
-            let engine = shards.get(self.shard)?;
-            let budget = self.budget.get_or_insert_with(|| engine.chunk_budget());
-            let Some(r) = engine.running.get(self.slot) else {
-                (self.shard, self.slot, self.budget) = (self.shard + 1, 0, None);
-                continue;
-            };
-            self.slot += 1;
-            let fresh = r
-                .kept_attention
-                .as_ref()
-                .is_none_or(|k| k.context != r.context());
-            if budget.next(r.kv.prefill_owed()).simulates() && fresh {
-                let (shard, slot, id, context) = (self.shard, self.slot - 1, r.req.id, r.context());
-                return Some(Work::Instance {
+/// This step's pool: every instance the slot loops of `shards` will ask
+/// for, in `(shard, slot)` order — each slot that, under its loop's
+/// [`ChunkBudget`](super::ChunkBudget), will simulate and has no kept step
+/// at its context.
+fn pool(shards: &[ServingEngine]) -> impl Iterator<Item = Work> + '_ {
+    shards.iter().enumerate().flat_map(|(shard, engine)| {
+        let mut budget = engine.chunk_budget();
+        engine
+            .running
+            .iter()
+            .enumerate()
+            .filter_map(move |(slot, r)| {
+                let fresh = r
+                    .kept_attention
+                    .as_ref()
+                    .is_none_or(|k| k.context != r.context());
+                (budget.next(r.kv.prefill_owed()).simulates() && fresh).then(|| Work::Instance {
                     shard,
                     slot,
-                    id,
-                    context,
-                });
-            }
-        }
-    }
-}
-
-/// This step's pool: every instance the slot loops of `shards` will ask
-/// for, in `(shard, slot)` order.
-fn pool(shards: &[ServingEngine]) -> impl Iterator<Item = Work> + Clone + '_ {
-    let mut walk = Walk::default();
-    std::iter::from_fn(move || walk.next(shards))
+                    id: r.req.id,
+                    context: r.context(),
+                })
+            })
+    })
 }
 
 /// Simulates the pool of one step of `shards` — engines sharing one
@@ -380,9 +431,10 @@ fn pool(shards: &[ServingEngine]) -> impl Iterator<Item = Work> + Clone + '_ {
 /// loop — on two cores when that is worth a handoff and `lender` has a
 /// helper free, leaving each result as the kept step
 /// [`slot_attention`](ServingEngine::slot_attention) consumes. An instance
-/// that fails is not kept: its slot loop meets the same error at the same
-/// slot, after the same earlier slots. Returns what the step adds to its
-/// owner's [`LendingStats`].
+/// that fails, or that a helper died holding, is not kept: its slot loop
+/// simulates it, meeting the same error at the same slot, after the same
+/// earlier slots. Returns what the step adds to its owner's
+/// [`LendingStats`].
 pub(super) fn pool_attention(shards: &mut [ServingEngine], lender: &Mutex<Lender>) -> LendingStats {
     let (accel, seed) = (&shards[0].accel, shards[0].cfg.seed);
     // The helper runs every shard's instances on the first's accelerator.
@@ -390,25 +442,25 @@ pub(super) fn pool_attention(shards: &mut [ServingEngine], lender: &Mutex<Lender
         .iter()
         .all(|s| s.cfg.seed == seed && s.accel.config() == accel.config()));
     let dim = accel.config().dim;
-    let Some(first) = split(pool(shards).map(|item| item.elements(dim)), SPLIT_MIN_ELEMS) else {
+    if !worth_lending(pool(shards).map(|item| item.elements(dim)), SHARE_MIN_ELEMS) {
         return LendingStats::default();
-    };
+    }
     let fallback = LendingStats {
         fallbacks: 1,
         ..LendingStats::default()
     };
-    let fill = |job: &mut Job| job.work.extend(pool(shards).skip(first));
-    let Some(mut helper) = lend(lender, accel.clone(), seed, fill) else {
+    let order = largest_first(pool(shards), dim);
+    let fill = |job: &mut Job| job.work.extend_from_slice(&order);
+    let Some((mut helper, claims)) = lend(lender, accel.clone(), seed, fill) else {
         return fallback;
     };
-    let mut walk = Walk::default();
-    for _ in 0..first {
-        if let Some(Work::Instance {
+    for pos in claims {
+        if let Work::Instance {
             shard,
             slot,
             id,
             context,
-        }) = walk.next(shards)
+        } = order[pos]
         {
             let engine = &mut shards[shard];
             let step = simulate_attention(&engine.accel, seed, id, context, &mut engine.scratch);
@@ -419,8 +471,9 @@ pub(super) fn pool_attention(shards: &mut [ServingEngine], lender: &Mutex<Lender
     }
     let mut lent_instances = 0;
     let collected = helper.collect(|job| {
-        for (item, done) in job.work.iter().zip(job.done.drain(..)) {
-            if let (&Work::Instance { shard, slot, .. }, Done::Instance(Some(step))) = (item, done)
+        for (pos, done) in job.done.drain(..) {
+            if let (Work::Instance { shard, slot, .. }, Done::Instance(Some(step))) =
+                (order[pos], done)
             {
                 shards[shard].keep_attention(slot, step);
                 lent_instances += 1;
@@ -428,7 +481,7 @@ pub(super) fn pool_attention(shards: &mut [ServingEngine], lender: &Mutex<Lender
         }
     });
     if !collected {
-        // The helper died holding its share: those slots have no kept
+        // The helper died holding its items: those slots have no kept
         // step and their slot loops simulate them.
         return fallback;
     }
@@ -439,51 +492,62 @@ pub(super) fn pool_attention(shards: &mut [ServingEngine], lender: &Mutex<Lender
     }
 }
 
-/// Runs `batch` on `sim` — its back share on `lender`'s helper when the
-/// batch is worth a handoff and the helper is free, the rest on the calling
-/// thread — and returns the outputs in call order. Each call's output and
-/// costs are added to `sim` in call order, whichever thread ran it, so the
+/// Runs `batch` on `sim` — shared with `lender`'s helper when the batch is
+/// worth a handoff and the helper is free, on the calling thread otherwise
+/// — and returns the outputs in call order. Each call's output and costs
+/// are added to `sim` in call order, whichever thread ran it, so the
 /// outputs and `sim`'s cycles, statistics and energy (whose float sum
-/// depends on the order) are those of the calls one after another. If the
-/// helper dies holding its share, the caller runs that share itself.
+/// depends on the order) are those of the calls one after another. A call
+/// the helper died holding is run by the caller.
 pub(crate) fn attend_batch(
     sim: &mut SimulatedAttention,
     batch: &AttendBatch<'_>,
     lender: &Mutex<Lender>,
 ) -> Vec<f32> {
-    let run = |sim: &mut SimulatedAttention, calls: std::ops::Range<usize>, out: &mut Vec<f32>| {
-        for i in calls {
-            let (q, kv) = batch.call(i);
-            out.extend(sim.attend(q, kv));
-        }
-    };
     let (dim, calls) = (batch.dim(), batch.len());
-    let mut out = Vec::with_capacity(calls * dim);
-    // The first call not yet run.
-    let mut next = 0;
+    // Calls run before their turn to be added, by call: none unless lent.
+    let mut ran: Vec<Option<Attended>> = Vec::new();
     let elems = (0..calls).map(|i| Work::call(batch, i).elements(dim));
-    if let Some(first) = split(elems, BATCH_SPLIT_MIN_ELEMS) {
+    if worth_lending(elems, BATCH_SHARE_MIN_ELEMS) {
+        let order = largest_first((0..calls).map(|i| Work::call(batch, i)), dim);
         let accel = ToPickAccelerator::new(sim.config().clone());
-        if let Some(mut helper) = lend(lender, accel, 0, |job| job.calls(batch, first)) {
-            run(sim, 0..first, &mut out);
-            next = first;
+        let fill = |job: &mut Job| job.calls(batch, &order);
+        if let Some((mut helper, claims)) = lend(lender, accel, 0, fill) {
+            ran.resize_with(calls, || None);
+            for pos in claims {
+                if let Work::Call { call, .. } = order[pos] {
+                    let (q, kv) = batch.call(call);
+                    ran[call] = Some(sim.run(q, kv));
+                }
+            }
             helper.collect(|job| {
-                for done in job.done.drain(..) {
-                    if let Done::Call(call) = done {
-                        out.extend(sim.record(call));
+                for (pos, done) in job.done.drain(..) {
+                    if let (Work::Call { call, .. }, Done::Call(done)) = (order[pos], done) {
+                        ran[call] = Some(done);
                     }
                 }
-                next = calls;
             });
         }
     }
-    run(sim, next..calls, &mut out);
+    let mut out = Vec::with_capacity(calls * dim);
+    for i in 0..calls {
+        let call = match ran.get_mut(i).and_then(Option::take) {
+            Some(call) => call,
+            None => {
+                let (q, kv) = batch.call(i);
+                sim.run(q, kv)
+            }
+        };
+        out.extend(sim.record(call));
+    }
     out
 }
 
 #[cfg(test)]
 mod tests {
     use std::sync::Barrier;
+
+    use topick_model::AttentionBackend;
 
     use super::*;
     use crate::config::{AccelConfig, AccelMode};
@@ -727,16 +791,16 @@ mod tests {
         (bits, sim.cycles(), stats, sim.energy_pj().to_bits())
     }
 
-    /// Where [`attend_batch`] splits `batch`.
-    fn batch_first(batch: &AttendBatch<'_>) -> Option<usize> {
+    /// Whether [`attend_batch`] shares `batch` with a free helper.
+    fn batch_worth_lending(batch: &AttendBatch<'_>) -> bool {
         let elems = (0..batch.len()).map(|i| Work::call(batch, i).elements(batch.dim()));
-        split(elems, BATCH_SPLIT_MIN_ELEMS)
+        worth_lending(elems, BATCH_SHARE_MIN_ELEMS)
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
 
-        /// A batch split with a helper whenever it is past the floor, or
+        /// A batch shared with a helper whenever it is past the floor, or
         /// run through a lender without one, leaves exactly what the calls
         /// one after another leave, energy's float sum included.
         #[test]
@@ -753,45 +817,102 @@ mod tests {
                 assert_eq!(attend_twice(batch, Some(&private)), serial);
                 // A job came back exactly when the batch was worth one.
                 let kept = spare(&private.lock().unwrap()).is_some();
-                assert_eq!(kept, batch_first(batch).is_some());
+                assert_eq!(kept, batch_worth_lending(batch));
                 assert_eq!(attend_twice(batch, Some(&Lender::absent())), serial);
             });
         }
+    }
 
-        /// Over any weights and either kind's floor: `None` exactly under
-        /// two items or under the floor; otherwise a boundary — the front
-        /// every item before it, the back every item from it on, so both
-        /// shares are contiguous — that leaves each share something and
-        /// whose larger share no other boundary beats.
-        #[test]
-        fn the_split_is_the_boundary_whose_larger_share_is_smallest(
-            elems in proptest::collection::vec(0usize..9000, 0..12),
-            calls in proptest::prelude::any::<bool>(),
-        ) {
-            let floor = if calls { BATCH_SPLIT_MIN_ELEMS } else { SPLIT_MIN_ELEMS };
-            let total: usize = elems.iter().sum();
-            let larger = |first: usize| {
-                let front: usize = elems[..first].iter().sum();
-                front.max(total - front)
-            };
-            match split(elems.iter().copied(), floor) {
-                None => proptest::prop_assert!(elems.len() < 2 || total < floor),
-                Some(first) => {
-                    proptest::prop_assert!(elems.len() >= 2 && total >= floor);
-                    proptest::prop_assert!(0 < first && first < elems.len());
-                    proptest::prop_assert!((0..elems.len()).all(|b| larger(first) <= larger(b)));
-                }
-            }
+    /// A helper that starts only once the caller has claimed every item
+    /// but its own first, so it runs that one alone: one end of the claim
+    /// race.
+    fn late(job: &mut Job) {
+        while job.cursor.load(Ordering::Relaxed) < job.work.len() {
+            std::thread::yield_now();
+        }
+        job.run();
+    }
+
+    /// A helper that claims every item left the moment it starts, before
+    /// running any: with the caller still on the largest item, the other
+    /// end of the race, where the helper runs everything else.
+    fn eager(job: &mut Job) {
+        job.done.clear();
+        let claimed: Vec<usize> = job.claims(HELPER_FIRST).collect();
+        for pos in claimed {
+            let done = job.item(pos);
+            job.done.push((pos, done));
         }
     }
 
+    /// A helper that takes its own first item and the next from the cursor,
+    /// then dies holding both.
+    fn claims_then_panics(job: &mut Job) {
+        let mut claims = job.claims(HELPER_FIRST);
+        assert_eq!(claims.next(), Some(HELPER_FIRST));
+        claims.next();
+        panic!("helper down after claiming (expected by this test)");
+    }
+
+    #[test]
+    fn a_helper_that_starts_late_runs_only_its_own_first_item() {
+        let lender = Lender::with_helper(late);
+        let mut pooled = engine(6);
+        assert_eq!(run(&mut pooled, &lender), serial(6));
+        let stats = pooled.lending_stats();
+        assert!(stats.pooled_steps > 0);
+        assert_eq!(
+            (stats.lent_instances, stats.fallbacks),
+            (stats.pooled_steps, 0)
+        );
+        // One simulation per token, whichever thread ran it.
+        assert_eq!(pooled.simulations, pooled.report().tokens_generated);
+        let serial = with_large_batch(|batch| attend_twice(batch, None));
+        assert_eq!(
+            with_large_batch(|batch| attend_twice(batch, Some(&lender))),
+            serial
+        );
+    }
+
+    #[test]
+    fn a_helper_claims_the_rest_while_the_caller_runs_one_very_large_item() {
+        // 1200 tokens × 64 (77 k elements) next to four of 3–6 k, each
+        // prompt built in one step, so that every step's pool is all five.
+        let runs = [Lender::with_helper(eager), Lender::absent()].map(|lender| {
+            let mut engine = idle_engine(5);
+            engine.cfg.prefill_chunk_pages = 0;
+            for (id, prompt) in [1200, 48, 64, 80, 96].into_iter().enumerate() {
+                let request = ServingRequest::new(id as u64, prompt, 6);
+                engine.enqueue(request).expect("valid request");
+            }
+            let run = run(&mut engine, &lender);
+            assert_eq!(engine.simulations, engine.report().tokens_generated);
+            (run, engine.lending_stats())
+        });
+        let [(pooled, lending), (serial, _)] = runs;
+        assert!(pooled.0.is_ok());
+        assert_eq!(pooled, serial);
+        assert!(lending.pooled_steps > 0);
+        assert_eq!(lending.fallbacks, 0);
+        // Eight calls over 2001–2002 rows of 16.
+        with_batch(9, 4, 16, 2000, 2, |batch| {
+            let lender = Lender::with_helper(eager);
+            assert_eq!(
+                attend_twice(batch, Some(&lender)),
+                attend_twice(batch, None)
+            );
+        });
+    }
+
     /// Every way a pool can find no helper: the helper panics on its first
-    /// job, its channel is closed (as a thread that ended unseen leaves
-    /// it), another owner holds the lender (`lock` would deadlock;
-    /// `try_lock` falls through at once), or there is none.
+    /// job, at once or after claiming items, its channel is closed (as a
+    /// thread that ended unseen leaves it), another owner holds the lender
+    /// (`lock` would deadlock; `try_lock` falls through at once), or there
+    /// is none.
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Fault {
         Panics,
+        PanicsAfterClaiming,
         Closed,
         Held,
         Absent,
@@ -803,6 +924,7 @@ mod tests {
     fn degrades_to_the_serial_twin(fault: Fault, steps: Option<u64>) {
         let lender = match fault {
             Fault::Panics => Lender::with_helper(|_| panic!("helper down (expected by this test)")),
+            Fault::PanicsAfterClaiming => Lender::with_helper(claims_then_panics),
             Fault::Closed => {
                 let helper = Helper::spawn("test-attention", Job::run).expect("spawn");
                 Mutex::new(HelperSlot::Running(helper.ended()))
@@ -813,8 +935,8 @@ mod tests {
         let held = (fault == Fault::Held).then(|| lender.lock().unwrap());
         match steps {
             Some(seed) => {
-                // A pool that loses its share to a dead helper leaves it to
-                // its slot loops; every later pool finds no helper.
+                // A pool that loses its items to a dead helper leaves them to
+                // their slot loops; every later pool finds no helper.
                 let mut pooled = engine(seed);
                 assert_eq!(run(&mut pooled, &lender), serial(seed), "{fault:?}");
                 let stats = pooled.lending_stats();
@@ -822,7 +944,8 @@ mod tests {
                 assert!(stats.fallbacks > 1, "{fault:?}");
             }
             None => {
-                // A batch that loses its back share runs it itself.
+                // A batch that loses its calls to a dead helper runs them
+                // itself.
                 let serial = with_large_batch(|batch| attend_twice(batch, None));
                 let lent = with_large_batch(|batch| attend_twice(batch, Some(&lender)));
                 assert_eq!(lent, serial, "{fault:?}");
@@ -839,6 +962,11 @@ mod tests {
     }
 
     #[test]
+    fn a_helper_that_panics_after_claiming_leaves_its_items_to_the_slot_loops() {
+        degrades_to_the_serial_twin(Fault::PanicsAfterClaiming, Some(5));
+    }
+
+    #[test]
     fn a_helper_whose_channel_is_closed_degrades_to_the_stepping_thread() {
         degrades_to_the_serial_twin(Fault::Closed, Some(2));
     }
@@ -851,6 +979,11 @@ mod tests {
     #[test]
     fn a_batch_whose_helper_panics_runs_on_the_calling_thread() {
         degrades_to_the_serial_twin(Fault::Panics, None);
+    }
+
+    #[test]
+    fn a_batch_whose_helper_panics_after_claiming_runs_its_calls_on_the_calling_thread() {
+        degrades_to_the_serial_twin(Fault::PanicsAfterClaiming, None);
     }
 
     #[test]
@@ -916,7 +1049,7 @@ mod tests {
         // A single-token decode at 200 tokens of context over four heads
         // of 16: 12 800 elements.
         with_batch(3, 4, 16, 199, 1, |batch| {
-            assert!(batch_first(batch).is_none());
+            assert!(!batch_worth_lending(batch));
             let lender = Lender::with_helper(|_| panic!("touched the helper"));
             assert_eq!(
                 attend_twice(batch, Some(&lender)),

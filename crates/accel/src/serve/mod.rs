@@ -468,7 +468,7 @@ impl SlotWork {
 /// budget first and no frontier can starve). The one walk both the slot
 /// loop and the pooled attention pass before it take, so they agree on
 /// what every slot does.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ChunkBudget(usize);
 
 impl ChunkBudget {

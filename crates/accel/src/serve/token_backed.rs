@@ -28,7 +28,7 @@
 //! rows built and the rows an event needs — a prompt, a chunk, a rebuild
 //! plus the decode after it — is one [`TransformerModel::prefill`] run,
 //! whose attention calls reach the kernel one layer at a time and are
-//! split over two cores when there are enough of them.
+//! shared by two cores when there are enough of them.
 //!
 //! Because KV rows depend only on the token prefix (not on when or how
 //! often they were rebuilt), the mirror's tokens are byte-identical to
