@@ -81,8 +81,6 @@ pub use stats::{RequestStats, ServingReport, SessionStats, StepReport};
 pub use token_backed::{run_token_backed, TokenBackedBatch, TokenBackedRun};
 pub use trace::{Trace, TraceError, TraceMeta, TraceRecorder};
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Mutex;
 
 use topick_core::PruneStats;
@@ -92,6 +90,7 @@ use crate::engine::ToPickAccelerator;
 
 use batch_state::{ActiveRequest, SimulatedStep};
 use lend::{KeyScratch, Lender};
+use policy::AdmissionOrder;
 use queue::PendingQueue;
 use residency::Residency;
 
@@ -408,10 +407,8 @@ pub struct ServingEngine {
     accel: ToPickAccelerator,
     policy: Box<dyn SchedulerPolicy>,
     pending: PendingQueue,
-    /// Admission's buffers, kept across steps: each visible request's
-    /// `(rank, arrival_seq)`, or its view under a policy that does not rank.
-    ranks: Vec<Reverse<(i64, u64)>>,
-    snapshot: VecDeque<PendingView>,
+    /// Admission's buffers, kept across steps.
+    order: AdmissionOrder,
     /// The running batch, in slot order.
     running: Vec<ActiveRequest>,
     /// The KV page allocator: the batch's KV budget, including pages
@@ -438,10 +435,10 @@ pub struct ServingEngine {
     simulations: usize,
     /// Admission passes over the queue so far.
     #[cfg(test)]
-    snapshots: usize,
-    /// Admission passes that grew the rank or snapshot buffer.
+    admission_passes: usize,
+    /// Admission passes that grew the admission order's buffers.
     #[cfg(test)]
-    snapshot_growths: usize,
+    rank_buffer_growths: usize,
 }
 
 /// What a slot does with its step.
@@ -521,8 +518,7 @@ impl ServingEngine {
             accel,
             policy,
             pending: PendingQueue::default(),
-            ranks: Vec::new(),
-            snapshot: VecDeque::new(),
+            order: AdmissionOrder::default(),
             running: Vec::new(),
             pager,
             finished: Vec::new(),
@@ -542,9 +538,9 @@ impl ServingEngine {
             #[cfg(test)]
             simulations: 0,
             #[cfg(test)]
-            snapshots: 0,
+            admission_passes: 0,
             #[cfg(test)]
-            snapshot_growths: 0,
+            rank_buffer_growths: 0,
         }
     }
 
@@ -895,14 +891,12 @@ impl ServingEngine {
     /// has room, evicting victims for non-fitting candidates when
     /// preemption allows it.
     ///
-    /// One pass over the queue ranks every visible request into a heap
-    /// kept across calls, and each admission pops the least
-    /// `(rank, arrival_seq)`; a policy that does not rank is asked
-    /// `pick_next` over a snapshot of the views, kept the same way, minus
-    /// each pick. Either is exact: nothing else within one call changes a
-    /// visible request's view. Victims re-enter the queue evicted at this
-    /// step, so they stay invisible until the next one, and reclaiming
-    /// retained pages touches no field a view reads.
+    /// One pass over the queue fills the [`AdmissionOrder`] kept across
+    /// calls, and each admission pops its least candidate. That is exact:
+    /// within one call only slot counts, which the order tracks, change a
+    /// candidate's key. Victims re-enter the queue evicted at this step,
+    /// so they stay invisible until the next one, and reclaiming retained
+    /// pages touches no field a view reads.
     fn admit(&mut self) {
         let step = self.step_index;
         let mut evictions_left = if self.cfg.preemption.enabled {
@@ -910,58 +904,14 @@ impl ServingEngine {
         } else {
             0
         };
-        self.ranks.clear();
+        let mut order = std::mem::take(&mut self.order);
         #[cfg(test)]
-        let capacity = self.ranks.capacity() + self.snapshot.capacity();
-        let ranked = self.pending.views(step).all(|v| {
-            let rank = self.policy.rank(&v, step as u64);
-            self.ranks.extend(rank.map(|r| Reverse((r, v.arrival_seq))));
-            rank.is_some()
-        });
-        let mut heap = BinaryHeap::from(std::mem::take(&mut self.ranks));
-        // Filled from empty and then only ever shrunk, the deque never
-        // wraps, so `make_contiguous` hands the policy one slice in O(1).
-        let mut pending_views = std::mem::take(&mut self.snapshot);
-        pending_views.clear();
-        if !ranked {
-            pending_views.extend(self.pending.views(step));
-        }
-        #[cfg(test)]
-        {
-            self.snapshots += 1;
-            self.snapshot_growths +=
-                usize::from(heap.capacity() + pending_views.capacity() > capacity);
-        }
-        loop {
-            let next = if ranked {
-                heap.pop().map(|Reverse((_, seq))| {
-                    let view = self.pending.view_by_seq(seq, step);
-                    view.expect("a ranked request stays queued until popped")
-                })
-            } else {
-                debug_assert!(
-                    pending_views.iter().copied().eq(self.pending.views(step)),
-                    "the admission snapshot drifted from the queue"
-                );
-                let running_views = self.running_views();
-                let pending = pending_views.make_contiguous();
-                (!pending.is_empty())
-                    .then(|| self.policy.pick_next(pending, &running_views, step as u64))
-                    .flatten()
-                    .and_then(|pi| pending_views.remove(pi)) // out of range: stop
-            };
-            let Some(cand) = next else {
-                break;
-            };
-            debug_assert!(
-                !ranked || {
-                    let views: Vec<PendingView> = self.pending.views(step).collect();
-                    let running_views = self.running_views();
-                    let pick = self.policy.pick_next(&views, &running_views, step as u64);
-                    pick.and_then(|i| views.get(i)) == Some(&cand)
-                },
-                "the rank heap popped another request than pick_next picks"
-            );
+        let capacity = order.capacity();
+        order.fill(&*self.policy, self.pending.views(step), step as u64);
+        while let Some(cand) = order.pop(
+            |seq| self.pending.view_by_seq(seq, step),
+            |c| self.running.iter().filter(|r| r.req.client_id == c).count(),
+        ) {
             // The candidate's prompt-page hash chain: pages the prefix
             // cache can serve reduce what admission must allocate. Taken
             // out of its slot for the pick and put back unless admitted;
@@ -998,7 +948,7 @@ impl ServingEngine {
                     let fits_sim = |sim: &[policy::RunningView], avail: usize| {
                         sim.len() < limits.max_batch && cand_need <= avail
                     };
-                    let mut victims: Vec<u64> = Vec::new();
+                    let mut victims: Vec<(u64, u64)> = Vec::new();
                     while victims.len() < evictions_left
                         && !sim.is_empty()
                         && !fits_sim(&sim, avail)
@@ -1021,17 +971,18 @@ impl ServingEngine {
                         let occupied = pager.pages_needed(victim.context);
                         let kept = retention.retained_pages(occupied);
                         avail += pager.releasable_pages(victim.arrival_seq, kept, &hit_pages);
-                        victims.push(victim.arrival_seq);
+                        victims.push((victim.arrival_seq, victim.client_id));
                     }
                     if fits_sim(&sim, avail) {
                         evictions_left -= victims.len();
-                        for seq in victims {
+                        for (seq, client) in victims {
                             let slot = self
                                 .running
                                 .iter()
                                 .position(|r| r.arrival_seq == seq)
                                 .expect("planned victim is running");
                             self.evict(slot);
+                            order.rekey(client);
                         }
                     }
                 }
@@ -1072,8 +1023,12 @@ impl ServingEngine {
                 cached_tokens,
             });
         }
-        self.ranks = heap.into_vec();
-        self.snapshot = pending_views;
+        #[cfg(test)]
+        {
+            self.admission_passes += 1;
+            self.rank_buffer_growths += usize::from(order.capacity() > capacity);
+        }
+        self.order = order;
     }
 
     /// Evicts the running request at `slot` back to the queue, retaining
@@ -1557,10 +1512,10 @@ mod tests {
     }
 
     #[test]
-    fn admission_snapshots_the_queue_once_per_step() {
+    fn admission_passes_over_the_queue_once_per_step() {
         // Several picks per step and victims re-entering the queue
-        // mid-step: still one view of the queue per step, never one per
-        // pick.
+        // mid-step: still one pass over the queue per step, never one per
+        // pick, under every policy.
         let mut cfg = small_cfg(AccelMode::OutOfOrder);
         cfg.admission = AdmissionConfig {
             max_batch: 4,
@@ -1569,29 +1524,33 @@ mod tests {
             prefix_cache: false,
         };
         cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.5));
-        let mut engine = ServingEngine::builder(cfg.accel.clone())
-            .config(cfg)
-            .policy(PolicyKind::PriorityAging)
-            .build();
-        for r in mixed_requests(24) {
-            let r = r.with_priority(r.id as u8 % 4).arriving_at(r.id / 8);
-            engine.enqueue(r).unwrap();
-        }
-        assert_eq!(engine.step().unwrap().unwrap().batch, 4);
-        // Every `step` call admits once, the one that finds the engine
-        // idle included.
-        let mut calls = 1;
-        loop {
-            calls += 1;
-            if engine.step().unwrap().is_none() {
-                break;
+        let mut preemptions = 0;
+        for kind in PolicyKind::all() {
+            let mut engine = ServingEngine::builder(cfg.accel.clone())
+                .config(cfg.clone())
+                .policy(kind)
+                .build();
+            for r in mixed_requests(24) {
+                let r = r
+                    .with_priority(r.id as u8 % 4)
+                    .with_client(r.id % 3)
+                    .arriving_at(r.id / 8);
+                engine.enqueue(r).unwrap();
             }
+            assert_eq!(engine.step().unwrap().unwrap().batch, 4, "{kind}");
+            // Every `step` call admits once, the one that finds the
+            // engine idle included.
+            let mut calls = 1;
+            loop {
+                calls += 1;
+                if engine.step().unwrap().is_none() {
+                    break;
+                }
+            }
+            assert_eq!(engine.admission_passes, calls, "{kind}");
+            preemptions += engine.report().preemptions;
         }
-        assert_eq!(engine.snapshots, calls);
-        assert!(
-            engine.report().preemptions > 0,
-            "no victim re-entered the queue"
-        );
+        assert!(preemptions > 0, "no victim re-entered the queue");
     }
 
     /// The deep-queue pin's run (`tests/serving.rs`): a thousand requests,
@@ -1628,10 +1587,10 @@ mod tests {
     }
 
     #[test]
-    fn deep_queue_admission_recycles_one_snapshot_buffer() {
-        // The deep-queue run under every policy. One buffer carries every
-        // step's ranks (or snapshot), so it grows only by doubling up to
-        // the deepest queue.
+    fn deep_queue_admission_recycles_its_rank_buffers() {
+        // The deep-queue run under every policy. The same buffers carry
+        // every step's admission order, so they grow only by doubling up
+        // to the deepest queue.
         let (cfg, requests) = deep_queue_run();
         let (mut preemptions, mut rejections) = (0, 0);
         for kind in PolicyKind::all() {
@@ -1646,43 +1605,15 @@ mod tests {
             let report = engine.report();
             preemptions += report.preemptions;
             rejections += report.rejections;
-            assert!(engine.snapshots > 100, "{kind}: {} steps", engine.snapshots);
+            let passes = engine.admission_passes;
+            assert!(passes > 100, "{kind}: {passes} steps");
             assert!(
-                engine.snapshot_growths <= 1000usize.ilog2() as usize + 2,
-                "{kind}: the snapshot buffer grew {} times",
-                engine.snapshot_growths
+                engine.rank_buffer_growths <= 1000usize.ilog2() as usize + 2,
+                "{kind}: the rank buffers grew {} times",
+                engine.rank_buffer_growths
             );
         }
         assert!(preemptions > 0 && rejections > 0);
-    }
-
-    /// A ranking policy that hides its ranks: the engine admits through
-    /// its `pick_next` from a snapshot of the queue.
-    #[derive(Debug)]
-    struct Unranked(Box<dyn SchedulerPolicy>);
-
-    impl SchedulerPolicy for Unranked {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
-
-        fn pick_next(
-            &mut self,
-            pending: &[PendingView],
-            running: &[policy::RunningView],
-            step: u64,
-        ) -> Option<usize> {
-            self.0.pick_next(pending, running, step)
-        }
-
-        fn pick_victim(
-            &mut self,
-            candidate: &PendingView,
-            running: &[policy::RunningView],
-            step: u64,
-        ) -> Option<usize> {
-            self.0.pick_victim(candidate, running, step)
-        }
     }
 
     /// Runs `requests` to completion under `policy`; the report and the
@@ -1701,53 +1632,6 @@ mod tests {
         }
         while engine.step().unwrap().is_some() {}
         (engine.report(), engine.drain_events())
-    }
-
-    #[test]
-    fn ranked_admission_matches_the_snapshot_path() {
-        // The deep-queue run, and a run through the prefix cache and the
-        // host tier: shared prompt prefixes, retention, swaps.
-        let (deep_cfg, deep_requests) = deep_queue_run();
-        let mut cfg = small_cfg(AccelMode::OutOfOrder);
-        cfg.admission = AdmissionConfig {
-            max_batch: 6,
-            max_batch_tokens: 384,
-            page_size: 16,
-            prefix_cache: true,
-        };
-        cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.5));
-        cfg.host_pages = 8;
-        let requests: Vec<ServingRequest> = (0..160u64)
-            .map(|id| {
-                let h = queue::splitmix64(id ^ 0xC0FFEE);
-                let r = ServingRequest::new(id, 36 + (h % 29) as usize, 1 + (h >> 8) as usize % 6)
-                    .with_priority((h >> 16) as u8 % 8)
-                    .with_shared_prefix(id % 3, 32)
-                    .arriving_at(id / 3);
-                if id % 4 == 0 {
-                    r.with_ttft_deadline(4 + (h >> 32) % 40)
-                } else {
-                    r
-                }
-            })
-            .collect();
-        for kind in [
-            PolicyKind::Fifo,
-            PolicyKind::PriorityAging,
-            PolicyKind::ShortestJobFirst,
-            PolicyKind::SloAware,
-        ] {
-            for (cfg, requests) in [(&deep_cfg, &deep_requests), (&cfg, &requests)] {
-                let ranked = serve(cfg, kind.build(), requests);
-                let snapshot = serve(cfg, Box::new(Unranked(kind.build())), requests);
-                assert!(ranked == snapshot, "{kind}: the admission paths diverged");
-            }
-        }
-        let (report, events) = serve(&cfg, PolicyKind::SloAware.build(), &requests);
-        assert!(report.preemptions > 0 && report.admitted_hit_tokens > 0);
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, ServeEvent::SwappedOut { .. })));
     }
 
     #[test]
@@ -1825,27 +1709,6 @@ mod tests {
         let mut cfg = small_cfg(AccelMode::OutOfOrder);
         cfg.admission.max_batch = 0;
         let mut engine = ServingEngine::new(cfg);
-        engine.enqueue(ServingRequest::new(0, 16, 1)).unwrap();
-        let err = engine.run_to_completion(4).unwrap_err();
-        assert!(matches!(err, ServeError::AdmissionStalled { pending: 1 }));
-    }
-
-    #[test]
-    fn a_policy_that_neither_ranks_nor_picks_stalls() {
-        #[derive(Debug)]
-        struct Neither;
-
-        impl SchedulerPolicy for Neither {
-            fn name(&self) -> &'static str {
-                "neither"
-            }
-        }
-
-        let cfg = small_cfg(AccelMode::OutOfOrder);
-        let mut engine = ServingEngine::builder(cfg.accel.clone())
-            .config(cfg)
-            .policy_boxed(Box::new(Neither))
-            .build();
         engine.enqueue(ServingRequest::new(0, 16, 1)).unwrap();
         let err = engine.run_to_completion(4).unwrap_err();
         assert!(matches!(err, ServeError::AdmissionStalled { pending: 1 }));
@@ -1989,6 +1852,50 @@ mod tests {
             })
             .collect();
         assert_eq!(admitted, vec![0, 9]);
+    }
+
+    #[test]
+    fn fair_admission_rekeys_a_client_that_lost_a_slot_to_eviction() {
+        // Clients 0 and 1 hold two slots each and every KV page. Client
+        // 2's request goes first (no slots) and evicts client 0's long
+        // request for its pages; client 0 then holds one slot to client
+        // 1's two, so its request 5 is admitted before client 1's older
+        // request 4 — which no pages are left for.
+        let mut cfg = small_cfg(AccelMode::OutOfOrder);
+        cfg.admission = AdmissionConfig {
+            max_batch: 8,
+            max_batch_tokens: 10 * 16,
+            page_size: 16,
+            prefix_cache: false,
+        };
+        cfg.preemption = PreemptionConfig::enabled();
+        let mut engine = ServingEngine::builder(cfg.accel.clone())
+            .config(cfg)
+            .policy(PolicyKind::FairRoundRobin)
+            .build();
+        for (id, client, tokens) in [(0, 0, 40), (1, 0, 8), (2, 1, 8), (3, 1, 8)] {
+            let r = ServingRequest::new(id, 16, tokens).with_client(client);
+            engine.enqueue(r).unwrap();
+        }
+        assert_eq!(engine.step().unwrap().unwrap().batch, 4);
+        for (id, client) in [(4, 1), (5, 0), (6, 2)] {
+            let r = ServingRequest::new(id, 16, 1).with_client(client);
+            engine.enqueue(r).unwrap();
+        }
+        engine.drain_events();
+        engine.step().unwrap().unwrap();
+        let events = engine.drain_events();
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, ServeEvent::Preempted { id: 0, .. })));
+        let admitted: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e {
+                ServeEvent::Admitted { id, .. } => Some(*id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(admitted, [6, 5]);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The pluggable scheduling surface: policies choose *which* request to
 //! admit or evict; the engine enforces the admission invariants.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -129,17 +131,16 @@ impl RunningView {
 
 /// A scheduling policy: the ordering brain of the serving engine.
 ///
-/// The engine asks the policy *which* queued request to admit next
-/// ([`rank`](Self::rank) or [`pick_next`](Self::pick_next)) and, when that
-/// candidate does not fit and preemption is enabled, *which* running
-/// request to evict for it ([`pick_victim`](Self::pick_victim)). A policy
-/// implements `rank`, or `pick_next` when its order depends on the running
-/// batch; with neither it admits nothing
-/// ([`AdmissionStalled`](super::ServeError::AdmissionStalled)). The engine
-/// enforces the invariants — the batch never exceeds its slot limit or its
-/// KV page budget, and a candidate that still does not fit ends admission
-/// for the step — so a policy cannot corrupt the batch, only order it
-/// badly.
+/// A policy states admission order by [`rank`](Self::rank)ing each queued
+/// request: least rank first, oldest arrival among equals, after the
+/// client's running slots if the policy
+/// [balances clients](Self::balances_clients). When that candidate does
+/// not fit and preemption is enabled, the engine asks *which* running
+/// request to evict for it ([`pick_victim`](Self::pick_victim)). The
+/// engine enforces the invariants — the batch never exceeds its slot
+/// limit or its KV page budget, and a candidate that still does not fit
+/// ends admission for the step — so a policy cannot corrupt the batch,
+/// only order it badly.
 ///
 /// Policies must be [`Send`]: an application may move an engine, or a
 /// whole [`ClusterEngine`](super::ClusterEngine), to another thread, and
@@ -157,8 +158,7 @@ impl RunningView {
 ///
 /// ```
 /// use topick_accel::{
-///     AccelConfig, AccelMode, PendingView, RunningView, SchedulerPolicy, ServingEngine,
-///     ServingRequest,
+///     AccelConfig, AccelMode, PendingView, SchedulerPolicy, ServingEngine, ServingRequest,
 /// };
 ///
 /// #[derive(Debug)]
@@ -169,17 +169,8 @@ impl RunningView {
 ///         "longest-job-first"
 ///     }
 ///
-///     fn pick_next(
-///         &mut self,
-///         pending: &[PendingView],
-///         _running: &[RunningView],
-///         _step: u64,
-///     ) -> Option<usize> {
-///         pending
-///             .iter()
-///             .enumerate()
-///             .max_by_key(|(_, p)| (p.remaining_tokens, std::cmp::Reverse(p.arrival_seq)))
-///             .map(|(i, _)| i)
+///     fn rank(&self, view: &PendingView, _step: u64) -> i64 {
+///         -(view.remaining_tokens as i64)
 ///     }
 /// }
 ///
@@ -203,37 +194,31 @@ pub trait SchedulerPolicy: fmt::Debug + Send {
     /// The queued request's place in admission order at `step`: lower
     /// ranks are admitted first, ties by arrival. The engine ranks the
     /// queue once per step, so a rank is fixed for the whole step and must
-    /// not read the running batch, which admissions change. `None` for
-    /// every request (the default) makes the engine ask
-    /// [`pick_next`](Self::pick_next) once per admission instead.
-    fn rank(&self, view: &PendingView, step: u64) -> Option<i64> {
-        let _ = (view, step);
-        None
+    /// not read the running batch, which admissions change.
+    fn rank(&self, view: &PendingView, step: u64) -> i64;
+
+    /// Whether admission orders by the running slots each request's
+    /// client holds before rank and arrival (kept current as the step
+    /// admits and evicts). `false` by default.
+    fn balances_clients(&self) -> bool {
+        false
     }
 
-    /// Index into `pending` of the request to admit next, or `None` to
-    /// stop admitting for this step. `pending` is never empty and holds
-    /// only schedulable requests, in arrival order. Successive calls
-    /// within one step see the previous call's slice minus the request it
-    /// admitted; `running` then includes that request.
-    ///
-    /// The default picks the least [`rank`](Self::rank), oldest arrival
-    /// among equals, and `None` for a policy that does not rank.
+    /// Index into `pending` of the request admission takes next with
+    /// `running` as the batch, found by brute force. The engine keeps the
+    /// same order in a heap and never calls this reference.
     fn pick_next(
         &mut self,
         pending: &[PendingView],
         running: &[RunningView],
         step: u64,
     ) -> Option<usize> {
-        let _ = running;
-        let mut best = None;
-        for (i, p) in pending.iter().enumerate() {
-            let key = (self.rank(p, step)?, p.arrival_seq);
-            if best.is_none_or(|(b, _)| key < b) {
-                best = Some((key, i));
-            }
-        }
-        best.map(|(_, i)| i)
+        let balances = self.balances_clients();
+        let key = |p: &PendingView| {
+            let held = balances.then(|| client_slots(running, p.client_id));
+            (held, self.rank(p, step), p.arrival_seq)
+        };
+        (0..pending.len()).min_by_key(|&i| key(&pending[i]))
     }
 
     /// Index into `running` of a victim to evict so `candidate` can be
@@ -250,6 +235,88 @@ pub trait SchedulerPolicy: fmt::Debug + Send {
     }
 }
 
+/// Running slots `client` holds in `running`.
+fn client_slots(running: &[RunningView], client: u64) -> usize {
+    running.iter().filter(|r| r.client_id == client).count()
+}
+
+/// One step's admission order: a min-heap over every candidate's key,
+/// filled by one pass over the queue. The key is `(rank, arrival_seq)`,
+/// or `(client slots, rank, arrival_seq)` under a policy that
+/// [balances clients](SchedulerPolicy::balances_clients); an entry is then
+/// `(slots, at)`, `at` indexing `by_rank`, and `slots` a lower bound on the
+/// client's count, which moves within a step. Entries go in at 0 (from
+/// [`fill`](Self::fill), or [`rekey`](Self::rekey) after an eviction), and
+/// a popped entry off the current count goes back with it, so the first
+/// exact entry popped has the least key. Entries of requests no longer
+/// candidates are skipped.
+#[derive(Debug, Default)]
+pub(super) struct AdmissionOrder {
+    heap: BinaryHeap<Reverse<(i64, u64)>>,
+    /// The candidates' `(rank, arrival_seq, client_id)`, ascending, under
+    /// a policy that balances clients; empty under any other.
+    by_rank: Vec<(i64, u64, u64)>,
+}
+
+impl AdmissionOrder {
+    /// Orders `views`, the candidates at `step`, under `policy`.
+    pub(super) fn fill(
+        &mut self,
+        policy: &dyn SchedulerPolicy,
+        views: impl Iterator<Item = PendingView>,
+        step: u64,
+    ) {
+        self.heap.clear();
+        self.by_rank.clear();
+        if policy.balances_clients() {
+            let key = |v: PendingView| (policy.rank(&v, step), v.arrival_seq, v.client_id);
+            self.by_rank.extend(views.map(key));
+            self.by_rank.sort_unstable();
+            self.heap
+                .extend((0..self.by_rank.len() as u64).map(|at| Reverse((0, at))));
+        } else {
+            let entry = |v: PendingView| Reverse((policy.rank(&v, step), v.arrival_seq));
+            self.heap.extend(views.map(entry));
+        }
+    }
+
+    /// The candidate with the least key; `view` gives a request's view
+    /// while it is a candidate, `slots` the running slots a client holds.
+    pub(super) fn pop(
+        &mut self,
+        view: impl Fn(u64) -> Option<PendingView>,
+        slots: impl Fn(u64) -> usize,
+    ) -> Option<PendingView> {
+        while let Some(Reverse((key, at))) = self.heap.pop() {
+            if self.by_rank.is_empty() {
+                return Some(view(at).expect("a ranked request is a candidate until popped"));
+            }
+            let Some(v) = view(self.by_rank[at as usize].1) else {
+                continue; // admitted, or evicted back, through another entry
+            };
+            let held = slots(v.client_id) as i64;
+            if held == key {
+                return Some(v);
+            }
+            self.heap.push(Reverse((held, at)));
+        }
+        None
+    }
+
+    /// An eviction lowered `client`'s slot count: its candidates go back
+    /// in at 0.
+    pub(super) fn rekey(&mut self, client: u64) {
+        let at = (0..).zip(&self.by_rank).filter(|(_, e)| e.2 == client);
+        self.heap.extend(at.map(|(at, _)| Reverse((0, at))));
+    }
+
+    /// Elements the kept buffers hold room for.
+    #[cfg(test)]
+    pub(super) fn capacity(&self) -> usize {
+        self.heap.capacity() + self.by_rank.capacity()
+    }
+}
+
 /// First-in-first-out with head-of-line blocking — bit-for-bit the
 /// pre-redesign engine's schedule. Never preempts.
 #[derive(Debug, Clone, Copy, Default)]
@@ -260,8 +327,8 @@ impl SchedulerPolicy for Fifo {
         "fifo"
     }
 
-    fn rank(&self, _view: &PendingView, _step: u64) -> Option<i64> {
-        Some(0) // arrival order alone decides
+    fn rank(&self, _view: &PendingView, _step: u64) -> i64 {
+        0 // arrival order alone decides
     }
 }
 
@@ -284,10 +351,6 @@ impl PriorityAging {
             aging_steps: aging_steps.max(1),
         }
     }
-
-    fn effective(&self, p: &PendingView) -> u64 {
-        u64::from(p.priority) + p.waited_steps / self.aging_steps
-    }
 }
 
 impl Default for PriorityAging {
@@ -301,9 +364,9 @@ impl SchedulerPolicy for PriorityAging {
         "priority-aging"
     }
 
-    fn rank(&self, view: &PendingView, _step: u64) -> Option<i64> {
+    fn rank(&self, view: &PendingView, _step: u64) -> i64 {
         // Max effective priority first.
-        Some(-saturating_i64(self.effective(view)))
+        -saturating_i64(u64::from(view.priority) + view.waited_steps / self.aging_steps)
     }
 
     fn pick_victim(
@@ -335,8 +398,8 @@ impl SchedulerPolicy for ShortestJobFirst {
         "shortest-job-first"
     }
 
-    fn rank(&self, view: &PendingView, _step: u64) -> Option<i64> {
-        Some(saturating_i64(view.remaining_tokens as u64))
+    fn rank(&self, view: &PendingView, _step: u64) -> i64 {
+        saturating_i64(view.remaining_tokens as u64)
     }
 
     fn pick_victim(
@@ -354,34 +417,23 @@ impl SchedulerPolicy for ShortestJobFirst {
 }
 
 /// Fair slots per client: admit from the client holding the fewest batch
-/// slots. Preemption rebalances only when it strictly improves fairness
-/// (the victim's client holds at least two more slots than the
-/// candidate's).
+/// slots, oldest arrival first among equals. Preemption rebalances only
+/// when it strictly improves fairness (the victim's client holds at least
+/// two more slots than the candidate's).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FairRoundRobin;
-
-impl FairRoundRobin {
-    fn client_slots(running: &[RunningView], client: u64) -> usize {
-        running.iter().filter(|r| r.client_id == client).count()
-    }
-}
 
 impl SchedulerPolicy for FairRoundRobin {
     fn name(&self) -> &'static str {
         "fair-round-robin"
     }
 
-    fn pick_next(
-        &mut self,
-        pending: &[PendingView],
-        running: &[RunningView],
-        _step: u64,
-    ) -> Option<usize> {
-        pending
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, p)| (Self::client_slots(running, p.client_id), p.arrival_seq))
-            .map(|(i, _)| i)
+    fn rank(&self, _view: &PendingView, _step: u64) -> i64 {
+        0 // the client's slots, then arrival order, decide
+    }
+
+    fn balances_clients(&self) -> bool {
+        true
     }
 
     fn pick_victim(
@@ -392,15 +444,15 @@ impl SchedulerPolicy for FairRoundRobin {
     ) -> Option<usize> {
         // From the most-over-served client, evict the member with the most
         // work left; only worthwhile if it strictly improves fairness.
-        let cand_slots = Self::client_slots(running, candidate.client_id);
+        let cand_slots = client_slots(running, candidate.client_id);
         let (slot, victim) = running.iter().enumerate().max_by_key(|(_, r)| {
             (
-                Self::client_slots(running, r.client_id),
+                client_slots(running, r.client_id),
                 r.remaining_tokens,
                 r.arrival_seq,
             )
         })?;
-        (Self::client_slots(running, victim.client_id) >= cand_slots + 2).then_some(slot)
+        (client_slots(running, victim.client_id) >= cand_slots + 2).then_some(slot)
     }
 }
 
@@ -425,8 +477,8 @@ impl SchedulerPolicy for SloAware {
         "slo-aware"
     }
 
-    fn rank(&self, view: &PendingView, step: u64) -> Option<i64> {
-        Some(view.slo_slack(step))
+    fn rank(&self, view: &PendingView, step: u64) -> i64 {
+        view.slo_slack(step)
     }
 
     fn pick_victim(
@@ -474,13 +526,7 @@ impl PolicyKind {
     /// The policy's stable name (matches [`SchedulerPolicy::name`]).
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            Self::Fifo => "fifo",
-            Self::PriorityAging => "priority-aging",
-            Self::ShortestJobFirst => "shortest-job-first",
-            Self::FairRoundRobin => "fair-round-robin",
-            Self::SloAware => "slo-aware",
-        }
+        self.build().name()
     }
 
     /// Instantiates the policy with its defaults.
@@ -674,12 +720,30 @@ mod tests {
         }
     }
 
+    /// The running batch's view of queued request `v`, admitted.
+    fn admitted(v: &PendingView) -> RunningView {
+        RunningView {
+            id: v.id,
+            priority: v.priority,
+            client_id: v.client_id,
+            arrival_seq: v.arrival_seq,
+            admitted_at: v.enqueued_at,
+            remaining_tokens: v.remaining_tokens,
+            context: 16,
+            final_context: v.final_context,
+            enqueued_at: v.enqueued_at,
+            last_token_at: v.last_token_at,
+            ttft_deadline: v.ttft_deadline,
+            itl_deadline: v.itl_deadline,
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Popping every view's `(rank, arrival_seq)` off a heap admits in
         /// the order that asking `pick_next` again after each admission
-        /// does, for every policy that ranks.
+        /// does, for every policy, with no batch running.
         #[test]
         fn ranked_heap_pops_in_pick_next_order(
             seed in any::<u64>(),
@@ -689,16 +753,11 @@ mod tests {
             let views: Vec<PendingView> = (0..len as u64)
                 .map(|seq| view(seq * 3, splitmix64(seed ^ seq.rotate_left(29))))
                 .collect();
-            for kind in [
-                PolicyKind::Fifo,
-                PolicyKind::PriorityAging,
-                PolicyKind::ShortestJobFirst,
-                PolicyKind::SloAware,
-            ] {
+            for kind in PolicyKind::all() {
                 let mut policy = kind.build();
                 let mut heap: BinaryHeap<_> = views
                     .iter()
-                    .map(|v| Reverse((policy.rank(v, step).unwrap(), v.arrival_seq)))
+                    .map(|v| Reverse((policy.rank(v, step), v.arrival_seq)))
                     .collect();
                 let popped: Vec<u64> =
                     std::iter::from_fn(|| heap.pop().map(|Reverse((_, seq))| seq)).collect();
@@ -711,16 +770,51 @@ mod tests {
                 prop_assert_eq!(popped, picked);
             }
         }
-    }
 
-    #[test]
-    fn fair_round_robin_does_not_rank() {
-        let v = view(0, 0);
-        assert_eq!(FairRoundRobin.rank(&v, 0), None);
-        assert!(PolicyKind::all()
-            .into_iter()
-            .filter(|&k| k != PolicyKind::FairRoundRobin)
-            .all(|k| k.build().rank(&v, 0).is_some()));
+        /// Every pop of the admission order is the request `pick_next`
+        /// picks over the candidates left and the running batch, for every
+        /// policy, while pops join a random batch and random running
+        /// requests (clients from a set of four) are evicted between pops.
+        #[test]
+        fn ranked_admission_order_pops_what_pick_next_picks(
+            seed in any::<u64>(),
+            len in 0usize..40,
+            batch in 0usize..10,
+            step in 0u64..64,
+        ) {
+            let draw = |seq: u64| view(seq, splitmix64(seed ^ seq.rotate_left(29)));
+            let views: Vec<PendingView> = (0..len as u64).map(|i| draw(2 * i)).collect();
+            let batch: Vec<RunningView> =
+                (0..batch as u64).map(|i| admitted(&draw(2 * i + 1))).collect();
+            for kind in PolicyKind::all() {
+                let mut policy = kind.build();
+                let (mut live, mut running) = (views.clone(), batch.clone());
+                let mut order = AdmissionOrder::default();
+                order.fill(&*policy, live.iter().copied(), step);
+                let mut mix = seed;
+                loop {
+                    let popped = order.pop(
+                        |seq| live.iter().find(|v| v.arrival_seq == seq).copied(),
+                        |c| client_slots(&running, c),
+                    );
+                    let picked = policy.pick_next(&live, &running, step).map(|i| live[i]);
+                    prop_assert_eq!(popped, picked, "{}", kind);
+                    let Some(v) = popped else {
+                        break;
+                    };
+                    live.retain(|l| l.arrival_seq != v.arrival_seq);
+                    running.push(admitted(&v));
+                    for _ in 0..2 {
+                        mix = splitmix64(mix);
+                        if mix.is_multiple_of(3) && !running.is_empty() {
+                            let victim = running.remove((mix >> 8) as usize % running.len());
+                            order.rekey(victim.client_id);
+                        }
+                    }
+                }
+                prop_assert!(live.is_empty(), "{}: candidates left over", kind);
+            }
+        }
     }
 
     #[test]

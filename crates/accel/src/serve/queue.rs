@@ -267,10 +267,11 @@ impl PendingQueue {
             .map(move |e| Self::view(e, step))
     }
 
-    /// The policy's view at `step` of queued arrival sequence `seq`.
+    /// The policy's view at `step` of visible queued request `seq`.
     pub(crate) fn view_by_seq(&self, seq: u64, step: usize) -> Option<PendingView> {
         let (_, slot) = self.order[self.position_of(seq)?];
-        Some(Self::view(self.at(slot), step))
+        let e = self.at(slot);
+        Self::is_visible(e, step).then(|| Self::view(e, step))
     }
 
     fn view(e: &ActiveRequest, step: usize) -> PendingView {
