@@ -57,7 +57,7 @@ use super::lend::{self, Lender};
 use super::policy::PolicyKind;
 use super::queue::ServingRequest;
 use super::router::{RoutingKind, RoutingPolicy, ShardView};
-use super::stats::{self, RequestStats, ServingReport};
+use super::stats::{RequestStats, ServingReport};
 use super::{LendingStats, ServingConfig, ServingEngine};
 
 use crate::config::AccelConfig;
@@ -160,15 +160,15 @@ pub struct ClusterStepReport {
     pub critical_cycles: u64,
 }
 
-/// Aggregate outcome of a workload served across shards: every shard's
-/// own [`ServingReport`] plus the cluster-level accounting (makespan,
-/// steal counts, combined prefix-cache effectiveness, load imbalance).
+/// Outcome of a workload served across shards: every shard's own
+/// [`ServingReport`] plus what no shard report holds — routing, steals,
+/// ships, the makespan and the host's wall clock. Run-level aggregates
+/// (throughput, goodput, hit rate, TTFT p99, ...) are read off the
+/// [`pooled`](Self::pooled) report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     /// Name of the routing policy that placed the requests.
     pub routing: String,
-    /// Name of the per-shard scheduling policy.
-    pub policy: String,
     /// Whether work stealing was enabled.
     pub stealing: bool,
     /// Queued-request migrations work stealing performed.
@@ -195,44 +195,17 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    /// Sums a per-shard quantity across all shards.
-    fn sum_shards<T: std::iter::Sum<T>>(&self, f: impl Fn(&ServingReport) -> T) -> T {
-        self.shards.iter().map(f).sum()
-    }
-
-    /// Tokens generated across all shards.
+    /// The shards' reports pooled into one [`ServingReport`], whose
+    /// aggregates are the cluster's: counters summed, finished requests
+    /// concatenated in shard order (so the TTFT p99 is taken over one
+    /// pooled population), and the makespan as
+    /// [`total_cycles`](ServingReport::total_cycles), so throughput and
+    /// goodput are over the parallel run. A pooled step's cycles are the
+    /// step's summed work across shards, not its critical path. A
+    /// one-shard cluster's pooled report is the bare engine's report.
     #[must_use]
-    pub fn tokens_generated(&self) -> usize {
-        self.sum_shards(|s| s.tokens_generated)
-    }
-
-    /// Evictions across all shards.
-    #[must_use]
-    pub fn preemptions(&self) -> usize {
-        self.sum_shards(|s| s.preemptions)
-    }
-
-    /// Tokens generated while their request was still inside its SLO,
-    /// across all shards (see [`RequestStats::good_tokens`]).
-    #[must_use]
-    pub fn total_good_tokens(&self) -> usize {
-        stats::good_tokens(self.pooled_requests())
-    }
-
-    /// Cluster goodput in SLO-attaining tokens per second at `clock_hz`,
-    /// over the parallel makespan (the SLO-aware counterpart of
-    /// [`tokens_per_second`](Self::tokens_per_second)).
-    #[must_use]
-    pub fn goodput_tokens_per_second(&self, clock_hz: f64) -> f64 {
-        stats::tokens_per_second(self.total_good_tokens(), self.total_cycles, clock_hz)
-    }
-
-    /// Fraction of deadline-carrying finished requests that met every
-    /// deadline they declared, across all shards. `1.0` when no finished
-    /// request declared a deadline.
-    #[must_use]
-    pub fn deadline_attainment(&self) -> f64 {
-        stats::deadline_attainment(self.pooled_requests())
+    pub fn pooled(&self) -> ServingReport {
+        ServingReport::pool(&self.shards, self.total_cycles)
     }
 
     /// Finished requests across all shards, as `(shard_id, stats)`.
@@ -241,82 +214,6 @@ impl ClusterReport {
             .iter()
             .enumerate()
             .flat_map(|(shard, s)| s.requests.iter().map(move |r| (shard, r)))
-    }
-
-    /// Every shard's finished requests as one population — what the pooled
-    /// aggregates are taken over.
-    fn pooled_requests(&self) -> impl Iterator<Item = &RequestStats> {
-        self.requests().map(|(_, r)| r)
-    }
-
-    /// End-to-end cluster throughput in generated tokens per second at
-    /// `clock_hz`, over the parallel makespan — this is the number that
-    /// must *rise* with shard count for sharding to be worth anything.
-    #[must_use]
-    pub fn tokens_per_second(&self, clock_hz: f64) -> f64 {
-        stats::tokens_per_second(self.tokens_generated(), self.total_cycles, clock_hz)
-    }
-
-    /// Total prompt-prefill cycles charged across all shards.
-    #[must_use]
-    pub fn total_prefill_cycles(&self) -> u64 {
-        self.sum_shards(ServingReport::total_prefill_cycles)
-    }
-
-    /// Total KV re-prefill cycles charged across all shards.
-    #[must_use]
-    pub fn total_reprefill_cycles(&self) -> u64 {
-        self.sum_shards(ServingReport::total_reprefill_cycles)
-    }
-
-    /// Total prompt tokens served out of the shards' prefix caches.
-    #[must_use]
-    pub fn total_prefix_hit_tokens(&self) -> usize {
-        self.sum_shards(ServingReport::total_prefix_hit_tokens)
-    }
-
-    /// Cluster-wide share of prompt-prefill demand the per-shard prefix
-    /// caches served, in `[0, 1]`, counted at admission exactly as
-    /// [`ServingReport::prefix_hit_rate`] counts it. Per-shard caches are
-    /// independent, so this is the number prefix-affinity routing exists
-    /// to defend.
-    #[must_use]
-    pub fn prefix_hit_rate(&self) -> f64 {
-        stats::hit_rate(
-            self.sum_shards(|s| s.admitted_hit_tokens),
-            self.sum_shards(|s| s.admitted_prompt_tokens),
-        )
-    }
-
-    /// The p99 time-to-first-token across the whole cluster, in steps:
-    /// every shard's TTFT samples pooled into one population before the
-    /// nearest-rank percentile (0 when nothing produced a token).
-    /// Averaging or maxing per-shard p99s skews the tail — a shard with
-    /// three requests contributes a "p99" that is really its max — so the
-    /// cluster number must come from the pooled samples.
-    #[must_use]
-    pub fn ttft_p99_steps(&self) -> usize {
-        stats::ttft_p99_steps(self.pooled_requests())
-    }
-
-    /// Total host-tier copy-back cycles charged across all shards.
-    #[must_use]
-    pub fn total_swap_cycles(&self) -> u64 {
-        self.sum_shards(ServingReport::total_swap_cycles)
-    }
-
-    /// Total cross-shard transfer cycles charged across all shards.
-    #[must_use]
-    pub fn total_ship_cycles(&self) -> u64 {
-        self.sum_shards(ServingReport::total_ship_cycles)
-    }
-
-    /// Queued requests rejected for an already-blown TTFT deadline,
-    /// across all shards (see
-    /// [`reject_expired_ttft`](ServingConfig::reject_expired_ttft)).
-    #[must_use]
-    pub fn rejections(&self) -> usize {
-        self.sum_shards(|s| s.rejections)
     }
 
     /// Load imbalance across shards: the busiest shard's total cycles over
@@ -334,8 +231,8 @@ impl ClusterReport {
         if max == 0 {
             return 1.0;
         }
-        let mean = self.sum_shards(|s| s.total_cycles) as f64 / self.shards.len() as f64;
-        max as f64 / mean
+        let sum: u64 = self.shards.iter().map(|s| s.total_cycles).sum();
+        max as f64 / (sum as f64 / self.shards.len() as f64)
     }
 }
 
@@ -370,7 +267,7 @@ impl ClusterReport {
 ///     cluster.enqueue(ServingRequest::new(id, 24, 2))?;
 /// }
 /// let report = cluster.run_to_completion(64)?;
-/// assert_eq!(report.tokens_generated(), 8);
+/// assert_eq!(report.pooled().tokens_generated, 8);
 /// assert_eq!(report.shards.len(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -923,10 +820,6 @@ impl ClusterEngine {
     pub fn report(&self) -> ClusterReport {
         ClusterReport {
             routing: self.router.name().to_string(),
-            policy: self
-                .shards
-                .first()
-                .map_or_else(String::new, |s| s.policy_name().to_string()),
             stealing: self.stealing,
             steals: self.steals,
             ships: self.ships,
@@ -980,7 +873,7 @@ mod tests {
             .collect();
         assert_eq!(routed, vec![0, 1, 2, 0, 1, 2]);
         let report = cluster.run_to_completion(16).unwrap();
-        assert_eq!(report.tokens_generated(), 6);
+        assert_eq!(report.pooled().tokens_generated, 6);
         for shard in &report.shards {
             assert_eq!(shard.requests.len(), 2);
         }
@@ -998,7 +891,7 @@ mod tests {
         assert_eq!(cluster.enqueue(ServingRequest::new(1, 16, 1)).unwrap(), 1);
         assert_eq!(cluster.enqueue(ServingRequest::new(2, 16, 1)).unwrap(), 1);
         let report = cluster.run_to_completion(64).unwrap();
-        assert_eq!(report.tokens_generated(), 10);
+        assert_eq!(report.pooled().tokens_generated, 10);
     }
 
     #[test]
@@ -1049,7 +942,7 @@ mod tests {
             !report.shards[1].requests.is_empty(),
             "the idle shard never got work"
         );
-        assert_eq!(report.tokens_generated(), 12);
+        assert_eq!(report.pooled().tokens_generated, 12);
         // Steal events and finish locations agree.
         let stolen: Vec<u64> = cluster
             .events()
@@ -1092,7 +985,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(report.tokens_generated(), 8 * 3);
+        assert_eq!(report.pooled().tokens_generated, 8 * 3);
     }
 
     #[test]
@@ -1165,7 +1058,7 @@ mod tests {
         let (mut pooled, mut serial) = (one_request_a_shard(), one_request_a_shard());
         let pooled_run = run(&mut pooled, &Lender::private());
         assert_eq!(pooled_run, run(&mut serial, &Lender::absent()));
-        let tokens = pooled_run.0.expect("completes").tokens_generated();
+        let tokens = pooled_run.0.expect("completes").pooled().tokens_generated;
         let stats = pooled.lending_stats();
         assert!(stats.pooled_steps > 0 && stats.lent_instances >= stats.pooled_steps);
         assert_eq!(stats.fallbacks, 0);
@@ -1188,7 +1081,12 @@ mod tests {
     fn a_cluster_step_without_a_helper_leaves_every_shard_its_own_share() {
         let mut serial = one_request_a_shard();
         let serial_run = run(&mut serial, &Lender::absent());
-        let tokens = serial_run.0.as_ref().expect("completes").tokens_generated();
+        let tokens = serial_run
+            .0
+            .as_ref()
+            .expect("completes")
+            .pooled()
+            .tokens_generated;
         // A helper that panics on its first job, and one another owner
         // holds for the whole run (`lock` would deadlock; `try_lock` falls
         // through at once).
@@ -1257,11 +1155,12 @@ mod tests {
         assert_eq!(report, serial_report, "reports, prune statistics included");
         assert_eq!(pooled_events, serial_events, "event streams");
         // The run went through what it claims to cover...
-        assert!(report.preemptions() > 0, "no preemption");
-        assert!(report.total_swap_cycles() > 0, "no host swap");
-        assert!(report.total_prefix_hit_tokens() > 0, "no shared prefix");
+        let all = report.pooled();
+        assert!(all.preemptions > 0, "no preemption");
+        assert!(all.total_swap_cycles() > 0, "no host swap");
+        assert!(all.total_prefix_hit_tokens() > 0, "no shared prefix");
         assert!(report.steals > 0, "no steal");
-        assert!(report.total_ship_cycles() > 0, "no shipped pages");
+        assert!(all.total_ship_cycles() > 0, "no shipped pages");
         let saw = |wanted: fn(&ServeEvent) -> bool| {
             pooled_events
                 .iter()
@@ -1320,22 +1219,13 @@ mod tests {
     }
 
     fn shard_with_ttfts(ttfts: &[usize]) -> ServingReport {
-        ServingReport {
-            policy: "fifo".to_string(),
-            steps: Vec::new(),
-            requests: ttfts
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| request_with_ttft(i as u64, t))
-                .collect(),
-            total_cycles: 0,
-            tokens_generated: ttfts.len(),
-            preemptions: 0,
-            admitted_prompt_tokens: 0,
-            admitted_hit_tokens: 0,
-            rejections: 0,
-            prune: topick_core::PruneStats::new(0, 0),
-        }
+        let mut shard = ServingEngine::new(small_cfg()).report();
+        shard.requests = ttfts
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| request_with_ttft(i as u64, t))
+            .collect();
+        shard
     }
 
     #[test]
@@ -1345,36 +1235,17 @@ mod tests {
         // = rank 99 = the 99th sorted sample = 500. Any per-shard
         // aggregation gets this wrong: shard 0's own p99 is 98, shard 1's
         // is 1000, so max reports 1000 and the mean 549.
-        let report = ClusterReport {
-            routing: "round-robin".to_string(),
-            policy: "fifo".to_string(),
-            stealing: false,
-            steals: 0,
-            ships: 0,
-            cluster_steps: 0,
-            total_cycles: 0,
-            wall_seconds: 0.0,
-            shards: vec![
-                shard_with_ttfts(&(1..=98).collect::<Vec<_>>()),
-                shard_with_ttfts(&[500, 1000]),
-            ],
-        };
-        assert_eq!(report.shards[0].ttft_p99_steps(), 98);
-        assert_eq!(report.shards[1].ttft_p99_steps(), 1000);
-        assert_eq!(report.ttft_p99_steps(), 500);
+        let p99 = |shards: Vec<ServingReport>| ServingReport::pool(&shards, 0).ttft_p99_steps();
+        let many = shard_with_ttfts(&(1..=98).collect::<Vec<_>>());
+        let few = shard_with_ttfts(&[500, 1000]);
+        assert_eq!(many.ttft_p99_steps(), 98);
+        assert_eq!(few.ttft_p99_steps(), 1000);
+        assert_eq!(p99(vec![many, few]), 500);
 
         // Degenerate populations: a single sample is its own p99; no
         // samples at all report 0.
-        let one = ClusterReport {
-            shards: vec![shard_with_ttfts(&[7]), shard_with_ttfts(&[])],
-            ..report
-        };
-        assert_eq!(one.ttft_p99_steps(), 7);
-        let none = ClusterReport {
-            shards: vec![shard_with_ttfts(&[])],
-            ..one
-        };
-        assert_eq!(none.ttft_p99_steps(), 0);
+        assert_eq!(p99(vec![shard_with_ttfts(&[7]), shard_with_ttfts(&[])]), 7);
+        assert_eq!(p99(vec![shard_with_ttfts(&[])]), 0);
     }
 
     #[test]
@@ -1435,14 +1306,17 @@ mod tests {
         assert_eq!(priced.steals, 0, "the migration is a ship, not a steal");
         assert_eq!(shipped.len(), 1);
         assert_eq!(
-            priced.tokens_generated(),
-            unpriced.tokens_generated(),
+            priced.pooled().tokens_generated,
+            unpriced.pooled().tokens_generated,
             "shipping changes placement, not the work done"
         );
         // The migrated request finishes on the receiving shard and pays a
         // transfer bill there.
         let migrant = shipped[0];
-        assert!(priced.total_ship_cycles() > 0, "the move must be priced");
+        assert!(
+            priced.pooled().total_ship_cycles() > 0,
+            "the move must be priced"
+        );
         let moved = priced.shards[1]
             .requests
             .iter()

@@ -90,7 +90,7 @@ use crate::engine::ToPickAccelerator;
 
 use batch_state::{ActiveRequest, SimulatedStep};
 use lend::{KeyScratch, Lender};
-use policy::AdmissionOrder;
+use policy::{due_step, slo_slack, AdmissionOrder};
 use queue::PendingQueue;
 use residency::Residency;
 
@@ -550,12 +550,6 @@ impl ServingEngine {
         &self.cfg
     }
 
-    /// The active scheduling policy's name.
-    #[must_use]
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// How often this engine's own [`step`](Self::step)s have used the
     /// second core for their attention instances so far. A cluster pools
     /// its shards' steps itself and counts them in
@@ -853,27 +847,23 @@ impl ServingEngine {
     /// [`deadline_attainment`](ServingReport::deadline_attainment).
     fn reject_expired(&mut self) {
         let step = self.step_index;
-        let expired: Vec<u64> = self
+        let expired: Vec<(u64, i64)> = self
             .pending
             .iter()
-            .filter(|e| {
-                e.stats.first_token_at.is_none()
-                    && step >= e.stats.enqueued_at
-                    && e.req
-                        .ttft_deadline
-                        .is_some_and(|d| (step - e.stats.enqueued_at + 1) as u64 > d)
+            .filter(|e| e.stats.first_token_at.is_none())
+            .filter_map(|e| {
+                let due = due_step(e.stats.enqueued_at, None, e.req.ttft_deadline, None);
+                let slack = slo_slack(due, step as u64);
+                (slack < 0).then_some((e.arrival_seq, slack))
             })
-            .map(|e| e.arrival_seq)
             .collect();
-        for seq in expired {
+        for (seq, slack) in expired {
             let mut r = self.pending.remove_by_seq(seq);
             // A preempted-then-expired request may still hold retained
             // device pages or a host-tier holding; both go back to their
             // pools.
             self.pager.release(seq);
             r.kv.release_host(self.pager.host_mut());
-            let overdue =
-                (step - r.stats.enqueued_at + 1) - r.req.ttft_deadline.unwrap_or(0) as usize;
             r.stats.slo_violated = true;
             r.stats.finished_at = Some(step);
             self.rejections += 1;
@@ -882,7 +872,7 @@ impl ServingEngine {
             self.emit(ServeEvent::Rejected {
                 id,
                 step,
-                overdue_steps: overdue,
+                overdue_steps: slack.unsigned_abs() as usize,
             });
         }
     }
@@ -1311,14 +1301,9 @@ impl ServingEngine {
         // after a preemption counts against ITL, which is exactly what
         // SLO-aware eviction must weigh. A blown deadline ends the
         // good-token count for good.
-        let on_time = match r.last_token_at {
-            None => r
-                .req
-                .ttft_deadline
-                .is_none_or(|d| (step - r.stats.enqueued_at + 1) as u64 <= d),
-            Some(t) => r.req.itl_deadline.is_none_or(|d| (step - t) as u64 <= d),
-        };
-        if !on_time {
+        let (ttft, itl) = (r.req.ttft_deadline, r.req.itl_deadline);
+        let due = due_step(r.stats.enqueued_at, r.last_token_at, ttft, itl);
+        if slo_slack(due, step as u64) < 0 {
             r.stats.slo_violated = true;
         }
         if !r.stats.slo_violated {

@@ -77,11 +77,12 @@ pub struct RunningView {
 /// enqueue step itself), decoding requests race `last_token + itl`.
 /// `None` means no applicable deadline — the request can wait forever.
 ///
-/// Shared by both view types so pending and running requests compare on
-/// one urgency scale; [`SloAware`] subtracts the current step to get
-/// slack. The arithmetic saturates, so a deadline past `i64::MAX` steps
-/// is due later than every finite one instead of wrapping negative.
-fn due_step(
+/// Shared by both view types and the engine's own deadline checks, so
+/// pending and running requests compare on one urgency scale and the
+/// engine scores lateness on the same one. The arithmetic saturates, so a
+/// deadline past `i64::MAX` steps is due later than every finite one
+/// instead of wrapping negative.
+pub(super) fn due_step(
     enqueued_at: usize,
     last_token_at: Option<usize>,
     ttft: Option<u64>,
@@ -99,34 +100,10 @@ fn saturating_i64(x: u64) -> i64 {
     i64::try_from(x).unwrap_or(i64::MAX)
 }
 
-impl PendingView {
-    /// Steps of slack until this request's next applicable deadline at
-    /// `step` (negative once blown); `i64::MAX` when no deadline applies.
-    #[must_use]
-    fn slo_slack(&self, step: u64) -> i64 {
-        due_step(
-            self.enqueued_at,
-            self.last_token_at,
-            self.ttft_deadline,
-            self.itl_deadline,
-        )
-        .map_or(i64::MAX, |due| due.saturating_sub(saturating_i64(step)))
-    }
-}
-
-impl RunningView {
-    /// Steps of slack until this request's next applicable deadline at
-    /// `step` (negative once blown); `i64::MAX` when no deadline applies.
-    #[must_use]
-    fn slo_slack(&self, step: u64) -> i64 {
-        due_step(
-            self.enqueued_at,
-            self.last_token_at,
-            self.ttft_deadline,
-            self.itl_deadline,
-        )
-        .map_or(i64::MAX, |due| due.saturating_sub(saturating_i64(step)))
-    }
+/// Steps of slack at `step` until the deadline `due` (negative once
+/// blown); `i64::MAX` when no deadline applies.
+pub(super) fn slo_slack(due: Option<i64>, step: u64) -> i64 {
+    due.map_or(i64::MAX, |due| due.saturating_sub(saturating_i64(step)))
 }
 
 /// A scheduling policy: the ordering brain of the serving engine.
@@ -461,14 +438,14 @@ impl SchedulerPolicy for FairRoundRobin {
 ///
 /// Every request is placed on one urgency scale — steps of *slack* until
 /// its next applicable deadline (TTFT before the first token, ITL after;
-/// see `slo_slack` on both views). Admission picks the least-slack
-/// queued request (oldest arrival among equals), so deadline-less
-/// requests (infinite slack) degrade to FIFO and a mixed workload is
-/// served EDF-first, FIFO-second. Eviction targets the *most*-slack
-/// running request (most remaining work, then youngest, among equals) and
-/// only fires when the victim has **strictly** more slack than the
-/// candidate — a workload with no deadlines anywhere never preempts, and
-/// two equally late requests never thrash by evicting each other.
+/// see `due_step`). Admission picks the least-slack queued request
+/// (oldest arrival among equals), so deadline-less requests (infinite
+/// slack) degrade to FIFO and a mixed workload is served EDF-first,
+/// FIFO-second. Eviction targets the *most*-slack running request (most
+/// remaining work, then youngest, among equals) and only fires when the
+/// victim has **strictly** more slack than the candidate — a workload
+/// with no deadlines anywhere never preempts, and two equally late
+/// requests never thrash by evicting each other.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SloAware;
 
@@ -477,8 +454,14 @@ impl SchedulerPolicy for SloAware {
         "slo-aware"
     }
 
-    fn rank(&self, view: &PendingView, step: u64) -> i64 {
-        view.slo_slack(step)
+    fn rank(&self, v: &PendingView, step: u64) -> i64 {
+        let due = due_step(
+            v.enqueued_at,
+            v.last_token_at,
+            v.ttft_deadline,
+            v.itl_deadline,
+        );
+        slo_slack(due, step)
     }
 
     fn pick_victim(
@@ -487,11 +470,20 @@ impl SchedulerPolicy for SloAware {
         running: &[RunningView],
         step: u64,
     ) -> Option<usize> {
+        let slack = |r: &RunningView| {
+            let due = due_step(
+                r.enqueued_at,
+                r.last_token_at,
+                r.ttft_deadline,
+                r.itl_deadline,
+            );
+            slo_slack(due, step)
+        };
         let (slot, victim) = running
             .iter()
             .enumerate()
-            .max_by_key(|(_, r)| (r.slo_slack(step), r.remaining_tokens, r.arrival_seq))?;
-        (victim.slo_slack(step) > candidate.slo_slack(step)).then_some(slot)
+            .max_by_key(|(_, r)| (slack(r), r.remaining_tokens, r.arrival_seq))?;
+        (slack(victim) > self.rank(candidate, step)).then_some(slot)
     }
 }
 

@@ -249,63 +249,6 @@ impl StepReport {
     }
 }
 
-/// Throughput in tokens per second: `tokens` delivered over `cycles` at
-/// `clock_hz` (0 for an empty run). Shared by the single-engine and
-/// cluster reports, for raw throughput and goodput alike.
-#[must_use]
-pub fn tokens_per_second(tokens: usize, cycles: u64, clock_hz: f64) -> f64 {
-    if cycles == 0 {
-        return 0.0;
-    }
-    tokens as f64 / (cycles as f64 / clock_hz)
-}
-
-/// Tokens delivered within SLO across `requests` (every token of a
-/// deadline-free request counts).
-pub fn good_tokens<'a>(requests: impl Iterator<Item = &'a RequestStats>) -> usize {
-    requests.map(|r| r.good_tokens).sum()
-}
-
-/// Share of the deadline-carrying `requests` that met every deadline, in
-/// `[0, 1]` (1 when none carried a deadline — nothing was promised,
-/// nothing was missed).
-pub fn deadline_attainment<'a>(requests: impl Iterator<Item = &'a RequestStats>) -> f64 {
-    let (mut carrying, mut attained) = (0usize, 0usize);
-    for r in requests.filter(|r| r.has_deadline()) {
-        carrying += 1;
-        attained += usize::from(r.slo_attained());
-    }
-    if carrying == 0 {
-        return 1.0;
-    }
-    attained as f64 / carrying as f64
-}
-
-/// The p99 time-to-first-token over `requests` as one pooled population,
-/// in steps (nearest-rank percentile; 0 when nothing produced a token).
-pub fn ttft_p99_steps<'a>(requests: impl Iterator<Item = &'a RequestStats>) -> usize {
-    let mut ttfts: Vec<usize> = requests
-        .filter_map(|r| Some(r.first_token_at? - r.enqueued_at + 1))
-        .collect();
-    if ttfts.is_empty() {
-        return 0;
-    }
-    ttfts.sort_unstable();
-    let rank = (ttfts.len() as f64 * 0.99).ceil() as usize;
-    ttfts[rank.clamp(1, ttfts.len()) - 1]
-}
-
-/// Admission-normalized prefix-cache hit rate, in `[0, 1]`: of the
-/// `prompt_tokens` demanded across every admission, the share
-/// `hit_tokens` the cache served (0 when nothing was admitted).
-#[must_use]
-pub fn hit_rate(hit_tokens: usize, prompt_tokens: usize) -> f64 {
-    if prompt_tokens == 0 {
-        return 0.0;
-    }
-    hit_tokens as f64 / prompt_tokens as f64
-}
-
 /// Aggregate outcome of a served workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
@@ -341,10 +284,64 @@ pub struct ServingReport {
 }
 
 impl ServingReport {
+    /// Lockstep shard reports pooled into one: step `i`'s fields summed
+    /// over every shard that recorded a step `i` (so a step's cycles are
+    /// its summed work, not its critical path), finished requests
+    /// concatenated in shard order, counters summed, pruning statistics
+    /// merged — and `makespan` as the total cycles, since the shards ran
+    /// in parallel.
+    pub(crate) fn pool(shards: &[Self], makespan: u64) -> Self {
+        let mut steps: Vec<StepReport> = Vec::new();
+        for (i, step) in shards.iter().flat_map(|s| s.steps.iter().enumerate()) {
+            let Some(p) = steps.get_mut(i) else {
+                steps.push(*step);
+                continue;
+            };
+            p.batch += step.batch;
+            p.decoded += step.decoded;
+            p.context_tokens += step.context_tokens;
+            p.weight_cycles += step.weight_cycles;
+            p.attention_cycles += step.attention_cycles;
+            p.prefill_cycles += step.prefill_cycles;
+            p.reprefill_cycles += step.reprefill_cycles;
+            p.swap_cycles += step.swap_cycles;
+            p.ship_cycles += step.ship_cycles;
+        }
+        let mut prune = shards.first().map(|s| s.prune.clone()).unwrap_or_default();
+        for s in shards.iter().skip(1) {
+            prune.merge(&s.prune);
+        }
+        let sum = |f: fn(&Self) -> usize| shards.iter().map(f).sum();
+        Self {
+            policy: shards.first().map(|s| s.policy.clone()).unwrap_or_default(),
+            steps,
+            requests: shards
+                .iter()
+                .flat_map(|s| s.requests.iter().copied())
+                .collect(),
+            total_cycles: makespan,
+            tokens_generated: sum(|s| s.tokens_generated),
+            preemptions: sum(|s| s.preemptions),
+            admitted_prompt_tokens: sum(|s| s.admitted_prompt_tokens),
+            admitted_hit_tokens: sum(|s| s.admitted_hit_tokens),
+            rejections: sum(|s| s.rejections),
+            prune,
+        }
+    }
+
     /// End-to-end throughput in generated tokens per second at `clock_hz`.
     #[must_use]
     pub fn tokens_per_second(&self, clock_hz: f64) -> f64 {
-        tokens_per_second(self.tokens_generated, self.total_cycles, clock_hz)
+        self.per_second(self.tokens_generated, clock_hz)
+    }
+
+    /// `tokens` delivered over the run's cycles at `clock_hz`, per second
+    /// (0 for an empty run).
+    fn per_second(&self, tokens: usize, clock_hz: f64) -> f64 {
+        if self.total_cycles == 0 {
+            return 0.0;
+        }
+        tokens as f64 / (self.total_cycles as f64 / clock_hz)
     }
 
     /// Mean decode-step latency in cycles.
@@ -399,16 +396,13 @@ impl ServingReport {
     /// *at admission* — demand by
     /// [`admitted_prompt_tokens`](Self::admitted_prompt_tokens), service
     /// by [`admitted_hit_tokens`](Self::admitted_hit_tokens) — so the
-    /// ratio is well-formed even on truncated runs, mirroring the
-    /// cluster-side accounting. The previous normalization derived demand
-    /// as `prompt_len × (preemptions + 1)` over *finished* requests,
-    /// which reported 0 before the first completion, ignored in-flight
-    /// demand, and overcounted re-admissions that re-prefill only the
-    /// suffix dropped past the retained/swapped prefix. On a drained run
-    /// without rejections the two normalizations agree.
+    /// ratio is well-formed even on truncated runs.
     #[must_use]
     pub fn prefix_hit_rate(&self) -> f64 {
-        hit_rate(self.admitted_hit_tokens, self.admitted_prompt_tokens)
+        if self.admitted_prompt_tokens == 0 {
+            return 0.0;
+        }
+        self.admitted_hit_tokens as f64 / self.admitted_prompt_tokens as f64
     }
 
     /// Total host-tier copy-back cycles charged across all steps — the
@@ -452,7 +446,7 @@ impl ServingReport {
     /// token of a deadline-free request counts).
     #[must_use]
     pub fn total_good_tokens(&self) -> usize {
-        good_tokens(self.requests.iter())
+        self.requests.iter().map(|r| r.good_tokens).sum()
     }
 
     /// Goodput under SLO in tokens per second at `clock_hz`: like
@@ -460,7 +454,7 @@ impl ServingReport {
     /// tokens delivered before their request blew a deadline.
     #[must_use]
     pub fn goodput_tokens_per_second(&self, clock_hz: f64) -> f64 {
-        tokens_per_second(self.total_good_tokens(), self.total_cycles, clock_hz)
+        self.per_second(self.total_good_tokens(), clock_hz)
     }
 
     /// Share of deadline-carrying requests that met every deadline, in
@@ -468,7 +462,15 @@ impl ServingReport {
     /// promised, nothing was missed).
     #[must_use]
     pub fn deadline_attainment(&self) -> f64 {
-        deadline_attainment(self.requests.iter())
+        let (mut carrying, mut attained) = (0usize, 0usize);
+        for r in self.requests.iter().filter(|r| r.has_deadline()) {
+            carrying += 1;
+            attained += usize::from(r.slo_attained());
+        }
+        if carrying == 0 {
+            return 1.0;
+        }
+        attained as f64 / carrying as f64
     }
 
     /// The p99 time-to-first-token across finished requests, in steps
@@ -476,7 +478,17 @@ impl ServingReport {
     /// tail-latency number chunked prefill exists to protect.
     #[must_use]
     pub fn ttft_p99_steps(&self) -> usize {
-        ttft_p99_steps(self.requests.iter())
+        let mut ttfts: Vec<usize> = self
+            .requests
+            .iter()
+            .filter_map(|r| Some(r.first_token_at? - r.enqueued_at + 1))
+            .collect();
+        if ttfts.is_empty() {
+            return 0;
+        }
+        ttfts.sort_unstable();
+        let rank = (ttfts.len() as f64 * 0.99).ceil() as usize;
+        ttfts[rank.clamp(1, ttfts.len()) - 1]
     }
 
     /// The largest prefill charge any single step carried, in cycles —
@@ -535,8 +547,67 @@ mod tests {
             admitted_prompt_tokens: admitted,
             admitted_hit_tokens: hits,
             rejections: 0,
-            prune: topick_core::PruneStats::default(),
+            prune: PruneStats::default(),
         }
+    }
+
+    /// A step at `index` that decoded `batch` requests over `weight` and
+    /// `attention` cycles.
+    fn step(index: usize, batch: usize, weight: u64, attention: u64) -> StepReport {
+        StepReport {
+            batch,
+            decoded: batch,
+            context_tokens: 10 * batch,
+            weight_cycles: weight,
+            attention_cycles: attention,
+            ..StepReport::idle(index)
+        }
+    }
+
+    /// Pooling sums step `i` over the shards that have one — a cluster
+    /// step that failed part-way leaves the step counts unequal —
+    /// concatenates requests in shard order, sums the counters, merges the
+    /// pruning statistics and takes the makespan as the total cycles.
+    #[test]
+    fn pool_sums_steps_by_index_and_concatenates_requests_in_shard_order() {
+        let prune = |tokens, kept| PruneStats {
+            tokens,
+            kept,
+            chunk_fetches: vec![tokens as u64, kept as u64],
+            pruned_at: vec![(tokens - kept) as u64, 0],
+        };
+        let a = ServingReport {
+            steps: vec![step(0, 2, 100, 30), step(1, 1, 100, 10), step(2, 1, 100, 5)],
+            tokens_generated: 4,
+            preemptions: 1,
+            prune: prune(40, 10),
+            ..report(vec![request(1, 8, 1, 0), request(3, 8, 0, 4)], 24, 4)
+        };
+        let b = ServingReport {
+            steps: vec![step(0, 1, 100, 20), step(1, 0, 0, 0)],
+            tokens_generated: 1,
+            rejections: 2,
+            prune: prune(6, 3),
+            ..report(vec![request(2, 16, 0, 16)], 16, 16)
+        };
+        let pooled = ServingReport::pool(&[a, b], 345);
+        assert_eq!(
+            pooled.steps,
+            vec![step(0, 3, 200, 50), step(1, 1, 100, 10), step(2, 1, 100, 5)]
+        );
+        let ids: Vec<u64> = pooled.requests.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [1, 3, 2]);
+        assert_eq!(pooled.prune, prune(46, 13));
+        assert_eq!(pooled.total_cycles, 345);
+        let counts = (
+            pooled.tokens_generated,
+            pooled.preemptions,
+            pooled.rejections,
+        );
+        assert_eq!(counts, (5, 1, 2));
+        let admitted = (pooled.admitted_prompt_tokens, pooled.admitted_hit_tokens);
+        assert_eq!(admitted, (40, 20));
+        assert!(ServingReport::pool(&[], 0).steps.is_empty());
     }
 
     /// Hand-computed retention scenario: a 10-token request is admitted,
@@ -550,10 +621,8 @@ mod tests {
         assert!((r.prefix_hit_rate() - 0.4).abs() < 1e-12);
     }
 
-    /// The old normalization (`prompt_len × (preemptions + 1)` over
-    /// finished requests) reported 0.0 on a truncated run with every
-    /// request still in flight; admission-normalized accounting reports
-    /// the true in-flight rate and stays in `[0, 1]`.
+    /// Admission-normalized accounting reports a truncated run's true
+    /// in-flight rate, before anything finished, and stays in `[0, 1]`.
     #[test]
     fn prefix_hit_rate_is_well_formed_mid_run() {
         // Nothing finished yet: 2 admissions of 16-token prompts, one of

@@ -1010,7 +1010,7 @@ mod tests {
         assert_eq!(first.digest, second.digest);
         assert_eq!(first.events, second.events);
         assert_eq!(report.shards.len(), 1);
-        assert!(report.tokens_generated() > 0);
+        assert!(report.pooled().tokens_generated > 0);
         // And the parsed form replays identically too.
         let reparsed = Trace::parse(&first.render()).unwrap();
         let (third, _) = reparsed.replay_verified().unwrap();

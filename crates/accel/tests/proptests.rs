@@ -583,8 +583,9 @@ proptest! {
     /// budget, stealing and preemption on or off — no request is lost,
     /// duplicated, or decoded on two shards; every shard's pager satisfies
     /// its conservation oracle at the end and drains to nothing allocated;
-    /// shards stay in lockstep with the cluster clock; and with stealing
-    /// off every request finishes on the shard it was routed to.
+    /// shards stay in lockstep with the cluster clock; with stealing off
+    /// every request finishes on the shard it was routed to; and the
+    /// pooled report sums the shards' tokens over every cluster step.
     #[test]
     fn cluster_conserves_requests_across_shards(
         seed in any::<u64>(),
@@ -733,6 +734,14 @@ proptest! {
             prop_assert_eq!(pager.allocated_pages(), 0);
             prop_assert_eq!(report.shards[i].steps.len(), report.cluster_steps);
         }
+        // The pooled report covers every shard's tokens and every
+        // cluster step.
+        let pooled = report.pooled();
+        prop_assert_eq!(
+            pooled.tokens_generated,
+            report.shards.iter().map(|s| s.tokens_generated).sum::<usize>()
+        );
+        prop_assert_eq!(pooled.steps.len(), report.cluster_steps);
     }
 
     /// At any truncation point of any tiered cluster run — mid-prefill,
@@ -781,7 +790,7 @@ proptest! {
                 .expect("valid request");
         }
         for _ in 0..cutoff {
-            let rate = cluster.report().prefix_hit_rate();
+            let rate = cluster.report().pooled().prefix_hit_rate();
             prop_assert!(
                 (0.0..=1.0).contains(&rate),
                 "truncated hit rate {} left the unit range",
@@ -797,7 +806,7 @@ proptest! {
             guard += 1;
             prop_assert!(guard < 4096, "cluster failed to drain");
         }
-        let rate = cluster.report().prefix_hit_rate();
+        let rate = cluster.report().pooled().prefix_hit_rate();
         prop_assert!((0.0..=1.0).contains(&rate), "drained hit rate {}", rate);
     }
 

@@ -196,6 +196,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (4, RoutingKind::PrefixAffinity, false),
     ] {
         let report = serve_sharded(shards, routing, stealing)?;
+        let pooled = report.pooled();
         let label = format!(
             "{}x {}{}",
             shards,
@@ -206,10 +207,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:<28} {:>6} {:>11.1} {:>8} {:>10.2} {:>8.0}%",
             label,
             report.cluster_steps,
-            report.tokens_per_second(500e6),
+            pooled.tokens_per_second(500e6),
             report.steals,
             report.load_imbalance(),
-            100.0 * report.prefix_hit_rate(),
+            100.0 * pooled.prefix_hit_rate(),
         );
     }
     println!();

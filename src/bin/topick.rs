@@ -266,6 +266,7 @@ fn cmd_serve_replay(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let recorded = Trace::load(path)?;
     let meta = &recorded.meta;
     let (trace, report) = recorded.replay_verified()?;
+    let pooled = report.pooled();
     println!(
         "replayed {path}: scenario {}, policy {}, {} shard{}, {} requests, {} events",
         meta.scenario.as_deref().unwrap_or("ad-hoc"),
@@ -281,8 +282,8 @@ fn cmd_serve_replay(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     );
     print!(
         "throughput     : {:.1} tokens/s, {} tokens in ",
-        report.tokens_per_second(meta.serving_config().clock_hz),
-        report.tokens_generated()
+        pooled.tokens_per_second(meta.serving_config().clock_hz),
+        pooled.tokens_generated
     );
     if meta.shards == 1 {
         println!("{} steps", report.cluster_steps);
@@ -679,33 +680,35 @@ fn cmd_serve_cluster(
         );
         for kind in PolicyKind::all() {
             let (_, report) = serve_run(meta, kind, requests)?;
+            let pooled = report.pooled();
             println!(
                 "{:<20} {:>8} {:>12.1} {:>8} {:>10.2} {:>9} {:>9}",
-                report.policy,
+                pooled.policy,
                 report.cluster_steps,
-                report.tokens_per_second(clock_hz),
+                pooled.tokens_per_second(clock_hz),
                 report.steals,
                 report.load_imbalance(),
-                report.preemptions(),
-                report.total_prefix_hit_tokens()
+                pooled.preemptions,
+                pooled.total_prefix_hit_tokens()
             );
         }
         return Ok(());
     }
 
     let (trace, report) = serve_run(meta, policy_flag.parse()?, requests)?;
+    let pooled = report.pooled();
     if let Some(scenario) = &meta.scenario {
         println!("scenario {scenario} (seed {})", meta.scenario_seed);
     }
     println!(
         "mode {:?}, policy {}, routing {}{}: {} shards, {} requests, {} tokens in {} steps",
         cfg.accel.mode,
-        report.policy,
+        pooled.policy,
         report.routing,
         if report.stealing { " + stealing" } else { "" },
         report.shards.len(),
-        report.requests().count(),
-        report.tokens_generated(),
+        pooled.requests.len(),
+        pooled.tokens_generated,
         report.cluster_steps
     );
     println!("makespan       : {} cycles (modeled)", report.total_cycles);
@@ -715,46 +718,46 @@ fn cmd_serve_cluster(
     );
     println!(
         "throughput     : {:.1} tokens/s",
-        report.tokens_per_second(clock_hz)
+        pooled.tokens_per_second(clock_hz)
     );
     println!("steals         : {}", report.steals);
     if cfg.ship_cost_factor > 0.0 {
         println!(
             "page shipping  : {} running migrations, {} transfer cycles",
             report.ships,
-            report.total_ship_cycles()
+            pooled.total_ship_cycles()
         );
     }
     if cfg.host_pages > 0 {
         println!(
             "host swap      : {} copy-back cycles ({} host pages per shard)",
-            report.total_swap_cycles(),
+            pooled.total_swap_cycles(),
             cfg.host_pages
         );
     }
     if cfg.reject_expired_ttft {
         println!(
             "rejections     : {} expired-TTFT requests",
-            report.rejections()
+            pooled.rejections
         );
     }
     println!("load imbalance : {:.2}", report.load_imbalance());
-    println!("preemptions    : {}", report.preemptions());
+    println!("preemptions    : {}", pooled.preemptions);
     println!(
         "prefix cache   : {} prompt tokens served, {:.0}% hit rate",
-        report.total_prefix_hit_tokens(),
-        100.0 * report.prefix_hit_rate()
+        pooled.total_prefix_hit_tokens(),
+        100.0 * pooled.prefix_hit_rate()
     );
-    if report.requests().any(|(_, r)| r.has_deadline()) {
+    if pooled.requests.iter().any(|r| r.has_deadline()) {
         println!(
             "SLO            : {:.0}% deadline attainment, {:.1} good tokens/s ({} good tokens)",
-            100.0 * report.deadline_attainment(),
-            report.goodput_tokens_per_second(clock_hz),
-            report.total_good_tokens()
+            100.0 * pooled.deadline_attainment(),
+            pooled.goodput_tokens_per_second(clock_hz),
+            pooled.total_good_tokens()
         );
         println!(
             "TTFT p99       : {} steps (pooled across shards)",
-            report.ttft_p99_steps()
+            pooled.ttft_p99_steps()
         );
     }
     println!(

@@ -13,7 +13,7 @@ use token_picker::accel::serve::trace::run_recorded;
 use token_picker::accel::{
     AccelConfig, AccelMode, AdmissionConfig, ClusterEngine, ClusterEvent, ClusterReport,
     PolicyKind, PreemptionConfig, RetentionPolicy, RoutingKind, ScenarioKind, ServeEvent,
-    ServingConfig, ServingEngine, ServingReport, ServingRequest, Trace, TraceMeta,
+    ServingConfig, ServingEngine, ServingReport, ServingRequest, StepReport, Trace, TraceMeta,
 };
 
 fn mixed_workload() -> Vec<ServingRequest> {
@@ -897,7 +897,10 @@ fn one_shard_cluster_reproduces_the_bare_engine_bit_for_bit() {
             // Cluster-level accounting degenerates to the shard's own.
             assert_eq!(report.total_cycles, report.shards[0].total_cycles);
             assert_eq!(report.cluster_steps, report.shards[0].steps.len());
-            assert_eq!(report.tokens_generated(), report.shards[0].tokens_generated);
+            assert_eq!(
+                report.pooled().tokens_generated,
+                report.shards[0].tokens_generated
+            );
         }
     }
 }
@@ -923,7 +926,8 @@ fn four_shard_least_loaded_with_stealing_beats_one_shard_throughput() {
         RoutingKind::LeastLoaded,
         true,
     );
-    assert_eq!(single.tokens_generated(), four.tokens_generated());
+    let (single_pooled, four_pooled) = (single.pooled(), four.pooled());
+    assert_eq!(single_pooled.tokens_generated, four_pooled.tokens_generated);
     assert!(
         four.total_cycles < single.total_cycles,
         "4-shard makespan {} must beat 1-shard {}",
@@ -932,10 +936,10 @@ fn four_shard_least_loaded_with_stealing_beats_one_shard_throughput() {
     );
     let clock_hz = 500e6;
     assert!(
-        four.tokens_per_second(clock_hz) > single.tokens_per_second(clock_hz),
+        four_pooled.tokens_per_second(clock_hz) > single_pooled.tokens_per_second(clock_hz),
         "4 shards {:.1} tok/s must beat 1 shard {:.1} tok/s",
-        four.tokens_per_second(clock_hz),
-        single.tokens_per_second(clock_hz)
+        four_pooled.tokens_per_second(clock_hz),
+        single_pooled.tokens_per_second(clock_hz)
     );
     // Sharding spread the work: no shard did everything.
     assert!(four.shards.iter().all(|s| !s.requests.is_empty()));
@@ -965,8 +969,8 @@ fn assert_same_schedule(left: &ClusterReport, right: &ClusterReport, label: &str
         "{label}: step count"
     );
     assert_eq!(
-        left.tokens_generated(),
-        right.tokens_generated(),
+        left.pooled().tokens_generated,
+        right.pooled().tokens_generated,
         "{label}: tokens"
     );
 }
@@ -1034,8 +1038,8 @@ fn routing_policies_agree_on_results_and_affinity_recovers_the_hit_rate() {
     // each tenant's requests across shards and every shard re-prefills the
     // tenant prefix — while prefix-affinity keeps a tenant on one shard
     // and recovers (most of) the single-engine hit rate. Pin the margin.
-    let rr = &reports[0].1;
-    let affinity = &reports[2].1;
+    let rr = reports[0].1.pooled();
+    let affinity = reports[2].1.pooled();
     assert_eq!(reports[0].0, RoutingKind::RoundRobin);
     assert_eq!(reports[2].0, RoutingKind::PrefixAffinity);
     assert!(
@@ -1059,8 +1063,8 @@ fn stealing_terminates_and_preserves_results_on_staggered_arrivals() {
     for kind in RoutingKind::all() {
         let stolen = serve_shared_prefix_cluster(4, kind, true);
         assert_eq!(
-            stolen.tokens_generated(),
-            baseline.tokens_generated(),
+            stolen.pooled().tokens_generated,
+            baseline.pooled().tokens_generated,
             "{kind}: stealing changed the work done"
         );
         assert_eq!(stolen.requests().count(), baseline.requests().count());
@@ -1318,9 +1322,9 @@ fn agentic_scenario_affinity_beats_round_robin_by_the_pinned_margin() {
             ("prefix-affinity", affinity_trace.digest),
         ],
     );
+    let (affinity, round_robin) = (affinity.pooled(), round_robin.pooled());
     assert_eq!(
-        affinity.tokens_generated(),
-        round_robin.tokens_generated(),
+        affinity.tokens_generated, round_robin.tokens_generated,
         "routing must change placement, not the work done"
     );
     assert!(
@@ -1933,7 +1937,7 @@ fn golden_trace_replays_to_its_recorded_digest() {
         "replay digest moved off the golden"
     );
     assert_eq!(report.shards.len(), 4);
-    assert!(report.tokens_generated() > 0);
+    assert!(report.pooled().tokens_generated > 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -2200,10 +2204,10 @@ fn prefix_pull_shipping_strictly_cuts_the_round_robin_prefill_bill() {
     // an arriving request pulls the already-built prefix pages from a
     // sibling shard instead — the combined prefill + transfer bill must
     // come in strictly under re-prefilling, at equal tokens.
-    let base = serve_shared_prefix_cluster(4, RoutingKind::RoundRobin, false);
-    let shipped = serve_shared_prefix_cluster_shipped(0.25);
+    let base = serve_shared_prefix_cluster(4, RoutingKind::RoundRobin, false).pooled();
+    let shipped = serve_shared_prefix_cluster_shipped(0.25).pooled();
 
-    assert_eq!(shipped.tokens_generated(), base.tokens_generated());
+    assert_eq!(shipped.tokens_generated, base.tokens_generated);
     assert!(
         shipped.total_ship_cycles() > 0,
         "no prefix pages were ever pulled"
@@ -2270,7 +2274,7 @@ fn shipped_prefix_pulls_record_and_replay_to_the_same_digest() {
             .any(|e| matches!(e, ClusterEvent::Shipped { .. })),
         "no prefix pages were ever shipped"
     );
-    assert!(report.total_ship_cycles() > 0);
+    assert!(report.pooled().total_ship_cycles() > 0);
 }
 
 /// The canonical skewed workload on a 4-shard least-loaded cluster with
@@ -2566,7 +2570,7 @@ fn truncated_cluster_snapshots_keep_the_prefix_hit_rate_in_unit_range() {
             .expect("step")
             .expect("a 32-token decode outlives six steps");
         let snapshot = cluster.report();
-        let rate = snapshot.prefix_hit_rate();
+        let rate = snapshot.pooled().prefix_hit_rate();
         assert!(
             (0.0..=1.0).contains(&rate),
             "truncated-run hit rate {rate} left the unit range at step {step}"
@@ -2586,7 +2590,7 @@ fn truncated_cluster_snapshots_keep_the_prefix_hit_rate_in_unit_range() {
     );
     // Drained, the rate stays in range and strictly positive.
     let report = cluster.run_to_completion(4096).expect("completes");
-    let rate = report.prefix_hit_rate();
+    let rate = report.pooled().prefix_hit_rate();
     assert!(rate > 0.0 && rate <= 1.0, "drained hit rate {rate}");
 }
 
@@ -2892,15 +2896,13 @@ fn real_tokens_measured_cycles_and_served_tokens_are_pinned() {
     );
 }
 
-/// The run aggregates have one implementation (`serve::stats`), so the
-/// two reports cannot drift: a 1-shard cluster reports bit-for-bit what
-/// the bare engine reports, and a 4-shard cluster's pooled aggregates are
-/// the shared functions over the concatenated shard requests — across
-/// scenarios that exercise prefix hits, deadlines and preemption.
+/// A cluster's aggregates are its pooled report's: a 1-shard cluster pools
+/// to exactly the bare engine's report, and a 4-shard cluster's pooled
+/// aggregates equal references computed here from the shard reports' raw
+/// fields — across scenarios that exercise prefix hits, deadlines and
+/// preemption.
 #[test]
 fn cluster_report_aggregates_are_the_engine_aggregates() {
-    use token_picker::accel::serve::stats;
-
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
     let run_cluster = |cfg: &ServingConfig, policy, shards, requests: &[ServingRequest]| {
         let mut cluster = ClusterEngine::builder(accel.clone())
@@ -2938,88 +2940,91 @@ fn cluster_report_aggregates_are_the_engine_aggregates() {
             }
             let solo = engine.run_to_completion(4096).expect("workload completes");
             let one = run_cluster(&cfg, policy, 1, &requests);
-            assert_eq!(one.shards, std::slice::from_ref(&solo), "{what}");
-            assert_eq!(one.total_cycles, solo.total_cycles, "{what}");
-            assert_eq!(one.tokens_generated(), solo.tokens_generated, "{what}");
-            assert_eq!(one.preemptions(), solo.preemptions, "{what}");
-            assert_eq!(one.rejections(), solo.rejections, "{what}");
-            assert_eq!(one.total_good_tokens(), solo.total_good_tokens(), "{what}");
-            assert_eq!(one.ttft_p99_steps(), solo.ttft_p99_steps(), "{what}");
-            assert_eq!(
-                one.total_prefix_hit_tokens(),
-                solo.total_prefix_hit_tokens(),
-                "{what}"
-            );
-            for (name, cluster_cycles, engine_cycles) in [
-                (
-                    "prefill",
-                    one.total_prefill_cycles(),
-                    solo.total_prefill_cycles(),
-                ),
-                (
-                    "reprefill",
-                    one.total_reprefill_cycles(),
-                    solo.total_reprefill_cycles(),
-                ),
-                ("swap", one.total_swap_cycles(), solo.total_swap_cycles()),
-                ("ship", one.total_ship_cycles(), solo.total_ship_cycles()),
-            ] {
-                assert_eq!(cluster_cycles, engine_cycles, "{what}: {name} cycles");
-            }
-            for (name, cluster_rate, engine_rate) in [
-                (
-                    "tokens/s",
-                    one.tokens_per_second(hz),
-                    solo.tokens_per_second(hz),
-                ),
-                (
-                    "goodput",
-                    one.goodput_tokens_per_second(hz),
-                    solo.goodput_tokens_per_second(hz),
-                ),
-                (
-                    "attainment",
-                    one.deadline_attainment(),
-                    solo.deadline_attainment(),
-                ),
-                ("hit rate", one.prefix_hit_rate(), solo.prefix_hit_rate()),
-            ] {
-                assert_eq!(
-                    cluster_rate.to_bits(),
-                    engine_rate.to_bits(),
-                    "{what}: {name}"
-                );
-            }
+            assert_eq!(one.pooled(), solo, "{what}");
 
             let four = run_cluster(&cfg, policy, 4, &requests);
-            let pooled: Vec<_> = four.shards.iter().flat_map(|s| &s.requests).collect();
-            assert_eq!(pooled.len(), requests.len(), "{what}");
-            let good = stats::good_tokens(pooled.iter().copied());
-            assert_eq!(four.total_good_tokens(), good, "{what}");
+            let pooled = four.pooled();
+            let shards = &four.shards;
+            let finished: Vec<_> = shards.iter().flat_map(|s| s.requests.clone()).collect();
+            assert_eq!(finished.len(), requests.len(), "{what}");
+            assert_eq!(pooled.requests, finished, "{what}");
+            let sum = |f: fn(&ServingReport) -> usize| shards.iter().map(f).sum::<usize>();
+            let cycles = |f: fn(&StepReport) -> u64| {
+                shards.iter().flat_map(|s| &s.steps).map(f).sum::<u64>()
+            };
+            let tokens = sum(|s| s.tokens_generated);
+            let good: usize = finished.iter().map(|r| r.good_tokens).sum();
+            let hits: usize = finished.iter().map(|r| r.prefix_hit_tokens).sum();
+            let mut ttfts: Vec<usize> = finished
+                .iter()
+                .filter_map(|r| Some(r.first_token_at? - r.enqueued_at + 1))
+                .collect();
+            ttfts.sort_unstable();
+            let p99 = ttfts[(ttfts.len() * 99).div_ceil(100) - 1];
             assert_eq!(
-                four.goodput_tokens_per_second(hz),
-                stats::tokens_per_second(good, four.total_cycles, hz),
+                (pooled.total_cycles, pooled.steps.len()),
+                (four.total_cycles, four.cluster_steps),
                 "{what}"
             );
             assert_eq!(
-                four.deadline_attainment(),
-                stats::deadline_attainment(pooled.iter().copied()),
+                [
+                    pooled.tokens_generated,
+                    pooled.preemptions,
+                    pooled.rejections
+                ],
+                [tokens, sum(|s| s.preemptions), sum(|s| s.rejections)],
                 "{what}"
             );
             assert_eq!(
-                four.ttft_p99_steps(),
-                stats::ttft_p99_steps(pooled.iter().copied()),
+                [pooled.total_good_tokens(), pooled.total_prefix_hit_tokens()],
+                [good, hits],
                 "{what}"
             );
-            let admitted = |f: fn(&ServingReport) -> usize| four.shards.iter().map(f).sum();
+            assert_eq!(pooled.ttft_p99_steps(), p99, "{what}");
             assert_eq!(
-                four.prefix_hit_rate(),
-                stats::hit_rate(
-                    admitted(|s| s.admitted_hit_tokens),
-                    admitted(|s| s.admitted_prompt_tokens)
+                [
+                    pooled.total_attention_cycles(),
+                    pooled.total_prefill_cycles(),
+                    pooled.total_reprefill_cycles(),
+                    pooled.total_swap_cycles(),
+                    pooled.total_ship_cycles(),
+                ],
+                [
+                    cycles(|s| s.attention_cycles),
+                    cycles(|s| s.prefill_cycles),
+                    cycles(|s| s.reprefill_cycles),
+                    cycles(|s| s.swap_cycles),
+                    cycles(|s| s.ship_cycles),
+                ],
+                "{what}"
+            );
+            let carrying: Vec<_> = finished
+                .iter()
+                .filter(|r| r.ttft_deadline.is_some() || r.itl_deadline.is_some())
+                .collect();
+            let attainment = if carrying.is_empty() {
+                1.0
+            } else {
+                carrying.iter().filter(|r| !r.slo_violated).count() as f64 / carrying.len() as f64
+            };
+            let per_second = |n: usize| n as f64 / (four.total_cycles as f64 / hz);
+            for (name, got, want) in [
+                ("tokens/s", pooled.tokens_per_second(hz), per_second(tokens)),
+                (
+                    "goodput",
+                    pooled.goodput_tokens_per_second(hz),
+                    per_second(good),
                 ),
-                "{what}"
-            );
+                ("attainment", pooled.deadline_attainment(), attainment),
+                (
+                    "hit rate",
+                    pooled.prefix_hit_rate(),
+                    sum(|s| s.admitted_hit_tokens) as f64
+                        / sum(|s| s.admitted_prompt_tokens) as f64,
+                ),
+            ] {
+                assert_eq!(got.to_bits(), want.to_bits(), "{what}: {name}");
+            }
         }
     }
 }
