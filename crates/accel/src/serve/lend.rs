@@ -272,7 +272,7 @@ impl Job {
 /// instance's float keys and the codes of an instance's or a call's keys.
 /// Freed and re-allocated per instance on two threads at once, the
 /// 300–500 KB float buffers of long contexts raise the process's peak
-/// memory by a fifth (measured, `docs/ARCHITECTURE.md`); kept, each thread
+/// memory by a fifth (measured; CHANGES has the runs); kept, each thread
 /// holds one of each, as large as its largest instance so far.
 #[derive(Debug, Default)]
 pub(super) struct KeyScratch {

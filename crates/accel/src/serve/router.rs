@@ -184,11 +184,7 @@ impl RoutingKind {
     /// The policy's stable name (matches [`RoutingPolicy::name`]).
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            Self::RoundRobin => "round-robin",
-            Self::LeastLoaded => "least-loaded",
-            Self::PrefixAffinity => "prefix-affinity",
-        }
+        self.build().name()
     }
 
     /// Instantiates the policy with its defaults.

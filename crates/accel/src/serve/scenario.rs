@@ -548,14 +548,7 @@ impl ScenarioKind {
     /// The scenario's stable name (matches [`Scenario::name`]).
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            Self::SkewedElephantMice => "skewed-elephant-mice",
-            Self::SharedPrefixChat => "shared-prefix-chat",
-            Self::DiurnalArrivals => "diurnal",
-            Self::MultiTenantBursts => "multi-tenant-bursts",
-            Self::AgenticToolLoops => "agentic-tool-loops",
-            Self::LongDocSummarize => "long-doc-summarize",
-        }
+        self.build().name()
     }
 
     /// Instantiates the scenario with its canonical parameters.

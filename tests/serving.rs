@@ -7,6 +7,7 @@
 //! policies bend the latency profile on skewed workloads.
 
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 use token_picker::accel::serve::scenario::{Scenario, SharedPrefixChat, SkewedElephantMice};
 use token_picker::accel::serve::trace::run_recorded;
@@ -2598,14 +2599,28 @@ fn truncated_cluster_snapshots_keep_the_prefix_hit_rate_in_unit_range() {
 // Real-token serving: the paged KV store under the serving loop
 // ---------------------------------------------------------------------------
 
+/// A real-token run and the requests it served.
+type RealTokenRun = (token_picker::accel::TokenBackedRun, Vec<ServingRequest>);
+
+/// The canonical chat run for `(prefix_cache, chunk_pages)`, made once per
+/// test binary: each of the three configurations the tests read is
+/// deterministic, so every test would rebuild the same run.
+fn run_real_token_chat(prefix_cache: bool, chunk_pages: usize) -> &'static RealTokenRun {
+    static RUNS: [OnceLock<RealTokenRun>; 3] = [const { OnceLock::new() }; 3];
+    let slot = match (prefix_cache, chunk_pages) {
+        (true, 0) => 0,
+        (false, 0) => 1,
+        (true, 2) => 2,
+        other => panic!("no shared real-token chat run for {other:?}"),
+    };
+    RUNS[slot].get_or_init(|| chat_real_token_run(prefix_cache, chunk_pages))
+}
+
 /// Serves the canonical 4-tenant `shared_prefix_chat` workload through the
 /// token-backed mirror: the engine schedules (and charges) as usual while a
 /// `TokenBackedBatch` generates real synth-model tokens whose KV rows live
 /// in one shared copy-on-write paged store.
-fn run_real_token_chat(
-    prefix_cache: bool,
-    chunk_pages: usize,
-) -> (token_picker::accel::TokenBackedRun, Vec<ServingRequest>) {
+fn chat_real_token_run(prefix_cache: bool, chunk_pages: usize) -> RealTokenRun {
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
     let mut cfg = SharedPrefixChat::default().serving_config(accel);
     cfg.admission.prefix_cache = prefix_cache;
@@ -2669,14 +2684,33 @@ fn real_tokens_reject_a_duplicate_request_id() {
     assert_eq!(engine.pending(), 1, "only the first request was enqueued");
 }
 
+/// What a private, unsharded `generate` gives each of a run's requests, in
+/// request order. `reference_generate` reads only the request and the
+/// mirror's model spec, model seed and accelerator, which every run of one
+/// workload shares, so each workload's set is computed once per test
+/// binary and serves all of its runs.
+fn reference_tokens((run, requests): &RealTokenRun) -> Vec<Vec<usize>> {
+    requests
+        .iter()
+        .map(|req| run.batch.reference_generate(req))
+        .collect()
+}
+
+fn real_token_chat_reference() -> &'static [Vec<usize>] {
+    static REFERENCE: OnceLock<Vec<Vec<usize>>> = OnceLock::new();
+    REFERENCE.get_or_init(|| reference_tokens(run_real_token_chat(true, 0)))
+}
+
 /// Every request's served tokens must equal a private, unsharded
-/// `generate` on the same prompt — token equivalence under physical
-/// prefix sharing.
+/// `generate` on the same prompt (`reference`, from `reference_tokens`) —
+/// token equivalence under physical prefix sharing.
 fn assert_token_equivalence(
     run: &token_picker::accel::TokenBackedRun,
     requests: &[ServingRequest],
+    reference: &[Vec<usize>],
 ) {
-    for req in requests {
+    assert_eq!(reference.len(), requests.len(), "one reference per request");
+    for (req, expected) in requests.iter().zip(reference) {
         let got = run.batch.generated(req.id).expect("request was served");
         assert_eq!(
             got.len(),
@@ -2686,7 +2720,7 @@ fn assert_token_equivalence(
         );
         assert_eq!(
             got,
-            run.batch.reference_generate(req).as_slice(),
+            expected.as_slice(),
             "request {} diverged from its unsharded generate",
             req.id
         );
@@ -2709,7 +2743,7 @@ fn real_tokens_physically_share_prefix_kv_and_match_unsharded_generate() {
     );
     run.batch.validate();
     // Tokens are byte-identical to per-request unsharded generation.
-    assert_token_equivalence(&run, &requests);
+    assert_token_equivalence(run, requests, real_token_chat_reference());
     // And the engine's own token accounting agrees with the mirror.
     let expected: usize = requests.iter().map(|r| r.max_new_tokens).sum();
     assert_eq!(run.report.tokens_generated, expected);
@@ -2728,10 +2762,10 @@ fn real_tokens_without_prefix_cache_share_nothing_but_emit_the_same_tokens() {
         0,
         "cache off must mean zero physical sharing"
     );
-    assert_token_equivalence(&off, &requests);
+    assert_token_equivalence(off, requests, real_token_chat_reference());
     // Same tokens as the cache-on run, request by request.
     let (on, _) = run_real_token_chat(true, 0);
-    for req in &requests {
+    for req in requests {
         assert_eq!(
             off.batch.generated(req.id),
             on.batch.generated(req.id),
@@ -2745,15 +2779,25 @@ fn real_tokens_without_prefix_cache_share_nothing_but_emit_the_same_tokens() {
 fn real_tokens_survive_chunked_prefill_byte_identically() {
     let (chunked, requests) = run_real_token_chat(true, 2);
     assert!(chunked.batch.peak_shared_pages() > 0);
-    assert_token_equivalence(&chunked, &requests);
+    assert_token_equivalence(chunked, requests, real_token_chat_reference());
+}
+
+/// The preemption run for `host_pages`, made once per test binary like the
+/// chat runs.
+fn run_real_token_preemption(host_pages: usize) -> &'static RealTokenRun {
+    static RUNS: [OnceLock<RealTokenRun>; 2] = [const { OnceLock::new() }; 2];
+    let slot = match host_pages {
+        0 => 0,
+        64 => 1,
+        other => panic!("no shared real-token preemption run for {other} host pages"),
+    };
+    RUNS[slot].get_or_init(|| preempted_real_token_run(host_pages))
 }
 
 /// Four requests under a budget tight enough to evict, with 0.8-fraction
 /// paged retention and, when `host_pages > 0`, a host swap tier, served
 /// through the token-backed mirror.
-fn run_real_token_preemption(
-    host_pages: usize,
-) -> (token_picker::accel::TokenBackedRun, Vec<ServingRequest>) {
+fn preempted_real_token_run(host_pages: usize) -> RealTokenRun {
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
     let mut builder = ServingEngine::builder(accel)
         .heads(4)
@@ -2802,13 +2846,14 @@ fn run_real_token_preemption(
 /// rebuilds exactly, so tokens stay byte-identical.
 #[test]
 fn real_tokens_survive_preemption_retention_and_host_swap() {
+    let reference = reference_tokens(run_real_token_preemption(0));
     for host_pages in [0usize, 64] {
         let (run, requests) = run_real_token_preemption(host_pages);
         assert!(
             run.report.preemptions > 0,
             "the tight budget must force at least one eviction (host_pages {host_pages})"
         );
-        assert_token_equivalence(&run, &requests);
+        assert_token_equivalence(run, requests, &reference);
         let rate = run.report.prefix_hit_rate();
         assert!(
             (0.0..=1.0).contains(&rate),

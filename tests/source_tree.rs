@@ -1,6 +1,7 @@
 //! Checks on the source tree itself, from one walk of the repository (no
 //! build output and no git needed): the public surface nothing else names
-//! stays at its settled size, and every file the docs name exists.
+//! stays at its settled size, every file the docs name exists, and the
+//! design documents stay within their line bounds.
 
 use std::fs;
 use std::path::Path;
@@ -13,6 +14,14 @@ use std::sync::OnceLock;
 /// the ΔPPL calibration testbed or the EXP unit. Lower this when one goes;
 /// settle a new one (delete it, narrow it or call it) instead of raising it.
 const PUBLIC_ITEMS_NAMED_NOWHERE_ELSE: usize = 28;
+
+/// The most lines each document may have. ARCHITECTURE keeps the design
+/// and the verify SKILL the commands and gates; a change's measurements go
+/// to CHANGES, so neither grows by a log of them.
+const DOC_LINE_BOUNDS: [(&str, usize); 2] = [
+    ("docs/ARCHITECTURE.md", 600),
+    (".claude/skills/verify/SKILL.md", 250),
+];
 
 /// One file of the repository: its path from the root with `/`
 /// separators, and its text when it is Rust, Markdown, TOML or YAML.
@@ -202,4 +211,20 @@ fn every_file_the_docs_name_exists() {
         "docs name files that do not exist:\n{}",
         broken.join("\n")
     );
+}
+
+#[test]
+fn the_design_docs_stay_within_their_line_bounds() {
+    for (path, bound) in DOC_LINE_BOUNDS {
+        let doc = sources().iter().find(|s| s.path == path);
+        let text = doc.and_then(|s| s.text.as_deref());
+        let lines = text
+            .unwrap_or_else(|| panic!("{path} is missing"))
+            .lines()
+            .count();
+        assert!(
+            lines <= bound,
+            "{path} has {lines} lines, over its bound of {bound}: move measurements to CHANGES"
+        );
+    }
 }
