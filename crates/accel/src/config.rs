@@ -70,7 +70,6 @@ impl FromStr for AccelMode {
 ///
 /// let cfg = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3)?;
 /// assert_eq!(cfg.lanes, 16);
-/// assert_eq!(cfg.clock_ratio, 4); // 2 GHz DRAM / 500 MHz core
 /// # Ok::<(), topick_core::CoreError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -90,14 +89,13 @@ pub struct AccelConfig {
     pub order: ScanOrder,
     /// DRAM device model.
     pub dram: DramConfig,
-    /// DRAM clock cycles per accelerator clock cycle (2 GHz / 500 MHz = 4).
-    pub clock_ratio: u64,
     /// Scoreboard entries per lane (paper: 32).
     pub scoreboard_entries: usize,
-    /// Fixed pipeline latency of the Margin Generator before step 0 starts,
-    /// in accelerator cycles.
-    pub margin_gen_latency: u64,
 }
+
+/// DRAM clock cycles per accelerator clock cycle: Table 1's 2 GHz HBM2
+/// over its 500 MHz core, 2 GHz ÷ 500 MHz = 4.
+pub(crate) const CLOCK_RATIO: u64 = 4;
 
 impl AccelConfig {
     /// The paper's hardware configuration (Table 1) in the given mode with
@@ -116,9 +114,7 @@ impl AccelConfig {
             mode,
             order: ScanOrder::FirstAndReverse,
             dram: DramConfig::hbm2(),
-            clock_ratio: 4,
             scoreboard_entries: 32,
-            margin_gen_latency: 4,
         };
         cfg.validate()?;
         Ok(cfg)
@@ -132,9 +128,6 @@ impl AccelConfig {
         }
         if self.lanes == 0 {
             return Err(CoreError::InvalidConfig("lanes must be positive"));
-        }
-        if self.clock_ratio == 0 {
-            return Err(CoreError::InvalidConfig("clock_ratio must be positive"));
         }
         // Every first chunk that survives needs an entry to wait in.
         let chunked = matches!(self.mode, AccelMode::OutOfOrder | AccelMode::Blocking);

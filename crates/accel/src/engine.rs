@@ -19,11 +19,17 @@ use topick_core::{
 use topick_dram::DramSim;
 use topick_energy::{EnergyBreakdown, EventCounts, EventEnergies};
 
-use crate::config::{AccelConfig, AccelMode};
+use crate::config::{AccelConfig, AccelMode, CLOCK_RATIO};
 use crate::layout::KvLayout;
 use crate::result::{AttentionCost, AttentionStepResult};
 
 const V_FLAG: u64 = 1 << 63;
+
+/// Accelerator cycles the Margin Generator takes before step 0 of a
+/// chunked mode starts. The paper gives no figure for it; 4 is this
+/// model's assumption, and `run_attention_is_pinned_bit_for_bit` pins the
+/// cycle counts it yields.
+const MARGIN_GEN_LATENCY: u64 = 4;
 
 // A request id carries the chunk and the burst index in eight bits each;
 // `RunState::new` rejects a layout that needs more.
@@ -354,11 +360,11 @@ impl<'a> RunState<'a> {
         spare.inflight = self.inflight;
     }
 
-    /// Advances one accelerator cycle: runs the DRAM for `clock_ratio`
+    /// Advances one accelerator cycle: runs the DRAM for [`CLOCK_RATIO`]
     /// memory cycles and routes completions to the lane ready queues.
     fn advance_cycle(&mut self) {
         let lanes = self.cfg.lanes;
-        self.dram.advance(self.cfg.clock_ratio);
+        self.dram.advance(CLOCK_RATIO);
         while let Some(c) = self.dram.pop_completed() {
             self.events.buffer_write_bytes += u64::from(self.cfg.dram.access_bytes);
             let (is_v, token, chunk, _burst) = decode_req(c.id);
@@ -571,11 +577,11 @@ impl ToPickAccelerator {
     /// Returns [`CoreError::DimensionMismatch`] if the query length differs
     /// from the key dimension, and [`CoreError::InvalidConfig`] /
     /// [`CoreError::InvalidThreshold`] if a configuration field was assigned
-    /// a value the model cannot run with (zero `lanes` or `clock_ratio`, a
-    /// chunked mode with zero `scoreboard_entries`, a threshold outside
-    /// `(0, 1)`, zero DRAM channels, banks, bus width, burst duration or
-    /// queue depth, a DRAM burst that is not a power of two or a DRAM row
-    /// shorter than one burst) or the head is so wide that one K chunk, K
+    /// a value the model cannot run with (zero `lanes`, a chunked mode
+    /// with zero `scoreboard_entries`, a threshold outside `(0, 1)`, zero
+    /// DRAM channels, banks, bus width, burst duration or queue depth, a
+    /// DRAM burst that is not a power of two or a DRAM row shorter than
+    /// one burst) or the head is so wide that one K chunk, K
     /// row or V row takes more than 255 DRAM bursts.
     pub fn attention_cost(
         &self,
@@ -600,7 +606,7 @@ impl ToPickAccelerator {
             AccelMode::Blocking     => (true,  cfg.order,             cfg.threshold, true,  false),
         };
         let (chunks_per_row, k_bytes, start_cycle) = if chunked {
-            (pc.num_chunks(), pc.chunk_bytes(dim), cfg.margin_gen_latency)
+            (pc.num_chunks(), pc.chunk_bytes(dim), MARGIN_GEN_LATENCY)
         } else {
             (1, row_bytes, 0)
         };

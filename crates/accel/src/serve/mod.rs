@@ -132,10 +132,10 @@ pub struct ServingConfig {
     /// Cycles to copy one swapped token back from the host tier, as a
     /// fraction of the same token's measured re-prefill cost (the charge
     /// is `attention cycles × swap_cost_factor × swapped/context`,
-    /// mirroring the re-prefill formula). Below
-    /// [`reprefill_factor`](policy::PreemptionConfig::reprefill_factor)
-    /// the swap tier wins; above it, dropping and re-prefilling is
-    /// cheaper — the crossover the tiered bench sweeps.
+    /// mirroring the re-prefill formula). Below the re-prefill factor
+    /// (`REPREFILL_FACTOR` in `serve/pricing.rs`, 1) the swap tier wins;
+    /// above it, dropping and re-prefilling is cheaper — the crossover
+    /// the tiered bench sweeps.
     pub swap_cost_factor: f64,
     /// Cycles to ship one KV token between cluster shards, as a fraction
     /// of its prefill cost (same formula shape as
@@ -502,7 +502,6 @@ impl ServingEngine {
         // once here so every charge below reads the factor as configured.
         for factor in [
             &mut cfg.prefill_factor,
-            &mut cfg.preemption.reprefill_factor,
             &mut cfg.swap_cost_factor,
             &mut cfg.ship_cost_factor,
         ] {
@@ -890,7 +889,7 @@ impl ServingEngine {
     fn admit(&mut self) {
         let step = self.step_index;
         let mut evictions_left = if self.cfg.preemption.enabled {
-            self.cfg.preemption.max_evictions_per_step
+            policy::MAX_EVICTIONS_PER_STEP
         } else {
             0
         };

@@ -310,31 +310,16 @@ impl SchedulerPolicy for Fifo {
 }
 
 /// Highest effective priority first, where waiting raises priority: a
-/// request's effective priority is `priority + waited_steps / aging_steps`,
-/// so low-priority work cannot starve forever. Preempts strictly
-/// lower-priority running requests when allowed.
-#[derive(Debug, Clone, Copy)]
-pub struct PriorityAging {
-    /// Queue steps that add one effective priority level (at least 1).
-    aging_steps: u64,
-}
+/// request's effective priority is `priority + waited_steps /
+/// AGING_STEPS`, so low-priority work cannot starve forever. Preempts
+/// strictly lower-priority running requests when allowed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PriorityAging;
 
-impl PriorityAging {
-    /// A policy where waiting `aging_steps` steps is worth one priority
-    /// level (clamped to at least 1).
-    #[must_use]
-    pub fn new(aging_steps: u64) -> Self {
-        Self {
-            aging_steps: aging_steps.max(1),
-        }
-    }
-}
-
-impl Default for PriorityAging {
-    fn default() -> Self {
-        Self::new(8)
-    }
-}
+/// Queue steps that add one effective priority level under
+/// [`PriorityAging`]. A scheduling choice of this engine, not a paper
+/// figure; every golden schedule and digest under `priority` pins it.
+const AGING_STEPS: u64 = 8;
 
 impl SchedulerPolicy for PriorityAging {
     fn name(&self) -> &'static str {
@@ -343,7 +328,7 @@ impl SchedulerPolicy for PriorityAging {
 
     fn rank(&self, view: &PendingView, _step: u64) -> i64 {
         // Max effective priority first.
-        -saturating_i64(u64::from(view.priority) + view.waited_steps / self.aging_steps)
+        -saturating_i64(u64::from(view.priority) + view.waited_steps / AGING_STEPS)
     }
 
     fn pick_victim(
@@ -492,7 +477,7 @@ impl SchedulerPolicy for SloAware {
 pub enum PolicyKind {
     /// [`Fifo`].
     Fifo,
-    /// [`PriorityAging`] with its default aging rate.
+    /// [`PriorityAging`].
     PriorityAging,
     /// [`ShortestJobFirst`].
     ShortestJobFirst,
@@ -526,7 +511,7 @@ impl PolicyKind {
     pub fn build(self) -> Box<dyn SchedulerPolicy> {
         match self {
             Self::Fifo => Box::new(Fifo),
-            Self::PriorityAging => Box::new(PriorityAging::default()),
+            Self::PriorityAging => Box::new(PriorityAging),
             Self::ShortestJobFirst => Box::new(ShortestJobFirst),
             Self::FairRoundRobin => Box::new(FairRoundRobin),
             Self::SloAware => Box::new(SloAware),
@@ -628,41 +613,28 @@ impl FromStr for RetentionPolicy {
     }
 }
 
-/// Preemption behavior of the engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Evictions the engine allows per step when preemption is on: a bound
+/// on scheduling thrash. A choice of this engine, not a paper figure;
+/// trace format v1 carries it as `"max_evictions_per_step":2`.
+pub(super) const MAX_EVICTIONS_PER_STEP: usize = 2;
+
+/// Preemption behavior of the engine. A re-admitted victim pays a
+/// re-prefill charge for the context it dropped under
+/// [`retention`](Self::retention), floored at one cycle — eviction is
+/// never free.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PreemptionConfig {
     /// Whether the policy may evict running requests at all. Off by
     /// default: the pre-redesign guarantee that an admitted request never
     /// leaves before finishing.
     pub enabled: bool,
-    /// Extra attention passes charged on a re-admitted request's first
-    /// decode step, modeling the KV-cache rebuild (re-prefill). The charge
-    /// is proportional to the request's measured attention cost at its
-    /// current context, scaled by the *dropped* fraction of that context
-    /// under [`retention`](Self::retention), and floored at one cycle —
-    /// eviction is never free.
-    pub reprefill_factor: f64,
-    /// Evictions allowed per engine step (bounds scheduling thrash).
-    pub max_evictions_per_step: usize,
     /// How much of a victim's paged KV cache survives the eviction
     /// ([`RetentionPolicy::None`], i.e. full re-prefill, by default).
     pub retention: RetentionPolicy,
 }
 
-impl Default for PreemptionConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            reprefill_factor: 1.0,
-            max_evictions_per_step: 2,
-            retention: RetentionPolicy::None,
-        }
-    }
-}
-
 impl PreemptionConfig {
-    /// Preemption on, with default cost and thrash bounds and full
-    /// re-prefill (no retention).
+    /// Preemption on, with full re-prefill (no retention).
     #[must_use]
     pub fn enabled() -> Self {
         Self {
@@ -805,19 +777,6 @@ mod tests {
                     }
                 }
                 prop_assert!(live.is_empty(), "{}: candidates left over", kind);
-            }
-        }
-    }
-
-    #[test]
-    fn priority_aging_clamps_a_zero_aging_rate() {
-        for mix in 0..64 {
-            let v = view(0, splitmix64(mix));
-            for step in [0, 7, 40] {
-                assert_eq!(
-                    PriorityAging::new(0).rank(&v, step),
-                    PriorityAging::new(1).rank(&v, step)
-                );
             }
         }
     }

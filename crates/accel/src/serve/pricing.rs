@@ -1,19 +1,25 @@
 //! The serving cost model's prices, in one place: the step's shared
 //! weight stream, and every prefill, re-prefill, host-swap and
 //! cross-shard-ship charge — the request's measured attention cost scaled
-//! by a configured factor and by the share of its context the work
-//! covers. [`ServingEngine::step`](super::ServingEngine::step) decides
-//! *what* a step and its slots owe; this module decides what that costs.
+//! by a factor and by the share of its context the work covers.
+//! [`ServingEngine::step`](super::ServingEngine::step) decides *what* a
+//! step and its slots owe; this module decides what that costs.
 
-use crate::config::AccelConfig;
+use crate::config::{AccelConfig, CLOCK_RATIO};
+
+/// Attention passes charged on a re-admitted request's first decode step
+/// for the KV-cache rebuild (re-prefill), scaled by the *dropped* share of
+/// its context and floored at one cycle by [`floor_reprefill`]. One pass
+/// at the measured attention cost is this model's choice, not a paper
+/// figure; trace format v1 carries it as `"reprefill_factor":1`.
+pub(super) const REPREFILL_FACTOR: f64 = 1.0;
 
 /// Accelerator cycles spent streaming `weight_bytes` of FC/FFN weights at
 /// the DRAM peak bandwidth — the per-step cost every request in a batch
 /// shares (paper §2.2.1), and the best case for the baseline.
 pub(super) fn weight_stream_cycles(accel_cfg: &AccelConfig, weight_bytes: u64) -> u64 {
     // Weights stream at peak DRAM bandwidth: bytes / (bytes-per-accel-cycle).
-    let bytes_per_accel_cycle =
-        accel_cfg.dram.peak_bytes_per_cycle() * accel_cfg.clock_ratio as f64;
+    let bytes_per_accel_cycle = accel_cfg.dram.peak_bytes_per_cycle() * CLOCK_RATIO as f64;
     (weight_bytes as f64 / bytes_per_accel_cycle).ceil() as u64
 }
 

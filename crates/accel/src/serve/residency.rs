@@ -347,7 +347,7 @@ impl Residency {
                 }
                 let recomputed = dropped - swapped_tokens - transferred;
                 stats.reprefilled_tokens += recomputed;
-                reprefill = price(cfg.preemption.reprefill_factor, recomputed);
+                reprefill = price(pricing::REPREFILL_FACTOR, recomputed);
             }
         }
         let swap = price(cfg.swap_cost_factor, swapped_tokens);
@@ -571,11 +571,11 @@ mod tests {
     #[test]
     fn settlement_prices_each_debt_kind_with_shipped_tokens_present() {
         let cfg = priced_cfg();
-        let settle = |debt: Debt, shipped: usize, cfg: &ServingConfig| {
+        let settle = |debt: Debt, shipped: usize, request_cycles: u64| {
             let mut kv = Residency { debt, shipped };
             let mut host = tier(8, 1, kv.host_tokens());
             let mut stats = RequestStats::queued(&super::super::ServingRequest::new(0, 100, 1), 0);
-            let settled = kv.settle(100, cfg, 1000, &mut stats, &mut host);
+            let settled = kv.settle(100, &cfg, request_cycles, &mut stats, &mut host);
             assert_eq!(kv, built(), "every debt and transfer settles at once");
             assert_eq!(host.used(), 1, "the holding returns to capacity");
             assert_eq!(
@@ -599,12 +599,12 @@ mod tests {
 
         // A prefix pull with nothing owed pays only its transfer.
         assert_eq!(
-            settle(Debt::None, 32, &cfg),
+            settle(Debt::None, 32, 1000),
             (paid(0, 0, 0, 160, 0, false), 32, 0)
         );
         // Prefill owed with a pull in flight: the final chunk plus the pull.
         assert_eq!(
-            settle(Debt::Prefill { owed: 40 }, 32, &cfg),
+            settle(Debt::Prefill { owed: 40 }, 32, 1000),
             (paid(400, 0, 0, 160, 0, true), 32, 0)
         );
         // A rebuild of 84 tokens: 20 copied back from host, 32 shipped, and
@@ -616,7 +616,7 @@ mod tests {
                     host: 20
                 },
                 32,
-                &cfg
+                1000
             ),
             (paid(0, 320, 50, 160, 20, true), 32, 32)
         );
@@ -629,7 +629,7 @@ mod tests {
                     host: 20
                 },
                 32,
-                &cfg
+                1000
             ),
             (paid(0, 0, 50, 100, 20, true), 20, 0)
         );
@@ -642,7 +642,7 @@ mod tests {
                     host: 20
                 },
                 32,
-                &cfg
+                1000
             ),
             (paid(0, 0, 50, 160, 20, true), 32, 0)
         );
@@ -654,13 +654,12 @@ mod tests {
                     host: 0
                 },
                 100,
-                &cfg
+                1000
             ),
             (paid(0, 0, 0, 500, 0, true), 100, 0)
         );
-        // Eviction is never free, even unpriced.
-        let mut free = cfg.clone();
-        free.preemption.reprefill_factor = 0.0;
+        // Eviction is never free, even when the request's attention costs
+        // nothing.
         assert_eq!(
             settle(
                 Debt::Rebuild {
@@ -668,7 +667,7 @@ mod tests {
                     host: 0
                 },
                 0,
-                &free
+                0
             ),
             (paid(0, 1, 0, 0, 0, true), 0, 10)
         );

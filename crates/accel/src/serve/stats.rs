@@ -297,15 +297,20 @@ impl ServingReport {
                 steps.push(*step);
                 continue;
             };
-            p.batch += step.batch;
-            p.decoded += step.decoded;
-            p.context_tokens += step.context_tokens;
-            p.weight_cycles += step.weight_cycles;
-            p.attention_cycles += step.attention_cycles;
-            p.prefill_cycles += step.prefill_cycles;
-            p.reprefill_cycles += step.reprefill_cycles;
-            p.swap_cycles += step.swap_cycles;
-            p.ship_cycles += step.ship_cycles;
+            // Written out field by field, so a new field fails to compile
+            // until it is pooled; lockstep shards share step `i`'s index.
+            *p = StepReport {
+                index: p.index,
+                batch: p.batch + step.batch,
+                decoded: p.decoded + step.decoded,
+                context_tokens: p.context_tokens + step.context_tokens,
+                weight_cycles: p.weight_cycles + step.weight_cycles,
+                attention_cycles: p.attention_cycles + step.attention_cycles,
+                prefill_cycles: p.prefill_cycles + step.prefill_cycles,
+                reprefill_cycles: p.reprefill_cycles + step.reprefill_cycles,
+                swap_cycles: p.swap_cycles + step.swap_cycles,
+                ship_cycles: p.ship_cycles + step.ship_cycles,
+            };
         }
         let mut prune = shards.first().map(|s| s.prune.clone()).unwrap_or_default();
         for s in shards.iter().skip(1) {

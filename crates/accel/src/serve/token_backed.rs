@@ -52,10 +52,9 @@ use crate::config::AccelConfig;
 #[derive(Debug)]
 struct SeqState {
     /// Layer-major `(layer, head)` sequences: entry `layer * n_heads +
-    /// head`. Empty until the first admission materialises them.
+    /// head`, all of one length. Empty until the first admission
+    /// materialises them.
     seqs: Vec<PagedSeq>,
-    /// Rows materialised per head (every sequence's length).
-    built: usize,
     /// The token history: the prompt's ids (`ServingRequest::token_at`
     /// folded into vocab), then every token generated so far.
     tokens: Vec<usize>,
@@ -64,6 +63,13 @@ struct SeqState {
     /// Content chain keys of the full prompt pages
     /// ([`ServingRequest::page_keys`]), for donor lookup.
     page_keys: Vec<u64>,
+}
+
+impl SeqState {
+    /// Rows materialised per head: every sequence's length.
+    fn built(&self) -> usize {
+        self.seqs.first().map_or(0, PagedSeq::len)
+    }
 }
 
 /// A transformer decode batch physically backed by one shared
@@ -82,7 +88,6 @@ pub struct TokenBackedBatch {
     kernel: SimulatedAttention,
     kernel_cfg: AccelConfig,
     store: PagedKvStore,
-    page_size: usize,
     states: HashMap<u64, SeqState>,
     /// Content chain key → latest request whose built rows cover it.
     registry: HashMap<u64, u64>,
@@ -100,13 +105,11 @@ impl TokenBackedBatch {
     pub fn new(spec: ModelSpec, model_seed: u64, cfg: &ServingConfig) -> Self {
         let mut kernel_cfg = cfg.accel.clone();
         kernel_cfg.dim = spec.head_dim();
-        let store = PagedKvStore::new(spec.head_dim(), cfg.admission.page_size);
         Self {
+            store: PagedKvStore::new(spec.head_dim(), cfg.admission.page_size),
             model: TransformerModel::new_random(spec, model_seed),
             kernel: SimulatedAttention::new(kernel_cfg.clone()),
             kernel_cfg,
-            store,
-            page_size: cfg.admission.page_size.max(1),
             states: HashMap::new(),
             registry: HashMap::new(),
             peak_shared_pages: 0,
@@ -136,10 +139,9 @@ impl TokenBackedBatch {
             req.id,
             SeqState {
                 seqs: Vec::new(),
-                built: 0,
                 tokens: self.prompt_tokens(req),
                 prompt_len: req.prompt_len,
-                page_keys: req.page_keys(self.page_size),
+                page_keys: req.page_keys(self.store.page_size()),
             },
         );
         Ok(())
@@ -282,7 +284,7 @@ impl TokenBackedBatch {
             if !state.seqs.is_empty() {
                 return;
             }
-            let pages = cached_tokens / self.page_size;
+            let pages = cached_tokens / self.store.page_size();
             if pages >= 1 {
                 state.page_keys.get(pages - 1).copied()
             } else {
@@ -310,10 +312,7 @@ impl TokenBackedBatch {
         if seqs.is_empty() {
             seqs = (0..heads_total).map(|_| self.store.new_seq()).collect();
         }
-        let built = seqs.first().map_or(0, PagedSeq::len);
-        let state = self.states.get_mut(&id).expect("checked above");
-        state.seqs = seqs;
-        state.built = built;
+        self.states.get_mut(&id).expect("checked above").seqs = seqs;
         self.publish(id);
     }
 
@@ -336,12 +335,10 @@ impl TokenBackedBatch {
             // Full-retention re-admissions arrive with every row already
             // built; pop the last row so re-forwarding it recovers the
             // logits (identical rows — appends are deterministic).
-            if state.built >= context {
-                let pop_to = context - 1;
+            if state.built() >= context {
                 for seq in &mut state.seqs {
-                    self.store.truncate(seq, pop_to);
+                    self.store.truncate(seq, context - 1);
                 }
-                state.built = pop_to;
             }
         }
         // One run: catch-up rows (reprefill / swap rebuild) first, and its
@@ -364,7 +361,6 @@ impl TokenBackedBatch {
         for seq in &mut state.seqs {
             self.store.truncate(seq, retained_tokens);
         }
-        state.built = state.built.min(retained_tokens);
     }
 
     /// Forwards the history's tokens until `target` rows exist (clamped to
@@ -372,26 +368,21 @@ impl TokenBackedBatch {
     /// there was a gap to forward.
     fn ensure_built(&mut self, id: u64, target: usize) -> Option<Vec<f32>> {
         let state = self.states.get_mut(&id)?;
-        let target = target.min(state.tokens.len());
-        if state.seqs.is_empty() || state.built >= target {
+        let (built, target) = (state.built(), target.min(state.tokens.len()));
+        if state.seqs.is_empty() || built >= target {
             return None;
         }
         let mut binding =
             PagedKvBinding::new(&mut self.store, &mut state.seqs, self.model.spec().n_heads);
-        let logits = self.model.prefill(
-            &state.tokens[state.built..target],
-            &mut binding,
-            &mut self.kernel,
-        );
-        state.built = target;
-        Some(logits)
+        let tokens = &state.tokens[built..target];
+        Some(self.model.prefill(tokens, &mut binding, &mut self.kernel))
     }
 
     /// Publishes the content keys the request's built rows now cover (so
     /// later admissions can fork them) and tracks peak sharing.
     fn publish(&mut self, id: u64) {
         if let Some(state) = self.states.get(&id) {
-            let covered = (state.built / self.page_size).min(state.page_keys.len());
+            let covered = (state.built() / self.store.page_size()).min(state.page_keys.len());
             for j in 0..covered {
                 self.registry.insert(state.page_keys[j], id);
             }

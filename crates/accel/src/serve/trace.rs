@@ -31,7 +31,8 @@ use std::path::Path;
 
 use super::cluster::{ClusterEngine, ClusterEvent, ClusterReport};
 use super::events::{WireEvent, MAX_EVENT_FIELDS};
-use super::policy::PolicyKind;
+use super::policy::{PolicyKind, MAX_EVICTIONS_PER_STEP};
+use super::pricing::REPREFILL_FACTOR;
 use super::queue::ServingRequest;
 use super::router::RoutingKind;
 use super::{AdmissionConfig, LendingStats, PreemptionConfig, ServingConfig};
@@ -438,6 +439,19 @@ impl<'a> Fields<'a> {
             .map_err(|_| self.err(format!("field '{key}' is not a valid value")))
     }
 
+    /// A field format v1 carries for a value the engine fixes, refused at
+    /// any other value: it would replay another schedule than it names.
+    fn fixed_field<T>(&self, key: &str, fixed: T) -> Result<(), TraceError>
+    where
+        T: std::str::FromStr + PartialEq + fmt::Display,
+    {
+        if self.parse_field::<T>(key)? == fixed {
+            Ok(())
+        } else {
+            Err(self.err(format!("field '{key}' must be {fixed} in format v1")))
+        }
+    }
+
     /// A field the writer renders only when it left its default.
     fn opt_field<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, TraceError> {
         self.get(key).map(|_| self.parse_field(key)).transpose()
@@ -467,11 +481,9 @@ impl Trace {
             .field("page_size", c.admission.page_size)
             .field("prefix_cache", c.admission.prefix_cache)
             .field("preemption", c.preemption.enabled)
-            .field("reprefill_factor", c.preemption.reprefill_factor)
-            .field(
-                "max_evictions_per_step",
-                c.preemption.max_evictions_per_step,
-            )
+            // Constants, kept on the line as v1 keeps `threads`.
+            .field("reprefill_factor", REPREFILL_FACTOR)
+            .field("max_evictions_per_step", MAX_EVICTIONS_PER_STEP)
             .str_field("retention", &c.preemption.retention.to_string())
             .field("prefill_factor", c.prefill_factor);
         // Chunking, tiered-KV and rejection knobs render only when they
@@ -746,12 +758,12 @@ fn parse_meta(f: &Fields) -> Result<TraceMeta, TraceError> {
     };
     config.preemption = PreemptionConfig {
         enabled: f.parse_field("preemption")?,
-        reprefill_factor: f.parse_field("reprefill_factor")?,
-        max_evictions_per_step: f.parse_field("max_evictions_per_step")?,
         retention: retention
             .parse()
             .map_err(|e| f.err(format!("invalid retention '{retention}': {e}")))?,
     };
+    f.fixed_field("reprefill_factor", REPREFILL_FACTOR)?;
+    f.fixed_field("max_evictions_per_step", MAX_EVICTIONS_PER_STEP)?;
     config.prefill_factor = f.parse_field("prefill_factor")?;
     if let Some(pages) = f.opt_field("prefill_chunk_pages")? {
         config.prefill_chunk_pages = pages;
@@ -997,6 +1009,23 @@ mod tests {
             assert!(
                 matches!(Trace::parse(&edited), Err(TraceError::Parse(msg)) if msg.contains("clock_hz")),
                 "clock_hz {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_meta_line_editing_a_fixed_preemption_value_is_refused() {
+        let text = TraceRecorder::new(sample_meta()).finish().render();
+        for (field, fixed, other) in [
+            ("reprefill_factor", "1", "0.5"),
+            ("max_evictions_per_step", "2", "3"),
+        ] {
+            let pair = |value: &str| format!("\"{field}\":{value},");
+            assert!(text.contains(&pair(fixed)), "{field}");
+            let edited = text.replacen(&pair(fixed), &pair(other), 1);
+            assert!(
+                matches!(Trace::parse(&edited), Err(TraceError::Parse(msg)) if msg.contains(field)),
+                "{field} {other}"
             );
         }
     }

@@ -1069,8 +1069,8 @@ proptest! {
     fn trace_meta_round_trips_every_serving_option(
         mode_idx in 0usize..4,
         threshold_exp in 1i32..6,
-        sizes in prop::collection::vec(0usize..4096, 8),
-        factors in prop::collection::vec(0.0f64..4.0, 4),
+        sizes in prop::collection::vec(0usize..4096, 7),
+        factors in prop::collection::vec(0.0f64..4.0, 3),
         toggles in prop::collection::vec(any::<bool>(), 6),
         retention_idx in 0usize..3,
         retention_fraction in 0.01f64..0.99,
@@ -1096,23 +1096,21 @@ proptest! {
         };
         cfg.preemption = PreemptionConfig {
             enabled: toggles[1],
-            reprefill_factor: factors[0],
-            max_evictions_per_step: sizes[3],
             retention: [
                 RetentionPolicy::None,
-                RetentionPolicy::Pages(sizes[4]),
+                RetentionPolicy::Pages(sizes[3]),
                 RetentionPolicy::Fraction(retention_fraction),
             ][retention_idx],
         };
-        cfg.prefill_factor = factors[1];
-        cfg.prefill_chunk_pages = sizes[5] % 4;
-        cfg.host_pages = if toggles[2] { sizes[6] } else { 0 };
+        cfg.prefill_factor = factors[0];
+        cfg.prefill_chunk_pages = sizes[4] % 4;
+        cfg.host_pages = if toggles[2] { sizes[5] } else { 0 };
         if toggles[3] {
-            cfg.swap_cost_factor = factors[2];
+            cfg.swap_cost_factor = factors[1];
         }
-        cfg.ship_cost_factor = if toggles[4] { factors[3] } else { 0.0 };
+        cfg.ship_cost_factor = if toggles[4] { factors[2] } else { 0.0 };
         cfg.reject_expired_ttft = toggles[5];
-        cfg.heads = sizes[7];
+        cfg.heads = sizes[6];
         cfg.weight_bytes = weight_bytes;
         cfg.seed = seed;
         cfg.clock_hz = clock_hz;

@@ -233,14 +233,6 @@ fn zero_lanes_is_a_typed_error() {
 }
 
 #[test]
-fn zero_clock_ratio_is_a_typed_error() {
-    for mode in ALL_MODES {
-        let err = run_edited(mode, |cfg| cfg.clock_ratio = 0);
-        assert!(matches!(err, CoreError::InvalidConfig(rule) if rule.contains("clock_ratio")));
-    }
-}
-
-#[test]
 fn zero_scoreboard_entries_is_a_typed_error_in_chunked_modes_only() {
     for mode in [AccelMode::OutOfOrder, AccelMode::Blocking] {
         let err = run_edited(mode, |cfg| cfg.scoreboard_entries = 0);

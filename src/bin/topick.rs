@@ -1,14 +1,6 @@
 //! `topick` — command-line driver for the Token-Picker reproduction.
-//!
-//! ```text
-//! topick prune   [--context N] [--dim D] [--threshold T] [--seed S]
-//! topick sweep   [--context N] [--dim D] [--seed S]
-//! topick accel   [--context N] [--threshold T] [--seed S]
-//! topick traffic [--model NAME] [--context N]
-//! topick serve   [flags — `topick help` prints the full list]
-//! topick trace   diff A B
-//! topick help
-//! ```
+//! `topick help` prints every command with the flags it accepts
+//! (the `COMMANDS` table).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -364,35 +356,54 @@ fn cmd_serve_real_tokens(
     Ok(())
 }
 
-/// The `serve` flags, as `topick help` prints them — and the one list of
-/// names `serve` accepts: anything not spelled `--name` here is refused.
-const SERVE_USAGE: [&str; 10] = [
-    "[--requests N] [--batch B] [--threshold T] [--seed S] [--baseline]",
-    "[--policy fifo|priority|sjf|fair|slo|all] [--preemption]",
-    "[--page-size P] [--retention none|<pages>|<fraction>]",
-    "[--prefix-cache] [--prefill-factor F] [--prefill-chunk PAGES]",
-    "[--slo-ttft STEPS] [--slo-itl STEPS] [--slo-reject]",
-    "[--host-pages N] [--swap-cost F] [--ship-cost F]",
-    "[--shards N] [--routing rr|least|affinity] [--stealing]",
-    "[--scenario NAME [--scenario-seed S]] [--list-scenarios]",
-    "[--record PATH | --replay PATH]",
-    "[--real-tokens]  serve real synth-model tokens from the paged KV store",
-];
+/// Every command and its flags, as `topick help` prints them — and the
+/// one list of flags each command accepts: anything the command's lines
+/// do not spell `--name` is refused.
+const COMMANDS: &str = "  prune    run the progressive pruner on one synthetic instance
+           [--context N] [--dim D] [--threshold T] [--seed S]
+  sweep    threshold sweep on one instance
+           [--context N] [--dim D] [--seed S]
+  accel    cycle-level accelerator comparison
+           [--context N] [--threshold T] [--seed S]
+  traffic  Fig. 2-style memory traffic breakdown
+           [--model NAME] [--context N]
+  serve    continuous-batching serving engine
+           [--requests N] [--batch B] [--threshold T] [--seed S] [--baseline]
+           [--policy fifo|priority|sjf|fair|slo|all] [--preemption]
+           [--page-size P] [--retention none|<pages>|<fraction>]
+           [--prefix-cache] [--prefill-factor F] [--prefill-chunk PAGES]
+           [--slo-ttft STEPS] [--slo-itl STEPS] [--slo-reject]
+           [--host-pages N] [--swap-cost F] [--ship-cost F]
+           [--shards N] [--routing rr|least|affinity] [--stealing]
+           [--scenario NAME [--scenario-seed S]] [--list-scenarios]
+           [--record PATH | --replay PATH]
+           [--real-tokens]  serve real synth-model tokens from the paged KV store
+  trace    trace-file tooling
+           diff <A> <B>   localize the first diverging event of two traces
+";
 
-/// Whether [`SERVE_USAGE`] declares `--name`.
-fn is_serve_flag(name: &str) -> bool {
-    SERVE_USAGE
-        .iter()
+/// Refuses the first flag (in name order) that `cmd`'s lines in
+/// [`COMMANDS`] do not declare. `help`, like any name that is no
+/// command, takes no flags and ignores them.
+fn check_flags(cmd: &str, flags: &Flags) -> Result<(), FlagError> {
+    let head = format!("  {cmd} ");
+    let mut lines = COMMANDS.lines().skip_while(|l| !l.starts_with(&head));
+    let Some(first) = lines.next() else {
+        return Ok(());
+    };
+    let declared: Vec<&str> = std::iter::once(first)
+        .chain(lines.take_while(|l| l.starts_with("   ")))
         .flat_map(|line| line.split("--").skip(1))
-        .any(|rest| rest.split([' ', ']']).next() == Some(name))
+        .filter_map(|rest| rest.split([' ', ']']).next())
+        .collect();
+    match flags.keys().find(|name| !declared.contains(&name.as_str())) {
+        Some(unknown) => Err(FlagError::Unknown(unknown.clone())),
+        None => Ok(()),
+    }
 }
 
 fn cmd_serve(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     use token_picker::accel::{PreemptionConfig, RetentionPolicy, RoutingKind, ScenarioKind};
-
-    if let Some(unknown) = flags.keys().find(|name| !is_serve_flag(name)) {
-        return Err(FlagError::Unknown(unknown.clone()).into());
-    }
 
     if flags.contains_key("list-scenarios") {
         println!("{:<22} description", "scenario");
@@ -820,27 +831,14 @@ fn usage() {
     println!("topick — Token-Picker (DAC 2024) reproduction driver");
     println!();
     println!("commands:");
-    println!("  prune    run the progressive pruner on one synthetic instance");
-    println!("           [--context N] [--dim D] [--threshold T] [--seed S]");
-    println!("  sweep    threshold sweep on one instance");
-    println!("           [--context N] [--dim D] [--seed S]");
-    println!("  accel    cycle-level accelerator comparison");
-    println!("           [--context N] [--threshold T] [--seed S]");
-    println!("  traffic  Fig. 2-style memory traffic breakdown");
-    println!("           [--model NAME] [--context N]");
-    println!("  serve    continuous-batching serving engine");
-    for line in SERVE_USAGE {
-        println!("           {line}");
-    }
-    println!("  trace    trace-file tooling");
-    println!("           diff <A> <B>   localize the first diverging event of two traces");
+    print!("{COMMANDS}");
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
+/// Runs one command after refusing any flag it does not declare.
+fn run(cmd: &str, args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let flags = parse_flags(&args[1.min(args.len())..]);
-    let result = match cmd {
+    check_flags(cmd, &flags)?;
+    match cmd {
         "prune" => cmd_prune(&flags),
         "sweep" => cmd_sweep(&flags),
         "accel" => cmd_accel(&flags),
@@ -851,8 +849,13 @@ fn main() {
             usage();
             Ok(())
         }
-    };
-    if let Err(e) = result {
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cmd = args.first().map(String::as_str).unwrap_or("help");
+    if let Err(e) = run(cmd, &args) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -210,6 +210,28 @@ fn serve_errors_exit_one_and_name_the_problem() {
 }
 
 #[test]
+fn every_command_refuses_a_flag_it_does_not_declare() {
+    // Each is a typo or a flag of another command, which would otherwise
+    // run at the defaults it did not name.
+    let trace = "tests/data/agentic_affinity_cluster.trace";
+    for (args, unknown) in [
+        (&["prune", "--contxt", "64"][..], "--contxt"),
+        (&["sweep", "--threshold", "1e-4"][..], "--threshold"),
+        (&["accel", "--dim", "128"][..], "--dim"),
+        (&["traffic", "--seed", "3"][..], "--seed"),
+        (
+            &["trace", "diff", trace, trace, "--context", "8"][..],
+            "--context",
+        ),
+    ] {
+        assert!(
+            error_of(args).contains(&format!("unknown flag {unknown}")),
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
 fn help_lists_every_serve_flag_the_goldens_use() {
     let help = stdout_of(&["help"]);
     for flag in [

@@ -2282,7 +2282,7 @@ fn shipped_prefix_pulls_record_and_replay_to_the_same_digest() {
 /// preemption, paged retention, the host tier *and* priced shipping all
 /// on — the full tiered configuration — drains every tier of every shard.
 #[test]
-fn tiered_threaded_cluster_is_digest_identical_to_sequential() {
+fn tiered_cluster_drains_every_shards_device_and_host_pages() {
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
     let mut cfg = SkewedElephantMice::default().serving_config(accel);
     cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.75));
