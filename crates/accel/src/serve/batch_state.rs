@@ -179,19 +179,15 @@ impl ServingEngine {
     }
 
     /// Removes and returns every request that reached its token target,
-    /// freeing their KV pages.
+    /// in slot order, freeing their KV pages in that order.
     pub(super) fn retire_finished(&mut self) -> Vec<ActiveRequest> {
-        let mut kept = Vec::with_capacity(self.running.len());
-        let mut done = Vec::new();
-        for r in self.running.drain(..) {
-            if r.stats.generated >= r.req.max_new_tokens {
-                self.pager.release(r.arrival_seq);
-                done.push(r);
-            } else {
-                kept.push(r);
-            }
+        let done: Vec<ActiveRequest> = self
+            .running
+            .extract_if(.., |r| r.stats.generated >= r.req.max_new_tokens)
+            .collect();
+        for r in &done {
+            self.pager.release(r.arrival_seq);
         }
-        self.running = kept;
         done
     }
 

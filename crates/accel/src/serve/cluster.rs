@@ -359,7 +359,6 @@ impl ClusterEngineBuilder {
             shards,
             router: self.routing,
             stealing: self.stealing,
-            step_index: 0,
             steals: 0,
             ships: 0,
             total_cycles: 0,
@@ -380,7 +379,6 @@ pub struct ClusterEngine {
     shards: Vec<ServingEngine>,
     router: Box<dyn RoutingPolicy>,
     stealing: bool,
-    step_index: usize,
     steals: usize,
     ships: usize,
     total_cycles: u64,
@@ -417,6 +415,12 @@ impl ClusterEngine {
         &self.shards[i]
     }
 
+    /// The cluster step about to run: shard 0's, as every shard records
+    /// one step per cluster step (an idle one an idle tick).
+    fn step_index(&self) -> usize {
+        self.shards[0].step_index()
+    }
+
     /// Runs [`ServingEngine::validate`] on every shard.
     ///
     /// # Panics
@@ -424,24 +428,6 @@ impl ClusterEngine {
     /// Panics on the first violated invariant.
     pub fn validate(&self) {
         self.shards.iter().for_each(ServingEngine::validate);
-    }
-
-    /// Measured wall-clock seconds spent stepping so far.
-    #[must_use]
-    pub fn wall_seconds(&self) -> f64 {
-        self.wall_nanos as f64 / 1e9
-    }
-
-    /// Queued-request migrations work stealing has performed so far.
-    #[must_use]
-    pub fn steals(&self) -> usize {
-        self.steals
-    }
-
-    /// Running-request migrations shipped between shards so far.
-    #[must_use]
-    pub fn ships(&self) -> usize {
-        self.ships
     }
 
     /// Whether cross-shard page shipping is active: a priced transfer
@@ -540,7 +526,7 @@ impl ClusterEngine {
                 id,
                 from: donor,
                 to: shard,
-                step: self.step_index,
+                step: self.step_index(),
                 tokens: shipped_tokens,
             });
         } else {
@@ -607,7 +593,7 @@ impl ClusterEngine {
                     id,
                     from: donor,
                     to,
-                    step: self.step_index,
+                    step: self.step_index(),
                     tokens,
                 });
             }
@@ -669,7 +655,7 @@ impl ClusterEngine {
                 id: req.id,
                 from: donor,
                 to: thief,
-                step: self.step_index,
+                step: self.step_index(),
             });
         }
         if self.shipping_enabled() {
@@ -726,7 +712,7 @@ impl ClusterEngine {
                 id,
                 from: donor,
                 to: thief,
-                step: self.step_index,
+                step: self.step_index(),
                 tokens,
             });
         }
@@ -760,6 +746,7 @@ impl ClusterEngine {
             return Ok(None);
         }
         let start = std::time::Instant::now();
+        let index = self.step_index();
         if self.stealing && self.shards.len() > 1 {
             self.steal();
         }
@@ -784,12 +771,11 @@ impl ClusterEngine {
             .wall_nanos
             .saturating_add(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         let report = ClusterStepReport {
-            index: self.step_index,
+            index,
             batch,
             critical_cycles,
         };
         self.total_cycles += critical_cycles;
-        self.step_index += 1;
         Ok(Some(report))
     }
 
@@ -823,9 +809,9 @@ impl ClusterEngine {
             stealing: self.stealing,
             steals: self.steals,
             ships: self.ships,
-            cluster_steps: self.step_index,
+            cluster_steps: self.step_index(),
             total_cycles: self.total_cycles,
-            wall_seconds: self.wall_seconds(),
+            wall_seconds: self.wall_nanos as f64 / 1e9,
             shards: self.shards.iter().map(ServingEngine::report).collect(),
         }
     }
@@ -906,6 +892,9 @@ mod tests {
         assert_eq!(report.shards[1].steps.len(), 3, "idle shard fell behind");
         for shard in &report.shards {
             assert_eq!(report.cluster_steps, shard.steps.len());
+            for (i, step) in shard.steps.iter().enumerate() {
+                assert_eq!(step.index, i, "a shard's step index is its step count");
+            }
         }
         assert!(report.shards[1].steps.iter().all(|s| s.total_cycles() == 0));
         // Makespan equals the busy shard's cycles; imbalance is maximal.

@@ -312,21 +312,11 @@ impl KvPager {
     /// Whether `owner` could grow its allocation to cover `tokens`. Pages
     /// the owner already holds (e.g. retained across a preemption) count
     /// toward the need, and refcount-0 cached pages count as reclaimable
-    /// capacity.
-    #[must_use]
-    pub fn can_reserve(&self, owner: u64, tokens: usize) -> bool {
-        let need = self
-            .pages_needed(tokens)
-            .saturating_sub(self.pages_of(owner));
-        need <= self.free_pages() + self.lru.len()
-    }
-
-    /// [`can_reserve`](Self::can_reserve) with prefix-cache awareness:
-    /// pages adoptable from `chain` (see
+    /// capacity. Pages adoptable from `chain` (see
     /// [`adopt_prefix`](Self::adopt_prefix)) reduce the allocation the
     /// owner still needs, while adoptable pages that currently sit in the
     /// cache stop counting as reclaimable capacity (adopting them keeps
-    /// them resident).
+    /// them resident); an empty `chain` adopts nothing.
     #[must_use]
     pub fn can_admit(&self, owner: u64, tokens: usize, chain: &[u64]) -> bool {
         let (need, available) = self.admission_gap(owner, tokens, chain);
@@ -535,8 +525,8 @@ impl KvPager {
     /// # Panics
     ///
     /// Panics if free plus cached pages cannot cover the growth — callers
-    /// gate on [`can_reserve`](Self::can_reserve) /
-    /// [`can_admit`](Self::can_admit) (the engine's admission check), so
+    /// gate on [`can_admit`](Self::can_admit) (the engine's admission
+    /// check), so
     /// running dry is an accounting bug, not a recoverable state.
     pub fn reserve(&mut self, owner: u64, tokens: usize) -> usize {
         let target = self.pages_needed(tokens);
@@ -556,7 +546,7 @@ impl KvPager {
             let page = match self.take_free() {
                 Some(p) => p,
                 None => self.reclaim_lru().expect(
-                    "KV page reservation exceeds capacity; admission must gate on can_reserve",
+                    "KV page reservation exceeds capacity; admission must gate on can_admit",
                 ),
             };
             self.refs[page] = 1;
@@ -858,14 +848,14 @@ mod tests {
     }
 
     #[test]
-    fn can_reserve_credits_held_pages() {
+    fn can_admit_credits_held_pages() {
         let mut pager = KvPager::new(8, 32); // 4 pages
         pager.reserve(1, 24); // 3 pages
-        assert!(!pager.can_reserve(2, 16)); // needs 2, only 1 free
+        assert!(!pager.can_admit(2, 16, &[])); // needs 2, only 1 free
         pager.truncate(1, 1);
         // Owner 1 re-reserving its original need only asks for the delta.
-        assert!(pager.can_reserve(1, 24));
-        assert!(pager.can_reserve(2, 16));
+        assert!(pager.can_admit(1, 24, &[]));
+        assert!(pager.can_admit(2, 16, &[]));
     }
 
     #[test]
@@ -932,7 +922,7 @@ mod tests {
 
         // Needing 4 pages reclaims both cached pages, oldest first; the
         // index forgets them.
-        assert!(pager.can_reserve(3, 64));
+        assert!(pager.can_admit(3, 64, &[]));
         pager.reserve(3, 64);
         assert_eq!(pager.cached_pages(), 0);
         assert_eq!(pager.adoptable(4, &[100]), (0, 0));

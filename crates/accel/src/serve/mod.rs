@@ -37,9 +37,10 @@
 //!    batching rather than batch-synchronous scheduling.
 //!
 //! Progress is observable per token through a typed event stream
-//! ([`ServeEvent`]) and per request through [`SessionStats`] (queue wait,
-//! time-to-first-token, decode steps), not only through the final
-//! [`ServingReport`].
+//! ([`ServeEvent`]) and per finished request through its
+//! [`RequestStats`] (queue wait and time-to-first-token via
+//! [`RequestStats::session`]), not only through the run totals of the
+//! [`ServingReport`] that holds them.
 //!
 //! The per-request attention cost is measured (not modeled): one
 //! cycle-level simulation per request per step on a synthetic instance of
@@ -292,31 +293,6 @@ impl ServingEngineBuilder {
         self
     }
 
-    /// Sets the host-tier copy-back price (see
-    /// [`ServingConfig::swap_cost_factor`]).
-    #[must_use]
-    pub fn swap_cost_factor(mut self, factor: f64) -> Self {
-        self.cfg.swap_cost_factor = factor;
-        self
-    }
-
-    /// Sets the cross-shard KV transfer price (see
-    /// [`ServingConfig::ship_cost_factor`]; `0` disables shipping).
-    #[must_use]
-    pub fn ship_cost_factor(mut self, factor: f64) -> Self {
-        self.cfg.ship_cost_factor = factor;
-        self
-    }
-
-    /// Enables admission-time rejection of requests whose TTFT deadline
-    /// already elapsed in the queue (see
-    /// [`ServingConfig::reject_expired_ttft`]).
-    #[must_use]
-    pub fn reject_expired_ttft(mut self, reject: bool) -> Self {
-        self.cfg.reject_expired_ttft = reject;
-        self
-    }
-
     /// Sets the attention head count per request per step.
     #[must_use]
     pub fn heads(mut self, heads: usize) -> Self {
@@ -352,15 +328,8 @@ impl ServingEngineBuilder {
         self
     }
 
-    /// Sets the preemption behavior.
-    #[must_use]
-    pub fn preemption(mut self, preemption: PreemptionConfig) -> Self {
-        self.cfg.preemption = preemption;
-        self
-    }
-
-    /// Enables preemption, keeping whatever cost, thrash and retention
-    /// settings are already configured (so the call order relative to
+    /// Enables preemption, keeping whatever retention is already
+    /// configured (so the call order relative to
     /// [`retention`](Self::retention) does not matter).
     #[must_use]
     pub fn enable_preemption(mut self) -> Self {
@@ -414,17 +383,10 @@ pub struct ServingEngine {
     /// The KV page allocator: the batch's KV budget, including pages
     /// retained by preempted requests waiting in the queue.
     pager: KvPager,
-    finished: Vec<RequestStats>,
-    steps: Vec<StepReport>,
+    /// The run's one record: every step (so its length is the step
+    /// index), every finished request and every counter.
+    report: ServingReport,
     events: Vec<ServeEvent>,
-    prune: PruneStats,
-    total_cycles: u64,
-    tokens_generated: usize,
-    preemptions: usize,
-    admitted_prompt_tokens: usize,
-    admitted_hit_tokens: usize,
-    rejections: usize,
-    step_index: usize,
     arrival_seq: u64,
     /// The stepping thread's key buffers, kept from one simulation to the
     /// next.
@@ -507,7 +469,11 @@ impl ServingEngine {
         ] {
             *factor = pricing::clamp_factor(*factor);
         }
-        let chunks = cfg.accel.precision.num_chunks();
+        let report = ServingReport {
+            policy: policy.name().to_string(),
+            prune: PruneStats::new(0, cfg.accel.precision.num_chunks()),
+            ..ServingReport::default()
+        };
         let accel = ToPickAccelerator::new(cfg.accel.clone());
         let pager = KvPager::new(cfg.admission.page_size, cfg.admission.max_batch_tokens)
             .with_prefix_cache(cfg.admission.prefix_cache)
@@ -520,17 +486,8 @@ impl ServingEngine {
             order: AdmissionOrder::default(),
             running: Vec::new(),
             pager,
-            finished: Vec::new(),
-            steps: Vec::new(),
+            report,
             events: Vec::new(),
-            prune: PruneStats::new(0, chunks),
-            total_cycles: 0,
-            tokens_generated: 0,
-            preemptions: 0,
-            admitted_prompt_tokens: 0,
-            admitted_hit_tokens: 0,
-            rejections: 0,
-            step_index: 0,
             arrival_seq: 0,
             scratch: KeyScratch::default(),
             lending: LendingStats::default(),
@@ -605,8 +562,12 @@ impl ServingEngine {
     /// exactly like the engine's own waiting-on-future-arrivals idle tick.
     pub(crate) fn idle_tick(&mut self) {
         debug_assert!(self.is_idle(), "idle ticks are only for drained engines");
-        self.steps.push(StepReport::idle(self.step_index));
-        self.step_index += 1;
+        self.report.steps.push(StepReport::idle(self.step_index()));
+    }
+
+    /// The index of the step about to run: one step report per step run.
+    fn step_index(&self) -> usize {
+        self.report.steps.len()
     }
 
     /// Whether the queue holds a request work stealing may migrate: one
@@ -619,7 +580,7 @@ impl ServingEngine {
 
     /// Whether queued request `e` has arrived and has never been admitted.
     fn unstarted(&self, e: &ActiveRequest) -> bool {
-        e.stats.admitted_at.is_none() && e.req.arrival_step as usize <= self.step_index
+        e.stats.admitted_at.is_none() && e.req.arrival_step as usize <= self.step_index()
     }
 
     /// Removes and returns the youngest queued request that has arrived
@@ -745,7 +706,7 @@ impl ServingEngine {
         self.validate_request(&req)?;
         // A request becomes schedulable when it both has been enqueued and
         // has arrived.
-        let schedulable_at = self.step_index.max(req.arrival_step as usize);
+        let schedulable_at = self.step_index().max(req.arrival_step as usize);
         // The prompt-page hash chain is what admission matches against the
         // prefix index; only worth computing when the cache can use it.
         let page_keys = if self.cfg.admission.prefix_cache {
@@ -773,7 +734,7 @@ impl ServingEngine {
         self.pending.push(active);
         self.emit(ServeEvent::Enqueued {
             id: req.id,
-            step: self.step_index,
+            step: self.step_index(),
         });
         Ok(())
     }
@@ -802,7 +763,7 @@ impl ServingEngine {
     pub(crate) fn receive_shipped(&mut self, mut active: ActiveRequest) {
         active.arrival_seq = self.arrival_seq;
         self.arrival_seq += 1;
-        active.wait_since = self.step_index;
+        active.wait_since = self.step_index();
         // The eviction cooldown is per-engine; a migrant is admissible
         // immediately.
         active.last_evicted_at = None;
@@ -810,7 +771,7 @@ impl ServingEngine {
         self.pending.push(active);
         self.emit(ServeEvent::Enqueued {
             id,
-            step: self.step_index,
+            step: self.step_index(),
         });
     }
 
@@ -845,7 +806,7 @@ impl ServingEngine {
     /// a reject still counts against
     /// [`deadline_attainment`](ServingReport::deadline_attainment).
     fn reject_expired(&mut self) {
-        let step = self.step_index;
+        let step = self.step_index();
         let expired: Vec<(u64, i64)> = self
             .pending
             .iter()
@@ -865,9 +826,9 @@ impl ServingEngine {
             r.kv.release_host(self.pager.host_mut());
             r.stats.slo_violated = true;
             r.stats.finished_at = Some(step);
-            self.rejections += 1;
+            self.report.rejections += 1;
             let id = r.req.id;
-            self.finished.push(r.stats);
+            self.report.requests.push(r.stats);
             self.emit(ServeEvent::Rejected {
                 id,
                 step,
@@ -887,7 +848,7 @@ impl ServingEngine {
     /// so they stay invisible until the next one, and reclaiming retained
     /// pages touches no field a view reads.
     fn admit(&mut self) {
-        let step = self.step_index;
+        let step = self.step_index();
         let mut evictions_left = if self.cfg.preemption.enabled {
             policy::MAX_EVICTIONS_PER_STEP
         } else {
@@ -1003,8 +964,8 @@ impl ServingEngine {
             // the full prompt once, and `cached_tokens` of it came from
             // the cache — counting here (not at completion) keeps hit
             // rates in [0, 1] even on truncated runs with in-flight work.
-            self.admitted_prompt_tokens += prompt_len;
-            self.admitted_hit_tokens += cached_tokens;
+            self.report.admitted_prompt_tokens += prompt_len;
+            self.report.admitted_hit_tokens += cached_tokens;
             self.emit(ServeEvent::Admitted {
                 id,
                 step,
@@ -1037,16 +998,16 @@ impl ServingEngine {
             .truncate(victim.arrival_seq, self.pager.pages_needed(retained_tokens));
         victim.stats.preemptions += 1;
         victim.stats.retained_tokens += retained_tokens;
-        victim.last_evicted_at = Some(self.step_index);
+        victim.last_evicted_at = Some(self.step_index());
         // Waiting restarts now: time spent running must not count as
         // queue age when policies apply starvation aging.
-        victim.wait_since = self.step_index;
-        self.preemptions += 1;
+        victim.wait_since = self.step_index();
+        self.report.preemptions += 1;
         let (id, generated) = (victim.req.id, victim.stats.generated);
         self.pending.push(victim);
         self.emit(ServeEvent::Preempted {
             id,
-            step: self.step_index,
+            step: self.step_index(),
             generated,
             retained_tokens,
             dropped_tokens,
@@ -1054,7 +1015,7 @@ impl ServingEngine {
         if swapped_now > 0 {
             self.emit(ServeEvent::SwappedOut {
                 id,
-                step: self.step_index,
+                step: self.step_index(),
                 tokens: swapped_now,
             });
         }
@@ -1122,7 +1083,7 @@ impl ServingEngine {
         if swapped_now > 0 {
             self.emit(ServeEvent::SwappedOut {
                 id,
-                step: self.step_index,
+                step: self.step_index(),
                 tokens: swapped_now,
             });
         }
@@ -1175,7 +1136,7 @@ impl ServingEngine {
             if self.pending.is_empty() {
                 return Ok(None);
             }
-            if self.pending.has_visible(self.step_index) {
+            if self.pending.has_visible(self.step_index()) {
                 // An empty batch that still cannot admit a schedulable
                 // request means the limits (or the policy) exclude it
                 // permanently. Erroring beats silently dropping the work.
@@ -1184,13 +1145,12 @@ impl ServingEngine {
                 });
             }
             // Everything queued arrives later: tick time forward.
-            let report = StepReport::idle(self.step_index);
-            self.steps.push(report);
-            self.step_index += 1;
+            let report = StepReport::idle(self.step_index());
+            self.report.steps.push(report);
             return Ok(Some(report));
         }
 
-        let step = self.step_index;
+        let step = self.step_index();
         let mut report = StepReport {
             batch: self.running.len(),
             weight_cycles: pricing::weight_stream_cycles(&self.cfg.accel, self.cfg.weight_bytes),
@@ -1205,17 +1165,16 @@ impl ServingEngine {
                 SlotWork::Decode => self.decode_slot(slot, &mut report)?,
             }
         }
-        self.total_cycles += report.total_cycles();
-        self.tokens_generated += report.decoded;
-        self.steps.push(report);
-        self.step_index += 1;
+        self.report.total_cycles += report.total_cycles();
+        self.report.tokens_generated += report.decoded;
+        self.report.steps.push(report);
 
         // Retire completed requests; freed budget admits queue at the next
         // step (continuous batching).
         for mut r in self.retire_finished() {
             r.stats.finished_at = Some(step);
             let (id, generated) = (r.req.id, r.stats.generated);
-            self.finished.push(r.stats);
+            self.report.requests.push(r.stats);
             self.emit(ServeEvent::Finished {
                 id,
                 step,
@@ -1287,7 +1246,7 @@ impl ServingEngine {
         let (id, ctx) = (self.running[slot].req.id, self.running[slot].context());
         let attention = self.slot_attention(slot)?;
         let request_cycles = attention.head_cycles * self.cfg.heads as u64;
-        self.prune.merge(&attention.prune);
+        self.report.prune.merge(&attention.prune);
         let (r, host) = (&mut self.running[slot], self.pager.host_mut());
         let settled =
             r.kv.settle(ctx, &self.cfg, request_cycles, &mut r.stats, host);
@@ -1386,18 +1345,7 @@ impl ServingEngine {
     /// The report accumulated so far (complete once the engine is idle).
     #[must_use]
     pub fn report(&self) -> ServingReport {
-        ServingReport {
-            policy: self.policy.name().to_string(),
-            steps: self.steps.clone(),
-            requests: self.finished.clone(),
-            total_cycles: self.total_cycles,
-            tokens_generated: self.tokens_generated,
-            preemptions: self.preemptions,
-            admitted_prompt_tokens: self.admitted_prompt_tokens,
-            admitted_hit_tokens: self.admitted_hit_tokens,
-            rejections: self.rejections,
-            prune: self.prune.clone(),
-        }
+        self.report.clone()
     }
 }
 
@@ -1719,6 +1667,11 @@ mod tests {
         let s2 = engine.step().unwrap().unwrap();
         assert_eq!(s2.batch, 1);
         let report = engine.run_to_completion(4).unwrap();
+        // The step count is read off the report: idle ticks and busy steps
+        // each record exactly one step at its own index.
+        for (i, step) in report.steps.iter().enumerate() {
+            assert_eq!(step.index, i);
+        }
         let stats = report.requests[0];
         assert_eq!(stats.enqueued_at, 2);
         assert_eq!(stats.session().unwrap().queue_wait_steps, 0);

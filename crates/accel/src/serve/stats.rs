@@ -135,24 +135,24 @@ impl RequestStats {
     #[must_use]
     pub fn session(&self) -> Option<SessionStats> {
         let admitted = self.admitted_at?;
-        let first = self.first_token_at?;
         Some(SessionStats {
             queue_wait_steps: admitted.saturating_sub(self.enqueued_at),
-            time_to_first_token_steps: first - self.enqueued_at + 1,
-            decode_steps: self.generated,
-            preemptions: self.preemptions,
-            retained_tokens: self.retained_tokens,
-            reprefilled_tokens: self.reprefilled_tokens,
-            prefix_hit_tokens: self.prefix_hit_tokens,
-            good_tokens: self.good_tokens,
-            slo_attained: self.slo_attained(),
+            time_to_first_token_steps: self.ttft_steps()?,
         })
+    }
+
+    /// Steps from becoming schedulable until the first token existed,
+    /// once it has (inclusive of the generating step, so the minimum is
+    /// 1).
+    pub(crate) fn ttft_steps(&self) -> Option<usize> {
+        Some(self.first_token_at? - self.enqueued_at + 1)
     }
 }
 
-/// Per-request serving quality: how long the request queued, how fast its
-/// first token came back, and how much scheduling churn it suffered. All
-/// times are in engine steps (one batched decode iteration each).
+/// The two times a request's [`RequestStats`] yields only once it has
+/// produced a token, in engine steps (one batched decode iteration each).
+/// Everything else about a finished request is read off its
+/// [`RequestStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionStats {
     /// Steps spent in the arrival queue before first admission.
@@ -160,22 +160,6 @@ pub struct SessionStats {
     /// Steps from becoming schedulable until the first token existed
     /// (inclusive of the generating step, so the minimum is 1).
     pub time_to_first_token_steps: usize,
-    /// Decode steps the request participated in (= tokens generated).
-    pub decode_steps: usize,
-    /// Times the request was preempted back to the queue.
-    pub preemptions: u32,
-    /// KV tokens whose pages survived its preemptions (paged retention).
-    pub retained_tokens: usize,
-    /// KV tokens re-prefilled across its re-admissions.
-    pub reprefilled_tokens: usize,
-    /// Prompt tokens the shared-prefix cache served at its admissions.
-    pub prefix_hit_tokens: usize,
-    /// Tokens delivered before any deadline was blown (all of them for a
-    /// request that attained its SLO, or carried none).
-    pub good_tokens: usize,
-    /// Whether every deadline the request carried was met (trivially true
-    /// without deadlines).
-    pub slo_attained: bool,
 }
 
 /// What one engine step did.
@@ -250,7 +234,7 @@ impl StepReport {
 }
 
 /// Aggregate outcome of a served workload.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingReport {
     /// Name of the scheduling policy that produced this run.
     pub policy: String,
@@ -486,7 +470,7 @@ impl ServingReport {
         let mut ttfts: Vec<usize> = self
             .requests
             .iter()
-            .filter_map(|r| Some(r.first_token_at? - r.enqueued_at + 1))
+            .filter_map(RequestStats::ttft_steps)
             .collect();
         if ttfts.is_empty() {
             return 0;
@@ -509,16 +493,19 @@ impl ServingReport {
             .unwrap_or(0)
     }
 
-    fn mean_session(&self, f: impl Fn(&SessionStats) -> f64) -> f64 {
-        let sessions: Vec<SessionStats> = self
+    /// The mean of `f` over the requests whose
+    /// [`session`](RequestStats::session) exists, summed in completion
+    /// order (0 when none does).
+    fn mean_session(&self, f: impl Fn(SessionStats) -> f64) -> f64 {
+        let (sum, n) = self
             .requests
             .iter()
             .filter_map(RequestStats::session)
-            .collect();
-        if sessions.is_empty() {
+            .fold((0.0, 0usize), |(sum, n), s| (sum + f(s), n + 1));
+        if n == 0 {
             return 0.0;
         }
-        sessions.iter().map(f).sum::<f64>() / sessions.len() as f64
+        sum / n as f64
     }
 }
 
@@ -544,15 +531,10 @@ mod tests {
     fn report(requests: Vec<RequestStats>, admitted: usize, hits: usize) -> ServingReport {
         ServingReport {
             policy: "fifo".to_string(),
-            steps: Vec::new(),
             requests,
-            total_cycles: 0,
-            tokens_generated: 0,
-            preemptions: 0,
             admitted_prompt_tokens: admitted,
             admitted_hit_tokens: hits,
-            rejections: 0,
-            prune: PruneStats::default(),
+            ..ServingReport::default()
         }
     }
 

@@ -182,14 +182,16 @@ proptest! {
     ) {
         let policy = PolicyKind::all()[policy_idx];
         let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("thr");
-        let mut builder = ServingEngine::builder(accel)
+        let mut cfg = ServingConfig::new(accel);
+        cfg.reject_expired_ttft = reject;
+        let mut builder = ServingEngine::builder(cfg.accel.clone())
+            .config(cfg)
             .heads(2)
             .weight_bytes(1_000_000)
             .max_batch(max_batch)
             .max_batch_tokens(budget)
             .prefill_factor(if priced { 1.0 } else { 0.0 })
             .prefill_chunk_pages(prefill_chunk)
-            .reject_expired_ttft(reject)
             .seed(seed)
             .policy(policy);
         if preempt {
@@ -336,7 +338,10 @@ proptest! {
         // Host tier off, tight (forces partial swaps) and roomy.
         let host_pages = [0usize, 2, 64][host_tier_idx];
         let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("thr");
-        let mut engine = ServingEngine::builder(accel)
+        let mut cfg = ServingConfig::new(accel);
+        cfg.swap_cost_factor = 0.25;
+        let mut engine = ServingEngine::builder(cfg.accel.clone())
+            .config(cfg)
             .heads(2)
             .weight_bytes(1_000_000)
             .max_batch(max_batch)
@@ -347,7 +352,6 @@ proptest! {
             .prefill_factor(if prefix_cache { 1.0 } else { 0.0 })
             .prefill_chunk_pages(prefill_chunk)
             .host_pages(host_pages)
-            .swap_cost_factor(0.25)
             .policy(policy)
             .enable_preemption()
             .retention(retention)
@@ -452,7 +456,7 @@ proptest! {
             match op {
                 0..=2 => {
                     // Admit: reserve gated exactly like the engine.
-                    if pager.can_reserve(owner, tokens) {
+                    if pager.can_admit(owner, tokens, &[]) {
                         pager.reserve(owner, tokens);
                     }
                 }

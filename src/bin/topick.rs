@@ -14,20 +14,62 @@ use token_picker::core::{
 };
 use token_picker::model::{InstanceSampler, ModelSpec, TrafficBreakdown};
 
-/// `--name value` pairs (a bare `--name` maps to the empty string), in
-/// name order so error messages do not depend on hashing.
+/// `--name value` pairs (a flag that takes no value maps to the empty
+/// string), in name order so error messages do not depend on hashing.
 type Flags = BTreeMap<String, String>;
 
-fn parse_flags(args: &[String]) -> Flags {
+/// Parses `cmd`'s arguments against its lines in [`COMMANDS`], which
+/// declare each flag and whether it takes a value (`[--batch B]`) or
+/// none (`[--preemption]`). Refuses a flag `cmd` does not declare, a
+/// flag given twice, a value after a flag that takes none, and a word no
+/// flag takes, except `trace`'s positional words. A value flag with no
+/// value maps to the empty string, which its parse then refuses. `help`,
+/// like any name that is no command, ignores its arguments.
+fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, FlagError> {
     let mut flags = Flags::new();
+    let head = format!("  {cmd} ");
+    let mut lines = COMMANDS.lines().skip_while(|l| !l.starts_with(&head));
+    let Some(first) = lines.next() else {
+        return Ok(flags);
+    };
+    // Each declared `--name` with whether a value word follows it.
+    let declared: Vec<(&str, bool)> = std::iter::once(first)
+        .chain(lines.take_while(|l| l.starts_with("   ")))
+        .flat_map(|line| line.split("--").skip(1))
+        .map(|rest| {
+            let name = rest.split([' ', ']']).next().unwrap_or(rest);
+            (name, rest[name.len()..].starts_with(' '))
+        })
+        .collect();
     let mut args = args.iter().peekable();
     while let Some(arg) = args.next() {
-        if let Some(name) = arg.strip_prefix("--") {
-            let value = args.next_if(|next| !next.starts_with("--"));
-            flags.insert(name.to_string(), value.cloned().unwrap_or_default());
+        let Some(name) = arg.strip_prefix("--") else {
+            if cmd == "trace" {
+                continue;
+            }
+            return Err(FlagError::Unexpected(arg.clone()));
+        };
+        let Some(&(_, takes_value)) = declared.iter().find(|(n, _)| *n == name) else {
+            return Err(FlagError::Unknown(name.to_string()));
+        };
+        let value = args.next_if(|next| !next.starts_with("--"));
+        if let (false, Some(word)) = (takes_value, value) {
+            return Err(FlagError::BadValue {
+                flag: name.to_string(),
+                reason: format!("takes no value, got '{word}'"),
+            });
+        }
+        if flags
+            .insert(name.to_string(), value.cloned().unwrap_or_default())
+            .is_some()
+        {
+            return Err(FlagError::BadValue {
+                flag: name.to_string(),
+                reason: "given more than once".to_string(),
+            });
         }
     }
-    flags
+    Ok(flags)
 }
 
 /// Command-line input the driver refuses instead of guessing around.
@@ -35,7 +77,11 @@ fn parse_flags(args: &[String]) -> Flags {
 enum FlagError {
     /// A flag the command does not declare.
     Unknown(String),
-    /// A flag whose value does not parse as the type it sets.
+    /// A word that no flag takes as its value.
+    Unexpected(String),
+    /// A flag given a value it cannot take: one that does not parse as
+    /// the type it sets, a value for a flag that takes none, or a second
+    /// value.
     BadValue { flag: String, reason: String },
 }
 
@@ -43,6 +89,9 @@ impl fmt::Display for FlagError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Unknown(flag) => write!(f, "unknown flag --{flag} (see `topick help`)"),
+            Self::Unexpected(word) => {
+                write!(f, "unexpected argument '{word}' (see `topick help`)")
+            }
             Self::BadValue { flag, reason } => write!(f, "--{flag}: {reason}"),
         }
     }
@@ -358,7 +407,8 @@ fn cmd_serve_real_tokens(
 
 /// Every command and its flags, as `topick help` prints them — and the
 /// one list of flags each command accepts: anything the command's lines
-/// do not spell `--name` is refused.
+/// do not spell `--name` is refused, and a flag takes a value exactly
+/// when a word follows its name (`[--batch B]`, not `[--preemption]`).
 const COMMANDS: &str = "  prune    run the progressive pruner on one synthetic instance
            [--context N] [--dim D] [--threshold T] [--seed S]
   sweep    threshold sweep on one instance
@@ -381,26 +431,6 @@ const COMMANDS: &str = "  prune    run the progressive pruner on one synthetic i
   trace    trace-file tooling
            diff <A> <B>   localize the first diverging event of two traces
 ";
-
-/// Refuses the first flag (in name order) that `cmd`'s lines in
-/// [`COMMANDS`] do not declare. `help`, like any name that is no
-/// command, takes no flags and ignores them.
-fn check_flags(cmd: &str, flags: &Flags) -> Result<(), FlagError> {
-    let head = format!("  {cmd} ");
-    let mut lines = COMMANDS.lines().skip_while(|l| !l.starts_with(&head));
-    let Some(first) = lines.next() else {
-        return Ok(());
-    };
-    let declared: Vec<&str> = std::iter::once(first)
-        .chain(lines.take_while(|l| l.starts_with("   ")))
-        .flat_map(|line| line.split("--").skip(1))
-        .filter_map(|rest| rest.split([' ', ']']).next())
-        .collect();
-    match flags.keys().find(|name| !declared.contains(&name.as_str())) {
-        Some(unknown) => Err(FlagError::Unknown(unknown.clone())),
-        None => Ok(()),
-    }
-}
 
 fn cmd_serve(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     use token_picker::accel::{PreemptionConfig, RetentionPolicy, RoutingKind, ScenarioKind};
@@ -834,10 +864,9 @@ fn usage() {
     print!("{COMMANDS}");
 }
 
-/// Runs one command after refusing any flag it does not declare.
+/// Runs one command after refusing any argument it does not declare.
 fn run(cmd: &str, args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let flags = parse_flags(&args[1.min(args.len())..]);
-    check_flags(cmd, &flags)?;
+    let flags = parse_flags(cmd, &args[1.min(args.len())..])?;
     match cmd {
         "prune" => cmd_prune(&flags),
         "sweep" => cmd_sweep(&flags),

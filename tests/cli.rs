@@ -193,9 +193,13 @@ fn serve_errors_exit_one_and_name_the_problem() {
         .contains("--batch cannot be combined with --replay"));
     // The trace fixes the whole run: *any* other flag is refused, not
     // only the ones an exclusion list remembered.
-    for extra in ["--host-pages", "--slo-reject", "--ship-cost"] {
-        assert!(error_of(&["serve", "--replay", trace, extra, "1"])
-            .contains(&format!("{extra} cannot be combined with --replay")));
+    for extra in [
+        &["--host-pages", "1"][..],
+        &["--slo-reject"],
+        &["--ship-cost", "1"],
+    ] {
+        let args = [&["serve", "--replay", trace][..], extra].concat();
+        assert!(error_of(&args).contains(&format!("{} cannot be combined with --replay", extra[0])));
     }
     // Typos and garbage are errors naming the flag, never a silent
     // fallback to the default.
@@ -228,6 +232,36 @@ fn every_command_refuses_a_flag_it_does_not_declare() {
             error_of(args).contains(&format!("unknown flag {unknown}")),
             "{args:?}"
         );
+    }
+}
+
+#[test]
+fn every_command_refuses_an_argument_it_would_ignore() {
+    // Each used to exit 0 running something other than what was typed.
+    for (args, refusal) in [
+        // A bare word no flag takes: `prune` ran at context 512.
+        (&["prune", "64"][..], "unexpected argument '64'"),
+        (
+            &["serve", "--batch", "4", "8"][..],
+            "unexpected argument '8'",
+        ),
+        // A value after a flag that takes none: `serve` ran *with*
+        // preemption.
+        (
+            &["serve", "--preemption", "0"][..],
+            "--preemption: takes no value, got '0'",
+        ),
+        // A repeated flag: the later value silently won.
+        (
+            &["sweep", "--context", "64", "--context", "128"][..],
+            "--context: given more than once",
+        ),
+        (
+            &["serve", "--stealing", "--shards", "2", "--stealing"][..],
+            "--stealing: given more than once",
+        ),
+    ] {
+        assert!(error_of(args).contains(refusal), "{args:?}");
     }
 }
 

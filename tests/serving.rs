@@ -549,10 +549,8 @@ fn reclaim_never_strips_shared_retained_pages_for_no_gain() {
         .page_size(16)
         .prefix_cache(true)
         .policy(PolicyKind::PriorityAging)
-        .preemption(
-            token_picker::accel::PreemptionConfig::enabled()
-                .with_retention(RetentionPolicy::Fraction(0.8)),
-        )
+        .enable_preemption()
+        .retention(RetentionPolicy::Fraction(0.8))
         .build();
     engine
         .enqueue(
@@ -616,10 +614,8 @@ fn retention_cannot_keep_kv_that_was_never_prefilled() {
         .prefix_cache(true)
         .prefill_factor(1.0)
         .policy(PolicyKind::PriorityAging)
-        .preemption(
-            token_picker::accel::PreemptionConfig::enabled()
-                .with_retention(RetentionPolicy::Fraction(0.75)),
-        )
+        .enable_preemption()
+        .retention(RetentionPolicy::Fraction(0.75))
         .build();
     // C holds the only slot through step 16; A queues and ages from
     // effective priority 2 to 4.
@@ -685,10 +681,8 @@ fn reclaim_never_strips_pages_the_candidate_would_adopt() {
         .page_size(16)
         .prefix_cache(true)
         .policy(PolicyKind::PriorityAging)
-        .preemption(
-            token_picker::accel::PreemptionConfig::enabled()
-                .with_retention(RetentionPolicy::Fraction(0.8)),
-        )
+        .enable_preemption()
+        .retention(RetentionPolicy::Fraction(0.8))
         .build();
     // F1 (5 pages) and B (5 pages) fill the budget.
     engine
@@ -748,10 +742,8 @@ fn retention_cannot_keep_kv_whose_rebuild_was_never_charged() {
         .prefix_cache(true)
         .prefill_factor(1.0)
         .policy(PolicyKind::PriorityAging)
-        .preemption(
-            token_picker::accel::PreemptionConfig::enabled()
-                .with_retention(RetentionPolicy::Fraction(0.75)),
-        )
+        .enable_preemption()
+        .retention(RetentionPolicy::Fraction(0.75))
         .build();
     // C occupies the slot while A ages; B evicts A the moment it is
     // first admitted (step 17, before any decode).
@@ -1950,7 +1942,10 @@ fn golden_trace_replays_to_its_recorded_digest() {
 /// the host tier configured.
 fn serve_skewed_tiered(host_pages: usize, swap_cost_factor: f64) -> ServingReport {
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut engine = ServingEngine::builder(accel)
+    let mut cfg = ServingConfig::new(accel);
+    cfg.swap_cost_factor = swap_cost_factor;
+    let mut engine = ServingEngine::builder(cfg.accel.clone())
+        .config(cfg)
         .heads(4)
         .weight_bytes(10_000_000)
         .max_batch(4)
@@ -1960,7 +1955,6 @@ fn serve_skewed_tiered(host_pages: usize, swap_cost_factor: f64) -> ServingRepor
         .enable_preemption()
         .retention(RetentionPolicy::Fraction(0.75))
         .host_pages(host_pages)
-        .swap_cost_factor(swap_cost_factor)
         .build();
     for r in SkewedElephantMice::default().generate(0) {
         engine.enqueue(r).expect("valid request");
@@ -1985,17 +1979,19 @@ fn tier_off_cost_factors_reproduce_every_golden_schedule() {
     // bit-identical with all three configured.
     for &(policy, preemption, digest) in &GOLDEN_POLICY_DIGESTS {
         let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-        let mut builder = ServingEngine::builder(accel)
+        let mut cfg = ServingConfig::new(accel);
+        cfg.swap_cost_factor = 0.1;
+        cfg.ship_cost_factor = 0.25;
+        cfg.reject_expired_ttft = true;
+        let mut builder = ServingEngine::builder(cfg.accel.clone())
+            .config(cfg)
             .heads(4)
             .weight_bytes(10_000_000)
             .max_batch(4)
             .max_batch_tokens(2200)
             .seed(7)
             .policy(policy)
-            .host_pages(0)
-            .swap_cost_factor(0.1)
-            .ship_cost_factor(0.25)
-            .reject_expired_ttft(true);
+            .host_pages(0);
         if preemption {
             builder = builder
                 .enable_preemption()
@@ -2313,13 +2309,15 @@ fn expired_ttft_rejection_is_evented_and_counts_against_attainment() {
     // behind a 3-step TTFT deadline it can no longer meet from step 3 on.
     let run = |reject: bool| {
         let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-        let mut engine = ServingEngine::builder(accel)
+        let mut cfg = ServingConfig::new(accel);
+        cfg.reject_expired_ttft = reject;
+        let mut engine = ServingEngine::builder(cfg.accel.clone())
+            .config(cfg)
             .heads(2)
             .weight_bytes(1_000_000)
             .max_batch(1)
             .max_batch_tokens(2048)
             .seed(7)
-            .reject_expired_ttft(reject)
             .build();
         engine
             .enqueue(ServingRequest::new(0, 64, 10))
@@ -2807,10 +2805,8 @@ fn preempted_real_token_run(host_pages: usize) -> RealTokenRun {
         .page_size(16)
         .prefix_cache(true)
         .policy(PolicyKind::PriorityAging)
-        .preemption(
-            token_picker::accel::PreemptionConfig::enabled()
-                .with_retention(RetentionPolicy::Fraction(0.8)),
-        );
+        .enable_preemption()
+        .retention(RetentionPolicy::Fraction(0.8));
     if host_pages > 0 {
         builder = builder.host_pages(host_pages);
     }
