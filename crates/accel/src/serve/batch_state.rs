@@ -53,6 +53,48 @@ pub(crate) struct SimulatedStep {
     pub(crate) prune: PruneStats,
 }
 
+/// The attention steps simulated for a request ahead of the slots that
+/// consume them, keyed by context: at most the one at its current context
+/// and the one at the next. A step's pooled pass leaves the current one
+/// for the same step's slot loop, and, on a pool that would otherwise
+/// split unevenly, the next one for the next step's; a prefill chunk
+/// leaves its own, because every chunk of a prompt and its first token
+/// run at the same context and share one simulation. A step stays valid
+/// while the request is queued, evicted, re-admitted or shipped: its
+/// context does not move in between. Two contexts in a row differ in
+/// parity, so each has its own place. Boxed and `None` while empty:
+/// every queue move copies the request.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KeptAttention(Option<Box<[Option<SimulatedStep>; 2]>>);
+
+impl KeptAttention {
+    /// Whether the step at `context` is kept.
+    pub(crate) fn holds(&self, context: usize) -> bool {
+        self.0.as_ref().is_some_and(|kept| {
+            kept[context % 2]
+                .as_ref()
+                .is_some_and(|s| s.context == context)
+        })
+    }
+
+    /// Keeps `step`, in place of whatever was kept at a context of its
+    /// parity.
+    pub(crate) fn keep(&mut self, step: SimulatedStep) {
+        let place = step.context % 2;
+        self.0.get_or_insert_with(Box::default)[place] = Some(step);
+    }
+
+    /// Takes the step kept at `context`, if there is one.
+    pub(crate) fn take(&mut self, context: usize) -> Option<SimulatedStep> {
+        let kept = self.0.as_mut()?;
+        let step = kept[context % 2].take_if(|s| s.context == context);
+        if kept.iter().all(Option::is_none) {
+            self.0 = None;
+        }
+        step
+    }
+}
+
 /// One request's live state inside the engine (queued or running).
 #[derive(Debug, Clone)]
 pub(crate) struct ActiveRequest {
@@ -80,14 +122,9 @@ pub(crate) struct ActiveRequest {
     /// Position-chained content hashes of the request's full prompt pages
     /// (empty while prefix caching is disabled).
     pub(crate) page_keys: Vec<u64>,
-    /// An attention step simulated for the request ahead of the slot that
-    /// consumes it, valid while its `context` is the request's: the one a
-    /// step's pooled pass left here for the same step's slot loop, or the
-    /// one of the request's latest prefill chunk — every chunk of a prompt
-    /// and its first token run at the same `context`, so they share one
-    /// simulation instead of repeating it. Boxed and `None` otherwise:
-    /// every queue move copies this struct.
-    pub(crate) kept_attention: Option<Box<SimulatedStep>>,
+    /// Attention steps simulated for the request ahead of the slots that
+    /// consume them.
+    pub(crate) kept_attention: KeptAttention,
     pub(crate) stats: RequestStats,
 }
 

@@ -1011,7 +1011,17 @@ mod tests {
     /// Drives `cluster` to completion through `lender`: its report, less
     /// the measured wall clock, and its events.
     fn run(cluster: &mut ClusterEngine, lender: &Mutex<Lender>) -> Run {
+        run_watching(cluster, lender, |_| {})
+    }
+
+    /// [`run`], handing the cluster to `watch` before every step.
+    fn run_watching(
+        cluster: &mut ClusterEngine,
+        lender: &Mutex<Lender>,
+        mut watch: impl FnMut(&ClusterEngine),
+    ) -> Run {
         let result = loop {
+            watch(cluster);
             match cluster.step_lending_to(lender) {
                 Ok(Some(_)) => {}
                 Ok(None) => break Ok(cluster.report()),
@@ -1180,8 +1190,69 @@ mod tests {
         assert!(lent.pooled_steps > 0 && lent.lent_instances >= lent.pooled_steps);
         assert_eq!(lent.fallbacks, 0);
         assert_eq!((not_lent.pooled_steps, not_lent.lent_instances), (0, 0));
-        assert_eq!(not_lent.fallbacks, lent.pooled_steps);
+        // Not one fallback per lent step: a lent step's next decode, taken
+        // along to even out its pool, leaves the next step's pool smaller
+        // than the serial twin's.
+        assert!(not_lent.fallbacks > 0);
         assert_eq!(simulations(&pooled), simulations(&serial));
+    }
+
+    #[test]
+    fn a_request_shipped_holding_its_next_decode_uses_it_on_the_receiving_shard() {
+        // Two long requests on shard 0 and a short one on shard 1 make odd
+        // pools of three, each taking along the next decode of request 1,
+        // the largest. When shard 1 drains, priced shipping moves shard 0's
+        // youngest running request, request 1, across, with its kept step.
+        #[derive(Debug)]
+        struct ByIdRange;
+        impl RoutingPolicy for ByIdRange {
+            fn name(&self) -> &'static str {
+                "by-id-range"
+            }
+            fn route(&mut self, r: &ServingRequest, _k: &[u64], _s: &[ShardView]) -> usize {
+                usize::from(r.id >= 2)
+            }
+        }
+        let cluster = || {
+            let mut cfg = small_cfg();
+            cfg.ship_cost_factor = 0.25;
+            let mut cluster = builder_for(cfg)
+                .shards(2)
+                .routing_boxed(Box::new(ByIdRange))
+                .stealing(true)
+                .build();
+            for (id, prompt, tokens) in [(0, 280, 20), (1, 300, 20), (2, 290, 3)] {
+                cluster
+                    .enqueue(ServingRequest::new(id, prompt, tokens))
+                    .unwrap();
+            }
+            cluster
+        };
+        let (mut pooled, mut serial) = (cluster(), cluster());
+        // `(step, id)` of each running request holding the step at its
+        // context when the cluster step began.
+        let mut holding = Vec::new();
+        let pooled_run = run_watching(&mut pooled, &Lender::private(), |cluster| {
+            let running = cluster.shards.iter().flat_map(|s| &s.running);
+            holding.extend(
+                running
+                    .filter(|r| r.kept_attention.holds(r.context()))
+                    .map(|r| (cluster.step_index(), r.req.id)),
+            );
+        });
+        assert_eq!(pooled_run, run(&mut serial, &Lender::absent()));
+        let shipped_holding = pooled_run.1.iter().any(|e| {
+            matches!(e, ClusterEvent::Shipped { id, step, .. } if holding.contains(&(*step, *id)))
+        });
+        assert!(shipped_holding, "no request was shipped holding a step");
+        let report = pooled_run.0.expect("completes");
+        assert_eq!(report.ships, 1);
+        // One simulation per token, whichever shard used it.
+        let tokens = report.pooled().tokens_generated;
+        assert_eq!(
+            (simulations(&pooled), simulations(&serial)),
+            (tokens, tokens)
+        );
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! Whoever owns the engines — an engine stepping itself, a cluster
 //! stepping its shards, which share one accelerator and seed — lets each
 //! admit, then pools the instances their slot loops are about to ask for
-//! ([`pool_attention`]), each a pure function of `(accelerator, engine
-//! seed, request id, context)` ([`simulate_attention`]). A
+//! ([`pool_attention`]) and, when those are odd in number, the largest
+//! instance a slot loop will ask for one step later ([`lookahead`]), each
+//! a pure function of `(accelerator, engine seed, request id, context)`
+//! ([`simulate_attention`]). A
 //! [`SimulatedAttention`] batch — one layer's `tokens × heads` calls of a
 //! forward run ([`AttendBatch`]) — is a pool of calls ([`attend_batch`]).
 //! Either pool is one list of [`Work`], ordered largest first and handed
@@ -16,7 +18,7 @@
 //! left ([`Claims`]; longest-job-first self-scheduling, Graham 1969), so
 //! neither thread idles while the other still has an item to start, and
 //! the last to start are the smallest. What comes back is applied in item
-//! order — a step kept on its request for its slot loop to find, a call's
+//! order — a step kept on its request for a slot loop to find, a call's
 //! output and costs added to the backend where the calls one after
 //! another would leave them — so which thread ran an item cannot show,
 //! and shared and serial are one construction with permanent differential
@@ -38,9 +40,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use topick_core::{QVector, QuantBuffer, Rows};
 use topick_model::{AttendBatch, KvView, SynthKeys, SynthProfile};
 
-use super::batch_state::SimulatedStep;
+use super::batch_state::{ActiveRequest, SimulatedStep};
 use super::helper::HelperSlot;
-use super::{ServeError, ServingEngine};
+use super::{ServeError, ServingEngine, SlotWork};
 use crate::backend::{simulate, Attended, SimulatedAttention};
 use crate::engine::ToPickAccelerator;
 
@@ -396,45 +398,83 @@ impl ServingEngine {
         {
             self.simulations += 1;
         }
-        self.running[slot].kept_attention = Some(Box::new(step));
+        self.running[slot].kept_attention.keep(step);
     }
 }
 
-/// This step's pool: every instance the slot loops of `shards` will ask
-/// for, in `(shard, slot)` order — each slot that, under its loop's
-/// [`ChunkBudget`](super::ChunkBudget), will simulate and has no kept step
-/// at its context.
-fn pool(shards: &[ServingEngine]) -> impl Iterator<Item = Work> + '_ {
+/// What every slot of `shards` does this step, in `(shard, slot)` order:
+/// the walk each slot loop takes under its
+/// [`ChunkBudget`](super::ChunkBudget).
+fn slot_work(
+    shards: &[ServingEngine],
+) -> impl Iterator<Item = (usize, usize, &ActiveRequest, SlotWork)> + '_ {
     shards.iter().enumerate().flat_map(|(shard, engine)| {
         let mut budget = engine.chunk_budget();
         engine
             .running
             .iter()
             .enumerate()
-            .filter_map(move |(slot, r)| {
-                let fresh = r
-                    .kept_attention
-                    .as_ref()
-                    .is_none_or(|k| k.context != r.context());
-                (budget.next(r.kv.prefill_owed()).simulates() && fresh).then(|| Work::Instance {
-                    shard,
-                    slot,
-                    id: r.req.id,
-                    context: r.context(),
-                })
-            })
+            .map(move |(slot, r)| (shard, slot, r, budget.next(r.kv.prefill_owed())))
     })
 }
 
-/// Simulates the pool of one step of `shards` — engines sharing one
-/// accelerator configuration and seed, each between admission and its slot
-/// loop — on two cores when that is worth a handoff and `lender` has a
-/// helper free, leaving each result as the kept step
-/// [`slot_attention`](ServingEngine::slot_attention) consumes. An instance
-/// that fails, or that a helper died holding, is not kept: its slot loop
-/// simulates it, meeting the same error at the same slot, after the same
-/// earlier slots. Returns what the step adds to its owner's
-/// [`LendingStats`].
+/// This step's pool: every instance the slot loops of `shards` will ask
+/// for, in `(shard, slot)` order — each slot that will simulate and has no
+/// kept step at its context.
+fn pool(shards: &[ServingEngine]) -> impl Iterator<Item = Work> + '_ {
+    slot_work(shards)
+        .filter(|(_, _, r, work)| work.simulates() && !r.kept_attention.holds(r.context()))
+        .map(|(shard, slot, r, _)| Work::Instance {
+            shard,
+            slot,
+            id: r.req.id,
+            context: r.context(),
+        })
+}
+
+/// The instance that evens out an odd pool: of the slots this step gives a
+/// token, that have another token to generate after it and whose next
+/// decode is not kept yet, the largest next decode — the instance its next
+/// token runs at, one past its context now — ties in pool order. Every
+/// instance a step simulates is one a token consumes: this one, the next
+/// step's slot loop.
+fn lookahead(shards: &[ServingEngine], dim: usize) -> Option<Work> {
+    slot_work(shards)
+        .filter(|(_, _, r, work)| {
+            *work == SlotWork::Decode
+                && r.req.max_new_tokens - r.stats.generated >= 2
+                && !r.kept_attention.holds(r.context() + 1)
+        })
+        .map(|(shard, slot, r, _)| Work::Instance {
+            shard,
+            slot,
+            id: r.req.id,
+            context: r.context() + 1,
+        })
+        .min_by_key(|item| Reverse(item.elements(dim)))
+}
+
+/// This step's pool, evened out: with an odd number of instances, one
+/// thread would run the last alone while the other idles, so the pool
+/// takes its [`lookahead`], if there is one, too.
+fn even_pool(shards: &[ServingEngine], dim: usize) -> Vec<Work> {
+    let mut items: Vec<Work> = pool(shards).collect();
+    if items.len() % 2 == 1 {
+        items.extend(lookahead(shards, dim));
+    }
+    items
+}
+
+/// Simulates the [`even_pool`] of one step of `shards` — engines sharing
+/// one accelerator configuration and seed, each between admission and its
+/// slot loop — on two cores when that is worth a handoff and `lender` has
+/// a helper free, leaving each result as a kept step
+/// [`slot_attention`](ServingEngine::slot_attention) consumes, this step or
+/// the next. An instance that fails, or that a helper died holding, is not
+/// kept: its slot loop simulates it, meeting the same error at the same
+/// slot, after the same earlier slots. A pool that is not lent simulates
+/// nothing, so it never looks ahead. Returns what the step adds to its
+/// owner's [`LendingStats`].
 pub(super) fn pool_attention(shards: &mut [ServingEngine], lender: &Mutex<Lender>) -> LendingStats {
     let (accel, seed) = (&shards[0].accel, shards[0].cfg.seed);
     // The helper runs every shard's instances on the first's accelerator.
@@ -442,14 +482,15 @@ pub(super) fn pool_attention(shards: &mut [ServingEngine], lender: &Mutex<Lender
         .iter()
         .all(|s| s.cfg.seed == seed && s.accel.config() == accel.config()));
     let dim = accel.config().dim;
-    if !worth_lending(pool(shards).map(|item| item.elements(dim)), SHARE_MIN_ELEMS) {
+    let items = even_pool(shards, dim);
+    if !worth_lending(items.iter().map(|item| item.elements(dim)), SHARE_MIN_ELEMS) {
         return LendingStats::default();
     }
     let fallback = LendingStats {
         fallbacks: 1,
         ..LendingStats::default()
     };
-    let order = largest_first(pool(shards), dim);
+    let order = largest_first(items.into_iter(), dim);
     let fill = |job: &mut Job| job.work.extend_from_slice(&order);
     let Some((mut helper, claims)) = lend(lender, accel.clone(), seed, fill) else {
         return fallback;
@@ -606,8 +647,19 @@ mod tests {
     type Run = (Result<ServingReport, ServeError>, Vec<ServeEvent>);
 
     fn run(engine: &mut ServingEngine, lender: &Mutex<Lender>) -> Run {
+        run_watching(engine, lender, |_| {})
+    }
+
+    /// [`run`], handing the engine to `watch` after every step.
+    fn run_watching(
+        engine: &mut ServingEngine,
+        lender: &Mutex<Lender>,
+        mut watch: impl FnMut(&ServingEngine),
+    ) -> Run {
         let result = loop {
-            match engine.step_lending_to(lender) {
+            let step = engine.step_lending_to(lender);
+            watch(engine);
+            match step {
                 Ok(Some(_)) => {}
                 Ok(None) => break Ok(engine.report()),
                 Err(e) => break Err(e),
@@ -647,13 +699,58 @@ mod tests {
         assert!(matches!(*lender.lock().unwrap(), HelperSlot::Running(_)));
     }
 
-    /// [`idle_engine`] serving `prompts`, all arrived, pooled and serially,
-    /// and the pooled run's lending.
-    fn pooled_and_serial(prompts: &[usize]) -> (Run, Run, LendingStats) {
+    #[test]
+    fn a_request_evicted_holding_its_next_decode_uses_it_when_readmitted() {
+        // Three whole prompts decode from the first step, a pool of three
+        // that takes along request 2's next decode, the largest. At step 1
+        // an urgent arrival evicts request 2, the lowest priority, before
+        // its slot loop uses the kept step; re-admitted, it uses it then.
         let runs = [Lender::private(), Lender::absent()].map(|lender| {
             let mut engine = idle_engine(5);
-            for (id, &prompt) in prompts.iter().enumerate() {
-                let request = ServingRequest::new(id as u64, prompt, 6);
+            engine.cfg.prefill_chunk_pages = 0;
+            engine.cfg.admission.max_batch = 3;
+            for (id, prompt, priority, arrival) in [
+                (0, 100, 1, 0),
+                (1, 100, 1, 0),
+                (2, 300, 0, 0),
+                (3, 100, 9, 1),
+            ] {
+                let request = ServingRequest::new(id, prompt, 6)
+                    .with_priority(priority)
+                    .arriving_at(arrival);
+                engine.enqueue(request).expect("valid request");
+            }
+            let mut evicted_holding = Vec::new();
+            let run = run_watching(&mut engine, &lender, |engine| {
+                // A queued request that has decoded was evicted; holding
+                // the step at its context, it took it along.
+                let holding = engine
+                    .pending
+                    .iter()
+                    .filter(|r| r.stats.generated > 0 && r.kept_attention.holds(r.context()));
+                evicted_holding.extend(holding.map(|r| r.req.id));
+            });
+            // Every kept step was used: one simulation per token.
+            assert_eq!(engine.simulations, engine.report().tokens_generated);
+            (run, evicted_holding)
+        });
+        let [(pooled, evicted_holding), (serial, _)] = runs;
+        assert!(pooled.0.is_ok());
+        assert_eq!(pooled, serial);
+        assert!(evicted_holding.contains(&2), "{evicted_holding:?}");
+    }
+
+    /// [`idle_engine`] serving `(prompt, new tokens)` requests, all
+    /// arrived, pooled through `lender` and serially, and the pooled run's
+    /// lending.
+    fn pooled_and_serial(
+        lender: Mutex<Lender>,
+        requests: &[(usize, usize)],
+    ) -> (Run, Run, LendingStats) {
+        let runs = [lender, Lender::absent()].map(|lender| {
+            let mut engine = idle_engine(5);
+            for (id, &(prompt, tokens)) in requests.iter().enumerate() {
+                let request = ServingRequest::new(id as u64, prompt, tokens);
                 engine.enqueue(request).expect("valid request");
             }
             let run = run(&mut engine, &lender);
@@ -664,19 +761,99 @@ mod tests {
         (pooled, serial, lending)
     }
 
+    /// The contexts of each pool [`recording`] was handed, in pool order.
+    static RECORDED: Mutex<Vec<Vec<usize>>> = Mutex::new(Vec::new());
+
+    /// A helper that records the contexts of its job's instances, then
+    /// runs it.
+    fn recording(job: &mut Job) {
+        let contexts = job.work.iter().map(|item| match *item {
+            Work::Instance { context, .. } => context,
+            Work::Call { rows, .. } => rows,
+        });
+        RECORDED.lock().unwrap().push(contexts.collect());
+        job.run();
+    }
+
     #[test]
-    fn a_lone_large_instance_is_not_lent_and_not_a_fallback() {
-        // 400 tokens × 64 is past the floor, but a pool of one has nothing
-        // to hand over: no helper is asked for, so none can be missed.
-        let (pooled, serial, lending) = pooled_and_serial(&[400]);
+    fn a_lone_request_is_lent_in_pairs_of_its_current_and_next_context() {
+        // 400 tokens × 64 is past the floor. Its prompt builds in chunks at
+        // context 400, whose kept step its first token reuses; each later
+        // pool of one then takes the next decode along, and the step after
+        // it finds its token kept and pools nothing. The last token has no
+        // next one, so its pool of one is not lent.
+        let (pooled, serial, lending) =
+            pooled_and_serial(Lender::with_helper(recording), &[(400, 6)]);
+        assert!(pooled.0.is_ok());
+        assert_eq!(pooled, serial);
+        assert_eq!(*RECORDED.lock().unwrap(), [[402, 401], [404, 403]]);
+        let pairs = LendingStats {
+            pooled_steps: 2,
+            lent_instances: 2,
+            fallbacks: 0,
+        };
+        assert_eq!(lending, pairs);
+    }
+
+    #[test]
+    fn a_request_on_its_last_token_never_looks_ahead() {
+        // The same request with two tokens: its first reuses the prompt's
+        // kept step, its last is a pool of one with nothing to take along.
+        let (pooled, serial, lending) = pooled_and_serial(
+            Lender::with_helper(|_| panic!("touched the helper")),
+            &[(400, 2)],
+        );
         assert!(pooled.0.is_ok());
         assert_eq!(pooled, serial);
         assert_eq!(lending, LendingStats::default());
     }
 
     #[test]
+    fn an_even_pool_takes_nothing_and_an_odd_pool_its_largest_next_decode() {
+        // Whole prompts, all decoding from the first step: `(prompt, new
+        // tokens)` per request, and the pool as `(slot, context)`.
+        type Case = (&'static [(usize, usize)], &'static [(usize, usize)]);
+        let cases: [Case; 5] = [
+            (&[(100, 4), (300, 4)], &[(0, 100), (1, 300)]),
+            (
+                &[(100, 4), (300, 4), (200, 4)],
+                &[(0, 100), (1, 300), (2, 200), (1, 301)],
+            ),
+            // Ties go to the first in pool order.
+            (
+                &[(300, 4), (100, 4), (300, 4)],
+                &[(0, 300), (1, 100), (2, 300), (0, 301)],
+            ),
+            // A request on its last token is no candidate, even the
+            // largest.
+            (
+                &[(300, 1), (100, 4), (200, 4)],
+                &[(0, 300), (1, 100), (2, 200), (2, 201)],
+            ),
+            (&[(300, 1)], &[(0, 300)]),
+        ];
+        for (requests, pool) in cases {
+            let mut engine = idle_engine(5);
+            engine.cfg.prefill_chunk_pages = 0;
+            for (id, &(prompt, tokens)) in requests.iter().enumerate() {
+                let request = ServingRequest::new(id as u64, prompt, tokens);
+                engine.enqueue(request).expect("valid request");
+            }
+            engine.begin_step();
+            let items: Vec<(usize, usize)> = even_pool(std::slice::from_ref(&engine), 64)
+                .into_iter()
+                .map(|item| match item {
+                    Work::Instance { slot, context, .. } => (slot, context),
+                    Work::Call { .. } => unreachable!("a step pools instances"),
+                })
+                .collect();
+            assert_eq!(items, pool, "{requests:?}");
+        }
+    }
+
+    #[test]
     fn two_large_instances_go_one_to_each_thread() {
-        let (pooled, serial, lending) = pooled_and_serial(&[400, 300]);
+        let (pooled, serial, lending) = pooled_and_serial(Lender::private(), &[(400, 6), (300, 6)]);
         assert!(pooled.0.is_ok());
         assert_eq!(pooled, serial);
         // Chunked prefill builds one prompt at a time; every step both
@@ -710,7 +887,10 @@ mod tests {
         assert_eq!(pooled_run, serial_run);
         assert_eq!(pooled.lending_stats().pooled_steps, 1);
         assert_eq!(pooled.lending_stats().lent_instances, 0);
-        assert!(pooled.running.iter().all(|r| r.kept_attention.is_none()));
+        let kept = |r: &ActiveRequest| {
+            r.kept_attention.holds(r.context()) || r.kept_attention.holds(r.context() + 1)
+        };
+        assert!(!pooled.running.iter().any(kept));
     }
 
     #[test]

@@ -89,7 +89,7 @@ use topick_core::PruneStats;
 use crate::config::AccelConfig;
 use crate::engine::ToPickAccelerator;
 
-use batch_state::{ActiveRequest, SimulatedStep};
+use batch_state::{ActiveRequest, KeptAttention, SimulatedStep};
 use lend::{KeyScratch, Lender};
 use policy::{due_step, slo_slack, AdmissionOrder};
 use queue::PendingQueue;
@@ -727,7 +727,7 @@ impl ServingEngine {
             ),
             last_token_at: None,
             page_keys,
-            kept_attention: None,
+            kept_attention: KeptAttention::default(),
             stats: RequestStats::queued(&req, schedulable_at),
         };
         self.arrival_seq += 1;
@@ -1213,7 +1213,7 @@ impl ServingEngine {
         let attention = self.slot_attention(slot)?;
         let request_cycles = attention.head_cycles * self.cfg.heads as u64;
         let r = &mut self.running[slot];
-        r.kept_attention = Some(Box::new(attention));
+        r.kept_attention.keep(attention);
         let (owed, remaining) = r.kv.advance_prefill(allowance);
         let charge = pricing::prefill_chunk(
             request_cycles,
@@ -1299,18 +1299,18 @@ impl ServingEngine {
     }
 
     /// The attention step of the request at `slot` at its current context:
-    /// the one kept on it — by this step's pooled pass, or by its last
-    /// prefill chunk — while the context still matches, a fresh simulation
-    /// otherwise. The simulation is a pure function of `(engine seed,
-    /// request id, context)` and every shard of a cluster shares the seed,
-    /// so a kept step is valid wherever the request is queued, preempted to
-    /// or shipped, and whichever thread simulated it.
+    /// the one kept on it at that context — by this step's pooled pass, by
+    /// the last step's looking ahead, or by its last prefill chunk — a
+    /// fresh simulation otherwise. The simulation is a pure function of
+    /// `(engine seed, request id, context)` and every shard of a cluster
+    /// shares the seed, so a kept step is valid wherever the request is
+    /// queued, preempted to or shipped, and whichever thread simulated it.
     fn slot_attention(&mut self, slot: usize) -> Result<SimulatedStep, ServeError> {
         let r = &mut self.running[slot];
         let (id, context) = (r.req.id, r.context());
-        match r.kept_attention.take() {
-            Some(kept) if kept.context == context => Ok(*kept),
-            _ => {
+        match r.kept_attention.take(context) {
+            Some(kept) => Ok(kept),
+            None => {
                 #[cfg(test)]
                 {
                     self.simulations += 1;

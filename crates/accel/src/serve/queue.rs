@@ -402,7 +402,7 @@ mod tests {
             kv: Residency::enqueued(req.prompt_len, false, 0),
             last_token_at: None,
             page_keys: vec![mix; (mix >> 32) as usize % 3],
-            kept_attention: None,
+            kept_attention: Default::default(),
             stats: RequestStats::queued(&req, (mix >> 36) as usize % 4),
         }
     }

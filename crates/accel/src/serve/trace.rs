@@ -54,7 +54,7 @@ impl fmt::Display for TraceError {
         match self {
             Self::Parse(msg) => write!(f, "trace parse error: {msg}"),
             Self::Io(msg) => write!(f, "trace io error: {msg}"),
-            Self::Serve(e) => write!(f, "trace replay error: {e}"),
+            Self::Serve(e) => write!(f, "traced run error: {e}"),
         }
     }
 }

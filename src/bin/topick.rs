@@ -123,6 +123,18 @@ where
     Ok(opt_flag(flags, name)?.unwrap_or(default))
 }
 
+/// [`flag`] for a count that has no meaning at 0 (a context, a width, a
+/// batch, a page, a shard count): 0 is refused, not bent or run into.
+fn count_flag(flags: &Flags, name: &str, default: usize) -> Result<usize, FlagError> {
+    match flag(flags, name, default)? {
+        0 => Err(FlagError::BadValue {
+            flag: name.to_string(),
+            reason: "must be at least 1, got '0'".to_string(),
+        }),
+        n => Ok(n),
+    }
+}
+
 fn workload(ctx: usize, dim: usize, seed: u64) -> (QVector, QMatrix) {
     let pc = PrecisionConfig::paper();
     let inst = InstanceSampler::realistic(ctx, dim).sample_keys(seed);
@@ -133,8 +145,8 @@ fn workload(ctx: usize, dim: usize, seed: u64) -> (QVector, QMatrix) {
 }
 
 fn cmd_prune(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
-    let ctx = flag(flags, "context", 512usize)?;
-    let dim = flag(flags, "dim", 64usize)?;
+    let ctx = count_flag(flags, "context", 512)?;
+    let dim = count_flag(flags, "dim", 64)?;
     let thr = flag(flags, "threshold", 1e-3f64)?;
     let seed = flag(flags, "seed", 0u64)?;
     let (q, keys) = workload(ctx, dim, seed);
@@ -156,8 +168,8 @@ fn cmd_prune(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_sweep(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
-    let ctx = flag(flags, "context", 512usize)?;
-    let dim = flag(flags, "dim", 64usize)?;
+    let ctx = count_flag(flags, "context", 512)?;
+    let dim = count_flag(flags, "dim", 64)?;
     let seed = flag(flags, "seed", 0u64)?;
     let (q, keys) = workload(ctx, dim, seed);
     let pc = PrecisionConfig::paper();
@@ -182,7 +194,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_accel(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
-    let ctx = flag(flags, "context", 1024usize)?;
+    let ctx = count_flag(flags, "context", 1024)?;
     let thr = flag(flags, "threshold", 1e-3f64)?;
     let seed = flag(flags, "seed", 0u64)?;
     let (q, keys) = workload(ctx, 64, seed);
@@ -227,7 +239,7 @@ fn cmd_traffic(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
         "llama2-13b" => ModelSpec::llama2_13b(),
         other => return Err(format!("unknown model '{other}'").into()),
     };
-    let ctx = flag(flags, "context", spec.max_context.min(2048))?;
+    let ctx = count_flag(flags, "context", spec.max_context.min(2048))?;
     println!("{} @ context {}", spec.name, ctx);
     println!(
         "{:>6} {:>10} {:>12} {:>10}",
@@ -435,6 +447,13 @@ const COMMANDS: &str = "  prune    run the progressive pruner on one synthetic i
 fn cmd_serve(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     use token_picker::accel::{PreemptionConfig, RetentionPolicy, RoutingKind, ScenarioKind};
 
+    if flags.get("record").is_some_and(String::is_empty) {
+        return Err(FlagError::BadValue {
+            flag: "record".to_string(),
+            reason: "needs the path to write the trace to".to_string(),
+        }
+        .into());
+    }
     if flags.contains_key("list-scenarios") {
         println!("{:<22} description", "scenario");
         for kind in ScenarioKind::all() {
@@ -492,8 +511,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
         Some(kind) => kind.build().serving_config(accel),
         None => {
             let mut cfg = ServingConfig::new(accel);
-            cfg.admission.max_batch = flag(flags, "batch", 8usize)?;
-            cfg.admission.page_size = flag(flags, "page-size", 16usize)?;
+            cfg.admission.max_batch = count_flag(flags, "batch", 8)?;
+            cfg.admission.page_size = count_flag(flags, "page-size", 16)?;
             cfg.admission.prefix_cache = flags.contains_key("prefix-cache");
             // Prompt prefill is priced by default once the cache is on
             // (the saving is otherwise invisible), and free otherwise —
@@ -519,7 +538,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     cfg.reject_expired_ttft = flags.contains_key("slo-reject");
 
     let routing = flag(flags, "routing", RoutingKind::RoundRobin)?;
-    let shards = flag(flags, "shards", 1usize)?.max(1);
+    let shards = count_flag(flags, "shards", 1)?;
     let stealing = flags.contains_key("stealing");
     if shards <= 1 && (flags.contains_key("routing") || stealing) {
         return Err("--routing and --stealing only take effect with --shards > 1".into());

@@ -187,7 +187,6 @@ fn a_trace_with_a_huge_kv_budget_replays_without_aborting() {
 
 #[test]
 fn serve_errors_exit_one_and_name_the_problem() {
-    assert!(error_of(&["serve", "--batch", "0"]).contains("admission stalled"));
     let trace = "tests/data/agentic_affinity_cluster.trace";
     assert!(error_of(&["serve", "--replay", trace, "--batch", "3"])
         .contains("--batch cannot be combined with --replay"));
@@ -211,6 +210,40 @@ fn serve_errors_exit_one_and_name_the_problem() {
         .contains("unknown flag --bogus-flag"));
     assert!(error_of(&["serve", "--batch", "abc"]).contains("--batch: cannot parse 'abc'"));
     assert!(error_of(&["serve", "--batch"]).contains("--batch: cannot parse ''"));
+}
+
+#[test]
+fn a_zero_count_is_refused_naming_its_flag() {
+    // Each used to panic with exit 101 (`--context` and `--dim` in the
+    // instance sampler), print a breakdown at context 0 (`traffic`), bend
+    // to 1 (`--shards`, and `--page-size` in the pager) or start a run
+    // that stalls (`--batch`).
+    for (args, flag) in [
+        (&["prune", "--context", "0"][..], "--context"),
+        (&["prune", "--dim", "0"], "--dim"),
+        (&["sweep", "--context", "0"], "--context"),
+        (&["accel", "--context", "0"], "--context"),
+        (&["traffic", "--context", "0"], "--context"),
+        (&["serve", "--shards", "0"], "--shards"),
+        (&["serve", "--page-size", "0"], "--page-size"),
+        (&["serve", "--batch", "0"], "--batch"),
+    ] {
+        let refusal = format!("{flag}: must be at least 1, got '0'");
+        assert!(error_of(args).contains(&refusal), "{args:?}");
+    }
+}
+
+#[test]
+fn an_empty_record_is_refused_before_the_run() {
+    let out = topick(&["serve", "--record"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--record: needs the path"));
+    // Refused up front: nothing was served first.
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }
 
 #[test]
