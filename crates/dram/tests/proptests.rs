@@ -261,3 +261,37 @@ proptest! {
         prop_assert_eq!(sim.is_idle(), reference.is_idle());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `AddressMap::decode` against the division chain it is specified
+    /// by, over arbitrary geometry (non-power-of-two channels, banks and
+    /// columns among it) and addresses. The heap reference shares the
+    /// decoder with `DramSim`, so the differentials above cannot see a
+    /// decode that is wrong for both.
+    #[test]
+    fn decode_is_the_low_order_interleave(
+        channels in 1usize..=17,
+        banks in 1usize..=33,
+        burst_log2 in 0u32..=7,
+        columns in 1u32..=70,
+        addr in any::<u64>(),
+    ) {
+        let access = 1u32 << burst_log2;
+        let cfg = DramConfig {
+            channels,
+            banks_per_channel: banks,
+            access_bytes: access,
+            row_bytes: access * columns,
+            ..DramConfig::hbm2()
+        };
+        let (c, b, cols) = (channels as u64, banks as u64, u64::from(columns));
+        let burst = addr / u64::from(access);
+        let loc = topick_dram::AddressMap::new(&cfg).decode(addr);
+        prop_assert_eq!(loc.channel as u64, burst % c);
+        prop_assert_eq!(loc.bank as u64, (burst / c) % b);
+        prop_assert_eq!(loc.column, (burst / c / b) % cols);
+        prop_assert_eq!(loc.row, burst / c / b / cols);
+    }
+}
