@@ -124,7 +124,7 @@ where
 }
 
 /// [`flag`] for a count that has no meaning at 0 (a context, a width, a
-/// batch, a page, a shard count): 0 is refused, not bent or run into.
+/// batch, a page, a shard or request count): 0 is refused, not bent or run into.
 fn count_flag(flags: &Flags, name: &str, default: usize) -> Result<usize, FlagError> {
     match flag(flags, name, default)? {
         0 => Err(FlagError::BadValue {
@@ -264,8 +264,8 @@ fn cmd_traffic(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
 /// with (and under `--preemption`, evict) earlier long-running requests.
 /// Requests of one client share a page-aligned system prompt, so
 /// `--prefix-cache` (and affinity routing) have real prefixes to hit.
-fn serve_workload(requests: u64) -> Vec<ServingRequest> {
-    (0..requests)
+fn serve_workload(requests: usize) -> Vec<ServingRequest> {
+    (0..requests as u64)
         .map(|id| {
             ServingRequest::new(id, 64 + (id as usize % 7) * 32, 4 + (id as usize % 5) * 2)
                 .with_priority((id % 4) as u8)
@@ -565,7 +565,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     // scenario attached.
     let mut requests = match scenario {
         Some(kind) => kind.build().generate(scenario_seed),
-        None => serve_workload(flag(flags, "requests", 16u64)?),
+        None => serve_workload(count_flag(flags, "requests", 16)?),
     };
     if let Some(d) = opt_flag(flags, "slo-ttft")? {
         for r in &mut requests {

@@ -216,8 +216,9 @@ fn serve_errors_exit_one_and_name_the_problem() {
 fn a_zero_count_is_refused_naming_its_flag() {
     // Each used to panic with exit 101 (`--context` and `--dim` in the
     // instance sampler), print a breakdown at context 0 (`traffic`), bend
-    // to 1 (`--shards`, and `--page-size` in the pager) or start a run
-    // that stalls (`--batch`).
+    // to 1 (`--shards`, and `--page-size` in the pager), start a run
+    // that stalls (`--batch`) or serve nothing and print an infinite V
+    // reduction (`--requests`).
     for (args, flag) in [
         (&["prune", "--context", "0"][..], "--context"),
         (&["prune", "--dim", "0"], "--dim"),
@@ -227,6 +228,7 @@ fn a_zero_count_is_refused_naming_its_flag() {
         (&["serve", "--shards", "0"], "--shards"),
         (&["serve", "--page-size", "0"], "--page-size"),
         (&["serve", "--batch", "0"], "--batch"),
+        (&["serve", "--requests", "0"], "--requests"),
     ] {
         let refusal = format!("{flag}: must be at least 1, got '0'");
         assert!(error_of(args).contains(&refusal), "{args:?}");
