@@ -33,12 +33,11 @@
 //! holding is run the same way.
 
 use std::cmp::Reverse;
-use std::mem;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use topick_core::{QVector, QuantBuffer, Rows};
-use topick_model::{AttendBatch, KvView, SynthKeys, SynthProfile};
+use topick_core::{QuantBuffer, Rows};
+use topick_model::{AttendBatch, CodeScratch, KvView, SynthKeys, SynthProfile};
 
 use super::batch_state::{ActiveRequest, SimulatedStep};
 use super::helper::HelperSlot;
@@ -270,15 +269,16 @@ impl Job {
     }
 }
 
-/// The key buffers a thread keeps from one simulation to the next: an
-/// instance's float keys and the codes of an instance's or a call's keys.
-/// Freed and re-allocated per instance on two threads at once, the
-/// 300–500 KB float buffers of long contexts raise the process's peak
-/// memory by a fifth (measured; CHANGES has the runs); kept, each thread
-/// holds one of each, as large as its largest instance so far.
+/// The key buffers a thread keeps from one simulation to the next: what
+/// drawing an instance's key codes works in and the codes of an
+/// instance's or a call's keys. Freed and re-allocated per instance on two
+/// threads at once, the 300–500 KB buffers of long contexts raise the
+/// process's peak memory by a fifth (measured; CHANGES has the runs);
+/// kept, each thread holds one of each, as large as its largest instance
+/// so far.
 #[derive(Debug, Default)]
 pub(super) struct KeyScratch {
-    floats: Vec<f32>,
+    draw: CodeScratch,
     codes: QuantBuffer,
 }
 
@@ -375,11 +375,8 @@ pub(super) fn simulate_attention(
         .wrapping_add(req_id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .wrapping_add((context as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
     let profile = SynthProfile::realistic(context, dim);
-    let inst = SynthKeys::generate_into(&profile, seed, mem::take(&mut scratch.floats));
-    let q = QVector::quantize(&inst.query, pc);
-    let quantized = scratch.codes.quantize(inst.keys().data(), dim, pc);
-    scratch.floats = inst.into_keys();
-    let keys = quantized.map_err(ServeError::Core)?;
+    let (q, keys) =
+        SynthKeys::generate_codes(&profile, seed, pc, &mut scratch.draw, &mut scratch.codes);
     let result = accel.attention_cost(&q, &keys);
     scratch.codes.reclaim(keys);
     let cost = result?;
@@ -1190,19 +1187,20 @@ mod tests {
         }
     }
 
-    /// Where the job `lender` keeps has its float keys and its heads' rows.
-    fn kept_buffers(lender: &Mutex<Lender>) -> (*const f32, Vec<*const f32>) {
+    /// The bytes the job `lender` keeps holds for drawing instances, and
+    /// where its heads' rows are.
+    fn kept_buffers(lender: &Mutex<Lender>) -> (usize, Vec<*const f32>) {
         let slot = lender.lock().unwrap();
         let job = spare(&slot).expect("the job is kept");
         let rows = job.rows.iter().flat_map(|(k, v)| [k.as_ptr(), v.as_ptr()]);
-        (job.scratch.floats.as_ptr(), rows.collect())
+        (job.scratch.draw.footprint(), rows.collect())
     }
 
     #[test]
     fn a_kept_job_lends_its_buffers_to_the_next_whatever_its_kind() {
         let lender = Lender::private();
         // The same step of two instances past the floor both times, so the
-        // helper's float keys never outgrow their buffer.
+        // helper's instance buffers never outgrow what they hold.
         let step = || {
             let mut engine = idle_engine(5);
             engine.cfg.prefill_chunk_pages = 0;
@@ -1215,13 +1213,13 @@ mod tests {
             assert_eq!(lending.pooled_steps, 1);
         };
         step();
-        let (floats, no_rows) = kept_buffers(&lender);
-        assert!(no_rows.is_empty());
+        let (drawn, no_rows) = kept_buffers(&lender);
+        assert!(drawn > 0 && no_rows.is_empty());
         with_large_batch(|batch| attend_twice(batch, Some(&lender)));
-        let (batch_floats, rows) = kept_buffers(&lender);
-        assert_eq!((batch_floats, rows.len()), (floats, 8));
+        let (batch_drawn, rows) = kept_buffers(&lender);
+        assert_eq!((batch_drawn, rows.len()), (drawn, 8));
         step();
-        assert_eq!(kept_buffers(&lender), (floats, rows));
+        assert_eq!(kept_buffers(&lender), (drawn, rows));
     }
 
     #[test]

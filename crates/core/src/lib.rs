@@ -90,7 +90,7 @@ pub use fixexp::FixExp;
 pub use margin::{MarginPair, MarginTable};
 pub use order::{ScanIndices, ScanOrder};
 pub use pruner::{KeptToken, OraclePruner, ProgressivePruner, PruneOutcome, PrunerScratch};
-pub use quant::{QMatrix, QVector, QuantBuffer};
+pub use quant::{QMatrix, QVector, QuantBuffer, Quantizer};
 pub use rows::Rows;
 pub use softmax::{exact_probabilities, score_scale, softmax, weighted_value_sum};
 pub use stats::PruneStats;

@@ -76,7 +76,7 @@ fn round_clamped(x: f64, qmin: f64, qmax: f64) -> i16 {
 /// element costs 0.86–0.89 ns in the AVX-512 copy and 1.56–1.58 ns in the
 /// baseline one, against 2.05–2.12 ns when the conversion was a saturating
 /// `as i16` (at the benchmark's reference host speed).
-fn quantize_into(values: &[f32], precision: PrecisionConfig, codes: &mut Vec<i16>) -> f64 {
+pub fn quantize_into(values: &[f32], precision: PrecisionConfig, codes: &mut Vec<i16>) -> f64 {
     #[cfg(target_arch = "x86_64")]
     if has_wide_lanes() {
         // SAFETY: `has_wide_lanes` has just detected every feature
@@ -111,17 +111,52 @@ fn quantize_wide(values: &[f32], precision: PrecisionConfig, codes: &mut Vec<i16
 /// compiled for its own features.
 #[inline(always)]
 fn quantize_body(values: &[f32], precision: PrecisionConfig, codes: &mut Vec<i16>) -> f64 {
-    let max_abs = max_abs(values);
-    let qmax = f64::from(precision.max_value());
-    let qmin = f64::from(precision.min_value());
-    let scale = if max_abs > 0.0 { max_abs / qmax } else { 1.0 };
+    let quantizer = Quantizer::new(max_abs(values), precision);
     codes.clear();
-    codes.extend(
-        values
-            .iter()
-            .map(|&v| round_clamped(f64::from(v) / scale, qmin, qmax)),
-    );
-    scale
+    codes.extend(values.iter().map(|&v| quantizer.code(f64::from(v))));
+    quantizer.scale
+}
+
+/// The symmetric quantizer of one tensor: the scale its largest magnitude
+/// sets and the map from a value to its code that [`quantize_into`]
+/// applies to every element.
+///
+/// [`code`](Self::code) is monotone non-decreasing: a correctly rounded
+/// division by a positive scale, a clamp, a signed half-add and a
+/// truncation, each non-decreasing. So when both ends of an interval get
+/// the same code, so does every value between them — the test that lets
+/// a caller holding only bounds on a value know its code.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Quantizer {
+    scale: f64,
+    qmin: f64,
+    qmax: f64,
+}
+
+impl Quantizer {
+    /// The quantizer of a tensor whose largest magnitude is `max_abs`:
+    /// scale `max_abs / qmax`, or 1.0 when every element is zero.
+    #[must_use]
+    #[inline(always)]
+    pub fn new(max_abs: f64, precision: PrecisionConfig) -> Self {
+        let qmax = f64::from(precision.max_value());
+        let qmin = f64::from(precision.min_value());
+        let scale = if max_abs > 0.0 { max_abs / qmax } else { 1.0 };
+        Self { scale, qmin, qmax }
+    }
+
+    /// The scale (`real ≈ code * scale`).
+    #[must_use]
+    pub fn scale(&self) -> f64 {
+        self.scale
+    }
+
+    /// The code of `v`: `round(v / scale)` clamped to the precision's range.
+    #[must_use]
+    #[inline(always)]
+    pub fn code(&self, v: f64) -> i16 {
+        round_clamped(v / self.scale, self.qmin, self.qmax)
+    }
 }
 
 /// A quantized vector: `i16` codes plus the real-valued scale such that
@@ -431,6 +466,14 @@ impl QuantBuffer {
         precision: PrecisionConfig,
     ) -> Result<QMatrix, CoreError> {
         QMatrix::quantize_flat_reusing(data, dim, precision, std::mem::take(&mut self.codes))
+    }
+
+    /// Hands over the code allocation, holding whatever codes it last
+    /// held, to a caller that overwrites them itself and builds the matrix
+    /// with [`QMatrix::from_codes`]; [`QuantBuffer::reclaim`] takes it
+    /// back as from any matrix.
+    pub fn take(&mut self) -> Vec<i16> {
+        std::mem::take(&mut self.codes)
     }
 
     /// Takes a matrix's code allocation back for the next

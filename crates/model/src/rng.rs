@@ -365,6 +365,182 @@ fn poly_cos(x: f64) -> f64 {
     f64::from_bits(((sin_r.to_bits() & odd) | (cos_r.to_bits() & !odd)) ^ negate)
 }
 
+/// How far the sample `(standard_normal(rng) * sigma) as f32` may lie from
+/// [`approx_normals`]' `r'` for the same draws, relative to `|r'|`; the
+/// derivation is in units of `2⁻²⁴`, the relative bound of one correctly
+/// rounded `f32` operation.
+///
+/// - The exact sample rounds `V = (libm_radius(u1)·cos x)·sigma` to `f32`
+///   (1); `V` itself is within `2⁻⁵⁰` relative of `sigma·c·cos(2π·u2)`,
+///   `c` the true radius, far below what follows (but see [`BOUND_ABS`]).
+/// - The radius `c' = sqrt(−2·ln')`, `ln'` from [`ln_reduce`] and
+///   [`ln_kernel`]: the reduction `u1 = 2ᵏ(1 + f)` is exact in `f64`, and
+///   `f`'s rounding to `f32` moves `ln u1` by at most `1.21` relative
+///   (`|f| / ((1 + f)·|ln(1 + f)|) ≤ 1.2` at `k = 0`, `0.85` at `k = −1`,
+///   less below); the kernel, fdlibm's `logf`, is within one ulp (2).
+///   Halved by the square root, which rounds once more (1): `2.61`.
+/// - The cosine `d'` of [`turn_reduce`] and [`cos_kernel`]: the quarter
+///   turn is exact in integers, and `ρ`'s rounding to `f32` (1), the
+///   product with `π/2` (1) and that constant's own rounding (`0.47`)
+///   leave `θ` within `2.47` relative. `sin θ` keeps that (`θ·cos θ ≤
+///   sin θ`), plus its last addition (1) and its polynomial term (`≈ θ³/6`,
+///   a few units of a twelfth of it, and `2⁻²⁸` truncation): `3.8`. `cos θ`
+///   moves by `|sin θ|·|δθ| ≤ 1.37` absolute, `1.94` relative to `cos θ ≥
+///   √2/2`, plus its compensated last addition (1): `3`.
+/// - The two products `(c'·d')·sigma'` (2), and `sigma' = sigma as f32`
+///   (1).
+///
+/// `1 + 2.61 + 3.8 + 2 + 1 = 10.41`, second-order terms below a
+/// hundredth, and `e`'s own rounding down in [`normal_bounds`] (two `f32`
+/// operations) well inside the rest; this budget allows 11.
+/// `approx_normal_is_within_its_bound` holds samples to it (the worst of
+/// 10⁸ is about 6.5).
+const BOUND_REL: f32 = 11.0 / (1u32 << 24) as f32;
+
+/// An absolute term per unit of `|sigma|`, for where a relative bound on
+/// the cosine fails: within `2⁻⁵⁰` of a zero of `cos`, where the exact
+/// sample's `f64` angle `2π·u2` and libm's `cos` are each a few `2⁻⁵³`
+/// off in absolute terms. With the radius below 9, `2⁻⁴⁰` is far more
+/// than that and far below any code width.
+const BOUND_ABS: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// fdlibm's `e_logf.c` constants: `ln 2` split so `k·LN2_HI_F` is exact,
+/// and the kernel `R ≈ Σ Lgᵢ s^(2i)` within `2⁻³⁴` for `s = f/(2+f)`.
+const LN2_HI_F: f32 = f32::from_bits(0x3f31_7180);
+const LN2_LO_F: f32 = f32::from_bits(0x3717_f7d1);
+const LG1_F: f32 = f32::from_bits(0x3f2a_aaaa);
+const LG2_F: f32 = f32::from_bits(0x3ecc_ce13);
+const LG3_F: f32 = f32::from_bits(0x3e91_e9ee);
+const LG4_F: f32 = f32::from_bits(0x3e78_9e26);
+
+/// `ln u` for a positive normal `u ≤ 1`, in `f32` from the `f64` `u`
+/// without losing relative precision anywhere: [`ln_reduce`] then
+/// [`ln_kernel`].
+#[cfg(test)]
+fn ln32(u: f64) -> f32 {
+    let (f, k) = ln_reduce(u);
+    ln_kernel(f, k)
+}
+
+/// [`poly_ln`]'s reduction `u = 2ᵏ·(1 + f)`, exact in `f64`, with `f`
+/// then rounded to `f32` (`k`, an integer, is exact).
+#[inline(always)]
+fn ln_reduce(u: f64) -> (f32, f32) {
+    let bits = u.to_bits();
+    let carry = ((bits & MANTISSA) + SQRT2_CARRY) & (1 << 52);
+    let f = f64::from_bits((bits & MANTISSA) | (carry ^ ONE_BITS)) - 1.0;
+    let k = f64::from_bits(TWO52_BITS | ((bits >> 52) + (carry >> 52))) - TWO52_BIASED;
+    (f as f32, k as f32)
+}
+
+/// fdlibm's `logf` kernel: `ln(2ᵏ·(1 + f))`.
+#[inline(always)]
+fn ln_kernel(f: f32, k: f32) -> f32 {
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let w = z * z;
+    let r = z * (LG1_F + w * LG3_F) + w * (LG2_F + w * LG4_F);
+    let hfsq = 0.5 * f * f;
+    k * LN2_HI_F - ((hfsq - (s * (hfsq + r) + k * LN2_LO_F)) - f)
+}
+
+/// Cephes' `cosf`/`sinf` coefficients for `|θ| ≤ π/4`: `cos θ ≈ 1 − θ²/2
+/// + θ⁴·Σ Cᵢ θ^(2i)`, `sin θ ≈ θ + θ³·Σ Sᵢ θ^(2i)`, each within `2⁻²⁸`.
+const COS_F: [f32; 3] = [4.166_664_6e-2, -1.388_731_6e-3, 2.443_315_7e-5];
+const SIN_F: [f32; 3] = [-1.666_665_5e-1, 8.332_161e-3, -1.951_529_6e-4];
+
+/// `cos(2π·u2)` in `f32` for a draw `u2 ∈ [0, 1)`, with relative
+/// precision even near the cosine's zeros: [`turn_reduce`] then
+/// [`cos_kernel`].
+#[cfg(test)]
+fn cos_turn32(u2: f64) -> f32 {
+    let (rho, quadrant) = turn_reduce(((u2 * (1u64 << 53) as f64) as u64) << 11);
+    cos_kernel(rho, quadrant)
+}
+
+/// For the raw draw `x` of `u2 = (x >> 11)·2⁻⁵³`, the nearest quarter turn
+/// `n` of `u2` and the remainder `ρ = 4·u2 − n ∈ [−½, ½]`: exact in
+/// integers, then `ρ` rounded to `f32`.
+#[inline(always)]
+fn turn_reduce(x: u64) -> (f32, u32) {
+    const QUARTER: u32 = 51;
+    let turn = x >> 11;
+    let n = (turn + (1 << (QUARTER - 1))) >> QUARTER;
+    let rho = (turn as i64 - (n << QUARTER) as i64) as f32 * QUARTER_STEP;
+    (rho, n as u32)
+}
+
+/// `2⁻⁵¹`, the step of `4·u2`.
+const QUARTER_STEP: f32 = 1.0 / (1u64 << 51) as f32;
+
+/// `cos(2π·(n + ρ)/4)` from [`turn_reduce`]'s `ρ` and `n`: with `θ = ρ·π/2`,
+/// `cos θ`, `−sin θ`, `−cos θ`, `sin θ`, `cos θ` for `n` = 0 … 4.
+#[inline(always)]
+fn cos_kernel(rho: f32, quadrant: u32) -> f32 {
+    let theta = rho * std::f32::consts::FRAC_PI_2;
+    let z = theta * theta;
+    let hz = 0.5 * z;
+    let w = 1.0 - hz;
+    let tail = z * z * (COS_F[0] + z * (COS_F[1] + z * COS_F[2]));
+    let cos_t = w + (((1.0 - w) - hz) + tail);
+    let sin_t = theta + theta * z * (SIN_F[0] + z * (SIN_F[1] + z * SIN_F[2]));
+    let odd = (quadrant & 1).wrapping_neg();
+    let negate = ((quadrant + 1) & 2) << 30;
+    f32::from_bits(((sin_t.to_bits() & odd) | (cos_t.to_bits() & !odd)) ^ negate)
+}
+
+/// The `f32` approximation `r' = (c'·d')·sigma'` of the normal whose
+/// draws are `u1` and `u2 = (the second draw)·2⁻⁵³`, `sigma' = sigma as
+/// f32`: within `BOUND_REL·|r'| + BOUND_ABS·|sigma|` of the sample
+/// [`extend_normal`] gives for them.
+#[cfg(test)]
+fn approx_normal(u1: f64, u2: f64, sigma: f32) -> f32 {
+    let c = (-2.0 * ln32(u1)).sqrt();
+    (c * cos_turn32(u2)) * sigma
+}
+
+/// Writes to `out` the approximations `r'` of the next `out.len()`
+/// samples of [`extend_normal`] at `sigma`, leaving `rng` where those
+/// draws leave it; [`normal_bounds`] turns each into bounds on its sample.
+/// A third of the exact samples' cost: `f32` lanes, no rounding test and
+/// no fallback.
+#[inline(always)]
+pub(crate) fn approx_normals<R: Rng + ?Sized>(rng: &mut R, sigma: f64, out: &mut [f32]) {
+    let sigma32 = sigma as f32;
+    let (mut fraction, mut exponent) = ([0.0; BLOCK], [0.0; BLOCK]);
+    let (mut remainder, mut quadrant) = ([0.0; BLOCK], [0; BLOCK]);
+    for out in out.chunks_mut(BLOCK) {
+        let m = out.len();
+        let (fraction, exponent) = (&mut fraction[..m], &mut exponent[..m]);
+        let (remainder, quadrant) = (&mut remainder[..m], &mut quadrant[..m]);
+        // The draws and both exact `f64` reductions, in 64-bit lanes; the
+        // rest is all 32-bit, so it runs twice as many lanes a vector.
+        let reduced = fraction.iter_mut().zip(exponent.iter_mut());
+        let turns = remainder.iter_mut().zip(quadrant.iter_mut());
+        for ((f, k), (rho, n)) in reduced.zip(turns) {
+            (*f, *k) = ln_reduce(1.0 - rng.gen::<f64>());
+            (*rho, *n) = turn_reduce(rng.next_u64());
+        }
+        let reduced = fraction.iter().zip(&*exponent);
+        let turns = remainder.iter().zip(&*quadrant);
+        for (r, ((&f, &k), (&rho, &n))) in out.iter_mut().zip(reduced.zip(turns)) {
+            *r = ((-2.0 * ln_kernel(f, k)).sqrt() * cos_kernel(rho, n)) * sigma32;
+        }
+    }
+}
+
+/// Bounds `lo ≤ (standard_normal(rng) * sigma) as f32 ≤ hi` on the sample
+/// whose approximation [`approx_normals`] gave as `r`: `r ∓ e`, `e` the
+/// bound [`BOUND_REL`] derives. Rounding `r ∓ e` to `f32` cannot cross the
+/// sample, itself an `f32`, since rounding is monotone: so `e` need only
+/// reach the sample, and its own rounding down by half an ulp is what the
+/// bound's spare unit covers.
+#[inline(always)]
+pub(crate) fn normal_bounds(r: f32, sigma: f64) -> (f32, f32) {
+    let e = r.abs() * BOUND_REL + (BOUND_ABS * sigma.abs()) as f32;
+    (r - e, r + e)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,6 +659,73 @@ mod tests {
             other_radii > N / 100,
             "only {other_radii} of {N} polynomial radii differ from libm's: \
              the rounding test's radius term went unexercised"
+        );
+    }
+
+    /// `|exact − r'|` beyond [`BOUND_ABS`], in units of `2⁻²⁴·|r'|` — what
+    /// [`BOUND_REL`] bounds — for the draws `u1`, `u2`.
+    fn approx_error(u1: f64, u2: f64) -> f64 {
+        let sigma = 0.3;
+        let exact = ((libm_radius(u1) * (2.0 * PI * u2).cos()) * sigma) as f32;
+        let r = approx_normal(u1, u2, sigma as f32);
+        let e = (f64::from(exact) - f64::from(r)).abs() - BOUND_ABS * sigma;
+        e.max(0.0) / (f64::from(r).abs() * f64::from(f32::EPSILON) / 2.0)
+    }
+
+    /// The approximation against the exact samples over two million draws,
+    /// and over the edges of both reductions: `u1` at `1 − j·2⁻⁵³` (the
+    /// smallest radii) and next to each `2ᵉ` and `2ᵉ·√2/2`, `u2` next to
+    /// each eighth of a turn, where `θ` is largest and the kernels meet.
+    /// Half the bound is crossed too (about one draw in 10⁴ passes five
+    /// units), so the bound is not loose by half.
+    #[test]
+    fn approx_normal_is_within_its_bound() {
+        let bound = f64::from(BOUND_REL / f32::EPSILON * 2.0);
+        let mut rng = StdRng::seed_from_u64(37);
+        let mut draws: Vec<(f64, f64)> = (0..2_000_000)
+            .map(|_| (1.0 - rng.gen::<f64>(), rng.gen::<f64>()))
+            .collect();
+        let step = f64::EPSILON / 2.0;
+        let reduction_edge = f64::from_bits(ONE_BITS | ((1 << 52) - SQRT2_CARRY)) / 2.0;
+        let mut u1s: Vec<f64> = (0..4096).map(|j| 1.0 - f64::from(j) * step).collect();
+        for e in -52..=0 {
+            for edge in [2f64.powi(e), 2f64.powi(e) * reduction_edge] {
+                for j in 0..8u64 {
+                    u1s.push(f64::from_bits(edge.to_bits() - j));
+                    u1s.push(f64::from_bits(edge.to_bits() + j));
+                }
+            }
+        }
+        u1s.retain(|u| (step..=1.0).contains(u));
+        let turns: Vec<f64> = (0..=8)
+            .flat_map(|k| {
+                let edge = f64::from(k) / 8.0;
+                (0..64).flat_map(move |j| [edge - f64::from(j) * step, edge + f64::from(j) * step])
+            })
+            .filter(|t| (0.0..1.0).contains(t))
+            .collect();
+        for (i, &u1) in u1s.iter().enumerate() {
+            draws.extend(turns.iter().skip(i % 7).step_by(7).map(|&u2| (u1, u2)));
+        }
+        let mut worst = (0.0, (1.0, 0.0));
+        let mut past_half = 0;
+        for (u1, u2) in draws {
+            let e = approx_error(u1, u2);
+            past_half += usize::from(e > bound / 2.0);
+            if e > worst.0 {
+                worst = (e, (u1, u2));
+            }
+        }
+        assert!(
+            worst.0 <= bound,
+            "{:.2} units at (u1, u2) = {:?}",
+            worst.0,
+            worst.1
+        );
+        assert!(
+            past_half > 0,
+            "no draw past half the bound (worst {:.2})",
+            worst.0
         );
     }
 

@@ -19,9 +19,12 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use topick_core::Rows;
+#[cfg(target_arch = "x86_64")]
+use topick_core::cpu::has_wide_lanes;
+use topick_core::quant::quantize_into;
+use topick_core::{PrecisionConfig, QMatrix, QVector, QuantBuffer, Quantizer, Rows};
 
-use crate::rng::{extend_normal, normal_vec, standard_normal};
+use crate::rng::{approx_normals, extend_normal, normal_bounds, normal_vec, standard_normal};
 use crate::tensor::dot;
 
 /// Parameters of the synthetic score profile.
@@ -124,23 +127,62 @@ pub struct SynthKeys {
     pub target_scores: Vec<f64>,
 }
 
+/// The spread of a key's random residual: small, so the projection
+/// dominates.
+const RESIDUAL_SIGMA: f64 = 0.3;
+
 /// Appends the key rows realizing `scores` to `keys`: each a small random
 /// residual `r` projected onto its score, `k = r + ((s·√d − q·r)/‖q‖²)·q`.
 fn fill_rows(rng: &mut StdRng, query: &[f32], scores: &[f64], keys: &mut Vec<f32>) {
-    let d = query.len();
-    let sqrt_d = (d as f64).sqrt();
-    let q_norm2 = f64::from(dot(query, query)).max(1e-9);
-    // Residuals with small norm so the projection dominates, all drawn
-    // straight into the key rows (the projection draws nothing, so the
-    // stream is that of drawing row by row) and projected in place.
+    let projection = Projection::new(query);
+    // All residuals drawn straight into the key rows (the projection draws
+    // nothing, so the stream is that of drawing row by row) and projected
+    // in place.
     let start = keys.len();
-    extend_normal(rng, keys, scores.len() * d, 0.3);
-    for (row, &s) in keys[start..].chunks_exact_mut(d).zip(scores) {
-        let qr = f64::from(dot(query, row));
-        let alpha = ((s * sqrt_d - qr) / q_norm2) as f32;
-        for (k, &qi) in row.iter_mut().zip(query) {
+    extend_normal(rng, keys, scores.len() * query.len(), RESIDUAL_SIGMA);
+    for (row, &s) in keys[start..].chunks_exact_mut(query.len()).zip(scores) {
+        projection.apply(s, row);
+    }
+}
+
+/// The projection of a residual row onto its target score, the one
+/// routine every key row is built by.
+struct Projection<'q> {
+    query: &'q [f32],
+    sqrt_d: f64,
+    q_norm2: f64,
+}
+
+impl<'q> Projection<'q> {
+    fn new(query: &'q [f32]) -> Self {
+        Self {
+            query,
+            sqrt_d: (query.len() as f64).sqrt(),
+            q_norm2: f64::from(dot(query, query)).max(1e-9),
+        }
+    }
+
+    /// The row's coefficient `((s·√d − q·r)/‖q‖²) as f32` from `q·r` —
+    /// [`dot`]'s, in `f64` — and so non-increasing in it.
+    #[inline(always)]
+    fn alpha(&self, s: f64, qr: f64) -> f32 {
+        ((s * self.sqrt_d - qr) / self.q_norm2) as f32
+    }
+
+    /// Turns the residual `row` into its key row, `k = r + alpha·q`.
+    fn apply(&self, s: f64, row: &mut [f32]) {
+        let alpha = self.alpha(s, f64::from(dot(self.query, row)));
+        for (k, &qi) in row.iter_mut().zip(self.query) {
             *k += alpha * qi;
         }
+    }
+
+    /// The key row of score `s` whose residuals `rng` draws next, into
+    /// `row`: a row of [`fill_rows`], bit for bit.
+    fn exact_row(&self, rng: &mut StdRng, s: f64, row: &mut Vec<f32>) {
+        row.clear();
+        extend_normal(rng, row, self.query.len(), RESIDUAL_SIGMA);
+        self.apply(s, row);
     }
 }
 
@@ -153,55 +195,67 @@ impl SynthKeys {
     /// Panics if the profile has a zero context length or dimension.
     #[must_use]
     pub fn generate(profile: &SynthProfile, seed: u64) -> Self {
-        Self::generate_into(profile, seed, Vec::new())
+        Self::draw(profile, &mut StdRng::seed_from_u64(seed))
     }
 
-    /// [`generate`](Self::generate), bit for bit, with the keys drawn into
-    /// `spare`'s allocation — whatever it held is discarded. A caller that
-    /// generates instance after instance and takes each one's buffer back
-    /// with [`into_keys`](Self::into_keys) allocates only when an instance
-    /// outgrows every earlier one.
+    /// The key construction, leaving `rng` where the value draw starts.
+    fn draw(profile: &SynthProfile, rng: &mut StdRng) -> Self {
+        let mut target_scores = Vec::new();
+        let query = Self::draw_scores(profile, rng, &mut target_scores);
+        let mut keys = Vec::with_capacity(target_scores.len() * query.len());
+        fill_rows(rng, &query, &target_scores, &mut keys);
+        Self {
+            query,
+            keys,
+            dim: profile.dim,
+            target_scores,
+        }
+    }
+
+    /// The query, then the target scores into `scores`: every draw before
+    /// the key residuals.
+    fn draw_scores(profile: &SynthProfile, rng: &mut StdRng, scores: &mut Vec<f64>) -> Vec<f32> {
+        assert!(profile.context_len > 0, "context_len must be positive");
+        assert!(profile.dim > 0, "dim must be positive");
+        let query = normal_vec(rng, profile.dim, 1.0);
+        scores.clear();
+        scores.extend((0..profile.context_len).map(|i| {
+            let z = standard_normal(rng);
+            profile.deterministic_boost(i) + profile.score_std * z
+        }));
+        query
+    }
+
+    /// The quantized query and keys of the instance
+    /// [`generate`](Self::generate) builds — bit for bit
+    /// `(QVector::quantize(&k.query, precision), codes.quantize(k.keys().data(),
+    /// dim, precision))` of `k = SynthKeys::generate(profile, seed)` — with
+    /// the keys' codes drawn into `codes`' allocation (take it back with
+    /// [`QuantBuffer::reclaim`]) and no float key kept.
+    ///
+    /// Draws each key only as an interval that provably holds it, takes
+    /// the interval's code where both ends get the same one (the
+    /// quantizer is monotone), and recomputes a row exactly where one does
+    /// not: a few rows in a hundred at paper precision.
     ///
     /// # Panics
     ///
     /// Panics if the profile has a zero context length or dimension.
     #[must_use]
-    pub fn generate_into(profile: &SynthProfile, seed: u64, spare: Vec<f32>) -> Self {
-        Self::draw(profile, &mut StdRng::seed_from_u64(seed), spare)
-    }
-
-    /// Consumes the instance, returning the flat key buffer for the next
-    /// [`generate_into`](Self::generate_into).
-    #[must_use]
-    pub fn into_keys(self) -> Vec<f32> {
-        self.keys
-    }
-
-    /// The key construction into `keys`' allocation, leaving `rng` where
-    /// the value draw starts.
-    fn draw(profile: &SynthProfile, rng: &mut StdRng, mut keys: Vec<f32>) -> Self {
-        assert!(profile.context_len > 0, "context_len must be positive");
-        assert!(profile.dim > 0, "dim must be positive");
-        let n = profile.context_len;
-        let d = profile.dim;
-
-        let query = normal_vec(rng, d, 1.0);
-
-        let mut target_scores = Vec::with_capacity(n);
-        for i in 0..n {
-            let z = standard_normal(rng);
-            target_scores.push(profile.deterministic_boost(i) + profile.score_std * z);
-        }
-
-        keys.clear();
-        keys.reserve(n * d);
-        fill_rows(rng, &query, &target_scores, &mut keys);
-        Self {
-            query,
-            keys,
-            dim: d,
-            target_scores,
-        }
+    pub fn generate_codes(
+        profile: &SynthProfile,
+        seed: u64,
+        precision: PrecisionConfig,
+        scratch: &mut CodeScratch,
+        codes: &mut QuantBuffer,
+    ) -> (QVector, QMatrix) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let query = Self::draw_scores(profile, &mut rng, &mut scratch.scores);
+        let mut buf = codes.take();
+        let scale = draw_codes(&mut rng, &query, precision, scratch, &mut buf);
+        let keys = QMatrix::from_codes(buf, profile.dim, scale, precision)
+            .expect("a positive number of rows of a positive width");
+        (QVector::quantize(&query, precision), keys)
     }
 
     /// Key rows as a zero-copy row-major view.
@@ -209,6 +263,380 @@ impl SynthKeys {
     pub fn keys(&self) -> Rows<'_> {
         Rows::new(&self.keys, self.dim)
     }
+}
+
+/// The buffers [`SynthKeys::generate_codes`] works in, kept from one
+/// instance to the next by a caller that generates many, so that only an
+/// instance larger than every earlier one allocates.
+#[derive(Debug, Default)]
+pub struct CodeScratch {
+    /// The target scores.
+    scores: Vec<f64>,
+    /// Per row, `d` approximate residuals (exact keys once the row's are).
+    residuals: Vec<f32>,
+    /// Per row, what the second pass needs of the first.
+    rows: Vec<Row>,
+    /// The weights of [`dot_bounds`]' rounding term.
+    weights: Vec<f64>,
+    /// An exactly recomputed row (all rows, on the exact path).
+    exact: Vec<f32>,
+}
+
+impl CodeScratch {
+    /// The bytes its buffers hold allocated: what keeping it from one
+    /// instance to the next costs.
+    #[must_use]
+    pub fn footprint(&self) -> usize {
+        use std::mem::size_of;
+        self.scores.capacity() * size_of::<f64>()
+            + self.residuals.capacity() * size_of::<f32>()
+            + self.rows.capacity() * size_of::<Row>()
+            + self.weights.capacity() * size_of::<f64>()
+            + self.exact.capacity() * size_of::<f32>()
+    }
+}
+
+/// One row of [`draw_codes`] between its passes.
+#[derive(Debug, Clone)]
+struct Row {
+    /// The generator where the row's residual draws start.
+    start: StdRng,
+    /// Bounds on the row's `alpha`; `None` once its keys are exact.
+    alpha: Option<(f32, f32)>,
+    /// A cheap upper bound on the row's largest `|k|`.
+    reach: f64,
+}
+
+/// How far inside a code's rounding interval, in code units, both ends of
+/// a key's interval must lie: `CODE_MARGIN` plus `CODE_MARGIN_REL` of the
+/// end's own magnitude. The ends are scaled by an `f32` multiplication by
+/// `inv`, `1/scale` rounded to `f64` then `f32`, where the quantizer
+/// divides in `f64`: under `2⁻²³·1.0002` of the scaled value in all
+/// (three roundings, two of them `f32`'s), which the relative term covers
+/// twice; the quantizer's own rounding, `2⁻⁵³` relative at codes below
+/// `2¹⁵`, is far below the absolute term.
+const CODE_MARGIN: f32 = 1.0 / (1u32 << 20) as f32;
+const CODE_MARGIN_REL: f32 = 1.0 / (1u32 << 22) as f32;
+
+/// `2²³·1.5`: adding it rounds an `f32` of magnitude below `2²²` to an
+/// integer, which lands in the low mantissa bits as two's complement.
+const TO_INT: f32 = 1.5 / f32::EPSILON;
+
+/// The code of every value in `[lo, hi]`, and whether that is proven: with
+/// `t = x·inv`, both ends round to the same integer `c` and lie more than
+/// the [`CODE_MARGIN`]s inside `(c − ½, c + ½)`. Then every `x` in between
+/// has `fl(x/scale)` strictly inside that interval, and
+/// [`Quantizer::code`] maps it to `c` (which is in range: no key exceeds
+/// the largest magnitude the scale was set from). `t − c` is exact
+/// (Sterbenz), and a NaN or infinite `t` settles nothing.
+#[inline(always)]
+fn settled_code(lo: f32, hi: f32, inv: f32) -> (i16, bool) {
+    let (t_lo, t_hi) = (lo * inv, hi * inv);
+    let (r_lo, r_hi) = (t_lo + TO_INT, t_hi + TO_INT);
+    let (c_lo, c_hi) = (r_lo - TO_INT, r_hi - TO_INT);
+    let inside = |t: f32| (0.5 - CODE_MARGIN) - t.abs() * CODE_MARGIN_REL;
+    // `&`, not `&&`: no branch, so the loop over a row vectorizes.
+    let settled = (r_lo.to_bits() == r_hi.to_bits())
+        & ((t_lo - c_lo).abs() < inside(t_lo))
+        & ((t_hi - c_hi).abs() < inside(t_hi));
+    (r_lo.to_bits() as i16, settled)
+}
+
+/// Lanes of [`dot_bounds`]' partial sums.
+const LANES: usize = 8;
+
+/// Bounds on the exact row's `q·r` — [`dot`]'s sequential `f32` sum of
+/// the products `pⱼ = fl(qⱼ·rⱼ)` — from its approximate residuals, with
+/// no chain of dependent additions; and the largest `|r'|` of the row.
+///
+/// Each `pⱼ` lies between the products of `qⱼ` with the residual's ends
+/// (rounding is monotone; the ends swap where `qⱼ < 0`), so `Σ pⱼ` lies
+/// between their sums. The sequential sum rounds at each of its additions
+/// `k = 1 … d − 1`, by at most `u·|Ŝₖ|` (`u = 2⁻²⁴`), and each partial sum
+/// `|Ŝₖ| ≤ (1 + u)ᵏ·Σ_{j≤k} |pⱼ|`: in all at most `u·(1 + u)ᵈ·Σⱼ wⱼ·|pⱼ|`,
+/// `wⱼ` (`weights`) the additions term `j` is part of. The sums run in
+/// `f64` lanes, whose own roundings (below `2⁻⁵⁰·Σ|pⱼ|`) the `u·Σ|pⱼ|`
+/// more in the slack covers many times over.
+#[inline(always)]
+fn dot_bounds(query: &[f32], residuals: &[f32], weights: &[f64]) -> (f64, f64, f32) {
+    let (mut low, mut high) = ([0f64; LANES], [0f64; LANES]);
+    let (mut size, mut weighted) = ([0f64; LANES], [0f64; LANES]);
+    let mut largest = [0u32; LANES];
+    let mut add = |k: usize, q: f32, r: f32, w: f64| {
+        largest[k] = largest[k].max(r.to_bits() & ABS_BITS);
+        let (l, h) = normal_bounds(r, RESIDUAL_SIGMA);
+        let (a, b) = (q * l, q * h);
+        let (a, b) = if q >= 0.0 { (a, b) } else { (b, a) };
+        let m = f64::from(a.abs().max(b.abs()));
+        low[k] += f64::from(a);
+        high[k] += f64::from(b);
+        size[k] += m;
+        weighted[k] += w * m;
+    };
+    let (q, r, w) = (
+        query.chunks_exact(LANES),
+        residuals.chunks_exact(LANES),
+        weights.chunks_exact(LANES),
+    );
+    let tails = (q.remainder(), r.remainder(), w.remainder());
+    for ((q, r), w) in q.zip(r).zip(w) {
+        for k in 0..LANES {
+            add(k, q[k], r[k], w[k]);
+        }
+    }
+    let (q, r, w) = tails;
+    for k in 0..q.len() {
+        add(k, q[k], r[k], w[k]);
+    }
+    let total = |lanes: [f64; LANES]| lanes.iter().sum::<f64>();
+    let u = f64::from(f32::EPSILON) / 2.0;
+    let slack = u * (1.0 + 2.0 * u * query.len() as f64) * total(weighted) + u * total(size);
+    let largest = f32::from_bits(largest.into_iter().max().unwrap_or(0));
+    (total(low) - slack, total(high) + slack, largest)
+}
+
+/// All bits of an `f32` but its sign: its magnitude's bits, which order as
+/// the magnitude does.
+const ABS_BITS: u32 = 0x7fff_ffff;
+
+/// Bounds on the key `r + alpha·q` from the approximate residual `r` and
+/// bounds on `alpha`: the exact key's `f32` product and sum evaluated at
+/// the ends, each monotone (the ends of `alpha` swap where `q < 0`).
+#[inline(always)]
+fn key_bounds(r: f32, q: f32, (alpha_lo, alpha_hi): (f32, f32)) -> (f32, f32) {
+    let (lo, hi) = normal_bounds(r, RESIDUAL_SIGMA);
+    let (a, b) = if q >= 0.0 {
+        (alpha_lo, alpha_hi)
+    } else {
+        (alpha_hi, alpha_lo)
+    };
+    (lo + a * q, hi + b * q)
+}
+
+/// The keys' codes into `codes` and their scale, for the residual draws
+/// `rng` holds next and the target scores in `scratch` — what
+/// [`fill_rows`] then [`quantize_into`] give, bit for bit.
+///
+/// A row's residuals are drawn only as approximations ([`approx_normals`])
+/// with bounds that provably hold the exact ones ([`normal_bounds`]), and
+/// every later step carries the bounds instead of one value: the exact
+/// row's operations — the products `qⱼ·rⱼ`, `alpha`'s `f64` formula and
+/// its rounding, `rⱼ + alpha·qⱼ` — are each monotone in their inputs, so
+/// evaluating them at the ends (ordered by `qⱼ`'s sign) bounds the exact
+/// key; only the sequential dot's roundings need a bound of their own
+/// ([`dot_bounds`]). Then:
+///
+/// 1. The scale needs the largest `|k|` exactly. The row with the largest
+///    upper bound on `|k|` is recomputed exactly ([`Projection::exact_row`],
+///    from the generator saved at the row's start); the largest of all is
+///    at least its largest key, so only the rows whose upper bound reaches
+///    that — usually none — can hold a larger one, and are recomputed too.
+/// 2. Each key's code is the code both its ends get ([`settled_code`]);
+///    a row with a key that test does not settle is recomputed exactly
+///    and quantized as [`quantize_into`] does.
+///
+/// Any bound that is not finite sends the whole instance down the exact
+/// path, [`fill_rows`] then [`quantize_into`].
+///
+/// Runs the body's AVX-512 copy where the running x86-64 CPU has AVX-512
+/// F, DQ and VL (and AVX2), its baseline copy on every other host and
+/// target. Both give the exact path's codes, so they agree; they even
+/// recompute the same rows, as every step is elementwise or a sum in lanes
+/// the body writes out in order, which rounds alike in any vector width.
+fn draw_codes(
+    rng: &mut StdRng,
+    query: &[f32],
+    precision: PrecisionConfig,
+    scratch: &mut CodeScratch,
+    codes: &mut Vec<i16>,
+) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if has_wide_lanes() {
+        // SAFETY: `has_wide_lanes` has just detected every feature
+        // `draw_codes_wide` is compiled for on the running CPU.
+        return unsafe { draw_codes_wide(rng, query, precision, scratch, codes) };
+    }
+    draw_codes_body(rng, query, precision, scratch, codes)
+}
+
+#[cfg(all(test, target_arch = "x86_64"))]
+thread_local! {
+    /// Calls of [`draw_codes_wide`] on this thread.
+    static WIDE_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Rows [`draw_codes`] recomputed exactly on this thread, and rows it
+    /// drew.
+    static EXACT_ROWS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// Counts `exact` recomputed rows of `rows` drawn, in tests.
+#[inline(always)]
+fn count_rows(exact: usize, rows: usize) {
+    #[cfg(test)]
+    EXACT_ROWS.with(|c| {
+        let (e, r) = c.get();
+        c.set((e + exact as u64, r + rows as u64));
+    });
+    let _ = (exact, rows);
+}
+
+/// [`draw_codes_body`] compiled for AVX-512: sixteen `f32` lanes for the
+/// residual kernel and the key bounds, eight `f64` lanes for the draws
+/// and the code test.
+///
+/// # Safety
+///
+/// The running CPU must have every feature it is compiled for, as
+/// [`has_wide_lanes`] reports.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]
+fn draw_codes_wide(
+    rng: &mut StdRng,
+    query: &[f32],
+    precision: PrecisionConfig,
+    scratch: &mut CodeScratch,
+    codes: &mut Vec<i16>,
+) -> f64 {
+    #[cfg(test)]
+    WIDE_CALLS.with(|count| count.set(count.get() + 1));
+    draw_codes_body(rng, query, precision, scratch, codes)
+}
+
+/// The one body of [`draw_codes`], inlined into each copy so each is
+/// compiled for its own features.
+#[inline(always)]
+fn draw_codes_body(
+    rng: &mut StdRng,
+    query: &[f32],
+    precision: PrecisionConfig,
+    scratch: &mut CodeScratch,
+    codes: &mut Vec<i16>,
+) -> f64 {
+    let d = query.len();
+    let projection = Projection::new(query);
+    let CodeScratch {
+        scores,
+        residuals,
+        rows,
+        weights,
+        exact,
+    } = scratch;
+    let n = scores.len();
+    // Every residual is written before it is read: only growth is filled.
+    residuals.resize(n * d, 0.0);
+    rows.clear();
+    weights.clear();
+    weights.extend((0..d).map(|j| (d - j.max(1)) as f64));
+    // `|k| = |fl(r + fl(alpha·q))| ≤ (|r| + |alpha|·|q|)·(1 + u)²`: a
+    // row's keys reach at most its largest residual bound plus its
+    // largest `|alpha|` times the query's largest `|q|`, and `SPARE` covers
+    // the roundings, in `f32` and in the bound's own `f64` arithmetic.
+    const SPARE: f64 = 1.0 + 1.0 / (1u64 << 20) as f64;
+    let q_max = f64::from(query.iter().fold(0f32, |m, q| m.max(q.abs())));
+    let first = rng.clone();
+    let mut finite = true;
+    for (r, &s) in residuals.chunks_exact_mut(d).zip(scores.iter()) {
+        let start = rng.clone();
+        approx_normals(rng, RESIDUAL_SIGMA, r);
+        let (qr_lo, qr_hi, largest) = dot_bounds(query, r, weights);
+        let alpha = (projection.alpha(s, qr_hi), projection.alpha(s, qr_lo));
+        let alpha_max = f64::from(alpha.0.abs().max(alpha.1.abs()));
+        let r_max = f64::from(normal_bounds(largest, RESIDUAL_SIGMA).1);
+        let reach = (r_max + alpha_max * q_max) * SPARE;
+        // Not below `f32::MAX` (or NaN): some key bound may not be finite.
+        finite &= reach < f64::from(f32::MAX);
+        let alpha = Some(alpha);
+        rows.push(Row {
+            start,
+            alpha,
+            reach,
+        });
+    }
+    if !finite {
+        count_rows(n, n);
+        *rng = first;
+        exact.clear();
+        fill_rows(rng, query, scores, exact);
+        return quantize_into(exact, precision, codes);
+    }
+
+    // The largest `|k|` of all is at least the largest of any one row, so
+    // only rows whose bound reaches that can hold it: the row that reaches
+    // furthest, made exact, then any other whose keys' bounds reach its
+    // largest key (rarely one).
+    let mut make_exact = |i: usize, rows: &mut [Row], residuals: &mut [f32]| {
+        let row = &mut rows[i];
+        projection.exact_row(&mut row.start.clone(), scores[i], exact);
+        residuals[i * d..][..d].copy_from_slice(exact);
+        row.alpha = None;
+        exact.iter().fold(0f32, |m, k| m.max(k.abs()))
+    };
+    let top = (0..n).max_by(|&a, &b| rows[a].reach.total_cmp(&rows[b].reach));
+    let top = top.expect("a positive number of rows");
+    let mut max_abs = make_exact(top, rows, residuals);
+    let mut recomputed = 1;
+    for i in 0..n {
+        let Some(alpha) = rows[i]
+            .alpha
+            .filter(|_| rows[i].reach >= f64::from(max_abs))
+        else {
+            continue;
+        };
+        let r = residuals[i * d..][..d].iter();
+        let peak = r.zip(query).fold(0f32, |peak, (&r, &q)| {
+            let (lo, hi) = key_bounds(r, q, alpha);
+            peak.max(lo.abs()).max(hi.abs())
+        });
+        if peak >= max_abs {
+            recomputed += 1;
+            max_abs = max_abs.max(make_exact(i, rows, residuals));
+        }
+    }
+    let quantizer = Quantizer::new(f64::from(max_abs), precision);
+    // `1/scale` as an `f32`: zero (one-bit codes, an infinite scale) or
+    // normal, where [`CODE_MARGIN_REL`] holds; NaN, which settles no key,
+    // for a scale too small or too large for that.
+    let inv = (1.0 / quantizer.scale()) as f32;
+    let inv = if inv == 0.0 || inv.is_normal() {
+        inv
+    } else {
+        f32::NAN
+    };
+
+    codes.resize(n * d, 0);
+    let keys = codes.chunks_exact_mut(d).zip(residuals.chunks_exact(d));
+    for ((out, r), (row, &s)) in keys.zip(rows.iter().zip(scores.iter())) {
+        let settled = match row.alpha {
+            None => {
+                for (c, &k) in out.iter_mut().zip(r) {
+                    *c = quantizer.code(f64::from(k));
+                }
+                true
+            }
+            Some(alpha) => {
+                let mut settled = true;
+                for ((c, &r), &q) in out.iter_mut().zip(r).zip(query) {
+                    let (lo, hi) = key_bounds(r, q, alpha);
+                    let (code, ok) = settled_code(lo, hi, inv);
+                    *c = code;
+                    settled &= ok;
+                }
+                settled
+            }
+        };
+        if !settled {
+            recomputed += 1;
+            projection.exact_row(&mut row.start.clone(), s, exact);
+            for (c, &k) in out.iter_mut().zip(&*exact) {
+                *c = quantizer.code(f64::from(k));
+            }
+        }
+    }
+    count_rows(recomputed, n);
+    quantizer.scale()
 }
 
 /// One synthetic attention instance: a query, keys and values realizing a
@@ -245,7 +673,7 @@ impl SynthInstance {
             keys,
             dim,
             target_scores,
-        } = SynthKeys::draw(profile, &mut rng, Vec::new());
+        } = SynthKeys::draw(profile, &mut rng);
         let values = normal_vec(&mut rng, keys.len(), 1.0);
         Self {
             query,
@@ -394,6 +822,149 @@ impl InstanceSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    type DrawCodes =
+        fn(&mut StdRng, &[f32], PrecisionConfig, &mut CodeScratch, &mut Vec<i16>) -> f64;
+
+    /// Query codes and scale bits, then key codes and scale bits.
+    type Quantized = (Vec<i16>, u64, Vec<i16>, u64);
+
+    fn parts(q: &QVector, keys: &QMatrix) -> Quantized {
+        let codes = (0..keys.num_tokens())
+            .flat_map(|t| keys.row(t).to_vec())
+            .collect();
+        (
+            q.codes().to_vec(),
+            q.scale().to_bits(),
+            codes,
+            keys.scale().to_bits(),
+        )
+    }
+
+    /// The three calls serving made before [`SynthKeys::generate_codes`].
+    fn three_calls(profile: &SynthProfile, seed: u64, pc: PrecisionConfig) -> Quantized {
+        let k = SynthKeys::generate(profile, seed);
+        let q = QVector::quantize(&k.query, pc);
+        let keys = QuantBuffer::new()
+            .quantize(k.keys().data(), profile.dim, pc)
+            .unwrap();
+        parts(&q, &keys)
+    }
+
+    /// [`SynthKeys::generate_codes`] with `draw` in place of the
+    /// dispatcher, on a scratch and code buffer kept across calls.
+    fn codes_via(
+        draw: DrawCodes,
+        profile: &SynthProfile,
+        seed: u64,
+        pc: PrecisionConfig,
+        scratch: &mut CodeScratch,
+        buf: &mut QuantBuffer,
+    ) -> Quantized {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let query = SynthKeys::draw_scores(profile, &mut rng, &mut scratch.scores);
+        let mut codes = buf.take();
+        let scale = draw(&mut rng, &query, pc, scratch, &mut codes);
+        let keys = QMatrix::from_codes(codes, profile.dim, scale, pc).unwrap();
+        let out = parts(&QVector::quantize(&query, pc), &keys);
+        buf.reclaim(keys);
+        out
+    }
+
+    const PROFILES: [fn(usize, usize) -> SynthProfile; 3] = [
+        SynthProfile::realistic,
+        SynthProfile::wide_spread,
+        SynthProfile::narrow_spread,
+    ];
+
+    /// Contexts 1–300, 1 024 and 4 096, each at one of dims 1, 7, 64 and
+    /// 128, one precision of 1–15 bits and one profile, turn by turn.
+    fn sweep() -> impl Iterator<Item = (SynthProfile, u64, PrecisionConfig)> {
+        (1..=300).chain([1024, 4096]).enumerate().map(|(i, n)| {
+            let dim = [1, 7, 64, 128][i % 4];
+            let bits = 1 + (i % 15) as u32;
+            let profile = PROFILES[i % 3](n, dim);
+            (profile, i as u64, PrecisionConfig::new(bits, bits).unwrap())
+        })
+    }
+
+    fn assert_equals_the_three_calls(draw: DrawCodes) {
+        let (mut scratch, mut buf) = (CodeScratch::default(), QuantBuffer::new());
+        for (profile, seed, pc) in sweep() {
+            let got = codes_via(draw, &profile, seed, pc, &mut scratch, &mut buf);
+            let want = three_calls(&profile, seed, pc);
+            let what = format!(
+                "context {}, dim {}, {} bits, std {}",
+                profile.context_len,
+                profile.dim,
+                pc.total_bits(),
+                profile.score_std
+            );
+            assert_eq!(got.0, want.0, "query codes: {what}");
+            assert_eq!(got.1, want.1, "query scale: {what}");
+            assert_eq!(got.3, want.3, "key scale: {what}");
+            let first = got.2.iter().zip(&want.2).position(|(a, b)| a != b);
+            assert_eq!(first, None, "first differing key code: {what}");
+        }
+    }
+
+    /// Through the dispatcher: the AVX-512 copy where the host has it.
+    #[test]
+    fn generate_codes_equals_the_three_calls_bit_for_bit() {
+        assert_equals_the_three_calls(draw_codes);
+    }
+
+    /// The baseline copy, called directly, so it stays covered on a host
+    /// whose dispatcher picks the AVX-512 one.
+    #[test]
+    fn the_baseline_copy_equals_the_three_calls_bit_for_bit() {
+        assert_equals_the_three_calls(draw_codes_body);
+    }
+
+    /// A dispatcher that never picks the AVX-512 copy fails here on any
+    /// host that has the features.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_wide_copy_runs_wherever_the_host_has_it() {
+        // Detected here, not through `has_wide_lanes`, which is under test.
+        let wide = is_x86_feature_detected!("avx2")
+            && is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512dq")
+            && is_x86_feature_detected!("avx512vl");
+        let before = WIDE_CALLS.with(std::cell::Cell::get);
+        let profile = SynthProfile::realistic(8, 64);
+        let _ = SynthKeys::generate_codes(
+            &profile,
+            3,
+            PrecisionConfig::paper(),
+            &mut CodeScratch::default(),
+            &mut QuantBuffer::new(),
+        );
+        let calls = WIDE_CALLS.with(std::cell::Cell::get) - before;
+        assert_eq!(calls, u64::from(wide), "AVX-512 F/DQ/VL detected: {wide}");
+    }
+
+    /// At paper precision and context 1 024 the exact rows — the scale's
+    /// and the rows the code test left — are under a tenth, and some are
+    /// recomputed, so the fallback is exercised.
+    #[test]
+    fn few_rows_fall_back_at_paper_precision() {
+        let (mut scratch, mut buf) = (CodeScratch::default(), QuantBuffer::new());
+        let before = EXACT_ROWS.with(std::cell::Cell::get);
+        for seed in 0..8 {
+            let profile = SynthProfile::realistic(1024, 64);
+            let pc = PrecisionConfig::paper();
+            let got = codes_via(draw_codes, &profile, seed, pc, &mut scratch, &mut buf);
+            assert_eq!(got, three_calls(&profile, seed, pc), "seed {seed}");
+        }
+        let (exact, rows) = EXACT_ROWS.with(std::cell::Cell::get);
+        let (exact, rows) = (exact - before.0, rows - before.1);
+        assert!(
+            exact >= 8,
+            "every instance recomputes its largest key's row"
+        );
+        assert!(exact * 10 < rows, "{exact} of {rows} rows recomputed");
+    }
 
     #[test]
     fn realized_scores_match_targets() {

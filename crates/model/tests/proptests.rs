@@ -3,11 +3,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use topick_core::{PrecisionConfig, QMatrix};
+use topick_core::{PrecisionConfig, QMatrix, QVector, QuantBuffer};
 use topick_model::rng::standard_normal;
 use topick_model::{
-    nll_from_logits, ExactAttention, HeadCache, KvCache, ModelSpec, PagedKvStore, SynthInstance,
-    SynthKeys, SynthProfile, TransformerModel,
+    nll_from_logits, CodeScratch, ExactAttention, HeadCache, KvCache, ModelSpec, PagedKvStore,
+    SynthInstance, SynthKeys, SynthProfile, TransformerModel,
 };
 
 const PROFILES: [fn(usize, usize) -> SynthProfile; 3] = [
@@ -15,17 +15,6 @@ const PROFILES: [fn(usize, usize) -> SynthProfile; 3] = [
     SynthProfile::wide_spread,
     SynthProfile::narrow_spread,
 ];
-
-/// Query, key data and target scores as raw bits: `==` on floats would let
-/// `0.0` pass for `-0.0`.
-fn key_bits(keys: &SynthKeys) -> (Vec<u32>, Vec<u32>, Vec<u64>) {
-    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect();
-    (
-        bits(&keys.query),
-        bits(keys.keys().data()),
-        keys.target_scores.iter().map(|x| x.to_bits()).collect(),
-    )
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -87,51 +76,62 @@ proptest! {
         prop_assert_eq!(bits(full.values().data()), values);
     }
 
-    /// A recycled key buffer cannot show: keys drawn into a spare buffer of
-    /// any previous length, capacity and contents are `SynthKeys::generate`
-    /// bit for bit, in the same allocation whenever it was large enough —
-    /// and, keys to codes end to end, the quantizer the engine calls on
-    /// them equals the scalar formula it was first written as (`round` and
-    /// `clamp` per element under a NaN-aware `f64` max).
+    /// Key codes drawn straight from an instance's draws,
+    /// `SynthKeys::generate_codes`, into a scratch and a code buffer that a
+    /// different instance used last, are the three calls they replace bit
+    /// for bit — `SynthKeys::generate`'s float keys, then
+    /// `QVector::quantize` and `QMatrix::quantize_flat` — at any context
+    /// (1–600, 1 024, 4 096), width and precision; and, keys to codes end
+    /// to end, those equal the scalar formula the quantizer was first
+    /// written as (`round` and `clamp` per element under a NaN-aware `f64`
+    /// max).
     #[test]
-    fn keys_drawn_into_a_recycled_buffer_equal_fresh_keys_and_quantize_alike(
+    fn codes_drawn_into_recycled_buffers_equal_the_three_calls(
         seed in any::<u64>(),
-        n in 1usize..=600,
+        n in 1usize..=602,
         dim_idx in 0usize..4,
         profile_idx in 0usize..3,
-        spare_len in 0usize..4096,
-        spare_room in 0usize..100_000,
-        spare_fill in any::<u32>(),
+        bits in 1u32..=15,
+        spare_seed in any::<u64>(),
+        spare_n in 1usize..=300,
+        spare_dim_idx in 0usize..4,
     ) {
-        let dim = [1, 8, 64, 128][dim_idx];
+        let n = match n {
+            601 => 1024,
+            602 => 4096,
+            n => n,
+        };
+        let dims = [1, 7, 64, 128];
+        let dim = dims[dim_idx];
+        let pc = PrecisionConfig::new(bits, bits).expect("1 to 15 bits");
         let profile = PROFILES[profile_idx](n, dim);
+        let (mut scratch, mut buf) = (CodeScratch::default(), QuantBuffer::new());
+        let spare = PROFILES[profile_idx](spare_n, dims[spare_dim_idx]);
+        let (_, used) = SynthKeys::generate_codes(&spare, spare_seed, pc, &mut scratch, &mut buf);
+        buf.reclaim(used);
+        let (q, keys) = SynthKeys::generate_codes(&profile, seed, pc, &mut scratch, &mut buf);
+
         let fresh = SynthKeys::generate(&profile, seed);
+        let want_q = QVector::quantize(&fresh.query, pc);
+        prop_assert_eq!(q.codes(), want_q.codes());
+        prop_assert_eq!(q.scale().to_bits(), want_q.scale().to_bits());
+        let data = fresh.keys().data();
+        let want = QMatrix::quantize_flat(data, dim, pc).expect("non-empty");
+        prop_assert_eq!(keys.scale().to_bits(), want.scale().to_bits());
+        for token in 0..n {
+            prop_assert_eq!(keys.row(token), want.row(token), "token {}", token);
+        }
 
-        let mut spare = Vec::with_capacity(spare_len + spare_room);
-        spare.resize(spare_len, f32::from_bits(spare_fill));
-        let (allocation, capacity) = (spare.as_ptr(), spare.capacity());
-        let recycled = SynthKeys::generate_into(&profile, seed, spare);
-        prop_assert_eq!(key_bits(&recycled), key_bits(&fresh));
-
-        let pc = PrecisionConfig::paper();
-        let data = recycled.keys().data();
-        let quantized = QMatrix::quantize_flat(data, dim, pc).expect("non-empty");
         let max_abs = data.iter().fold(0f64, |m, &v| m.max(f64::from(v).abs()));
         let (qmin, qmax) = (f64::from(pc.min_value()), f64::from(pc.max_value()));
         let scale = if max_abs > 0.0 { max_abs / qmax } else { 1.0 };
-        prop_assert_eq!(quantized.scale().to_bits(), scale.to_bits());
+        prop_assert_eq!(want.scale().to_bits(), scale.to_bits());
         for (token, row) in data.chunks(dim).enumerate() {
             let codes: Vec<i16> = row
                 .iter()
                 .map(|&v| (f64::from(v) / scale).round().clamp(qmin, qmax) as i16)
                 .collect();
-            prop_assert_eq!(quantized.row(token), &codes[..]);
-        }
-
-        let returned = recycled.into_keys();
-        prop_assert_eq!(returned.len(), n * dim);
-        if capacity >= n * dim {
-            prop_assert_eq!((returned.as_ptr(), returned.capacity()), (allocation, capacity));
+            prop_assert_eq!(want.row(token), &codes[..]);
         }
     }
 
