@@ -277,7 +277,7 @@ pub struct CodeScratch {
     /// Per row, what the second pass needs of the first.
     rows: Vec<Row>,
     /// The weights of [`dot_bounds`]' rounding term.
-    weights: Vec<f64>,
+    weights: Vec<f32>,
     /// An exactly recomputed row (all rows, on the exact path).
     exact: Vec<f32>,
 }
@@ -291,7 +291,7 @@ impl CodeScratch {
         self.scores.capacity() * size_of::<f64>()
             + self.residuals.capacity() * size_of::<f32>()
             + self.rows.capacity() * size_of::<Row>()
-            + self.weights.capacity() * size_of::<f64>()
+            + self.weights.capacity() * size_of::<f32>()
             + self.exact.capacity() * size_of::<f32>()
     }
 }
@@ -343,7 +343,7 @@ fn settled_code(lo: f32, hi: f32, inv: f32) -> (i16, bool) {
 }
 
 /// Lanes of [`dot_bounds`]' partial sums.
-const LANES: usize = 8;
+const LANES: usize = 16;
 
 /// Bounds on the exact row's `q·r` — [`dot`]'s sequential `f32` sum of
 /// the products `pⱼ = fl(qⱼ·rⱼ)` — from its approximate residuals, with
@@ -355,42 +355,44 @@ const LANES: usize = 8;
 /// `k = 1 … d − 1`, by at most `u·|Ŝₖ|` (`u = 2⁻²⁴`), and each partial sum
 /// `|Ŝₖ| ≤ (1 + u)ᵏ·Σ_{j≤k} |pⱼ|`: in all at most `u·(1 + u)ᵈ·Σⱼ wⱼ·|pⱼ|`,
 /// `wⱼ` (`weights`) the additions term `j` is part of. The sums run in
-/// `f64` lanes, whose own roundings (below `2⁻⁵⁰·Σ|pⱼ|`) the `u·Σ|pⱼ|`
-/// more in the slack covers many times over.
+/// `f32` lanes of `m = ⌈d/16⌉` terms each, then `f64`: a lane's roundings
+/// move its sum by at most `m·u` of its terms' magnitudes, so the slack
+/// adds `m·u·Σ|pⱼ|` for the two ends' sums and widens the two magnitude
+/// sums by `1 + 2m·u`.
 #[inline(always)]
-fn dot_bounds(query: &[f32], residuals: &[f32], weights: &[f64]) -> (f64, f64, f32) {
-    let (mut low, mut high) = ([0f64; LANES], [0f64; LANES]);
-    let (mut size, mut weighted) = ([0f64; LANES], [0f64; LANES]);
+fn dot_bounds(query: &[f32], residuals: &[f32], weights: &[f32]) -> (f64, f64, f32) {
+    let (mut low, mut high) = ([0f32; LANES], [0f32; LANES]);
+    let (mut size, mut weighted) = ([0f32; LANES], [0f32; LANES]);
     let mut largest = [0u32; LANES];
-    let mut add = |k: usize, q: f32, r: f32, w: f64| {
-        largest[k] = largest[k].max(r.to_bits() & ABS_BITS);
-        let (l, h) = normal_bounds(r, RESIDUAL_SIGMA);
-        let (a, b) = (q * l, q * h);
-        let (a, b) = if q >= 0.0 { (a, b) } else { (b, a) };
-        let m = f64::from(a.abs().max(b.abs()));
-        low[k] += f64::from(a);
-        high[k] += f64::from(b);
-        size[k] += m;
-        weighted[k] += w * m;
-    };
     let (q, r, w) = (
-        query.chunks_exact(LANES),
-        residuals.chunks_exact(LANES),
-        weights.chunks_exact(LANES),
+        query.chunks(LANES),
+        residuals.chunks(LANES),
+        weights.chunks(LANES),
     );
-    let tails = (q.remainder(), r.remainder(), w.remainder());
     for ((q, r), w) in q.zip(r).zip(w) {
-        for k in 0..LANES {
-            add(k, q[k], r[k], w[k]);
+        let sums = low
+            .iter_mut()
+            .zip(&mut high)
+            .zip(size.iter_mut().zip(&mut weighted));
+        let terms = q.iter().zip(r).zip(w).zip(&mut largest);
+        for (((lo, hi), (sz, wt)), (((&q, &r), &w), big)) in sums.zip(terms) {
+            *big = (*big).max(r.to_bits() & ABS_BITS);
+            let (l, h) = normal_bounds(r, RESIDUAL_SIGMA);
+            let (a, b) = (q * l, q * h);
+            let (a, b) = if q >= 0.0 { (a, b) } else { (b, a) };
+            let m = a.abs().max(b.abs());
+            *lo += a;
+            *hi += b;
+            *sz += m;
+            *wt += w * m;
         }
     }
-    let (q, r, w) = tails;
-    for k in 0..q.len() {
-        add(k, q[k], r[k], w[k]);
-    }
-    let total = |lanes: [f64; LANES]| lanes.iter().sum::<f64>();
+    let total = |lanes: [f32; LANES]| lanes.iter().map(|&x| f64::from(x)).sum::<f64>();
     let u = f64::from(f32::EPSILON) / 2.0;
-    let slack = u * (1.0 + 2.0 * u * query.len() as f64) * total(weighted) + u * total(size);
+    let (d, m) = (query.len() as f64, query.len().div_ceil(LANES) as f64);
+    let widen = 1.0 + 2.0 * m * u;
+    let slack =
+        u * (1.0 + 2.0 * u * d) * total(weighted) * widen + (m + 1.0) * u * total(size) * widen;
     let largest = f32::from_bits(largest.into_iter().max().unwrap_or(0));
     (total(low) - slack, total(high) + slack, largest)
 }
@@ -529,7 +531,7 @@ fn draw_codes_body(
     residuals.resize(n * d, 0.0);
     rows.clear();
     weights.clear();
-    weights.extend((0..d).map(|j| (d - j.max(1)) as f64));
+    weights.extend((0..d).map(|j| (d - j.max(1)) as f32));
     // `|k| = |fl(r + fl(alpha·q))| ≤ (|r| + |alpha|·|q|)·(1 + u)²`: a
     // row's keys reach at most its largest residual bound plus its
     // largest `|alpha|` times the query's largest `|q|`, and `SPARE` covers
