@@ -364,30 +364,51 @@ fn dot_bounds(query: &[f32], residuals: &[f32], weights: &[f32]) -> (f64, f64, f
     let (mut low, mut high) = ([0f32; LANES], [0f32; LANES]);
     let (mut size, mut weighted) = ([0f32; LANES], [0f32; LANES]);
     let mut largest = [0u32; LANES];
+    let mut add = |k: usize, q: f32, r: f32, w: f32| {
+        largest[k] = largest[k].max(r.to_bits() & ABS_BITS);
+        let (l, h) = normal_bounds(r, RESIDUAL_SIGMA);
+        let (a, b) = (q * l, q * h);
+        let (a, b) = if q >= 0.0 { (a, b) } else { (b, a) };
+        let m = a.abs().max(b.abs());
+        low[k] += a;
+        high[k] += b;
+        size[k] += m;
+        weighted[k] += w * m;
+    };
     let (q, r, w) = (
-        query.chunks(LANES),
-        residuals.chunks(LANES),
-        weights.chunks(LANES),
+        query.chunks_exact(LANES),
+        residuals.chunks_exact(LANES),
+        weights.chunks_exact(LANES),
     );
+    let tails = (q.remainder(), r.remainder(), w.remainder());
     for ((q, r), w) in q.zip(r).zip(w) {
-        let sums = low
-            .iter_mut()
-            .zip(&mut high)
-            .zip(size.iter_mut().zip(&mut weighted));
-        let terms = q.iter().zip(r).zip(w).zip(&mut largest);
-        for (((lo, hi), (sz, wt)), (((&q, &r), &w), big)) in sums.zip(terms) {
-            *big = (*big).max(r.to_bits() & ABS_BITS);
-            let (l, h) = normal_bounds(r, RESIDUAL_SIGMA);
-            let (a, b) = (q * l, q * h);
-            let (a, b) = if q >= 0.0 { (a, b) } else { (b, a) };
-            let m = a.abs().max(b.abs());
-            *lo += a;
-            *hi += b;
-            *sz += m;
-            *wt += w * m;
+        // Whole lanes, so the loop is one vector step and the sums stay in
+        // registers.
+        let (q, r, w): (&[f32; LANES], &[f32; LANES], &[f32; LANES]) = (
+            q.try_into().expect("a whole chunk"),
+            r.try_into().expect("a whole chunk"),
+            w.try_into().expect("a whole chunk"),
+        );
+        for k in 0..LANES {
+            add(k, q[k], r[k], w[k]);
         }
     }
-    let total = |lanes: [f32; LANES]| lanes.iter().map(|&x| f64::from(x)).sum::<f64>();
+    let (q, r, w) = tails;
+    for k in 0..q.len() {
+        add(k, q[k], r[k], w[k]);
+    }
+    // Pairwise in `f64`, so the four totals are four short chains.
+    let total = |lanes: [f32; LANES]| {
+        let mut sum = lanes.map(f64::from);
+        let mut width = LANES / 2;
+        while width > 0 {
+            for i in 0..width {
+                sum[i] += sum[i + width];
+            }
+            width /= 2;
+        }
+        sum[0]
+    };
     let u = f64::from(f32::EPSILON) / 2.0;
     let (d, m) = (query.len() as f64, query.len().div_ceil(LANES) as f64);
     let widen = 1.0 + 2.0 * m * u;
