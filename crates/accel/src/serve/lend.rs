@@ -59,7 +59,10 @@ use crate::engine::ToPickAccelerator;
 //   AVX-512 copy; 18.5–23 baseline), quantization and `attention_cost`
 //   5.2–6.6 at dim 64 from 256 tokens up (the quantizer's AVX-512 copy;
 //   9–15 at 16–64). With one handoff of margin, `n · 5.85 ns ≥ (1 + 1) ·
-//   25…55 µs` gives 8 500–18 800: 256 tokens × 64 stays. Floors of 4 096,
+//   25…55 µs` gives 8 500–18 800: 256 tokens × 64 stays. Drawing key
+//   codes (`SynthKeys::generate_codes`) cut synthesis and quantization to
+//   about 6 ns an element on the same host: `n · 5 ns` gives 10 000–22 000,
+//   and the floor still stays. Floors of 4 096,
 //   8 192 and 16 384 shared the same steps of `prefix-chat`, `queue-drain`
 //   and `long-decode` (each pool these lend is one instance or past all
 //   three) and timed the same within noise. Twice this floor (32 768) cost

@@ -276,8 +276,6 @@ pub struct CodeScratch {
     residuals: Vec<f32>,
     /// Per row, what the second pass needs of the first.
     rows: Vec<Row>,
-    /// The weights of [`dot_bounds`]' rounding term.
-    weights: Vec<f32>,
     /// An exactly recomputed row (all rows, on the exact path).
     exact: Vec<f32>,
 }
@@ -291,7 +289,6 @@ impl CodeScratch {
         self.scores.capacity() * size_of::<f64>()
             + self.residuals.capacity() * size_of::<f32>()
             + self.rows.capacity() * size_of::<Row>()
-            + self.weights.capacity() * size_of::<f32>()
             + self.exact.capacity() * size_of::<f32>()
     }
 }
@@ -354,17 +351,19 @@ const LANES: usize = 16;
 /// between their sums. The sequential sum rounds at each of its additions
 /// `k = 1 … d − 1`, by at most `u·|Ŝₖ|` (`u = 2⁻²⁴`), and each partial sum
 /// `|Ŝₖ| ≤ (1 + u)ᵏ·Σ_{j≤k} |pⱼ|`: in all at most `u·(1 + u)ᵈ·Σⱼ wⱼ·|pⱼ|`,
-/// `wⱼ` (`weights`) the additions term `j` is part of. The sums run in
+/// `wⱼ = d − max(j, 1)` the additions term `j` is part of. The sums run in
 /// `f32` lanes of `m = ⌈d/16⌉` terms each, then `f64`: a lane's roundings
 /// move its sum by at most `m·u` of its terms' magnitudes, so the slack
 /// adds `m·u·Σ|pⱼ|` for the two ends' sums and widens the two magnitude
 /// sums by `1 + 2m·u`.
 #[inline(always)]
-fn dot_bounds(query: &[f32], residuals: &[f32], weights: &[f32]) -> (f64, f64, f32) {
+fn dot_bounds(query: &[f32], residuals: &[f32]) -> (f64, f64, f32) {
     let (mut low, mut high) = ([0f32; LANES], [0f32; LANES]);
     let (mut size, mut weighted) = ([0f32; LANES], [0f32; LANES]);
     let mut largest = [0u32; LANES];
-    let mut add = |k: usize, q: f32, r: f32, w: f32| {
+    let d = query.len();
+    let mut add = |k: usize, j: usize, q: f32, r: f32| {
+        let w = (d - j.max(1)) as f32;
         largest[k] = largest[k].max(r.to_bits() & ABS_BITS);
         let (l, h) = normal_bounds(r, RESIDUAL_SIGMA);
         let (a, b) = (q * l, q * h);
@@ -375,27 +374,22 @@ fn dot_bounds(query: &[f32], residuals: &[f32], weights: &[f32]) -> (f64, f64, f
         size[k] += m;
         weighted[k] += w * m;
     };
-    let (q, r, w) = (
-        query.chunks_exact(LANES),
-        residuals.chunks_exact(LANES),
-        weights.chunks_exact(LANES),
-    );
-    let tails = (q.remainder(), r.remainder(), w.remainder());
-    for ((q, r), w) in q.zip(r).zip(w) {
+    let (q, r) = (query.chunks_exact(LANES), residuals.chunks_exact(LANES));
+    let tails = (q.remainder(), r.remainder());
+    let mut j = 0;
+    for (q, r) in q.zip(r) {
         // Whole lanes, so the loop is one vector step and the sums stay in
         // registers.
-        let (q, r, w): (&[f32; LANES], &[f32; LANES], &[f32; LANES]) = (
-            q.try_into().expect("a whole chunk"),
-            r.try_into().expect("a whole chunk"),
-            w.try_into().expect("a whole chunk"),
-        );
+        let q: &[f32; LANES] = q.try_into().expect("a whole chunk");
+        let r: &[f32; LANES] = r.try_into().expect("a whole chunk");
         for k in 0..LANES {
-            add(k, q[k], r[k], w[k]);
+            add(k, j + k, q[k], r[k]);
         }
+        j += LANES;
     }
-    let (q, r, w) = tails;
+    let (q, r) = tails;
     for k in 0..q.len() {
-        add(k, q[k], r[k], w[k]);
+        add(k, j + k, q[k], r[k]);
     }
     // Pairwise in `f64`, so the four totals are four short chains.
     let total = |lanes: [f32; LANES]| {
@@ -410,7 +404,7 @@ fn dot_bounds(query: &[f32], residuals: &[f32], weights: &[f32]) -> (f64, f64, f
         sum[0]
     };
     let u = f64::from(f32::EPSILON) / 2.0;
-    let (d, m) = (query.len() as f64, query.len().div_ceil(LANES) as f64);
+    let (d, m) = (d as f64, d.div_ceil(LANES) as f64);
     let widen = 1.0 + 2.0 * m * u;
     let slack =
         u * (1.0 + 2.0 * u * d) * total(weighted) * widen + (m + 1.0) * u * total(size) * widen;
@@ -544,15 +538,12 @@ fn draw_codes_body(
         scores,
         residuals,
         rows,
-        weights,
         exact,
     } = scratch;
     let n = scores.len();
     // Every residual is written before it is read: only growth is filled.
     residuals.resize(n * d, 0.0);
     rows.clear();
-    weights.clear();
-    weights.extend((0..d).map(|j| (d - j.max(1)) as f32));
     // `|k| = |fl(r + fl(alpha·q))| ≤ (|r| + |alpha|·|q|)·(1 + u)²`: a
     // row's keys reach at most its largest residual bound plus its
     // largest `|alpha|` times the query's largest `|q|`, and `SPARE` covers
@@ -564,7 +555,7 @@ fn draw_codes_body(
     for (r, &s) in residuals.chunks_exact_mut(d).zip(scores.iter()) {
         let start = rng.clone();
         approx_normals(rng, RESIDUAL_SIGMA, r);
-        let (qr_lo, qr_hi, largest) = dot_bounds(query, r, weights);
+        let (qr_lo, qr_hi, largest) = dot_bounds(query, r);
         let alpha = (projection.alpha(s, qr_hi), projection.alpha(s, qr_lo));
         let alpha_max = f64::from(alpha.0.abs().max(alpha.1.abs()));
         let r_max = f64::from(normal_bounds(largest, RESIDUAL_SIGMA).1);
