@@ -501,8 +501,8 @@ fn count_rows(exact: usize, rows: usize) {
 }
 
 /// [`draw_codes_body`] compiled for AVX-512: sixteen `f32` lanes for the
-/// residual kernel and the key bounds, eight `f64` lanes for the draws
-/// and the code test.
+/// residual kernel, the bounds and the code test, eight 64-bit lanes for
+/// the draws and their reductions.
 ///
 /// # Safety
 ///
@@ -560,7 +560,8 @@ fn draw_codes_body(
         let alpha_max = f64::from(alpha.0.abs().max(alpha.1.abs()));
         let r_max = f64::from(normal_bounds(largest, RESIDUAL_SIGMA).1);
         let reach = (r_max + alpha_max * q_max) * SPARE;
-        // Not below `f32::MAX` (or NaN): some key bound may not be finite.
+        // A reach of `f32::MAX` or more, or NaN: a key bound may not be
+        // finite.
         finite &= reach < f64::from(f32::MAX);
         let alpha = Some(alpha);
         rows.push(Row {
