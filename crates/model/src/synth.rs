@@ -936,6 +936,34 @@ mod tests {
         assert_equals_the_three_calls(draw_codes_body);
     }
 
+    /// Spreads from zero to past `f32`'s range: tiny, huge and infinite
+    /// keys, all-zero scores, and bounds that are not finite, which take
+    /// the exact path.
+    #[test]
+    fn extreme_spreads_equal_the_three_calls() {
+        let (mut scratch, mut buf) = (CodeScratch::default(), QuantBuffer::new());
+        for (i, std) in [0.0, 1e-30, 1e20, 1e30, 1e38, 1e300]
+            .into_iter()
+            .enumerate()
+        {
+            for (n, dim) in [(1, 1), (9, 7), (40, 64)] {
+                let profile = SynthProfile {
+                    score_std: std,
+                    locality_strength: if std == 0.0 { 0.0 } else { 4.0 },
+                    sink_strength: if std == 0.0 { 0.0 } else { 3.0 },
+                    ..SynthProfile::realistic(n, dim)
+                };
+                for bits in [1, 12, 15] {
+                    let pc = PrecisionConfig::new(bits, bits).unwrap();
+                    let seed = (i * 100 + n) as u64;
+                    let got = codes_via(draw_codes, &profile, seed, pc, &mut scratch, &mut buf);
+                    let want = three_calls(&profile, seed, pc);
+                    assert_eq!(got, want, "std {std}, context {n}, dim {dim}, {bits} bits");
+                }
+            }
+        }
+    }
+
     /// A dispatcher that never picks the AVX-512 copy fails here on any
     /// host that has the features.
     #[cfg(target_arch = "x86_64")]
