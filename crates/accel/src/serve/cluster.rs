@@ -55,7 +55,7 @@ use super::error::ServeError;
 use super::events::{wire_schema, EventSchema, ServeEvent, WireEvent, MAX_EVENT_FIELDS};
 use super::lend::{self, Lender};
 use super::policy::PolicyKind;
-use super::queue::ServingRequest;
+use super::queue::{PrefixChains, ServingRequest};
 use super::router::{RoutingKind, RoutingPolicy, ShardView};
 use super::stats::{RequestStats, ServingReport};
 use super::{LendingStats, ServingConfig, ServingEngine};
@@ -352,10 +352,15 @@ impl ClusterEngineBuilder {
     /// Builds the cluster.
     #[must_use]
     pub fn build(self) -> ClusterEngine {
-        let shards = (0..self.shards)
+        let shards: Vec<ServingEngine> = (0..self.shards)
             .map(|_| ServingEngine::from_parts(self.cfg.clone(), self.policy.build()))
             .collect();
+        let pages = shards
+            .iter()
+            .map(|e| e.kv_pager().total_pages() + e.kv_pager().host_capacity())
+            .sum();
         ClusterEngine {
+            prefix_chains: PrefixChains::new(pages),
             shards,
             router: self.routing,
             stealing: self.stealing,
@@ -385,6 +390,9 @@ pub struct ClusterEngine {
     wall_nanos: u64,
     lending: LendingStats,
     events: Vec<ClusterEvent>,
+    /// Shared prompt prefixes' page keys, hashed once per tag; the keys
+    /// routing reads are the ones the shard queues.
+    prefix_chains: PrefixChains,
 }
 
 impl ClusterEngine {
@@ -504,14 +512,18 @@ impl ClusterEngine {
         // not advance routing state (round-robin's rotation, an affinity
         // binding) for work that never enters the cluster.
         self.shards[0].validate_request(&req)?;
-        let wants_pull = self.shipping_enabled() && self.shards[0].config().admission.prefix_cache;
-        let keys = if self.router.wants_page_keys() || wants_pull {
-            req.page_keys(self.shards[0].config().admission.page_size)
+        let admission = self.shards[0].config().admission;
+        let wants_pull = self.shipping_enabled() && admission.prefix_cache;
+        let wants_keys = self.router.wants_page_keys();
+        // Hashed once: the shard queues these keys rather than hash again.
+        let keys = if wants_keys || admission.prefix_cache {
+            self.prefix_chains.page_keys(&req, admission.page_size)
         } else {
             Vec::new()
         };
         let views = self.shard_views();
-        let shard = self.router.route(&req, &keys, &views).min(
+        let route_keys = if wants_keys { &keys[..] } else { &[] };
+        let shard = self.router.route(&req, route_keys, &views).min(
             self.shards.len() - 1, // a routing policy cannot route off the cluster
         );
         let pulled = if wants_pull {
@@ -519,18 +531,16 @@ impl ClusterEngine {
         } else {
             None
         };
-        if let Some((donor, shipped_tokens)) = pulled {
-            let id = req.id;
-            self.shards[shard].enqueue_with_shipped(req, shipped_tokens)?;
+        let shipped = pulled.map_or(0, |(_, tokens)| tokens);
+        self.shards[shard].enqueue_with_shipped(req, shipped, Some(keys))?;
+        if let Some((donor, tokens)) = pulled {
             self.events.push(ClusterEvent::Shipped {
-                id,
+                id: req.id,
                 from: donor,
                 to: shard,
                 step: self.step_index(),
-                tokens: shipped_tokens,
+                tokens,
             });
-        } else {
-            self.shards[shard].enqueue(req)?;
         }
         self.sweep_shard_events();
         Ok(shard)
@@ -830,6 +840,7 @@ impl ClusterEngine {
 #[cfg(test)]
 mod tests {
     use super::super::policy::{PreemptionConfig, RetentionPolicy};
+    use super::super::queue::tokens_hashed_by;
     use super::*;
     use crate::config::AccelMode;
 
@@ -849,6 +860,22 @@ mod tests {
 
     fn small_builder() -> ClusterEngineBuilder {
         builder_for(small_cfg())
+    }
+
+    /// A cluster request's prompt is hashed once, by the front door: the
+    /// shard queues the keys routing and pulling read.
+    #[test]
+    fn a_cluster_enqueue_hashes_its_prompt_once() {
+        let mut cfg = small_cfg();
+        cfg.admission.prefix_cache = true;
+        cfg.ship_cost_factor = 0.25;
+        let mut cluster = builder_for(cfg)
+            .shards(2)
+            .routing(RoutingKind::PrefixAffinity)
+            .build();
+        let req = ServingRequest::new(1, 100, 4);
+        let hashed = tokens_hashed_by(|| cluster.enqueue(req).expect("valid request"));
+        assert_eq!(hashed, 100 / 16 * 16);
     }
 
     #[test]

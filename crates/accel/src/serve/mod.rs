@@ -92,7 +92,7 @@ use crate::engine::ToPickAccelerator;
 use batch_state::{ActiveRequest, KeptAttention, SimulatedStep};
 use lend::{KeyScratch, Lender};
 use policy::{due_step, slo_slack, AdmissionOrder};
-use queue::PendingQueue;
+use queue::{PendingQueue, PrefixChains};
 use residency::Residency;
 
 /// Full configuration of the serving engine.
@@ -392,6 +392,8 @@ pub struct ServingEngine {
     /// next.
     scratch: KeyScratch,
     lending: LendingStats,
+    /// Shared prompt prefixes' page keys, hashed once per tag.
+    prefix_chains: PrefixChains,
     /// Cycle-level simulations run so far.
     #[cfg(test)]
     simulations: usize,
@@ -478,6 +480,7 @@ impl ServingEngine {
         let pager = KvPager::new(cfg.admission.page_size, cfg.admission.max_batch_tokens)
             .with_prefix_cache(cfg.admission.prefix_cache)
             .with_host_tier(cfg.host_pages);
+        let prefix_chains = PrefixChains::new(pager.total_pages() + pager.host_capacity());
         Self {
             cfg,
             accel,
@@ -491,6 +494,7 @@ impl ServingEngine {
             arrival_seq: 0,
             scratch: KeyScratch::default(),
             lending: LendingStats::default(),
+            prefix_chains,
             #[cfg(test)]
             simulations: 0,
             #[cfg(test)]
@@ -690,18 +694,21 @@ impl ServingEngine {
     /// Returns [`ServeError::InvalidRequest`] as
     /// [`validate_request`](Self::validate_request) would.
     pub fn enqueue(&mut self, req: ServingRequest) -> Result<(), ServeError> {
-        self.enqueue_with_shipped(req, 0)
+        self.enqueue_with_shipped(req, 0, None)
     }
 
     /// [`enqueue`](Self::enqueue) with `shipped_tokens` of the request's
     /// prompt KV already in flight from a sibling shard — the cluster's
     /// prefix-pull path marks how many tokens' pages it shipped so the
     /// first decode step charges the modeled transfer
-    /// ([`ship_cost_factor`](ServingConfig::ship_cost_factor)).
+    /// ([`ship_cost_factor`](ServingConfig::ship_cost_factor)) — and with
+    /// the prompt's page keys when the caller has already hashed them at
+    /// this engine's page size.
     pub(crate) fn enqueue_with_shipped(
         &mut self,
         req: ServingRequest,
         shipped_tokens: usize,
+        page_keys: Option<Vec<u64>>,
     ) -> Result<(), ServeError> {
         self.validate_request(&req)?;
         // A request becomes schedulable when it both has been enqueued and
@@ -710,7 +717,10 @@ impl ServingEngine {
         // The prompt-page hash chain is what admission matches against the
         // prefix index; only worth computing when the cache can use it.
         let page_keys = if self.cfg.admission.prefix_cache {
-            req.page_keys(self.cfg.admission.page_size)
+            page_keys.unwrap_or_else(|| {
+                self.prefix_chains
+                    .page_keys(&req, self.cfg.admission.page_size)
+            })
         } else {
             Vec::new()
         };

@@ -1,6 +1,6 @@
 //! Requests and the arrival queue the scheduler draws from.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use super::batch_state::ActiveRequest;
 use super::policy::PendingView;
@@ -159,14 +159,100 @@ impl ServingRequest {
         let page_size = page_size.max(1);
         let full_pages = self.prompt_len / page_size;
         let mut keys = Vec::with_capacity(full_pages);
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-        for page in 0..full_pages {
-            for i in page * page_size..(page + 1) * page_size {
-                h ^= self.token_at(i);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            keys.push(h);
+        chain_pages(self, page_size, full_pages, &mut keys);
+        keys
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Tokens the page-key chain has hashed on this thread.
+    static HASHED_TOKENS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Prompt tokens `f` hashes into page keys on this thread.
+#[cfg(test)]
+pub(crate) fn tokens_hashed_by<R>(f: impl FnOnce() -> R) -> usize {
+    let before = HASHED_TOKENS.with(std::cell::Cell::get);
+    f();
+    HASHED_TOKENS.with(std::cell::Cell::get) - before
+}
+
+/// The one FNV-1a chain loop behind every page key: extends `keys`, the
+/// keys of `req`'s first `keys.len()` prompt pages, up to `pages` pages,
+/// each key digesting every token from the prompt's start.
+fn chain_pages(req: &ServingRequest, page_size: usize, pages: usize, keys: &mut Vec<u64>) {
+    let mut h = keys.last().copied().unwrap_or(0xcbf2_9ce4_8422_2325); // FNV-1a offset basis
+    #[cfg(test)]
+    HASHED_TOKENS.with(|n| n.set(n.get() + pages.saturating_sub(keys.len()) * page_size));
+    for page in keys.len()..pages {
+        for i in page * page_size..(page + 1) * page_size {
+            h ^= req.token_at(i);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
+        keys.push(h);
+    }
+}
+
+/// Enqueue's memo of shared prompt prefixes: per prefix tag, the keys of
+/// the tag's whole prefix pages hashed so far, so requests that share a
+/// tag hash its pages once and only their own pages each. Exact because a
+/// shared page's tokens depend only on the tag and their position.
+///
+/// Bounded by its owner's pager, device plus host pages (summed over the
+/// shards for a cluster): the prefix cache can never hold a longer run,
+/// and the memo empties itself before it would hold more keys, so a
+/// dropped chain only costs hashing again.
+#[derive(Debug, Default)]
+pub(crate) struct PrefixChains {
+    /// Keys the memo may hold at once.
+    bound: usize,
+    /// The page size every stored key was hashed at.
+    page_size: usize,
+    /// Keys of each tag's leading shared pages.
+    chains: HashMap<u64, Vec<u64>>,
+    /// Keys held over all chains.
+    held: usize,
+}
+
+impl PrefixChains {
+    /// An empty memo that holds at most `bound` keys.
+    pub(crate) fn new(bound: usize) -> Self {
+        Self {
+            bound,
+            ..Self::default()
+        }
+    }
+
+    /// [`ServingRequest::page_keys`] bit for bit, hashing `req`'s shared
+    /// prefix pages only where no earlier request of its tag did.
+    pub(crate) fn page_keys(&mut self, req: &ServingRequest, page_size: usize) -> Vec<u64> {
+        let page_size = page_size.max(1);
+        // Whole pages of tokens from the tag's pool: their keys depend on
+        // the tag, the page and the page size alone.
+        let shared = req.prefix_len.min(req.prompt_len) / page_size;
+        if shared == 0 || shared > self.bound {
+            return req.page_keys(page_size);
+        }
+        let mut keys = Vec::with_capacity(req.prompt_len / page_size);
+        match self.chains.get(&req.prefix_tag) {
+            Some(chain) if page_size == self.page_size && chain.len() >= shared => {
+                keys.extend_from_slice(&chain[..shared]);
+            }
+            stored => {
+                let grow = shared.saturating_sub(stored.map_or(0, Vec::len));
+                if page_size != self.page_size || self.held + grow > self.bound {
+                    self.chains.clear();
+                    self.held = 0;
+                    self.page_size = page_size;
+                }
+                let chain = self.chains.entry(req.prefix_tag).or_default();
+                self.held += shared.saturating_sub(chain.len());
+                chain_pages(req, page_size, shared, chain);
+                keys.extend_from_slice(&chain[..shared]);
+            }
+        }
+        chain_pages(req, page_size, req.prompt_len / page_size, &mut keys);
         keys
     }
 }
@@ -430,8 +516,101 @@ mod tests {
         }
     }
 
+    /// The page-key chain as it was first written: one FNV-1a pass over
+    /// every full page's tokens.
+    fn reference_keys(req: &ServingRequest, page_size: usize) -> Vec<u64> {
+        let mut keys = Vec::new();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for page in 0..req.prompt_len / page_size {
+            for i in page * page_size..(page + 1) * page_size {
+                h ^= req.token_at(i);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+            keys.push(h);
+        }
+        keys
+    }
+
+    #[test]
+    fn a_shared_prefix_is_hashed_once_per_tag() {
+        let page = 16;
+        // 130 shared tokens: 8 whole shared pages.
+        let first = ServingRequest::new(1, 200, 1).with_shared_prefix(7, 130);
+        let second = ServingRequest::new(2, 300, 1).with_shared_prefix(7, 130);
+        let longer = ServingRequest::new(3, 300, 1).with_shared_prefix(7, 170);
+        let mut memo = PrefixChains::new(1 << 10);
+        assert_eq!(tokens_hashed_by(|| memo.page_keys(&first, page)), 12 * page);
+        // The second request of the tag hashes only its own 10 pages; a
+        // longer prefix extends the stored chain by its 2 further pages.
+        assert_eq!(
+            tokens_hashed_by(|| memo.page_keys(&second, page)),
+            10 * page
+        );
+        assert_eq!(
+            tokens_hashed_by(|| memo.page_keys(&longer, page)),
+            (2 + 8) * page
+        );
+        assert_eq!(memo.held, 10);
+        // A memo too small for the shared run hashes it every time.
+        let mut small = PrefixChains::new(7);
+        for _ in 0..2 {
+            assert_eq!(
+                tokens_hashed_by(|| small.page_keys(&first, page)),
+                12 * page
+            );
+        }
+        assert_eq!(small.held, 0);
+        // One that must empty itself for a second tag hashes the first
+        // tag's run again after that.
+        let other = ServingRequest::new(4, 200, 1).with_shared_prefix(8, 130);
+        let mut tight = PrefixChains::new(8);
+        assert_eq!(
+            tokens_hashed_by(|| tight.page_keys(&first, page)),
+            12 * page
+        );
+        assert_eq!(
+            tokens_hashed_by(|| tight.page_keys(&other, page)),
+            12 * page
+        );
+        assert_eq!(
+            tokens_hashed_by(|| tight.page_keys(&first, page)),
+            12 * page
+        );
+        assert_eq!(tight.held, 8);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Over any stream of requests — a few tags, unaligned shared
+        /// prefixes up to 400 tokens, prompts from 0 tokens (so also below
+        /// a page and below their prefix), page sizes 1–33 and a bound
+        /// from none to plenty — the memo returns each request's own page
+        /// keys, which equal the chain as first written, and never holds
+        /// more keys than its bound.
+        #[test]
+        fn prefix_chains_return_every_requests_page_keys(
+            seed in any::<u64>(),
+            sizes in prop::collection::vec(1usize..=33, 1..3),
+            bound_bits in 0u32..12,
+            prompts in prop::collection::vec(0usize..=500, 1..48),
+        ) {
+            let bound = (1usize << bound_bits) - 1 + (seed % 3) as usize;
+            let mut memo = PrefixChains::new(bound);
+            for (i, &prompt_len) in prompts.iter().enumerate() {
+                let mix = splitmix64(seed ^ (i as u64).rotate_left(32));
+                // The owner's page size is fixed; a second one mid-stream
+                // must only cost the stored chains.
+                let page_size = sizes[i * sizes.len() / prompts.len()];
+                let req = ServingRequest::new(mix, prompt_len, 1)
+                    .with_shared_prefix(mix % 3, (mix >> 8) as usize % 401);
+                let expected = reference_keys(&req, page_size);
+                prop_assert_eq!(req.page_keys(page_size), expected.clone());
+                prop_assert_eq!(memo.page_keys(&req, page_size), expected);
+                prop_assert!(memo.held <= bound);
+                prop_assert_eq!(memo.held, memo.chains.values().map(Vec::len).sum::<usize>());
+            }
+        }
 
         /// Under any mix of the engine's queue operations — fresh
         /// enqueues, preempted requests re-entering under their old
