@@ -549,6 +549,23 @@ pub(crate) fn normal_bounds(r: f32, sigma: f64) -> (f32, f32) {
     (r - e, r + e)
 }
 
+/// `|exact − r|` beyond [`BOUND_ABS`]`·|sigma|`, in units of `2⁻²⁴·|r|`,
+/// for the sample `exact` whose approximation is `r`: what [`BOUND_REL`]
+/// holds to [`BOUND_UNITS`] before [`normal_bounds`] rounds the ends.
+#[cfg(test)]
+pub(crate) fn error_units(exact: f32, r: f32, sigma: f64) -> f64 {
+    let e = (f64::from(exact) - f64::from(r)).abs() - BOUND_ABS * sigma.abs();
+    if e <= 0.0 {
+        0.0
+    } else {
+        e / (f64::from(r).abs() * f64::from(f32::EPSILON) / 2.0)
+    }
+}
+
+/// [`BOUND_REL`] in the units of [`error_units`]: 11.
+#[cfg(test)]
+pub(crate) const BOUND_UNITS: f64 = BOUND_REL as f64 / f32::EPSILON as f64 * 2.0;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,14 +687,11 @@ mod tests {
         );
     }
 
-    /// `|exact − r'|` beyond [`BOUND_ABS`], in units of `2⁻²⁴·|r'|` — what
-    /// [`BOUND_REL`] bounds — for the draws `u1`, `u2`.
+    /// [`error_units`] for the draws `u1`, `u2`.
     fn approx_error(u1: f64, u2: f64) -> f64 {
         let sigma = 0.3;
         let exact = ((libm_radius(u1) * (2.0 * PI * u2).cos()) * sigma) as f32;
-        let r = approx_normal(u1, u2, sigma as f32);
-        let e = (f64::from(exact) - f64::from(r)).abs() - BOUND_ABS * sigma;
-        e.max(0.0) / (f64::from(r).abs() * f64::from(f32::EPSILON) / 2.0)
+        error_units(exact, approx_normal(u1, u2, sigma as f32), sigma)
     }
 
     /// The approximation against the exact samples over two million draws,
@@ -688,7 +702,7 @@ mod tests {
     /// units), so the bound is not loose by half.
     #[test]
     fn approx_normal_is_within_its_bound() {
-        let bound = f64::from(BOUND_REL / f32::EPSILON * 2.0);
+        let bound = BOUND_UNITS;
         let mut rng = StdRng::seed_from_u64(37);
         let mut draws: Vec<(f64, f64)> = (0..2_000_000)
             .map(|_| (1.0 - rng.gen::<f64>(), rng.gen::<f64>()))

@@ -837,6 +837,7 @@ impl InstanceSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::{error_units, BOUND_UNITS};
 
     type DrawCodes =
         fn(&mut StdRng, &[f32], PrecisionConfig, &mut CodeScratch, &mut Vec<i16>) -> f64;
@@ -920,6 +921,62 @@ mod tests {
             assert_eq!(got.3, want.3, "key scale: {what}");
             let first = got.2.iter().zip(&want.2).position(|(a, b)| a != b);
             assert_eq!(first, None, "first differing key code: {what}");
+        }
+    }
+
+    /// Every key's interval holds its exact key: the residual bounds, the
+    /// dot's and `alpha`'s together, checked key by key against
+    /// [`Projection::exact_row`] over contexts 1–300 and 1 024, each at
+    /// one of dims 7, 64 and 128 and one profile in turn. The intervals do
+    /// not depend on the precision, so this covers every key [`draw_codes`]
+    /// settles, at paper precision or any other. The codes alone cannot
+    /// show a residual bound that is too tight: the dot bound's slack
+    /// covers it in almost every row.
+    ///
+    /// Nor can the intervals alone show a bound that is too tight by half:
+    /// `f32` ends are whole ulps apart, and a residual more than half the
+    /// bound off is still inside the rounded ends. So each exact residual
+    /// is also held to the bound before rounding, on the draws
+    /// `draw_codes` makes.
+    #[test]
+    fn every_key_lies_inside_its_bounds() {
+        let contexts = (1..=300)
+            .map(|n| (n, n))
+            .chain((0..9).map(|turn| (1024, turn)));
+        let (mut r, mut exact, mut scores) = (Vec::new(), Vec::new(), Vec::new());
+        let mut residuals = Vec::new();
+        for (n, turn) in contexts {
+            let dim = [7, 64, 128][turn % 3];
+            let profile = PROFILES[turn / 3 % 3](n, dim);
+            let seed = (n * 10 + turn) as u64;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let query = SynthKeys::draw_scores(&profile, &mut rng, &mut scores);
+            let projection = Projection::new(&query);
+            r.resize(dim, 0.0);
+            for &s in &scores {
+                // As `draw_codes`' first pass bounds the row.
+                let start = rng.clone();
+                approx_normals(&mut rng, RESIDUAL_SIGMA, &mut r);
+                let (qr_lo, qr_hi, _) = dot_bounds(&query, &r);
+                let alpha = (projection.alpha(s, qr_hi), projection.alpha(s, qr_lo));
+                projection.exact_row(&mut start.clone(), s, &mut exact);
+                residuals.clear();
+                extend_normal(&mut start.clone(), &mut residuals, dim, RESIDUAL_SIGMA);
+                let exact_rows = exact.iter().zip(&residuals);
+                for (j, ((&r, &q), (&k, &x))) in r.iter().zip(&query).zip(exact_rows).enumerate() {
+                    let (lo, hi) = key_bounds(r, q, alpha);
+                    let what = format!("context {n}, dim {dim}, seed {seed}, key {j}");
+                    assert!(
+                        !(lo.is_finite() && hi.is_finite()) || (lo <= k && k <= hi),
+                        "{what}: {k} outside [{lo}, {hi}]"
+                    );
+                    let units = error_units(x, r, RESIDUAL_SIGMA);
+                    assert!(
+                        units <= BOUND_UNITS,
+                        "{what}: residual {units:.2} units off"
+                    );
+                }
+            }
         }
     }
 
