@@ -908,3 +908,151 @@ fn main() {
         std::process::exit(1);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The commands `COMMANDS` lists, by their lines' first words.
+    fn commands() -> Vec<&'static str> {
+        COMMANDS
+            .lines()
+            .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect()
+    }
+
+    /// `cmd`'s flags as its `COMMANDS` lines spell them, read word by
+    /// word: a `--name` word that does not close its bracket is followed
+    /// by its value's placeholder, so the flag takes a value.
+    fn declared(cmd: &str) -> Vec<(String, bool)> {
+        let head = format!("  {cmd} ");
+        let mut lines = COMMANDS.lines().skip_while(|l| !l.starts_with(&head));
+        let first = lines.next().expect("a listed command");
+        std::iter::once(first)
+            .chain(lines.take_while(|l| l.starts_with("   ")))
+            .flat_map(str::split_whitespace)
+            .filter_map(|word| {
+                let name = word.trim_start_matches('[').strip_prefix("--")?;
+                let bare = name.trim_end_matches(']');
+                Some((bare.to_string(), bare.len() == name.len()))
+            })
+            .collect()
+    }
+
+    /// What `args` must parse to: each declared flag with the word after
+    /// it (the empty string when none follows), or `None` where it must be
+    /// refused — an undeclared flag, a word no flag takes (outside
+    /// `trace`), a word after a flag that takes none, a repeated flag.
+    fn expected(cmd: &str, declared: &[(String, bool)], args: &[String]) -> Option<Flags> {
+        let mut flags = Flags::new();
+        let mut i = 0;
+        while i < args.len() {
+            let Some(name) = args[i].strip_prefix("--") else {
+                if cmd != "trace" {
+                    return None;
+                }
+                i += 1;
+                continue;
+            };
+            let &(_, takes_value) = declared.iter().find(|(n, _)| n == name)?;
+            let word = args.get(i + 1).filter(|w| !w.starts_with("--"));
+            if word.is_some() && !takes_value {
+                return None;
+            }
+            i += 1 + usize::from(word.is_some());
+            if flags
+                .insert(name.to_string(), word.cloned().unwrap_or_default())
+                .is_some()
+            {
+                return None;
+            }
+        }
+        Some(flags)
+    }
+
+    #[test]
+    fn every_command_declares_its_flags() {
+        let names: Vec<(String, Vec<(String, bool)>)> = commands()
+            .into_iter()
+            .map(|c| (c.to_string(), declared(c)))
+            .collect();
+        assert_eq!(names.len(), 6);
+        let serve = &names.iter().find(|(c, _)| c == "serve").unwrap().1;
+        for (flag, takes_value) in [
+            ("batch", true),
+            ("baseline", false),
+            ("replay", true),
+            ("scenario-seed", true),
+            ("real-tokens", false),
+        ] {
+            assert!(serve.contains(&(flag.to_string(), takes_value)), "--{flag}");
+        }
+        assert!(names
+            .iter()
+            .find(|(c, _)| c == "trace")
+            .unwrap()
+            .1
+            .is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Over random argv for every command — declared and undeclared
+        /// flags, repeats, bare words, presence flags given values, empty
+        /// values — `parse_flags` either refuses or returns exactly the
+        /// declared flags with their values, never anything else.
+        #[test]
+        fn parse_flags_refuses_or_returns_exactly_the_declared_flags(
+            words in prop::collection::vec(any::<u64>(), 1..7),
+        ) {
+            let commands = commands();
+            let cmd = commands[words[0] as usize % commands.len()];
+            let declared = declared(cmd);
+            let mut args: Vec<String> = Vec::new();
+            for &w in &words[1..] {
+                let pick = (w >> 8) as usize;
+                let flag = declared
+                    .get(pick % declared.len().max(1))
+                    .map_or("--undeclared".to_string(), |(n, _)| format!("--{n}"));
+                // Well-formed arguments mostly, so that a case is often
+                // valid whole or wrong in one way only.
+                match w % 16 {
+                    // A flag with a word after it: its value, or a word
+                    // given to a flag that takes none.
+                    0..=5 => args.extend([flag, format!("v{}", pick % 100)]),
+                    // A flag alone (a value flag's value is then empty).
+                    6..=9 => args.push(flag),
+                    // An explicitly empty value.
+                    10 => args.extend([flag, String::new()]),
+                    // A flag no command declares.
+                    11 => args.push(format!("--no-such-{}", pick % 3)),
+                    // A bare word.
+                    12 => args.push(format!("word{}", pick % 10)),
+                    // A repeat of an earlier argument.
+                    13 => {
+                        if let Some(earlier) = args.get(pick % args.len().max(1)).cloned() {
+                            args.push(earlier);
+                        }
+                    }
+                    // A value that looks like a negative number.
+                    14 => args.push("-1".to_string()),
+                    // An empty flag name.
+                    _ => args.push("--".to_string()),
+                }
+            }
+            let want = expected(cmd, &declared, &args);
+            match parse_flags(cmd, &args) {
+                Ok(got) => {
+                    prop_assert_eq!(Some(got.clone()), want);
+                    for name in got.keys() {
+                        prop_assert!(declared.iter().any(|(n, _)| n == name));
+                    }
+                }
+                Err(e) => prop_assert!(want.is_none(), "{cmd} {args:?} refused: {e}"),
+            }
+        }
+    }
+}
