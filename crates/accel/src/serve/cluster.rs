@@ -360,7 +360,7 @@ impl ClusterEngineBuilder {
             .map(|e| e.kv_pager().total_pages() + e.kv_pager().host_capacity())
             .sum();
         ClusterEngine {
-            prefix_chains: PrefixChains::new(pages),
+            prefix_chains: PrefixChains::new(pages, self.cfg.admission.page_size),
             shards,
             router: self.routing,
             stealing: self.stealing,
@@ -517,7 +517,7 @@ impl ClusterEngine {
         let wants_keys = self.router.wants_page_keys();
         // Hashed once: the shard queues these keys rather than hash again.
         let keys = if wants_keys || admission.prefix_cache {
-            self.prefix_chains.page_keys(&req, admission.page_size)
+            self.prefix_chains.page_keys(&req)
         } else {
             Vec::new()
         };

@@ -480,7 +480,10 @@ impl ServingEngine {
         let pager = KvPager::new(cfg.admission.page_size, cfg.admission.max_batch_tokens)
             .with_prefix_cache(cfg.admission.prefix_cache)
             .with_host_tier(cfg.host_pages);
-        let prefix_chains = PrefixChains::new(pager.total_pages() + pager.host_capacity());
+        let prefix_chains = PrefixChains::new(
+            pager.total_pages() + pager.host_capacity(),
+            cfg.admission.page_size,
+        );
         Self {
             cfg,
             accel,
@@ -717,10 +720,7 @@ impl ServingEngine {
         // The prompt-page hash chain is what admission matches against the
         // prefix index; only worth computing when the cache can use it.
         let page_keys = if self.cfg.admission.prefix_cache {
-            page_keys.unwrap_or_else(|| {
-                self.prefix_chains
-                    .page_keys(&req, self.cfg.admission.page_size)
-            })
+            page_keys.unwrap_or_else(|| self.prefix_chains.page_keys(&req))
         } else {
             Vec::new()
         };

@@ -202,12 +202,13 @@ fn chain_pages(req: &ServingRequest, page_size: usize, pages: usize, keys: &mut 
 /// Bounded by its owner's pager, device plus host pages (summed over the
 /// shards for a cluster): the prefix cache can never hold a longer run,
 /// and the memo empties itself before it would hold more keys, so a
-/// dropped chain only costs hashing again.
-#[derive(Debug, Default)]
+/// dropped chain only costs hashing again. Its page size is its owner's,
+/// fixed at build.
+#[derive(Debug)]
 pub(crate) struct PrefixChains {
     /// Keys the memo may hold at once.
     bound: usize,
-    /// The page size every stored key was hashed at.
+    /// The page size every key is hashed at.
     page_size: usize,
     /// Keys of each tag's leading shared pages.
     chains: HashMap<u64, Vec<u64>>,
@@ -216,18 +217,22 @@ pub(crate) struct PrefixChains {
 }
 
 impl PrefixChains {
-    /// An empty memo that holds at most `bound` keys.
-    pub(crate) fn new(bound: usize) -> Self {
+    /// An empty memo that holds at most `bound` keys of `page_size`-token
+    /// pages.
+    pub(crate) fn new(bound: usize, page_size: usize) -> Self {
         Self {
             bound,
-            ..Self::default()
+            page_size: page_size.max(1),
+            chains: HashMap::new(),
+            held: 0,
         }
     }
 
-    /// [`ServingRequest::page_keys`] bit for bit, hashing `req`'s shared
-    /// prefix pages only where no earlier request of its tag did.
-    pub(crate) fn page_keys(&mut self, req: &ServingRequest, page_size: usize) -> Vec<u64> {
-        let page_size = page_size.max(1);
+    /// [`ServingRequest::page_keys`] at the memo's page size, bit for bit,
+    /// hashing `req`'s shared prefix pages only where no earlier request of
+    /// its tag did.
+    pub(crate) fn page_keys(&mut self, req: &ServingRequest) -> Vec<u64> {
+        let page_size = self.page_size;
         // Whole pages of tokens from the tag's pool: their keys depend on
         // the tag, the page and the page size alone.
         let shared = req.prefix_len.min(req.prompt_len) / page_size;
@@ -236,18 +241,17 @@ impl PrefixChains {
         }
         let mut keys = Vec::with_capacity(req.prompt_len / page_size);
         match self.chains.get(&req.prefix_tag) {
-            Some(chain) if page_size == self.page_size && chain.len() >= shared => {
+            Some(chain) if chain.len() >= shared => {
                 keys.extend_from_slice(&chain[..shared]);
             }
             stored => {
-                let grow = shared.saturating_sub(stored.map_or(0, Vec::len));
-                if page_size != self.page_size || self.held + grow > self.bound {
+                let grow = shared - stored.map_or(0, Vec::len);
+                if self.held + grow > self.bound {
                     self.chains.clear();
                     self.held = 0;
-                    self.page_size = page_size;
                 }
                 let chain = self.chains.entry(req.prefix_tag).or_default();
-                self.held += shared.saturating_sub(chain.len());
+                self.held += shared - chain.len();
                 chain_pages(req, page_size, shared, chain);
                 keys.extend_from_slice(&chain[..shared]);
             }
@@ -538,44 +542,26 @@ mod tests {
         let first = ServingRequest::new(1, 200, 1).with_shared_prefix(7, 130);
         let second = ServingRequest::new(2, 300, 1).with_shared_prefix(7, 130);
         let longer = ServingRequest::new(3, 300, 1).with_shared_prefix(7, 170);
-        let mut memo = PrefixChains::new(1 << 10);
-        assert_eq!(tokens_hashed_by(|| memo.page_keys(&first, page)), 12 * page);
+        let mut memo = PrefixChains::new(1 << 10, page);
+        assert_eq!(tokens_hashed_by(|| memo.page_keys(&first)), 12 * page);
         // The second request of the tag hashes only its own 10 pages; a
         // longer prefix extends the stored chain by its 2 further pages.
-        assert_eq!(
-            tokens_hashed_by(|| memo.page_keys(&second, page)),
-            10 * page
-        );
-        assert_eq!(
-            tokens_hashed_by(|| memo.page_keys(&longer, page)),
-            (2 + 8) * page
-        );
+        assert_eq!(tokens_hashed_by(|| memo.page_keys(&second)), 10 * page);
+        assert_eq!(tokens_hashed_by(|| memo.page_keys(&longer)), (2 + 8) * page);
         assert_eq!(memo.held, 10);
         // A memo too small for the shared run hashes it every time.
-        let mut small = PrefixChains::new(7);
+        let mut small = PrefixChains::new(7, page);
         for _ in 0..2 {
-            assert_eq!(
-                tokens_hashed_by(|| small.page_keys(&first, page)),
-                12 * page
-            );
+            assert_eq!(tokens_hashed_by(|| small.page_keys(&first)), 12 * page);
         }
         assert_eq!(small.held, 0);
         // One that must empty itself for a second tag hashes the first
         // tag's run again after that.
         let other = ServingRequest::new(4, 200, 1).with_shared_prefix(8, 130);
-        let mut tight = PrefixChains::new(8);
-        assert_eq!(
-            tokens_hashed_by(|| tight.page_keys(&first, page)),
-            12 * page
-        );
-        assert_eq!(
-            tokens_hashed_by(|| tight.page_keys(&other, page)),
-            12 * page
-        );
-        assert_eq!(
-            tokens_hashed_by(|| tight.page_keys(&first, page)),
-            12 * page
-        );
+        let mut tight = PrefixChains::new(8, page);
+        assert_eq!(tokens_hashed_by(|| tight.page_keys(&first)), 12 * page);
+        assert_eq!(tokens_hashed_by(|| tight.page_keys(&other)), 12 * page);
+        assert_eq!(tokens_hashed_by(|| tight.page_keys(&first)), 12 * page);
         assert_eq!(tight.held, 8);
     }
 
@@ -584,29 +570,26 @@ mod tests {
 
         /// Over any stream of requests — a few tags, unaligned shared
         /// prefixes up to 400 tokens, prompts from 0 tokens (so also below
-        /// a page and below their prefix), page sizes 1–33 and a bound
+        /// a page and below their prefix), a page size of 1–33 and a bound
         /// from none to plenty — the memo returns each request's own page
         /// keys, which equal the chain as first written, and never holds
         /// more keys than its bound.
         #[test]
         fn prefix_chains_return_every_requests_page_keys(
             seed in any::<u64>(),
-            sizes in prop::collection::vec(1usize..=33, 1..3),
+            page_size in 1usize..=33,
             bound_bits in 0u32..12,
             prompts in prop::collection::vec(0usize..=500, 1..48),
         ) {
             let bound = (1usize << bound_bits) - 1 + (seed % 3) as usize;
-            let mut memo = PrefixChains::new(bound);
+            let mut memo = PrefixChains::new(bound, page_size);
             for (i, &prompt_len) in prompts.iter().enumerate() {
                 let mix = splitmix64(seed ^ (i as u64).rotate_left(32));
-                // The owner's page size is fixed; a second one mid-stream
-                // must only cost the stored chains.
-                let page_size = sizes[i * sizes.len() / prompts.len()];
                 let req = ServingRequest::new(mix, prompt_len, 1)
                     .with_shared_prefix(mix % 3, (mix >> 8) as usize % 401);
                 let expected = reference_keys(&req, page_size);
                 prop_assert_eq!(req.page_keys(page_size), expected.clone());
-                prop_assert_eq!(memo.page_keys(&req, page_size), expected);
+                prop_assert_eq!(memo.page_keys(&req), expected);
                 prop_assert!(memo.held <= bound);
                 prop_assert_eq!(memo.held, memo.chains.values().map(Vec::len).sum::<usize>());
             }
