@@ -1,12 +1,11 @@
 //! Symbolizes the sampler's profiles into per-layer, per-thread shares.
 //!
 //! ```text
-//! report [--match TEXT] [--top N] PATH...
+//! report PATH...
 //! ```
 //!
-//! Each `PATH` is a `prof-<pid>.txt` file or a directory of them;
-//! `--match` keeps the processes whose command line contains `TEXT` (the
-//! benchmark's measured children are `--child topick`). Every sampled
+//! Each `PATH` is a `prof-<pid>.txt` file or a directory of them; only the
+//! benchmark's measured children (see [`MEASURED_CHILD`]) count. Every sampled
 //! address is mapped to its object's file address by the `PT_LOAD` segment
 //! that holds its file offset — by the segment's `p_vaddr`, which in the
 //! benchmark binary is `p_offset + 0x1000`, so mapping by file offset
@@ -377,39 +376,15 @@ struct Tally {
     phases: BTreeMap<&'static str, (usize, Counts, Counts)>,
 }
 
-struct Args {
-    matching: Option<String>,
-    top: usize,
-    paths: Vec<String>,
-}
+/// The command line that marks a process as one of the benchmark's
+/// measured children; its parent and its baseline and traced children
+/// are not profiled.
+const MEASURED_CHILD: &str = "--child topick";
 
-const USAGE: &str = "usage: report [--match TEXT] [--top N] PATH...";
+/// Functions listed per thread, phase and kind of share.
+const TOP: usize = 12;
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        matching: None,
-        top: 12,
-        paths: Vec::new(),
-    };
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--match" => args.matching = Some(it.next().ok_or("--match needs a value")?.clone()),
-            "--top" => {
-                let v = it.next().ok_or("--top needs a value")?;
-                args.top = v
-                    .parse()
-                    .map_err(|_| format!("--top: cannot parse '{v}'"))?;
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}\n{USAGE}")),
-            path => args.paths.push(path.to_string()),
-        }
-    }
-    if args.paths.is_empty() {
-        return Err(USAGE.into());
-    }
-    Ok(args)
-}
+const USAGE: &str = "usage: report PATH...";
 
 fn read_profiles(paths: &[String]) -> Result<Vec<Profile>, String> {
     let mut files = Vec::new();
@@ -512,14 +487,16 @@ fn share(n: usize, of: usize) -> f64 {
     n as f64 / of.max(1) as f64
 }
 
-fn run(argv: &[String]) -> Result<String, String> {
-    let args = parse_args(argv)?;
-    let profiles: Vec<Profile> = read_profiles(&args.paths)?
+fn run(paths: &[String]) -> Result<String, String> {
+    if paths.is_empty() || paths.iter().any(|p| p.starts_with('-')) {
+        return Err(USAGE.into());
+    }
+    let profiles: Vec<Profile> = read_profiles(paths)?
         .into_iter()
-        .filter(|p| args.matching.as_ref().is_none_or(|m| p.cmdline.contains(m)))
+        .filter(|p| p.cmdline.contains(MEASURED_CHILD))
         .collect();
     if profiles.is_empty() {
-        return Err("no profile matched".into());
+        return Err(format!("no profile of a '{MEASURED_CHILD}' process"));
     }
     let stacks = symbolize(&profiles)?;
     // Where `timed_setup`'s body is, in every source file that has it.
@@ -602,7 +579,7 @@ fn run(argv: &[String]) -> Result<String, String> {
                 );
                 let mut rows: Vec<(&String, &usize)> = counts.iter().collect();
                 rows.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
-                for (func, n) in rows.into_iter().take(args.top) {
+                for (func, n) in rows.into_iter().take(TOP) {
                     out += &format!("#   {:6.2} %  {func}\n", 100.0 * share(*n, t.samples));
                 }
             }
@@ -863,8 +840,7 @@ mod tests {
         assert!(parse_profile("s 7\n").is_err());
         assert!(parse_profile("map 1 2\n").is_err());
         assert!(parse_profile("what\n").is_err());
-        assert!(parse_args(&["--top".into()]).is_err());
-        assert!(parse_args(&[]).is_err());
-        assert!(parse_args(&["--bogus".into(), "x".into()]).is_err());
+        assert_eq!(run(&[]), Err(USAGE.to_string()));
+        assert_eq!(run(&["--top".into(), "x".into()]), Err(USAGE.to_string()));
     }
 }
