@@ -1,6 +1,7 @@
-//! End-to-end tests of the `topick` binary: `serve` stdout against
-//! checked-in goldens, `--record` → `--replay` byte-identity, and the
-//! error paths that must exit 1 instead of running something else.
+//! End-to-end tests of the `topick` binary: `serve`, `prune`, `sweep` and
+//! `accel` stdout against checked-in goldens, `--record` → `--replay`
+//! byte-identity, and the error paths that must exit 1 instead of running
+//! something else.
 
 use std::process::{Command, Output};
 
@@ -90,9 +91,32 @@ fn serve_output_matches_the_goldens() {
         ),
     ];
     for (name, args) in cases {
-        let path = format!("{}/tests/data/cli/{name}.txt", env!("CARGO_MANIFEST_DIR"));
-        let golden = std::fs::read_to_string(&path).expect("golden exists");
-        assert_eq!(stdout_of(args), golden, "topick {args:?} vs {path}");
+        assert_golden(name, args);
+    }
+}
+
+/// The stdout of `topick args` equals `tests/data/cli/{name}.txt`.
+fn assert_golden(name: &str, args: &[&str]) {
+    let path = format!("{}/tests/data/cli/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(&path).expect("golden exists");
+    assert_eq!(stdout_of(args), golden, "topick {args:?} vs {path}");
+}
+
+/// The commands that price one synthetic attention step, from the key
+/// codes of an instance: at the default head width and at OPT-2.7B's 80.
+#[test]
+fn cost_only_output_matches_the_goldens() {
+    let cases: [(&str, &[&str]); 4] = [
+        ("prune", &["prune"]),
+        (
+            "prune_dim80_context300",
+            &["prune", "--dim", "80", "--context", "300"],
+        ),
+        ("sweep", &["sweep"]),
+        ("accel", &["accel"]),
+    ];
+    for (name, args) in cases {
+        assert_golden(name, args);
     }
 }
 
