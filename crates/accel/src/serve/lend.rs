@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use topick_core::{QuantBuffer, Rows};
-use topick_model::{AttendBatch, CodeScratch, KvView, SynthKeys, SynthProfile};
+use topick_model::{AttendBatch, CodeScratch, KvView, SynthProfile};
 
 use super::batch_state::{ActiveRequest, SimulatedStep};
 use super::helper::HelperSlot;
@@ -60,7 +60,7 @@ use crate::engine::ToPickAccelerator;
 //   5.2–6.6 at dim 64 from 256 tokens up (the quantizer's AVX-512 copy;
 //   9–15 at 16–64). With one handoff of margin, `n · 5.85 ns ≥ (1 + 1) ·
 //   25…55 µs` gives 8 500–18 800: 256 tokens × 64 stays. Drawing key
-//   codes (`SynthKeys::generate_codes`) cut synthesis and quantization to
+//   codes (`SynthProfile::generate_codes`) cut synthesis and quantization to
 //   about 6 ns an element on the same host: `n · 5 ns` gives 10 000–22 000,
 //   and the floor still stays. Floors of 4 096,
 //   8 192 and 16 384 shared the same steps of `prefix-chat`, `queue-drain`
@@ -378,8 +378,7 @@ pub(super) fn simulate_attention(
         .wrapping_add(req_id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .wrapping_add((context as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
     let profile = SynthProfile::realistic(context, dim);
-    let (q, keys) =
-        SynthKeys::generate_codes(&profile, seed, pc, &mut scratch.draw, &mut scratch.codes);
+    let (q, keys) = profile.generate_codes(seed, pc, &mut scratch.draw, &mut scratch.codes);
     let result = accel.attention_cost(&q, &keys);
     scratch.codes.reclaim(keys);
     let cost = result?;

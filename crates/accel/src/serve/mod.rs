@@ -82,6 +82,7 @@ pub use stats::{RequestStats, ServingReport, SessionStats, StepReport};
 pub use token_backed::{run_token_backed, TokenBackedBatch, TokenBackedRun};
 pub use trace::{Trace, TraceError, TraceMeta, TraceRecorder};
 
+use std::ops::RangeInclusive;
 use std::sync::Mutex;
 
 use topick_core::PruneStats;
@@ -168,6 +169,11 @@ impl ServingConfig {
     /// back from host costs a quarter of prefilling it, the ballpark of
     /// PCIe transfer vs recompute in production swap tiers.
     pub const DEFAULT_SWAP_COST_FACTOR: f64 = 0.25;
+
+    /// The range every price factor (`prefill_factor`, `swap_cost_factor`,
+    /// `ship_cost_factor`) is held to where one is read in: the CLI's
+    /// flags and a trace's meta line refuse a factor outside it, or NaN.
+    pub const FACTOR_RANGE: RangeInclusive<f64> = 0.0..=10.0;
 
     /// A configuration around an accelerator config with paper-flavoured
     /// defaults: 50 MB of weights, 16 heads, 500 MHz core clock.

@@ -15,10 +15,7 @@ fn aggregate_with(cfg: PrunerConfig, ctx: usize, dim: usize, instances: usize) -
     let sampler = InstanceSampler::realistic(ctx, dim);
     let mut agg = PruneStats::new(0, cfg.precision().num_chunks());
     for i in 0..instances {
-        let inst = sampler.sample_keys(0xAB1 + i as u64);
-        let q = QVector::quantize(&inst.query, cfg.precision());
-        let keys =
-            QMatrix::quantize_flat(inst.keys().data(), dim, cfg.precision()).expect("non-empty");
+        let (q, keys) = sampler.sample_codes(0xAB1 + i as u64, cfg.precision());
         agg.merge(&pruner.run(&q, &keys).expect("valid").stats);
     }
     agg
@@ -92,10 +89,7 @@ pub fn run_ooo(fast: bool) {
         "context", "OoO cycles", "blocking", "gain"
     );
     for &ctx in contexts {
-        let sampler = InstanceSampler::realistic(ctx, 64);
-        let inst = sampler.sample_keys(0x000);
-        let q = QVector::quantize(&inst.query, pc);
-        let keys = QMatrix::quantize_flat(inst.keys().data(), 64, pc).expect("non-empty");
+        let (q, keys) = InstanceSampler::realistic(ctx, 64).sample_codes(0x000, pc);
         let run = |mode: AccelMode| {
             ToPickAccelerator::new(AccelConfig::paper(mode, 1e-3).expect("thr"))
                 .attention_cost(&q, &keys)
@@ -120,9 +114,7 @@ pub fn run_scoreboard(fast: bool) {
     header("Ablation — scoreboard depth (entries per lane)");
     let ctx = if fast { 256 } else { 1024 };
     let pc = PrecisionConfig::paper();
-    let inst = InstanceSampler::realistic(ctx, 64).sample_keys(0x5B);
-    let q = QVector::quantize(&inst.query, pc);
-    let keys = QMatrix::quantize_flat(inst.keys().data(), 64, pc).expect("non-empty");
+    let (q, keys) = InstanceSampler::realistic(ctx, 64).sample_codes(0x5B, pc);
     println!("{:<10} {:>10}", "entries", "cycles");
     for entries in [1usize, 2, 4, 8, 16, 32] {
         let mut cfg = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("thr");
@@ -186,9 +178,7 @@ mod tests {
     #[test]
     fn scoreboard_depth_monotone() {
         let pc = PrecisionConfig::paper();
-        let inst = InstanceSampler::realistic(192, 64).sample_keys(1);
-        let q = QVector::quantize(&inst.query, pc);
-        let keys = QMatrix::quantize_flat(inst.keys().data(), 64, pc).unwrap();
+        let (q, keys) = InstanceSampler::realistic(192, 64).sample_codes(1, pc);
         let run = |entries| {
             let mut cfg = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).unwrap();
             cfg.scoreboard_entries = entries;

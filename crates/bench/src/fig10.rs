@@ -3,7 +3,7 @@
 //! eight-model zoo, from the cycle-level simulator.
 
 use topick_accel::{AccelConfig, AccelMode, ToPickAccelerator};
-use topick_core::{PrecisionConfig, QMatrix, QVector};
+use topick_core::PrecisionConfig;
 use topick_energy::EnergyBreakdown;
 use topick_model::{InstanceSampler, ModelSpec};
 
@@ -58,9 +58,7 @@ fn aggregate(
     let mut cycles = 0u64;
     let mut energy = EnergyBreakdown::default();
     for i in 0..instances {
-        let inst = sampler.sample_keys(seed_base + i as u64);
-        let q = QVector::quantize(&inst.query, pc);
-        let keys = QMatrix::quantize_flat(inst.keys().data(), dim, pc).expect("non-empty");
+        let (q, keys) = sampler.sample_codes(seed_base + i as u64, pc);
         let r = accel.attention_cost(&q, &keys).expect("run");
         cycles += r.cycles;
         energy += r.energy;

@@ -2,7 +2,7 @@
 //! for Baseline / ToPick / ToPick-0.3 across the eight-model zoo, plus the
 //! §5.2.1 aggregate reduction factors.
 
-use topick_core::{PrecisionConfig, ProgressivePruner, PruneStats, PrunerConfig, QMatrix, QVector};
+use topick_core::{PrecisionConfig, ProgressivePruner, PruneStats, PrunerConfig};
 use topick_model::{
     evaluate_perplexity, AttentionBackend, ExactAttention, InstanceSampler, ModelSpec,
     TokenPickerAttention, TransformerModel,
@@ -57,9 +57,7 @@ fn aggregate_stats(
     let sampler = InstanceSampler::realistic(ctx, dim);
     let mut agg = PruneStats::new(0, pc.num_chunks());
     for i in 0..instances {
-        let inst = sampler.sample(seed_base + i as u64);
-        let q = QVector::quantize(&inst.query, pc);
-        let keys = QMatrix::quantize_flat(inst.keys().data(), inst.dim(), pc).expect("non-empty");
+        let (q, keys) = sampler.sample_codes(seed_base + i as u64, pc);
         let outcome = pruner.run(&q, &keys).expect("valid run");
         agg.merge(&outcome.stats);
     }

@@ -1,7 +1,7 @@
 //! Fig. 9 — normalized memory access of ToPick-0.5 vs SpAtten (and the
 //! fine-tuned SpAtten*) on GPT2-Medium across prompt/end length settings.
 
-use topick_core::{PrecisionConfig, ProgressivePruner, PruneStats, PrunerConfig, QMatrix, QVector};
+use topick_core::{PrecisionConfig, ProgressivePruner, PruneStats, PrunerConfig};
 use topick_model::{InstanceSampler, ModelSpec, SynthProfile};
 use topick_spatten::{simulate_generation, SpattenConfig};
 
@@ -30,9 +30,7 @@ fn topick_normalized(thr: f64, prompt: usize, end: usize, dim: usize, step_strid
     while prompt + step < end {
         let ctx = prompt + step;
         let sampler = InstanceSampler::realistic(ctx, dim);
-        let inst = sampler.sample(0x919 + step as u64);
-        let q = QVector::quantize(&inst.query, pc);
-        let keys = QMatrix::quantize_flat(inst.keys().data(), inst.dim(), pc).expect("non-empty");
+        let (q, keys) = sampler.sample_codes(0x919 + step as u64, pc);
         agg.merge(&pruner.run(&q, &keys).expect("valid").stats);
         step += step_stride;
     }

@@ -94,5 +94,5 @@ pub use quant::{QMatrix, QVector, QuantBuffer, Quantizer};
 pub use rows::Rows;
 pub use softmax::{exact_probabilities, score_scale, softmax, weighted_value_sum};
 pub use stats::PruneStats;
-pub use trace::{summarize, trace_pruning, DecisionEvent, TraceSummary};
+pub use trace::{trace_pruning, DecisionEvent};
 pub use vprune::{truncated_weighted_sum, ValuePlan};

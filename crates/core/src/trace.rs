@@ -74,34 +74,6 @@ pub fn trace_pruning(
     Ok(events)
 }
 
-/// Summary statistics over a decision trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TraceSummary {
-    /// Total evaluations.
-    pub evaluations: usize,
-    /// Tokens pruned.
-    pub pruned: usize,
-    /// Tokens kept.
-    pub kept: usize,
-}
-
-/// Summarizes a trace.
-#[must_use]
-pub fn summarize(events: &[DecisionEvent]) -> TraceSummary {
-    let mut s = TraceSummary {
-        evaluations: events.len(),
-        ..Default::default()
-    };
-    for e in events {
-        match e.decision {
-            Decision::Pruned => s.pruned += 1,
-            Decision::Kept => s.kept += 1,
-            Decision::RequestNextChunk => {}
-        }
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,12 +100,12 @@ mod tests {
         let (q, keys) = workload(48);
         let cfg = PrunerConfig::new(1e-3).unwrap();
         let events = trace_pruning(&cfg, &q, &keys).unwrap();
-        let summary = summarize(&events);
         let outcome = ProgressivePruner::new(cfg).run(&q, &keys).unwrap();
-        assert_eq!(summary.kept, outcome.stats.kept);
-        assert_eq!(summary.pruned, outcome.stats.pruned());
+        let count = |d: Decision| events.iter().filter(|e| e.decision == d).count();
+        assert_eq!(count(Decision::Kept), outcome.stats.kept);
+        assert_eq!(count(Decision::Pruned), outcome.stats.pruned());
         assert_eq!(
-            summary.evaluations as u64,
+            events.len() as u64,
             outcome.stats.chunk_fetches.iter().sum::<u64>()
         );
         // The kept tokens themselves must agree.

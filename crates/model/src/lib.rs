@@ -71,4 +71,4 @@ pub use perplexity::{
     teacher_corpus_with_temperature, PerplexityReport,
 };
 pub use specs::ModelSpec;
-pub use synth::{CodeScratch, InstanceSampler, SynthInstance, SynthKeys, SynthProfile};
+pub use synth::{CodeScratch, InstanceSampler, SynthInstance, SynthProfile};

@@ -97,6 +97,63 @@ impl SynthProfile {
             .collect()
     }
 
+    /// The quantized query and keys of the instance
+    /// [`SynthInstance::generate`] builds from this profile and `seed` —
+    /// bit for bit `QVector::quantize` of its query and
+    /// `QMatrix::quantize_flat` of its keys — with the keys' codes drawn
+    /// into `codes`' allocation (take it back with
+    /// [`QuantBuffer::reclaim`]) and no float key kept.
+    ///
+    /// Draws each key only as an interval that provably holds it, takes
+    /// the interval's code where both ends get the same one (the
+    /// quantizer is monotone), and recomputes a row exactly where one does
+    /// not: a few rows in a hundred at paper precision.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile has a zero context length or dimension.
+    #[must_use]
+    pub fn generate_codes(
+        &self,
+        seed: u64,
+        precision: PrecisionConfig,
+        scratch: &mut CodeScratch,
+        codes: &mut QuantBuffer,
+    ) -> (QVector, QMatrix) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let query = self.draw_scores(&mut rng, &mut scratch.scores);
+        let mut buf = codes.take();
+        let scale = draw_codes(&mut rng, &query, precision, scratch, &mut buf);
+        let keys = QMatrix::from_codes(buf, self.dim, scale, precision)
+            .expect("a positive number of rows of a positive width");
+        (QVector::quantize(&query, precision), keys)
+    }
+
+    /// The query, then the target scores into `scores`: every draw before
+    /// the key residuals.
+    fn draw_scores(&self, rng: &mut StdRng, scores: &mut Vec<f64>) -> Vec<f32> {
+        assert!(self.context_len > 0, "context_len must be positive");
+        assert!(self.dim > 0, "dim must be positive");
+        let query = normal_vec(rng, self.dim, 1.0);
+        scores.clear();
+        scores.extend((0..self.context_len).map(|i| {
+            let z = standard_normal(rng);
+            self.deterministic_boost(i) + self.score_std * z
+        }));
+        query
+    }
+
+    /// The query, the target scores and the `n × dim` key rows realizing
+    /// them, in the order the seed's stream draws them, leaving `rng`
+    /// where the value draw starts.
+    fn draw_keys(&self, rng: &mut StdRng) -> (Vec<f32>, Vec<f64>, Vec<f32>) {
+        let mut scores = Vec::new();
+        let query = self.draw_scores(rng, &mut scores);
+        let mut keys = Vec::with_capacity(scores.len() * query.len());
+        fill_rows(rng, &query, &scores, &mut keys);
+        (query, scores, keys)
+    }
+
     /// Target score for token `i` of `n` before the Gaussian term.
     #[must_use]
     fn deterministic_boost(&self, i: usize) -> f64 {
@@ -109,22 +166,6 @@ impl SynthProfile {
         }
         s
     }
-}
-
-/// The half of a synthetic instance that decides what an attention step
-/// *costs*: the query, the target scores and the keys realizing them —
-/// everything [`SynthInstance::generate`] draws before the value matrix,
-/// bit for bit (values come last in the seed's stream and feed only the
-/// output vector).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SynthKeys {
-    /// The query vector (head dimension).
-    pub query: Vec<f32>,
-    /// Key rows, `n × dim` row-major.
-    keys: Vec<f32>,
-    dim: usize,
-    /// The scores the construction targeted (after `1/sqrt(d)` scaling).
-    pub target_scores: Vec<f64>,
 }
 
 /// The spread of a key's random residual: small, so the projection
@@ -186,86 +227,7 @@ impl<'q> Projection<'q> {
     }
 }
 
-impl SynthKeys {
-    /// Generates the query, target scores and keys of the instance
-    /// [`SynthInstance::generate`] builds from the same profile and seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile has a zero context length or dimension.
-    #[must_use]
-    pub fn generate(profile: &SynthProfile, seed: u64) -> Self {
-        Self::draw(profile, &mut StdRng::seed_from_u64(seed))
-    }
-
-    /// The key construction, leaving `rng` where the value draw starts.
-    fn draw(profile: &SynthProfile, rng: &mut StdRng) -> Self {
-        let mut target_scores = Vec::new();
-        let query = Self::draw_scores(profile, rng, &mut target_scores);
-        let mut keys = Vec::with_capacity(target_scores.len() * query.len());
-        fill_rows(rng, &query, &target_scores, &mut keys);
-        Self {
-            query,
-            keys,
-            dim: profile.dim,
-            target_scores,
-        }
-    }
-
-    /// The query, then the target scores into `scores`: every draw before
-    /// the key residuals.
-    fn draw_scores(profile: &SynthProfile, rng: &mut StdRng, scores: &mut Vec<f64>) -> Vec<f32> {
-        assert!(profile.context_len > 0, "context_len must be positive");
-        assert!(profile.dim > 0, "dim must be positive");
-        let query = normal_vec(rng, profile.dim, 1.0);
-        scores.clear();
-        scores.extend((0..profile.context_len).map(|i| {
-            let z = standard_normal(rng);
-            profile.deterministic_boost(i) + profile.score_std * z
-        }));
-        query
-    }
-
-    /// The quantized query and keys of the instance
-    /// [`generate`](Self::generate) builds — bit for bit
-    /// `(QVector::quantize(&k.query, precision), codes.quantize(k.keys().data(),
-    /// dim, precision))` of `k = SynthKeys::generate(profile, seed)` — with
-    /// the keys' codes drawn into `codes`' allocation (take it back with
-    /// [`QuantBuffer::reclaim`]) and no float key kept.
-    ///
-    /// Draws each key only as an interval that provably holds it, takes
-    /// the interval's code where both ends get the same one (the
-    /// quantizer is monotone), and recomputes a row exactly where one does
-    /// not: a few rows in a hundred at paper precision.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile has a zero context length or dimension.
-    #[must_use]
-    pub fn generate_codes(
-        profile: &SynthProfile,
-        seed: u64,
-        precision: PrecisionConfig,
-        scratch: &mut CodeScratch,
-        codes: &mut QuantBuffer,
-    ) -> (QVector, QMatrix) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let query = Self::draw_scores(profile, &mut rng, &mut scratch.scores);
-        let mut buf = codes.take();
-        let scale = draw_codes(&mut rng, &query, precision, scratch, &mut buf);
-        let keys = QMatrix::from_codes(buf, profile.dim, scale, precision)
-            .expect("a positive number of rows of a positive width");
-        (QVector::quantize(&query, precision), keys)
-    }
-
-    /// Key rows as a zero-copy row-major view.
-    #[must_use]
-    pub fn keys(&self) -> Rows<'_> {
-        Rows::new(&self.keys, self.dim)
-    }
-}
-
-/// The buffers [`SynthKeys::generate_codes`] works in, kept from one
+/// The buffers [`SynthProfile::generate_codes`] works in, kept from one
 /// instance to the next by a caller that generates many, so that only an
 /// instance larger than every earlier one allocates.
 #[derive(Debug, Default)]
@@ -674,8 +636,9 @@ pub struct SynthInstance {
 }
 
 impl SynthInstance {
-    /// Generates one instance from a profile and seed: [`SynthKeys`] plus
-    /// the value matrix, drawn from the same stream.
+    /// Generates one instance from a profile and seed: the query, the
+    /// target scores and the keys, then the value matrix, all from the
+    /// seed's one stream.
     ///
     /// # Panics
     ///
@@ -683,18 +646,13 @@ impl SynthInstance {
     #[must_use]
     pub fn generate(profile: &SynthProfile, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let SynthKeys {
-            query,
-            keys,
-            dim,
-            target_scores,
-        } = SynthKeys::draw(profile, &mut rng);
+        let (query, target_scores, keys) = profile.draw_keys(&mut rng);
         let values = normal_vec(&mut rng, keys.len(), 1.0);
         Self {
             query,
             keys,
             values,
-            dim,
+            dim: profile.dim,
             target_scores,
         }
     }
@@ -788,9 +746,9 @@ impl SynthInstance {
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstanceSampler {
     /// Base profile; `score_std` is re-drawn per instance.
-    pub base: SynthProfile,
+    base: SynthProfile,
     /// Range of per-instance score standard deviations.
-    pub std_range: (f64, f64),
+    std_range: (f64, f64),
 }
 
 impl InstanceSampler {
@@ -826,11 +784,14 @@ impl InstanceSampler {
         SynthInstance::generate(&self.profile(seed), seed)
     }
 
-    /// Draws the query, target scores and keys of instance `seed` — what
-    /// [`sample`](Self::sample) returns, without the value matrix.
+    /// The quantized query and keys of instance `seed`: what
+    /// [`sample`](Self::sample) returns, quantized, without the value
+    /// matrix ([`SynthProfile::generate_codes`]).
     #[must_use]
-    pub fn sample_keys(&self, seed: u64) -> SynthKeys {
-        SynthKeys::generate(&self.profile(seed), seed)
+    pub fn sample_codes(&self, seed: u64, precision: PrecisionConfig) -> (QVector, QMatrix) {
+        let (mut scratch, mut codes) = (CodeScratch::default(), QuantBuffer::new());
+        self.profile(seed)
+            .generate_codes(seed, precision, &mut scratch, &mut codes)
     }
 }
 
@@ -857,17 +818,17 @@ mod tests {
         )
     }
 
-    /// The three calls serving made before [`SynthKeys::generate_codes`].
+    /// The three calls serving made before
+    /// [`SynthProfile::generate_codes`]: the float keys of
+    /// [`SynthInstance::generate`], then the quantizer.
     fn three_calls(profile: &SynthProfile, seed: u64, pc: PrecisionConfig) -> Quantized {
-        let k = SynthKeys::generate(profile, seed);
-        let q = QVector::quantize(&k.query, pc);
-        let keys = QuantBuffer::new()
-            .quantize(k.keys().data(), profile.dim, pc)
-            .unwrap();
+        let (query, _, keys) = profile.draw_keys(&mut StdRng::seed_from_u64(seed));
+        let q = QVector::quantize(&query, pc);
+        let keys = QuantBuffer::new().quantize(&keys, profile.dim, pc).unwrap();
         parts(&q, &keys)
     }
 
-    /// [`SynthKeys::generate_codes`] with `draw` in place of the
+    /// [`SynthProfile::generate_codes`] with `draw` in place of the
     /// dispatcher, on a scratch and code buffer kept across calls.
     fn codes_via(
         draw: DrawCodes,
@@ -878,7 +839,7 @@ mod tests {
         buf: &mut QuantBuffer,
     ) -> Quantized {
         let mut rng = StdRng::seed_from_u64(seed);
-        let query = SynthKeys::draw_scores(profile, &mut rng, &mut scratch.scores);
+        let query = profile.draw_scores(&mut rng, &mut scratch.scores);
         let mut codes = buf.take();
         let scale = draw(&mut rng, &query, pc, scratch, &mut codes);
         let keys = QMatrix::from_codes(codes, profile.dim, scale, pc).unwrap();
@@ -950,7 +911,7 @@ mod tests {
             let profile = PROFILES[turn / 3 % 3](n, dim);
             let seed = (n * 10 + turn) as u64;
             let mut rng = StdRng::seed_from_u64(seed);
-            let query = SynthKeys::draw_scores(&profile, &mut rng, &mut scores);
+            let query = profile.draw_scores(&mut rng, &mut scores);
             let projection = Projection::new(&query);
             r.resize(dim, 0.0);
             for &s in &scores {
@@ -1033,8 +994,7 @@ mod tests {
             && is_x86_feature_detected!("avx512vl");
         let before = WIDE_CALLS.with(std::cell::Cell::get);
         let profile = SynthProfile::realistic(8, 64);
-        let _ = SynthKeys::generate_codes(
-            &profile,
+        let _ = profile.generate_codes(
             3,
             PrecisionConfig::paper(),
             &mut CodeScratch::default(),

@@ -7,7 +7,7 @@ use topick_core::{PrecisionConfig, QMatrix, QVector, QuantBuffer};
 use topick_model::rng::standard_normal;
 use topick_model::{
     nll_from_logits, CodeScratch, ExactAttention, HeadCache, KvCache, ModelSpec, PagedKvStore,
-    SynthInstance, SynthKeys, SynthProfile, TransformerModel,
+    SynthInstance, SynthProfile, TransformerModel,
 };
 
 const PROFILES: [fn(usize, usize) -> SynthProfile; 3] = [
@@ -42,11 +42,10 @@ proptest! {
         }
     }
 
-    /// The keys-only generator is `generate` minus the value draw: query,
-    /// key data and target scores agree bit for bit, and the values start
-    /// where the keys end in the seed's stream.
+    /// The values come last in the seed's stream: they start where the
+    /// query, the target scores and the keys end.
     #[test]
-    fn synth_keys_equal_the_full_instance_bit_for_bit(
+    fn values_start_where_the_keys_end(
         seed in any::<u64>(),
         n in 1usize..=300,
         dim_idx in 0usize..4,
@@ -55,14 +54,7 @@ proptest! {
         let dim = [1, 8, 64, 128][dim_idx];
         let profile = PROFILES[profile_idx](n, dim);
         let full = SynthInstance::generate(&profile, seed);
-        let keys = SynthKeys::generate(&profile, seed);
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&keys.query), bits(&full.query));
-        prop_assert_eq!(bits(keys.keys().data()), bits(full.keys().data()));
-        prop_assert_eq!(keys.keys().dim(), dim);
-        let score_bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(score_bits(&keys.target_scores), score_bits(&full.target_scores));
-
         // One normal per query element, per score and per key element come
         // before the first value. Replayed with the scalar formula, not
         // `normal_vec`, which is the path under test.
@@ -77,41 +69,41 @@ proptest! {
     }
 
     /// Key codes drawn straight from an instance's draws,
-    /// `SynthKeys::generate_codes`, into a scratch and a code buffer that a
-    /// different instance used last, are the three calls they replace bit
-    /// for bit — `SynthKeys::generate`'s float keys, then
-    /// `QVector::quantize` and `QMatrix::quantize_flat` — at any context
-    /// (1–600, 1 024, 4 096), width and precision; and, keys to codes end
-    /// to end, those equal the scalar formula the quantizer was first
-    /// written as (`round` and `clamp` per element under a NaN-aware `f64`
-    /// max).
+    /// `SynthProfile::generate_codes`, into a scratch and a code buffer
+    /// that a different instance used last, are the three calls they
+    /// replace bit for bit — `SynthInstance::generate`'s query and float
+    /// keys, then `QVector::quantize` and `QMatrix::quantize_flat` — at any
+    /// context (1–600, 1 024, 4 096), width (1, 7, 64, OPT-2.7B's 80, 128)
+    /// and precision; and, keys to codes end to end, those equal the scalar
+    /// formula the quantizer was first written as (`round` and `clamp` per
+    /// element under a NaN-aware `f64` max).
     #[test]
     fn codes_drawn_into_recycled_buffers_equal_the_three_calls(
         seed in any::<u64>(),
         n in 1usize..=602,
-        dim_idx in 0usize..4,
+        dim_idx in 0usize..5,
         profile_idx in 0usize..3,
         bits in 1u32..=15,
         spare_seed in any::<u64>(),
         spare_n in 1usize..=300,
-        spare_dim_idx in 0usize..4,
+        spare_dim_idx in 0usize..5,
     ) {
         let n = match n {
             601 => 1024,
             602 => 4096,
             n => n,
         };
-        let dims = [1, 7, 64, 128];
+        let dims = [1, 7, 64, 80, 128];
         let dim = dims[dim_idx];
         let pc = PrecisionConfig::new(bits, bits).expect("1 to 15 bits");
         let profile = PROFILES[profile_idx](n, dim);
         let (mut scratch, mut buf) = (CodeScratch::default(), QuantBuffer::new());
         let spare = PROFILES[profile_idx](spare_n, dims[spare_dim_idx]);
-        let (_, used) = SynthKeys::generate_codes(&spare, spare_seed, pc, &mut scratch, &mut buf);
+        let (_, used) = spare.generate_codes(spare_seed, pc, &mut scratch, &mut buf);
         buf.reclaim(used);
-        let (q, keys) = SynthKeys::generate_codes(&profile, seed, pc, &mut scratch, &mut buf);
+        let (q, keys) = profile.generate_codes(seed, pc, &mut scratch, &mut buf);
 
-        let fresh = SynthKeys::generate(&profile, seed);
+        let fresh = SynthInstance::generate(&profile, seed);
         let want_q = QVector::quantize(&fresh.query, pc);
         prop_assert_eq!(q.codes(), want_q.codes());
         prop_assert_eq!(q.scale().to_bits(), want_q.scale().to_bits());

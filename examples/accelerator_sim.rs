@@ -7,16 +7,14 @@
 //! ```
 
 use token_picker::accel::{AccelConfig, AccelMode, ToPickAccelerator};
-use token_picker::core::{PrecisionConfig, QMatrix, QVector};
+use token_picker::core::PrecisionConfig;
 use token_picker::model::InstanceSampler;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let context = 1024;
     let dim = 64;
-    let pc = PrecisionConfig::paper();
-    let instance = InstanceSampler::realistic(context, dim).sample_keys(3);
-    let query = QVector::quantize(&instance.query, pc);
-    let keys = QMatrix::quantize_flat(instance.keys().data(), dim, pc)?;
+    let (query, keys) =
+        InstanceSampler::realistic(context, dim).sample_codes(3, PrecisionConfig::paper());
 
     println!(
         "{:<14} {:>8} {:>8} {:>10} {:>12} {:>12}",

@@ -12,7 +12,7 @@ use token_picker::accel::{
     AccelConfig, AccelMode, ClusterEngine, PolicyKind, RetentionPolicy, RoutingKind, ServeEvent,
     ServingEngine,
 };
-use token_picker::core::{PrecisionConfig, ProgressivePruner, PrunerConfig, QMatrix, QVector};
+use token_picker::core::{PrecisionConfig, ProgressivePruner, PrunerConfig};
 use token_picker::model::{InstanceSampler, ModelSpec, TrafficBreakdown};
 
 /// Serves the canonical skewed workload (four long "elephants" from one
@@ -69,9 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sampler = InstanceSampler::realistic(context, dim);
     let mut agg = token_picker::core::PruneStats::new(0, pc.num_chunks());
     for i in 0..8 {
-        let inst = sampler.sample(i);
-        let q = QVector::quantize(&inst.query, pc);
-        let keys = QMatrix::quantize_flat(inst.keys().data(), inst.dim(), pc)?;
+        let (q, keys) = sampler.sample_codes(i, pc);
         agg.merge(&pruner.run(&q, &keys)?.stats);
     }
     let kv_reduction = agg.total_reduction(dim, &pc);

@@ -12,20 +12,16 @@ use token_picker::model::InstanceSampler;
 
 /// Two generation steps of two heads at context 512: the query and keys
 /// of every (step, head) pair.
-fn instances() -> Result<Vec<(QVector, QMatrix)>, Box<dyn std::error::Error>> {
+fn instances() -> Vec<(QVector, QMatrix)> {
     let pc = PrecisionConfig::paper();
     let mut out = Vec::new();
     for step in 0..2usize {
         for head in 0..2u64 {
-            let inst = InstanceSampler::realistic(512 + step, 64)
-                .sample_keys(11 + step as u64 * 101 + head);
-            out.push((
-                QVector::quantize(&inst.query, pc),
-                QMatrix::quantize_flat(inst.keys().data(), 64, pc)?,
-            ));
+            let sampler = InstanceSampler::realistic(512 + step, 64);
+            out.push(sampler.sample_codes(11 + step as u64 * 101 + head, pc));
         }
     }
-    Ok(out)
+    out
 }
 
 fn run_with(
@@ -43,7 +39,7 @@ fn run_with(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let instances = instances()?;
+    let instances = instances();
     println!("knob sweeps (attention cycles of a 2-step, 2-head run at context 512)\n");
 
     println!("PE lanes:");

@@ -136,12 +136,7 @@ fn count_flag(flags: &Flags, name: &str, default: usize) -> Result<usize, FlagEr
 }
 
 fn workload(ctx: usize, dim: usize, seed: u64) -> (QVector, QMatrix) {
-    let pc = PrecisionConfig::paper();
-    let inst = InstanceSampler::realistic(ctx, dim).sample_keys(seed);
-    (
-        QVector::quantize(&inst.query, pc),
-        QMatrix::quantize_flat(inst.keys().data(), dim, pc).expect("non-empty"),
-    )
+    InstanceSampler::realistic(ctx, dim).sample_codes(seed, PrecisionConfig::paper())
 }
 
 fn cmd_prune(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
@@ -549,7 +544,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     if shards <= 1 && flags.contains_key("ship-cost") {
         return Err("--ship-cost only takes effect with --shards > 1".into());
     }
-    let factor_range = 0.0..=10.0;
+    let factor_range = ServingConfig::FACTOR_RANGE;
     if !factor_range.contains(&cfg.swap_cost_factor)
         || !factor_range.contains(&cfg.ship_cost_factor)
     {

@@ -210,6 +210,38 @@ fn a_trace_with_a_huge_kv_budget_replays_without_aborting() {
 }
 
 #[test]
+fn a_trace_with_a_price_factor_out_of_range_is_refused_naming_it() {
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/agentic_affinity_cluster.trace"
+    ))
+    .expect("golden trace");
+    let dir = std::env::temp_dir().join(format!("topick-cli-factors-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("edited.trace");
+    let path = path.to_str().expect("utf-8 path");
+    for field in ["prefill_factor", "swap_cost_factor", "ship_cost_factor"] {
+        for value in ["inf", "1e300", "NaN", "-1", "10.5"] {
+            // The writer leaves the last two out at their defaults, so they
+            // go in beside the first.
+            let fields = match field {
+                "prefill_factor" => format!("\"{field}\":{value},"),
+                _ => format!("\"prefill_factor\":1,\"{field}\":{value},"),
+            };
+            let edited = golden.replacen("\"prefill_factor\":1,", &fields, 1);
+            assert_ne!(edited, golden, "the meta line names prefill_factor");
+            std::fs::write(path, edited).expect("edited trace");
+            let err = error_of(&["serve", "--replay", path]);
+            assert!(
+                err.contains(&format!("field '{field}' must be within [0, 10]")),
+                "{field} {value}: {err}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+}
+
+#[test]
 fn serve_errors_exit_one_and_name_the_problem() {
     let trace = "tests/data/agentic_affinity_cluster.trace";
     assert!(error_of(&["serve", "--replay", trace, "--batch", "3"])
