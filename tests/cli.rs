@@ -1,7 +1,7 @@
-//! End-to-end tests of the `topick` binary: `serve`, `prune`, `sweep` and
-//! `accel` stdout against checked-in goldens, `--record` → `--replay`
-//! byte-identity, and the error paths that must exit 1 instead of running
-//! something else.
+//! End-to-end tests of the `topick` binary: `serve`, `prune`, `sweep`,
+//! `accel` and `traffic` stdout against checked-in goldens, `--record` →
+//! `--replay` byte-identity, and the error paths that must exit 1 instead
+//! of running something else.
 
 use std::process::{Command, Output};
 
@@ -118,6 +118,14 @@ fn cost_only_output_matches_the_goldens() {
     for (name, args) in cases {
         assert_golden(name, args);
     }
+}
+
+/// The outputs that price nothing per run: OPT-6.7B's DRAM traffic
+/// breakdown and the serving scenario catalogue.
+#[test]
+fn traffic_and_the_scenario_list_match_the_goldens() {
+    assert_golden("traffic", &["traffic"]);
+    assert_golden("list_scenarios", &["serve", "--list-scenarios"]);
 }
 
 #[test]
