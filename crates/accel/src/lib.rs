@@ -30,7 +30,7 @@
 //!     .run_attention(&query, &keys, Rows::new(&values, 64))?;
 //! let topick = ToPickAccelerator::new(AccelConfig::paper(AccelMode::OutOfOrder, 1e-3)?)
 //!     .run_attention(&query, &keys, Rows::new(&values, 64))?;
-//! println!("speedup: {:.2}x", topick.speedup_vs(&baseline));
+//! println!("speedup: {:.2}x", baseline.cycles as f64 / topick.cycles as f64);
 //! # Ok::<(), topick_core::CoreError>(())
 //! ```
 
@@ -54,10 +54,9 @@ pub use prompt::{run_prompt_phase, PromptPhaseResult};
 pub use result::{AttentionCost, AttentionStepResult};
 pub use serve::{
     run_token_backed, AdmissionConfig, ClusterEngine, ClusterEngineBuilder, ClusterEvent,
-    ClusterReport, ClusterStepReport, FairRoundRobin, Fifo, KvPager, LendingStats, PendingView,
-    PolicyKind, PreemptionConfig, PriorityAging, RequestStats, RetentionPolicy, RoutingKind,
-    RoutingPolicy, RunningView, Scenario, ScenarioKind, SchedulerPolicy, ServeError, ServeEvent,
-    ServingConfig, ServingEngine, ServingEngineBuilder, ServingReport, ServingRequest,
-    SessionStats, ShardView, ShortestJobFirst, SloAware, StepReport, TokenBackedBatch,
-    TokenBackedRun, Trace, TraceError, TraceMeta, TraceRecorder,
+    ClusterReport, ClusterStepReport, KvPager, LendingStats, PendingView, PolicyKind,
+    PreemptionConfig, RequestStats, RetentionPolicy, RoutingKind, RunningView, Scenario,
+    ScenarioKind, SchedulerPolicy, ServeError, ServeEvent, ServingConfig, ServingEngine,
+    ServingEngineBuilder, ServingReport, ServingRequest, SessionStats, StepReport,
+    TokenBackedBatch, TokenBackedRun, Trace, TraceError, TraceMeta, TraceRecorder,
 };

@@ -49,26 +49,3 @@ pub struct AttentionCost {
     /// Energy breakdown (DRAM / buffer / compute).
     pub energy: EnergyBreakdown,
 }
-
-impl AttentionStepResult {
-    /// Speedup of this run relative to `baseline` (baseline cycles divided
-    /// by this run's cycles).
-    #[must_use]
-    pub fn speedup_vs(&self, baseline: &AttentionStepResult) -> f64 {
-        if self.cycles == 0 {
-            return f64::INFINITY;
-        }
-        baseline.cycles as f64 / self.cycles as f64
-    }
-
-    /// Energy-efficiency gain relative to `baseline` (baseline energy
-    /// divided by this run's energy).
-    #[must_use]
-    pub fn energy_gain_vs(&self, baseline: &AttentionStepResult) -> f64 {
-        let own = self.energy.total_pj();
-        if own <= 0.0 {
-            return f64::INFINITY;
-        }
-        baseline.energy.total_pj() / own
-    }
-}

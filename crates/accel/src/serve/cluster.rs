@@ -7,14 +7,13 @@
 //! decisions on top:
 //!
 //! 1. **Routing**: every [`enqueue`](ClusterEngine::enqueue) asks the
-//!    configured [`RoutingPolicy`] which shard the request lands on.
-//!    [`RoundRobin`](super::router::RoundRobin) spreads blindly,
-//!    [`LeastLoaded`](super::router::LeastLoaded) follows the backlog, and
-//!    [`PrefixAffinity`](super::router::PrefixAffinity) keys on the
-//!    request's prompt-page hashes so requests sharing a prompt prefix
-//!    land on the shard whose prefix cache already holds those pages —
-//!    per-shard caches are independent, and affinity routing is what
-//!    recovers the sharing a random split would destroy.
+//!    configured router ([`RoutingKind`]) which shard the request lands
+//!    on. Round-robin spreads blindly, least-loaded follows the backlog,
+//!    and prefix affinity keys on the request's prompt-page hashes so
+//!    requests sharing a prompt prefix land on the shard whose prefix
+//!    cache already holds those pages — per-shard caches are independent,
+//!    and affinity routing is what recovers the sharing a random split
+//!    would destroy.
 //! 2. **Work stealing** (optional): before each cluster step, queued
 //!    requests that have *never run* migrate from the most-loaded shard to
 //!    idle shards, with deterministic tie-breaking. With cross-shard page
@@ -27,11 +26,11 @@
 //!    ([`ClusterEvent::Shipped`]). With shipping unpriced (the default),
 //!    running requests never move and the schedule is unchanged.
 //!
-//! Shipping also serves routing: when [`PrefixAffinity`](super::router::PrefixAffinity)
-//! (or any router) lands a request on a shard whose cache misses its
-//! prompt prefix, the front door pulls the shared full-prefix pages from
-//! the sibling shard holding the longest resident run, at the same modeled
-//! transfer cost — see [`enqueue`](ClusterEngine::enqueue).
+//! Shipping also serves routing: when prefix affinity (or any router)
+//! lands a request on a shard whose cache misses its prompt prefix, the
+//! front door pulls the shared full-prefix pages from the sibling shard
+//! holding the longest resident run, at the same modeled transfer cost —
+//! see [`enqueue`](ClusterEngine::enqueue).
 //!
 //! Shards step in **lockstep**: one cluster step steps every shard once
 //! (idle shards record a zero-cycle tick so their clocks stay aligned),
@@ -276,7 +275,7 @@ pub struct ClusterEngineBuilder {
     cfg: ServingConfig,
     policy: PolicyKind,
     shards: usize,
-    routing: Box<dyn RoutingPolicy>,
+    routing: RoutingKind,
     stealing: bool,
 }
 
@@ -291,7 +290,7 @@ impl ClusterEngineBuilder {
             cfg: ServingConfig::new(accel),
             policy: PolicyKind::Fifo,
             shards: 1,
-            routing: RoutingKind::RoundRobin.build(),
+            routing: RoutingKind::RoundRobin,
             stealing: false,
         }
     }
@@ -322,14 +321,7 @@ impl ClusterEngineBuilder {
     /// Selects a built-in routing policy.
     #[must_use]
     pub fn routing(mut self, kind: RoutingKind) -> Self {
-        self.routing = kind.build();
-        self
-    }
-
-    /// Installs a custom routing policy.
-    #[must_use]
-    pub fn routing_boxed(mut self, routing: Box<dyn RoutingPolicy>) -> Self {
-        self.routing = routing;
+        self.routing = kind;
         self
     }
 
@@ -362,7 +354,7 @@ impl ClusterEngineBuilder {
         ClusterEngine {
             prefix_chains: PrefixChains::new(pages, self.cfg.admission.page_size),
             shards,
-            router: self.routing,
+            router: self.routing.build(),
             stealing: self.stealing,
             steals: 0,
             ships: 0,
@@ -375,7 +367,7 @@ impl ClusterEngineBuilder {
 }
 
 /// N independent serving engines behind one admission front door, with
-/// pluggable request routing and optional work stealing between shards.
+/// request routing and optional work stealing between shards.
 ///
 /// See the [module docs](self) for the model; see
 /// [`ClusterEngineBuilder`] for construction.
@@ -944,11 +936,8 @@ mod tests {
                 0
             }
         }
-        let mut cluster = small_builder()
-            .shards(2)
-            .routing_boxed(Box::new(AlwaysZero))
-            .stealing(true)
-            .build();
+        let mut cluster = small_builder().shards(2).stealing(true).build();
+        cluster.router = Box::new(AlwaysZero);
         for id in 0..6 {
             assert_eq!(cluster.enqueue(ServingRequest::new(id, 32, 2)).unwrap(), 0);
         }
@@ -1243,11 +1232,8 @@ mod tests {
         let cluster = || {
             let mut cfg = small_cfg();
             cfg.ship_cost_factor = 0.25;
-            let mut cluster = builder_for(cfg)
-                .shards(2)
-                .routing_boxed(Box::new(ByIdRange))
-                .stealing(true)
-                .build();
+            let mut cluster = builder_for(cfg).shards(2).stealing(true).build();
+            cluster.router = Box::new(ByIdRange);
             for (id, prompt, tokens) in [(0, 280, 20), (1, 300, 20), (2, 290, 3)] {
                 cluster
                     .enqueue(ServingRequest::new(id, prompt, tokens))
@@ -1355,11 +1341,8 @@ mod tests {
         let run = |ship: f64| {
             let mut cfg = small_cfg();
             cfg.ship_cost_factor = ship;
-            let mut cluster = builder_for(cfg)
-                .shards(2)
-                .routing_boxed(Box::new(ByIdRange))
-                .stealing(true)
-                .build();
+            let mut cluster = builder_for(cfg).shards(2).stealing(true).build();
+            cluster.router = Box::new(ByIdRange);
             cluster.enqueue(ServingRequest::new(0, 64, 20)).unwrap();
             cluster.enqueue(ServingRequest::new(1, 64, 20)).unwrap();
             cluster.enqueue(ServingRequest::new(2, 64, 2)).unwrap();

@@ -22,6 +22,11 @@ pub enum ServeError {
         /// Requests still unfinished when it was hit.
         unfinished: usize,
     },
+    /// A configured value makes a step's cycle count overflow `u64`.
+    CycleOverflow {
+        /// The [`ServingConfig`](super::ServingConfig) field at fault.
+        field: &'static str,
+    },
     /// An attention simulation failed.
     Core(CoreError),
 }
@@ -42,6 +47,9 @@ impl fmt::Display for ServeError {
                 f,
                 "workload incomplete after {max_steps} steps ({unfinished} requests left)"
             ),
+            Self::CycleOverflow { field } => {
+                write!(f, "'{field}' is too large: a step's cycles overflow u64")
+            }
             Self::Core(e) => write!(f, "attention simulation failed: {e}"),
         }
     }

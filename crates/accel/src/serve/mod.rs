@@ -72,11 +72,10 @@ pub use events::ServeEvent;
 pub use kv_pager::KvPager;
 pub use lend::LendingStats;
 pub use policy::{
-    FairRoundRobin, Fifo, PendingView, PolicyKind, PreemptionConfig, PriorityAging,
-    RetentionPolicy, RunningView, SchedulerPolicy, ShortestJobFirst, SloAware,
+    PendingView, PolicyKind, PreemptionConfig, RetentionPolicy, RunningView, SchedulerPolicy,
 };
 pub use queue::ServingRequest;
-pub use router::{LeastLoaded, PrefixAffinity, RoundRobin, RoutingKind, RoutingPolicy, ShardView};
+pub use router::RoutingKind;
 pub use scenario::{Scenario, ScenarioKind};
 pub use stats::{RequestStats, ServingReport, SessionStats, StepReport};
 pub use token_backed::{run_token_backed, TokenBackedBatch, TokenBackedRun};
@@ -219,7 +218,7 @@ impl ServingConfig {
 #[derive(Debug)]
 pub struct ServingEngineBuilder {
     cfg: ServingConfig,
-    policy: Box<dyn SchedulerPolicy>,
+    policy: PolicyKind,
 }
 
 impl ServingEngineBuilder {
@@ -229,7 +228,7 @@ impl ServingEngineBuilder {
     pub fn new(accel: AccelConfig) -> Self {
         Self {
             cfg: ServingConfig::new(accel),
-            policy: Box::new(Fifo),
+            policy: PolicyKind::Fifo,
         }
     }
 
@@ -323,14 +322,7 @@ impl ServingEngineBuilder {
     /// Selects a built-in scheduling policy.
     #[must_use]
     pub fn policy(mut self, kind: PolicyKind) -> Self {
-        self.policy = kind.build();
-        self
-    }
-
-    /// Installs a custom scheduling policy.
-    #[must_use]
-    pub fn policy_boxed(mut self, policy: Box<dyn SchedulerPolicy>) -> Self {
-        self.policy = policy;
+        self.policy = kind;
         self
     }
 
@@ -354,7 +346,7 @@ impl ServingEngineBuilder {
     /// Builds the engine.
     #[must_use]
     pub fn build(self) -> ServingEngine {
-        ServingEngine::from_parts(self.cfg, self.policy)
+        ServingEngine::from_parts(self.cfg, self.policy.build())
     }
 }
 
@@ -458,7 +450,7 @@ impl ServingEngine {
     /// behavior, bit-for-bit).
     #[must_use]
     pub fn new(cfg: ServingConfig) -> Self {
-        Self::from_parts(cfg, Box::new(Fifo))
+        Self::from_parts(cfg, PolicyKind::Fifo.build())
     }
 
     /// Starts a [`ServingEngineBuilder`] around an accelerator config.
@@ -1227,7 +1219,7 @@ impl ServingEngine {
             return Ok(());
         }
         let attention = self.slot_attention(slot)?;
-        let request_cycles = attention.head_cycles * self.cfg.heads as u64;
+        let request_cycles = self.request_cycles(attention.head_cycles)?;
         let r = &mut self.running[slot];
         r.kept_attention.keep(attention);
         let (owed, remaining) = r.kv.advance_prefill(allowance);
@@ -1253,6 +1245,14 @@ impl ServingEngine {
         Ok(())
     }
 
+    /// A request's attention cycles for one step: one head's, times the
+    /// heads.
+    fn request_cycles(&self, head_cycles: u64) -> Result<u64, ServeError> {
+        head_cycles
+            .checked_mul(self.cfg.heads as u64)
+            .ok_or(ServeError::CycleOverflow { field: "heads" })
+    }
+
     /// One step of a slot that decodes: measures its attention, settles
     /// whatever prefill / rebuild / copy-back / transfer debt it carried
     /// into the step, scores the token against the request's SLO and emits
@@ -1261,7 +1261,7 @@ impl ServingEngine {
         let step = report.index;
         let (id, ctx) = (self.running[slot].req.id, self.running[slot].context());
         let attention = self.slot_attention(slot)?;
-        let request_cycles = attention.head_cycles * self.cfg.heads as u64;
+        let request_cycles = self.request_cycles(attention.head_cycles)?;
         self.report.prune.merge(&attention.prune);
         let (r, host) = (&mut self.running[slot], self.pager.host_mut());
         let settled =
@@ -1399,6 +1399,25 @@ mod tests {
         engine.step().unwrap().unwrap();
         assert!(engine.running() <= 2);
         assert_eq!(engine.running() + engine.pending(), 5);
+    }
+
+    #[test]
+    fn heads_that_overflow_a_steps_cycles_are_a_typed_error() {
+        // Unchunked, the first step decodes; chunked, it prefills a chunk.
+        for chunk_pages in [0, 1] {
+            let mut cfg = small_cfg(AccelMode::OutOfOrder);
+            cfg.prefill_chunk_pages = chunk_pages;
+            let mut engine = ServingEngine::builder(cfg.accel.clone())
+                .config(cfg)
+                .heads(usize::MAX)
+                .build();
+            engine.enqueue(ServingRequest::new(0, 64, 2)).unwrap();
+            assert_eq!(
+                engine.step(),
+                Err(ServeError::CycleOverflow { field: "heads" }),
+                "chunk pages {chunk_pages}"
+            );
+        }
     }
 
     #[test]
@@ -1568,12 +1587,12 @@ mod tests {
     /// event stream.
     fn serve(
         cfg: &ServingConfig,
-        policy: Box<dyn SchedulerPolicy>,
+        policy: PolicyKind,
         requests: &[ServingRequest],
     ) -> (ServingReport, Vec<ServeEvent>) {
         let mut engine = ServingEngine::builder(cfg.accel.clone())
             .config(cfg.clone())
-            .policy_boxed(policy)
+            .policy(policy)
             .build();
         for &r in requests {
             engine.enqueue(r).unwrap();
@@ -1594,7 +1613,7 @@ mod tests {
                 ServingRequest::new(1, 16, 1).with_ttft_deadline(huge),
                 ServingRequest::new(2, 16, 1),
             ];
-            let (_, events) = serve(&cfg, PolicyKind::SloAware.build(), &requests);
+            let (_, events) = serve(&cfg, PolicyKind::SloAware, &requests);
             let admitted: Vec<u64> = events
                 .iter()
                 .filter_map(|e| match e {

@@ -1,5 +1,5 @@
-//! The pluggable scheduling surface: policies choose *which* request to
-//! admit or evict; the engine enforces the admission invariants.
+//! The scheduling surface: policies choose *which* request to admit or
+//! evict; the engine enforces the admission invariants.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -128,41 +128,28 @@ pub(super) fn slo_slack(due: Option<i64>, step: u64) -> i64 {
 ///
 /// # Example
 ///
-/// A custom policy is any `Debug + Send` type implementing this trait;
-/// install it with
-/// [`ServingEngineBuilder::policy_boxed`](super::ServingEngineBuilder::policy_boxed).
-/// Longest-job-first, in full:
+/// The built-in policies are built from [`PolicyKind`]. Shortest job first
+/// admits the queued request with the fewest tokens left to generate:
 ///
 /// ```
-/// use topick_accel::{
-///     AccelConfig, AccelMode, PendingView, SchedulerPolicy, ServingEngine, ServingRequest,
+/// use topick_accel::{PendingView, PolicyKind};
+///
+/// let queued = |id: u64, remaining_tokens: usize| PendingView {
+///     id,
+///     priority: 0,
+///     client_id: 0,
+///     arrival_seq: id,
+///     waited_steps: 0,
+///     remaining_tokens,
+///     final_context: 64,
+///     enqueued_at: 0,
+///     last_token_at: None,
+///     ttft_deadline: None,
+///     itl_deadline: None,
 /// };
-///
-/// #[derive(Debug)]
-/// struct LongestJobFirst;
-///
-/// impl SchedulerPolicy for LongestJobFirst {
-///     fn name(&self) -> &'static str {
-///         "longest-job-first"
-///     }
-///
-///     fn rank(&self, view: &PendingView, _step: u64) -> i64 {
-///         -(view.remaining_tokens as i64)
-///     }
-/// }
-///
-/// let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3)?;
-/// let mut engine = ServingEngine::builder(accel)
-///     .heads(2)
-///     .max_batch(1)
-///     .policy_boxed(Box::new(LongestJobFirst))
-///     .build();
-/// engine.enqueue(ServingRequest::new(0, 16, 1))?;
-/// engine.enqueue(ServingRequest::new(1, 16, 4))?;
-/// let report = engine.run_to_completion(16)?;
-/// // The longer request 1 ran (and finished) first.
-/// assert_eq!(report.requests[0].id, 1);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// let mut sjf = PolicyKind::ShortestJobFirst.build();
+/// assert_eq!(sjf.name(), "shortest-job-first");
+/// assert_eq!(sjf.pick_next(&[queued(0, 8), queued(1, 2)], &[], 0), Some(1));
 /// ```
 pub trait SchedulerPolicy: fmt::Debug + Send {
     /// Stable, human-readable policy name (used in reports and benches).
@@ -297,7 +284,7 @@ impl AdmissionOrder {
 /// First-in-first-out with head-of-line blocking — bit-for-bit the
 /// pre-redesign engine's schedule. Never preempts.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Fifo;
+pub(crate) struct Fifo;
 
 impl SchedulerPolicy for Fifo {
     fn name(&self) -> &'static str {
@@ -314,7 +301,7 @@ impl SchedulerPolicy for Fifo {
 /// AGING_STEPS`, so low-priority work cannot starve forever. Preempts
 /// strictly lower-priority running requests when allowed.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PriorityAging;
+pub(crate) struct PriorityAging;
 
 /// Queue steps that add one effective priority level under
 /// [`PriorityAging`]. A scheduling choice of this engine, not a paper
@@ -353,7 +340,7 @@ impl SchedulerPolicy for PriorityAging {
 /// becomes shortest-remaining-processing-time: a long-running request may
 /// be evicted for a strictly shorter newcomer.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ShortestJobFirst;
+pub(crate) struct ShortestJobFirst;
 
 impl SchedulerPolicy for ShortestJobFirst {
     fn name(&self) -> &'static str {
@@ -383,7 +370,7 @@ impl SchedulerPolicy for ShortestJobFirst {
 /// when it strictly improves fairness (the victim's client holds at least
 /// two more slots than the candidate's).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FairRoundRobin;
+pub(crate) struct FairRoundRobin;
 
 impl SchedulerPolicy for FairRoundRobin {
     fn name(&self) -> &'static str {
@@ -432,7 +419,7 @@ impl SchedulerPolicy for FairRoundRobin {
 /// with no deadlines anywhere never preempts, and two equally late
 /// requests never thrash by evicting each other.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SloAware;
+pub(crate) struct SloAware;
 
 impl SchedulerPolicy for SloAware {
     fn name(&self) -> &'static str {
@@ -475,15 +462,18 @@ impl SchedulerPolicy for SloAware {
 /// The built-in policies, nameable from CLI flags and bench configs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// [`Fifo`].
+    /// First-in-first-out with head-of-line blocking; never preempts.
     Fifo,
-    /// [`PriorityAging`].
+    /// Highest priority first, raised by waiting; preempts strictly lower
+    /// priorities.
     PriorityAging,
-    /// [`ShortestJobFirst`].
+    /// Fewest remaining tokens first; preempts for a strictly shorter job.
     ShortestJobFirst,
-    /// [`FairRoundRobin`].
+    /// The client holding the fewest batch slots first; preempts only to
+    /// even out slots.
     FairRoundRobin,
-    /// [`SloAware`].
+    /// Least slack to the next deadline first; preempts the request with
+    /// strictly the most slack.
     SloAware,
 }
 

@@ -1,4 +1,4 @@
-//! Request routing across the shards of a [`ClusterEngine`]: the pluggable
+//! Request routing across the shards of a [`ClusterEngine`]: the
 //! front-door brain that decides *which* engine a request lands on, the
 //! same way [`SchedulerPolicy`](super::SchedulerPolicy) decides *when* it
 //! runs once there.
@@ -13,32 +13,32 @@ use super::queue::ServingRequest;
 
 /// Snapshot of one shard's load, handed to routing policies per request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardView {
+pub(crate) struct ShardView {
     /// The shard's index in the cluster (stable for the cluster's life).
-    pub shard_id: usize,
+    pub(crate) shard_id: usize,
     /// Requests waiting in the shard's arrival queue.
-    pub pending: usize,
+    pub(crate) pending: usize,
     /// Requests currently decoding on the shard.
-    pub running: usize,
+    pub(crate) running: usize,
     /// Final-context tokens of everything queued on the shard — the KV
     /// work admission has not placed yet.
-    pub queued_tokens: usize,
+    pub(crate) queued_tokens: usize,
     /// Tokens' worth of KV pages mapped by the shard's *running*
     /// requests. Retained pages of queued preemption victims are
     /// excluded — those owners already count toward
     /// [`queued_tokens`](Self::queued_tokens) at full final context, and
     /// billing their pages too would penalize exactly the shards where
     /// retention paid off.
-    pub occupied_tokens: usize,
+    pub(crate) occupied_tokens: usize,
     /// Batch slots the shard still has free.
-    pub free_slots: usize,
+    pub(crate) free_slots: usize,
 }
 
 impl ShardView {
     /// The load metric the built-in policies compare shards by: queued
     /// tokens (backlog) plus occupied KV tokens (work already placed).
     #[must_use]
-    pub fn load(&self) -> usize {
+    pub(crate) fn load(&self) -> usize {
         self.queued_tokens + self.occupied_tokens
     }
 }
@@ -57,7 +57,7 @@ impl ShardView {
 /// itself always runs on the thread that calls
 /// [`enqueue`](super::ClusterEngine::enqueue) — the router never crosses a
 /// thread boundary mid-decision.
-pub trait RoutingPolicy: fmt::Debug + Send {
+pub(crate) trait RoutingPolicy: fmt::Debug + Send {
     /// Stable, human-readable policy name (used in reports and benches).
     fn name(&self) -> &'static str;
 
@@ -80,7 +80,7 @@ pub trait RoutingPolicy: fmt::Debug + Send {
 /// entirely — the baseline every smarter policy is measured against, and
 /// (with one shard) the identity routing the cluster goldens pin.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobin {
+pub(crate) struct RoundRobin {
     next: usize,
 }
 
@@ -100,7 +100,7 @@ impl RoutingPolicy for RoundRobin {
 /// [`ShardView::load`] (queued tokens + occupied KV tokens), breaking ties
 /// by the lowest shard id so placement is deterministic.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LeastLoaded;
+pub(crate) struct LeastLoaded;
 
 impl LeastLoaded {
     /// The least-loaded shard, lowest id first among equals — shared with
@@ -137,7 +137,7 @@ impl RoutingPolicy for LeastLoaded {
 /// later request with that prefix follows. Requests with no full prompt
 /// page fall back to least-loaded.
 #[derive(Debug, Clone, Default)]
-pub struct PrefixAffinity {
+pub(crate) struct PrefixAffinity {
     /// First-page hash → the shard its prefix is bound to.
     bindings: BTreeMap<u64, usize>,
 }
@@ -166,11 +166,12 @@ impl RoutingPolicy for PrefixAffinity {
 /// configs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingKind {
-    /// [`RoundRobin`].
+    /// Strict rotation over the shards, blind to load.
     RoundRobin,
-    /// [`LeastLoaded`].
+    /// The shard with the least queued plus occupied KV tokens.
     LeastLoaded,
-    /// [`PrefixAffinity`].
+    /// Requests sharing a first prompt page land on one shard, so its
+    /// prefix cache sees every repeat; the rest go least-loaded.
     PrefixAffinity,
 }
 
@@ -181,7 +182,7 @@ impl RoutingKind {
         [Self::RoundRobin, Self::LeastLoaded, Self::PrefixAffinity]
     }
 
-    /// The policy's stable name (matches [`RoutingPolicy::name`]).
+    /// The policy's stable name, as the CLI and the cluster report spell it.
     #[must_use]
     pub fn name(self) -> &'static str {
         self.build().name()
@@ -189,7 +190,7 @@ impl RoutingKind {
 
     /// Instantiates the policy with its defaults.
     #[must_use]
-    pub fn build(self) -> Box<dyn RoutingPolicy> {
+    pub(crate) fn build(self) -> Box<dyn RoutingPolicy> {
         match self {
             Self::RoundRobin => Box::new(RoundRobin::default()),
             Self::LeastLoaded => Box::new(LeastLoaded),

@@ -393,10 +393,10 @@ impl Scenario for MultiTenantBursts {
 /// every tool call with its *whole history* as a grown, page-aligned
 /// shared prefix — turn `t`'s prefix extends turn `t-1`'s, so consecutive
 /// turns share all earlier prefix pages. This stresses the prefix cache
-/// and [`PrefixAffinity`](super::PrefixAffinity) routing in a way one-shot
-/// chat never does: the payoff only materializes if every turn of a
-/// session lands on the shard still holding the session's pages (all
-/// turns share `page_keys[0]`, the affinity routing key).
+/// and [`PrefixAffinity`](super::RoutingKind::PrefixAffinity) routing in
+/// a way one-shot chat never does: the payoff only materializes if every
+/// turn of a session lands on the shard still holding the session's pages
+/// (all turns share `page_keys[0]`, the affinity routing key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AgenticToolLoops {
     /// Concurrent agent sessions (canonically 4).

@@ -123,13 +123,6 @@ impl RequestStats {
         self.ttft_deadline.is_some() || self.itl_deadline.is_some()
     }
 
-    /// Whether the request met every deadline it carried (trivially true
-    /// for deadline-free requests).
-    #[must_use]
-    pub fn slo_attained(&self) -> bool {
-        !self.slo_violated
-    }
-
     /// The session-level summary of this request, once it has produced at
     /// least one token (`None` before that).
     #[must_use]
@@ -454,7 +447,7 @@ impl ServingReport {
         let (mut carrying, mut attained) = (0usize, 0usize);
         for r in self.requests.iter().filter(|r| r.has_deadline()) {
             carrying += 1;
-            attained += usize::from(r.slo_attained());
+            attained += usize::from(!r.slo_violated);
         }
         if carrying == 0 {
             return 1.0;

@@ -452,6 +452,14 @@ impl<'a> Fields<'a> {
         }
     }
 
+    /// A count no run can use at zero, refused there.
+    fn count_field(&self, key: &str) -> Result<usize, TraceError> {
+        match self.parse_field(key)? {
+            0 => Err(self.err(format!("field '{key}' must be at least 1"))),
+            count => Ok(count),
+        }
+    }
+
     /// A field the writer renders only when it left its default.
     fn opt_field<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, TraceError> {
         self.get(key).map(|_| self.parse_field(key)).transpose()
@@ -751,9 +759,9 @@ fn parse_meta(f: &Fields) -> Result<TraceMeta, TraceError> {
     // `ServingConfig::new` sets, so rebuild → snapshot round-trips.
     let mut config = ServingConfig::new(accel);
     config.admission = AdmissionConfig {
-        max_batch: f.parse_field("max_batch")?,
+        max_batch: f.count_field("max_batch")?,
         max_batch_tokens: f.parse_field("max_batch_tokens")?,
-        page_size: f.parse_field("page_size")?,
+        page_size: f.count_field("page_size")?,
         prefix_cache: f.parse_field("prefix_cache")?,
     };
     config.preemption = PreemptionConfig {
@@ -780,7 +788,7 @@ fn parse_meta(f: &Fields) -> Result<TraceMeta, TraceError> {
     if let Some(reject) = f.opt_field("reject_expired_ttft")? {
         config.reject_expired_ttft = reject;
     }
-    config.heads = f.parse_field("heads")?;
+    config.heads = f.count_field("heads")?;
     config.weight_bytes = f.parse_field("weight_bytes")?;
     config.seed = f.parse_field("seed")?;
     config.clock_hz = f.parse_field("clock_hz")?;
@@ -806,7 +814,7 @@ fn parse_meta(f: &Fields) -> Result<TraceMeta, TraceError> {
         },
         config,
         policy: f.str_field("policy")?.to_string(),
-        shards: f.parse_field("shards")?,
+        shards: f.count_field("shards")?,
         routing: f.str_field("routing")?.to_string(),
         stealing: f.parse_field("stealing")?,
         threads: f.parse_field("threads")?,

@@ -23,7 +23,7 @@ fn quantized_instance(n: usize, seed: u64) -> (QVector, QMatrix, Vec<f32>) {
     let inst = SynthInstance::generate(&SynthProfile::realistic(n, 64), seed);
     let q = QVector::quantize(&inst.query, pc);
     let keys = QMatrix::quantize_flat(inst.keys().data(), 64, pc).expect("non-empty");
-    (q, keys, inst.into_values())
+    (q, keys, inst.values().data().to_vec())
 }
 
 fn run(mode: AccelMode, thr: f64, n: usize, seed: u64) -> topick_accel::AttentionStepResult {
@@ -92,7 +92,7 @@ fn topick_is_faster_than_baseline() {
     let n = 512;
     let baseline = run(AccelMode::Baseline, 0.5, n, 7);
     let topick = run(AccelMode::OutOfOrder, 1e-3, n, 7);
-    let speedup = topick.speedup_vs(&baseline);
+    let speedup = baseline.cycles as f64 / topick.cycles as f64;
     assert!(
         speedup > 1.5,
         "expected >1.5x speedup, got {speedup:.2} ({} vs {} cycles)",
@@ -151,7 +151,7 @@ fn energy_breakdown_is_dram_dominated() {
 fn topick_saves_energy() {
     let baseline = run(AccelMode::Baseline, 0.5, 512, 11);
     let topick = run(AccelMode::OutOfOrder, 1e-3, 512, 11);
-    let gain = topick.energy_gain_vs(&baseline);
+    let gain = baseline.energy.total_pj() / topick.energy.total_pj();
     assert!(gain > 1.3, "energy gain {gain:.2} too small");
 }
 

@@ -89,7 +89,7 @@ pub use estimate::{
 pub use fixexp::FixExp;
 pub use margin::{MarginPair, MarginTable};
 pub use order::{ScanIndices, ScanOrder};
-pub use pruner::{KeptToken, OraclePruner, ProgressivePruner, PruneOutcome, PrunerScratch};
+pub use pruner::{KeptToken, ProgressivePruner, PruneOutcome, PrunerScratch};
 pub use quant::{QMatrix, QVector, QuantBuffer, Quantizer};
 pub use rows::Rows;
 pub use softmax::{exact_probabilities, score_scale, softmax, weighted_value_sum};

@@ -14,7 +14,7 @@ use crate::config::PrunerConfig;
 use crate::error::CoreError;
 use crate::estimate::{Decision, Estimator, EstimatorScratch};
 use crate::quant::{QMatrix, QVector};
-use crate::softmax::{score_scale, softmax};
+use crate::softmax::softmax;
 use crate::stats::PruneStats;
 
 /// A token that survived pruning, with its exact integer and real scores.
@@ -84,12 +84,13 @@ impl PrunerScratch {
 ///
 /// let pc = PrecisionConfig::paper();
 /// let query = QVector::quantize(&[0.9, -0.3, 0.5, 0.1], pc);
-/// let keys = QMatrix::quantize_rows(
+/// let keys = QMatrix::quantize_flat(
 ///     &[
-///         vec![0.9, -0.3, 0.5, 0.1],   // aligned with the query -> dominant
-///         vec![-0.9, 0.3, -0.5, -0.1], // anti-aligned -> prunable
-///         vec![0.8, -0.2, 0.4, 0.0],
+///         0.9, -0.3, 0.5, 0.1, // aligned with the query -> dominant
+///         -0.9, 0.3, -0.5, -0.1, // anti-aligned -> prunable
+///         0.8, -0.2, 0.4, 0.0,
 ///     ],
+///     4,
 ///     pc,
 /// )?;
 /// let pruner = ProgressivePruner::new(PrunerConfig::new(1e-3)?);
@@ -183,78 +184,6 @@ impl ProgressivePruner {
     }
 }
 
-/// An "oracle" pruner that computes all exact scores first and prunes tokens
-/// with true probability below the threshold.
-///
-/// This is the ideal (non-streaming) V-pruning achievable with full K data:
-/// every K bit is fetched, but V rows of negligible tokens are skipped. It
-/// models the paper's estimation-only configuration ("ToPick-V" in Fig. 10,
-/// which reduces V access but not K access) and upper-bounds what the
-/// conservative estimator can keep out.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OraclePruner {
-    threshold: f64,
-}
-
-impl OraclePruner {
-    /// Creates an oracle pruner with probability threshold `thr`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidThreshold`] if `thr` is not in `(0, 1)`.
-    pub fn new(threshold: f64) -> Result<Self, CoreError> {
-        if !(threshold > 0.0 && threshold < 1.0) {
-            return Err(CoreError::InvalidThreshold(threshold));
-        }
-        Ok(Self { threshold })
-    }
-
-    /// Runs exact scoring + post-softmax thresholding.
-    ///
-    /// All key chunks count as fetched; only surviving tokens' V rows do.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::DimensionMismatch`] if the query length differs
-    /// from the key dimension.
-    pub fn run(&self, query: &QVector, keys: &QMatrix) -> Result<PruneOutcome, CoreError> {
-        let n = keys.check_attention([query], None)?;
-        let pc = keys.precision();
-        let scale = score_scale(query, keys);
-        let scores_int: Vec<i64> = (0..n)
-            .map(|t| query.dot_known(keys.row(t), pc.num_chunks()))
-            .collect();
-        let scores: Vec<f64> = scores_int.iter().map(|&s| s as f64 * scale).collect();
-        let probs = softmax(&scores);
-
-        let mut stats = PruneStats::new(n, pc.num_chunks());
-        // Full K fetched: every chunk of every token.
-        for c in &mut stats.chunk_fetches {
-            *c = n as u64;
-        }
-        let mut kept = Vec::new();
-        for t in 0..n {
-            if probs[t] > self.threshold {
-                kept.push(KeptToken {
-                    index: t,
-                    score_int: scores_int[t],
-                    score_real: scores[t],
-                });
-            } else {
-                *stats.pruned_at.last_mut().expect("at least one chunk") += 1;
-            }
-        }
-        stats.kept = kept.len();
-        let kept_scores: Vec<f64> = kept.iter().map(|k| k.score_real).collect();
-        let probabilities = softmax(&kept_scores);
-        Ok(PruneOutcome {
-            kept,
-            probabilities,
-            stats,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,17 +201,17 @@ mod tests {
             (state >> 40) as f32 / 16_777_216.0 - 0.5
         };
         let qv: Vec<f32> = (0..dim).map(|_| next()).collect();
-        let mut rows = Vec::with_capacity(n);
+        let mut rows = Vec::with_capacity(n * dim);
         for t in 0..n {
             if t == n - 1 || t == 0 {
                 // Aligned with the query -> dominant score.
-                rows.push(qv.iter().map(|&x| x * 2.0).collect());
+                rows.extend(qv.iter().map(|&x| x * 2.0));
             } else {
-                rows.push((0..dim).map(|_| next() * 0.3).collect());
+                rows.extend((0..dim).map(|_| next() * 0.3));
             }
         }
         let q = QVector::quantize(&qv, pc);
-        let keys = QMatrix::quantize_rows(&rows, pc).unwrap();
+        let keys = QMatrix::quantize_flat(&rows, dim, pc).unwrap();
         (q, keys)
     }
 
@@ -389,25 +318,5 @@ mod tests {
             let reused = pruner.run_with_scratch(&q, &keys, &mut scratch).unwrap();
             assert_eq!(fresh, reused);
         }
-    }
-
-    #[test]
-    fn oracle_prunes_at_least_as_much_as_estimator_keeps_dominants() {
-        let (q, keys) = peaky_workload(128, 32);
-        let thr = 1e-3;
-        let est = ProgressivePruner::new(PrunerConfig::new(thr).unwrap())
-            .run(&q, &keys)
-            .unwrap();
-        let oracle = OraclePruner::new(thr).unwrap().run(&q, &keys).unwrap();
-        // The conservative estimator can only keep a superset of the oracle's
-        // survivors (it may fail to prune, never over-prunes).
-        let est_kept: std::collections::HashSet<usize> = est.kept.iter().map(|k| k.index).collect();
-        for k in &oracle.kept {
-            // Oracle keeps p > thr strictly; estimator must also keep those.
-            assert!(est_kept.contains(&k.index));
-        }
-        assert!(est.stats.kept >= oracle.stats.kept);
-        // Oracle fetches all K.
-        assert_eq!(oracle.stats.k_reduction(32, &keys.precision()), 1.0);
     }
 }

@@ -320,8 +320,8 @@ fn masked_dot<const BLOCK: usize>(a: &[i16], b: &[i16], mask: i16) -> i64 {
 /// ```
 /// use topick_core::{PrecisionConfig, QMatrix};
 ///
-/// let rows = vec![vec![1.0_f32, 0.0], vec![0.0, -2.0]];
-/// let m = QMatrix::quantize_rows(&rows, PrecisionConfig::paper())?;
+/// let rows = [1.0_f32, 0.0, 0.0, -2.0];
+/// let m = QMatrix::quantize_flat(&rows, 2, PrecisionConfig::paper())?;
 /// assert_eq!(m.num_tokens(), 2);
 /// assert_eq!(m.dim(), 2);
 /// # Ok::<(), topick_core::CoreError>(())
@@ -336,32 +336,6 @@ pub struct QMatrix {
 }
 
 impl QMatrix {
-    /// Quantizes a set of token rows with a single shared symmetric scale.
-    ///
-    /// Convenience wrapper over [`QMatrix::quantize_flat`] for nested
-    /// inputs (workload generators, tests); the hot path quantizes
-    /// contiguous buffers directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::DimensionMismatch`] if rows have differing
-    /// lengths, or [`CoreError::EmptyKeySet`] if `rows` is empty.
-    pub fn quantize_rows(rows: &[Vec<f32>], precision: PrecisionConfig) -> Result<Self, CoreError> {
-        let first = rows.first().ok_or(CoreError::EmptyKeySet)?;
-        let dim = first.len();
-        let mut flat = Vec::with_capacity(rows.len() * dim);
-        for row in rows {
-            if row.len() != dim {
-                return Err(CoreError::DimensionMismatch {
-                    expected: dim,
-                    actual: row.len(),
-                });
-            }
-            flat.extend_from_slice(row);
-        }
-        Self::quantize_flat(&flat, dim, precision)
-    }
-
     /// Quantizes a contiguous row-major buffer of `data.len() / dim` token
     /// rows with a single shared symmetric scale — the zero-copy entry
     /// point used by the attention kernels.
@@ -793,21 +767,21 @@ mod tests {
 
     #[test]
     fn matrix_rejects_ragged_rows() {
-        let rows = vec![vec![1.0f32, 2.0], vec![3.0]];
-        let err = QMatrix::quantize_rows(&rows, PrecisionConfig::paper()).unwrap_err();
+        let rows = [1.0f32, 2.0, 3.0];
+        let err = QMatrix::quantize_flat(&rows, 2, PrecisionConfig::paper()).unwrap_err();
         assert!(matches!(err, CoreError::DimensionMismatch { .. }));
     }
 
     #[test]
     fn matrix_rejects_empty() {
-        let err = QMatrix::quantize_rows(&[], PrecisionConfig::paper()).unwrap_err();
+        let err = QMatrix::quantize_flat(&[], 2, PrecisionConfig::paper()).unwrap_err();
         assert_eq!(err, CoreError::EmptyKeySet);
     }
 
     #[test]
     fn matrix_row_access() {
-        let rows = vec![vec![1.0f32, -1.0], vec![0.5, 0.25]];
-        let m = QMatrix::quantize_rows(&rows, PrecisionConfig::paper()).unwrap();
+        let rows = [1.0f32, -1.0, 0.5, 0.25];
+        let m = QMatrix::quantize_flat(&rows, 2, PrecisionConfig::paper()).unwrap();
         assert_eq!(m.row(0).len(), 2);
         let r1 = f64::from(m.row(1)[0]) * m.scale();
         assert!((r1 - 0.5).abs() < 1e-3);

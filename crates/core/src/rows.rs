@@ -80,13 +80,6 @@ impl<'a> Rows<'a> {
     pub fn iter(&self) -> impl Iterator<Item = &'a [f32]> {
         self.data.chunks_exact(self.dim)
     }
-
-    /// Copies the view into an owned nested representation (test/debug
-    /// helper; the hot path never calls this).
-    #[must_use]
-    pub fn to_nested(&self) -> Vec<Vec<f32>> {
-        self.iter().map(<[f32]>::to_vec).collect()
-    }
 }
 
 #[cfg(test)]
@@ -121,7 +114,8 @@ mod tests {
     fn rows_match_nested() {
         let data = [1.0f32, 2.0, 3.0, 4.0];
         let r = Rows::new(&data, 2);
-        assert_eq!(r.to_nested(), vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let nested: Vec<Vec<f32>> = r.iter().map(<[f32]>::to_vec).collect();
+        assert_eq!(nested, vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
         assert_eq!(r.row(0), &[1.0, 2.0]);
     }
 }

@@ -45,7 +45,7 @@ pub struct DecisionEvent {
 ///
 /// let pc = PrecisionConfig::paper();
 /// let q = QVector::quantize(&[0.9, -0.2], pc);
-/// let keys = QMatrix::quantize_rows(&[vec![0.9, -0.2], vec![-0.9, 0.2]], pc)?;
+/// let keys = QMatrix::quantize_flat(&[0.9, -0.2, -0.9, 0.2], 2, pc)?;
 /// let events = trace_pruning(&PrunerConfig::new(1e-2)?, &q, &keys)?;
 /// assert!(events.iter().any(|e| e.decision == Decision::Kept));
 /// # Ok::<(), topick_core::CoreError>(())

@@ -1,19 +1,18 @@
-//! Attention backends: exact reference, Token-Picker pruned, and oracle
-//! pruned — all pluggable into the transformer forward pass through the
-//! unified [`AttentionBackend`] trait.
+//! Attention backends: the exact reference and Token-Picker pruned — both
+//! pluggable into the transformer forward pass through the unified
+//! [`AttentionBackend`] trait.
 //!
 //! A backend consumes the KV cache through a borrowed [`KvView`] — two
 //! contiguous row-major buffers — so no backend ever clones cache rows.
-//! Backends that quantize per call keep their scratch (the recycled key
-//! code buffer and the pruner's working memory) alive across calls, making
-//! a generation step allocation-light.
+//! The Token-Picker backend keeps its scratch (the recycled key code
+//! buffer and the pruner's working memory) alive across calls, making a
+//! generation step allocation-light.
 
 use std::fmt;
 
 use topick_core::{
-    exact_probabilities, softmax, weighted_value_sum, OraclePruner, PrecisionConfig,
-    ProgressivePruner, PruneOutcome, PruneStats, PrunerConfig, PrunerScratch, QMatrix, QVector,
-    QuantBuffer,
+    softmax, weighted_value_sum, ProgressivePruner, PruneStats, PrunerConfig, PrunerScratch,
+    QVector, QuantBuffer,
 };
 
 use crate::kvcache::KvView;
@@ -187,67 +186,16 @@ impl AttentionBackend for ExactAttention {
     }
 }
 
-/// Scratch buffers shared by the quantizing backends: the recycled key-code
-/// allocation and the pruner's working memory.
-#[derive(Debug, Clone, Default)]
-struct QuantScratch {
-    keys: QuantBuffer,
-    pruner: PrunerScratch,
-}
-
-impl QuantScratch {
-    /// Quantizes the view's keys, reusing the recycled code buffer.
-    fn quantize_keys(&mut self, kv: KvView<'_>, pc: PrecisionConfig) -> QMatrix {
-        self.keys
-            .quantize(kv.keys().data(), kv.dim(), pc)
-            .expect("non-empty cache")
-    }
-
-    /// Returns a matrix's code buffer to the scratch pool and produces the
-    /// weighted-value output for `outcome` over the view's values.
-    fn finish(&mut self, keys: QMatrix, outcome: &PruneOutcome, kv: KvView<'_>) -> Vec<f32> {
-        self.keys.reclaim(keys);
-        weighted_value_sum(&outcome.probability_pairs(), kv.values())
-    }
-}
-
-/// Exact attention over *quantized* Q/K/V — isolates quantization error
-/// from pruning error when validating Token-Picker.
-#[derive(Debug, Clone)]
-pub struct QuantizedExactAttention {
-    precision: PrecisionConfig,
-    scratch: QuantScratch,
-}
-
-impl QuantizedExactAttention {
-    /// Creates the quantized-exact backend.
-    #[must_use]
-    pub fn new(precision: PrecisionConfig) -> Self {
-        Self {
-            precision,
-            scratch: QuantScratch::default(),
-        }
-    }
-}
-
-impl AttentionBackend for QuantizedExactAttention {
-    fn attend(&mut self, q: &[f32], kv: KvView<'_>) -> Vec<f32> {
-        let qv = QVector::quantize(q, self.precision);
-        let keys = self.scratch.quantize_keys(kv, self.precision);
-        let probs = exact_probabilities(&qv, &keys);
-        self.scratch.keys.reclaim(keys);
-        let pairs: Vec<(usize, f64)> = probs.into_iter().enumerate().collect();
-        weighted_value_sum(&pairs, kv.values())
-    }
-}
-
 /// Token-Picker pruned attention: quantizes the query and cached keys, runs
 /// the progressive pruner, and computes the output over survivors only.
 #[derive(Debug, Clone)]
 pub struct TokenPickerAttention {
     pruner: ProgressivePruner,
     stats: PruneStats,
-    scratch: QuantScratch,
+    /// The recycled key-code allocation.
+    keys: QuantBuffer,
+    /// The pruner's working memory.
+    scratch: PrunerScratch,
 }
 
 impl TokenPickerAttention {
@@ -258,7 +206,8 @@ impl TokenPickerAttention {
         Self {
             pruner: ProgressivePruner::new(cfg),
             stats: PruneStats::new(0, num_chunks),
-            scratch: QuantScratch::default(),
+            keys: QuantBuffer::new(),
+            scratch: PrunerScratch::new(),
         }
     }
 
@@ -273,13 +222,17 @@ impl AttentionBackend for TokenPickerAttention {
     fn attend(&mut self, q: &[f32], kv: KvView<'_>) -> Vec<f32> {
         let pc = self.pruner.config().precision();
         let qv = QVector::quantize(q, pc);
-        let keys = self.scratch.quantize_keys(kv, pc);
+        let keys = self
+            .keys
+            .quantize(kv.keys().data(), kv.dim(), pc)
+            .expect("non-empty cache");
         let outcome = self
             .pruner
-            .run_with_scratch(&qv, &keys, &mut self.scratch.pruner)
+            .run_with_scratch(&qv, &keys, &mut self.scratch)
             .expect("validated dims");
         self.stats.merge(&outcome.stats);
-        self.scratch.finish(keys, &outcome, kv)
+        self.keys.reclaim(keys);
+        weighted_value_sum(&outcome.probability_pairs(), kv.values())
     }
 
     fn accumulated_stats(&self) -> Option<&PruneStats> {
@@ -291,57 +244,12 @@ impl AttentionBackend for TokenPickerAttention {
     }
 }
 
-/// Oracle pruned attention: computes all exact scores, then drops tokens
-/// with true probability below the threshold (full K traffic, minimal V
-/// traffic). Models the estimation-only "ToPick-V" configuration.
-#[derive(Debug, Clone)]
-pub struct OracleAttention {
-    pruner: OraclePruner,
-    precision: PrecisionConfig,
-    stats: PruneStats,
-    scratch: QuantScratch,
-}
-
-impl OracleAttention {
-    /// Creates an oracle backend with probability threshold `thr`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`topick_core::CoreError::InvalidThreshold`] if `thr` is not
-    /// in `(0, 1)`.
-    pub fn new(threshold: f64, precision: PrecisionConfig) -> Result<Self, topick_core::CoreError> {
-        Ok(Self {
-            pruner: OraclePruner::new(threshold)?,
-            precision,
-            stats: PruneStats::new(0, precision.num_chunks()),
-            scratch: QuantScratch::default(),
-        })
-    }
-}
-
-impl AttentionBackend for OracleAttention {
-    fn attend(&mut self, q: &[f32], kv: KvView<'_>) -> Vec<f32> {
-        let qv = QVector::quantize(q, self.precision);
-        let keys = self.scratch.quantize_keys(kv, self.precision);
-        let outcome = self.pruner.run(&qv, &keys).expect("validated dims");
-        self.stats.merge(&outcome.stats);
-        self.scratch.finish(keys, &outcome, kv)
-    }
-
-    fn accumulated_stats(&self) -> Option<&PruneStats> {
-        Some(&self.stats)
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = PruneStats::new(0, self.precision.num_chunks());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use topick_core::{exact_probabilities, PrecisionConfig, QMatrix};
 
     use crate::kvcache::HeadCache;
     use crate::rng::normal_vec;
@@ -362,7 +270,12 @@ mod tests {
     fn exact_and_quantized_agree_closely() {
         let (q, cache) = random_cache(32, 16, 1);
         let a = ExactAttention::new().attend(&q, cache.view());
-        let b = QuantizedExactAttention::new(PrecisionConfig::paper()).attend(&q, cache.view());
+        // Exact attention over the quantized query and keys.
+        let pc = PrecisionConfig::paper();
+        let keys = QMatrix::quantize_flat(cache.view().keys().data(), 16, pc).unwrap();
+        let probs = exact_probabilities(&QVector::quantize(&q, pc), &keys);
+        let pairs: Vec<(usize, f64)> = probs.into_iter().enumerate().collect();
+        let b = weighted_value_sum(&pairs, cache.view().values());
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 0.05, "{x} vs {y}");
         }
@@ -410,15 +323,5 @@ mod tests {
                 "divergence at n={n}"
             );
         }
-    }
-
-    #[test]
-    fn oracle_keeps_fewer_or_equal_tokens() {
-        let (q, cache) = random_cache(64, 16, 4);
-        let mut tp = TokenPickerAttention::new(PrunerConfig::new(1e-3).unwrap());
-        let mut or = OracleAttention::new(1e-3, PrecisionConfig::paper()).unwrap();
-        tp.attend(&q, cache.view());
-        or.attend(&q, cache.view());
-        assert!(or.accumulated_stats().unwrap().kept <= tp.accumulated_stats().unwrap().kept);
     }
 }

@@ -17,8 +17,7 @@
 //! as its outputs and accumulated state are those of the calls in order.
 //! Implementations span three crates:
 //!
-//! * here: [`ExactAttention`], [`QuantizedExactAttention`],
-//!   [`TokenPickerAttention`], [`OracleAttention`];
+//! * here: [`ExactAttention`] and [`TokenPickerAttention`];
 //! * `topick-spatten`: the fixed-ratio `TopKAttention` baseline;
 //! * `topick-accel`: `SimulatedAttention`, which runs every call through
 //!   the cycle-level accelerator and accumulates cycles and energy.
@@ -58,10 +57,7 @@ pub mod specs;
 pub mod synth;
 pub mod tensor;
 
-pub use attention::{
-    AttendBatch, AttentionBackend, ExactAttention, OracleAttention, QuantizedExactAttention,
-    TokenPickerAttention,
-};
+pub use attention::{AttendBatch, AttentionBackend, ExactAttention, TokenPickerAttention};
 pub use kvcache::{HeadCache, KvCache, KvView};
 pub use memory::TrafficBreakdown;
 pub use model::{argmax_token, DecodeKv, TransformerModel};

@@ -96,7 +96,7 @@ struct DecoderLayer {
 /// let model = TransformerModel::new_random(spec.clone(), 42);
 /// let mut cache = KvCache::new(spec.n_layers, spec.n_heads, spec.head_dim());
 /// let mut kernel = ExactAttention::new();
-/// let logits = model.forward(5, 0, &mut cache, &mut kernel);
+/// let logits = model.decode_step(5, &mut cache, &mut kernel);
 /// assert_eq!(logits.len(), spec.vocab);
 /// ```
 #[derive(Debug, Clone)]
@@ -147,29 +147,8 @@ impl TransformerModel {
         &self.spec
     }
 
-    /// Runs one token through the model: appends its K/V to the cache and
-    /// returns next-token logits.
-    ///
-    /// `pos` is the absolute position of `token` in the sequence; the cache
-    /// must already hold exactly `pos` tokens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token >= vocab`, `pos >= max_context`, or the cache length
-    /// disagrees with `pos`.
-    pub fn forward(
-        &self,
-        token: usize,
-        pos: usize,
-        cache: &mut KvCache,
-        kernel: &mut dyn AttentionBackend,
-    ) -> Vec<f32> {
-        assert_eq!(cache.context_len(), pos, "cache length must equal pos");
-        self.forward_run(&[token], cache, kernel)
-    }
-
-    /// The one forward pass, behind [`forward`](Self::forward),
-    /// [`decode_step`](Self::decode_step) and [`prefill`](Self::prefill):
+    /// The one forward pass, behind [`decode_step`](Self::decode_step)
+    /// and [`prefill`](Self::prefill):
     /// feeds the run `tokens` at the storage's current context length, one
     /// layer at a time, and returns the logits after the last token.
     ///
@@ -264,8 +243,8 @@ impl TransformerModel {
     ///
     /// # Panics
     ///
-    /// Panics if the forwarded position violates the
-    /// [`forward`](Self::forward) invariants.
+    /// Panics if `token` is outside the vocabulary or the storage already
+    /// holds the maximum context.
     pub fn decode_step(
         &self,
         token: usize,
@@ -273,21 +252,6 @@ impl TransformerModel {
         kernel: &mut dyn AttentionBackend,
     ) -> Vec<f32> {
         self.forward_run(&[token], kv, kernel)
-    }
-
-    /// Teacher-forced forward over a whole sequence, returning the logits
-    /// produced at every position.
-    pub fn forward_sequence(
-        &self,
-        tokens: &[usize],
-        cache: &mut KvCache,
-        kernel: &mut dyn AttentionBackend,
-    ) -> Vec<Vec<f32>> {
-        tokens
-            .iter()
-            .enumerate()
-            .map(|(pos, &t)| self.forward(t, pos, cache, kernel))
-            .collect()
     }
 
     /// Autoregressive generation: feeds `prompt`, then samples `steps`
@@ -390,10 +354,10 @@ mod tests {
         let model = TransformerModel::new_random(spec.clone(), 1);
         let mut cache = KvCache::new(spec.n_layers, spec.n_heads, spec.head_dim());
         let mut kernel = ExactAttention::new();
-        let l0 = model.forward(1, 0, &mut cache, &mut kernel);
+        let l0 = model.decode_step(1, &mut cache, &mut kernel);
         assert_eq!(l0.len(), spec.vocab);
         assert_eq!(cache.context_len(), 1);
-        let _ = model.forward(2, 1, &mut cache, &mut kernel);
+        let _ = model.decode_step(2, &mut cache, &mut kernel);
         assert_eq!(cache.context_len(), 2);
     }
 
@@ -496,15 +460,5 @@ mod tests {
     fn sample_token_respects_temperature_zero() {
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(sample_token(&[0.0, 5.0, 1.0], 0.0, &mut rng), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "cache length must equal pos")]
-    fn forward_rejects_desynced_cache() {
-        let spec = ModelSpec::toy();
-        let model = TransformerModel::new_random(spec.clone(), 1);
-        let mut cache = KvCache::new(spec.n_layers, spec.n_heads, spec.head_dim());
-        let mut kernel = ExactAttention::new();
-        let _ = model.forward(1, 3, &mut cache, &mut kernel);
     }
 }

@@ -239,21 +239,10 @@ impl PagedKvStore {
         &self.pages[page].values[at * self.dim..(at + 1) * self.dim]
     }
 
-    /// Gathers `seq` into contiguous row-major key and value buffers —
-    /// the bridge to [`HeadCache`](crate::HeadCache)-shaped consumers
-    /// (pages are not contiguous, so this copies).
-    #[must_use]
-    pub fn gather(&self, seq: &PagedSeq) -> (Vec<f32>, Vec<f32>) {
-        let mut keys = Vec::new();
-        let mut values = Vec::new();
-        self.gather_into(seq, &mut keys, &mut values);
-        (keys, values)
-    }
-
-    /// [`gather`](Self::gather) into caller-owned buffers, clearing them
-    /// first — the allocation-free variant [`PagedKvBinding`] uses, so
-    /// gathering each head once per layer of a forward run reuses that
-    /// head's pair of scratch buffers instead of allocating.
+    /// Gathers `seq` into contiguous row-major key and value buffers,
+    /// clearing them first (pages are not contiguous, so this copies).
+    /// [`PagedKvBinding`] gathers each head once per layer of a forward
+    /// run into that head's pair of scratch buffers, so it never allocates.
     pub fn gather_into(&self, seq: &PagedSeq, keys: &mut Vec<f32>, values: &mut Vec<f32>) {
         keys.clear();
         values.clear();
@@ -449,7 +438,8 @@ mod tests {
             assert_eq!(store.key_row(seq, i), o.key_row(i), "key row {i}");
             assert_eq!(store.value_row(seq, i), o.value_row(i), "value row {i}");
         }
-        let (keys, values) = store.gather(seq);
+        let (mut keys, mut values) = (Vec::new(), Vec::new());
+        store.gather_into(seq, &mut keys, &mut values);
         assert_eq!(keys, o.keys().data());
         assert_eq!(values, o.values().data());
     }

@@ -81,7 +81,7 @@ pub fn evaluate_perplexity(
     let mut total_nll = 0.0f64;
     let mut scored = 0usize;
     for t in 0..corpus.len() - 1 {
-        let logits = model.forward(corpus[t], t, &mut cache, kernel);
+        let logits = model.decode_step(corpus[t], &mut cache, kernel);
         let target = corpus[t + 1];
         total_nll += nll_from_logits(&logits, target);
         scored += 1;

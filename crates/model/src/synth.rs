@@ -708,12 +708,6 @@ impl SynthInstance {
         self.values().row(i)
     }
 
-    /// Consumes the instance, returning the flat value buffer.
-    #[must_use]
-    pub fn into_values(self) -> Vec<f32> {
-        self.values
-    }
-
     /// The realized (float, pre-quantization) scores `q·k_i / sqrt(d)`.
     #[must_use]
     pub fn realized_scores(&self) -> Vec<f64> {

@@ -7,11 +7,10 @@
 
 use proptest::prelude::*;
 use topick_accel::{AccelConfig, AccelMode, SimulatedAttention};
-use topick_core::{PrecisionConfig, PruneStats, PrunerConfig};
+use topick_core::{PruneStats, PrunerConfig};
 use topick_model::{
-    AttentionBackend, DecodeKv, ExactAttention, KvCache, ModelSpec, OracleAttention,
-    PagedKvBinding, PagedKvStore, PagedSeq, QuantizedExactAttention, TokenPickerAttention,
-    TransformerModel,
+    AttentionBackend, DecodeKv, ExactAttention, KvCache, ModelSpec, PagedKvBinding, PagedKvStore,
+    PagedSeq, TokenPickerAttention, TransformerModel,
 };
 use topick_spatten::TopKAttention;
 
@@ -31,7 +30,7 @@ fn prefill_token_at_a_time(
     logits
 }
 
-const BACKENDS: usize = 6;
+const BACKENDS: usize = 4;
 
 /// A backend, kept concrete where it has more to compare than statistics.
 enum Kernel {
@@ -40,17 +39,14 @@ enum Kernel {
 }
 
 impl Kernel {
-    /// A fresh backend of kind `which`: Exact, QuantizedExact, TokenPicker,
-    /// Oracle, SpAtten's top-k, and the cycle-level simulator.
+    /// A fresh backend of kind `which`: Exact, TokenPicker, SpAtten's
+    /// top-k, and the cycle-level simulator.
     fn new(which: usize, spec: &ModelSpec) -> Self {
-        let pc = PrecisionConfig::paper();
         let threshold = PrunerConfig::new(1e-3).expect("valid threshold");
         Self::Functional(match which {
             0 => Box::new(ExactAttention::new()),
-            1 => Box::new(QuantizedExactAttention::new(pc)),
-            2 => Box::new(TokenPickerAttention::new(threshold)),
-            3 => Box::new(OracleAttention::new(1e-3, pc).expect("valid threshold")),
-            4 => Box::new(TopKAttention::new(0.5)),
+            1 => Box::new(TokenPickerAttention::new(threshold)),
+            2 => Box::new(TopKAttention::new(0.5)),
             _ => return Self::Simulated(Box::new(simulated(spec))),
         })
     }
@@ -97,7 +93,8 @@ fn paged_rows(store: &PagedKvStore, seqs: &[&[PagedSeq]]) -> Vec<(Vec<u32>, Vec<
     seqs.iter()
         .flat_map(|bundle| bundle.iter())
         .map(|seq| {
-            let (keys, values) = store.gather(seq);
+            let (mut keys, mut values) = (Vec::new(), Vec::new());
+            store.gather_into(seq, &mut keys, &mut values);
             (bits(&keys), bits(&values))
         })
         .collect()

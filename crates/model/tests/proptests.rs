@@ -189,8 +189,8 @@ proptest! {
         }
 
         // Row views equal the nested rows, element for element.
-        prop_assert_eq!(cache.keys().to_nested(), nested_keys.clone());
-        prop_assert_eq!(cache.values().to_nested(), nested_values.clone());
+        prop_assert_eq!(cache.keys().data(), nested_keys.concat().as_slice());
+        prop_assert_eq!(cache.values().data(), nested_values.concat().as_slice());
 
         // The combined view agrees in shape and contents.
         let view = cache.view();
@@ -336,13 +336,9 @@ proptest! {
                 }
             }
             for (seq, oracle) in seqs.iter().zip(&oracles) {
-                let (keys, values) = store.gather(seq);
-                prop_assert_eq!(keys.as_slice(), oracle.keys().data());
-                prop_assert_eq!(values.as_slice(), oracle.values().data());
-                // The scratch-buffer variant agrees with the allocating one.
                 store.gather_into(seq, &mut key_scratch, &mut value_scratch);
-                prop_assert_eq!(key_scratch.as_slice(), keys.as_slice());
-                prop_assert_eq!(value_scratch.as_slice(), values.as_slice());
+                prop_assert_eq!(key_scratch.as_slice(), oracle.keys().data());
+                prop_assert_eq!(value_scratch.as_slice(), oracle.values().data());
             }
         }
         let live: Vec<_> = seqs.iter().collect();
@@ -362,8 +358,8 @@ fn model_forward_is_pure_given_cache_state() {
     let mut k1 = ExactAttention::new();
     let mut k2 = ExactAttention::new();
     for (pos, tok) in [3usize, 14, 15, 92].iter().enumerate() {
-        let l1 = m1.forward(*tok, pos, &mut c1, &mut k1);
-        let l2 = m2.forward(*tok, pos, &mut c2, &mut k2);
+        let l1 = m1.decode_step(*tok, &mut c1, &mut k1);
+        let l2 = m2.decode_step(*tok, &mut c2, &mut k2);
         assert_eq!(l1, l2, "divergence at pos {pos}");
     }
 }
@@ -376,8 +372,8 @@ fn different_seeds_give_different_models() {
     let mut c1 = KvCache::new(spec.n_layers, spec.n_heads, spec.head_dim());
     let mut c2 = KvCache::new(spec.n_layers, spec.n_heads, spec.head_dim());
     let mut k = ExactAttention::new();
-    let l1 = m1.forward(7, 0, &mut c1, &mut k);
-    let l2 = m2.forward(7, 0, &mut c2, &mut k);
+    let l1 = m1.decode_step(7, &mut c1, &mut k);
+    let l2 = m2.decode_step(7, &mut c2, &mut k);
     assert_ne!(l1, l2);
 }
 
@@ -394,23 +390,27 @@ fn truncate_then_reprefill_resumes_the_model_exactly() {
 
     let mut kernel = ExactAttention::new();
     let mut uninterrupted = KvCache::new(spec.n_layers, spec.n_heads, spec.head_dim());
-    let full_logits = model.forward_sequence(&tokens, &mut uninterrupted, &mut kernel);
+    let mut full_logits = Vec::new();
+    for &tok in &tokens {
+        full_logits = model.decode_step(tok, &mut uninterrupted, &mut kernel);
+    }
 
     let mut cache = KvCache::new(spec.n_layers, spec.n_heads, spec.head_dim());
-    model.forward_sequence(&tokens, &mut cache, &mut kernel);
+    for &tok in &tokens {
+        model.decode_step(tok, &mut cache, &mut kernel);
+    }
     // Preempt, retaining a 2-token prefix (as the pager's retention
     // policy would decide), then re-prefill the dropped suffix.
     cache.truncate(2);
     assert_eq!(cache.context_len(), 2);
     let mut resumed_logits = Vec::new();
-    for (pos, &tok) in tokens.iter().enumerate().skip(2) {
-        resumed_logits = model.forward(tok, pos, &mut cache, &mut kernel);
+    for &tok in &tokens[2..] {
+        resumed_logits = model.decode_step(tok, &mut cache, &mut kernel);
     }
 
     assert_eq!(cache, uninterrupted, "re-prefill must rebuild the cache");
     assert_eq!(
-        &resumed_logits,
-        full_logits.last().unwrap(),
+        resumed_logits, full_logits,
         "resumed generation must match the uninterrupted run"
     );
 }

@@ -4,6 +4,7 @@
 //! of running something else.
 
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn topick(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_topick"))
@@ -217,17 +218,30 @@ fn a_trace_with_a_huge_kv_budget_replays_without_aborting() {
     std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }
 
-#[test]
-fn a_trace_with_a_price_factor_out_of_range_is_refused_naming_it() {
+/// Stderr of replaying the golden cluster trace with its first `from`
+/// replaced by `to`; the replay must exit 1.
+fn replay_error_with(from: &str, to: &str) -> String {
+    static EDITS: AtomicUsize = AtomicUsize::new(0);
     let golden = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/data/agentic_affinity_cluster.trace"
     ))
     .expect("golden trace");
-    let dir = std::env::temp_dir().join(format!("topick-cli-factors-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("edited.trace");
-    let path = path.to_str().expect("utf-8 path");
+    let edited = golden.replacen(from, to, 1);
+    assert_ne!(edited, golden, "the golden trace holds {from}");
+    let path = std::env::temp_dir().join(format!(
+        "topick-cli-edited-{}-{}.trace",
+        std::process::id(),
+        EDITS.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, edited).expect("edited trace");
+    let err = error_of(&["serve", "--replay", path.to_str().expect("utf-8 path")]);
+    std::fs::remove_file(&path).expect("edited trace removed");
+    err
+}
+
+#[test]
+fn a_trace_with_a_price_factor_out_of_range_is_refused_naming_it() {
     for field in ["prefill_factor", "swap_cost_factor", "ship_cost_factor"] {
         for value in ["inf", "1e300", "NaN", "-1", "10.5"] {
             // The writer leaves the last two out at their defaults, so they
@@ -236,17 +250,38 @@ fn a_trace_with_a_price_factor_out_of_range_is_refused_naming_it() {
                 "prefill_factor" => format!("\"{field}\":{value},"),
                 _ => format!("\"prefill_factor\":1,\"{field}\":{value},"),
             };
-            let edited = golden.replacen("\"prefill_factor\":1,", &fields, 1);
-            assert_ne!(edited, golden, "the meta line names prefill_factor");
-            std::fs::write(path, edited).expect("edited trace");
-            let err = error_of(&["serve", "--replay", path]);
+            let err = replay_error_with("\"prefill_factor\":1,", &fields);
             assert!(
                 err.contains(&format!("field '{field}' must be within [0, 10]")),
                 "{field} {value}: {err}"
             );
         }
     }
-    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+}
+
+#[test]
+fn a_trace_with_a_zero_count_is_refused_naming_it() {
+    for (field, recorded) in [
+        ("max_batch", 6),
+        ("page_size", 16),
+        ("heads", 4),
+        ("shards", 4),
+    ] {
+        let err = replay_error_with(
+            &format!("\"{field}\":{recorded},"),
+            &format!("\"{field}\":0,"),
+        );
+        assert!(
+            err.contains(&format!("field '{field}' must be at least 1")),
+            "{field}: {err}"
+        );
+    }
+}
+
+#[test]
+fn a_trace_whose_heads_overflow_a_step_is_refused_naming_heads() {
+    let err = replay_error_with("\"heads\":4,", &format!("\"heads\":{},", u64::MAX));
+    assert!(err.contains("heads"), "{err}");
 }
 
 #[test]

@@ -1736,7 +1736,7 @@ fn ttft_is_judged_at_the_first_token_not_at_admission() {
     }
 
     let on_time = &instant.requests[0];
-    assert!(on_time.slo_attained());
+    assert!(!on_time.slo_violated);
     assert_eq!(on_time.first_token_at, Some(0));
     assert_eq!(on_time.good_tokens, on_time.generated);
     assert!((instant.deadline_attainment() - 1.0).abs() < f64::EPSILON);
@@ -1763,7 +1763,7 @@ fn deadline_free_requests_trivially_attain_and_count_every_token_as_good() {
     assert!((report.deadline_attainment() - 1.0).abs() < f64::EPSILON);
     assert_eq!(report.total_good_tokens(), report.tokens_generated);
     for r in &report.requests {
-        assert!(r.slo_attained());
+        assert!(!r.slo_violated);
         assert_eq!(r.good_tokens, r.generated);
     }
 }
@@ -1825,7 +1825,7 @@ fn a_blown_inter_token_deadline_stops_goodput_but_not_generation() {
         .find(|r| r.id == 1)
         .expect("finished");
     assert!(
-        usurper.slo_attained(),
+        !usurper.slo_violated,
         "the deadline-free usurper can't violate"
     );
     assert!(report.deadline_attainment() < 1.0);

@@ -10,10 +10,10 @@ use std::sync::OnceLock;
 /// Public items in `crates/*/src` (the vendored shims aside) whose name no
 /// other `.rs` file mentions outside `use` lines and comments. Every one
 /// is kept on purpose: a return type or field type of a public function,
-/// a scenario-registry entry, a builder's extension point, a figure's data,
-/// the ΔPPL calibration testbed or the EXP unit. Lower this when one goes;
-/// settle a new one (delete it, narrow it or call it) instead of raising it.
-const PUBLIC_ITEMS_NAMED_NOWHERE_ELSE: usize = 27;
+/// a scenario-registry entry, a figure's data, the ΔPPL calibration
+/// testbed or the EXP unit. Lower this when one goes; settle a new one
+/// (delete it, narrow it or call it) instead of raising it.
+const PUBLIC_ITEMS_NAMED_NOWHERE_ELSE: usize = 26;
 
 /// The most lines each document may have. ARCHITECTURE keeps the design
 /// and the verify SKILL the commands and gates; a change's measurements go
