@@ -242,7 +242,7 @@ impl PagedKvStore {
     /// Gathers `seq` into contiguous row-major key and value buffers,
     /// clearing them first (pages are not contiguous, so this copies).
     /// [`PagedKvBinding`] gathers each head once per layer of a forward
-    /// run into that head's pair of scratch buffers, so it never allocates.
+    /// run into that head's pair of scratch buffers instead of allocating.
     pub fn gather_into(&self, seq: &PagedSeq, keys: &mut Vec<f32>, values: &mut Vec<f32>) {
         keys.clear();
         values.clear();
