@@ -56,7 +56,7 @@ pub use serve::{
     run_token_backed, AdmissionConfig, ClusterEngine, ClusterEngineBuilder, ClusterEvent,
     ClusterReport, ClusterStepReport, KvPager, LendingStats, PendingView, PolicyKind,
     PreemptionConfig, RequestStats, RetentionPolicy, RoutingKind, RunningView, Scenario,
-    ScenarioKind, SchedulerPolicy, ServeError, ServeEvent, ServingConfig, ServingEngine,
-    ServingEngineBuilder, ServingReport, ServingRequest, SessionStats, StepReport,
-    TokenBackedBatch, TokenBackedRun, Trace, TraceError, TraceMeta, TraceRecorder,
+    ScenarioKind, ServeError, ServeEvent, ServingConfig, ServingEngine, ServingEngineBuilder,
+    ServingReport, ServingRequest, SessionStats, StepReport, TokenBackedBatch, TokenBackedRun,
+    Trace, TraceError, TraceMeta, TraceRecorder,
 };

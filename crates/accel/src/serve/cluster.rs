@@ -345,7 +345,7 @@ impl ClusterEngineBuilder {
     #[must_use]
     pub fn build(self) -> ClusterEngine {
         let shards: Vec<ServingEngine> = (0..self.shards)
-            .map(|_| ServingEngine::from_parts(self.cfg.clone(), self.policy.build()))
+            .map(|_| ServingEngine::from_parts(self.cfg.clone(), self.policy))
             .collect();
         let pages = shards
             .iter()
@@ -1013,12 +1013,11 @@ mod tests {
         // whole cluster may be moved to, and driven from, another thread
         // (`lend`'s `threaded_engines_sharing_the_step_helper_…` does), so
         // both — and everything they own transitively, pager and running
-        // requests and boxed policies included — must be `Send`.
+        // requests included — must be `Send`.
         fn assert_send<T: Send>() {}
         assert_send::<ServingEngine>();
         assert_send::<ClusterEngine>();
         assert_send::<super::super::KvPager>();
-        assert_send::<Box<dyn super::super::SchedulerPolicy>>();
         assert_send::<Box<dyn RoutingPolicy>>();
     }
 

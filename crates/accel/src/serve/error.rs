@@ -9,6 +9,13 @@ use topick_core::CoreError;
 pub enum ServeError {
     /// A request had a zero prompt or zero token target.
     InvalidRequest(&'static str),
+    /// A [`ServingConfig`](super::ServingConfig) field no engine can price
+    /// or record faithfully (see
+    /// [`ServingConfig::validate`](super::ServingConfig::validate)).
+    InvalidConfig {
+        /// The field at fault.
+        field: &'static str,
+    },
     /// Requests are queued but the admission limits can never admit the
     /// next one (e.g. `max_batch` is zero), so no progress is possible.
     AdmissionStalled {
@@ -35,6 +42,16 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::InvalidRequest(why) => write!(f, "invalid request: {why}"),
+            Self::InvalidConfig { field } => {
+                let range = super::ServingConfig::FACTOR_RANGE;
+                let rule = match *field {
+                    "heads" => "at least 1".to_string(),
+                    "clock_hz" => "finite and positive".to_string(),
+                    "retention" => "a fraction in (0, 1)".to_string(),
+                    _ => format!("within [{}, {}]", range.start(), range.end()),
+                };
+                write!(f, "field '{field}' must be {rule}")
+            }
             Self::AdmissionStalled { pending } => write!(
                 f,
                 "admission stalled: {pending} queued request(s) can never be admitted \

@@ -6,7 +6,7 @@
 //! A [`ServingEngine`] owns an arrival queue and a running batch. Every
 //! engine step models one batched decode iteration:
 //!
-//! 1. **Admission**: a [`SchedulerPolicy`] picks queued requests to join
+//! 1. **Admission**: a [`PolicyKind`] picks queued requests to join
 //!    the batch; the engine enforces the invariants — a free slot *and*
 //!    enough free KV pages for the request's final context. The KV token
 //!    budget ([`AdmissionConfig`]) is carved into fixed-size pages by a
@@ -71,9 +71,7 @@ pub use error::ServeError;
 pub use events::ServeEvent;
 pub use kv_pager::KvPager;
 pub use lend::LendingStats;
-pub use policy::{
-    PendingView, PolicyKind, PreemptionConfig, RetentionPolicy, RunningView, SchedulerPolicy,
-};
+pub use policy::{PendingView, PolicyKind, PreemptionConfig, RetentionPolicy, RunningView};
 pub use queue::ServingRequest;
 pub use router::RoutingKind;
 pub use scenario::{Scenario, ScenarioKind};
@@ -193,6 +191,36 @@ impl ServingConfig {
             clock_hz: 500e6,
             seed: 0,
         }
+    }
+
+    /// Refuses what no engine can price or record faithfully: `heads` 0, a
+    /// `clock_hz` not finite and positive, a price factor outside
+    /// [`FACTOR_RANGE`](Self::FACTOR_RANGE) (NaN included), and a
+    /// [`RetentionPolicy::Fraction`] outside `(0, 1)`, the grammar its
+    /// `FromStr` reads back.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::InvalidConfig`] naming the first field at fault.
+    pub fn validate(&self) -> Result<(), ServeError> {
+        let fraction_ok = match self.preemption.retention {
+            RetentionPolicy::Fraction(f) => f > 0.0 && f < 1.0,
+            _ => true,
+        };
+        let factor_ok = |factor| Self::FACTOR_RANGE.contains(&factor);
+        [
+            ("heads", self.heads > 0),
+            ("clock_hz", self.clock_hz.is_finite() && self.clock_hz > 0.0),
+            ("prefill_factor", factor_ok(self.prefill_factor)),
+            ("swap_cost_factor", factor_ok(self.swap_cost_factor)),
+            ("ship_cost_factor", factor_ok(self.ship_cost_factor)),
+            ("retention", fraction_ok),
+        ]
+        .into_iter()
+        .find(|&(_, ok)| !ok)
+        .map_or(Ok(()), |(field, _)| {
+            Err(ServeError::InvalidConfig { field })
+        })
     }
 }
 
@@ -346,7 +374,7 @@ impl ServingEngineBuilder {
     /// Builds the engine.
     #[must_use]
     pub fn build(self) -> ServingEngine {
-        ServingEngine::from_parts(self.cfg, self.policy.build())
+        ServingEngine::from_parts(self.cfg, self.policy)
     }
 }
 
@@ -372,7 +400,7 @@ impl ServingEngineBuilder {
 pub struct ServingEngine {
     cfg: ServingConfig,
     accel: ToPickAccelerator,
-    policy: Box<dyn SchedulerPolicy>,
+    policy: PolicyKind,
     pending: PendingQueue,
     /// Admission's buffers, kept across steps.
     order: AdmissionOrder,
@@ -450,7 +478,7 @@ impl ServingEngine {
     /// behavior, bit-for-bit).
     #[must_use]
     pub fn new(cfg: ServingConfig) -> Self {
-        Self::from_parts(cfg, PolicyKind::Fifo.build())
+        Self::from_parts(cfg, PolicyKind::Fifo)
     }
 
     /// Starts a [`ServingEngineBuilder`] around an accelerator config.
@@ -459,16 +487,7 @@ impl ServingEngine {
         ServingEngineBuilder::new(accel)
     }
 
-    fn from_parts(mut cfg: ServingConfig, policy: Box<dyn SchedulerPolicy>) -> Self {
-        // Negative or NaN price factors price their work as free; clamped
-        // once here so every charge below reads the factor as configured.
-        for factor in [
-            &mut cfg.prefill_factor,
-            &mut cfg.swap_cost_factor,
-            &mut cfg.ship_cost_factor,
-        ] {
-            *factor = pricing::clamp_factor(*factor);
-        }
+    fn from_parts(cfg: ServingConfig, policy: PolicyKind) -> Self {
         let report = ServingReport {
             policy: policy.name().to_string(),
             prune: PruneStats::new(0, cfg.accel.precision.num_chunks()),
@@ -667,10 +686,12 @@ impl ServingEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidRequest`] if the prompt or token target
-    /// is zero, or if the request alone could never satisfy the admission
-    /// budget.
+    /// Returns [`ServeError::InvalidConfig`] if the engine's configuration
+    /// fails [`ServingConfig::validate`], and [`ServeError::InvalidRequest`]
+    /// if the prompt or token target is zero, or if the request alone could
+    /// never satisfy the admission budget.
     pub fn validate_request(&self, req: &ServingRequest) -> Result<(), ServeError> {
+        self.cfg.validate()?;
         if req.prompt_len == 0 {
             return Err(ServeError::InvalidRequest("prompt_len must be positive"));
         }
@@ -692,8 +713,8 @@ impl ServingEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidRequest`] as
-    /// [`validate_request`](Self::validate_request) would.
+    /// Returns the error [`validate_request`](Self::validate_request)
+    /// would.
     pub fn enqueue(&mut self, req: ServingRequest) -> Result<(), ServeError> {
         self.enqueue_with_shipped(req, 0, None)
     }
@@ -865,7 +886,7 @@ impl ServingEngine {
         let mut order = std::mem::take(&mut self.order);
         #[cfg(test)]
         let capacity = order.capacity();
-        order.fill(&*self.policy, self.pending.views(step), step as u64);
+        order.fill(self.policy, self.pending.views(step), step as u64);
         while let Some(cand) = order.pop(
             |seq| self.pending.view_by_seq(seq, step),
             |c| self.running.iter().filter(|r| r.req.client_id == c).count(),
@@ -914,9 +935,6 @@ impl ServingEngine {
                         let Some(vi) = self.policy.pick_victim(&cand, &sim, step as u64) else {
                             break;
                         };
-                        if vi >= sim.len() {
-                            break; // out-of-range victim: decline
-                        }
                         let victim = sim.remove(vi);
                         // Evicting returns the victim's dropped pages
                         // minus what retention keeps — and minus pages
@@ -1452,6 +1470,68 @@ mod tests {
         let mut engine = ServingEngine::new(small_cfg(AccelMode::OutOfOrder));
         assert!(engine.enqueue(ServingRequest::new(0, 0, 1)).is_err());
         assert!(engine.enqueue(ServingRequest::new(0, 1, 0)).is_err());
+    }
+
+    /// `cfg` fails validation naming `field`, and an engine and a cluster
+    /// built from it refuse their first request with that error.
+    fn assert_config_refused(cfg: ServingConfig, field: &'static str) {
+        let refused = Err(ServeError::InvalidConfig { field });
+        assert_eq!(cfg.validate(), refused, "{field}");
+        let mut engine = ServingEngine::new(cfg.clone());
+        assert_eq!(engine.enqueue(ServingRequest::new(0, 32, 2)), refused);
+        assert!(engine.is_idle());
+        let mut cluster = ClusterEngine::builder(cfg.accel.clone())
+            .config(cfg)
+            .shards(2)
+            .build();
+        let enqueued = cluster.enqueue(ServingRequest::new(0, 32, 2)).map(drop);
+        assert_eq!(enqueued, refused, "{field} on a cluster");
+    }
+
+    #[test]
+    fn zero_heads_are_refused_at_enqueue() {
+        let mut cfg = small_cfg(AccelMode::OutOfOrder);
+        cfg.heads = 0;
+        assert_config_refused(cfg, "heads");
+    }
+
+    #[test]
+    fn a_clock_that_is_not_finite_and_positive_is_refused_at_enqueue() {
+        for clock_hz in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = small_cfg(AccelMode::OutOfOrder);
+            cfg.clock_hz = clock_hz;
+            assert_config_refused(cfg, "clock_hz");
+        }
+    }
+
+    #[test]
+    fn a_price_factor_outside_its_range_is_refused_at_enqueue() {
+        for bad in [f64::NAN, -1.0, 10.5, f64::INFINITY] {
+            for field in ["prefill_factor", "swap_cost_factor", "ship_cost_factor"] {
+                let mut cfg = small_cfg(AccelMode::OutOfOrder);
+                *match field {
+                    "prefill_factor" => &mut cfg.prefill_factor,
+                    "swap_cost_factor" => &mut cfg.swap_cost_factor,
+                    _ => &mut cfg.ship_cost_factor,
+                } = bad;
+                assert_config_refused(cfg, field);
+            }
+        }
+        // The range's ends are in it.
+        let mut cfg = small_cfg(AccelMode::OutOfOrder);
+        (cfg.prefill_factor, cfg.ship_cost_factor) = (0.0, 10.0);
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn a_retention_fraction_outside_zero_to_one_is_refused_at_enqueue() {
+        // `Fraction(1.0)` would record as "1" and replay as `Pages(1)`.
+        for f in [1.0, 0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+            let mut cfg = small_cfg(AccelMode::OutOfOrder);
+            cfg.preemption =
+                PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(f));
+            assert_config_refused(cfg, "retention");
+        }
     }
 
     #[test]

@@ -106,99 +106,6 @@ pub(super) fn slo_slack(due: Option<i64>, step: u64) -> i64 {
     due.map_or(i64::MAX, |due| due.saturating_sub(saturating_i64(step)))
 }
 
-/// A scheduling policy: the ordering brain of the serving engine.
-///
-/// A policy states admission order by [`rank`](Self::rank)ing each queued
-/// request: least rank first, oldest arrival among equals, after the
-/// client's running slots if the policy
-/// [balances clients](Self::balances_clients). When that candidate does
-/// not fit and preemption is enabled, the engine asks *which* running
-/// request to evict for it ([`pick_victim`](Self::pick_victim)). The
-/// engine enforces the invariants — the batch never exceeds its slot
-/// limit or its KV page budget, and a candidate that still does not fit
-/// ends admission for the step — so a policy cannot corrupt the batch,
-/// only order it badly.
-///
-/// Policies must be [`Send`]: an application may move an engine, or a
-/// whole [`ClusterEngine`](super::ClusterEngine), to another thread, and
-/// each engine's policy travels with it. Policies only ever run on one
-/// thread at a time (the engine holds them by `&mut`), so `Send` — not
-/// `Sync` — is the bound, and any policy made of owned data satisfies it
-/// automatically.
-///
-/// # Example
-///
-/// The built-in policies are built from [`PolicyKind`]. Shortest job first
-/// admits the queued request with the fewest tokens left to generate:
-///
-/// ```
-/// use topick_accel::{PendingView, PolicyKind};
-///
-/// let queued = |id: u64, remaining_tokens: usize| PendingView {
-///     id,
-///     priority: 0,
-///     client_id: 0,
-///     arrival_seq: id,
-///     waited_steps: 0,
-///     remaining_tokens,
-///     final_context: 64,
-///     enqueued_at: 0,
-///     last_token_at: None,
-///     ttft_deadline: None,
-///     itl_deadline: None,
-/// };
-/// let mut sjf = PolicyKind::ShortestJobFirst.build();
-/// assert_eq!(sjf.name(), "shortest-job-first");
-/// assert_eq!(sjf.pick_next(&[queued(0, 8), queued(1, 2)], &[], 0), Some(1));
-/// ```
-pub trait SchedulerPolicy: fmt::Debug + Send {
-    /// Stable, human-readable policy name (used in reports and benches).
-    fn name(&self) -> &'static str;
-
-    /// The queued request's place in admission order at `step`: lower
-    /// ranks are admitted first, ties by arrival. The engine ranks the
-    /// queue once per step, so a rank is fixed for the whole step and must
-    /// not read the running batch, which admissions change.
-    fn rank(&self, view: &PendingView, step: u64) -> i64;
-
-    /// Whether admission orders by the running slots each request's
-    /// client holds before rank and arrival (kept current as the step
-    /// admits and evicts). `false` by default.
-    fn balances_clients(&self) -> bool {
-        false
-    }
-
-    /// Index into `pending` of the request admission takes next with
-    /// `running` as the batch, found by brute force. The engine keeps the
-    /// same order in a heap and never calls this reference.
-    fn pick_next(
-        &mut self,
-        pending: &[PendingView],
-        running: &[RunningView],
-        step: u64,
-    ) -> Option<usize> {
-        let balances = self.balances_clients();
-        let key = |p: &PendingView| {
-            let held = balances.then(|| client_slots(running, p.client_id));
-            (held, self.rank(p, step), p.arrival_seq)
-        };
-        (0..pending.len()).min_by_key(|&i| key(&pending[i]))
-    }
-
-    /// Index into `running` of a victim to evict so `candidate` can be
-    /// admitted, or `None` to decline preemption (the default). Called
-    /// only when preemption is enabled and `candidate` does not fit.
-    fn pick_victim(
-        &mut self,
-        candidate: &PendingView,
-        running: &[RunningView],
-        step: u64,
-    ) -> Option<usize> {
-        let _ = (candidate, running, step);
-        None
-    }
-}
-
 /// Running slots `client` holds in `running`.
 fn client_slots(running: &[RunningView], client: u64) -> usize {
     running.iter().filter(|r| r.client_id == client).count()
@@ -207,13 +114,12 @@ fn client_slots(running: &[RunningView], client: u64) -> usize {
 /// One step's admission order: a min-heap over every candidate's key,
 /// filled by one pass over the queue. The key is `(rank, arrival_seq)`,
 /// or `(client slots, rank, arrival_seq)` under a policy that
-/// [balances clients](SchedulerPolicy::balances_clients); an entry is then
-/// `(slots, at)`, `at` indexing `by_rank`, and `slots` a lower bound on the
-/// client's count, which moves within a step. Entries go in at 0 (from
-/// [`fill`](Self::fill), or [`rekey`](Self::rekey) after an eviction), and
-/// a popped entry off the current count goes back with it, so the first
-/// exact entry popped has the least key. Entries of requests no longer
-/// candidates are skipped.
+/// balances clients; an entry is then `(slots, at)`, `at` indexing
+/// `by_rank`, and `slots` a lower bound on the client's count, which moves
+/// within a step. Entries go in at 0 (from [`fill`](Self::fill), or
+/// [`rekey`](Self::rekey) after an eviction), and a popped entry off the
+/// current count goes back with it, so the first exact entry popped has
+/// the least key. Entries of requests no longer candidates are skipped.
 #[derive(Debug, Default)]
 pub(super) struct AdmissionOrder {
     heap: BinaryHeap<Reverse<(i64, u64)>>,
@@ -226,7 +132,7 @@ impl AdmissionOrder {
     /// Orders `views`, the candidates at `step`, under `policy`.
     pub(super) fn fill(
         &mut self,
-        policy: &dyn SchedulerPolicy,
+        policy: PolicyKind,
         views: impl Iterator<Item = PendingView>,
         step: u64,
     ) {
@@ -281,201 +187,67 @@ impl AdmissionOrder {
     }
 }
 
-/// First-in-first-out with head-of-line blocking — bit-for-bit the
-/// pre-redesign engine's schedule. Never preempts.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Fifo;
-
-impl SchedulerPolicy for Fifo {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn rank(&self, _view: &PendingView, _step: u64) -> i64 {
-        0 // arrival order alone decides
-    }
-}
-
-/// Highest effective priority first, where waiting raises priority: a
-/// request's effective priority is `priority + waited_steps /
-/// AGING_STEPS`, so low-priority work cannot starve forever. Preempts
-/// strictly lower-priority running requests when allowed.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PriorityAging;
-
-/// Queue steps that add one effective priority level under
-/// [`PriorityAging`]. A scheduling choice of this engine, not a paper
-/// figure; every golden schedule and digest under `priority` pins it.
-const AGING_STEPS: u64 = 8;
-
-impl SchedulerPolicy for PriorityAging {
-    fn name(&self) -> &'static str {
-        "priority-aging"
-    }
-
-    fn rank(&self, view: &PendingView, _step: u64) -> i64 {
-        // Max effective priority first.
-        -saturating_i64(u64::from(view.priority) + view.waited_steps / AGING_STEPS)
-    }
-
-    fn pick_victim(
-        &mut self,
-        candidate: &PendingView,
-        running: &[RunningView],
-        _step: u64,
-    ) -> Option<usize> {
-        // Evict the lowest-priority running request, youngest first among
-        // equals, and only for a strictly higher-priority candidate (raw
-        // priorities: aging gets work *into* the queue order, but must not
-        // let an aged background job evict on-par foreground work).
-        let (slot, victim) = running
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, r)| (r.priority, std::cmp::Reverse(r.arrival_seq)))?;
-        (victim.priority < candidate.priority).then_some(slot)
-    }
-}
-
-/// Shortest job first, by remaining tokens to generate. With preemption it
-/// becomes shortest-remaining-processing-time: a long-running request may
-/// be evicted for a strictly shorter newcomer.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ShortestJobFirst;
-
-impl SchedulerPolicy for ShortestJobFirst {
-    fn name(&self) -> &'static str {
-        "shortest-job-first"
-    }
-
-    fn rank(&self, view: &PendingView, _step: u64) -> i64 {
-        saturating_i64(view.remaining_tokens as u64)
-    }
-
-    fn pick_victim(
-        &mut self,
-        candidate: &PendingView,
-        running: &[RunningView],
-        _step: u64,
-    ) -> Option<usize> {
-        let (slot, victim) = running
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, r)| (r.remaining_tokens, r.arrival_seq))?;
-        (victim.remaining_tokens > candidate.remaining_tokens).then_some(slot)
-    }
-}
-
-/// Fair slots per client: admit from the client holding the fewest batch
-/// slots, oldest arrival first among equals. Preemption rebalances only
-/// when it strictly improves fairness (the victim's client holds at least
-/// two more slots than the candidate's).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FairRoundRobin;
-
-impl SchedulerPolicy for FairRoundRobin {
-    fn name(&self) -> &'static str {
-        "fair-round-robin"
-    }
-
-    fn rank(&self, _view: &PendingView, _step: u64) -> i64 {
-        0 // the client's slots, then arrival order, decide
-    }
-
-    fn balances_clients(&self) -> bool {
-        true
-    }
-
-    fn pick_victim(
-        &mut self,
-        candidate: &PendingView,
-        running: &[RunningView],
-        _step: u64,
-    ) -> Option<usize> {
-        // From the most-over-served client, evict the member with the most
-        // work left; only worthwhile if it strictly improves fairness.
-        let cand_slots = client_slots(running, candidate.client_id);
-        let (slot, victim) = running.iter().enumerate().max_by_key(|(_, r)| {
-            (
-                client_slots(running, r.client_id),
-                r.remaining_tokens,
-                r.arrival_seq,
-            )
-        })?;
-        (client_slots(running, victim.client_id) >= cand_slots + 2).then_some(slot)
-    }
-}
-
-/// Earliest-deadline-first admission with slack-based preemption: the
-/// SLO-aware scheduler the deadline layer exists for.
+/// A scheduling policy, the ordering brain of the serving engine: it ranks
+/// each queued request (least rank first, oldest arrival among equals,
+/// after the client's running slots under
+/// [`FairRoundRobin`](Self::FairRoundRobin)) and, when that candidate does
+/// not fit and preemption is on, picks *which* running request to evict
+/// for it. The engine enforces the invariants — the batch never exceeds
+/// its slot limit or its KV page budget, and a candidate that still does
+/// not fit ends admission for the step — so a policy cannot corrupt the
+/// batch, only order it badly.
 ///
-/// Every request is placed on one urgency scale — steps of *slack* until
-/// its next applicable deadline (TTFT before the first token, ITL after;
-/// see `due_step`). Admission picks the least-slack queued request
-/// (oldest arrival among equals), so deadline-less requests (infinite
-/// slack) degrade to FIFO and a mixed workload is served EDF-first,
-/// FIFO-second. Eviction targets the *most*-slack running request (most
-/// remaining work, then youngest, among equals) and only fires when the
-/// victim has **strictly** more slack than the candidate — a workload
-/// with no deadlines anywhere never preempts, and two equally late
-/// requests never thrash by evicting each other.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SloAware;
-
-impl SchedulerPolicy for SloAware {
-    fn name(&self) -> &'static str {
-        "slo-aware"
-    }
-
-    fn rank(&self, v: &PendingView, step: u64) -> i64 {
-        let due = due_step(
-            v.enqueued_at,
-            v.last_token_at,
-            v.ttft_deadline,
-            v.itl_deadline,
-        );
-        slo_slack(due, step)
-    }
-
-    fn pick_victim(
-        &mut self,
-        candidate: &PendingView,
-        running: &[RunningView],
-        step: u64,
-    ) -> Option<usize> {
-        let slack = |r: &RunningView| {
-            let due = due_step(
-                r.enqueued_at,
-                r.last_token_at,
-                r.ttft_deadline,
-                r.itl_deadline,
-            );
-            slo_slack(due, step)
-        };
-        let (slot, victim) = running
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, r)| (slack(r), r.remaining_tokens, r.arrival_seq))?;
-        (slack(victim) > self.rank(candidate, step)).then_some(slot)
-    }
-}
-
-/// The built-in policies, nameable from CLI flags and bench configs.
+/// # Example
+///
+/// A policy is named by its CLI spelling or its full name:
+///
+/// ```
+/// use topick_accel::PolicyKind;
+///
+/// let sjf: PolicyKind = "sjf".parse()?;
+/// assert_eq!(sjf, PolicyKind::ShortestJobFirst);
+/// assert_eq!(sjf.to_string(), "shortest-job-first");
+/// # Ok::<(), String>(())
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// First-in-first-out with head-of-line blocking; never preempts.
+    /// First-in-first-out with head-of-line blocking — bit-for-bit the
+    /// pre-redesign engine's schedule. Never preempts.
     Fifo,
-    /// Highest priority first, raised by waiting; preempts strictly lower
-    /// priorities.
+    /// Highest effective priority first, where waiting raises priority: a
+    /// request's effective priority is `priority + waited_steps /
+    /// AGING_STEPS` (8), so low-priority work cannot starve forever.
+    /// Preempts strictly lower-priority running requests when allowed.
     PriorityAging,
-    /// Fewest remaining tokens first; preempts for a strictly shorter job.
+    /// Shortest job first, by remaining tokens to generate. With preemption
+    /// it becomes shortest-remaining-processing-time: a long-running
+    /// request may be evicted for a strictly shorter newcomer.
     ShortestJobFirst,
-    /// The client holding the fewest batch slots first; preempts only to
-    /// even out slots.
+    /// Fair slots per client: admit from the client holding the fewest
+    /// batch slots, oldest arrival first among equals. Preemption
+    /// rebalances only when it strictly improves fairness (the victim's
+    /// client holds at least two more slots than the candidate's).
     FairRoundRobin,
-    /// Least slack to the next deadline first; preempts the request with
-    /// strictly the most slack.
+    /// Earliest-deadline-first admission with slack-based preemption: the
+    /// SLO-aware scheduler the deadline layer exists for.
+    ///
+    /// Every request is placed on one urgency scale — steps of *slack*
+    /// until its next applicable deadline (TTFT before the first token,
+    /// ITL after; see `due_step`). Admission picks the least-slack queued
+    /// request (oldest arrival among equals), so deadline-less requests
+    /// (infinite slack) degrade to FIFO and a mixed workload is served
+    /// EDF-first, FIFO-second. Eviction targets the *most*-slack running
+    /// request (most remaining work, then youngest, among equals) and only
+    /// fires when the victim has **strictly** more slack than the
+    /// candidate — a workload with no deadlines anywhere never preempts,
+    /// and two equally late requests never thrash by evicting each other.
     SloAware,
 }
+
+/// Queue steps that add one effective priority level under
+/// [`PolicyKind::PriorityAging`]. A scheduling choice of this engine, not a
+/// paper figure; every golden schedule and digest under `priority` pins it.
+const AGING_STEPS: u64 = 8;
 
 impl PolicyKind {
     /// Every built-in policy, in presentation order.
@@ -490,21 +262,126 @@ impl PolicyKind {
         ]
     }
 
-    /// The policy's stable name (matches [`SchedulerPolicy::name`]).
+    /// Stable, human-readable policy name (used in reports and benches).
     #[must_use]
     pub fn name(self) -> &'static str {
-        self.build().name()
+        match self {
+            Self::Fifo => "fifo",
+            Self::PriorityAging => "priority-aging",
+            Self::ShortestJobFirst => "shortest-job-first",
+            Self::FairRoundRobin => "fair-round-robin",
+            Self::SloAware => "slo-aware",
+        }
     }
 
-    /// Instantiates the policy with its defaults.
+    /// The policy itself. Kept only while the frozen `benchmark/` package
+    /// calls it.
     #[must_use]
-    pub fn build(self) -> Box<dyn SchedulerPolicy> {
+    pub fn build(self) -> Self {
+        self
+    }
+
+    /// The queued request's place in admission order at `step`: lower
+    /// ranks are admitted first, ties by arrival. The engine ranks the
+    /// queue once per step, so a rank is fixed for the whole step and does
+    /// not read the running batch, which admissions change.
+    pub(super) fn rank(self, v: &PendingView, step: u64) -> i64 {
         match self {
-            Self::Fifo => Box::new(Fifo),
-            Self::PriorityAging => Box::new(PriorityAging),
-            Self::ShortestJobFirst => Box::new(ShortestJobFirst),
-            Self::FairRoundRobin => Box::new(FairRoundRobin),
-            Self::SloAware => Box::new(SloAware),
+            // Arrival order, or the client's slots then arrival, decides.
+            Self::Fifo | Self::FairRoundRobin => 0,
+            // Max effective priority first.
+            Self::PriorityAging => {
+                -saturating_i64(u64::from(v.priority) + v.waited_steps / AGING_STEPS)
+            }
+            Self::ShortestJobFirst => saturating_i64(v.remaining_tokens as u64),
+            Self::SloAware => {
+                let due = due_step(
+                    v.enqueued_at,
+                    v.last_token_at,
+                    v.ttft_deadline,
+                    v.itl_deadline,
+                );
+                slo_slack(due, step)
+            }
+        }
+    }
+
+    /// Whether admission orders by the running slots each request's
+    /// client holds before rank and arrival (kept current as the step
+    /// admits and evicts).
+    pub(super) fn balances_clients(self) -> bool {
+        self == Self::FairRoundRobin
+    }
+
+    /// Index into `pending` of the request admission takes next with
+    /// `running` as the batch, found by brute force. The engine keeps the
+    /// same order in a heap and never calls this reference. Takes `&mut
+    /// self` only while the frozen `benchmark/` package binds its policy
+    /// `mut`.
+    pub fn pick_next(
+        &mut self,
+        pending: &[PendingView],
+        running: &[RunningView],
+        step: u64,
+    ) -> Option<usize> {
+        let balances = self.balances_clients();
+        let key = |p: &PendingView| {
+            let held = balances.then(|| client_slots(running, p.client_id));
+            (held, self.rank(p, step), p.arrival_seq)
+        };
+        (0..pending.len()).min_by_key(|&i| key(&pending[i]))
+    }
+
+    /// Index into `running` of a victim to evict so `candidate` can be
+    /// admitted, or `None` to decline preemption. Called only when
+    /// preemption is enabled and `candidate` does not fit.
+    pub(super) fn pick_victim(
+        self,
+        candidate: &PendingView,
+        running: &[RunningView],
+        step: u64,
+    ) -> Option<usize> {
+        let indexed = running.iter().enumerate();
+        match self {
+            Self::Fifo => None,
+            Self::PriorityAging => {
+                // Evict the lowest-priority running request, youngest first
+                // among equals, and only for a strictly higher-priority
+                // candidate (raw priorities: aging gets work *into* the
+                // queue order, but must not let an aged background job
+                // evict on-par foreground work).
+                let (slot, victim) =
+                    indexed.min_by_key(|(_, r)| (r.priority, Reverse(r.arrival_seq)))?;
+                (victim.priority < candidate.priority).then_some(slot)
+            }
+            Self::ShortestJobFirst => {
+                let (slot, victim) =
+                    indexed.max_by_key(|(_, r)| (r.remaining_tokens, r.arrival_seq))?;
+                (victim.remaining_tokens > candidate.remaining_tokens).then_some(slot)
+            }
+            Self::FairRoundRobin => {
+                // From the most-over-served client, evict the member with
+                // the most work left; only worthwhile if it strictly
+                // improves fairness.
+                let held = |client| client_slots(running, client);
+                let (slot, victim) = indexed
+                    .max_by_key(|(_, r)| (held(r.client_id), r.remaining_tokens, r.arrival_seq))?;
+                (held(victim.client_id) >= held(candidate.client_id) + 2).then_some(slot)
+            }
+            Self::SloAware => {
+                let slack = |r: &RunningView| {
+                    let due = due_step(
+                        r.enqueued_at,
+                        r.last_token_at,
+                        r.ttft_deadline,
+                        r.itl_deadline,
+                    );
+                    slo_slack(due, step)
+                };
+                let (slot, victim) =
+                    indexed.max_by_key(|(_, r)| (slack(r), r.remaining_tokens, r.arrival_seq))?;
+                (slack(victim) > self.rank(candidate, step)).then_some(slot)
+            }
         }
     }
 }
@@ -553,8 +430,8 @@ pub enum RetentionPolicy {
     None,
     /// Retain up to this many pages of the victim's KV prefix.
     Pages(usize),
-    /// Retain this fraction of the victim's occupied pages, rounded down
-    /// (clamped to `[0, 1]`).
+    /// Retain this fraction, in `(0, 1)`, of the victim's occupied pages,
+    /// rounded down ([`ServingConfig::validate`](super::ServingConfig::validate)).
     Fraction(f64),
 }
 
@@ -744,7 +621,7 @@ mod tests {
                 let mut policy = kind.build();
                 let (mut live, mut running) = (views.clone(), batch.clone());
                 let mut order = AdmissionOrder::default();
-                order.fill(&*policy, live.iter().copied(), step);
+                order.fill(policy, live.iter().copied(), step);
                 let mut mix = seed;
                 loop {
                     let popped = order.pop(
@@ -767,6 +644,51 @@ mod tests {
                     }
                 }
                 prop_assert!(live.is_empty(), "{}: candidates left over", kind);
+            }
+        }
+
+        /// `pick_victim` names an index into the batch whose request meets
+        /// its kind's strict rule, and declines only when no running
+        /// request does: always on an empty batch, always under `Fifo`.
+        #[test]
+        fn pick_victim_names_a_running_request_its_rule_allows(
+            seed in any::<u64>(),
+            batch in 0usize..10,
+            step in 0u64..64,
+        ) {
+            let draw = |seq: u64| view(seq, splitmix64(seed ^ seq.rotate_left(29)));
+            let cand = draw(0);
+            let running: Vec<RunningView> =
+                (1..=batch as u64).map(|seq| admitted(&draw(seq))).collect();
+            let slack = |enqueued_at, last_token_at, ttft, itl| {
+                slo_slack(due_step(enqueued_at, last_token_at, ttft, itl), step)
+            };
+            let cand_slack = slack(
+                cand.enqueued_at,
+                cand.last_token_at,
+                cand.ttft_deadline,
+                cand.itl_deadline,
+            );
+            for kind in PolicyKind::all() {
+                let allows = |r: &RunningView| match kind {
+                    PolicyKind::Fifo => false,
+                    PolicyKind::PriorityAging => r.priority < cand.priority,
+                    PolicyKind::ShortestJobFirst => r.remaining_tokens > cand.remaining_tokens,
+                    PolicyKind::FairRoundRobin => {
+                        client_slots(&running, r.client_id)
+                            >= client_slots(&running, cand.client_id) + 2
+                    }
+                    PolicyKind::SloAware => {
+                        slack(r.enqueued_at, r.last_token_at, r.ttft_deadline, r.itl_deadline)
+                            > cand_slack
+                    }
+                };
+                let picked = kind.pick_victim(&cand, &running, step);
+                prop_assert_eq!(picked.is_some(), running.iter().any(allows), "{}", kind);
+                if let Some(i) = picked {
+                    prop_assert!(i < running.len(), "{}: victim {} of {}", kind, i, running.len());
+                    prop_assert!(allows(&running[i]), "{}: {:?} for {:?}", kind, running[i], cand);
+                }
             }
         }
     }

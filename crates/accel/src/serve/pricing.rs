@@ -23,12 +23,6 @@ pub(super) fn weight_stream_cycles(accel_cfg: &AccelConfig, weight_bytes: u64) -
     (weight_bytes as f64 / bytes_per_accel_cycle).ceil() as u64
 }
 
-/// A price factor as the engine uses it: negative and NaN configurations
-/// price the work as free rather than poisoning the cycle totals.
-pub(super) fn clamp_factor(factor: f64) -> f64 {
-    factor.max(0.0)
-}
-
 /// Cycles to (re)build, copy back or ship `tokens` of a request's
 /// `context`, given its measured per-step attention cost: `ceil((cycles ×
 /// factor) × (tokens ÷ context))`. The operation order is part of the
@@ -134,8 +128,6 @@ mod tests {
         assert_eq!(share(1000, 0.5, 3, 12), 125);
         assert_eq!(share(10, 1.0, 1, 3), 4, "3.33 rounds up");
         assert_eq!(share(1000, 1.0, 0, 12), 0);
-        assert_eq!(share(1000, clamp_factor(-2.0), 12, 12), 0);
-        assert_eq!(share(1000, clamp_factor(f64::NAN), 12, 12), 0);
     }
 
     #[test]

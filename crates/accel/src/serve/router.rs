@@ -1,6 +1,6 @@
 //! Request routing across the shards of a [`ClusterEngine`]: the
 //! front-door brain that decides *which* engine a request lands on, the
-//! same way [`SchedulerPolicy`](super::SchedulerPolicy) decides *when* it
+//! same way [`PolicyKind`](super::PolicyKind) decides *when* it
 //! runs once there.
 //!
 //! [`ClusterEngine`]: super::ClusterEngine

@@ -792,20 +792,7 @@ fn parse_meta(f: &Fields) -> Result<TraceMeta, TraceError> {
     config.weight_bytes = f.parse_field("weight_bytes")?;
     config.seed = f.parse_field("seed")?;
     config.clock_hz = f.parse_field("clock_hz")?;
-    if !(config.clock_hz.is_finite() && config.clock_hz > 0.0) {
-        return Err(f.err("field 'clock_hz' must be finite and positive".into()));
-    }
-    let range = ServingConfig::FACTOR_RANGE;
-    for (field, factor) in [
-        ("prefill_factor", config.prefill_factor),
-        ("swap_cost_factor", config.swap_cost_factor),
-        ("ship_cost_factor", config.ship_cost_factor),
-    ] {
-        if !range.contains(&factor) {
-            let (lo, hi) = (range.start(), range.end());
-            return Err(f.err(format!("field '{field}' must be within [{lo}, {hi}]")));
-        }
-    }
+    config.validate().map_err(|e| f.err(e.to_string()))?;
     Ok(TraceMeta {
         scenario: f.get("scenario").map(str::to_string),
         scenario_seed: match f.get("scenario") {

@@ -1,7 +1,7 @@
 //! Checks on the source tree itself, from one walk of the repository (no
 //! build output and no git needed): the public surface nothing else names
-//! stays at its settled size, every file the docs name exists, and the
-//! design documents stay within their line bounds.
+//! and the panic sites stay at their settled counts, every file the docs
+//! name exists, and the design documents stay within their line bounds.
 
 use std::fs;
 use std::path::Path;
@@ -14,6 +14,15 @@ use std::sync::OnceLock;
 /// testbed or the EXP unit. Lower this when one goes; settle a new one
 /// (delete it, narrow it or call it) instead of raising it.
 const PUBLIC_ITEMS_NAMED_NOWHERE_ELSE: usize = 26;
+
+/// `.unwrap()`, `.expect(`, `panic!`, `unreachable!` and `assert*!` calls
+/// (`debug_assert*!` aside) in the program's own code: every file under
+/// `crates/*/src` (the vendored shims aside) and `src/`, up to the
+/// `#[cfg(test)]` that opens its test module, comments aside. Each is a
+/// place the program can stop instead of returning an error, so this only
+/// goes down: lower it when one goes, and return an error instead of
+/// raising it.
+const PANIC_SITES: usize = 164;
 
 /// The most lines each document may have. ARCHITECTURE keeps the design
 /// and the verify SKILL the commands and gates; a change's measurements go
@@ -140,6 +149,45 @@ fn the_public_surface_nothing_else_names_stays_settled() {
         PUBLIC_ITEMS_NAMED_NOWHERE_ELSE,
         "public items no other file names:\n{}",
         lonely.join("\n")
+    );
+}
+
+/// The panic sites [`PANIC_SITES`] counts on one line of code.
+fn panic_sites(code: &str) -> usize {
+    let macros = code.match_indices('!').filter(|&(at, _)| {
+        let before = &code[..at];
+        let start = (before.char_indices().rev())
+            .find(|&(_, c)| !is_ident(c))
+            .map_or(0, |(i, c)| i + c.len_utf8());
+        let word = &before[start..];
+        matches!(word, "panic" | "unreachable") || word.starts_with("assert")
+    });
+    code.matches(".unwrap()").count() + code.matches(".expect(").count() + macros.count()
+}
+
+#[test]
+fn the_panic_sites_outside_tests_only_go_down() {
+    let mut sites = Vec::new();
+    for s in sources().iter().filter(|s| s.path.ends_with(".rs")) {
+        let parts: Vec<&str> = s.path.split('/').collect();
+        if !(parts[0] == "src" || parts.len() >= 4 && parts[0] == "crates" && parts[2] == "src") {
+            continue;
+        }
+        let lines: Vec<&str> = s.text.as_deref().expect("read").lines().collect();
+        for (n, line) in lines.iter().enumerate() {
+            let next = lines.get(n + 1).map_or("", |l| l.trim_start());
+            if line.trim() == "#[cfg(test)]" && next.starts_with("mod ") {
+                break;
+            }
+            let code = line.split("//").next().unwrap_or_default();
+            sites.extend((0..panic_sites(code)).map(|_| format!("{}:{}", s.path, n + 1)));
+        }
+    }
+    assert_eq!(
+        sites.len(),
+        PANIC_SITES,
+        "panic sites outside test modules:\n{}",
+        sites.join("\n")
     );
 }
 
