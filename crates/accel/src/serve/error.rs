@@ -17,7 +17,7 @@ pub enum ServeError {
         field: &'static str,
     },
     /// Requests are queued but the admission limits can never admit the
-    /// next one (e.g. `max_batch` is zero), so no progress is possible.
+    /// next one, so no progress is possible.
     AdmissionStalled {
         /// Requests stuck in the queue.
         pending: usize,
@@ -45,7 +45,7 @@ impl fmt::Display for ServeError {
             Self::InvalidConfig { field } => {
                 let range = super::ServingConfig::FACTOR_RANGE;
                 let rule = match *field {
-                    "heads" => "at least 1".to_string(),
+                    "heads" | "max_batch" | "page_size" => "at least 1".to_string(),
                     "clock_hz" => "finite and positive".to_string(),
                     "retention" => "a fraction in (0, 1)".to_string(),
                     _ => format!("within [{}, {}]", range.start(), range.end()),

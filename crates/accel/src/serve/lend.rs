@@ -592,6 +592,7 @@ mod tests {
     use super::*;
     use crate::config::{AccelConfig, AccelMode};
     use crate::serve::helper::Helper;
+    use crate::serve::queue::Queued;
     use crate::serve::{
         PolicyKind, PreemptionConfig, RetentionPolicy, ServeEvent, ServingConfig, ServingReport,
         ServingRequest,
@@ -726,6 +727,7 @@ mod tests {
                 let holding = engine
                     .pending
                     .iter()
+                    .filter_map(Queued::started)
                     .filter(|r| r.stats.generated > 0 && r.kept_attention.holds(r.context()));
                 evicted_holding.extend(holding.map(|r| r.req.id));
             });

@@ -87,11 +87,10 @@ use topick_core::PruneStats;
 use crate::config::AccelConfig;
 use crate::engine::ToPickAccelerator;
 
-use batch_state::{ActiveRequest, KeptAttention, SimulatedStep};
+use batch_state::{ActiveRequest, SimulatedStep};
 use lend::{KeyScratch, Lender};
 use policy::{due_step, slo_slack, AdmissionOrder};
-use queue::{PendingQueue, PrefixChains};
-use residency::Residency;
+use queue::{PendingQueue, PrefixChains, Queued, QueuedRequest};
 
 /// Full configuration of the serving engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,9 +194,10 @@ impl ServingConfig {
 
     /// Refuses what no engine can price or record faithfully: `heads` 0, a
     /// `clock_hz` not finite and positive, a price factor outside
-    /// [`FACTOR_RANGE`](Self::FACTOR_RANGE) (NaN included), and a
+    /// [`FACTOR_RANGE`](Self::FACTOR_RANGE) (NaN included), a
     /// [`RetentionPolicy::Fraction`] outside `(0, 1)`, the grammar its
-    /// `FromStr` reads back.
+    /// `FromStr` reads back, and an admission `max_batch` or `page_size`
+    /// of 0 (no request could ever run, or pages would be bent to 1 token).
     ///
     /// # Errors
     ///
@@ -215,6 +215,8 @@ impl ServingConfig {
             ("swap_cost_factor", factor_ok(self.swap_cost_factor)),
             ("ship_cost_factor", factor_ok(self.ship_cost_factor)),
             ("retention", fraction_ok),
+            ("max_batch", self.admission.max_batch > 0),
+            ("page_size", self.admission.page_size > 0),
         ]
         .into_iter()
         .find(|&(_, ok)| !ok)
@@ -409,6 +411,9 @@ pub struct ServingEngine {
     /// The KV page allocator: the batch's KV budget, including pages
     /// retained by preempted requests waiting in the queue.
     pager: KvPager,
+    /// [`ServingConfig::validate`]'s verdict on `cfg`, taken once at build:
+    /// the configuration never changes after it.
+    config_check: Result<(), ServeError>,
     /// The run's one record: every step (so its length is the step
     /// index), every finished request and every counter.
     report: ServingReport,
@@ -502,6 +507,7 @@ impl ServingEngine {
             cfg.admission.page_size,
         );
         Self {
+            config_check: cfg.validate(),
             cfg,
             accel,
             policy,
@@ -603,8 +609,8 @@ impl ServingEngine {
     }
 
     /// Whether queued request `e` has arrived and has never been admitted.
-    fn unstarted(&self, e: &ActiveRequest) -> bool {
-        e.stats.admitted_at.is_none() && e.req.arrival_step as usize <= self.step_index()
+    fn unstarted(&self, e: &Queued) -> bool {
+        e.is_fresh() && e.req().arrival_step as usize <= self.step_index()
     }
 
     /// Removes and returns the youngest queued request that has arrived
@@ -618,8 +624,8 @@ impl ServingEngine {
             .iter()
             .rev()
             .find(|e| self.unstarted(e))
-            .map(|e| e.arrival_seq)?;
-        Some(self.pending.remove_by_seq(seq).req)
+            .map(Queued::arrival_seq)?;
+        Some(*self.pending.remove_by_seq(seq).req())
     }
 
     /// The KV page allocator: page-granular accounting of the batch's KV
@@ -645,6 +651,9 @@ impl ServingEngine {
     ///   arrival sequence, which its lookups by sequence binary-search
     ///   on, and names exactly the slots that hold a queued request.
     ///
+    /// A never-admitted queued request has no ledger yet: it owes at most
+    /// its prompt and holds nothing in the host tier.
+    ///
     /// # Panics
     ///
     /// Panics on the first violated invariant.
@@ -652,7 +661,8 @@ impl ServingEngine {
         self.pending.validate();
         self.pager.validate();
         let mut host_pages = 0;
-        for r in self.pending.iter().chain(&self.running) {
+        let queued = self.pending.iter().filter_map(Queued::started);
+        for r in queued.chain(&self.running) {
             r.kv.validate(r.context());
             host_pages += self.pager.pages_needed(r.kv.host_tokens());
         }
@@ -691,7 +701,7 @@ impl ServingEngine {
     /// if the prompt or token target is zero, or if the request alone could
     /// never satisfy the admission budget.
     pub fn validate_request(&self, req: &ServingRequest) -> Result<(), ServeError> {
-        self.cfg.validate()?;
+        self.config_check.clone()?;
         if req.prompt_len == 0 {
             return Err(ServeError::InvalidRequest("prompt_len must be positive"));
         }
@@ -707,6 +717,12 @@ impl ServingEngine {
             ));
         }
         Ok(())
+    }
+
+    /// Whether admission charges a prompt's prefill: a never-admitted
+    /// request starts owing its whole prompt.
+    fn prefill_priced(&self) -> bool {
+        self.cfg.prefill_factor > 0.0
     }
 
     /// Adds a request to the arrival queue.
@@ -743,24 +759,14 @@ impl ServingEngine {
         } else {
             Vec::new()
         };
-        let active = ActiveRequest {
+        self.pending.push(Queued::Fresh(QueuedRequest {
             req,
             arrival_seq: self.arrival_seq,
-            wait_since: schedulable_at,
-            last_admitted_at: None,
-            last_evicted_at: None,
-            kv: Residency::enqueued(
-                req.prompt_len,
-                self.cfg.prefill_factor > 0.0,
-                shipped_tokens,
-            ),
-            last_token_at: None,
+            schedulable_at,
+            shipped_tokens,
             page_keys,
-            kept_attention: KeptAttention::default(),
-            stats: RequestStats::queued(&req, schedulable_at),
-        };
+        }));
         self.arrival_seq += 1;
-        self.pending.push(active);
         self.emit(ServeEvent::Enqueued {
             id: req.id,
             step: self.step_index(),
@@ -797,7 +803,7 @@ impl ServingEngine {
         // immediately.
         active.last_evicted_at = None;
         let id = active.req.id;
-        self.pending.push(active);
+        self.pending.push(Queued::Started(Box::new(active)));
         self.emit(ServeEvent::Enqueued {
             id,
             step: self.step_index(),
@@ -811,8 +817,8 @@ impl ServingEngine {
     pub(crate) fn pull_candidates(&self) -> Vec<(u64, u64, Vec<u64>)> {
         self.pending
             .iter()
-            .filter(|e| self.unstarted(e) && !e.page_keys.is_empty())
-            .map(|e| (e.req.id, e.arrival_seq, e.page_keys.clone()))
+            .filter(|e| self.unstarted(e) && !e.page_keys().is_empty())
+            .map(|e| (e.req().id, e.arrival_seq(), e.page_keys().to_vec()))
             .collect()
     }
 
@@ -823,7 +829,7 @@ impl ServingEngine {
     /// prefill work for the covered prefix.
     pub(crate) fn credit_shipped(&mut self, seq: u64, tokens: usize) {
         if let Some(e) = self.pending.get_mut_by_seq(seq) {
-            e.kv.credit_shipped(tokens);
+            e.credit_shipped(tokens);
         }
     }
 
@@ -839,15 +845,18 @@ impl ServingEngine {
         let expired: Vec<(u64, i64)> = self
             .pending
             .iter()
-            .filter(|e| e.stats.first_token_at.is_none())
+            .filter(|e| e.first_token_at().is_none())
             .filter_map(|e| {
-                let due = due_step(e.stats.enqueued_at, None, e.req.ttft_deadline, None);
+                let due = due_step(e.enqueued_at(), None, e.req().ttft_deadline, None);
                 let slack = slo_slack(due, step as u64);
-                (slack < 0).then_some((e.arrival_seq, slack))
+                (slack < 0).then_some((e.arrival_seq(), slack))
             })
             .collect();
         for (seq, slack) in expired {
-            let mut r = self.pending.remove_by_seq(seq);
+            let mut r = self
+                .pending
+                .remove_by_seq(seq)
+                .into_active(self.prefill_priced());
             // A preempted-then-expired request may still hold retained
             // device pages or a host-tier holding; both go back to their
             // pools.
@@ -898,7 +907,7 @@ impl ServingEngine {
             let chain = self
                 .pending
                 .get_mut_by_seq(cand.arrival_seq)
-                .map(|e| std::mem::take(&mut e.page_keys))
+                .map(|e| std::mem::take(e.page_keys_mut()))
                 .unwrap_or_default();
             if !self.fits(cand.arrival_seq, cand.final_context, &chain) {
                 // Cheapest rescue first: when the candidate has a slot
@@ -972,12 +981,15 @@ impl ServingEngine {
                     // Head-of-line blocking: the policy's chosen candidate
                     // cannot run, so admission ends for this step.
                     if let Some(e) = self.pending.get_mut_by_seq(cand.arrival_seq) {
-                        e.page_keys = chain;
+                        *e.page_keys_mut() = chain;
                     }
                     break;
                 }
             }
-            let mut active = self.pending.remove_by_seq(cand.arrival_seq);
+            let mut active = self
+                .pending
+                .remove_by_seq(cand.arrival_seq)
+                .into_active(self.prefill_priced());
             active.page_keys = chain;
             if active.stats.admitted_at.is_none() {
                 active.stats.admitted_at = Some(step);
@@ -1030,7 +1042,7 @@ impl ServingEngine {
         victim.wait_since = self.step_index();
         self.report.preemptions += 1;
         let (id, generated) = (victim.req.id, victim.stats.generated);
-        self.pending.push(victim);
+        self.pending.push(Queued::Started(Box::new(victim)));
         self.emit(ServeEvent::Preempted {
             id,
             step: self.step_index(),
@@ -1101,7 +1113,8 @@ impl ServingEngine {
         let e = self
             .pending
             .get_mut_by_seq(seq)
-            .expect("retained-page holder is queued");
+            .and_then(Queued::started_mut)
+            .expect("retained-page holder is queued, admitted before");
         let (lost_tokens, swapped_now) =
             e.kv.reclaim_tail_page(e.context(), kept_pages, self.pager.host_mut());
         e.stats.retained_tokens -= lost_tokens;
@@ -1535,6 +1548,20 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_batch_limit_or_page_size_is_refused_at_enqueue() {
+        // `max_batch` 0 could never admit the request, and `page_size` 0
+        // would be bent to one token a page by the pager.
+        let mut cfg = small_cfg(AccelMode::OutOfOrder);
+        cfg.admission.max_batch = 0;
+        assert_config_refused(cfg, "max_batch");
+        let mut cfg = small_cfg(AccelMode::OutOfOrder);
+        cfg.admission.page_size = 0;
+        assert_config_refused(cfg, "page_size");
+        let refused = ServeError::InvalidConfig { field: "page_size" };
+        assert_eq!(refused.to_string(), "field 'page_size' must be at least 1");
+    }
+
+    #[test]
     fn chunked_prefill_simulates_once_per_decoded_token() {
         // 16-token chunks under 40-56-token prompts: every chunk of a
         // prompt and its first token run at one context, so they must
@@ -1753,10 +1780,11 @@ mod tests {
 
     #[test]
     fn stalled_admission_is_an_error_not_silent_completion() {
-        let mut cfg = small_cfg(AccelMode::OutOfOrder);
-        cfg.admission.max_batch = 0;
-        let mut engine = ServingEngine::new(cfg);
+        // `max_batch` 0 is refused at enqueue, so the limit drops to 0
+        // only after the request is queued.
+        let mut engine = ServingEngine::new(small_cfg(AccelMode::OutOfOrder));
         engine.enqueue(ServingRequest::new(0, 16, 1)).unwrap();
+        engine.cfg.admission.max_batch = 0;
         let err = engine.run_to_completion(4).unwrap_err();
         assert!(matches!(err, ServeError::AdmissionStalled { pending: 1 }));
     }

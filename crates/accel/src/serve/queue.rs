@@ -2,8 +2,10 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use super::batch_state::ActiveRequest;
+use super::batch_state::{ActiveRequest, KeptAttention};
 use super::policy::PendingView;
+use super::residency::Residency;
+use super::stats::RequestStats;
 
 /// One generation request entering the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,6 +263,179 @@ impl PrefixChains {
     }
 }
 
+/// A request that has never been admitted, as it waits: the request, the
+/// few values enqueue decided for it, and its prompt's page keys — about a
+/// third of the running state admission builds from it
+/// ([`into_active`](Self::into_active)).
+#[derive(Debug, Clone)]
+pub(crate) struct QueuedRequest {
+    pub(crate) req: ServingRequest,
+    /// Engine-assigned enqueue order (see [`ActiveRequest::arrival_seq`]).
+    pub(crate) arrival_seq: u64,
+    /// The step the request became schedulable, enqueued and arrived: its
+    /// queue age counts from it, and its stats record it as the enqueue
+    /// step.
+    pub(crate) schedulable_at: usize,
+    /// Prompt tokens whose KV a sibling shard shipped in for it, at
+    /// enqueue or by a later prefix pull.
+    pub(crate) shipped_tokens: usize,
+    /// Position-chained content hashes of the full prompt pages (empty
+    /// while prefix caching is disabled).
+    pub(crate) page_keys: Vec<u64>,
+}
+
+impl QueuedRequest {
+    /// The running state admission starts from: the whole prompt owed
+    /// when the engine prices prefill, and no step run yet.
+    pub(crate) fn into_active(self, prefill_priced: bool) -> ActiveRequest {
+        let Self {
+            req,
+            arrival_seq,
+            schedulable_at,
+            shipped_tokens,
+            page_keys,
+        } = self;
+        ActiveRequest {
+            req,
+            arrival_seq,
+            wait_since: schedulable_at,
+            last_admitted_at: None,
+            last_evicted_at: None,
+            kv: Residency::enqueued(req.prompt_len, prefill_priced, shipped_tokens),
+            last_token_at: None,
+            page_keys,
+            kept_attention: KeptAttention::default(),
+            stats: RequestStats::queued(&req, schedulable_at),
+        }
+    }
+}
+
+/// A queued request. One that was never admitted waits as the compact
+/// [`QueuedRequest`]; one with running state — preempted, or shipped in
+/// from a sibling shard — keeps it, boxed, so the queue's slots stay at the
+/// compact size. Every reader goes through the accessors here, which read
+/// a fresh entry as the [`ActiveRequest`] admission would build from it.
+#[derive(Debug, Clone)]
+pub(crate) enum Queued {
+    Fresh(QueuedRequest),
+    Started(Box<ActiveRequest>),
+}
+
+impl Queued {
+    pub(crate) fn req(&self) -> &ServingRequest {
+        match self {
+            Self::Fresh(q) => &q.req,
+            Self::Started(a) => &a.req,
+        }
+    }
+
+    pub(crate) fn arrival_seq(&self) -> u64 {
+        match self {
+            Self::Fresh(q) => q.arrival_seq,
+            Self::Started(a) => a.arrival_seq,
+        }
+    }
+
+    /// Whether the request was never admitted.
+    pub(crate) fn is_fresh(&self) -> bool {
+        matches!(self, Self::Fresh(_))
+    }
+
+    /// The running state, if the request has been admitted before.
+    pub(crate) fn started(&self) -> Option<&ActiveRequest> {
+        match self {
+            Self::Fresh(_) => None,
+            Self::Started(a) => Some(a),
+        }
+    }
+
+    pub(crate) fn started_mut(&mut self) -> Option<&mut ActiveRequest> {
+        match self {
+            Self::Fresh(_) => None,
+            Self::Started(a) => Some(a),
+        }
+    }
+
+    /// Context length when the request will retire.
+    pub(crate) fn final_context(&self) -> usize {
+        let req = self.req();
+        req.prompt_len + req.max_new_tokens
+    }
+
+    /// The step its first token came out, if one has.
+    pub(crate) fn first_token_at(&self) -> Option<usize> {
+        self.started().and_then(|a| a.stats.first_token_at)
+    }
+
+    /// The step its stats record it as enqueued (schedulable).
+    pub(crate) fn enqueued_at(&self) -> usize {
+        match self {
+            Self::Fresh(q) => q.schedulable_at,
+            Self::Started(a) => a.stats.enqueued_at,
+        }
+    }
+
+    pub(crate) fn page_keys(&self) -> &[u64] {
+        match self {
+            Self::Fresh(q) => &q.page_keys,
+            Self::Started(a) => &a.page_keys,
+        }
+    }
+
+    pub(crate) fn page_keys_mut(&mut self) -> &mut Vec<u64> {
+        match self {
+            Self::Fresh(q) => &mut q.page_keys,
+            Self::Started(a) => &mut a.page_keys,
+        }
+    }
+
+    /// A prefix pull landed `tokens` more of the prompt's KV for it.
+    pub(crate) fn credit_shipped(&mut self, tokens: usize) {
+        match self {
+            Self::Fresh(q) => q.shipped_tokens += tokens,
+            Self::Started(a) => a.kv.credit_shipped(tokens),
+        }
+    }
+
+    /// The request's running state: built now if it was never admitted.
+    pub(crate) fn into_active(self, prefill_priced: bool) -> ActiveRequest {
+        match self {
+            Self::Fresh(q) => q.into_active(prefill_priced),
+            Self::Started(a) => *a,
+        }
+    }
+
+    /// Whether the request is visible to the scheduler at `step`: it has
+    /// arrived, and it was not evicted from the batch this very step (a
+    /// one-step cooldown that prevents evict/re-admit livelock).
+    fn is_visible(&self, step: usize) -> bool {
+        self.req().arrival_step as usize <= step
+            && self.started().and_then(|a| a.last_evicted_at) != Some(step)
+    }
+
+    /// The policy's view of the request at `step`.
+    fn view(&self, step: usize) -> PendingView {
+        let (wait_since, generated, last_token_at) = match self {
+            Self::Fresh(q) => (q.schedulable_at, 0, None),
+            Self::Started(a) => (a.wait_since, a.stats.generated, a.last_token_at),
+        };
+        let req = self.req();
+        PendingView {
+            id: req.id,
+            priority: req.priority,
+            client_id: req.client_id,
+            arrival_seq: self.arrival_seq(),
+            waited_steps: (step as u64).saturating_sub(wait_since as u64),
+            remaining_tokens: req.max_new_tokens - generated,
+            final_context: self.final_context(),
+            enqueued_at: self.enqueued_at(),
+            last_token_at,
+            ttft_deadline: req.ttft_deadline,
+            itl_deadline: req.itl_deadline,
+        }
+    }
+}
+
 /// The arrival queue: requests waiting for admission.
 ///
 /// A queued request stays in the slot it landed in until it leaves; free
@@ -274,7 +449,7 @@ impl PrefixChains {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PendingQueue {
     /// The queued requests where they landed; `None` is a free slot.
-    slots: Vec<Option<ActiveRequest>>,
+    slots: Vec<Option<Queued>>,
     /// Indices of the free slots in `slots`.
     free: Vec<usize>,
     /// `(arrival_seq, slot)` of every queued request, in arrival order.
@@ -290,8 +465,8 @@ impl PendingQueue {
     /// carry the largest sequence so far, so their index entry is appended
     /// too, without a search. A preempted request's entry binary-searches
     /// back to its place, which moves the shorter side of the index.
-    pub(crate) fn push(&mut self, r: ActiveRequest) {
-        let seq = r.arrival_seq;
+    pub(crate) fn push(&mut self, r: Queued) {
+        let seq = r.arrival_seq();
         self.tokens += r.final_context();
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -318,7 +493,7 @@ impl PendingQueue {
     }
 
     /// The request in an indexed slot.
-    fn at(&self, slot: usize) -> &ActiveRequest {
+    fn at(&self, slot: usize) -> &Queued {
         self.slots[slot]
             .as_ref()
             .expect("an indexed slot holds a request")
@@ -337,52 +512,29 @@ impl PendingQueue {
         self.tokens
     }
 
-    /// Whether a request is visible to the scheduler at `step`: it has
-    /// arrived, and it was not evicted from the batch this very step (a
-    /// one-step cooldown that prevents evict/re-admit livelock).
-    fn is_visible(e: &ActiveRequest, step: usize) -> bool {
-        e.req.arrival_step as usize <= step && e.last_evicted_at != Some(step)
-    }
-
     /// Whether any queued request is visible to the scheduler at `step`.
     pub(crate) fn has_visible(&self, step: usize) -> bool {
-        self.iter().any(|e| Self::is_visible(e, step))
+        self.iter().any(|e| e.is_visible(step))
     }
 
     /// The policy's view of every request visible at `step`, in arrival
     /// order.
     pub(crate) fn views(&self, step: usize) -> impl Iterator<Item = PendingView> + '_ {
         self.iter()
-            .filter(move |e| Self::is_visible(e, step))
-            .map(move |e| Self::view(e, step))
+            .filter(move |e| e.is_visible(step))
+            .map(move |e| e.view(step))
     }
 
     /// The policy's view at `step` of visible queued request `seq`.
     pub(crate) fn view_by_seq(&self, seq: u64, step: usize) -> Option<PendingView> {
         let (_, slot) = self.order[self.position_of(seq)?];
         let e = self.at(slot);
-        Self::is_visible(e, step).then(|| Self::view(e, step))
-    }
-
-    fn view(e: &ActiveRequest, step: usize) -> PendingView {
-        PendingView {
-            id: e.req.id,
-            priority: e.req.priority,
-            client_id: e.req.client_id,
-            arrival_seq: e.arrival_seq,
-            waited_steps: (step as u64).saturating_sub(e.wait_since as u64),
-            remaining_tokens: e.req.max_new_tokens - e.stats.generated,
-            final_context: e.final_context(),
-            enqueued_at: e.stats.enqueued_at,
-            last_token_at: e.last_token_at,
-            ttft_deadline: e.req.ttft_deadline,
-            itl_deadline: e.req.itl_deadline,
-        }
+        e.is_visible(step).then(|| e.view(step))
     }
 
     /// The queued requests in arrival order (including not-yet-visible
     /// future arrivals); reversible, for youngest-first searches.
-    pub(crate) fn iter(&self) -> impl DoubleEndedIterator<Item = &ActiveRequest> + '_ {
+    pub(crate) fn iter(&self) -> impl DoubleEndedIterator<Item = &Queued> + '_ {
         self.order.iter().map(|&(_, slot)| self.at(slot))
     }
 
@@ -393,10 +545,11 @@ impl PendingQueue {
 
     /// Mutable access to the request with arrival sequence `seq`, if
     /// queued (used to lend out a candidate's prompt-page hash chain
-    /// during admission, and to restate a request's re-prefill debt when
-    /// its retained KV pages are reclaimed under admission pressure). The
-    /// request's `req` must stay as pushed: the token total counts it.
-    pub(crate) fn get_mut_by_seq(&mut self, seq: u64) -> Option<&mut ActiveRequest> {
+    /// during admission, to credit a prefix pull, and to restate a
+    /// request's re-prefill debt when its retained KV pages are reclaimed
+    /// under admission pressure). The request's `req` must stay as pushed:
+    /// the token total counts it.
+    pub(crate) fn get_mut_by_seq(&mut self, seq: u64) -> Option<&mut Queued> {
         let (_, slot) = self.order[self.position_of(seq)?];
         self.slots[slot].as_mut()
     }
@@ -408,7 +561,7 @@ impl PendingQueue {
     ///
     /// Panics if no request has that sequence (policy views are built
     /// from the same queue, so a miss is an engine bug).
-    pub(crate) fn remove_by_seq(&mut self, seq: u64) -> ActiveRequest {
+    pub(crate) fn remove_by_seq(&mut self, seq: u64) -> Queued {
         let (_, slot) = self
             .position_of(seq)
             .and_then(|i| self.order.remove(i))
@@ -436,7 +589,7 @@ impl PendingQueue {
                 self.slots
                     .get(slot)
                     .and_then(Option::as_ref)
-                    .map(|e| e.arrival_seq),
+                    .map(Queued::arrival_seq),
                 Some(seq),
                 "a pending index entry does not name its request's slot"
             );
@@ -458,7 +611,7 @@ impl PendingQueue {
         );
         assert_eq!(
             self.tokens,
-            self.iter().map(ActiveRequest::final_context).sum::<usize>(),
+            self.iter().map(Queued::final_context).sum::<usize>(),
             "the pending token total disagrees with the queued requests"
         );
     }
@@ -466,14 +619,16 @@ impl PendingQueue {
 
 #[cfg(test)]
 mod tests {
-    use super::super::residency::Residency;
-    use super::super::stats::RequestStats;
+    use super::super::ServingEngine;
     use super::*;
+    use crate::config::{AccelConfig, AccelMode};
     use proptest::prelude::*;
 
     /// A queued request with sequence `seq` whose arrival step (0–3),
-    /// queue age, eviction cooldown and prompt chain are drawn from `mix`.
-    fn request(seq: u64, mix: u64) -> ActiveRequest {
+    /// queue age, shipped tokens and prompt chain are drawn from `mix`; one
+    /// in three has running state: evicted at some step, or shipped in
+    /// from a sibling shard with no eviction cooldown.
+    fn request(seq: u64, mix: u64) -> Queued {
         let req = ServingRequest::new(
             seq ^ 0x5A5A,
             16 + (mix % 17) as usize,
@@ -481,26 +636,41 @@ mod tests {
         )
         .with_priority((mix >> 12) as u8 % 8)
         .arriving_at((mix >> 16) % 4);
-        ActiveRequest {
+        let fresh = Queued::Fresh(QueuedRequest {
             req,
             arrival_seq: seq,
-            wait_since: (mix >> 20) as usize % 4,
-            last_admitted_at: None,
-            last_evicted_at: (mix >> 24)
-                .is_multiple_of(3)
-                .then_some((mix >> 28) as usize % 4),
-            kv: Residency::enqueued(req.prompt_len, false, 0),
-            last_token_at: None,
+            schedulable_at: (mix >> 20) as usize % 4,
+            shipped_tokens: (mix >> 36) as usize % 4,
             page_keys: vec![mix; (mix >> 32) as usize % 3],
-            kept_attention: Default::default(),
-            stats: RequestStats::queued(&req, (mix >> 36) as usize % 4),
+        });
+        if !(mix >> 24).is_multiple_of(3) {
+            return fresh;
         }
+        let mut e = evicted(fresh, (mix >> 28) as usize % 4, mix);
+        if (mix >> 60) & 1 == 1 {
+            e.started_mut().unwrap().last_evicted_at = None;
+        }
+        e
+    }
+
+    /// `e` re-entering the queue evicted at `step`, as preemption re-queues
+    /// it: its queue age restarts at `step` while its stats keep their
+    /// enqueue step, and the tokens it made and the step of its last one
+    /// are drawn from `mix`.
+    fn evicted(e: Queued, step: usize, mix: u64) -> Queued {
+        let mut a = e.into_active(false);
+        a.stats.admitted_at = a.stats.admitted_at.or(Some(a.stats.enqueued_at));
+        a.stats.generated = (mix >> 44) as usize % a.req.max_new_tokens;
+        a.last_token_at = (a.stats.generated > 0).then_some((mix >> 48) as usize % 5);
+        a.wait_since = step;
+        a.last_evicted_at = Some(step);
+        Queued::Started(Box::new(a))
     }
 
     /// A request's sequence and whole state, as the differential compares
     /// them.
-    fn state(e: &ActiveRequest) -> (u64, String) {
-        (e.arrival_seq, format!("{e:?}"))
+    fn state(e: &Queued) -> (u64, String) {
+        (e.arrival_seq(), format!("{e:?}"))
     }
 
     /// The policy's view of a reference entry, restated field by field.
@@ -518,6 +688,40 @@ mod tests {
             ttft_deadline: e.req.ttft_deadline,
             itl_deadline: e.req.itl_deadline,
         }
+    }
+
+    /// The running state enqueue built for a request before a queued
+    /// request was compact, restated as it was written there: the
+    /// reference for what admission builds from a fresh entry.
+    fn enqueued_literal(
+        req: ServingRequest,
+        arrival_seq: u64,
+        schedulable_at: usize,
+        prefill_priced: bool,
+        shipped_tokens: usize,
+        page_keys: Vec<u64>,
+    ) -> ActiveRequest {
+        ActiveRequest {
+            req,
+            arrival_seq,
+            wait_since: schedulable_at,
+            last_admitted_at: None,
+            last_evicted_at: None,
+            kv: Residency::enqueued(req.prompt_len, prefill_priced, shipped_tokens),
+            last_token_at: None,
+            page_keys,
+            kept_attention: KeptAttention::default(),
+            stats: RequestStats::queued(&req, schedulable_at),
+        }
+    }
+
+    #[test]
+    fn a_queued_request_stays_compact() {
+        // About a third of the 440-byte running state; a queue slot is no
+        // larger than the compact record.
+        let compact = std::mem::size_of::<QueuedRequest>();
+        assert!(compact <= 160, "{compact} bytes");
+        assert!(std::mem::size_of::<Option<Queued>>() <= compact);
     }
 
     /// The page-key chain as it was first written: one FNV-1a pass over
@@ -608,8 +812,8 @@ mod tests {
             ops in prop::collection::vec(0u8..8, 1..160),
         ) {
             let mut queue = PendingQueue::default();
-            let mut reference: Vec<ActiveRequest> = Vec::new();
-            let mut removed: Vec<ActiveRequest> = Vec::new();
+            let mut reference: Vec<Queued> = Vec::new();
+            let mut removed: Vec<Queued> = Vec::new();
             let mut next_seq = 0u64;
             for (i, &op) in ops.iter().enumerate() {
                 let mix = splitmix64(seed ^ (i as u64).rotate_left(32));
@@ -624,16 +828,16 @@ mod tests {
                     // A preemption victim re-enters under its old sequence,
                     // evicted at some step.
                     3 if !removed.is_empty() => {
-                        let mut r = removed.swap_remove(mix as usize % removed.len());
-                        r.last_evicted_at = Some((mix >> 8) as usize % 4);
-                        let at = reference.partition_point(|e| e.arrival_seq < r.arrival_seq);
+                        let r = removed.swap_remove(mix as usize % removed.len());
+                        let r = evicted(r, (mix >> 8) as usize % 4, mix);
+                        let at = reference.partition_point(|e| e.arrival_seq() < r.arrival_seq());
                         reference.insert(at, r.clone());
                         queue.push(r);
                     }
                     // An admission or a reject, from anywhere in the queue.
                     3..=5 if !reference.is_empty() => {
                         let expected = reference.remove(mix as usize % reference.len());
-                        let got = queue.remove_by_seq(expected.arrival_seq);
+                        let got = queue.remove_by_seq(expected.arrival_seq());
                         prop_assert_eq!(state(&got), state(&expected));
                         removed.push(got);
                     }
@@ -641,12 +845,12 @@ mod tests {
                     // found by iterating in reverse.
                     6 => {
                         let step = mix as usize % 4;
-                        let arrived = |e: &&ActiveRequest| e.req.arrival_step as usize <= step;
-                        let seq = queue.iter().rev().find(arrived).map(|e| e.arrival_seq);
-                        let expected = reference.iter().rev().find(arrived).map(|e| e.arrival_seq);
+                        let arrived = |e: &&Queued| e.req().arrival_step as usize <= step;
+                        let seq = queue.iter().rev().find(arrived).map(Queued::arrival_seq);
+                        let expected = reference.iter().rev().find(arrived).map(Queued::arrival_seq);
                         prop_assert_eq!(seq, expected);
                         if let Some(seq) = seq {
-                            let at = reference.iter().position(|e| e.arrival_seq == seq).unwrap();
+                            let at = reference.iter().position(|e| e.arrival_seq() == seq).unwrap();
                             reference.remove(at);
                             removed.push(queue.remove_by_seq(seq));
                         }
@@ -655,12 +859,15 @@ mod tests {
                     _ => {
                         let seq = mix % (next_seq + 1);
                         let got = queue.get_mut_by_seq(seq);
-                        let expected = reference.iter_mut().find(|e| e.arrival_seq == seq);
+                        let expected = reference.iter_mut().find(|e| e.arrival_seq() == seq);
                         prop_assert_eq!(got.is_some(), expected.is_some());
                         if let (Some(got), Some(expected)) = (got, expected) {
                             for e in [got, expected] {
-                                e.wait_since += 1;
-                                e.page_keys.push(mix);
+                                e.credit_shipped(1);
+                                e.page_keys_mut().push(mix);
+                                if let Some(a) = e.started_mut() {
+                                    a.wait_since += 1;
+                                }
                             }
                         }
                     }
@@ -670,27 +877,101 @@ mod tests {
                 prop_assert_eq!(queue.is_empty(), reference.is_empty());
                 prop_assert_eq!(
                     queue.tokens(),
-                    reference.iter().map(ActiveRequest::final_context).sum::<usize>()
+                    reference.iter().map(Queued::final_context).sum::<usize>()
                 );
-                prop_assert!(queue.seqs().eq(reference.iter().map(|e| e.arrival_seq)));
+                prop_assert!(queue.seqs().eq(reference.iter().map(Queued::arrival_seq)));
                 let got: Vec<_> = queue.iter().map(state).collect();
                 let expected: Vec<_> = reference.iter().map(state).collect();
                 prop_assert_eq!(got, expected);
                 for step in 0..5 {
                     let views: Vec<PendingView> = queue.views(step).collect();
+                    // A fresh entry is read as the state admission builds.
                     let expected: Vec<PendingView> = reference
                         .iter()
+                        .map(|e| e.clone().into_active(false))
                         .filter(|e| {
                             e.req.arrival_step as usize <= step
                                 && e.last_evicted_at != Some(step)
                         })
-                        .map(|e| reference_view(e, step))
+                        .map(|e| reference_view(&e, step))
                         .collect();
                     prop_assert_eq!(queue.has_visible(step), !expected.is_empty());
                     for v in &views {
                         prop_assert_eq!(queue.view_by_seq(v.arrival_seq, step), Some(*v));
                     }
                     prop_assert_eq!(views, expected);
+                }
+            }
+        }
+
+        /// Over any stream of requests — with and without the prefix cache
+        /// and prefill pricing, shipped tokens at enqueue and credited by a
+        /// later pull, TTFT and ITL deadlines, arrivals before and after
+        /// the step they are enqueued at, steps run in between — every
+        /// fresh queued entry builds the running state enqueue's literal
+        /// built, field by field, and shows the policy that state's view
+        /// at every step.
+        #[test]
+        fn admission_builds_what_enqueue_built(
+            seed in any::<u64>(),
+            prefix_cache in any::<bool>(),
+            prefill_priced in any::<bool>(),
+            n in 1usize..40,
+        ) {
+            let page_size = 8;
+            let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).unwrap();
+            let mut engine = ServingEngine::builder(accel)
+                .heads(1)
+                .max_batch(2)
+                .page_size(page_size)
+                .prefix_cache(prefix_cache)
+                .prefill_factor(if prefill_priced { 1.0 } else { 0.0 })
+                .build();
+            let mut literals: HashMap<u64, ActiveRequest> = HashMap::new();
+            for i in 0..n {
+                let mix = splitmix64(seed ^ (i as u64).rotate_left(32));
+                let bit = |at: u32| (mix >> at) & 1 == 1;
+                let mut req = ServingRequest::new(
+                    mix >> 48,
+                    1 + (mix % 90) as usize,
+                    1 + (mix >> 8) as usize % 4,
+                )
+                .with_priority((mix >> 12) as u8 % 4)
+                .with_client((mix >> 14) % 3)
+                .arriving_at((mix >> 16) % 6)
+                .with_shared_prefix((mix >> 20) % 3, (mix >> 24) as usize % 64);
+                if bit(30) {
+                    req = req.with_ttft_deadline((mix >> 31) % 5);
+                }
+                if bit(34) {
+                    req = req.with_itl_deadline((mix >> 35) % 5);
+                }
+                let shipped = (mix >> 38) as usize % 3 * page_size;
+                let seq = engine.arrival_seq;
+                let schedulable_at = engine.step_index().max(req.arrival_step as usize);
+                prop_assert!(engine.enqueue_with_shipped(req, shipped, None).is_ok());
+                let keys = if prefix_cache { req.page_keys(page_size) } else { Vec::new() };
+                let mut literal =
+                    enqueued_literal(req, seq, schedulable_at, prefill_priced, shipped, keys);
+                if bit(40) {
+                    engine.credit_shipped(seq, page_size);
+                    literal.kv.credit_shipped(page_size);
+                }
+                literals.insert(seq, literal);
+                if bit(41) {
+                    prop_assert!(engine.step().is_ok());
+                }
+                for e in engine.pending.iter().filter(|e| e.is_fresh()) {
+                    let literal = &literals[&e.arrival_seq()];
+                    let built = e.clone().into_active(prefill_priced);
+                    prop_assert_eq!(format!("{built:?}"), format!("{literal:?}"));
+                    for step in 0..12 {
+                        prop_assert_eq!(e.view(step), reference_view(literal, step));
+                        prop_assert_eq!(
+                            e.is_visible(step),
+                            literal.req.arrival_step as usize <= step
+                        );
+                    }
                 }
             }
         }

@@ -21,9 +21,11 @@ impl Linear {
     pub fn new_random(in_dim: usize, out_dim: usize, sigma: f64, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let scale = sigma / (in_dim as f64).sqrt();
-        let data = normal_vec(&mut rng, in_dim * out_dim, scale);
-        let mut it = data.into_iter();
-        let weight = Matrix::from_fn(out_dim, in_dim, |_, _| it.next().expect("sized"));
+        let weight = Matrix::from_vec(
+            out_dim,
+            in_dim,
+            normal_vec(&mut rng, in_dim * out_dim, scale),
+        );
         Self {
             weight,
             bias: vec![0.0; out_dim],
@@ -95,9 +97,8 @@ impl Embedding {
     pub fn new_random(entries: usize, dim: usize, sigma: f64, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let data = normal_vec(&mut rng, entries * dim, sigma);
-        let mut it = data.into_iter();
         Self {
-            table: Matrix::from_fn(entries, dim, |_, _| it.next().expect("sized")),
+            table: Matrix::from_vec(entries, dim, data),
         }
     }
 

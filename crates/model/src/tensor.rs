@@ -10,7 +10,7 @@ use std::fmt;
 /// ```
 /// use topick_model::tensor::Matrix;
 ///
-/// let m = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
+/// let m = Matrix::from_vec(2, 3, (0..6).map(|i| i as f32).collect());
 /// assert_eq!(m.get(1, 2), 5.0);
 /// let y = m.gemv(&[1.0, 0.0, 0.0]);
 /// assert_eq!(y, vec![0.0, 3.0]);
@@ -29,15 +29,15 @@ impl fmt::Debug for Matrix {
 }
 
 impl Matrix {
-    /// Builds a matrix element-wise from `(row, col) -> value`.
+    /// A `rows x cols` matrix holding `data` in row-major order, without
+    /// a copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` does not hold `rows * cols` values.
     #[must_use]
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
-            }
-        }
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
+        assert_eq!(data.len(), rows * cols, "matrix data size mismatch");
         Self { rows, cols, data }
     }
 
@@ -131,9 +131,15 @@ mod tests {
 
     #[test]
     fn gemv_identity() {
-        let id = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
+        let id = Matrix::from_vec(3, 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
         let x = [1.0, -2.0, 3.0];
         assert_eq!(id.gemv(&x), x.to_vec());
+    }
+
+    #[test]
+    #[should_panic(expected = "matrix data size mismatch")]
+    fn from_vec_rejects_a_wrong_size() {
+        let _ = Matrix::from_vec(2, 3, vec![0.0; 5]);
     }
 
     #[test]
@@ -146,7 +152,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "gemv dimension mismatch")]
     fn gemv_rejects_bad_len() {
-        let m = Matrix::from_fn(2, 3, |_, _| 0.0);
+        let m = Matrix::from_vec(2, 3, vec![0.0; 6]);
         let _ = m.gemv(&[1.0, 2.0]);
     }
 

@@ -18,7 +18,10 @@
 //! measured otherwise, and the layer of its innermost workspace frame. It
 //! prints `profile.<phase>.<layer>.<thread>_share`, each thread's shares
 //! summing to 1, then per thread and phase the functions found anywhere
-//! on the most stacks (inclusive) and innermost on the most (self).
+//! on the most stacks (inclusive) and innermost on the most (self), and the
+//! source lines innermost on the most: each the `file:line` of a sample's
+//! innermost workspace frame beside the raw innermost symbol, so a line
+//! whose cost is a libc `memcpy` reads `…/queue.rs:302  [libc.so.6]`.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::Write as _;
@@ -372,8 +375,9 @@ struct Tally {
     /// Samples per `(phase, layer)`.
     layers: BTreeMap<(&'static str, &'static str), usize>,
     /// Per phase: samples per phase, then per workspace function anywhere
-    /// on the stack, and per innermost workspace function.
-    phases: BTreeMap<&'static str, (usize, Counts, Counts)>,
+    /// on the stack, per innermost workspace function, and per innermost
+    /// workspace line with the raw innermost symbol.
+    phases: BTreeMap<&'static str, (usize, Counts, Counts, Counts)>,
 }
 
 /// The command line that marks a process as one of the benchmark's
@@ -499,6 +503,11 @@ fn run(paths: &[String]) -> Result<String, String> {
         return Err(format!("no profile of a '{MEASURED_CHILD}' process"));
     }
     let stacks = symbolize(&profiles)?;
+    Ok(report(&profiles, &stacks))
+}
+
+/// The report on `profiles`, whose samples' frames `stacks` holds.
+fn report(profiles: &[Profile], stacks: &[Vec<Vec<Frame>>]) -> String {
     // Where `timed_setup`'s body is, in every source file that has it.
     let mut setup_spans: HashMap<&str, Vec<(u32, u32)>> = HashMap::new();
     for f in stacks.iter().flatten().flatten() {
@@ -514,7 +523,7 @@ fn run(paths: &[String]) -> Result<String, String> {
                 .is_some_and(|spans| spans.iter().any(|&(a, b)| (a..=b).contains(&f.line)))
     };
     let mut tallies: BTreeMap<&str, Tally> = BTreeMap::new();
-    for (p, per_sample) in profiles.iter().zip(&stacks) {
+    for (p, per_sample) in profiles.iter().zip(stacks) {
         for (s, chain) in p.samples.iter().zip(per_sample) {
             let thread = if s.comm.starts_with(HELPER_COMM) {
                 "helper"
@@ -535,12 +544,18 @@ fn run(paths: &[String]) -> Result<String, String> {
             let t = tallies.entry(thread).or_default();
             t.samples += 1;
             *t.layers.entry((phase, layer)).or_default() += 1;
-            let (n, inclusive, innermost) = t.phases.entry(phase).or_default();
+            let (n, inclusive, innermost, lines) = t.phases.entry(phase).or_default();
             *n += 1;
             let own = inner.map(|(f, _)| f).or(chain.first());
             *innermost
                 .entry(own.map_or_else(|| "?".into(), key))
                 .or_default() += 1;
+            let line = inner.and_then(|(f, _)| Some((workspace_path(&f.file)?, f.line)));
+            if let (Some((rel, line)), Some(raw)) = (line, chain.first()) {
+                *lines
+                    .entry(format!("{rel}:{line}  {}", raw.func))
+                    .or_default() += 1;
+            }
             let seen: HashSet<String> = chain
                 .iter()
                 .filter(|f| workspace_path(&f.file).is_some())
@@ -571,8 +586,12 @@ fn run(paths: &[String]) -> Result<String, String> {
         }
     }
     for (thread, t) in &tallies {
-        for (phase, (n, inclusive, innermost)) in &t.phases {
-            for (what, counts) in [("inclusive", inclusive), ("innermost", innermost)] {
+        for (phase, (n, inclusive, innermost, lines)) in &t.phases {
+            for (what, counts) in [
+                ("inclusive", inclusive),
+                ("innermost", innermost),
+                ("innermost line", lines),
+            ] {
                 out += &format!(
                     "# {thread} {phase} ({:.1} % of the thread), {what}, share of the thread:\n",
                     100.0 * share(*n, t.samples)
@@ -585,7 +604,7 @@ fn run(paths: &[String]) -> Result<String, String> {
             }
         }
     }
-    Ok(out)
+    out
 }
 
 fn main() -> ExitCode {
@@ -731,6 +750,49 @@ mod tests {
         assert_eq!(f[1].line, 165);
         assert_eq!(frames[&0x5678][0].line, 0);
         assert!(parse_addr2line("orphan\n").is_err());
+    }
+
+    /// Two caller samples symbolized from canned `addr2line` output: one
+    /// interrupted in libc under an inlined `Vec::push` in the queue, one
+    /// in the enqueue's own code. The line rows name each sample's
+    /// innermost workspace line beside its raw innermost symbol.
+    #[test]
+    fn innermost_lines_carry_the_raw_innermost_symbol() {
+        let out = "0x10\n\
+                   core::ptr::write<T>\n/rustc/abc/library/core/src/ptr/mod.rs:1\n\
+                   alloc::vec::Vec<T>::push\n/rustc/abc/library/alloc/src/vec/mod.rs:2\n\
+                   topick_accel::serve::queue::PendingQueue::push\n/r/crates/accel/src/serve/queue.rs:302\n\
+                   0x20\n\
+                   topick_accel::serve::ServingEngine::enqueue_with_shipped\n/r/crates/accel/src/serve/mod.rs:746\n";
+        let symbols = parse_addr2line(out).unwrap();
+        let text = "cmdline bench --child topick\nexe /b/bench\n\
+                    s 7 topick-benchmar 9000 10\ns 7 topick-benchmar 20\ns 7 topick-benchmar 20\n";
+        let profile = parse_profile(text).unwrap();
+        let stacks = vec![profile
+            .samples
+            .iter()
+            .map(|s| {
+                s.frames
+                    .iter()
+                    .flat_map(|a| {
+                        symbols
+                            .get(a)
+                            .cloned()
+                            .unwrap_or_else(|| vec![Frame::object("/usr/lib/libc.so.6")])
+                    })
+                    .collect()
+            })
+            .collect()];
+        let out = report(&[profile], &stacks);
+        assert!(
+            out.contains(
+                "# caller measured (100.0 % of the thread), innermost line, share of the thread:\n\
+                          #    66.67 %  crates/accel/src/serve/mod.rs:746  \
+                          topick_accel::serve::ServingEngine::enqueue_with_shipped\n\
+                          #    33.33 %  crates/accel/src/serve/queue.rs:302  [libc.so.6]\n"
+            ),
+            "{out}"
+        );
     }
 
     #[test]
