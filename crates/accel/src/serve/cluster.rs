@@ -55,7 +55,7 @@ use super::events::{wire_schema, EventSchema, ServeEvent, WireEvent, MAX_EVENT_F
 use super::lend::{self, Lender};
 use super::policy::PolicyKind;
 use super::queue::{PrefixChains, ServingRequest};
-use super::router::{RoutingKind, RoutingPolicy, ShardView};
+use super::router::{Router, RoutingKind, ShardView};
 use super::stats::{RequestStats, ServingReport};
 use super::{LendingStats, ServingConfig, ServingEngine};
 
@@ -355,6 +355,7 @@ impl ClusterEngineBuilder {
             prefix_chains: PrefixChains::new(pages, self.cfg.admission.page_size),
             shards,
             router: self.routing.build(),
+            routing: self.routing,
             stealing: self.stealing,
             steals: 0,
             ships: 0,
@@ -374,7 +375,9 @@ impl ClusterEngineBuilder {
 #[derive(Debug)]
 pub struct ClusterEngine {
     shards: Vec<ServingEngine>,
-    router: Box<dyn RoutingPolicy>,
+    router: Router,
+    /// The policy `router` was built from; the report names it.
+    routing: RoutingKind,
     stealing: bool,
     steals: usize,
     ships: usize,
@@ -515,7 +518,7 @@ impl ClusterEngine {
         };
         let views = self.shard_views();
         let route_keys = if wants_keys { &keys[..] } else { &[] };
-        let shard = self.router.route(&req, route_keys, &views).min(
+        let shard = self.router.route(route_keys, &views).min(
             self.shards.len() - 1, // a routing policy cannot route off the cluster
         );
         let pulled = if wants_pull {
@@ -807,7 +810,7 @@ impl ClusterEngine {
     #[must_use]
     pub fn report(&self) -> ClusterReport {
         ClusterReport {
-            routing: self.router.name().to_string(),
+            routing: self.routing.name().to_string(),
             stealing: self.stealing,
             steals: self.steals,
             ships: self.ships,
@@ -854,6 +857,17 @@ mod tests {
         builder_for(small_cfg())
     }
 
+    impl ClusterEngine {
+        /// Enqueues `req` on `shard`, past the router: how a test places
+        /// work where no routing policy would. With the prefix cache off
+        /// there is no page to pull, so this is all the front door does.
+        fn enqueue_on(&mut self, shard: usize, req: ServingRequest) {
+            assert!(!self.shards[shard].config().admission.prefix_cache);
+            self.shards[shard].enqueue(req).expect("valid request");
+            self.sweep_shard_events();
+        }
+    }
+
     /// A cluster request's prompt is hashed once, by the front door: the
     /// shard queues the keys routing and pulling read.
     #[test]
@@ -881,6 +895,14 @@ mod tests {
         assert_eq!(report.pooled().tokens_generated, 6);
         for shard in &report.shards {
             assert_eq!(shard.requests.len(), 2);
+        }
+    }
+
+    #[test]
+    fn the_report_names_the_routing_policy() {
+        for kind in RoutingKind::all() {
+            let cluster = small_builder().shards(2).routing(kind).build();
+            assert_eq!(cluster.report().routing, kind.name());
         }
     }
 
@@ -924,22 +946,11 @@ mod tests {
 
     #[test]
     fn stealing_moves_queued_work_to_idle_shards() {
-        // A skew-everything router leaves shard 1 idle; stealing must
-        // migrate queued work over.
-        #[derive(Debug)]
-        struct AlwaysZero;
-        impl RoutingPolicy for AlwaysZero {
-            fn name(&self) -> &'static str {
-                "always-zero"
-            }
-            fn route(&mut self, _r: &ServingRequest, _k: &[u64], _s: &[ShardView]) -> usize {
-                0
-            }
-        }
+        // Skewing everything onto shard 0 leaves shard 1 idle; stealing
+        // must migrate queued work over.
         let mut cluster = small_builder().shards(2).stealing(true).build();
-        cluster.router = Box::new(AlwaysZero);
         for id in 0..6 {
-            assert_eq!(cluster.enqueue(ServingRequest::new(id, 32, 2)).unwrap(), 0);
+            cluster.enqueue_on(0, ServingRequest::new(id, 32, 2));
         }
         let report = cluster.run_to_completion(64).unwrap();
         assert!(report.steals > 0, "no work was stolen");
@@ -1018,7 +1029,6 @@ mod tests {
         assert_send::<ServingEngine>();
         assert_send::<ClusterEngine>();
         assert_send::<super::super::KvPager>();
-        assert_send::<Box<dyn RoutingPolicy>>();
     }
 
     type Run = (Result<ClusterReport, ServeError>, Vec<ClusterEvent>);
@@ -1218,25 +1228,12 @@ mod tests {
         // pools of three, each taking along the next decode of request 1,
         // the largest. When shard 1 drains, priced shipping moves shard 0's
         // youngest running request, request 1, across, with its kept step.
-        #[derive(Debug)]
-        struct ByIdRange;
-        impl RoutingPolicy for ByIdRange {
-            fn name(&self) -> &'static str {
-                "by-id-range"
-            }
-            fn route(&mut self, r: &ServingRequest, _k: &[u64], _s: &[ShardView]) -> usize {
-                usize::from(r.id >= 2)
-            }
-        }
         let cluster = || {
             let mut cfg = small_cfg();
             cfg.ship_cost_factor = 0.25;
             let mut cluster = builder_for(cfg).shards(2).stealing(true).build();
-            cluster.router = Box::new(ByIdRange);
-            for (id, prompt, tokens) in [(0, 280, 20), (1, 300, 20), (2, 290, 3)] {
-                cluster
-                    .enqueue(ServingRequest::new(id, prompt, tokens))
-                    .unwrap();
+            for (shard, id, prompt, tokens) in [(0, 0, 280, 20), (0, 1, 300, 20), (1, 2, 290, 3)] {
+                cluster.enqueue_on(shard, ServingRequest::new(id, prompt, tokens));
             }
             cluster
         };
@@ -1327,24 +1324,13 @@ mod tests {
         // the shape queue-only stealing cannot fix. With shipping priced,
         // the cluster must move one admitted request across, charge
         // ship cycles for the move, and still deliver every token.
-        #[derive(Debug)]
-        struct ByIdRange;
-        impl RoutingPolicy for ByIdRange {
-            fn name(&self) -> &'static str {
-                "by-id-range"
-            }
-            fn route(&mut self, r: &ServingRequest, _k: &[u64], _s: &[ShardView]) -> usize {
-                usize::from(r.id >= 2)
-            }
-        }
         let run = |ship: f64| {
             let mut cfg = small_cfg();
             cfg.ship_cost_factor = ship;
             let mut cluster = builder_for(cfg).shards(2).stealing(true).build();
-            cluster.router = Box::new(ByIdRange);
-            cluster.enqueue(ServingRequest::new(0, 64, 20)).unwrap();
-            cluster.enqueue(ServingRequest::new(1, 64, 20)).unwrap();
-            cluster.enqueue(ServingRequest::new(2, 64, 2)).unwrap();
+            cluster.enqueue_on(0, ServingRequest::new(0, 64, 20));
+            cluster.enqueue_on(0, ServingRequest::new(1, 64, 20));
+            cluster.enqueue_on(1, ServingRequest::new(2, 64, 2));
             let report = cluster.run_to_completion(128).unwrap();
             let shipped: Vec<u64> = cluster
                 .events()

@@ -1,15 +1,14 @@
 //! Production-shaped workload scenarios: deterministic, seed-derived
-//! open-loop request streams behind one [`Scenario`] abstraction, so
-//! benches, tests and the CLI draw from a shared library instead of
-//! hand-rolled generators.
+//! open-loop request streams, so benches, tests and the CLI draw from a
+//! shared library instead of hand-rolled generators.
 //!
 //! A scenario owns two things: the *request stream* ([`Scenario::generate`]
 //! — a `Vec<ServingRequest>` whose `arrival_step`s model open-loop traffic)
 //! and the *canonical engine sizing* that stream is shaped for
-//! ([`Scenario::serving_config`]). [`ScenarioKind`] is the registry: every
-//! scenario is nameable from CLI flags, bench configs and recorded traces,
+//! ([`Scenario::serving_config`]). [`ScenarioKind`] names the six at their
+//! canonical sizes — from CLI flags, bench configs and recorded traces,
 //! following the [`PolicyKind`](super::PolicyKind) /
-//! [`RoutingKind`](super::RoutingKind) idiom.
+//! [`RoutingKind`](super::RoutingKind) idiom — and answers both by `match`.
 //!
 //! Everything is deterministic in the seed (SplitMix64 streams, no global
 //! RNG), which is what lets a recorded [`Trace`](super::trace::Trace)
@@ -37,14 +36,11 @@ pub(crate) fn next_rand(state: &mut u64) -> u64 {
 /// scenario parameters and seed always produce the byte-identical request
 /// list. That determinism is what the trace record/replay fixed point
 /// (`record → replay → record` yields the same digest) is built on.
-pub trait Scenario: fmt::Debug + Send {
-    /// Stable, human-readable scenario name (used by the CLI registry,
-    /// bench records and recorded traces).
-    fn name(&self) -> &'static str;
-
-    /// One-line description for `--list-scenarios` style help output.
-    fn description(&self) -> &'static str;
-
+///
+/// The trait stays only while the frozen `benchmark/` package calls it
+/// (on an [`AgenticToolLoops`] of its own size); [`ScenarioKind`] names
+/// the canonical scenarios and dispatches to them by `match`.
+pub trait Scenario {
     /// The request stream: deterministic in `seed`, with `arrival_step`s
     /// modeling open-loop traffic (requests become schedulable over time,
     /// whether or not the engine has kept up).
@@ -116,14 +112,6 @@ impl Default for SkewedElephantMice {
 }
 
 impl Scenario for SkewedElephantMice {
-    fn name(&self) -> &'static str {
-        "skewed-elephant-mice"
-    }
-
-    fn description(&self) -> &'static str {
-        "long elephants saturate the batch ahead of short high-priority mice (seed-independent)"
-    }
-
     fn generate(&self, _seed: u64) -> Vec<ServingRequest> {
         let mut reqs: Vec<ServingRequest> = (0..self.elephants)
             .map(|id| ServingRequest::new(id, 480, 16 + id as usize * 6).with_client(0))
@@ -175,14 +163,6 @@ impl Default for SharedPrefixChat {
 }
 
 impl Scenario for SharedPrefixChat {
-    fn name(&self) -> &'static str {
-        "shared-prefix-chat"
-    }
-
-    fn description(&self) -> &'static str {
-        "tenants share page-aligned system prompts; short unique user turns ride behind them"
-    }
-
     fn generate(&self, seed: u64) -> Vec<ServingRequest> {
         let mut reqs = Vec::with_capacity((self.tenants * self.per_tenant) as usize);
         for tenant in 0..self.tenants {
@@ -248,14 +228,6 @@ impl Default for DiurnalArrivals {
 }
 
 impl Scenario for DiurnalArrivals {
-    fn name(&self) -> &'static str {
-        "diurnal"
-    }
-
-    fn description(&self) -> &'static str {
-        "open-loop arrivals follow a day-shaped intensity envelope (trough, ramp, peak, tail)"
-    }
-
     fn generate(&self, seed: u64) -> Vec<ServingRequest> {
         let clients = self.clients.max(1);
         // Per-app system prompts, page-aligned (4..=7 pages of 16).
@@ -334,14 +306,6 @@ impl Default for MultiTenantBursts {
 }
 
 impl Scenario for MultiTenantBursts {
-    fn name(&self) -> &'static str {
-        "multi-tenant-bursts"
-    }
-
-    fn description(&self) -> &'static str {
-        "one shared trigger per wave makes every tenant's burst collide in the same few steps"
-    }
-
     fn generate(&self, seed: u64) -> Vec<ServingRequest> {
         let tenants = self.tenants.max(1);
         let burst_size = self.burst_size.max(1);
@@ -415,14 +379,6 @@ impl Default for AgenticToolLoops {
 }
 
 impl Scenario for AgenticToolLoops {
-    fn name(&self) -> &'static str {
-        "agentic-tool-loops"
-    }
-
-    fn description(&self) -> &'static str {
-        "agent sessions return after each tool call with a grown shared prefix (affinity bait)"
-    }
-
     fn generate(&self, seed: u64) -> Vec<ServingRequest> {
         let mut reqs = Vec::new();
         for s in 0..self.sessions.max(1) {
@@ -477,14 +433,6 @@ impl Default for LongDocSummarize {
 }
 
 impl Scenario for LongDocSummarize {
-    fn name(&self) -> &'static str {
-        "long-doc-summarize"
-    }
-
-    fn description(&self) -> &'static str {
-        "384-816 token documents with tiny targets: prefill-dominated, nothing to share"
-    }
-
     fn generate(&self, seed: u64) -> Vec<ServingRequest> {
         let mut state = splitmix64(seed ^ 0x5851_F42D_4C95_7F2D);
         (0..self.docs.max(1))
@@ -545,22 +493,70 @@ impl ScenarioKind {
         ]
     }
 
-    /// The scenario's stable name (matches [`Scenario::name`]).
+    /// The scenario's stable name (used by the CLI, bench records and
+    /// recorded traces).
     #[must_use]
     pub fn name(self) -> &'static str {
-        self.build().name()
+        match self {
+            Self::SkewedElephantMice => "skewed-elephant-mice",
+            Self::SharedPrefixChat => "shared-prefix-chat",
+            Self::DiurnalArrivals => "diurnal",
+            Self::MultiTenantBursts => "multi-tenant-bursts",
+            Self::AgenticToolLoops => "agentic-tool-loops",
+            Self::LongDocSummarize => "long-doc-summarize",
+        }
     }
 
-    /// Instantiates the scenario with its canonical parameters.
+    /// One-line description for `--list-scenarios`.
     #[must_use]
-    pub fn build(self) -> Box<dyn Scenario> {
+    pub fn description(self) -> &'static str {
         match self {
-            Self::SkewedElephantMice => Box::new(SkewedElephantMice::default()),
-            Self::SharedPrefixChat => Box::new(SharedPrefixChat::default()),
-            Self::DiurnalArrivals => Box::new(DiurnalArrivals::default()),
-            Self::MultiTenantBursts => Box::new(MultiTenantBursts::default()),
-            Self::AgenticToolLoops => Box::new(AgenticToolLoops::default()),
-            Self::LongDocSummarize => Box::new(LongDocSummarize::default()),
+            Self::SkewedElephantMice => {
+                "long elephants saturate the batch ahead of short high-priority mice (seed-independent)"
+            }
+            Self::SharedPrefixChat => {
+                "tenants share page-aligned system prompts; short unique user turns ride behind them"
+            }
+            Self::DiurnalArrivals => {
+                "open-loop arrivals follow a day-shaped intensity envelope (trough, ramp, peak, tail)"
+            }
+            Self::MultiTenantBursts => {
+                "one shared trigger per wave makes every tenant's burst collide in the same few steps"
+            }
+            Self::AgenticToolLoops => {
+                "agent sessions return after each tool call with a grown shared prefix (affinity bait)"
+            }
+            Self::LongDocSummarize => {
+                "384-816 token documents with tiny targets: prefill-dominated, nothing to share"
+            }
+        }
+    }
+
+    /// The canonical scenario's request stream for `seed`
+    /// ([`Scenario::generate`]).
+    #[must_use]
+    pub fn generate(self, seed: u64) -> Vec<ServingRequest> {
+        match self {
+            Self::SkewedElephantMice => SkewedElephantMice::default().generate(seed),
+            Self::SharedPrefixChat => SharedPrefixChat::default().generate(seed),
+            Self::DiurnalArrivals => DiurnalArrivals::default().generate(seed),
+            Self::MultiTenantBursts => MultiTenantBursts::default().generate(seed),
+            Self::AgenticToolLoops => AgenticToolLoops::default().generate(seed),
+            Self::LongDocSummarize => LongDocSummarize::default().generate(seed),
+        }
+    }
+
+    /// The canonical scenario's engine sizing
+    /// ([`Scenario::serving_config`]).
+    #[must_use]
+    pub fn serving_config(self, accel: AccelConfig) -> ServingConfig {
+        match self {
+            Self::SkewedElephantMice => SkewedElephantMice::default().serving_config(accel),
+            Self::SharedPrefixChat => SharedPrefixChat::default().serving_config(accel),
+            Self::DiurnalArrivals => DiurnalArrivals::default().serving_config(accel),
+            Self::MultiTenantBursts => MultiTenantBursts::default().serving_config(accel),
+            Self::AgenticToolLoops => AgenticToolLoops::default().serving_config(accel),
+            Self::LongDocSummarize => LongDocSummarize::default().serving_config(accel),
         }
     }
 }
@@ -599,8 +595,7 @@ mod tests {
     fn scenario_kind_round_trips_through_names() {
         for kind in ScenarioKind::all() {
             assert_eq!(kind.name().parse::<ScenarioKind>().unwrap(), kind);
-            assert_eq!(kind.build().name(), kind.name());
-            assert!(!kind.build().description().is_empty());
+            assert!(!kind.description().is_empty());
         }
         assert!("nope".parse::<ScenarioKind>().is_err());
         assert_eq!(
@@ -612,9 +607,8 @@ mod tests {
     #[test]
     fn every_scenario_is_deterministic_in_its_seed() {
         for kind in ScenarioKind::all() {
-            let s = kind.build();
-            let a = s.generate(41);
-            let b = s.generate(41);
+            let a = kind.generate(41);
+            let b = kind.generate(41);
             assert_eq!(a, b, "{kind}: same seed must reproduce the workload");
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "{kind}");
             assert!(!a.is_empty(), "{kind}: scenarios must produce work");
@@ -622,8 +616,7 @@ mod tests {
         // The skewed stream is seed-independent by design; every other
         // scenario must actually vary with the seed.
         for kind in ScenarioKind::all() {
-            let s = kind.build();
-            let differs = s.generate(1) != s.generate(2);
+            let differs = kind.generate(1) != kind.generate(2);
             assert_eq!(
                 differs,
                 kind != ScenarioKind::SkewedElephantMice,
@@ -635,7 +628,7 @@ mod tests {
     #[test]
     fn every_scenario_has_unique_ids_and_valid_shapes() {
         for kind in ScenarioKind::all() {
-            let reqs = kind.build().generate(11);
+            let reqs = kind.generate(11);
             let ids: std::collections::BTreeSet<u64> = reqs.iter().map(|r| r.id).collect();
             assert_eq!(ids.len(), reqs.len(), "{kind}: duplicate request ids");
             assert!(reqs
@@ -648,10 +641,8 @@ mod tests {
     fn every_request_fits_its_scenarios_canonical_engine() {
         let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).unwrap();
         for kind in ScenarioKind::all() {
-            let s = kind.build();
-            let cfg = s.serving_config(accel.clone());
-            let engine = ServingEngine::new(cfg);
-            for req in s.generate(11) {
+            let engine = ServingEngine::new(kind.serving_config(accel.clone()));
+            for req in kind.generate(11) {
                 engine
                     .validate_request(&req)
                     .unwrap_or_else(|e| panic!("{kind}: request {} rejected: {e}", req.id));

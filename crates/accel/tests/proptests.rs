@@ -9,8 +9,8 @@ use topick_accel::{
     PreemptionConfig, RetentionPolicy, RoutingKind, ScenarioKind, ServeEvent, ServingConfig,
     ServingEngine, ServingRequest, ToPickAccelerator, TraceMeta,
 };
-use topick_core::{exact_probabilities, PrecisionConfig, QMatrix, QVector, Rows};
-use topick_model::{PagedKvStore, PagedSeq};
+use topick_core::{exact_probabilities, PrecisionConfig, QMatrix, QVector, QuantBuffer, Rows};
+use topick_model::{CodeScratch, PagedKvStore, PagedSeq, SynthProfile};
 
 fn random_instance(seed: u64, n: usize, dim: usize) -> (QVector, QMatrix, Vec<f32>) {
     let pc = PrecisionConfig::paper();
@@ -74,6 +74,48 @@ proptest! {
                         r.kept.contains(&t),
                         "{:?}: token {} with p={} pruned at thr={}",
                         mode, t, p, thr
+                    );
+                }
+            }
+        }
+    }
+
+    /// Soundness holds on the instances serving runs too: key codes drawn
+    /// by `SynthProfile::generate_codes` from the realistic, wide- and
+    /// narrow-spread profiles, at contexts 1–511 and thresholds 1e-1 to
+    /// 1e-4, costed by `attention_cost` in every pruning mode.
+    #[test]
+    fn no_dominant_token_pruned_on_synthesized_codes(
+        seed in any::<u64>(),
+        n in 1usize..512,
+        profile_idx in 0usize..3,
+        thr_exp in 1.0f64..4.0,
+    ) {
+        let profiles = [
+            SynthProfile::realistic,
+            SynthProfile::wide_spread,
+            SynthProfile::narrow_spread,
+        ];
+        let (q, keys) = profiles[profile_idx](n, 64).generate_codes(
+            seed,
+            PrecisionConfig::paper(),
+            &mut CodeScratch::default(),
+            &mut QuantBuffer::new(),
+        );
+        let thr = 10f64.powf(-thr_exp);
+        let exact = exact_probabilities(&q, &keys);
+        for mode in [AccelMode::EstimateOnly, AccelMode::OutOfOrder, AccelMode::Blocking] {
+            let cost = ToPickAccelerator::new(
+                AccelConfig::paper(mode, thr).expect("thr in range"),
+            )
+            .attention_cost(&q, &keys)
+            .expect("cost");
+            for (t, &p) in exact.iter().enumerate() {
+                if p > thr {
+                    prop_assert!(
+                        cost.kept.binary_search_by_key(&t, |&(k, _)| k).is_ok(),
+                        "{:?}: token {} of {} with p={} pruned at thr={}",
+                        mode, t, n, p, thr
                     );
                 }
             }
@@ -912,11 +954,11 @@ proptest! {
         let kind = ScenarioKind::all()[kind_idx];
         let policy = PolicyKind::all()[policy_idx];
         let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-        let cfg = kind.build().serving_config(accel);
+        let cfg = kind.serving_config(accel);
         let meta = TraceMeta::new(&cfg, policy.name())
             .for_scenario(kind.name(), scenario_seed)
             .for_cluster(2, RoutingKind::LeastLoaded.name(), true, 1);
-        let requests = kind.build().generate(scenario_seed);
+        let requests = kind.generate(scenario_seed);
         let (first, _) = run_recorded(&meta, &requests).expect("record");
         let (second, _) = first.replay().expect("replay");
         prop_assert_eq!(first.digest, second.digest, "{}/{}", kind, policy);
@@ -943,7 +985,7 @@ proptest! {
         let kind = ScenarioKind::all()[kind_idx];
         let policy = PolicyKind::all()[policy_idx];
         let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-        let mut cfg = kind.build().serving_config(accel.clone());
+        let mut cfg = kind.serving_config(accel.clone());
         if preempt {
             cfg.preemption = PreemptionConfig::enabled()
                 .with_retention(RetentionPolicy::Fraction(retention_fraction));
@@ -951,7 +993,7 @@ proptest! {
         cfg.prefill_chunk_pages = prefill_chunk;
         cfg.host_pages = if host_tier { 64 } else { 0 };
         cfg.reject_expired_ttft = reject;
-        let requests = kind.build().generate(scenario_seed);
+        let requests = kind.generate(scenario_seed);
 
         let mut engine = ServingEngine::builder(accel.clone())
             .config(cfg.clone())
@@ -1006,7 +1048,7 @@ proptest! {
     ) {
         let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
         let kind = ScenarioKind::SharedPrefixChat;
-        let mut cfg = kind.build().serving_config(accel);
+        let mut cfg = kind.serving_config(accel);
         cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.5));
         cfg.prefill_chunk_pages = 2;
         cfg.host_pages = 16;
@@ -1014,7 +1056,6 @@ proptest! {
             .for_scenario(kind.name(), seed % 4)
             .for_cluster(2, RoutingKind::LeastLoaded.name(), true, 1);
         let requests: Vec<ServingRequest> = kind
-            .build()
             .generate(seed % 4)
             .into_iter()
             .take(6)

@@ -452,7 +452,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     if flags.contains_key("list-scenarios") {
         println!("{:<22} description", "scenario");
         for kind in ScenarioKind::all() {
-            println!("{:<22} {}", kind.name(), kind.build().description());
+            println!("{:<22} {}", kind.name(), kind.description());
         }
         return Ok(());
     }
@@ -503,7 +503,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
         AccelConfig::paper(AccelMode::OutOfOrder, flag(flags, "threshold", 1e-3f64)?)?
     };
     let mut cfg = match scenario {
-        Some(kind) => kind.build().serving_config(accel),
+        Some(kind) => kind.serving_config(accel),
         None => {
             let mut cfg = ServingConfig::new(accel);
             cfg.admission.max_batch = count_flag(flags, "batch", 8)?;
@@ -544,22 +544,14 @@ fn cmd_serve(flags: &Flags) -> Result<(), Box<dyn std::error::Error>> {
     if shards <= 1 && flags.contains_key("ship-cost") {
         return Err("--ship-cost only takes effect with --shards > 1".into());
     }
-    let factor_range = ServingConfig::FACTOR_RANGE;
-    if !factor_range.contains(&cfg.swap_cost_factor)
-        || !factor_range.contains(&cfg.ship_cost_factor)
-    {
-        return Err("--swap-cost/--ship-cost must be within [0, 10]".into());
-    }
-    if !factor_range.contains(&cfg.prefill_factor) {
-        return Err("--prefill-factor must be within [0, 10]".into());
-    }
+    cfg.validate()?;
 
     // The open-loop workload: the selected scenario's seed-derived stream,
     // or the classic hardcoded mix. `--slo-ttft`/`--slo-itl` stamp a
     // uniform deadline onto every request, overriding whatever the
     // scenario attached.
     let mut requests = match scenario {
-        Some(kind) => kind.build().generate(scenario_seed),
+        Some(kind) => kind.generate(scenario_seed),
         None => serve_workload(count_flag(flags, "requests", 16)?),
     };
     if let Some(d) = opt_flag(flags, "slo-ttft")? {

@@ -312,6 +312,36 @@ fn serve_errors_exit_one_and_name_the_problem() {
 }
 
 #[test]
+fn a_price_factor_flag_out_of_range_is_refused_naming_its_field() {
+    // The flags meet the range check a trace's meta line does, with its
+    // message, before anything is served.
+    for (args, field) in [
+        (&["serve", "--prefill-factor", "11"][..], "prefill_factor"),
+        (
+            &["serve", "--host-pages", "1", "--swap-cost", "-1"],
+            "swap_cost_factor",
+        ),
+        (
+            &["serve", "--shards", "2", "--ship-cost", "NaN"],
+            "ship_cost_factor",
+        ),
+    ] {
+        let out = topick(args);
+        assert_eq!(out.status.code(), Some(1), "topick {args:?} must exit 1");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("field '{field}' must be within [0, 10]")),
+            "{args:?}: {err}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
+
+#[test]
 fn a_zero_count_is_refused_naming_its_flag() {
     // Each used to panic with exit 101 (`--context` and `--dim` in the
     // instance sampler), print a breakdown at context 0 (`traffic`), bend

@@ -1079,7 +1079,7 @@ fn scenario_trace_meta(
     cluster: Option<(usize, RoutingKind, bool, usize)>,
 ) -> TraceMeta {
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut cfg = kind.build().serving_config(accel);
+    let mut cfg = kind.serving_config(accel);
     if preemption {
         cfg.preemption =
             PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.75));
@@ -1154,7 +1154,7 @@ fn engine_record_replay_record_is_a_fixed_point_for_every_scenario_and_policy() 
     // the Preempted/retained path is inside the fixed point.
     let mut digests = Vec::new();
     for kind in ScenarioKind::all() {
-        let requests = kind.build().generate(11);
+        let requests = kind.generate(11);
         for policy in PolicyKind::all() {
             let meta = scenario_trace_meta(kind, 11, policy, true, None);
             let (first, report_a) = run_recorded(&meta, &requests)
@@ -1251,7 +1251,7 @@ fn cluster_record_replay_is_a_fixed_point_across_routing_stealing_and_threads() 
     ];
     let mut digests = Vec::new();
     for (i, kind) in ScenarioKind::all().iter().copied().enumerate() {
-        let requests = kind.build().generate(11);
+        let requests = kind.generate(11);
         for (j, &(policy, routing, stealing, threads)) in COMBOS.iter().enumerate() {
             if (i + j) % 2 != 0 {
                 continue;
@@ -1294,7 +1294,7 @@ fn agentic_scenario_affinity_beats_round_robin_by_the_pinned_margin() {
     // The margin is pinned well below the measured gap (0.544 vs 0.0 at
     // seed 11) so modeling drift trips it before the effect disappears.
     let kind = ScenarioKind::AgenticToolLoops;
-    let requests = kind.build().generate(11);
+    let requests = kind.generate(11);
     let run = |routing: RoutingKind| {
         let meta = scenario_trace_meta(
             kind,
@@ -1382,7 +1382,8 @@ fn long_doc_recorded(
         cfg.preemption =
             PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.75));
     }
-    let mut meta = TraceMeta::new(&cfg, policy.name()).for_scenario(scenario.name(), 11);
+    let mut meta =
+        TraceMeta::new(&cfg, policy.name()).for_scenario(ScenarioKind::LongDocSummarize.name(), 11);
     if let Some((shards, routing)) = cluster {
         meta = meta.for_cluster(shards, routing.name(), false, 1);
     }
@@ -2125,9 +2126,9 @@ fn residency_soak_validates_every_step_across_scenarios_and_policies() {
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
     let (mut preemptions, mut swapped_out, mut chunks) = (0usize, 0usize, 0usize);
     for kind in ScenarioKind::all() {
-        let requests = kind.build().generate(11);
+        let requests = kind.generate(11);
         for policy in PolicyKind::all() {
-            let mut cfg = kind.build().serving_config(accel.clone());
+            let mut cfg = kind.serving_config(accel.clone());
             cfg.preemption =
                 PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.6));
             cfg.host_pages = 6;
@@ -2252,7 +2253,7 @@ fn shipped_prefix_pulls_record_and_replay_to_the_same_digest() {
     cfg.swap_cost_factor = 0.25;
     cfg.ship_cost_factor = 0.25;
     let meta = TraceMeta::new(&cfg, PolicyKind::Fifo.name())
-        .for_scenario(scenario.name(), 11)
+        .for_scenario(ScenarioKind::SharedPrefixChat.name(), 11)
         .for_cluster(4, RoutingKind::RoundRobin.name(), true, 1);
     let requests = scenario.generate(11);
     let (first, report) = run_recorded(&meta, &requests).expect("shipped run records");
@@ -2965,11 +2966,10 @@ fn cluster_report_aggregates_are_the_engine_aggregates() {
     ] {
         for policy in [PolicyKind::PriorityAging, PolicyKind::SloAware] {
             let what = format!("{kind}/{policy}");
-            let scenario = kind.build();
-            let mut cfg = scenario.serving_config(accel.clone());
+            let mut cfg = kind.serving_config(accel.clone());
             cfg.preemption =
                 PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.75));
-            let requests = scenario.generate(11);
+            let requests = kind.generate(11);
             let hz = cfg.clock_hz;
 
             let mut engine = ServingEngine::builder(accel.clone())
